@@ -21,7 +21,11 @@
 //!   polynomial when one item moves, touching only the terms that
 //!   contain the item — `O(affected terms)` instead of `O(all terms)`,
 //!   the DBToaster-style delta processing the incremental simulator
-//!   views are built on.
+//!   views are built on. The index is keyed by the plan's own sorted
+//!   item list, so a plan costs `O(terms)` bytes wherever its item ids
+//!   sit in the universe; a caller that keeps an item's position in
+//!   that list (its *slot*) skips the search
+//!   ([`EvalPlan::delta_eval_slot`]).
 
 use crate::item::ItemId;
 use crate::polynomial::Polynomial;
@@ -72,8 +76,11 @@ pub struct EvalPlan {
     kinds: Vec<TermKind>,
     /// Flat `(item, exponent)` factors for `General` terms only.
     factors: Vec<(u32, u32)>,
-    /// CSR inverted index: `index_terms[index_starts[i]..index_starts[i+1]]`
-    /// are the term ids containing item `i`.
+    /// The distinct items the polynomial references, ascending.
+    index_items: Vec<u32>,
+    /// CSR inverted index over `index_items`:
+    /// `index_terms[index_starts[k]..index_starts[k+1]]` are the term ids
+    /// containing item `index_items[k]`.
     index_starts: Vec<u32>,
     index_terms: Vec<u32>,
     /// Minimum length a `values` slice must have (`1 + max item id`, or 0).
@@ -114,41 +121,41 @@ impl EvalPlan {
             kinds.push(kind);
         }
 
-        // Inverted index by counting sort: item -> terms containing it.
-        let mut counts = vec![0u32; n_values + 1];
-        let for_each_item = |kind: &TermKind, f: &mut dyn FnMut(u32)| match *kind {
-            TermKind::Const => {}
-            TermKind::Linear { i } | TermKind::Square { i } => f(i),
-            TermKind::Bilinear { i, j } => {
-                f(i);
-                f(j);
-            }
-            TermKind::General { start, end } => {
-                for &(i, _) in &factors[start as usize..end as usize] {
-                    f(i);
-                }
-            }
-        };
-        for kind in &kinds {
-            for_each_item(kind, &mut |i| counts[i as usize + 1] += 1);
-        }
-        for i in 1..counts.len() {
-            counts[i] += counts[i - 1];
-        }
-        let index_starts = counts.clone();
-        let mut cursor = counts;
-        let mut index_terms = vec![0u32; index_starts[n_values] as usize];
+        // Inverted index: (item, term) pairs sorted by item. Terms are
+        // visited in ascending order and the sort is stable, so each
+        // item's term ids come out ascending.
+        let mut pairs: Vec<(u32, u32)> = Vec::new();
         for (ti, kind) in kinds.iter().enumerate() {
-            for_each_item(kind, &mut |i| {
-                index_terms[cursor[i as usize] as usize] = ti as u32;
-                cursor[i as usize] += 1;
-            });
+            let ti = ti as u32;
+            match *kind {
+                TermKind::Const => {}
+                TermKind::Linear { i } | TermKind::Square { i } => pairs.push((i, ti)),
+                TermKind::Bilinear { i, j } => pairs.extend([(i, ti), (j, ti)]),
+                TermKind::General { start, end } => pairs.extend(
+                    factors[start as usize..end as usize]
+                        .iter()
+                        .map(|&(i, _)| (i, ti)),
+                ),
+            }
         }
+        pairs.sort_by_key(|&(i, _)| i);
+        let mut index_items: Vec<u32> = Vec::new();
+        let mut index_starts: Vec<u32> = Vec::new();
+        let mut index_terms: Vec<u32> = Vec::with_capacity(pairs.len());
+        for &(i, ti) in &pairs {
+            if index_items.last() != Some(&i) {
+                index_items.push(i);
+                index_starts.push(index_terms.len() as u32);
+            }
+            index_terms.push(ti);
+        }
+        index_starts.push(index_terms.len() as u32);
 
         EvalPlan {
             coefs,
             kinds,
             factors,
+            index_items,
             index_starts,
             index_terms,
             n_values,
@@ -174,14 +181,28 @@ impl EvalPlan {
         self.degree
     }
 
+    /// The *slot* of `item`: its rank among the distinct items the
+    /// polynomial references, ascending (the order of
+    /// [`Polynomial::items`]); `None` for foreign items. A caller that
+    /// applies many deltas for the same item resolves the slot once and
+    /// uses [`EvalPlan::delta_eval_slot`], skipping this search.
+    #[inline]
+    pub fn slot_of(&self, item: ItemId) -> Option<usize> {
+        self.index_items.binary_search(&item.0).ok()
+    }
+
     /// Term ids containing `item` (ascending; empty for foreign items).
     #[inline]
     pub fn terms_for(&self, item: ItemId) -> &[u32] {
-        let i = item.index();
-        if i >= self.n_values {
-            return &[];
+        match self.slot_of(item) {
+            Some(slot) => self.slot_terms(slot),
+            None => &[],
         }
-        &self.index_terms[self.index_starts[i] as usize..self.index_starts[i + 1] as usize]
+    }
+
+    #[inline]
+    fn slot_terms(&self, slot: usize) -> &[u32] {
+        &self.index_terms[self.index_starts[slot] as usize..self.index_starts[slot + 1] as usize]
     }
 
     /// One term's value at `values`, with `values[item]` overridden to
@@ -258,9 +279,32 @@ impl EvalPlan {
     #[inline]
     pub fn delta_eval(&self, values: &[f64], item: ItemId, old: f64, new: f64) -> f64 {
         assert!(values.len() >= self.n_values, "values slice too short");
+        match self.slot_of(item) {
+            Some(slot) => self.delta_eval_slot(values, slot, item, old, new),
+            None => 0.0,
+        }
+    }
+
+    /// [`EvalPlan::delta_eval`] for the item whose slot is already known
+    /// (`slot == self.slot_of(item).unwrap()`): same result, no search.
+    ///
+    /// # Panics
+    /// Panics if `values.len() < self.n_values()` or `slot` is out of
+    /// range.
+    #[inline]
+    pub fn delta_eval_slot(
+        &self,
+        values: &[f64],
+        slot: usize,
+        item: ItemId,
+        old: f64,
+        new: f64,
+    ) -> f64 {
+        assert!(values.len() >= self.n_values, "values slice too short");
+        debug_assert_eq!(self.index_items[slot], item.0, "slot of another item");
         let i = item.0;
         let mut delta = 0.0;
-        for &ti in self.terms_for(item) {
+        for &ti in self.slot_terms(slot) {
             let ti = ti as usize;
             delta += self.term_with(ti, values, i, new) - self.term_with(ti, values, i, old);
         }
@@ -282,7 +326,8 @@ impl EvalPlan {
             + self.coefs.len() * size_of::<f64>()
             + self.kinds.len() * size_of::<TermKind>()
             + self.factors.len() * size_of::<(u32, u32)>()
-            + (self.index_starts.len() + self.index_terms.len()) * size_of::<u32>()
+            + (self.index_items.len() + self.index_starts.len() + self.index_terms.len())
+                * size_of::<u32>()
     }
 }
 
@@ -331,6 +376,49 @@ mod tests {
         assert_eq!(plan.terms_for(x(2)), &[3, 4]);
         assert_eq!(plan.terms_for(x(9)), &[] as &[u32]);
         assert_eq!(plan.delta_cost(x(2)), 2);
+    }
+
+    #[test]
+    fn ids_outside_the_plan_have_no_terms() {
+        // Items {5, 9, 4_000_000}: ids below, between and above them
+        // are foreign, as is everything past the largest.
+        let p = Polynomial::from_terms([
+            PTerm::new(2.0, [(x(5), 1), (x(9), 1)]).unwrap(),
+            PTerm::new(-1.0, [(x(4_000_000), 2)]).unwrap(),
+        ]);
+        let plan = EvalPlan::compile(&p);
+        assert_eq!(plan.terms_for(x(5)), &[0]);
+        assert_eq!(plan.terms_for(x(9)), &[0]);
+        assert_eq!(plan.terms_for(x(4_000_000)), &[1]);
+        for foreign in [0, 4, 6, 8, 10, 3_999_999, 4_000_001, u32::MAX] {
+            assert_eq!(plan.terms_for(x(foreign)), &[] as &[u32], "x{foreign}");
+        }
+    }
+
+    #[test]
+    fn slots_rank_the_items_and_skip_the_search() {
+        let p = mixed();
+        let plan = EvalPlan::compile(&p);
+        let values = [3.0, 4.0, 5.0];
+        for (slot, item) in p.items().into_iter().enumerate() {
+            assert_eq!(plan.slot_of(item), Some(slot));
+            assert_eq!(
+                plan.delta_eval_slot(&values, slot, item, values[item.index()], 9.0)
+                    .to_bits(),
+                plan.delta_eval(&values, item, values[item.index()], 9.0)
+                    .to_bits()
+            );
+        }
+        assert_eq!(plan.slot_of(x(3)), None);
+    }
+
+    #[test]
+    fn bytes_do_not_depend_on_where_the_ids_sit() {
+        let leg = |i, j| Polynomial::term(PTerm::new(1.5, [(x(i), 1), (x(j), 1)]).unwrap());
+        let low = EvalPlan::compile(&leg(0, 1));
+        let high = EvalPlan::compile(&leg(5, 4_000_000));
+        assert_eq!(low.bytes(), high.bytes());
+        assert_eq!(high.n_values(), 4_000_001);
     }
 
     #[test]

@@ -1070,25 +1070,37 @@ mod tests {
 
     #[test]
     fn bytes_grow_sublinearly_on_overlapping_books() {
-        // 64 queries over the same 4 legs of a 256-item universe:
-        // shared bytes must be far below 64 per-query plans (each of
-        // which repeats both the terms and an `index_starts` array
-        // sized by its max item id).
-        let legs: Vec<Polynomial> = (0..64)
-            .map(|k| {
-                Polynomial::from_terms((0..4).map(|l| {
-                    PTerm::new(1.0 + k as f64, [(x(200 + l), 1), (x(204 + l), 1)]).unwrap()
-                }))
-            })
-            .collect();
-        let shared = SharedPlan::compile(legs.iter());
-        assert_eq!(shared.n_terms(), 4);
-        let per_query: usize = legs.iter().map(|p| EvalPlan::compile(p).bytes()).sum();
+        // Books over the same 4 legs of a 256-item universe: the shared
+        // plan stores the 4 monomials once and every further query adds
+        // only its scatter subscriptions, while each per-query plan
+        // repeats the terms and their item index.
+        let book = |n: u32| -> Vec<Polynomial> {
+            (0..n)
+                .map(|k| {
+                    Polynomial::from_terms((0..4).map(|l| {
+                        PTerm::new(1.0 + k as f64, [(x(200 + l), 1), (x(204 + l), 1)]).unwrap()
+                    }))
+                })
+                .collect()
+        };
+        let per_query_bytes = |book: &[Polynomial]| -> usize {
+            book.iter().map(|p| EvalPlan::compile(p).bytes()).sum()
+        };
+        let (small, large) = (book(64), book(128));
+        let shared_small = SharedPlan::compile(small.iter());
+        let shared_large = SharedPlan::compile(large.iter());
+        assert_eq!(shared_large.n_terms(), 4);
         assert!(
-            shared.bytes() * 2 < per_query,
+            shared_large.bytes() < per_query_bytes(&large),
             "shared {} vs per-query {}",
-            shared.bytes(),
-            per_query
+            shared_large.bytes(),
+            per_query_bytes(&large)
+        );
+        let shared_growth = shared_large.bytes() - shared_small.bytes();
+        let per_query_growth = per_query_bytes(&large) - per_query_bytes(&small);
+        assert!(
+            shared_growth * 2 < per_query_growth,
+            "64 more queries cost shared {shared_growth} B vs per-query {per_query_growth} B"
         );
     }
 

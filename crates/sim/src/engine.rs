@@ -40,7 +40,7 @@ use pq_poly::{EvalPlan, PolynomialQuery, SharedPlan};
 use crate::audit::{AuditConfig, AuditFault, FidelityAuditor};
 use crate::delay::{DelayConfig, Pareto};
 use crate::event::Event;
-use crate::incremental::{DeltaView, SharedView};
+use crate::incremental::{DeltaView, ReaderIndex, SharedView};
 use crate::metrics::SimMetrics;
 use crate::ring::{RingConsumer, RingMsg, RingProducer};
 use crate::table::{Bitset, ItemTable};
@@ -440,8 +440,16 @@ pub(crate) struct Engine<'a> {
     assignments: Vec<Vec<QueryAssignment>>,
     /// Warm-start caches, one per (query, unit).
     cache: SolveCache,
-    /// item -> indices of queries referencing it.
-    item_queries: Vec<Vec<u32>>,
+    /// item -> the queries referencing it, with the item's slot in each
+    /// query's plan.
+    readers: ReaderIndex,
+    /// The items the source plane maintains, ascending: every item a
+    /// local query reads plus, on a home shard, every item a remote
+    /// shard subscribes to. Nothing else can hold a finite filter, push,
+    /// draw from the RNG or feed a query value, so the per-tick sweep
+    /// visits only these and an unwatched item's source value stays at
+    /// its tick-0 sample.
+    watched: Vec<u32>,
     /// Compiled evaluation plans, one per query (same index space).
     plans: Vec<EvalPlan>,
     /// Delta-maintained query values at the source view (updated every
@@ -481,7 +489,7 @@ pub(crate) struct Engine<'a> {
     /// subtly reordered same-time arrivals).
     deferred: VecDeque<(usize, f64)>,
     /// Reusable scratch: affected-query list of the refresh being
-    /// processed (replaces a per-refresh `item_queries[item].clone()`).
+    /// processed (copied out of `readers`, which stays borrowed by `self`).
     scratch_affected: Vec<u32>,
     /// Reusable scratch: stale `(query, unit)` pairs of one refresh.
     scratch_stale: Vec<(usize, usize)>,
@@ -508,11 +516,13 @@ pub(crate) struct Engine<'a> {
     /// Per-query `dab.recompute` attribution (labeled family, key
     /// `query`), pre-created so the hot path is one relaxed add.
     lc_recompute_by_query: Vec<Arc<Counter>>,
-    /// Per-item `sim.refresh` attribution (labeled family, key `item`).
-    lc_refresh_by_item: Vec<Arc<Counter>>,
+    /// Per-item `sim.refresh` attribution (labeled family, key `item`),
+    /// resolved for watched items only — no other item can refresh.
+    lc_refresh_by_item: Vec<Option<Arc<Counter>>>,
     /// Per-item count of refreshes that forced at least one DAB
-    /// recomputation (`dab.recompute_trigger`, key `item`).
-    lc_trigger_by_item: Vec<Arc<Counter>>,
+    /// recomputation (`dab.recompute_trigger`, key `item`; watched
+    /// items only).
+    lc_trigger_by_item: Vec<Option<Arc<Counter>>>,
     /// Incremental-evaluation counters: per-query delta updates, full
     /// evaluations, and rebase passes (`eval.delta` / `eval.full` /
     /// `eval.rebase`).
@@ -559,6 +569,20 @@ pub(crate) struct Engine<'a> {
     /// Live-health runtime (windowed plane + burn-rate engine +
     /// watchdog); present only when [`SimConfig::slo`] is set.
     slo: Option<SloRuntime>,
+}
+
+/// One labeled-counter handle per watched item, `None` in every other
+/// item's slot.
+fn per_watched_item(
+    n_items: usize,
+    watched: &[u32],
+    resolve: impl Fn(usize) -> Arc<Counter>,
+) -> Vec<Option<Arc<Counter>>> {
+    let mut handles = vec![None; n_items];
+    for &item in watched {
+        handles[item as usize] = Some(resolve(item as usize));
+    }
+    handles
 }
 
 /// How long the hot loop may go without a heartbeat before the live
@@ -678,12 +702,16 @@ impl<'a> Engine<'a> {
         }
         let rates = cfg.rate_estimator.estimate_all(&cfg.traces);
         let source_values = cfg.traces.initial_values();
-        let mut item_queries = vec![Vec::new(); n_items];
-        for (qi, q) in cfg.queries.iter().enumerate() {
-            for item in q.items() {
-                item_queries[item.index()].push(qi as u32);
-            }
-        }
+        let query_items: Vec<Vec<pq_poly::ItemId>> =
+            cfg.queries.iter().map(PolynomialQuery::items).collect();
+        let readers = ReaderIndex::new(n_items, &query_items);
+        let watched: Vec<u32> = (0..n_items)
+            .filter(|&i| {
+                !readers.queries(i).is_empty()
+                    || shard.as_ref().is_some_and(|c| !c.exports[i].is_empty())
+            })
+            .map(|i| i as u32)
+            .collect();
         let shared_mode = matches!(cfg.eval, EvalMode::Shared { .. });
         // In shared mode the whole book compiles into one cross-query
         // plan — the per-query plans would be dead weight, so they are
@@ -730,6 +758,16 @@ impl<'a> Engine<'a> {
         };
         let shard_label = shard.as_ref().map(|c| c.shard.to_string());
         let n_global_items = shard.as_ref().map_or(n_items, |c| c.n_global_items);
+        let lc_refresh_by_item = per_watched_item(n_items, &watched, |i| {
+            obs.labeled_counter(names::SIM_REFRESH, names::LABEL_ITEM, &gi_label(i))
+        });
+        let lc_trigger_by_item = per_watched_item(n_items, &watched, |i| {
+            obs.labeled_counter(
+                names::DAB_RECOMPUTE_TRIGGER,
+                names::LABEL_ITEM,
+                &gi_label(i),
+            )
+        });
         let mut engine = Engine {
             cfg,
             n_items,
@@ -744,7 +782,8 @@ impl<'a> Engine<'a> {
             units: Vec::new(),
             assignments: Vec::new(),
             cache: SolveCache::new(),
-            item_queries,
+            readers,
+            watched,
             last_user_value,
             queue: SimQueue::new(cfg.scheduler),
             delay_rng: match cfg.delay_rng {
@@ -777,18 +816,8 @@ impl<'a> Engine<'a> {
                     obs.labeled_counter(names::DAB_RECOMPUTE, names::LABEL_QUERY, &gq_label(qi))
                 })
                 .collect(),
-            lc_refresh_by_item: (0..n_items)
-                .map(|i| obs.labeled_counter(names::SIM_REFRESH, names::LABEL_ITEM, &gi_label(i)))
-                .collect(),
-            lc_trigger_by_item: (0..n_items)
-                .map(|i| {
-                    obs.labeled_counter(
-                        names::DAB_RECOMPUTE_TRIGGER,
-                        names::LABEL_ITEM,
-                        &gi_label(i),
-                    )
-                })
-                .collect(),
+            lc_refresh_by_item,
+            lc_trigger_by_item,
             c_eval_delta: obs.counter(names::EVAL_DELTA),
             c_eval_full: obs.counter(names::EVAL_FULL),
             c_eval_rebase: obs.counter(names::EVAL_REBASE),
@@ -983,7 +1012,7 @@ impl<'a> Engine<'a> {
     /// source filter is the global minimum.
     fn min_dab_for_item(&self, item: usize) -> f64 {
         let mut m = f64::INFINITY;
-        for &qi in &self.item_queries[item] {
+        for &qi in self.readers.queries(item) {
             for qa in &self.assignments[qi as usize] {
                 if let Some(b) = qa.primary_dab(pq_poly::ItemId(item as u32)) {
                     m = m.min(b);
@@ -1059,20 +1088,21 @@ impl<'a> Engine<'a> {
                     self.periodic_aao(now, *mu)?;
                 }
             }
-            // Sources observe the tick's values and push filtered changes;
-            // under delta evaluation each item's move folds `ΔP` into the
-            // source-view query values before the value lands.
+            // Watched sources observe the tick's values and push filtered
+            // changes; under delta evaluation each item's move folds `ΔP`
+            // into the source-view query values before the value lands.
             let delta_mode = matches!(self.cfg.eval, EvalMode::Delta { .. });
             let shared_mode = matches!(self.cfg.eval, EvalMode::Shared { .. });
             let mut delta_updates = 0u64;
             let mut scatter_updates = 0u64;
-            for item in 0..self.n_items {
+            for k in 0..self.watched.len() {
+                let item = self.watched[k] as usize;
                 let v = self.cfg.traces.trace(item).at(tick);
                 let old = self.items.value(item);
                 if delta_mode {
                     delta_updates += self.src_view.apply(
                         &self.plans,
-                        &self.item_queries[item],
+                        self.readers.readers(item),
                         self.items.values(),
                         item,
                         old,
@@ -1608,7 +1638,9 @@ impl<'a> Engine<'a> {
         self.metrics.refreshes += 1;
         self.metrics.per_item_refreshes[item] += 1;
         self.c_refreshes.inc();
-        self.lc_refresh_by_item[item].inc();
+        if let Some(c) = &self.lc_refresh_by_item[item] {
+            c.inc();
+        }
         if let Some(c) = &self.lc_shard_refresh {
             c.inc();
         }
@@ -1628,7 +1660,7 @@ impl<'a> Engine<'a> {
                 let old = self.items.coord_value(item);
                 let n = self.coord_view.apply(
                     &self.plans,
-                    &self.item_queries[item],
+                    self.readers.readers(item),
                     self.items.coord_values(),
                     item,
                     old,
@@ -1674,7 +1706,7 @@ impl<'a> Engine<'a> {
         debug_assert!(batch.is_empty());
         batch.push((item, value));
         self.items.mark_dirty(item);
-        for &qi in &self.item_queries[item] {
+        for &qi in self.readers.queries(item) {
             self.query_mark.set(qi as usize);
         }
         let mut held = None;
@@ -1688,13 +1720,15 @@ impl<'a> Engine<'a> {
                     item: item2,
                     value: value2,
                 } if !self.items.is_dirty(item2)
-                    && self.item_queries[item2]
+                    && self
+                        .readers
+                        .queries(item2)
                         .iter()
                         .all(|&qi| !self.query_mark.get(qi as usize)) =>
                 {
                     batch.push((item2, value2));
                     self.items.mark_dirty(item2);
-                    for &qi in &self.item_queries[item2] {
+                    for &qi in self.readers.queries(item2) {
                         self.query_mark.set(qi as usize);
                     }
                 }
@@ -1706,7 +1740,7 @@ impl<'a> Engine<'a> {
         }
         for &(i, _) in &batch {
             self.items.clear_dirty(i);
-            for &qi in &self.item_queries[i] {
+            for &qi in self.readers.queries(i) {
                 self.query_mark.clear(qi as usize);
             }
         }
@@ -1734,7 +1768,7 @@ impl<'a> Engine<'a> {
             EvalMode::Delta { .. } => {
                 let n = self.coord_view.apply_batch(
                     &self.plans,
-                    &self.item_queries,
+                    &self.readers,
                     self.items.coord_values_mut(),
                     batch,
                 );
@@ -1780,7 +1814,7 @@ impl<'a> Engine<'a> {
 
         let mut affected = std::mem::take(&mut self.scratch_affected);
         affected.clear();
-        affected.extend_from_slice(&self.item_queries[item]);
+        affected.extend_from_slice(self.readers.queries(item));
         let mut stale = std::mem::take(&mut self.scratch_stale);
         stale.clear();
         for &qi in &affected {
@@ -1833,7 +1867,9 @@ impl<'a> Engine<'a> {
         if recomputes > 0 {
             // Attribution: this item's refresh forced recomputations.
             self.metrics.per_item_recompute_triggers[item] += 1;
-            self.lc_trigger_by_item[item].inc();
+            if let Some(c) = &self.lc_trigger_by_item[item] {
+                c.inc();
+            }
             self.obs
                 .emit_with(names::DAB_RECOMPUTE_TRIGGER, EventKind::Count, |e| {
                     e.with("item", item_gid)
@@ -2018,9 +2054,11 @@ impl<'a> Engine<'a> {
                 });
         }
         self.assignments = ca.per_query.into_iter().map(|a| vec![a]).collect();
+        // Unwatched items have no assignment and no remote minimum: their
+        // filter is infinite before and after.
         let mut all_items = std::mem::take(&mut self.scratch_items);
         all_items.clear();
-        all_items.extend(0..self.n_items);
+        all_items.extend(self.watched.iter().map(|&i| i as usize));
         self.propagate_dab_changes(&all_items, now);
         self.scratch_items = all_items;
         Ok(())

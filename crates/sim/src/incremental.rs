@@ -32,6 +32,81 @@
 
 use pq_poly::{EvalPlan, ItemId, SharedPlan};
 
+/// CSR item → readers: for every item, the queries whose polynomial
+/// references it (ascending) and, beside each, the item's slot in that
+/// query's [`EvalPlan`] ([`EvalPlan::slot_of`]). Resolved once per book,
+/// so folding a move into its readers walks one contiguous run and
+/// searches no plan.
+#[derive(Debug, Clone)]
+pub struct ReaderIndex {
+    /// `starts[i]..starts[i + 1]` is item `i`'s run in the two arrays
+    /// below.
+    starts: Vec<u32>,
+    queries: Vec<u32>,
+    slots: Vec<u32>,
+}
+
+/// One item's run of a [`ReaderIndex`]: `slots[k]` is the item's slot
+/// in the plan of query `queries[k]`.
+#[derive(Debug, Clone, Copy)]
+pub struct Readers<'a> {
+    /// The queries referencing the item, ascending.
+    pub queries: &'a [u32],
+    /// The item's slot in each of those queries' plans.
+    pub slots: &'a [u32],
+}
+
+impl ReaderIndex {
+    /// Indexes a book over `n_items` items; `query_items[q]` is query
+    /// `q`'s distinct items in ascending order
+    /// ([`pq_poly::PolynomialQuery::items`]), which is also its plan's
+    /// slot order.
+    ///
+    /// # Panics
+    /// Panics if a query references an item `>= n_items`.
+    pub fn new(n_items: usize, query_items: &[Vec<ItemId>]) -> Self {
+        let mut starts = vec![0u32; n_items + 1];
+        for item in query_items.iter().flatten() {
+            starts[item.index() + 1] += 1;
+        }
+        for i in 0..n_items {
+            starts[i + 1] += starts[i];
+        }
+        let mut cursor = starts.clone();
+        let mut queries = vec![0u32; starts[n_items] as usize];
+        let mut slots = queries.clone();
+        for (qi, items) in query_items.iter().enumerate() {
+            for (slot, item) in items.iter().enumerate() {
+                let at = &mut cursor[item.index()];
+                queries[*at as usize] = qi as u32;
+                slots[*at as usize] = slot as u32;
+                *at += 1;
+            }
+        }
+        ReaderIndex {
+            starts,
+            queries,
+            slots,
+        }
+    }
+
+    /// The queries referencing `item`, ascending.
+    #[inline]
+    pub fn queries(&self, item: usize) -> &[u32] {
+        self.readers(item).queries
+    }
+
+    /// `item`'s readers with their pre-resolved plan slots.
+    #[inline]
+    pub fn readers(&self, item: usize) -> Readers<'_> {
+        let run = self.starts[item] as usize..self.starts[item + 1] as usize;
+        Readers {
+            queries: &self.queries[run.clone()],
+            slots: &self.slots[run],
+        }
+    }
+}
+
 /// Per-query values of one view, maintained incrementally.
 #[derive(Debug, Clone)]
 pub struct DeltaView {
@@ -68,18 +143,19 @@ impl DeltaView {
         self.deltas_since_rebase
     }
 
-    /// Folds the move `old -> new` of `item` into every query in
-    /// `queries` (the prebuilt item → query index; each entry indexes
-    /// both `plans` and this view). `values` is the view's value array;
-    /// its `item` slot may hold either the old or the new value — the
-    /// delta uses the explicit `old`/`new` arguments.
+    /// Folds the move `old -> new` of `item` into every query reading
+    /// it (`readers` is the item's run of the book's [`ReaderIndex`];
+    /// each query indexes both `plans` and this view). `values` is the
+    /// view's value array; its `item` slot may hold either the old or
+    /// the new value — the delta uses the explicit `old`/`new`
+    /// arguments.
     ///
     /// Returns the number of query values updated.
     #[inline]
     pub fn apply(
         &mut self,
         plans: &[EvalPlan],
-        queries: &[u32],
+        readers: Readers<'_>,
         values: &[f64],
         item: usize,
         old: f64,
@@ -89,32 +165,33 @@ impl DeltaView {
             return 0;
         }
         let id = ItemId(item as u32);
-        for &qi in queries {
+        for (&qi, &slot) in readers.queries.iter().zip(readers.slots) {
             let qi = qi as usize;
-            self.qv[qi] += plans[qi].delta_eval(values, id, old, new);
+            self.qv[qi] += plans[qi].delta_eval_slot(values, slot as usize, id, old, new);
         }
-        self.deltas_since_rebase += queries.len() as u64;
-        queries.len() as u64
+        let n = readers.queries.len() as u64;
+        self.deltas_since_rebase += n;
+        n
     }
 
     /// Folds a batch of moves `(item, new_value)` into the view in
     /// order, writing each new value into `values` as it is applied so
     /// later moves in the batch see earlier ones — bit-identical to the
     /// equivalent sequence of [`DeltaView::apply`] calls followed by
-    /// per-item stores. `item_queries` is the full item → query index
-    /// (one entry per item). Returns the total number of query values
-    /// updated, matching the sum of the per-move `apply` returns.
+    /// per-item stores. `index` is the book's item → reader index.
+    /// Returns the total number of query values updated, matching the
+    /// sum of the per-move `apply` returns.
     pub fn apply_batch(
         &mut self,
         plans: &[EvalPlan],
-        item_queries: &[Vec<u32>],
+        index: &ReaderIndex,
         values: &mut [f64],
         moves: &[(usize, f64)],
     ) -> u64 {
         let mut updated = 0;
         for &(item, new) in moves {
             let old = values[item];
-            updated += self.apply(plans, &item_queries[item], values, item, old, new);
+            updated += self.apply(plans, index.readers(item), values, item, old, new);
             values[item] = new;
         }
         updated
@@ -247,7 +324,7 @@ mod tests {
         ItemId(i)
     }
 
-    fn plans() -> Vec<EvalPlan> {
+    fn polys() -> [Polynomial; 3] {
         // q0 = 2 x0 x1, q1 = x1^2 - 3 x2, q2 = 4 (no items).
         [
             Polynomial::term(PTerm::new(2.0, [(x(0), 1), (x(1), 1)]).unwrap()),
@@ -257,34 +334,49 @@ mod tests {
             ]),
             Polynomial::term(PTerm::constant(4.0).unwrap()),
         ]
-        .iter()
-        .map(EvalPlan::compile)
-        .collect()
     }
 
-    fn item_queries(plans: &[EvalPlan], n_items: usize) -> Vec<Vec<u32>> {
-        let mut idx = vec![Vec::new(); n_items];
-        for (qi, p) in plans.iter().enumerate() {
-            for (item, iq) in idx.iter_mut().enumerate() {
-                if !p.terms_for(ItemId(item as u32)).is_empty() {
-                    iq.push(qi as u32);
-                }
+    fn plans() -> Vec<EvalPlan> {
+        polys().iter().map(EvalPlan::compile).collect()
+    }
+
+    fn reader_index(n_items: usize) -> ReaderIndex {
+        let items: Vec<Vec<ItemId>> = polys().iter().map(Polynomial::items).collect();
+        ReaderIndex::new(n_items, &items)
+    }
+
+    #[test]
+    fn reader_index_lists_each_items_queries_with_their_plan_slots() {
+        // One never-read item (x3) past the book's own.
+        let idx = reader_index(4);
+        let plans = plans();
+        assert_eq!(idx.queries(0), &[0]);
+        assert_eq!(idx.queries(1), &[0, 1]);
+        assert_eq!(idx.queries(2), &[1]);
+        assert!(idx.queries(3).is_empty());
+        for item in 0..4 {
+            let readers = idx.readers(item);
+            assert_eq!(readers.queries, idx.queries(item));
+            for (&qi, &slot) in readers.queries.iter().zip(readers.slots) {
+                assert_eq!(
+                    plans[qi as usize].slot_of(x(item as u32)),
+                    Some(slot as usize)
+                );
             }
         }
-        idx
     }
 
     #[test]
     fn apply_tracks_full_reevaluation() {
         let plans = plans();
-        let idx = item_queries(&plans, 3);
+        let idx = reader_index(3);
         let mut values = vec![3.0, 4.0, 5.0];
         let mut view = DeltaView::new(&plans, &values);
         assert_eq!(view.values(), &[24.0, 1.0, 4.0]);
 
         for (item, new) in [(0usize, 3.5), (1, -2.0), (2, 0.25), (1, 10.0)] {
             let old = values[item];
-            view.apply(&plans, &idx[item], &values, item, old, new);
+            view.apply(&plans, idx.readers(item), &values, item, old, new);
             values[item] = new;
             for (qi, plan) in plans.iter().enumerate() {
                 let full = plan.eval(&values);
@@ -301,17 +393,17 @@ mod tests {
     #[test]
     fn noop_moves_cost_nothing() {
         let plans = plans();
-        let idx = item_queries(&plans, 3);
+        let idx = reader_index(3);
         let values = vec![3.0, 4.0, 5.0];
         let mut view = DeltaView::new(&plans, &values);
-        assert_eq!(view.apply(&plans, &idx[0], &values, 0, 3.0, 3.0), 0);
+        assert_eq!(view.apply(&plans, idx.readers(0), &values, 0, 3.0, 3.0), 0);
         assert_eq!(view.deltas_since_rebase(), 0);
     }
 
     #[test]
     fn apply_batch_matches_sequential_applies() {
         let plans = plans();
-        let idx = item_queries(&plans, 3);
+        let idx = reader_index(3);
         let moves = [(0usize, 3.5), (1, -2.0), (2, 0.25), (1, 10.0)];
 
         let mut seq_values = vec![3.0, 4.0, 5.0];
@@ -319,7 +411,7 @@ mod tests {
         let mut seq_updated = 0;
         for &(item, new) in &moves {
             let old = seq_values[item];
-            seq_updated += seq_view.apply(&plans, &idx[item], &seq_values, item, old, new);
+            seq_updated += seq_view.apply(&plans, idx.readers(item), &seq_values, item, old, new);
             seq_values[item] = new;
         }
 
@@ -339,7 +431,7 @@ mod tests {
     #[test]
     fn rebase_restores_bit_exact_values() {
         let plans = plans();
-        let idx = item_queries(&plans, 3);
+        let idx = reader_index(3);
         let mut values = vec![3.0, 4.0, 5.0];
         let mut view = DeltaView::new(&plans, &values);
         // A long drifting walk...
@@ -347,7 +439,7 @@ mod tests {
             let item = k % 3;
             let old = values[item];
             let new = old + 0.001 * (k as f64 % 7.0 - 3.0);
-            view.apply(&plans, &idx[item], &values, item, old, new);
+            view.apply(&plans, idx.readers(item), &values, item, old, new);
             values[item] = new;
         }
         view.rebase(&plans, &values);

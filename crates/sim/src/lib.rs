@@ -46,7 +46,7 @@ pub use audit::{AuditConfig, AuditFault};
 pub use delay::{DelayConfig, Pareto};
 pub use engine::{run, run_observed, DelayRng, EvalMode, SimConfig, SimError, SimStrategy};
 pub use event::{Event, EventQueue};
-pub use incremental::{DeltaView, SharedView};
+pub use incremental::{DeltaView, ReaderIndex, Readers, SharedView};
 pub use metrics::SimMetrics;
 pub use network::{run_network, run_network_observed, NetworkConfig, NetworkMetrics};
 pub use pq_obs::{Obs, ObsConfig, RecorderConfig, SloConfig};

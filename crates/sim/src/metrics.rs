@@ -94,7 +94,9 @@ impl SimMetrics {
     /// attribution rollups come from the labeled families
     /// (`dab.recompute` by `query`, `sim.refresh` and
     /// `dab.recompute_trigger` by `item`), and `solver_seconds` is the
-    /// (nanosecond-exact) sum of the `sim.solve_ns` histogram.
+    /// (nanosecond-exact) sum of the `sim.solve_ns` histogram. The
+    /// per-item vectors end at the highest item any query reads: items
+    /// past it carry no label (their counts are zero by construction).
     ///
     /// Any `sim.`/`dab.` counter in the snapshot this bridge does not
     /// consume is reported as an [`pq_obs::names::OBS_UNKNOWN_METRIC`]
@@ -108,8 +110,10 @@ impl SimMetrics {
             .map(|qi| counter(&format!("{}.q{qi}", names::SIM_QAB_VIOLATION)))
             .collect();
         // Per-query/per-item rollups from the labeled families. The
-        // engine pre-creates every label in 0..n, so the family size is
-        // the item dimension.
+        // engine pre-creates a label for every query but only for the
+        // items some query reads, so the item dimension ends at the
+        // highest labeled item (later items were never read and cannot
+        // have refreshed).
         let per_query = |name: &str| {
             snapshot
                 .labeled
@@ -121,7 +125,10 @@ impl SimMetrics {
             snapshot
                 .labeled
                 .get(name)
-                .map(|f| f.dense(f.values.len()))
+                .map(|f| {
+                    let labeled = f.values.keys().filter_map(|v| v.parse::<usize>().ok());
+                    f.dense(labeled.max().map_or(0, |last| last + 1))
+                })
                 .unwrap_or_default()
         };
 

@@ -464,3 +464,95 @@ fn query_load_for(cfg: &SimConfig, query_items: &[Vec<u32>]) -> Vec<f64> {
         query_items.iter().map(|items| items.len() as f64).collect()
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use std::collections::VecDeque;
+
+    use pq_ddm::{Trace, TraceSet};
+    use pq_poly::PolynomialQuery;
+
+    use super::*;
+    use crate::delay::DelayConfig;
+    use crate::engine::DelayRng;
+
+    /// The partitioner homes an item where one of its readers lives, but
+    /// the engine does not rely on that: a home item whose only readers
+    /// are on another shard is watched through its exports, so its
+    /// source keeps sampling the tape, pushing and forwarding.
+    #[test]
+    fn a_home_item_read_only_remotely_is_still_swept_and_forwarded() {
+        // Global universe: x0 homed on shard 0, which has no query at
+        // all; x1 and the one query x0*x1 live on shard 1.
+        let ticks = 400;
+        let x0 = Trace::sinusoid(20.0, 4.0, 300.0, ticks);
+        let x1 = Trace::sinusoid(10.0, 2.0, 250.0, ticks);
+        let query = PolynomialQuery::portfolio([(1.0, ItemId(0), ItemId(1))], 6.0).unwrap();
+        let mut home_cfg = SimConfig::new(TraceSet::new(vec![x0.clone()]), Vec::new());
+        let mut reader_cfg = SimConfig::new(TraceSet::new(vec![x0, x1]), vec![query]);
+        for cfg in [&mut home_cfg, &mut reader_cfg] {
+            cfg.delays = DelayConfig::zero();
+            cfg.delay_rng = DelayRng::PerItem;
+            cfg.threads = 1;
+        }
+        let (to_reader, from_home) = ring(RING_CAPACITY);
+        let (to_home, from_reader) = ring(RING_CAPACITY);
+        let home_ctx = ShardCtx {
+            shard: 0,
+            n_global_items: 2,
+            item_gid: vec![0],
+            query_gid: Vec::new(),
+            replica: vec![false],
+            exports: vec![vec![0]],
+            home_ring: vec![None],
+            outbound: vec![ShardLink {
+                dest: 1,
+                tx: to_reader,
+            }],
+            inbound: vec![ShardInlet {
+                src: 1,
+                rx: from_reader,
+                held: VecDeque::new(),
+            }],
+            remote_dab_min: vec![Vec::new()],
+        };
+        let reader_ctx = ShardCtx {
+            shard: 1,
+            n_global_items: 2,
+            item_gid: vec![0, 1],
+            query_gid: vec![0],
+            replica: vec![true, false],
+            exports: vec![Vec::new(), Vec::new()],
+            home_ring: vec![Some(0), None],
+            outbound: vec![ShardLink {
+                dest: 0,
+                tx: to_home,
+            }],
+            inbound: vec![ShardInlet {
+                src: 0,
+                rx: from_home,
+                held: VecDeque::new(),
+            }],
+            remote_dab_min: vec![Vec::new(), Vec::new()],
+        };
+        let home = Engine::new_sharded(&home_cfg, Obs::null(), home_ctx).unwrap();
+        let reader = Engine::new_sharded(&reader_cfg, Obs::null(), reader_ctx).unwrap();
+        // Both sides of the ring barrier must be live at once.
+        let (home_metrics, reader_metrics) = std::thread::scope(|scope| {
+            let home = scope.spawn(move || home.run());
+            let reader = scope.spawn(move || reader.run());
+            (
+                home.join().expect("home shard panicked").unwrap(),
+                reader.join().expect("reader shard panicked").unwrap(),
+            )
+        });
+        assert!(
+            home_metrics.per_item_refreshes[0] > 0,
+            "the home source never pushed x0"
+        );
+        assert!(
+            reader_metrics.per_item_refreshes[0] > 0,
+            "x0's pushes never reached the shard that reads it"
+        );
+    }
+}

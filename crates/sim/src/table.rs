@@ -50,7 +50,8 @@ impl Bitset {
 /// indexed by item id.
 ///
 /// Columns:
-/// - `values`: true source value of each item (what the trace drifts);
+/// - `values`: true source value of each item (what the trace drifts;
+///   see [`ItemTable::values`] for which items the engine keeps current);
 /// - `last_pushed`: last value the source actually sent upstream;
 /// - `installed_dab`: the DAB filter width currently installed at the
 ///   source (infinite until the coordinator's first DAB message lands);
@@ -93,7 +94,12 @@ impl ItemTable {
         self.values.is_empty()
     }
 
-    /// The true source value column.
+    /// The true source value column. The engine moves only the items
+    /// some query reads (or a remote shard subscribes to); every other
+    /// slot stays at its tick-0 sample for the whole run. Every reader —
+    /// the delta views, the fidelity sampler, the auditor and naive
+    /// `eval` alike — looks only at the items of a query, so none can
+    /// see a stale slot.
     #[inline]
     pub fn values(&self) -> &[f64] {
         &self.values

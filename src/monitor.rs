@@ -17,7 +17,7 @@ use pq_core::{
 };
 use pq_ddm::DataDynamicsModel;
 use pq_gp::SolverOptions;
-use pq_obs::{names, EventKind, Obs, ObsConfig, Watchdog};
+use pq_obs::{names, Counter, EventKind, Obs, ObsConfig, Watchdog};
 use pq_poly::{ItemCatalog, ItemId, PolyError, Polynomial, PolynomialQuery, QueryId};
 use std::sync::Arc;
 
@@ -59,6 +59,13 @@ pub struct Monitor {
     installed: bool,
     /// Telemetry handle; threaded into every GP solve.
     obs: Obs,
+    /// `dab.recompute` handles (the total, then one per query) and the
+    /// `dab.recompute_trigger` handle of every item some query reads,
+    /// resolved by [`Monitor::resolve_counters`] so a recompute records
+    /// with relaxed adds instead of registry lookups.
+    c_recompute: Arc<Counter>,
+    lc_recompute_by_query: Vec<Arc<Counter>>,
+    lc_trigger_by_item: Vec<Option<Arc<Counter>>>,
     /// Optional liveness watchdog, beaten on every applied refresh so the
     /// live exporter's `/health` can flag a wedged coordinator.
     watchdog: Option<Arc<Watchdog>>,
@@ -92,6 +99,9 @@ impl Monitor {
             threads: default_recompute_threads(),
             installed: false,
             obs: Obs::null(),
+            c_recompute: Arc::default(),
+            lc_recompute_by_query: Vec::new(),
+            lc_trigger_by_item: Vec::new(),
             watchdog: None,
         }
     }
@@ -108,7 +118,36 @@ impl Monitor {
     /// and GP solver timings are reported through it (see [`pq_obs`]).
     pub fn with_obs(mut self, obs: Obs) -> Self {
         self.obs = obs;
+        self.resolve_counters();
         self
+    }
+
+    /// Binds the refresh path's counters to the attached telemetry
+    /// handle: once per [`Monitor::install`], and again if the handle is
+    /// swapped afterwards. Only items some query reads can trigger a
+    /// recomputation, so only they get a label.
+    fn resolve_counters(&mut self) {
+        self.c_recompute = self.obs.counter(names::DAB_RECOMPUTE);
+        self.lc_recompute_by_query = (0..self.units.len())
+            .map(|qi| {
+                self.obs
+                    .labeled_counter(names::DAB_RECOMPUTE, names::LABEL_QUERY, &qi.to_string())
+            })
+            .collect();
+        self.lc_trigger_by_item = self
+            .item_queries
+            .iter()
+            .enumerate()
+            .map(|(i, readers)| {
+                (!readers.is_empty()).then(|| {
+                    self.obs.labeled_counter(
+                        names::DAB_RECOMPUTE_TRIGGER,
+                        names::LABEL_ITEM,
+                        &i.to_string(),
+                    )
+                })
+            })
+            .collect();
     }
 
     /// Builds a telemetry handle from a configuration and attaches it.
@@ -261,6 +300,7 @@ impl Monitor {
                 }
             }
         }
+        self.resolve_counters();
         self.installed = true;
         let filters: Vec<(ItemId, f64)> = self
             .item_dabs
@@ -376,14 +416,8 @@ impl Monitor {
                 match d.result {
                     Ok(a) if failure.is_none() => {
                         self.assignments[d.qi][d.ui] = a;
-                        self.obs.counter(names::DAB_RECOMPUTE).inc();
-                        self.obs
-                            .labeled_counter(
-                                names::DAB_RECOMPUTE,
-                                names::LABEL_QUERY,
-                                &d.qi.to_string(),
-                            )
-                            .inc();
+                        self.c_recompute.inc();
+                        self.lc_recompute_by_query[d.qi].inc();
                         self.obs
                             .emit_with(names::DAB_RECOMPUTE, EventKind::Count, |e| {
                                 e.with("query", d.qi)
@@ -410,13 +444,9 @@ impl Monitor {
         }
         // Attribution: this item's refresh forced recomputations.
         if !outcome.recomputed.is_empty() {
-            self.obs
-                .labeled_counter(
-                    names::DAB_RECOMPUTE_TRIGGER,
-                    names::LABEL_ITEM,
-                    &item.index().to_string(),
-                )
-                .inc();
+            if let Some(c) = &self.lc_trigger_by_item[item.index()] {
+                c.inc();
+            }
             self.obs
                 .emit_with(names::DAB_RECOMPUTE_TRIGGER, EventKind::Count, |e| {
                     e.with("item", item.index())
