@@ -8,21 +8,24 @@
 //! Three measurements, written to `BENCH_solver.json`:
 //!
 //! * **cold ns/solve** — `assign_unit` with no cache: compile + scalar
-//!   feasible start + full barrier solve, every time;
+//!   feasible start + full solve, every time;
 //! * **warm ns/solve** — `assign_unit_cached` with a persistent per-unit
 //!   cache: compiled-program reuse, warm start from the previous optimum,
-//!   allocation-free barrier iterations;
+//!   allocation-free solver iterations;
 //! * **recompute throughput** — warm recomputes/second through the
 //!   bounded parallel fan-out ([`pq_core::recompute_parallel`]) at the
 //!   machine's available parallelism.
 //!
 //! The warm-hit / warm-repair / cold-fallback counters come from the same
-//! run's `pq_obs` registry.
+//! run's `pq_obs` registry. A separate untimed pass counts **Newton steps
+//! per cold and per warm solve**: unlike the clock they repeat exactly,
+//! so they are what a solver change is gated on.
 //!
 //! Usage: `solvebench [--quick] [--enforce] [--out PATH]`
 //!
 //! `--quick` shrinks the workload for CI; `--enforce` exits non-zero when
-//! the warm speedup is below 1.5x or the warm-hit rate below 80%.
+//! the mean Newton steps exceed 35 per cold or 10 per warm solve, the
+//! warm speedup is below 1.5x or the warm-hit rate below 80%.
 
 use std::time::Instant;
 
@@ -37,6 +40,10 @@ use pq_gp::{CompiledGp, GpSolution, KktMode, SolveWorkspace, SolverOptions};
 use pq_obs::{names, Obs};
 use pq_poly::{ItemId, PolynomialQuery};
 
+/// Mean Newton steps per cold / per warm solve `--enforce` allows on the
+/// fig5 steady-state workload (the barrier ladder took 78 and 19).
+const MAX_COLD_STEPS: f64 = 35.0;
+const MAX_WARM_STEPS: f64 = 10.0;
 /// Speedup floor `--enforce` holds the warm path to.
 const MIN_SPEEDUP: f64 = 1.5;
 /// Warm-hit floor `--enforce` holds the cache to.
@@ -199,6 +206,43 @@ fn bench_warm(w: &Workload, rounds: usize, cache: &mut SolveCache, obs: &Obs) ->
     (best, solves)
 }
 
+/// Mean Newton steps per solve over one untimed cold round and one warm
+/// round (seeded caches, then the first drift), read from the `gp.solve`
+/// summary events.
+fn newton_steps(w: &Workload) -> (f64, f64) {
+    let mean_steps = |ring: &pq_obs::RingBufferSubscriber| {
+        assert_eq!(ring.dropped(), 0, "ring too small for the step count");
+        let steps: Vec<u64> = ring
+            .events()
+            .iter()
+            .filter(|e| e.target == names::GP_SOLVE)
+            .filter_map(|e| match e.field("newton_steps") {
+                Some(pq_obs::Value::U64(n)) => Some(*n),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(steps.len(), w.n_units(), "one solve per unit");
+        steps.iter().sum::<u64>() as f64 / steps.len() as f64
+    };
+    let mut drifted = w.values0.clone();
+    apply_drift(&mut drifted, 0);
+
+    let (obs, ring) = Obs::ring(1 << 18);
+    for u in w.units.iter().flatten() {
+        assign_unit(u, &w.ctx(&drifted, &obs), w.strategy).expect("cold solve");
+    }
+    let cold = mean_steps(&ring);
+
+    let (obs, ring) = Obs::ring(1 << 18);
+    for u in w.units.iter().flatten() {
+        let mut cache = pq_core::UnitCache::new();
+        assign_unit_cached(u, &w.ctx(&w.values0, &Obs::null()), w.strategy, &mut cache)
+            .expect("seed solve");
+        assign_unit_cached(u, &w.ctx(&drifted, &obs), w.strategy, &mut cache).expect("warm solve");
+    }
+    (cold, mean_steps(&ring))
+}
+
 /// Throughput pass: batched warm recomputes through the parallel fan-out,
 /// continuing the same drift sequence on the warmed caches.
 fn bench_throughput(
@@ -246,7 +290,7 @@ fn bench_throughput(
 // Each sweep point builds one joint AAO program ([`pq_core::aao_program`])
 // over `Q` two-leg portfolio queries sharing a pool of `I` items, giving
 // `n = I + 5Q` GP variables (one shared `b` per item, four `c` plus one
-// `R` per query). Cold solves pay the full barrier solve; warm rounds
+// `R` per query). Cold solves pay the full solve; warm rounds
 // drift the item values, refresh the compiled program in place and
 // re-solve from the previous optimum — the regime the engine lives in.
 // Dense cold runs only at the small sizes (it is cubic per Newton step);
@@ -447,47 +491,11 @@ fn main() {
     let w = build_workload(args.quick);
     let threads = default_recompute_threads();
 
-    let diag = std::env::var("SOLVEBENCH_DIAG").is_ok();
-    let (cold_obs, cold_ring) = if diag {
-        let (o, r) = Obs::ring(1 << 21);
-        (o, Some(r))
-    } else {
-        (Obs::null(), None)
-    };
-    let (warm_obs, warm_ring) = if diag {
-        let (o, r) = Obs::ring(1 << 21);
-        (o, Some(r))
-    } else {
-        (Obs::null(), None)
-    };
+    let (cold_obs, warm_obs) = (Obs::null(), Obs::null());
     let (cold_ns, cold_solves) = bench_cold(&w, rounds, &cold_obs);
     let mut cache = SolveCache::new();
     let (warm_ns, warm_solves) = bench_warm(&w, rounds, &mut cache, &warm_obs);
-    if diag {
-        let dump = |tag: &str, ring: &Option<std::sync::Arc<pq_obs::RingBufferSubscriber>>| {
-            let Some(r) = ring else { return };
-            let (mut solves, mut outer, mut newton) = (0u64, 0u64, 0u64);
-            for e in r.events() {
-                if e.target == "gp.solve" {
-                    solves += 1;
-                    if let Some(pq_obs::Value::U64(v)) = e.field("outer") {
-                        outer += v;
-                    }
-                    if let Some(pq_obs::Value::U64(v)) = e.field("newton_steps") {
-                        newton += v;
-                    }
-                }
-            }
-            eprintln!(
-                "DIAG {tag}: gp_solves={solves} avg_outer={:.2} avg_newton={:.2} dropped={}",
-                outer as f64 / solves.max(1) as f64,
-                newton as f64 / solves.max(1) as f64,
-                r.dropped()
-            );
-        };
-        dump("cold", &cold_ring);
-        dump("warm", &warm_ring);
-    }
+    let (cold_steps, warm_steps) = newton_steps(&w);
     let (throughput, throughput_solves) =
         bench_throughput(&w, rounds, rounds, &mut cache, threads, &warm_obs);
     let sweep = bench_sweep(args.quick);
@@ -524,6 +532,8 @@ fn main() {
             vec!["cold ns/solve".into(), format!("{cold_ns:.0}")],
             vec!["warm ns/solve".into(), format!("{warm_ns:.0}")],
             vec!["speedup".into(), fmt(speedup)],
+            vec!["cold newton steps/solve".into(), format!("{cold_steps:.2}")],
+            vec!["warm newton steps/solve".into(), format!("{warm_steps:.2}")],
             vec!["cold gp ns/solve".into(), format!("{cold_gp_ns:.0}")],
             vec!["warm gp ns/solve".into(), format!("{warm_gp_ns:.0}")],
             vec!["cold solves".into(), cold_solves.to_string()],
@@ -611,7 +621,9 @@ fn main() {
     let json = format!(
         "{{\n  \"workload\": \"fig5-steady-state\",\n  \"quick\": {},\n  \
          \"cold_ns_per_solve\": {:.1},\n  \"warm_ns_per_solve\": {:.1},\n  \
-         \"speedup\": {:.3},\n  \"cold_solves\": {},\n  \"warm_solves\": {},\n  \
+         \"speedup\": {:.3},\n  \"cold_newton_steps_per_solve\": {:.2},\n  \
+         \"warm_newton_steps_per_solve\": {:.2},\n  \
+         \"cold_solves\": {},\n  \"warm_solves\": {},\n  \
          \"recompute_throughput_per_sec\": {:.1},\n  \"throughput_solves\": {},\n  \
          \"fanout_threads\": {},\n  \"counters\": {{\n    \
          \"solve.warm_hit\": {},\n    \"solve.warm_repair\": {},\n    \
@@ -624,6 +636,8 @@ fn main() {
         cold_ns,
         warm_ns,
         speedup,
+        cold_steps,
+        warm_steps,
         cold_solves,
         warm_solves,
         throughput,
@@ -643,6 +657,13 @@ fn main() {
 
     if args.enforce {
         let mut failed = false;
+        if cold_steps > MAX_COLD_STEPS || warm_steps > MAX_WARM_STEPS {
+            eprintln!(
+                "FAIL: {cold_steps:.2} cold / {warm_steps:.2} warm Newton steps per solve \
+                 above the {MAX_COLD_STEPS} / {MAX_WARM_STEPS} ceilings"
+            );
+            failed = true;
+        }
         if speedup < MIN_SPEEDUP {
             eprintln!("FAIL: warm speedup {speedup:.2}x below the {MIN_SPEEDUP}x floor");
             failed = true;
@@ -680,7 +701,8 @@ fn main() {
             std::process::exit(1);
         }
         println!(
-            "enforce: speedup {speedup:.2}x, warm-hit rate {:.1}%, crossover {}x, \
+            "enforce: {cold_steps:.1} cold / {warm_steps:.1} warm Newton steps, \
+             speedup {speedup:.2}x, warm-hit rate {:.1}%, crossover {}x, \
              parity {parity:.1e} pass",
             hit_rate * 100.0,
             crossover_speedup.map_or("-".to_string(), |s| format!("{s:.1}")),

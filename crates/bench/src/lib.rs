@@ -98,7 +98,7 @@ impl Scale {
 
     /// GP solver options tuned for simulation-embedded recomputation: a
     /// `1e-5` duality gap is far below the precision that matters for a
-    /// filter width, and a hotter barrier start cuts outer iterations.
+    /// filter width, and hotter starting duals cut Newton steps.
     /// Library defaults stay rigorous; only the harnesses loosen them.
     pub fn sim_gp_options(&self) -> pq_gp::SolverOptions {
         pq_gp::SolverOptions {

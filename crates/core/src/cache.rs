@@ -8,14 +8,15 @@
 //!
 //! * the compiled [`pq_gp::CompiledGp`] (coefficients refreshed in place
 //!   each recompute — the exponent structure is stable across drift);
-//! * the last optimal point, warm-started via the shrink-toward-interior
-//!   ladder of [`pq_gp::CompiledGp::solve_warm`];
-//! * a [`pq_gp::SolveWorkspace`] so barrier iterations are allocation-free.
+//! * the last optimal point, warm-started via the minimal blend toward
+//!   the interior point of [`pq_gp::CompiledGp::solve_warm`];
+//! * a [`pq_gp::SolveWorkspace`] so solver iterations are allocation-free.
 //!
-//! The fallback ladder is: warm hit (lightly blended previous optimum is
-//! strictly feasible) → warm repair (deeper blend toward the interior
-//! point) → cold fallback (full phase-I [`pq_gp::solve`]). Each outcome
-//! bumps a `solve.*` counter so `pq-trace summary` can attribute the win.
+//! The outcomes are: warm hit (a light blend of the previous optimum
+//! regained strict feasibility) → warm repair (the drift needed a deeper
+//! blend toward the interior point) → cold fallback (full phase-I
+//! [`pq_gp::solve`]). Each bumps a `solve.*` counter so `pq-trace summary`
+//! can attribute the win.
 
 use pq_gp::{GpProblem, GpSolution, SolveWorkspace, SolverOptions, WarmStart};
 use pq_obs::names;
@@ -82,7 +83,7 @@ impl UnitCache {
 /// Solves `problem` through `cache`, warm-starting from the last cached
 /// optimum when one exists. `interior` must be a strictly feasible point
 /// (the cold start the caller would otherwise use); it anchors the
-/// shrink-toward-interior repair ladder.
+/// warm start's blend.
 ///
 /// Telemetry: bumps `solve.warm_hit`, `solve.warm_repair`,
 /// `solve.cold_fallback` or `solve.cold_start` on `options.obs`.
@@ -387,6 +388,88 @@ mod tests {
             1,
             "warm outcome must be recorded on the registry passed to *this* solve"
         );
+    }
+
+    /// Fig5-style Dual-DAB units (six two-item legs, QAB 1 % of the value)
+    /// recomputed under the library-default tolerances after their values
+    /// advanced 60 ticks: each recompute is one warm solve that takes no
+    /// more Newton steps than the cold one did. The barrier-ladder warm
+    /// start estimated drift from the worst constraint residual, which the
+    /// data-independent `b <= c` rows pin near zero; it restarted far too
+    /// hot and burned its whole step budget before re-solving.
+    #[test]
+    fn default_tolerance_warm_recompute_is_one_cheaper_solve() {
+        use crate::strategy::{assign_unit_cached, assignment_units};
+        use crate::{AssignmentStrategy, PqHeuristic, SolveContext};
+        use pq_ddm::{DataDynamicsModel, RateEstimator, TraceSet};
+        use pq_poly::{ItemId, PolynomialQuery};
+
+        const QUERIES: u32 = 8;
+        let n_items = 12 * QUERIES as usize;
+        let traces = TraceSet::stock_universe(n_items, 61, 0x1CDE_2008);
+        let values_at =
+            |tick: usize| -> Vec<f64> { (0..n_items).map(|i| traces.trace(i).at(tick)).collect() };
+        let rates = RateEstimator::SampledAverage { interval_ticks: 60 }.estimate_all(&traces);
+        let strategy = AssignmentStrategy::DualDab { mu: 5.0 };
+
+        for q in 0..QUERIES {
+            let legs = (0..6).map(|k| {
+                let item = 12 * q + 2 * k;
+                (1.0 + 0.5 * k as f64, ItemId(item), ItemId(item + 1))
+            });
+            let query = PolynomialQuery::portfolio(legs, 1.0).unwrap();
+            let qab = 0.01 * query.eval(&values_at(0));
+            let query = query.with_qab(qab).unwrap();
+            let units = assignment_units(&query, strategy, PqHeuristic::DifferentSum);
+            assert_eq!(units.len(), 1);
+
+            let (obs, ring) = pq_obs::Obs::ring(4096);
+            let gp = SolverOptions {
+                obs: obs.clone(),
+                ..SolverOptions::default()
+            };
+            let mut cache = UnitCache::new();
+            // Newton steps taken (converged or not) by each call.
+            let mut newton = Vec::new();
+            for tick in [0, 60] {
+                let values = values_at(tick);
+                let ctx = SolveContext {
+                    values: &values,
+                    rates: &rates,
+                    ddm: DataDynamicsModel::Monotonic,
+                    gp: gp.clone(),
+                };
+                let before = ring.events().len();
+                assign_unit_cached(&units[0], &ctx, strategy, &mut cache).unwrap();
+                let events = ring.events();
+                let of = |target: &str| {
+                    events[before..]
+                        .iter()
+                        .filter(|e| e.target == target)
+                        .count()
+                };
+                assert_eq!(
+                    of(names::GP_SOLVE),
+                    1,
+                    "query {q}: one converged solve per call"
+                );
+                newton.push(of(names::GP_NEWTON));
+            }
+            assert!(
+                newton[1] <= newton[0],
+                "query {q}: warm {} vs cold {} newton iterations",
+                newton[1],
+                newton[0]
+            );
+            let snap = obs.snapshot();
+            assert_eq!(
+                snap.histograms["gp.solve_ns"].count, 2,
+                "query {q}: one gp.solve attempt per call"
+            );
+            let count = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
+            assert_eq!(count(names::SOLVE_COLD_START), 1);
+            assert_eq!(count(names::SOLVE_WARM_HIT), 1, "query {q}");
+        }
     }
 
     #[test]

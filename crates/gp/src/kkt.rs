@@ -18,7 +18,7 @@
 //! here have few constraints) and report both residuals.
 
 use crate::linalg::{dot, norm2, Matrix};
-use crate::logsumexp::{log_sum_exp, softmax_in_place, LogPosynomial};
+use crate::logsumexp::{softmax_in_place, LogPosynomial};
 use crate::ordering::{invert_permutation, min_degree};
 use crate::problem::GpProblem;
 use crate::sparse::{upper_csc_from_pairs, SymbolicChol};
@@ -128,22 +128,23 @@ pub fn kkt_report(problem: &GpProblem, x: &[f64]) -> KktReport {
 // Sparse KKT plan
 // ---------------------------------------------------------------------------
 //
-// The barrier Hessian at parameter `t` is
+// The reduced primal–dual Newton matrix at duals `λ` is
 //
 // ```text
-// H = t (SM0 − g0 g0ᵀ)                                 (objective, multi-term)
-//   + Σ_i [ 1/s_i (SMi − gi giᵀ) + 1/s_i² gi giᵀ ]     (constraints)
+// H = (SM0 − g0 g0ᵀ)                                   (objective, multi-term)
+//   + Σ_i [ λ_i (SMi − gi giᵀ) + λ_i/s_i gi giᵀ ]      (constraints)
 // ```
 //
 // where `SMi = Σ_k p_k a_k a_kᵀ` is the softmax second moment of posynomial
-// `i`'s exponent rows, `gi = ∇Fi`, and `s_i = −Fi > 0` is the barrier slack.
+// `i`'s exponent rows, `gi = ∇Fi`, and `s_i = −Fi > 0` is the slack (with
+// centred duals `λ_i = 1/(t s_i)` this is the barrier Hessian over `t`).
 // Every `SM` term only touches the handful of variables its monomial
 // mentions, so `H` splits as `H = S + Σ_r β_r g_r g_rᵀ`:
 //
 // * `S` — a sparse matrix collecting, per posynomial, either the *whole*
 //   contribution (when the posynomial's support is small: a support-clique
-//   of nonzeros, and positive semidefinite because it is `1/s · ∇²Fi`
-//   plus `1/s² gi giᵀ`), or only the per-term second-moment cliques (when
+//   of nonzeros, and positive semidefinite because it is `λ · ∇²Fi`
+//   plus `λ/s gi giᵀ`), or only the per-term second-moment cliques (when
 //   the support is large).
 // * the corrections — gradient outer products of the few wide-support
 //   posynomials (in AAO units: the joint objective), *hoisted* out of the
@@ -230,7 +231,6 @@ pub struct SparseKktPlan {
     hoist_pvars: Vec<u32>,
     /// Offsets into `hoist_pvars` / scratch values, length `n_hoisted+1`.
     hoist_offsets: Vec<u32>,
-    max_terms: usize,
     max_support: usize,
 }
 
@@ -245,8 +245,6 @@ pub struct SparseScratch {
     /// Dense factor scratch (kept all-zero between factorizations).
     fx: Vec<f64>,
     cursor: Vec<u32>,
-    /// Per-posynomial term values / softmax weights.
-    z: Vec<f64>,
     /// Support-local gradient of the current posynomial.
     glocal: Vec<f64>,
     /// Permuted right-hand side, solution, residual, diagonal.
@@ -278,7 +276,6 @@ impl SparseScratch {
         self.fx.clear();
         self.fx.resize(n, 0.0);
         self.cursor.resize(n, 0);
-        self.z.reserve(plan.max_terms);
         self.glocal.resize(plan.max_support, 0.0);
         self.pb.resize(n, 0.0);
         self.sol.resize(n, 0.0);
@@ -289,6 +286,19 @@ impl SparseScratch {
         self.w.resize(k * n, 0.0);
         self.cap.resize(k * k, 0.0);
         self.cap_rhs.resize(k, 0.0);
+    }
+}
+
+/// Weights with which one posynomial enters the reduced Newton system
+/// `[∇²F0 + Σ λ_i ∇²Fi + Σ (λ_i/s_i) ∇Fi∇Fiᵀ] Δy = −(∇F0 + (1/t) Σ ∇Fi/s_i)`:
+/// `(weight of ∇F on the right-hand side, of its second moment, of
+/// ∇F∇Fᵀ)`. `dual` is `None` for the objective and `(λ_i, s_i)` for a
+/// constraint; `∇²F = SM − ∇F∇Fᵀ` vanishes for affine (one-term) rows.
+pub(crate) fn newton_weights(dual: Option<(f64, f64)>, multi: bool, inv_t: f64) -> (f64, f64, f64) {
+    let curved = if multi { 1.0 } else { 0.0 };
+    match dual {
+        None => (1.0, curved, -curved),
+        Some((l, s)) => (inv_t / s, l * curved, l / s - l * curved),
     }
 }
 
@@ -446,13 +456,11 @@ impl SparseKktPlan {
         let mut posys = Vec::with_capacity(raws.len());
         let mut hoist_pvars = Vec::new();
         let mut hoist_offsets = vec![0u32];
-        let mut max_terms = 0usize;
         let mut max_support = 0usize;
         let mut n_hoisted = 0u32;
         for (raw, lp) in raws.iter().zip(std::iter::once(f0).chain(fs.iter())) {
             let rows = lp.rows();
             let multi = rows.len() > 1;
-            max_terms = max_terms.max(rows.len());
             max_support = max_support.max(raw.support.len());
             let terms: Vec<TermPlan> = raw
                 .order
@@ -519,7 +527,6 @@ impl SparseKktPlan {
             diag_slots,
             hoist_pvars,
             hoist_offsets,
-            max_terms,
             max_support,
         }
     }
@@ -539,59 +546,111 @@ impl SparseKktPlan {
         self.sym.l_nnz()
     }
 
-    /// Evaluates the barrier function `t F0 − Σ ln(−Fi)` at `y`,
-    /// assembling value, gradient (into `grad`, original variable order)
-    /// and the Hessian in decomposed form (`S` values + hoisted
-    /// corrections) into `s`. Returns `None` outside the barrier domain.
-    pub(crate) fn eval(
+    /// Evaluates every posynomial at `y` in canonical term order (so the
+    /// arithmetic is independent of term insertion order): appends the
+    /// softmax weights to `probs` (objective first), writes the slacks
+    /// `−Fi(y)` and returns `F0(y)` — or `None` as soon as a constraint is
+    /// not strictly satisfied.
+    pub(crate) fn eval_point(
         &self,
         f0: &LogPosynomial,
         fs: &[LogPosynomial],
-        t: f64,
         y: &[f64],
-        s: &mut SparseScratch,
-        grad: &mut [f64],
+        probs: &mut Vec<f64>,
+        slack: &mut [f64],
     ) -> Option<f64> {
-        s.a_values.fill(0.0);
-        grad.fill(0.0);
-        let mut value = 0.0;
+        let mut v0 = 0.0;
         for (pi, (pp, lp)) in self
             .posys
             .iter()
             .zip(std::iter::once(f0).chain(fs.iter()))
             .enumerate()
         {
-            s.z.clear();
+            let at = probs.len();
             for tp in &pp.terms {
                 let mut zk = lp.log_coef(tp.coef_idx as usize);
                 for &(li, e) in &tp.entries {
                     zk += e * y[pp.support[li as usize] as usize];
                 }
-                s.z.push(zk);
+                probs.push(zk);
             }
-            let v = softmax_in_place(&mut s.z);
-            let multi = pp.terms.len() > 1;
-            let (w_grad, alpha, beta) = if pi == 0 {
-                value += t * v;
-                (t, t, -t)
+            let v = softmax_in_place(&mut probs[at..]);
+            if pi == 0 {
+                v0 = v;
+            } else if v < 0.0 {
+                slack[pi - 1] = -v;
             } else {
-                if v >= 0.0 {
-                    return None;
-                }
-                let slack = -v;
-                value -= slack.ln();
-                let inv_s = 1.0 / slack;
-                let beta = if multi {
-                    inv_s * inv_s - inv_s
-                } else {
-                    inv_s * inv_s
-                };
-                (inv_s, inv_s, beta)
-            };
+                return None;
+            }
+        }
+        Some(v0)
+    }
 
+    /// Calls `f(posynomial index, plan, its softmax weights)` for every
+    /// posynomial over the flat `probs` buffer of [`Self::eval_point`].
+    fn for_each_posy(&self, probs: &[f64], mut f: impl FnMut(usize, &PosyPlan, &[f64])) {
+        let mut at = 0;
+        for (pi, pp) in self.posys.iter().enumerate() {
+            let k = pp.terms.len();
+            f(pi, pp, &probs[at..at + k]);
+            at += k;
+        }
+    }
+
+    /// `r = ∇F0 + Σ λi ∇Fi` from the weights of [`Self::eval_point`].
+    pub(crate) fn dual_residual(&self, probs: &[f64], lam: &[f64], r: &mut [f64]) {
+        r.fill(0.0);
+        self.for_each_posy(probs, |pi, pp, p| {
+            let w = if pi == 0 { 1.0 } else { lam[pi - 1] };
+            for (tp, pk) in pp.terms.iter().zip(p) {
+                let wp = w * pk;
+                for &(li, e) in &tp.entries {
+                    r[pp.support[li as usize] as usize] += wp * e;
+                }
+            }
+        });
+    }
+
+    /// `out[i] = ∇Fi · dy` per constraint.
+    pub(crate) fn directional(&self, probs: &[f64], dy: &[f64], out: &mut [f64]) {
+        self.for_each_posy(probs, |pi, pp, p| {
+            if pi == 0 {
+                return;
+            }
+            let mut acc = 0.0;
+            for (tp, pk) in pp.terms.iter().zip(p) {
+                let mut ad = 0.0;
+                for &(li, e) in &tp.entries {
+                    ad += e * dy[pp.support[li as usize] as usize];
+                }
+                acc += pk * ad;
+            }
+            out[pi - 1] = acc;
+        });
+    }
+
+    /// Assembles the reduced Newton system at the point whose weights and
+    /// slacks [`Self::eval_point`] produced: the matrix
+    /// `∇²F0 + Σ λi ∇²Fi + Σ (λi/si) ∇Fi∇Fiᵀ` in decomposed form (`S`
+    /// values + hoisted corrections) into `s`, and the right-hand side
+    /// `−(∇F0 + inv_t Σ ∇Fi/si)` into `rhs` (original variable order).
+    pub(crate) fn assemble(
+        &self,
+        probs: &[f64],
+        lam: &[f64],
+        slack: &[f64],
+        inv_t: f64,
+        s: &mut SparseScratch,
+        rhs: &mut [f64],
+    ) {
+        s.a_values.fill(0.0);
+        rhs.fill(0.0);
+        self.for_each_posy(probs, |pi, pp, p| {
+            let dual = pi.checked_sub(1).map(|i| (lam[i], slack[i]));
+            let (w_rhs, alpha, beta) = newton_weights(dual, pp.terms.len() > 1, inv_t);
             let sup = pp.support.len();
             s.glocal[..sup].fill(0.0);
-            for (tp, &pk) in pp.terms.iter().zip(s.z.iter()) {
+            for (tp, &pk) in pp.terms.iter().zip(p) {
                 if pk == 0.0 {
                     continue;
                 }
@@ -604,7 +663,7 @@ impl SparseKktPlan {
                 }
             }
             for li in 0..sup {
-                grad[pp.support[li] as usize] += w_grad * s.glocal[li];
+                rhs[pp.support[li] as usize] -= w_rhs * s.glocal[li];
             }
             match &pp.grad {
                 GradKind::Skip => {}
@@ -625,7 +684,7 @@ impl SparseKktPlan {
                     s.hoist_vals[off..off + sup].copy_from_slice(&s.glocal[..sup]);
                 }
             }
-        }
+        });
 
         // Regularization scale: |diag H| = |diag S + Σ β g²| at its max.
         for k in 0..self.n {
@@ -643,50 +702,10 @@ impl SparseKktPlan {
             }
         }
         s.scale = s.diag.iter().fold(0.0_f64, |m, &d| m.max(d.abs())).max(1.0);
-        Some(value)
     }
 
-    /// Barrier value only (line search), using the plan's canonical term
-    /// order so the sparse path's arithmetic is independent of the term
-    /// insertion order. Returns `None` outside the domain.
-    pub(crate) fn barrier_value(
-        &self,
-        f0: &LogPosynomial,
-        fs: &[LogPosynomial],
-        t: f64,
-        y: &[f64],
-        z: &mut Vec<f64>,
-    ) -> Option<f64> {
-        let mut value = 0.0;
-        for (pi, (pp, lp)) in self
-            .posys
-            .iter()
-            .zip(std::iter::once(f0).chain(fs.iter()))
-            .enumerate()
-        {
-            z.clear();
-            for tp in &pp.terms {
-                let mut zk = lp.log_coef(tp.coef_idx as usize);
-                for &(li, e) in &tp.entries {
-                    zk += e * y[pp.support[li as usize] as usize];
-                }
-                z.push(zk);
-            }
-            let v = log_sum_exp(z);
-            if pi == 0 {
-                value += t * v;
-            } else {
-                if v >= 0.0 {
-                    return None;
-                }
-                value -= (-v).ln();
-            }
-        }
-        Some(value)
-    }
-
-    /// Solves `H dy = rhs` for the Hessian last assembled by
-    /// [`SparseKktPlan::eval`], walking the same regularization ladder as
+    /// Solves `H dy = rhs` for the matrix last assembled by
+    /// [`SparseKktPlan::assemble`], walking the same regularization ladder as
     /// the dense path (`(H + reg I) dy = rhs`, `reg` escalating from 0).
     /// Returns the shift that was needed, or `None` when every level
     /// failed.
@@ -997,43 +1016,63 @@ mod tests {
             .collect()
     }
 
-    /// Dense oracle: assemble the barrier value/gradient/Hessian exactly
-    /// as the dense backend does (same formulas as `barrier_eval_full`).
-    fn dense_barrier_oracle(
+    /// Dense oracle: the reduced Newton matrix and right-hand side for
+    /// duals `lam` and centring `inv_t`, assembled exactly as the dense
+    /// backend does. Also returns the slacks.
+    fn dense_newton_oracle(
         f0: &LogPosynomial,
         fs: &[LogPosynomial],
-        t: f64,
+        lam: &[f64],
+        inv_t: f64,
         y: &[f64],
-    ) -> (f64, Vec<f64>, Matrix) {
+    ) -> (Vec<f64>, Vec<f64>, Matrix) {
         let n = y.len();
         let mut probs = Vec::new();
         let mut gi = vec![0.0; n];
-        let mut dense = vec![0.0; n];
         let mut hess = Matrix::zeros(n, n);
-        let v0 = f0.value_grad_buf(y, &mut probs, &mut gi);
-        let mut value = t * v0;
-        let mut grad: Vec<f64> = gi.iter().map(|&g| t * g).collect();
+        f0.value_grad_buf(y, &mut probs, &mut gi);
+        let mut rhs: Vec<f64> = gi.iter().map(|&g| -g).collect();
         if f0.n_terms() > 1 {
-            f0.add_second_moment(&probs, t, &mut dense, &mut hess);
-            hess.add_outer(-t, &gi);
+            f0.add_second_moment(&probs, 1.0, &mut hess);
+            hess.add_outer(-1.0, &gi);
         }
-        for fi in fs {
+        let mut slack = Vec::new();
+        for (fi, &l) in fs.iter().zip(lam) {
             let vi = fi.value_grad_buf(y, &mut probs, &mut gi);
             assert!(vi < 0.0, "test point must be strictly feasible");
             let s = -vi;
-            value -= s.ln();
-            let inv_s = 1.0 / s;
-            for (g, &gg) in grad.iter_mut().zip(&gi) {
-                *g += inv_s * gg;
+            slack.push(s);
+            for (r, &gg) in rhs.iter_mut().zip(&gi) {
+                *r -= inv_t / s * gg;
             }
             if fi.n_terms() > 1 {
-                fi.add_second_moment(&probs, inv_s, &mut dense, &mut hess);
-                hess.add_outer(inv_s * inv_s - inv_s, &gi);
+                fi.add_second_moment(&probs, l, &mut hess);
+                hess.add_outer(l / s - l, &gi);
             } else {
-                hess.add_outer(inv_s * inv_s, &gi);
+                hess.add_outer(l / s, &gi);
             }
         }
-        (value, grad, hess)
+        (slack, rhs, hess)
+    }
+
+    /// Evaluates `plan` at `y` and assembles its Newton system for
+    /// deliberately uncentred duals (so `λ` and `λ/s` weigh differently).
+    fn assemble_at(
+        plan: &SparseKktPlan,
+        f0: &LogPosynomial,
+        fs: &[LogPosynomial],
+        y: &[f64],
+        inv_t: f64,
+        s: &mut SparseScratch,
+    ) -> (Vec<f64>, Vec<f64>) {
+        s.ensure(plan);
+        let mut probs = Vec::new();
+        let mut slack = vec![0.0; fs.len()];
+        plan.eval_point(f0, fs, y, &mut probs, &mut slack).unwrap();
+        let lam: Vec<f64> = (0..fs.len()).map(|i| 0.2 + 0.1 * (i % 5) as f64).collect();
+        let mut rhs = vec![0.0; y.len()];
+        plan.assemble(&probs, &lam, &slack, inv_t, s, &mut rhs);
+        (lam, rhs)
     }
 
     /// Expands the sparse decomposition (`S` values plus hoisted `β g gᵀ`
@@ -1080,16 +1119,13 @@ mod tests {
         let plan = SparseKktPlan::build(&f0, &fs, n);
         assert_eq!(plan.n_hoisted(), 1, "wide objective must be hoisted");
         let mut s = SparseScratch::default();
-        s.ensure(&plan);
         let y = test_point(n);
-        let t = 3.0;
-        let mut grad = vec![0.0; n];
-        let value = plan.eval(&f0, &fs, t, &y, &mut s, &mut grad).unwrap();
+        let inv_t = 0.3;
+        let (lam, rhs) = assemble_at(&plan, &f0, &fs, &y, inv_t, &mut s);
 
-        let (dvalue, dgrad, dhess) = dense_barrier_oracle(&f0, &fs, t, &y);
-        assert!((value - dvalue).abs() <= 1e-9 * dvalue.abs().max(1.0));
-        for (g, dg) in grad.iter().zip(&dgrad) {
-            assert!((g - dg).abs() <= 1e-9 * dg.abs().max(1.0), "grad mismatch");
+        let (_, drhs, dhess) = dense_newton_oracle(&f0, &fs, &lam, inv_t, &y);
+        for (r, dr) in rhs.iter().zip(&drhs) {
+            assert!((r - dr).abs() <= 1e-9 * dr.abs().max(1.0), "rhs mismatch");
         }
         let h = reconstruct_dense(&plan, &s);
         let scale = dhess.max_abs_diagonal().max(1.0);
@@ -1110,10 +1146,8 @@ mod tests {
         let (f0, fs) = aao_like_logposys(n);
         let plan = SparseKktPlan::build(&f0, &fs, n);
         let mut s = SparseScratch::default();
-        s.ensure(&plan);
         let y = test_point(n);
-        let mut grad = vec![0.0; n];
-        plan.eval(&f0, &fs, 3.0, &y, &mut s, &mut grad).unwrap();
+        let (lam, _) = assemble_at(&plan, &f0, &fs, &y, 0.3, &mut s);
 
         let rhs: Vec<f64> = (0..n)
             .map(|i| ((i * 29 + 3) % 13) as f64 / 13.0 - 0.5)
@@ -1122,7 +1156,7 @@ mod tests {
         let reg = plan.solve_newton(&mut s, &rhs, &mut dy).unwrap();
         assert_eq!(reg, 0.0, "well-conditioned system needs no shift");
 
-        let (_, _, dhess) = dense_barrier_oracle(&f0, &fs, 3.0, &y);
+        let (_, _, dhess) = dense_newton_oracle(&f0, &fs, &lam, 0.3, &y);
         let mut chol = Matrix::zeros(n, n);
         let mut expect = Vec::new();
         assert!(dhess.cholesky_solve_into(&rhs, &mut chol, &mut expect));

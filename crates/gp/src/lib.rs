@@ -9,8 +9,9 @@
 //! * [`posynomial`] — monomials / posynomials over positive variables;
 //! * [`logsumexp`] — the log-variable transform making GPs convex;
 //! * [`problem`] — program construction and validation;
-//! * [`solver`] — a log-barrier interior-point method with damped Newton
-//!   steps, built on the dense linear algebra in [`linalg`];
+//! * [`solver`] — a primal–dual interior-point method (one adaptive
+//!   path-following Newton loop for cold starts, warm starts and phase I),
+//!   built on the dense linear algebra in [`linalg`];
 //! * [`sparse`] + [`ordering`] — a sparse Cholesky KKT backend (upper-CSC
 //!   up-looking factorization under a min-degree ordering) that exploits
 //!   the query↔item graph structure of joint AAO units, scaling the Newton

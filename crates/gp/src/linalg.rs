@@ -105,6 +105,23 @@ impl Matrix {
         }
     }
 
+    /// Symmetric update `self += alpha * a * a^T` for a sparse vector `a`
+    /// given as `(index, value)` pairs: touches only the `k x k` entries
+    /// its `k` non-zeros span.
+    pub fn add_outer_sparse(&mut self, alpha: f64, a: &[(usize, f64)]) {
+        debug_assert_eq!(self.n_rows, self.n_cols);
+        if alpha == 0.0 {
+            return;
+        }
+        for &(i, ai) in a {
+            let row = self.row_mut(i);
+            let aai = alpha * ai;
+            for &(j, aj) in a {
+                row[j] += aai * aj;
+            }
+        }
+    }
+
     /// Adds `alpha` to every diagonal entry (Tikhonov regularization).
     pub fn add_diagonal(&mut self, alpha: f64) {
         let n = self.n_rows.min(self.n_cols);
@@ -142,6 +159,15 @@ impl Matrix {
         self.data.resize(n_rows * n_cols, 0.0);
     }
 
+    /// Overwrites `self` with `other`, reusing the allocation (the derived
+    /// `clone_from` would allocate a fresh buffer per call).
+    fn copy_from(&mut self, other: &Matrix) {
+        self.n_rows = other.n_rows;
+        self.n_cols = other.n_cols;
+        self.data.clear();
+        self.data.extend_from_slice(&other.data);
+    }
+
     /// Largest absolute diagonal entry (used to scale regularization).
     pub fn max_abs_diagonal(&self) -> f64 {
         let n = self.n_rows.min(self.n_cols);
@@ -157,25 +183,20 @@ impl Matrix {
     pub fn factor_in_place(&mut self) -> bool {
         assert_eq!(self.n_rows, self.n_cols);
         let n = self.n_rows;
-        for j in 0..n {
-            let mut d = self[(j, j)];
-            for k in 0..j {
-                let ljk = self[(j, k)];
-                d -= ljk * ljk;
+        // Row by row (Cholesky–Banachiewicz): row `i` of `L` needs only
+        // the finished rows above it, all contiguous slices.
+        for i in 0..n {
+            let (above, rest) = self.data.split_at_mut(i * n);
+            let row_i = &mut rest[..=i];
+            for j in 0..i {
+                let row_j = &above[j * n..j * n + j + 1];
+                row_i[j] = (row_i[j] - dot(&row_i[..j], &row_j[..j])) / row_j[j];
             }
+            let d = row_i[i] - dot(&row_i[..i], &row_i[..i]);
             if !(d.is_finite() && d > 0.0) {
                 return false;
             }
-            let d = d.sqrt();
-            self[(j, j)] = d;
-            let inv_d = 1.0 / d;
-            for i in (j + 1)..n {
-                let mut s = self[(i, j)];
-                for k in 0..j {
-                    s -= self[(i, k)] * self[(j, k)];
-                }
-                self[(i, j)] = s * inv_d;
-            }
+            row_i[i] = d.sqrt();
         }
         true
     }
@@ -199,7 +220,7 @@ impl Matrix {
     pub fn cholesky_solve_into(&self, b: &[f64], scratch: &mut Matrix, x: &mut Vec<f64>) -> bool {
         assert_eq!(self.n_rows, self.n_cols);
         assert_eq!(b.len(), self.n_rows);
-        scratch.clone_from(self);
+        scratch.copy_from(self);
         if !scratch.factor_in_place() {
             return false;
         }
@@ -213,78 +234,52 @@ impl Matrix {
     /// [`Matrix::factor_in_place`]), overwriting `z` with the solution.
     pub fn solve_factored(&self, z: &mut [f64]) {
         let n = self.n_rows;
-        debug_assert_eq!(z.len(), n);
+        assert_eq!(z.len(), n);
         for i in 0..n {
-            let mut s = z[i];
-            for k in 0..i {
-                s -= self[(i, k)] * z[k];
-            }
-            z[i] = s / self[(i, i)];
+            let row = &self.row(i)[..=i];
+            z[i] = (z[i] - dot(&row[..i], &z[..i])) / row[i];
         }
+        // `L^T x = z` column by column, so `L` is still read along rows.
         for i in (0..n).rev() {
-            let mut s = z[i];
-            for k in (i + 1)..n {
-                s -= self[(k, i)] * z[k];
-            }
-            z[i] = s / self[(i, i)];
+            let row = &self.row(i)[..=i];
+            let zi = z[i] / row[i];
+            z[i] = zi;
+            axpy(-zi, &row[..i], &mut z[..i]);
         }
     }
 
     /// Solves `A x = b` for a symmetric matrix that should be positive
-    /// definite, retrying with progressively larger diagonal regularization
-    /// if the plain factorization fails.
+    /// definite, factoring in place and retrying with progressively larger
+    /// diagonal regularization if the plain factorization fails.
     ///
-    /// Interior-point Hessians can lose definiteness to rounding near the
+    /// `fill` writes `A` into `self` and `b` into `x`; it runs once per
+    /// attempt, because a failed in-place factorization destroys the
+    /// matrix (no second `n × n` buffer is kept for the rare retry). On
+    /// success `x` holds the solution and the shift that was needed is
+    /// returned: `Some(0.0)` when the plain factorization succeeded,
+    /// `Some(reg > 0)` when the ladder had to bump the diagonal (callers
+    /// surface this as the `gp.chol_regularized` counter), `None` when
+    /// every level failed.
+    ///
+    /// Interior-point matrices can lose definiteness to rounding near the
     /// central path; a small ridge restores it while barely perturbing the
     /// Newton direction.
-    pub fn cholesky_solve_regularized(&self, b: &[f64]) -> Option<Vec<f64>> {
-        let mut scratch = Matrix::zeros(self.n_rows, self.n_cols);
-        let mut x = Vec::new();
-        if self.cholesky_solve_regularized_into(b, &mut scratch, &mut x) {
-            Some(x)
-        } else {
-            None
-        }
-    }
-
-    /// Allocation-free variant of [`Matrix::cholesky_solve_regularized`]:
-    /// the factorization happens in `scratch` (resized as needed) and the
-    /// solution lands in `x`. Returns `false` if every regularization level
-    /// fails.
-    pub fn cholesky_solve_regularized_into(
-        &self,
-        b: &[f64],
-        scratch: &mut Matrix,
-        x: &mut Vec<f64>,
-    ) -> bool {
-        self.cholesky_solve_regularized_level_into(b, scratch, x)
-            .is_some()
-    }
-
-    /// Like [`Matrix::cholesky_solve_regularized_into`], but reports the
-    /// diagonal shift that was actually needed: `Some(0.0)` when the plain
-    /// factorization succeeded, `Some(reg > 0)` when the ladder had to bump
-    /// the diagonal (callers surface this as the `gp.chol_regularized`
-    /// counter), `None` when every level failed.
-    pub fn cholesky_solve_regularized_level_into(
-        &self,
-        b: &[f64],
-        scratch: &mut Matrix,
-        x: &mut Vec<f64>,
+    pub fn solve_regularized_in_place(
+        &mut self,
+        mut fill: impl FnMut(&mut Matrix, &mut [f64]),
+        x: &mut [f64],
     ) -> Option<f64> {
         assert_eq!(self.n_rows, self.n_cols);
-        assert_eq!(b.len(), self.n_rows);
+        assert_eq!(x.len(), self.n_rows);
         let mut reg = 0.0;
-        let scale = self.max_abs_diagonal().max(1.0);
         for _ in 0..41 {
-            scratch.clone_from(self);
+            fill(self, x);
+            let scale = self.max_abs_diagonal().max(1.0);
             if reg > 0.0 {
-                scratch.add_diagonal(reg);
+                self.add_diagonal(reg);
             }
-            if scratch.factor_in_place() {
-                x.clear();
-                x.extend_from_slice(b);
-                scratch.solve_factored(x);
+            if self.factor_in_place() {
+                self.solve_factored(x);
                 return Some(reg);
             }
             reg = if reg == 0.0 {
@@ -407,41 +402,36 @@ mod tests {
     }
 
     #[test]
-    fn regularized_solve_recovers_semidefinite() {
-        // Singular PSD matrix: ones(2,2). Regularized solve should succeed.
+    fn regularized_in_place_reports_shift() {
+        let fill_with = |vals: [f64; 4], b: [f64; 2]| {
+            move |a: &mut Matrix, x: &mut [f64]| {
+                a.data.copy_from_slice(&vals);
+                x.copy_from_slice(&b);
+            }
+        };
+        // Well-conditioned SPD [[4,2],[2,3]]: no shift needed.
         let mut a = Matrix::zeros(2, 2);
-        a[(0, 0)] = 1.0;
-        a[(0, 1)] = 1.0;
-        a[(1, 0)] = 1.0;
-        a[(1, 1)] = 1.0;
-        let x = a.cholesky_solve_regularized(&[1.0, 1.0]).unwrap();
+        let mut x = [0.0; 2];
+        let reg = a.solve_regularized_in_place(fill_with([4.0, 2.0, 2.0, 3.0], [2.0, 1.0]), &mut x);
+        assert_eq!(reg, Some(0.0));
+        assert!((x[0] - 0.5).abs() < 1e-12 && x[1].abs() < 1e-12);
+        // Singular PSD ones(2,2): the ladder must bump the diagonal, and
+        // refill the matrix the failed factorization destroyed.
+        let reg = a
+            .solve_regularized_in_place(fill_with([1.0; 4], [1.0, 1.0]), &mut x)
+            .unwrap();
+        assert!(reg > 0.0);
         assert!(x.iter().all(|v| v.is_finite()));
+        assert!((x[0] + x[1] - 1.0).abs() < 1e-6, "x = {x:?}");
     }
 
     #[test]
-    fn regularized_level_reports_shift() {
-        // Well-conditioned SPD: no shift needed.
-        let mut a = Matrix::zeros(2, 2);
-        a[(0, 0)] = 4.0;
-        a[(0, 1)] = 2.0;
-        a[(1, 0)] = 2.0;
-        a[(1, 1)] = 3.0;
-        let mut scratch = Matrix::zeros(0, 0);
-        let mut x = Vec::new();
-        assert_eq!(
-            a.cholesky_solve_regularized_level_into(&[2.0, 1.0], &mut scratch, &mut x),
-            Some(0.0)
-        );
-        // Singular PSD: ladder must bump the diagonal.
-        let mut s = Matrix::zeros(2, 2);
-        s[(0, 0)] = 1.0;
-        s[(0, 1)] = 1.0;
-        s[(1, 0)] = 1.0;
-        s[(1, 1)] = 1.0;
-        let reg = s
-            .cholesky_solve_regularized_level_into(&[1.0, 1.0], &mut scratch, &mut x)
-            .unwrap();
-        assert!(reg > 0.0);
+    fn add_outer_sparse_matches_dense() {
+        let mut sparse = Matrix::zeros(4, 4);
+        let mut dense = Matrix::zeros(4, 4);
+        sparse.add_outer_sparse(1.5, &[(1, 2.0), (3, -0.5)]);
+        dense.add_outer(1.5, &[0.0, 2.0, 0.0, -0.5]);
+        assert_eq!(sparse, dense);
     }
 
     #[test]

@@ -98,9 +98,8 @@ impl LogPosynomial {
         self.rows.len() == 1
     }
 
-    /// Per-term affine values `z_k = a_k . y + ln c_k`.
+    /// Appends the per-term affine values `z_k = a_k . y + ln c_k`.
     fn term_values(&self, y: &[f64], out: &mut Vec<f64>) {
-        out.clear();
         for (row, lc) in self.rows.iter().zip(&self.log_coefs) {
             let mut z = *lc;
             for &(v, e) in row {
@@ -110,17 +109,62 @@ impl LogPosynomial {
         }
     }
 
+    /// The phase-I lift `F(y) - y_n` over `n_vars + 1` variables: every
+    /// term gains exponent `-1` in the new last variable, so
+    /// `F(y) <= sigma` reads as the posynomial constraint `f(x)/sigma <= 1`.
+    pub(crate) fn lifted(&self) -> Self {
+        let mut lifted = self.clone();
+        for row in &mut lifted.rows {
+            row.push((self.n_vars, -1.0));
+        }
+        lifted.n_vars += 1;
+        lifted
+    }
+
+    /// Evaluates `F(y)` and appends the softmax weights `p_k` to `probs`
+    /// (the solver keeps every posynomial's weights in one flat buffer).
+    pub(crate) fn softmax_append(&self, y: &[f64], probs: &mut Vec<f64>) -> f64 {
+        debug_assert_eq!(y.len(), self.n_vars);
+        let at = probs.len();
+        self.term_values(y, probs);
+        softmax_in_place(&mut probs[at..])
+    }
+
+    /// Adds `w * grad F = w * sum_k p_k a_k` into `out`.
+    pub(crate) fn add_gradient(&self, probs: &[f64], w: f64, out: &mut [f64]) {
+        debug_assert_eq!(probs.len(), self.rows.len());
+        for (row, pk) in self.rows.iter().zip(probs) {
+            let wp = w * pk;
+            for &(v, e) in row {
+                out[v] += wp * e;
+            }
+        }
+    }
+
+    /// Directional derivative `grad F . d = sum_k p_k (a_k . d)`.
+    pub(crate) fn directional(&self, probs: &[f64], d: &[f64]) -> f64 {
+        debug_assert_eq!(probs.len(), self.rows.len());
+        let mut acc = 0.0;
+        for (row, pk) in self.rows.iter().zip(probs) {
+            let mut ad = 0.0;
+            for &(v, e) in row {
+                ad += e * d[v];
+            }
+            acc += pk * ad;
+        }
+        acc
+    }
+
     /// Evaluates `F(y)` only.
     pub fn value(&self, y: &[f64]) -> f64 {
         debug_assert_eq!(y.len(), self.n_vars);
-        let mut z = Vec::with_capacity(self.rows.len());
-        self.term_values(y, &mut z);
-        log_sum_exp(&z)
+        self.value_buf(y, &mut Vec::with_capacity(self.rows.len()))
     }
 
     /// Evaluates `F(y)` reusing `z` as the per-term scratch buffer.
     pub fn value_buf(&self, y: &[f64], z: &mut Vec<f64>) -> f64 {
         debug_assert_eq!(y.len(), self.n_vars);
+        z.clear();
         self.term_values(y, z);
         log_sum_exp(z)
     }
@@ -131,41 +175,24 @@ impl LogPosynomial {
     pub fn value_grad_buf(&self, y: &[f64], probs: &mut Vec<f64>, grad: &mut [f64]) -> f64 {
         debug_assert_eq!(y.len(), self.n_vars);
         debug_assert_eq!(grad.len(), self.n_vars);
-        self.term_values(y, probs);
-        let value = softmax_in_place(probs);
+        probs.clear();
+        let value = self.softmax_append(y, probs);
         grad.fill(0.0);
-        for (row, pk) in self.rows.iter().zip(probs.iter()) {
-            for &(v, e) in row {
-                grad[v] += pk * e;
-            }
-        }
+        self.add_gradient(probs, 1.0, grad);
         value
     }
 
     /// Adds `alpha * sum_k p_k a_k a_kᵀ` (the softmax second moment of the
     /// exponent rows) into `hess`, with `probs` as produced by
-    /// [`LogPosynomial::value_grad_buf`] and `dense_row` as scratch.
+    /// [`LogPosynomial::value_grad_buf`]; each term scatters only the
+    /// `k x k` entries its `k` variables span.
     ///
     /// Together with the gradient this yields the Hessian:
     /// `∇²F = sum_k p_k a_k a_kᵀ − ∇F ∇Fᵀ`.
-    pub fn add_second_moment(
-        &self,
-        probs: &[f64],
-        alpha: f64,
-        dense_row: &mut [f64],
-        hess: &mut Matrix,
-    ) {
+    pub fn add_second_moment(&self, probs: &[f64], alpha: f64, hess: &mut Matrix) {
         debug_assert_eq!(probs.len(), self.rows.len());
-        debug_assert_eq!(dense_row.len(), self.n_vars);
         for (row, pk) in self.rows.iter().zip(probs.iter()) {
-            if *pk == 0.0 {
-                continue;
-            }
-            dense_row.fill(0.0);
-            for &(v, e) in row {
-                dense_row[v] = e;
-            }
-            hess.add_outer(alpha * pk, dense_row);
+            hess.add_outer_sparse(alpha * pk, row);
         }
     }
 

@@ -159,11 +159,14 @@ pub struct GpSolution {
     pub x: Vec<f64>,
     /// Objective value `f0(x*)`.
     pub objective: f64,
-    /// Number of outer (barrier) iterations.
+    /// Iterations of the primal–dual loop. Each takes exactly one Newton
+    /// step, so this equals [`GpSolution::newton_steps`].
     pub outer_iterations: usize,
-    /// Total Newton steps across all centering problems.
+    /// Newton steps (linear solves) taken by phase II.
     pub newton_steps: usize,
-    /// Certified bound on suboptimality (`m / t` at termination).
+    /// Surrogate duality gap `Σ λ_i s_i` at termination. It bounds the
+    /// suboptimality up to the dual residual, which the solver also
+    /// drives below the tolerance (`‖∇F0 + Σ λ_i ∇Fi‖ <= tolerance`).
     pub duality_gap: f64,
 }
 

@@ -1,4 +1,4 @@
-//! Log-barrier interior-point solver for geometric programs.
+//! Primal–dual interior-point solver for geometric programs.
 //!
 //! After the log transform (see [`crate::logsumexp`]) a GP becomes the
 //! smooth convex program
@@ -8,28 +8,43 @@
 //! subject to  Fi(y) <= 0,   i = 1..m
 //! ```
 //!
-//! which we solve with the classic barrier method (Boyd & Vandenberghe,
-//! ch. 11): for increasing `t`, minimize `t F0(y) - sum_i ln(-Fi(y))` with
-//! damped Newton steps and backtracking line search. `m/t` bounds the
-//! suboptimality at each outer iteration, so termination yields a certified
-//! duality gap.
+//! which one path-following loop solves (Boyd & Vandenberghe §11.7): the
+//! iterate is a primal–dual pair `(y, λ)` with slacks `s_i = −Fi(y) > 0`
+//! and duals `λ_i > 0`; every step re-derives the centring parameter
+//! `1/t = σ η̂ / m` from the *current* surrogate gap `η̂ = Σ λ_i s_i`
+//! (`σ = 1/μ` while full steps are accepted, more after a damped one),
+//! takes one Newton step on the perturbed KKT conditions
 //!
-//! If the caller has no strictly feasible starting point, a standard
-//! phase-I problem (`minimize s  s.t.  Fi(y) <= s`) is solved first.
+//! ```text
+//! r_dual = ∇F0 + Σ λ_i ∇Fi = 0,     r_cent,i = λ_i s_i − 1/t = 0
+//! ```
+//!
+//! reduced to an `n × n` positive-definite system, and backtracks on the
+//! residual norm with every trial point kept strictly feasible. It stops
+//! at `η̂ <= tolerance` and `‖r_dual‖ <= tolerance`, which certifies the
+//! duality gap. Cold starts, warm starts ([`CompiledGp::solve_warm`]),
+//! both KKT backends and phase I all run this same loop; DESIGN.md §2
+//! has the derivation and the three safeguards the textbook loop needs.
+//!
+//! If the caller has no strictly feasible starting point, the phase-I
+//! program `minimize σ  s.t.  fi(x)/σ <= 1` — itself a GP — is solved
+//! first, stopping as soon as `σ` is comfortably below one.
 
 use crate::error::GpError;
-use crate::kkt::{auto_wanted, SparseKktPlan, SparseScratch};
-use crate::linalg::{axpy, dot, Matrix};
+use crate::kkt::{auto_wanted, newton_weights, SparseKktPlan, SparseScratch};
+use crate::linalg::{axpy, dot, norm2, Matrix};
 use crate::logsumexp::LogPosynomial;
+use crate::posynomial::{Monomial, Posynomial};
 use crate::problem::{GpProblem, GpSolution};
 use pq_obs::{names, EventKind, Obs};
 use std::sync::Arc;
 
-/// Which KKT backend solves the Newton systems inside the barrier method.
+/// Which KKT backend solves the Newton systems inside the solver.
 ///
-/// The dense path copies the Hessian and runs an `O(n³)` Cholesky per
-/// step — unbeatable for the small per-query programs. The sparse path
-/// assembles the Hessian directly in compressed form (exploiting the
+/// The dense path assembles the reduced Newton matrix and factors it in
+/// place, an `O(n³)` Cholesky per step — unbeatable for the small
+/// per-query programs. The sparse path assembles it directly in
+/// compressed form (exploiting the
 /// query↔item structure of joint AAO units), factors it under a cached
 /// fill-reducing ordering, and hoists the few dense gradient outer
 /// products into Sherman–Morrison–Woodbury corrections — scaling joint
@@ -47,56 +62,62 @@ pub enum KktMode {
     Sparse,
 }
 
-/// Resolved backend for one barrier solve.
+/// Resolved backend for one solve.
 enum Backend {
     Dense,
     Sparse(Arc<SparseKktPlan>),
 }
 
-/// Picks the backend for a one-shot (non-compiled) solve; compiled GPs
-/// resolve against their cached plan instead (see [`CompiledGp`]).
-fn resolve_backend(
-    f0: &LogPosynomial,
-    fs: &[LogPosynomial],
-    n: usize,
-    options: &SolverOptions,
-) -> Backend {
-    let build = || {
-        options.obs.counter(names::GP_SPARSE_SYMBOLIC).inc();
-        Backend::Sparse(Arc::new(SparseKktPlan::build(f0, fs, n)))
-    };
-    match options.kkt {
-        KktMode::Dense => Backend::Dense,
-        KktMode::Sparse => build(),
-        KktMode::Auto => {
-            if auto_wanted(f0, fs, n) {
-                build()
-            } else {
-                Backend::Dense
-            }
-        }
+/// A compiled program together with the backend resolved for one solve:
+/// what the loop iterates on.
+struct Program<'a> {
+    f0: &'a LogPosynomial,
+    fs: &'a [LogPosynomial],
+    backend: Backend,
+}
+
+impl<'a> Program<'a> {
+    /// Picks the backend for a one-shot (non-compiled) solve; compiled GPs
+    /// resolve against their cached plan instead (see [`CompiledGp`]).
+    fn resolve(
+        f0: &'a LogPosynomial,
+        fs: &'a [LogPosynomial],
+        n: usize,
+        options: &SolverOptions,
+    ) -> Self {
+        let sparse = match options.kkt {
+            KktMode::Dense => false,
+            KktMode::Sparse => true,
+            KktMode::Auto => auto_wanted(f0, fs, n),
+        };
+        let backend = if sparse {
+            options.obs.counter(names::GP_SPARSE_SYMBOLIC).inc();
+            Backend::Sparse(Arc::new(SparseKktPlan::build(f0, fs, n)))
+        } else {
+            Backend::Dense
+        };
+        Program { f0, fs, backend }
     }
 }
 
-/// Tuning knobs for the barrier solver. The defaults solve every program in
-/// this workspace; they are exposed for experimentation.
+/// Tuning knobs for the solver. The defaults solve every program in this
+/// workspace; they are exposed for experimentation.
 #[derive(Debug, Clone)]
 pub struct SolverOptions {
-    /// Target duality gap (`m / t` at termination). Default `1e-8`.
+    /// Convergence tolerance: the solve stops once the surrogate duality
+    /// gap `Σ λ_i s_i` and the dual residual `‖∇F0 + Σ λ_i ∇Fi‖` are both
+    /// at most this. Default `1e-8`.
     pub tolerance: f64,
-    /// Initial barrier parameter `t0`. Default `1.0`.
+    /// Initial path parameter: the starting duals are centred at
+    /// `λ_i = 1 / (t0 s_i)`, i.e. the initial gap is `m / t0`. Default `1.0`.
     pub t0: f64,
-    /// Barrier parameter multiplier per outer iteration. Default `20.0`.
+    /// Gap-reduction factor: every Newton step aims at the central point
+    /// with gap `η̂ / mu`. Default `20.0`.
     pub mu: f64,
-    /// Newton stopping threshold on `lambda^2 / 2`. Default `1e-8`
-    /// (tighter values grind against double-precision rounding near the
-    /// central path without improving the certified duality gap).
-    pub newton_tolerance: f64,
-    /// Maximum Newton steps per centering problem. Default `200`.
+    /// Maximum Newton steps per solve. Default `200`.
     pub max_newton_steps: usize,
-    /// Maximum outer (barrier) iterations. Default `64`.
-    pub max_outer_iterations: usize,
-    /// Armijo parameter for backtracking line search. Default `0.05`.
+    /// Sufficient-decrease parameter of the residual-norm backtracking
+    /// line search. Default `0.05`.
     pub armijo: f64,
     /// Step shrink factor for backtracking. Default `0.5`.
     pub backtrack: f64,
@@ -126,9 +147,7 @@ impl Default for SolverOptions {
             tolerance: 1e-8,
             t0: 1.0,
             mu: 20.0,
-            newton_tolerance: 1e-8,
             max_newton_steps: 200,
-            max_outer_iterations: 64,
             armijo: 0.05,
             backtrack: 0.5,
             obs: Obs::null(),
@@ -170,35 +189,46 @@ fn solve_span(options: &SolverOptions) -> pq_obs::TimedGuard {
     }
 }
 
-/// Reusable buffers for the barrier solver: one workspace amortizes every
-/// per-iteration allocation (gradients, Hessian, Cholesky scratch, line
-/// search trial points) across repeated solves of same-shaped programs.
+/// One primal–dual point together with everything evaluated at it.
+#[derive(Debug, Default)]
+struct Iterate {
+    /// Log variables.
+    y: Vec<f64>,
+    /// Duals `λ_i > 0`.
+    lam: Vec<f64>,
+    /// Slacks `s_i = −Fi(y) > 0`.
+    slack: Vec<f64>,
+    /// Softmax weights of every posynomial's terms, flat, objective first.
+    probs: Vec<f64>,
+    /// `F0(y)`.
+    f0: f64,
+}
+
+/// Reusable buffers for the solver: one workspace amortizes every
+/// per-iteration allocation (iterates, duals, Newton system) across
+/// repeated solves of same-shaped programs.
 ///
 /// A fresh (empty) workspace is valid for any program; buffers grow on
 /// first use and are reused afterwards. Not thread-safe: use one workspace
 /// per worker thread.
 #[derive(Debug, Default)]
 pub struct SolveWorkspace {
-    /// Current iterate in log variables (taken in and out of the solver).
-    y: Vec<f64>,
-    /// Accumulated barrier gradient.
-    grad: Vec<f64>,
-    /// Per-posynomial gradient scratch.
-    gi: Vec<f64>,
-    /// Negated gradient (Newton right-hand side).
+    /// Current iterate (its `y` is the start handed to the solver) and the
+    /// line search's trial iterate; an accepted trial is swapped in.
+    cur: Iterate,
+    trial: Iterate,
+    /// Per-constraint `∇Fi · Δy`, then the dual step `Δλ`.
+    dlam: Vec<f64>,
+    /// Newton right-hand side (sparse backend; the dense one solves in
+    /// place in `dy`).
     rhs: Vec<f64>,
-    /// Newton direction.
+    /// Newton direction `Δy`.
     dy: Vec<f64>,
-    /// Line-search trial point.
-    trial: Vec<f64>,
-    /// Per-term values / softmax weights scratch.
-    probs: Vec<f64>,
-    /// Dense expansion of one sparse exponent row.
-    dense: Vec<f64>,
-    /// Accumulated barrier Hessian (dense backend only).
+    /// One gradient-sized scratch: the dual residual, or one posynomial's
+    /// dense gradient during assembly.
+    grad: Vec<f64>,
+    /// Reduced Newton matrix, factored in place (dense backend only).
     hess: Matrix,
-    /// Cholesky factorization scratch (dense backend only).
-    chol: Matrix,
     /// Sparse-backend buffers (empty unless a sparse solve ran).
     sparse: SparseScratch,
 }
@@ -209,37 +239,49 @@ impl SolveWorkspace {
         SolveWorkspace::default()
     }
 
-    /// Grows the backend-independent buffers to fit an `n`-variable
-    /// program. The dense `n × n` matrices are sized separately (see
-    /// [`SolveWorkspace::ensure_backend`]) so a 10k-variable sparse solve
-    /// never allocates them.
-    fn ensure(&mut self, n: usize) {
+    /// Grows the buffers to fit `n` variables and `m` constraints on
+    /// `backend`. The dense `n × n` matrix is sized only for the dense
+    /// backend, so a 10k-variable sparse solve never allocates it.
+    fn ensure(&mut self, n: usize, m: usize, backend: &Backend) {
+        for it in [&mut self.cur, &mut self.trial] {
+            it.y.resize(n, 0.0);
+            it.lam.resize(m, 0.0);
+            it.slack.resize(m, 0.0);
+        }
+        self.dlam.resize(m, 0.0);
+        self.dy.resize(n, 0.0);
         self.grad.resize(n, 0.0);
-        self.gi.resize(n, 0.0);
-        self.rhs.resize(n, 0.0);
-        self.dy.clear();
-        self.trial.resize(n, 0.0);
-        self.dense.resize(n, 0.0);
-    }
-
-    /// Grows the backend-specific buffers.
-    fn ensure_backend(&mut self, n: usize, backend: &Backend) {
         match backend {
             Backend::Dense => {
                 if self.hess.n_rows() != n {
                     self.hess.resize_zeroed(n, n);
-                    self.chol.resize_zeroed(n, n);
                 }
             }
-            Backend::Sparse(plan) => self.sparse.ensure(plan),
+            Backend::Sparse(plan) => {
+                self.rhs.resize(n, 0.0);
+                self.sparse.ensure(plan);
+            }
         }
     }
 
-    /// Loads `ln x0` into the iterate buffer.
+    /// Loads `ln x0` as the start.
     fn seed_from_x(&mut self, x0: &[f64]) {
-        self.y.clear();
-        self.y.extend(x0.iter().map(|&v| v.ln()));
+        self.cur.y.clear();
+        self.cur.y.extend(x0.iter().map(|&v| v.ln()));
     }
+}
+
+/// Compiles a validated problem's posynomials to log space.
+fn compile_all(
+    objective: &Posynomial,
+    constraints: &[Posynomial],
+    n: usize,
+) -> (LogPosynomial, Vec<LogPosynomial>) {
+    let fs = constraints
+        .iter()
+        .map(|c| LogPosynomial::compile(c, n))
+        .collect();
+    (LogPosynomial::compile(objective, n), fs)
 }
 
 /// Solves `problem` starting from a caller-supplied strictly feasible point
@@ -262,40 +304,33 @@ pub fn solve_with_start(
     }
     let _span = solve_span(options);
     let n = problem.n_vars();
-    let f0 = LogPosynomial::compile(objective, n);
-    let fs: Vec<LogPosynomial> = constraints
-        .iter()
-        .map(|c| LogPosynomial::compile(c, n))
-        .collect();
+    let (f0, fs) = compile_all(objective, constraints, n);
     let mut ws = SolveWorkspace::new();
     ws.seed_from_x(x0);
-    let backend = resolve_backend(&f0, &fs, n, options);
-    barrier_solve(&f0, &fs, options, &mut ws, &backend)
+    let program = Program::resolve(&f0, &fs, n, options);
+    phase_two(&program, options, &mut ws, COLD_DUAL_SLACK)
 }
 
 /// Solves `problem`, running a phase-I feasibility search first if needed.
 ///
-/// An all-ones starting point is tried first; if it is infeasible, the
-/// phase-I program `minimize s  s.t.  Fi(y) <= s` locates a strictly
-/// feasible point or certifies infeasibility.
+/// An all-ones starting point is tried first; unless it is comfortably
+/// inside every constraint (by the margin phase I itself stops at — a
+/// start hugging a constraint costs more Newton steps than phase I does),
+/// the phase-I program `minimize σ  s.t.  fi(x)/σ <= 1` locates a
+/// strictly feasible point or certifies infeasibility.
 pub fn solve(problem: &GpProblem, options: &SolverOptions) -> Result<GpSolution, GpError> {
     let (objective, constraints) = problem.validated()?;
     let n = problem.n_vars();
     let ones = vec![1.0; n];
-    if problem.is_strictly_feasible(&ones, 1e-9) {
+    if problem.is_strictly_feasible(&ones, 1.0 - (-PHASE_ONE_MARGIN).exp()) {
         return solve_with_start(problem, &ones, options);
     }
     let _span = solve_span(options);
-    let f0 = LogPosynomial::compile(objective, n);
-    let fs: Vec<LogPosynomial> = constraints
-        .iter()
-        .map(|c| LogPosynomial::compile(c, n))
-        .collect();
-    let y0 = phase_one(&fs, n, options)?;
+    let (f0, fs) = compile_all(objective, constraints, n);
     let mut ws = SolveWorkspace::new();
-    ws.y = y0;
-    let backend = resolve_backend(&f0, &fs, n, options);
-    barrier_solve(&f0, &fs, options, &mut ws, &backend)
+    phase_one(&fs, n, options, &mut ws)?;
+    let program = Program::resolve(&f0, &fs, n, options);
+    phase_two(&program, options, &mut ws, COLD_DUAL_SLACK)
 }
 
 /// A geometric program compiled once to log-space for repeated solves.
@@ -319,37 +354,31 @@ pub struct CompiledGp {
     plan: Option<Arc<SparseKktPlan>>,
 }
 
-/// How a warm-started solve obtained its strictly feasible start (see
-/// [`CompiledGp::solve_warm`]).
+/// How far a warm-started solve had to move off the previous optimum to
+/// regain a strictly feasible start (see [`CompiledGp::solve_warm`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WarmStart {
-    /// The lightly blended previous optimum was already strictly feasible.
+    /// A blend of at most 0.1 toward the interior point sufficed: the
+    /// start is essentially the previous optimum.
     Hit,
-    /// Data drift forced a deeper shrink toward the interior point before
-    /// a strictly feasible start was found.
+    /// Data drift forced a deeper blend toward the interior point.
     Repaired,
 }
 
-/// Repair blend factors `theta` toward the interior point, tried in
-/// order when the adaptive minimal blend exceeds the first rung;
-/// `theta = 1` is the interior point itself. A solve needing no more
-/// than `WARM_LADDER[0]` of blend counts as a warm *hit*, anything
-/// deeper as a *repair*.
-const WARM_LADDER: [f64; 4] = [0.1, 0.3, 0.6, 1.0];
+/// Largest blend toward the interior point that still counts as a warm
+/// *hit*; anything deeper is a *repair*.
+const WARM_HIT_BLEND: f64 = 0.1;
 
-/// Log-space slack required of a warm start: `Fi(y) < -WARM_SLACK`.
-const WARM_SLACK: f64 = 1e-9;
+/// Log-space slack a warm start restores on every constraint:
+/// `Fi(y) <= -WARM_SLACK` (each `fi(x)` about this share below its bound).
+const WARM_SLACK: f64 = 1e-3;
 
 impl CompiledGp {
     /// Compiles `problem` (which must have an objective).
     pub fn compile(problem: &GpProblem) -> Result<Self, GpError> {
         let (objective, constraints) = problem.validated()?;
         let n = problem.n_vars();
-        let f0 = LogPosynomial::compile(objective, n);
-        let fs: Vec<LogPosynomial> = constraints
-            .iter()
-            .map(|c| LogPosynomial::compile(c, n))
-            .collect();
+        let (f0, fs) = compile_all(objective, constraints, n);
         let plan = auto_wanted(&f0, &fs, n).then(|| Arc::new(SparseKktPlan::build(&f0, &fs, n)));
         Ok(CompiledGp {
             n_vars: n,
@@ -378,18 +407,24 @@ impl CompiledGp {
         self.plan.is_some()
     }
 
-    /// Resolves the backend for this compiled program under `options`.
-    fn backend(&self, options: &SolverOptions) -> Backend {
-        match options.kkt {
-            KktMode::Dense => Backend::Dense,
-            KktMode::Sparse => Backend::Sparse(self.plan.clone().unwrap_or_else(|| {
+    /// This compiled program with its backend resolved under `options`.
+    fn program(&self, options: &SolverOptions) -> Program<'_> {
+        let backend = match (options.kkt, &self.plan) {
+            (KktMode::Dense, _) | (KktMode::Auto, None) => Backend::Dense,
+            (_, Some(plan)) => Backend::Sparse(plan.clone()),
+            (KktMode::Sparse, None) => {
                 options.obs.counter(names::GP_SPARSE_SYMBOLIC).inc();
-                Arc::new(SparseKktPlan::build(&self.f0, &self.fs, self.n_vars))
-            })),
-            KktMode::Auto => match &self.plan {
-                Some(p) => Backend::Sparse(p.clone()),
-                None => Backend::Dense,
-            },
+                Backend::Sparse(Arc::new(SparseKktPlan::build(
+                    &self.f0,
+                    &self.fs,
+                    self.n_vars,
+                )))
+            }
+        };
+        Program {
+            f0: &self.f0,
+            fs: &self.fs,
+            backend,
         }
     }
 
@@ -433,11 +468,6 @@ impl CompiledGp {
         Ok(())
     }
 
-    /// True if `Fi(y) < -slack` for every compiled constraint.
-    fn strictly_feasible_log(&self, y: &[f64], slack: f64, z: &mut Vec<f64>) -> bool {
-        self.fs.iter().all(|fi| fi.value_buf(y, z) < -slack)
-    }
-
     /// Solves from a strictly feasible `x0 > 0`, reusing `ws` buffers.
     ///
     /// # Errors
@@ -453,43 +483,33 @@ impl CompiledGp {
             return Err(GpError::InvalidStartingPoint);
         }
         ws.seed_from_x(x0);
-        let mut z = std::mem::take(&mut ws.probs);
-        let feasible = self.strictly_feasible_log(&ws.y, 0.0, &mut z);
-        ws.probs = z;
-        if !feasible {
-            return Err(GpError::InvalidStartingPoint);
-        }
         let _span = solve_span(options);
-        let backend = self.backend(options);
-        barrier_solve(&self.f0, &self.fs, options, ws, &backend)
+        phase_two(&self.program(options), options, ws, COLD_DUAL_SLACK)
     }
 
     /// Warm-started solve: blends the previous optimum `prev_x` toward the
     /// strictly interior `interior_x` in log space,
-    /// `y(theta) = (1-theta) ln prev_x + theta ln interior_x`, using the
-    /// *smallest* `theta` that restores strict feasibility, then restarts
-    /// the barrier at a parameter matched to the start's quality.
+    /// `y(theta) = (1-theta) ln prev_x + theta ln interior_x`, by the
+    /// *smallest* `theta` that restores a log-space slack of `1e-3` on
+    /// every constraint, and starts the primal–dual loop there with
+    /// centred duals.
     ///
-    /// The previous optimum sits on the active constraint boundary, so the
-    /// worst constraint residual `|Fmax(ln prev_x)|` after data drift
-    /// estimates the start's optimality gap; the barrier restarts at
-    /// `t ~ m / gap` (the `t` whose central point is about that far from
-    /// optimal) and the blend targets slack `1/t` (the central path's
-    /// distance from the boundary at that `t`), so the start is already
-    /// nearly centered. Both Newton phases the cold solve pays — early
-    /// low-`t` centerings and the damped march back to the central
-    /// path — are skipped.
+    /// The previous optimum sits on the active constraint boundary and
+    /// data drift pushes it a little to either side, so the blended start
+    /// is already close to the new optimum; what is unknown is *how*
+    /// close. Nothing here estimates that: the loop re-derives its path
+    /// parameter from the surrogate gap of the current iterate every step,
+    /// so from a near-optimal start full Newton steps shrink the gap by
+    /// `mu` each and the solve ends in a handful of steps, while a start
+    /// the drift left far from optimal simply takes more.
     ///
-    /// A minimal blend within `WARM_LADDER[0]` counts as
-    /// [`WarmStart::Hit`]; larger drift escalates through the fixed
-    /// `WARM_LADDER` repair rungs (classified [`WarmStart::Repaired`]),
-    /// each restarting from the caller's own barrier schedule. A rung
-    /// whose centering fails numerically escalates to the next rung.
+    /// A blend of at most 0.1 counts as [`WarmStart::Hit`], a deeper one
+    /// as [`WarmStart::Repaired`].
     ///
     /// # Errors
-    /// [`GpError::InvalidStartingPoint`] when no rung yields a strictly
-    /// feasible start (callers should fall back to a cold phase-I
-    /// [`solve`]); other solver errors if the final rung fails.
+    /// [`GpError::InvalidStartingPoint`] when not even the interior point
+    /// is strictly feasible (callers should fall back to a cold phase-I
+    /// [`solve`]); solver errors otherwise.
     pub fn solve_warm(
         &self,
         prev_x: &[f64],
@@ -505,206 +525,346 @@ impl CompiledGp {
             return Err(GpError::InvalidStartingPoint);
         }
         let _span = solve_span(options);
-        let backend = self.backend(options);
-        let m = self.fs.len();
-        if m == 0 {
-            ws.seed_from_x(prev_x);
-            let solution = barrier_solve(&self.f0, &self.fs, options, ws, &backend)?;
-            return Ok((solution, WarmStart::Hit));
-        }
-
-        ws.y.clear();
-        ws.y.extend(prev_x.iter().map(|&v| v.ln()));
-        ws.trial.clear();
-        ws.trial.extend(interior_x.iter().map(|&v| v.ln()));
-        let y_prev = std::mem::take(&mut ws.y);
-        let y_int = std::mem::take(&mut ws.trial);
-        let mut z = std::mem::take(&mut ws.probs);
-
-        // Drift distance off the active boundary bounds the start's
-        // optimality gap, which fixes the barrier restart parameter.
-        let mut fmax_prev = f64::NEG_INFINITY;
-        for fi in &self.fs {
-            fmax_prev = fmax_prev.max(fi.value_buf(&y_prev, &mut z));
-        }
-        let gap_est = fmax_prev.abs().max(options.tolerance);
-        let t_cap = m as f64 / options.tolerance * (1.0 + 1e-4);
-        let t_boost = (m as f64 / gap_est).clamp(options.t0.max(f64::MIN_POSITIVE), t_cap);
-        let slack = (1.0 / t_boost).max(WARM_SLACK);
+        // The Newton buffers hold the two endpoints until the loop starts.
+        let (y_prev, y_int, z) = (&mut ws.rhs, &mut ws.dy, &mut ws.cur.probs);
+        y_prev.clear();
+        y_prev.extend(prev_x.iter().map(|&v| v.ln()));
+        y_int.clear();
+        y_int.extend(interior_x.iter().map(|&v| v.ln()));
 
         // Smallest theta whose convex interpolation between the endpoint
-        // constraint values guarantees that slack everywhere (Fi is convex
-        // along the segment, so the chord bound is sufficient).
+        // constraint values guarantees the slack everywhere (Fi is convex
+        // along the segment, so the chord bound is sufficient). Where the
+        // interior point itself lacks the slack, start from it outright.
         let mut theta = 0.0f64;
-        let mut repairable = true;
         for fi in &self.fs {
-            let fp = fi.value_buf(&y_prev, &mut z);
-            if fp <= -slack {
+            let fp = fi.value_buf(y_prev, z);
+            if fp <= -WARM_SLACK {
                 continue;
             }
-            let fint = fi.value_buf(&y_int, &mut z);
-            if fint >= -slack {
-                repairable = false;
-                break;
-            }
-            theta = theta.max((fp + slack) / (fp - fint));
-        }
-        ws.probs = z;
-
-        let mut last_err = GpError::InvalidStartingPoint;
-        if repairable && theta <= WARM_LADDER[0] {
-            match self.try_rung(
-                &y_prev,
-                &y_int,
-                theta,
-                0.5 * slack,
-                t_boost,
-                options,
-                ws,
-                &backend,
-            ) {
-                Some(Ok(solution)) => {
-                    ws.trial = y_int;
-                    return Ok((solution, WarmStart::Hit));
-                }
-                Some(Err(e)) => last_err = e,
-                None => {}
-            }
-        }
-        for (rung, &rung_theta) in WARM_LADDER.iter().enumerate() {
-            if repairable && rung_theta < theta {
-                continue; // the chord bound already rules this rung out
-            }
-            let t0 = if rung == 0 {
-                options.t0 * options.mu
+            let fint = fi.value_buf(y_int, z);
+            theta = if fint < -WARM_SLACK {
+                theta.max((fp + WARM_SLACK) / (fp - fint))
             } else {
-                options.t0
+                1.0
             };
-            match self.try_rung(
-                &y_prev, &y_int, rung_theta, WARM_SLACK, t0, options, ws, &backend,
-            ) {
-                Some(Ok(solution)) => {
-                    ws.trial = y_int;
-                    return Ok((solution, WarmStart::Repaired));
-                }
-                Some(Err(e)) => last_err = e,
-                None => {}
-            }
         }
-        ws.trial = y_int;
-        Err(last_err)
-    }
-
-    /// One warm rung: blend, feasibility check with `slack`, barrier solve
-    /// restarted at `t0`. `None` means the blended point lacked slack.
-    #[allow(clippy::too_many_arguments)]
-    fn try_rung(
-        &self,
-        y_prev: &[f64],
-        y_int: &[f64],
-        theta: f64,
-        slack: f64,
-        t0: f64,
-        options: &SolverOptions,
-        ws: &mut SolveWorkspace,
-        backend: &Backend,
-    ) -> Option<Result<GpSolution, GpError>> {
-        ws.y.clear();
-        ws.y.extend(
+        ws.cur.y.clear();
+        ws.cur.y.extend(
             y_prev
                 .iter()
-                .zip(y_int)
+                .zip(y_int.iter())
                 .map(|(&p, &q)| (1.0 - theta) * p + theta * q),
         );
-        let mut z = std::mem::take(&mut ws.probs);
-        let feasible = self.strictly_feasible_log(&ws.y, slack, &mut z);
-        ws.probs = z;
-        if !feasible {
-            return None;
-        }
-        let mut warm = options.clone();
-        warm.t0 = t0;
-        Some(barrier_solve(&self.f0, &self.fs, &warm, ws, backend))
+        // Every constraint the blend left at the slack is one the previous
+        // optimum had active, so its dual stays centred.
+        let solution = phase_two(&self.program(options), options, ws, WARM_SLACK)?;
+        let kind = if theta <= WARM_HIT_BLEND {
+            WarmStart::Hit
+        } else {
+            WarmStart::Repaired
+        };
+        Ok((solution, kind))
     }
 }
 
-/// Barrier (phase II) iteration in log variables; the iterate is taken
-/// from (and left in) `ws.y`.
-fn barrier_solve(
-    f0: &LogPosynomial,
-    fs: &[LogPosynomial],
+impl Program<'_> {
+    /// Calls `f(index, posynomial, its softmax weights)` for the objective
+    /// (index 0) and every constraint over an iterate's flat `probs`.
+    fn for_each_posy(&self, probs: &[f64], mut f: impl FnMut(usize, &LogPosynomial, &[f64])) {
+        let mut at = 0;
+        for (pi, lp) in std::iter::once(self.f0).chain(self.fs).enumerate() {
+            let k = lp.n_terms();
+            f(pi, lp, &probs[at..at + k]);
+            at += k;
+        }
+    }
+
+    /// Evaluates every posynomial at `it.y`, filling `it.probs`,
+    /// `it.slack` and `it.f0`. Returns `false` when a constraint is not
+    /// strictly satisfied (or not finite) there. The sparse backend
+    /// evaluates in its plan's canonical term order, which keeps its
+    /// arithmetic independent of term insertion order.
+    fn eval_point(&self, it: &mut Iterate) -> bool {
+        it.probs.clear();
+        match &self.backend {
+            Backend::Dense => {
+                it.f0 = self.f0.softmax_append(&it.y, &mut it.probs);
+                for (fi, s) in self.fs.iter().zip(&mut it.slack) {
+                    // A NaN value must count as infeasible too.
+                    *s = -fi.softmax_append(&it.y, &mut it.probs);
+                    if s.is_nan() || *s <= 0.0 {
+                        return false;
+                    }
+                }
+                true
+            }
+            Backend::Sparse(plan) => plan
+                .eval_point(self.f0, self.fs, &it.y, &mut it.probs, &mut it.slack)
+                .map(|v0| it.f0 = v0)
+                .is_some(),
+        }
+    }
+
+    /// Norm of the dual residual `∇F0 + Σ λ_i ∇Fi` at `it`, from the
+    /// weights [`Program::eval_point`] left and the iterate's duals;
+    /// `r` is scratch.
+    fn dual_residual(&self, it: &Iterate, r: &mut [f64]) -> f64 {
+        match &self.backend {
+            Backend::Dense => {
+                r.fill(0.0);
+                self.for_each_posy(&it.probs, |pi, lp, p| {
+                    let w = if pi == 0 { 1.0 } else { it.lam[pi - 1] };
+                    lp.add_gradient(p, w, r);
+                });
+            }
+            Backend::Sparse(plan) => plan.dual_residual(&it.probs, &it.lam, r),
+        }
+        norm2(r)
+    }
+
+    /// Assembles and solves the reduced Newton system at `ws.cur` for
+    /// centring parameter `1/t = inv_t`:
+    ///
+    /// ```text
+    /// [∇²F0 + Σ λ_i ∇²Fi + Σ (λ_i/s_i) ∇Fi∇Fiᵀ] Δy = −(∇F0 + (1/t) Σ ∇Fi/s_i)
+    /// ```
+    ///
+    /// leaving `Δy` in `ws.dy` and every `∇Fi · Δy` in `ws.dlam`. Returns
+    /// the diagonal shift the factorization needed, `None` when every
+    /// regularization level failed.
+    fn newton_direction(&self, inv_t: f64, ws: &mut SolveWorkspace) -> Option<f64> {
+        let it = &ws.cur;
+        match &self.backend {
+            Backend::Dense => {
+                let gi = &mut ws.grad;
+                let fill = |hess: &mut Matrix, rhs: &mut [f64]| {
+                    hess.set_zero();
+                    rhs.fill(0.0);
+                    self.for_each_posy(&it.probs, |pi, lp, p| {
+                        let dual = pi.checked_sub(1).map(|i| (it.lam[i], it.slack[i]));
+                        let (w_rhs, alpha, beta) = newton_weights(dual, !lp.is_affine(), inv_t);
+                        if let [row] = lp.rows() {
+                            // An affine row's gradient is the row itself.
+                            for &(v, e) in row {
+                                rhs[v] -= w_rhs * e;
+                            }
+                            hess.add_outer_sparse(beta, row);
+                        } else {
+                            gi.fill(0.0);
+                            lp.add_gradient(p, 1.0, gi);
+                            axpy(-w_rhs, gi, rhs);
+                            lp.add_second_moment(p, alpha, hess);
+                            hess.add_outer(beta, gi);
+                        }
+                    });
+                };
+                let reg = ws.hess.solve_regularized_in_place(fill, &mut ws.dy)?;
+                self.for_each_posy(&it.probs, |pi, lp, p| {
+                    if pi > 0 {
+                        ws.dlam[pi - 1] = lp.directional(p, &ws.dy);
+                    }
+                });
+                Some(reg)
+            }
+            Backend::Sparse(plan) => {
+                plan.assemble(
+                    &it.probs,
+                    &it.lam,
+                    &it.slack,
+                    inv_t,
+                    &mut ws.sparse,
+                    &mut ws.rhs,
+                );
+                let reg = plan.solve_newton(&mut ws.sparse, &ws.rhs, &mut ws.dy)?;
+                plan.directional(&it.probs, &ws.dy, &mut ws.dlam);
+                Some(reg)
+            }
+        }
+    }
+}
+
+/// The target gap never drops below `‖r_dual‖ / (GAP_LAG ρ₀)`, `ρ₀` being
+/// how far the dual residual lagged the gap at the start (at least 1).
+/// Plain Boyd & Vandenberghe re-derives `t` from whatever the surrogate
+/// gap has become, so when curvature makes one step eat the slack of an
+/// active constraint the centring force shrinks with it and the method
+/// *jams*: the gap races to 1e-15 while `‖r_dual‖` stalls. Tying the
+/// target to the dual residual restores the slack instead.
+const GAP_LAG: f64 = 10.0;
+/// Share of the distance to the boundary (`λ = 0` or a linearized
+/// `s = 0`) one step may cover.
+const STEP_TO_BOUNDARY: f64 = 0.99;
+/// Largest move of any log variable in one step: a factor `e^8` in `x`.
+/// A (near-)singular Newton matrix — phase I on a single constraint, an
+/// objective flat along some direction — otherwise yields steps that
+/// overflow `exp` and strand the iterate absurdly far away.
+const MAX_LOG_STEP: f64 = 8.0;
+/// Backtracking trials per Newton step before the solve reports a stall.
+const MAX_BACKTRACKS: usize = 60;
+/// Slack below which a cold start's constraint is taken to be *hugged*
+/// rather than active: its starting dual is `1 / (t0 COLD_DUAL_SLACK)`
+/// instead of the centred `1 / (t0 s_i)`. A centred dual on a slack of
+/// 1e-9 dwarfs everything else in the Newton matrix, the variable cannot
+/// move, and the rest of the iterate runs into another constraint while
+/// it waits; an under-weighted pair regains its slack in one step.
+const COLD_DUAL_SLACK: f64 = 0.1;
+
+/// The primal–dual path-following loop, from the strictly feasible start
+/// in `ws.cur.y` with duals `λ_i = 1 / (t0 max(s_i, dual_slack))`. Runs
+/// until the surrogate gap and the dual residual are within
+/// `options.tolerance`, or — for phase I — until `F0` drops below
+/// `stop_below`. The final iterate is left in `ws.cur`; returns
+/// `(newton steps, surrogate gap)`.
+fn primal_dual(
+    program: &Program<'_>,
     options: &SolverOptions,
     ws: &mut SolveWorkspace,
-    backend: &Backend,
-) -> Result<GpSolution, GpError> {
-    let mut y = std::mem::take(&mut ws.y);
-    ws.ensure(y.len());
-    ws.ensure_backend(y.len(), backend);
-    if let Backend::Sparse(_) = backend {
+    dual_slack: f64,
+    stop_below: f64,
+    phase: &'static str,
+) -> Result<(usize, f64), GpError> {
+    let (n, m) = (ws.cur.y.len(), program.fs.len());
+    ws.ensure(n, m, &program.backend);
+    if let Backend::Sparse(_) = program.backend {
         options.obs.counter(names::GP_SPARSE_SOLVE).inc();
     }
-    let result = barrier_solve_inner(f0, fs, options, &mut y, ws, backend);
-    ws.y = y;
-    result
-}
-
-fn barrier_solve_inner(
-    f0: &LogPosynomial,
-    fs: &[LogPosynomial],
-    options: &SolverOptions,
-    y: &mut [f64],
-    ws: &mut SolveWorkspace,
-    backend: &Backend,
-) -> Result<GpSolution, GpError> {
-    let m = fs.len();
-    let mut t = options.t0.max(f64::MIN_POSITIVE);
-    // The gap test needs no t beyond m / tolerance; capping the ladder
-    // there keeps the final centering from overshooting by up to a
-    // factor of mu (the margin guarantees the capped gap passes).
-    let t_cap = m as f64 / options.tolerance * (1.0 + 1e-4);
-    let mut newton_steps = 0usize;
-    let mut outer = 0usize;
-
-    if m == 0 {
-        // Pure unconstrained minimization of F0.
-        newton_steps += newton_minimize(f0, fs, 1.0, y, ws, options, "unconstrained", backend)?;
-        let solution = finish(f0, y, outer, newton_steps, 0.0);
-        emit_solved(options, &solution);
-        return Ok(solution);
+    if !program.eval_point(&mut ws.cur) {
+        return Err(GpError::InvalidStartingPoint);
     }
+    let t0 = options.t0.max(f64::MIN_POSITIVE);
+    for (l, s) in ws.cur.lam.iter_mut().zip(&ws.cur.slack) {
+        *l = 1.0 / (t0 * s.max(dual_slack));
+    }
+    let mf = m as f64;
+    let mut gap = dot(&ws.cur.lam, &ws.cur.slack);
+    let mut rd = program.dual_residual(&ws.cur, &mut ws.grad);
+    let lag0 = if m == 0 { 1.0 } else { (rd / gap).max(1.0) };
 
-    loop {
-        outer += 1;
-        let tt = t;
-        newton_steps += newton_minimize(f0, fs, tt, y, ws, options, "center", backend)?;
-        let gap = m as f64 / t;
+    let mut last_alpha: f64 = 1.0;
+    for step in 0..=options.max_newton_steps {
         options
             .obs
-            .emit_with(names::GP_OUTER, EventKind::Point, |e| {
-                e.with("outer", outer)
-                    .with("t", tt)
+            .emit_with(names::GP_NEWTON, EventKind::Point, |ev| {
+                let least = ws.cur.slack.iter().copied().fold(f64::INFINITY, f64::min);
+                ev.with("phase", phase)
+                    .with("step", step)
+                    .with("value", ws.cur.f0)
                     .with("gap", gap)
-                    .with("newton_steps", newton_steps)
+                    .with("r_dual", rd)
+                    .with("worst", -least)
             });
-        if gap <= options.tolerance {
-            let solution = finish(f0, y, outer, newton_steps, gap);
-            emit_solved(options, &solution);
-            return Ok(solution);
+        if (gap <= options.tolerance && rd <= options.tolerance) || ws.cur.f0 < stop_below {
+            return Ok((step, gap));
         }
-        if outer >= options.max_outer_iterations {
-            return Err(GpError::IterationLimit);
+        if step == options.max_newton_steps {
+            break;
         }
-        t = (t * options.mu).min(t_cap);
+        // Centring share `σ` of the step, `1/t = σ η̂ / m`: aim at the
+        // central point whose gap is 1/mu of the current one while full
+        // steps are being accepted; after a damped step re-centre instead
+        // (Mehrotra's `(1 − α)³`, with the last accepted step length
+        // standing in for the affine-scaling probe). Pressing on at 1/mu
+        // from an off-centre point pins the iterate against a curved
+        // active constraint, where it then crawls.
+        let sigma = (1.0 - last_alpha).powi(3).max(1.0 / options.mu);
+        let inv_t = if m == 0 {
+            0.0
+        } else if rd > options.tolerance {
+            (sigma * gap).max(rd / (GAP_LAG * lag0)) / mf
+        } else {
+            sigma * gap / mf
+        };
+        let reg = program
+            .newton_direction(inv_t, ws)
+            .ok_or(GpError::NumericalFailure("newton system unsolvable"))?;
+        if reg > 0.0 {
+            options.obs.counter(names::GP_CHOL_REGULARIZED).inc();
+        }
+
+        // Dual step, the perturbed-KKT residual norm the line search must
+        // decrease, and the largest step that keeps the duals positive
+        // and every *linearized* slack positive (exact for one-term
+        // constraints, an upper bound for the convex rest).
+        let cur = &ws.cur;
+        let mut to_boundary = f64::INFINITY;
+        let mut r_sq = rd * rd;
+        for i in 0..m {
+            let (l, s, d) = (cur.lam[i], cur.slack[i], ws.dlam[i]);
+            let dl = (l * d + inv_t) / s - l;
+            ws.dlam[i] = dl;
+            if dl < 0.0 {
+                to_boundary = to_boundary.min(-l / dl);
+            }
+            if d > 0.0 {
+                to_boundary = to_boundary.min(s / d);
+            }
+            r_sq += (l * s - inv_t).powi(2);
+        }
+        let r_norm = r_sq.sqrt();
+        let dy_max = ws.dy.iter().fold(0.0_f64, |a, &d| a.max(d.abs()));
+        if !(r_norm.is_finite() && dy_max.is_finite()) {
+            return Err(GpError::NumericalFailure("non-finite newton step"));
+        }
+        to_boundary = to_boundary.min(MAX_LOG_STEP / dy_max);
+
+        // Backtrack until the trial point is strictly feasible and the
+        // residual norm has decreased.
+        let mut alpha = (STEP_TO_BOUNDARY * to_boundary).min(1.0);
+        let mut accepted = false;
+        for _ in 0..MAX_BACKTRACKS {
+            let (cur, trial) = (&ws.cur, &mut ws.trial);
+            for ((t, &y), &d) in trial.y.iter_mut().zip(&cur.y).zip(&ws.dy) {
+                *t = y + alpha * d;
+            }
+            for ((t, &l), &d) in trial.lam.iter_mut().zip(&cur.lam).zip(&ws.dlam) {
+                *t = l + alpha * d;
+            }
+            if program.eval_point(trial) {
+                let trial_rd = program.dual_residual(trial, &mut ws.grad);
+                let mut r_sq = trial_rd * trial_rd;
+                for (&l, &s) in trial.lam.iter().zip(&trial.slack) {
+                    r_sq += (l * s - inv_t).powi(2);
+                }
+                if r_sq.sqrt() <= (1.0 - options.armijo * alpha) * r_norm {
+                    gap = dot(&trial.lam, &trial.slack);
+                    rd = trial_rd;
+                    last_alpha = alpha;
+                    accepted = true;
+                    break;
+                }
+            }
+            alpha *= options.backtrack;
+        }
+        if !accepted {
+            return Err(GpError::NumericalFailure("line search stalled"));
+        }
+        std::mem::swap(&mut ws.cur, &mut ws.trial);
     }
+    Err(GpError::IterationLimit)
 }
 
-/// One structured summary event per successful solve.
-fn emit_solved(options: &SolverOptions, solution: &GpSolution) {
+/// Phase II: runs the loop from the start in `ws.cur.y` to optimality and
+/// reports the solution in the original variables.
+fn phase_two(
+    program: &Program<'_>,
+    options: &SolverOptions,
+    ws: &mut SolveWorkspace,
+    dual_slack: f64,
+) -> Result<GpSolution, GpError> {
+    let (steps, gap) = primal_dual(program, options, ws, dual_slack, f64::NEG_INFINITY, "pd")?;
+    let solution = GpSolution {
+        x: ws.cur.y.iter().map(|&v| v.exp()).collect(),
+        objective: ws.cur.f0.exp(),
+        outer_iterations: steps,
+        newton_steps: steps,
+        duality_gap: gap,
+    };
+    // One structured summary event per successful solve.
     options
         .obs
         .emit_with(names::GP_SOLVE, EventKind::Point, |e| {
             let e = e
-                .with("outer", solution.outer_iterations)
                 .with("newton_steps", solution.newton_steps)
                 .with("gap", solution.duality_gap)
                 .with("objective", solution.objective);
@@ -713,351 +873,54 @@ fn emit_solved(options: &SolverOptions, solution: &GpSolution) {
                 None => e,
             }
         });
+    Ok(solution)
 }
 
-fn finish(
-    f0: &LogPosynomial,
-    y: &[f64],
-    outer: usize,
-    newton_steps: usize,
-    gap: f64,
-) -> GpSolution {
-    let x: Vec<f64> = y.iter().map(|&v| v.exp()).collect();
-    GpSolution {
-        objective: f0.value(y).exp(),
-        x,
-        outer_iterations: outer,
-        newton_steps,
-        duality_gap: gap,
-    }
-}
+/// Phase I stops as soon as every `fi(x) < exp(-PHASE_ONE_MARGIN)`: far
+/// enough inside that phase II starts with moderate centred duals instead
+/// of hugging the boundary phase I just crossed.
+const PHASE_ONE_MARGIN: f64 = 0.1;
 
-/// Result of evaluating a barrier-style objective at a point (phase-I
-/// only; the phase-II path uses [`SolveWorkspace`] buffers instead).
-struct FuncEval {
-    value: f64,
-    grad: Vec<f64>,
-    /// `None` when only value (line search) was requested.
-    hess: Option<Matrix>,
-    /// `false` when the point is outside the barrier domain.
-    in_domain: bool,
-}
-
-/// Evaluates `t F0(y) - sum ln(-Fi(y))` into workspace buffers.
-///
-/// Returns `None` when `y` is outside the barrier domain; on success the
-/// value is returned and `ws.grad`/`ws.hess` hold the derivatives.
-fn barrier_eval_full(
-    f0: &LogPosynomial,
+/// Phase I: finds a strictly feasible `y` for `Fi(y) <= 0` and leaves it
+/// in `ws.cur.y`, by running the same loop on the lifted GP
+/// `minimize σ  s.t.  fi(x)/σ <= 1` (in log space `Fi(y) − ln σ <= 0`)
+/// from `y = 0`. A thin feasible region never reaches the early-exit
+/// margin; the loop then converges to the deepest point, which is
+/// feasible exactly when its `ln σ` is negative.
+fn phase_one(
     fs: &[LogPosynomial],
-    t: f64,
-    y: &[f64],
-    ws: &mut SolveWorkspace,
-) -> Option<f64> {
-    let v0 = f0.value_grad_buf(y, &mut ws.probs, &mut ws.gi);
-    let mut value = t * v0;
-    for (g, gi) in ws.grad.iter_mut().zip(&ws.gi) {
-        *g = t * gi;
-    }
-    ws.hess.set_zero();
-    // ∇²F = second-moment − ∇F∇Fᵀ; both vanish for affine (1-term) rows.
-    if f0.n_terms() > 1 {
-        f0.add_second_moment(&ws.probs, t, &mut ws.dense, &mut ws.hess);
-        ws.hess.add_outer(-t, &ws.gi);
-    }
-    for fi in fs {
-        let vi = fi.value_grad_buf(y, &mut ws.probs, &mut ws.gi);
-        if vi >= 0.0 {
-            return None;
-        }
-        let s = -vi; // slack, > 0
-        value -= s.ln();
-        let inv_s = 1.0 / s;
-        axpy(inv_s, &ws.gi, &mut ws.grad);
-        if fi.n_terms() > 1 {
-            fi.add_second_moment(&ws.probs, inv_s, &mut ws.dense, &mut ws.hess);
-            // Constraint Hessian contributes −inv_s ∇Fi∇Fiᵀ; the barrier
-            // log adds +inv_s² ∇Fi∇Fiᵀ.
-            ws.hess.add_outer(inv_s * inv_s - inv_s, &ws.gi);
-        } else {
-            ws.hess.add_outer(inv_s * inv_s, &ws.gi);
-        }
-    }
-    Some(value)
-}
-
-/// Evaluates the barrier value only (line search), reusing `ws.probs`.
-/// Returns `None` outside the domain.
-fn barrier_value(
-    f0: &LogPosynomial,
-    fs: &[LogPosynomial],
-    t: f64,
-    y: &[f64],
-    z: &mut Vec<f64>,
-) -> Option<f64> {
-    let mut value = t * f0.value_buf(y, z);
-    for fi in fs {
-        let v = fi.value_buf(y, z);
-        if v >= 0.0 {
-            return None;
-        }
-        value -= (-v).ln();
-    }
-    Some(value)
-}
-
-/// Damped Newton minimization of the barrier objective at parameter `t`
-/// (pass `fs = &[]`, `t = 1` for unconstrained minimization of `F0`).
-///
-/// Returns the number of Newton steps taken. `y` is updated in place; all
-/// scratch lives in `ws`. `phase` labels the emitted `gp.newton` events
-/// ("center" or "unconstrained"; phase I has its own loop).
-#[allow(clippy::too_many_arguments)]
-fn newton_minimize(
-    f0: &LogPosynomial,
-    fs: &[LogPosynomial],
-    t: f64,
-    y: &mut [f64],
-    ws: &mut SolveWorkspace,
+    n: usize,
     options: &SolverOptions,
-    phase: &'static str,
-    backend: &Backend,
-) -> Result<usize, GpError> {
-    let mut prev_value = f64::INFINITY;
-    for steps in 0..options.max_newton_steps {
-        let value = match backend {
-            Backend::Dense => barrier_eval_full(f0, fs, t, y, ws),
-            Backend::Sparse(plan) => plan.eval(f0, fs, t, y, &mut ws.sparse, &mut ws.grad),
-        }
-        .ok_or(GpError::NumericalFailure("iterate left barrier domain"))?;
-        for (r, g) in ws.rhs.iter_mut().zip(&ws.grad) {
-            *r = -g;
-        }
-        let reg_used = match backend {
-            Backend::Dense => {
-                ws.hess
-                    .cholesky_solve_regularized_level_into(&ws.rhs, &mut ws.chol, &mut ws.dy)
-            }
-            Backend::Sparse(plan) => plan.solve_newton(&mut ws.sparse, &ws.rhs, &mut ws.dy),
-        };
-        let Some(reg) = reg_used else {
-            return Err(GpError::NumericalFailure("newton system unsolvable"));
-        };
-        if reg > 0.0 {
-            options.obs.counter(names::GP_CHOL_REGULARIZED).inc();
-        }
-        let decrement_sq = -dot(&ws.grad, &ws.dy);
-        if !decrement_sq.is_finite() {
-            return Err(GpError::NumericalFailure("non-finite newton decrement"));
-        }
-        // The Newton decrement is the KKT residual in the Hessian norm;
-        // one event per step replaces the old PQ_GP_TRACE stderr dump
-        // (attach a `StderrSubscriber` for the same output).
-        options
-            .obs
-            .emit_with(names::GP_NEWTON, EventKind::Point, |ev| {
-                ev.with("phase", phase)
-                    .with("step", steps)
-                    .with("value", value)
-                    .with("decrement_sq", decrement_sq)
-            });
-        if decrement_sq / 2.0 <= options.newton_tolerance {
-            return Ok(steps);
-        }
-        // Rounding floor: once successive values stop moving relative to
-        // their magnitude, further Newton steps cannot make progress.
-        if (prev_value - value).abs() <= 1e-14 * (1.0 + value.abs()) {
-            return Ok(steps);
-        }
-        prev_value = value;
-        // Backtracking line search on the barrier value.
-        let mut step = 1.0;
-        let mut accepted = false;
-        for _ in 0..60 {
-            ws.trial.copy_from_slice(y);
-            axpy(step, &ws.dy, &mut ws.trial);
-            // The sparse backend evaluates in the plan's canonical term
-            // order so line-search arithmetic matches its Hessian eval and
-            // stays independent of term insertion order.
-            let trial_value = match backend {
-                Backend::Dense => barrier_value(f0, fs, t, &ws.trial, &mut ws.probs),
-                Backend::Sparse(plan) => plan.barrier_value(f0, fs, t, &ws.trial, &mut ws.probs),
-            };
-            match trial_value {
-                Some(tv)
-                    if tv.is_finite() && tv <= value - options.armijo * step * decrement_sq =>
-                {
-                    y.copy_from_slice(&ws.trial);
-                    accepted = true;
-                    break;
-                }
-                _ => step *= options.backtrack,
-            }
-        }
-        if !accepted {
-            // No descent at the smallest step: we are at numerical precision.
-            return Ok(steps);
-        }
-    }
-    Err(GpError::IterationLimit)
-}
-
-/// Phase I: find a strictly feasible `y` for `Fi(y) <= 0` by minimizing the
-/// auxiliary variable `s` in `Fi(y) <= s`, stopping as soon as `s < 0`.
-fn phase_one(fs: &[LogPosynomial], n: usize, options: &SolverOptions) -> Result<Vec<f64>, GpError> {
-    let m = fs.len();
+    ws: &mut SolveWorkspace,
+) -> Result<(), GpError> {
+    let sigma = Monomial::new(1.0, [(n, 1.0)]).expect("unit monomial is valid");
+    let f0 = LogPosynomial::compile(&Posynomial::monomial(sigma), n + 1);
+    let lifted: Vec<LogPosynomial> = fs.iter().map(LogPosynomial::lifted).collect();
     let y0 = vec![0.0; n];
     let worst = fs
         .iter()
         .map(|f| f.value(&y0))
         .fold(f64::NEG_INFINITY, f64::max);
-    if worst < -1e-9 {
-        return Ok(y0);
+    ws.cur.y.clear();
+    ws.cur.y.resize(n, 0.0);
+    ws.cur.y.push(worst + 1.0);
+    let program = Program::resolve(&f0, &lifted, n + 1, options);
+    let outcome = primal_dual(
+        &program,
+        options,
+        ws,
+        COLD_DUAL_SLACK,
+        -PHASE_ONE_MARGIN,
+        "phase1",
+    );
+    // Every iterate satisfies `Fi(y) < ln σ`, so a negative `ln σ` is a
+    // strictly feasible point however the loop ended.
+    let ln_sigma = ws.cur.y.pop().expect("lifted iterate has n + 1 entries");
+    if ln_sigma < 0.0 {
+        return Ok(());
     }
-    // Extended point z = (y, s); start with comfortable slack.
-    let mut z = vec![0.0; n + 1];
-    z[n] = worst + 1.0;
-
-    // Newton-step scratch, reused across all centering iterations.
-    let mut rhs = vec![0.0; n + 1];
-    let mut dz = Vec::new();
-    let mut trial = vec![0.0; n + 1];
-    let mut chol = Matrix::zeros(n + 1, n + 1);
-
-    let margin = 1e-6;
-    let mut t = 1.0;
-    for _ in 0..options.max_outer_iterations {
-        // Centering with early exit once strictly feasible.
-        let mut exited = false;
-        for _ in 0..options.max_newton_steps {
-            if z[n] < -margin {
-                exited = true;
-                break;
-            }
-            let e = phase_one_eval(fs, t, &z, true);
-            if !e.in_domain {
-                return Err(GpError::NumericalFailure("phase-I left domain"));
-            }
-            let hess = e.hess.expect("hessian requested");
-            for (r, g) in rhs.iter_mut().zip(&e.grad) {
-                *r = -g;
-            }
-            if !hess.cholesky_solve_regularized_into(&rhs, &mut chol, &mut dz) {
-                return Err(GpError::NumericalFailure("phase-I newton unsolvable"));
-            }
-            let decrement_sq = -dot(&e.grad, &dz);
-            options
-                .obs
-                .emit_with(names::GP_NEWTON, EventKind::Point, |ev| {
-                    ev.with("phase", "phase1")
-                        .with("value", e.value)
-                        .with("decrement_sq", decrement_sq)
-                        .with("slack", z[n])
-                });
-            if decrement_sq / 2.0 <= options.newton_tolerance {
-                break;
-            }
-            let mut step = 1.0;
-            let mut moved = false;
-            for _ in 0..60 {
-                trial.copy_from_slice(&z);
-                axpy(step, &dz, &mut trial);
-                let te = phase_one_eval(fs, t, &trial, false);
-                if te.in_domain
-                    && te.value.is_finite()
-                    && te.value <= e.value - options.armijo * step * decrement_sq
-                {
-                    z.copy_from_slice(&trial);
-                    moved = true;
-                    break;
-                }
-                step *= options.backtrack;
-            }
-            if !moved {
-                break;
-            }
-        }
-        if exited || z[n] < -margin {
-            return Ok(z[..n].to_vec());
-        }
-        if (m as f64) / t < options.tolerance.max(1e-12) {
-            break;
-        }
-        t *= options.mu;
-    }
-    if z[n] < 0.0 {
-        Ok(z[..n].to_vec())
-    } else {
-        Err(GpError::Infeasible { residual: z[n] })
-    }
-}
-
-/// Evaluates the phase-I barrier `t s - sum ln(s - Fi(y))` at `z = (y, s)`.
-fn phase_one_eval(fs: &[LogPosynomial], t: f64, z: &[f64], want_hess: bool) -> FuncEval {
-    let n = z.len() - 1;
-    let (y, s) = (&z[..n], z[n]);
-    if !want_hess {
-        let mut value = t * s;
-        for fi in fs {
-            let slack = s - fi.value(y);
-            if slack <= 0.0 {
-                return FuncEval {
-                    value: f64::INFINITY,
-                    grad: Vec::new(),
-                    hess: None,
-                    in_domain: false,
-                };
-            }
-            value -= slack.ln();
-        }
-        return FuncEval {
-            value,
-            grad: Vec::new(),
-            hess: None,
-            in_domain: true,
-        };
-    }
-    let mut value = t * s;
-    let mut grad = vec![0.0; n + 1];
-    grad[n] = t;
-    let mut hess = Matrix::zeros(n + 1, n + 1);
-    let mut ext = vec![0.0; n + 1];
-    for fi in fs {
-        let ev = fi.evaluate(y);
-        let slack = s - ev.value;
-        if slack <= 0.0 {
-            return FuncEval {
-                value: f64::INFINITY,
-                grad: vec![0.0; n + 1],
-                hess: Some(Matrix::zeros(n + 1, n + 1)),
-                in_domain: false,
-            };
-        }
-        value -= slack.ln();
-        let inv = 1.0 / slack;
-        // d(-ln(s - Fi))/dy = ∇Fi / slack ; d/ds = -1/slack.
-        for (gi, gyi) in grad[..n].iter_mut().zip(&ev.grad) {
-            *gi += inv * gyi;
-        }
-        grad[n] -= inv;
-        // Hessian: ∇²Fi/slack + u u^T / slack² with u = (∇Fi, -1).
-        for i in 0..n {
-            for j in 0..n {
-                hess[(i, j)] += inv * ev.hess[(i, j)];
-            }
-        }
-        for (ei, gyi) in ext[..n].iter_mut().zip(&ev.grad) {
-            *ei = *gyi;
-        }
-        ext[n] = -1.0;
-        hess.add_outer(inv * inv, &ext);
-    }
-    FuncEval {
-        value,
-        grad,
-        hess: Some(hess),
-        in_domain: true,
-    }
+    outcome?;
+    Err(GpError::Infeasible { residual: ln_sigma })
 }
 
 #[cfg(test)]
@@ -1111,13 +974,7 @@ mod tests {
         let x_star = (a / pp).sqrt() / k;
         let y_star = (b / q).sqrt() / k;
 
-        let mut p = GpProblem::new(2);
-        let mut obj = mono(a, &[(0, -1.0)]);
-        obj.add(&mono(b, &[(1, -1.0)]));
-        p.set_objective(obj).unwrap();
-        let mut c = mono(pp, &[(0, 1.0)]);
-        c.add(&mono(q, &[(1, 1.0)]));
-        p.add_constraint_le(c, bb).unwrap();
+        let p = budget_problem(a, b, pp, q, bb);
         let s = solve_with_start(&p, &[0.1, 0.1], &opts()).unwrap();
         assert!(
             (s.x[0] - x_star).abs() < 1e-4 * x_star,
@@ -1317,7 +1174,7 @@ mod tests {
         let (warm, kind) = compiled
             .solve_warm(&prev.x, &[0.5, 0.5], &opts(), &mut ws)
             .unwrap();
-        assert_eq!(kind, WarmStart::Hit, "small drift should stay on rung 0");
+        assert_eq!(kind, WarmStart::Hit, "small drift needs only a light blend");
         assert!(
             (warm.objective - cold.objective).abs() < 1e-5 * cold.objective,
             "warm {} vs cold {}",
@@ -1359,11 +1216,115 @@ mod tests {
         let p = drifting_problem(2.0, 3.0, 4.0, 5.0);
         let compiled = CompiledGp::compile(&p).unwrap();
         let mut ws = SolveWorkspace::new();
-        // Both points violate x + y <= 5: every rung is infeasible.
+        // Both points violate x + y <= 5: no blend is feasible.
         let err = compiled
             .solve_warm(&[10.0, 10.0], &[8.0, 8.0], &opts(), &mut ws)
             .unwrap_err();
         assert_eq!(err, GpError::InvalidStartingPoint);
+    }
+
+    /// min a/x + b/y s.t. p x + q y <= budget.
+    fn budget_problem(a: f64, b: f64, p: f64, q: f64, budget: f64) -> GpProblem {
+        let mut prob = GpProblem::new(2);
+        let mut obj = mono(a, &[(0, -1.0)]);
+        obj.add(&mono(b, &[(1, -1.0)]));
+        prob.set_objective(obj).unwrap();
+        let mut c = mono(p, &[(0, 1.0)]);
+        c.add(&mono(q, &[(1, 1.0)]));
+        prob.add_constraint_le(c, budget).unwrap();
+        prob
+    }
+
+    /// Solves a budget program from its usual interior start and checks
+    /// convergence, verified optimality and strict feasibility.
+    fn assert_budget_program_solves(a: f64, b: f64, p: f64, q: f64, budget: f64) {
+        let prob = budget_problem(a, b, p, q, budget);
+        let start = [0.125 * budget / p.max(q); 2];
+        let sol = solve_with_start(&prob, &start, &opts())
+            .unwrap_or_else(|e| panic!("({a}, {b}, {p}, {q}, {budget}): {e}"));
+        let report = crate::kkt::kkt_report(&prob, &sol.x);
+        assert!(
+            report.is_optimal(1e-6),
+            "({a}, {b}, {p}, {q}, {budget}): stationarity {} complementarity {} feasibility {}",
+            report.stationarity,
+            report.complementarity,
+            report.feasibility
+        );
+        assert!(
+            prob.max_violation(&sol.x) < 0.0,
+            "must be strictly feasible"
+        );
+    }
+
+    #[test]
+    fn lopsided_budget_program_does_not_jam() {
+        // Plain Boyd & Vandenberghe primal-dual jams here: the gap races
+        // to 1e-15 while the dual residual stalls at 5e-3. The floor on
+        // the target gap (`GAP_LAG`) is what prevents it.
+        assert_budget_program_solves(12.99, 18.50, 6.305, 0.1134, 75.55);
+    }
+
+    #[test]
+    fn budget_family_sweep_converges_to_verified_optima() {
+        // 2000 draws from the family the jamming case came from.
+        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+        let mut unit = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        for _ in 0..2000 {
+            let a = 0.05 + 19.95 * unit();
+            let b = 0.05 + 19.95 * unit();
+            let p = 0.1 + 9.9 * unit();
+            let q = 0.1 + 9.9 * unit();
+            let budget = 0.5 + 99.5 * unit();
+            assert_budget_program_solves(a, b, p, q, budget);
+        }
+    }
+
+    #[test]
+    fn start_hugging_an_inactive_constraint_converges() {
+        // min x + 4/x (optimum x = 2) from x = 1 with x >= 1 - 1e-9 in
+        // the way: a centred dual on that slack would be 1e9.
+        let mut p = GpProblem::new(1);
+        let mut obj = mono(1.0, &[(0, 1.0)]);
+        obj.add(&mono(4.0, &[(0, -1.0)]));
+        p.set_objective(obj).unwrap();
+        p.add_constraint(mono(1.0 - 1e-9, &[(0, -1.0)])).unwrap();
+        let s = solve_with_start(&p, &[1.0], &opts()).unwrap();
+        assert!((s.x[0] - 2.0).abs() < 1e-6, "x = {}", s.x[0]);
+        assert!(s.newton_steps <= 30, "{} newton steps", s.newton_steps);
+
+        // min 1/(xy) s.t. x + y <= 2 (optimum (1, 1)) from (0.5, 0.5)
+        // with x >= 0.5 (1 - 1e-9): while x cannot move, y must not run
+        // into the budget constraint and pin the iterate in that corner.
+        let mut p = GpProblem::new(2);
+        p.set_objective(mono(1.0, &[(0, -1.0), (1, -1.0)])).unwrap();
+        let mut c = mono(0.5, &[(0, 1.0)]);
+        c.add(&mono(0.5, &[(1, 1.0)]));
+        p.add_constraint(c).unwrap();
+        p.add_constraint(mono(0.5 * (1.0 - 1e-9), &[(0, -1.0)]))
+            .unwrap();
+        let s = solve_with_start(&p, &[0.5, 0.5], &opts()).unwrap();
+        assert!((s.x[0] - 1.0).abs() < 1e-6 && (s.x[1] - 1.0).abs() < 1e-6);
+        assert!(s.newton_steps <= 30, "{} newton steps", s.newton_steps);
+    }
+
+    #[test]
+    fn barely_feasible_ones_are_recentred_by_phase_one() {
+        // x = (1, 1) is feasible by 1e-8 for x >= 1 - 1e-8; the optimum of
+        // min 1/(xy) s.t. x + y <= 10 is (5, 5), far from that boundary.
+        let mut p = GpProblem::new(2);
+        p.set_objective(mono(1.0, &[(0, -1.0), (1, -1.0)])).unwrap();
+        let mut c = mono(0.1, &[(0, 1.0)]);
+        c.add(&mono(0.1, &[(1, 1.0)]));
+        p.add_constraint(c).unwrap();
+        p.add_constraint(mono(1.0 - 1e-8, &[(0, -1.0)])).unwrap();
+        let s = solve(&p, &opts()).unwrap();
+        assert!((s.x[0] - 5.0).abs() < 1e-5 && (s.x[1] - 5.0).abs() < 1e-5);
+        assert!(s.newton_steps <= 30, "{} newton steps", s.newton_steps);
     }
 
     #[test]

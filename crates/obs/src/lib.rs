@@ -80,15 +80,14 @@ pub fn now_ns() -> u64 {
 pub mod names {
     /// GP solve span (histogram `gp.solve_ns`).
     pub const GP_SOLVE: &str = "gp.solve";
-    /// One outer barrier iteration of the GP solver.
-    pub const GP_OUTER: &str = "gp.outer";
-    /// One Newton step inside the GP solver.
+    /// One iterate of the GP solver's primal–dual loop (the start, then
+    /// one per Newton step).
     pub const GP_NEWTON: &str = "gp.newton";
     /// Counter: a KKT solve (dense or sparse) only succeeded after the
     /// regularization ladder bumped the diagonal — a near-singular system
     /// that would otherwise hide in timing noise.
     pub const GP_CHOL_REGULARIZED: &str = "gp.chol_regularized";
-    /// Counter: barrier solves routed through the sparse KKT backend.
+    /// Counter: solves routed through the sparse KKT backend.
     pub const GP_SPARSE_SOLVE: &str = "gp.sparse_solve";
     /// Counter: sparse symbolic analyses built at solve time (compiled
     /// GPs build theirs at compile time and are not counted here).
