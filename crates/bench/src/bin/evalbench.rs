@@ -17,6 +17,14 @@
 //!   each item move evaluates every affected distinct monomial once and
 //!   scatters `c_q · Δm` through the CSR term → query index.
 //!
+//! **Which regime this models.** `MOVES_PER_TICK` (4) items move between
+//! two reads of every query: moves-between-reads ÷ items ≪ 1, the
+//! engine's *coordinator* view, where one item moves per refresh and
+//! deltas win. The engine's *source* view is the opposite regime — on a
+//! stock tape every watched item moves between two fidelity samples — so
+//! the engine maintains no source-side view and pays one full evaluation
+//! per read there (DESIGN.md §11): the **compiled** column is that cost.
+//!
 //! Two fixed workloads (the fig5-style portfolio mix and a large
 //! synthetic book) plus an **overlapping-book sweep** at 1k→8k queries
 //! (`pq_workload::WorkloadGen::overlapping_book` with the distinct-pair

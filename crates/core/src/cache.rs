@@ -290,8 +290,12 @@ pub fn recompute_parallel(
 /// A pure relative test (`|new - old| > eps * |old|`) misclassifies
 /// `old == 0`: *any* new width would count as unchanged. The absolute
 /// floor fixes that while the relative term keeps large widths from
-/// flapping on rounding noise.
+/// flapping on rounding noise. A non-finite width means "no filter": it
+/// changed exactly when the other side is finite.
 pub fn filter_changed(old: f64, new: f64) -> bool {
+    if !(old.is_finite() && new.is_finite()) {
+        return old.is_finite() != new.is_finite();
+    }
     let scale = old.abs().max(new.abs());
     (new - old).abs() > f64::max(1e-12, 1e-12 * scale)
 }
@@ -510,5 +514,8 @@ mod tests {
         assert!(!filter_changed(1.0, 1.0 + 1e-15));
         assert!(filter_changed(1.0, 1.001));
         assert!(!filter_changed(1e9, 1e9 * (1.0 + 1e-15)));
+        assert!(filter_changed(f64::INFINITY, 3.0));
+        assert!(filter_changed(3.0, f64::INFINITY));
+        assert!(!filter_changed(f64::INFINITY, f64::INFINITY));
     }
 }

@@ -15,6 +15,14 @@ pub enum DabError {
         /// The item without a rate.
         item: u32,
     },
+    /// A refresh carried a NaN or infinite value; the coordinator's state
+    /// was left untouched.
+    NonFiniteValue {
+        /// The refreshed item.
+        item: u32,
+        /// The rejected value.
+        value: f64,
+    },
     /// The recomputation-cost parameter `mu` must be non-negative & finite.
     InvalidMu(f64),
     /// A strictly feasible starting DAB vector could not be constructed
@@ -47,6 +55,12 @@ impl std::fmt::Display for DabError {
             DabError::Poly(e) => write!(f, "constraint construction failed: {e}"),
             DabError::MissingRate { item } => {
                 write!(f, "no rate-of-change estimate for item x{item}")
+            }
+            DabError::NonFiniteValue { item, value } => {
+                write!(
+                    f,
+                    "refresh of item x{item} carries non-finite value {value}"
+                )
             }
             DabError::InvalidMu(mu) => {
                 write!(f, "recomputation cost mu must be >= 0 and finite, got {mu}")

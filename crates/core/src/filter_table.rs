@@ -1,0 +1,309 @@
+//! The coordinator's filter table: every installed assignment, stored
+//! item-major.
+//!
+//! A [`QueryAssignment`] is three maps keyed by item. A coordinator asks
+//! two questions of *all* its assignments on every refresh, both about
+//! one item: "which units does `x`'s new value invalidate?" (the
+//! secondary-DAB check of §III-A.2) and "what is the tightest primary DAB
+//! any unit holds for `x`?" (the EQI minimum rule of §IV). The table
+//! answers both from one contiguous run: item `x`'s *cells*, one per
+//! `(query, unit)` whose assignment mentions `x`, each holding that
+//! unit's `anchor`, `secondary` and `primary` for `x`.
+//!
+//! **Validity invariant.** [`FilterTable::stale_after`] looks only at the
+//! moved item's run. That equals a full [`QueryAssignment::is_valid_at`]
+//! scan of every reader as long as every installed assignment was valid
+//! at the coordinator's values *before* the move — which a coordinator
+//! maintains by re-solving (and [`FilterTable::install`]ing, anchored at
+//! the current values) every unit a refresh invalidates before it looks
+//! at the next refresh. [`FilterTable::scan_agrees`] is the full-scan
+//! oracle both coordinators `debug_assert!` after each refresh.
+//!
+//! Encoding of [`ValidityRange`] per cell, checked as
+//! `|value − anchor| ≤ secondary`: `Box` stores its entry (a missing
+//! entry is `0`), `AnchorOnly` stores `0`, `Always` stores `+∞`. A NaN
+//! value fails the comparison and reads as stale — for `Always` too,
+//! the one input where the table is stricter than `is_valid_at`.
+
+use crate::assignment::{QueryAssignment, ValidityRange};
+
+/// All installed assignments of one coordinator as item-major columns
+/// (see the module docs).
+#[derive(Debug, Clone, Default)]
+pub struct FilterTable {
+    /// `item_start[i]..item_start[i + 1]` is item `i`'s run of cells.
+    item_start: Vec<u32>,
+    /// Per cell: the `(query, unit)` it belongs to, ascending in a run.
+    owner: Vec<(u32, u32)>,
+    anchor: Vec<f64>,
+    secondary: Vec<f64>,
+    primary: Vec<f64>,
+    /// `unit_base[q] + u` is the flat index of unit `u` of query `q`.
+    unit_base: Vec<u32>,
+    /// `unit_start[f]..unit_start[f + 1]` is flat unit `f`'s run in the
+    /// two mirror arrays below.
+    unit_start: Vec<u32>,
+    /// Per mirror entry: the cell, and the item that cell belongs to
+    /// (ascending within a unit).
+    unit_cells: Vec<u32>,
+    unit_items: Vec<u32>,
+}
+
+/// One cell's validity check. A NaN on either side compares false, so
+/// it reads as stale.
+#[inline]
+fn in_range(value: f64, anchor: f64, secondary: f64) -> bool {
+    (value - anchor).abs() <= secondary
+}
+
+impl FilterTable {
+    /// Builds the table over `n_items` items from every unit's first
+    /// assignment (`assignments[q][u]`). The items of its `anchor` (every
+    /// solver keys `primary` by the same items) fix the unit's cells for
+    /// the table's lifetime.
+    ///
+    /// # Panics
+    /// Panics if an assignment mentions an item `>= n_items`, or holds a
+    /// primary DAB for an item outside its anchor.
+    pub fn new(n_items: usize, assignments: &[Vec<QueryAssignment>]) -> Self {
+        let mut item_start = vec![0u32; n_items + 1];
+        let mut unit_base = Vec::with_capacity(assignments.len() + 1);
+        let mut unit_start = vec![0u32];
+        let mut unit_items = Vec::new();
+        for per_query in assignments {
+            unit_base.push(unit_start.len() as u32 - 1);
+            for qa in per_query {
+                for item in qa.anchor.keys() {
+                    item_start[item.index() + 1] += 1;
+                    unit_items.push(item.0);
+                }
+                unit_start.push(unit_items.len() as u32);
+            }
+        }
+        unit_base.push(unit_start.len() as u32 - 1);
+        for i in 0..n_items {
+            item_start[i + 1] += item_start[i];
+        }
+        let n_cells = unit_items.len();
+        let mut cursor = item_start.clone();
+        let mut owner = vec![(0u32, 0u32); n_cells];
+        let mut unit_cells = vec![0u32; n_cells];
+        // Queries then units ascending, so each item's run comes out in
+        // (query, unit) order — the order stale units are solved in.
+        for (q, per_query) in assignments.iter().enumerate() {
+            for u in 0..per_query.len() {
+                let f = (unit_base[q] + u as u32) as usize;
+                for m in unit_start[f] as usize..unit_start[f + 1] as usize {
+                    let at = &mut cursor[unit_items[m] as usize];
+                    owner[*at as usize] = (q as u32, u as u32);
+                    unit_cells[m] = *at;
+                    *at += 1;
+                }
+            }
+        }
+        let mut table = FilterTable {
+            item_start,
+            owner,
+            anchor: vec![0.0; n_cells],
+            secondary: vec![0.0; n_cells],
+            primary: vec![f64::INFINITY; n_cells],
+            unit_base,
+            unit_start,
+            unit_cells,
+            unit_items,
+        };
+        for (q, per_query) in assignments.iter().enumerate() {
+            for (u, qa) in per_query.iter().enumerate() {
+                table.install(q, u, qa);
+            }
+        }
+        table
+    }
+
+    #[inline]
+    fn run(&self, item: usize) -> std::ops::Range<usize> {
+        self.item_start[item] as usize..self.item_start[item + 1] as usize
+    }
+
+    #[inline]
+    fn mirror(&self, q: usize, u: usize) -> std::ops::Range<usize> {
+        let f = self.unit_base[q] as usize + u;
+        debug_assert!(
+            f < self.unit_base[q + 1] as usize,
+            "query {q} has no unit {u}"
+        );
+        self.unit_start[f] as usize..self.unit_start[f + 1] as usize
+    }
+
+    /// The items unit `u` of query `q` holds a cell for, ascending —
+    /// the items whose minimum primary DAB an install can move.
+    #[inline]
+    pub fn unit_items(&self, q: usize, u: usize) -> &[u32] {
+        &self.unit_items[self.mirror(q, u)]
+    }
+
+    /// Scatters a fresh solve of unit `u` of query `q` into its cells.
+    ///
+    /// # Panics
+    /// Panics unless `qa` is anchored at exactly the unit's items (fixed
+    /// at [`FilterTable::new`]) and holds primary DABs for those only.
+    pub fn install(&mut self, q: usize, u: usize, qa: &QueryAssignment) {
+        let run = self.mirror(q, u);
+        assert!(
+            qa.anchor
+                .keys()
+                .map(|i| i.0)
+                .eq(self.unit_items[run.clone()].iter().copied())
+                && qa.primary.keys().all(|i| qa.anchor.contains_key(i)),
+            "assignment for unit ({q}, {u}) does not match the unit's items"
+        );
+        for (m, (item, &v0)) in run.zip(&qa.anchor) {
+            let cell = self.unit_cells[m] as usize;
+            self.anchor[cell] = v0;
+            self.secondary[cell] = match &qa.validity {
+                ValidityRange::Always => f64::INFINITY,
+                ValidityRange::AnchorOnly => 0.0,
+                ValidityRange::Box(c) => c.get(item).copied().unwrap_or(0.0),
+            };
+            self.primary[cell] = qa.primary.get(item).copied().unwrap_or(f64::INFINITY);
+        }
+    }
+
+    /// Appends to `out`, in `(query, unit)` order, every unit that
+    /// `item` moving to `value` invalidates (see the module docs for
+    /// when this equals a full validity scan).
+    #[inline]
+    pub fn stale_after(&self, item: usize, value: f64, out: &mut Vec<(usize, usize)>) {
+        let run = self.run(item);
+        let cells = self.anchor[run.clone()]
+            .iter()
+            .zip(&self.secondary[run.clone()])
+            .zip(&self.owner[run]);
+        for ((&anchor, &secondary), &(q, u)) in cells {
+            if !in_range(value, anchor, secondary) {
+                out.push((q as usize, u as usize));
+            }
+        }
+    }
+
+    /// The tightest primary DAB any unit holds for `item` (`+∞` when no
+    /// unit mentions it): the filter to install at its source.
+    #[inline]
+    pub fn min_primary(&self, item: usize) -> f64 {
+        self.primary[self.run(item)]
+            .iter()
+            .fold(f64::INFINITY, |m, &b| m.min(b))
+    }
+
+    /// Marks unit `u` of query `q` stale until its next
+    /// [`FilterTable::install`]: a refresh of any of its items reports
+    /// it. For a unit whose re-solve failed — its old assignment is no
+    /// longer valid, and the next refresh should try again.
+    pub fn invalidate(&mut self, q: usize, u: usize) {
+        for m in self.mirror(q, u) {
+            self.secondary[self.unit_cells[m] as usize] = f64::NAN;
+        }
+    }
+
+    /// Full-scan oracle for [`FilterTable::stale_after`]: true when
+    /// `stale` is exactly the units with a cell in `item`'s run that
+    /// have *any* cell out of range at `values`. Coordinators
+    /// `debug_assert!` this after each refresh.
+    pub fn scan_agrees(&self, item: usize, values: &[f64], stale: &[(usize, usize)]) -> bool {
+        let full = self.owner[self.run(item)]
+            .iter()
+            .map(|&(q, u)| (q as usize, u as usize))
+            .filter(|&(q, u)| {
+                !self.mirror(q, u).all(|m| {
+                    let cell = self.unit_cells[m] as usize;
+                    let value = values[self.unit_items[m] as usize];
+                    in_range(value, self.anchor[cell], self.secondary[cell])
+                })
+            });
+        full.eq(stale.iter().copied())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pq_poly::ItemId;
+    use std::collections::BTreeMap;
+
+    fn map(pairs: &[(u32, f64)]) -> BTreeMap<ItemId, f64> {
+        pairs.iter().map(|&(i, v)| (ItemId(i), v)).collect()
+    }
+
+    fn boxed(
+        primary: &[(u32, f64)],
+        secondary: &[(u32, f64)],
+        anchor: &[(u32, f64)],
+    ) -> QueryAssignment {
+        QueryAssignment {
+            primary: map(primary),
+            validity: ValidityRange::Box(map(secondary)),
+            anchor: map(anchor),
+            recompute_rate: 0.0,
+            refresh_rate: 0.0,
+        }
+    }
+
+    #[test]
+    fn runs_are_query_major_and_minima_follow_installs() {
+        // q0 has two units over {0, 1} and {1, 2}; q1 one unit over {1}.
+        let q0u0 = boxed(
+            &[(0, 0.5), (1, 0.7)],
+            &[(0, 2.0), (1, 2.0)],
+            &[(0, 10.0), (1, 20.0)],
+        );
+        let q0u1 = boxed(
+            &[(1, 0.3), (2, 0.9)],
+            &[(1, 1.0), (2, 1.0)],
+            &[(1, 20.0), (2, 30.0)],
+        );
+        let q1u0 = boxed(&[(1, 0.4)], &[(1, 5.0)], &[(1, 20.0)]);
+        let mut t = FilterTable::new(4, &[vec![q0u0, q0u1.clone()], vec![q1u0]]);
+        assert_eq!(t.unit_items(0, 1), &[1, 2]);
+        assert_eq!(t.min_primary(0), 0.5);
+        assert_eq!(t.min_primary(1), 0.3);
+        assert_eq!(t.min_primary(3), f64::INFINITY);
+
+        let mut stale = Vec::new();
+        t.stale_after(1, 21.5, &mut stale);
+        assert_eq!(stale, vec![(0, 1)], "only the unit with c = 1 breaks");
+        assert!(t.scan_agrees(1, &[10.0, 21.5, 30.0, 0.0], &stale));
+        assert!(!t.scan_agrees(1, &[10.0, 21.5, 30.0, 0.0], &[]));
+        stale.clear();
+        t.stale_after(1, f64::NAN, &mut stale);
+        assert_eq!(stale, vec![(0, 0), (0, 1), (1, 0)]);
+
+        // Re-solving (0, 1) at the new value widens its DAB for x1.
+        let again = QueryAssignment {
+            primary: map(&[(1, 0.6), (2, 0.9)]),
+            anchor: map(&[(1, 21.5), (2, 30.0)]),
+            ..q0u1
+        };
+        t.install(0, 1, &again);
+        assert_eq!(t.min_primary(1), 0.4);
+        stale.clear();
+        t.stale_after(1, 21.5, &mut stale);
+        assert!(stale.is_empty());
+
+        // A failed re-solve leaves the unit stale for all of its items.
+        t.invalidate(0, 0);
+        for item in [0, 1] {
+            stale.clear();
+            t.stale_after(item, [10.0, 21.5][item], &mut stale);
+            assert_eq!(stale, vec![(0, 0)]);
+            assert!(t.scan_agrees(item, &[10.0, 21.5, 30.0, 0.0], &stale));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "does not match the unit's items")]
+    fn an_install_may_not_grow_a_units_item_set() {
+        let first = boxed(&[(0, 0.5)], &[(0, 1.0)], &[(0, 1.0)]);
+        let mut t = FilterTable::new(2, &[vec![first]]);
+        t.install(0, 0, &boxed(&[(1, 0.5)], &[(1, 1.0)], &[(1, 1.0)]));
+    }
+}

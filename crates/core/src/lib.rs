@@ -16,6 +16,8 @@
 //! * [`baseline`] — Sharfman-style per-item split and equal-width
 //!   baselines (§II, §V-A);
 //! * [`assignment`] — the assignment/validity-range types shared by all;
+//! * [`filter_table`] — a coordinator's installed assignments, item-major:
+//!   stale-unit collection and the minimum rule as one contiguous scan;
 //! * [`strategy`] — a single dispatch point used by the simulator.
 //!
 //! ```
@@ -39,6 +41,7 @@ pub mod baseline;
 pub mod cache;
 pub mod context;
 pub mod error;
+pub mod filter_table;
 pub mod heuristics;
 pub mod laq;
 pub mod linearized;
@@ -54,6 +57,7 @@ pub use cache::{
 };
 pub use context::SolveContext;
 pub use error::DabError;
+pub use filter_table::FilterTable;
 pub use heuristics::{general_pq, PpqMethod, PqHeuristic};
 pub use laq::linear_closed_form;
 pub use linearized::linearized_filter;

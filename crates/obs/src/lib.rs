@@ -142,20 +142,22 @@ pub mod names {
     /// warm-hit-rate denominator).
     pub const SOLVE_COLD_START: &str = "solve.cold_start";
 
-    /// One query value updated incrementally from an item delta
-    /// (`O(affected terms)`; the compiled-plan fast path).
+    /// One coordinator-view query value updated incrementally from an
+    /// arriving refresh's item delta (`O(affected terms)`; the
+    /// compiled-plan fast path). Source moves fold nothing.
     pub const EVAL_DELTA: &str = "eval.delta";
-    /// One full query evaluation (naive or compiled; the slow path the
-    /// delta maintenance avoids).
+    /// One full query evaluation (naive or compiled): view seeding,
+    /// rebases, naive-mode checks, and the source-side truth, evaluated
+    /// once per query on each tick a fidelity sample or audit reads it.
     pub const EVAL_FULL: &str = "eval.full";
     /// One periodic full-re-eval rebase of the incrementally maintained
-    /// query values (bounds float drift between rebases).
+    /// coordinator view (bounds float drift between rebases).
     pub const EVAL_REBASE: &str = "eval.rebase";
     /// Distinct monomials in a compiled cross-query `SharedPlan` (added
     /// once per compile; the CSE working-set size).
     pub const EVAL_SHARED_TERMS: &str = "eval.shared_terms";
-    /// One query value updated by a shared-monomial delta scatter (the
-    /// CSR term→query fan-out of `EvalMode::Shared`).
+    /// One coordinator-view query value updated by a shared-monomial
+    /// delta scatter (the CSR term→query fan-out of `EvalMode::Shared`).
     pub const EVAL_SCATTER_FANOUT: &str = "eval.scatter_fanout";
 
     /// One event pushed into the simulator scheduler (heap or wheel).

@@ -12,7 +12,8 @@
 //! re-evaluates them from scratch with [`pq_poly::PolynomialQuery::eval`]
 //! at both the source and the coordinator view, and compares
 //!
-//! * the **values** against the delta-maintained ones, and
+//! * the **values** against the engine's (the delta-maintained
+//!   coordinator view; the on-demand full evaluation at the source), and
 //! * the **QAB violation decision** the engine would take from each.
 //!
 //! Agreement is reported as live gauges; any divergence increments the
@@ -141,13 +142,21 @@ impl FidelityAuditor {
         auditor
     }
 
+    /// True when `tick` falls on the configured interval — the ticks on
+    /// which [`FidelityAuditor::on_tick`] reads `src_qv`, so the engine
+    /// evaluates it for those only.
+    pub(crate) fn is_due(&self, tick: usize) -> bool {
+        self.cfg.every > 0 && tick.is_multiple_of(self.cfg.every)
+    }
+
     /// Runs one audit pass if `tick` falls on the configured interval.
     ///
     /// `src_values` / `coord_values` are the per-item value columns of
-    /// the two views; `src_qv` / `coord_qv` the maintained per-query
-    /// values of the delta plane under audit (either view's `values()`
-    /// slice); `refreshes` the engine's processed-refresh count (for the
-    /// cost gauge). Pure with respect to the simulation: reads only.
+    /// the two views; `src_qv` the engine's on-demand full evaluation at
+    /// the source values, `coord_qv` the maintained per-query values of
+    /// the coordinator's delta plane; `refreshes` the engine's
+    /// processed-refresh count (for the cost gauge). Pure with respect
+    /// to the simulation: reads only.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn on_tick(
         &mut self,
@@ -160,7 +169,7 @@ impl FidelityAuditor {
         refreshes: u64,
         obs: &Obs,
     ) {
-        if self.cfg.every == 0 || !tick.is_multiple_of(self.cfg.every) || queries.is_empty() {
+        if !self.is_due(tick) || queries.is_empty() {
             return;
         }
         let started = Instant::now();

@@ -26,7 +26,7 @@ use rand::SeedableRng;
 
 use pq_core::{
     aao, assign_unit_cached, assignment_units, default_recompute_threads, filter_changed,
-    recompute_parallel, AssignmentStrategy, AssignmentUnit, DabError, PqHeuristic, QueryAssignment,
+    recompute_parallel, AssignmentStrategy, AssignmentUnit, DabError, FilterTable, PqHeuristic,
     RecomputeJob, SolveCache, SolveContext,
 };
 use pq_ddm::{DataDynamicsModel, RateEstimator, TraceSet};
@@ -55,10 +55,11 @@ pub enum EvalMode {
     /// baseline for the `evalbench` parity gate.
     Naive,
     /// Maintain per-query values incrementally from item deltas through
-    /// a compiled [`EvalPlan`] (`O(affected terms)` per change, `O(1)`
-    /// per query per sample), with a full compiled re-evaluation every
-    /// `rebase_every` ticks to bound float drift. `0` disables the
-    /// periodic rebase.
+    /// a compiled [`EvalPlan`] (`O(affected terms)` per refresh), with
+    /// a full compiled re-evaluation every `rebase_every` ticks to bound
+    /// float drift. `0` disables the periodic rebase. Only the
+    /// coordinator view is maintained; the source-side truth is one full
+    /// compiled evaluation on each tick something reads it.
     Delta {
         /// Full-re-eval rebase period in ticks (`0` = never).
         rebase_every: usize,
@@ -235,9 +236,9 @@ pub(crate) struct ShardCtx {
     /// Inbound links, ascending by source shard.
     pub(crate) inbound: Vec<ShardInlet>,
     /// Local item -> each remote shard's current minimum DAB over its
-    /// replica (home items with subscribers only). Folded into
-    /// `min_dab_for_item` so the installed source filter stays the
-    /// global minimum.
+    /// replica (home items with subscribers only). Folded into the
+    /// local minimum by `propagate_dab_changes` so the installed source
+    /// filter stays the global minimum.
     pub(crate) remote_dab_min: Vec<Vec<(u32, f64)>>,
 }
 
@@ -437,7 +438,10 @@ pub(crate) struct Engine<'a> {
     /// Independently maintained assignment units per query (one for most
     /// strategies, two for Half-and-Half on mixed-sign queries).
     units: Vec<Vec<AssignmentUnit>>,
-    assignments: Vec<Vec<QueryAssignment>>,
+    /// Every unit's installed assignment, item-major: which units a
+    /// refresh invalidates and each item's minimum primary DAB are one
+    /// scan of the refreshed item's run.
+    filters: FilterTable,
     /// Warm-start caches, one per (query, unit).
     cache: SolveCache,
     /// item -> the queries referencing it, with the item's slot in each
@@ -452,19 +456,26 @@ pub(crate) struct Engine<'a> {
     watched: Vec<u32>,
     /// Compiled evaluation plans, one per query (same index space).
     plans: Vec<EvalPlan>,
-    /// Delta-maintained query values at the source view (updated every
-    /// tick as the traces move). Only written in [`EvalMode::Delta`].
-    src_view: DeltaView,
-    /// Delta-maintained query values at the coordinator view (updated
-    /// only on `RefreshArrive`). Only written in [`EvalMode::Delta`].
+    /// Query values at the source view, evaluated in full on demand:
+    /// current only after [`Engine::refresh_truth`], which the fidelity
+    /// sampler and the auditor call on the ticks they read it. Between
+    /// two reads nearly every watched item has moved, so folding each
+    /// move in as a delta would cost more than one evaluation.
+    truth: Vec<f64>,
+    /// A watched source value changed since `truth` was evaluated.
+    truth_stale: bool,
+    /// Monomial scratch of the shared plan's full evaluation.
+    truth_scratch: Vec<f64>,
+    /// Each query's QAB, as a column beside the two value columns.
+    qabs: Vec<f64>,
+    /// Query values at the coordinator view: delta-maintained on
+    /// `RefreshArrive` in [`EvalMode::Delta`] (one item moves per
+    /// refresh), re-evaluated per fidelity sample in [`EvalMode::Naive`].
     coord_view: DeltaView,
     /// The cross-query compiled plan shared by the whole book; present
     /// only in [`EvalMode::Shared`] (in sharded runs, compiled over
     /// this shard's partition).
     shared_plan: Option<SharedPlan>,
-    /// Shared-plan maintained query values at the source view. Present
-    /// only in [`EvalMode::Shared`].
-    src_sview: Option<SharedView>,
     /// Shared-plan maintained query values at the coordinator view.
     /// Present only in [`EvalMode::Shared`].
     coord_sview: Option<SharedView>,
@@ -488,9 +499,6 @@ pub(crate) struct Engine<'a> {
     /// instead of re-pushing into the heap, which churned the heap and
     /// subtly reordered same-time arrivals).
     deferred: VecDeque<(usize, f64)>,
-    /// Reusable scratch: affected-query list of the refresh being
-    /// processed (copied out of `readers`, which stays borrowed by `self`).
-    scratch_affected: Vec<u32>,
     /// Reusable scratch: stale `(query, unit)` pairs of one refresh.
     scratch_stale: Vec<(usize, usize)>,
     /// Reusable scratch: item lists for DAB propagation (replaces the
@@ -548,9 +556,12 @@ pub(crate) struct Engine<'a> {
     /// resolve their causal parent to it via the [`pq_obs::SpanContext`]
     /// that [`recompute_parallel`] carries into its workers.
     t_recompute_batch: Timer,
-    /// Pre-resolved `gp.solve` timer shared by every [`SolveContext`]
-    /// this engine builds — solver spans skip per-solve registry lookups.
-    t_gp_solve: Timer,
+    /// The configured solver options carrying this engine's telemetry
+    /// handle and pre-resolved `gp.solve` timer (solver spans skip
+    /// per-solve registry lookups), unattributed: every
+    /// [`SolveContext`] starts from one clone, which
+    /// [`Engine::attribute`] then points at a query.
+    gp: SolverOptions,
     /// Per-query `gp.solve` attribution handles (labeled family, key
     /// `query`), resolved once so the solver hot path is one relaxed add.
     lc_solve_by_query: Vec<Arc<Counter>>,
@@ -583,6 +594,16 @@ fn per_watched_item(
         handles[item as usize] = Some(resolve(item as usize));
     }
     handles
+}
+
+/// The coordinator view's per-query values, from whichever plane
+/// maintains them (a free function so the caller keeps its other
+/// `Engine` fields borrowable).
+fn coord_query_values<'v>(shared: &'v Option<SharedView>, per_query: &'v DeltaView) -> &'v [f64] {
+    match shared {
+        Some(view) => view.values(),
+        None => per_query.values(),
+    }
 }
 
 /// How long the hot loop may go without a heartbeat before the live
@@ -727,19 +748,18 @@ impl<'a> Engine<'a> {
         };
         let shared_plan =
             shared_mode.then(|| SharedPlan::compile(cfg.queries.iter().map(|q| q.poly())));
-        // Both views start at the initial snapshot (coordinator and
-        // sources agree at t = 0); the compiled full evaluations here are
+        // Coordinator and sources agree at t = 0, so one evaluation seeds
+        // both views; the compiled full evaluations here are
         // bit-identical to `Polynomial::eval`.
-        let src_view = DeltaView::new(&plans, &source_values);
-        let coord_view = src_view.clone();
-        let src_sview = shared_plan
+        let coord_view = DeltaView::new(&plans, &source_values);
+        let coord_sview = shared_plan
             .as_ref()
             .map(|plan| SharedView::new(plan, &source_values));
-        let coord_sview = src_sview.clone();
-        let last_user_value = match &src_sview {
+        let truth = match &coord_sview {
             Some(view) => view.values().to_vec(),
-            None => src_view.values().to_vec(),
+            None => coord_view.values().to_vec(),
         };
+        let last_user_value = truth.clone();
         let n_queries = cfg.queries.len();
         // All registry names carry *global* ids so a partitioned run's
         // shards write into one coherent attribution space (identity
@@ -774,13 +794,15 @@ impl<'a> Engine<'a> {
             rates,
             items: ItemTable::new(&source_values),
             plans,
-            src_view,
+            truth,
+            truth_stale: false,
+            truth_scratch: Vec::new(),
+            qabs: cfg.queries.iter().map(PolynomialQuery::qab).collect(),
             coord_view,
             shared_plan,
-            src_sview,
             coord_sview,
             units: Vec::new(),
-            assignments: Vec::new(),
+            filters: FilterTable::default(),
             cache: SolveCache::new(),
             readers,
             watched,
@@ -797,7 +819,6 @@ impl<'a> Engine<'a> {
             metrics: SimMetrics::with_items(cfg.queries.len(), n_items),
             coordinator_busy_until: 0.0,
             deferred: VecDeque::new(),
-            scratch_affected: Vec::new(),
             scratch_stale: Vec::new(),
             scratch_items: Vec::new(),
             batch: Vec::new(),
@@ -828,7 +849,11 @@ impl<'a> Engine<'a> {
             h_ingest_batch_size: obs.histogram(names::INGEST_BATCH_SIZE),
             h_solve_ns: obs.histogram(names::SIM_SOLVE_NS),
             t_recompute_batch: obs.timer(names::SIM_RECOMPUTE_BATCH),
-            t_gp_solve: obs.timer(names::GP_SOLVE),
+            gp: SolverOptions {
+                obs: obs.clone(),
+                solve_timer: Some(obs.timer(names::GP_SOLVE)),
+                ..cfg.gp.clone()
+            },
             lc_solve_by_query: (0..cfg.queries.len())
                 .map(|qi| obs.labeled_counter(names::GP_SOLVE, names::LABEL_QUERY, &gq_label(qi)))
                 .collect(),
@@ -857,8 +882,8 @@ impl<'a> Engine<'a> {
             shard,
             obs,
         };
-        // The two initial full evaluations per query that seeded the views.
-        engine.c_eval_full.add(2 * engine.cfg.queries.len() as u64);
+        // The initial full evaluation per query that seeded both views.
+        engine.c_eval_full.add(engine.cfg.queries.len() as u64);
         if let Some(plan) = &engine.shared_plan {
             engine
                 .obs
@@ -891,24 +916,21 @@ impl<'a> Engine<'a> {
         Ok(engine)
     }
 
-    /// Unattributed solve context (joint AAO solves span all queries).
-    fn solve_context(&self) -> SolveContext<'_> {
-        self.solve_context_for(None)
+    /// Attributes `gp` to query `qi`: GP solves under it carry
+    /// `query=<qi>` on their `gp.solve` counters and timing spans.
+    fn attribute(&self, gp: &mut SolverOptions, qi: usize) {
+        gp.query = Some(qi as u32);
+        gp.query_counter = Some(self.lc_solve_by_query[qi].clone());
     }
 
-    /// Solve context attributed to one query: GP solves under it carry
-    /// `query=<qi>` on their `gp.solve` counters and timing spans.
-    fn solve_context_for(&self, query: Option<u32>) -> SolveContext<'_> {
-        let mut gp = self.cfg.gp.clone();
-        gp.obs = self.obs.clone();
-        gp.query = query;
-        gp.query_counter = query.map(|q| self.lc_solve_by_query[q as usize].clone());
-        gp.solve_timer = Some(self.t_gp_solve.clone());
+    /// Unattributed solve context at the coordinator's values (joint
+    /// AAO solves span all queries).
+    fn solve_context(&self) -> SolveContext<'_> {
         SolveContext {
             values: self.items.coord_values(),
             rates: &self.rates,
             ddm: self.cfg.ddm,
-            gp,
+            gp: self.gp.clone(),
         }
     }
 
@@ -923,7 +945,7 @@ impl<'a> Engine<'a> {
 
     fn initial_assignments(&mut self) -> Result<(), SimError> {
         let started = Instant::now();
-        match &self.cfg.strategy {
+        let assignments = match &self.cfg.strategy {
             SimStrategy::PerQuery {
                 strategy,
                 heuristic,
@@ -937,20 +959,16 @@ impl<'a> Engine<'a> {
                 let unit_counts: Vec<usize> = self.units.iter().map(Vec::len).collect();
                 self.cache.resize(&unit_counts);
                 let mut assignments = Vec::with_capacity(self.units.len());
+                let mut ctx = SolveContext {
+                    values: self.items.coord_values(),
+                    rates: &self.rates,
+                    ddm: self.cfg.ddm,
+                    gp: self.gp.clone(),
+                };
                 for (qi, units) in self.units.iter().enumerate() {
+                    self.attribute(&mut ctx.gp, qi);
                     let mut per_unit = Vec::with_capacity(units.len());
                     for (ui, u) in units.iter().enumerate() {
-                        let mut gp = self.cfg.gp.clone();
-                        gp.obs = self.obs.clone();
-                        gp.query = Some(qi as u32);
-                        gp.query_counter = Some(self.lc_solve_by_query[qi].clone());
-                        gp.solve_timer = Some(self.t_gp_solve.clone());
-                        let ctx = SolveContext {
-                            values: self.items.coord_values(),
-                            rates: &self.rates,
-                            ddm: self.cfg.ddm,
-                            gp,
-                        };
                         // Seed the warm-start caches at install time so the
                         // first in-run recompute already warm-starts.
                         per_unit.push(
@@ -960,7 +978,7 @@ impl<'a> Engine<'a> {
                     }
                     assignments.push(per_unit);
                 }
-                self.assignments = assignments;
+                assignments
             }
             SimStrategy::AaoPeriodic { mu, .. } => {
                 self.units = self
@@ -977,54 +995,25 @@ impl<'a> Engine<'a> {
                     .collect();
                 let unit_counts: Vec<usize> = self.units.iter().map(Vec::len).collect();
                 self.cache.resize(&unit_counts);
-                let ctx = self.solve_context();
-                self.assignments = aao(&self.cfg.queries, &ctx, *mu)
+                aao(&self.cfg.queries, &self.solve_context(), *mu)
                     .map_err(|source| SimError::Dab { query: 0, source })?
                     .per_query
                     .into_iter()
                     .map(|a| vec![a])
-                    .collect();
+                    .collect()
             }
-        }
+        };
         self.note_solver_time(started);
+        self.filters = FilterTable::new(self.n_items, &assignments);
         // Synchronous installation at t = 0 (steady-state start, §V-A).
-        self.recompute_coord_dabs_all();
+        // An unwatched item has no cell: its filter stays infinite.
+        for &item in &self.watched {
+            let item = item as usize;
+            self.items
+                .set_coord_dab(item, self.filters.min_primary(item));
+        }
         self.items.install_all_dabs();
         Ok(())
-    }
-
-    fn recompute_coord_dabs_all(&mut self) {
-        self.items.reset_coord_dabs();
-        for per_query in &self.assignments {
-            for qa in per_query {
-                for (&item, &b) in &qa.primary {
-                    let i = item.index();
-                    let d = self.items.coord_dab(i);
-                    self.items.set_coord_dab(i, d.min(b));
-                }
-            }
-        }
-    }
-
-    /// Recomputes the min filter for one item across all units of the
-    /// queries referencing it — plus, on a home shard, the minima the
-    /// remote shards reported over their replicas, so the installed
-    /// source filter is the global minimum.
-    fn min_dab_for_item(&self, item: usize) -> f64 {
-        let mut m = f64::INFINITY;
-        for &qi in self.readers.queries(item) {
-            for qa in &self.assignments[qi as usize] {
-                if let Some(b) = qa.primary_dab(pq_poly::ItemId(item as u32)) {
-                    m = m.min(b);
-                }
-            }
-        }
-        if let Some(ctx) = &self.shard {
-            for &(_, d) in &ctx.remote_dab_min[item] {
-                m = m.min(d);
-            }
-        }
-        m
     }
 
     /// Global item id for a local one (identity in the classic engine).
@@ -1089,42 +1078,14 @@ impl<'a> Engine<'a> {
                 }
             }
             // Watched sources observe the tick's values and push filtered
-            // changes; under delta evaluation each item's move folds `ΔP`
-            // into the source-view query values before the value lands.
-            let delta_mode = matches!(self.cfg.eval, EvalMode::Delta { .. });
-            let shared_mode = matches!(self.cfg.eval, EvalMode::Shared { .. });
-            let mut delta_updates = 0u64;
-            let mut scatter_updates = 0u64;
+            // changes. No query value is touched here: the source-side
+            // truth is evaluated when something asks for it.
             for k in 0..self.watched.len() {
                 let item = self.watched[k] as usize;
                 let v = self.cfg.traces.trace(item).at(tick);
-                let old = self.items.value(item);
-                if delta_mode {
-                    delta_updates += self.src_view.apply(
-                        &self.plans,
-                        self.readers.readers(item),
-                        self.items.values(),
-                        item,
-                        old,
-                        v,
-                    );
-                } else if shared_mode {
-                    let (plan, view) = (
-                        self.shared_plan.as_ref().expect("shared mode"),
-                        self.src_sview.as_mut().expect("shared mode"),
-                    );
-                    scatter_updates += view.apply(plan, self.items.values(), item, old, v);
-                }
+                self.truth_stale |= v != self.items.value(item);
                 self.items.set_value(item, v);
                 self.maybe_push(item, now);
-            }
-            if delta_updates > 0 {
-                self.c_eval_delta.add(delta_updates);
-            }
-            if scatter_updates > 0 {
-                if let Some(c) = &self.c_scatter_fanout {
-                    c.add(scatter_updates);
-                }
             }
             // Deliver everything due by this tick: heap events in time
             // order, interleaved with busy-deferred refreshes that start
@@ -1178,32 +1139,24 @@ impl<'a> Engine<'a> {
                 }
             }
             // Periodic full-re-eval rebase: discard the rounding drift
-            // the running sums accumulated, right before the sample reads
-            // them.
+            // the coordinator's running sums accumulated, right before
+            // the sample reads them.
             if let EvalMode::Delta { rebase_every } | EvalMode::Shared { rebase_every } =
                 self.cfg.eval
             {
                 if rebase_every > 0 && tick % rebase_every == 0 {
-                    if shared_mode {
-                        let plan = self.shared_plan.as_ref().expect("shared mode");
-                        self.src_sview
-                            .as_mut()
-                            .expect("shared mode")
-                            .rebase(plan, self.items.values());
-                        self.coord_sview
-                            .as_mut()
-                            .expect("shared mode")
-                            .rebase(plan, self.items.coord_values());
-                    } else {
-                        self.src_view.rebase(&self.plans, self.items.values());
-                        self.coord_view
-                            .rebase(&self.plans, self.items.coord_values());
+                    match (&self.shared_plan, &mut self.coord_sview) {
+                        (Some(plan), Some(view)) => view.rebase(plan, self.items.coord_values()),
+                        _ => self
+                            .coord_view
+                            .rebase(&self.plans, self.items.coord_values()),
                     }
                     self.c_eval_rebase.inc();
-                    self.c_eval_full.add(2 * self.cfg.queries.len() as u64);
+                    self.c_eval_full.add(self.cfg.queries.len() as u64);
                 }
             }
-            // Fidelity sample.
+            // Fidelity sample: truth, coordinator view and QABs as three
+            // columns.
             if self.cfg.fidelity_sample_every > 0 && tick % self.cfg.fidelity_sample_every == 0 {
                 self.metrics.fidelity_samples += 1;
                 // Every shard samples the same ticks; only shard 0 feeds
@@ -1212,24 +1165,16 @@ impl<'a> Engine<'a> {
                 if self.shard.as_ref().is_none_or(|c| c.shard == 0) {
                     self.c_fidelity.inc();
                 }
-                for (qi, q) in self.cfg.queries.iter().enumerate() {
-                    let (truth, cached) = match self.cfg.eval {
-                        EvalMode::Naive => {
-                            self.c_eval_full.add(2);
-                            (
-                                q.eval(self.items.values()),
-                                q.eval(self.items.coord_values()),
-                            )
-                        }
-                        EvalMode::Delta { .. } => {
-                            (self.src_view.value(qi), self.coord_view.value(qi))
-                        }
-                        EvalMode::Shared { .. } => (
-                            self.src_sview.as_ref().expect("shared mode").value(qi),
-                            self.coord_sview.as_ref().expect("shared mode").value(qi),
-                        ),
-                    };
-                    if (truth - cached).abs() > q.qab() {
+                self.refresh_truth();
+                if self.cfg.eval == EvalMode::Naive {
+                    let (queries, coord) = (&self.cfg.queries, self.items.coord_values());
+                    self.coord_view.rebase_with(|qi| queries[qi].eval(coord));
+                    self.c_eval_full.add(queries.len() as u64);
+                }
+                let cached = coord_query_values(&self.coord_sview, &self.coord_view);
+                let columns = self.truth.iter().zip(cached).zip(&self.qabs);
+                for (qi, ((&truth, &cached), &qab)) in columns.enumerate() {
+                    if (truth - cached).abs() > qab {
                         self.metrics.per_query_violations[qi] += 1;
                         self.c_violations[qi].inc();
                         let gqi = self.gq(qi);
@@ -1244,32 +1189,30 @@ impl<'a> Engine<'a> {
                 }
             }
             // Continuous fidelity audit: read-only shadow evaluation of
-            // the delta plane (preceded by the test-only fault hook).
-            if delta_mode || shared_mode {
-                if let Some(fault) = &self.cfg.audit_fault {
-                    if fault.tick == tick {
-                        match self.coord_sview.as_mut() {
-                            Some(view) => view.corrupt(fault.query, fault.perturb),
-                            None => self.coord_view.corrupt(fault.query, fault.perturb),
-                        }
+            // the delta plane, preceded by the test-only fault hook — the
+            // coordinator view is the only maintained plane there is to
+            // corrupt (naive mode overwrites it before every read).
+            if let Some(fault) = &self.cfg.audit_fault {
+                if fault.tick == tick {
+                    match self.coord_sview.as_mut() {
+                        Some(view) => view.corrupt(fault.query, fault.perturb),
+                        None => self.coord_view.corrupt(fault.query, fault.perturb),
                     }
                 }
-                if let Some(auditor) = self.auditor.as_mut() {
-                    let (src_qv, coord_qv) = match (&self.src_sview, &self.coord_sview) {
-                        (Some(src), Some(coord)) => (src.values(), coord.values()),
-                        _ => (self.src_view.values(), self.coord_view.values()),
-                    };
-                    auditor.on_tick(
-                        tick,
-                        &self.cfg.queries,
-                        self.items.values(),
-                        self.items.coord_values(),
-                        src_qv,
-                        coord_qv,
-                        self.metrics.refreshes,
-                        &self.obs,
-                    );
-                }
+            }
+            if self.auditor.as_ref().is_some_and(|a| a.is_due(tick)) {
+                self.refresh_truth();
+                let coord_qv = coord_query_values(&self.coord_sview, &self.coord_view);
+                self.auditor.as_mut().expect("checked").on_tick(
+                    tick,
+                    &self.cfg.queries,
+                    self.items.values(),
+                    self.items.coord_values(),
+                    &self.truth,
+                    coord_qv,
+                    self.metrics.refreshes,
+                    &self.obs,
+                );
             }
             // Live-health tick: heartbeat, windowed-plane advance, and
             // the burn-rate observation over this tick's fidelity
@@ -1307,6 +1250,34 @@ impl<'a> Engine<'a> {
             });
         self.obs.flush();
         Ok(())
+    }
+
+    /// Brings [`Engine::truth`] up to the current source values with
+    /// one full evaluation of the book, unless no watched value changed
+    /// since the last one. Under [`EvalMode::Delta`] and
+    /// [`EvalMode::Naive`] the result is bit-identical to
+    /// `Polynomial::eval`.
+    fn refresh_truth(&mut self) {
+        if !std::mem::take(&mut self.truth_stale) {
+            return;
+        }
+        let values = self.items.values();
+        match (&self.shared_plan, self.cfg.eval) {
+            (Some(plan), _) => {
+                plan.full_eval_into(values, &mut self.truth_scratch, &mut self.truth)
+            }
+            (None, EvalMode::Naive) => {
+                for (truth, q) in self.truth.iter_mut().zip(&self.cfg.queries) {
+                    *truth = q.eval(values);
+                }
+            }
+            (None, _) => {
+                for (truth, plan) in self.truth.iter_mut().zip(&self.plans) {
+                    *truth = plan.eval(values);
+                }
+            }
+        }
+        self.c_eval_full.add(self.truth.len() as u64);
     }
 
     /// One live-health step at the end of tick `tick`: beat the
@@ -1812,12 +1783,7 @@ impl<'a> Engine<'a> {
             .pareto(&self.cfg.delays.coordinator_check, item_gid);
         let recomputes_before = self.metrics.recomputations;
 
-        let mut affected = std::mem::take(&mut self.scratch_affected);
-        affected.clear();
-        affected.extend_from_slice(self.readers.queries(item));
-        let mut stale = std::mem::take(&mut self.scratch_stale);
-        stale.clear();
-        for &qi in &affected {
+        for &qi in self.readers.queries(item) {
             let qi = qi as usize;
             let q = &self.cfg.queries[qi];
             // Notify the user if the cached query value moved past the QAB.
@@ -1831,7 +1797,7 @@ impl<'a> Engine<'a> {
                     self.coord_sview.as_ref().expect("shared mode").value(qi)
                 }
             };
-            if (qv - self.last_user_value[qi]).abs() > q.qab() {
+            if (qv - self.last_user_value[qi]).abs() > self.qabs[qi] {
                 self.last_user_value[qi] = qv;
                 self.metrics.user_notifications += 1;
                 self.c_notifications.inc();
@@ -1841,17 +1807,22 @@ impl<'a> Engine<'a> {
                         e.with("query", gqi).with("value", qv).with("t", now)
                     });
             }
-            // Collect every unit the refresh invalidated. Staleness only
-            // depends on each unit's own assignment and the updated
-            // coordinator values, so collecting first and solving as a
-            // batch is equivalent to solving inline.
-            for (ui, a) in self.assignments[qi].iter().enumerate() {
-                if !a.is_valid_at(self.items.coord_values()) {
-                    stale.push((qi, ui));
-                }
-            }
         }
-        self.scratch_affected = affected;
+        // Collect every unit the refresh invalidated. Every unit was valid
+        // before this refresh (a stale one is re-solved before the next
+        // refresh is looked at), so only the refreshed item can break
+        // one; and staleness depends only on each unit's own assignment
+        // and the updated coordinator values, so collecting first and
+        // solving as a batch is equivalent to solving inline.
+        let mut stale = std::mem::take(&mut self.scratch_stale);
+        stale.clear();
+        self.filters
+            .stale_after(item, self.items.coord_value(item), &mut stale);
+        debug_assert!(
+            self.filters
+                .scan_agrees(item, self.items.coord_values(), &stale),
+            "a unit reading x{item} was already invalid before its refresh"
+        );
         let result = if stale.is_empty() {
             Ok(())
         } else {
@@ -1911,11 +1882,8 @@ impl<'a> Engine<'a> {
         let started = Instant::now();
         let mut jobs: Vec<RecomputeJob<'_>> = Vec::with_capacity(stale.len());
         for &(qi, ui) in stale {
-            let mut gp = self.cfg.gp.clone();
-            gp.obs = self.obs.clone();
-            gp.query = Some(qi as u32);
-            gp.query_counter = Some(self.lc_solve_by_query[qi].clone());
-            gp.solve_timer = Some(self.t_gp_solve.clone());
+            let mut gp = self.gp.clone();
+            self.attribute(&mut gp, qi);
             let cache = self.cache.take(qi, ui);
             jobs.push(RecomputeJob {
                 qi,
@@ -1958,10 +1926,11 @@ impl<'a> Engine<'a> {
                                 .with("reason", "validity")
                                 .with("t", now)
                         });
+                    self.filters.install(d.qi, d.ui, &new_assignment);
                     let mut changed = std::mem::take(&mut self.scratch_items);
                     changed.clear();
-                    changed.extend(new_assignment.primary.keys().map(|i| i.index()));
-                    self.assignments[d.qi][d.ui] = new_assignment;
+                    let unit_items = self.filters.unit_items(d.qi, d.ui);
+                    changed.extend(unit_items.iter().map(|&i| i as usize));
                     self.propagate_dab_changes(&changed, now);
                     self.scratch_items = changed;
                 }
@@ -1986,14 +1955,17 @@ impl<'a> Engine<'a> {
     /// sources.
     fn propagate_dab_changes(&mut self, items: &[usize], now: f64) {
         for &item in items {
-            let new_min = self.min_dab_for_item(item);
-            let old = self.items.coord_dab(item);
-            let changed = if old.is_finite() && new_min.is_finite() {
-                filter_changed(old, new_min)
-            } else {
-                old.is_finite() != new_min.is_finite()
-            };
-            if changed {
+            // On a home shard the installed filter is the global minimum:
+            // the local one folded with what each remote shard reported
+            // over its replica.
+            let remote = self
+                .shard
+                .as_ref()
+                .map_or(&[][..], |c| &c.remote_dab_min[item]);
+            let new_min = remote
+                .iter()
+                .fold(self.filters.min_primary(item), |m, &(_, d)| m.min(d));
+            if filter_changed(self.items.coord_dab(item), new_min) {
                 self.items.set_coord_dab(item, new_min);
                 self.metrics.dab_change_messages += 1;
                 self.c_dab_changes.inc();
@@ -2053,7 +2025,9 @@ impl<'a> Engine<'a> {
                         .with("t", now)
                 });
         }
-        self.assignments = ca.per_query.into_iter().map(|a| vec![a]).collect();
+        for (qi, assignment) in ca.per_query.iter().enumerate() {
+            self.filters.install(qi, 0, assignment);
+        }
         // Unwatched items have no assignment and no remote minimum: their
         // filter is infinite before and after.
         let mut all_items = std::mem::take(&mut self.scratch_items);
@@ -2241,6 +2215,34 @@ mod tests {
         assert_eq!(m.loss_in_fidelity_percent(), 0.0);
     }
 
+    /// Runs `cfg` under every mode of `modes` and asserts full metric
+    /// equality (violations included) with the first — sampling every
+    /// tick and every 7th, with the auditor demanding the source-side
+    /// truth on an interval (5) that divides neither, so truth is
+    /// evaluated on sample ticks, on audit ticks, and reused on none.
+    fn assert_eval_modes_agree(cfg: &SimConfig, modes: &[EvalMode]) {
+        for sample_every in [1, 7] {
+            let mut runs = modes.iter().map(|&eval| {
+                let mut cfg = cfg.clone();
+                cfg.eval = eval;
+                cfg.fidelity_sample_every = sample_every;
+                cfg.audit = Some(AuditConfig {
+                    every: 5,
+                    ..AuditConfig::default()
+                });
+                let mut m = run(&cfg).unwrap();
+                // Wall-clock solver time is the only nondeterministic field.
+                m.solver_seconds = 0.0;
+                m
+            });
+            let first = runs.next().expect("at least one mode");
+            assert_eq!(first.fidelity_samples, (1199 / sample_every) as u64);
+            for (m, mode) in runs.zip(&modes[1..]) {
+                assert_eq!(first, m, "{mode:?}, sampling every {sample_every}");
+            }
+        }
+    }
+
     #[test]
     fn delta_eval_matches_naive_metrics_exactly() {
         // The delta-maintained query values must not change a single
@@ -2260,16 +2262,10 @@ mod tests {
         };
         configs.push(aao);
         for cfg in configs {
-            let mut naive_cfg = cfg.clone();
-            naive_cfg.eval = EvalMode::Naive;
-            let mut delta_cfg = cfg;
-            delta_cfg.eval = EvalMode::Delta { rebase_every: 256 };
-            let mut naive = run(&naive_cfg).unwrap();
-            let mut delta = run(&delta_cfg).unwrap();
-            // Wall-clock solver time is the only nondeterministic field.
-            naive.solver_seconds = 0.0;
-            delta.solver_seconds = 0.0;
-            assert_eq!(naive, delta);
+            assert_eval_modes_agree(
+                &cfg,
+                &[EvalMode::Naive, EvalMode::Delta { rebase_every: 256 }],
+            );
         }
     }
 
@@ -2278,14 +2274,25 @@ mod tests {
         let mut cfg = small_config(DelayConfig::zero(), dual(5.0));
         cfg.eval = EvalMode::Delta { rebase_every: 100 };
         let obs = Obs::null();
-        run_observed(&cfg, &obs).unwrap();
+        let m = run_observed(&cfg, &obs).unwrap();
         let snap = obs.snapshot();
         let count = |n: &str| snap.counters.get(n).copied().unwrap_or(0);
-        assert!(count(names::EVAL_DELTA) > 0, "source moves fold deltas");
-        // 1199 post-zero ticks / 100 → 11 rebases, each re-evaluating
-        // both views; plus the two seeding evaluations per query.
+        assert_eq!(
+            count(names::EVAL_DELTA),
+            m.refreshes,
+            "one query reads each item: every refresh folds one delta, source moves none"
+        );
+        // 1199 post-zero ticks / 100 → 11 rebases of the coordinator
+        // view; plus the seeding evaluation and one source-side truth
+        // evaluation per sample (the sinusoids move every tick).
         assert_eq!(count(names::EVAL_REBASE), 11);
-        assert_eq!(count(names::EVAL_FULL), 2 + 11 * 2);
+        assert_eq!(count(names::EVAL_FULL), 1 + 11 + m.fidelity_samples);
+
+        // With nothing reading it, the truth is never evaluated.
+        cfg.fidelity_sample_every = 0;
+        let obs = Obs::null();
+        run_observed(&cfg, &obs).unwrap();
+        assert_eq!(obs.snapshot().counters[names::EVAL_FULL], 1 + 11);
     }
 
     #[test]
@@ -2304,21 +2311,14 @@ mod tests {
         lossy.loss_probability = 0.3;
         configs.push(lossy);
         for cfg in configs {
-            let mut naive_cfg = cfg.clone();
-            naive_cfg.eval = EvalMode::Naive;
-            let mut delta_cfg = cfg.clone();
-            delta_cfg.eval = EvalMode::Delta { rebase_every: 256 };
-            let mut shared_cfg = cfg;
-            shared_cfg.eval = EvalMode::Shared { rebase_every: 256 };
-            let mut naive = run(&naive_cfg).unwrap();
-            let mut delta = run(&delta_cfg).unwrap();
-            let mut shared = run(&shared_cfg).unwrap();
-            // Wall-clock solver time is the only nondeterministic field.
-            naive.solver_seconds = 0.0;
-            delta.solver_seconds = 0.0;
-            shared.solver_seconds = 0.0;
-            assert_eq!(naive, shared);
-            assert_eq!(delta, shared);
+            assert_eval_modes_agree(
+                &cfg,
+                &[
+                    EvalMode::Naive,
+                    EvalMode::Delta { rebase_every: 256 },
+                    EvalMode::Shared { rebase_every: 256 },
+                ],
+            );
         }
     }
 
@@ -2327,20 +2327,21 @@ mod tests {
         let mut cfg = small_config(DelayConfig::zero(), dual(5.0));
         cfg.eval = EvalMode::Shared { rebase_every: 100 };
         let obs = Obs::null();
-        run_observed(&cfg, &obs).unwrap();
+        let m = run_observed(&cfg, &obs).unwrap();
         let snap = obs.snapshot();
         let count = |n: &str| snap.counters.get(n).copied().unwrap_or(0);
         // One portfolio leg compiles to one distinct monomial.
         assert_eq!(count(names::EVAL_SHARED_TERMS), 1);
-        assert!(
-            count(names::EVAL_SCATTER_FANOUT) > 0,
-            "source moves scatter"
+        assert_eq!(
+            count(names::EVAL_SCATTER_FANOUT),
+            m.refreshes,
+            "every refresh scatters to the one query, source moves to none"
         );
         assert_eq!(count(names::EVAL_DELTA), 0, "no per-query delta path");
-        // Same rebase cadence as delta mode: 1199 post-zero ticks / 100
-        // → 11 rebases re-evaluating both views, plus the two seedings.
+        // Same cadence as delta mode: 11 coordinator rebases, the
+        // seeding, and one truth evaluation per sample.
         assert_eq!(count(names::EVAL_REBASE), 11);
-        assert_eq!(count(names::EVAL_FULL), 2 + 11 * 2);
+        assert_eq!(count(names::EVAL_FULL), 1 + 11 + m.fidelity_samples);
     }
 
     #[test]
@@ -2352,9 +2353,12 @@ mod tests {
         let snap = obs.snapshot();
         let count = |n: &str| snap.counters.get(n).copied().unwrap_or(0);
         assert_eq!(count(names::EVAL_REBASE), 0);
-        // Two per fidelity sample, one per refresh-affected query, plus
-        // the two per-query view seedings.
-        assert!(count(names::EVAL_FULL) >= 2 * m.fidelity_samples);
+        // Two per fidelity sample (truth and coordinator view), one per
+        // refresh-affected query, plus the seeding.
+        assert_eq!(
+            count(names::EVAL_FULL),
+            1 + 2 * m.fidelity_samples + m.refreshes
+        );
         assert_eq!(count(names::EVAL_DELTA), 0);
     }
 
@@ -2372,10 +2376,14 @@ mod tests {
         let queries = vec![PolynomialQuery::portfolio([(1.0, x(0), x(1))], 5.0).unwrap()];
         let mut cfg = SimConfig::new(traces, queries);
         cfg.delays = DelayConfig::zero();
-        let m = run(&cfg).unwrap();
+        let obs = Obs::null();
+        let m = run_observed(&cfg, &obs).unwrap();
         assert_eq!(m.refreshes, 0);
         assert_eq!(m.recomputations, 0);
         assert_eq!(m.loss_in_fidelity_percent(), 0.0);
+        // Nothing moved, so all 299 samples read the seeding evaluation.
+        assert_eq!(m.fidelity_samples, 299);
+        assert_eq!(obs.snapshot().counters[names::EVAL_FULL], 1);
     }
 
     #[test]

@@ -1,14 +1,17 @@
 //! Delta-maintained query values (the DBToaster idea, §PAPERS.md).
 //!
-//! The coordinator needs every query's value at two views of the data:
-//! the **source view** (true values, which move every tick) and the
+//! The engine needs every query's value at two views of the data: the
+//! **source view** (true values, which move every tick) and the
 //! **coordinator view** (cached values, which move only when a refresh
-//! arrives). Re-evaluating `P(x)` from scratch at both views for every
-//! fidelity sample costs `O(queries × terms)` per tick even when almost
-//! nothing changed. A [`DeltaView`] instead keeps one maintained value
-//! per query and folds in `ΔP` from [`pq_poly::EvalPlan::delta_eval`]
-//! whenever an item moves — `O(terms containing the item)` per change,
-//! and `O(1)` per query per sample.
+//! arrives). Re-evaluating `P(x)` from scratch at the coordinator view
+//! for every refresh check and fidelity sample costs
+//! `O(queries × terms)` even though one item moved. A [`DeltaView`]
+//! instead keeps one maintained value per query and folds in `ΔP` from
+//! [`pq_poly::EvalPlan::delta_eval`] whenever an item moves —
+//! `O(terms containing the item)` per change, and `O(1)` per query per
+//! read. The engine maintains only the coordinator view this way: at
+//! the source nearly every item moves between two reads, so a full
+//! evaluation per read is the cheaper plan there (DESIGN.md §11).
 //!
 //! Floating-point drift: each applied delta adds one rounding of the
 //! running sum (the per-term old/new contributions themselves round
@@ -209,8 +212,15 @@ impl DeltaView {
     /// Recomputes every value with a full compiled evaluation at
     /// `values`, discarding accumulated rounding drift.
     pub fn rebase(&mut self, plans: &[EvalPlan], values: &[f64]) {
-        for (qv, plan) in self.qv.iter_mut().zip(plans) {
-            *qv = plan.eval(values);
+        self.rebase_with(|qi| plans[qi].eval(values));
+    }
+
+    /// Overwrites every value with `eval(query)` — a rebase through any
+    /// full evaluator (the engine's naive mode passes
+    /// [`pq_poly::PolynomialQuery::eval`]).
+    pub fn rebase_with(&mut self, mut eval: impl FnMut(usize) -> f64) {
+        for (qi, qv) in self.qv.iter_mut().enumerate() {
+            *qv = eval(qi);
         }
         self.deltas_since_rebase = 0;
     }

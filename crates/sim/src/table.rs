@@ -178,12 +178,6 @@ impl ItemTable {
         self.coord_dabs[item] = dab;
     }
 
-    /// Resets every coordinator DAB to infinity (ahead of a full
-    /// recomputation pass).
-    pub fn reset_coord_dabs(&mut self) {
-        self.coord_dabs.fill(f64::INFINITY);
-    }
-
     /// Installs every coordinator DAB at its source at once (the
     /// zero-delay bootstrap before the run starts).
     pub fn install_all_dabs(&mut self) {
@@ -250,8 +244,6 @@ mod tests {
         t.install_all_dabs();
         assert_eq!(t.installed_dab(0), 0.5);
         assert!(t.installed_dab(1).is_infinite());
-        t.reset_coord_dabs();
-        assert!(t.coord_dab(0).is_infinite());
 
         assert!(!t.is_dirty(2));
         t.mark_dirty(2);

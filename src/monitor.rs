@@ -12,7 +12,7 @@
 
 use pq_core::{
     assign_unit_cached, assignment_units, default_recompute_threads, filter_changed,
-    recompute_parallel, AssignmentStrategy, AssignmentUnit, DabError, PqHeuristic, QueryAssignment,
+    recompute_parallel, AssignmentStrategy, AssignmentUnit, DabError, FilterTable, PqHeuristic,
     RecomputeJob, SolveCache, SolveContext,
 };
 use pq_ddm::DataDynamicsModel;
@@ -45,10 +45,13 @@ pub struct Monitor {
     strategy: AssignmentStrategy,
     heuristic: PqHeuristic,
     ddm: DataDynamicsModel,
+    /// Solver options carrying the attached telemetry handle; every GP
+    /// solve starts from one clone.
     gp: SolverOptions,
     /// Per-query maintenance units (two under Half-and-Half, else one).
     units: Vec<Vec<AssignmentUnit>>,
-    assignments: Vec<Vec<QueryAssignment>>,
+    /// Every unit's installed assignment, item-major (built at install).
+    filters: FilterTable,
     item_dabs: Vec<f64>,
     /// For each item index, the queries referencing it (built at install).
     item_queries: Vec<Vec<usize>>,
@@ -92,7 +95,7 @@ impl Monitor {
             ddm: DataDynamicsModel::Monotonic,
             gp: SolverOptions::default(),
             units: Vec::new(),
-            assignments: Vec::new(),
+            filters: FilterTable::default(),
             item_dabs: Vec::new(),
             item_queries: Vec::new(),
             cache: SolveCache::new(),
@@ -117,6 +120,7 @@ impl Monitor {
     /// Attaches a telemetry handle: install/refresh outcomes and all DAB
     /// and GP solver timings are reported through it (see [`pq_obs`]).
     pub fn with_obs(mut self, obs: Obs) -> Self {
+        self.gp.obs = obs.clone();
         self.obs = obs;
         self.resolve_counters();
         self
@@ -271,14 +275,15 @@ impl Monitor {
             }
         }
         let mut assignments = Vec::with_capacity(self.units.len());
+        let mut ctx = SolveContext {
+            values: &self.values,
+            rates: &self.rates,
+            ddm: self.ddm,
+            gp: self.gp.clone(),
+        };
         for (qi, units) in self.units.iter().enumerate() {
             // Attribute the install-time solves to their query.
-            let ctx = SolveContext {
-                values: &self.values,
-                rates: &self.rates,
-                ddm: self.ddm,
-                gp: self.solver_options(Some(qi as u32)),
-            };
+            ctx.gp.query = Some(qi as u32);
             let mut per_query = Vec::with_capacity(units.len());
             for (ui, u) in units.iter().enumerate() {
                 per_query.push(assign_unit_cached(
@@ -290,16 +295,10 @@ impl Monitor {
             }
             assignments.push(per_query);
         }
-        self.assignments = assignments;
-        self.item_dabs = vec![f64::INFINITY; self.values.len()];
-        for per_query in &self.assignments {
-            for qa in per_query {
-                for (&item, &b) in &qa.primary {
-                    let d = &mut self.item_dabs[item.index()];
-                    *d = d.min(b);
-                }
-            }
-        }
+        self.filters = FilterTable::new(self.values.len(), &assignments);
+        self.item_dabs = (0..self.values.len())
+            .map(|i| self.filters.min_primary(i))
+            .collect();
         self.resolve_counters();
         self.installed = true;
         let filters: Vec<(ItemId, f64)> = self
@@ -316,16 +315,6 @@ impl Monitor {
                     .with("n_filters", filters.len())
             });
         Ok(filters)
-    }
-
-    /// Solver options with this monitor's telemetry handle attached,
-    /// attributed to `query` when given (its GP solves then carry
-    /// `query=<qi>` labels).
-    fn solver_options(&self, query: Option<u32>) -> SolverOptions {
-        let mut gp = self.gp.clone();
-        gp.obs = self.obs.clone();
-        gp.query = query;
-        gp
     }
 
     /// True once `install` has run and no registration changed since.
@@ -357,20 +346,27 @@ impl Monitor {
     /// reports filter changes to ship back to sources.
     ///
     /// # Errors
-    /// Solver errors if a recomputation fails; [`Monitor::install`] must
-    /// have been called first (panics otherwise — a programming error).
+    /// [`DabError::NonFiniteValue`] for a NaN or infinite `value`, with
+    /// the monitor's state untouched; solver errors if a recomputation
+    /// fails. [`Monitor::install`] must have been called first (panics
+    /// otherwise — a programming error).
     pub fn on_refresh(&mut self, item: ItemId, value: f64) -> Result<RefreshOutcome, DabError> {
         assert!(self.installed, "call install() before feeding refreshes");
         assert!(item.index() < self.values.len(), "unknown item");
+        if !value.is_finite() {
+            return Err(DabError::NonFiniteValue {
+                item: item.0,
+                value,
+            });
+        }
         if let Some(watchdog) = &self.watchdog {
             watchdog.beat();
         }
         self.values[item.index()] = value;
         let mut outcome = RefreshOutcome::default();
 
-        // Only queries referencing the item can notify or go stale; the
-        // per-item index (built at install) avoids scanning every query.
-        let mut stale: Vec<(usize, usize)> = Vec::new();
+        // Only queries referencing the item can notify; the per-item
+        // index (built at install) avoids scanning every query.
         for &qi in &self.item_queries[item.index()] {
             let q = &self.queries[qi];
             let qv = q.eval(&self.values);
@@ -378,12 +374,16 @@ impl Monitor {
                 self.last_notified[qi] = qv;
                 outcome.notify.push((QueryId(qi as u32), qv));
             }
-            for (ui, a) in self.assignments[qi].iter().enumerate() {
-                if !a.is_valid_at(&self.values) {
-                    stale.push((qi, ui));
-                }
-            }
         }
+        // Every unit was valid before this refresh (a stale one is
+        // re-solved below before the call returns), so only the
+        // refreshed item can break one: scan its run of the table.
+        let mut stale: Vec<(usize, usize)> = Vec::new();
+        self.filters.stale_after(item.index(), value, &mut stale);
+        debug_assert!(
+            self.filters.scan_agrees(item.index(), &self.values, &stale),
+            "a unit reading {item} was already invalid before its refresh"
+        );
         if !stale.is_empty() {
             // Fan the independent unit recomputes out over worker threads.
             // Staleness depends only on each unit's own assignment and the
@@ -394,7 +394,11 @@ impl Monitor {
             // serial run.
             let mut jobs: Vec<RecomputeJob<'_>> = Vec::with_capacity(stale.len());
             for &(qi, ui) in &stale {
-                let gp = self.solver_options(Some(qi as u32));
+                // Attribute the solve to its query (`query=<qi>` labels).
+                let gp = SolverOptions {
+                    query: Some(qi as u32),
+                    ..self.gp.clone()
+                };
                 let cache = self.cache.take(qi, ui);
                 jobs.push(RecomputeJob {
                     qi,
@@ -415,7 +419,7 @@ impl Monitor {
                 self.cache.put_back(d.qi, d.ui, d.cache);
                 match d.result {
                     Ok(a) if failure.is_none() => {
-                        self.assignments[d.qi][d.ui] = a;
+                        self.filters.install(d.qi, d.ui, &a);
                         self.c_recompute.inc();
                         self.lc_recompute_by_query[d.qi].inc();
                         self.obs
@@ -430,9 +434,11 @@ impl Monitor {
                             outcome.recomputed.push(id);
                         }
                     }
-                    Ok(_) => {}
-                    Err(e) => {
-                        if failure.is_none() {
+                    result => {
+                        // Not re-solved: the unit stays stale, so the next
+                        // refresh of any of its items tries again.
+                        self.filters.invalidate(d.qi, d.ui);
+                        if let (Err(e), None) = (result, &failure) {
                             failure = Some(e);
                         }
                     }
@@ -454,38 +460,21 @@ impl Monitor {
                 });
         }
 
-        // Re-derive installed filters for items touched by recomputed
-        // queries.
+        // Re-derive installed filters for the items of re-solved units —
+        // the only ones whose minimum primary DAB can have moved.
         if !outcome.recomputed.is_empty() {
-            let mut touched: Vec<usize> = outcome
-                .recomputed
+            let mut touched: Vec<u32> = stale
                 .iter()
-                .flat_map(|q| self.queries[q.index()].items())
-                .map(|i| i.index())
+                .flat_map(|&(qi, ui)| self.filters.unit_items(qi, ui))
+                .copied()
                 .collect();
             touched.sort_unstable();
             touched.dedup();
             for i in touched {
-                // Only queries referencing item i can contribute a primary
-                // DAB for it, so the min runs over the per-item index, not
-                // every assignment in the system.
-                let mut m = f64::INFINITY;
-                for &qi in &self.item_queries[i] {
-                    for qa in &self.assignments[qi] {
-                        if let Some(b) = qa.primary_dab(ItemId(i as u32)) {
-                            m = m.min(b);
-                        }
-                    }
-                }
-                let old = self.item_dabs[i];
-                let changed = if old.is_finite() && m.is_finite() {
-                    filter_changed(old, m)
-                } else {
-                    old.is_finite() != m.is_finite()
-                };
-                if changed {
-                    self.item_dabs[i] = m;
-                    outcome.filter_changes.push((ItemId(i as u32), m));
+                let m = self.filters.min_primary(i as usize);
+                if filter_changed(self.item_dabs[i as usize], m) {
+                    self.item_dabs[i as usize] = m;
+                    outcome.filter_changes.push((ItemId(i), m));
                 }
             }
         }
@@ -616,9 +605,45 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_refreshes_are_rejected_before_any_state_changes() {
+        let (mut m, x, y, q) = two_item_monitor();
+        m.on_refresh(x, 2.5).unwrap();
+        let before = (m.values.clone(), m.item_dabs.clone(), m.query_value(q));
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let err = m.on_refresh(y, bad).unwrap_err();
+            assert!(
+                matches!(err, DabError::NonFiniteValue { item, value }
+                    if item == y.0 && value.to_bits() == bad.to_bits()),
+                "{err}"
+            );
+            assert_eq!(
+                (m.values.clone(), m.item_dabs.clone(), m.query_value(q)),
+                before
+            );
+        }
+        // The monitor keeps serving, from the state it had.
+        let out = m.on_refresh(y, 2.01).unwrap();
+        assert!(out.recomputed.is_empty());
+    }
+
+    #[test]
+    fn a_failed_recompute_is_retried_by_the_next_refresh_of_the_unit() {
+        let (mut m, x, y, q) = two_item_monitor();
+        // The GP needs positive data: the re-solve this refresh forces fails.
+        assert!(m.on_refresh(x, -5.0).is_err());
+        // y barely moves, but the unit is still owed a solve: retried
+        // (and failing again, x being what it is) rather than skipped.
+        assert!(m.on_refresh(y, 2.01).is_err());
+        let out = m.on_refresh(x, 2.5).unwrap();
+        assert_eq!(out.recomputed, vec![q]);
+        assert!(m.on_refresh(y, 2.02).unwrap().recomputed.is_empty());
+    }
+
+    #[test]
     fn condition1_holds_through_a_run() {
         // Feed a drifting series of refreshes; after each, every query
-        // assignment must still respect its QAB at the new anchor.
+        // must stay within its QAB wherever the items sit inside their
+        // installed filters around the monitor's values.
         let (mut m, x, y, _) = two_item_monitor();
         let mut vx = 2.0;
         let mut vy = 2.0;
@@ -630,11 +655,9 @@ mod tests {
                 vy += 0.3;
                 m.on_refresh(y, vy).unwrap();
             }
-            for (per_query, units) in m.assignments.iter().zip(&m.units) {
-                for (qa, u) in per_query.iter().zip(units) {
-                    let uq = PolynomialQuery::new(u.body.clone(), u.qab).unwrap();
-                    assert!(qa.respects_qab(&uq, 1e-6), "step {step}");
-                }
+            for q in m.queries() {
+                let worst = q.poly().max_abs_deviation_over_box(&m.values, &m.item_dabs);
+                assert!(worst <= q.qab() + 1e-6, "step {step}: {worst}");
             }
         }
     }
