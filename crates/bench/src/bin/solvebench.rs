@@ -7,8 +7,8 @@
 //!
 //! Three measurements, written to `BENCH_solver.json`:
 //!
-//! * **cold ns/solve** — `assign_unit` with no cache: compile + scalar
-//!   feasible start + full solve, every time;
+//! * **cold ns/solve** — `assign_unit` with no cache: compile + predicted
+//!   start + solve from it, every time;
 //! * **warm ns/solve** — `assign_unit_cached` with a persistent per-unit
 //!   cache: compiled-program reuse, warm start from the previous optimum,
 //!   allocation-free solver iterations;
@@ -24,8 +24,11 @@
 //! Usage: `solvebench [--quick] [--enforce] [--out PATH]`
 //!
 //! `--quick` shrinks the workload for CI; `--enforce` exits non-zero when
-//! the mean Newton steps exceed 35 per cold or 10 per warm solve, the
-//! warm speedup is below 1.5x or the warm-hit rate below 80%.
+//! the mean Newton steps exceed 10 per cold or per warm solve, a cold
+//! solve takes over 2 steps more than a warm one, or the warm-hit rate is
+//! below 80%. The clock speedup of warm over cold is reported, not gated:
+//! a cold solve starts from the predicted optimum and costs what a warm
+//! one does plus the compile.
 
 use std::time::Instant;
 
@@ -41,11 +44,12 @@ use pq_obs::{names, Obs};
 use pq_poly::{ItemId, PolynomialQuery};
 
 /// Mean Newton steps per cold / per warm solve `--enforce` allows on the
-/// fig5 steady-state workload (the barrier ladder took 78 and 19).
-const MAX_COLD_STEPS: f64 = 35.0;
+/// fig5 steady-state workload (the barrier ladder took 78 and 19, the
+/// uniform scalar start 15 cold).
+const MAX_COLD_STEPS: f64 = 10.0;
 const MAX_WARM_STEPS: f64 = 10.0;
-/// Speedup floor `--enforce` holds the warm path to.
-const MIN_SPEEDUP: f64 = 1.5;
+/// Mean Newton steps a cold solve may take beyond a warm one.
+const MAX_COLD_OVER_WARM_STEPS: f64 = 2.0;
 /// Warm-hit floor `--enforce` holds the cache to.
 const MIN_HIT_RATE: f64 = 0.8;
 /// Sparse-over-dense warm speedup floor `--enforce` holds the n = 2048
@@ -664,8 +668,12 @@ fn main() {
             );
             failed = true;
         }
-        if speedup < MIN_SPEEDUP {
-            eprintln!("FAIL: warm speedup {speedup:.2}x below the {MIN_SPEEDUP}x floor");
+        if cold_steps > warm_steps + MAX_COLD_OVER_WARM_STEPS {
+            eprintln!(
+                "FAIL: a cold solve takes {:.2} Newton steps more than a warm one, \
+                 above the {MAX_COLD_OVER_WARM_STEPS} allowed",
+                cold_steps - warm_steps
+            );
             failed = true;
         }
         if hit_rate < MIN_HIT_RATE {

@@ -21,6 +21,7 @@ use crate::assignment::{QueryAssignment, ValidityRange};
 use crate::cache::{solve_cached, UnitCache};
 use crate::context::SolveContext;
 use crate::error::DabError;
+use crate::ppq::predicted_start;
 
 /// Optimal refresh allocation under the first-order sufficient condition.
 ///
@@ -67,25 +68,10 @@ pub(crate) fn linearized_filter_cached(
     let condition = linearized_sufficient(&body, ctx.values, &vmap)?;
     problem.add_constraint_le(condition.clone(), query.qab())?;
 
-    // Scalar strictly feasible start (the condition grows in every b).
-    let mut s = 1.0_f64;
-    let mut start = vec![s; n];
-    let mut found = false;
-    for _ in 0..400 {
-        start.iter_mut().for_each(|v| *v = s);
-        if condition.eval(&start) <= 0.5 * query.qab() {
-            found = true;
-            break;
-        }
-        s *= 0.5;
-    }
-    if !found {
-        return Err(DabError::NoFeasibleStart);
-    }
-    let sol = match cache {
-        Some(c) => solve_cached(&problem, &start, &ctx.gp, c)?,
-        None => pq_gp::solve_with_start(&problem, &start, &ctx.gp)?,
-    };
+    let refine = cache.as_ref().is_none_or(|c| !c.has_solution());
+    let (guess, interior) =
+        predicted_start(&condition, query.qab(), &lambdas, ctx.ddm, None, refine)?;
+    let sol = solve_cached(&problem, &guess, &interior, &ctx.gp, cache)?;
 
     let primary: BTreeMap<_, _> = vmap
         .items()

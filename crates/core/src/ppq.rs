@@ -17,6 +17,7 @@
 
 use std::collections::BTreeMap;
 
+use pq_ddm::DataDynamicsModel;
 use pq_gp::{GpProblem, Monomial, Posynomial};
 use pq_poly::{deviation_posynomial, DabVarMap, PartialDabVarMap, PolynomialQuery, QueryClass};
 
@@ -24,9 +25,6 @@ use crate::assignment::{QueryAssignment, ValidityRange};
 use crate::cache::{solve_cached, UnitCache};
 use crate::context::SolveContext;
 use crate::error::DabError;
-
-/// Ratio of secondary to primary DABs in the feasible starting point.
-const START_C_OVER_B: f64 = 2.0;
 
 /// Optimal-Refresh assignment for a PPQ (§III-A.1).
 ///
@@ -55,8 +53,10 @@ pub(crate) fn optimal_refresh_cached(
 
     let mut problem = GpProblem::new(n);
     let mut objective = Posynomial::zero();
+    let mut lambdas = Vec::with_capacity(n);
     for (k, &item) in vmap.items().iter().enumerate() {
         let lambda = ctx.rate(item)?;
+        lambdas.push(lambda);
         objective.push(
             ctx.ddm
                 .refresh_monomial(lambda, k)
@@ -67,13 +67,10 @@ pub(crate) fn optimal_refresh_cached(
     let condition = deviation_posynomial(query.poly(), ctx.values, &vmap)?;
     problem.add_constraint_le(condition.clone(), query.qab())?;
 
-    let start = scalar_feasible_start(&condition, query.qab(), n, |s, x| {
-        x[..n].iter_mut().for_each(|v| *v = s);
-    })?;
-    let sol = match cache {
-        Some(c) => solve_cached(&problem, &start, &ctx.gp, c)?,
-        None => pq_gp::solve_with_start(&problem, &start, &ctx.gp)?,
-    };
+    let refine = cache.as_ref().is_none_or(|c| !c.has_solution());
+    let (guess, interior) =
+        predicted_start(&condition, query.qab(), &lambdas, ctx.ddm, None, refine)?;
+    let sol = solve_cached(&problem, &guess, &interior, &ctx.gp, cache)?;
 
     let primary: BTreeMap<_, _> = vmap
         .items()
@@ -150,45 +147,32 @@ pub(crate) fn dual_dab_cached(
 
     // For coupled items: b_i <= c_i and recompute-rate coupling
     // rate(lambda_i, c_i) <= R.
-    let mut coupled_lambdas = Vec::with_capacity(n_coupled);
+    let mut coupled_b = Vec::with_capacity(n_coupled);
     for (j, &item) in vmap.coupled().iter().enumerate() {
         let b_var = vmap
             .items()
             .binary_search(&item)
             .expect("coupled is subset");
         let c_var = n + j;
-        let lambda = lambdas[b_var];
-        coupled_lambdas.push(lambda);
+        coupled_b.push(b_var);
         problem.add_var_le_var(b_var, c_var)?;
         let escape = ctx
             .ddm
-            .refresh_monomial(lambda, c_var)
+            .refresh_monomial(lambdas[b_var], c_var)
             .expect("rate is floored positive");
         let coupled = escape.mul(&Monomial::new(1.0, [(r_var, -1.0)])?);
         problem.add_constraint(Posynomial::monomial(coupled))?;
     }
 
-    // Strictly feasible start: b = s, c = 2s, R comfortably above the
-    // implied escape rates.
-    let ddm = ctx.ddm;
-    let lambdas_for_start = coupled_lambdas.clone();
-    let start = scalar_feasible_start(&condition, query.qab(), r_var + 1, move |s, x| {
-        for v in x[..n].iter_mut() {
-            *v = s;
-        }
-        for v in x[n..n + n_coupled].iter_mut() {
-            *v = START_C_OVER_B * s;
-        }
-        let worst = lambdas_for_start
-            .iter()
-            .map(|&l| ddm.refresh_rate(l, START_C_OVER_B * s))
-            .fold(0.0_f64, f64::max);
-        x[r_var] = 2.0 * worst + 1.0;
-    })?;
-    let sol = match cache {
-        Some(c) => solve_cached(&problem, &start, &ctx.gp, c)?,
-        None => pq_gp::solve_with_start(&problem, &start, &ctx.gp)?,
-    };
+    let (guess, interior) = predicted_start(
+        &condition,
+        query.qab(),
+        &lambdas,
+        ctx.ddm,
+        Some((mu, &coupled_b)),
+        cache.as_ref().is_none_or(|c| !c.has_solution()),
+    )?;
+    let sol = solve_cached(&problem, &guess, &interior, &ctx.gp, cache)?;
 
     let primary: BTreeMap<_, _> = vmap
         .items()
@@ -251,40 +235,196 @@ fn anchor_map(
         .collect()
 }
 
-/// Finds a scalar `s` such that the point produced by `fill(s, ..)` is
-/// strictly feasible for `condition <= qab` (the only coupling
-/// constraint): the condition is increasing in every variable, so halving
-/// `s` always makes progress.
+/// Refinement rounds a prediction may take (one pass over the condition's
+/// terms each); a round that moves no coordinate by more than `SETTLED`
+/// in log space is the last.
+const MAX_ROUNDS: usize = 8;
+const SETTLED: f64 = 0.01;
+
+/// The predicted optimum of a PPQ program and the strictly feasible point
+/// anchoring the solver's blend toward it, as `(guess, interior)` over the
+/// layout `b: 0..n`, then (Dual-DAB only) one `c` per coupled item and `R`.
+/// `dual = Some((mu, coupled))` selects Dual-DAB, `coupled[j]` being the
+/// primary variable of the item that owns `c_j`.
+///
+/// Linearized at a point, `condition <= B` is the budget
+/// `sum_k w_k b_k + sum_j g_j c_j <= B'` of a linear query, `(w, g)` the
+/// condition's gradient there. The objective charges `mu R` and nothing
+/// for a `c`, so each `c_j` sits on the larger of its two lower bounds,
+/// `max(lambda_j u, b_j)` with `u = R^(-1/p)`, and what is left is a LAQ
+/// over `(b, u)` with the Lagrange closed form of [`crate::laq`]:
+/// `b_k = beta (lambda_k^p / W_k)^(1/(p+1))`, `u = beta (mu / D)^(1/(p+1))`,
+/// `beta` spending the budget. `D = sum_j theta_j lambda_j g_j` and
+/// `W_k = w_k + (1 - theta_k) g_k` split every `g_j` between the bound it
+/// sits on (`theta_j = 1`: `c_j` follows `u`); on the kink
+/// `lambda_j u = b_j` the split is whatever keeps it there,
+/// `W_j = D / (mu lambda_j)`.
+///
+/// Round 0 linearizes at the origin, where `w` is the coefficients of the
+/// pure-`b` terms (the tangent linear query at the current values) and
+/// `g` comes from the `b·c` terms; later rounds re-linearize at the
+/// previous round's point until it settles. On a book whose QABs are a
+/// percent of the query value round 0 is already within a few percent.
+/// `refine = false` stops after round 0: enough for the interior anchor,
+/// which is all a solve that starts from a cached optimum reads.
+///
+/// Only a start: a component that comes out non-finite or non-positive
+/// (`a_k = 0` in round 0, an empty first-order part) falls back to 1.
+pub fn predicted_start(
+    condition: &Posynomial,
+    qab: f64,
+    lambdas: &[f64],
+    ddm: DataDynamicsModel,
+    dual: Option<(f64, &[usize])>,
+    refine: bool,
+) -> Result<(Vec<f64>, Vec<f64>), DabError> {
+    let n = lambdas.len();
+    let p = ddm.exponent();
+    let (mu, coupled) = dual.unwrap_or((0.0, &[]));
+    let or_one = |v: f64| if v.is_finite() && v > 0.0 { v } else { 1.0 };
+    let shape = |r: f64, w: f64| or_one((r / w).powf(1.0 / (p + 1.0)));
+    let rates: Vec<f64> = lambdas.iter().map(|l| l.powf(p)).collect();
+
+    // Solves the linearized program `(w, g, budget)`: writes `b`, returns
+    // `u` (meaningless without a Dual-DAB block).
+    let solve = |w: &[f64], g: &[f64], budget: f64, b: &mut [f64]| {
+        // `mu D = sum_j clamp(t0_j - D, 0, t0_j - t1_j)`: `c_j` follows
+        // `u` below its kink's end `t1`, `b_j` above `t0`. The two sides
+        // cross on one linear piece between neighbouring ends.
+        let kinks: Vec<(f64, f64)> = (coupled.iter().zip(g))
+            .map(|(&k, g)| (mu * lambdas[k] * w[k], mu * lambdas[k] * (w[k] + g)))
+            .collect();
+        let gap = |d: f64| {
+            let follows = kinks.iter().map(|&(t1, t0)| (t0 - d).max(0.0).min(t0 - t1));
+            mu * d - follows.sum::<f64>()
+        };
+        let mut ends: Vec<f64> = kinks.iter().flat_map(|&(t1, t0)| [t1, t0]).collect();
+        ends.sort_by(f64::total_cmp);
+        let (mut d, mut below) = (0.0, gap(0.0));
+        for end in ends {
+            let above = gap(end);
+            if above >= 0.0 {
+                if above > below {
+                    d += (end - d) * below / (below - above);
+                }
+                break;
+            }
+            (d, below) = (end, above);
+        }
+        b.copy_from_slice(w);
+        for (&k, &(t1, t0)) in coupled.iter().zip(&kinks) {
+            b[k] = d.max(t1).min(t0) / (mu * lambdas[k]);
+        }
+        let su = shape(mu, d);
+        b.iter_mut()
+            .zip(&rates)
+            .for_each(|(s, &r)| *s = shape(r, *s));
+        let spent_b: f64 = w.iter().zip(&*b).map(|(w, s)| w * s).sum();
+        let spent_c: f64 = coupled
+            .iter()
+            .zip(g)
+            .map(|(&k, g)| g * (lambdas[k] * su).max(b[k]))
+            .sum();
+        let beta = or_one(budget / (spent_b + spent_c));
+        b.iter_mut().for_each(|s| *s *= beta);
+        beta * su
+    };
+
+    // Round 0: the tangent LAQ, then the escape block from `c = 0`.
+    let (mut w, mut g) = (vec![0.0; n], vec![0.0; coupled.len()]);
+    for m in condition.terms() {
+        if let [(k, e)] = *m.exponents() {
+            if k < n && e == 1.0 {
+                w[k] += m.coef();
+            }
+        }
+    }
+    let mut b = vec![0.0; n];
+    let mut u = solve(&w, &[], qab, &mut b);
+    if dual.is_some() {
+        for m in condition.terms() {
+            if let [(k, ek), (v, ev)] = *m.exponents() {
+                if k < n && v >= n && ek == 1.0 && ev == 1.0 {
+                    g[v - n] += m.coef() * b[k];
+                }
+            }
+        }
+        u = solve(&w, &g, qab, &mut b);
+    }
+
+    // The GP point of `(b, u)`.
+    let point = |b: &[f64], u: f64, x: &mut Vec<f64>| {
+        x.clear();
+        x.extend_from_slice(b);
+        x.extend(coupled.iter().map(|&k| (lambdas[k] * u).max(b[k])));
+        if dual.is_some() {
+            x.push(u.powf(-p));
+        }
+    };
+    let mut x = Vec::with_capacity(n + coupled.len() + 1);
+    let mut next = vec![0.0; n];
+    for _ in 0..if refine { MAX_ROUNDS } else { 0 } {
+        point(&b, u, &mut x);
+        w.iter_mut().chain(&mut g).for_each(|v| *v = 0.0);
+        // The condition's value, and `w·b + g·c` (each term times its
+        // degree), beside the gradient.
+        let (mut value, mut tangent) = (0.0, 0.0);
+        for m in condition.terms() {
+            let mut t = m.coef();
+            for &(v, e) in m.exponents() {
+                t *= if e == 1.0 { x[v] } else { x[v].powf(e) };
+            }
+            value += t;
+            for &(v, e) in m.exponents() {
+                tangent += e * t;
+                let slot = if v < n { &mut w[v] } else { &mut g[v - n] };
+                *slot += e * t / x[v];
+            }
+        }
+        let next_u = solve(&w, &g, qab - value + tangent, &mut next);
+        let of_u = if dual.is_some() { next_u / u } else { 1.0 };
+        let moved = (next.iter().zip(&b))
+            .map(|(s, b)| s / b)
+            .chain([of_u])
+            .fold(0.0_f64, |m, ratio| m.max(ratio.ln().abs()));
+        std::mem::swap(&mut b, &mut next);
+        u = next_u;
+        if moved < SETTLED {
+            break;
+        }
+    }
+
+    let mut guess = Vec::with_capacity(x.capacity());
+    point(&b, u, &mut guess);
+    guess.iter_mut().for_each(|v| *v = or_one(*v));
+    let mut interior = scalar_feasible_start(condition, qab, &guess, n)?;
+    if dual.is_some() {
+        // `rate(lambda_j, c_j) <= R` holds at the guess by construction.
+        interior[n + coupled.len()] *= 2.0;
+    }
+    Ok((guess, interior))
+}
+
+/// The strictly feasible anchor below `guess`: its first `n` coordinates
+/// (the primary DABs) scaled by the largest power of two `s <= 1/2` that
+/// puts `condition` at or under half of `qab`. Every term of a deviation
+/// condition carries a primary factor, so `condition(s b) <= s
+/// condition(b)` and one evaluation fixes `s`.
 fn scalar_feasible_start(
     condition: &Posynomial,
     qab: f64,
-    n_vars: usize,
-    fill: impl Fn(f64, &mut [f64]),
+    guess: &[f64],
+    n: usize,
 ) -> Result<Vec<f64>, DabError> {
-    let target = 0.5 * qab;
-    let mut s = 1.0_f64;
-    let mut x = vec![1.0; n_vars];
-    for _ in 0..400 {
-        fill(s, &mut x);
-        let g = condition.eval(&x);
-        if g.is_finite() && g <= target {
-            // Grow back toward the target for a better-centred start.
-            for _ in 0..100 {
-                let mut trial = x.clone();
-                fill(s * 2.0, &mut trial);
-                let g2 = condition.eval(&trial);
-                if g2.is_finite() && g2 <= target {
-                    s *= 2.0;
-                    x = trial;
-                } else {
-                    break;
-                }
-            }
-            return Ok(x);
-        }
-        s *= 0.5;
+    let s = (0.5 * qab / condition.eval(guess)).log2().floor().exp2();
+    let mut x = guess.to_vec();
+    x[..n].iter_mut().for_each(|v| *v *= s.min(0.5));
+    // A NaN `s` (non-finite condition) fails the first test.
+    if s > 0.0 && x.iter().all(|v| v.is_finite() && *v > 0.0) {
+        Ok(x)
+    } else {
+        Err(DabError::NoFeasibleStart)
     }
-    Err(DabError::NoFeasibleStart)
 }
 
 #[cfg(test)]

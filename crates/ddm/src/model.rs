@@ -27,6 +27,14 @@ pub enum DataDynamicsModel {
 }
 
 impl DataDynamicsModel {
+    /// The power `p` of the refresh estimate `(lambda / b)^p`.
+    pub fn exponent(self) -> f64 {
+        match self {
+            DataDynamicsModel::Monotonic => 1.0,
+            DataDynamicsModel::RandomWalk => 2.0,
+        }
+    }
+
     /// Estimated refreshes per unit time for rate `lambda` and DAB `b`.
     pub fn refresh_rate(self, lambda: f64, dab: f64) -> f64 {
         debug_assert!(lambda >= 0.0 && dab > 0.0);

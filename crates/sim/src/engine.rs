@@ -430,6 +430,8 @@ pub fn run_observed(config: &SimConfig, obs: &Obs) -> Result<SimMetrics, SimErro
 pub(crate) struct Engine<'a> {
     cfg: &'a SimConfig,
     n_items: usize,
+    /// Estimated rate of change per item; an unwatched item's slot holds
+    /// the estimator's floor, never an estimate.
     rates: Vec<f64>,
     /// Structure-of-arrays per-item state: source values, last-pushed
     /// values, installed DABs, coordinator values and DABs as flat
@@ -721,7 +723,6 @@ impl<'a> Engine<'a> {
                 }
             }
         }
-        let rates = cfg.rate_estimator.estimate_all(&cfg.traces);
         let source_values = cfg.traces.initial_values();
         let query_items: Vec<Vec<pq_poly::ItemId>> =
             cfg.queries.iter().map(PolynomialQuery::items).collect();
@@ -733,6 +734,11 @@ impl<'a> Engine<'a> {
             })
             .map(|i| i as u32)
             .collect();
+        // Only a watched item's rate is ever read (`SolveContext::rate`
+        // on a local query's items, the AAO program's).
+        let rates = cfg
+            .rate_estimator
+            .estimate_items(&cfg.traces, watched.iter().map(|&i| i as usize));
         let shared_mode = matches!(cfg.eval, EvalMode::Shared { .. });
         // In shared mode the whole book compiles into one cross-query
         // plan — the per-query plans would be dead weight, so they are

@@ -172,3 +172,44 @@ fn a_scattered_book_is_invariant_across_shard_counts() {
         assert_eq!(one, metrics(&scattered, 2), "loss {loss_probability}");
     }
 }
+
+/// Rates are estimated for watched items only. Both readers of a rate —
+/// the per-query solve context and the joint AAO program — and both rate
+/// estimators with a data-dependent value must see the numbers they saw
+/// when every trace was estimated: a padded universe's never-read items
+/// (live tapes, real rates) still change no metric.
+#[test]
+fn never_read_items_change_no_metric_for_any_rate_reader() {
+    use pq_ddm::{DataDynamicsModel, RateEstimator};
+    use pq_sim::SimStrategy;
+
+    let n = 16;
+    let per_query = dense_config(n, 10).strategy;
+    let variants = [
+        (
+            per_query,
+            DataDynamicsModel::RandomWalk,
+            RateEstimator::StepStd,
+        ),
+        (
+            SimStrategy::AaoPeriodic {
+                period_ticks: 100,
+                mu: 5.0,
+            },
+            DataDynamicsModel::Monotonic,
+            RateEstimator::SampledAverage { interval_ticks: 60 },
+        ),
+    ];
+    for (strategy, ddm, rate_estimator) in variants {
+        let mut dense = dense_config(n, 10);
+        dense.strategy = strategy.clone();
+        dense.ddm = ddm;
+        dense.rate_estimator = rate_estimator;
+        let scattered = padded(&dense, 3 * n + 2, interleaved);
+        assert_eq!(
+            metrics(&dense, 1),
+            unpadded(metrics(&scattered, 1), n, interleaved),
+            "{strategy:?} / {ddm} / {rate_estimator:?}"
+        );
+    }
+}
