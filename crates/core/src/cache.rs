@@ -10,7 +10,13 @@
 //!   each recompute — the exponent structure is stable across drift);
 //! * the last optimal point, warm-started via the minimal blend toward
 //!   the interior point of [`pq_gp::CompiledGp::solve_warm`];
-//! * a [`pq_gp::SolveWorkspace`] so solver iterations are allocation-free.
+//! * what the unit compiled to ([`crate::heuristics::UnitProgram`]), so a
+//!   recompute re-derives nothing that does not follow the values.
+//!
+//! Solver iterations are allocation-free through one
+//! [`pq_gp::SolveWorkspace`] per thread: a workspace is scratch that fits
+//! any program and carries nothing from one solve to the next, so it is
+//! not a unit's to keep.
 //!
 //! A unit's first solve (cold start) enters the same blend from the
 //! predicted optimum of [`crate::ppq::predicted_start`]. Afterwards the
@@ -20,12 +26,15 @@
 //! [`pq_gp::solve`]). Each bumps a `solve.*` counter so `pq-trace summary`
 //! can attribute the win.
 
+use std::cell::RefCell;
+
 use pq_gp::{GpProblem, GpSolution, SolveWorkspace, SolverOptions, WarmStart};
 use pq_obs::names;
 
 use crate::assignment::QueryAssignment;
 use crate::context::SolveContext;
 use crate::error::DabError;
+use crate::heuristics::UnitProgram;
 use crate::strategy::{assign_unit_cached, AssignmentStrategy, AssignmentUnit};
 
 /// Warm-start state for one assignment unit (one GP shape).
@@ -33,17 +42,26 @@ use crate::strategy::{assign_unit_cached, AssignmentStrategy, AssignmentUnit};
 pub struct UnitCache {
     compiled: Option<pq_gp::CompiledGp>,
     last_x: Vec<f64>,
-    ws: SolveWorkspace,
     /// `solve.*` outcome counters, resolved through the registry once
     /// per unit instead of once per solve (the recompute hot path).
     counters: Option<SolveCounters>,
+    /// What the unit compiled to, when `compiled` is that program's GP
+    /// (see [`crate::heuristics::solve_positive_cached`], which takes it
+    /// out for the duration of a solve).
+    pub(crate) program: Option<Box<UnitProgram>>,
+}
+
+thread_local! {
+    /// This thread's solver scratch (a recompute worker thread grows its
+    /// own on its first solve).
+    static WORKSPACE: RefCell<SolveWorkspace> = RefCell::default();
 }
 
 /// Pre-resolved handles for the four `solve.*` outcome counters, tagged
 /// with the registry they came from so a cache handed a *different*
 /// `Obs` later (e.g. an untimed seeding pass on `Obs::null()`, then the
 /// real run) re-resolves instead of incrementing the stale registry.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct SolveCounters {
     obs: pq_obs::Obs,
     warm_hit: std::sync::Arc<pq_obs::Counter>,
@@ -53,14 +71,19 @@ struct SolveCounters {
 }
 
 impl SolveCounters {
-    fn resolve(obs: &pq_obs::Obs) -> Self {
-        SolveCounters {
-            obs: obs.clone(),
-            warm_hit: obs.counter(names::SOLVE_WARM_HIT),
-            warm_repair: obs.counter(names::SOLVE_WARM_REPAIR),
-            cold_fallback: obs.counter(names::SOLVE_COLD_FALLBACK),
-            cold_start: obs.counter(names::SOLVE_COLD_START),
+    /// The handles in `slot`, resolved on `obs` first unless they
+    /// already are.
+    fn on<'c>(slot: &'c mut Option<SolveCounters>, obs: &pq_obs::Obs) -> &'c SolveCounters {
+        if slot.as_ref().is_none_or(|c| !c.obs.same_registry(obs)) {
+            *slot = Some(SolveCounters {
+                obs: obs.clone(),
+                warm_hit: obs.counter(names::SOLVE_WARM_HIT),
+                warm_repair: obs.counter(names::SOLVE_WARM_REPAIR),
+                cold_fallback: obs.counter(names::SOLVE_COLD_FALLBACK),
+                cold_start: obs.counter(names::SOLVE_COLD_START),
+            });
         }
+        slot.as_ref().expect("resolved above")
     }
 }
 
@@ -79,6 +102,41 @@ impl UnitCache {
     pub fn clear(&mut self) {
         self.compiled = None;
         self.last_x.clear();
+        self.program = None;
+    }
+
+    /// The warm solve of a recompute that moved nothing but the
+    /// coefficients of constraint `row`: writes `scale * coefs` into the
+    /// compiled program's row and re-solves from the cached optimum, as
+    /// [`solve_cached`] does after refreshing every coefficient from a
+    /// rebuilt problem. `None` — with nothing counted and no solution
+    /// stored — when there is no compiled program with an optimum, a
+    /// coefficient does not fit the row, or the blend toward `interior`
+    /// fails; the caller then rebuilds the problem for [`solve_cached`].
+    pub(crate) fn solve_row(
+        &mut self,
+        row: usize,
+        coefs: &[f64],
+        scale: f64,
+        interior: &[f64],
+        options: &SolverOptions,
+    ) -> Option<GpSolution> {
+        let compiled = self.compiled.as_mut()?;
+        if self.last_x.len() != compiled.n_vars() {
+            return None;
+        }
+        compiled.set_constraint_coefs(row, coefs, scale).ok()?;
+        let (solution, blend) = WORKSPACE
+            .with_borrow_mut(|ws| compiled.solve_warm(&self.last_x, interior, options, ws))
+            .ok()?;
+        let counters = SolveCounters::on(&mut self.counters, &options.obs);
+        match blend {
+            WarmStart::Hit => counters.warm_hit.inc(),
+            WarmStart::Repaired => counters.warm_repair.inc(),
+        }
+        self.last_x.clear();
+        self.last_x.extend_from_slice(&solution.x);
+        Some(solution)
     }
 }
 
@@ -101,22 +159,17 @@ pub(crate) fn solve_cached(
     cache: Option<&mut UnitCache>,
 ) -> Result<GpSolution, DabError> {
     let Some(cache) = cache else {
-        let mut ws = SolveWorkspace::new();
-        return match pq_gp::CompiledGp::compile(problem)?
-            .solve_warm(guess, interior, options, &mut ws)
+        let compiled = pq_gp::CompiledGp::compile(problem)?;
+        return match WORKSPACE
+            .with_borrow_mut(|ws| compiled.solve_warm(guess, interior, options, ws))
         {
             Ok((sol, _)) => Ok(sol),
             Err(_) => Ok(pq_gp::solve(problem, options)?),
         };
     };
-    let stale = cache
-        .counters
-        .as_ref()
-        .is_none_or(|c| !c.obs.same_registry(&options.obs));
-    if stale {
-        cache.counters = Some(SolveCounters::resolve(&options.obs));
-    }
-    let counters = cache.counters.clone().expect("resolved above");
+    // Whatever program the cache kept no longer describes `compiled`
+    // (a solve of that program has taken it out and puts it back).
+    cache.program = None;
     let compiled = match cache.compiled.as_mut() {
         Some(c) => {
             c.update_from(problem)?;
@@ -126,7 +179,8 @@ pub(crate) fn solve_cached(
     };
     let first = cache.last_x.len() != problem.n_vars();
     let from = if first { guess } else { &cache.last_x };
-    let outcome = compiled.solve_warm(from, interior, options, &mut cache.ws);
+    let outcome = WORKSPACE.with_borrow_mut(|ws| compiled.solve_warm(from, interior, options, ws));
+    let counters = SolveCounters::on(&mut cache.counters, &options.obs);
     match (first, &outcome) {
         (true, _) => counters.cold_start.inc(),
         (false, Ok((_, WarmStart::Hit))) => counters.warm_hit.inc(),
@@ -526,6 +580,44 @@ mod tests {
         p1.add_lower_bound(0, 2.0).unwrap();
         let sol = solve_cached(&p1, &[4.0], &[4.0], &options, Some(&mut cache)).unwrap();
         assert!((sol.x[0] - 2.0).abs() < 1e-4);
+    }
+
+    /// The kept program describes the cache's compiled GP, and a solve of
+    /// anything else through the same cache replaces that GP: the next
+    /// Dual-DAB solve must not write its condition coefficients into the
+    /// other program's row.
+    #[test]
+    fn a_cache_shared_across_strategies_solves_each_one_s_own_program() {
+        use crate::strategy::{assign_unit_cached, assignment_units};
+        use crate::{AssignmentStrategy, PqHeuristic, SolveContext};
+        use pq_poly::{ItemId, PolynomialQuery};
+
+        let query = PolynomialQuery::portfolio(
+            [(1.0, ItemId(0), ItemId(1)), (2.0, ItemId(1), ItemId(2))],
+            4.0,
+        )
+        .unwrap();
+        let dual = AssignmentStrategy::DualDab { mu: 5.0 };
+        let unit = &assignment_units(&query, dual, PqHeuristic::DifferentSum)[0];
+        let rates = [0.3, 0.1, 0.2];
+        let mut cache = UnitCache::new();
+        let mut solve = |values: &[f64; 3], strategy| {
+            let ctx = SolveContext::new(values, &rates);
+            assign_unit_cached(unit, &ctx, strategy, &mut cache).unwrap()
+        };
+        solve(&[20.0, 3.0, 15.0], dual);
+        solve(&[20.1, 3.0, 15.1], dual);
+        solve(&[20.1, 3.0, 15.1], AssignmentStrategy::LinearizedFilter);
+        let after = solve(&[20.2, 3.01, 15.0], dual);
+        assert!(after.respects_qab(&query, 1e-6));
+        let fresh = {
+            let values = [20.2, 3.01, 15.0];
+            let ctx = SolveContext::new(&values, &rates);
+            assign_unit_cached(unit, &ctx, dual, &mut UnitCache::new()).unwrap()
+        };
+        for (item, b) in &fresh.primary {
+            assert!((after.primary[item] - b).abs() <= 1e-4 * b, "{item:?}");
+        }
     }
 
     #[test]

@@ -22,7 +22,7 @@ use crate::cache::UnitCache;
 use crate::context::SolveContext;
 use crate::error::DabError;
 use crate::laq::linear_closed_form;
-use crate::ppq::{dual_dab_cached, optimal_refresh_cached};
+use crate::ppq::PpqProgram;
 
 /// Which §III-B heuristic to use for mixed-sign queries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,6 +53,16 @@ pub enum PpqMethod {
         /// Recomputation cost in messages.
         mu: f64,
     },
+}
+
+impl PpqMethod {
+    /// Dual-DAB's recomputation cost; `None` under Optimal Refresh.
+    pub(crate) fn mu(self) -> Option<f64> {
+        match self {
+            PpqMethod::OptimalRefresh => None,
+            PpqMethod::DualDab { mu } => Some(mu),
+        }
+    }
 }
 
 /// Assigns DABs for a general polynomial query `P : B` via `heuristic`,
@@ -111,23 +121,70 @@ pub(crate) fn solve_positive(
     solve_positive_cached(poly, qab, ctx, method, None)
 }
 
+/// What a positive-coefficient unit `P : B` compiles to, once: the unit
+/// as a validated, classified query, and the GP program of a non-linear
+/// body. Kept in the unit's [`UnitCache`] so a recompute clones, checks
+/// and classifies nothing.
+#[derive(Debug)]
+pub(crate) struct UnitProgram {
+    query: PolynomialQuery,
+    /// `None` for a linear body: the closed form has nothing to compile.
+    gp: Option<PpqProgram>,
+}
+
+impl UnitProgram {
+    fn compile(
+        poly: &Polynomial,
+        qab: f64,
+        ctx: &SolveContext<'_>,
+        method: PpqMethod,
+    ) -> Result<Self, DabError> {
+        let query = PolynomialQuery::new(poly.clone(), qab)?;
+        let gp = match query.class() {
+            QueryClass::LinearAggregate => None,
+            _ => Some(PpqProgram::compile(&query, method, ctx)?),
+        };
+        Ok(UnitProgram { query, gp })
+    }
+
+    /// True when `compile` on these arguments would build this program.
+    fn is_for(
+        &self,
+        poly: &Polynomial,
+        qab: f64,
+        ctx: &SolveContext<'_>,
+        method: PpqMethod,
+    ) -> bool {
+        self.query.qab() == qab
+            && self.query.poly() == poly
+            && self.gp.as_ref().is_none_or(|gp| gp.serves(method, ctx))
+    }
+}
+
 /// [`solve_positive`] with an optional warm-start cache. Linear bodies take
-/// the closed form (nothing to cache); GP solves thread the cache through.
+/// the closed form (nothing to solve); GP solves thread the cache through,
+/// and the cache keeps the unit's [`UnitProgram`] between calls.
 pub(crate) fn solve_positive_cached(
     poly: &Polynomial,
     qab: f64,
     ctx: &SolveContext<'_>,
     method: PpqMethod,
-    cache: Option<&mut UnitCache>,
+    mut cache: Option<&mut UnitCache>,
 ) -> Result<QueryAssignment, DabError> {
-    let q = PolynomialQuery::new(poly.clone(), qab)?;
-    match q.class() {
-        QueryClass::LinearAggregate => linear_closed_form(&q, ctx),
-        _ => match method {
-            PpqMethod::OptimalRefresh => optimal_refresh_cached(&q, ctx, cache),
-            PpqMethod::DualDab { mu } => dual_dab_cached(&q, ctx, mu, cache),
-        },
+    let kept = (cache.as_mut().and_then(|c| c.program.take()))
+        .filter(|program| program.is_for(poly, qab, ctx, method));
+    let mut program = match kept {
+        Some(program) => program,
+        None => Box::new(UnitProgram::compile(poly, qab, ctx, method)?),
+    };
+    let result = match &mut program.gp {
+        None => linear_closed_form(&program.query, ctx),
+        Some(gp) => gp.solve(ctx, cache.as_deref_mut()),
+    };
+    if let Some(cache) = cache {
+        cache.program = Some(program);
     }
+    result
 }
 
 /// Half-and-Half combination: per-item minimum primary DAB, intersection

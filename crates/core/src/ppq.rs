@@ -19,12 +19,15 @@ use std::collections::BTreeMap;
 
 use pq_ddm::DataDynamicsModel;
 use pq_gp::{GpProblem, Monomial, Posynomial};
-use pq_poly::{deviation_posynomial, DabVarMap, PartialDabVarMap, PolynomialQuery, QueryClass};
+use pq_poly::{
+    DabVarIndexer, DabVarMap, DeviationMap, PartialDabVarMap, PolynomialQuery, QueryClass,
+};
 
 use crate::assignment::{QueryAssignment, ValidityRange};
 use crate::cache::{solve_cached, UnitCache};
 use crate::context::SolveContext;
 use crate::error::DabError;
+use crate::heuristics::PpqMethod;
 
 /// Optimal-Refresh assignment for a PPQ (§III-A.1).
 ///
@@ -36,56 +39,7 @@ pub fn optimal_refresh(
     query: &PolynomialQuery,
     ctx: &SolveContext<'_>,
 ) -> Result<QueryAssignment, DabError> {
-    optimal_refresh_cached(query, ctx, None)
-}
-
-/// [`optimal_refresh`] with an optional warm-start cache: when `cache` is
-/// supplied the GP is solved through [`crate::cache::solve_cached`]
-/// (compiled-posynomial reuse + warm start from the last optimum).
-pub(crate) fn optimal_refresh_cached(
-    query: &PolynomialQuery,
-    ctx: &SolveContext<'_>,
-    cache: Option<&mut UnitCache>,
-) -> Result<QueryAssignment, DabError> {
-    require_ppq(query)?;
-    let vmap = DabVarMap::for_polynomial(query.poly(), false);
-    let n = vmap.n_items();
-
-    let mut problem = GpProblem::new(n);
-    let mut objective = Posynomial::zero();
-    let mut lambdas = Vec::with_capacity(n);
-    for (k, &item) in vmap.items().iter().enumerate() {
-        let lambda = ctx.rate(item)?;
-        lambdas.push(lambda);
-        objective.push(
-            ctx.ddm
-                .refresh_monomial(lambda, k)
-                .expect("rate is floored positive"),
-        );
-    }
-    problem.set_objective(objective)?;
-    let condition = deviation_posynomial(query.poly(), ctx.values, &vmap)?;
-    problem.add_constraint_le(condition.clone(), query.qab())?;
-
-    let refine = cache.as_ref().is_none_or(|c| !c.has_solution());
-    let (guess, interior) =
-        predicted_start(&condition, query.qab(), &lambdas, ctx.ddm, None, refine)?;
-    let sol = solve_cached(&problem, &guess, &interior, &ctx.gp, cache)?;
-
-    let primary: BTreeMap<_, _> = vmap
-        .items()
-        .iter()
-        .enumerate()
-        .map(|(k, &item)| (item, sol.x[k]))
-        .collect();
-    let anchor = anchor_map(vmap.items(), ctx)?;
-    Ok(QueryAssignment {
-        primary,
-        validity: ValidityRange::AnchorOnly,
-        anchor,
-        recompute_rate: 0.0,
-        refresh_rate: sol.objective,
-    })
+    PpqProgram::compile(query, PpqMethod::OptimalRefresh, ctx)?.solve(ctx, None)
 }
 
 /// Dual-DAB assignment for a PPQ (§III-A.2–3).
@@ -102,115 +56,206 @@ pub fn dual_dab(
     ctx: &SolveContext<'_>,
     mu: f64,
 ) -> Result<QueryAssignment, DabError> {
-    dual_dab_cached(query, ctx, mu, None)
+    PpqProgram::compile(query, PpqMethod::DualDab { mu }, ctx)?.solve(ctx, None)
 }
 
-/// [`dual_dab`] with an optional warm-start cache (see
-/// [`crate::cache::solve_cached`]).
-pub(crate) fn dual_dab_cached(
-    query: &PolynomialQuery,
-    ctx: &SolveContext<'_>,
-    mu: f64,
-    cache: Option<&mut UnitCache>,
-) -> Result<QueryAssignment, DabError> {
-    if !(mu.is_finite() && mu > 0.0) {
-        return Err(DabError::InvalidMu(mu));
+/// A PPQ unit's compiled program: everything about its GP that is fixed
+/// for as long as its body, QAB, method, ddm and item rates are.
+///
+/// The variables are `b_k` for the body's `k`-th item, then (Dual-DAB)
+/// one `c_j` per coupled item — secondary DABs only for items whose
+/// reference value can invalidate the condition; a linear-only item gets
+/// `c = infinity`, it never triggers recomputation, like a LAQ item — and
+/// `R` last. The
+/// objective `sum_k refresh(lambda_k, b_k) [+ mu R]` and the Dual-DAB
+/// rows `b_j <= c_j`, `rate(lambda_j, c_j) <= R` depend on nothing that
+/// moves. Only the QAB condition (Eq. 1 / Eq. 2, constraint 0) follows
+/// the values, and only through its coefficients, which `map` derives
+/// from them. So a recompute through a [`UnitCache`] that already holds
+/// this program's compiled GP writes `coefs` into its condition row and
+/// solves; [`PpqProgram::problem`] builds the program as a
+/// [`GpProblem`] for a first solve, and whenever a value at exactly zero
+/// has removed a monomial from (or a positive one returned it to) the
+/// condition the cache compiled.
+#[derive(Debug)]
+pub(crate) struct PpqProgram {
+    qab: f64,
+    method: PpqMethod,
+    ddm: DataDynamicsModel,
+    /// `lambda_k` of the body's `k`-th item (`map.items()[k]`, ascending),
+    /// floored positive.
+    lambdas: Vec<f64>,
+    /// The primary variable of the item that owns each `c_j`, ascending.
+    coupled_b: Vec<usize>,
+    /// Values to the condition's coefficients, before the division by
+    /// the QAB.
+    map: DeviationMap,
+    /// `map` at the values of the last solve.
+    coefs: Vec<f64>,
+    /// The cache's compiled GP came from a condition that held every
+    /// monomial of `map`: its condition row takes `coefs` as they are.
+    aligned: bool,
+}
+
+impl PpqProgram {
+    /// Compiles the program of `query` under `method` at `ctx`'s rates.
+    pub(crate) fn compile(
+        query: &PolynomialQuery,
+        method: PpqMethod,
+        ctx: &SolveContext<'_>,
+    ) -> Result<Self, DabError> {
+        if let Some(mu) = method.mu().filter(|mu| !(mu.is_finite() && *mu > 0.0)) {
+            return Err(DabError::InvalidMu(mu));
+        }
+        require_ppq(query)?;
+        let poly = query.poly();
+        // Both layouts put `b` of the body's `k`-th item at variable `k`.
+        let (coupled_b, map) = match method {
+            PpqMethod::OptimalRefresh => {
+                let vars = DabVarMap::for_polynomial(poly, false);
+                (Vec::new(), DeviationMap::compile(poly, &vars)?)
+            }
+            PpqMethod::DualDab { .. } => {
+                let vars = PartialDabVarMap::for_polynomial(poly);
+                let coupled_b = vars.coupled().iter().map(|&i| vars.primary(i)).collect();
+                (coupled_b, DeviationMap::compile(poly, &vars)?)
+            }
+        };
+        let lambdas = (map.items().iter())
+            .map(|&item| ctx.rate(item))
+            .collect::<Result<_, _>>()?;
+        Ok(PpqProgram {
+            qab: query.qab(),
+            method,
+            ddm: ctx.ddm,
+            lambdas,
+            coupled_b,
+            coefs: vec![0.0; map.n_terms()],
+            map,
+            aligned: false,
+        })
     }
-    require_ppq(query)?;
-    // Secondary DABs only for items whose reference value can invalidate
-    // the condition; linear-only items get `c = infinity` (they never
-    // trigger recomputation, like LAQ items).
-    let vmap = PartialDabVarMap::for_polynomial(query.poly());
-    let n = vmap.n_items();
-    let n_coupled = vmap.coupled().len();
-    let r_var = vmap.n_vars(); // b: 0..n, c: n..n+n_coupled, R last.
 
-    let mut problem = GpProblem::new(r_var + 1);
-    // Objective: sum_i refresh(lambda_i, b_i) + mu * R.
-    let mut objective = Posynomial::zero();
-    let mut lambdas = Vec::with_capacity(n);
-    for (k, &item) in vmap.items().iter().enumerate() {
-        let lambda = ctx.rate(item)?;
-        lambdas.push(lambda);
-        objective.push(
-            ctx.ddm
-                .refresh_monomial(lambda, k)
-                .expect("rate is floored positive"),
-        );
-    }
-    objective.push(Monomial::new(mu, [(r_var, 1.0)])?);
-    problem.set_objective(objective)?;
-
-    // QAB condition over the validity range (Eq. 2).
-    let condition = deviation_posynomial(query.poly(), ctx.values, &vmap)?;
-    problem.add_constraint_le(condition.clone(), query.qab())?;
-
-    // For coupled items: b_i <= c_i and recompute-rate coupling
-    // rate(lambda_i, c_i) <= R.
-    let mut coupled_b = Vec::with_capacity(n_coupled);
-    for (j, &item) in vmap.coupled().iter().enumerate() {
-        let b_var = vmap
-            .items()
-            .binary_search(&item)
-            .expect("coupled is subset");
-        let c_var = n + j;
-        coupled_b.push(b_var);
-        problem.add_var_le_var(b_var, c_var)?;
-        let escape = ctx
-            .ddm
-            .refresh_monomial(lambdas[b_var], c_var)
-            .expect("rate is floored positive");
-        let coupled = escape.mul(&Monomial::new(1.0, [(r_var, -1.0)])?);
-        problem.add_constraint(Posynomial::monomial(coupled))?;
+    /// True when a solve under `method` at `ctx` is a solve of this
+    /// program (for the body and QAB it was compiled for).
+    pub(crate) fn serves(&self, method: PpqMethod, ctx: &SolveContext<'_>) -> bool {
+        let same_rate = |(&item, &lambda)| ctx.rate(item).is_ok_and(|r| r == lambda);
+        self.method == method
+            && self.ddm == ctx.ddm
+            && self.map.items().iter().zip(&self.lambdas).all(same_rate)
     }
 
-    let (guess, interior) = predicted_start(
-        &condition,
-        query.qab(),
-        &lambdas,
-        ctx.ddm,
-        Some((mu, &coupled_b)),
-        cache.as_ref().is_none_or(|c| !c.has_solution()),
-    )?;
-    let sol = solve_cached(&problem, &guess, &interior, &ctx.gp, cache)?;
+    /// Solves the program at `ctx`'s values, through `cache` when given
+    /// (see [`crate::cache::solve_cached`]).
+    pub(crate) fn solve(
+        &mut self,
+        ctx: &SolveContext<'_>,
+        mut cache: Option<&mut UnitCache>,
+    ) -> Result<QueryAssignment, DabError> {
+        self.map.eval_into(ctx.values, &mut self.coefs)?;
+        let items = self.map.items();
+        let n = items.len();
+        let mu = self.method.mu();
+        let warm = cache.as_ref().is_some_and(|c| c.has_solution());
+        let condition = self.map.terms(&self.coefs);
+        let dual = mu.map(|mu| (mu, &self.coupled_b[..]));
+        let (guess, interior) =
+            predicted_start_terms(condition, self.qab, &self.lambdas, self.ddm, dual, !warm)?;
+        let rewritten = match &mut cache {
+            Some(cache) if warm && self.aligned => {
+                cache.solve_row(0, &self.coefs, 1.0 / self.qab, &interior, &ctx.gp)
+            }
+            _ => None,
+        };
+        let sol = match rewritten {
+            Some(sol) => sol,
+            None => {
+                let problem = self.problem()?;
+                let aligned = problem.constraints()[0].n_terms() == self.map.n_terms();
+                self.aligned = false;
+                let sol = solve_cached(&problem, &guess, &interior, &ctx.gp, cache)?;
+                self.aligned = aligned;
+                sol
+            }
+        };
 
-    let primary: BTreeMap<_, _> = vmap
-        .items()
-        .iter()
-        .enumerate()
-        .map(|(k, &item)| (item, sol.x[k]))
-        .collect();
-    let mut secondary: BTreeMap<_, _> = vmap
-        .items()
-        .iter()
-        .map(|&item| (item, f64::INFINITY))
-        .collect();
-    for (j, &item) in vmap.coupled().iter().enumerate() {
-        secondary.insert(item, sol.x[n + j]);
+        // Three maps over the same ascending item list.
+        let primary = (items.iter().zip(&sol.x))
+            .map(|(&item, &b)| (item, b))
+            .collect();
+        let anchor = (items.iter())
+            .map(|&item| (item, ctx.values[item.index()]))
+            .collect();
+        let Some(mu) = mu else {
+            return Ok(QueryAssignment {
+                primary,
+                validity: ValidityRange::AnchorOnly,
+                anchor,
+                recompute_rate: 0.0,
+                refresh_rate: sol.objective,
+            });
+        };
+        let mut coupled = self.coupled_b.iter().zip(&sol.x[n..]).peekable();
+        let secondary: BTreeMap<_, _> = (items.iter().enumerate())
+            .map(|(k, &item)| {
+                let c = coupled.next_if(|&(&b_var, _)| b_var == k);
+                (item, c.map_or(f64::INFINITY, |(_, &c)| c))
+            })
+            .collect();
+        let recompute_rate = sol.x[n + self.coupled_b.len()];
+        let refresh_rate: f64 = (self.lambdas.iter().zip(&sol.x))
+            .map(|(&l, &b)| self.ddm.refresh_rate(l, b))
+            .sum();
+        ctx.gp
+            .obs
+            .emit_with(pq_obs::names::DAB_SOLVE, pq_obs::EventKind::Point, |e| {
+                e.with("kind", "dual-dab")
+                    .with("items", n)
+                    .with("coupled", self.coupled_b.len())
+                    .with("mu", mu)
+                    .with("refresh_rate", refresh_rate)
+                    .with("recompute_rate", recompute_rate)
+            });
+        Ok(QueryAssignment {
+            primary,
+            validity: ValidityRange::Box(secondary),
+            anchor,
+            recompute_rate,
+            refresh_rate,
+        })
     }
-    let refresh_rate: f64 = lambdas
-        .iter()
-        .zip(&sol.x[..n])
-        .map(|(&l, &b)| ctx.ddm.refresh_rate(l, b))
-        .sum();
-    ctx.gp
-        .obs
-        .emit_with(pq_obs::names::DAB_SOLVE, pq_obs::EventKind::Point, |e| {
-            e.with("kind", "dual-dab")
-                .with("items", n)
-                .with("coupled", n_coupled)
-                .with("mu", mu)
-                .with("refresh_rate", refresh_rate)
-                .with("recompute_rate", sol.x[r_var])
-        });
-    let anchor = anchor_map(vmap.items(), ctx)?;
-    Ok(QueryAssignment {
-        primary,
-        validity: ValidityRange::Box(secondary),
-        anchor,
-        recompute_rate: sol.x[r_var],
-        refresh_rate,
-    })
+
+    /// The program at the values `coefs` was evaluated at.
+    fn problem(&self) -> Result<GpProblem, DabError> {
+        let n = self.lambdas.len();
+        let r_var = n + self.coupled_b.len();
+        let refresh = |lambda: f64, var: usize| {
+            (self.ddm.refresh_monomial(lambda, var)).expect("rate is floored positive")
+        };
+        let mut objective = Posynomial::zero();
+        for (k, &lambda) in self.lambdas.iter().enumerate() {
+            objective.push(refresh(lambda, k));
+        }
+        let mu = self.method.mu();
+        let mut problem = GpProblem::new(r_var + usize::from(mu.is_some()));
+        if let Some(mu) = mu {
+            objective.push(Monomial::new(mu, [(r_var, 1.0)])?);
+        }
+        problem.set_objective(objective)?;
+        // The QAB condition: at the anchor (Eq. 1), or over the validity
+        // range (Eq. 2).
+        problem.add_constraint_le(self.map.posynomial(&self.coefs)?, self.qab)?;
+        // For coupled items: b_j <= c_j and the recompute-rate coupling
+        // rate(lambda_j, c_j) <= R.
+        for (j, &b_var) in self.coupled_b.iter().enumerate() {
+            let c_var = n + j;
+            problem.add_var_le_var(b_var, c_var)?;
+            let escape = refresh(self.lambdas[b_var], c_var);
+            let coupled = escape.mul(&Monomial::new(1.0, [(r_var, -1.0)])?);
+            problem.add_constraint(Posynomial::monomial(coupled))?;
+        }
+        Ok(problem)
+    }
 }
 
 fn require_ppq(query: &PolynomialQuery) -> Result<(), DabError> {
@@ -223,16 +268,6 @@ fn require_ppq(query: &PolynomialQuery) -> Result<(), DabError> {
             detail: "mixed-sign query: use pq_core::heuristics (Half-and-Half / Different Sum)",
         }),
     }
-}
-
-fn anchor_map(
-    items: &[pq_poly::ItemId],
-    ctx: &SolveContext<'_>,
-) -> Result<BTreeMap<pq_poly::ItemId, f64>, DabError> {
-    items
-        .iter()
-        .map(|&item| Ok((item, ctx.value(item)?)))
-        .collect()
 }
 
 /// Refinement rounds a prediction may take (one pass over the condition's
@@ -272,6 +307,21 @@ const SETTLED: f64 = 0.01;
 /// (`a_k = 0` in round 0, an empty first-order part) falls back to 1.
 pub fn predicted_start(
     condition: &Posynomial,
+    qab: f64,
+    lambdas: &[f64],
+    ddm: DataDynamicsModel,
+    dual: Option<(f64, &[usize])>,
+    refine: bool,
+) -> Result<(Vec<f64>, Vec<f64>), DabError> {
+    let terms = condition.terms().iter();
+    let condition = terms.map(|m| (m.coef(), m.exponents()));
+    predicted_start_terms(condition, qab, lambdas, ddm, dual, refine)
+}
+
+/// [`predicted_start`] over the condition's terms as `(coefficient,
+/// exponent row)` pairs, wherever they are kept.
+pub(crate) fn predicted_start_terms<'t>(
+    condition: impl Iterator<Item = (f64, &'t [(usize, f64)])> + Clone,
     qab: f64,
     lambdas: &[f64],
     ddm: DataDynamicsModel,
@@ -332,20 +382,20 @@ pub fn predicted_start(
 
     // Round 0: the tangent LAQ, then the escape block from `c = 0`.
     let (mut w, mut g) = (vec![0.0; n], vec![0.0; coupled.len()]);
-    for m in condition.terms() {
-        if let [(k, e)] = *m.exponents() {
+    for (coef, exps) in condition.clone() {
+        if let [(k, e)] = *exps {
             if k < n && e == 1.0 {
-                w[k] += m.coef();
+                w[k] += coef;
             }
         }
     }
     let mut b = vec![0.0; n];
     let mut u = solve(&w, &[], qab, &mut b);
     if dual.is_some() {
-        for m in condition.terms() {
-            if let [(k, ek), (v, ev)] = *m.exponents() {
+        for (coef, exps) in condition.clone() {
+            if let [(k, ek), (v, ev)] = *exps {
                 if k < n && v >= n && ek == 1.0 && ev == 1.0 {
-                    g[v - n] += m.coef() * b[k];
+                    g[v - n] += coef * b[k];
                 }
             }
         }
@@ -369,13 +419,13 @@ pub fn predicted_start(
         // The condition's value, and `w·b + g·c` (each term times its
         // degree), beside the gradient.
         let (mut value, mut tangent) = (0.0, 0.0);
-        for m in condition.terms() {
-            let mut t = m.coef();
-            for &(v, e) in m.exponents() {
+        for (coef, exps) in condition.clone() {
+            let mut t = coef;
+            for &(v, e) in exps {
                 t *= if e == 1.0 { x[v] } else { x[v].powf(e) };
             }
             value += t;
-            for &(v, e) in m.exponents() {
+            for &(v, e) in exps {
                 tangent += e * t;
                 let slot = if v < n { &mut w[v] } else { &mut g[v - n] };
                 *slot += e * t / x[v];
@@ -397,7 +447,9 @@ pub fn predicted_start(
     let mut guess = Vec::with_capacity(x.capacity());
     point(&b, u, &mut guess);
     guess.iter_mut().for_each(|v| *v = or_one(*v));
-    let mut interior = scalar_feasible_start(condition, qab, &guess, n)?;
+    let at_guess =
+        condition.map(|(coef, exps)| (exps.iter()).fold(coef, |t, &(v, e)| t * guess[v].powf(e)));
+    let mut interior = scalar_feasible_start(at_guess.sum(), qab, &guess, n)?;
     if dual.is_some() {
         // `rate(lambda_j, c_j) <= R` holds at the guess by construction.
         interior[n + coupled.len()] *= 2.0;
@@ -407,16 +459,16 @@ pub fn predicted_start(
 
 /// The strictly feasible anchor below `guess`: its first `n` coordinates
 /// (the primary DABs) scaled by the largest power of two `s <= 1/2` that
-/// puts `condition` at or under half of `qab`. Every term of a deviation
-/// condition carries a primary factor, so `condition(s b) <= s
-/// condition(b)` and one evaluation fixes `s`.
+/// puts the condition at or under half of `qab`. Every term of a
+/// deviation condition carries a primary factor, so `condition(s b) <= s
+/// condition(b)` and its one evaluation `at_guess` fixes `s`.
 fn scalar_feasible_start(
-    condition: &Posynomial,
+    at_guess: f64,
     qab: f64,
     guess: &[f64],
     n: usize,
 ) -> Result<Vec<f64>, DabError> {
-    let s = (0.5 * qab / condition.eval(guess)).log2().floor().exp2();
+    let s = (0.5 * qab / at_guess).log2().floor().exp2();
     let mut x = guess.to_vec();
     x[..n].iter_mut().for_each(|v| *v *= s.min(0.5));
     // A NaN `s` (non-finite condition) fails the first test.
@@ -618,6 +670,91 @@ mod tests {
         let a = dual_dab(&q, &ctx, 5.0).unwrap();
         assert_eq!(a.primary.len(), 3);
         assert!(a.respects_qab(&q, 1e-6));
+    }
+
+    fn bits(a: &QueryAssignment) -> Vec<u64> {
+        let ValidityRange::Box(secondary) = &a.validity else {
+            panic!("dual-DAB validity is a box")
+        };
+        (a.primary.values().chain(secondary.values()))
+            .chain(a.anchor.values())
+            .chain([&a.recompute_rate, &a.refresh_rate])
+            .map(|v| v.to_bits())
+            .collect()
+    }
+
+    /// Two units shaped like the paper's (shared item, a square, a linear
+    /// leg), installed at one set of values and recomputed at drifted
+    /// ones: the recompute that writes the map's coefficients into the
+    /// cached compiled GP returns the assignment, bit for bit, of the one
+    /// that rebuilds the problem and refreshes the compiled GP from it.
+    #[test]
+    fn warm_recompute_through_the_map_matches_the_rebuild_path_bit_for_bit() {
+        let p = Polynomial::from_terms([
+            PTerm::new(2.0, [(x(0), 1), (x(1), 1)]).unwrap(),
+            PTerm::new(3.0, [(x(1), 1), (x(2), 1)]).unwrap(),
+            PTerm::new(0.5, [(x(3), 2)]).unwrap(),
+            PTerm::new(4.0, [(x(4), 1)]).unwrap(),
+        ]);
+        let q = PolynomialQuery::new(p, 10.0).unwrap();
+        let rates = [0.5, 0.01, 0.3, 0.2, 0.1];
+        let installed = [50.0, 2.0, 30.0, 7.0, 11.0];
+        let drifted = [50.4, 1.98, 30.3, 7.05, 11.2];
+        for ddm in [DataDynamicsModel::Monotonic, DataDynamicsModel::RandomWalk] {
+            let at = |values| SolveContext::new(values, &rates).with_ddm(ddm);
+            let method = PpqMethod::DualDab { mu: 5.0 };
+            let mut through_map = PpqProgram::compile(&q, method, &at(&installed)).unwrap();
+            let mut rebuilding = PpqProgram::compile(&q, method, &at(&installed)).unwrap();
+            let (mut cache_a, mut cache_b) = (UnitCache::new(), UnitCache::new());
+            let a0 = through_map
+                .solve(&at(&installed), Some(&mut cache_a))
+                .unwrap();
+            let b0 = rebuilding
+                .solve(&at(&installed), Some(&mut cache_b))
+                .unwrap();
+            assert_eq!(bits(&a0), bits(&b0));
+            assert!(through_map.aligned && cache_a.has_solution());
+            // Same cache state, but nothing says its compiled GP takes
+            // the map's coefficients: the problem is rebuilt.
+            rebuilding.aligned = false;
+            let a1 = through_map
+                .solve(&at(&drifted), Some(&mut cache_a))
+                .unwrap();
+            let b1 = rebuilding.solve(&at(&drifted), Some(&mut cache_b)).unwrap();
+            assert_eq!(bits(&a1), bits(&b1), "{ddm}");
+            assert_ne!(bits(&a1), bits(&a0), "the recompute moved the DABs");
+            assert!(a1.respects_qab(&q, 1e-6));
+        }
+    }
+
+    /// A value reaching exactly zero removes monomials from the condition:
+    /// the compiled GP cannot take the coefficients, the problem is
+    /// rebuilt, and the program stays on that path until a rebuild holds
+    /// every monomial again.
+    #[test]
+    fn a_value_at_zero_takes_the_rebuild_path_and_still_respects_the_qab() {
+        let q = PolynomialQuery::portfolio([(2.0, x(0), x(1)), (3.0, x(2), x(3))], 10.0).unwrap();
+        let rates = [0.5, 0.01, 0.3, 0.2];
+        let mut program;
+        let mut cache = UnitCache::new();
+        let mut solve = |values: &[f64; 4], program: &mut PpqProgram| {
+            let ctx = SolveContext::new(values, &rates);
+            let a = program.solve(&ctx, Some(&mut cache)).unwrap();
+            assert!(a.respects_qab(&q, 1e-6), "at {values:?}");
+            a
+        };
+        let ctx = SolveContext::new(&[50.0, 2.0, 30.0, 4.0], &rates);
+        program = PpqProgram::compile(&q, PpqMethod::DualDab { mu: 5.0 }, &ctx).unwrap();
+        let full = solve(&[50.0, 2.0, 30.0, 4.0], &mut program);
+        assert!(program.aligned);
+        let at_zero = solve(&[0.0, 2.0, 30.0, 4.0], &mut program);
+        assert!(!program.aligned, "the rebuilt condition lacks `V0 b1`");
+        assert!(at_zero.primary[&x(1)] > full.primary[&x(1)]);
+        solve(&[0.0, 2.01, 30.0, 4.0], &mut program);
+        assert!(!program.aligned);
+        solve(&[0.3, 2.01, 30.0, 4.0], &mut program);
+        assert!(program.aligned);
+        solve(&[0.31, 2.0, 30.1, 4.0], &mut program);
     }
 
     #[test]

@@ -39,6 +39,19 @@ impl RateEstimator {
 
     /// Estimates the rate of one trace. Always returns a strictly positive,
     /// finite value (degenerate traces get [`RateEstimator::FLOOR`]).
+    ///
+    /// A trace shorter than the sampling interval has no full interval to
+    /// sample: the sampled estimators then return one sample, endpoint
+    /// displacement over the trace's length. That single `|delta| / T` of
+    /// a random walk is a poor rate — about right in the median, but one
+    /// item in ten reads under a third of its long-run rate and some a
+    /// hundredth — and Dual-DAB gives an item it believes immobile a
+    /// near-zero filter and validity range, which the item's real
+    /// movement then leaves on nearly every tick. On a 40-tick cut of an
+    /// overlapping book that is ~1000x the recomputations per tick of the
+    /// full tape, with or without network delays (DESIGN.md §12, "Short
+    /// tapes and the rate estimator"). Give a short run an interval that
+    /// fits it several times.
     pub fn estimate(&self, trace: &Trace) -> f64 {
         let raw = match *self {
             RateEstimator::SampledAverage { interval_ticks } => {

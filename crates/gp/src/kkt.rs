@@ -307,10 +307,9 @@ pub(crate) fn newton_weights(dual: Option<(f64, f64)>, multi: bool, inv_t: f64) 
 /// original index. Any insertion order of the same term multiset yields
 /// the same plan — the root of the sparse path's byte-determinism.
 fn canonical_term_order(lp: &LogPosynomial) -> Vec<u32> {
-    let rows = lp.rows();
-    let mut order: Vec<u32> = (0..rows.len() as u32).collect();
+    let mut order: Vec<u32> = (0..lp.n_terms() as u32).collect();
     order.sort_by(|&a, &b| {
-        let (ra, rb) = (&rows[a as usize], &rows[b as usize]);
+        let (ra, rb) = (lp.row(a as usize), lp.row(b as usize));
         for ((va, ea), (vb, eb)) in ra.iter().zip(rb.iter()) {
             match va.cmp(vb).then(ea.total_cmp(eb)) {
                 std::cmp::Ordering::Equal => {}
@@ -329,7 +328,6 @@ fn canonical_term_order(lp: &LogPosynomial) -> Vec<u32> {
 fn posy_support(lp: &LogPosynomial) -> Vec<u32> {
     let mut support: Vec<u32> = lp
         .rows()
-        .iter()
         .flat_map(|r| r.iter().map(|&(v, _)| v as u32))
         .collect();
     support.sort_unstable();
@@ -459,14 +457,13 @@ impl SparseKktPlan {
         let mut max_support = 0usize;
         let mut n_hoisted = 0u32;
         for (raw, lp) in raws.iter().zip(std::iter::once(f0).chain(fs.iter())) {
-            let rows = lp.rows();
-            let multi = rows.len() > 1;
+            let multi = lp.n_terms() > 1;
             max_support = max_support.max(raw.support.len());
             let terms: Vec<TermPlan> = raw
                 .order
                 .iter()
                 .map(|&orig| {
-                    let row = &rows[orig as usize];
+                    let row = lp.row(orig as usize);
                     let entries: Vec<(u32, f64)> = row
                         .iter()
                         .map(|&(v, e)| {

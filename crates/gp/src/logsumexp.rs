@@ -12,8 +12,11 @@ use crate::posynomial::Posynomial;
 /// A posynomial compiled to log-space: rows of exponents plus log-coefficients.
 #[derive(Debug, Clone)]
 pub struct LogPosynomial {
-    /// Per-term sparse exponent rows `(var, exponent)`.
-    rows: Vec<Vec<(usize, f64)>>,
+    /// Every term's sparse exponent row `(var, exponent)`, back to back:
+    /// one allocation per posynomial, read front to back by every pass.
+    entries: Vec<(usize, f64)>,
+    /// Term `k`'s row is `entries[row_ends[k - 1]..row_ends[k]]`.
+    row_ends: Vec<u32>,
     /// Per-term `ln c_k`.
     log_coefs: Vec<f64>,
     /// Number of variables in the ambient space.
@@ -42,14 +45,17 @@ impl LogPosynomial {
         if let Some(mv) = p.max_var() {
             assert!(mv < n_vars, "posynomial references variable out of range");
         }
-        let mut rows = Vec::with_capacity(p.n_terms());
+        let mut entries = Vec::with_capacity(p.terms().iter().map(|t| t.exponents().len()).sum());
+        let mut row_ends = Vec::with_capacity(p.n_terms());
         let mut log_coefs = Vec::with_capacity(p.n_terms());
         for t in p.terms() {
-            rows.push(t.exponents().to_vec());
+            entries.extend_from_slice(t.exponents());
+            row_ends.push(entries.len() as u32);
             log_coefs.push(t.coef().ln());
         }
         LogPosynomial {
-            rows,
+            entries,
+            row_ends,
             log_coefs,
             n_vars,
         }
@@ -57,13 +63,23 @@ impl LogPosynomial {
 
     /// Number of monomial terms.
     pub fn n_terms(&self) -> usize {
-        self.rows.len()
+        self.row_ends.len()
     }
 
-    /// Per-term sparse exponent rows (the sparse KKT plan reads the
+    /// Term `k`'s sparse exponent row (the sparse KKT plan reads the
     /// structure directly to build its support cliques).
-    pub(crate) fn rows(&self) -> &[Vec<(usize, f64)>] {
-        &self.rows
+    pub(crate) fn row(&self, k: usize) -> &[(usize, f64)] {
+        let start = if k == 0 { 0 } else { self.row_ends[k - 1] };
+        &self.entries[start as usize..self.row_ends[k] as usize]
+    }
+
+    /// Every term's sparse exponent row, in term order.
+    pub(crate) fn rows(&self) -> impl Iterator<Item = &[(usize, f64)]> {
+        self.row_ends.iter().scan(0, |start, &end| {
+            let row = &self.entries[*start..end as usize];
+            *start = end as usize;
+            Some(row)
+        })
     }
 
     /// Log-coefficient of term `k`.
@@ -79,11 +95,11 @@ impl LogPosynomial {
     /// coefficients that track the drifting data values, so the exponent
     /// structure is almost always stable and recompilation is wasted work.
     pub fn refresh_coefs(&mut self, p: &Posynomial) -> bool {
-        if p.n_terms() != self.rows.len() {
+        if p.n_terms() != self.n_terms() {
             return false;
         }
-        for (t, row) in p.terms().iter().zip(self.rows.iter()) {
-            if t.exponents() != &row[..] {
+        for (t, row) in p.terms().iter().zip(self.rows()) {
+            if t.exponents() != row {
                 return false;
             }
         }
@@ -93,14 +109,23 @@ impl LogPosynomial {
         true
     }
 
+    /// Overwrites the coefficients with `scale * coefs[k]` (one per term,
+    /// each strictly positive and finite), keeping the exponent rows.
+    pub(crate) fn set_coefs(&mut self, coefs: &[f64], scale: f64) {
+        debug_assert_eq!(coefs.len(), self.log_coefs.len());
+        for (c, lc) in coefs.iter().zip(self.log_coefs.iter_mut()) {
+            *lc = (c * scale).ln();
+        }
+    }
+
     /// True if this is a single monomial, i.e. `F` is affine in `y`.
     pub fn is_affine(&self) -> bool {
-        self.rows.len() == 1
+        self.n_terms() == 1
     }
 
     /// Appends the per-term affine values `z_k = a_k . y + ln c_k`.
     fn term_values(&self, y: &[f64], out: &mut Vec<f64>) {
-        for (row, lc) in self.rows.iter().zip(&self.log_coefs) {
+        for (row, lc) in self.rows().zip(&self.log_coefs) {
             let mut z = *lc;
             for &(v, e) in row {
                 z += e * y[v];
@@ -113,12 +138,19 @@ impl LogPosynomial {
     /// term gains exponent `-1` in the new last variable, so
     /// `F(y) <= sigma` reads as the posynomial constraint `f(x)/sigma <= 1`.
     pub(crate) fn lifted(&self) -> Self {
-        let mut lifted = self.clone();
-        for row in &mut lifted.rows {
-            row.push((self.n_vars, -1.0));
+        let mut entries = Vec::with_capacity(self.entries.len() + self.n_terms());
+        let mut row_ends = Vec::with_capacity(self.n_terms());
+        for row in self.rows() {
+            entries.extend_from_slice(row);
+            entries.push((self.n_vars, -1.0));
+            row_ends.push(entries.len() as u32);
         }
-        lifted.n_vars += 1;
-        lifted
+        LogPosynomial {
+            entries,
+            row_ends,
+            log_coefs: self.log_coefs.clone(),
+            n_vars: self.n_vars + 1,
+        }
     }
 
     /// Evaluates `F(y)` and appends the softmax weights `p_k` to `probs`
@@ -132,8 +164,8 @@ impl LogPosynomial {
 
     /// Adds `w * grad F = w * sum_k p_k a_k` into `out`.
     pub(crate) fn add_gradient(&self, probs: &[f64], w: f64, out: &mut [f64]) {
-        debug_assert_eq!(probs.len(), self.rows.len());
-        for (row, pk) in self.rows.iter().zip(probs) {
+        debug_assert_eq!(probs.len(), self.n_terms());
+        for (row, pk) in self.rows().zip(probs) {
             let wp = w * pk;
             for &(v, e) in row {
                 out[v] += wp * e;
@@ -143,9 +175,9 @@ impl LogPosynomial {
 
     /// Directional derivative `grad F . d = sum_k p_k (a_k . d)`.
     pub(crate) fn directional(&self, probs: &[f64], d: &[f64]) -> f64 {
-        debug_assert_eq!(probs.len(), self.rows.len());
+        debug_assert_eq!(probs.len(), self.n_terms());
         let mut acc = 0.0;
-        for (row, pk) in self.rows.iter().zip(probs) {
+        for (row, pk) in self.rows().zip(probs) {
             let mut ad = 0.0;
             for &(v, e) in row {
                 ad += e * d[v];
@@ -158,7 +190,7 @@ impl LogPosynomial {
     /// Evaluates `F(y)` only.
     pub fn value(&self, y: &[f64]) -> f64 {
         debug_assert_eq!(y.len(), self.n_vars);
-        self.value_buf(y, &mut Vec::with_capacity(self.rows.len()))
+        self.value_buf(y, &mut Vec::with_capacity(self.n_terms()))
     }
 
     /// Evaluates `F(y)` reusing `z` as the per-term scratch buffer.
@@ -190,19 +222,19 @@ impl LogPosynomial {
     /// Together with the gradient this yields the Hessian:
     /// `∇²F = sum_k p_k a_k a_kᵀ − ∇F ∇Fᵀ`.
     pub fn add_second_moment(&self, probs: &[f64], alpha: f64, hess: &mut Matrix) {
-        debug_assert_eq!(probs.len(), self.rows.len());
-        for (row, pk) in self.rows.iter().zip(probs.iter()) {
+        debug_assert_eq!(probs.len(), self.n_terms());
+        for (row, pk) in self.rows().zip(probs.iter()) {
             hess.add_outer_sparse(alpha * pk, row);
         }
     }
 
     /// Evaluates value and gradient.
     pub fn value_grad(&self, y: &[f64]) -> (f64, Vec<f64>) {
-        let mut z = Vec::with_capacity(self.rows.len());
+        let mut z = Vec::with_capacity(self.n_terms());
         self.term_values(y, &mut z);
         let (value, p) = softmax(&z);
         let mut grad = vec![0.0; self.n_vars];
-        for (row, pk) in self.rows.iter().zip(&p) {
+        for (row, pk) in self.rows().zip(&p) {
             for &(v, e) in row {
                 grad[v] += pk * e;
             }
@@ -215,21 +247,21 @@ impl LogPosynomial {
     /// `∇F = sum_k p_k a_k`, `∇²F = sum_k p_k a_k a_kᵀ − ∇F ∇Fᵀ`, where
     /// `p = softmax(z)`.
     pub fn evaluate(&self, y: &[f64]) -> Evaluation {
-        let mut z = Vec::with_capacity(self.rows.len());
+        let mut z = Vec::with_capacity(self.n_terms());
         self.term_values(y, &mut z);
         let (value, p) = softmax(&z);
         let n = self.n_vars;
         let mut grad = vec![0.0; n];
         let mut hess = Matrix::zeros(n, n);
         let mut dense_row = vec![0.0; n];
-        for (row, pk) in self.rows.iter().zip(&p) {
+        for (row, pk) in self.rows().zip(&p) {
             if *pk == 0.0 {
                 continue;
             }
             for &(v, e) in row {
                 grad[v] += pk * e;
             }
-            if self.rows.len() > 1 {
+            if self.n_terms() > 1 {
                 // Accumulate p_k a_k a_k^T using the sparse row.
                 for d in dense_row.iter_mut() {
                     *d = 0.0;
@@ -240,7 +272,7 @@ impl LogPosynomial {
                 hess.add_outer(*pk, &dense_row);
             }
         }
-        if self.rows.len() > 1 {
+        if self.n_terms() > 1 {
             hess.add_outer(-1.0, &grad);
         }
         Evaluation { value, grad, hess }

@@ -34,6 +34,11 @@ impl Monomial {
         if pairs.iter().any(|&(_, e)| !e.is_finite()) {
             return Err(GpError::InvalidExponent);
         }
+        // Already in stored form (the common case: rows copied from
+        // another monomial or built in variable order).
+        if pairs.windows(2).all(|w| w[0].0 < w[1].0) && pairs.iter().all(|&(_, e)| e != 0.0) {
+            return Ok(Monomial { coef, exps: pairs });
+        }
         pairs.sort_by_key(|&(v, _)| v);
         let mut merged: Vec<(usize, f64)> = Vec::with_capacity(pairs.len());
         for (v, e) in pairs {

@@ -468,6 +468,35 @@ impl CompiledGp {
         Ok(())
     }
 
+    /// Overwrites the coefficients of constraint `i` with
+    /// `scale * coefs[k]`, in the constraint's term order, keeping its
+    /// exponent structure (and with it the cached sparse plan): what
+    /// [`CompiledGp::update_from`] does with a rebuilt
+    /// `add_constraint_le(f, 1 / scale)` row whose structure is
+    /// unchanged, without the row.
+    ///
+    /// # Errors
+    /// [`GpError::EmptyPosynomial`] when there is no constraint `i` or
+    /// `coefs` is not one per term; [`GpError::NonPositiveCoefficient`]
+    /// when a scaled coefficient is not strictly positive and finite. The
+    /// program is unchanged on error.
+    pub fn set_constraint_coefs(
+        &mut self,
+        i: usize,
+        coefs: &[f64],
+        scale: f64,
+    ) -> Result<(), GpError> {
+        let row = (self.fs.get_mut(i))
+            .filter(|row| row.n_terms() == coefs.len())
+            .ok_or(GpError::EmptyPosynomial)?;
+        let mut scaled = coefs.iter().map(|c| c * scale);
+        if let Some(bad) = scaled.find(|c| !(c.is_finite() && *c > 0.0)) {
+            return Err(GpError::NonPositiveCoefficient(bad));
+        }
+        row.set_coefs(coefs, scale);
+        Ok(())
+    }
+
     /// Solves from a strictly feasible `x0 > 0`, reusing `ws` buffers.
     ///
     /// # Errors
@@ -644,8 +673,9 @@ impl Program<'_> {
                     self.for_each_posy(&it.probs, |pi, lp, p| {
                         let dual = pi.checked_sub(1).map(|i| (it.lam[i], it.slack[i]));
                         let (w_rhs, alpha, beta) = newton_weights(dual, !lp.is_affine(), inv_t);
-                        if let [row] = lp.rows() {
+                        if lp.is_affine() {
                             // An affine row's gradient is the row itself.
+                            let row = lp.row(0);
                             for &(v, e) in row {
                                 rhs[v] -= w_rhs * e;
                             }
@@ -1161,6 +1191,35 @@ mod tests {
             got.objective,
             want.objective
         );
+    }
+
+    /// Writing a row's coefficients directly lands on the same compiled
+    /// program as rebuilding the problem and refreshing from it, and a
+    /// rejected write changes nothing.
+    #[test]
+    fn set_constraint_coefs_matches_update_from_bit_for_bit() {
+        let mut direct = CompiledGp::compile(&drifting_problem(2.0, 3.0, 4.0, 5.0)).unwrap();
+        let mut rebuilt = direct.clone();
+        // Row 1 is `(x + y) / c2 <= 1`.
+        direct
+            .set_constraint_coefs(1, &[1.0, 1.0], 1.0 / 4.9)
+            .unwrap();
+        rebuilt
+            .update_from(&drifting_problem(2.0, 3.0, 4.0, 4.9))
+            .unwrap();
+        let mut ws = SolveWorkspace::new();
+        let a = direct.solve_from(&[0.5, 0.5], &opts(), &mut ws).unwrap();
+        let b = rebuilt.solve_from(&[0.5, 0.5], &opts(), &mut ws).unwrap();
+        assert_eq!(a.x, b.x);
+
+        for (i, coefs) in [(1, &[1.0, 0.0][..]), (1, &[1.0][..]), (2, &[1.0, 1.0][..])] {
+            assert!(direct.set_constraint_coefs(i, coefs, 1.0).is_err());
+        }
+        assert!(direct
+            .set_constraint_coefs(1, &[1.0, 1.0], f64::INFINITY)
+            .is_err());
+        let c = direct.solve_from(&[0.5, 0.5], &opts(), &mut ws).unwrap();
+        assert_eq!(a.x, c.x, "a rejected write must leave the program alone");
     }
 
     #[test]

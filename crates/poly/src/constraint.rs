@@ -19,6 +19,8 @@
 //! and has a positive coefficient, so the result is a posynomial in the
 //! GP variables `(b, c)` suitable for [`pq_gp`].
 
+use std::ops::Range;
+
 use crate::error::PolyError;
 use crate::item::ItemId;
 use crate::polynomial::Polynomial;
@@ -181,8 +183,281 @@ impl DabVarIndexer for PartialDabVarMap {
     }
 }
 
+/// The deviation `P(V + c + b) - P(V + c)` expanded symbolically: which
+/// monomials over the GP variables it has, and each one's coefficient as
+/// a sum of contributions `weight * prod_i mult_i * V_i^k_i` of the
+/// current values `V`.
+///
+/// The structure depends only on the polynomial and the variable layout,
+/// so it is compiled once; [`DeviationMap::eval_into`] then turns values
+/// into coefficients without touching a [`Posynomial`]. Monomials are in
+/// [`Posynomial::simplify`] order and each coefficient is accumulated in
+/// expansion order, so the numbers are the ones a numeric expansion at
+/// `V` followed by `simplify` would produce, bit for bit.
+#[derive(Debug, Clone)]
+pub struct DeviationMap {
+    /// The polynomial's items: the values an evaluation reads.
+    items: Vec<ItemId>,
+    /// Where each output monomial's exponent row and contributions end.
+    monomials: Vec<MonomialEnds>,
+    /// Every monomial's `(GP variable, exponent)` row, back to back.
+    exps: Vec<(usize, f64)>,
+    /// Every monomial's contributions, back to back.
+    contribs: Vec<Contribution>,
+    /// Every contribution's value factors, back to back.
+    factors: Vec<ValueFactor>,
+}
+
+/// Monomial `m` owns `exps[prev.exps..exps]` and sums
+/// `contribs[prev.contribs..contribs]`.
+#[derive(Debug, Clone)]
+struct MonomialEnds {
+    exps: u32,
+    contribs: u32,
+}
+
+/// `weight * prod factors`, the factors being `factors[prev end..end]`.
+#[derive(Debug, Clone)]
+struct Contribution {
+    weight: f64,
+    end: u32,
+}
+
+/// `mult * values[item]^power`.
+#[derive(Debug, Clone)]
+struct ValueFactor {
+    mult: f64,
+    item: u32,
+    power: u32,
+}
+
+impl DeviationMap {
+    /// Expands the deviation of `poly` over the GP variables given by
+    /// `vars`. When `vars.secondary` returns `None` for an item its
+    /// factor is `(V + b)^p` (all `None`: Optimal Refresh, Eq. 1).
+    ///
+    /// # Errors
+    /// * [`PolyError::EmptyPolynomial`] for the zero polynomial;
+    /// * [`PolyError::NotPositiveCoefficient`] if `poly` has negative
+    ///   weights.
+    pub fn compile(poly: &Polynomial, vars: &dyn DabVarIndexer) -> Result<Self, PolyError> {
+        if poly.is_zero() {
+            return Err(PolyError::EmptyPolynomial);
+        }
+        if !poly.is_positive_coefficient() {
+            return Err(PolyError::NotPositiveCoefficient);
+        }
+        // Every expansion entry that carries a `b` factor, in expansion
+        // order, its exponent row and value factors in two shared arenas.
+        struct Entry {
+            weight: f64,
+            exps: Range<usize>,
+            factors: Range<usize>,
+        }
+        let mut entries: Vec<Entry> = Vec::new();
+        let mut exps: Vec<(usize, f64)> = Vec::new();
+        let mut factors: Vec<ValueFactor> = Vec::new();
+        // One item of the current term: its GP variables, its splits (in
+        // `splits_of`) and the split the current entry takes.
+        struct TermItem {
+            item: ItemId,
+            b_var: usize,
+            c_var: Option<usize>,
+            splits: Range<usize>,
+            at: usize,
+        }
+        let mut term_items: Vec<TermItem> = Vec::new();
+        let mut splits_of: Vec<Split> = Vec::new();
+        for term in poly.terms() {
+            term_items.clear();
+            splits_of.clear();
+            for &(item, p) in term.vars() {
+                let (b_var, c_var) = (vars.primary(item), vars.secondary(item));
+                let start = splits_of.len();
+                splits_of.extend(splits(p, c_var.is_some()));
+                term_items.push(TermItem {
+                    item,
+                    b_var,
+                    c_var,
+                    splits: start..splits_of.len(),
+                    at: 0,
+                });
+            }
+            // The product of the items' expansions, the last item's split
+            // varying fastest; a constant term has no entry.
+            let mut more = !term_items.is_empty();
+            while more {
+                let (row, first_factor) = (exps.len(), factors.len());
+                let mut has_b = false;
+                for it in &term_items {
+                    let split = &splits_of[it.splits.start + it.at];
+                    if let (Some(c_var), true) = (it.c_var, split.k > 0) {
+                        exps.push((c_var, split.k as f64));
+                    }
+                    if split.l > 0 {
+                        exps.push((it.b_var, split.l as f64));
+                        has_b = true;
+                    }
+                    // Multiplying by `1 * V^0` changes no bit.
+                    if split.mult != 1.0 || split.j != 0 {
+                        factors.push(ValueFactor {
+                            mult: split.mult,
+                            item: it.item.0,
+                            power: split.j,
+                        });
+                    }
+                }
+                if has_b {
+                    // `Monomial`'s form. An indexer gives every item
+                    // its own variables, so none repeats.
+                    exps[row..].sort_by_key(|&(var, _)| var);
+                    debug_assert!(exps[row..].windows(2).all(|w| w[0].0 < w[1].0));
+                    entries.push(Entry {
+                        weight: term.coef(),
+                        exps: row..exps.len(),
+                        factors: first_factor..factors.len(),
+                    });
+                } else {
+                    // The entries with no b factor are exactly the
+                    // expansion of P(V + c); they cancel in the
+                    // subtraction.
+                    exps.truncate(row);
+                    factors.truncate(first_factor);
+                }
+                more = false;
+                for it in term_items.iter_mut().rev() {
+                    it.at += 1;
+                    if it.at < it.splits.len() {
+                        more = true;
+                        break;
+                    }
+                    it.at = 0;
+                }
+            }
+        }
+        // `Posynomial::simplify` order. Stable, so equal monomials keep
+        // their expansion order.
+        let row_of = |e: &Entry| &exps[e.exps.clone()];
+        entries.sort_by(|a, b| (row_of(a).partial_cmp(row_of(b))).expect("finite exponents"));
+        let mut map = DeviationMap {
+            items: poly.items(),
+            monomials: Vec::new(),
+            exps: Vec::with_capacity(exps.len()),
+            contribs: Vec::with_capacity(entries.len()),
+            factors: Vec::with_capacity(factors.len()),
+        };
+        let mut row = 0;
+        for e in &entries {
+            if map.monomials.is_empty() || map.exps[row..] != *row_of(e) {
+                row = map.exps.len();
+                map.exps.extend_from_slice(row_of(e));
+                map.monomials.push(MonomialEnds {
+                    exps: map.exps.len() as u32,
+                    contribs: 0,
+                });
+            }
+            map.factors.extend_from_slice(&factors[e.factors.clone()]);
+            map.contribs.push(Contribution {
+                weight: e.weight,
+                end: map.factors.len() as u32,
+            });
+            map.monomials.last_mut().expect("pushed above").contribs = map.contribs.len() as u32;
+        }
+        map.monomials.shrink_to_fit();
+        map.exps.shrink_to_fit();
+        Ok(map)
+    }
+
+    /// The polynomial's items, ascending: the values an evaluation reads.
+    pub fn items(&self) -> &[ItemId] {
+        &self.items
+    }
+
+    /// Number of monomials (coefficients [`DeviationMap::eval_into`]
+    /// writes).
+    pub fn n_terms(&self) -> usize {
+        self.monomials.len()
+    }
+
+    /// The deviation's terms at the coefficients `coefs` (as written by
+    /// [`DeviationMap::eval_into`]): each monomial whose coefficient is
+    /// not zero, with its `(GP variable, exponent)` row sorted by
+    /// variable.
+    pub fn terms<'m>(
+        &'m self,
+        coefs: &'m [f64],
+    ) -> impl Iterator<Item = (f64, &'m [(usize, f64)])> + Clone + 'm {
+        let starts = [0].into_iter().chain(self.monomials.iter().map(|m| m.exps));
+        (coefs.iter().zip(&self.monomials).zip(starts))
+            .filter(|((&coef, _), _)| coef != 0.0)
+            .map(|((&coef, m), start)| (coef, &self.exps[start as usize..m.exps as usize]))
+    }
+
+    /// Writes every monomial's coefficient at `values` into `out`. A
+    /// value of exactly zero can leave a coefficient at `0.0`: that
+    /// monomial is absent from the deviation at these values.
+    ///
+    /// # Errors
+    /// * [`PolyError::MissingValue`] if `values` is too short;
+    /// * [`PolyError::NegativeValue`] if any referenced value is negative
+    ///   (positive data is what makes the all-up corner worst).
+    ///
+    /// # Panics
+    /// Panics unless `out.len() == self.n_terms()`.
+    pub fn eval_into(&self, values: &[f64], out: &mut [f64]) -> Result<(), PolyError> {
+        assert_eq!(out.len(), self.monomials.len(), "one slot per monomial");
+        for item in &self.items {
+            let v = *values
+                .get(item.index())
+                .ok_or(PolyError::MissingValue { item: item.0 })?;
+            if v < 0.0 {
+                return Err(PolyError::NegativeValue {
+                    item: item.0,
+                    value: v,
+                });
+            }
+        }
+        let (mut c, mut f) = (0, 0);
+        for (out, m) in out.iter_mut().zip(&self.monomials) {
+            let end = m.contribs;
+            let mut sum = 0.0;
+            for contrib in &self.contribs[c..end as usize] {
+                let mut coef = contrib.weight;
+                for vf in &self.factors[f..contrib.end as usize] {
+                    coef *= vf.mult * pow_skip_zero(values[vf.item as usize], vf.power);
+                }
+                f = contrib.end as usize;
+                sum += coef;
+            }
+            c = end as usize;
+            *out = sum;
+        }
+        Ok(())
+    }
+
+    /// The deviation as a posynomial, from coefficients written by
+    /// [`DeviationMap::eval_into`]; zero coefficients are left out.
+    ///
+    /// # Errors
+    /// [`PolyError::EmptyPolynomial`] when nothing is left (a constant
+    /// polynomial, or every item at zero exponent).
+    pub fn posynomial(&self, coefs: &[f64]) -> Result<Posynomial, PolyError> {
+        let terms: Vec<Monomial> = (self.terms(coefs))
+            .map(|(coef, exps)| {
+                Monomial::new(coef, exps.iter().copied())
+                    .expect("expansion coefficients are positive")
+            })
+            .collect();
+        if terms.is_empty() {
+            return Err(PolyError::EmptyPolynomial);
+        }
+        Ok(Posynomial::from_terms(terms))
+    }
+}
+
 /// Expands `P(V + c + b) - P(V + c)` into a posynomial over the GP
-/// variables given by `vars`.
+/// variables given by `vars`: [`DeviationMap::compile`], one evaluation
+/// at `values`, and the assembly of the result.
 ///
 /// When `vars.secondary` returns `None` for items, the expansion is
 /// `P(V + b) - P(V)` (Optimal Refresh, Eq. 1).
@@ -198,79 +473,10 @@ pub fn deviation_posynomial(
     values: &[f64],
     vars: &dyn DabVarIndexer,
 ) -> Result<Posynomial, PolyError> {
-    if poly.is_zero() {
-        return Err(PolyError::EmptyPolynomial);
-    }
-    if !poly.is_positive_coefficient() {
-        return Err(PolyError::NotPositiveCoefficient);
-    }
-    for item in poly.items() {
-        let v = *values
-            .get(item.index())
-            .ok_or(PolyError::MissingValue { item: item.0 })?;
-        if v < 0.0 {
-            return Err(PolyError::NegativeValue {
-                item: item.0,
-                value: v,
-            });
-        }
-    }
-
-    // Partial expansion entries: (coefficient, gp exponents, has a b factor).
-    struct Entry {
-        coef: f64,
-        exps: Vec<(usize, f64)>,
-        has_b: bool,
-    }
-
-    let mut out = Posynomial::zero();
-    for term in poly.terms() {
-        let mut partial = vec![Entry {
-            coef: term.coef(),
-            exps: Vec::new(),
-            has_b: true, // becomes "true iff any b" after first item below
-        }];
-        let mut first = true;
-        for &(item, p) in term.vars() {
-            let v = values[item.index()];
-            let b_var = vars.primary(item);
-            let c_var = vars.secondary(item);
-            let factors = expand_item_factor(v, p, b_var, c_var);
-            let mut next = Vec::with_capacity(partial.len() * factors.len());
-            for e in &partial {
-                for f in &factors {
-                    let mut exps = e.exps.clone();
-                    exps.extend_from_slice(&f.exps);
-                    next.push(Entry {
-                        coef: e.coef * f.coef,
-                        exps,
-                        has_b: (e.has_b && !first) || f.has_b,
-                    });
-                }
-            }
-            partial = next;
-            first = false;
-        }
-        // A constant term (no vars) contributes nothing to the deviation.
-        if first {
-            continue;
-        }
-        for e in partial {
-            // Entries with no b factor are exactly the expansion of
-            // P(V + c); they cancel in the subtraction.
-            if !e.has_b || e.coef == 0.0 {
-                continue;
-            }
-            let m = Monomial::new(e.coef, e.exps).expect("expansion coefficients are positive");
-            out.push(m);
-        }
-    }
-    out.simplify();
-    if out.is_zero() {
-        // All items had zero exponent / the polynomial was constant.
-        return Err(PolyError::EmptyPolynomial);
-    }
-    Ok(out)
+    let map = DeviationMap::compile(poly, vars)?;
+    let mut coefs = vec![0.0; map.n_terms()];
+    map.eval_into(values, &mut coefs)?;
+    map.posynomial(&coefs)
 }
 
 /// First-order *sufficient* condition (not necessary): bounds the deviation
@@ -355,13 +561,18 @@ fn expand_at_displaced(
                     value: v,
                 });
             }
-            let factors = expand_item_factor(v, p, vars.primary(item), vars.secondary(item));
-            let mut next = Vec::with_capacity(partial.len() * factors.len());
+            let (b_var, c_var) = (vars.primary(item), vars.secondary(item));
+            let mut next = Vec::new();
             for (c0, e0) in &partial {
-                for f in &factors {
+                for split in splits(p, c_var.is_some()) {
                     let mut exps = e0.clone();
-                    exps.extend_from_slice(&f.exps);
-                    next.push((c0 * f.coef, exps));
+                    if let (Some(c_var), true) = (c_var, split.k > 0) {
+                        exps.push((c_var, split.k as f64));
+                    }
+                    if split.l > 0 {
+                        exps.push((b_var, split.l as f64));
+                    }
+                    next.push((c0 * (split.mult * pow_skip_zero(v, split.j)), exps));
                 }
             }
             partial = next;
@@ -377,63 +588,29 @@ fn expand_at_displaced(
     Ok(out)
 }
 
-/// One factor of the expansion: a monomial in the GP variables.
-struct Factor {
-    coef: f64,
-    exps: Vec<(usize, f64)>,
-    has_b: bool,
+/// One term `mult * V^j c^k b^l` of an item's factor `(V + c + b)^p`.
+struct Split {
+    mult: f64,
+    j: u32,
+    k: u32,
+    l: u32,
 }
 
-/// Expands `(V + c + b)^p` (or `(V + b)^p` when `c_var` is `None`) into
-/// monomial factors over the GP variables.
-fn expand_item_factor(v: f64, p: u32, b_var: usize, c_var: Option<usize>) -> Vec<Factor> {
-    let mut out = Vec::new();
-    match c_var {
-        Some(cv) => {
-            // Multinomial over (V, c, b): p! / (j! k! l!) * V^j c^k b^l.
-            for l in 0..=p {
-                for k in 0..=(p - l) {
-                    let j = p - l - k;
-                    let coef = multinomial3(p, j, k, l) * pow_skip_zero(v, j);
-                    if coef == 0.0 {
-                        continue;
-                    }
-                    let mut exps = Vec::with_capacity(2);
-                    if k > 0 {
-                        exps.push((cv, k as f64));
-                    }
-                    if l > 0 {
-                        exps.push((b_var, l as f64));
-                    }
-                    out.push(Factor {
-                        coef,
-                        exps,
-                        has_b: l > 0,
-                    });
-                }
+/// The multinomial expansion `p! / (j! k! l!) * V^j c^k b^l` of
+/// `(V + c + b)^p`, or without a secondary (`k = 0`) the binomial one of
+/// `(V + b)^p`; `l` ascending, then `k`.
+fn splits(p: u32, with_c: bool) -> impl Iterator<Item = Split> {
+    (0..=p).flat_map(move |l| {
+        (0..=if with_c { p - l } else { 0 }).map(move |k| {
+            let j = p - l - k;
+            Split {
+                mult: multinomial3(p, j, k, l),
+                j,
+                k,
+                l,
             }
-        }
-        None => {
-            // Binomial over (V, b): C(p, l) * V^{p-l} b^l.
-            for l in 0..=p {
-                let j = p - l;
-                let coef = binomial(p, l) * pow_skip_zero(v, j);
-                if coef == 0.0 {
-                    continue;
-                }
-                let mut exps = Vec::with_capacity(1);
-                if l > 0 {
-                    exps.push((b_var, l as f64));
-                }
-                out.push(Factor {
-                    coef,
-                    exps,
-                    has_b: l > 0,
-                });
-            }
-        }
-    }
-    out
+        })
+    })
 }
 
 /// `v^j`, treating `0^0 = 1`.

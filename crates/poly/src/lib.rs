@@ -35,7 +35,7 @@ pub mod shared;
 
 pub use constraint::{
     coupled_items, deviation_posynomial, linearized_sufficient, DabVarIndexer, DabVarMap,
-    PartialDabVarMap,
+    DeviationMap, PartialDabVarMap,
 };
 pub use error::PolyError;
 pub use item::{ItemCatalog, ItemId};

@@ -379,6 +379,14 @@ pub enum SimError {
         /// The missing item index.
         item: usize,
     },
+    /// A trace some query (or remote shard) reads holds a sample that is
+    /// not a finite non-negative number.
+    BadSample {
+        /// The item (global id) whose trace holds it.
+        item: usize,
+        /// The tick of the sample.
+        tick: usize,
+    },
     /// Opening a telemetry sink (e.g. the JSONL trace file) failed.
     Obs {
         /// Underlying I/O error.
@@ -394,6 +402,12 @@ impl std::fmt::Display for SimError {
             }
             SimError::MissingTrace { item } => {
                 write!(f, "query references item x{item} with no trace")
+            }
+            SimError::BadSample { item, tick } => {
+                write!(
+                    f,
+                    "trace of item x{item} is not finite and non-negative at tick {tick}"
+                )
             }
             SimError::Obs { source } => {
                 write!(f, "failed to open telemetry sink: {source}")
@@ -456,6 +470,12 @@ pub(crate) struct Engine<'a> {
     /// visits only these and an unwatched item's source value stays at
     /// its tick-0 sample.
     watched: Vec<u32>,
+    /// The watched items' traces, tick-major: the sample of
+    /// `watched[k]` at `tick` is `tape[tick * watched.len() + k]`, so
+    /// one tick's sweep reads one contiguous row (`ticks x watched x 8`
+    /// bytes for the run). Every sample in it is finite and
+    /// non-negative.
+    tape: Vec<f64>,
     /// Compiled evaluation plans, one per query (same index space).
     plans: Vec<EvalPlan>,
     /// Query values at the source view, evaluated in full on demand:
@@ -598,6 +618,28 @@ fn per_watched_item(
     handles
 }
 
+/// Transposes the watched items' traces into one `[tick][watched rank]`
+/// tape, rejecting the first sample that is not finite and non-negative
+/// (`gid` names its item in the error).
+fn watched_tape(
+    traces: &TraceSet,
+    watched: &[u32],
+    gid: impl Fn(usize) -> usize,
+) -> Result<Vec<f64>, SimError> {
+    let mut tape = vec![0.0; traces.n_ticks() * watched.len()];
+    for (k, &item) in watched.iter().enumerate() {
+        let item = item as usize;
+        for (tick, &v) in traces.trace(item).values().iter().enumerate() {
+            if !(v.is_finite() && v >= 0.0) {
+                let item = gid(item);
+                return Err(SimError::BadSample { item, tick });
+            }
+            tape[tick * watched.len() + k] = v;
+        }
+    }
+    Ok(tape)
+}
+
 /// The coordinator view's per-query values, from whichever plane
 /// maintains them (a free function so the caller keeps its other
 /// `Engine` fields borrowable).
@@ -734,6 +776,9 @@ impl<'a> Engine<'a> {
             })
             .map(|i| i as u32)
             .collect();
+        let tape = watched_tape(&cfg.traces, &watched, |i| {
+            shard.as_ref().map_or(i, |c| c.item_gid[i] as usize)
+        })?;
         // Only a watched item's rate is ever read (`SolveContext::rate`
         // on a local query's items, the AAO program's).
         let rates = cfg
@@ -812,6 +857,7 @@ impl<'a> Engine<'a> {
             cache: SolveCache::new(),
             readers,
             watched,
+            tape,
             last_user_value,
             queue: SimQueue::new(cfg.scheduler),
             delay_rng: match cfg.delay_rng {
@@ -1086,9 +1132,11 @@ impl<'a> Engine<'a> {
             // Watched sources observe the tick's values and push filtered
             // changes. No query value is touched here: the source-side
             // truth is evaluated when something asks for it.
+            let row = tick * self.watched.len();
             for k in 0..self.watched.len() {
                 let item = self.watched[k] as usize;
-                let v = self.cfg.traces.trace(item).at(tick);
+                let v = self.tape[row + k];
+                debug_assert_eq!(v.to_bits(), self.cfg.traces.trace(item).at(tick).to_bits());
                 self.truth_stale |= v != self.items.value(item);
                 self.items.set_value(item, v);
                 self.maybe_push(item, now);

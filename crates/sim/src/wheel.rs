@@ -24,8 +24,8 @@
 //!
 //! Consequently every [`crate::SimMetrics`] field of a fixed-seed run is
 //! byte-identical under [`Scheduler::Heap`] and [`Scheduler::Wheel`] —
-//! enforced by the cross-scheduler proptest and the `simbench` parity
-//! gate.
+//! enforced by the cross-scheduler proptest and
+//! `engine::tests::wheel_scheduler_matches_heap_exactly`.
 //!
 //! # Layout
 //!

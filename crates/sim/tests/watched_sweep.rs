@@ -11,11 +11,19 @@
 //!   the read items keep their ids and the never-read ones go behind
 //!   them; the scattered book is checked against itself across shard
 //!   counts instead.
+//!
+//! The sweep reads a tick-major copy of the watched traces made once per
+//! engine. In a debug build it asserts, for every watched item on every
+//! tick, that the copy holds the trace's sample bit for bit, so each run
+//! here (one coordinator and two shards) checks the transposition; the
+//! copy is also where a non-finite or negative sample is caught.
 
-use pq_ddm::TraceSet;
+use pq_ddm::{Trace, TraceSet};
 use pq_obs::Obs;
 use pq_poly::ItemId;
-use pq_sim::{run_sharded, DelayConfig, DelayRng, Execution, Pareto, SimConfig, SimMetrics};
+use pq_sim::{
+    run_sharded, DelayConfig, DelayRng, Execution, Pareto, SimConfig, SimError, SimMetrics,
+};
 use pq_workload::{WorkloadConfig, WorkloadGen};
 
 const SEED: u64 = 0x1CDE_2008;
@@ -211,5 +219,35 @@ fn never_read_items_change_no_metric_for_any_rate_reader() {
             unpadded(metrics(&scattered, 1), n, interleaved),
             "{strategy:?} / {ddm} / {rate_estimator:?}"
         );
+    }
+}
+
+/// `Trace::gbm` builds without `from_values`' checks, and a drift of
+/// `e^700` per tick overflows at tick 2. Read by a query, such a tape is
+/// refused before the first tick, naming the item by its global id at any
+/// shard count; read by nobody, it is never looked at.
+#[test]
+fn a_non_finite_sample_is_an_error_only_on_a_watched_item() {
+    let overflowing = Trace::gbm(1.0, 700.0, 0.0, TICKS, 1);
+    assert_eq!(overflowing.at(2), f64::INFINITY);
+    let n = 96;
+    let base = banded_config(n, 12);
+    let read = base.queries[7].items()[0].index();
+    for shards in [1, 2] {
+        let run = |item: usize| {
+            let mut tape = base.traces.traces().to_vec();
+            // One never-read item behind the book.
+            tape.push(Trace::constant(1.0, TICKS));
+            tape[item] = overflowing.clone();
+            let mut cfg = base.clone();
+            cfg.traces = TraceSet::new(tape);
+            cfg.shards = shards;
+            run_sharded(&cfg, &Obs::null(), Execution::Threaded).map(|report| report.metrics)
+        };
+        match run(read) {
+            Err(SimError::BadSample { item, tick: 2 }) => assert_eq!(item, read),
+            other => panic!("{shards} shard(s): {other:?}"),
+        }
+        assert!(run(n).is_ok(), "{shards} shard(s)");
     }
 }
