@@ -23,6 +23,16 @@ pub enum DabError {
         /// The rejected value.
         value: f64,
     },
+    /// A refresh arrived before `install` ran (or after a registration
+    /// changed without a re-install); the coordinator's state was left
+    /// untouched.
+    NotInstalled,
+    /// A refresh named an item that was never registered; the
+    /// coordinator's state was left untouched.
+    UnknownItem {
+        /// The unregistered item.
+        item: u32,
+    },
     /// The recomputation-cost parameter `mu` must be non-negative & finite.
     InvalidMu(f64),
     /// A strictly feasible starting DAB vector could not be constructed
@@ -61,6 +71,12 @@ impl std::fmt::Display for DabError {
                     f,
                     "refresh of item x{item} carries non-finite value {value}"
                 )
+            }
+            DabError::NotInstalled => {
+                write!(f, "refresh before install(): no filters are installed")
+            }
+            DabError::UnknownItem { item } => {
+                write!(f, "refresh of unregistered item x{item}")
             }
             DabError::InvalidMu(mu) => {
                 write!(f, "recomputation cost mu must be >= 0 and finite, got {mu}")

@@ -142,13 +142,9 @@ pub mod names {
     /// warm-hit-rate denominator).
     pub const SOLVE_COLD_START: &str = "solve.cold_start";
 
-    /// One coordinator-view query value updated incrementally from an
-    /// arriving refresh's item delta (`O(affected terms)`; the
-    /// compiled-plan fast path). Source moves fold nothing.
-    pub const EVAL_DELTA: &str = "eval.delta";
-    /// One full query evaluation (naive or compiled): view seeding,
-    /// rebases, naive-mode checks, and the source-side truth, evaluated
-    /// once per query on each tick a fidelity sample or audit reads it.
+    /// One full query evaluation through the compiled plan: view
+    /// seeding, rebases, and the source-side truth, evaluated once per
+    /// query on each tick a fidelity sample or audit reads it.
     pub const EVAL_FULL: &str = "eval.full";
     /// One periodic full-re-eval rebase of the incrementally maintained
     /// coordinator view (bounds float drift between rebases).
@@ -157,10 +153,11 @@ pub mod names {
     /// once per compile; the CSE working-set size).
     pub const EVAL_SHARED_TERMS: &str = "eval.shared_terms";
     /// One coordinator-view query value updated by a shared-monomial
-    /// delta scatter (the CSR term→query fan-out of `EvalMode::Shared`).
+    /// delta scatter (the CSR term→query fan-out of an arriving
+    /// refresh). Source moves fold nothing.
     pub const EVAL_SCATTER_FANOUT: &str = "eval.scatter_fanout";
 
-    /// One event pushed into the simulator scheduler (heap or wheel).
+    /// One event pushed into the simulator's timer wheel.
     pub const SCHED_PUSH: &str = "sched.push";
     /// One event popped from the simulator scheduler.
     pub const SCHED_POP: &str = "sched.pop";

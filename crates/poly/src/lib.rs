@@ -6,15 +6,13 @@
 //! * [`item`] — data-item identities ([`ItemId`], [`ItemCatalog`]);
 //! * [`polynomial`] — sparse multivariate polynomials with integer
 //!   exponents, splitting `P = P1 - P2`, exact worst-case box deviation;
-//! * [`plan`] — compiled evaluation plans ([`EvalPlan`]): flat
-//!   structure-of-arrays terms, unrolled degree-1/2 kernels, an inverted
-//!   item → term index and exact `delta_eval` for incremental
-//!   maintenance of query values;
 //! * [`shared`] — the cross-query evaluation compiler ([`SharedPlan`]):
 //!   a staged `parse → analyze → optimize → plan` pipeline over a whole
-//!   query book that deduplicates monomials via CSE and scatters each
+//!   query book that deduplicates monomials via CSE, evaluates them
+//!   with unrolled degree-1/2 kernels and scatters each
 //!   distinct-monomial delta to all subscribing queries through CSR
-//!   layouts, with incremental query admission/retirement;
+//!   layouts, with incremental query admission/retirement; and the
+//!   query values it maintains ([`SharedView`]);
 //! * [`query`] — queries `P : B` with QABs, classification
 //!   (LAQ / PPQ / general PQ) and the paper's workload constructors
 //!   (portfolio, arbitrage, linear aggregate);
@@ -28,7 +26,6 @@ pub mod constraint;
 pub mod error;
 pub mod item;
 pub mod parse;
-pub mod plan;
 pub mod polynomial;
 pub mod query;
 pub mod shared;
@@ -40,7 +37,6 @@ pub use constraint::{
 pub use error::PolyError;
 pub use item::{ItemCatalog, ItemId};
 pub use parse::parse_polynomial;
-pub use plan::EvalPlan;
 pub use polynomial::{PTerm, Polynomial};
 pub use query::{PolynomialQuery, QueryClass, QueryId};
-pub use shared::{shared_query_loads, SharedPlan};
+pub use shared::{shared_query_loads, SharedPlan, SharedView};

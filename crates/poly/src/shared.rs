@@ -1,13 +1,14 @@
 //! Cross-query shared-term evaluation: one compiled plan per query *book*.
 //!
 //! The paper's workloads overlap heavily in monomials — the same
-//! portfolio leg `x_i·x_j` appears in many queries — yet a per-query
-//! [`crate::EvalPlan`] compiles and delta-maintains every occurrence
-//! separately, so memory and per-refresh work scale with *total* terms
-//! rather than *distinct* terms. A [`SharedPlan`] applies DBToaster's
-//! higher-order-delta idea at the query-set level: maintain each
-//! distinct monomial once and scatter its delta to every subscribing
-//! query with one fused multiply-add per subscription.
+//! portfolio leg `x_i·x_j` appears in many queries — so compiling and
+//! delta-maintaining every query on its own makes memory and
+//! per-refresh work scale with *total* terms rather than *distinct*
+//! terms. A [`SharedPlan`] applies DBToaster's higher-order-delta idea
+//! at the query-set level: maintain each distinct monomial once and
+//! scatter its delta to every subscribing query with one fused
+//! multiply-add per subscription. A [`SharedView`] holds the query
+//! values a plan maintains.
 //!
 //! # Compiler pipeline
 //!
@@ -23,17 +24,20 @@
 //!    query's subscriptions.
 //! 3. **optimize** — order the distinct set canonically (lexicographic
 //!    by key) so the emitted plan is identical for any permutation of
-//!    the same book, and classify each monomial into the unrolled
-//!    degree-1/2 kernel shapes of [`crate::EvalPlan`].
+//!    the same book, and classify each monomial into an unrolled
+//!    degree-1/2 kernel shape (linear, square, bilinear) or the
+//!    general factor scan.
 //! 4. **plan** — emit flat SoA storage: per-term kernel tags, a CSR
-//!    item → term index for delta dispatch, and a CSR term → query
-//!    scatter with per-subscription coefficients.
+//!    item → term index for delta dispatch keyed by the book's own
+//!    sorted item list (so a plan costs `O(terms)` bytes wherever its
+//!    item ids sit in the universe), and a CSR term → query scatter
+//!    with per-subscription coefficients.
 //!
 //! # Floating-point contract
 //!
 //! A shared monomial is computed **without** any query's coefficient,
 //! so a subscribing query's contribution rounds as `c * (x_i * x_j)` —
-//! not the `(c * x_i) * x_j` of the naive/per-query paths. Shared
+//! not the `(c * x_i) * x_j` of the naive path. Shared
 //! evaluation therefore defines its *own* deterministic semantics
 //! rather than bit-matching [`crate::Polynomial::eval`]:
 //!
@@ -45,10 +49,10 @@
 //!   the same book through admit/retire churn, yields bit-identical
 //!   query values.
 //! * **Within one extra rounding per term of naive.** Each term
-//!   contributes one product reassociation; query values agree with the
-//!   per-query plans to relative `~n_terms × ulp`, many orders of
+//!   contributes one product reassociation; query values agree with
+//!   naive evaluation to relative `~n_terms × ulp`, many orders of
 //!   magnitude inside any meaningful QAB (enforced by the property
-//!   tests and, end-to-end, by the evalbench violation-parity gate).
+//!   tests and, end-to-end, by the simulator's fidelity auditor).
 //!
 //! # Incremental admission & retirement
 //!
@@ -136,15 +140,18 @@ pub struct SharedPlan {
     /// Canonical key → term id, for CSE on admission.
     key_index: HashMap<TermKey, u32>,
 
-    /// CSR item → term: `index_terms[index_starts[i]..index_starts[i+1]]`
-    /// are the terms containing item `i` (compile-time universe only;
-    /// admitted terms live in the overlay until compaction).
+    /// The distinct items the flat index covers, ascending.
+    index_items: Vec<u32>,
+    /// CSR item → term over `index_items`:
+    /// `index_terms[index_starts[k]..index_starts[k+1]]` are the terms
+    /// containing item `index_items[k]`, ascending (the universe as of
+    /// the last compile or compaction; admitted terms live in the
+    /// overlay until the next one).
     index_starts: Vec<u32>,
     index_terms: Vec<u32>,
-    /// Admission overlay of the item → term index.
+    /// Admission overlay of the item → term index; empty except between
+    /// the admission of a new monomial and the next compaction.
     index_overlay: HashMap<u32, Vec<u32>>,
-    /// Dense guard for the overlay lookup, indexed by item.
-    item_overlaid: Vec<bool>,
 
     /// CSR term → subscriptions: queries and coefficients in
     /// `sub_starts[t]..sub_starts[t+1]`. `sub_query[k] == u32::MAX`
@@ -307,16 +314,16 @@ impl SharedPlan {
         let sub_live: Vec<u32> = (0..n_terms)
             .map(|t| sub_starts[t + 1] - sub_starts[t])
             .collect();
-        let (index_starts, index_terms) = build_item_index(&kinds, &factors, n_values);
+        let (index_items, index_starts, index_terms) = build_item_index(&kinds, &factors);
 
         SharedPlan {
             kinds,
             factors,
             key_index,
+            index_items,
             index_starts,
             index_terms,
             index_overlay: HashMap::new(),
-            item_overlaid: vec![false; n_values],
             sub_starts,
             sub_query,
             sub_coef,
@@ -378,8 +385,8 @@ impl SharedPlan {
 
     /// Estimated heap footprint in bytes of the compiled plan (flat
     /// arrays by length, hash overlays at ~48 bytes/entry plus key
-    /// payload; allocator slack excluded). Drives the evalbench
-    /// memory-sublinearity gate.
+    /// payload; allocator slack excluded). Independent of where the
+    /// book's item ids sit in the universe.
     pub fn bytes(&self) -> usize {
         use std::mem::size_of;
         let map_entry = 48usize; // bucket + hash + lengths, estimated
@@ -407,13 +414,13 @@ impl SharedPlan {
             + self.kinds.len() * size_of::<SharedKind>()
             + self.factors.len() * size_of::<(u32, u32)>()
             + key_bytes
-            + (self.index_starts.len() + self.index_terms.len()) * size_of::<u32>()
+            + (self.index_items.len() + self.index_starts.len() + self.index_terms.len())
+                * size_of::<u32>()
             + overlays
             + (self.sub_starts.len() + self.sub_query.len() + self.sub_live.len())
                 * size_of::<u32>()
             + self.sub_coef.len() * size_of::<f64>()
             + self.term_overlaid.len()
-            + self.item_overlaid.len()
             + query_regs
             + self.const_base.len() * size_of::<f64>()
             + self.live_query.len()
@@ -440,8 +447,9 @@ impl SharedPlan {
         }
     }
 
-    /// Monomial value with `values[item]` overridden to `v` — the same
-    /// exact-rounding trick as [`crate::EvalPlan`]'s delta path.
+    /// Monomial value with `values[item]` overridden to `v`, so the old
+    /// and the new value of a term each round exactly as a full
+    /// evaluation at the respective inputs would.
     #[inline]
     fn term_value_with(&self, t: usize, values: &[f64], item: u32, v: f64) -> f64 {
         let at = |i: u32| if i == item { v } else { values[i as usize] };
@@ -514,21 +522,31 @@ impl SharedPlan {
         assert!(values.len() >= self.n_values, "values slice too short");
         let i = item.0;
         let mut fanout = 0u64;
-        if (i as usize) + 1 < self.index_starts.len() {
-            let s = self.index_starts[i as usize] as usize;
-            let e = self.index_starts[i as usize + 1] as usize;
-            for k in s..e {
-                fanout += self.scatter_term(self.index_terms[k] as usize, values, i, old, new, qv);
-            }
-        }
-        if self.item_overlaid.get(i as usize).copied().unwrap_or(false) {
-            if let Some(terms) = self.index_overlay.get(&i) {
-                for &t in terms {
-                    fanout += self.scatter_term(t as usize, values, i, old, new, qv);
-                }
-            }
+        for &t in self.flat_terms(i).iter().chain(self.overlay_terms(i)) {
+            fanout += self.scatter_term(t as usize, values, i, old, new, qv);
         }
         fanout
+    }
+
+    /// The flat index's terms containing `item` (ascending; empty for an
+    /// item the index does not cover).
+    #[inline]
+    fn flat_terms(&self, item: u32) -> &[u32] {
+        match self.index_items.binary_search(&item) {
+            Ok(k) => {
+                &self.index_terms[self.index_starts[k] as usize..self.index_starts[k + 1] as usize]
+            }
+            Err(_) => &[],
+        }
+    }
+
+    /// Terms containing `item` admitted since the last compaction.
+    #[inline]
+    fn overlay_terms(&self, item: u32) -> &[u32] {
+        if self.index_overlay.is_empty() {
+            return &[];
+        }
+        self.index_overlay.get(&item).map_or(&[], Vec::as_slice)
     }
 
     /// Scatters one term's delta over its live subscriptions.
@@ -570,27 +588,13 @@ impl SharedPlan {
     }
 
     /// Live distinct monomials a change to `item` dispatches to — the
-    /// shared-plan analogue of [`crate::EvalPlan::delta_cost`].
+    /// work metric behind the `O(affected terms)` claim.
     pub fn delta_cost(&self, item: ItemId) -> usize {
-        let i = item.0;
-        let mut n = 0;
-        if (i as usize) + 1 < self.index_starts.len() {
-            let s = self.index_starts[i as usize] as usize;
-            let e = self.index_starts[i as usize + 1] as usize;
-            n += self.index_terms[s..e]
-                .iter()
-                .filter(|&&t| self.sub_live[t as usize] > 0)
-                .count();
-        }
-        if self.item_overlaid.get(i as usize).copied().unwrap_or(false) {
-            if let Some(terms) = self.index_overlay.get(&i) {
-                n += terms
-                    .iter()
-                    .filter(|&&t| self.sub_live[t as usize] > 0)
-                    .count();
-            }
-        }
-        n
+        self.flat_terms(item.0)
+            .iter()
+            .chain(self.overlay_terms(item.0))
+            .filter(|&&t| self.sub_live[t as usize] > 0)
+            .count()
     }
 
     /// Admits one query into the book, patching the scatter instead of
@@ -636,14 +640,8 @@ impl SharedPlan {
                     self.kinds.push(classify(&key, &mut self.factors));
                     self.degree = self.degree.max(key.iter().map(|&(_, e)| e).sum());
                     for &(i, _) in &key {
-                        if i as usize >= self.n_values {
-                            self.n_values = i as usize + 1;
-                        }
-                        if i as usize >= self.item_overlaid.len() {
-                            self.item_overlaid.resize(i as usize + 1, false);
-                        }
+                        self.n_values = self.n_values.max(i as usize + 1);
                         self.index_overlay.entry(i).or_default().push(t);
-                        self.item_overlaid[i as usize] = true;
                     }
                     self.sub_query.push(slot as u32);
                     self.sub_coef.push(coef);
@@ -750,13 +748,103 @@ impl SharedPlan {
         self.dead_subs = 0;
         self.overlay_subs = 0;
 
-        let (index_starts, index_terms) =
-            build_item_index(&self.kinds, &self.factors, self.n_values);
-        self.index_starts = index_starts;
-        self.index_terms = index_terms;
+        (self.index_items, self.index_starts, self.index_terms) =
+            build_item_index(&self.kinds, &self.factors);
         self.index_overlay.clear();
-        self.item_overlaid.clear();
-        self.item_overlaid.resize(self.n_values, false);
+    }
+}
+
+/// Per-query values of one view of the data, maintained incrementally
+/// through a [`SharedPlan`]: each distinct monomial's delta is computed
+/// once and scattered to every subscribing query, so a change costs
+/// `O(distinct terms containing the item + scatter fan-out)` and a read
+/// is a load.
+///
+/// Floating-point drift: each applied delta adds one rounding per
+/// updated query value, so after `n` applied deltas the maintained
+/// values sit within roughly `n × ulp(|P|)` of the plan's full
+/// evaluation; the count restarts at [`SharedView::rebase`], which
+/// recomputes every value with [`SharedPlan::full_eval_into`]. Callers
+/// rebase on a fixed period, keeping the values well inside the margin
+/// of any QAB comparison.
+#[derive(Debug, Clone, Default)]
+pub struct SharedView {
+    qv: Vec<f64>,
+    /// Monomial-evaluation scratch reused across rebases/seeds.
+    scratch: Vec<f64>,
+}
+
+impl SharedView {
+    /// Builds a view over `plan`, fully evaluating the book at `values`.
+    pub fn new(plan: &SharedPlan, values: &[f64]) -> Self {
+        let mut view = SharedView::default();
+        view.rebase(plan, values);
+        view
+    }
+
+    /// The maintained value of query `qi`.
+    #[inline]
+    pub fn value(&self, qi: usize) -> f64 {
+        self.qv[qi]
+    }
+
+    /// All maintained values, indexed by query slot.
+    #[inline]
+    pub fn values(&self) -> &[f64] {
+        &self.qv
+    }
+
+    /// Folds the move `old -> new` of `item` into every subscribing
+    /// query through the shared plan's scatter. `values` is the view's
+    /// value array; its `item` slot may hold either the old or the new
+    /// value — the delta uses the explicit `old`/`new` arguments.
+    ///
+    /// Returns the scatter fan-out (query values updated).
+    #[inline]
+    pub fn apply(
+        &mut self,
+        plan: &SharedPlan,
+        values: &[f64],
+        item: usize,
+        old: f64,
+        new: f64,
+    ) -> u64 {
+        plan.delta_scatter(values, ItemId(item as u32), old, new, &mut self.qv)
+    }
+
+    /// Folds a batch of moves `(item, new_value)` into the view in
+    /// order, writing each new value into `values` as it is applied so
+    /// later moves in the batch see earlier ones — bit-identical to the
+    /// equivalent sequence of [`SharedView::apply`] calls followed by
+    /// per-item stores. Returns the total scatter fan-out.
+    pub fn apply_batch(
+        &mut self,
+        plan: &SharedPlan,
+        values: &mut [f64],
+        moves: &[(usize, f64)],
+    ) -> u64 {
+        let mut updated = 0;
+        for &(item, new) in moves {
+            let old = values[item];
+            updated += self.apply(plan, values, item, old, new);
+            values[item] = new;
+        }
+        updated
+    }
+
+    /// Fault injection: perturbs the maintained value of query `qi` by
+    /// `amount` without touching the underlying item values. The view is
+    /// now wrong by construction — exactly the failure mode (a missed or
+    /// double-applied delta) the simulator's fidelity auditor exists to
+    /// catch, which is also its only intended use.
+    pub fn corrupt(&mut self, qi: usize, amount: f64) {
+        self.qv[qi] += amount;
+    }
+
+    /// Recomputes every value with the shared plan's full evaluation at
+    /// `values`, discarding accumulated rounding drift.
+    pub fn rebase(&mut self, plan: &SharedPlan, values: &[f64]) {
+        plan.full_eval_into(values, &mut self.scratch, &mut self.qv);
     }
 }
 
@@ -778,51 +866,48 @@ fn classify(key: &[(u32, u32)], factors: &mut Vec<(u32, u32)>) -> SharedKind {
     }
 }
 
-/// Builds the CSR item → term index by counting sort (the same scheme
-/// as [`crate::EvalPlan`]'s inverted index).
+/// Builds the item → term index: the distinct items ascending, CSR
+/// offsets over them, and each item's term ids ascending.
 fn build_item_index(
     kinds: &[SharedKind],
     factors: &[(u32, u32)],
-    n_values: usize,
-) -> (Vec<u32>, Vec<u32>) {
-    let for_each_item = |kind: &SharedKind, f: &mut dyn FnMut(u32)| match *kind {
-        SharedKind::Linear { i } | SharedKind::Square { i } => f(i),
-        SharedKind::Bilinear { i, j } => {
-            f(i);
-            f(j);
+) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
+    let mut pairs: Vec<(u32, u32)> = Vec::new();
+    for (t, kind) in kinds.iter().enumerate() {
+        let t = t as u32;
+        match *kind {
+            SharedKind::Linear { i } | SharedKind::Square { i } => pairs.push((i, t)),
+            SharedKind::Bilinear { i, j } => pairs.extend([(i, t), (j, t)]),
+            SharedKind::General { start, end } => pairs.extend(
+                factors[start as usize..end as usize]
+                    .iter()
+                    .map(|&(i, _)| (i, t)),
+            ),
         }
-        SharedKind::General { start, end } => {
-            for &(i, _) in &factors[start as usize..end as usize] {
-                f(i);
-            }
+    }
+    // Terms were visited in ascending order and the sort is stable, so
+    // each item's run comes out ascending by term id.
+    pairs.sort_by_key(|&(i, _)| i);
+    let mut index_items: Vec<u32> = Vec::new();
+    let mut index_starts: Vec<u32> = Vec::new();
+    let mut index_terms: Vec<u32> = Vec::with_capacity(pairs.len());
+    for &(i, t) in &pairs {
+        if index_items.last() != Some(&i) {
+            index_items.push(i);
+            index_starts.push(index_terms.len() as u32);
         }
-    };
-    let mut counts = vec![0u32; n_values + 1];
-    for kind in kinds {
-        for_each_item(kind, &mut |i| counts[i as usize + 1] += 1);
+        index_terms.push(t);
     }
-    for i in 1..counts.len() {
-        counts[i] += counts[i - 1];
-    }
-    let index_starts = counts.clone();
-    let mut cursor = counts;
-    let mut index_terms = vec![0u32; index_starts[n_values] as usize];
-    for (ti, kind) in kinds.iter().enumerate() {
-        for_each_item(kind, &mut |i| {
-            index_terms[cursor[i as usize] as usize] = ti as u32;
-            cursor[i as usize] += 1;
-        });
-    }
-    (index_starts, index_terms)
+    index_starts.push(index_terms.len() as u32);
+    (index_items, index_starts, index_terms)
 }
 
 /// Partitioner load estimates for a book under shared evaluation: a
 /// query's marginal cost is the distinct monomials it is **first** to
 /// introduce (in book order — one kernel evaluation each per delta)
 /// plus a small scatter cost (`0.25`) per subscription (one fused
-/// multiply-add on the scatter). The per-query [`crate::EvalPlan`]
-/// proxy (`items per
-/// query`) over-charges overlapping books, which is exactly what a
+/// multiply-add on the scatter). An `items per query` proxy
+/// over-charges overlapping books, which is exactly what a
 /// shared-aware partitioner must not do.
 pub fn shared_query_loads<'a>(polys: impl IntoIterator<Item = &'a Polynomial>) -> Vec<f64> {
     let mut seen: HashMap<TermKey, ()> = HashMap::new();
@@ -849,7 +934,6 @@ pub fn shared_query_loads<'a>(polys: impl IntoIterator<Item = &'a Polynomial>) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::EvalPlan;
     use crate::polynomial::PTerm;
 
     fn x(i: u32) -> ItemId {
@@ -896,7 +980,7 @@ mod tests {
     }
 
     #[test]
-    fn full_eval_tracks_per_query_plans() {
+    fn full_eval_tracks_naive_evaluation() {
         let book = book();
         let plan = SharedPlan::compile(book.iter());
         let values = [3.0, 4.0, 5.0];
@@ -928,10 +1012,9 @@ mod tests {
     }
 
     #[test]
-    fn delta_scatter_tracks_per_query_delta_eval() {
+    fn delta_scatter_tracks_naive_evaluation() {
         let book = book();
         let plan = SharedPlan::compile(book.iter());
-        let plans: Vec<EvalPlan> = book.iter().map(EvalPlan::compile).collect();
         let mut values = vec![3.0, 4.0, 5.0];
         let mut scratch = Vec::new();
         let mut qv = Vec::new();
@@ -940,7 +1023,7 @@ mod tests {
             let old = values[item];
             plan.delta_scatter(&values, x(item as u32), old, new, &mut qv);
             values[item] = new;
-            for (qi, p) in plans.iter().enumerate() {
+            for (qi, p) in book.iter().enumerate() {
                 let full = p.eval(&values);
                 assert!(close(qv[qi], full), "q{qi}: {} vs {full}", qv[qi]);
             }
@@ -1070,38 +1153,141 @@ mod tests {
 
     #[test]
     fn bytes_grow_sublinearly_on_overlapping_books() {
-        // Books over the same 4 legs of a 256-item universe: the shared
-        // plan stores the 4 monomials once and every further query adds
-        // only its scatter subscriptions, while each per-query plan
-        // repeats the terms and their item index.
-        let book = |n: u32| -> Vec<Polynomial> {
+        // Books of 4-leg queries: `overlapping` draws every query's legs
+        // from the same 4 monomials, `disjoint` gives each query 4 legs
+        // of its own. The plan stores a shared monomial once and every
+        // further subscriber adds only its scatter entries; a book with
+        // nothing to share pays for terms, keys and index per query.
+        let book = |n: u32, stride: u32| -> Vec<Polynomial> {
             (0..n)
                 .map(|k| {
                     Polynomial::from_terms((0..4).map(|l| {
-                        PTerm::new(1.0 + k as f64, [(x(200 + l), 1), (x(204 + l), 1)]).unwrap()
+                        let leg = 200 + 8 * k * stride + l;
+                        PTerm::new(1.0 + k as f64, [(x(leg), 1), (x(leg + 4), 1)]).unwrap()
                     }))
                 })
                 .collect()
         };
-        let per_query_bytes = |book: &[Polynomial]| -> usize {
-            book.iter().map(|p| EvalPlan::compile(p).bytes()).sum()
-        };
-        let (small, large) = (book(64), book(128));
-        let shared_small = SharedPlan::compile(small.iter());
-        let shared_large = SharedPlan::compile(large.iter());
-        assert_eq!(shared_large.n_terms(), 4);
+        let bytes = |n: u32, stride: u32| SharedPlan::compile(book(n, stride).iter()).bytes();
+        assert_eq!(SharedPlan::compile(book(128, 0).iter()).n_terms(), 4);
+        assert_eq!(SharedPlan::compile(book(128, 1).iter()).n_terms(), 512);
+        assert!(bytes(128, 0) < bytes(128, 1));
+        let overlapping_growth = bytes(128, 0) - bytes(64, 0);
+        let disjoint_growth = bytes(128, 1) - bytes(64, 1);
         assert!(
-            shared_large.bytes() < per_query_bytes(&large),
-            "shared {} vs per-query {}",
-            shared_large.bytes(),
-            per_query_bytes(&large)
+            overlapping_growth * 2 < disjoint_growth,
+            "64 more queries cost {overlapping_growth} B sharing their legs \
+             vs {disjoint_growth} B not sharing them"
         );
-        let shared_growth = shared_large.bytes() - shared_small.bytes();
-        let per_query_growth = per_query_bytes(&large) - per_query_bytes(&small);
-        assert!(
-            shared_growth * 2 < per_query_growth,
-            "64 more queries cost shared {shared_growth} B vs per-query {per_query_growth} B"
-        );
+    }
+
+    #[test]
+    fn ids_outside_the_book_dispatch_to_nothing() {
+        // Items {5, 9, 4_000_000}: ids below, between and above them are
+        // foreign, as is everything past the largest.
+        let near = PTerm::new(2.0, [(x(5), 1), (x(9), 1)]).unwrap();
+        let far = PTerm::new(-1.0, [(x(4_000_000), 2)]).unwrap();
+        let plan = SharedPlan::compile([&Polynomial::from_terms([near.clone(), far])]);
+        for own in [5, 9, 4_000_000] {
+            assert_eq!(plan.delta_cost(x(own)), 1, "x{own}");
+        }
+        for foreign in [0, 4, 6, 8, 10, 3_999_999, 4_000_001, u32::MAX] {
+            assert_eq!(plan.delta_cost(x(foreign)), 0, "x{foreign}");
+        }
+        // And a move of one scatters nothing, wherever it sits.
+        let plan = SharedPlan::compile([&Polynomial::term(near)]);
+        let values = [1.0; 12];
+        let mut qv = vec![0.0];
+        for foreign in [0, 4, 6, 8, 10, 11, 12, u32::MAX] {
+            assert_eq!(
+                plan.delta_scatter(&values, x(foreign), 1.0, 2.0, &mut qv),
+                0
+            );
+        }
+        assert_eq!(qv, vec![0.0]);
+        assert_eq!(plan.delta_scatter(&values, x(9), 1.0, 2.0, &mut qv), 1);
+        assert_eq!(qv, vec![2.0]);
+    }
+
+    #[test]
+    fn bytes_do_not_depend_on_where_the_ids_sit() {
+        let leg = |i, j| Polynomial::term(PTerm::new(1.5, [(x(i), 1), (x(j), 1)]).unwrap());
+        let low = SharedPlan::compile([&leg(0, 1)]);
+        let high = SharedPlan::compile([&leg(5, 4_000_000)]);
+        assert_eq!(low.bytes(), high.bytes());
+        assert_eq!(high.n_values(), 4_000_001);
+        // Admitting a far-away item and compacting keeps it that way.
+        let (mut low, mut high) = (low, high);
+        low.admit(&leg(2, 3));
+        high.admit(&leg(7, 3_000_000));
+        low.compact();
+        high.compact();
+        assert_eq!(low.bytes(), high.bytes());
+    }
+
+    #[test]
+    fn view_tracks_full_reevaluation() {
+        let book = book();
+        let plan = SharedPlan::compile(&book);
+        let mut values = vec![3.0, 4.0, 5.0];
+        let mut view = SharedView::new(&plan, &values);
+        assert_eq!(view.values(), &[46.0, 52.0, 310.0]);
+
+        for (item, new) in [(0usize, 3.5), (1, -2.0), (2, 0.25), (1, 10.0)] {
+            let old = values[item];
+            view.apply(&plan, &values, item, old, new);
+            values[item] = new;
+            for (qi, poly) in book.iter().enumerate() {
+                let full = poly.eval(&values);
+                assert!(
+                    close(view.value(qi), full),
+                    "q{qi}: {} vs {full}",
+                    view.value(qi)
+                );
+            }
+        }
+        assert_eq!(view.apply(&plan, &values, 0, 3.5, 3.5), 0, "a no-op move");
+    }
+
+    #[test]
+    fn view_apply_batch_matches_sequential_applies() {
+        let plan = SharedPlan::compile(&book());
+        let moves = [(0usize, 3.5), (1, -2.0), (2, 0.25), (1, 10.0)];
+
+        let mut seq_values = vec![3.0, 4.0, 5.0];
+        let mut seq_view = SharedView::new(&plan, &seq_values);
+        let mut seq_updated = 0;
+        for &(item, new) in &moves {
+            let old = seq_values[item];
+            seq_updated += seq_view.apply(&plan, &seq_values, item, old, new);
+            seq_values[item] = new;
+        }
+
+        let mut batch_values = vec![3.0, 4.0, 5.0];
+        let mut batch_view = SharedView::new(&plan, &batch_values);
+        let batch_updated = batch_view.apply_batch(&plan, &mut batch_values, &moves);
+
+        assert_eq!(batch_updated, seq_updated);
+        assert_eq!(batch_values, seq_values);
+        assert_eq!(batch_view.values(), seq_view.values());
+    }
+
+    #[test]
+    fn view_rebase_restores_plan_exact_values() {
+        let plan = SharedPlan::compile(&book());
+        let mut values = vec![3.0, 4.0, 5.0];
+        let mut view = SharedView::new(&plan, &values);
+        for k in 0..1000 {
+            let item = k % 3;
+            let old = values[item];
+            let new = old + 0.001 * (k as f64 % 7.0 - 3.0);
+            view.apply(&plan, &values, item, old, new);
+            values[item] = new;
+        }
+        view.rebase(&plan, &values);
+        let (mut scratch, mut qv) = (Vec::new(), Vec::new());
+        plan.full_eval_into(&values, &mut scratch, &mut qv);
+        assert_eq!(view.values(), qv.as_slice());
     }
 
     #[test]

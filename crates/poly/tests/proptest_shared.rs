@@ -3,11 +3,14 @@
 //! [`SharedPlan`] defines its own deterministic float semantics: every
 //! distinct monomial is computed once (coefficient-free) and scattered
 //! as `c_q · m` per subscription, so it cannot promise bit-identity
-//! with the per-query [`EvalPlan`] (which folds coefficients first).
-//! What it does promise, checked here across random books:
+//! with the naive [`Polynomial::eval`] (which folds coefficients first).
+//! What it does promise, checked here across random books whose item
+//! ids are scattered over a wider universe with random gaps (a book
+//! reads a handful of items out of thousands; the plan's index must not
+//! care where they sit):
 //!
 //! * full evaluation and long delta-maintained walks (with rebases
-//!   interleaved at random cadences) track the per-query plans within
+//!   interleaved at random cadences) track naive evaluation within
 //!   the engine's `1e-9 · (1 + |v|)` tolerance at every step;
 //! * its own semantics are *bit-deterministic*: permuting the book, or
 //!   reaching the same live set through admit/retire churn (with or
@@ -18,7 +21,7 @@
 
 use proptest::prelude::*;
 
-use pq_poly::{EvalPlan, ItemId, PTerm, Polynomial, SharedPlan};
+use pq_poly::{ItemId, PTerm, Polynomial, SharedPlan, SharedView};
 
 const N_ITEMS: usize = 6;
 
@@ -30,8 +33,9 @@ fn close(a: f64, b: f64) -> bool {
     (a - b).abs() <= 1e-9 * (1.0 + b.abs())
 }
 
-/// Arbitrary sparse polynomial over `N_ITEMS` items, same shape space
-/// as `proptest_plan.rs`: up to two factors `x_i^e`, `e in 1..=2`.
+/// Arbitrary sparse polynomial over `N_ITEMS` items with per-term total
+/// degree <= 4: up to two factors `x_i^e`, `e in 1..=2` (duplicate items
+/// merge, so shapes span constants through degree-4 general terms).
 fn arb_poly() -> impl Strategy<Value = Polynomial> {
     proptest::collection::vec(
         (
@@ -55,6 +59,37 @@ fn arb_book() -> impl Strategy<Value = Vec<Polynomial>> {
     proptest::collection::vec(arb_poly(), 1..6)
 }
 
+/// `N_ITEMS` strictly ascending item ids with random gaps (a gap of 1
+/// keeps neighbours contiguous; the first id may be 0 or far from it).
+fn arb_ids() -> impl Strategy<Value = Vec<u32>> {
+    proptest::collection::vec(1u32..400, N_ITEMS).prop_map(|gaps| {
+        gaps.iter()
+            .scan(0u32, |next, &gap| {
+                *next += gap;
+                Some(*next - 1)
+            })
+            .collect()
+    })
+}
+
+/// `book` with dense item `k` renamed to `ids[k]`.
+fn scatter_book(book: &[Polynomial], ids: &[u32]) -> Vec<Polynomial> {
+    book.iter()
+        .map(|p| p.map_items(|i| x(ids[i.index()])))
+        .collect()
+}
+
+/// A value slice over the scattered universe: `v[k]` at slot `ids[k]`,
+/// NaN everywhere else, so reading a slot no item owns poisons the
+/// result.
+fn scatter_values(v: &[f64], ids: &[u32]) -> Vec<f64> {
+    let mut out = vec![f64::NAN; ids[ids.len() - 1] as usize + 1];
+    for (&id, &value) in ids.iter().zip(v) {
+        out[id as usize] = value;
+    }
+    out
+}
+
 /// A random walk: which item moves, and the value it moves to.
 fn arb_updates(len: usize) -> impl Strategy<Value = Vec<(usize, f64)>> {
     proptest::collection::vec((0..N_ITEMS, -10.0f64..10.0), len)
@@ -63,24 +98,27 @@ fn arb_updates(len: usize) -> impl Strategy<Value = Vec<(usize, f64)>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Shared full evaluation agrees with every per-query compiled plan
-    /// within the engine tolerance, and the scatter covers every live
-    /// subscription of the book.
+    /// Shared full evaluation agrees with naive evaluation of every
+    /// query within the engine tolerance, and the scatter covers every
+    /// live subscription of the book.
     #[test]
-    fn shared_full_eval_tracks_per_query_plans(
+    fn shared_full_eval_tracks_naive(
         book in arb_book(),
+        ids in arb_ids(),
         v in proptest::collection::vec(-10.0f64..10.0, N_ITEMS),
     ) {
+        let (book, v) = (scatter_book(&book, &ids), scatter_values(&v, &ids));
         let plan = SharedPlan::compile(book.iter());
+        prop_assert!(plan.degree() <= 4);
         let (mut scratch, mut qv) = (Vec::new(), Vec::new());
         plan.full_eval_into(&v, &mut scratch, &mut qv);
         prop_assert_eq!(qv.len(), book.len());
         prop_assert!(plan.n_terms() <= plan.scatter_fanout());
         for (qi, p) in book.iter().enumerate() {
-            let compiled = EvalPlan::compile(p).eval(&v);
+            let naive = p.eval(&v);
             prop_assert!(
-                close(qv[qi], compiled),
-                "q{}: shared {} vs per-query {}", qi, qv[qi], compiled
+                close(qv[qi], naive),
+                "q{}: shared {} vs naive {}", qi, qv[qi], naive
             );
         }
     }
@@ -113,40 +151,40 @@ proptest! {
         }
     }
 
-    /// A long delta-scattered walk with rebases interleaved at a random
-    /// cadence tracks the per-query plans within tolerance at every
+    /// A long delta-maintained walk with rebases interleaved at a
+    /// random cadence tracks naive evaluation within tolerance at every
     /// step, including the steps straddling rebase boundaries.
     #[test]
-    fn shared_delta_walk_with_rebases_tracks_per_query_plans(
+    fn shared_delta_walk_with_rebases_tracks_naive(
         book in arb_book(),
+        ids in arb_ids(),
         v0 in proptest::collection::vec(-10.0f64..10.0, N_ITEMS),
         updates in arb_updates(150),
         rebase_every in 1usize..48,
     ) {
+        let (book, mut v) = (scatter_book(&book, &ids), scatter_values(&v0, &ids));
         let plan = SharedPlan::compile(book.iter());
-        let plans: Vec<EvalPlan> = book.iter().map(EvalPlan::compile).collect();
-        let mut v = v0;
-        let (mut scratch, mut qv) = (Vec::new(), Vec::new());
-        plan.full_eval_into(&v, &mut scratch, &mut qv);
+        let mut view = SharedView::new(&plan, &v);
         for (step, &(item, new)) in updates.iter().enumerate() {
+            let item = ids[item] as usize;
             let old = v[item];
-            plan.delta_scatter(&v, x(item as u32), old, new, &mut qv);
+            view.apply(&plan, &v, item, old, new);
             v[item] = new;
-            for (qi, p) in plans.iter().enumerate() {
-                let full = p.eval(&v);
+            for (qi, p) in book.iter().enumerate() {
+                let naive = p.eval(&v);
                 prop_assert!(
-                    close(qv[qi], full),
-                    "step {} q{}: shared {} vs per-query {}", step, qi, qv[qi], full
+                    close(view.value(qi), naive),
+                    "step {} q{}: shared {} vs naive {}", step, qi, view.value(qi), naive
                 );
             }
             if (step + 1) % rebase_every == 0 {
-                // The engine's periodic rebase: a fresh shared full
-                // evaluation, bit-identical to a from-scratch pass.
-                plan.full_eval_into(&v, &mut scratch, &mut qv);
+                // The periodic rebase: a fresh shared full evaluation,
+                // bit-identical to a from-scratch pass.
+                view.rebase(&plan, &v);
                 let (mut s, mut fresh) = (Vec::new(), Vec::new());
                 SharedPlan::compile(book.iter()).full_eval_into(&v, &mut s, &mut fresh);
-                for qi in 0..book.len() {
-                    prop_assert_eq!(qv[qi].to_bits(), fresh[qi].to_bits());
+                for (qi, fresh) in fresh.iter().enumerate() {
+                    prop_assert_eq!(view.value(qi).to_bits(), fresh.to_bits());
                 }
             }
         }
@@ -226,22 +264,31 @@ proptest! {
         }
     }
 
-    /// Items the book never references scatter nothing: zero fan-out,
-    /// zero cost, and untouched query values.
+    /// Deltas touch exactly the terms containing the item: every id the
+    /// book never references — below, between and above its own —
+    /// scatters nothing, costs nothing and leaves every value alone.
     #[test]
     fn foreign_items_scatter_nothing(
         book in arb_book(),
+        ids in arb_ids(),
         v in proptest::collection::vec(-10.0f64..10.0, N_ITEMS),
         old in -10.0f64..10.0,
         new in -10.0f64..10.0,
     ) {
+        let (book, v) = (scatter_book(&book, &ids), scatter_values(&v, &ids));
         let plan = SharedPlan::compile(book.iter());
-        let foreign = x(N_ITEMS as u32 + 1);
+        let own: Vec<ItemId> = book.iter().flat_map(Polynomial::items).collect();
         let (mut scratch, mut qv) = (Vec::new(), Vec::new());
         plan.full_eval_into(&v, &mut scratch, &mut qv);
         let before = qv.clone();
-        prop_assert_eq!(plan.delta_cost(foreign), 0);
-        prop_assert_eq!(plan.delta_scatter(&v, foreign, old, new, &mut qv), 0);
+        for id in 0..v.len() as u32 + 2 {
+            if own.contains(&x(id)) {
+                prop_assert!(plan.delta_cost(x(id)) > 0);
+            } else {
+                prop_assert_eq!(plan.delta_cost(x(id)), 0);
+                prop_assert_eq!(plan.delta_scatter(&v, x(id), old, new, &mut qv), 0);
+            }
+        }
         prop_assert_eq!(qv, before);
     }
 }

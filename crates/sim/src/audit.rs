@@ -1,12 +1,9 @@
 //! Continuous fidelity audit: shadow evaluation of the delta plane.
 //!
-//! [`crate::engine::EvalMode::Delta`] and
-//! [`crate::engine::EvalMode::Shared`] replace per-use naive
-//! re-evaluation with incrementally maintained query values
-//! ([`crate::incremental::DeltaView`] /
-//! [`crate::incremental::SharedView`]). The `evalbench` parity gate
-//! proves the two paths agree on fixed benchmark seeds — but a live run
-//! with new traces, new queries, or a new scheduler backend has no such
+//! The engine reads query values from a delta-maintained
+//! [`pq_poly::SharedView`], never from a from-scratch evaluation. The
+//! property tests prove the two agree on generated books and fixed
+//! seeds — but a live run with new traces and new queries has no such
 //! certificate. The `FidelityAuditor` closes that gap *in production*:
 //! every `every` ticks it picks a rotating sample of queries,
 //! re-evaluates them from scratch with [`pq_poly::PolynomialQuery::eval`]
@@ -35,11 +32,6 @@ use pq_obs::{names, Counter, EventKind, Gauge, Obs};
 use pq_poly::PolynomialQuery;
 
 /// Configuration of the continuous fidelity audit (see module docs).
-///
-/// Only active under [`crate::engine::EvalMode::Delta`] and
-/// [`crate::engine::EvalMode::Shared`] — in naive mode the engine
-/// already evaluates from scratch everywhere, so there is no second
-/// plane to audit.
 #[derive(Debug, Clone)]
 pub struct AuditConfig {
     /// Run one audit pass every this many ticks (`0` disables the
@@ -52,8 +44,8 @@ pub struct AuditConfig {
     /// Relative drift tolerance: query `q` diverges when
     /// `|naive - delta| > tolerance * (1 + |naive|)`. The default is
     /// three orders of magnitude above the rebase-bounded rounding
-    /// drift of [`crate::incremental::DeltaView`] and far below any
-    /// meaningful QAB.
+    /// drift of [`pq_poly::SharedView`] and far below any meaningful
+    /// QAB.
     pub tolerance: f64,
 }
 
@@ -82,8 +74,7 @@ impl AuditConfig {
     }
 }
 
-/// One injected [`crate::incremental::DeltaView::corrupt`] (or
-/// [`crate::incremental::SharedView::corrupt`]) call, applied to the
+/// One injected [`pq_poly::SharedView::corrupt`] call, applied to the
 /// coordinator view just before the audit pass of the given tick —
 /// fault injection proving the auditor catches a wrong delta plane
 /// within one interval.
@@ -287,7 +278,7 @@ impl FidelityAuditor {
 mod tests {
     use super::*;
     use crate::delay::DelayConfig;
-    use crate::engine::{run, run_observed, EvalMode, SimConfig};
+    use crate::engine::{run, run_observed, SimConfig};
     use pq_ddm::{Trace, TraceSet};
     use pq_obs::Value;
     use pq_poly::ItemId;
@@ -304,7 +295,6 @@ mod tests {
         ];
         let mut cfg = SimConfig::new(traces, queries);
         cfg.delays = DelayConfig::planetlab_like();
-        cfg.eval = EvalMode::Delta { rebase_every: 256 };
         cfg.audit = Some(AuditConfig {
             every: 4,
             sample: 2,
@@ -376,40 +366,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_eval_audits_cleanly_and_catches_faults() {
-        // Clean shared-plan run: the auditor samples but never diverges.
-        let mut cfg = audited_config();
-        cfg.eval = EvalMode::Shared { rebase_every: 256 };
-        let obs = Obs::null();
-        run_observed(&cfg, &obs).unwrap();
-        let snap = obs.snapshot();
-        assert!(snap.counters[names::AUDIT_SAMPLE] > 0, "auditor never ran");
-        assert_eq!(snap.counters[names::AUDIT_DIVERGENCE], 0);
-
-        // A corrupted SharedView is flagged like a corrupted DeltaView.
-        cfg.audit_fault = Some(AuditFault {
-            tick: 100,
-            query: 1,
-            perturb: 500.0,
-        });
-        let obs = Obs::null();
-        run_observed(&cfg, &obs).unwrap();
-        assert!(
-            obs.snapshot().counters[names::AUDIT_DIVERGENCE] > 0,
-            "fault missed under shared evaluation"
-        );
-    }
-
-    #[test]
-    fn naive_mode_disables_the_auditor() {
-        let mut cfg = audited_config();
-        cfg.eval = EvalMode::Naive;
-        let obs = Obs::null();
-        run_observed(&cfg, &obs).unwrap();
-        assert!(!obs.snapshot().counters.contains_key(names::AUDIT_SAMPLE));
-    }
-
-    #[test]
     fn round_robin_covers_every_query() {
         let obs = Obs::null();
         let mut cfg = audited_config();
@@ -424,12 +380,8 @@ mod tests {
             .expect("audited_config always sets an audit interval");
         let mut auditor = FidelityAuditor::new(audit, &obs);
         let values = vec![3.0, 4.0, 5.0];
-        let plans: Vec<_> = cfg
-            .queries
-            .iter()
-            .map(|q| pq_poly::EvalPlan::compile(q.poly()))
-            .collect();
-        let view = crate::incremental::DeltaView::new(&plans, &values);
+        let plan = pq_poly::SharedPlan::compile(cfg.queries.iter().map(|q| q.poly()));
+        let view = pq_poly::SharedView::new(&plan, &values);
         let qv = view.values();
         auditor.on_tick(4, &cfg.queries, &values, &values, qv, qv, 1, &obs);
         assert_eq!(auditor.cursor, 1, "first pass audits q0, cursor advances");

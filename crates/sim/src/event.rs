@@ -1,7 +1,4 @@
-//! Discrete-event queue with deterministic ordering.
-
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+//! The events the simulator schedules (queued by [`crate::wheel`]).
 
 /// Events flowing through the simulator.
 #[derive(Debug, Clone, PartialEq)]
@@ -20,150 +17,4 @@ pub enum Event {
         /// The new filter width.
         dab: f64,
     },
-}
-
-#[derive(Debug)]
-struct Scheduled {
-    time: f64,
-    seq: u64,
-    event: Event,
-}
-
-impl PartialEq for Scheduled {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl Eq for Scheduled {}
-
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap: invert to pop the earliest event;
-        // FIFO tiebreak on the sequence number keeps runs deterministic.
-        other
-            .time
-            .total_cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// A time-ordered event queue (earliest first; FIFO among equal times).
-#[derive(Debug, Default)]
-pub struct EventQueue {
-    heap: BinaryHeap<Scheduled>,
-    seq: u64,
-}
-
-impl EventQueue {
-    /// An empty queue.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Schedules `event` at absolute `time`.
-    pub fn push(&mut self, time: f64, event: Event) {
-        debug_assert!(time.is_finite() && time >= 0.0);
-        self.heap.push(Scheduled {
-            time,
-            seq: self.seq,
-            event,
-        });
-        self.seq += 1;
-    }
-
-    /// Pops the next event if it occurs at or before `horizon`.
-    pub fn pop_until(&mut self, horizon: f64) -> Option<(f64, Event)> {
-        if self.heap.peek().is_some_and(|s| s.time <= horizon) {
-            self.heap.pop().map(|s| (s.time, s.event))
-        } else {
-            None
-        }
-    }
-
-    /// The time of the earliest pending event, if any.
-    pub fn peek_time(&self) -> Option<f64> {
-        self.heap.peek().map(|s| s.time)
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn refresh(item: usize) -> Event {
-        Event::RefreshArrive { item, value: 0.0 }
-    }
-
-    #[test]
-    fn pops_in_time_order() {
-        let mut q = EventQueue::new();
-        q.push(3.0, refresh(3));
-        q.push(1.0, refresh(1));
-        q.push(2.0, refresh(2));
-        let order: Vec<usize> = std::iter::from_fn(|| q.pop_until(f64::INFINITY))
-            .map(|(_, e)| match e {
-                Event::RefreshArrive { item, .. } => item,
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(order, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn equal_times_are_fifo() {
-        let mut q = EventQueue::new();
-        for i in 0..5 {
-            q.push(1.0, refresh(i));
-        }
-        let order: Vec<usize> = std::iter::from_fn(|| q.pop_until(2.0))
-            .map(|(_, e)| match e {
-                Event::RefreshArrive { item, .. } => item,
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(order, vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn same_tick_is_fifo() {
-        use crate::wheel::{assert_fifo_within_tick, Scheduler, SimQueue};
-        assert_fifo_within_tick(&mut SimQueue::new(Scheduler::Heap));
-    }
-
-    #[test]
-    fn horizon_is_respected() {
-        let mut q = EventQueue::new();
-        q.push(1.0, refresh(1));
-        q.push(5.0, refresh(5));
-        assert!(q.pop_until(2.0).is_some());
-        assert!(q.pop_until(2.0).is_none());
-        assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
-    }
-
-    #[test]
-    fn peek_time_sees_the_earliest_event() {
-        let mut q = EventQueue::new();
-        assert_eq!(q.peek_time(), None);
-        q.push(5.0, refresh(5));
-        q.push(1.0, refresh(1));
-        assert_eq!(q.peek_time(), Some(1.0));
-        q.pop_until(10.0);
-        assert_eq!(q.peek_time(), Some(5.0));
-    }
 }

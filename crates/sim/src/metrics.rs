@@ -28,8 +28,7 @@ pub struct SimMetrics {
     /// Batched-ingestion drains: groups of same-instant refreshes
     /// applied through one fused delta sweep. Stays 0 whenever the delay
     /// model keeps the coordinator service busy (batching only engages
-    /// under service-free delays; see DESIGN.md §12), and is identical
-    /// across schedulers and eval modes.
+    /// under service-free delays; see DESIGN.md §12).
     pub ingest_batches: u64,
     /// Number of fidelity samples taken (per query).
     pub fidelity_samples: u64,

@@ -6,10 +6,10 @@
 //! connected components onto `k` shards by estimated refresh/recompute
 //! load and only splits a component when it alone exceeds a shard's
 //! fair share. Each shard then runs the full single-coordinator engine
-//! — its own timer wheel, SoA item table, delta views (or, under
-//! `EvalMode::Shared`, its own cross-query [`pq_poly::SharedPlan`]
-//! compiled over just its partition) and solve caches — over a dense
-//! projection of its items and queries, on its own thread. Shards sharing a split component exchange messages over
+//! — its own timer wheel, SoA item table, cross-query
+//! [`pq_poly::SharedPlan`] compiled over just its partition and solve
+//! caches — over a dense projection of its items and queries, on its
+//! own thread. Shards sharing a split component exchange messages over
 //! bounded SPSC rings ([`crate::ring`]):
 //!
 //! * **home → remote**: accepted source refreshes of a shared item,
@@ -152,30 +152,7 @@ pub fn run_sharded(cfg: &SimConfig, obs: &Obs, exec: Execution) -> Result<ShardR
         });
     }
 
-    // Partition on the same load signals the optimizers use: estimated
-    // per-item refresh rates, and per-query size as a recompute proxy.
-    let query_items: Vec<Vec<u32>> = cfg
-        .queries
-        .iter()
-        .map(|q| q.items().iter().map(|i| i.0).collect())
-        .collect();
-    let item_load: Vec<f64> = cfg
-        .rate_estimator
-        .estimate_all(&cfg.traces)
-        .into_iter()
-        .map(|r| r.abs().max(1e-9))
-        .collect();
-    let query_load = query_load_for(cfg, &query_items);
-    let plan = partition_with_slack(
-        &PartitionInput {
-            query_items: &query_items,
-            n_items,
-            item_load: &item_load,
-            query_load: &query_load,
-        },
-        k,
-        split_slack_for(cfg),
-    );
+    let plan = plan_for(cfg);
     let execution = match exec {
         // A split component needs live peers on both sides of its
         // barrier; sequential execution would deadlock on the first
@@ -407,9 +384,14 @@ pub fn run_sharded(cfg: &SimConfig, obs: &Obs, exec: Execution) -> Result<ShardR
     })
 }
 
-/// The partition a sharded run of `cfg` would use — exposed so tools
-/// (e.g. `shardbench`) can report cleanliness and balance without
-/// running the simulation.
+/// The partition a sharded run of `cfg` uses — exposed so tools (e.g.
+/// `shardbench`) can report cleanliness and balance without running the
+/// simulation. It packs by the load signals the optimizers use:
+/// estimated per-item refresh rates, and per query the marginal cost of
+/// evaluating it — each shard compiles one cross-query
+/// [`pq_poly::SharedPlan`] over its partition, so that cost is
+/// dominated by the distinct monomials the query *introduces*;
+/// already-shared monomials only add a scatter subscription.
 pub fn plan_for(cfg: &SimConfig) -> PartitionPlan {
     let query_items: Vec<Vec<u32>> = cfg
         .queries
@@ -422,7 +404,7 @@ pub fn plan_for(cfg: &SimConfig) -> PartitionPlan {
         .into_iter()
         .map(|r| r.abs().max(1e-9))
         .collect();
-    let query_load = query_load_for(cfg, &query_items);
+    let query_load = pq_poly::shared_query_loads(cfg.queries.iter().map(|q| q.poly()));
     partition_with_slack(
         &PartitionInput {
             query_items: &query_items,
@@ -447,21 +429,6 @@ fn split_slack_for(cfg: &SimConfig) -> f64 {
     match cfg.gp.kkt {
         pq_gp::KktMode::Sparse => pq_core::SPARSE_SPLIT_SLACK,
         pq_gp::KktMode::Auto | pq_gp::KktMode::Dense => pq_core::DEFAULT_SPLIT_SLACK,
-    }
-}
-
-/// Per-query recompute/eval cost proxy the partitioner packs by. Under
-/// [`EvalMode::Shared`] each shard compiles one cross-query
-/// [`pq_poly::SharedPlan`] over its partition, so a query's marginal
-/// eval cost is dominated by the distinct monomials it *introduces* —
-/// already-shared monomials only add a scatter subscription. The
-/// per-query plans' proxy (item-set size) stays in place for the other
-/// modes.
-fn query_load_for(cfg: &SimConfig, query_items: &[Vec<u32>]) -> Vec<f64> {
-    if matches!(cfg.eval, crate::engine::EvalMode::Shared { .. }) {
-        pq_poly::shared_query_loads(cfg.queries.iter().map(|q| q.poly()))
-    } else {
-        query_items.iter().map(|items| items.len() as f64).collect()
     }
 }
 

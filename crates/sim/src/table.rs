@@ -6,7 +6,13 @@
 //! (drift sweep, DAB filter, staleness checks) and so whole columns can
 //! be handed to the evaluator as slices without re-assembling state.
 //! [`Bitset`] is the companion flat bit column used for per-item dirty
-//! bits and per-query membership marks during batched ingestion.
+//! bits and per-query membership marks during batched ingestion, and
+//! [`ReaderIndex`] the flat item → reader-queries column: query values
+//! are maintained by [`pq_poly::SharedView`], which dispatches a move to
+//! its terms by itself, so all the engine keeps per item is *which
+//! queries* to re-check against their QAB when it moves.
+
+use pq_poly::ItemId;
 
 /// A flat bit column (one `u64` word per 64 bits).
 #[derive(Debug, Clone, Default)]
@@ -203,6 +209,49 @@ impl ItemTable {
     }
 }
 
+/// CSR item → readers: for every item, the queries whose polynomial
+/// references it (ascending). Resolved once per book, so checking a
+/// move's readers walks one contiguous run.
+#[derive(Debug, Clone)]
+pub struct ReaderIndex {
+    /// `starts[i]..starts[i + 1]` is item `i`'s run of `queries`.
+    starts: Vec<u32>,
+    queries: Vec<u32>,
+}
+
+impl ReaderIndex {
+    /// Indexes a book over `n_items` items; `query_items[q]` is query
+    /// `q`'s distinct items ([`pq_poly::PolynomialQuery::items`]).
+    ///
+    /// # Panics
+    /// Panics if a query references an item `>= n_items`.
+    pub fn new(n_items: usize, query_items: &[Vec<ItemId>]) -> Self {
+        let mut starts = vec![0u32; n_items + 1];
+        for item in query_items.iter().flatten() {
+            starts[item.index() + 1] += 1;
+        }
+        for i in 0..n_items {
+            starts[i + 1] += starts[i];
+        }
+        let mut cursor = starts.clone();
+        let mut queries = vec![0u32; starts[n_items] as usize];
+        for (qi, items) in query_items.iter().enumerate() {
+            for item in items {
+                let at = &mut cursor[item.index()];
+                queries[*at as usize] = qi as u32;
+                *at += 1;
+            }
+        }
+        ReaderIndex { starts, queries }
+    }
+
+    /// The queries referencing `item`, ascending.
+    #[inline]
+    pub fn queries(&self, item: usize) -> &[u32] {
+        &self.queries[self.starts[item] as usize..self.starts[item + 1] as usize]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -250,5 +299,18 @@ mod tests {
         assert!(t.is_dirty(2));
         t.clear_dirty(2);
         assert!(!t.is_dirty(2));
+    }
+
+    #[test]
+    fn reader_index_lists_each_items_queries() {
+        // q0 reads x0, x1; q1 reads x1, x2; q2 reads nothing; x3 is
+        // never read.
+        let x = ItemId;
+        let items = vec![vec![x(0), x(1)], vec![x(1), x(2)], Vec::new()];
+        let idx = ReaderIndex::new(4, &items);
+        assert_eq!(idx.queries(0), &[0]);
+        assert_eq!(idx.queries(1), &[0, 1]);
+        assert_eq!(idx.queries(2), &[1]);
+        assert!(idx.queries(3).is_empty());
     }
 }

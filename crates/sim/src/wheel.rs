@@ -1,18 +1,18 @@
-//! Hierarchical timer wheel — O(1) amortized event scheduling.
+//! Hierarchical timer wheel — the engine's event queue, O(1) amortized
+//! scheduling.
 //!
-//! The binary-heap [`EventQueue`] pays `O(log n)` per push/pop with `n`
-//! events in flight; at production scale (millions of items pushing
-//! refreshes) the heap churn dominates the simulator hot loop. A
-//! hierarchical timer wheel files each event into a time bucket in O(1)
-//! and drains buckets in time order, paying a small sort only when a
-//! bucket is opened.
+//! A binary heap pays `O(log n)` per push/pop with `n` events in
+//! flight; at production scale (millions of items pushing refreshes)
+//! that churn dominates the simulator hot loop. A hierarchical timer
+//! wheel files each event into a time bucket in O(1) and drains buckets
+//! in time order, paying a small sort only when a bucket is opened.
 //!
 //! # Exactness contract
 //!
-//! [`TimerWheel`] is **order-identical** to the heap, not merely
-//! approximately so: events pop in ascending `(time, seq)` order, where
-//! `seq` is the monotonic push counter — the exact total order
-//! [`EventQueue`] produces. Two facts make this work:
+//! [`TimerWheel`] is **order-identical** to a binary heap keyed by
+//! `(time, seq)`, not merely approximately so: events pop in ascending
+//! `(time, seq)` order, where `seq` is the monotonic push counter. Two
+//! facts make this work:
 //!
 //! 1. Bucketing is *floor* quantization (`q = ⌊time·64⌋`), which is
 //!    monotone: `t1 < t2` implies `q1 <= q2`, so draining buckets in
@@ -22,10 +22,10 @@
 //!    zero-delay push at the current instant) are merge-inserted at
 //!    their sorted position.
 //!
-//! Consequently every [`crate::SimMetrics`] field of a fixed-seed run is
-//! byte-identical under [`Scheduler::Heap`] and [`Scheduler::Wheel`] —
-//! enforced by the cross-scheduler proptest and
-//! `engine::tests::wheel_scheduler_matches_heap_exactly`.
+//! The heap survives as the reference model of
+//! `tests/proptest_scheduler.rs`, which holds the wheel to its pop
+//! stream under random interleavings and under the engine's own
+//! push/drain pattern.
 //!
 //! # Layout
 //!
@@ -37,21 +37,7 @@
 //! buckets, also counted as a cascade (see [`TimerWheel::cascades`],
 //! exported as the `sched.cascade` counter).
 
-use crate::event::{Event, EventQueue};
-
-/// Which backend schedules the simulator's events.
-///
-/// Both produce byte-identical simulations on a fixed seed; the wheel is
-/// the scale-out choice once many events are in flight.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Scheduler {
-    /// The binary-heap [`EventQueue`] (`O(log n)` push/pop) — the
-    /// reference implementation and the default.
-    #[default]
-    Heap,
-    /// The hierarchical [`TimerWheel`] (`O(1)` amortized push/pop).
-    Wheel,
-}
+use crate::event::Event;
 
 const SLOT_BITS: u32 = 6;
 const SLOTS: usize = 1 << SLOT_BITS;
@@ -82,9 +68,8 @@ fn entry_before(a: &WheelEntry, time: f64, seq: u64) -> bool {
     }
 }
 
-/// A hierarchical timer wheel with the same API and the same total event
-/// order as [`EventQueue`] — see the module docs for the exactness
-/// argument.
+/// A time-ordered event queue (earliest first; FIFO among equal times)
+/// — see the module docs for the exactness argument.
 #[derive(Debug)]
 pub struct TimerWheel {
     /// `levels[l][s]`: unsorted bucket for the level-`l` slot `s`.
@@ -269,118 +254,6 @@ impl TimerWheel {
     }
 }
 
-/// The engine's event queue, dispatching on the configured
-/// [`Scheduler`]. Both backends expose the identical contract: pops
-/// ascend in `(time, push-order)` and are byte-identical between
-/// backends.
-#[derive(Debug)]
-pub enum SimQueue {
-    /// Binary-heap backend ([`EventQueue`]).
-    Heap(EventQueue),
-    /// Timer-wheel backend ([`TimerWheel`]).
-    Wheel(TimerWheel),
-}
-
-impl SimQueue {
-    /// An empty queue for the given scheduler.
-    pub fn new(scheduler: Scheduler) -> Self {
-        match scheduler {
-            Scheduler::Heap => SimQueue::Heap(EventQueue::new()),
-            Scheduler::Wheel => SimQueue::Wheel(TimerWheel::new()),
-        }
-    }
-
-    /// Schedules `event` at absolute `time`.
-    #[inline]
-    pub fn push(&mut self, time: f64, event: Event) {
-        match self {
-            SimQueue::Heap(q) => q.push(time, event),
-            SimQueue::Wheel(w) => w.push(time, event),
-        }
-    }
-
-    /// Pops the next event if it occurs at or before `horizon`.
-    #[inline]
-    pub fn pop_until(&mut self, horizon: f64) -> Option<(f64, Event)> {
-        match self {
-            SimQueue::Heap(q) => q.pop_until(horizon),
-            SimQueue::Wheel(w) => w.pop_until(horizon),
-        }
-    }
-
-    /// The time of the earliest pending event, if any (`&mut` because
-    /// the wheel may open its next bucket; no event is lost).
-    #[inline]
-    pub fn peek_time(&mut self) -> Option<f64> {
-        match self {
-            SimQueue::Heap(q) => q.peek_time(),
-            SimQueue::Wheel(w) => w.peek_time(),
-        }
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        match self {
-            SimQueue::Heap(q) => q.len(),
-            SimQueue::Wheel(w) => w.len(),
-        }
-    }
-
-    /// True if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Timer-wheel cascades so far (0 for the heap backend).
-    pub fn cascades(&self) -> u64 {
-        match self {
-            SimQueue::Heap(_) => 0,
-            SimQueue::Wheel(w) => w.cascades(),
-        }
-    }
-}
-
-/// Shared scheduler-contract check: events pushed at equal times must
-/// pop in push (FIFO) order, interleaved correctly with other times.
-///
-/// Used by both the heap tests (`event.rs`) and the wheel tests so the
-/// two backends are held to the same ordering contract by the same
-/// code.
-#[cfg(test)]
-pub(crate) fn assert_fifo_within_tick(queue: &mut SimQueue) {
-    assert!(queue.is_empty(), "helper expects an empty queue");
-    // Pushes carry their global push index as the item id; times repeat
-    // within ticks and arrive out of time order.
-    let times = [5.0, 5.0, 2.0, 5.0, 2.0, 9.5, 2.0, 9.5, 5.0, 0.0];
-    for (i, &t) in times.iter().enumerate() {
-        queue.push(
-            t,
-            Event::RefreshArrive {
-                item: i,
-                value: 0.0,
-            },
-        );
-    }
-    let mut popped: Vec<(f64, usize)> = Vec::new();
-    while let Some((t, e)) = queue.pop_until(f64::INFINITY) {
-        match e {
-            Event::RefreshArrive { item, .. } => popped.push((t, item)),
-            other => panic!("unexpected event {other:?}"),
-        }
-    }
-    assert_eq!(popped.len(), times.len());
-    for w in popped.windows(2) {
-        let ((t0, i0), (t1, i1)) = (w[0], w[1]);
-        assert!(t0 <= t1, "time order violated: {t0} after {t1}");
-        if t0 == t1 {
-            assert!(i0 < i1, "FIFO violated within tick {t0}: {i0} before {i1}");
-        }
-    }
-    // And the exact expected order, for good measure.
-    let order: Vec<usize> = popped.iter().map(|&(_, i)| i).collect();
-    assert_eq!(order, vec![9, 2, 4, 6, 0, 1, 3, 8, 5, 7]);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -411,7 +284,15 @@ mod tests {
 
     #[test]
     fn same_tick_is_fifo() {
-        assert_fifo_within_tick(&mut SimQueue::new(Scheduler::Wheel));
+        // Pushes carry their push index as the item id; times repeat
+        // within ticks and arrive out of time order.
+        let mut w = TimerWheel::new();
+        let times = [5.0, 5.0, 2.0, 5.0, 2.0, 9.5, 2.0, 9.5, 5.0, 0.0];
+        for (i, &t) in times.iter().enumerate() {
+            w.push(t, refresh(i));
+        }
+        let order: Vec<usize> = drain(&mut w).into_iter().map(|(_, i)| i).collect();
+        assert_eq!(order, vec![9, 2, 4, 6, 0, 1, 3, 8, 5, 7]);
     }
 
     #[test]
@@ -495,50 +376,5 @@ mod tests {
             "overflow events pop last, in time order"
         );
         assert!(w.cascades() > 0, "overflow re-file counts as a cascade");
-    }
-
-    #[test]
-    fn matches_heap_order_on_adversarial_interleaving() {
-        // Deterministic pseudo-random pushes and pops, mirrored against
-        // the heap: the pop streams must be identical, including times.
-        let mut heap = SimQueue::new(Scheduler::Heap);
-        let mut wheel = SimQueue::new(Scheduler::Wheel);
-        let mut state = 0x9E3779B97F4A7C15_u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let mut clock = 0.0_f64;
-        for i in 0..3000 {
-            let r = next();
-            if r % 5 < 3 {
-                // Push at clock + pseudo-random delay; ~1/4 land on the
-                // exact current instant to exercise same-bucket merges.
-                let delay = if r % 4 == 0 {
-                    0.0
-                } else {
-                    ((r >> 8) % 10_000) as f64 / 61.0
-                };
-                heap.push(clock + delay, refresh(i));
-                wheel.push(clock + delay, refresh(i));
-            } else {
-                let h = heap.pop_until(f64::INFINITY);
-                let w = wheel.pop_until(f64::INFINITY);
-                assert_eq!(h, w, "pop #{i} diverged");
-                if let Some((t, _)) = h {
-                    clock = clock.max(t);
-                }
-            }
-        }
-        loop {
-            let h = heap.pop_until(f64::INFINITY);
-            let w = wheel.pop_until(f64::INFINITY);
-            assert_eq!(h, w);
-            if h.is_none() {
-                break;
-            }
-        }
     }
 }

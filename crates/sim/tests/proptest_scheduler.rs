@@ -2,18 +2,165 @@
 //!
 //! The wheel's contract is *exactness*, not mere approximate ordering:
 //! for any interleaving of pushes and pops it must emit the identical
-//! event stream as the binary-heap [`EventQueue`], and a full simulation
-//! run under [`Scheduler::Wheel`] must produce byte-identical
-//! [`pq_sim::SimMetrics`] to [`Scheduler::Heap`] on the same seed.
+//! event stream as a binary heap keyed by `(time, push order)`. That
+//! heap — the engine's queue before the wheel replaced it — lives on
+//! here as the reference model.
+
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 use proptest::prelude::*;
 
-use pq_core::{AssignmentStrategy, PqHeuristic};
-use pq_ddm::{Trace, TraceSet};
-use pq_poly::{ItemId, PolynomialQuery};
-use pq_sim::{
-    run, DelayConfig, Event, EventQueue, Scheduler, SimConfig, SimQueue, SimStrategy, TimerWheel,
-};
+use pq_sim::{Event, TimerWheel};
+
+#[derive(Debug)]
+struct Scheduled {
+    time: f64,
+    seq: u64,
+    event: Event,
+}
+
+impl PartialEq for Scheduled {
+    fn eq(&self, other: &Self) -> bool {
+        self.time == other.time && self.seq == other.seq
+    }
+}
+impl Eq for Scheduled {}
+
+impl Ord for Scheduled {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // BinaryHeap is a max-heap: invert to pop the earliest event;
+        // FIFO tiebreak on the sequence number.
+        other
+            .time
+            .total_cmp(&self.time)
+            .then_with(|| other.seq.cmp(&self.seq))
+    }
+}
+impl PartialOrd for Scheduled {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// The reference model: a binary-heap event queue (earliest first; FIFO
+/// among equal times) with the wheel's API.
+#[derive(Debug, Default)]
+struct EventQueue {
+    heap: BinaryHeap<Scheduled>,
+    seq: u64,
+}
+
+impl EventQueue {
+    fn push(&mut self, time: f64, event: Event) {
+        self.heap.push(Scheduled {
+            time,
+            seq: self.seq,
+            event,
+        });
+        self.seq += 1;
+    }
+
+    fn pop_until(&mut self, horizon: f64) -> Option<(f64, Event)> {
+        if self.heap.peek().is_some_and(|s| s.time <= horizon) {
+            self.heap.pop().map(|s| (s.time, s.event))
+        } else {
+            None
+        }
+    }
+
+    fn peek_time(&self) -> Option<f64> {
+        self.heap.peek().map(|s| s.time)
+    }
+
+    fn len(&self) -> usize {
+        self.heap.len()
+    }
+}
+
+fn refresh(item: usize) -> Event {
+    Event::RefreshArrive { item, value: 0.0 }
+}
+
+/// The reference model's own contract: time order, FIFO within a time.
+#[test]
+fn reference_heap_pops_in_time_then_push_order() {
+    let mut q = EventQueue::default();
+    let times = [5.0, 5.0, 2.0, 5.0, 2.0, 9.5, 2.0, 9.5, 5.0, 0.0];
+    for (i, &t) in times.iter().enumerate() {
+        q.push(t, refresh(i));
+    }
+    assert_eq!(q.peek_time(), Some(0.0));
+    assert!(q.pop_until(-1.0).is_none());
+    let order: Vec<usize> = std::iter::from_fn(|| q.pop_until(f64::INFINITY))
+        .map(|(_, e)| match e {
+            Event::RefreshArrive { item, .. } => item,
+            other => panic!("unexpected {other:?}"),
+        })
+        .collect();
+    assert_eq!(order, vec![9, 2, 4, 6, 0, 1, 3, 8, 5, 7]);
+}
+
+/// The engine's access pattern, tick by tick: sources push arrivals at
+/// `tick + delay`, the coordinator drains everything due by the tick,
+/// and handling a popped event schedules follow-ups — at the very
+/// instant being drained under zero delays (a DAB change applied at
+/// once), later under heavy-tailed ones. Both queues must pop the same
+/// stream, peeked times included.
+#[test]
+fn wheel_matches_heap_on_the_engines_push_and_drain_pattern() {
+    for zero_delay in [true, false] {
+        let mut heap = EventQueue::default();
+        let mut wheel = TimerWheel::new();
+        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        // Pareto-like: mostly a fraction of a tick, now and then many.
+        let delay = |r: u64| {
+            if zero_delay {
+                0.0
+            } else {
+                let u = ((r >> 11) as f64 + 1.0) / (1u64 << 53) as f64;
+                0.05 * u.powf(-0.8)
+            }
+        };
+        let mut next_id = 0usize;
+        let mut popped = 0usize;
+        for tick in 1..400 {
+            let now = tick as f64;
+            for _ in 0..next() % 6 {
+                let at = now + delay(next());
+                heap.push(at, refresh(next_id));
+                wheel.push(at, refresh(next_id));
+                next_id += 1;
+            }
+            loop {
+                assert_eq!(heap.peek_time(), wheel.peek_time(), "tick {tick}");
+                let h = heap.pop_until(now);
+                assert_eq!(h, wheel.pop_until(now), "tick {tick}");
+                let Some((t, _)) = h else { break };
+                popped += 1;
+                // One pop in three answers with a follow-up message.
+                if next() % 3 == 0 {
+                    let at = t + delay(next());
+                    let event = Event::DabChangeArrive {
+                        item: next_id,
+                        dab: at,
+                    };
+                    heap.push(at, event.clone());
+                    wheel.push(at, event);
+                    next_id += 1;
+                }
+            }
+            assert_eq!(heap.len(), wheel.len());
+        }
+        assert!(popped > 500, "the pattern must carry traffic: {popped}");
+    }
+}
 
 /// One step of an adversarial queue workload.
 #[derive(Debug, Clone)]
@@ -58,7 +205,7 @@ proptest! {
     /// for any interleaving of pushes and pops.
     #[test]
     fn wheel_and_heap_pop_identical_streams(ops in arb_ops()) {
-        let mut heap = EventQueue::new();
+        let mut heap = EventQueue::default();
         let mut wheel = TimerWheel::new();
         let mut now = 0.0_f64;
         let mut next_id = 0usize;
@@ -93,13 +240,13 @@ proptest! {
         }
     }
 
-    /// `SimQueue::Wheel` agrees with the heap on `peek_time` as well as
-    /// the popped stream under a bounded-horizon drain (the engine's
-    /// access pattern: peek, then pop everything up to the next tick).
+    /// The wheel agrees with the heap on `peek_time` as well as the
+    /// popped stream under a bounded-horizon drain (the engine's access
+    /// pattern: peek, then pop everything up to the next tick).
     #[test]
-    fn sim_queue_agrees_under_horizon_drains(ops in arb_ops(), horizon_step in 0.25f64..8.0) {
-        let mut heap = SimQueue::new(Scheduler::Heap);
-        let mut wheel = SimQueue::new(Scheduler::Wheel);
+    fn wheel_agrees_under_horizon_drains(ops in arb_ops(), horizon_step in 0.25f64..8.0) {
+        let mut heap = EventQueue::default();
+        let mut wheel = TimerWheel::new();
         let mut now = 0.0_f64;
         let mut next_id = 0usize;
         for op in &ops {
@@ -122,52 +269,5 @@ proptest! {
                 }
             }
         }
-    }
-}
-
-fn x(i: u32) -> ItemId {
-    ItemId(i)
-}
-
-proptest! {
-    // Each case runs two full simulations (with GP solves), so keep the
-    // case count low; the queue-level tests above carry the volume.
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// Full-simulation determinism: heap and wheel produce byte-identical
-    /// metrics on random small configurations, with and without delays.
-    #[test]
-    fn full_sim_metrics_are_scheduler_invariant(
-        seed in 0u64..1_000,
-        mu in 1.0f64..10.0,
-        period in 150.0f64..500.0,
-        amplitude in 1.0f64..4.0,
-        ticks in 300usize..600,
-        planetlab in (0u32..2).prop_map(|b| b == 1),
-    ) {
-        let traces = TraceSet::new(vec![
-            Trace::sinusoid(20.0, amplitude, period, ticks),
-            Trace::sinusoid(10.0, amplitude * 0.7, period * 0.8, ticks),
-        ]);
-        let queries = vec![PolynomialQuery::portfolio([(1.0, x(0), x(1))], 8.0).unwrap()];
-        let mut cfg = SimConfig::new(traces, queries);
-        cfg.seed = seed;
-        cfg.strategy = SimStrategy::PerQuery {
-            strategy: AssignmentStrategy::DualDab { mu },
-            heuristic: PqHeuristic::DifferentSum,
-        };
-        cfg.delays = if planetlab {
-            DelayConfig::planetlab_like()
-        } else {
-            DelayConfig::zero()
-        };
-        cfg.scheduler = Scheduler::Heap;
-        let mut h = run(&cfg).unwrap();
-        cfg.scheduler = Scheduler::Wheel;
-        let mut w = run(&cfg).unwrap();
-        // Wall-clock solver time is the only nondeterministic field.
-        h.solver_seconds = 0.0;
-        w.solver_seconds = 0.0;
-        prop_assert_eq!(h, w);
     }
 }

@@ -156,12 +156,11 @@ fn fidelity_and_violations_match_fig5_across_shard_counts() {
 
 #[test]
 fn shared_eval_is_invariant_across_shard_counts() {
-    // Under EvalMode::Shared each coordinator compiles a SharedPlan
-    // over its own partition (and the partitioner packs by marginal
-    // shared-eval load): fixed-seed metrics must still match the
-    // classic engine at k = 1 and stay invariant across shard counts.
-    let mut base = cross_k_config(96, 12, 300);
-    base.eval = pq_sim::EvalMode::Shared { rebase_every: 256 };
+    // Each coordinator compiles a SharedPlan over its own partition
+    // (and the partitioner packs by marginal shared-eval load):
+    // fixed-seed metrics must still match the classic engine at k = 1
+    // and stay invariant across shard counts.
+    let base = cross_k_config(96, 12, 300);
     let obs = Obs::null();
     let classic = run_observed(&base, &obs).expect("classic shared run");
     let mut baseline = None;

@@ -18,8 +18,16 @@ use pq_core::{
 use pq_ddm::DataDynamicsModel;
 use pq_gp::SolverOptions;
 use pq_obs::{names, Counter, EventKind, Obs, ObsConfig, Watchdog};
-use pq_poly::{ItemCatalog, ItemId, PolyError, Polynomial, PolynomialQuery, QueryId};
+use pq_poly::{
+    ItemCatalog, ItemId, PolyError, Polynomial, PolynomialQuery, QueryId, SharedPlan, SharedView,
+};
 use std::sync::Arc;
+
+/// Applied refreshes between two full re-evaluations of the maintained
+/// query values. Each delta fold adds one rounding per updated value, so
+/// the drift this bounds is about `512 × ulp(|P|)` — some nine orders of
+/// magnitude inside any QAB worth monitoring.
+const REBASE_EVERY: u32 = 512;
 
 /// What happened when a refresh was applied.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -41,6 +49,13 @@ pub struct Monitor {
     values: Vec<f64>,
     rates: Vec<f64>,
     queries: Vec<PolynomialQuery>,
+    /// The whole book compiled for delta maintenance (built at install).
+    plan: SharedPlan,
+    /// Every query's value at `values`, maintained through `plan`:
+    /// `values` and `view` only ever move together.
+    view: SharedView,
+    /// Refreshes folded into `view` since its last full re-evaluation.
+    applied_since_rebase: u32,
     last_notified: Vec<f64>,
     strategy: AssignmentStrategy,
     heuristic: PqHeuristic,
@@ -89,6 +104,9 @@ impl Monitor {
             values: Vec::new(),
             rates: Vec::new(),
             queries: Vec::new(),
+            plan: SharedPlan::compile([]),
+            view: SharedView::default(),
+            applied_since_rebase: 0,
             last_notified: Vec::new(),
             strategy: AssignmentStrategy::DualDab { mu: 5.0 },
             heuristic: PqHeuristic::DifferentSum,
@@ -258,6 +276,11 @@ impl Monitor {
     /// per-item filters (EQI minimum rule). Returns the filters to ship.
     pub fn install(&mut self) -> Result<Vec<(ItemId, f64)>, DabError> {
         let _span = self.obs.timed(names::MONITOR_INSTALL);
+        // Compiled first: its transients are freed before the solves
+        // below reach their own peak.
+        self.plan = SharedPlan::compile(self.queries.iter().map(PolynomialQuery::poly));
+        self.view = SharedView::new(&self.plan, &self.values);
+        self.applied_since_rebase = 0;
         self.units = self
             .queries
             .iter()
@@ -336,9 +359,15 @@ impl Monitor {
         self.values.get(item.index()).copied()
     }
 
-    /// The cached value of query `q`.
+    /// The cached value of query `q`: a load of the maintained value
+    /// once installed, an evaluation over the registered values before.
     pub fn query_value(&self, q: QueryId) -> Option<f64> {
-        self.queries.get(q.index()).map(|qq| qq.eval(&self.values))
+        let query = self.queries.get(q.index())?;
+        Some(if self.installed {
+            self.view.value(q.index())
+        } else {
+            query.eval(&self.values)
+        })
     }
 
     /// Applies an arriving refresh: updates the cached value, determines
@@ -346,13 +375,19 @@ impl Monitor {
     /// reports filter changes to ship back to sources.
     ///
     /// # Errors
-    /// [`DabError::NonFiniteValue`] for a NaN or infinite `value`, with
-    /// the monitor's state untouched; solver errors if a recomputation
-    /// fails. [`Monitor::install`] must have been called first (panics
-    /// otherwise — a programming error).
+    /// With the monitor's state untouched: [`DabError::NotInstalled`]
+    /// when [`Monitor::install`] has not run since the last
+    /// registration, [`DabError::UnknownItem`] for an item that was
+    /// never registered, [`DabError::NonFiniteValue`] for a NaN or
+    /// infinite `value`. After the value is applied: solver errors if a
+    /// recomputation fails.
     pub fn on_refresh(&mut self, item: ItemId, value: f64) -> Result<RefreshOutcome, DabError> {
-        assert!(self.installed, "call install() before feeding refreshes");
-        assert!(item.index() < self.values.len(), "unknown item");
+        if !self.installed {
+            return Err(DabError::NotInstalled);
+        }
+        if item.index() >= self.values.len() {
+            return Err(DabError::UnknownItem { item: item.0 });
+        }
         if !value.is_finite() {
             return Err(DabError::NonFiniteValue {
                 item: item.0,
@@ -362,14 +397,21 @@ impl Monitor {
         if let Some(watchdog) = &self.watchdog {
             watchdog.beat();
         }
-        self.values[item.index()] = value;
+        let old = std::mem::replace(&mut self.values[item.index()], value);
+        self.view
+            .apply(&self.plan, &self.values, item.index(), old, value);
+        self.applied_since_rebase += 1;
+        if self.applied_since_rebase == REBASE_EVERY {
+            self.view.rebase(&self.plan, &self.values);
+            self.applied_since_rebase = 0;
+        }
         let mut outcome = RefreshOutcome::default();
 
         // Only queries referencing the item can notify; the per-item
         // index (built at install) avoids scanning every query.
         for &qi in &self.item_queries[item.index()] {
             let q = &self.queries[qi];
-            let qv = q.eval(&self.values);
+            let qv = self.view.value(qi);
             if (qv - self.last_notified[qi]).abs() > q.qab() {
                 self.last_notified[qi] = qv;
                 outcome.notify.push((QueryId(qi as u32), qv));
@@ -493,6 +535,7 @@ impl Monitor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn two_item_monitor() -> (Monitor, ItemId, ItemId, QueryId) {
         let mut m = Monitor::new();
@@ -627,6 +670,39 @@ mod tests {
     }
 
     #[test]
+    fn misdirected_refreshes_are_typed_errors_that_touch_nothing() {
+        let mut m = Monitor::new();
+        let x = m.add_item("x", 2.0, 1.0);
+        let y = m.add_item("y", 2.0, 1.0);
+        let q = m.add_query(PolynomialQuery::portfolio([(1.0, x, y)], 5.0).unwrap());
+        // Before install — whatever else is wrong with the call.
+        for (item, value) in [(x, 3.0), (ItemId(7), 3.0), (x, f64::NAN)] {
+            assert_eq!(m.on_refresh(item, value), Err(DabError::NotInstalled));
+        }
+        assert_eq!(m.query_value(q), Some(4.0));
+        m.install().unwrap();
+        m.on_refresh(x, 2.5).unwrap();
+        let before = (m.values.clone(), m.item_dabs.clone(), m.query_value(q));
+        // An unknown item is reported as such even with a bad value.
+        for value in [3.0, f64::NAN] {
+            assert_eq!(
+                m.on_refresh(ItemId(2), value),
+                Err(DabError::UnknownItem { item: 2 })
+            );
+        }
+        assert_eq!(
+            (m.values.clone(), m.item_dabs.clone(), m.query_value(q)),
+            before
+        );
+        // A registration after install asks for a re-install again.
+        m.add_item("z", 1.0, 1.0);
+        assert_eq!(m.on_refresh(x, 2.6), Err(DabError::NotInstalled));
+        assert_eq!(m.query_value(q), before.2);
+        m.install().unwrap();
+        assert!(m.on_refresh(x, 2.6).is_ok());
+    }
+
+    #[test]
     fn a_failed_recompute_is_retried_by_the_next_refresh_of_the_unit() {
         let (mut m, x, y, q) = two_item_monitor();
         // The GP needs positive data: the re-solve this refresh forces fails.
@@ -637,6 +713,77 @@ mod tests {
         let out = m.on_refresh(x, 2.5).unwrap();
         assert_eq!(out.recomputed, vec![q]);
         assert!(m.on_refresh(y, 2.02).unwrap().recomputed.is_empty());
+    }
+
+    /// A mixed-sign query over items `0..5`: one to four terms (linear,
+    /// square or bilinear) with coefficients of either sign.
+    fn arb_query() -> impl Strategy<Value = PolynomialQuery> {
+        let coef = (0.25f64..2.0, 0u32..2).prop_map(|(c, neg)| if neg == 1 { -c } else { c });
+        let term = (coef, 0u32..5, 0u32..5, 0u32..3).prop_map(|(c, i, j, shape)| {
+            let vars = if shape == 0 {
+                vec![(ItemId(i), 1)]
+            } else {
+                vec![(ItemId(i), 1), (ItemId(j), 1)]
+            };
+            pq_poly::PTerm::new(c, vars).unwrap()
+        });
+        (proptest::collection::vec(term, 1..5), 0.05f64..0.5)
+            .prop_map(|(terms, qab)| (Polynomial::from_terms(terms), qab))
+            .prop_filter("reads an item", |(p, _)| !p.items().is_empty())
+            .prop_map(|(p, qab)| PolynomialQuery::new(p, qab).unwrap())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// Over more than three rebase periods of random refreshes, the
+        /// maintained values stay on `q.eval(values)` after every call,
+        /// and the notifications are the ones a loop evaluating every
+        /// reader from scratch produces.
+        #[test]
+        fn maintained_values_and_notifications_match_a_naive_replica(
+            queries in proptest::collection::vec(arb_query(), 1..6),
+            start in proptest::collection::vec(0.75f64..1.75, 5),
+            moves in proptest::collection::vec(
+                (0usize..5, -0.06f64..0.06),
+                3 * REBASE_EVERY as usize + 40,
+            ),
+        ) {
+            let mut m = Monitor::new().with_threads(1);
+            for (i, &v) in start.iter().enumerate() {
+                m.add_item(&format!("x{i}"), v, 0.05);
+            }
+            for q in &queries {
+                m.add_query(q.clone());
+            }
+            m.install().unwrap();
+            let mut values = start;
+            let mut last: Vec<f64> = queries.iter().map(|q| q.eval(&values)).collect();
+            for (item, step) in moves {
+                values[item] = (values[item] + step).clamp(0.5, 2.0);
+                let out = m.on_refresh(ItemId(item as u32), values[item]).unwrap();
+                let mut want_notify = Vec::new();
+                for (qi, q) in queries.iter().enumerate() {
+                    let want = q.eval(&values);
+                    let got = m.query_value(QueryId(qi as u32)).unwrap();
+                    prop_assert!(
+                        (got - want).abs() <= 1e-12 * want.abs().max(1.0),
+                        "q{}: maintained {} vs evaluated {}", qi, got, want
+                    );
+                    if q.items().contains(&ItemId(item as u32))
+                        && (want - last[qi]).abs() > q.qab()
+                    {
+                        last[qi] = want;
+                        want_notify.push(QueryId(qi as u32));
+                    }
+                }
+                let got_notify: Vec<QueryId> = out.notify.iter().map(|&(q, _)| q).collect();
+                prop_assert_eq!(got_notify, want_notify);
+                for (q, v) in out.notify {
+                    prop_assert!((v - last[q.index()]).abs() <= 1e-12 * v.abs().max(1.0));
+                }
+            }
+        }
     }
 
     #[test]
