@@ -10,8 +10,9 @@
 //!   each recompute — the exponent structure is stable across drift);
 //! * the last optimal point, warm-started via the minimal blend toward
 //!   the interior point of [`pq_gp::CompiledGp::solve_warm`];
-//! * what the unit compiled to ([`crate::heuristics::UnitProgram`]), so a
-//!   recompute re-derives nothing that does not follow the values.
+//! * what the unit compiled to (its coefficient map, rates and variable
+//!   layout: the program of [`crate::ppq`]), so a recompute re-derives
+//!   nothing that does not follow the values.
 //!
 //! Solver iterations are allocation-free through one
 //! [`pq_gp::SolveWorkspace`] per thread: a workspace is scratch that fits
@@ -28,7 +29,7 @@
 
 use std::cell::RefCell;
 
-use pq_gp::{GpProblem, GpSolution, SolveWorkspace, SolverOptions, WarmStart};
+use pq_gp::{CompiledGp, GpProblem, GpSolution, SolveWorkspace, SolverOptions, WarmStart};
 use pq_obs::names;
 
 use crate::assignment::QueryAssignment;
@@ -40,11 +41,8 @@ use crate::strategy::{assign_unit_cached, AssignmentStrategy, AssignmentUnit};
 /// Warm-start state for one assignment unit (one GP shape).
 #[derive(Debug, Default)]
 pub struct UnitCache {
-    compiled: Option<pq_gp::CompiledGp>,
+    compiled: Option<CompiledGp>,
     last_x: Vec<f64>,
-    /// `solve.*` outcome counters, resolved through the registry once
-    /// per unit instead of once per solve (the recompute hot path).
-    counters: Option<SolveCounters>,
     /// What the unit compiled to, when `compiled` is that program's GP
     /// (see [`crate::heuristics::solve_positive_cached`], which takes it
     /// out for the duration of a solve).
@@ -57,33 +55,37 @@ thread_local! {
     static WORKSPACE: RefCell<SolveWorkspace> = RefCell::default();
 }
 
-/// Pre-resolved handles for the four `solve.*` outcome counters, tagged
-/// with the registry they came from so a cache handed a *different*
-/// `Obs` later (e.g. an untimed seeding pass on `Obs::null()`, then the
-/// real run) re-resolves instead of incrementing the stale registry.
-#[derive(Debug)]
-struct SolveCounters {
-    obs: pq_obs::Obs,
-    warm_hit: std::sync::Arc<pq_obs::Counter>,
-    warm_repair: std::sync::Arc<pq_obs::Counter>,
-    cold_fallback: std::sync::Arc<pq_obs::Counter>,
-    cold_start: std::sync::Arc<pq_obs::Counter>,
+/// How a solve through a [`UnitCache`] started; each is a `solve.*`
+/// counter.
+#[derive(Debug, Clone, Copy)]
+enum Start {
+    Cold,
+    WarmHit,
+    WarmRepair,
+    ColdFallback,
 }
 
-impl SolveCounters {
-    /// The handles in `slot`, resolved on `obs` first unless they
-    /// already are.
-    fn on<'c>(slot: &'c mut Option<SolveCounters>, obs: &pq_obs::Obs) -> &'c SolveCounters {
-        if slot.as_ref().is_none_or(|c| !c.obs.same_registry(obs)) {
-            *slot = Some(SolveCounters {
-                obs: obs.clone(),
-                warm_hit: obs.counter(names::SOLVE_WARM_HIT),
-                warm_repair: obs.counter(names::SOLVE_WARM_REPAIR),
-                cold_fallback: obs.counter(names::SOLVE_COLD_FALLBACK),
-                cold_start: obs.counter(names::SOLVE_COLD_START),
-            });
+impl Start {
+    fn of_blend(blend: WarmStart) -> Self {
+        match blend {
+            WarmStart::Hit => Start::WarmHit,
+            WarmStart::Repaired => Start::WarmRepair,
         }
-        slot.as_ref().expect("resolved above")
+    }
+
+    /// Bumps this outcome's counter: the coordinator's pre-resolved
+    /// handle when `options` carries them, by name otherwise.
+    fn count(self, options: &SolverOptions) {
+        match (&options.dab, self) {
+            (Some(dab), Start::Cold) => dab.cold_start.inc(),
+            (Some(dab), Start::WarmHit) => dab.warm_hit.inc(),
+            (Some(dab), Start::WarmRepair) => dab.warm_repair.inc(),
+            (Some(dab), Start::ColdFallback) => dab.cold_fallback.inc(),
+            (None, Start::Cold) => options.obs.counter(names::SOLVE_COLD_START).inc(),
+            (None, Start::WarmHit) => options.obs.counter(names::SOLVE_WARM_HIT).inc(),
+            (None, Start::WarmRepair) => options.obs.counter(names::SOLVE_WARM_REPAIR).inc(),
+            (None, Start::ColdFallback) => options.obs.counter(names::SOLVE_COLD_FALLBACK).inc(),
+        }
     }
 }
 
@@ -112,7 +114,8 @@ impl UnitCache {
     /// rebuilt problem. `None` — with nothing counted and no solution
     /// stored — when there is no compiled program with an optimum, a
     /// coefficient does not fit the row, or the blend toward `interior`
-    /// fails; the caller then rebuilds the problem for [`solve_cached`].
+    /// fails; the caller then compiles the program for
+    /// [`solve_compiled`].
     pub(crate) fn solve_row(
         &mut self,
         row: usize,
@@ -129,72 +132,87 @@ impl UnitCache {
         let (solution, blend) = WORKSPACE
             .with_borrow_mut(|ws| compiled.solve_warm(&self.last_x, interior, options, ws))
             .ok()?;
-        let counters = SolveCounters::on(&mut self.counters, &options.obs);
-        match blend {
-            WarmStart::Hit => counters.warm_hit.inc(),
-            WarmStart::Repaired => counters.warm_repair.inc(),
-        }
+        Start::of_blend(blend).count(options);
         self.last_x.clear();
         self.last_x.extend_from_slice(&solution.x);
         Some(solution)
     }
 }
 
-/// Solves `problem` from a caller-supplied start: `interior` is a strictly
+/// Solves `compiled` from a caller-supplied start: `interior` is a strictly
 /// feasible point and `guess` where the optimum is expected (see
 /// [`crate::ppq::predicted_start`]). The solve is always the minimal blend
-/// of [`pq_gp::CompiledGp::solve_warm`] toward `interior`: from `guess` on
-/// a unit's first solve (and on every solve without a `cache`), from the
-/// last cached optimum afterwards. When the blend fails the full phase-I
-/// [`pq_gp::solve`] runs instead.
+/// of [`CompiledGp::solve_warm`] toward `interior`: from `guess` on a
+/// unit's first solve (and on every solve without a `cache`), from the
+/// last cached optimum afterwards. A `cache` keeps `compiled` in place of
+/// whatever program it held. When the blend fails `phase_one` answers
+/// instead: the full phase-I [`pq_gp::solve`] of the same program, which
+/// only then has to exist as a [`GpProblem`].
 ///
 /// Telemetry (cached solves only): a first solve bumps `solve.cold_start`,
 /// a later one `solve.warm_hit`, `solve.warm_repair` or
 /// `solve.cold_fallback`, on `options.obs`.
+pub(crate) fn solve_compiled(
+    compiled: CompiledGp,
+    guess: &[f64],
+    interior: &[f64],
+    options: &SolverOptions,
+    cache: Option<&mut UnitCache>,
+    phase_one: impl FnOnce() -> Result<GpSolution, DabError>,
+) -> Result<GpSolution, DabError> {
+    let blend_from = |c: &CompiledGp, from| {
+        WORKSPACE.with_borrow_mut(|ws| c.solve_warm(from, interior, options, ws))
+    };
+    let Some(cache) = cache else {
+        return match blend_from(&compiled, guess) {
+            Ok((sol, _)) => Ok(sol),
+            Err(_) => phase_one(),
+        };
+    };
+    let first = cache.last_x.len() != compiled.n_vars();
+    let compiled = cache.compiled.insert(compiled);
+    let outcome = blend_from(compiled, if first { guess } else { &cache.last_x });
+    let start = match &outcome {
+        _ if first => Start::Cold,
+        Ok((_, blend)) => Start::of_blend(*blend),
+        Err(_) => Start::ColdFallback,
+    };
+    start.count(options);
+    let solution = match outcome {
+        Ok((sol, _)) => sol,
+        // Blend exhausted: pay the full cold phase-I price.
+        Err(_) => phase_one()?,
+    };
+    cache.last_x.clear();
+    cache.last_x.extend_from_slice(&solution.x);
+    Ok(solution)
+}
+
+/// [`solve_compiled`] for a program that exists as a [`GpProblem`]: a
+/// `cache` refreshes its compiled program from `problem` (recompiling only
+/// what changed structure).
 pub(crate) fn solve_cached(
     problem: &GpProblem,
     guess: &[f64],
     interior: &[f64],
     options: &SolverOptions,
-    cache: Option<&mut UnitCache>,
+    mut cache: Option<&mut UnitCache>,
 ) -> Result<GpSolution, DabError> {
-    let Some(cache) = cache else {
-        let compiled = pq_gp::CompiledGp::compile(problem)?;
-        return match WORKSPACE
-            .with_borrow_mut(|ws| compiled.solve_warm(guess, interior, options, ws))
-        {
-            Ok((sol, _)) => Ok(sol),
-            Err(_) => Ok(pq_gp::solve(problem, options)?),
-        };
-    };
     // Whatever program the cache kept no longer describes `compiled`
     // (a solve of that program has taken it out and puts it back).
-    cache.program = None;
-    let compiled = match cache.compiled.as_mut() {
-        Some(c) => {
-            c.update_from(problem)?;
-            c
+    let kept = cache.as_deref_mut().and_then(|cache| {
+        cache.program = None;
+        cache.compiled.take()
+    });
+    let compiled = match kept {
+        Some(mut compiled) => {
+            compiled.update_from(problem)?;
+            compiled
         }
-        None => cache.compiled.insert(pq_gp::CompiledGp::compile(problem)?),
+        None => CompiledGp::compile(problem)?,
     };
-    let first = cache.last_x.len() != problem.n_vars();
-    let from = if first { guess } else { &cache.last_x };
-    let outcome = WORKSPACE.with_borrow_mut(|ws| compiled.solve_warm(from, interior, options, ws));
-    let counters = SolveCounters::on(&mut cache.counters, &options.obs);
-    match (first, &outcome) {
-        (true, _) => counters.cold_start.inc(),
-        (false, Ok((_, WarmStart::Hit))) => counters.warm_hit.inc(),
-        (false, Ok((_, WarmStart::Repaired))) => counters.warm_repair.inc(),
-        (false, Err(_)) => counters.cold_fallback.inc(),
-    }
-    let solution = match outcome {
-        Ok((sol, _)) => sol,
-        // Blend exhausted: pay the full cold phase-I price.
-        Err(_) => pq_gp::solve(problem, options)?,
-    };
-    cache.last_x.clear();
-    cache.last_x.extend_from_slice(&solution.x);
-    Ok(solution)
+    let phase_one = || Ok(pq_gp::solve(problem, options)?);
+    solve_compiled(compiled, guess, interior, options, cache, phase_one)
 }
 
 /// Per-query × per-unit warm-start caches for a whole monitored workload,
@@ -382,13 +400,21 @@ mod tests {
         p
     }
 
+    /// Counted the same by name and through a coordinator's pre-resolved
+    /// handles.
     #[test]
     fn cached_solves_track_drift_and_count_outcomes() {
         let (obs, _ring) = pq_obs::Obs::ring(16);
-        let options = SolverOptions {
+        let by_name = SolverOptions {
             obs: obs.clone(),
             ..SolverOptions::default()
         };
+        drift_and_count(&obs, by_name);
+        let (obs, _ring) = pq_obs::Obs::ring(16);
+        drift_and_count(&obs, SolverOptions::default().observed_by(&obs));
+    }
+
+    fn drift_and_count(obs: &pq_obs::Obs, options: SolverOptions) {
         let mut cache = UnitCache::new();
         let interior = [0.25, 0.25];
 
@@ -428,9 +454,9 @@ mod tests {
     }
 
     /// A cache seeded under one `Obs` (the untimed `Obs::null()` warm-up
-    /// pass in benchmarks) must re-resolve its counter handles when the
-    /// caller switches to the real registry — otherwise every warm-hit
-    /// increment lands on the discarded seeding registry.
+    /// pass in benchmarks) counts on the real registry once the caller
+    /// switches to it: a cache holds no handles of its own, an outcome
+    /// lands on the options of the solve it is the outcome of.
     #[test]
     fn counters_follow_a_registry_swap() {
         let mut cache = UnitCache::new();

@@ -15,7 +15,9 @@
 //!   sub-polynomials with small DABs (Claim 2: within `1/(1−α)^d` of
 //!   optimal under the monotonic ddm).
 
-use pq_poly::{Polynomial, PolynomialQuery, QueryClass};
+use std::sync::Arc;
+
+use pq_poly::{Polynomial, PolynomialQuery};
 
 use crate::assignment::{QueryAssignment, ValidityRange};
 use crate::cache::UnitCache;
@@ -93,18 +95,18 @@ pub fn general_pq(
             )
         });
     if p2.is_zero() {
-        return solve_positive(&p1, query.qab(), ctx, method);
+        return solve_positive(p1, query.qab(), ctx, method);
     }
     if p1.is_zero() {
         // P = -P2: the deviation of -P2 equals the deviation of P2.
-        return solve_positive(&p2, query.qab(), ctx, method);
+        return solve_positive(p2, query.qab(), ctx, method);
     }
     match heuristic {
-        PqHeuristic::DifferentSum => solve_positive(&p1.add(&p2), query.qab(), ctx, method),
+        PqHeuristic::DifferentSum => solve_positive(p1.add(&p2), query.qab(), ctx, method),
         PqHeuristic::HalfAndHalf => {
             let half = query.qab() / 2.0;
-            let a1 = solve_positive(&p1, half, ctx, method)?;
-            let a2 = solve_positive(&p2, half, ctx, method)?;
+            let a1 = solve_positive(p1, half, ctx, method)?;
+            let a2 = solve_positive(p2, half, ctx, method)?;
             Ok(merge_min(a1, a2, ctx))
         }
     }
@@ -113,74 +115,62 @@ pub fn general_pq(
 /// Solves a positive-coefficient polynomial `P : B`, dispatching linear
 /// bodies to the closed form.
 pub(crate) fn solve_positive(
-    poly: &Polynomial,
+    poly: Polynomial,
     qab: f64,
     ctx: &SolveContext<'_>,
     method: PpqMethod,
 ) -> Result<QueryAssignment, DabError> {
-    solve_positive_cached(poly, qab, ctx, method, None)
+    solve_positive_cached(&Arc::new(poly), qab, ctx, method, None)
 }
 
-/// What a positive-coefficient unit `P : B` compiles to, once: the unit
-/// as a validated, classified query, and the GP program of a non-linear
-/// body. Kept in the unit's [`UnitCache`] so a recompute clones, checks
-/// and classifies nothing.
+/// What a non-linear positive-coefficient unit `P : B` compiles to, once:
+/// its GP program, and the body it was compiled from — the unit's own
+/// copy, shared. Kept in the unit's [`UnitCache`] so a recompute clones,
+/// checks and classifies nothing.
 #[derive(Debug)]
 pub(crate) struct UnitProgram {
-    query: PolynomialQuery,
-    /// `None` for a linear body: the closed form has nothing to compile.
-    gp: Option<PpqProgram>,
+    body: Arc<Polynomial>,
+    gp: PpqProgram,
 }
 
 impl UnitProgram {
-    fn compile(
-        poly: &Polynomial,
-        qab: f64,
-        ctx: &SolveContext<'_>,
-        method: PpqMethod,
-    ) -> Result<Self, DabError> {
-        let query = PolynomialQuery::new(poly.clone(), qab)?;
-        let gp = match query.class() {
-            QueryClass::LinearAggregate => None,
-            _ => Some(PpqProgram::compile(&query, method, ctx)?),
-        };
-        Ok(UnitProgram { query, gp })
-    }
-
-    /// True when `compile` on these arguments would build this program.
+    /// True when these arguments compile to this program.
     fn is_for(
         &self,
-        poly: &Polynomial,
+        body: &Arc<Polynomial>,
         qab: f64,
         ctx: &SolveContext<'_>,
         method: PpqMethod,
     ) -> bool {
-        self.query.qab() == qab
-            && self.query.poly() == poly
-            && self.gp.as_ref().is_none_or(|gp| gp.serves(method, ctx))
+        (Arc::ptr_eq(&self.body, body) || self.body == *body) && self.gp.serves(qab, method, ctx)
     }
 }
 
 /// [`solve_positive`] with an optional warm-start cache. Linear bodies take
-/// the closed form (nothing to solve); GP solves thread the cache through,
-/// and the cache keeps the unit's [`UnitProgram`] between calls.
+/// the closed form (nothing to solve, nothing to keep); GP solves thread
+/// the cache through, and the cache keeps the unit's [`UnitProgram`]
+/// between calls.
 pub(crate) fn solve_positive_cached(
-    poly: &Polynomial,
+    body: &Arc<Polynomial>,
     qab: f64,
     ctx: &SolveContext<'_>,
     method: PpqMethod,
     mut cache: Option<&mut UnitCache>,
 ) -> Result<QueryAssignment, DabError> {
+    if body.is_linear() {
+        // Installed once: a linear unit's assignment is valid forever.
+        return linear_closed_form(&PolynomialQuery::new((**body).clone(), qab)?, ctx);
+    }
     let kept = (cache.as_mut().and_then(|c| c.program.take()))
-        .filter(|program| program.is_for(poly, qab, ctx, method));
+        .filter(|program| program.is_for(body, qab, ctx, method));
     let mut program = match kept {
         Some(program) => program,
-        None => Box::new(UnitProgram::compile(poly, qab, ctx, method)?),
+        None => Box::new(UnitProgram {
+            body: body.clone(),
+            gp: PpqProgram::for_body(body, qab, method, ctx)?,
+        }),
     };
-    let result = match &mut program.gp {
-        None => linear_closed_form(&program.query, ctx),
-        Some(gp) => gp.solve(ctx, cache.as_deref_mut()),
-    };
+    let result = program.gp.solve(ctx, cache.as_deref_mut());
     if let Some(cache) = cache {
         cache.program = Some(program);
     }

@@ -15,16 +15,19 @@
 //!   `P(V+c+b) − P(V+c) ≤ B`, `b ≤ c`, and `rate(lambda_i, c_i) ≤ R`.
 //!   Slightly more refreshes, far fewer recomputations.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 
 use pq_ddm::DataDynamicsModel;
-use pq_gp::{GpProblem, Monomial, Posynomial};
+use pq_gp::logsumexp::LogPosynomial;
+use pq_gp::{CompiledGp, GpError, GpProblem, GpSolution, Monomial, Posynomial};
 use pq_poly::{
-    DabVarIndexer, DabVarMap, DeviationMap, PartialDabVarMap, PolynomialQuery, QueryClass,
+    DabVarIndexer, DabVarMap, DeviationMap, PartialDabVarMap, PolyError, Polynomial,
+    PolynomialQuery,
 };
 
 use crate::assignment::{QueryAssignment, ValidityRange};
-use crate::cache::{solve_cached, UnitCache};
+use crate::cache::{solve_compiled, UnitCache};
 use crate::context::SolveContext;
 use crate::error::DabError;
 use crate::heuristics::PpqMethod;
@@ -73,10 +76,12 @@ pub fn dual_dab(
 /// the values, and only through its coefficients, which `map` derives
 /// from them. So a recompute through a [`UnitCache`] that already holds
 /// this program's compiled GP writes `coefs` into its condition row and
-/// solves; [`PpqProgram::problem`] builds the program as a
-/// [`GpProblem`] for a first solve, and whenever a value at exactly zero
-/// has removed a monomial from (or a positive one returned it to) the
-/// condition the cache compiled.
+/// solves. A first solve — and one after a value at exactly zero has
+/// removed a monomial from (or a positive one returned it to) the
+/// condition the cache compiled — emits the rows straight into the
+/// solver's form ([`PpqProgram::compiled`]); the program is spelled out
+/// as a [`GpProblem`] ([`PpqProgram::problem`]) only for phase I, when
+/// the blend toward the predicted start's anchor fails.
 #[derive(Debug)]
 pub(crate) struct PpqProgram {
     qab: f64,
@@ -97,6 +102,19 @@ pub(crate) struct PpqProgram {
     aligned: bool,
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Calls of [`PpqProgram::problem`] on this thread.
+    static PROBLEMS_BUILT: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+thread_local! {
+    /// This thread's scratch for predicted starts (beside the solver's,
+    /// `cache.rs`'s `WORKSPACE`): with both, a warm recompute allocates
+    /// nothing between the values and the Newton loop.
+    static START: RefCell<StartScratch> = RefCell::default();
+}
+
 impl PpqProgram {
     /// Compiles the program of `query` under `method` at `ctx`'s rates.
     pub(crate) fn compile(
@@ -104,11 +122,24 @@ impl PpqProgram {
         method: PpqMethod,
         ctx: &SolveContext<'_>,
     ) -> Result<Self, DabError> {
+        Self::for_body(query.poly(), query.qab(), method, ctx)
+    }
+
+    /// [`PpqProgram::compile`] for the query `poly : qab`, which need not
+    /// exist as one.
+    pub(crate) fn for_body(
+        poly: &Polynomial,
+        qab: f64,
+        method: PpqMethod,
+        ctx: &SolveContext<'_>,
+    ) -> Result<Self, DabError> {
         if let Some(mu) = method.mu().filter(|mu| !(mu.is_finite() && *mu > 0.0)) {
             return Err(DabError::InvalidMu(mu));
         }
-        require_ppq(query)?;
-        let poly = query.poly();
+        if !(qab.is_finite() && qab > 0.0) {
+            return Err(PolyError::InvalidBound(qab).into());
+        }
+        require_ppq(poly)?;
         // Both layouts put `b` of the body's `k`-th item at variable `k`.
         let (coupled_b, map) = match method {
             PpqMethod::OptimalRefresh => {
@@ -125,7 +156,7 @@ impl PpqProgram {
             .map(|&item| ctx.rate(item))
             .collect::<Result<_, _>>()?;
         Ok(PpqProgram {
-            qab: query.qab(),
+            qab,
             method,
             ddm: ctx.ddm,
             lambdas,
@@ -136,49 +167,63 @@ impl PpqProgram {
         })
     }
 
-    /// True when a solve under `method` at `ctx` is a solve of this
-    /// program (for the body and QAB it was compiled for).
-    pub(crate) fn serves(&self, method: PpqMethod, ctx: &SolveContext<'_>) -> bool {
+    /// True when a solve to `qab` under `method` at `ctx` is a solve of
+    /// this program (for the body it was compiled for).
+    pub(crate) fn serves(&self, qab: f64, method: PpqMethod, ctx: &SolveContext<'_>) -> bool {
         let same_rate = |(&item, &lambda)| ctx.rate(item).is_ok_and(|r| r == lambda);
-        self.method == method
+        self.qab == qab
+            && self.method == method
             && self.ddm == ctx.ddm
             && self.map.items().iter().zip(&self.lambdas).all(same_rate)
     }
 
     /// Solves the program at `ctx`'s values, through `cache` when given
-    /// (see [`crate::cache::solve_cached`]).
+    /// (see [`crate::cache::solve_compiled`]).
     pub(crate) fn solve(
         &mut self,
         ctx: &SolveContext<'_>,
-        mut cache: Option<&mut UnitCache>,
+        cache: Option<&mut UnitCache>,
     ) -> Result<QueryAssignment, DabError> {
         self.map.eval_into(ctx.values, &mut self.coefs)?;
+        let warm = cache.as_ref().is_some_and(|c| c.has_solution());
+        let mut start = START.take();
+        let dual = self.method.mu().map(|mu| (mu, &self.coupled_b[..]));
+        let condition = self.map.terms(&self.coefs);
+        let sol = start
+            .predict(condition, self.qab, &self.lambdas, self.ddm, dual, !warm)
+            .and_then(|()| self.solve_from(&start.guess, &start.interior, ctx, cache));
+        START.set(start);
+        Ok(self.assignment(&sol?, ctx))
+    }
+
+    /// The solve at the values `coefs` was evaluated at, from their
+    /// predicted start: by writing `coefs` into the program `cache`
+    /// compiled when it holds an optimum of one that takes them, by
+    /// emitting the program otherwise.
+    fn solve_from(
+        &mut self,
+        guess: &[f64],
+        interior: &[f64],
+        ctx: &SolveContext<'_>,
+        mut cache: Option<&mut UnitCache>,
+    ) -> Result<GpSolution, DabError> {
+        if let Some(cache) = cache.as_deref_mut().filter(|_| self.aligned) {
+            let rewritten = cache.solve_row(0, &self.coefs, 1.0 / self.qab, interior, &ctx.gp);
+            if let Some(sol) = rewritten {
+                return Ok(sol);
+            }
+        }
+        self.aligned = false;
+        let phase_one = || Ok(pq_gp::solve(&self.problem()?, &ctx.gp)?);
+        let sol = solve_compiled(self.compiled()?, guess, interior, &ctx.gp, cache, phase_one)?;
+        self.aligned = self.coefs.iter().all(|&c| c != 0.0);
+        Ok(sol)
+    }
+
+    /// The assignment `sol` stands for, anchored at `ctx`'s values.
+    fn assignment(&self, sol: &GpSolution, ctx: &SolveContext<'_>) -> QueryAssignment {
         let items = self.map.items();
         let n = items.len();
-        let mu = self.method.mu();
-        let warm = cache.as_ref().is_some_and(|c| c.has_solution());
-        let condition = self.map.terms(&self.coefs);
-        let dual = mu.map(|mu| (mu, &self.coupled_b[..]));
-        let (guess, interior) =
-            predicted_start_terms(condition, self.qab, &self.lambdas, self.ddm, dual, !warm)?;
-        let rewritten = match &mut cache {
-            Some(cache) if warm && self.aligned => {
-                cache.solve_row(0, &self.coefs, 1.0 / self.qab, &interior, &ctx.gp)
-            }
-            _ => None,
-        };
-        let sol = match rewritten {
-            Some(sol) => sol,
-            None => {
-                let problem = self.problem()?;
-                let aligned = problem.constraints()[0].n_terms() == self.map.n_terms();
-                self.aligned = false;
-                let sol = solve_cached(&problem, &guess, &interior, &ctx.gp, cache)?;
-                self.aligned = aligned;
-                sol
-            }
-        };
-
         // Three maps over the same ascending item list.
         let primary = (items.iter().zip(&sol.x))
             .map(|(&item, &b)| (item, b))
@@ -186,14 +231,14 @@ impl PpqProgram {
         let anchor = (items.iter())
             .map(|&item| (item, ctx.values[item.index()]))
             .collect();
-        let Some(mu) = mu else {
-            return Ok(QueryAssignment {
+        let Some(mu) = self.method.mu() else {
+            return QueryAssignment {
                 primary,
                 validity: ValidityRange::AnchorOnly,
                 anchor,
                 recompute_rate: 0.0,
                 refresh_rate: sol.objective,
-            });
+            };
         };
         let mut coupled = self.coupled_b.iter().zip(&sol.x[n..]).peekable();
         let secondary: BTreeMap<_, _> = (items.iter().enumerate())
@@ -216,17 +261,55 @@ impl PpqProgram {
                     .with("refresh_rate", refresh_rate)
                     .with("recompute_rate", recompute_rate)
             });
-        Ok(QueryAssignment {
+        QueryAssignment {
             primary,
             validity: ValidityRange::Box(secondary),
             anchor,
             recompute_rate,
             refresh_rate,
-        })
+        }
     }
 
-    /// The program at the values `coefs` was evaluated at.
+    /// The program at the values `coefs` was evaluated at, in the
+    /// solver's own rows: term for term and bit for bit what compiling
+    /// [`PpqProgram::problem`] gives, with nothing built in between.
+    fn compiled(&self) -> Result<CompiledGp, GpError> {
+        let n = self.lambdas.len();
+        let r_var = n + self.coupled_b.len();
+        let mu = self.method.mu();
+        let n_vars = r_var + usize::from(mu.is_some());
+        let p = self.ddm.exponent();
+        let refresh = |k: usize| self.ddm.refresh_coef(self.lambdas[k]);
+
+        let refreshes = (0..n).map(|k| (refresh(k), [(k, -p)]));
+        let recomputes = mu.map(|mu| (mu, [(r_var, 1.0)]));
+        let objective = LogPosynomial::from_rows(refreshes.chain(recomputes), 1.0, n_vars)?;
+        // The QAB condition: at the anchor (Eq. 1), or over the validity
+        // range (Eq. 2).
+        let condition = self.map.terms(&self.coefs);
+        let mut constraints = Vec::with_capacity(1 + 2 * self.coupled_b.len());
+        constraints.push(LogPosynomial::from_rows(condition, 1.0 / self.qab, n_vars)?);
+        // For coupled items: b_j <= c_j and the recompute-rate coupling
+        // rate(lambda_j, c_j) <= R.
+        for (j, &b_var) in self.coupled_b.iter().enumerate() {
+            let c_var = n + j;
+            let rows = [
+                (1.0, [(b_var, 1.0), (c_var, -1.0)]),
+                (refresh(b_var), [(c_var, -p), (r_var, -1.0)]),
+            ];
+            for row in rows {
+                constraints.push(LogPosynomial::from_rows([row].into_iter(), 1.0, n_vars)?);
+            }
+        }
+        CompiledGp::from_parts(objective, constraints)
+    }
+
+    /// [`PpqProgram::compiled`] spelled out as a problem: what phase I
+    /// takes when the blend toward the start's anchor fails, and the
+    /// reference the emitted rows are tested against.
     fn problem(&self) -> Result<GpProblem, DabError> {
+        #[cfg(test)]
+        PROBLEMS_BUILT.set(PROBLEMS_BUILT.get() + 1);
         let n = self.lambdas.len();
         let r_var = n + self.coupled_b.len();
         let refresh = |lambda: f64, var: usize| {
@@ -242,11 +325,7 @@ impl PpqProgram {
             objective.push(Monomial::new(mu, [(r_var, 1.0)])?);
         }
         problem.set_objective(objective)?;
-        // The QAB condition: at the anchor (Eq. 1), or over the validity
-        // range (Eq. 2).
         problem.add_constraint_le(self.map.posynomial(&self.coefs)?, self.qab)?;
-        // For coupled items: b_j <= c_j and the recompute-rate coupling
-        // rate(lambda_j, c_j) <= R.
         for (j, &b_var) in self.coupled_b.iter().enumerate() {
             let c_var = n + j;
             problem.add_var_le_var(b_var, c_var)?;
@@ -258,15 +337,17 @@ impl PpqProgram {
     }
 }
 
-fn require_ppq(query: &PolynomialQuery) -> Result<(), DabError> {
-    match query.class() {
-        QueryClass::PositiveCoefficient => Ok(()),
-        QueryClass::LinearAggregate => Err(DabError::UnsupportedQueryClass {
+fn require_ppq(poly: &Polynomial) -> Result<(), DabError> {
+    if poly.is_linear() {
+        Err(DabError::UnsupportedQueryClass {
             detail: "linear query: use the closed forms in pq_core::laq",
-        }),
-        QueryClass::General => Err(DabError::UnsupportedQueryClass {
+        })
+    } else if !poly.is_positive_coefficient() {
+        Err(DabError::UnsupportedQueryClass {
             detail: "mixed-sign query: use pq_core::heuristics (Half-and-Half / Different Sum)",
-        }),
+        })
+    } else {
+        Ok(())
     }
 }
 
@@ -315,43 +396,84 @@ pub fn predicted_start(
 ) -> Result<(Vec<f64>, Vec<f64>), DabError> {
     let terms = condition.terms().iter();
     let condition = terms.map(|m| (m.coef(), m.exponents()));
-    predicted_start_terms(condition, qab, lambdas, ddm, dual, refine)
+    let mut start = START.take();
+    let predicted = start
+        .predict(condition, qab, lambdas, ddm, dual, refine)
+        .map(|()| (start.guess.clone(), start.interior.clone()));
+    START.set(start);
+    predicted
 }
 
-/// [`predicted_start`] over the condition's terms as `(coefficient,
-/// exponent row)` pairs, wherever they are kept.
-pub(crate) fn predicted_start_terms<'t>(
-    condition: impl Iterator<Item = (f64, &'t [(usize, f64)])> + Clone,
-    qab: f64,
-    lambdas: &[f64],
-    ddm: DataDynamicsModel,
-    dual: Option<(f64, &[usize])>,
-    refine: bool,
-) -> Result<(Vec<f64>, Vec<f64>), DabError> {
-    let n = lambdas.len();
-    let p = ddm.exponent();
-    let (mu, coupled) = dual.unwrap_or((0.0, &[]));
-    let or_one = |v: f64| if v.is_finite() && v > 0.0 { v } else { 1.0 };
-    let shape = |r: f64, w: f64| or_one((r / w).powf(1.0 / (p + 1.0)));
-    let rates: Vec<f64> = lambdas.iter().map(|l| l.powf(p)).collect();
+/// Every vector a prediction works in, and the two it leaves behind.
+#[derive(Debug, Default)]
+struct StartScratch {
+    /// `lambda_k^p`.
+    rates: Vec<f64>,
+    /// The condition's gradient at the current point: over `b`, over `c`.
+    w: Vec<f64>,
+    g: Vec<f64>,
+    /// The current round's `b`, and the next one's.
+    b: Vec<f64>,
+    next: Vec<f64>,
+    /// Per coupled item, where its kink ends; every end, sorted.
+    kinks: Vec<(f64, f64)>,
+    ends: Vec<f64>,
+    /// The GP point of the current round, the prediction in the end, and
+    /// the strictly feasible anchor below it.
+    guess: Vec<f64>,
+    interior: Vec<f64>,
+}
 
-    // Solves the linearized program `(w, g, budget)`: writes `b`, returns
-    // `u` (meaningless without a Dual-DAB block).
-    let solve = |w: &[f64], g: &[f64], budget: f64, b: &mut [f64]| {
+fn or_one(v: f64) -> f64 {
+    if v.is_finite() && v > 0.0 {
+        v
+    } else {
+        1.0
+    }
+}
+
+/// What every linearization of one program shares.
+struct Linearized<'a> {
+    lambdas: &'a [f64],
+    rates: &'a [f64],
+    coupled: &'a [usize],
+    mu: f64,
+    p: f64,
+    kinks: &'a mut Vec<(f64, f64)>,
+    ends: &'a mut Vec<f64>,
+}
+
+impl Linearized<'_> {
+    /// Solves the linearized program `(w, g, budget)`: writes `b`, returns
+    /// `u` (meaningless without a Dual-DAB block).
+    fn solve(&mut self, w: &[f64], g: &[f64], budget: f64, b: &mut [f64]) -> f64 {
+        let Linearized {
+            lambdas,
+            rates,
+            coupled,
+            mu,
+            p,
+            ref mut kinks,
+            ref mut ends,
+        } = *self;
+        let shape = |r: f64, w: f64| or_one((r / w).powf(1.0 / (p + 1.0)));
         // `mu D = sum_j clamp(t0_j - D, 0, t0_j - t1_j)`: `c_j` follows
         // `u` below its kink's end `t1`, `b_j` above `t0`. The two sides
         // cross on one linear piece between neighbouring ends.
-        let kinks: Vec<(f64, f64)> = (coupled.iter().zip(g))
-            .map(|(&k, g)| (mu * lambdas[k] * w[k], mu * lambdas[k] * (w[k] + g)))
-            .collect();
+        kinks.clear();
+        kinks.extend(
+            (coupled.iter().zip(g))
+                .map(|(&k, g)| (mu * lambdas[k] * w[k], mu * lambdas[k] * (w[k] + g))),
+        );
         let gap = |d: f64| {
             let follows = kinks.iter().map(|&(t1, t0)| (t0 - d).max(0.0).min(t0 - t1));
             mu * d - follows.sum::<f64>()
         };
-        let mut ends: Vec<f64> = kinks.iter().flat_map(|&(t1, t0)| [t1, t0]).collect();
+        ends.clear();
+        ends.extend(kinks.iter().flat_map(|&(t1, t0)| [t1, t0]));
         ends.sort_by(f64::total_cmp);
         let (mut d, mut below) = (0.0, gap(0.0));
-        for end in ends {
+        for &end in ends.iter() {
             let above = gap(end);
             if above >= 0.0 {
                 if above > below {
@@ -362,12 +484,12 @@ pub(crate) fn predicted_start_terms<'t>(
             (d, below) = (end, above);
         }
         b.copy_from_slice(w);
-        for (&k, &(t1, t0)) in coupled.iter().zip(&kinks) {
+        for (&k, &(t1, t0)) in coupled.iter().zip(kinks.iter()) {
             b[k] = d.max(t1).min(t0) / (mu * lambdas[k]);
         }
         let su = shape(mu, d);
         b.iter_mut()
-            .zip(&rates)
+            .zip(rates)
             .for_each(|(s, &r)| *s = shape(r, *s));
         let spent_b: f64 = w.iter().zip(&*b).map(|(w, s)| w * s).sum();
         let spent_c: f64 = coupled
@@ -378,102 +500,149 @@ pub(crate) fn predicted_start_terms<'t>(
         let beta = or_one(budget / (spent_b + spent_c));
         b.iter_mut().for_each(|s| *s *= beta);
         beta * su
-    };
-
-    // Round 0: the tangent LAQ, then the escape block from `c = 0`.
-    let (mut w, mut g) = (vec![0.0; n], vec![0.0; coupled.len()]);
-    for (coef, exps) in condition.clone() {
-        if let [(k, e)] = *exps {
-            if k < n && e == 1.0 {
-                w[k] += coef;
-            }
-        }
     }
-    let mut b = vec![0.0; n];
-    let mut u = solve(&w, &[], qab, &mut b);
-    if dual.is_some() {
+}
+
+impl StartScratch {
+    /// [`predicted_start`] over the condition's terms as `(coefficient,
+    /// exponent row)` pairs, wherever they are kept; leaves the prediction
+    /// in `self.guess` and its anchor in `self.interior`.
+    fn predict<'t>(
+        &mut self,
+        condition: impl Iterator<Item = (f64, &'t [(usize, f64)])> + Clone,
+        qab: f64,
+        lambdas: &[f64],
+        ddm: DataDynamicsModel,
+        dual: Option<(f64, &[usize])>,
+        refine: bool,
+    ) -> Result<(), DabError> {
+        let StartScratch {
+            rates,
+            w,
+            g,
+            b,
+            next,
+            kinks,
+            ends,
+            guess,
+            interior,
+        } = self;
+        let n = lambdas.len();
+        let p = ddm.exponent();
+        let (mu, coupled) = dual.unwrap_or((0.0, &[]));
+        rates.clear();
+        rates.extend(lambdas.iter().map(|l| l.powf(p)));
+        let mut program = Linearized {
+            lambdas,
+            rates,
+            coupled,
+            mu,
+            p,
+            kinks,
+            ends,
+        };
+        let zeroed = |v: &mut Vec<f64>, len: usize| {
+            v.clear();
+            v.resize(len, 0.0);
+        };
+
+        // Round 0: the tangent LAQ, then the escape block from `c = 0`.
+        zeroed(w, n);
+        zeroed(g, coupled.len());
         for (coef, exps) in condition.clone() {
-            if let [(k, ek), (v, ev)] = *exps {
-                if k < n && v >= n && ek == 1.0 && ev == 1.0 {
-                    g[v - n] += coef * b[k];
+            if let [(k, e)] = *exps {
+                if k < n && e == 1.0 {
+                    w[k] += coef;
                 }
             }
         }
-        u = solve(&w, &g, qab, &mut b);
-    }
-
-    // The GP point of `(b, u)`.
-    let point = |b: &[f64], u: f64, x: &mut Vec<f64>| {
-        x.clear();
-        x.extend_from_slice(b);
-        x.extend(coupled.iter().map(|&k| (lambdas[k] * u).max(b[k])));
+        zeroed(b, n);
+        let mut u = program.solve(w, &[], qab, b);
         if dual.is_some() {
-            x.push(u.powf(-p));
-        }
-    };
-    let mut x = Vec::with_capacity(n + coupled.len() + 1);
-    let mut next = vec![0.0; n];
-    for _ in 0..if refine { MAX_ROUNDS } else { 0 } {
-        point(&b, u, &mut x);
-        w.iter_mut().chain(&mut g).for_each(|v| *v = 0.0);
-        // The condition's value, and `w·b + g·c` (each term times its
-        // degree), beside the gradient.
-        let (mut value, mut tangent) = (0.0, 0.0);
-        for (coef, exps) in condition.clone() {
-            let mut t = coef;
-            for &(v, e) in exps {
-                t *= if e == 1.0 { x[v] } else { x[v].powf(e) };
+            for (coef, exps) in condition.clone() {
+                if let [(k, ek), (v, ev)] = *exps {
+                    if k < n && v >= n && ek == 1.0 && ev == 1.0 {
+                        g[v - n] += coef * b[k];
+                    }
+                }
             }
-            value += t;
-            for &(v, e) in exps {
-                tangent += e * t;
-                let slot = if v < n { &mut w[v] } else { &mut g[v - n] };
-                *slot += e * t / x[v];
-            }
+            u = program.solve(w, g, qab, b);
         }
-        let next_u = solve(&w, &g, qab - value + tangent, &mut next);
-        let of_u = if dual.is_some() { next_u / u } else { 1.0 };
-        let moved = (next.iter().zip(&b))
-            .map(|(s, b)| s / b)
-            .chain([of_u])
-            .fold(0.0_f64, |m, ratio| m.max(ratio.ln().abs()));
-        std::mem::swap(&mut b, &mut next);
-        u = next_u;
-        if moved < SETTLED {
-            break;
-        }
-    }
 
-    let mut guess = Vec::with_capacity(x.capacity());
-    point(&b, u, &mut guess);
-    guess.iter_mut().for_each(|v| *v = or_one(*v));
-    let at_guess =
-        condition.map(|(coef, exps)| (exps.iter()).fold(coef, |t, &(v, e)| t * guess[v].powf(e)));
-    let mut interior = scalar_feasible_start(at_guess.sum(), qab, &guess, n)?;
-    if dual.is_some() {
-        // `rate(lambda_j, c_j) <= R` holds at the guess by construction.
-        interior[n + coupled.len()] *= 2.0;
+        // The GP point of `(b, u)`.
+        let point = |b: &[f64], u: f64, x: &mut Vec<f64>| {
+            x.clear();
+            x.extend_from_slice(b);
+            x.extend(coupled.iter().map(|&k| (lambdas[k] * u).max(b[k])));
+            if dual.is_some() {
+                x.push(u.powf(-p));
+            }
+        };
+        zeroed(next, n);
+        for _ in 0..if refine { MAX_ROUNDS } else { 0 } {
+            point(b, u, guess);
+            w.iter_mut().chain(g.iter_mut()).for_each(|v| *v = 0.0);
+            // The condition's value, and `w·b + g·c` (each term times its
+            // degree), beside the gradient.
+            let (mut value, mut tangent) = (0.0, 0.0);
+            for (coef, exps) in condition.clone() {
+                let mut t = coef;
+                for &(v, e) in exps {
+                    t *= if e == 1.0 { guess[v] } else { guess[v].powf(e) };
+                }
+                value += t;
+                for &(v, e) in exps {
+                    tangent += e * t;
+                    let slot = if v < n { &mut w[v] } else { &mut g[v - n] };
+                    *slot += e * t / guess[v];
+                }
+            }
+            let next_u = program.solve(w, g, qab - value + tangent, next);
+            let of_u = if dual.is_some() { next_u / u } else { 1.0 };
+            let moved = (next.iter().zip(b.iter()))
+                .map(|(s, b)| s / b)
+                .chain([of_u])
+                .fold(0.0_f64, |m, ratio| m.max(ratio.ln().abs()));
+            std::mem::swap(b, next);
+            u = next_u;
+            if moved < SETTLED {
+                break;
+            }
+        }
+
+        point(b, u, guess);
+        guess.iter_mut().for_each(|v| *v = or_one(*v));
+        let at_guess = condition
+            .map(|(coef, exps)| (exps.iter()).fold(coef, |t, &(v, e)| t * guess[v].powf(e)));
+        scalar_feasible_start(at_guess.sum(), qab, guess, n, interior)?;
+        if dual.is_some() {
+            // `rate(lambda_j, c_j) <= R` holds at the guess by construction.
+            interior[n + coupled.len()] *= 2.0;
+        }
+        Ok(())
     }
-    Ok((guess, interior))
 }
 
-/// The strictly feasible anchor below `guess`: its first `n` coordinates
-/// (the primary DABs) scaled by the largest power of two `s <= 1/2` that
-/// puts the condition at or under half of `qab`. Every term of a
-/// deviation condition carries a primary factor, so `condition(s b) <= s
-/// condition(b)` and its one evaluation `at_guess` fixes `s`.
+/// The strictly feasible anchor below `guess`, into `x`: its first `n`
+/// coordinates (the primary DABs) scaled by the largest power of two
+/// `s <= 1/2` that puts the condition at or under half of `qab`. Every
+/// term of a deviation condition carries a primary factor, so
+/// `condition(s b) <= s condition(b)` and its one evaluation `at_guess`
+/// fixes `s`.
 fn scalar_feasible_start(
     at_guess: f64,
     qab: f64,
     guess: &[f64],
     n: usize,
-) -> Result<Vec<f64>, DabError> {
+    x: &mut Vec<f64>,
+) -> Result<(), DabError> {
     let s = (0.5 * qab / at_guess).log2().floor().exp2();
-    let mut x = guess.to_vec();
+    x.clear();
+    x.extend_from_slice(guess);
     x[..n].iter_mut().for_each(|v| *v *= s.min(0.5));
     // A NaN `s` (non-finite condition) fails the first test.
     if s > 0.0 && x.iter().all(|v| v.is_finite() && *v > 0.0) {
-        Ok(x)
+        Ok(())
     } else {
         Err(DabError::NoFeasibleStart)
     }
@@ -755,6 +924,244 @@ mod tests {
         solve(&[0.3, 2.01, 30.0, 4.0], &mut program);
         assert!(program.aligned);
         solve(&[0.31, 2.0, 30.1, 4.0], &mut program);
+    }
+
+    /// Every float of an assignment, either validity kind.
+    fn all_bits(a: &QueryAssignment) -> Vec<u64> {
+        let secondary = match &a.validity {
+            ValidityRange::Box(secondary) => secondary.values().copied().collect(),
+            _ => Vec::new(),
+        };
+        (a.primary.values().chain(&secondary))
+            .chain(a.anchor.values())
+            .chain([&a.recompute_rate, &a.refresh_rate])
+            .map(|v| v.to_bits())
+            .collect()
+    }
+
+    /// The solve as it ran before programs were emitted: spell the
+    /// program out as a [`GpProblem`] and hand it to `solve_cached`, which
+    /// compiles it on a first solve and refreshes the cache's compiled
+    /// program from it afterwards.
+    fn solve_through_the_problem(
+        program: &mut PpqProgram,
+        ctx: &SolveContext<'_>,
+        cache: &mut UnitCache,
+    ) -> Result<QueryAssignment, DabError> {
+        program.map.eval_into(ctx.values, &mut program.coefs)?;
+        let dual = program.method.mu().map(|mu| (mu, &program.coupled_b[..]));
+        let (guess, interior) = predicted_start(
+            &program.map.posynomial(&program.coefs)?,
+            program.qab,
+            &program.lambdas,
+            program.ddm,
+            dual,
+            !cache.has_solution(),
+        )?;
+        let problem = program.problem()?;
+        let sol = crate::cache::solve_cached(&problem, &guess, &interior, &ctx.gp, Some(cache))?;
+        Ok(program.assignment(&sol, ctx))
+    }
+
+    /// Every term of `f`: the bits of its `ln` coefficient, its row.
+    fn rows_and_bits(f: &LogPosynomial) -> Vec<(u64, &[(usize, f64)])> {
+        let bits = f.log_coefs().iter().map(|c| c.to_bits());
+        bits.zip(f.rows()).collect()
+    }
+
+    mod emitted_program {
+        use super::*;
+        use proptest::prelude::*;
+
+        const POOL: u32 = 8;
+
+        /// Legs `w * x_i^p [* x_j^q]` (`i == j`: one factor), then per
+        /// item `log10` value, whether the value is exactly 0 instead, and
+        /// `log10` rate; `log10` of QAB / query value, `log10` of mu, the
+        /// ddm and the method.
+        type RawCase = (
+            Vec<(u32, u32, u32, u32, f64)>,
+            Vec<(f64, bool, f64)>,
+            f64,
+            f64,
+            (bool, bool),
+        );
+
+        fn raw_case() -> impl Strategy<Value = RawCase> {
+            (
+                proptest::collection::vec(
+                    (0..POOL, 0..POOL, 1u32..=3, 1u32..=3, -1.0f64..2.0),
+                    1..=8,
+                ),
+                proptest::collection::vec(
+                    (-3.0f64..4.0, (0u8..6).prop_map(|z| z == 0), -9.0f64..1.0),
+                    POOL as usize,
+                ),
+                -6.0f64..-0.7,
+                -1.0f64..2.0,
+                (0u8..2, 0u8..2).prop_map(|(a, b)| (a == 1, b == 1)),
+            )
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// The rows a program emits are the rows compiling its
+            /// spelled-out problem gives — same order, same exponents,
+            /// same `ln` coefficients bit for bit, same backend — and the
+            /// solves through them, a first one and one after every zero
+            /// value turned positive, return the assignments the solves
+            /// through the problem return.
+            #[test]
+            fn emitted_rows_are_the_compiled_problem(raw in raw_case()) {
+                let (legs, items, qab_share, mu, (walk, refresh_only)) = raw;
+                let body = Polynomial::from_terms(legs.iter().map(|&(i, j, p, q, w)| {
+                    let vars = if i == j { vec![(x(i), p)] } else { vec![(x(i), p), (x(j), q)] };
+                    PTerm::new(10f64.powf(w), vars).expect("positive weight")
+                }));
+                prop_assume!(!body.is_linear());
+                let installed: Vec<f64> = (items.iter())
+                    .map(|&(v, zero, _)| if zero { 0.0 } else { 10f64.powf(v) })
+                    .collect();
+                let drifted: Vec<f64> = (items.iter())
+                    .map(|&(v, _, _)| 1.01 * 10f64.powf(v))
+                    .collect();
+                let rates: Vec<f64> = items.iter().map(|&(_, _, r)| 10f64.powf(r)).collect();
+                let qab = 10f64.powf(qab_share) * body.eval(&drifted);
+                let query = PolynomialQuery::new(body, qab).unwrap();
+                let ddm = if walk { DataDynamicsModel::RandomWalk } else { DataDynamicsModel::Monotonic };
+                let method = if refresh_only {
+                    PpqMethod::OptimalRefresh
+                } else {
+                    PpqMethod::DualDab { mu: 10f64.powf(mu) }
+                };
+                let at = |values| SolveContext::new(values, &rates).with_ddm(ddm);
+
+                let mut emitting = PpqProgram::compile(&query, method, &at(&installed)).unwrap();
+                let mut spelling = PpqProgram::compile(&query, method, &at(&installed)).unwrap();
+                emitting.map.eval_into(&installed, &mut emitting.coefs).unwrap();
+                let reference = emitting.problem().map(|p| CompiledGp::compile(&p).unwrap());
+                match (emitting.compiled(), reference) {
+                    (Ok(emitted), Ok(compiled)) => {
+                        prop_assert_eq!(emitted.n_vars(), compiled.n_vars());
+                        prop_assert_eq!(emitted.has_sparse_plan(), compiled.has_sparse_plan());
+                        prop_assert_eq!(
+                            rows_and_bits(emitted.objective()),
+                            rows_and_bits(compiled.objective())
+                        );
+                        prop_assert_eq!(emitted.n_constraints(), compiled.n_constraints());
+                        for (e, c) in emitted.constraints().iter().zip(compiled.constraints()) {
+                            prop_assert_eq!(rows_and_bits(e), rows_and_bits(c));
+                        }
+                    }
+                    // Every item of a leg at zero: no condition either way.
+                    (Err(_), Err(_)) => {}
+                    (emitted, compiled) => prop_assert!(
+                        false,
+                        "emitted {:?}, compiled {:?}",
+                        emitted.map(|_| ()),
+                        compiled.map(|_| ())
+                    ),
+                }
+
+                let (mut cache_e, mut cache_s) = (UnitCache::new(), UnitCache::new());
+                for values in [&installed, &drifted] {
+                    let emitted = emitting.solve(&at(values), Some(&mut cache_e));
+                    let spelled = solve_through_the_problem(&mut spelling, &at(values), &mut cache_s);
+                    match (emitted, spelled) {
+                        (Ok(e), Ok(s)) => prop_assert_eq!(all_bits(&e), all_bits(&s)),
+                        (Err(_), Err(_)) => {}
+                        (e, s) => prop_assert!(false, "emitted {:?}, spelled out {:?}", e, s),
+                    }
+                    prop_assert_eq!(cache_e.has_solution(), cache_s.has_solution());
+                }
+            }
+        }
+    }
+
+    /// Paper-shaped units, both methods, both ddms: the first solve
+    /// through a cache and the recompute after it build no `GpProblem` —
+    /// and with it no `Monomial` and no `Posynomial`, which this module
+    /// constructs nowhere else.
+    #[test]
+    fn solves_through_a_cache_never_spell_the_problem_out() {
+        let p = Polynomial::from_terms([
+            PTerm::new(2.0, [(x(0), 1), (x(1), 1)]).unwrap(),
+            PTerm::new(3.0, [(x(1), 1), (x(2), 1)]).unwrap(),
+            PTerm::new(0.5, [(x(3), 2)]).unwrap(),
+            PTerm::new(4.0, [(x(4), 1)]).unwrap(),
+        ]);
+        let q = PolynomialQuery::new(p, 10.0).unwrap();
+        let rates = [0.5, 0.01, 0.3, 0.2, 0.1];
+        for ddm in [DataDynamicsModel::Monotonic, DataDynamicsModel::RandomWalk] {
+            for method in [PpqMethod::OptimalRefresh, PpqMethod::DualDab { mu: 5.0 }] {
+                let at = |values| SolveContext::new(values, &rates).with_ddm(ddm);
+                // One value to zero and back: the structure changes twice.
+                let visited = [
+                    [50.0, 2.0, 30.0, 7.0, 11.0],
+                    [50.4, 0.0, 30.3, 7.05, 11.2],
+                    [50.4, 1.98, 30.3, 7.05, 11.2],
+                ];
+                let mut program = PpqProgram::compile(&q, method, &at(&visited[0])).unwrap();
+                let mut cache = UnitCache::new();
+                let built = PROBLEMS_BUILT.get();
+                for values in &visited {
+                    let a = program.solve(&at(values), Some(&mut cache)).unwrap();
+                    assert!(a.respects_qab(&q, 1e-6));
+                }
+                assert_eq!(PROBLEMS_BUILT.get(), built, "{ddm} / {method:?}");
+            }
+        }
+    }
+
+    /// A start whose blend fails — here an anchor outside the condition —
+    /// still ends in phase I: on the problem spelled out then, counted as
+    /// the one cold start it is, with phase I's answer kept as the
+    /// cache's optimum.
+    #[test]
+    fn a_failed_blend_reaches_phase_one_through_the_emitted_program() {
+        let q = PolynomialQuery::portfolio([(2.0, x(0), x(1)), (3.0, x(1), x(2))], 10.0).unwrap();
+        let values = [50.0, 2.0, 30.0];
+        let rates = [0.5, 0.01, 0.3];
+        let (obs, _ring) = pq_obs::Obs::ring(64);
+        let mut ctx = SolveContext::new(&values, &rates);
+        ctx.gp.obs = obs.clone();
+        let mut program = PpqProgram::compile(&q, PpqMethod::DualDab { mu: 5.0 }, &ctx).unwrap();
+        program.map.eval_into(&values, &mut program.coefs).unwrap();
+        let outside = vec![1e3; 3 + 3 + 1];
+        assert!(program.problem().unwrap().max_violation(&outside) > 0.0);
+
+        let mut cache = UnitCache::new();
+        let built = PROBLEMS_BUILT.get();
+        let sol = program
+            .solve_from(&outside, &outside, &ctx, Some(&mut cache))
+            .unwrap();
+        assert_eq!(PROBLEMS_BUILT.get(), built + 1);
+        let oracle = pq_gp::solve(&program.problem().unwrap(), &ctx.gp).unwrap();
+        assert_eq!(sol.x, oracle.x);
+        assert!(program.assignment(&sol, &ctx).respects_qab(&q, 1e-6));
+        let snap = obs.snapshot();
+        let count = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
+        assert_eq!(count(pq_obs::names::SOLVE_COLD_START), 1);
+        assert_eq!(count(pq_obs::names::SOLVE_COLD_FALLBACK), 0);
+        assert_eq!(count(pq_obs::names::SOLVE_WARM_HIT), 0);
+        assert_eq!(count(pq_obs::names::SOLVE_WARM_REPAIR), 0);
+
+        // The next solve starts from phase I's optimum, in place.
+        assert!(program.aligned && cache.has_solution());
+        let drifted = [50.4, 1.98, 30.3];
+        let next = program
+            .solve(
+                &SolveContext {
+                    values: &drifted,
+                    ..ctx.clone()
+                },
+                Some(&mut cache),
+            )
+            .unwrap();
+        assert!(next.respects_qab(&q, 1e-6));
+        assert_eq!(PROBLEMS_BUILT.get(), built + 2, "only the oracle's since");
+        assert_eq!(obs.snapshot().counters[pq_obs::names::SOLVE_WARM_HIT], 1);
     }
 
     #[test]

@@ -5,6 +5,8 @@
 //! the module docs of [`crate::ppq`], [`crate::baseline`] and
 //! [`crate::heuristics`].
 
+use std::sync::Arc;
+
 use pq_poly::{Polynomial, PolynomialQuery, QueryClass};
 
 use crate::assignment::QueryAssignment;
@@ -57,6 +59,15 @@ impl std::fmt::Display for AssignmentStrategy {
     }
 }
 
+/// Opens the `dab.solve` span: from the coordinator's pre-resolved timer
+/// when `options` carries one, by name otherwise.
+fn dab_span(options: &pq_gp::SolverOptions) -> pq_obs::TimedGuard {
+    match &options.dab {
+        Some(dab) => dab.span.start(&options.obs),
+        None => options.obs.timed(pq_obs::names::DAB_SOLVE),
+    }
+}
+
 /// Assigns DABs for one query under `strategy`, using `heuristic` for
 /// mixed-sign bodies. Linear queries take the closed form regardless of
 /// strategy (they are strictly easier; §I-A), except under the baselines,
@@ -67,7 +78,7 @@ pub fn assign_query(
     strategy: AssignmentStrategy,
     heuristic: PqHeuristic,
 ) -> Result<QueryAssignment, DabError> {
-    let _span = ctx.gp.obs.timed(pq_obs::names::DAB_SOLVE);
+    let _span = dab_span(&ctx.gp);
     ctx.gp
         .obs
         .emit_with(pq_obs::names::CORE_ASSIGN, pq_obs::EventKind::Point, |e| {
@@ -125,10 +136,26 @@ pub fn estimate_mu(
 /// that only invalidates one side recomputes only that side.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AssignmentUnit {
-    /// The unit's polynomial body (positive-coefficient for split units).
-    pub body: Polynomial,
+    /// The unit's polynomial body (positive-coefficient for split units),
+    /// shared with the program its [`UnitCache`] keeps: one copy per unit.
+    pub body: Arc<Polynomial>,
     /// The unit's accuracy budget.
     pub qab: f64,
+}
+
+impl AssignmentUnit {
+    /// The unit `body : qab`.
+    pub fn new(body: Polynomial, qab: f64) -> Self {
+        AssignmentUnit {
+            body: Arc::new(body),
+            qab,
+        }
+    }
+
+    /// The unit as a query of its own, for the strategies that take one.
+    fn query(&self) -> Result<PolynomialQuery, DabError> {
+        Ok(PolynomialQuery::new((*self.body).clone(), self.qab)?)
+    }
 }
 
 /// Decomposes a query into its independently maintained units under
@@ -138,12 +165,7 @@ pub fn assignment_units(
     strategy: AssignmentStrategy,
     heuristic: PqHeuristic,
 ) -> Vec<AssignmentUnit> {
-    let whole = || {
-        vec![AssignmentUnit {
-            body: query.poly().clone(),
-            qab: query.qab(),
-        }]
-    };
+    let whole = || vec![AssignmentUnit::new(query.poly().clone(), query.qab())];
     match strategy {
         // Baselines and the linearized filter handle mixed signs
         // internally and keep one unit.
@@ -157,28 +179,16 @@ pub fn assignment_units(
             let (p1, p2) = query.poly().split_pos_neg();
             if p1.is_zero() || p2.is_zero() {
                 // Purely negative body: |deviation(-P2)| = |deviation(P2)|.
-                return vec![AssignmentUnit {
-                    body: if p1.is_zero() { p2 } else { p1 },
-                    qab: query.qab(),
-                }];
+                let body = if p1.is_zero() { p2 } else { p1 };
+                return vec![AssignmentUnit::new(body, query.qab())];
             }
             match heuristic {
-                PqHeuristic::DifferentSum => vec![AssignmentUnit {
-                    body: p1.add(&p2),
-                    qab: query.qab(),
-                }],
+                PqHeuristic::DifferentSum => {
+                    vec![AssignmentUnit::new(p1.add(&p2), query.qab())]
+                }
                 PqHeuristic::HalfAndHalf => {
                     let half = query.qab() / 2.0;
-                    vec![
-                        AssignmentUnit {
-                            body: p1,
-                            qab: half,
-                        },
-                        AssignmentUnit {
-                            body: p2,
-                            qab: half,
-                        },
-                    ]
+                    vec![AssignmentUnit::new(p1, half), AssignmentUnit::new(p2, half)]
                 }
             }
         }
@@ -213,19 +223,13 @@ fn assign_unit_with_cache(
     strategy: AssignmentStrategy,
     cache: Option<&mut UnitCache>,
 ) -> Result<QueryAssignment, DabError> {
-    let _span = ctx.gp.obs.timed(pq_obs::names::DAB_SOLVE);
+    let _span = dab_span(&ctx.gp);
     match strategy {
-        AssignmentStrategy::PerItemSplit => {
-            per_item_split(&PolynomialQuery::new(unit.body.clone(), unit.qab)?, ctx)
+        AssignmentStrategy::PerItemSplit => per_item_split(&unit.query()?, ctx),
+        AssignmentStrategy::EqualDab => equal_dab(&unit.query()?, ctx),
+        AssignmentStrategy::LinearizedFilter => {
+            crate::linearized::linearized_filter_cached(&unit.query()?, ctx, cache)
         }
-        AssignmentStrategy::EqualDab => {
-            equal_dab(&PolynomialQuery::new(unit.body.clone(), unit.qab)?, ctx)
-        }
-        AssignmentStrategy::LinearizedFilter => crate::linearized::linearized_filter_cached(
-            &PolynomialQuery::new(unit.body.clone(), unit.qab)?,
-            ctx,
-            cache,
-        ),
         AssignmentStrategy::OptimalRefresh => {
             solve_positive_or_general(unit, ctx, PpqMethod::OptimalRefresh, cache)
         }
@@ -246,12 +250,7 @@ fn solve_positive_or_general(
     } else {
         // A mixed-sign unit only arises when the caller bypassed
         // `assignment_units`; fall back to Different Sum.
-        general_pq(
-            &PolynomialQuery::new(unit.body.clone(), unit.qab)?,
-            ctx,
-            PqHeuristic::DifferentSum,
-            method,
-        )
+        general_pq(&unit.query()?, ctx, PqHeuristic::DifferentSum, method)
     }
 }
 
@@ -343,8 +342,7 @@ mod tests {
         // Each unit solves and respects its own budget.
         for u in hh.iter().chain(&ds) {
             let a = assign_unit(u, &ctx, dual).unwrap();
-            let uq = PolynomialQuery::new(u.body.clone(), u.qab).unwrap();
-            assert!(a.respects_qab(&uq, 1e-6));
+            assert!(a.respects_qab(&u.query().unwrap(), 1e-6));
         }
     }
 

@@ -67,7 +67,7 @@ impl Case {
     fn new(body: Polynomial, values: Vec<f64>, rates: Vec<f64>, qab_share: f64) -> Self {
         let qab = qab_share * body.eval(&values);
         Case {
-            unit: AssignmentUnit { body, qab },
+            unit: AssignmentUnit::new(body, qab),
             values,
             rates,
             ddm: DataDynamicsModel::Monotonic,
@@ -192,7 +192,7 @@ impl Case {
             1,
             "the blend from the prediction fell back to phase I"
         );
-        let query = PolynomialQuery::new(self.unit.body.clone(), self.unit.qab).unwrap();
+        let query = PolynomialQuery::new((*self.unit.body).clone(), self.unit.qab).unwrap();
         prop_assert!(a.respects_qab(&query, 1e-6 * self.unit.qab));
         if let ValidityRange::Box(c) = &a.validity {
             prop_assert!(a.primary.iter().all(|(i, &b)| b <= c[i] * (1.0 + 1e-9)));

@@ -47,6 +47,15 @@ impl DataDynamicsModel {
         }
     }
 
+    /// `lambda^p`: the coefficient of the refresh estimate as the GP
+    /// monomial `lambda^p * b^-p`.
+    pub fn refresh_coef(self, lambda: f64) -> f64 {
+        match self {
+            DataDynamicsModel::Monotonic => lambda,
+            DataDynamicsModel::RandomWalk => lambda * lambda,
+        }
+    }
+
     /// The refresh-rate term as a GP monomial in the DAB variable
     /// `b_var`: `lambda * b^-1` or `lambda^2 * b^-2`.
     ///
@@ -56,10 +65,7 @@ impl DataDynamicsModel {
         if !(lambda.is_finite() && lambda > 0.0) {
             return None;
         }
-        let m = match self {
-            DataDynamicsModel::Monotonic => Monomial::new(lambda, [(b_var, -1.0)]),
-            DataDynamicsModel::RandomWalk => Monomial::new(lambda * lambda, [(b_var, -2.0)]),
-        };
+        let m = Monomial::new(self.refresh_coef(lambda), [(b_var, -self.exponent())]);
         Some(m.expect("positive lambda yields valid monomial"))
     }
 

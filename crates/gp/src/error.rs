@@ -5,7 +5,9 @@
 pub enum GpError {
     /// Monomial coefficients must be strictly positive and finite.
     NonPositiveCoefficient(f64),
-    /// Exponents must be finite.
+    /// Exponents must be finite, on a variable of the program; a compiled
+    /// exponent row also lists each variable once, ascending, with a
+    /// non-zero exponent.
     InvalidExponent,
     /// The objective (or a constraint) has no terms.
     EmptyPosynomial,
@@ -30,7 +32,10 @@ impl std::fmt::Display for GpError {
             GpError::NonPositiveCoefficient(c) => {
                 write!(f, "monomial coefficient must be > 0 and finite, got {c}")
             }
-            GpError::InvalidExponent => write!(f, "monomial exponent must be finite"),
+            GpError::InvalidExponent => write!(
+                f,
+                "monomial exponents must be finite, on variables of the program"
+            ),
             GpError::EmptyPosynomial => write!(f, "posynomial must have at least one term"),
             GpError::InvalidBound(b) => {
                 write!(f, "constraint bound must be > 0 and finite, got {b}")

@@ -53,5 +53,6 @@ pub use kkt::{kkt_report, KktReport, SparseKktPlan};
 pub use posynomial::{Monomial, Posynomial};
 pub use problem::{GpProblem, GpSolution};
 pub use solver::{
-    solve, solve_with_start, CompiledGp, KktMode, SolveWorkspace, SolverOptions, WarmStart,
+    solve, solve_with_start, CompiledGp, DabTelemetry, KktMode, SolveWorkspace, SolverOptions,
+    WarmStart,
 };

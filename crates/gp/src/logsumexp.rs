@@ -6,6 +6,7 @@
 //! (log-sum-exp of affine functions). This module pre-compiles a posynomial
 //! into that form and evaluates value, gradient and Hessian stably.
 
+use crate::error::GpError;
 use crate::linalg::Matrix;
 use crate::posynomial::Posynomial;
 
@@ -35,35 +36,80 @@ pub struct Evaluation {
 }
 
 impl LogPosynomial {
+    /// The log-space form of `sum_k scale * coef_k * prod x_v^e` over
+    /// `n_vars` variables, from `(coef_k, exponent row)` terms wherever
+    /// they are kept: a program that knows its rows compiles them without
+    /// building a [`Posynomial`] first. The one place the arrays are
+    /// filled, each sized exactly.
+    ///
+    /// # Errors
+    /// * [`GpError::EmptyPosynomial`] when there is no term;
+    /// * [`GpError::NonPositiveCoefficient`] unless every `scale * coef_k`
+    ///   is finite and `> 0`;
+    /// * [`GpError::InvalidExponent`] unless every row is strictly
+    ///   ascending by variable, below `n_vars`, with finite non-zero
+    ///   exponents (the stored form of a [`crate::Monomial`]);
+    /// * [`GpError::NumericalFailure`] when the rows outgrow the `u32`
+    ///   offsets.
+    pub fn from_rows<R: AsRef<[(usize, f64)]>>(
+        terms: impl Iterator<Item = (f64, R)> + Clone,
+        scale: f64,
+        n_vars: usize,
+    ) -> Result<Self, GpError> {
+        let (n_terms, n_entries) = (terms.clone()).fold((0, 0), |(terms, entries), (_, row)| {
+            (terms + 1, entries + row.as_ref().len())
+        });
+        if n_terms == 0 {
+            return Err(GpError::EmptyPosynomial);
+        }
+        if u32::try_from(n_entries).is_err() {
+            return Err(GpError::NumericalFailure(
+                "posynomial has over 2^32 exponents",
+            ));
+        }
+        let mut entries = Vec::with_capacity(n_entries);
+        let mut row_ends = Vec::with_capacity(n_terms);
+        let mut log_coefs = Vec::with_capacity(n_terms);
+        for (coef, row) in terms {
+            let (coef, row) = (coef * scale, row.as_ref());
+            if !(coef.is_finite() && coef > 0.0) {
+                return Err(GpError::NonPositiveCoefficient(coef));
+            }
+            let ascending = row.windows(2).all(|w| w[0].0 < w[1].0);
+            let in_range = row.last().is_none_or(|&(v, _)| v < n_vars);
+            if !(ascending && in_range && row.iter().all(|&(_, e)| e.is_finite() && e != 0.0)) {
+                return Err(GpError::InvalidExponent);
+            }
+            entries.extend_from_slice(row);
+            row_ends.push(entries.len() as u32);
+            log_coefs.push(coef.ln());
+        }
+        Ok(LogPosynomial {
+            entries,
+            row_ends,
+            log_coefs,
+            n_vars,
+        })
+    }
+
     /// Compiles a posynomial for an ambient space of `n_vars` variables.
     ///
     /// # Panics
     /// Panics if the posynomial references a variable `>= n_vars` or is
     /// empty (callers validate through [`crate::problem::GpProblem`]).
     pub fn compile(p: &Posynomial, n_vars: usize) -> Self {
-        assert!(!p.is_zero(), "cannot compile the zero posynomial");
-        if let Some(mv) = p.max_var() {
-            assert!(mv < n_vars, "posynomial references variable out of range");
-        }
-        let mut entries = Vec::with_capacity(p.terms().iter().map(|t| t.exponents().len()).sum());
-        let mut row_ends = Vec::with_capacity(p.n_terms());
-        let mut log_coefs = Vec::with_capacity(p.n_terms());
-        for t in p.terms() {
-            entries.extend_from_slice(t.exponents());
-            row_ends.push(entries.len() as u32);
-            log_coefs.push(t.coef().ln());
-        }
-        LogPosynomial {
-            entries,
-            row_ends,
-            log_coefs,
-            n_vars,
-        }
+        let terms = p.terms().iter().map(|t| (t.coef(), t.exponents()));
+        Self::from_rows(terms, 1.0, n_vars).expect("a validated posynomial compiles")
     }
 
     /// Number of monomial terms.
     pub fn n_terms(&self) -> usize {
         self.row_ends.len()
+    }
+
+    /// Number of variables in the ambient space.
+    pub fn n_vars(&self) -> usize {
+        self.n_vars
     }
 
     /// Term `k`'s sparse exponent row (the sparse KKT plan reads the
@@ -74,12 +120,17 @@ impl LogPosynomial {
     }
 
     /// Every term's sparse exponent row, in term order.
-    pub(crate) fn rows(&self) -> impl Iterator<Item = &[(usize, f64)]> {
+    pub fn rows(&self) -> impl Iterator<Item = &[(usize, f64)]> {
         self.row_ends.iter().scan(0, |start, &end| {
             let row = &self.entries[*start..end as usize];
             *start = end as usize;
             Some(row)
         })
+    }
+
+    /// Every term's `ln c_k`, in term order.
+    pub fn log_coefs(&self) -> &[f64] {
+        &self.log_coefs
     }
 
     /// Log-coefficient of term `k`.
@@ -394,6 +445,70 @@ mod tests {
         assert!((ev.value - (5.0_f64.ln() + 2.0 * 0.7)).abs() < 1e-12);
         assert!((ev.grad[0] - 2.0).abs() < 1e-12);
         assert!(ev.hess[(0, 0)].abs() < 1e-12);
+    }
+
+    /// What `Monomial::new` and `GpProblem` refuse, refused as rows: a
+    /// typed error each, never a panic.
+    #[test]
+    fn from_rows_rejects_what_is_not_a_posynomial() {
+        type Row = &'static [(usize, f64)];
+        let ok: Row = &[(0, 1.0), (2, -2.0)];
+        // The bad term last, after one that is fine.
+        let refused = |coef: f64, scale: f64, row: Row| {
+            let terms = [(2.0 / scale, ok), (coef, row)];
+            LogPosynomial::from_rows(terms.into_iter(), scale, 3).unwrap_err()
+        };
+        // (coefficient, scale, the product the error reports)
+        let coefficients = [
+            (f64::NAN, 1.0, f64::NAN),
+            (f64::INFINITY, 1.0, f64::INFINITY),
+            (0.0, 1.0, 0.0),
+            (-2.0, 1.0, -2.0),
+            (1e-200, 1e-200, 0.0),
+            (1e200, 1e200, f64::INFINITY),
+        ];
+        for (coef, scale, reported) in coefficients {
+            let GpError::NonPositiveCoefficient(got) = refused(coef, scale, ok) else {
+                panic!("{coef} * {scale}: not a coefficient error");
+            };
+            assert_eq!(got.to_bits(), reported.to_bits(), "{coef} * {scale}");
+        }
+        let rows: [(&str, Row); 6] = [
+            ("nan exponent", &[(0, f64::NAN)]),
+            ("infinite exponent", &[(0, f64::INFINITY)]),
+            ("zero exponent", &[(0, 1.0), (1, 0.0)]),
+            ("unsorted variables", &[(2, 1.0), (0, 1.0)]),
+            ("duplicate variable", &[(1, 1.0), (1, 2.0)]),
+            ("variable out of range", &[(0, 1.0), (3, 1.0)]),
+        ];
+        for (name, row) in rows {
+            assert_eq!(refused(1.0, 1.0, row), GpError::InvalidExponent, "{name}");
+        }
+        let none: [(f64, Row); 0] = [];
+        assert_eq!(
+            LogPosynomial::from_rows(none.into_iter(), 1.0, 3).unwrap_err(),
+            GpError::EmptyPosynomial
+        );
+    }
+
+    #[test]
+    fn from_rows_scales_every_coefficient_and_sizes_its_arrays_exactly() {
+        let rows: [(f64, &[(usize, f64)]); 3] = [
+            (2.0, &[(0, 1.0), (1, 1.0)]),
+            (3.0, &[(0, -1.0)]),
+            (5.0, &[]),
+        ];
+        // A filter has no lower size hint, like `DeviationMap::terms`.
+        let kept = rows.into_iter().filter(|&(c, _)| c != 3.0);
+        let lp = LogPosynomial::from_rows(kept, 0.25, 2).unwrap();
+        assert_eq!(
+            lp.rows().collect::<Vec<_>>(),
+            [&[(0, 1.0), (1, 1.0)][..], &[]]
+        );
+        assert_eq!(lp.log_coefs(), [0.5f64.ln(), 1.25f64.ln()]);
+        assert_eq!(lp.entries.capacity(), 2);
+        assert_eq!(lp.row_ends.capacity(), 2);
+        assert_eq!(lp.log_coefs.capacity(), 2);
     }
 
     #[test]

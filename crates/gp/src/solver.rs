@@ -137,8 +137,48 @@ pub struct SolverOptions {
     /// Pre-resolved `gp.solve` span timer (see [`Obs::timer`]); same
     /// caching contract as [`SolverOptions::query_counter`].
     pub solve_timer: Option<pq_obs::Timer>,
+    /// Pre-resolved handles for what the DAB layer records around a solve
+    /// (it reads its [`Obs`] from these options too); same caching
+    /// contract as [`SolverOptions::query_counter`].
+    pub dab: Option<Arc<DabTelemetry>>,
     /// KKT backend selection. Default [`KktMode::Auto`].
     pub kkt: KktMode,
+}
+
+/// The `dab.solve` span and the four `solve.*` outcome counters of one
+/// [`Obs`], resolved once by a coordinator that solves in a loop.
+#[derive(Debug)]
+pub struct DabTelemetry {
+    /// Timer of the `dab.solve` span.
+    pub span: pq_obs::Timer,
+    /// `solve.cold_start`: a unit's first solve.
+    pub cold_start: Arc<pq_obs::Counter>,
+    /// `solve.warm_hit`: a light blend off the cached optimum sufficed.
+    pub warm_hit: Arc<pq_obs::Counter>,
+    /// `solve.warm_repair`: the drift needed a deeper blend.
+    pub warm_repair: Arc<pq_obs::Counter>,
+    /// `solve.cold_fallback`: the blend failed, phase I ran.
+    pub cold_fallback: Arc<pq_obs::Counter>,
+}
+
+impl SolverOptions {
+    /// These options reporting to `obs`, with every per-solve handle
+    /// (`gp.solve` timer, [`DabTelemetry`]) resolved on it now: what a
+    /// coordinator calls once, so its solves never touch the registry.
+    pub fn observed_by(self, obs: &Obs) -> Self {
+        SolverOptions {
+            obs: obs.clone(),
+            solve_timer: Some(obs.timer(names::GP_SOLVE)),
+            dab: Some(Arc::new(DabTelemetry {
+                span: obs.timer(names::DAB_SOLVE),
+                cold_start: obs.counter(names::SOLVE_COLD_START),
+                warm_hit: obs.counter(names::SOLVE_WARM_HIT),
+                warm_repair: obs.counter(names::SOLVE_WARM_REPAIR),
+                cold_fallback: obs.counter(names::SOLVE_COLD_FALLBACK),
+            })),
+            ..self
+        }
+    }
 }
 
 impl Default for SolverOptions {
@@ -154,6 +194,7 @@ impl Default for SolverOptions {
             query: None,
             query_counter: None,
             solve_timer: None,
+            dab: None,
             kkt: KktMode::Auto,
         }
     }
@@ -377,8 +418,21 @@ impl CompiledGp {
     /// Compiles `problem` (which must have an objective).
     pub fn compile(problem: &GpProblem) -> Result<Self, GpError> {
         let (objective, constraints) = problem.validated()?;
-        let n = problem.n_vars();
-        let (f0, fs) = compile_all(objective, constraints, n);
+        let (f0, fs) = compile_all(objective, constraints, problem.n_vars());
+        Self::from_parts(f0, fs)
+    }
+
+    /// The program `minimize f0 s.t. fs[i] <= 1` over already compiled
+    /// posynomials (see [`LogPosynomial::from_rows`]).
+    ///
+    /// # Errors
+    /// [`GpError::InvalidExponent`] unless every part is over the same
+    /// number of variables.
+    pub fn from_parts(f0: LogPosynomial, fs: Vec<LogPosynomial>) -> Result<Self, GpError> {
+        let n = f0.n_vars();
+        if fs.iter().any(|f| f.n_vars() != n) {
+            return Err(GpError::InvalidExponent);
+        }
         let plan = auto_wanted(&f0, &fs, n).then(|| Arc::new(SparseKktPlan::build(&f0, &fs, n)));
         Ok(CompiledGp {
             n_vars: n,
@@ -386,6 +440,16 @@ impl CompiledGp {
             fs,
             plan,
         })
+    }
+
+    /// The compiled objective.
+    pub fn objective(&self) -> &LogPosynomial {
+        &self.f0
+    }
+
+    /// The compiled constraints `fs[i] <= 1`.
+    pub fn constraints(&self) -> &[LogPosynomial] {
+        &self.fs
     }
 
     /// Forces the sparse KKT plan to exist (idempotent). Callers that know
@@ -1190,6 +1254,38 @@ mod tests {
             "compiled {} vs fresh {}",
             got.objective,
             want.objective
+        );
+    }
+
+    /// A program assembled from rows solves like the one compiled from
+    /// the problem that spells the same rows out.
+    #[test]
+    fn a_program_from_parts_is_the_compiled_problem() {
+        let problem = drifting_problem(2.0, 3.0, 4.0, 5.0);
+        let compiled = CompiledGp::compile(&problem).unwrap();
+        let n = problem.n_vars();
+        let rows = |p: &Posynomial| {
+            let terms = p.terms().iter().map(|t| (t.coef(), t.exponents()));
+            LogPosynomial::from_rows(terms, 1.0, n).unwrap()
+        };
+        let parts = CompiledGp::from_parts(
+            rows(problem.objective().unwrap()),
+            problem.constraints().iter().map(rows).collect(),
+        )
+        .unwrap();
+        assert_eq!(parts.n_constraints(), compiled.n_constraints());
+        assert_eq!(parts.has_sparse_plan(), compiled.has_sparse_plan());
+        let start = vec![0.5; n];
+        let mut ws = SolveWorkspace::new();
+        let a = parts.solve_from(&start, &opts(), &mut ws).unwrap();
+        let b = compiled.solve_from(&start, &opts(), &mut ws).unwrap();
+        assert_eq!(a.x, b.x);
+
+        let narrower = rows(problem.objective().unwrap());
+        let wider = LogPosynomial::from_rows([(1.0, [(0, 1.0)])].into_iter(), 1.0, n + 1).unwrap();
+        assert_eq!(
+            CompiledGp::from_parts(narrower, vec![wider]).unwrap_err(),
+            GpError::InvalidExponent
         );
     }
 

@@ -324,14 +324,6 @@ impl Obs {
         Obs::with_subscriber(Arc::new(NullSubscriber))
     }
 
-    /// True when `other` is a clone of this handle (same subscriber and
-    /// registry). Callers that cache resolved counter handles use this
-    /// to notice when they were handed a different registry and must
-    /// re-resolve, instead of silently incrementing the old one.
-    pub fn same_registry(&self, other: &Obs) -> bool {
-        Arc::ptr_eq(&self.inner, &other.inner)
-    }
-
     /// A handle delivering events to the given subscriber.
     pub fn with_subscriber(subscriber: Arc<dyn Subscriber>) -> Self {
         Obs {

@@ -513,8 +513,9 @@ pub(crate) struct Engine<'a> {
     /// that [`recompute_parallel`] carries into its workers.
     t_recompute_batch: Timer,
     /// The configured solver options carrying this engine's telemetry
-    /// handle and pre-resolved `gp.solve` timer (solver spans skip
-    /// per-solve registry lookups), unattributed: every
+    /// handle with its per-solve handles pre-resolved
+    /// ([`SolverOptions::observed_by`]: solver and `dab.solve` spans and
+    /// the `solve.*` counters skip the registry), unattributed: every
     /// [`SolveContext`] starts from one clone, which
     /// [`Engine::attribute`] then points at a query.
     gp: SolverOptions,
@@ -800,11 +801,7 @@ impl<'a> Engine<'a> {
             h_ingest_batch_size: obs.histogram(names::INGEST_BATCH_SIZE),
             h_solve_ns: obs.histogram(names::SIM_SOLVE_NS),
             t_recompute_batch: obs.timer(names::SIM_RECOMPUTE_BATCH),
-            gp: SolverOptions {
-                obs: obs.clone(),
-                solve_timer: Some(obs.timer(names::GP_SOLVE)),
-                ..cfg.gp.clone()
-            },
+            gp: cfg.gp.clone().observed_by(&obs),
             lc_solve_by_query: (0..cfg.queries.len())
                 .map(|qi| obs.labeled_counter(names::GP_SOLVE, names::LABEL_QUERY, &gq_label(qi)))
                 .collect(),

@@ -60,8 +60,9 @@ pub struct Monitor {
     strategy: AssignmentStrategy,
     heuristic: PqHeuristic,
     ddm: DataDynamicsModel,
-    /// Solver options carrying the attached telemetry handle; every GP
-    /// solve starts from one clone.
+    /// Solver options carrying the attached telemetry handle and its
+    /// pre-resolved per-solve handles; every GP solve starts from one
+    /// clone.
     gp: SolverOptions,
     /// Per-query maintenance units (two under Half-and-Half, else one).
     units: Vec<Vec<AssignmentUnit>>,
@@ -99,6 +100,7 @@ impl Monitor {
     /// A monitor with the paper's recommended defaults: Dual-DAB with
     /// `mu = 5`, Different-Sum for mixed signs, monotonic ddm.
     pub fn new() -> Self {
+        let obs = Obs::null();
         Monitor {
             catalog: ItemCatalog::new(),
             values: Vec::new(),
@@ -111,7 +113,7 @@ impl Monitor {
             strategy: AssignmentStrategy::DualDab { mu: 5.0 },
             heuristic: PqHeuristic::DifferentSum,
             ddm: DataDynamicsModel::Monotonic,
-            gp: SolverOptions::default(),
+            gp: SolverOptions::default().observed_by(&obs),
             units: Vec::new(),
             filters: FilterTable::default(),
             item_dabs: Vec::new(),
@@ -119,7 +121,7 @@ impl Monitor {
             cache: SolveCache::new(),
             threads: default_recompute_threads(),
             installed: false,
-            obs: Obs::null(),
+            obs,
             c_recompute: Arc::default(),
             lc_recompute_by_query: Vec::new(),
             lc_trigger_by_item: Vec::new(),
@@ -138,7 +140,7 @@ impl Monitor {
     /// Attaches a telemetry handle: install/refresh outcomes and all DAB
     /// and GP solver timings are reported through it (see [`pq_obs`]).
     pub fn with_obs(mut self, obs: Obs) -> Self {
-        self.gp.obs = obs.clone();
+        self.gp = std::mem::take(&mut self.gp).observed_by(&obs);
         self.obs = obs;
         self.resolve_counters();
         self
