@@ -6,8 +6,10 @@
 //! is bounded by the very DABs being maintained), so the previous optimum
 //! is an excellent warm start. A [`UnitCache`] keeps, per assignment unit:
 //!
-//! * the compiled [`pq_gp::CompiledGp`] (coefficients refreshed in place
-//!   each recompute — the exponent structure is stable across drift);
+//! * the compiled [`pq_gp::CompiledGp`]: objective and every constraint
+//!   in one flat arena (four arrays per unit, emitted in one pass on the
+//!   first solve), its condition's coefficients rewritten in place each
+//!   recompute — the exponent structure is stable across drift;
 //! * the last optimal point, warm-started via the minimal blend toward
 //!   the interior point of [`pq_gp::CompiledGp::solve_warm`];
 //! * what the unit compiled to (its coefficient map, rates and variable
@@ -28,6 +30,7 @@
 //! can attribute the win.
 
 use std::cell::RefCell;
+use std::sync::OnceLock;
 
 use pq_gp::{CompiledGp, GpProblem, GpSolution, SolveWorkspace, SolverOptions, WarmStart};
 use pq_obs::names;
@@ -308,10 +311,14 @@ fn run_job(job: RecomputeJob<'_>, strategy: AssignmentStrategy) -> RecomputeDone
 }
 
 /// The default recompute fan-out width: one worker per available core.
+/// Resolved once per process: the query reads the cgroup quota from files.
 pub fn default_recompute_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
 /// Runs a batch of independent unit recomputations, fanning out over at
@@ -328,11 +335,14 @@ pub fn recompute_parallel(
     max_threads: usize,
 ) -> Vec<RecomputeDone> {
     let n = jobs.len();
-    let workers = max_threads
-        .max(1)
-        .min(default_recompute_threads())
-        .min(n.max(1));
-    if workers <= 1 || n <= 1 {
+    // One job or one thread takes the serial path without asking for
+    // the core count.
+    let workers = if max_threads <= 1 || n <= 1 {
+        1
+    } else {
+        max_threads.min(default_recompute_threads()).min(n)
+    };
+    if workers <= 1 {
         return jobs.into_iter().map(|j| run_job(j, strategy)).collect();
     }
     // Contiguous chunks keep each (qi, ui) on exactly one worker; slots are

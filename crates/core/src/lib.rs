@@ -43,6 +43,7 @@ pub mod context;
 pub mod error;
 pub mod filter_table;
 pub mod heuristics;
+pub mod install;
 pub mod laq;
 pub mod linearized;
 pub mod multi;
@@ -59,6 +60,7 @@ pub use context::SolveContext;
 pub use error::DabError;
 pub use filter_table::FilterTable;
 pub use heuristics::{general_pq, PpqMethod, PqHeuristic};
+pub use install::{install_units, InstallError};
 pub use laq::linear_closed_form;
 pub use linearized::linearized_filter;
 pub use multi::{aao, aao_program, eqi, AaoProgram};

@@ -19,12 +19,9 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 
 use pq_ddm::DataDynamicsModel;
-use pq_gp::logsumexp::LogPosynomial;
+use pq_gp::logsumexp::{count_rows, LogArena};
 use pq_gp::{CompiledGp, GpError, GpProblem, GpSolution, Monomial, Posynomial};
-use pq_poly::{
-    DabVarIndexer, DabVarMap, DeviationMap, PartialDabVarMap, PolyError, Polynomial,
-    PolynomialQuery,
-};
+use pq_poly::{coupled_items, DeviationMap, PolyError, Polynomial, PolynomialQuery};
 
 use crate::assignment::{QueryAssignment, ValidityRange};
 use crate::cache::{solve_compiled, UnitCache};
@@ -140,18 +137,16 @@ impl PpqProgram {
             return Err(PolyError::InvalidBound(qab).into());
         }
         require_ppq(poly)?;
-        // Both layouts put `b` of the body's `k`-th item at variable `k`.
-        let (coupled_b, map) = match method {
-            PpqMethod::OptimalRefresh => {
-                let vars = DabVarMap::for_polynomial(poly, false);
-                (Vec::new(), DeviationMap::compile(poly, &vars)?)
-            }
-            PpqMethod::DualDab { .. } => {
-                let vars = PartialDabVarMap::for_polynomial(poly);
-                let coupled_b = vars.coupled().iter().map(|&i| vars.primary(i)).collect();
-                (coupled_b, DeviationMap::compile(poly, &vars)?)
-            }
+        // The body's items, collected once: `b` of the `k`-th is variable
+        // `k`, and the map keeps the list.
+        let items = poly.items();
+        let coupled = match method {
+            PpqMethod::OptimalRefresh => Vec::new(),
+            PpqMethod::DualDab { .. } => coupled_items(poly),
         };
+        let primary = |c| items.binary_search(c).expect("a coupled item is an item");
+        let coupled_b = coupled.iter().map(primary).collect();
+        let map = DeviationMap::for_unit(poly, items, &coupled)?;
         let lambdas = (map.items().iter())
             .map(|&item| ctx.rate(item))
             .collect::<Result<_, _>>()?;
@@ -271,37 +266,42 @@ impl PpqProgram {
     }
 
     /// The program at the values `coefs` was evaluated at, in the
-    /// solver's own rows: term for term and bit for bit what compiling
-    /// [`PpqProgram::problem`] gives, with nothing built in between.
+    /// solver's own form: term for term and bit for bit what compiling
+    /// [`PpqProgram::problem`] gives, every posynomial emitted in one pass
+    /// into one arena counted beforehand, with nothing built in between.
     fn compiled(&self) -> Result<CompiledGp, GpError> {
         let n = self.lambdas.len();
-        let r_var = n + self.coupled_b.len();
+        let coupled = self.coupled_b.len();
+        let r_var = n + coupled;
         let mu = self.method.mu();
         let n_vars = r_var + usize::from(mu.is_some());
         let p = self.ddm.exponent();
         let refresh = |k: usize| self.ddm.refresh_coef(self.lambdas[k]);
 
+        // The QAB condition: at the anchor (Eq. 1), or over the validity
+        // range (Eq. 2). A filter has no size hint: count its rows.
+        let condition = self.map.terms(&self.coefs);
+        let (condition_terms, condition_exps) = count_rows(condition.clone());
+        let objective_terms = n + usize::from(mu.is_some());
+        let mut arena = LogArena::with_capacity(
+            n_vars,
+            2 + 2 * coupled,
+            objective_terms + condition_terms + 2 * coupled,
+            objective_terms + condition_exps + 4 * coupled,
+        );
         let refreshes = (0..n).map(|k| (refresh(k), [(k, -p)]));
         let recomputes = mu.map(|mu| (mu, [(r_var, 1.0)]));
-        let objective = LogPosynomial::from_rows(refreshes.chain(recomputes), 1.0, n_vars)?;
-        // The QAB condition: at the anchor (Eq. 1), or over the validity
-        // range (Eq. 2).
-        let condition = self.map.terms(&self.coefs);
-        let mut constraints = Vec::with_capacity(1 + 2 * self.coupled_b.len());
-        constraints.push(LogPosynomial::from_rows(condition, 1.0 / self.qab, n_vars)?);
+        arena.push(refreshes.chain(recomputes), 1.0)?;
+        arena.push(condition, 1.0 / self.qab)?;
         // For coupled items: b_j <= c_j and the recompute-rate coupling
         // rate(lambda_j, c_j) <= R.
         for (j, &b_var) in self.coupled_b.iter().enumerate() {
             let c_var = n + j;
-            let rows = [
-                (1.0, [(b_var, 1.0), (c_var, -1.0)]),
-                (refresh(b_var), [(c_var, -p), (r_var, -1.0)]),
-            ];
-            for row in rows {
-                constraints.push(LogPosynomial::from_rows([row].into_iter(), 1.0, n_vars)?);
-            }
+            arena.push([(1.0, [(b_var, 1.0), (c_var, -1.0)])].into_iter(), 1.0)?;
+            let escape = (refresh(b_var), [(c_var, -p), (r_var, -1.0)]);
+            arena.push([escape].into_iter(), 1.0)?;
         }
-        CompiledGp::from_parts(objective, constraints)
+        CompiledGp::from_arena(arena)
     }
 
     /// [`PpqProgram::compiled`] spelled out as a problem: what phase I
@@ -963,10 +963,16 @@ mod tests {
         Ok(program.assignment(&sol, ctx))
     }
 
-    /// Every term of `f`: the bits of its `ln` coefficient, its row.
-    fn rows_and_bits(f: &LogPosynomial) -> Vec<(u64, &[(usize, f64)])> {
-        let bits = f.log_coefs().iter().map(|c| c.to_bits());
-        bits.zip(f.rows()).collect()
+    /// One term: the bits of its `ln` coefficient, its row.
+    type TermBits<'a> = (u64, &'a [(usize, f64)]);
+
+    /// Every term of every posynomial of `gp`, objective first.
+    fn rows_and_bits(gp: &CompiledGp) -> Vec<Vec<TermBits<'_>>> {
+        fn terms(f: pq_gp::logsumexp::LogPosynomial<'_>) -> Vec<TermBits<'_>> {
+            let bits = f.log_coefs().iter().map(|c| c.to_bits());
+            bits.zip(f.rows()).collect()
+        }
+        gp.arena().iter().map(terms).collect()
     }
 
     mod emitted_program {
@@ -1006,9 +1012,10 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(256))]
 
-            /// The rows a program emits are the rows compiling its
-            /// spelled-out problem gives — same order, same exponents,
-            /// same `ln` coefficients bit for bit, same backend — and the
+            /// The flat arena a program emits is the one compiling its
+            /// spelled-out problem gives — posynomial for posynomial, row
+            /// for row, same exponents, same `ln` coefficients bit for
+            /// bit, same backend, no array grown twice — and the
             /// solves through them, a first one and one after every zero
             /// value turned positive, return the assignments the solves
             /// through the problem return.
@@ -1045,14 +1052,10 @@ mod tests {
                     (Ok(emitted), Ok(compiled)) => {
                         prop_assert_eq!(emitted.n_vars(), compiled.n_vars());
                         prop_assert_eq!(emitted.has_sparse_plan(), compiled.has_sparse_plan());
-                        prop_assert_eq!(
-                            rows_and_bits(emitted.objective()),
-                            rows_and_bits(compiled.objective())
-                        );
                         prop_assert_eq!(emitted.n_constraints(), compiled.n_constraints());
-                        for (e, c) in emitted.constraints().iter().zip(compiled.constraints()) {
-                            prop_assert_eq!(rows_and_bits(e), rows_and_bits(c));
-                        }
+                        prop_assert_eq!(rows_and_bits(&emitted), rows_and_bits(&compiled));
+                        // Counted exactly: each array was allocated once.
+                        prop_assert_eq!(emitted.arena().spare_capacity(), 0);
                     }
                     // Every item of a leg at zero: no condition either way.
                     (Err(_), Err(_)) => {}

@@ -18,7 +18,7 @@
 //! here have few constraints) and report both residuals.
 
 use crate::linalg::{dot, norm2, Matrix};
-use crate::logsumexp::{softmax_in_place, LogPosynomial};
+use crate::logsumexp::{softmax_in_place, LogArena, LogPosynomial};
 use crate::ordering::{invert_permutation, min_degree};
 use crate::problem::GpProblem;
 use crate::sparse::{upper_csc_from_pairs, SymbolicChol};
@@ -57,13 +57,12 @@ pub fn kkt_report(problem: &GpProblem, x: &[f64]) -> KktReport {
     let n = problem.n_vars();
     let y: Vec<f64> = x.iter().map(|&v| v.ln()).collect();
 
-    let f0 = LogPosynomial::compile(objective, n);
-    let (_, g0) = f0.value_grad(&y);
+    let arena = LogArena::compile(std::iter::once(objective).chain(constraints), n);
+    let (_, g0) = arena.get(0).value_grad(&y);
 
     let mut values = Vec::with_capacity(constraints.len());
     let mut grads = Vec::with_capacity(constraints.len());
-    for c in constraints {
-        let lc = LogPosynomial::compile(c, n);
+    for lc in arena.iter().skip(1) {
         let (v, g) = lc.value_grad(&y);
         values.push(v);
         grads.push(g);
@@ -306,7 +305,7 @@ pub(crate) fn newton_weights(dual: Option<(f64, f64)>, multi: bool, inv_t: f64) 
 /// ascending, then exponent, then row length), then log-coefficient, then
 /// original index. Any insertion order of the same term multiset yields
 /// the same plan — the root of the sparse path's byte-determinism.
-fn canonical_term_order(lp: &LogPosynomial) -> Vec<u32> {
+fn canonical_term_order(lp: LogPosynomial<'_>) -> Vec<u32> {
     let mut order: Vec<u32> = (0..lp.n_terms() as u32).collect();
     order.sort_by(|&a, &b| {
         let (ra, rb) = (lp.row(a as usize), lp.row(b as usize));
@@ -325,7 +324,7 @@ fn canonical_term_order(lp: &LogPosynomial) -> Vec<u32> {
 }
 
 /// Sorted distinct variables of a posynomial.
-fn posy_support(lp: &LogPosynomial) -> Vec<u32> {
+fn posy_support(lp: LogPosynomial<'_>) -> Vec<u32> {
     let mut support: Vec<u32> = lp
         .rows()
         .flat_map(|r| r.iter().map(|&(v, _)| v as u32))
@@ -350,13 +349,14 @@ fn slot_of(col_ptr: &[u32], row_idx: &[u32], pi: u32, pj: u32) -> u32 {
 /// True when [`crate::KktMode::Auto`] should route this program to the
 /// sparse backend: large enough, clique density low enough, and few
 /// enough wide-support posynomials to hoist.
-pub(crate) fn auto_wanted(f0: &LogPosynomial, fs: &[LogPosynomial], n: usize) -> bool {
+pub(crate) fn auto_wanted(arena: &LogArena) -> bool {
+    let n = arena.n_vars();
     if n < SPARSE_MIN_N {
         return false;
     }
     let mut hoisted = 0usize;
     let mut est_nnz: u64 = 0;
-    for (pi, lp) in std::iter::once(f0).chain(fs.iter()).enumerate() {
+    for (pi, lp) in arena.iter().enumerate() {
         let affine = lp.n_terms() == 1;
         if pi == 0 && affine {
             continue;
@@ -377,18 +377,20 @@ pub(crate) fn auto_wanted(f0: &LogPosynomial, fs: &[LogPosynomial], n: usize) ->
 }
 
 impl SparseKktPlan {
-    /// Analyzes the structure of a compiled GP: canonical term order,
-    /// hoisting decisions, sparsity pattern, min-degree permutation,
-    /// symbolic factorization, and scatter slots.
-    pub fn build(f0: &LogPosynomial, fs: &[LogPosynomial], n: usize) -> Self {
+    /// Analyzes the structure of a compiled GP (`arena`'s first posynomial
+    /// is the objective, the rest are the constraints): canonical term
+    /// order, hoisting decisions, sparsity pattern, min-degree
+    /// permutation, symbolic factorization, and scatter slots.
+    pub fn build(arena: &LogArena) -> Self {
+        let n = arena.n_vars();
         struct Raw {
             support: Vec<u32>,
             order: Vec<u32>,
             kind: u8, // 0 = skip, 1 = clique, 2 = hoisted
         }
-        let mut raws = Vec::with_capacity(1 + fs.len());
+        let mut raws = Vec::with_capacity(arena.len());
         let mut pairs: Vec<(u32, u32)> = Vec::new();
-        for (pi, lp) in std::iter::once(f0).chain(fs.iter()).enumerate() {
+        for (pi, lp) in arena.iter().enumerate() {
             let support = posy_support(lp);
             let order = canonical_term_order(lp);
             let affine = lp.n_terms() == 1;
@@ -456,7 +458,7 @@ impl SparseKktPlan {
         let mut hoist_offsets = vec![0u32];
         let mut max_support = 0usize;
         let mut n_hoisted = 0u32;
-        for (raw, lp) in raws.iter().zip(std::iter::once(f0).chain(fs.iter())) {
+        for (raw, lp) in raws.iter().zip(arena.iter()) {
             let multi = lp.n_terms() > 1;
             max_support = max_support.max(raw.support.len());
             let terms: Vec<TermPlan> = raw
@@ -550,19 +552,13 @@ impl SparseKktPlan {
     /// not strictly satisfied.
     pub(crate) fn eval_point(
         &self,
-        f0: &LogPosynomial,
-        fs: &[LogPosynomial],
+        arena: &LogArena,
         y: &[f64],
         probs: &mut Vec<f64>,
         slack: &mut [f64],
     ) -> Option<f64> {
         let mut v0 = 0.0;
-        for (pi, (pp, lp)) in self
-            .posys
-            .iter()
-            .zip(std::iter::once(f0).chain(fs.iter()))
-            .enumerate()
-        {
+        for (pi, (pp, lp)) in self.posys.iter().zip(arena.iter()).enumerate() {
             let at = probs.len();
             for tp in &pp.terms {
                 let mut zk = lp.log_coef(tp.coef_idx as usize);
@@ -966,7 +962,7 @@ mod tests {
     /// multi-term objective (hoisted when `n > GRAD_CLIQUE_CUTOFF`) plus
     /// chains of narrow-support constraints (clique-scattered), all
     /// strictly feasible on `y ∈ [-0.1, 0.1]`.
-    fn aao_like_logposys(n: usize) -> (LogPosynomial, Vec<LogPosynomial>) {
+    fn aao_like_logposys(n: usize) -> LogArena {
         let mut obj = Posynomial::monomial(Monomial::new(1.5, [(0, -1.0)]).unwrap());
         for v in 1..n {
             obj.add(&Posynomial::monomial(
@@ -1002,9 +998,7 @@ mod tests {
             Monomial::new(0.125, [(0, 1.0)]).unwrap(),
         ));
         cons.push(c);
-        let f0 = LogPosynomial::compile(&obj, n);
-        let fs = cons.iter().map(|p| LogPosynomial::compile(p, n)).collect();
-        (f0, fs)
+        LogArena::compile(std::iter::once(&obj).chain(&cons), n)
     }
 
     fn test_point(n: usize) -> Vec<f64> {
@@ -1017,8 +1011,7 @@ mod tests {
     /// duals `lam` and centring `inv_t`, assembled exactly as the dense
     /// backend does. Also returns the slacks.
     fn dense_newton_oracle(
-        f0: &LogPosynomial,
-        fs: &[LogPosynomial],
+        arena: &LogArena,
         lam: &[f64],
         inv_t: f64,
         y: &[f64],
@@ -1027,6 +1020,7 @@ mod tests {
         let mut probs = Vec::new();
         let mut gi = vec![0.0; n];
         let mut hess = Matrix::zeros(n, n);
+        let f0 = arena.get(0);
         f0.value_grad_buf(y, &mut probs, &mut gi);
         let mut rhs: Vec<f64> = gi.iter().map(|&g| -g).collect();
         if f0.n_terms() > 1 {
@@ -1034,7 +1028,7 @@ mod tests {
             hess.add_outer(-1.0, &gi);
         }
         let mut slack = Vec::new();
-        for (fi, &l) in fs.iter().zip(lam) {
+        for (fi, &l) in arena.iter().skip(1).zip(lam) {
             let vi = fi.value_grad_buf(y, &mut probs, &mut gi);
             assert!(vi < 0.0, "test point must be strictly feasible");
             let s = -vi;
@@ -1056,17 +1050,17 @@ mod tests {
     /// deliberately uncentred duals (so `λ` and `λ/s` weigh differently).
     fn assemble_at(
         plan: &SparseKktPlan,
-        f0: &LogPosynomial,
-        fs: &[LogPosynomial],
+        arena: &LogArena,
         y: &[f64],
         inv_t: f64,
         s: &mut SparseScratch,
     ) -> (Vec<f64>, Vec<f64>) {
         s.ensure(plan);
         let mut probs = Vec::new();
-        let mut slack = vec![0.0; fs.len()];
-        plan.eval_point(f0, fs, y, &mut probs, &mut slack).unwrap();
-        let lam: Vec<f64> = (0..fs.len()).map(|i| 0.2 + 0.1 * (i % 5) as f64).collect();
+        let m = arena.len() - 1;
+        let mut slack = vec![0.0; m];
+        plan.eval_point(arena, y, &mut probs, &mut slack).unwrap();
+        let lam: Vec<f64> = (0..m).map(|i| 0.2 + 0.1 * (i % 5) as f64).collect();
         let mut rhs = vec![0.0; y.len()];
         plan.assemble(&probs, &lam, &slack, inv_t, s, &mut rhs);
         (lam, rhs)
@@ -1112,15 +1106,15 @@ mod tests {
     fn sparse_decomposition_reconstructs_dense_hessian() {
         // n > GRAD_CLIQUE_CUTOFF so the objective gradient is hoisted.
         let n = 60;
-        let (f0, fs) = aao_like_logposys(n);
-        let plan = SparseKktPlan::build(&f0, &fs, n);
+        let arena = aao_like_logposys(n);
+        let plan = SparseKktPlan::build(&arena);
         assert_eq!(plan.n_hoisted(), 1, "wide objective must be hoisted");
         let mut s = SparseScratch::default();
         let y = test_point(n);
         let inv_t = 0.3;
-        let (lam, rhs) = assemble_at(&plan, &f0, &fs, &y, inv_t, &mut s);
+        let (lam, rhs) = assemble_at(&plan, &arena, &y, inv_t, &mut s);
 
-        let (_, drhs, dhess) = dense_newton_oracle(&f0, &fs, &lam, inv_t, &y);
+        let (_, drhs, dhess) = dense_newton_oracle(&arena, &lam, inv_t, &y);
         for (r, dr) in rhs.iter().zip(&drhs) {
             assert!((r - dr).abs() <= 1e-9 * dr.abs().max(1.0), "rhs mismatch");
         }
@@ -1140,11 +1134,11 @@ mod tests {
     #[test]
     fn sparse_newton_solve_matches_dense() {
         let n = 60;
-        let (f0, fs) = aao_like_logposys(n);
-        let plan = SparseKktPlan::build(&f0, &fs, n);
+        let arena = aao_like_logposys(n);
+        let plan = SparseKktPlan::build(&arena);
         let mut s = SparseScratch::default();
         let y = test_point(n);
-        let (lam, _) = assemble_at(&plan, &f0, &fs, &y, 0.3, &mut s);
+        let (lam, _) = assemble_at(&plan, &arena, &y, 0.3, &mut s);
 
         let rhs: Vec<f64> = (0..n)
             .map(|i| ((i * 29 + 3) % 13) as f64 / 13.0 - 0.5)
@@ -1153,7 +1147,7 @@ mod tests {
         let reg = plan.solve_newton(&mut s, &rhs, &mut dy).unwrap();
         assert_eq!(reg, 0.0, "well-conditioned system needs no shift");
 
-        let (_, _, dhess) = dense_newton_oracle(&f0, &fs, &lam, 0.3, &y);
+        let (_, _, dhess) = dense_newton_oracle(&arena, &lam, 0.3, &y);
         let mut chol = Matrix::zeros(n, n);
         let mut expect = Vec::new();
         assert!(dhess.cholesky_solve_into(&rhs, &mut chol, &mut expect));

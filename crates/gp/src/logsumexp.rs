@@ -3,28 +3,50 @@
 //! Under the change of variables `y_i = ln x_i`, a posynomial
 //! `f(x) = sum_k c_k prod_i x_i^{a_ki}` becomes
 //! `F(y) = ln sum_k exp(a_k . y + ln c_k)`, a smooth convex function
-//! (log-sum-exp of affine functions). This module pre-compiles a posynomial
-//! into that form and evaluates value, gradient and Hessian stably.
+//! (log-sum-exp of affine functions). This module pre-compiles the
+//! posynomials of a program into that form — all of them into one
+//! [`LogArena`] — and evaluates value, gradient and Hessian stably through
+//! borrowed per-posynomial views ([`LogPosynomial`]).
 
 use crate::error::GpError;
 use crate::linalg::Matrix;
 use crate::posynomial::Posynomial;
 
-/// A posynomial compiled to log-space: rows of exponents plus log-coefficients.
+/// The posynomials of one program compiled to log-space, back to back:
+/// every term's exponent row in one array, every `ln c_k` in another, and
+/// where each posynomial's terms end. Four allocations however many
+/// posynomials there are, written once by a caller that knows its counts
+/// ([`LogArena::with_capacity`] + [`LogArena::push`]) and read front to
+/// back by every solver pass.
 #[derive(Debug, Clone)]
-pub struct LogPosynomial {
-    /// Every term's sparse exponent row `(var, exponent)`, back to back:
-    /// one allocation per posynomial, read front to back by every pass.
+pub struct LogArena {
+    /// Every term's sparse exponent row `(var, exponent)`.
     entries: Vec<(usize, f64)>,
     /// Term `k`'s row is `entries[row_ends[k - 1]..row_ends[k]]`.
     row_ends: Vec<u32>,
     /// Per-term `ln c_k`.
     log_coefs: Vec<f64>,
+    /// Posynomial `p`'s terms are `term_ends[p - 1]..term_ends[p]`.
+    term_ends: Vec<u32>,
     /// Number of variables in the ambient space.
     n_vars: usize,
 }
 
-/// Value, gradient and Hessian of a `LogPosynomial` at a point.
+/// One posynomial of a [`LogArena`]: rows of exponents plus
+/// log-coefficients, borrowed.
+#[derive(Debug, Clone, Copy)]
+pub struct LogPosynomial<'a> {
+    /// The arena's exponent rows, all of them: `row_ends` indexes these.
+    entries: &'a [(usize, f64)],
+    /// Where this posynomial's first row starts in `entries`.
+    first_row: u32,
+    /// This posynomial's slice of the arena's `row_ends` and `log_coefs`.
+    row_ends: &'a [u32],
+    log_coefs: &'a [f64],
+    n_vars: usize,
+}
+
+/// Value, gradient and Hessian of a [`LogPosynomial`] at a point.
 #[derive(Debug, Clone)]
 pub struct Evaluation {
     /// `F(y)`.
@@ -35,14 +57,27 @@ pub struct Evaluation {
     pub hess: Matrix,
 }
 
-impl LogPosynomial {
-    /// The log-space form of `sum_k scale * coef_k * prod x_v^e` over
-    /// `n_vars` variables, from `(coef_k, exponent row)` terms wherever
-    /// they are kept: a program that knows its rows compiles them without
-    /// building a [`Posynomial`] first. The one place the arrays are
-    /// filled, each sized exactly.
+impl LogArena {
+    /// An empty arena over `n_vars` variables with room for exactly
+    /// `posynomials` posynomials of `terms` terms and `entries` exponents
+    /// in all: a caller that counts first allocates each array once.
+    pub fn with_capacity(n_vars: usize, posynomials: usize, terms: usize, entries: usize) -> Self {
+        LogArena {
+            entries: Vec::with_capacity(entries),
+            row_ends: Vec::with_capacity(terms),
+            log_coefs: Vec::with_capacity(terms),
+            term_ends: Vec::with_capacity(posynomials),
+            n_vars,
+        }
+    }
+
+    /// Appends the log-space form of `sum_k scale * coef_k * prod x_v^e`
+    /// from `(coef_k, exponent row)` terms wherever they are kept: a
+    /// program that knows its rows compiles them without building a
+    /// [`Posynomial`] first. The one place the arrays are filled.
     ///
     /// # Errors
+    /// With the arena as it was:
     /// * [`GpError::EmptyPosynomial`] when there is no term;
     /// * [`GpError::NonPositiveCoefficient`] unless every `scale * coef_k`
     ///   is finite and `> 0`;
@@ -51,58 +86,275 @@ impl LogPosynomial {
     ///   exponents (the stored form of a [`crate::Monomial`]);
     /// * [`GpError::NumericalFailure`] when the rows outgrow the `u32`
     ///   offsets.
-    pub fn from_rows<R: AsRef<[(usize, f64)]>>(
-        terms: impl Iterator<Item = (f64, R)> + Clone,
+    pub fn push<R: AsRef<[(usize, f64)]>>(
+        &mut self,
+        terms: impl Iterator<Item = (f64, R)>,
         scale: f64,
-        n_vars: usize,
-    ) -> Result<Self, GpError> {
-        let (n_terms, n_entries) = (terms.clone()).fold((0, 0), |(terms, entries), (_, row)| {
-            (terms + 1, entries + row.as_ref().len())
-        });
-        if n_terms == 0 {
-            return Err(GpError::EmptyPosynomial);
+    ) -> Result<(), GpError> {
+        let (first_entry, first_term) = (self.entries.len(), self.row_ends.len());
+        let pushed = self.push_terms(terms, scale);
+        if pushed.is_err() {
+            self.entries.truncate(first_entry);
+            self.row_ends.truncate(first_term);
+            self.log_coefs.truncate(first_term);
         }
-        if u32::try_from(n_entries).is_err() {
-            return Err(GpError::NumericalFailure(
-                "posynomial has over 2^32 exponents",
-            ));
-        }
-        let mut entries = Vec::with_capacity(n_entries);
-        let mut row_ends = Vec::with_capacity(n_terms);
-        let mut log_coefs = Vec::with_capacity(n_terms);
+        pushed
+    }
+
+    fn push_terms<R: AsRef<[(usize, f64)]>>(
+        &mut self,
+        terms: impl Iterator<Item = (f64, R)>,
+        scale: f64,
+    ) -> Result<(), GpError> {
+        let first_term = self.row_ends.len();
         for (coef, row) in terms {
             let (coef, row) = (coef * scale, row.as_ref());
             if !(coef.is_finite() && coef > 0.0) {
                 return Err(GpError::NonPositiveCoefficient(coef));
             }
             let ascending = row.windows(2).all(|w| w[0].0 < w[1].0);
-            let in_range = row.last().is_none_or(|&(v, _)| v < n_vars);
+            let in_range = row.last().is_none_or(|&(v, _)| v < self.n_vars);
             if !(ascending && in_range && row.iter().all(|&(_, e)| e.is_finite() && e != 0.0)) {
                 return Err(GpError::InvalidExponent);
             }
-            entries.extend_from_slice(row);
-            row_ends.push(entries.len() as u32);
-            log_coefs.push(coef.ln());
+            self.entries.extend_from_slice(row);
+            let end = u32::try_from(self.entries.len())
+                .map_err(|_| GpError::NumericalFailure("program has over 2^32 exponents"))?;
+            self.row_ends.push(end);
+            self.log_coefs.push(coef.ln());
         }
-        Ok(LogPosynomial {
-            entries,
-            row_ends,
-            log_coefs,
-            n_vars,
-        })
+        if self.row_ends.len() == first_term {
+            return Err(GpError::EmptyPosynomial);
+        }
+        self.term_ends.push(self.row_ends.len() as u32);
+        Ok(())
     }
 
-    /// Compiles a posynomial for an ambient space of `n_vars` variables.
+    /// Compiles validated posynomials, in order, for an ambient space of
+    /// `n_vars` variables.
     ///
     /// # Panics
-    /// Panics if the posynomial references a variable `>= n_vars` or is
+    /// Panics if a posynomial references a variable `>= n_vars` or is
     /// empty (callers validate through [`crate::problem::GpProblem`]).
-    pub fn compile(p: &Posynomial, n_vars: usize) -> Self {
-        let terms = p.terms().iter().map(|t| (t.coef(), t.exponents()));
-        Self::from_rows(terms, 1.0, n_vars).expect("a validated posynomial compiles")
+    pub fn compile<'p>(
+        posynomials: impl Iterator<Item = &'p Posynomial> + Clone,
+        n_vars: usize,
+    ) -> Self {
+        let rows = |p: &'p Posynomial| p.terms().iter().map(|t| (t.coef(), t.exponents()));
+        let (mut n_posys, mut n_terms, mut n_entries) = (0, 0, 0);
+        for p in posynomials.clone() {
+            let (terms, entries) = count_rows(rows(p));
+            (n_posys, n_terms, n_entries) = (n_posys + 1, n_terms + terms, n_entries + entries);
+        }
+        let mut arena = LogArena::with_capacity(n_vars, n_posys, n_terms, n_entries);
+        for p in posynomials {
+            (arena.push(rows(p), 1.0)).expect("a validated posynomial compiles");
+        }
+        arena
     }
 
+    /// Number of posynomials.
+    pub fn len(&self) -> usize {
+        self.term_ends.len()
+    }
+
+    /// True when no posynomial has been pushed.
+    pub fn is_empty(&self) -> bool {
+        self.term_ends.is_empty()
+    }
+
+    /// Number of variables in the ambient space.
+    pub fn n_vars(&self) -> usize {
+        self.n_vars
+    }
+
+    /// Number of monomial terms, over every posynomial.
+    pub fn n_terms(&self) -> usize {
+        self.row_ends.len()
+    }
+
+    /// Slots reserved beyond what is stored, over all four arrays: zero
+    /// for an arena whose builder counted exactly.
+    pub fn spare_capacity(&self) -> usize {
+        (self.entries.capacity() - self.entries.len())
+            + (self.row_ends.capacity() - self.row_ends.len())
+            + (self.log_coefs.capacity() - self.log_coefs.len())
+            + (self.term_ends.capacity() - self.term_ends.len())
+    }
+
+    /// The term range of posynomial `p`.
+    fn term_range(&self, p: usize) -> (usize, usize) {
+        let first = if p == 0 { 0 } else { self.term_ends[p - 1] };
+        (first as usize, self.term_ends[p] as usize)
+    }
+
+    /// Posynomial `p`.
+    ///
+    /// # Panics
+    /// Panics unless `p < self.len()`.
+    pub fn get(&self, p: usize) -> LogPosynomial<'_> {
+        self.iter().nth(p).expect("no such posynomial")
+    }
+
+    /// Every posynomial, in push order.
+    #[inline]
+    pub fn iter(&self) -> Views<'_> {
+        Views {
+            entries: &self.entries,
+            first_row: 0,
+            row_ends: &self.row_ends,
+            log_coefs: &self.log_coefs,
+            first_term: 0,
+            term_ends: self.term_ends.iter(),
+            n_vars: self.n_vars,
+        }
+    }
+
+    /// Refreshes every log-coefficient in place from `posynomials` when
+    /// the term structure (posynomial count, term counts and exponent
+    /// rows) matches; returns `false` (leaving `self` untouched) when it
+    /// does not.
+    ///
+    /// DAB recomputation rebuilds the same program with coefficients that
+    /// track the drifting data values, so the exponent structure is
+    /// almost always stable and recompilation is wasted work.
+    pub fn refresh_coefs<'p>(
+        &mut self,
+        posynomials: impl Iterator<Item = &'p Posynomial> + Clone,
+    ) -> bool {
+        let same_rows = |(p, lp): (&Posynomial, LogPosynomial<'_>)| {
+            p.n_terms() == lp.n_terms()
+                && (p.terms().iter().zip(lp.rows())).all(|(t, row)| t.exponents() == row)
+        };
+        let same_count = posynomials.clone().count() == self.len();
+        if !(same_count && posynomials.clone().zip(self.iter()).all(same_rows)) {
+            return false;
+        }
+        let terms = posynomials.flat_map(|p| p.terms());
+        for (t, lc) in terms.zip(self.log_coefs.iter_mut()) {
+            *lc = t.coef().ln();
+        }
+        true
+    }
+
+    /// Overwrites the coefficients of posynomial `p` with
+    /// `scale * coefs[k]`, keeping the exponent rows.
+    ///
+    /// # Errors
+    /// With the arena unchanged: [`GpError::EmptyPosynomial`] when there
+    /// is no posynomial `p` or `coefs` is not one per term;
+    /// [`GpError::NonPositiveCoefficient`] unless every scaled
+    /// coefficient is strictly positive and finite.
+    pub fn set_coefs(&mut self, p: usize, coefs: &[f64], scale: f64) -> Result<(), GpError> {
+        if p >= self.len() {
+            return Err(GpError::EmptyPosynomial);
+        }
+        let (first, end) = self.term_range(p);
+        if end - first != coefs.len() {
+            return Err(GpError::EmptyPosynomial);
+        }
+        // Check all, then write: a rejected coefficient leaves every one
+        // of the row's as it was.
+        let mut scaled = coefs.iter().map(|c| c * scale);
+        if let Some(bad) = scaled.find(|c| !(c.is_finite() && *c > 0.0)) {
+            return Err(GpError::NonPositiveCoefficient(bad));
+        }
+        for (c, lc) in coefs.iter().zip(&mut self.log_coefs[first..end]) {
+            *lc = (c * scale).ln();
+        }
+        Ok(())
+    }
+
+    /// The phase-I program over `n_vars + 1` variables: the objective is
+    /// the new last variable `σ`, and every posynomial of `self` but the
+    /// first (the objective phase I ignores) becomes the lift
+    /// `F(y) - ln σ`, each term gaining exponent `-1` in `σ`, so
+    /// `F(y) <= ln σ` reads as the posynomial constraint `f(x)/σ <= 1`.
+    /// Log-coefficients are copied verbatim.
+    pub(crate) fn phase_one_lift(&self) -> Self {
+        let first = self.term_ends[0] as usize;
+        let terms = 1 + self.n_terms() - first;
+        let kept = self.entries.len() - self.row_ends[first - 1] as usize;
+        let mut lift = LogArena::with_capacity(self.n_vars + 1, self.len(), terms, kept + terms);
+        lift.entries.push((self.n_vars, 1.0));
+        lift.row_ends.push(1);
+        lift.log_coefs.push(0.0);
+        lift.term_ends.push(1);
+        for f in self.iter().skip(1) {
+            for row in f.rows() {
+                lift.entries.extend_from_slice(row);
+                lift.entries.push((self.n_vars, -1.0));
+                lift.row_ends.push(lift.entries.len() as u32);
+            }
+            lift.log_coefs.extend_from_slice(f.log_coefs);
+            lift.term_ends.push(lift.row_ends.len() as u32);
+        }
+        lift
+    }
+}
+
+/// The posynomials of a [`LogArena`] front to back ([`LogArena::iter`]):
+/// what every solver pass walks, so a step costs two slice splits — no
+/// lookup of where the posynomial starts.
+#[derive(Debug, Clone)]
+pub struct Views<'a> {
+    entries: &'a [(usize, f64)],
+    /// Where the next posynomial's first row starts in `entries`.
+    first_row: u32,
+    /// The arena's `row_ends` and `log_coefs` from the next posynomial on.
+    row_ends: &'a [u32],
+    log_coefs: &'a [f64],
+    /// The next posynomial's first term, and where each one's terms end.
+    first_term: u32,
+    term_ends: std::slice::Iter<'a, u32>,
+    n_vars: usize,
+}
+
+impl<'a> Iterator for Views<'a> {
+    type Item = LogPosynomial<'a>;
+
+    #[inline]
+    fn next(&mut self) -> Option<Self::Item> {
+        let end = *self.term_ends.next()?;
+        let n_terms = (end - self.first_term) as usize;
+        let (row_ends, later_rows) = self.row_ends.split_at(n_terms);
+        let (log_coefs, later_coefs) = self.log_coefs.split_at(n_terms);
+        let view = LogPosynomial {
+            entries: self.entries,
+            first_row: self.first_row,
+            row_ends,
+            log_coefs,
+            n_vars: self.n_vars,
+        };
+        self.first_row = row_ends.last().copied().unwrap_or(self.first_row);
+        (self.row_ends, self.log_coefs, self.first_term) = (later_rows, later_coefs, end);
+        Some(view)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.term_ends.size_hint()
+    }
+}
+
+impl ExactSizeIterator for Views<'_> {}
+
+/// `(terms, exponents)` of a run of rows: what [`LogArena::with_capacity`]
+/// is sized by.
+pub fn count_rows<R: AsRef<[(usize, f64)]>>(
+    terms: impl Iterator<Item = (f64, R)>,
+) -> (usize, usize) {
+    terms.fold((0, 0), |(terms, entries), (_, row)| {
+        (terms + 1, entries + row.as_ref().len())
+    })
+}
+
+// A solve builds a view per posynomial per pass, and all but two
+// posynomials of a Dual-DAB program have one term: what the passes call is
+// `#[inline]`, so a view stays in registers instead of being spilled for
+// each call (2–3 % of a Newton step on a 6-item unit).
+impl<'a> LogPosynomial<'a> {
     /// Number of monomial terms.
+    #[inline]
     pub fn n_terms(&self) -> usize {
         self.row_ends.len()
     }
@@ -114,23 +366,30 @@ impl LogPosynomial {
 
     /// Term `k`'s sparse exponent row (the sparse KKT plan reads the
     /// structure directly to build its support cliques).
-    pub(crate) fn row(&self, k: usize) -> &[(usize, f64)] {
-        let start = if k == 0 { 0 } else { self.row_ends[k - 1] };
+    #[inline]
+    pub(crate) fn row(&self, k: usize) -> &'a [(usize, f64)] {
+        let start = if k == 0 {
+            self.first_row
+        } else {
+            self.row_ends[k - 1]
+        };
         &self.entries[start as usize..self.row_ends[k] as usize]
     }
 
     /// Every term's sparse exponent row, in term order.
-    pub fn rows(&self) -> impl Iterator<Item = &[(usize, f64)]> {
-        self.row_ends.iter().scan(0, |start, &end| {
-            let row = &self.entries[*start..end as usize];
+    #[inline]
+    pub fn rows(&self) -> impl Iterator<Item = &'a [(usize, f64)]> + 'a {
+        let entries = self.entries;
+        (self.row_ends.iter()).scan(self.first_row as usize, move |start, &end| {
+            let row = &entries[*start..end as usize];
             *start = end as usize;
             Some(row)
         })
     }
 
     /// Every term's `ln c_k`, in term order.
-    pub fn log_coefs(&self) -> &[f64] {
-        &self.log_coefs
+    pub fn log_coefs(&self) -> &'a [f64] {
+        self.log_coefs
     }
 
     /// Log-coefficient of term `k`.
@@ -138,45 +397,16 @@ impl LogPosynomial {
         self.log_coefs[k]
     }
 
-    /// Refreshes the log-coefficients in place from `p` when the term
-    /// structure (number of terms and exponent rows) matches; returns
-    /// `false` (leaving `self` untouched) when it does not.
-    ///
-    /// DAB recomputation rebuilds the same condition posynomial with
-    /// coefficients that track the drifting data values, so the exponent
-    /// structure is almost always stable and recompilation is wasted work.
-    pub fn refresh_coefs(&mut self, p: &Posynomial) -> bool {
-        if p.n_terms() != self.n_terms() {
-            return false;
-        }
-        for (t, row) in p.terms().iter().zip(self.rows()) {
-            if t.exponents() != row {
-                return false;
-            }
-        }
-        for (t, lc) in p.terms().iter().zip(self.log_coefs.iter_mut()) {
-            *lc = t.coef().ln();
-        }
-        true
-    }
-
-    /// Overwrites the coefficients with `scale * coefs[k]` (one per term,
-    /// each strictly positive and finite), keeping the exponent rows.
-    pub(crate) fn set_coefs(&mut self, coefs: &[f64], scale: f64) {
-        debug_assert_eq!(coefs.len(), self.log_coefs.len());
-        for (c, lc) in coefs.iter().zip(self.log_coefs.iter_mut()) {
-            *lc = (c * scale).ln();
-        }
-    }
-
     /// True if this is a single monomial, i.e. `F` is affine in `y`.
+    #[inline]
     pub fn is_affine(&self) -> bool {
         self.n_terms() == 1
     }
 
     /// Appends the per-term affine values `z_k = a_k . y + ln c_k`.
+    #[inline]
     fn term_values(&self, y: &[f64], out: &mut Vec<f64>) {
-        for (row, lc) in self.rows().zip(&self.log_coefs) {
+        for (row, lc) in self.rows().zip(self.log_coefs) {
             let mut z = *lc;
             for &(v, e) in row {
                 z += e * y[v];
@@ -185,27 +415,9 @@ impl LogPosynomial {
         }
     }
 
-    /// The phase-I lift `F(y) - y_n` over `n_vars + 1` variables: every
-    /// term gains exponent `-1` in the new last variable, so
-    /// `F(y) <= sigma` reads as the posynomial constraint `f(x)/sigma <= 1`.
-    pub(crate) fn lifted(&self) -> Self {
-        let mut entries = Vec::with_capacity(self.entries.len() + self.n_terms());
-        let mut row_ends = Vec::with_capacity(self.n_terms());
-        for row in self.rows() {
-            entries.extend_from_slice(row);
-            entries.push((self.n_vars, -1.0));
-            row_ends.push(entries.len() as u32);
-        }
-        LogPosynomial {
-            entries,
-            row_ends,
-            log_coefs: self.log_coefs.clone(),
-            n_vars: self.n_vars + 1,
-        }
-    }
-
     /// Evaluates `F(y)` and appends the softmax weights `p_k` to `probs`
     /// (the solver keeps every posynomial's weights in one flat buffer).
+    #[inline]
     pub(crate) fn softmax_append(&self, y: &[f64], probs: &mut Vec<f64>) -> f64 {
         debug_assert_eq!(y.len(), self.n_vars);
         let at = probs.len();
@@ -214,6 +426,7 @@ impl LogPosynomial {
     }
 
     /// Adds `w * grad F = w * sum_k p_k a_k` into `out`.
+    #[inline]
     pub(crate) fn add_gradient(&self, probs: &[f64], w: f64, out: &mut [f64]) {
         debug_assert_eq!(probs.len(), self.n_terms());
         for (row, pk) in self.rows().zip(probs) {
@@ -225,6 +438,7 @@ impl LogPosynomial {
     }
 
     /// Directional derivative `grad F . d = sum_k p_k (a_k . d)`.
+    #[inline]
     pub(crate) fn directional(&self, probs: &[f64], d: &[f64]) -> f64 {
         debug_assert_eq!(probs.len(), self.n_terms());
         let mut acc = 0.0;
@@ -272,6 +486,7 @@ impl LogPosynomial {
     ///
     /// Together with the gradient this yields the Hessian:
     /// `∇²F = sum_k p_k a_k a_kᵀ − ∇F ∇Fᵀ`.
+    #[inline]
     pub fn add_second_moment(&self, probs: &[f64], alpha: f64, hess: &mut Matrix) {
         debug_assert_eq!(probs.len(), self.n_terms());
         for (row, pk) in self.rows().zip(probs.iter()) {
@@ -383,7 +598,8 @@ mod tests {
     #[test]
     fn value_matches_direct_evaluation() {
         let p = sample();
-        let lp = LogPosynomial::compile(&p, 2);
+        let arena = LogArena::compile([&p].into_iter(), 2);
+        let lp = arena.get(0);
         let x = [1.5_f64, 0.7_f64];
         let y = [x[0].ln(), x[1].ln()];
         assert!((lp.value(&y) - p.eval(&x).ln()).abs() < 1e-12);
@@ -391,7 +607,8 @@ mod tests {
 
     #[test]
     fn gradient_matches_finite_differences() {
-        let lp = LogPosynomial::compile(&sample(), 2);
+        let arena = LogArena::compile([&sample()].into_iter(), 2);
+        let lp = arena.get(0);
         let y = [0.3, -0.2];
         let (_, g) = lp.value_grad(&y);
         let h = 1e-6;
@@ -407,7 +624,8 @@ mod tests {
 
     #[test]
     fn hessian_matches_finite_differences() {
-        let lp = LogPosynomial::compile(&sample(), 2);
+        let arena = LogArena::compile([&sample()].into_iter(), 2);
+        let lp = arena.get(0);
         let y = [0.1, 0.4];
         let ev = lp.evaluate(&y);
         let h = 1e-5;
@@ -439,7 +657,8 @@ mod tests {
     #[test]
     fn monomial_transform_is_affine() {
         let p = Posynomial::monomial(Monomial::new(5.0, [(0, 2.0)]).unwrap());
-        let lp = LogPosynomial::compile(&p, 1);
+        let arena = LogArena::compile([&p].into_iter(), 1);
+        let lp = arena.get(0);
         assert!(lp.is_affine());
         let ev = lp.evaluate(&[0.7]);
         assert!((ev.value - (5.0_f64.ln() + 2.0 * 0.7)).abs() < 1e-12);
@@ -447,16 +666,29 @@ mod tests {
         assert!(ev.hess[(0, 0)].abs() < 1e-12);
     }
 
+    /// The one-posynomial arena of `terms`, counted first the way an
+    /// emitter counts (a filter iterator has no size hint).
+    fn single<R: AsRef<[(usize, f64)]>>(
+        terms: impl Iterator<Item = (f64, R)> + Clone,
+        scale: f64,
+        n_vars: usize,
+    ) -> Result<LogArena, GpError> {
+        let (n_terms, n_entries) = count_rows(terms.clone());
+        let mut arena = LogArena::with_capacity(n_vars, 1, n_terms, n_entries);
+        arena.push(terms, scale)?;
+        Ok(arena)
+    }
+
     /// What `Monomial::new` and `GpProblem` refuse, refused as rows: a
     /// typed error each, never a panic.
     #[test]
-    fn from_rows_rejects_what_is_not_a_posynomial() {
+    fn push_rejects_what_is_not_a_posynomial() {
         type Row = &'static [(usize, f64)];
         let ok: Row = &[(0, 1.0), (2, -2.0)];
         // The bad term last, after one that is fine.
         let refused = |coef: f64, scale: f64, row: Row| {
             let terms = [(2.0 / scale, ok), (coef, row)];
-            LogPosynomial::from_rows(terms.into_iter(), scale, 3).unwrap_err()
+            single(terms.into_iter(), scale, 3).unwrap_err()
         };
         // (coefficient, scale, the product the error reports)
         let coefficients = [
@@ -486,13 +718,13 @@ mod tests {
         }
         let none: [(f64, Row); 0] = [];
         assert_eq!(
-            LogPosynomial::from_rows(none.into_iter(), 1.0, 3).unwrap_err(),
+            single(none.into_iter(), 1.0, 3).unwrap_err(),
             GpError::EmptyPosynomial
         );
     }
 
     #[test]
-    fn from_rows_scales_every_coefficient_and_sizes_its_arrays_exactly() {
+    fn push_scales_every_coefficient_into_arrays_counted_exactly() {
         let rows: [(f64, &[(usize, f64)]); 3] = [
             (2.0, &[(0, 1.0), (1, 1.0)]),
             (3.0, &[(0, -1.0)]),
@@ -500,15 +732,75 @@ mod tests {
         ];
         // A filter has no lower size hint, like `DeviationMap::terms`.
         let kept = rows.into_iter().filter(|&(c, _)| c != 3.0);
-        let lp = LogPosynomial::from_rows(kept, 0.25, 2).unwrap();
+        let arena = single(kept, 0.25, 2).unwrap();
+        let lp = arena.get(0);
         assert_eq!(
             lp.rows().collect::<Vec<_>>(),
             [&[(0, 1.0), (1, 1.0)][..], &[]]
         );
         assert_eq!(lp.log_coefs(), [0.5f64.ln(), 1.25f64.ln()]);
-        assert_eq!(lp.entries.capacity(), 2);
-        assert_eq!(lp.row_ends.capacity(), 2);
-        assert_eq!(lp.log_coefs.capacity(), 2);
+        assert_eq!(arena.entries.capacity(), 2);
+        assert_eq!(arena.row_ends.capacity(), 2);
+        assert_eq!(arena.log_coefs.capacity(), 2);
+        assert_eq!(arena.spare_capacity(), 0);
+    }
+
+    /// Three posynomials in one arena: each view reads its own rows and
+    /// coefficients, a rejected push or write changes nothing, and the
+    /// phase-I lift copies every constraint's `ln` coefficients verbatim.
+    #[test]
+    fn views_partition_the_arena_and_failed_writes_leave_it_alone() {
+        type Row = &'static [(usize, f64)];
+        let posys: [&[(f64, Row)]; 3] = [
+            &[(2.0, &[(0, -1.0)]), (3.0, &[(1, -1.0)])],
+            &[(0.5, &[(0, 1.0), (1, 1.0)])],
+            &[(0.25, &[(0, 1.0)]), (0.125, &[(1, 2.0)]), (4.0, &[])],
+        ];
+        let mut arena = LogArena::with_capacity(2, 3, 6, 6);
+        for terms in posys {
+            arena.push(terms.iter().copied(), 1.0).unwrap();
+        }
+        assert_eq!((arena.len(), arena.n_terms()), (3, 6));
+        assert_eq!(arena.spare_capacity(), 0);
+        for (v, terms) in arena.iter().zip(posys) {
+            let alone = single(terms.iter().copied(), 1.0, 2).unwrap();
+            let alone = alone.get(0);
+            assert_eq!(
+                v.rows().collect::<Vec<_>>(),
+                alone.rows().collect::<Vec<_>>()
+            );
+            assert_eq!(v.log_coefs(), alone.log_coefs());
+            assert_eq!(
+                (0..v.n_terms()).map(|k| v.row(k)).collect::<Vec<_>>(),
+                v.rows().collect::<Vec<_>>()
+            );
+        }
+
+        let before = format!("{arena:?}");
+        let bad: [(f64, Row); 2] = [(1.0, &[(0, 1.0)]), (-1.0, &[(1, 1.0)])];
+        assert!(arena.push(bad.into_iter(), 1.0).is_err());
+        assert!(arena.set_coefs(2, &[1.0, 1.0, 0.0], 1.0).is_err());
+        assert!(arena.set_coefs(2, &[1.0, 1.0], 1.0).is_err());
+        assert!(arena.set_coefs(3, &[1.0], 1.0).is_err());
+        assert_eq!(format!("{arena:?}"), before);
+        arena.set_coefs(2, &[1.0, 2.0, 8.0], 0.5).unwrap();
+        assert_eq!(
+            arena.get(2).log_coefs(),
+            [0.5f64.ln(), 1f64.ln(), 4f64.ln()]
+        );
+        assert_eq!(arena.get(1).log_coefs(), [0.5f64.ln()]);
+
+        let lift = arena.phase_one_lift();
+        assert_eq!((lift.n_vars(), lift.len()), (3, 3));
+        assert_eq!(lift.spare_capacity(), 0);
+        assert_eq!(lift.get(0).rows().collect::<Vec<_>>(), [&[(2, 1.0)][..]]);
+        assert_eq!(lift.get(0).log_coefs(), [0.0]);
+        for p in 1..3 {
+            assert_eq!(lift.get(p).log_coefs(), arena.get(p).log_coefs());
+            for (lifted, row) in lift.get(p).rows().zip(arena.get(p).rows()) {
+                assert_eq!(lifted, [row, &[(2, -1.0)]].concat());
+            }
+        }
     }
 
     #[test]

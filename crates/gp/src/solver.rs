@@ -26,6 +26,12 @@
 //! both KKT backends and phase I all run this same loop; DESIGN.md §2
 //! has the derivation and the three safeguards the textbook loop needs.
 //!
+//! The program the loop runs on is one flat [`LogArena`] — the objective,
+//! then every constraint, term rows and `ln` coefficients back to back —
+//! read through borrowed per-posynomial views; an iterate's softmax
+//! weights ([`SolveWorkspace`]) are one flat buffer in the same term
+//! order.
+//!
 //! If the caller has no strictly feasible starting point, the phase-I
 //! program `minimize σ  s.t.  fi(x)/σ <= 1` — itself a GP — is solved
 //! first, stopping as soon as `σ` is comfortably below one.
@@ -33,8 +39,8 @@
 use crate::error::GpError;
 use crate::kkt::{auto_wanted, newton_weights, SparseKktPlan, SparseScratch};
 use crate::linalg::{axpy, dot, norm2, Matrix};
-use crate::logsumexp::LogPosynomial;
-use crate::posynomial::{Monomial, Posynomial};
+use crate::logsumexp::{LogArena, LogPosynomial};
+use crate::posynomial::Posynomial;
 use crate::problem::{GpProblem, GpSolution};
 use pq_obs::{names, EventKind, Obs};
 use std::sync::Arc;
@@ -68,35 +74,35 @@ enum Backend {
     Sparse(Arc<SparseKktPlan>),
 }
 
-/// A compiled program together with the backend resolved for one solve:
-/// what the loop iterates on.
+/// A compiled program — objective first, then the constraints
+/// `Fi(y) <= 0` — together with the backend resolved for one solve: what
+/// the loop iterates on.
 struct Program<'a> {
-    f0: &'a LogPosynomial,
-    fs: &'a [LogPosynomial],
+    arena: &'a LogArena,
     backend: Backend,
 }
 
 impl<'a> Program<'a> {
     /// Picks the backend for a one-shot (non-compiled) solve; compiled GPs
     /// resolve against their cached plan instead (see [`CompiledGp`]).
-    fn resolve(
-        f0: &'a LogPosynomial,
-        fs: &'a [LogPosynomial],
-        n: usize,
-        options: &SolverOptions,
-    ) -> Self {
+    fn resolve(arena: &'a LogArena, options: &SolverOptions) -> Self {
         let sparse = match options.kkt {
             KktMode::Dense => false,
             KktMode::Sparse => true,
-            KktMode::Auto => auto_wanted(f0, fs, n),
+            KktMode::Auto => auto_wanted(arena),
         };
         let backend = if sparse {
             options.obs.counter(names::GP_SPARSE_SYMBOLIC).inc();
-            Backend::Sparse(Arc::new(SparseKktPlan::build(f0, fs, n)))
+            Backend::Sparse(Arc::new(SparseKktPlan::build(arena)))
         } else {
             Backend::Dense
         };
-        Program { f0, fs, backend }
+        Program { arena, backend }
+    }
+
+    /// Number of constraints.
+    fn n_constraints(&self) -> usize {
+        self.arena.len() - 1
     }
 }
 
@@ -312,17 +318,10 @@ impl SolveWorkspace {
     }
 }
 
-/// Compiles a validated problem's posynomials to log space.
-fn compile_all(
-    objective: &Posynomial,
-    constraints: &[Posynomial],
-    n: usize,
-) -> (LogPosynomial, Vec<LogPosynomial>) {
-    let fs = constraints
-        .iter()
-        .map(|c| LogPosynomial::compile(c, n))
-        .collect();
-    (LogPosynomial::compile(objective, n), fs)
+/// Compiles a validated problem's posynomials to log space, objective
+/// first.
+fn compile_all(objective: &Posynomial, constraints: &[Posynomial], n: usize) -> LogArena {
+    LogArena::compile(std::iter::once(objective).chain(constraints), n)
 }
 
 /// Solves `problem` starting from a caller-supplied strictly feasible point
@@ -345,10 +344,10 @@ pub fn solve_with_start(
     }
     let _span = solve_span(options);
     let n = problem.n_vars();
-    let (f0, fs) = compile_all(objective, constraints, n);
+    let arena = compile_all(objective, constraints, n);
     let mut ws = SolveWorkspace::new();
     ws.seed_from_x(x0);
-    let program = Program::resolve(&f0, &fs, n, options);
+    let program = Program::resolve(&arena, options);
     phase_two(&program, options, &mut ws, COLD_DUAL_SLACK)
 }
 
@@ -367,10 +366,10 @@ pub fn solve(problem: &GpProblem, options: &SolverOptions) -> Result<GpSolution,
         return solve_with_start(problem, &ones, options);
     }
     let _span = solve_span(options);
-    let (f0, fs) = compile_all(objective, constraints, n);
+    let arena = compile_all(objective, constraints, n);
     let mut ws = SolveWorkspace::new();
-    phase_one(&fs, n, options, &mut ws)?;
-    let program = Program::resolve(&f0, &fs, n, options);
+    phase_one(&arena, options, &mut ws)?;
+    let program = Program::resolve(&arena, options);
     phase_two(&program, options, &mut ws, COLD_DUAL_SLACK)
 }
 
@@ -379,13 +378,14 @@ pub fn solve(problem: &GpProblem, options: &SolverOptions) -> Result<GpSolution,
 /// DAB recomputation re-derives the *same* program shape with coefficients
 /// that track the drifting data values; compiling the posynomials and
 /// allocating solver buffers each time is the dominant fixed cost.
-/// `CompiledGp` keeps the compiled [`LogPosynomial`]s and refreshes
-/// coefficients in place via [`CompiledGp::update_from`].
+/// `CompiledGp` keeps every posynomial of the program — objective first,
+/// then the constraints `fs[i] <= 1` — in one flat [`LogArena`] (four
+/// arrays however many constraints there are) and refreshes coefficients
+/// in place via [`CompiledGp::update_from`] or
+/// [`CompiledGp::set_constraint_coefs`].
 #[derive(Debug, Clone)]
 pub struct CompiledGp {
-    n_vars: usize,
-    f0: LogPosynomial,
-    fs: Vec<LogPosynomial>,
+    arena: LogArena,
     /// Cached sparse KKT structure (term ordering, min-degree permutation,
     /// symbolic factorization, scatter slots). Built at compile time when
     /// the auto heuristic wants the sparse backend — or on demand via
@@ -418,38 +418,27 @@ impl CompiledGp {
     /// Compiles `problem` (which must have an objective).
     pub fn compile(problem: &GpProblem) -> Result<Self, GpError> {
         let (objective, constraints) = problem.validated()?;
-        let (f0, fs) = compile_all(objective, constraints, problem.n_vars());
-        Self::from_parts(f0, fs)
+        Self::from_arena(compile_all(objective, constraints, problem.n_vars()))
     }
 
     /// The program `minimize f0 s.t. fs[i] <= 1` over already compiled
-    /// posynomials (see [`LogPosynomial::from_rows`]).
+    /// posynomials: `arena`'s first is `f0`, the rest are the `fs` (see
+    /// [`LogArena::push`]).
     ///
     /// # Errors
-    /// [`GpError::InvalidExponent`] unless every part is over the same
-    /// number of variables.
-    pub fn from_parts(f0: LogPosynomial, fs: Vec<LogPosynomial>) -> Result<Self, GpError> {
-        let n = f0.n_vars();
-        if fs.iter().any(|f| f.n_vars() != n) {
-            return Err(GpError::InvalidExponent);
+    /// [`GpError::EmptyPosynomial`] for an empty arena: no objective.
+    pub fn from_arena(arena: LogArena) -> Result<Self, GpError> {
+        if arena.is_empty() {
+            return Err(GpError::EmptyPosynomial);
         }
-        let plan = auto_wanted(&f0, &fs, n).then(|| Arc::new(SparseKktPlan::build(&f0, &fs, n)));
-        Ok(CompiledGp {
-            n_vars: n,
-            f0,
-            fs,
-            plan,
-        })
+        let plan = auto_wanted(&arena).then(|| Arc::new(SparseKktPlan::build(&arena)));
+        Ok(CompiledGp { arena, plan })
     }
 
-    /// The compiled objective.
-    pub fn objective(&self) -> &LogPosynomial {
-        &self.f0
-    }
-
-    /// The compiled constraints `fs[i] <= 1`.
-    pub fn constraints(&self) -> &[LogPosynomial] {
-        &self.fs
+    /// The compiled posynomials: the objective, then the constraints
+    /// `fs[i] <= 1`.
+    pub fn arena(&self) -> &LogArena {
+        &self.arena
     }
 
     /// Forces the sparse KKT plan to exist (idempotent). Callers that know
@@ -457,11 +446,7 @@ impl CompiledGp {
     /// factorization once here instead of per solve.
     pub fn prepare_sparse(&mut self) {
         if self.plan.is_none() {
-            self.plan = Some(Arc::new(SparseKktPlan::build(
-                &self.f0,
-                &self.fs,
-                self.n_vars,
-            )));
+            self.plan = Some(Arc::new(SparseKktPlan::build(&self.arena)));
         }
     }
 
@@ -478,57 +463,44 @@ impl CompiledGp {
             (_, Some(plan)) => Backend::Sparse(plan.clone()),
             (KktMode::Sparse, None) => {
                 options.obs.counter(names::GP_SPARSE_SYMBOLIC).inc();
-                Backend::Sparse(Arc::new(SparseKktPlan::build(
-                    &self.f0,
-                    &self.fs,
-                    self.n_vars,
-                )))
+                Backend::Sparse(Arc::new(SparseKktPlan::build(&self.arena)))
             }
         };
         Program {
-            f0: &self.f0,
-            fs: &self.fs,
+            arena: &self.arena,
             backend,
         }
     }
 
     /// Number of variables.
     pub fn n_vars(&self) -> usize {
-        self.n_vars
+        self.arena.n_vars()
     }
 
     /// Number of constraints.
     pub fn n_constraints(&self) -> usize {
-        self.fs.len()
+        self.arena.len() - 1
     }
 
-    /// Refreshes the compiled coefficients from `problem`, recompiling
-    /// only the posynomials whose term structure changed (or everything if
-    /// the shape changed).
+    /// Refreshes the compiled coefficients from `problem` in place when
+    /// its term structure is the compiled one, and recompiles it
+    /// otherwise.
     pub fn update_from(&mut self, problem: &GpProblem) -> Result<(), GpError> {
         let (objective, constraints) = problem.validated()?;
-        if problem.n_vars() != self.n_vars || constraints.len() != self.fs.len() {
-            *self = CompiledGp::compile(problem)?;
+        let posynomials = std::iter::once(objective).chain(constraints);
+        let same_space = problem.n_vars() == self.n_vars();
+        if same_space && self.arena.refresh_coefs(posynomials) {
+            // A pure coefficient refresh keeps the cached sparse plan (the
+            // structure it encodes is unchanged).
             return Ok(());
         }
-        let mut structure_changed = false;
-        if !self.f0.refresh_coefs(objective) {
-            self.f0 = LogPosynomial::compile(objective, self.n_vars);
-            structure_changed = true;
-        }
-        for (lc, c) in self.fs.iter_mut().zip(constraints) {
-            if !lc.refresh_coefs(c) {
-                *lc = LogPosynomial::compile(c, self.n_vars);
-                structure_changed = true;
-            }
-        }
-        // A pure coefficient refresh keeps the cached sparse plan (the
-        // structure it encodes is unchanged); a structural change rebuilds
-        // it when one existed or the heuristic now wants one.
-        if structure_changed {
-            self.plan = (self.plan.is_some() || auto_wanted(&self.f0, &self.fs, self.n_vars))
-                .then(|| Arc::new(SparseKktPlan::build(&self.f0, &self.fs, self.n_vars)));
-        }
+        // A structural change rebuilds the plan when one existed or the
+        // heuristic now wants one; a new shape starts over.
+        let arena = compile_all(objective, constraints, problem.n_vars());
+        let same_shape = same_space && arena.len() == self.arena.len();
+        let plan = ((same_shape && self.plan.is_some()) || auto_wanted(&arena))
+            .then(|| Arc::new(SparseKktPlan::build(&arena)));
+        *self = CompiledGp { arena, plan };
         Ok(())
     }
 
@@ -550,15 +522,7 @@ impl CompiledGp {
         coefs: &[f64],
         scale: f64,
     ) -> Result<(), GpError> {
-        let row = (self.fs.get_mut(i))
-            .filter(|row| row.n_terms() == coefs.len())
-            .ok_or(GpError::EmptyPosynomial)?;
-        let mut scaled = coefs.iter().map(|c| c * scale);
-        if let Some(bad) = scaled.find(|c| !(c.is_finite() && *c > 0.0)) {
-            return Err(GpError::NonPositiveCoefficient(bad));
-        }
-        row.set_coefs(coefs, scale);
-        Ok(())
+        self.arena.set_coefs(i + 1, coefs, scale)
     }
 
     /// Solves from a strictly feasible `x0 > 0`, reusing `ws` buffers.
@@ -572,7 +536,7 @@ impl CompiledGp {
         options: &SolverOptions,
         ws: &mut SolveWorkspace,
     ) -> Result<GpSolution, GpError> {
-        if x0.len() != self.n_vars || x0.iter().any(|&v| !(v.is_finite() && v > 0.0)) {
+        if x0.len() != self.n_vars() || x0.iter().any(|&v| !(v.is_finite() && v > 0.0)) {
             return Err(GpError::InvalidStartingPoint);
         }
         ws.seed_from_x(x0);
@@ -610,8 +574,8 @@ impl CompiledGp {
         options: &SolverOptions,
         ws: &mut SolveWorkspace,
     ) -> Result<(GpSolution, WarmStart), GpError> {
-        if prev_x.len() != self.n_vars
-            || interior_x.len() != self.n_vars
+        if prev_x.len() != self.n_vars()
+            || interior_x.len() != self.n_vars()
             || prev_x.iter().any(|&v| !(v.is_finite() && v > 0.0))
             || interior_x.iter().any(|&v| !(v.is_finite() && v > 0.0))
         {
@@ -630,7 +594,7 @@ impl CompiledGp {
         // along the segment, so the chord bound is sufficient). Where the
         // interior point itself lacks the slack, start from it outright.
         let mut theta = 0.0f64;
-        for fi in &self.fs {
+        for fi in self.arena.iter().skip(1) {
             let fp = fi.value_buf(y_prev, z);
             if fp <= -WARM_SLACK {
                 continue;
@@ -664,9 +628,9 @@ impl CompiledGp {
 impl Program<'_> {
     /// Calls `f(index, posynomial, its softmax weights)` for the objective
     /// (index 0) and every constraint over an iterate's flat `probs`.
-    fn for_each_posy(&self, probs: &[f64], mut f: impl FnMut(usize, &LogPosynomial, &[f64])) {
+    fn for_each_posy(&self, probs: &[f64], mut f: impl FnMut(usize, LogPosynomial<'_>, &[f64])) {
         let mut at = 0;
-        for (pi, lp) in std::iter::once(self.f0).chain(self.fs).enumerate() {
+        for (pi, lp) in self.arena.iter().enumerate() {
             let k = lp.n_terms();
             f(pi, lp, &probs[at..at + k]);
             at += k;
@@ -682,18 +646,26 @@ impl Program<'_> {
         it.probs.clear();
         match &self.backend {
             Backend::Dense => {
-                it.f0 = self.f0.softmax_append(&it.y, &mut it.probs);
-                for (fi, s) in self.fs.iter().zip(&mut it.slack) {
+                // One walk of the arena, objective included: `get(0)` plus
+                // `iter().skip(1)` for the constraints ran the Newton step
+                // 15 % slower on a 6-item Dual-DAB unit.
+                for (pi, lp) in self.arena.iter().enumerate() {
+                    let value = lp.softmax_append(&it.y, &mut it.probs);
+                    let Some(i) = pi.checked_sub(1) else {
+                        it.f0 = value;
+                        continue;
+                    };
                     // A NaN value must count as infeasible too.
-                    *s = -fi.softmax_append(&it.y, &mut it.probs);
-                    if s.is_nan() || *s <= 0.0 {
+                    let s = -value;
+                    it.slack[i] = s;
+                    if s.is_nan() || s <= 0.0 {
                         return false;
                     }
                 }
                 true
             }
             Backend::Sparse(plan) => plan
-                .eval_point(self.f0, self.fs, &it.y, &mut it.probs, &mut it.slack)
+                .eval_point(self.arena, &it.y, &mut it.probs, &mut it.slack)
                 .map(|v0| it.f0 = v0)
                 .is_some(),
         }
@@ -818,7 +790,7 @@ fn primal_dual(
     stop_below: f64,
     phase: &'static str,
 ) -> Result<(usize, f64), GpError> {
-    let (n, m) = (ws.cur.y.len(), program.fs.len());
+    let (n, m) = (ws.cur.y.len(), program.n_constraints());
     ws.ensure(n, m, &program.backend);
     if let Backend::Sparse(_) = program.backend {
         options.obs.counter(names::GP_SPARSE_SOLVE).inc();
@@ -975,30 +947,28 @@ fn phase_two(
 /// of hugging the boundary phase I just crossed.
 const PHASE_ONE_MARGIN: f64 = 0.1;
 
-/// Phase I: finds a strictly feasible `y` for `Fi(y) <= 0` and leaves it
-/// in `ws.cur.y`, by running the same loop on the lifted GP
+/// Phase I: finds a strictly feasible `y` for the constraints `Fi(y) <= 0`
+/// of `arena` (its first posynomial, the objective, plays no part) and
+/// leaves it in `ws.cur.y`, by running the same loop on the lifted GP
 /// `minimize σ  s.t.  fi(x)/σ <= 1` (in log space `Fi(y) − ln σ <= 0`)
 /// from `y = 0`. A thin feasible region never reaches the early-exit
 /// margin; the loop then converges to the deepest point, which is
 /// feasible exactly when its `ln σ` is negative.
 fn phase_one(
-    fs: &[LogPosynomial],
-    n: usize,
+    arena: &LogArena,
     options: &SolverOptions,
     ws: &mut SolveWorkspace,
 ) -> Result<(), GpError> {
-    let sigma = Monomial::new(1.0, [(n, 1.0)]).expect("unit monomial is valid");
-    let f0 = LogPosynomial::compile(&Posynomial::monomial(sigma), n + 1);
-    let lifted: Vec<LogPosynomial> = fs.iter().map(LogPosynomial::lifted).collect();
+    let n = arena.n_vars();
+    let lifted = arena.phase_one_lift();
     let y0 = vec![0.0; n];
-    let worst = fs
-        .iter()
+    let worst = (arena.iter().skip(1))
         .map(|f| f.value(&y0))
         .fold(f64::NEG_INFINITY, f64::max);
     ws.cur.y.clear();
     ws.cur.y.resize(n, 0.0);
     ws.cur.y.push(worst + 1.0);
-    let program = Program::resolve(&f0, &lifted, n + 1, options);
+    let program = Program::resolve(&lifted, options);
     let outcome = primal_dual(
         &program,
         options,
@@ -1257,36 +1227,64 @@ mod tests {
         );
     }
 
-    /// A program assembled from rows solves like the one compiled from
-    /// the problem that spells the same rows out.
+    /// A program emitted row by row into an arena is the one compiled from
+    /// the problem that spells the same rows out, and solves like it.
     #[test]
-    fn a_program_from_parts_is_the_compiled_problem() {
+    fn a_program_from_an_arena_is_the_compiled_problem() {
         let problem = drifting_problem(2.0, 3.0, 4.0, 5.0);
         let compiled = CompiledGp::compile(&problem).unwrap();
         let n = problem.n_vars();
-        let rows = |p: &Posynomial| {
+        let mut arena = LogArena::with_capacity(n, 3, 5, 6);
+        for p in std::iter::once(problem.objective().unwrap()).chain(problem.constraints()) {
             let terms = p.terms().iter().map(|t| (t.coef(), t.exponents()));
-            LogPosynomial::from_rows(terms, 1.0, n).unwrap()
-        };
-        let parts = CompiledGp::from_parts(
-            rows(problem.objective().unwrap()),
-            problem.constraints().iter().map(rows).collect(),
-        )
-        .unwrap();
-        assert_eq!(parts.n_constraints(), compiled.n_constraints());
-        assert_eq!(parts.has_sparse_plan(), compiled.has_sparse_plan());
+            arena.push(terms, 1.0).unwrap();
+        }
+        assert_eq!(arena.spare_capacity(), 0);
+        let emitted = CompiledGp::from_arena(arena).unwrap();
+        assert_eq!(emitted.n_constraints(), compiled.n_constraints());
+        assert_eq!(emitted.has_sparse_plan(), compiled.has_sparse_plan());
+        for (e, c) in emitted.arena().iter().zip(compiled.arena().iter()) {
+            assert_eq!(e.rows().collect::<Vec<_>>(), c.rows().collect::<Vec<_>>());
+            assert_eq!(e.log_coefs(), c.log_coefs());
+        }
         let start = vec![0.5; n];
         let mut ws = SolveWorkspace::new();
-        let a = parts.solve_from(&start, &opts(), &mut ws).unwrap();
+        let a = emitted.solve_from(&start, &opts(), &mut ws).unwrap();
         let b = compiled.solve_from(&start, &opts(), &mut ws).unwrap();
         assert_eq!(a.x, b.x);
 
-        let narrower = rows(problem.objective().unwrap());
-        let wider = LogPosynomial::from_rows([(1.0, [(0, 1.0)])].into_iter(), 1.0, n + 1).unwrap();
         assert_eq!(
-            CompiledGp::from_parts(narrower, vec![wider]).unwrap_err(),
-            GpError::InvalidExponent
+            CompiledGp::from_arena(LogArena::with_capacity(n, 0, 0, 0)).unwrap_err(),
+            GpError::EmptyPosynomial
         );
+    }
+
+    /// A refresh whose term structure differs recompiles: more terms in a
+    /// row, another row count, another space.
+    #[test]
+    fn update_from_recompiles_on_a_structure_change() {
+        let mut compiled = CompiledGp::compile(&drifting_problem(2.0, 3.0, 4.0, 5.0)).unwrap();
+        let mut ws = SolveWorkspace::new();
+        let mut wider = drifting_problem(2.0, 3.0, 4.0, 5.0);
+        wider.add_upper_bound(0, 1.5).unwrap();
+        let mut bigger = GpProblem::new(3);
+        bigger
+            .set_objective(mono(1.0, &[(0, -1.0), (1, -1.0), (2, -1.0)]))
+            .unwrap();
+        let mut c = mono(1.0, &[(0, 1.0)]);
+        c.add(&mono(1.0, &[(1, 1.0)]));
+        c.add(&mono(1.0, &[(2, 1.0)]));
+        bigger.add_constraint_le(c, 3.0).unwrap();
+        for problem in [wider, bigger] {
+            compiled.update_from(&problem).unwrap();
+            let fresh = CompiledGp::compile(&problem).unwrap();
+            assert_eq!(compiled.n_vars(), problem.n_vars());
+            assert_eq!(compiled.n_constraints(), fresh.n_constraints());
+            let start = vec![0.5; problem.n_vars()];
+            let got = compiled.solve_from(&start, &opts(), &mut ws).unwrap();
+            let want = fresh.solve_from(&start, &opts(), &mut ws).unwrap();
+            assert_eq!(got.x, want.x);
+        }
     }
 
     /// Writing a row's coefficients directly lands on the same compiled

@@ -216,17 +216,80 @@ proptest! {
         coefs in proptest::collection::vec(0.01f64..100.0, 1..5),
         x in proptest::collection::vec(0.05f64..20.0, 3),
     ) {
-        use pq_gp::logsumexp::LogPosynomial;
+        use pq_gp::logsumexp::LogArena;
         let mut p = Posynomial::zero();
         for (k, &c) in coefs.iter().enumerate() {
             let v = k % 3;
             let e = 1.0 + (k as f64) * 0.5 - 1.5; // mixed exponents
             p.push(Monomial::new(c, [(v, e)]).unwrap());
         }
-        let lp = LogPosynomial::compile(&p, 3);
+        let arena = LogArena::compile([&p].into_iter(), 3);
+        let lp = arena.get(0);
         let y: Vec<f64> = x.iter().map(|&v| v.ln()).collect();
         let direct = p.eval(&x);
         let transformed = lp.value(&y).exp();
         prop_assert!((direct - transformed).abs() <= 1e-9 * direct.abs().max(1.0));
+    }
+
+    /// Posynomials packed back to back in one arena read like the same
+    /// posynomials compiled alone: a view's value, gradient and softmax
+    /// second moment are the stand-alone ones bit for bit, wherever in the
+    /// arena its rows start.
+    #[test]
+    fn views_over_a_shared_arena_match_stand_alone_posynomials(
+        posys in proptest::collection::vec(
+            proptest::collection::vec(
+                (0.01f64..100.0, proptest::collection::vec((0usize..4, 1u32..7), 0..4)),
+                1..5,
+            ),
+            1..6,
+        ),
+        x in proptest::collection::vec(0.05f64..20.0, 4),
+    ) {
+        use pq_gp::linalg::Matrix;
+        use pq_gp::logsumexp::{count_rows, LogArena};
+        // Rows in `Monomial`'s stored form: ascending variables, each once.
+        type Term = (f64, Vec<(usize, f64)>);
+        let posys: Vec<Vec<Term>> = posys
+            .into_iter()
+            .map(|terms| {
+                let row = |(coef, mut row): (f64, Vec<(usize, u32)>)| {
+                    row.sort_by_key(|&(v, _)| v);
+                    row.dedup_by_key(|&mut (v, _)| v);
+                    let exps = row.into_iter().map(|(v, e)| (v, 0.5 * f64::from(e) - 2.0));
+                    (coef, exps.filter(|&(_, e)| e != 0.0).collect())
+                };
+                terms.into_iter().map(row).collect()
+            })
+            .collect();
+        let (n_terms, n_exps) = count_rows(posys.iter().flatten().map(|(c, row)| (*c, row)));
+        let mut arena = LogArena::with_capacity(4, posys.len(), n_terms, n_exps);
+        for terms in &posys {
+            arena.push(terms.iter().map(|(c, row)| (*c, row)), 0.5).unwrap();
+        }
+        prop_assert_eq!(arena.len(), posys.len());
+        prop_assert_eq!(arena.spare_capacity(), 0);
+
+        let y: Vec<f64> = x.iter().map(|&v| v.ln()).collect();
+        for (p, terms) in posys.iter().enumerate() {
+            let rows = || terms.iter().map(|(c, row)| (*c, row));
+            let (n_terms, n_exps) = count_rows(rows());
+            let mut alone = LogArena::with_capacity(4, 1, n_terms, n_exps);
+            alone.push(rows(), 0.5).unwrap();
+            let (view, alone) = (arena.get(p), alone.get(0));
+            prop_assert_eq!(view.n_terms(), terms.len());
+            prop_assert_eq!(view.value(&y).to_bits(), alone.value(&y).to_bits());
+            let (mut probs, mut grad) = (Vec::new(), vec![0.0; 4]);
+            let (mut alone_probs, mut alone_grad) = (Vec::new(), vec![0.0; 4]);
+            let value = view.value_grad_buf(&y, &mut probs, &mut grad);
+            let alone_value = alone.value_grad_buf(&y, &mut alone_probs, &mut alone_grad);
+            prop_assert_eq!(value.to_bits(), alone_value.to_bits());
+            prop_assert_eq!(&grad, &alone_grad);
+            prop_assert_eq!(&probs, &alone_probs);
+            let (mut moment, mut alone_moment) = (Matrix::zeros(4, 4), Matrix::zeros(4, 4));
+            view.add_second_moment(&probs, 0.75, &mut moment);
+            alone.add_second_moment(&alone_probs, 0.75, &mut alone_moment);
+            prop_assert_eq!(moment, alone_moment);
+        }
     }
 }

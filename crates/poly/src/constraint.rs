@@ -19,6 +19,7 @@
 //! and has a positive coefficient, so the result is a posynomial in the
 //! GP variables `(b, c)` suitable for [`pq_gp`].
 
+use std::cell::RefCell;
 use std::ops::Range;
 
 use crate::error::PolyError;
@@ -117,12 +118,9 @@ impl DabVarIndexer for DabVarMap {
 /// paper footnote 2). Leaving such a `c` variable in the GP makes the
 /// barrier unbounded along it.
 pub fn coupled_items(poly: &Polynomial) -> Vec<ItemId> {
-    let mut v: Vec<ItemId> = poly
-        .terms()
-        .iter()
-        .filter(|t| t.degree() >= 2)
-        .flat_map(|t| t.vars().iter().map(|&(i, _)| i))
-        .collect();
+    let coupled = || poly.terms().iter().filter(|t| t.degree() >= 2);
+    let mut v = Vec::with_capacity(coupled().map(|t| t.vars().len()).sum());
+    v.extend(coupled().flat_map(|t| t.vars().iter().map(|&(i, _)| i)));
     v.sort();
     v.dedup();
     v
@@ -194,7 +192,7 @@ impl DabVarIndexer for PartialDabVarMap {
 /// [`Posynomial::simplify`] order and each coefficient is accumulated in
 /// expansion order, so the numbers are the ones a numeric expansion at
 /// `V` followed by `simplify` would produce, bit for bit.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviationMap {
     /// The polynomial's items: the values an evaluation reads.
     items: Vec<ItemId>,
@@ -210,25 +208,83 @@ pub struct DeviationMap {
 
 /// Monomial `m` owns `exps[prev.exps..exps]` and sums
 /// `contribs[prev.contribs..contribs]`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct MonomialEnds {
     exps: u32,
     contribs: u32,
 }
 
 /// `weight * prod factors`, the factors being `factors[prev end..end]`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct Contribution {
     weight: f64,
     end: u32,
 }
 
 /// `mult * values[item]^power`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct ValueFactor {
     mult: f64,
     item: u32,
     power: u32,
+}
+
+/// One expansion entry that carries a `b` factor: its weight and where
+/// its exponent row and value factors sit in the scratch arenas.
+#[derive(Debug)]
+struct Entry {
+    weight: f64,
+    exps: Range<usize>,
+    factors: Range<usize>,
+}
+
+/// One item of the term being expanded: its GP variables, its splits (in
+/// the scratch's `splits_of`) and the split the current entry takes.
+#[derive(Debug)]
+struct TermItem {
+    item: ItemId,
+    b_var: usize,
+    c_var: Option<usize>,
+    splits: Range<usize>,
+    at: usize,
+}
+
+/// Everything an expansion grows before its sizes are known.
+#[derive(Debug, Default)]
+struct ExpansionScratch {
+    /// The entries in expansion order, then sorted by exponent row; their
+    /// rows and value factors back to back.
+    entries: Vec<Entry>,
+    exps: Vec<(usize, f64)>,
+    factors: Vec<ValueFactor>,
+    term_items: Vec<TermItem>,
+    splits_of: Vec<Split>,
+}
+
+thread_local! {
+    /// This thread's expansion scratch: a compile allocates the map's
+    /// final arrays and nothing else.
+    static EXPANSION: RefCell<ExpansionScratch> = RefCell::default();
+}
+
+/// The single-query layout over borrowed item lists: `b` of `items[k]` at
+/// variable `k`, `c` of `coupled[j]` at `items.len() + j`
+/// ([`PartialDabVarMap`]'s; [`DabVarMap`]'s without secondaries when
+/// nothing is coupled).
+struct UnitVars<'a> {
+    items: &'a [ItemId],
+    coupled: &'a [ItemId],
+}
+
+impl DabVarIndexer for UnitVars<'_> {
+    fn primary(&self, item: ItemId) -> usize {
+        (self.items.binary_search(&item)).expect("item not covered by the unit's layout")
+    }
+
+    fn secondary(&self, item: ItemId) -> Option<usize> {
+        let j = self.coupled.binary_search(&item).ok()?;
+        Some(self.items.len() + j)
+    }
 }
 
 impl DeviationMap {
@@ -241,33 +297,59 @@ impl DeviationMap {
     /// * [`PolyError::NotPositiveCoefficient`] if `poly` has negative
     ///   weights.
     pub fn compile(poly: &Polynomial, vars: &dyn DabVarIndexer) -> Result<Self, PolyError> {
+        Self::expand(poly, vars, poly.items())
+    }
+
+    /// [`DeviationMap::compile`] over the single-query layout of a unit
+    /// whose caller already holds the item lists: `items` is
+    /// `poly.items()` and becomes the map's, `b` of `items[k]` is
+    /// variable `k`, and `c` of `coupled[j]` (ascending, each an item;
+    /// [`coupled_items`] for Dual-DAB, empty for Optimal Refresh) is
+    /// variable `items.len() + j`.
+    ///
+    /// # Errors
+    /// As [`DeviationMap::compile`].
+    pub fn for_unit(
+        poly: &Polynomial,
+        items: Vec<ItemId>,
+        coupled: &[ItemId],
+    ) -> Result<Self, PolyError> {
+        debug_assert_eq!(items, poly.items());
+        let vars = UnitVars {
+            items: &items,
+            coupled,
+        };
+        // The layout borrows the items the map ends up owning.
+        let map = Self::expand(poly, &vars, Vec::new())?;
+        Ok(DeviationMap { items, ..map })
+    }
+
+    /// The expansion of [`DeviationMap::compile`], its four arrays built
+    /// once at their final sizes, with `items` as given.
+    fn expand(
+        poly: &Polynomial,
+        vars: &dyn DabVarIndexer,
+        items: Vec<ItemId>,
+    ) -> Result<Self, PolyError> {
         if poly.is_zero() {
             return Err(PolyError::EmptyPolynomial);
         }
         if !poly.is_positive_coefficient() {
             return Err(PolyError::NotPositiveCoefficient);
         }
+        let mut scratch = EXPANSION.take();
+        let ExpansionScratch {
+            entries,
+            exps,
+            factors,
+            term_items,
+            splits_of,
+        } = &mut scratch;
+        entries.clear();
+        exps.clear();
+        factors.clear();
         // Every expansion entry that carries a `b` factor, in expansion
         // order, its exponent row and value factors in two shared arenas.
-        struct Entry {
-            weight: f64,
-            exps: Range<usize>,
-            factors: Range<usize>,
-        }
-        let mut entries: Vec<Entry> = Vec::new();
-        let mut exps: Vec<(usize, f64)> = Vec::new();
-        let mut factors: Vec<ValueFactor> = Vec::new();
-        // One item of the current term: its GP variables, its splits (in
-        // `splits_of`) and the split the current entry takes.
-        struct TermItem {
-            item: ItemId,
-            b_var: usize,
-            c_var: Option<usize>,
-            splits: Range<usize>,
-            at: usize,
-        }
-        let mut term_items: Vec<TermItem> = Vec::new();
-        let mut splits_of: Vec<Split> = Vec::new();
         for term in poly.terms() {
             term_items.clear();
             splits_of.clear();
@@ -289,7 +371,7 @@ impl DeviationMap {
             while more {
                 let (row, first_factor) = (exps.len(), factors.len());
                 let mut has_b = false;
-                for it in &term_items {
+                for it in term_items.iter() {
                     let split = &splits_of[it.splits.start + it.at];
                     if let (Some(c_var), true) = (it.c_var, split.k > 0) {
                         exps.push((c_var, split.k as f64));
@@ -339,17 +421,24 @@ impl DeviationMap {
         // their expansion order.
         let row_of = |e: &Entry| &exps[e.exps.clone()];
         entries.sort_by(|a, b| (row_of(a).partial_cmp(row_of(b))).expect("finite exponents"));
+        // Equal rows are neighbours now: count the distinct ones and
+        // their exponents, so every array below is allocated once.
+        let starts_monomial = |k: usize| k == 0 || row_of(&entries[k - 1]) != row_of(&entries[k]);
+        let (mut n_monomials, mut n_exps) = (0, 0);
+        for (k, e) in entries.iter().enumerate() {
+            if starts_monomial(k) {
+                (n_monomials, n_exps) = (n_monomials + 1, n_exps + e.exps.len());
+            }
+        }
         let mut map = DeviationMap {
-            items: poly.items(),
-            monomials: Vec::new(),
-            exps: Vec::with_capacity(exps.len()),
+            items,
+            monomials: Vec::with_capacity(n_monomials),
+            exps: Vec::with_capacity(n_exps),
             contribs: Vec::with_capacity(entries.len()),
             factors: Vec::with_capacity(factors.len()),
         };
-        let mut row = 0;
-        for e in &entries {
-            if map.monomials.is_empty() || map.exps[row..] != *row_of(e) {
-                row = map.exps.len();
+        for (k, e) in entries.iter().enumerate() {
+            if starts_monomial(k) {
                 map.exps.extend_from_slice(row_of(e));
                 map.monomials.push(MonomialEnds {
                     exps: map.exps.len() as u32,
@@ -363,8 +452,7 @@ impl DeviationMap {
             });
             map.monomials.last_mut().expect("pushed above").contribs = map.contribs.len() as u32;
         }
-        map.monomials.shrink_to_fit();
-        map.exps.shrink_to_fit();
+        EXPANSION.set(scratch);
         Ok(map)
     }
 
@@ -589,6 +677,7 @@ fn expand_at_displaced(
 }
 
 /// One term `mult * V^j c^k b^l` of an item's factor `(V + c + b)^p`.
+#[derive(Debug)]
 struct Split {
     mult: f64,
     j: u32,

@@ -157,11 +157,13 @@ impl Polynomial {
 
     /// The distinct items referenced, in ascending id order.
     pub fn items(&self) -> Vec<ItemId> {
-        let mut v: Vec<ItemId> = self
-            .terms
-            .iter()
-            .flat_map(|t| t.vars.iter().map(|&(i, _)| i))
-            .collect();
+        // Sized for every occurrence: one allocation, not a growth chain.
+        let mut v = Vec::with_capacity(self.terms.iter().map(|t| t.vars.len()).sum());
+        v.extend(
+            self.terms
+                .iter()
+                .flat_map(|t| t.vars.iter().map(|&(i, _)| i)),
+        );
         v.sort();
         v.dedup();
         v

@@ -11,8 +11,8 @@ use proptest::prelude::*;
 
 use pq_gp::{Monomial, Posynomial};
 use pq_poly::{
-    deviation_posynomial, DabVarIndexer, DabVarMap, DeviationMap, ItemId, PTerm, PartialDabVarMap,
-    Polynomial,
+    coupled_items, deviation_posynomial, DabVarIndexer, DabVarMap, DeviationMap, ItemId, PTerm,
+    PartialDabVarMap, Polynomial,
 };
 
 const ITEMS: u32 = 5;
@@ -191,12 +191,23 @@ proptest! {
     /// At positive values every monomial of the map is present and its
     /// coefficient is the reference's, bit for bit and in the same order,
     /// under every variable layout; one compiled map serves a second set
-    /// of values.
+    /// of values. A unit's map over item lists handed down is the one
+    /// compiled over the layout that owns them.
     #[test]
     fn eval_into_is_bit_identical_to_the_numeric_expansion(
         poly in arb_ppq(),
         values in proptest::collection::vec(arb_values(), 2),
     ) {
+        let single = DabVarMap::for_polynomial(&poly, false);
+        let partial = PartialDabVarMap::for_polynomial(&poly);
+        prop_assert_eq!(
+            DeviationMap::for_unit(&poly, poly.items(), &[]).unwrap(),
+            DeviationMap::compile(&poly, &single).unwrap()
+        );
+        prop_assert_eq!(
+            DeviationMap::for_unit(&poly, poly.items(), &coupled_items(&poly)).unwrap(),
+            DeviationMap::compile(&poly, &partial).unwrap()
+        );
         for vars in layouts(&poly) {
             let map = DeviationMap::compile(&poly, vars.as_ref()).unwrap();
             let mut coefs = vec![f64::NAN; map.n_terms()];

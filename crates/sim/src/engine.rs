@@ -25,7 +25,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use pq_core::{
-    aao, assign_unit_cached, assignment_units, default_recompute_threads, filter_changed,
+    aao, assignment_units, default_recompute_threads, filter_changed, install_units,
     recompute_parallel, AssignmentStrategy, AssignmentUnit, DabError, FilterTable, PqHeuristic,
     RecomputeJob, SolveCache, SolveContext,
 };
@@ -664,6 +664,14 @@ impl SloRuntime {
     }
 }
 
+/// Attributes `gp` to query `qi`: GP solves under it carry `query=<qi>`
+/// on their `gp.solve` counters (`by_query[qi]`, resolved once per run)
+/// and timing spans.
+fn attribute(by_query: &[Arc<Counter>], gp: &mut SolverOptions, qi: usize) {
+    gp.query = Some(qi as u32);
+    gp.query_counter = Some(by_query[qi].clone());
+}
+
 impl<'a> Engine<'a> {
     pub(crate) fn new(cfg: &'a SimConfig, obs: Obs) -> Result<Self, SimError> {
         Engine::build(cfg, obs, None)
@@ -860,13 +868,6 @@ impl<'a> Engine<'a> {
         Ok(engine)
     }
 
-    /// Attributes `gp` to query `qi`: GP solves under it carry
-    /// `query=<qi>` on their `gp.solve` counters and timing spans.
-    fn attribute(&self, gp: &mut SolverOptions, qi: usize) {
-        gp.query = Some(qi as u32);
-        gp.query_counter = Some(self.lc_solve_by_query[qi].clone());
-    }
-
     /// Unattributed solve context at the coordinator's values (joint
     /// AAO solves span all queries).
     fn solve_context(&self) -> SolveContext<'_> {
@@ -889,40 +890,33 @@ impl<'a> Engine<'a> {
 
     fn initial_assignments(&mut self) -> Result<(), SimError> {
         let started = Instant::now();
-        let assignments = match &self.cfg.strategy {
+        match &self.cfg.strategy {
             SimStrategy::PerQuery {
                 strategy,
                 heuristic,
             } => {
-                self.units = self
-                    .cfg
-                    .queries
-                    .iter()
-                    .map(|q| assignment_units(q, *strategy, *heuristic))
-                    .collect();
-                let unit_counts: Vec<usize> = self.units.iter().map(Vec::len).collect();
-                self.cache.resize(&unit_counts);
-                let mut assignments = Vec::with_capacity(self.units.len());
-                let mut ctx = SolveContext {
+                // Seeds the warm-start caches at install time so the
+                // first in-run recompute already warm-starts.
+                let by_query = &self.lc_solve_by_query;
+                let ctx = SolveContext {
                     values: self.items.coord_values(),
                     rates: &self.rates,
                     ddm: self.cfg.ddm,
                     gp: self.gp.clone(),
                 };
-                for (qi, units) in self.units.iter().enumerate() {
-                    self.attribute(&mut ctx.gp, qi);
-                    let mut per_unit = Vec::with_capacity(units.len());
-                    for (ui, u) in units.iter().enumerate() {
-                        // Seed the warm-start caches at install time so the
-                        // first in-run recompute already warm-starts.
-                        per_unit.push(
-                            assign_unit_cached(u, &ctx, *strategy, self.cache.unit_mut(qi, ui))
-                                .map_err(|source| SimError::Dab { query: qi, source })?,
-                        );
-                    }
-                    assignments.push(per_unit);
-                }
-                assignments
+                (self.units, self.filters) = install_units(
+                    &self.cfg.queries,
+                    *strategy,
+                    *heuristic,
+                    ctx,
+                    self.n_items,
+                    &mut self.cache,
+                    |gp, qi| attribute(by_query, gp, qi),
+                )
+                .map_err(|e| SimError::Dab {
+                    query: e.query,
+                    source: e.source,
+                })?;
             }
             SimStrategy::AaoPeriodic { mu, .. } => {
                 self.units = self
@@ -939,16 +933,16 @@ impl<'a> Engine<'a> {
                     .collect();
                 let unit_counts: Vec<usize> = self.units.iter().map(Vec::len).collect();
                 self.cache.resize(&unit_counts);
-                aao(&self.cfg.queries, &self.solve_context(), *mu)
+                let assignments: Vec<_> = aao(&self.cfg.queries, &self.solve_context(), *mu)
                     .map_err(|source| SimError::Dab { query: 0, source })?
                     .per_query
                     .into_iter()
                     .map(|a| vec![a])
-                    .collect()
+                    .collect();
+                self.filters = FilterTable::new(self.n_items, &assignments);
             }
         };
         self.note_solver_time(started);
-        self.filters = FilterTable::new(self.n_items, &assignments);
         // Synchronous installation at t = 0 (steady-state start, §V-A).
         // An unwatched item has no cell: its filter stays infinite.
         for &item in &self.watched {
@@ -988,7 +982,6 @@ impl<'a> Engine<'a> {
     }
 
     fn run_inner(&mut self) -> Result<(), SimError> {
-        self.items.install_all_dabs();
         if self.shard.is_some() {
             // Replicas never push locally — their source lives on the
             // home shard — and the home must learn every remote's
@@ -1742,7 +1735,7 @@ impl<'a> Engine<'a> {
         let mut jobs: Vec<RecomputeJob<'_>> = Vec::with_capacity(stale.len());
         for &(qi, ui) in stale {
             let mut gp = self.gp.clone();
-            self.attribute(&mut gp, qi);
+            attribute(&self.lc_solve_by_query, &mut gp, qi);
             let cache = self.cache.take(qi, ui);
             jobs.push(RecomputeJob {
                 qi,

@@ -11,9 +11,9 @@
 //! algorithms; `Monitor` is the piece you would deploy.
 
 use pq_core::{
-    assign_unit_cached, assignment_units, default_recompute_threads, filter_changed,
-    recompute_parallel, AssignmentStrategy, AssignmentUnit, DabError, FilterTable, PqHeuristic,
-    RecomputeJob, SolveCache, SolveContext,
+    default_recompute_threads, filter_changed, install_units, recompute_parallel,
+    AssignmentStrategy, AssignmentUnit, DabError, FilterTable, PqHeuristic, RecomputeJob,
+    SolveCache, SolveContext,
 };
 use pq_ddm::DataDynamicsModel;
 use pq_gp::SolverOptions;
@@ -283,44 +283,32 @@ impl Monitor {
         self.plan = SharedPlan::compile(self.queries.iter().map(PolynomialQuery::poly));
         self.view = SharedView::new(&self.plan, &self.values);
         self.applied_since_rebase = 0;
-        self.units = self
-            .queries
-            .iter()
-            .map(|q| assignment_units(q, self.strategy, self.heuristic))
-            .collect();
-        // Shape the warm-start caches to the unit decomposition and index
-        // which queries reference each item (used by on_refresh to touch
-        // only affected queries instead of scanning all of them).
-        let unit_counts: Vec<usize> = self.units.iter().map(Vec::len).collect();
-        self.cache.resize(&unit_counts);
+        // Index which queries reference each item (used by on_refresh to
+        // touch only affected queries instead of scanning all of them).
         self.item_queries = vec![Vec::new(); self.values.len()];
         for (qi, q) in self.queries.iter().enumerate() {
             for it in q.items() {
                 self.item_queries[it.index()].push(qi);
             }
         }
-        let mut assignments = Vec::with_capacity(self.units.len());
-        let mut ctx = SolveContext {
+        let ctx = SolveContext {
             values: &self.values,
             rates: &self.rates,
             ddm: self.ddm,
             gp: self.gp.clone(),
         };
-        for (qi, units) in self.units.iter().enumerate() {
-            // Attribute the install-time solves to their query.
-            ctx.gp.query = Some(qi as u32);
-            let mut per_query = Vec::with_capacity(units.len());
-            for (ui, u) in units.iter().enumerate() {
-                per_query.push(assign_unit_cached(
-                    u,
-                    &ctx,
-                    self.strategy,
-                    self.cache.unit_mut(qi, ui),
-                )?);
-            }
-            assignments.push(per_query);
-        }
-        self.filters = FilterTable::new(self.values.len(), &assignments);
+        // Attribute the install-time solves to their query.
+        let attribute = |gp: &mut SolverOptions, qi: usize| gp.query = Some(qi as u32);
+        (self.units, self.filters) = install_units(
+            &self.queries,
+            self.strategy,
+            self.heuristic,
+            ctx,
+            self.values.len(),
+            &mut self.cache,
+            attribute,
+        )
+        .map_err(|e| e.source)?;
         self.item_dabs = (0..self.values.len())
             .map(|i| self.filters.min_primary(i))
             .collect();
