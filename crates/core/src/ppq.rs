@@ -432,6 +432,13 @@ fn or_one(v: f64) -> f64 {
     }
 }
 
+/// The term `coef * prod x_v^e` at `x`. Most exponents of a deviation
+/// condition are 1, where `powf` would return its argument.
+fn term_at(coef: f64, exps: &[(usize, f64)], x: &[f64]) -> f64 {
+    let factor = |&(v, e): &(usize, f64)| if e == 1.0 { x[v] } else { x[v].powf(e) };
+    exps.iter().map(factor).fold(coef, |t, f| t * f)
+}
+
 /// What every linearization of one program shares.
 struct Linearized<'a> {
     lambdas: &'a [f64],
@@ -586,10 +593,7 @@ impl StartScratch {
             // degree), beside the gradient.
             let (mut value, mut tangent) = (0.0, 0.0);
             for (coef, exps) in condition.clone() {
-                let mut t = coef;
-                for &(v, e) in exps {
-                    t *= if e == 1.0 { guess[v] } else { guess[v].powf(e) };
-                }
+                let t = term_at(coef, exps, guess);
                 value += t;
                 for &(v, e) in exps {
                     tangent += e * t;
@@ -612,8 +616,7 @@ impl StartScratch {
 
         point(b, u, guess);
         guess.iter_mut().for_each(|v| *v = or_one(*v));
-        let at_guess = condition
-            .map(|(coef, exps)| (exps.iter()).fold(coef, |t, &(v, e)| t * guess[v].powf(e)));
+        let at_guess = condition.map(|(coef, exps)| term_at(coef, exps, guess));
         scalar_feasible_start(at_guess.sum(), qab, guess, n, interior)?;
         if dual.is_some() {
             // `rate(lambda_j, c_j) <= R` holds at the guess by construction.

@@ -1120,8 +1120,9 @@ mod tests {
         }
         let h = reconstruct_dense(&plan, &s);
         let scale = dhess.max_abs_diagonal().max(1.0);
+        // The dense assembly keeps the lower triangle only.
         for i in 0..n {
-            for j in 0..n {
+            for j in 0..=i {
                 let (a, b) = (h[(i, j)], dhess[(i, j)]);
                 assert!(
                     (a - b).abs() <= 1e-9 * scale,

@@ -480,9 +480,9 @@ impl<'a> LogPosynomial<'a> {
     }
 
     /// Adds `alpha * sum_k p_k a_k a_kᵀ` (the softmax second moment of the
-    /// exponent rows) into `hess`, with `probs` as produced by
-    /// [`LogPosynomial::value_grad_buf`]; each term scatters only the
-    /// `k x k` entries its `k` variables span.
+    /// exponent rows) into the lower triangle of `hess`, with `probs` as
+    /// produced by [`LogPosynomial::value_grad_buf`]; each term scatters
+    /// only the lower half of the `k x k` entries its `k` variables span.
     ///
     /// Together with the gradient this yields the Hessian:
     /// `∇²F = sum_k p_k a_k a_kᵀ − ∇F ∇Fᵀ`.
@@ -541,13 +541,34 @@ impl<'a> LogPosynomial<'a> {
         if self.n_terms() > 1 {
             hess.add_outer(-1.0, &grad);
         }
+        // `add_outer` keeps the lower triangle; callers get both.
+        for i in 0..n {
+            for j in 0..i {
+                hess[(j, i)] = hess[(i, j)];
+            }
+        }
         Evaluation { value, grad, hess }
+    }
+}
+
+/// The log-sum-exp of `z` when it is one finite term, whose softmax
+/// weight is `1.0`: `z + 0.0`, what `z + ln(exp(z - z) / 1.0)` comes to
+/// bit for bit (`+ 0.0` is what turns a `-0.0` into `0.0`), so an affine
+/// row pays neither `exp` nor `ln`.
+#[inline]
+fn lone_finite_term(z: &[f64]) -> Option<f64> {
+    match z {
+        &[z] if z.is_finite() => Some(z + 0.0),
+        _ => None,
     }
 }
 
 /// Numerically stable `ln sum_k exp(z_k)`.
 pub fn log_sum_exp(z: &[f64]) -> f64 {
     debug_assert!(!z.is_empty());
+    if let Some(value) = lone_finite_term(z) {
+        return value;
+    }
     let m = z.iter().copied().fold(f64::NEG_INFINITY, f64::max);
     if !m.is_finite() {
         return m;
@@ -559,6 +580,10 @@ pub fn log_sum_exp(z: &[f64]) -> f64 {
 /// Stable softmax over `z` in place; returns `log_sum_exp(z)` and leaves
 /// `z` holding the softmax weights.
 pub(crate) fn softmax_in_place(z: &mut [f64]) -> f64 {
+    if let Some(value) = lone_finite_term(z) {
+        z[0] = 1.0;
+        return value;
+    }
     let m = z.iter().copied().fold(f64::NEG_INFINITY, f64::max);
     let mut s = 0.0;
     for zi in z.iter_mut() {
@@ -809,5 +834,35 @@ mod tests {
         assert!((v - (1000.0 + 2.0_f64.ln())).abs() < 1e-9);
         let v = log_sum_exp(&[-1000.0, -1001.0]);
         assert!(v.is_finite());
+    }
+
+    /// A lone finite term skips `exp` and `ln`; the numbers are the ones
+    /// the general loop (`softmax` still is it) produces, sign of zero
+    /// included, at every binary exponent.
+    #[test]
+    fn a_lone_finite_term_reads_as_the_general_loop_would_bit_for_bit() {
+        for exponent in 0..0x7ff_u64 {
+            for (sign, mantissa) in [(0, 0), (1, 0), (0, 1), (1, 0x000f_ffff_ffff_ffff)] {
+                let z = f64::from_bits(sign << 63 | exponent << 52 | mantissa);
+                let (value, weights) = softmax(&[z]);
+                assert_eq!(weights, [1.0], "z = {z:e}");
+                let mut in_place = [z];
+                assert_eq!(softmax_in_place(&mut in_place).to_bits(), value.to_bits());
+                assert_eq!(in_place, [1.0], "z = {z:e}");
+                assert_eq!(log_sum_exp(&[z]).to_bits(), value.to_bits(), "z = {z:e}");
+            }
+        }
+    }
+
+    /// A lone term that is not finite takes the general path: no weight
+    /// of 1 is invented for it and its value stays non-finite.
+    #[test]
+    fn a_lone_non_finite_term_is_not_short_cut() {
+        for z in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            let mut in_place = [z];
+            assert!(softmax_in_place(&mut in_place).is_nan(), "z = {z}");
+            assert!(in_place[0].is_nan(), "z = {z}");
+            assert!(!log_sum_exp(&[z]).is_finite(), "z = {z}");
+        }
     }
 }

@@ -695,9 +695,10 @@ impl Program<'_> {
     /// [∇²F0 + Σ λ_i ∇²Fi + Σ (λ_i/s_i) ∇Fi∇Fiᵀ] Δy = −(∇F0 + (1/t) Σ ∇Fi/s_i)
     /// ```
     ///
-    /// leaving `Δy` in `ws.dy` and every `∇Fi · Δy` in `ws.dlam`. Returns
-    /// the diagonal shift the factorization needed, `None` when every
-    /// regularization level failed.
+    /// leaving `Δy` in `ws.dy` and every `∇Fi · Δy` in `ws.dlam`. The dense
+    /// backend assembles the matrix's lower triangle only, which is all
+    /// its factorization reads. Returns the diagonal shift the
+    /// factorization needed, `None` when every regularization level failed.
     fn newton_direction(&self, inv_t: f64, ws: &mut SolveWorkspace) -> Option<f64> {
         let it = &ws.cur;
         match &self.backend {
@@ -1009,6 +1010,33 @@ mod tests {
         let s = solve_with_start(&p, &[10.0], &opts()).unwrap();
         assert!((s.x[0] - 5.0).abs() < 1e-5, "x = {}", s.x[0]);
         assert!((s.objective - 5.0).abs() < 1e-5);
+    }
+
+    /// A one-term constraint skips the softmax, and its value still reads
+    /// as infeasible when it is zero, positive or not a number, whichever
+    /// backend evaluates it.
+    #[test]
+    fn one_term_constraint_is_feasible_only_strictly_below_zero() {
+        // min x s.t. 2 / x <= 1: F1(y) = ln 2 - y.
+        let mut p = GpProblem::new(1);
+        p.set_objective(mono(1.0, &[(0, 1.0)])).unwrap();
+        p.add_lower_bound(0, 2.0).unwrap();
+        let (objective, constraints) = p.validated().unwrap();
+        let arena = compile_all(objective, constraints, 1);
+        let ln2 = arena.get(1).log_coefs()[0];
+        for kkt in [KktMode::Dense, KktMode::Sparse] {
+            let program = Program::resolve(&arena, &SolverOptions { kkt, ..opts() });
+            let mut ws = SolveWorkspace::default();
+            ws.ensure(1, 1, &program.backend);
+            ws.cur.y[0] = 1.0;
+            assert!(program.eval_point(&mut ws.cur), "{kkt:?}");
+            assert_eq!((ws.cur.f0, ws.cur.slack[0]), (1.0, 1.0 - ln2), "{kkt:?}");
+            assert_eq!(ws.cur.probs, [1.0, 1.0], "{kkt:?}");
+            for y in [ln2, 0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                ws.cur.y[0] = y;
+                assert!(!program.eval_point(&mut ws.cur), "{kkt:?} at y = {y}");
+            }
+        }
     }
 
     #[test]

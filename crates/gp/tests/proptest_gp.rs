@@ -292,4 +292,122 @@ proptest! {
             prop_assert_eq!(moment, alone_moment);
         }
     }
+
+    /// A Dual-DAB-shaped program — `min Σ λ_j / b_j + μ R` under one
+    /// multi-term condition on the `c_j` and the `2k` one-term rows
+    /// `b_j <= c_j`, `λ_j / c_j <= R` — takes the same first Newton step
+    /// however its matrix is put together: `Δy` from `Matrix`'s lower-only
+    /// outer products and column-order factorization, called the way the
+    /// solver's `fill` calls them, is bit for bit `Δy` from both triangles
+    /// written out here and factored row by row.
+    #[test]
+    fn lower_triangle_newton_step_matches_a_full_matrix_row_wise_one(
+        items in proptest::collection::vec((0.1f64..10.0, 0.5f64..50.0, 0.01f64..2.0), 2..12),
+        mu in 1.0f64..10.0,
+    ) {
+        use pq_gp::linalg::{axpy, dot, Matrix};
+        use pq_gp::CompiledGp;
+        // Variables: b_j = j, c_j = k + j, R = 2k.
+        let k = items.len();
+        let (n, r) = (2 * k + 1, 2 * k);
+        let mut prob = GpProblem::new(n);
+        let (mut obj, mut cond) = (mono(mu, &[(r, 1.0)]), Posynomial::zero());
+        for (j, &(rate, lin, cross)) in items.iter().enumerate() {
+            let (c, c_next) = (k + j, k + (j + 1) % k);
+            obj.add(&mono(rate, &[(j, -1.0)]));
+            cond.add(&mono(lin, &[(c, 1.0)]));
+            cond.add(&mono(cross, &[(c.min(c_next), 1.0), (c.max(c_next), 1.0)]));
+        }
+        prob.set_objective(obj).unwrap();
+        prob.add_constraint_le(cond, 1.0).unwrap();
+        for (j, &(rate, ..)) in items.iter().enumerate() {
+            prob.add_var_le_var(j, k + j).unwrap();
+            prob.add_constraint_le(mono(rate, &[(k + j, -1.0), (r, -1.0)]), 1.0).unwrap();
+        }
+        // Strictly inside: the condition at one half, b_j = c_j / 2.
+        let c0 = 0.5 / items.iter().map(|&(_, lin, cross)| lin + cross).sum::<f64>();
+        let mut x = vec![0.5 * c0; n];
+        x[k..r].fill(c0);
+        x[r] = 2.0 * items.iter().map(|&(rate, ..)| rate / c0).fold(0.0, f64::max);
+        let y: Vec<f64> = x.iter().map(|v| v.ln()).collect();
+
+        // Each posynomial's weights in the Newton system, at the solver's
+        // cold start: duals centred on the slacks, a twentieth of the gap.
+        let compiled = CompiledGp::compile(&prob).unwrap();
+        let arena = compiled.arena();
+        let (mut probs, mut grad) = (Vec::new(), vec![0.0; n]);
+        let slack: Vec<f64> = (arena.iter().skip(1))
+            .map(|f| -f.value_grad_buf(&y, &mut probs, &mut grad))
+            .collect();
+        prop_assert!(slack.iter().all(|&s| s > 0.0), "start not interior: {slack:?}");
+        let inv_t = slack.iter().map(|s| s / s.max(0.1)).sum::<f64>() / (20.0 * slack.len() as f64);
+        let weights = |p: usize, multi: bool| {
+            let Some(s) = p.checked_sub(1).map(|i| slack[i]) else {
+                return (1.0, 1.0, -1.0);
+            };
+            let l = 1.0 / s.max(0.1);
+            if multi { (inv_t / s, l, l / s - l) } else { (inv_t / s, 0.0, l / s) }
+        };
+
+        // The solver's `fill`, through `Matrix`'s own updates.
+        let fill = |hess: &mut Matrix, rhs: &mut [f64]| {
+            let (mut probs, mut grad) = (Vec::new(), vec![0.0; n]);
+            hess.set_zero();
+            rhs.fill(0.0);
+            for (p, f) in arena.iter().enumerate() {
+                let (w_rhs, alpha, beta) = weights(p, !f.is_affine());
+                if f.is_affine() {
+                    let row = f.rows().next().unwrap();
+                    for &(v, e) in row {
+                        rhs[v] -= w_rhs * e;
+                    }
+                    hess.add_outer_sparse(beta, row);
+                } else {
+                    f.value_grad_buf(&y, &mut probs, &mut grad);
+                    axpy(-w_rhs, &grad, rhs);
+                    f.add_second_moment(&probs, alpha, hess);
+                    hess.add_outer(beta, &grad);
+                }
+            }
+        };
+        let (mut lower, mut dy) = (Matrix::zeros(n, n), vec![0.0; n]);
+        prop_assert_eq!(lower.solve_regularized_in_place(fill, &mut dy), Some(0.0));
+
+        // The same sums with both triangles written, entry by entry.
+        let (mut full, mut dy_full) = (Matrix::zeros(n, n), vec![0.0; n]);
+        let mut dense_row = vec![0.0; n];
+        let mut outer = |alpha: f64, v: &[f64]| {
+            for i in 0..n {
+                for j in 0..n {
+                    full[(i, j)] += (alpha * v[i]) * v[j];
+                }
+            }
+        };
+        for (p, f) in arena.iter().enumerate() {
+            let (w_rhs, alpha, beta) = weights(p, !f.is_affine());
+            f.value_grad_buf(&y, &mut probs, &mut grad);
+            axpy(-w_rhs, &grad, &mut dy_full);
+            for (row, pk) in f.rows().zip(&probs) {
+                dense_row.fill(0.0);
+                for &(v, e) in row {
+                    dense_row[v] = e;
+                }
+                outer(alpha * pk, &dense_row);
+            }
+            outer(beta, &grad);
+        }
+        // Cholesky–Banachiewicz: one entry at a time, row by row.
+        for i in 0..n {
+            for j in 0..i {
+                let sum = dot(&full.row(i)[..j], &full.row(j)[..j]);
+                full[(i, j)] = (full[(i, j)] - sum) / full[(j, j)];
+            }
+            let d = full[(i, i)] - dot(&full.row(i)[..i], &full.row(i)[..i]);
+            prop_assert!(d.is_finite() && d > 0.0, "pivot {i} = {d}");
+            full[(i, i)] = d.sqrt();
+        }
+        full.solve_factored(&mut dy_full);
+        let bits = |v: &[f64]| v.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&dy), bits(&dy_full));
+    }
 }
