@@ -373,8 +373,8 @@ pub fn recompute_parallel(
 }
 
 /// True when a derived per-item filter width meaningfully changed — the
-/// shared mixed absolute/relative tolerance used by the monitor and the
-/// simulator when deciding whether to send a DAB-change message.
+/// mixed absolute/relative tolerance the coordinator uses when deciding
+/// whether to send a DAB-change message.
 ///
 /// A pure relative test (`|new - old| > eps * |old|`) misclassifies
 /// `old == 0`: *any* new width would count as unchanged. The absolute

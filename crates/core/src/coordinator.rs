@@ -1,0 +1,893 @@
+//! The coordinator: the paper's one refresh-handling algorithm, once.
+//!
+//! A refresh arriving from a source runs the sequence of §III / §V-A:
+//! move the cached value, notify the users whose query moved past its
+//! QAB, re-solve the units whose validity range the new value broke, and
+//! re-derive the per-item filters (EQI minimum rule) those solves can
+//! have moved. [`Coordinator`] is that sequence over [`install_units`],
+//! [`FilterTable`], [`SolveCache`], [`recompute_parallel`] and
+//! [`filter_changed`] — and nothing about how a refresh got here or where
+//! a filter change goes next: the deployable monitor, the simulator's
+//! engine and the Fig. 8(c) tree each wrap one, supply that transport,
+//! and read what happened from the returned [`Outcome`].
+
+use std::sync::Arc;
+use std::time::Instant;
+
+use pq_ddm::DataDynamicsModel;
+use pq_gp::SolverOptions;
+use pq_obs::{names, Counter, EventKind, Obs, Timer};
+use pq_poly::{ItemId, PolynomialQuery, QueryId, SharedPlan, SharedView};
+
+use crate::assignment::QueryAssignment;
+use crate::cache::{filter_changed, recompute_parallel, RecomputeJob, SolveCache};
+use crate::context::SolveContext;
+use crate::error::DabError;
+use crate::filter_table::FilterTable;
+use crate::heuristics::PqHeuristic;
+use crate::install::{install_units, InstallError};
+use crate::strategy::{assignment_units, AssignmentStrategy, AssignmentUnit};
+
+/// Applied refreshes between two full re-evaluations of the maintained
+/// query values. Each delta fold adds one rounding per updated value, so
+/// the drift this bounds is about `512 × ulp(|P|)` — some nine orders of
+/// magnitude inside any QAB worth monitoring.
+pub const REBASE_EVERY: u32 = 512;
+
+/// CSR item → readers: for every item, the queries whose polynomial
+/// references it (ascending). Resolved once per book, so checking a
+/// move's readers walks one contiguous run.
+#[derive(Debug, Clone)]
+pub struct ReaderIndex {
+    /// `starts[i]..starts[i + 1]` is item `i`'s run of `queries`.
+    starts: Vec<u32>,
+    queries: Vec<u32>,
+}
+
+impl ReaderIndex {
+    /// Indexes a book over `n_items` items; `query_items[q]` is query
+    /// `q`'s distinct items ([`pq_poly::PolynomialQuery::items`]).
+    ///
+    /// # Panics
+    /// Panics if a query references an item `>= n_items`.
+    pub fn new(n_items: usize, query_items: &[Vec<ItemId>]) -> Self {
+        let mut starts = vec![0u32; n_items + 1];
+        for item in query_items.iter().flatten() {
+            starts[item.index() + 1] += 1;
+        }
+        for i in 0..n_items {
+            starts[i + 1] += starts[i];
+        }
+        let mut cursor = starts.clone();
+        let mut queries = vec![0u32; starts[n_items] as usize];
+        for (qi, items) in query_items.iter().enumerate() {
+            for item in items {
+                let at = &mut cursor[item.index()];
+                queries[*at as usize] = qi as u32;
+                *at += 1;
+            }
+        }
+        ReaderIndex { starts, queries }
+    }
+
+    /// The queries referencing `item`, ascending.
+    #[inline]
+    pub fn queries(&self, item: usize) -> &[u32] {
+        &self.queries[self.starts[item] as usize..self.starts[item + 1] as usize]
+    }
+}
+
+/// How a coordinator names its queries and items in telemetry. Ids
+/// inside a coordinator are dense and local; counters' labels and
+/// events' fields carry what the rest of the deployment calls them.
+#[derive(Debug, Clone, Default)]
+pub struct Scope {
+    /// Local query id → global query id (empty: the ids are global).
+    pub query_gid: Vec<u32>,
+    /// Local item id → global item id (empty: the ids are global).
+    pub item_gid: Vec<u32>,
+    /// The coordinator's node in a dissemination tree: query labels read
+    /// `c<node>.q<query>` and events carry a `node` field.
+    pub node: Option<u32>,
+}
+
+impl Scope {
+    /// The global id of local query `qi`.
+    pub fn query(&self, qi: usize) -> usize {
+        self.query_gid.get(qi).map_or(qi, |&g| g as usize)
+    }
+
+    /// The global id of local item `item`.
+    pub fn item(&self, item: usize) -> usize {
+        self.item_gid.get(item).map_or(item, |&g| g as usize)
+    }
+
+    fn query_label(&self, qi: usize) -> String {
+        match self.node {
+            Some(c) => format!("c{c}.q{qi}"),
+            None => self.query(qi).to_string(),
+        }
+    }
+}
+
+/// How a coordinator solves and reports, whatever its book.
+#[derive(Debug, Clone)]
+pub struct Config {
+    /// Every item's estimated rate of change, indexed by
+    /// [`ItemId::index`].
+    pub rates: Vec<f64>,
+    /// Assumed data-dynamics model.
+    pub ddm: DataDynamicsModel,
+    /// Solver options of every solve, unattributed (each solve starts
+    /// from one clone pointed at its query); the coordinator binds them
+    /// to `obs`.
+    pub gp: SolverOptions,
+    /// Max worker threads of the recompute fan-out (`1` = serial; the
+    /// results are identical either way).
+    pub threads: usize,
+    /// Telemetry handle.
+    pub obs: Obs,
+    /// Telemetry naming.
+    pub scope: Scope,
+}
+
+/// What reacting to one refresh did.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Outcome {
+    /// Queries whose value moved past their QAB, with the new values —
+    /// push these to the interested users.
+    pub notify: Vec<(QueryId, f64)>,
+    /// Queries whose DABs were recomputed because the refresh invalidated
+    /// their assignment. From [`Coordinator::react`]: one entry per
+    /// re-solved *unit*, so a Half-and-Half query can be listed twice in
+    /// a row.
+    pub recomputed: Vec<QueryId>,
+    /// Items whose installed filters changed — ship these to the sources.
+    /// From [`Coordinator::react`]: unit by unit in solve order, so an
+    /// item two re-solved units read can appear twice; its last entry is
+    /// the filter now installed.
+    pub filter_changes: Vec<(ItemId, f64)>,
+    /// Wall-clock nanoseconds the re-solves took (0 when none ran).
+    pub solve_ns: u64,
+}
+
+/// Telemetry handles resolved once per coordinator, so the refresh path
+/// records with relaxed adds instead of registry lookups.
+#[derive(Debug)]
+struct Handles {
+    /// `dab.recompute`: the total, then one per query.
+    recompute: Arc<Counter>,
+    recompute_by_query: Vec<Arc<Counter>>,
+    /// `dab.recompute_trigger` of every item some query reads — no other
+    /// item's refresh can force a recomputation.
+    trigger_by_item: Vec<Option<Arc<Counter>>>,
+    /// `gp.solve` per query, handed to the solver with each solve.
+    solve_by_query: Vec<Arc<Counter>>,
+    eval_full: Arc<Counter>,
+    eval_rebase: Arc<Counter>,
+    scatter_fanout: Arc<Counter>,
+    /// Span around one refresh's re-solves: the causal parent of the
+    /// `gp.solve` spans [`recompute_parallel`] fans out.
+    batch: Timer,
+}
+
+impl Handles {
+    fn resolve(cfg: &Config, n_queries: usize, readers: &ReaderIndex) -> Self {
+        let Config { obs, scope, .. } = cfg;
+        let by_query = |name: &str| -> Vec<Arc<Counter>> {
+            (0..n_queries)
+                .map(|qi| obs.labeled_counter(name, names::LABEL_QUERY, &scope.query_label(qi)))
+                .collect()
+        };
+        Handles {
+            recompute: obs.counter(names::DAB_RECOMPUTE),
+            recompute_by_query: by_query(names::DAB_RECOMPUTE),
+            trigger_by_item: (0..readers.starts.len() - 1)
+                .map(|i| {
+                    (!readers.queries(i).is_empty()).then(|| {
+                        obs.labeled_counter(
+                            names::DAB_RECOMPUTE_TRIGGER,
+                            names::LABEL_ITEM,
+                            &scope.item(i).to_string(),
+                        )
+                    })
+                })
+                .collect(),
+            solve_by_query: by_query(names::GP_SOLVE),
+            eval_full: obs.counter(names::EVAL_FULL),
+            eval_rebase: obs.counter(names::EVAL_REBASE),
+            scatter_fanout: obs.counter(names::EVAL_SCATTER_FANOUT),
+            batch: obs.timer(names::SIM_RECOMPUTE_BATCH),
+        }
+    }
+}
+
+/// One coordinator's state and its refresh sequence (see the module
+/// docs). Built installed: every unit holds an assignment valid at the
+/// coordinator's values, and keeps one between calls.
+#[derive(Debug)]
+pub struct Coordinator {
+    /// Every item's cached value, indexed by [`ItemId::index`].
+    values: Vec<f64>,
+    cfg: Config,
+    /// What a stale unit is re-solved under.
+    strategy: AssignmentStrategy,
+    /// The whole book compiled for delta maintenance.
+    plan: SharedPlan,
+    /// Every query's value at `values`, maintained through `plan`:
+    /// `values` and `view` only ever move together.
+    view: SharedView,
+    /// Refreshes folded into `view` since its last full re-evaluation.
+    applied_since_rebase: u32,
+    qabs: Vec<f64>,
+    /// Last query value pushed to each user.
+    last_notified: Vec<f64>,
+    readers: ReaderIndex,
+    /// Per-query maintenance units (two under Half-and-Half, else one).
+    units: Vec<Vec<AssignmentUnit>>,
+    /// Warm-start caches, one per (query, unit).
+    cache: SolveCache,
+    /// Every unit's installed assignment, item-major.
+    filters: FilterTable,
+    /// Per item, a bound on its filter from outside this coordinator's
+    /// own units (`+∞` unless [`Coordinator::set_floor`] said otherwise).
+    floor: Vec<f64>,
+    /// Per item, the filter its source was last told:
+    /// `min(filters.min_primary, floor)` as of the last derivation that
+    /// [`filter_changed`] called a change.
+    installed: Vec<f64>,
+    install_ns: u64,
+    handles: Handles,
+}
+
+impl Coordinator {
+    /// Installs `queries` at `values` under `strategy` (+ `heuristic` for
+    /// mixed-sign bodies): one first solve per unit through
+    /// [`install_units`].
+    ///
+    /// # Errors
+    /// The first solve that fails, with its query's index.
+    ///
+    /// # Panics
+    /// Panics if a query reads an item `values` does not cover.
+    pub fn install(
+        queries: &[PolynomialQuery],
+        strategy: AssignmentStrategy,
+        heuristic: PqHeuristic,
+        values: Vec<f64>,
+        cfg: Config,
+    ) -> Result<Self, InstallError> {
+        let mut this = Coordinator::unsolved(queries, strategy, values, cfg);
+        let started = Instant::now();
+        let by_query = &this.handles.solve_by_query;
+        (this.units, this.filters) = install_units(
+            queries,
+            strategy,
+            heuristic,
+            SolveContext {
+                values: &this.values,
+                rates: &this.cfg.rates,
+                ddm: this.cfg.ddm,
+                gp: this.cfg.gp.clone(),
+            },
+            this.values.len(),
+            &mut this.cache,
+            |gp, qi| attribute(by_query, gp, qi),
+        )?;
+        this.install_ns = started.elapsed().as_nanos() as u64;
+        this.seed_filters();
+        Ok(this)
+    }
+
+    /// A coordinator whose first assignments were solved elsewhere
+    /// (`assignments[q]`, one whole-query unit each: a joint AAO solve);
+    /// a unit that goes stale is re-solved on its own under `strategy`.
+    ///
+    /// # Panics
+    /// Panics if a query reads an item `values` does not cover, or
+    /// `assignments` is not one per query over the query's items.
+    pub fn with_assignments(
+        queries: &[PolynomialQuery],
+        strategy: AssignmentStrategy,
+        assignments: Vec<QueryAssignment>,
+        values: Vec<f64>,
+        cfg: Config,
+    ) -> Self {
+        assert_eq!(queries.len(), assignments.len(), "one assignment per query");
+        let mut this = Coordinator::unsolved(queries, strategy, values, cfg);
+        this.units = queries
+            .iter()
+            .map(|q| assignment_units(q, strategy, PqHeuristic::DifferentSum))
+            .collect();
+        let unit_counts: Vec<usize> = this.units.iter().map(Vec::len).collect();
+        this.cache.resize(&unit_counts);
+        let per_unit: Vec<_> = assignments.into_iter().map(|a| vec![a]).collect();
+        this.filters = FilterTable::new(this.values.len(), &per_unit);
+        this.seed_filters();
+        this
+    }
+
+    /// The first derivation: every item's filter is its tightest DAB.
+    fn seed_filters(&mut self) {
+        for (item, installed) in self.installed.iter_mut().enumerate() {
+            *installed = self.filters.min_primary(item);
+        }
+    }
+
+    /// Everything but the units and their filters.
+    fn unsolved(
+        queries: &[PolynomialQuery],
+        strategy: AssignmentStrategy,
+        values: Vec<f64>,
+        mut cfg: Config,
+    ) -> Self {
+        cfg.gp = cfg.gp.observed_by(&cfg.obs);
+        cfg.threads = cfg.threads.max(1);
+        // Compiled first: its transients are freed before the solves
+        // reach their own peak.
+        let plan = SharedPlan::compile(queries.iter().map(PolynomialQuery::poly));
+        let view = SharedView::new(&plan, &values);
+        let query_items: Vec<Vec<ItemId>> = queries.iter().map(PolynomialQuery::items).collect();
+        let readers = ReaderIndex::new(values.len(), &query_items);
+        let handles = Handles::resolve(&cfg, queries.len(), &readers);
+        handles.eval_full.add(queries.len() as u64);
+        cfg.obs
+            .counter(names::EVAL_SHARED_TERMS)
+            .add(plan.n_terms() as u64);
+        Coordinator {
+            floor: vec![f64::INFINITY; values.len()],
+            installed: vec![f64::INFINITY; values.len()],
+            values,
+            cfg,
+            strategy,
+            last_notified: view.values().to_vec(),
+            plan,
+            view,
+            applied_since_rebase: 0,
+            qabs: queries.iter().map(PolynomialQuery::qab).collect(),
+            readers,
+            units: Vec::new(),
+            cache: SolveCache::new(),
+            filters: FilterTable::default(),
+            install_ns: 0,
+            handles,
+        }
+    }
+
+    /// Swaps the telemetry handle: later solves, counts and events land
+    /// on `obs`.
+    pub fn observe(&mut self, obs: Obs) {
+        self.cfg.gp = std::mem::take(&mut self.cfg.gp).observed_by(&obs);
+        self.cfg.obs = obs;
+        self.handles = Handles::resolve(&self.cfg, self.qabs.len(), &self.readers);
+    }
+
+    /// Caps the recompute fan-out at `threads` workers.
+    pub fn set_threads(&mut self, threads: usize) {
+        self.cfg.threads = threads.max(1);
+    }
+
+    /// The cached item values.
+    pub fn values(&self) -> &[f64] {
+        &self.values
+    }
+
+    /// Every query's maintained value at [`Coordinator::values`].
+    pub fn query_values(&self) -> &[f64] {
+        self.view.values()
+    }
+
+    /// Every query's QAB.
+    pub fn qabs(&self) -> &[f64] {
+        &self.qabs
+    }
+
+    /// The book's compiled evaluation plan (for evaluating it at other
+    /// values than the coordinator's).
+    pub fn plan(&self) -> &SharedPlan {
+        &self.plan
+    }
+
+    /// The queries reading `item`, ascending.
+    pub fn readers(&self, item: usize) -> &[u32] {
+        self.readers.queries(item)
+    }
+
+    /// The filter installed for `item` (`+∞`: none — no unit reads it).
+    pub fn filter(&self, item: usize) -> f64 {
+        self.installed[item]
+    }
+
+    /// Every finite installed filter, ascending by item.
+    pub fn filters(&self) -> impl Iterator<Item = (ItemId, f64)> + '_ {
+        let finite = |(i, &b): (usize, &f64)| b.is_finite().then_some((ItemId(i as u32), b));
+        self.installed.iter().enumerate().filter_map(finite)
+    }
+
+    /// The assignment unit `u` of query `q` holds
+    /// ([`FilterTable::assignment`]).
+    pub fn assignment(&self, q: usize, u: usize) -> QueryAssignment {
+        self.filters.assignment(q, u)
+    }
+
+    /// How this coordinator names itself in telemetry.
+    pub fn scope(&self) -> &Scope {
+        &self.cfg.scope
+    }
+
+    /// Wall-clock nanoseconds [`Coordinator::install`]'s solves took.
+    pub fn install_ns(&self) -> u64 {
+        self.install_ns
+    }
+
+    /// Unattributed solve context at the coordinator's values (for a
+    /// joint solve spanning every query).
+    pub fn solve_context(&self) -> SolveContext<'_> {
+        SolveContext {
+            values: &self.values,
+            rates: &self.cfg.rates,
+            ddm: self.cfg.ddm,
+            gp: self.cfg.gp.clone(),
+        }
+    }
+
+    /// Fault injection for a fidelity auditor's tests: see
+    /// [`SharedView::corrupt`].
+    pub fn corrupt_query_value(&mut self, query: usize, amount: f64) {
+        self.view.corrupt(query, amount);
+    }
+
+    /// The input gate: a refresh must name a known item and carry a
+    /// finite value.
+    fn admit(&self, item: usize, value: f64) -> Result<(), DabError> {
+        if item >= self.values.len() {
+            return Err(DabError::UnknownItem { item: item as u32 });
+        }
+        if !value.is_finite() {
+            return Err(DabError::NonFiniteValue {
+                item: item as u32,
+                value,
+            });
+        }
+        Ok(())
+    }
+
+    /// Moves `item` to `value` and folds the move into every query value
+    /// that reads it. Nothing else reacts yet: follow with
+    /// [`Coordinator::react`].
+    ///
+    /// # Errors
+    /// With nothing moved: [`DabError::UnknownItem`],
+    /// [`DabError::NonFiniteValue`].
+    pub fn apply(&mut self, item: usize, value: f64) -> Result<(), DabError> {
+        self.apply_batch(&[(item, value)])
+    }
+
+    /// [`Coordinator::apply`] for refreshes that arrived together, in
+    /// order; the caller then reacts to each item in the same order.
+    /// Reacting only after all have moved equals interleaving as long as
+    /// no two of them share a reader.
+    ///
+    /// # Errors
+    /// As [`Coordinator::apply`], for the first bad refresh, with nothing
+    /// of the batch moved.
+    pub fn apply_batch(&mut self, batch: &[(usize, f64)]) -> Result<(), DabError> {
+        for &(item, value) in batch {
+            self.admit(item, value)?;
+        }
+        let fanout = self.view.apply_batch(&self.plan, &mut self.values, batch);
+        if fanout > 0 {
+            self.handles.scatter_fanout.add(fanout);
+        }
+        self.applied_since_rebase += batch.len() as u32;
+        if self.applied_since_rebase >= REBASE_EVERY {
+            self.view.rebase(&self.plan, &self.values);
+            self.applied_since_rebase = 0;
+            self.handles.eval_rebase.inc();
+            self.handles.eval_full.add(self.qabs.len() as u64);
+        }
+        Ok(())
+    }
+
+    /// Reacts to `item` having moved (by [`Coordinator::apply`]):
+    /// notifications for its readers past their QAB, a re-solve of every
+    /// unit its new value invalidated, and the filter changes those
+    /// solves caused. `at` stamps the emitted events with the caller's
+    /// clock.
+    ///
+    /// # Errors
+    /// The first re-solve that failed, with its query's index. The value
+    /// stays applied and the units that did solve stay installed; every
+    /// unit that did not is marked stale, so the next refresh of any of
+    /// its items tries again.
+    pub fn react(&mut self, item: usize, at: Option<f64>) -> Result<Outcome, InstallError> {
+        let mut outcome = Outcome::default();
+        for &qi in self.readers.queries(item) {
+            let qi = qi as usize;
+            let qv = self.view.value(qi);
+            if (qv - self.last_notified[qi]).abs() > self.qabs[qi] {
+                self.last_notified[qi] = qv;
+                outcome.notify.push((QueryId(qi as u32), qv));
+            }
+        }
+        // Every unit was valid before this refresh (a stale one is
+        // re-solved, or marked, before the call returns), so only the
+        // refreshed item can break one: scan its run of the table.
+        let mut stale = Vec::new();
+        self.filters
+            .stale_after(item, self.values[item], &mut stale);
+        debug_assert!(
+            self.filters.scan_agrees(item, &self.values, &stale),
+            "a unit reading x{item} was already invalid before its refresh"
+        );
+        if !stale.is_empty() {
+            self.resolve(&stale, item, at, &mut outcome)?;
+            // Attribution: this item's refresh forced recomputations.
+            if let Some(c) = &self.handles.trigger_by_item[item] {
+                c.inc();
+            }
+            let Config { obs, scope, .. } = &self.cfg;
+            obs.emit_with(names::DAB_RECOMPUTE_TRIGGER, EventKind::Count, |e| {
+                let e = e.with("item", scope.item(item));
+                stamp(e.with("recomputes", outcome.recomputed.len()), at)
+            });
+        }
+        Ok(outcome)
+    }
+
+    /// Re-solves `stale` as one batch over the worker threads —
+    /// staleness depends only on each unit's own assignment and the
+    /// already-updated values, so this equals solving inline — and merges
+    /// the results serially in unit order: any thread count gives the
+    /// same counters, installs and filter changes.
+    fn resolve(
+        &mut self,
+        stale: &[(usize, usize)],
+        item: usize,
+        at: Option<f64>,
+        outcome: &mut Outcome,
+    ) -> Result<(), InstallError> {
+        let started = Instant::now();
+        let mut jobs: Vec<RecomputeJob<'_>> = Vec::with_capacity(stale.len());
+        for &(qi, ui) in stale {
+            let mut gp = self.cfg.gp.clone();
+            attribute(&self.handles.solve_by_query, &mut gp, qi);
+            let cache = self.cache.take(qi, ui);
+            jobs.push(RecomputeJob {
+                qi,
+                ui,
+                unit: &self.units[qi][ui],
+                ctx: SolveContext {
+                    values: &self.values,
+                    rates: &self.cfg.rates,
+                    ddm: self.cfg.ddm,
+                    gp,
+                },
+                cache,
+            });
+        }
+        let batch_span = self.handles.batch.start(&self.cfg.obs);
+        let done = recompute_parallel(jobs, self.strategy, self.cfg.threads);
+        drop(batch_span);
+        outcome.solve_ns = started.elapsed().as_nanos() as u64;
+        let mut failure: Option<InstallError> = None;
+        for d in done {
+            self.cache.put_back(d.qi, d.ui, d.cache);
+            match d.result {
+                Ok(assignment) if failure.is_none() => {
+                    self.filters.install(d.qi, d.ui, &assignment);
+                    self.note_recompute(d.qi, Some((d.ui, item)), "validity", at);
+                    outcome.recomputed.push(QueryId(d.qi as u32));
+                    // The unit's items are the only ones whose minimum
+                    // primary DAB this install can have moved.
+                    for &i in self.filters.unit_items(d.qi, d.ui) {
+                        let item = i as usize;
+                        let new = self.filters.min_primary(item).min(self.floor[item]);
+                        if rederive(&mut self.installed[item], new) {
+                            outcome.filter_changes.push((ItemId(i), new));
+                        }
+                    }
+                }
+                result => {
+                    // Not re-solved: the unit stays stale, so the next
+                    // refresh of any of its items tries again.
+                    self.filters.invalidate(d.qi, d.ui);
+                    if let (Err(source), None) = (result, &failure) {
+                        failure = Some(InstallError {
+                            query: d.qi,
+                            source,
+                        });
+                    }
+                }
+            }
+        }
+        failure.map_or(Ok(()), Err)
+    }
+
+    /// [`Coordinator::apply`] then [`Coordinator::react`]: one arriving
+    /// refresh, start to finish.
+    ///
+    /// # Errors
+    /// Either step's, without the failed query's index.
+    pub fn on_refresh(&mut self, item: usize, value: f64) -> Result<Outcome, DabError> {
+        self.apply(item, value)?;
+        self.react(item, None).map_err(|e| e.source)
+    }
+
+    /// Installs a joint solve's assignments (`per_query[q]` for unit 0 of
+    /// query `q`) over the current ones, counting one `reason`
+    /// recomputation per query. Follow with [`Coordinator::rederive`].
+    pub fn install_joint(
+        &mut self,
+        per_query: &[QueryAssignment],
+        reason: &'static str,
+        at: Option<f64>,
+    ) {
+        for (qi, assignment) in per_query.iter().enumerate() {
+            self.filters.install(qi, 0, assignment);
+            self.note_recompute(qi, None, reason, at);
+        }
+    }
+
+    /// Counts one recomputation of query `qi` and emits its event:
+    /// `cause` is the re-solved unit and the item whose refresh broke it,
+    /// when one did.
+    fn note_recompute(
+        &self,
+        qi: usize,
+        cause: Option<(usize, usize)>,
+        reason: &'static str,
+        at: Option<f64>,
+    ) {
+        self.handles.recompute.inc();
+        self.handles.recompute_by_query[qi].inc();
+        let Config { obs, scope, .. } = &self.cfg;
+        obs.emit_with(names::DAB_RECOMPUTE, EventKind::Count, |e| {
+            let e = match scope.node {
+                Some(c) => e.with("node", c),
+                None => e,
+            };
+            let e = e.with("query", scope.query(qi));
+            let e = match cause {
+                Some((unit, item)) => e.with("unit", unit).with("item", scope.item(item)),
+                None => e,
+            };
+            stamp(e.with("reason", reason), at)
+        });
+    }
+
+    /// Bounds `item`'s filter from outside — a home shard's way to honour
+    /// the minima remote shards derived over their replicas: the
+    /// installed filter is `min(floor, this coordinator's tightest DAB)`.
+    /// Follow with [`Coordinator::rederive`].
+    pub fn set_floor(&mut self, item: usize, floor: f64) {
+        self.floor[item] = floor;
+    }
+
+    /// Re-derives the installed filter of each of `items`, returning the
+    /// ones that changed, in order.
+    pub fn rederive(&mut self, items: impl IntoIterator<Item = usize>) -> Vec<(ItemId, f64)> {
+        let mut changes = Vec::new();
+        for item in items {
+            let new = self.filters.min_primary(item).min(self.floor[item]);
+            if rederive(&mut self.installed[item], new) {
+                changes.push((ItemId(item as u32), new));
+            }
+        }
+        changes
+    }
+}
+
+/// Moves an installed filter to its newly derived width when
+/// [`filter_changed`] calls that a change; true when it did.
+fn rederive(installed: &mut f64, new: f64) -> bool {
+    let changed = filter_changed(*installed, new);
+    if changed {
+        *installed = new;
+    }
+    changed
+}
+
+/// Attributes `gp` to query `qi`: GP solves under it carry `query=<qi>`
+/// on their timing spans and tally `by_query[qi]`.
+fn attribute(by_query: &[Arc<Counter>], gp: &mut SolverOptions, qi: usize) {
+    gp.query = Some(qi as u32);
+    gp.query_counter = Some(by_query[qi].clone());
+}
+
+/// Adds the caller's clock to an event, when it has one.
+fn stamp(e: pq_obs::Event, at: Option<f64>) -> pq_obs::Event {
+    match at {
+        Some(t) => e.with("t", t),
+        None => e,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn x(i: u32) -> ItemId {
+        ItemId(i)
+    }
+
+    fn config(n_items: usize, threads: usize, obs: &Obs) -> Config {
+        Config {
+            rates: vec![1.0; n_items],
+            ddm: DataDynamicsModel::Monotonic,
+            gp: SolverOptions::default(),
+            threads,
+            obs: obs.clone(),
+            scope: Scope::default(),
+        }
+    }
+
+    const DUAL: AssignmentStrategy = AssignmentStrategy::DualDab { mu: 5.0 };
+
+    /// `x0 x1 : 5` at `(2, 2)`.
+    fn one_product(obs: &Obs) -> Coordinator {
+        let q = PolynomialQuery::portfolio([(1.0, x(0), x(1))], 5.0).unwrap();
+        let (values, cfg) = (vec![2.0, 2.0], config(2, 1, obs));
+        Coordinator::install(&[q], DUAL, PqHeuristic::DifferentSum, values, cfg).unwrap()
+    }
+
+    #[test]
+    fn reader_index_lists_each_items_queries() {
+        // q0 reads x0, x1; q1 reads x1, x2; q2 reads nothing; x3 is
+        // never read.
+        let items = vec![vec![x(0), x(1)], vec![x(1), x(2)], Vec::new()];
+        let idx = ReaderIndex::new(4, &items);
+        assert_eq!(idx.queries(0), &[0]);
+        assert_eq!(idx.queries(1), &[0, 1]);
+        assert_eq!(idx.queries(2), &[1]);
+        assert!(idx.queries(3).is_empty());
+    }
+
+    #[test]
+    fn parallel_recompute_fanout_matches_serial() {
+        // Three queries sharing item x1, one of them split in two units
+        // by Half-and-Half: a refresh of x1 can invalidate all four units
+        // at once, exercising the multi-job fan-out. Outcomes, values and
+        // installed filters must be bit-identical no matter how many
+        // workers run the solves.
+        let queries = [
+            PolynomialQuery::portfolio([(1.0, x(0), x(1))], 6.0).unwrap(),
+            PolynomialQuery::portfolio([(1.0, x(1), x(2))], 6.0).unwrap(),
+            PolynomialQuery::arbitrage([(1.0, x(0), x(1))], [(1.0, x(1), x(2))], 4.0).unwrap(),
+        ];
+        let install = |threads| {
+            let (values, cfg) = (vec![20.0, 10.0, 15.0], config(3, threads, &Obs::null()));
+            Coordinator::install(&queries, DUAL, PqHeuristic::HalfAndHalf, values, cfg).unwrap()
+        };
+        let (mut serial, mut parallel) = (install(1), install(8));
+        let mut widest = 0;
+        for step in 0..60 {
+            let item = [1, 0, 1, 2][step % 4];
+            let value = serial.values()[item] * if step % 3 == 0 { 1.7 } else { 0.8 };
+            let mut a = serial.on_refresh(item, value).unwrap();
+            let mut b = parallel.on_refresh(item, value).unwrap();
+            widest = widest.max(a.recomputed.len());
+            // Wall-clock solver time is the only nondeterministic field.
+            (a.solve_ns, b.solve_ns) = (0, 0);
+            assert_eq!(a, b, "step {step}");
+            let bits = |c: &Coordinator| -> Vec<u64> {
+                (0..3)
+                    .map(|i| c.filter(i).to_bits())
+                    .chain(c.query_values().iter().map(|v| v.to_bits()))
+                    .collect()
+            };
+            assert_eq!(bits(&serial), bits(&parallel), "step {step}");
+        }
+        assert!(widest >= 3, "the fan-out never ran wide: {widest}");
+    }
+
+    #[test]
+    fn a_failed_recompute_is_retried_by_the_next_refresh_of_the_unit() {
+        let mut c = one_product(&Obs::null());
+        // The GP needs positive data: the re-solve this refresh forces
+        // fails, naming its query; the value stays applied.
+        c.apply(0, -5.0).unwrap();
+        assert_eq!(c.react(0, None).unwrap_err().query, 0);
+        assert_eq!(c.values()[0], -5.0);
+        // x1 barely moves, but the unit is still owed a solve: retried
+        // (and failing again, x0 being what it is) rather than skipped.
+        assert!(c.on_refresh(1, 2.01).is_err());
+        let out = c.on_refresh(0, 2.5).unwrap();
+        assert_eq!(out.recomputed, vec![QueryId(0)]);
+        assert!(c.on_refresh(1, 2.02).unwrap().recomputed.is_empty());
+    }
+
+    #[test]
+    fn a_floor_bounds_the_installed_filter_until_it_is_lifted() {
+        let mut c = one_product(&Obs::null());
+        c.on_refresh(1, 30.0).unwrap();
+        let own = c.filter(0);
+        assert!(own.is_finite() && c.rederive([0, 1]).is_empty());
+        c.set_floor(0, own / 2.0);
+        assert_eq!(c.rederive([0, 1]), vec![(x(0), own / 2.0)]);
+        assert_eq!(c.filter(0), own / 2.0);
+        // A re-solve derives under the floor too: x1 falling back widens
+        // the unit's DAB for x0, and the installed filter stays put.
+        let out = c.on_refresh(1, 2.0).unwrap();
+        assert_eq!(out.recomputed.len(), 1);
+        assert!(out.filter_changes.iter().all(|&(item, _)| item != x(0)));
+        let widened = c.assignment(0, 0).primary[&x(0)];
+        assert!(widened > own && c.filter(0) == own / 2.0);
+        c.set_floor(0, f64::INFINITY);
+        assert_eq!(c.rederive([0]), vec![(x(0), widened)]);
+    }
+
+    #[test]
+    fn joint_assignments_install_and_count_per_query() {
+        let queries = [
+            PolynomialQuery::portfolio([(1.0, x(0), x(1))], 8.0).unwrap(),
+            PolynomialQuery::portfolio([(1.0, x(1), x(2))], 8.0).unwrap(),
+        ];
+        let obs = Obs::null();
+        let (values, cfg) = (vec![20.0, 10.0, 15.0], config(3, 1, &obs));
+        let ctx = SolveContext::new(&values, &cfg.rates);
+        let joint = crate::multi::aao(&queries, &ctx, 5.0).unwrap();
+        let shared = joint.item_dab(x(1)).unwrap();
+        let mut c = Coordinator::with_assignments(&queries, DUAL, joint.per_query, values, cfg);
+        assert_eq!(c.filter(1), shared);
+        assert_eq!(c.install_ns(), 0);
+        // A stale unit is re-solved on its own, through its (cold) cache.
+        assert_eq!(c.on_refresh(0, 60.0).unwrap().recomputed, vec![QueryId(0)]);
+        // The next period's joint solve replaces every unit's assignment.
+        let again = crate::multi::aao(&queries, &c.solve_context(), 5.0).unwrap();
+        c.install_joint(&again.per_query, "aao-periodic", Some(7.0));
+        c.rederive(0..3);
+        assert_eq!(c.filter(1), again.item_dab(x(1)).unwrap());
+        let snap = obs.snapshot();
+        assert_eq!(snap.counters[names::DAB_RECOMPUTE], 3);
+        assert_eq!(snap.labeled[names::DAB_RECOMPUTE].values["0"], 2);
+        assert_eq!(snap.labeled[names::DAB_RECOMPUTE].values["1"], 1);
+    }
+
+    #[test]
+    fn telemetry_carries_the_scope_s_names_and_the_caller_s_clock() {
+        let (obs, ring) = Obs::ring(4096);
+        let q = PolynomialQuery::portfolio([(1.0, x(0), x(1))], 5.0).unwrap();
+        let install = |scope| {
+            let cfg = Config {
+                scope,
+                ..config(2, 1, &obs)
+            };
+            let book = std::slice::from_ref(&q);
+            Coordinator::install(book, DUAL, PqHeuristic::DifferentSum, vec![2.0, 2.0], cfg)
+        };
+        let mut shard = install(Scope {
+            query_gid: vec![40],
+            item_gid: vec![7, 9],
+            node: None,
+        })
+        .unwrap();
+        shard.apply(1, 30.0).unwrap();
+        shard.react(1, Some(3.5)).unwrap();
+        let mut node = install(Scope {
+            node: Some(2),
+            ..Scope::default()
+        })
+        .unwrap();
+        node.on_refresh(0, 30.0).unwrap();
+
+        let snap = obs.snapshot();
+        let by_query = &snap.labeled[names::DAB_RECOMPUTE].values;
+        assert_eq!((by_query["40"], by_query["c2.q0"]), (1, 1));
+        assert_eq!(snap.labeled[names::DAB_RECOMPUTE_TRIGGER].values["9"], 1);
+        assert!(snap.labeled[names::GP_SOLVE].values["40"] >= 2);
+        let events = ring.events();
+        let recomputes: Vec<_> = events
+            .iter()
+            .filter(|e| e.target == names::DAB_RECOMPUTE)
+            .collect();
+        assert_eq!(recomputes.len(), 2);
+        use pq_obs::Value;
+        assert_eq!(recomputes[0].field("query"), Some(&Value::U64(40)));
+        assert_eq!(recomputes[0].field("item"), Some(&Value::U64(9)));
+        assert_eq!(recomputes[0].field("t"), Some(&Value::F64(3.5)));
+        assert_eq!(recomputes[0].field("node"), None);
+        assert_eq!(recomputes[1].field("node"), Some(&Value::U64(2)));
+        assert_eq!(recomputes[1].field("t"), None);
+    }
+}

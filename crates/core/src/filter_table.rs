@@ -17,7 +17,8 @@
 //! maintains by re-solving (and [`FilterTable::install`]ing, anchored at
 //! the current values) every unit a refresh invalidates before it looks
 //! at the next refresh. [`FilterTable::scan_agrees`] is the full-scan
-//! oracle both coordinators `debug_assert!` after each refresh.
+//! oracle [`crate::Coordinator::react`] `debug_assert!`s after each
+//! refresh.
 //!
 //! Encoding of [`ValidityRange`] per cell, checked as
 //! `|value − anchor| ≤ secondary`: `Box` stores its entry (a missing
@@ -169,6 +170,30 @@ impl FilterTable {
         }
     }
 
+    /// What unit `u` of query `q` holds, read back out of its cells: the
+    /// anchor, the primary DABs and — every validity range in its `Box`
+    /// encoding (see the module docs) — the secondary DABs. The rate
+    /// estimates of the solve are not kept.
+    pub fn assignment(&self, q: usize, u: usize) -> QueryAssignment {
+        let column = |of: &[f64]| {
+            self.mirror(q, u)
+                .map(|m| {
+                    let item = pq_poly::ItemId(self.unit_items[m]);
+                    (item, of[self.unit_cells[m] as usize])
+                })
+                .collect::<std::collections::BTreeMap<_, _>>()
+        };
+        let mut primary = column(&self.primary);
+        primary.retain(|_, b| b.is_finite());
+        QueryAssignment {
+            primary,
+            validity: ValidityRange::Box(column(&self.secondary)),
+            anchor: column(&self.anchor),
+            recompute_rate: 0.0,
+            refresh_rate: 0.0,
+        }
+    }
+
     /// Appends to `out`, in `(query, unit)` order, every unit that
     /// `item` moving to `value` invalidates (see the module docs for
     /// when this equals a full validity scan).
@@ -264,6 +289,7 @@ mod tests {
         let q1u0 = boxed(&[(1, 0.4)], &[(1, 5.0)], &[(1, 20.0)]);
         let mut t = FilterTable::new(4, &[vec![q0u0, q0u1.clone()], vec![q1u0]]);
         assert_eq!(t.unit_items(0, 1), &[1, 2]);
+        assert_eq!(t.assignment(0, 1), q0u1);
         assert_eq!(t.min_primary(0), 0.5);
         assert_eq!(t.min_primary(1), 0.3);
         assert_eq!(t.min_primary(3), f64::INFINITY);

@@ -18,6 +18,13 @@
 //! * [`assignment`] — the assignment/validity-range types shared by all;
 //! * [`filter_table`] — a coordinator's installed assignments, item-major:
 //!   stale-unit collection and the minimum rule as one contiguous scan;
+//! * [`install`] — the install loop: every unit's first solve;
+//! * [`cache`] — warm-start caches and the parallel recompute fan-out;
+//! * [`coordinator`] — the coordinator itself: refresh → notify →
+//!   re-solve the stale units → re-derive the filters, over the three
+//!   above. The monitor, the simulator's engine and the Fig. 8(c) tree
+//!   each wrap one;
+//! * [`mod@partition`] — the query↔item graph cut into coordinator shards;
 //! * [`strategy`] — a single dispatch point used by the simulator.
 //!
 //! ```
@@ -40,6 +47,7 @@ pub mod assignment;
 pub mod baseline;
 pub mod cache;
 pub mod context;
+pub mod coordinator;
 pub mod error;
 pub mod filter_table;
 pub mod heuristics;
@@ -57,6 +65,7 @@ pub use cache::{
     SolveCache, UnitCache,
 };
 pub use context::SolveContext;
+pub use coordinator::{Config, Coordinator, Outcome, ReaderIndex, Scope, REBASE_EVERY};
 pub use error::DabError;
 pub use filter_table::FilterTable;
 pub use heuristics::{general_pq, PpqMethod, PqHeuristic};

@@ -1,0 +1,259 @@
+//! The coordinator against its reference, and against hostile input.
+//!
+//! [`Reference`] is the coordinator algorithm with every short cut taken
+//! out: query values by `Polynomial::eval`, staleness by a full
+//! `QueryAssignment::is_valid_at` scan over every unit of every query,
+//! re-solves by the uncached `assign_unit`, filters by a minimum over
+//! every assignment. [`pq_core::Coordinator`] — compiled plan and
+//! delta-maintained values with their rebase period, item-major filter
+//! table, warm caches and compiled programs — must make the same
+//! decisions on any book.
+
+use proptest::prelude::*;
+
+use pq_core::coordinator::{Config, Coordinator, Scope, REBASE_EVERY};
+use pq_core::{
+    assign_unit, assignment_units, AssignmentStrategy, AssignmentUnit, DabError, PqHeuristic,
+    QueryAssignment, SolveContext,
+};
+use pq_ddm::DataDynamicsModel;
+use pq_gp::SolverOptions;
+use pq_obs::Obs;
+use pq_poly::{ItemId, Polynomial, PolynomialQuery, QueryId};
+
+const N_ITEMS: usize = 5;
+const STRATEGY: AssignmentStrategy = AssignmentStrategy::DualDab { mu: 5.0 };
+
+/// The differential oracle (see the module docs).
+struct Reference {
+    queries: Vec<PolynomialQuery>,
+    units: Vec<Vec<AssignmentUnit>>,
+    assignments: Vec<Vec<QueryAssignment>>,
+    values: Vec<f64>,
+    rates: Vec<f64>,
+    last_notified: Vec<f64>,
+}
+
+impl Reference {
+    fn install(queries: &[PolynomialQuery], heuristic: PqHeuristic, values: &[f64]) -> Self {
+        let units: Vec<_> = queries
+            .iter()
+            .map(|q| assignment_units(q, STRATEGY, heuristic))
+            .collect();
+        let mut this = Reference {
+            queries: queries.to_vec(),
+            assignments: Vec::new(),
+            values: values.to_vec(),
+            rates: config().rates,
+            last_notified: queries.iter().map(|q| q.eval(values)).collect(),
+            units,
+        };
+        this.assignments = (0..queries.len())
+            .map(|q| (0..this.units[q].len()).map(|u| this.solve(q, u)).collect())
+            .collect();
+        this
+    }
+
+    fn solve(&self, q: usize, u: usize) -> QueryAssignment {
+        let ctx = SolveContext::new(&self.values, &self.rates);
+        assign_unit(&self.units[q][u], &ctx, STRATEGY).expect("positive data")
+    }
+
+    /// One refresh: the notifications it causes and, once per unit it
+    /// breaks (re-solved before returning), the unit's query.
+    fn on_refresh(&mut self, item: usize, value: f64) -> (Vec<(QueryId, f64)>, Vec<QueryId>) {
+        self.values[item] = value;
+        let mut notify = Vec::new();
+        for (qi, q) in self.queries.iter().enumerate() {
+            let qv = q.eval(&self.values);
+            if q.items().contains(&ItemId(item as u32))
+                && (qv - self.last_notified[qi]).abs() > q.qab()
+            {
+                self.last_notified[qi] = qv;
+                notify.push((QueryId(qi as u32), qv));
+            }
+        }
+        let mut stale = Vec::new();
+        for (q, per_query) in self.assignments.iter().enumerate() {
+            for (u, assignment) in per_query.iter().enumerate() {
+                if !assignment.is_valid_at(&self.values) {
+                    stale.push((q, u));
+                }
+            }
+        }
+        for &(q, u) in &stale {
+            self.assignments[q][u] = self.solve(q, u);
+        }
+        let recomputed = stale.iter().map(|&(q, _)| QueryId(q as u32)).collect();
+        (notify, recomputed)
+    }
+
+    /// The EQI minimum rule over every assignment.
+    fn filter(&self, item: usize) -> f64 {
+        self.assignments
+            .iter()
+            .flatten()
+            .filter_map(|a| a.primary_dab(ItemId(item as u32)))
+            .fold(f64::INFINITY, f64::min)
+    }
+
+    /// Adopts the coordinator's assignments: a warm and a cold optimum
+    /// agree to solver tolerance, and a validity range that differs in
+    /// its last digits would, a few hundred refreshes on, break on a
+    /// different refresh.
+    fn reseed(&mut self, core: &Coordinator) {
+        for (q, per_query) in self.assignments.iter_mut().enumerate() {
+            for (u, assignment) in per_query.iter_mut().enumerate() {
+                *assignment = core.assignment(q, u);
+            }
+        }
+    }
+}
+
+fn close(got: f64, want: f64, rel: f64) -> bool {
+    (got - want).abs() <= rel * want.abs().max(1.0)
+}
+
+/// A mixed-sign query over items `0..5`: one to four terms (linear,
+/// square or bilinear) with coefficients of either sign.
+fn arb_query() -> impl Strategy<Value = PolynomialQuery> {
+    let coef = (0.25f64..2.0, 0u32..2).prop_map(|(c, neg)| if neg == 1 { -c } else { c });
+    let term = (coef, 0u32..5, 0u32..5, 0u32..3).prop_map(|(c, i, j, shape)| {
+        let vars = if shape == 0 {
+            vec![(ItemId(i), 1)]
+        } else {
+            vec![(ItemId(i), 1), (ItemId(j), 1)]
+        };
+        pq_poly::PTerm::new(c, vars).unwrap()
+    });
+    (proptest::collection::vec(term, 1..5), 0.05f64..0.5)
+        .prop_map(|(terms, qab)| (Polynomial::from_terms(terms), qab))
+        .prop_filter("reads an item", |(p, _)| !p.items().is_empty())
+        .prop_map(|(p, qab)| PolynomialQuery::new(p, qab).unwrap())
+}
+
+fn config() -> Config {
+    Config {
+        rates: vec![0.05; N_ITEMS],
+        ddm: DataDynamicsModel::Monotonic,
+        gp: SolverOptions::default(),
+        threads: 1,
+        obs: Obs::null(),
+        scope: Scope::default(),
+    }
+}
+
+fn heuristic(half_and_half: u8) -> PqHeuristic {
+    if half_and_half == 1 {
+        PqHeuristic::HalfAndHalf
+    } else {
+        PqHeuristic::DifferentSum
+    }
+}
+
+/// Everything a refresh may move, bit for bit.
+fn state_bits(core: &Coordinator) -> Vec<u64> {
+    let filters = (0..N_ITEMS).map(|i| core.filter(i));
+    let all = core.values().iter().chain(core.query_values()).copied();
+    all.chain(filters).map(f64::to_bits).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Over more than three rebase periods of random refreshes, the
+    /// coordinator and the reference agree after every call: query
+    /// values, who is notified of what, which units went stale, and
+    /// every item's filter.
+    #[test]
+    fn the_coordinator_decides_what_the_reference_decides(
+        queries in proptest::collection::vec(arb_query(), 1..6),
+        half_and_half in 0u8..2,
+        start in proptest::collection::vec(0.75f64..1.75, N_ITEMS),
+        moves in proptest::collection::vec(
+            (0usize..N_ITEMS, -0.06f64..0.06),
+            3 * REBASE_EVERY as usize + 40,
+        ),
+    ) {
+        let heuristic = heuristic(half_and_half);
+        let mut oracle = Reference::install(&queries, heuristic, &start);
+        let mut core =
+            Coordinator::install(&queries, STRATEGY, heuristic, start, config()).unwrap();
+        for (step, (item, delta)) in moves.into_iter().enumerate() {
+            let value = (core.values()[item] + delta).clamp(0.5, 2.0);
+            let out = core.on_refresh(item, value).unwrap();
+            let (want_notify, want_recomputed) = oracle.on_refresh(item, value);
+            for (qi, q) in queries.iter().enumerate() {
+                let (got, want) = (core.query_values()[qi], q.eval(core.values()));
+                prop_assert!(close(got, want, 1e-12), "step {}, q{}: {} vs {}", step, qi, got, want);
+            }
+            let ids = |n: &[(QueryId, f64)]| n.iter().map(|&(q, _)| q).collect::<Vec<_>>();
+            prop_assert_eq!(ids(&out.notify), ids(&want_notify), "step {}", step);
+            for (&(_, got), &(_, want)) in out.notify.iter().zip(&want_notify) {
+                prop_assert!(close(got, want, 1e-12));
+            }
+            prop_assert_eq!(&out.recomputed, &want_recomputed, "step {}", step);
+            for i in 0..N_ITEMS {
+                let (got, want) = (core.filter(i), oracle.filter(i));
+                prop_assert!(
+                    got == want || close(got, want, 1e-6),
+                    "step {}, x{}: filter {} vs {}", step, i, got, want
+                );
+            }
+            if !want_recomputed.is_empty() {
+                oracle.reseed(&core);
+            }
+        }
+    }
+
+    /// A refresh naming no item, or carrying no number, is refused with
+    /// its typed error before anything moves — alone or inside a batch —
+    /// and a coordinator fed hostile refreshes between its real ones ends
+    /// where one fed only the real ones does, bit for bit.
+    #[test]
+    fn hostile_refreshes_move_nothing(
+        queries in proptest::collection::vec(arb_query(), 1..5),
+        half_and_half in 0u8..2,
+        start in proptest::collection::vec(0.75f64..1.75, N_ITEMS),
+        moves in proptest::collection::vec(
+            (0usize..N_ITEMS, -0.2f64..0.2, 0u8..8, 0usize..N_ITEMS + 40),
+            60,
+        ),
+    ) {
+        let install = || {
+            let heuristic = heuristic(half_and_half);
+            Coordinator::install(&queries, STRATEGY, heuristic, start.clone(), config()).unwrap()
+        };
+        let (mut clean, mut hostile) = (install(), install());
+        for (item, delta, kind, stray) in moves {
+            let value = (clean.values()[item] + delta).clamp(0.5, 2.0);
+            let (bad_item, bad_value) = match kind {
+                0 => (item, f64::NAN),
+                1 => (item, f64::INFINITY),
+                2 => (item, f64::NEG_INFINITY),
+                3 => (N_ITEMS + stray, value),
+                4 => (N_ITEMS + stray, f64::NAN),
+                _ => (item, value),
+            };
+            if kind < 5 {
+                let before = state_bits(&hostile);
+                let want = if bad_item >= N_ITEMS {
+                    DabError::UnknownItem { item: bad_item as u32 }
+                } else {
+                    DabError::NonFiniteValue { item: bad_item as u32, value: bad_value }
+                };
+                // NaN != NaN: compare the errors as they print.
+                let refused = |got: Result<(), DabError>| {
+                    got.err().map(|e| e.to_string()) == Some(want.to_string())
+                };
+                prop_assert!(refused(hostile.on_refresh(bad_item, bad_value).map(|_| ())));
+                prop_assert!(refused(hostile.apply_batch(&[(item, value), (bad_item, bad_value)])));
+                prop_assert_eq!(state_bits(&hostile), before);
+            }
+            let (a, b) = (clean.on_refresh(item, value), hostile.on_refresh(item, value));
+            prop_assert_eq!(a.map(|o| (o.notify, o.recomputed, o.filter_changes)),
+                            b.map(|o| (o.notify, o.recomputed, o.filter_changes)));
+        }
+        prop_assert_eq!(state_bits(&clean), state_bits(&hostile));
+    }
+}

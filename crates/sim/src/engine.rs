@@ -7,6 +7,8 @@
 //! changes, and — when the arriving value invalidates a query's DAB
 //! assignment — recomputes that query's DABs and sends DAB-change messages
 //! back to the sources (which apply them after another network delay).
+//! What the coordinator does with a refresh is [`pq_core::Coordinator`];
+//! this module is everything around it.
 //!
 //! Fidelity is sampled at tick instants: a query is in violation when the
 //! coordinator's cached query value deviates from the true source value by
@@ -24,33 +26,26 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use pq_core::coordinator::{Config, Coordinator, Scope};
 use pq_core::{
-    aao, assignment_units, default_recompute_threads, filter_changed, install_units,
-    recompute_parallel, AssignmentStrategy, AssignmentUnit, DabError, FilterTable, PqHeuristic,
-    RecomputeJob, SolveCache, SolveContext,
+    aao, default_recompute_threads, AssignmentStrategy, DabError, InstallError, PqHeuristic,
+    SolveContext,
 };
 use pq_ddm::{DataDynamicsModel, RateEstimator, TraceSet};
 use pq_gp::SolverOptions;
 use pq_obs::{
-    names, Counter, EventKind, Histogram, Obs, ObsConfig, SloConfig, SloEngine, SpanContext, Timer,
+    names, Counter, EventKind, Histogram, Obs, ObsConfig, SloConfig, SloEngine, SpanContext,
     Watchdog, WindowPlane,
 };
-use pq_poly::{PolynomialQuery, SharedPlan, SharedView};
+use pq_poly::{ItemId, PolynomialQuery};
 
 use crate::audit::{AuditConfig, AuditFault, FidelityAuditor};
 use crate::delay::{DelayConfig, Pareto};
 use crate::event::Event;
 use crate::metrics::SimMetrics;
 use crate::ring::{RingConsumer, RingMsg, RingProducer};
-use crate::table::{Bitset, ItemTable, ReaderIndex};
+use crate::table::{Bitset, ItemTable};
 use crate::wheel::TimerWheel;
-
-/// Ticks between two full re-evaluations of the coordinator's
-/// delta-maintained query values. Drift after `K` ticks is at most about
-/// `K × affected-queries × ulp(|P|)` (see [`pq_poly::SharedView`]), which
-/// at `K = 512` stays ~9 orders of magnitude below the QAB margins of
-/// the paper's workloads.
-const REBASE_EVERY: usize = 512;
 
 /// How the coordinator manages DABs across its queries.
 #[derive(Debug, Clone, PartialEq)]
@@ -194,9 +189,9 @@ pub(crate) struct ShardCtx {
     /// Inbound links, ascending by source shard.
     pub(crate) inbound: Vec<ShardInlet>,
     /// Local item -> each remote shard's current minimum DAB over its
-    /// replica (home items with subscribers only). Folded into the
-    /// local minimum by `propagate_dab_changes` so the installed source
-    /// filter stays the global minimum.
+    /// replica (home items with subscribers only). Their minimum is the
+    /// floor the coordinator folds into the local minimum, so the
+    /// installed source filter stays the global minimum.
     pub(crate) remote_dab_min: Vec<Vec<(u32, f64)>>,
 }
 
@@ -266,7 +261,7 @@ pub struct SimConfig {
     /// [`SimMetrics`] are byte-identical with it on or off.
     pub audit: Option<AuditConfig>,
     /// Fault injection for the audit path: corrupts the coordinator's
-    /// [`SharedView`] at a chosen tick so tests can prove the auditor
+    /// [`pq_poly::SharedView`] at a chosen tick so tests can prove the auditor
     /// flags a wrong delta plane within one interval.
     pub audit_fault: Option<AuditFault>,
     /// Fidelity SLO engine (`None`, the default, disables it). When set,
@@ -320,6 +315,22 @@ pub enum SimError {
         /// Underlying error.
         source: DabError,
     },
+    /// A DAB solve failed at one coordinator of a dissemination tree.
+    NodeDab {
+        /// The tree node.
+        node: usize,
+        /// Index into the node's `NetworkConfig::queries_per_coordinator`
+        /// entry.
+        query: usize,
+        /// Underlying error.
+        source: DabError,
+    },
+    /// The coordinator refused a refresh (an unknown item, a non-finite
+    /// value) before applying it.
+    Refresh {
+        /// Underlying error, naming the item.
+        source: DabError,
+    },
     /// A query references an item with no trace.
     MissingTrace {
         /// The missing item index.
@@ -346,6 +357,15 @@ impl std::fmt::Display for SimError {
             SimError::Dab { query, source } => {
                 write!(f, "DAB assignment failed for query {query}: {source}")
             }
+            SimError::NodeDab {
+                node,
+                query,
+                source,
+            } => write!(
+                f,
+                "DAB assignment failed for query {query} of node {node}: {source}"
+            ),
+            SimError::Refresh { source } => write!(f, "coordinator refused a refresh: {source}"),
             SimError::MissingTrace { item } => {
                 write!(f, "query references item x{item} with no trace")
             }
@@ -363,6 +383,15 @@ impl std::fmt::Display for SimError {
 }
 
 impl std::error::Error for SimError {}
+
+impl From<InstallError> for SimError {
+    fn from(e: InstallError) -> Self {
+        SimError::Dab {
+            query: e.query,
+            source: e.source,
+        }
+    }
+}
 
 /// Runs the simulation to completion and returns the collected metrics.
 ///
@@ -384,30 +413,27 @@ pub fn run_observed(config: &SimConfig, obs: &Obs) -> Result<SimMetrics, SimErro
         return crate::shard::run_sharded(config, obs, crate::shard::Execution::Threaded)
             .map(|report| report.metrics);
     }
-    Engine::new(config, obs.clone())?.run()
+    Engine::new(config, obs.clone(), None)?.run()
 }
 
+/// The world around one coordinator: sources replaying the tape through
+/// their filters, the network between them and the coordinator, the
+/// coordinator's service queue, and the fidelity sampler watching both
+/// sides. The coordinator itself is [`Coordinator`]; the engine moves
+/// refreshes into it and turns each [`pq_core::Outcome`] into events,
+/// RNG draws and [`SimMetrics`].
 pub(crate) struct Engine<'a> {
     cfg: &'a SimConfig,
     n_items: usize,
-    /// Estimated rate of change per item; an unwatched item's slot holds
-    /// the estimator's floor, never an estimate.
-    rates: Vec<f64>,
-    /// Structure-of-arrays per-item state: source values, last-pushed
-    /// values, installed DABs, coordinator values and DABs as flat
-    /// columns (plus the dirty bits batched ingestion uses).
+    /// The coordinator: its item values, maintained query values,
+    /// assignments and the filters it last derived. In sharded runs, over
+    /// this shard's partition. An unwatched item's rate in it is the
+    /// estimator's floor, never an estimate.
+    core: Coordinator,
+    /// Structure-of-arrays source-side state: source values, last-pushed
+    /// values and installed DABs as flat columns (plus the dirty bits
+    /// batched ingestion uses).
     items: ItemTable,
-    /// Independently maintained assignment units per query (one for most
-    /// strategies, two for Half-and-Half on mixed-sign queries).
-    units: Vec<Vec<AssignmentUnit>>,
-    /// Every unit's installed assignment, item-major: which units a
-    /// refresh invalidates and each item's minimum primary DAB are one
-    /// scan of the refreshed item's run.
-    filters: FilterTable,
-    /// Warm-start caches, one per (query, unit).
-    cache: SolveCache,
-    /// item -> the queries referencing it.
-    readers: ReaderIndex,
     /// The items the source plane maintains, ascending: every item a
     /// local query reads plus, on a home shard, every item a remote
     /// shard subscribes to. Nothing else can hold a finite filter, push,
@@ -421,9 +447,6 @@ pub(crate) struct Engine<'a> {
     /// bytes for the run). Every sample in it is finite and
     /// non-negative.
     tape: Vec<f64>,
-    /// The whole book compiled into one cross-query plan (in sharded
-    /// runs, over this shard's partition).
-    plan: SharedPlan,
     /// Query values at the source view, evaluated in full on demand:
     /// current only after [`Engine::refresh_truth`], which the fidelity
     /// sampler and the auditor call on the ticks they read it. Between
@@ -434,13 +457,6 @@ pub(crate) struct Engine<'a> {
     truth_stale: bool,
     /// Monomial scratch of the shared plan's full evaluation.
     truth_scratch: Vec<f64>,
-    /// Each query's QAB, as a column beside the two value columns.
-    qabs: Vec<f64>,
-    /// Query values at the coordinator view, delta-maintained on
-    /// `RefreshArrive` (one item moves per refresh).
-    coord_view: SharedView,
-    /// Last query value pushed to each user.
-    last_user_value: Vec<f64>,
     queue: TimerWheel,
     delay_rng: DelaySource,
     metrics: SimMetrics,
@@ -459,44 +475,28 @@ pub(crate) struct Engine<'a> {
     /// instead of re-pushing into the queue, which churned it and
     /// subtly reordered same-time arrivals).
     deferred: VecDeque<(usize, f64)>,
-    /// Reusable scratch: stale `(query, unit)` pairs of one refresh.
-    scratch_stale: Vec<(usize, usize)>,
-    /// Reusable scratch: item lists for DAB propagation (replaces the
-    /// per-call `(0..n_items).collect()` / `primary.keys().collect()`).
-    scratch_items: Vec<usize>,
     /// The refresh batch being ingested (batched ingestion only).
     batch: Vec<(usize, f64)>,
     /// Per-query membership marks for the current batch: a batch only
     /// admits refreshes whose affected query sets are pairwise disjoint.
     query_mark: Bitset,
-    /// Telemetry handle; also injected into every GP solve via
-    /// [`Engine::solve_context`].
+    /// Telemetry handle (the coordinator holds a clone).
     obs: Obs,
     /// Registry counters mirroring the [`SimMetrics`] fields (the
-    /// lossless bridge — see [`SimMetrics::from_snapshot`]).
+    /// lossless bridge — see [`SimMetrics::from_snapshot`]);
+    /// `dab.recompute` is the coordinator's.
     c_refreshes: Arc<Counter>,
-    c_recomputations: Arc<Counter>,
     c_dab_changes: Arc<Counter>,
     c_notifications: Arc<Counter>,
     c_lost: Arc<Counter>,
     c_fidelity: Arc<Counter>,
     c_violations: Vec<Arc<Counter>>,
-    /// Per-query `dab.recompute` attribution (labeled family, key
-    /// `query`), pre-created so the hot path is one relaxed add.
-    lc_recompute_by_query: Vec<Arc<Counter>>,
     /// Per-item `sim.refresh` attribution (labeled family, key `item`),
     /// resolved for watched items only — no other item can refresh.
     lc_refresh_by_item: Vec<Option<Arc<Counter>>>,
-    /// Per-item count of refreshes that forced at least one DAB
-    /// recomputation (`dab.recompute_trigger`, key `item`; watched
-    /// items only).
-    lc_trigger_by_item: Vec<Option<Arc<Counter>>>,
-    /// Evaluation counters: full evaluations, rebase passes and the
-    /// query values updated by delta scatters (`eval.full` /
-    /// `eval.rebase` / `eval.scatter_fanout`).
+    /// Full evaluations of the source-side truth (`eval.full`; the
+    /// coordinator counts its own rebases under the same name).
     c_eval_full: Arc<Counter>,
-    c_eval_rebase: Arc<Counter>,
-    c_scatter_fanout: Arc<Counter>,
     /// Scheduler counters: events pushed into / popped from the queue.
     c_sched_push: Arc<Counter>,
     c_sched_pop: Arc<Counter>,
@@ -507,21 +507,6 @@ pub(crate) struct Engine<'a> {
     /// Pre-resolved `sim.solve_ns` handle for [`Engine::note_solver_time`]
     /// (one registry lookup at construction instead of one per batch).
     h_solve_ns: Arc<Histogram>,
-    /// Timing span opened around each stale-set recomputation
-    /// (`sim.recompute_batch_ns`); the fanned-out `gp.solve` spans
-    /// resolve their causal parent to it via the [`pq_obs::SpanContext`]
-    /// that [`recompute_parallel`] carries into its workers.
-    t_recompute_batch: Timer,
-    /// The configured solver options carrying this engine's telemetry
-    /// handle with its per-solve handles pre-resolved
-    /// ([`SolverOptions::observed_by`]: solver and `dab.solve` spans and
-    /// the `solve.*` counters skip the registry), unattributed: every
-    /// [`SolveContext`] starts from one clone, which
-    /// [`Engine::attribute`] then points at a query.
-    gp: SolverOptions,
-    /// Per-query `gp.solve` attribution handles (labeled family, key
-    /// `query`), resolved once so the solver hot path is one relaxed add.
-    lc_solve_by_query: Vec<Arc<Counter>>,
     /// Per-shard hot-path attribution (`shard.refresh` /
     /// `shard.recompute` labeled by `shard`) plus ring-traffic counters
     /// (`shard.ring_send` / `shard.ring_recv`); present only when
@@ -536,20 +521,6 @@ pub(crate) struct Engine<'a> {
     /// Live-health runtime (windowed plane + burn-rate engine +
     /// watchdog); present only when [`SimConfig::slo`] is set.
     slo: Option<SloRuntime>,
-}
-
-/// One labeled-counter handle per watched item, `None` in every other
-/// item's slot.
-fn per_watched_item(
-    n_items: usize,
-    watched: &[u32],
-    resolve: impl Fn(usize) -> Arc<Counter>,
-) -> Vec<Option<Arc<Counter>>> {
-    let mut handles = vec![None; n_items];
-    for &item in watched {
-        handles[item as usize] = Some(resolve(item as usize));
-    }
-    handles
 }
 
 /// Transposes the watched items' traces into one `[tick][watched rank]`
@@ -664,31 +635,16 @@ impl SloRuntime {
     }
 }
 
-/// Attributes `gp` to query `qi`: GP solves under it carry `query=<qi>`
-/// on their `gp.solve` counters (`by_query[qi]`, resolved once per run)
-/// and timing spans.
-fn attribute(by_query: &[Arc<Counter>], gp: &mut SolverOptions, qi: usize) {
-    gp.query = Some(qi as u32);
-    gp.query_counter = Some(by_query[qi].clone());
-}
-
 impl<'a> Engine<'a> {
-    pub(crate) fn new(cfg: &'a SimConfig, obs: Obs) -> Result<Self, SimError> {
-        Engine::build(cfg, obs, None)
-    }
-
-    /// Builds one coordinator of a partitioned run: `cfg` is the
-    /// shard's projected configuration (dense local ids), `ctx` the
-    /// translation tables and rings (see [`crate::shard`]).
-    pub(crate) fn new_sharded(
+    /// Builds the classic engine, or with `shard` one coordinator of a
+    /// partitioned run: `cfg` is then the shard's projected configuration
+    /// (dense local ids), `shard` the translation tables and rings (see
+    /// [`crate::shard`]).
+    pub(crate) fn new(
         cfg: &'a SimConfig,
         obs: Obs,
-        ctx: ShardCtx,
+        shard: Option<ShardCtx>,
     ) -> Result<Self, SimError> {
-        Engine::build(cfg, obs, Some(ctx))
-    }
-
-    fn build(cfg: &'a SimConfig, obs: Obs, shard: Option<ShardCtx>) -> Result<Self, SimError> {
         let n_items = cfg.traces.n_items();
         for q in &cfg.queries {
             if let Some(mx) = q.poly().max_item() {
@@ -698,76 +654,119 @@ impl<'a> Engine<'a> {
             }
         }
         let source_values = cfg.traces.initial_values();
-        let query_items: Vec<Vec<pq_poly::ItemId>> =
-            cfg.queries.iter().map(PolynomialQuery::items).collect();
-        let readers = ReaderIndex::new(n_items, &query_items);
+        let mut read = vec![false; n_items];
+        for item in cfg.queries.iter().flat_map(PolynomialQuery::items) {
+            read[item.index()] = true;
+        }
         let watched: Vec<u32> = (0..n_items)
-            .filter(|&i| {
-                !readers.queries(i).is_empty()
-                    || shard.as_ref().is_some_and(|c| !c.exports[i].is_empty())
-            })
+            .filter(|&i| read[i] || shard.as_ref().is_some_and(|c| !c.exports[i].is_empty()))
             .map(|i| i as u32)
             .collect();
-        let tape = watched_tape(&cfg.traces, &watched, |i| {
-            shard.as_ref().map_or(i, |c| c.item_gid[i] as usize)
-        })?;
-        // Only a watched item's rate is ever read (`SolveContext::rate`
-        // on a local query's items, the AAO program's).
-        let rates = cfg
-            .rate_estimator
-            .estimate_items(&cfg.traces, watched.iter().map(|&i| i as usize));
-        let plan = SharedPlan::compile(cfg.queries.iter().map(PolynomialQuery::poly));
-        // Coordinator and sources agree at t = 0, so one evaluation seeds
-        // both views.
-        let coord_view = SharedView::new(&plan, &source_values);
-        let truth = coord_view.values().to_vec();
-        let last_user_value = truth.clone();
-        let n_queries = cfg.queries.len();
         // All registry names carry *global* ids so a partitioned run's
         // shards write into one coherent attribution space (identity
         // maps in the classic engine).
-        let gq_label = |qi: usize| {
-            shard
-                .as_ref()
-                .map_or(qi, |c| c.query_gid[qi] as usize)
-                .to_string()
-        };
-        let gi_label = |i: usize| {
-            shard
-                .as_ref()
-                .map_or(i, |c| c.item_gid[i] as usize)
-                .to_string()
-        };
+        let scope = shard.as_ref().map_or_else(Scope::default, |c| Scope {
+            query_gid: c.query_gid.clone(),
+            item_gid: c.item_gid.clone(),
+            node: None,
+        });
+        let tape = watched_tape(&cfg.traces, &watched, |i| scope.item(i))?;
         let shard_label = shard.as_ref().map(|c| c.shard.to_string());
         let n_global_items = shard.as_ref().map_or(n_items, |c| c.n_global_items);
-        let lc_refresh_by_item = per_watched_item(n_items, &watched, |i| {
-            obs.labeled_counter(names::SIM_REFRESH, names::LABEL_ITEM, &gi_label(i))
+        let mut lc_refresh_by_item = vec![None; n_items];
+        for &i in &watched {
+            let label = scope.item(i as usize).to_string();
+            lc_refresh_by_item[i as usize] =
+                Some(obs.labeled_counter(names::SIM_REFRESH, names::LABEL_ITEM, &label));
+        }
+        let c_violations = (0..cfg.queries.len())
+            .map(|qi| {
+                obs.counter(&format!(
+                    "{}.q{}",
+                    names::SIM_QAB_VIOLATION,
+                    scope.query(qi)
+                ))
+            })
+            .collect();
+        obs.emit_with(names::SIM_RUN_START, EventKind::Point, |e| {
+            let e = e
+                .with("n_items", n_items)
+                .with("n_queries", cfg.queries.len())
+                .with("n_ticks", cfg.traces.n_ticks())
+                .with("seed", cfg.seed)
+                .with("loss_probability", cfg.loss_probability)
+                .with(
+                    "strategy",
+                    match &cfg.strategy {
+                        SimStrategy::PerQuery { .. } => "per-query",
+                        SimStrategy::AaoPeriodic { .. } => "aao-periodic",
+                    },
+                );
+            match &shard {
+                Some(c) => e.with("shard", c.shard as u64),
+                None => e,
+            }
         });
-        let lc_trigger_by_item = per_watched_item(n_items, &watched, |i| {
-            obs.labeled_counter(
-                names::DAB_RECOMPUTE_TRIGGER,
-                names::LABEL_ITEM,
-                &gi_label(i),
-            )
-        });
+        // Coordinator and sources agree at t = 0 (steady-state start,
+        // §V-A): the coordinator is installed at the sources' values and
+        // its first filters are in place before the first tick.
+        let core_cfg = Config {
+            // Only a watched item's rate is ever read (`SolveContext::rate`
+            // on a local query's items, the AAO program's).
+            rates: cfg
+                .rate_estimator
+                .estimate_items(&cfg.traces, watched.iter().map(|&i| i as usize)),
+            ddm: cfg.ddm,
+            gp: cfg.gp.clone(),
+            threads: cfg.threads,
+            obs: obs.clone(),
+            scope,
+        };
+        let values = source_values.clone();
+        let (core, solve_ns) = match &cfg.strategy {
+            SimStrategy::PerQuery {
+                strategy,
+                heuristic,
+            } => {
+                let core =
+                    Coordinator::install(&cfg.queries, *strategy, *heuristic, values, core_cfg)?;
+                let solve_ns = core.install_ns();
+                (core, solve_ns)
+            }
+            SimStrategy::AaoPeriodic { mu, .. } => {
+                let started = Instant::now();
+                let ctx = SolveContext {
+                    values: &values,
+                    rates: &core_cfg.rates,
+                    ddm: cfg.ddm,
+                    gp: cfg.gp.clone().observed_by(&obs),
+                };
+                let joint = aao(&cfg.queries, &ctx, *mu)
+                    .map_err(|source| SimError::Dab { query: 0, source })?
+                    .per_query;
+                let solve_ns = started.elapsed().as_nanos() as u64;
+                // Between periods a stale query is re-solved on its own
+                // with Dual-DAB (§V-B.1).
+                let strategy = AssignmentStrategy::DualDab { mu: *mu };
+                let core =
+                    Coordinator::with_assignments(&cfg.queries, strategy, joint, values, core_cfg);
+                (core, solve_ns)
+            }
+        };
+        let mut items = ItemTable::new(&source_values);
+        for item in 0..n_items {
+            items.set_installed_dab(item, core.filter(item));
+        }
         let mut engine = Engine {
             cfg,
             n_items,
-            rates,
-            items: ItemTable::new(&source_values),
-            plan,
-            truth,
+            items,
+            truth: core.query_values().to_vec(),
             truth_stale: false,
             truth_scratch: Vec::new(),
-            qabs: cfg.queries.iter().map(PolynomialQuery::qab).collect(),
-            coord_view,
-            units: Vec::new(),
-            filters: FilterTable::default(),
-            cache: SolveCache::new(),
-            readers,
+            core,
             watched,
             tape,
-            last_user_value,
             queue: TimerWheel::new(),
             delay_rng: match cfg.delay_rng {
                 DelayRng::Global => DelaySource::Global(StdRng::seed_from_u64(cfg.seed)),
@@ -780,39 +779,21 @@ impl<'a> Engine<'a> {
             metrics: SimMetrics::with_items(cfg.queries.len(), n_items),
             coordinator_busy_until: 0.0,
             deferred: VecDeque::new(),
-            scratch_stale: Vec::new(),
-            scratch_items: Vec::new(),
             batch: Vec::new(),
-            query_mark: Bitset::new(n_queries),
+            query_mark: Bitset::new(cfg.queries.len()),
             c_refreshes: obs.counter(names::SIM_REFRESH),
-            c_recomputations: obs.counter(names::DAB_RECOMPUTE),
             c_dab_changes: obs.counter(names::SIM_DAB_CHANGE),
             c_notifications: obs.counter(names::SIM_USER_NOTIFY),
             c_lost: obs.counter(names::SIM_LOST_MESSAGE),
             c_fidelity: obs.counter(names::SIM_FIDELITY_SAMPLE),
-            c_violations: (0..cfg.queries.len())
-                .map(|qi| obs.counter(&format!("{}.q{}", names::SIM_QAB_VIOLATION, gq_label(qi))))
-                .collect(),
-            lc_recompute_by_query: (0..cfg.queries.len())
-                .map(|qi| {
-                    obs.labeled_counter(names::DAB_RECOMPUTE, names::LABEL_QUERY, &gq_label(qi))
-                })
-                .collect(),
+            c_violations,
             lc_refresh_by_item,
-            lc_trigger_by_item,
             c_eval_full: obs.counter(names::EVAL_FULL),
-            c_eval_rebase: obs.counter(names::EVAL_REBASE),
-            c_scatter_fanout: obs.counter(names::EVAL_SCATTER_FANOUT),
             c_sched_push: obs.counter(names::SCHED_PUSH),
             c_sched_pop: obs.counter(names::SCHED_POP),
             c_ingest_batch: obs.counter(names::INGEST_BATCH),
             h_ingest_batch_size: obs.histogram(names::INGEST_BATCH_SIZE),
             h_solve_ns: obs.histogram(names::SIM_SOLVE_NS),
-            t_recompute_batch: obs.timer(names::SIM_RECOMPUTE_BATCH),
-            gp: cfg.gp.clone().observed_by(&obs),
-            lc_solve_by_query: (0..cfg.queries.len())
-                .map(|qi| obs.labeled_counter(names::GP_SOLVE, names::LABEL_QUERY, &gq_label(qi)))
-                .collect(),
             lc_shard_refresh: shard_label
                 .as_ref()
                 .map(|s| obs.labeled_counter(names::SHARD_REFRESH, names::LABEL_SHARD, s)),
@@ -836,136 +817,22 @@ impl<'a> Engine<'a> {
             shard,
             obs,
         };
-        // The initial full evaluation per query that seeded both views.
-        engine.c_eval_full.add(engine.cfg.queries.len() as u64);
-        engine
-            .obs
-            .counter(names::EVAL_SHARED_TERMS)
-            .add(engine.plan.n_terms() as u64);
-        let shard_id = engine.shard.as_ref().map(|c| c.shard);
-        engine
-            .obs
-            .emit_with(names::SIM_RUN_START, EventKind::Point, |e| {
-                let e = e
-                    .with("n_items", n_items)
-                    .with("n_queries", engine.cfg.queries.len())
-                    .with("n_ticks", engine.cfg.traces.n_ticks())
-                    .with("seed", engine.cfg.seed)
-                    .with("loss_probability", engine.cfg.loss_probability)
-                    .with(
-                        "strategy",
-                        match &engine.cfg.strategy {
-                            SimStrategy::PerQuery { .. } => "per-query",
-                            SimStrategy::AaoPeriodic { .. } => "aao-periodic",
-                        },
-                    );
-                match shard_id {
-                    Some(s) => e.with("shard", s as u64),
-                    None => e,
-                }
-            });
-        engine.initial_assignments()?;
+        engine.note_solver_ns(solve_ns);
         Ok(engine)
-    }
-
-    /// Unattributed solve context at the coordinator's values (joint
-    /// AAO solves span all queries).
-    fn solve_context(&self) -> SolveContext<'_> {
-        SolveContext {
-            values: self.items.coord_values(),
-            rates: &self.rates,
-            ddm: self.cfg.ddm,
-            gp: self.gp.clone(),
-        }
     }
 
     /// Accounts solver wall-clock into both the metrics field and the
     /// `sim.solve_ns` histogram, from the same nanosecond reading, so
     /// [`SimMetrics::from_snapshot`] stays a lossless mirror.
-    fn note_solver_time(&mut self, started: Instant) {
-        let ns = started.elapsed().as_nanos() as u64;
+    fn note_solver_ns(&mut self, ns: u64) {
         self.h_solve_ns.record(ns);
         self.metrics.solver_seconds += ns as f64 / 1e9;
-    }
-
-    fn initial_assignments(&mut self) -> Result<(), SimError> {
-        let started = Instant::now();
-        match &self.cfg.strategy {
-            SimStrategy::PerQuery {
-                strategy,
-                heuristic,
-            } => {
-                // Seeds the warm-start caches at install time so the
-                // first in-run recompute already warm-starts.
-                let by_query = &self.lc_solve_by_query;
-                let ctx = SolveContext {
-                    values: self.items.coord_values(),
-                    rates: &self.rates,
-                    ddm: self.cfg.ddm,
-                    gp: self.gp.clone(),
-                };
-                (self.units, self.filters) = install_units(
-                    &self.cfg.queries,
-                    *strategy,
-                    *heuristic,
-                    ctx,
-                    self.n_items,
-                    &mut self.cache,
-                    |gp, qi| attribute(by_query, gp, qi),
-                )
-                .map_err(|e| SimError::Dab {
-                    query: e.query,
-                    source: e.source,
-                })?;
-            }
-            SimStrategy::AaoPeriodic { mu, .. } => {
-                self.units = self
-                    .cfg
-                    .queries
-                    .iter()
-                    .map(|q| {
-                        assignment_units(
-                            q,
-                            AssignmentStrategy::DualDab { mu: *mu },
-                            PqHeuristic::DifferentSum,
-                        )
-                    })
-                    .collect();
-                let unit_counts: Vec<usize> = self.units.iter().map(Vec::len).collect();
-                self.cache.resize(&unit_counts);
-                let assignments: Vec<_> = aao(&self.cfg.queries, &self.solve_context(), *mu)
-                    .map_err(|source| SimError::Dab { query: 0, source })?
-                    .per_query
-                    .into_iter()
-                    .map(|a| vec![a])
-                    .collect();
-                self.filters = FilterTable::new(self.n_items, &assignments);
-            }
-        };
-        self.note_solver_time(started);
-        // Synchronous installation at t = 0 (steady-state start, §V-A).
-        // An unwatched item has no cell: its filter stays infinite.
-        for &item in &self.watched {
-            let item = item as usize;
-            self.items
-                .set_coord_dab(item, self.filters.min_primary(item));
-        }
-        self.items.install_all_dabs();
-        Ok(())
     }
 
     /// Global item id for a local one (identity in the classic engine).
     #[inline]
     fn gi(&self, item: usize) -> usize {
-        self.shard
-            .as_ref()
-            .map_or(item, |c| c.item_gid[item] as usize)
-    }
-
-    /// Global query id for a local one (identity in the classic engine).
-    #[inline]
-    fn gq(&self, qi: usize) -> usize {
-        self.shard.as_ref().map_or(qi, |c| c.query_gid[qi] as usize)
+        self.core.scope().item(item)
     }
 
     pub(crate) fn run(mut self) -> Result<SimMetrics, SimError> {
@@ -1041,7 +908,7 @@ impl<'a> Engine<'a> {
                 {
                     let (item, value) = self.deferred.pop_front().expect("non-empty");
                     let t = self.coordinator_busy_until;
-                    self.on_refresh(item, value, t)?;
+                    self.ingest(&[(item, value)], t)?;
                     continue;
                 }
                 let next = match pending.take() {
@@ -1068,7 +935,7 @@ impl<'a> Engine<'a> {
                         if batching {
                             pending = self.collect_and_ingest_batch(item, value, t, now)?;
                         } else {
-                            self.on_refresh(item, value, t)?;
+                            self.ingest(&[(item, value)], t)?;
                         }
                     }
                     Event::DabChangeArrive { item, dab } => {
@@ -1076,15 +943,6 @@ impl<'a> Engine<'a> {
                         self.maybe_push(item, t);
                     }
                 }
-            }
-            // Periodic full-re-eval rebase: discard the rounding drift
-            // the coordinator's running sums accumulated, right before
-            // the sample reads them.
-            if tick % REBASE_EVERY == 0 {
-                self.coord_view
-                    .rebase(&self.plan, self.items.coord_values());
-                self.c_eval_rebase.inc();
-                self.c_eval_full.add(self.cfg.queries.len() as u64);
             }
             // Fidelity sample: truth, coordinator view and QABs as three
             // columns.
@@ -1097,13 +955,13 @@ impl<'a> Engine<'a> {
                     self.c_fidelity.inc();
                 }
                 self.refresh_truth();
-                let cached = self.coord_view.values();
-                let columns = self.truth.iter().zip(cached).zip(&self.qabs);
+                let cached = self.core.query_values();
+                let columns = self.truth.iter().zip(cached).zip(self.core.qabs());
                 for (qi, ((&truth, &cached), &qab)) in columns.enumerate() {
                     if (truth - cached).abs() > qab {
                         self.metrics.per_query_violations[qi] += 1;
                         self.c_violations[qi].inc();
-                        let gqi = self.gq(qi);
+                        let gqi = self.core.scope().query(qi);
                         self.obs
                             .emit_with(names::SIM_QAB_VIOLATION, EventKind::Point, |e| {
                                 e.with("query", gqi)
@@ -1120,19 +978,18 @@ impl<'a> Engine<'a> {
             // corrupt.
             if let Some(fault) = &self.cfg.audit_fault {
                 if fault.tick == tick {
-                    self.coord_view.corrupt(fault.query, fault.perturb);
+                    self.core.corrupt_query_value(fault.query, fault.perturb);
                 }
             }
             if self.auditor.as_ref().is_some_and(|a| a.is_due(tick)) {
                 self.refresh_truth();
-                let coord_qv = self.coord_view.values();
                 self.auditor.as_mut().expect("checked").on_tick(
                     tick,
                     &self.cfg.queries,
                     self.items.values(),
-                    self.items.coord_values(),
+                    self.core.values(),
                     &self.truth,
-                    coord_qv,
+                    self.core.query_values(),
                     self.metrics.refreshes,
                     &self.obs,
                 );
@@ -1181,7 +1038,7 @@ impl<'a> Engine<'a> {
         if !std::mem::take(&mut self.truth_stale) {
             return;
         }
-        self.plan.full_eval_into(
+        self.core.plan().full_eval_into(
             self.items.values(),
             &mut self.truth_scratch,
             &mut self.truth,
@@ -1275,7 +1132,7 @@ impl<'a> Engine<'a> {
         if let Some(ctx) = &self.shard {
             for item in 0..self.n_items {
                 if let Some(ring) = ctx.home_ring[item] {
-                    let min_dab = self.items.coord_dab(item);
+                    let min_dab = self.core.filter(item);
                     if min_dab.is_finite() {
                         msgs.push((
                             ring,
@@ -1382,21 +1239,19 @@ impl<'a> Engine<'a> {
                     .push(at, Event::RefreshArrive { item: local, value });
             }
             RingMsg::DabUpdate { item, min_dab, .. } => {
-                let local = {
-                    let ctx = self.shard.as_mut().expect("sharded");
-                    let local = ctx.local_item(item);
-                    match ctx.remote_dab_min[local]
-                        .iter_mut()
-                        .find(|(shard, _)| *shard == src)
-                    {
-                        Some(entry) => entry.1 = min_dab,
-                        None => ctx.remote_dab_min[local].push((src, min_dab)),
-                    }
-                    local
-                };
-                // Fold the remote minimum into the global filter and
-                // ship the change to the local source if it moved.
-                self.propagate_dab_changes(&[local], tick as f64);
+                let ctx = self.shard.as_mut().expect("sharded");
+                let local = ctx.local_item(item);
+                let remote = &mut ctx.remote_dab_min[local];
+                match remote.iter_mut().find(|(shard, _)| *shard == src) {
+                    Some(entry) => entry.1 = min_dab,
+                    None => remote.push((src, min_dab)),
+                }
+                // Fold the remote minima into the global filter and ship
+                // the change to the local source if it moved.
+                let floor = remote.iter().fold(f64::INFINITY, |m, &(_, d)| m.min(d));
+                self.core.set_floor(local, floor);
+                let changes = self.core.rederive([local]);
+                self.ship_filter_changes(&changes, tick as f64);
             }
         }
     }
@@ -1531,21 +1386,6 @@ impl<'a> Engine<'a> {
             });
     }
 
-    /// The per-event refresh path: apply the value, then check/notify/
-    /// recompute.
-    fn on_refresh(&mut self, item: usize, value: f64, now: f64) -> Result<(), SimError> {
-        self.note_refresh_arrival(item, value, now);
-        let old = self.items.coord_value(item);
-        let n = self
-            .coord_view
-            .apply(&self.plan, self.items.coord_values(), item, old, value);
-        if n > 0 {
-            self.c_scatter_fanout.add(n);
-        }
-        self.items.set_coord_value(item, value);
-        self.process_refresh(item, now)
-    }
-
     /// Collects every queued `RefreshArrive` at the same instant `t`
     /// whose affected query sets are pairwise disjoint from the batch so
     /// far, then ingests the batch through one fused sweep. The first
@@ -1563,7 +1403,7 @@ impl<'a> Engine<'a> {
         debug_assert!(batch.is_empty());
         batch.push((item, value));
         self.items.mark_dirty(item);
-        for &qi in self.readers.queries(item) {
+        for &qi in self.core.readers(item) {
             self.query_mark.set(qi as usize);
         }
         let mut held = None;
@@ -1578,14 +1418,14 @@ impl<'a> Engine<'a> {
                     value: value2,
                 } if !self.items.is_dirty(item2)
                     && self
-                        .readers
-                        .queries(item2)
+                        .core
+                        .readers(item2)
                         .iter()
                         .all(|&qi| !self.query_mark.get(qi as usize)) =>
                 {
                     batch.push((item2, value2));
                     self.items.mark_dirty(item2);
-                    for &qi in self.readers.queries(item2) {
+                    for &qi in self.core.readers(item2) {
                         self.query_mark.set(qi as usize);
                     }
                 }
@@ -1597,296 +1437,141 @@ impl<'a> Engine<'a> {
         }
         for &(i, _) in &batch {
             self.items.clear_dirty(i);
-            for &qi in self.readers.queries(i) {
+            for &qi in self.core.readers(i) {
                 self.query_mark.clear(qi as usize);
             }
         }
-        let result = self.ingest_batch(&batch, t);
+        self.metrics.ingest_batches += 1;
+        self.c_ingest_batch.inc();
+        self.h_ingest_batch_size.record(batch.len() as u64);
+        let result = self.ingest(&batch, t);
         batch.clear();
         self.batch = batch;
         result?;
         Ok(held)
     }
 
-    /// Ingests a batch of same-instant refreshes: phase A applies every
-    /// value through one fused delta sweep (in arrival order), phase B
-    /// runs the per-refresh check/notify/recompute pipeline in the same
-    /// arrival order. Because admitted refreshes touch pairwise-disjoint
-    /// query sets and the delay model is service-free, this is
-    /// outcome-identical to the per-event path (DESIGN.md §12).
-    fn ingest_batch(&mut self, batch: &[(usize, f64)], now: f64) -> Result<(), SimError> {
-        self.metrics.ingest_batches += 1;
-        self.c_ingest_batch.inc();
-        self.h_ingest_batch_size.record(batch.len() as u64);
+    /// Ingests one arriving refresh, or a batch of same-instant ones:
+    /// phase A applies every value through one fused delta sweep (in
+    /// arrival order), phase B reacts to each refresh in the same arrival
+    /// order. Because admitted refreshes touch pairwise-disjoint query
+    /// sets and the delay model is service-free, a batch is
+    /// outcome-identical to its refreshes one by one (DESIGN.md §12).
+    fn ingest(&mut self, batch: &[(usize, f64)], now: f64) -> Result<(), SimError> {
         for &(item, value) in batch {
             self.note_refresh_arrival(item, value, now);
         }
-        let n = self
-            .coord_view
-            .apply_batch(&self.plan, self.items.coord_values_mut(), batch);
-        if n > 0 {
-            self.c_scatter_fanout.add(n);
-        }
+        self.core
+            .apply_batch(batch)
+            .map_err(|source| SimError::Refresh { source })?;
         for &(item, _) in batch {
-            self.process_refresh(item, now)?;
+            self.react(item, now)?;
         }
         Ok(())
     }
 
-    /// Post-apply half of a refresh: QAB notification, staleness
-    /// collection, DAB recomputation, trigger attribution, and the
+    /// Post-apply half of a refresh: the coordinator reacts, and what it
+    /// did becomes metrics, events, DAB-change messages and the
     /// coordinator-occupancy accounting.
-    fn process_refresh(&mut self, item: usize, now: f64) -> Result<(), SimError> {
+    fn react(&mut self, item: usize, now: f64) -> Result<(), SimError> {
         // One query-check service charge per refresh (the paper's 4 ms
         // mean covers processing an arriving refresh, §V-A).
         let item_gid = self.gi(item);
         let mut service = self
             .delay_rng
             .pareto(&self.cfg.delays.coordinator_check, item_gid);
-        let recomputes_before = self.metrics.recomputations;
-
-        for &qi in self.readers.queries(item) {
-            let qi = qi as usize;
-            // Notify the user if the cached query value moved past the QAB.
-            let qv = self.coord_view.value(qi);
-            if (qv - self.last_user_value[qi]).abs() > self.qabs[qi] {
-                self.last_user_value[qi] = qv;
-                self.metrics.user_notifications += 1;
-                self.c_notifications.inc();
-                let gqi = self.gq(qi);
-                self.obs
-                    .emit_with(names::SIM_USER_NOTIFY, EventKind::Count, |e| {
-                        e.with("query", gqi).with("value", qv).with("t", now)
-                    });
-            }
-        }
-        // Collect every unit the refresh invalidated. Every unit was valid
-        // before this refresh (a stale one is re-solved before the next
-        // refresh is looked at), so only the refreshed item can break
-        // one; and staleness depends only on each unit's own assignment
-        // and the updated coordinator values, so collecting first and
-        // solving as a batch is equivalent to solving inline.
-        let mut stale = std::mem::take(&mut self.scratch_stale);
-        stale.clear();
-        self.filters
-            .stale_after(item, self.items.coord_value(item), &mut stale);
-        debug_assert!(
-            self.filters
-                .scan_agrees(item, self.items.coord_values(), &stale),
-            "a unit reading x{item} was already invalid before its refresh"
-        );
-        let result = if stale.is_empty() {
-            Ok(())
-        } else {
-            self.recompute_stale(&stale, item, now)
-        };
-        stale.clear();
-        self.scratch_stale = stale;
-        result?;
-        // Occupy the coordinator: per-query checks plus one solver run per
-        // recomputation. (DAB-change messages were scheduled from the
-        // processing start — a slight idealization.)
-        let recomputes = self.metrics.recomputations - recomputes_before;
-        if recomputes > 0 {
-            // Attribution: this item's refresh forced recomputations.
-            self.metrics.per_item_recompute_triggers[item] += 1;
-            if let Some(c) = &self.lc_trigger_by_item[item] {
-                c.inc();
-            }
+        let outcome = self.core.react(item, Some(now))?;
+        for &(query, qv) in &outcome.notify {
+            self.metrics.user_notifications += 1;
+            self.c_notifications.inc();
+            let gqi = self.core.scope().query(query.index());
             self.obs
-                .emit_with(names::DAB_RECOMPUTE_TRIGGER, EventKind::Count, |e| {
-                    e.with("item", item_gid)
-                        .with("recomputes", recomputes)
-                        .with("t", now)
+                .emit_with(names::SIM_USER_NOTIFY, EventKind::Count, |e| {
+                    e.with("query", gqi).with("value", qv).with("t", now)
                 });
         }
-        for _ in 0..recomputes {
-            service += self
-                .delay_rng
-                .pareto(&self.cfg.delays.recompute_service, item_gid);
+        if !outcome.recomputed.is_empty() {
+            self.note_solver_ns(outcome.solve_ns);
+            self.note_recomputations(outcome.recomputed.iter().map(|q| q.index()));
+            self.metrics.per_item_recompute_triggers[item] += 1;
+            // DAB-change messages are scheduled from the processing
+            // start — a slight idealization.
+            self.ship_filter_changes(&outcome.filter_changes, now);
+            // Occupy the coordinator: the per-query checks plus one
+            // solver run per re-solved unit.
+            for _ in &outcome.recomputed {
+                service += self
+                    .delay_rng
+                    .pareto(&self.cfg.delays.recompute_service, item_gid);
+            }
         }
         self.coordinator_busy_until = now + service;
         Ok(())
     }
 
-    /// Recomputes a batch of stale assignment units, fanning the
-    /// independent GP solves out over up to `cfg.threads` worker threads.
-    /// `item` is the data item whose refresh invalidated them — carried on
-    /// the `dab.recompute` events so traces attribute recomputation cost
-    /// to its trigger.
-    ///
-    /// Results merge back in batch order: counters, assignment installs
-    /// and DAB-change propagation (including its RNG draws) happen
-    /// serially in the same order the old solve-as-you-scan loop used, so
-    /// metrics are byte-identical for any thread count.
-    fn recompute_stale(
-        &mut self,
-        stale: &[(usize, usize)],
-        item: usize,
-        now: f64,
-    ) -> Result<(), SimError> {
-        let strategy = match &self.cfg.strategy {
-            SimStrategy::PerQuery { strategy, .. } => *strategy,
-            // Between AAO periods, stale queries are re-solved individually
-            // with Dual-DAB (§V-B.1).
-            SimStrategy::AaoPeriodic { mu, .. } => AssignmentStrategy::DualDab { mu: *mu },
-        };
-        let started = Instant::now();
-        let mut jobs: Vec<RecomputeJob<'_>> = Vec::with_capacity(stale.len());
-        for &(qi, ui) in stale {
-            let mut gp = self.gp.clone();
-            attribute(&self.lc_solve_by_query, &mut gp, qi);
-            let cache = self.cache.take(qi, ui);
-            jobs.push(RecomputeJob {
-                qi,
-                ui,
-                unit: &self.units[qi][ui],
-                ctx: SolveContext {
-                    values: self.items.coord_values(),
-                    rates: &self.rates,
-                    ddm: self.cfg.ddm,
-                    gp,
-                },
-                cache,
-            });
-        }
-        // The batch span is the causal parent of every fanned-out
-        // `gp.solve` span: workers enter the [`pq_obs::SpanContext`]
-        // captured while this guard is on the stack.
-        let batch_span = self.t_recompute_batch.start(&self.obs);
-        let done = recompute_parallel(jobs, strategy, self.cfg.threads);
-        drop(batch_span);
-        self.note_solver_time(started);
-        let mut failure: Option<SimError> = None;
-        for d in done {
-            self.cache.put_back(d.qi, d.ui, d.cache);
-            match d.result {
-                Ok(new_assignment) if failure.is_none() => {
-                    self.metrics.recomputations += 1;
-                    self.metrics.per_query_recomputations[d.qi] += 1;
-                    self.c_recomputations.inc();
-                    self.lc_recompute_by_query[d.qi].inc();
-                    if let Some(c) = &self.lc_shard_recompute {
-                        c.inc();
-                    }
-                    let (gqi, gii) = (self.gq(d.qi), self.gi(item));
-                    self.obs
-                        .emit_with(names::DAB_RECOMPUTE, EventKind::Count, |e| {
-                            e.with("query", gqi)
-                                .with("unit", d.ui)
-                                .with("item", gii)
-                                .with("reason", "validity")
-                                .with("t", now)
-                        });
-                    self.filters.install(d.qi, d.ui, &new_assignment);
-                    let mut changed = std::mem::take(&mut self.scratch_items);
-                    changed.clear();
-                    let unit_items = self.filters.unit_items(d.qi, d.ui);
-                    changed.extend(unit_items.iter().map(|&i| i as usize));
-                    self.propagate_dab_changes(&changed, now);
-                    self.scratch_items = changed;
-                }
-                Ok(_) => {}
-                Err(source) => {
-                    if failure.is_none() {
-                        failure = Some(SimError::Dab {
-                            query: d.qi,
-                            source,
-                        });
-                    }
-                }
+    /// Counts one recomputation per entry of `queries`.
+    fn note_recomputations(&mut self, queries: impl Iterator<Item = usize>) {
+        for qi in queries {
+            self.metrics.recomputations += 1;
+            self.metrics.per_query_recomputations[qi] += 1;
+            if let Some(c) = &self.lc_shard_recompute {
+                c.inc();
             }
-        }
-        match failure {
-            Some(e) => Err(e),
-            None => Ok(()),
         }
     }
 
-    /// Re-derives installed filters for `items` and ships changes to the
-    /// sources.
-    fn propagate_dab_changes(&mut self, items: &[usize], now: f64) {
-        for &item in items {
-            // On a home shard the installed filter is the global minimum:
-            // the local one folded with what each remote shard reported
-            // over its replica.
-            let remote = self
-                .shard
-                .as_ref()
-                .map_or(&[][..], |c| &c.remote_dab_min[item]);
-            let new_min = remote
-                .iter()
-                .fold(self.filters.min_primary(item), |m, &(_, d)| m.min(d));
-            if filter_changed(self.items.coord_dab(item), new_min) {
-                self.items.set_coord_dab(item, new_min);
-                self.metrics.dab_change_messages += 1;
-                self.c_dab_changes.inc();
-                let gid = self.gi(item);
-                self.obs
-                    .emit_with(names::SIM_DAB_CHANGE, EventKind::Count, |e| {
-                        e.with("item", gid).with("dab", new_min).with("t", now)
-                    });
-                // A replica has no local source to re-filter: ship the
-                // new local minimum to the item's home shard instead
-                // (coordinator-to-coordinator link — reliable, released
-                // at the next tick barrier).
-                if let Some(ring) = self.shard.as_ref().and_then(|c| c.home_ring[item]) {
-                    // For a replica `new_min` is purely local (remote
-                    // folds only accumulate at the home shard).
-                    let msg = RingMsg::DabUpdate {
-                        item: gid as u32,
-                        min_dab: new_min,
-                        time: now,
-                        sent_tick: self.current_tick,
-                        span: SpanContext::current().parent().map_or(0, |s| s.0),
-                    };
-                    self.ring_send(ring, msg);
-                    continue;
-                }
-                if self.drop_message(item) {
-                    continue;
-                }
-                let delay = self.delay_rng.pareto(&self.cfg.delays.node_to_node, gid);
-                self.c_sched_push.inc();
-                self.queue
-                    .push(now + delay, Event::DabChangeArrive { item, dab: new_min });
+    /// Ships the coordinator's filter changes, in order: to the item's
+    /// home shard over the ring for a replica, to the local source over
+    /// the lossy, delayed network otherwise.
+    fn ship_filter_changes(&mut self, changes: &[(ItemId, f64)], now: f64) {
+        for &(item, dab) in changes {
+            let item = item.index();
+            self.metrics.dab_change_messages += 1;
+            self.c_dab_changes.inc();
+            let gid = self.gi(item);
+            self.obs
+                .emit_with(names::SIM_DAB_CHANGE, EventKind::Count, |e| {
+                    e.with("item", gid).with("dab", dab).with("t", now)
+                });
+            // A replica has no local source to re-filter, and no floor:
+            // `dab` is its local minimum, which the home folds into the
+            // global one (coordinator-to-coordinator link — reliable,
+            // released at the next tick barrier).
+            if let Some(ring) = self.shard.as_ref().and_then(|c| c.home_ring[item]) {
+                let msg = RingMsg::DabUpdate {
+                    item: gid as u32,
+                    min_dab: dab,
+                    time: now,
+                    sent_tick: self.current_tick,
+                    span: SpanContext::current().parent().map_or(0, |s| s.0),
+                };
+                self.ring_send(ring, msg);
+                continue;
             }
+            if self.drop_message(item) {
+                continue;
+            }
+            let delay = self.delay_rng.pareto(&self.cfg.delays.node_to_node, gid);
+            self.c_sched_push.inc();
+            self.queue
+                .push(now + delay, Event::DabChangeArrive { item, dab });
         }
     }
 
     fn periodic_aao(&mut self, now: f64, mu: f64) -> Result<(), SimError> {
         let started = Instant::now();
-        let ca = aao(&self.cfg.queries, &self.solve_context(), mu)
+        let joint = aao(&self.cfg.queries, &self.core.solve_context(), mu)
             .map_err(|source| SimError::Dab { query: 0, source })?;
-        self.note_solver_time(started);
+        self.note_solver_ns(started.elapsed().as_nanos() as u64);
         // Every query's DABs were recomputed (counted per query, as the
         // paper does for the AAO-T curves).
-        self.metrics.recomputations += self.cfg.queries.len() as u64;
-        self.c_recomputations.add(self.cfg.queries.len() as u64);
-        if let Some(c) = &self.lc_shard_recompute {
-            c.add(self.cfg.queries.len() as u64);
-        }
-        for qi in 0..self.cfg.queries.len() {
-            self.metrics.per_query_recomputations[qi] += 1;
-            self.lc_recompute_by_query[qi].inc();
-            let gqi = self.gq(qi);
-            self.obs
-                .emit_with(names::DAB_RECOMPUTE, EventKind::Count, |e| {
-                    e.with("query", gqi)
-                        .with("reason", "aao-periodic")
-                        .with("t", now)
-                });
-        }
-        for (qi, assignment) in ca.per_query.iter().enumerate() {
-            self.filters.install(qi, 0, assignment);
-        }
+        self.core
+            .install_joint(&joint.per_query, "aao-periodic", Some(now));
+        self.note_recomputations(0..self.cfg.queries.len());
         // Unwatched items have no assignment and no remote minimum: their
         // filter is infinite before and after.
-        let mut all_items = std::mem::take(&mut self.scratch_items);
-        all_items.clear();
-        all_items.extend(self.watched.iter().map(|&i| i as usize));
-        self.propagate_dab_changes(&all_items, now);
-        self.scratch_items = all_items;
+        let changes = self.core.rederive(self.watched.iter().map(|&i| i as usize));
+        self.ship_filter_changes(&changes, now);
         Ok(())
     }
 }
@@ -2008,26 +1693,6 @@ mod tests {
         a.solver_seconds = 0.0;
         b.solver_seconds = 0.0;
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn parallel_recompute_fanout_matches_serial() {
-        // Two queries sharing item x1: a refresh of x1 can invalidate both
-        // at once, exercising the multi-job fan-out. The simulated metrics
-        // (messages, recomputations, filter changes, fidelity) must be
-        // byte-identical no matter how many workers run the solves.
-        let cfg = two_query_config();
-        let mut serial_cfg = cfg.clone();
-        serial_cfg.threads = 1;
-        let mut parallel_cfg = cfg;
-        parallel_cfg.threads = 8;
-        let mut serial = run(&serial_cfg).unwrap();
-        let mut parallel = run(&parallel_cfg).unwrap();
-        assert!(serial.recomputations > 0);
-        // Wall-clock solver time is the only nondeterministic field.
-        serial.solver_seconds = 0.0;
-        parallel.solver_seconds = 0.0;
-        assert_eq!(serial, parallel);
     }
 
     #[test]
@@ -2192,17 +1857,31 @@ mod tests {
             m.refreshes,
             "every refresh scatters to the one query, source moves to none"
         );
-        // 1199 post-zero ticks / 512 → 2 rebases of the coordinator
-        // view; plus the seeding evaluation and one source-side truth
-        // evaluation per sample (the sinusoids move every tick).
-        assert_eq!(count(names::EVAL_REBASE), 2);
-        assert_eq!(count(names::EVAL_FULL), 1 + 2 + m.fidelity_samples);
+        // The coordinator rebases its view once per 512 applied
+        // refreshes; plus the seeding evaluation and one source-side
+        // truth evaluation per sample (the sinusoids move every tick).
+        let rebases = m.refreshes / u64::from(pq_core::REBASE_EVERY);
+        assert_eq!(count(names::EVAL_REBASE), rebases);
+        assert_eq!(count(names::EVAL_FULL), 1 + rebases + m.fidelity_samples);
 
         // With nothing reading it, the truth is never evaluated.
         cfg.fidelity_sample_every = 0;
         let obs = Obs::null();
         run_observed(&cfg, &obs).unwrap();
-        assert_eq!(obs.snapshot().counters[names::EVAL_FULL], 1 + 2);
+        assert_eq!(obs.snapshot().counters[names::EVAL_FULL], 1 + rebases);
+
+        // A busier book crosses a rebase period; each full evaluation
+        // counts both of its queries.
+        let obs = Obs::null();
+        let m = run_observed(&two_query_config(), &obs).unwrap();
+        let rebases = m.refreshes / u64::from(pq_core::REBASE_EVERY);
+        assert!(rebases >= 1, "{} refreshes", m.refreshes);
+        let snap = obs.snapshot();
+        assert_eq!(snap.counters[names::EVAL_REBASE], rebases);
+        assert_eq!(
+            snap.counters[names::EVAL_FULL],
+            2 * (1 + rebases + m.fidelity_samples)
+        );
     }
 
     #[test]

@@ -6,11 +6,13 @@
 //!   a rotating query sample, live divergence gauges and events;
 //! * [`delay`] — heavy-tailed Pareto communication & computation delays;
 //! * [`event`] — the events the simulator schedules;
-//! * [`engine`] — the single-coordinator push-protocol simulation
-//!   (sources with DAB filters, refresh delivery, user notification,
-//!   validity-triggered DAB recomputation, fidelity sampling);
+//! * [`engine`] — the single-coordinator push-protocol simulation: the
+//!   world around one [`pq_core::Coordinator`] (sources with DAB
+//!   filters, lossy delayed delivery, the coordinator's service queue,
+//!   fidelity sampling), turning each refresh's `Outcome` into events,
+//!   RNG draws and metrics;
 //! * [`network`] — a dissemination tree of cooperating coordinators for
-//!   the Fig. 8(c) experiment;
+//!   the Fig. 8(c) experiment, one [`pq_core::Coordinator`] per node;
 //! * [`ring`] — bounded SPSC rings carrying cross-shard messages;
 //! * [`shard`] — the partitioned multi-coordinator engine: one
 //!   coordinator per shard of the query↔item graph
@@ -18,12 +20,13 @@
 //!   rings, deterministic metric merge (set [`SimConfig::shards`]);
 //! * [`metrics`] — the paper's four metrics (fidelity loss, refreshes,
 //!   recomputations, total cost);
-//! * [`table`] — flat per-item columns ([`ItemTable`], [`ReaderIndex`]);
+//! * [`table`] — flat source-side per-item columns ([`ItemTable`]);
 //! * [`wheel`] — the hierarchical timer wheel that queues the events.
 //!
-//! Query values are maintained by one [`pq_poly::SharedView`] over the
-//! book's cross-query [`pq_poly::SharedPlan`]: per-refresh checks and
-//! fidelity samples are loads, a refresh costs `O(affected terms)`.
+//! Query values are maintained by the coordinator's
+//! [`pq_poly::SharedView`] over the book's cross-query
+//! [`pq_poly::SharedPlan`]: per-refresh checks and fidelity samples are
+//! loads, a refresh costs `O(affected terms)`.
 //!
 //! Telemetry: set [`SimConfig::obs`] (re-exported [`ObsConfig`]) to get a
 //! JSONL trace of every refresh, recomputation, and GP solve, or call

@@ -16,9 +16,9 @@
 //! delay-independent in the push model.
 
 use std::sync::Arc;
-use std::time::Instant;
 
-use pq_core::{assign_query, AssignmentStrategy, PqHeuristic, QueryAssignment, SolveContext};
+use pq_core::coordinator::{Config, Coordinator, Scope};
+use pq_core::{AssignmentStrategy, PqHeuristic};
 use pq_ddm::{DataDynamicsModel, RateEstimator, TraceSet};
 use pq_gp::SolverOptions;
 use pq_obs::{names, Counter, EventKind, Obs};
@@ -101,22 +101,13 @@ impl NetworkMetrics {
     }
 }
 
-struct Node {
-    /// Own queries and their assignments.
-    queries: Vec<PolynomialQuery>,
-    assignments: Vec<QueryAssignment>,
-    /// item -> own-query indices.
-    item_queries: Vec<Vec<u32>>,
-}
-
-/// Flat structure-of-arrays per-(node, item) state: one shared
-/// allocation per column (row-major by node, stride `n_items`) instead
-/// of three Vecs per node, so the delivery recursion and the bottom-up
-/// need sweeps walk contiguous rows.
-struct NodeState {
+/// Flat structure-of-arrays per-(node, item) edge state: one shared
+/// allocation per column (row-major by node, stride `n_items`), so the
+/// delivery recursion and the bottom-up need sweeps walk contiguous
+/// rows. What a node knows of an item as a coordinator — its cached
+/// value, its own filter — is in the node's [`Coordinator`].
+struct EdgeState {
     n_items: usize,
-    /// Cached values at each coordinator.
-    values: Vec<f64>,
     /// Value last forwarded to each node by its parent, per item.
     last_delivered: Vec<f64>,
     /// Each subtree's tightest filter need per item (min over the node's
@@ -124,29 +115,14 @@ struct NodeState {
     subtree_need: Vec<f64>,
 }
 
-impl NodeState {
+impl EdgeState {
     fn new(n_nodes: usize, initial: &[f64]) -> Self {
         let n_items = initial.len();
-        let mut values = Vec::with_capacity(n_nodes * n_items);
-        for _ in 0..n_nodes {
-            values.extend_from_slice(initial);
-        }
-        NodeState {
+        EdgeState {
             n_items,
-            last_delivered: values.clone(),
+            last_delivered: initial.repeat(n_nodes),
             subtree_need: vec![f64::INFINITY; n_nodes * n_items],
-            values,
         }
-    }
-
-    #[inline]
-    fn values(&self, c: usize) -> &[f64] {
-        &self.values[c * self.n_items..(c + 1) * self.n_items]
-    }
-
-    #[inline]
-    fn set_value(&mut self, c: usize, item: usize, v: f64) {
-        self.values[c * self.n_items + item] = v;
     }
 
     #[inline]
@@ -164,60 +140,29 @@ impl NodeState {
         self.subtree_need[c * self.n_items + item]
     }
 
-    #[inline]
-    fn set_need(&mut self, c: usize, item: usize, v: f64) {
-        self.subtree_need[c * self.n_items + item] = v;
-    }
-
-    fn copy_needs(&mut self, c: usize, need: &[f64]) {
-        self.subtree_need[c * self.n_items..(c + 1) * self.n_items].copy_from_slice(need);
+    /// Re-derives node `c`'s need for `item` from its own filter and its
+    /// children's needs.
+    fn derive_need(&mut self, nodes: &[Coordinator], c: usize, item: usize) {
+        let need = [2 * c + 1, 2 * c + 2]
+            .into_iter()
+            .filter(|&child| child < nodes.len())
+            .fold(nodes[c].filter(item), |m, child| {
+                m.min(self.need(child, item))
+            });
+        self.subtree_need[c * self.n_items + item] = need;
     }
 }
 
-/// Pre-created telemetry handles for the network run: the delivery
-/// recursion touches only relaxed atomic adds, mirroring the
-/// single-coordinator engine's labeled-counter pattern.
-struct NetObs {
+/// The run's transport-side telemetry and counts: everything a delivery
+/// records that is not the receiving coordinator's own business.
+struct Net {
     obs: Obs,
+    metrics: NetworkMetrics,
     c_refreshes: Arc<Counter>,
-    c_recomputations: Arc<Counter>,
     c_dab_changes: Arc<Counter>,
     /// Per-item `sim.refresh` attribution (one arrival per receiving
     /// node counts once, as in [`NetworkMetrics::refreshes`]).
     lc_refresh_by_item: Vec<Arc<Counter>>,
-    /// Per-query `dab.recompute` attribution; network queries are
-    /// labeled `c<node>.q<local>` since ids are coordinator-local.
-    lc_recompute_by_query: Vec<Vec<Arc<Counter>>>,
-}
-
-impl NetObs {
-    fn new(obs: &Obs, cfg: &NetworkConfig, n_items: usize) -> Self {
-        NetObs {
-            obs: obs.clone(),
-            c_refreshes: obs.counter(names::SIM_REFRESH),
-            c_recomputations: obs.counter(names::DAB_RECOMPUTE),
-            c_dab_changes: obs.counter(names::SIM_DAB_CHANGE),
-            lc_refresh_by_item: (0..n_items)
-                .map(|i| obs.labeled_counter(names::SIM_REFRESH, names::LABEL_ITEM, &i.to_string()))
-                .collect(),
-            lc_recompute_by_query: cfg
-                .queries_per_coordinator
-                .iter()
-                .enumerate()
-                .map(|(c, queries)| {
-                    (0..queries.len())
-                        .map(|qi| {
-                            obs.labeled_counter(
-                                names::DAB_RECOMPUTE,
-                                names::LABEL_QUERY,
-                                &format!("c{c}.q{qi}"),
-                            )
-                        })
-                        .collect()
-                })
-                .collect(),
-        }
-    }
 }
 
 /// Runs the dissemination-network simulation without telemetry.
@@ -227,23 +172,30 @@ pub fn run_network(cfg: &NetworkConfig) -> Result<NetworkMetrics, SimError> {
 
 /// Runs the dissemination-network simulation with a caller-supplied
 /// telemetry handle: `sim.refresh`/`dab.recompute` events and counters
-/// (with per-item / per-query labels) and GP-solver spans are reported
-/// through it, matching what [`crate::run_observed`] records for the
-/// single-coordinator engine.
+/// (with per-item / per-query labels — a node's queries are labeled
+/// `c<node>.q<local>`, ids being coordinator-local) and GP-solver spans
+/// are reported through it, matching what [`crate::run_observed`] records
+/// for the single-coordinator engine.
 pub fn run_network_observed(cfg: &NetworkConfig, obs: &Obs) -> Result<NetworkMetrics, SimError> {
     let n_items = cfg.traces.n_items();
     let n_nodes = cfg.queries_per_coordinator.len();
     let rates = cfg.rate_estimator.estimate_all(&cfg.traces);
     let initial = cfg.traces.initial_values();
-    let net_obs = NetObs::new(obs, cfg, n_items);
-
-    let mut metrics = NetworkMetrics {
-        refreshes_per_node: vec![0; n_nodes],
-        recomputations_per_node: vec![0; n_nodes],
-        ..Default::default()
+    let mut net = Net {
+        obs: obs.clone(),
+        metrics: NetworkMetrics {
+            refreshes_per_node: vec![0; n_nodes],
+            recomputations_per_node: vec![0; n_nodes],
+            ..Default::default()
+        },
+        c_refreshes: obs.counter(names::SIM_REFRESH),
+        c_dab_changes: obs.counter(names::SIM_DAB_CHANGE),
+        lc_refresh_by_item: (0..n_items)
+            .map(|i| obs.labeled_counter(names::SIM_REFRESH, names::LABEL_ITEM, &i.to_string()))
+            .collect(),
     };
 
-    // Build nodes with initial assignments.
+    // One installed coordinator per node.
     let mut nodes = Vec::with_capacity(n_nodes);
     for (c, queries) in cfg.queries_per_coordinator.iter().enumerate() {
         for q in queries {
@@ -253,37 +205,30 @@ pub fn run_network_observed(cfg: &NetworkConfig, obs: &Obs) -> Result<NetworkMet
                 }
             }
         }
-        let mut gp = cfg.gp.clone();
-        gp.obs = obs.clone();
-        let ctx = SolveContext {
-            values: &initial,
-            rates: &rates,
+        let node_cfg = Config {
+            rates: rates.clone(),
             ddm: cfg.ddm,
-            gp,
+            gp: cfg.gp.clone(),
+            // One node's refresh rarely breaks two units at once.
+            threads: 1,
+            obs: obs.clone(),
+            scope: Scope {
+                node: Some(c as u32),
+                ..Scope::default()
+            },
         };
-        let started = Instant::now();
-        let assignments = queries
-            .iter()
-            .map(|q| {
-                assign_query(q, &ctx, cfg.strategy, cfg.heuristic)
-                    .map_err(|source| SimError::Dab { query: c, source })
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        metrics.solver_seconds += started.elapsed().as_secs_f64();
-        let mut item_queries = vec![Vec::new(); n_items];
-        for (qi, q) in queries.iter().enumerate() {
-            for item in q.items() {
-                item_queries[item.index()].push(qi as u32);
-            }
-        }
-        nodes.push(Node {
-            queries: queries.clone(),
-            assignments,
-            item_queries,
-        });
+        let values = initial.clone();
+        let core = Coordinator::install(queries, cfg.strategy, cfg.heuristic, values, node_cfg)
+            .map_err(|e| node_error(c, e))?;
+        net.metrics.solver_seconds += core.install_ns() as f64 / 1e9;
+        nodes.push(core);
     }
-    let mut state = NodeState::new(n_nodes, &initial);
-    refresh_subtree_needs(&nodes, &mut state);
+    let mut edges = EdgeState::new(n_nodes, &initial);
+    for c in (0..n_nodes).rev() {
+        for item in 0..n_items {
+            edges.derive_need(&nodes, c, item);
+        }
+    }
 
     // Tick loop: values propagate root-down through per-edge filters.
     let n_ticks = cfg.traces.n_ticks();
@@ -293,89 +238,63 @@ pub fn run_network_observed(cfg: &NetworkConfig, obs: &Obs) -> Result<NetworkMet
         for item in 0..n_items {
             let v = values[item];
             // Source -> root edge uses the whole network's need.
-            let need = state.need(0, item);
+            let need = edges.need(0, item);
             if need.is_finite() && (v - source_pushed[item]).abs() > need {
                 source_pushed[item] = v;
-                deliver(
-                    &mut nodes,
-                    &mut state,
-                    0,
-                    item,
-                    v,
-                    cfg,
-                    &rates,
-                    &mut metrics,
-                    &net_obs,
-                )?;
+                deliver(&mut nodes, &mut edges, 0, item, v, &mut net)?;
             }
         }
     }
-    Ok(metrics)
+    Ok(net.metrics)
 }
 
-/// Delivers a refreshed value to node `c`, recomputing stale queries and
-/// forwarding down edges whose child-subtree filters it exceeds.
-#[allow(clippy::too_many_arguments)]
+/// A node's failed solve: the failing query, local to the node named.
+fn node_error(node: usize, e: pq_core::InstallError) -> SimError {
+    SimError::NodeDab {
+        node,
+        query: e.query,
+        source: e.source,
+    }
+}
+
+/// Delivers a refreshed value to node `c` — its coordinator re-solves
+/// what the value invalidated — and forwards it down the edges whose
+/// child-subtree filters it exceeds.
 fn deliver(
-    nodes: &mut [Node],
-    state: &mut NodeState,
+    nodes: &mut [Coordinator],
+    edges: &mut EdgeState,
     c: usize,
     item: usize,
     value: f64,
-    cfg: &NetworkConfig,
-    rates: &[f64],
-    metrics: &mut NetworkMetrics,
-    net_obs: &NetObs,
+    net: &mut Net,
 ) -> Result<(), SimError> {
-    metrics.refreshes_per_node[c] += 1;
-    net_obs.c_refreshes.inc();
-    net_obs.lc_refresh_by_item[item].inc();
-    net_obs
-        .obs
+    net.metrics.refreshes_per_node[c] += 1;
+    net.c_refreshes.inc();
+    net.lc_refresh_by_item[item].inc();
+    net.obs
         .emit_with(names::SIM_REFRESH, EventKind::Count, |e| {
             e.with("node", c).with("item", item).with("value", value)
         });
-    state.set_value(c, item, value);
-    state.set_last_delivered(c, item, value);
-
-    // Recompute own stale queries.
-    let stale: Vec<u32> = nodes[c].item_queries[item]
-        .iter()
-        .copied()
-        .filter(|&qi| !nodes[c].assignments[qi as usize].is_valid_at(state.values(c)))
-        .collect();
-    for qi in stale {
-        let qi = qi as usize;
-        let mut gp = cfg.gp.clone();
-        gp.obs = net_obs.obs.clone();
-        let ctx = SolveContext {
-            values: state.values(c),
-            rates,
-            ddm: cfg.ddm,
-            gp,
-        };
-        let started = Instant::now();
-        let na = assign_query(&nodes[c].queries[qi], &ctx, cfg.strategy, cfg.heuristic)
-            .map_err(|source| SimError::Dab { query: c, source })?;
-        metrics.solver_seconds += started.elapsed().as_secs_f64();
-        metrics.recomputations_per_node[c] += 1;
-        net_obs.c_recomputations.inc();
-        net_obs.lc_recompute_by_query[c][qi].inc();
-        net_obs
-            .obs
-            .emit_with(names::DAB_RECOMPUTE, EventKind::Count, |e| {
-                e.with("node", c)
-                    .with("query", qi)
-                    .with("item", item)
-                    .with("reason", "validity")
-            });
-        let changed_items: Vec<usize> = na.primary.keys().map(|i| i.index()).collect();
-        nodes[c].assignments[qi] = na;
-        // Changed needs ripple up to the source as DAB-change messages
-        // (one per edge on the path whose need changed).
-        metrics.dab_change_messages += changed_items.len() as u64;
-        net_obs.c_dab_changes.add(changed_items.len() as u64);
-        update_needs_for_items(nodes, state, &changed_items);
+    edges.set_last_delivered(c, item, value);
+    nodes[c]
+        .apply(item, value)
+        .map_err(|source| SimError::Refresh { source })?;
+    let outcome = nodes[c].react(item, None).map_err(|e| node_error(c, e))?;
+    net.metrics.solver_seconds += outcome.solve_ns as f64 / 1e9;
+    net.metrics.recomputations_per_node[c] += outcome.recomputed.len() as u64;
+    // Changed needs ripple up to the source as DAB-change messages: only
+    // `c`'s own filters moved, so only it and its ancestors re-derive.
+    net.metrics.dab_change_messages += outcome.filter_changes.len() as u64;
+    net.c_dab_changes.add(outcome.filter_changes.len() as u64);
+    for &(changed, _) in &outcome.filter_changes {
+        let mut node = c;
+        loop {
+            edges.derive_need(nodes, node, changed.index());
+            if node == 0 {
+                break;
+            }
+            node = (node - 1) / 2;
+        }
     }
 
     // Forward down the binary tree.
@@ -383,61 +302,12 @@ fn deliver(
         if child >= nodes.len() {
             continue;
         }
-        let need = state.need(child, item);
-        if need.is_finite() && (value - state.last_delivered(child, item)).abs() > need {
-            deliver(
-                nodes, state, child, item, value, cfg, rates, metrics, net_obs,
-            )?;
+        let need = edges.need(child, item);
+        if need.is_finite() && (value - edges.last_delivered(child, item)).abs() > need {
+            deliver(nodes, edges, child, item, value, net)?;
         }
     }
     Ok(())
-}
-
-/// Recomputes `subtree_need` bottom-up for every node and item.
-fn refresh_subtree_needs(nodes: &[Node], state: &mut NodeState) {
-    let mut need = vec![f64::INFINITY; state.n_items];
-    for c in (0..nodes.len()).rev() {
-        need.fill(f64::INFINITY);
-        for qa in &nodes[c].assignments {
-            for (&it, &b) in &qa.primary {
-                let d = &mut need[it.index()];
-                *d = d.min(b);
-            }
-        }
-        for child in [2 * c + 1, 2 * c + 2] {
-            if child < nodes.len() {
-                for (i, n) in need.iter_mut().enumerate() {
-                    *n = n.min(state.need(child, i));
-                }
-            }
-        }
-        state.copy_needs(c, &need);
-    }
-}
-
-/// Cheap partial update after one query's DABs changed: only the queries
-/// referencing each item (via the node's prebuilt `item_queries` index)
-/// can contribute to its need, so the scan skips the rest of the node's
-/// assignments entirely.
-fn update_needs_for_items(nodes: &[Node], state: &mut NodeState, items: &[usize]) {
-    for c in (0..nodes.len()).rev() {
-        for &i in items {
-            let mut need = f64::INFINITY;
-            for &qi in &nodes[c].item_queries[i] {
-                if let Some(b) =
-                    nodes[c].assignments[qi as usize].primary_dab(pq_poly::ItemId(i as u32))
-                {
-                    need = need.min(b);
-                }
-            }
-            for child in [2 * c + 1, 2 * c + 2] {
-                if child < nodes.len() {
-                    need = need.min(state.need(child, i));
-                }
-            }
-            state.set_need(c, i, need);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -542,6 +412,37 @@ mod tests {
         assert!(rec_fam.values.contains_key("c0.q0"));
         // GP solves ran under the same registry.
         assert!(snap.histograms["gp.solve_ns"].count > 0);
+    }
+
+    #[test]
+    fn a_failed_solve_names_its_query_and_its_node() {
+        let strategy = AssignmentStrategy::DualDab { mu: 5.0 };
+        let mut cfg = NetworkConfig::round_robin(traces(), Vec::new(), 2, strategy);
+        let linear = |c, i| PolynomialQuery::linear_aggregate([(c, x(i))], 2.0).unwrap();
+        cfg.queries_per_coordinator = vec![
+            vec![linear(1.0, 0)],
+            vec![
+                linear(1.0, 1),
+                linear(2.0, 0),
+                PolynomialQuery::portfolio([(1.0, x(1), x(2))], 5.0).unwrap(),
+            ],
+        ];
+        // Linear queries are closed forms; with no Newton step allowed
+        // the one GP-backed query, the second node's third, cannot solve.
+        cfg.gp.max_newton_steps = 0;
+        let err = run_network(&cfg).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                SimError::NodeDab {
+                    node: 1,
+                    query: 2,
+                    ..
+                }
+            ),
+            "{err}"
+        );
+        assert!(err.to_string().contains("query 2 of node 1"), "{err}");
     }
 
     #[test]

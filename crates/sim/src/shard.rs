@@ -133,7 +133,7 @@ pub fn run_sharded(cfg: &SimConfig, obs: &Obs, exec: Execution) -> Result<ShardR
     if k == 1 {
         // Time only `run()`, matching the k > 1 path where engines are
         // constructed (solver setup included) before the clock starts.
-        let engine = Engine::new(cfg, obs.clone())?;
+        let engine = Engine::new(cfg, obs.clone(), None)?;
         let t0 = Instant::now();
         let metrics = engine.run()?;
         return Ok(ShardReport {
@@ -306,7 +306,7 @@ pub fn run_sharded(cfg: &SimConfig, obs: &Obs, exec: Execution) -> Result<ShardR
     let mut engines: Vec<(usize, Engine<'_>)> = Vec::new();
     for (s, (sc, ctx)) in shard_cfgs.iter().zip(shard_ctxs.iter_mut()).enumerate() {
         if let (Some(sc), Some(ctx)) = (sc, ctx.take()) {
-            engines.push((s, Engine::new_sharded(sc, obs.clone(), ctx)?));
+            engines.push((s, Engine::new(sc, obs.clone(), Some(ctx))?));
         }
     }
 
@@ -502,8 +502,8 @@ mod tests {
             }],
             remote_dab_min: vec![Vec::new(), Vec::new()],
         };
-        let home = Engine::new_sharded(&home_cfg, Obs::null(), home_ctx).unwrap();
-        let reader = Engine::new_sharded(&reader_cfg, Obs::null(), reader_ctx).unwrap();
+        let home = Engine::new(&home_cfg, Obs::null(), Some(home_ctx)).unwrap();
+        let reader = Engine::new(&reader_cfg, Obs::null(), Some(reader_ctx)).unwrap();
         // Both sides of the ring barrier must be live at once.
         let (home_metrics, reader_metrics) = std::thread::scope(|scope| {
             let home = scope.spawn(move || home.run());

@@ -1,18 +1,16 @@
-//! Structure-of-arrays per-item state.
+//! Structure-of-arrays source-side item state.
 //!
-//! The engine used to hold five parallel `Vec<f64>` fields plus ad-hoc
-//! flags scattered across `Engine`; [`ItemTable`] gathers them into one
-//! struct of flat columns so the hot loop walks contiguous memory
-//! (drift sweep, DAB filter, staleness checks) and so whole columns can
-//! be handed to the evaluator as slices without re-assembling state.
-//! [`Bitset`] is the companion flat bit column used for per-item dirty
-//! bits and per-query membership marks during batched ingestion, and
-//! [`ReaderIndex`] the flat item → reader-queries column: query values
-//! are maintained by [`pq_poly::SharedView`], which dispatches a move to
-//! its terms by itself, so all the engine keeps per item is *which
-//! queries* to re-check against their QAB when it moves.
+//! [`ItemTable`] gathers what the engine keeps per item on the *source*
+//! side of the network into one struct of flat columns, so the hot loop
+//! (drift sweep, DAB filter) walks contiguous memory and whole columns
+//! can be handed to the evaluator as slices. The coordinator's side of
+//! every item — its cached value, the filter it last derived — lives in
+//! [`pq_core::Coordinator`], as does the item → reader-queries index
+//! ([`ReaderIndex`], re-exported here). [`Bitset`] is the companion flat
+//! bit column used for per-item dirty bits and per-query membership
+//! marks during batched ingestion.
 
-use pq_poly::ItemId;
+pub use pq_core::ReaderIndex;
 
 /// A flat bit column (one `u64` word per 64 bits).
 #[derive(Debug, Clone, Default)]
@@ -61,31 +59,24 @@ impl Bitset {
 /// - `last_pushed`: last value the source actually sent upstream;
 /// - `installed_dab`: the DAB filter width currently installed at the
 ///   source (infinite until the coordinator's first DAB message lands);
-/// - `coord_values`: the coordinator's view of each item (lags `values`
-///   by the push filter and network delay);
-/// - `coord_dabs`: the DAB the coordinator most recently computed;
 /// - a dirty [`Bitset`] used transiently by batched ingestion.
 #[derive(Debug, Clone)]
 pub struct ItemTable {
     values: Vec<f64>,
     last_pushed: Vec<f64>,
     installed_dab: Vec<f64>,
-    coord_values: Vec<f64>,
-    coord_dabs: Vec<f64>,
     dirty: Bitset,
 }
 
 impl ItemTable {
-    /// A table where every view of each item starts at its initial
-    /// trace value and no DAB is installed yet.
+    /// A table where every item starts at its initial trace value and no
+    /// DAB is installed yet.
     pub fn new(initial: &[f64]) -> Self {
         let n = initial.len();
         ItemTable {
             values: initial.to_vec(),
             last_pushed: initial.to_vec(),
             installed_dab: vec![f64::INFINITY; n],
-            coord_values: initial.to_vec(),
-            coord_dabs: vec![f64::INFINITY; n],
             dirty: Bitset::new(n),
         }
     }
@@ -147,49 +138,6 @@ impl ItemTable {
         self.installed_dab[item] = dab;
     }
 
-    /// The coordinator-side value column (what queries are evaluated
-    /// against).
-    #[inline]
-    pub fn coord_values(&self) -> &[f64] {
-        &self.coord_values
-    }
-
-    /// Mutable coordinator-side value column (for fused batch applies).
-    #[inline]
-    pub fn coord_values_mut(&mut self) -> &mut [f64] {
-        &mut self.coord_values
-    }
-
-    /// The coordinator's view of `item`.
-    #[inline]
-    pub fn coord_value(&self, item: usize) -> f64 {
-        self.coord_values[item]
-    }
-
-    /// Overwrites the coordinator's view of `item`.
-    #[inline]
-    pub fn set_coord_value(&mut self, item: usize, v: f64) {
-        self.coord_values[item] = v;
-    }
-
-    /// The coordinator-computed DAB for `item`.
-    #[inline]
-    pub fn coord_dab(&self, item: usize) -> f64 {
-        self.coord_dabs[item]
-    }
-
-    /// Overwrites the coordinator-computed DAB for `item`.
-    #[inline]
-    pub fn set_coord_dab(&mut self, item: usize, dab: f64) {
-        self.coord_dabs[item] = dab;
-    }
-
-    /// Installs every coordinator DAB at its source at once (the
-    /// zero-delay bootstrap before the run starts).
-    pub fn install_all_dabs(&mut self) {
-        self.installed_dab.copy_from_slice(&self.coord_dabs);
-    }
-
     /// True if `item`'s dirty bit is set.
     #[inline]
     pub fn is_dirty(&self, item: usize) -> bool {
@@ -206,49 +154,6 @@ impl ItemTable {
     #[inline]
     pub fn clear_dirty(&mut self, item: usize) {
         self.dirty.clear(item);
-    }
-}
-
-/// CSR item → readers: for every item, the queries whose polynomial
-/// references it (ascending). Resolved once per book, so checking a
-/// move's readers walks one contiguous run.
-#[derive(Debug, Clone)]
-pub struct ReaderIndex {
-    /// `starts[i]..starts[i + 1]` is item `i`'s run of `queries`.
-    starts: Vec<u32>,
-    queries: Vec<u32>,
-}
-
-impl ReaderIndex {
-    /// Indexes a book over `n_items` items; `query_items[q]` is query
-    /// `q`'s distinct items ([`pq_poly::PolynomialQuery::items`]).
-    ///
-    /// # Panics
-    /// Panics if a query references an item `>= n_items`.
-    pub fn new(n_items: usize, query_items: &[Vec<ItemId>]) -> Self {
-        let mut starts = vec![0u32; n_items + 1];
-        for item in query_items.iter().flatten() {
-            starts[item.index() + 1] += 1;
-        }
-        for i in 0..n_items {
-            starts[i + 1] += starts[i];
-        }
-        let mut cursor = starts.clone();
-        let mut queries = vec![0u32; starts[n_items] as usize];
-        for (qi, items) in query_items.iter().enumerate() {
-            for item in items {
-                let at = &mut cursor[item.index()];
-                queries[*at as usize] = qi as u32;
-                *at += 1;
-            }
-        }
-        ReaderIndex { starts, queries }
-    }
-
-    /// The queries referencing `item`, ascending.
-    #[inline]
-    pub fn queries(&self, item: usize) -> &[u32] {
-        &self.queries[self.starts[item] as usize..self.starts[item + 1] as usize]
     }
 }
 
@@ -277,20 +182,14 @@ mod tests {
         assert_eq!(t.len(), 3);
         assert!(!t.is_empty());
         assert_eq!(t.values(), &[1.0, 2.0, 3.0]);
-        assert_eq!(t.coord_values(), &[1.0, 2.0, 3.0]);
         assert_eq!(t.last_pushed(1), 2.0);
         assert!(t.installed_dab(0).is_infinite());
-        assert!(t.coord_dab(2).is_infinite());
 
         t.set_value(0, 9.0);
         t.set_last_pushed(0, 9.0);
-        t.set_coord_value(0, 9.0);
-        t.set_coord_dab(0, 0.5);
         assert_eq!(t.value(0), 9.0);
-        assert_eq!(t.coord_value(0), 9.0);
-        assert_eq!(t.coord_dab(0), 0.5);
-        assert!(t.installed_dab(0).is_infinite());
-        t.install_all_dabs();
+        assert_eq!(t.last_pushed(0), 9.0);
+        t.set_installed_dab(0, 0.5);
         assert_eq!(t.installed_dab(0), 0.5);
         assert!(t.installed_dab(1).is_infinite());
 
@@ -299,18 +198,5 @@ mod tests {
         assert!(t.is_dirty(2));
         t.clear_dirty(2);
         assert!(!t.is_dirty(2));
-    }
-
-    #[test]
-    fn reader_index_lists_each_items_queries() {
-        // q0 reads x0, x1; q1 reads x1, x2; q2 reads nothing; x3 is
-        // never read.
-        let x = ItemId;
-        let items = vec![vec![x(0), x(1)], vec![x(1), x(2)], Vec::new()];
-        let idx = ReaderIndex::new(4, &items);
-        assert_eq!(idx.queries(0), &[0]);
-        assert_eq!(idx.queries(1), &[0, 1]);
-        assert_eq!(idx.queries(2), &[1]);
-        assert!(idx.queries(3).is_empty());
     }
 }

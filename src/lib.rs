@@ -29,8 +29,8 @@
 //! | [`pq_gp`] | from-scratch geometric-programming solver |
 //! | [`pq_poly`] | polynomial queries, QAB-condition construction |
 //! | [`pq_ddm`] | traces, rate estimation, data-dynamics models |
-//! | [`pq_core`] | the DAB assignment algorithms (the paper's contribution) |
-//! | [`pq_sim`] | discrete-event evaluation harness |
+//! | [`pq_core`] | the DAB assignment algorithms (the paper's contribution) and the coordinator that runs them, [`pq_core::Coordinator`] |
+//! | [`pq_sim`] | discrete-event evaluation harness: the world around a coordinator |
 //! | [`pq_workload`] | the paper's §V-A workloads |
 //!
 //! ## Quick start
@@ -52,6 +52,9 @@
 //! let outcome = monitor.on_refresh(ibm, 101.0).unwrap();
 //! assert!(outcome.notify.is_empty()); // 10*1*80 = 800 not exceeded
 //! ```
+
+//! [`monitor`] is the deployable face of that coordinator: names, a
+//! builder and a watchdog around one [`pq_core::Coordinator`].
 
 #![warn(missing_docs)]
 
