@@ -9,6 +9,14 @@
 //!
 //! All values are kept non-negative: the necessary-and-sufficient DAB
 //! constraints assume data in the positive orthant (prices, rates, counts).
+//!
+//! A tape is a read-only input: every strategy replays the same one. A
+//! [`Trace`] therefore holds its samples behind an [`Arc`], written once
+//! when the path is built, and cloning a trace, a [`TraceSet`] or a
+//! sub-universe copies handles, never samples.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -16,9 +24,10 @@ use rand::{Rng, SeedableRng};
 /// A per-tick time series for one data item.
 ///
 /// Tick duration is abstract; the paper uses 1 s ticks over 10,000 s.
+/// The samples are immutable and shared: `clone()` is a handle copy.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
-    values: Vec<f64>,
+    values: Arc<[f64]>,
 }
 
 impl Trace {
@@ -32,7 +41,9 @@ impl Trace {
             values.iter().all(|v| v.is_finite() && *v >= 0.0),
             "trace samples must be finite and non-negative"
         );
-        Trace { values }
+        Trace {
+            values: values.into(),
+        }
     }
 
     /// Number of ticks.
@@ -65,42 +76,77 @@ impl Trace {
     /// Geometric Brownian motion: `v_{t+1} = v_t * exp(mu + sigma * z)`,
     /// the standard stock-price model. `mu` is per-tick log drift, `sigma`
     /// per-tick log volatility.
+    ///
+    /// # Panics
+    /// Panics unless `initial > 0` and `n_ticks > 0`.
     pub fn gbm(initial: f64, mu: f64, sigma: f64, n_ticks: usize, seed: u64) -> Self {
-        assert!(initial > 0.0 && n_ticks > 0);
+        assert!(
+            initial > 0.0,
+            "gbm: initial must be positive, got {initial}"
+        );
+        assert!(n_ticks > 0, "gbm: n_ticks must be at least 1");
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut values = Vec::with_capacity(n_ticks);
-        let mut v = initial;
-        for _ in 0..n_ticks {
-            values.push(v);
-            v *= (mu + sigma * standard_normal(&mut rng)).exp();
-        }
-        Trace { values }
+        Trace::unfold(initial, n_ticks, |v| {
+            v * (mu + sigma * standard_normal(&mut rng)).exp()
+        })
     }
 
     /// Additive random walk with reflection at zero:
     /// `v_{t+1} = |v_t + step_std * z|`.
+    ///
+    /// # Panics
+    /// Panics unless `initial >= 0` and `n_ticks > 0`.
     pub fn random_walk(initial: f64, step_std: f64, n_ticks: usize, seed: u64) -> Self {
-        assert!(initial >= 0.0 && n_ticks > 0);
+        assert!(
+            initial >= 0.0,
+            "random_walk: initial must be non-negative, got {initial}"
+        );
+        assert!(n_ticks > 0, "random_walk: n_ticks must be at least 1");
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut values = Vec::with_capacity(n_ticks);
-        let mut v = initial;
-        for _ in 0..n_ticks {
-            values.push(v);
-            v = (v + step_std * standard_normal(&mut rng)).abs();
-        }
-        Trace { values }
+        Trace::unfold(initial, n_ticks, |v| {
+            (v + step_std * standard_normal(&mut rng)).abs()
+        })
     }
 
     /// Monotonically increasing drift with non-negative jitter:
     /// `v_{t+1} = v_t + rate * (1 + jitter * u)`, `u ~ U[0,1)`.
+    ///
+    /// # Panics
+    /// Panics unless `initial`, `rate` and `jitter` are non-negative and
+    /// `n_ticks > 0`.
     pub fn monotonic(initial: f64, rate: f64, jitter: f64, n_ticks: usize, seed: u64) -> Self {
-        assert!(initial >= 0.0 && rate >= 0.0 && jitter >= 0.0 && n_ticks > 0);
+        assert!(
+            initial >= 0.0,
+            "monotonic: initial must be non-negative, got {initial}"
+        );
+        assert!(
+            rate >= 0.0,
+            "monotonic: rate must be non-negative, got {rate}"
+        );
+        assert!(
+            jitter >= 0.0,
+            "monotonic: jitter must be non-negative, got {jitter}"
+        );
+        assert!(n_ticks > 0, "monotonic: n_ticks must be at least 1");
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut values = Vec::with_capacity(n_ticks);
+        Trace::unfold(initial, n_ticks, |v| {
+            v + rate * (1.0 + jitter * rng.gen::<f64>())
+        })
+    }
+
+    /// The path `initial, step(initial), step(step(initial)), …` over
+    /// `n_ticks` ticks, written straight into the buffer it is shared
+    /// from: allocated once at its final size, filled in place before
+    /// any second handle exists. (Collecting the samples into the `Arc`
+    /// is one write a sample fewer and 3–5 % slower a sample; a `Vec`
+    /// turned into an `Arc` copies the path.)
+    fn unfold(initial: f64, n_ticks: usize, mut step: impl FnMut(f64) -> f64) -> Self {
+        let mut values: Arc<[f64]> = (0..n_ticks).map(|_| 0.0).collect();
+        let samples = Arc::get_mut(&mut values).expect("not yet shared");
         let mut v = initial;
-        for _ in 0..n_ticks {
-            values.push(v);
-            v += rate * (1.0 + jitter * rng.gen::<f64>());
+        for sample in samples {
+            *sample = v;
+            v = step(v);
         }
         Trace { values }
     }
@@ -123,7 +169,7 @@ impl Trace {
     pub fn constant(value: f64, n_ticks: usize) -> Self {
         assert!(value >= 0.0 && n_ticks > 0);
         Trace {
-            values: vec![value; n_ticks],
+            values: (0..n_ticks).map(|_| value).collect(),
         }
     }
 }
@@ -138,6 +184,99 @@ fn standard_normal(rng: &mut StdRng) -> f64 {
         let u2: f64 = rng.gen();
         return (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
     }
+}
+
+/// Samples a worker must have to build before a second worker pays for
+/// its thread — about 4.5 ms of path building, against the 2–3 ms an
+/// idle core can take to start one: the paper's 100-item tapes stay on
+/// the calling thread.
+const MIN_SAMPLES_PER_WORKER: usize = 128 * 1024;
+
+/// Workers for a universe of this shape: one per available core, fewer
+/// while a worker's share would fall under [`MIN_SAMPLES_PER_WORKER`].
+/// The core count is resolved once per process (the query reads the
+/// cgroup quota from files).
+fn universe_workers(n_items: usize, n_ticks: usize) -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    let cores = *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+    (n_items.saturating_mul(n_ticks) / MIN_SAMPLES_PER_WORKER).clamp(1, cores)
+}
+
+/// The universes' argument check, on the calling thread and before any
+/// worker starts, so a bad shape reads as what it is.
+fn check_universe_shape(universe: &str, n_items: usize, n_ticks: usize) {
+    assert!(n_items > 0, "{universe}: n_items must be at least 1");
+    assert!(n_ticks > 0, "{universe}: n_ticks must be at least 1");
+}
+
+/// Samples in one chunk of items: about half a millisecond of path
+/// building.
+const CHUNK_SAMPLES: usize = 16 * 1024;
+
+/// Items in a chunk of a tape `n_ticks` long.
+fn chunk_items(n_ticks: usize) -> usize {
+    (CHUNK_SAMPLES / n_ticks).max(1)
+}
+
+/// Builds `path(0), …, path(n_items - 1)` in contiguous chunks of
+/// `chunk_items` items, laid out in item order. The chunks are dealt out
+/// in equal contiguous shares, one to the calling thread and one to each
+/// of `workers - 1` scoped threads; a worker builds its own share chunk
+/// by chunk and then whatever the others have not reached yet, so one
+/// that starts late or runs slow delays the tape by a chunk, not by its
+/// share. `path(i)` depends on `i` alone, so the result is the same
+/// whoever builds which chunk; one worker is the same loop run once,
+/// with no thread started.
+fn build_paths(
+    workers: usize,
+    chunk_items: usize,
+    n_items: usize,
+    path: impl Fn(usize) -> Trace + Sync,
+) -> Vec<Trace> {
+    let chunks: Vec<OnceLock<Vec<Trace>>> = (0..n_items.div_ceil(chunk_items))
+        .map(|_| OnceLock::new())
+        .collect();
+    let workers = workers.min(chunks.len());
+    let share = chunks.len().div_ceil(workers);
+    // A share's cursor hands out its chunk indices and nothing else: a
+    // built chunk reaches the calling thread through its slot and the
+    // join.
+    let cursors: Vec<AtomicUsize> = (0..workers).map(|w| AtomicUsize::new(w * share)).collect();
+    let work = |worker: usize| {
+        for owner in (worker..workers).chain(0..worker) {
+            let end = ((owner + 1) * share).min(chunks.len());
+            loop {
+                let claimed = cursors[owner].fetch_add(1, Ordering::Relaxed);
+                if claimed >= end {
+                    break;
+                }
+                let first = claimed * chunk_items;
+                let built = (first..(first + chunk_items).min(n_items))
+                    .map(&path)
+                    .collect();
+                chunks[claimed]
+                    .set(built)
+                    .expect("a chunk index is handed out once");
+            }
+        }
+    };
+    std::thread::scope(|scope| {
+        let others: Vec<_> = (1..workers)
+            .map(|worker| scope.spawn(move || work(worker)))
+            .collect();
+        work(0);
+        for other in others {
+            // A worker's panic keeps its own message.
+            other
+                .join()
+                .unwrap_or_else(|p| std::panic::resume_unwind(p));
+        }
+    });
+    let mut traces = Vec::with_capacity(n_items);
+    for chunk in chunks {
+        traces.extend(chunk.into_inner().expect("every chunk was built"));
+    }
+    traces
 }
 
 /// A set of traces, one per data item (item `i` uses trace `i`).
@@ -164,24 +303,36 @@ impl TraceSet {
     /// The paper's emulation setup: `n_items` stock-like GBM traces over
     /// `n_ticks` ticks with heterogeneous initial prices ($10–$200) and
     /// per-tick volatilities (0.02 %–0.2 %), seeded deterministically.
+    ///
+    /// A pure function of `(n_items, n_ticks, seed)`: large tapes are
+    /// built on every available core, bit for bit the tape one thread
+    /// builds (DESIGN.md §2 item 3).
+    ///
+    /// # Panics
+    /// Panics unless `n_items > 0` and `n_ticks > 0`.
     pub fn stock_universe(n_items: usize, n_ticks: usize, seed: u64) -> Self {
-        assert!(n_items > 0);
+        check_universe_shape("stock_universe", n_items, n_ticks);
+        Self::stock_universe_on(universe_workers(n_items, n_ticks), n_items, n_ticks, seed)
+    }
+
+    /// [`TraceSet::stock_universe`] on a given number of workers.
+    fn stock_universe_on(workers: usize, n_items: usize, n_ticks: usize, seed: u64) -> Self {
+        // The seed's own stream pays for the parameters only (three draws
+        // an item, in item order); every path has its own generator.
         let mut rng = StdRng::seed_from_u64(seed);
-        let traces = (0..n_items)
-            .map(|i| {
+        let params: Vec<(f64, f64, f64)> = (0..n_items)
+            .map(|_| {
                 let initial = 10.0 + 190.0 * rng.gen::<f64>();
                 let sigma = 0.0002 + 0.0018 * rng.gen::<f64>();
                 let mu = (rng.gen::<f64>() - 0.5) * 2e-5;
-                Trace::gbm(
-                    initial,
-                    mu,
-                    sigma,
-                    n_ticks,
-                    seed ^ (i as u64).wrapping_mul(0x9e3779b9),
-                )
+                (initial, mu, sigma)
             })
             .collect();
-        TraceSet::new(traces)
+        TraceSet::new(build_paths(workers, chunk_items(n_ticks), n_items, |i| {
+            let (initial, mu, sigma) = params[i];
+            let path_seed = seed ^ (i as u64).wrapping_mul(0x9e3779b9);
+            Trace::gbm(initial, mu, sigma, n_ticks, path_seed)
+        }))
     }
 
     /// A drift-dominated universe: each item rises monotonically at a
@@ -190,23 +341,33 @@ impl TraceSet {
     /// data-dynamics model; escape events from validity ranges
     /// synchronize across items, which is the regime where the paper's
     /// Fig. 8 heuristic comparison is run.
+    ///
+    /// Built like [`TraceSet::stock_universe`]: a pure function of its
+    /// arguments, on every available core when the tape is large.
+    ///
+    /// # Panics
+    /// Panics unless `n_items > 0` and `n_ticks > 0`.
     pub fn drifting_universe(n_items: usize, n_ticks: usize, seed: u64) -> Self {
-        assert!(n_items > 0);
+        check_universe_shape("drifting_universe", n_items, n_ticks);
+        Self::drifting_universe_on(universe_workers(n_items, n_ticks), n_items, n_ticks, seed)
+    }
+
+    /// [`TraceSet::drifting_universe`] on a given number of workers.
+    fn drifting_universe_on(workers: usize, n_items: usize, n_ticks: usize, seed: u64) -> Self {
+        // Two parameter draws an item, in item order, before any path.
         let mut rng = StdRng::seed_from_u64(seed);
-        let traces = (0..n_items)
-            .map(|i| {
+        let params: Vec<(f64, f64)> = (0..n_items)
+            .map(|_| {
                 let initial = 10.0 + 190.0 * rng.gen::<f64>();
                 let rate = initial * (0.0001 + 0.0005 * rng.gen::<f64>());
-                Trace::monotonic(
-                    initial,
-                    rate,
-                    1.0,
-                    n_ticks,
-                    seed ^ (i as u64).wrapping_mul(0x2545F491),
-                )
+                (initial, rate)
             })
             .collect();
-        TraceSet::new(traces)
+        TraceSet::new(build_paths(workers, chunk_items(n_ticks), n_items, |i| {
+            let (initial, rate) = params[i];
+            let path_seed = seed ^ (i as u64).wrapping_mul(0x2545F491);
+            Trace::monotonic(initial, rate, 1.0, n_ticks, path_seed)
+        }))
     }
 
     /// Number of items.
@@ -257,6 +418,13 @@ impl TraceSet {
     }
 }
 
+// Forces worker counts through the private `*_on` builders, which an
+// integration target cannot reach: compiled here, kept beside the other
+// test files (`autotests = false` in this crate's manifest).
+#[cfg(test)]
+#[path = "../tests/proptest_universe.rs"]
+mod proptest_universe;
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -297,6 +465,48 @@ mod tests {
     #[should_panic(expected = "center >= amplitude")]
     fn sinusoid_rejects_negative_excursions() {
         let _ = Trace::sinusoid(1.0, 2.0, 100.0, 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "gbm: initial must be positive")]
+    fn gbm_names_a_bad_initial() {
+        let _ = Trace::gbm(0.0, 0.0, 0.01, 10, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "gbm: n_ticks must be at least 1")]
+    fn gbm_names_an_empty_tape() {
+        let _ = Trace::gbm(1.0, 0.0, 0.01, 0, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "random_walk: initial must be non-negative")]
+    fn random_walk_names_a_bad_initial() {
+        let _ = Trace::random_walk(f64::NAN, 1.0, 10, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "random_walk: n_ticks must be at least 1")]
+    fn random_walk_names_an_empty_tape() {
+        let _ = Trace::random_walk(1.0, 1.0, 0, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "monotonic: rate must be non-negative")]
+    fn monotonic_names_a_bad_rate() {
+        let _ = Trace::monotonic(1.0, -0.1, 0.5, 10, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "monotonic: jitter must be non-negative")]
+    fn monotonic_names_a_bad_jitter() {
+        let _ = Trace::monotonic(1.0, 0.1, -0.5, 10, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "monotonic: n_ticks must be at least 1")]
+    fn monotonic_names_an_empty_tape() {
+        let _ = Trace::monotonic(1.0, 0.1, 0.5, 0, 1);
     }
 
     #[test]

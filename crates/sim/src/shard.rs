@@ -214,22 +214,37 @@ pub fn run_sharded(cfg: &SimConfig, obs: &Obs, exec: Execution) -> Result<ShardR
             .iter()
             .map(|&qi| cfg.queries[qi as usize].map_items(|i| ItemId(local_of[i.index()])))
             .collect();
-        let mut sc = cfg.clone();
-        sc.traces = cfg.traces.subset(items);
-        sc.queries = queries;
-        sc.shards = 1;
-        // Recompute fan-out workers divide across shard threads so a
-        // partitioned run doesn't oversubscribe the machine.
-        sc.threads = (cfg.threads / k).max(1);
-        // The audit budget divides too: K shards each shadow-evaluating
-        // 1/K of the sample keep the global audit cost constant.
-        sc.audit = cfg.audit.as_ref().map(|a| a.per_shard(k));
-        sc.audit_fault = cfg.audit_fault.and_then(|f| {
-            shard_queries[s]
-                .binary_search(&(f.query as u32))
-                .ok()
-                .map(|lqi| crate::audit::AuditFault { query: lqi, ..f })
-        });
+        // Field by field, not `cfg.clone()`: that would copy the whole
+        // book and every tape handle per shard only to replace both.
+        let sc = SimConfig {
+            traces: cfg.traces.subset(items),
+            queries,
+            shards: 1,
+            // Recompute fan-out workers divide across shard threads so a
+            // partitioned run doesn't oversubscribe the machine.
+            threads: (cfg.threads / k).max(1),
+            // The audit budget divides too: K shards each shadow-evaluating
+            // 1/K of the sample keep the global audit cost constant.
+            audit: cfg.audit.as_ref().map(|a| a.per_shard(k)),
+            audit_fault: cfg.audit_fault.and_then(|f| {
+                shard_queries[s]
+                    .binary_search(&(f.query as u32))
+                    .ok()
+                    .map(|lqi| crate::audit::AuditFault { query: lqi, ..f })
+            }),
+            strategy: cfg.strategy.clone(),
+            ddm: cfg.ddm,
+            rate_estimator: cfg.rate_estimator,
+            delays: cfg.delays,
+            mu_cost: cfg.mu_cost,
+            seed: cfg.seed,
+            delay_rng: cfg.delay_rng,
+            fidelity_sample_every: cfg.fidelity_sample_every,
+            loss_probability: cfg.loss_probability,
+            gp: cfg.gp.clone(),
+            obs: cfg.obs.clone(),
+            slo: cfg.slo.clone(),
+        };
 
         let outbound_dests: Vec<u32> = directed
             .iter()
