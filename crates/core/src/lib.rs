@@ -73,10 +73,7 @@ pub use install::{install_units, InstallError};
 pub use laq::linear_closed_form;
 pub use linearized::linearized_filter;
 pub use multi::{aao, aao_program, eqi, AaoProgram};
-pub use partition::{
-    partition, partition_with_slack, CrossEdge, PartitionInput, PartitionPlan, DEFAULT_SPLIT_SLACK,
-    SPARSE_SPLIT_SLACK,
-};
+pub use partition::{partition, CrossEdge, PartitionInput, PartitionPlan};
 pub use ppq::{dual_dab, optimal_refresh};
 pub use strategy::{
     assign_query, assign_unit, assign_unit_cached, assignment_units, estimate_mu,

@@ -106,17 +106,10 @@ impl PartitionPlan {
     }
 }
 
-/// A component packed whole may exceed the ideal share by this factor
-/// before it is split ([`partition`]'s default). Splitting buys balance
+/// A component packed whole may exceed the ideal share (`total / k`) by
+/// this factor before [`partition`] splits it. Splitting buys balance
 /// but costs ring traffic, so mild imbalance is preferred to a cut.
-pub const DEFAULT_SPLIT_SLACK: f64 = 1.25;
-
-/// Split slack to use when the GP layer solves with the sparse KKT
-/// backend ([`pq_gp::KktMode::Sparse`]): sparse factorization keeps the
-/// per-unit solve near-linear in terms instead of cubic in variables,
-/// so much larger units stay cheap and avoiding ring traffic is worth
-/// far more imbalance than the dense default tolerates.
-pub const SPARSE_SPLIT_SLACK: f64 = 8.0;
+const SPLIT_SLACK: f64 = 1.25;
 
 struct UnionFind {
     parent: Vec<u32>,
@@ -169,24 +162,7 @@ impl UnionFind {
 /// Panics if `k == 0`, a load slice length mismatches, or an item id
 /// is out of range.
 pub fn partition(input: &PartitionInput<'_>, k: usize) -> PartitionPlan {
-    partition_with_slack(input, k, DEFAULT_SPLIT_SLACK)
-}
-
-/// [`partition`] with an explicit split-slack factor: a component whose
-/// load exceeds `total / k * slack` is split. The default
-/// ([`partition`]) uses a tight slack tuned for dense per-unit solves;
-/// pass [`SPARSE_SPLIT_SLACK`] to keep large components whole when the
-/// solver's sparse KKT backend makes big units affordable.
-///
-/// # Panics
-/// Panics if `k == 0`, `slack` is not finite and `>= 1`, a load slice
-/// length mismatches, or an item id is out of range.
-pub fn partition_with_slack(input: &PartitionInput<'_>, k: usize, slack: f64) -> PartitionPlan {
     assert!(k > 0, "cannot partition into zero shards");
-    assert!(
-        slack.is_finite() && slack >= 1.0,
-        "split slack must be finite and >= 1, got {slack}"
-    );
     assert_eq!(input.item_load.len(), input.n_items, "item_load length");
     assert_eq!(
         input.query_load.len(),
@@ -257,7 +233,7 @@ pub fn partition_with_slack(input: &PartitionInput<'_>, k: usize, slack: f64) ->
             .filter(|(_, items)| items.is_empty())
             .map(|(qi, _)| input.query_load[qi])
             .sum::<f64>();
-    let threshold = total_load / k as f64 * slack;
+    let threshold = total_load / k as f64 * SPLIT_SLACK;
 
     let mut query_shard = vec![u32::MAX; n_queries];
     let mut item_home = vec![u32::MAX; n_items];
@@ -567,37 +543,6 @@ mod tests {
             "chain cut too wide: {} cross edges",
             plan.cross_edges.len()
         );
-    }
-
-    #[test]
-    fn widened_slack_keeps_large_components_whole() {
-        // The 33-item chain splits at the default slack (previous test)
-        // but packs whole — no cross edges — once the slack admits a
-        // component holding most of the total load.
-        let query_items: Vec<Vec<u32>> = (0..32u32).map(|i| vec![i, i + 1]).collect();
-        let input = PartitionInput {
-            query_items: &query_items,
-            n_items: 33,
-            item_load: &uniform(33),
-            query_load: &uniform(32),
-        };
-        let plan = partition_with_slack(&input, 4, SPARSE_SPLIT_SLACK);
-        check_invariants(&input, &plan);
-        assert!(plan.is_clean(), "wide slack must avoid the split");
-        let first = plan.query_shard[0];
-        assert!(plan.query_shard.iter().all(|&s| s == first));
-    }
-
-    #[test]
-    #[should_panic(expected = "split slack")]
-    fn rejects_sub_unit_slack() {
-        let input = PartitionInput {
-            query_items: &[],
-            n_items: 0,
-            item_load: &[],
-            query_load: &[],
-        };
-        partition_with_slack(&input, 1, 0.5);
     }
 
     #[test]

@@ -110,18 +110,6 @@ impl GpProblem {
         Ok((obj, &self.constraints))
     }
 
-    /// Total monomial terms across objective and constraints — the size
-    /// measure the sparse-KKT heuristics and benchmarks report (a GP's
-    /// cost is driven by terms, not just variables).
-    pub fn total_terms(&self) -> usize {
-        self.objective.as_ref().map_or(0, Posynomial::n_terms)
-            + self
-                .constraints
-                .iter()
-                .map(Posynomial::n_terms)
-                .sum::<usize>()
-    }
-
     /// Evaluates the worst constraint violation `max_i f_i(x) - 1` at `x`
     /// (negative means strictly feasible).
     pub fn max_violation(&self, x: &[f64]) -> f64 {
@@ -224,17 +212,6 @@ mod tests {
         assert!(!p.is_strictly_feasible(&[1.0, 0.5], 1e-9));
         assert!(!p.is_strictly_feasible(&[1.0, -1.0], 1e-9));
         assert!((p.max_violation(&[4.0, 2.0]) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn total_terms_counts_objective_and_constraints() {
-        let mut p = GpProblem::new(2);
-        assert_eq!(p.total_terms(), 0);
-        let mut obj = mono(1.0, &[(0, 1.0)]);
-        obj.add(&mono(2.0, &[(1, 1.0)]));
-        p.set_objective(obj).unwrap();
-        p.add_upper_bound(0, 2.0).unwrap();
-        assert_eq!(p.total_terms(), 3);
     }
 
     #[test]

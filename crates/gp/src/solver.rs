@@ -388,10 +388,9 @@ pub struct CompiledGp {
     arena: LogArena,
     /// Cached sparse KKT structure (term ordering, min-degree permutation,
     /// symbolic factorization, scatter slots). Built at compile time when
-    /// the auto heuristic wants the sparse backend — or on demand via
-    /// [`CompiledGp::prepare_sparse`] — and shared across clones, so the
-    /// per-unit solve caches upstream reuse one symbolic analysis across
-    /// every warm-started refresh.
+    /// the auto heuristic wants the sparse backend and shared across
+    /// clones, so the per-unit solve caches upstream reuse one symbolic
+    /// analysis across every warm-started refresh.
     plan: Option<Arc<SparseKktPlan>>,
 }
 
@@ -439,15 +438,6 @@ impl CompiledGp {
     /// `fs[i] <= 1`.
     pub fn arena(&self) -> &LogArena {
         &self.arena
-    }
-
-    /// Forces the sparse KKT plan to exist (idempotent). Callers that know
-    /// they will solve with [`KktMode::Sparse`] build the symbolic
-    /// factorization once here instead of per solve.
-    pub fn prepare_sparse(&mut self) {
-        if self.plan.is_none() {
-            self.plan = Some(Arc::new(SparseKktPlan::build(&self.arena)));
-        }
     }
 
     /// True when a cached sparse plan exists (i.e. [`KktMode::Auto`] will

@@ -22,7 +22,8 @@
 //!
 //! The plane is registered once per run and touched once per tick; the
 //! hot recording path stays the PR 6 sharded/atomic one. That is what
-//! keeps the windowed plane inside the obsbench <3% overhead budget.
+//! keeps the windowed plane inside its 3 % overhead ceiling
+//! (`tests/overhead.rs`).
 
 use crate::registry::{lock_unpoisoned, Counter};
 use std::collections::BTreeMap;

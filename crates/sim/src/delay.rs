@@ -7,9 +7,6 @@
 //! external distribution crate needed — with a cap to keep the tail from
 //! producing pathological multi-minute delays.
 
-use rand::rngs::StdRng;
-use rand::Rng;
-
 /// A bounded Pareto distribution sampled by inverse CDF.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Pareto {
@@ -51,24 +48,63 @@ impl Pareto {
         self.scale == 0.0
     }
 
-    /// Draws one sample.
-    pub fn sample(&self, rng: &mut StdRng) -> f64 {
-        if self.scale == 0.0 {
-            return 0.0;
-        }
-        let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-        (self.scale / u.powf(1.0 / self.shape)).min(self.cap)
-    }
-
-    /// Evaluates the inverse CDF at `u ∈ (0, 1]` — the deterministic
-    /// core of [`Pareto::sample`], exposed so counter-based RNG streams
-    /// (see `DelayRng::PerItem`) can draw without a [`StdRng`].
+    /// Evaluates the inverse CDF at `u ∈ (0, 1]`: the sample a uniform
+    /// draw `u` maps to.
     pub fn sample_u(&self, u: f64) -> f64 {
         if self.scale == 0.0 {
             return 0.0;
         }
         let u = u.max(f64::MIN_POSITIVE);
         (self.scale / u.powf(1.0 / self.shape)).min(self.cap)
+    }
+}
+
+/// SplitMix64 finalizer: a cheap, well-mixed hash of one `u64`.
+fn splitmix64(z: u64) -> u64 {
+    let z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// The engine's one source of stochastic draws (network delays, service
+/// times, message-loss coin flips): a counter-based splitmix64 stream per
+/// **global** item id. An item's `n`-th draw is a function of
+/// `(seed, item, n)` alone, so it does not depend on which shard
+/// processes the item or on what other items do — which is what keeps
+/// fixed-seed metrics equal across shard counts (DESIGN.md §13).
+#[derive(Debug)]
+pub(crate) struct ItemDraws {
+    seed: u64,
+    /// Draws taken so far, per global item id. Zeroed, so the pages of
+    /// items that never draw (the never-read ones) are never touched.
+    counters: Vec<u64>,
+}
+
+impl ItemDraws {
+    pub(crate) fn new(seed: u64, n_global_items: usize) -> Self {
+        ItemDraws {
+            seed,
+            counters: vec![0; n_global_items],
+        }
+    }
+
+    /// Next uniform draw in `[0, 1)` on `item`'s stream.
+    pub(crate) fn uniform(&mut self, item: usize) -> f64 {
+        let key = splitmix64(self.seed ^ (item as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let taken = &mut self.counters[item];
+        let x = splitmix64(key.wrapping_add(*taken));
+        *taken += 1;
+        (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    }
+
+    /// One Pareto draw on `item`'s stream. A zero-scale distribution
+    /// consumes no randomness (the batching predicate relies on that).
+    pub(crate) fn pareto(&mut self, p: &Pareto, item: usize) -> f64 {
+        if p.is_zero() {
+            return 0.0;
+        }
+        p.sample_u(1.0 - self.uniform(item))
     }
 }
 
@@ -144,14 +180,72 @@ impl DelayConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
+
+    const SEED: u64 = 0x1CDE_2008;
+
+    fn first_uniforms(seed: u64, item: usize, n: usize) -> Vec<u64> {
+        let mut draws = ItemDraws::new(seed, item + 1);
+        (0..n).map(|_| draws.uniform(item).to_bits()).collect()
+    }
+
+    /// The stream is part of every recorded number (`results/`, the
+    /// fixed-seed metric tables, pqbench's `total_cost_msgs`): a bit that
+    /// moves here moves all of them.
+    #[test]
+    fn item_stream_golden_bits() {
+        assert_eq!(
+            first_uniforms(SEED, 0, 4),
+            [
+                0x3fed_75ec_6b7e_a1b4,
+                0x3fef_d851_ab0a_9830,
+                0x3fe3_f7dc_8ff3_a388,
+                0x3fc5_6fe4_6307_db60
+            ]
+        );
+        assert_eq!(
+            first_uniforms(SEED, 7, 4),
+            [
+                0x3fe7_b093_f84e_28a9,
+                0x3fdb_3f88_9dd2_b1e4,
+                0x3fe8_0158_3e30_bd97,
+                0x3fc1_d2c1_be04_f914
+            ]
+        );
+    }
+
+    /// An item's sequence is a function of `(seed, item, n)`: however the
+    /// draws of different items interleave, each item sees the same one.
+    #[test]
+    fn interleaving_items_leaves_each_sequence_unchanged() {
+        let n_items = 5;
+        let per_item = 16;
+        let alone: Vec<Vec<u64>> = (0..n_items)
+            .map(|i| first_uniforms(SEED, i, per_item))
+            .collect();
+        // Round-robin, item-major reversed, and a fixed irregular order.
+        let round_robin: Vec<usize> = (0..per_item).flat_map(|_| 0..n_items).collect();
+        let reversed: Vec<usize> = (0..n_items).rev().flat_map(|i| vec![i; per_item]).collect();
+        let mut irregular: Vec<usize> = round_robin.clone();
+        for k in 0..irregular.len() {
+            let j = (splitmix64(k as u64) % irregular.len() as u64) as usize;
+            irregular.swap(k, j);
+        }
+        for order in [round_robin, reversed, irregular] {
+            let mut draws = ItemDraws::new(SEED, n_items);
+            let mut seen = vec![Vec::new(); n_items];
+            for item in order {
+                seen[item].push(draws.uniform(item).to_bits());
+            }
+            assert_eq!(seen, alone);
+        }
+    }
 
     #[test]
     fn sample_mean_approximates_target() {
         let p = Pareto::with_mean(0.110);
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut draws = ItemDraws::new(1, 1);
         let n = 200_000;
-        let total: f64 = (0..n).map(|_| p.sample(&mut rng)).sum();
+        let total: f64 = (0..n).map(|_| draws.pareto(&p, 0)).sum();
         let mean = total / n as f64;
         // The cap trims the far tail, so allow ~10%.
         assert!(
@@ -163,20 +257,23 @@ mod tests {
     #[test]
     fn samples_respect_scale_and_cap() {
         let p = Pareto::with_mean(0.1);
-        let mut rng = StdRng::seed_from_u64(2);
+        let mut draws = ItemDraws::new(2, 1);
         for _ in 0..10_000 {
-            let s = p.sample(&mut rng);
+            let s = draws.pareto(&p, 0);
             assert!(s >= p.scale && s <= p.cap);
         }
+        assert_eq!(p.sample_u(0.0), p.cap);
+        assert_eq!(p.sample_u(1.0), p.scale);
     }
 
     #[test]
-    fn zero_config_produces_zero_delays() {
+    fn zero_config_produces_zero_delays_and_draws_nothing() {
         let d = DelayConfig::zero();
-        let mut rng = StdRng::seed_from_u64(3);
-        assert_eq!(d.node_to_node.sample(&mut rng), 0.0);
-        assert_eq!(d.coordinator_check.sample(&mut rng), 0.0);
-        assert_eq!(d.user_push.sample(&mut rng), 0.0);
+        let mut draws = ItemDraws::new(3, 1);
+        assert_eq!(draws.pareto(&d.node_to_node, 0), 0.0);
+        assert_eq!(draws.pareto(&d.coordinator_check, 0), 0.0);
+        assert_eq!(draws.pareto(&d.user_push, 0), 0.0);
+        assert_eq!(draws.counters, [0]);
     }
 
     #[test]
@@ -184,8 +281,8 @@ mod tests {
         // A heavy-tailed distribution should produce samples well above
         // the mean with non-negligible frequency.
         let p = Pareto::with_mean(0.1);
-        let mut rng = StdRng::seed_from_u64(4);
-        let big = (0..100_000).filter(|_| p.sample(&mut rng) > 0.3).count();
+        let mut draws = ItemDraws::new(4, 1);
+        let big = (0..100_000).filter(|_| draws.pareto(&p, 0) > 0.3).count();
         assert!(big > 100, "only {big} samples above 3x mean");
     }
 

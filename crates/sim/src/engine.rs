@@ -23,9 +23,6 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
 use pq_core::coordinator::{Config, Coordinator, Scope};
 use pq_core::{
     aao, default_recompute_threads, AssignmentStrategy, DabError, InstallError, PqHeuristic,
@@ -40,7 +37,7 @@ use pq_obs::{
 use pq_poly::{ItemId, PolynomialQuery};
 
 use crate::audit::{AuditConfig, AuditFault, FidelityAuditor};
-use crate::delay::{DelayConfig, Pareto};
+use crate::delay::{DelayConfig, ItemDraws};
 use crate::event::Event;
 use crate::metrics::SimMetrics;
 use crate::ring::{RingConsumer, RingMsg, RingProducer};
@@ -69,85 +66,6 @@ pub enum SimStrategy {
     },
 }
 
-/// Where the engine's stochastic draws (network delays, service times,
-/// message-loss coin flips) come from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DelayRng {
-    /// One sequential [`StdRng`] stream seeded from [`SimConfig::seed`]
-    /// — the historical behavior, byte-identical to every prior run.
-    /// Draw order depends on global event interleaving, so metrics are
-    /// only reproducible at a fixed shard count.
-    #[default]
-    Global,
-    /// Counter-based splitmix64 streams keyed by **global** item id:
-    /// each item's draws are a private deterministic sequence,
-    /// independent of which shard processes it or what other items do.
-    /// This is what makes fixed-seed metrics invariant across shard
-    /// counts (DESIGN.md §13); the marginal distributions match
-    /// [`DelayRng::Global`] but the realized values differ.
-    PerItem,
-}
-
-/// The engine's source of stochastic draws (see [`DelayRng`]).
-#[derive(Debug)]
-enum DelaySource {
-    Global(StdRng),
-    PerItem {
-        seed: u64,
-        /// One draw counter per global item id.
-        counters: Vec<u64>,
-    },
-}
-
-/// SplitMix64 finalizer: a cheap, well-mixed hash of one `u64`.
-fn splitmix64(z: u64) -> u64 {
-    let z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-impl DelaySource {
-    /// Next uniform draw in `[0, 1)` on `item`'s stream (the stream
-    /// argument is ignored in [`DelayRng::Global`] mode).
-    fn uniform(&mut self, item: usize) -> f64 {
-        match self {
-            DelaySource::Global(rng) => {
-                use rand::Rng;
-                rng.gen::<f64>()
-            }
-            DelaySource::PerItem { seed, counters } => {
-                let c = counters[item];
-                counters[item] = c + 1;
-                let key = splitmix64(*seed ^ (item as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-                let x = splitmix64(key.wrapping_add(c));
-                (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-            }
-        }
-    }
-
-    /// One Pareto draw on `item`'s stream. Zero-scale distributions
-    /// consume no randomness in either mode (the batching predicate
-    /// relies on that).
-    fn pareto(&mut self, p: &Pareto, item: usize) -> f64 {
-        if p.is_zero() {
-            return 0.0;
-        }
-        match self {
-            DelaySource::Global(rng) => p.sample(rng),
-            DelaySource::PerItem { .. } => p.sample_u(1.0 - self.uniform(item)),
-        }
-    }
-}
-
-/// One outbound inter-shard link (write half of an SPSC ring).
-pub(crate) struct ShardLink {
-    /// Destination shard (diagnostics only; routing is by ring index).
-    #[allow(dead_code)]
-    pub(crate) dest: u32,
-    pub(crate) tx: RingProducer,
-}
-
 /// One inbound inter-shard link: the read half plus the holdback buffer
 /// of drained-but-not-yet-releasable messages (a sender may run several
 /// ticks ahead; its messages wait here until this shard's clock passes
@@ -168,7 +86,7 @@ pub(crate) struct ShardInlet {
 pub(crate) struct ShardCtx {
     pub(crate) shard: u32,
     /// Items in the *global* (pre-partition) universe — sizes the
-    /// per-item draw counters of [`DelayRng::PerItem`].
+    /// per-item draw counters of [`ItemDraws`].
     pub(crate) n_global_items: usize,
     /// Local item id -> global item id (strictly ascending).
     pub(crate) item_gid: Vec<u32>,
@@ -185,7 +103,7 @@ pub(crate) struct ShardCtx {
     /// (replicas only).
     pub(crate) home_ring: Vec<Option<usize>>,
     /// Outbound links, ascending by destination shard.
-    pub(crate) outbound: Vec<ShardLink>,
+    pub(crate) outbound: Vec<RingProducer>,
     /// Inbound links, ascending by source shard.
     pub(crate) inbound: Vec<ShardInlet>,
     /// Local item -> each remote shard's current minimum DAB over its
@@ -229,12 +147,6 @@ pub struct SimConfig {
     /// its own thread, exchanging cross-partition refreshes and DAB
     /// minima over bounded SPSC rings (see [`crate::shard`]).
     pub shards: usize,
-    /// Where stochastic draws come from. Keep [`DelayRng::Global`] for
-    /// byte-compatibility with single-coordinator runs; switch to
-    /// [`DelayRng::PerItem`] to make fixed-seed metrics invariant
-    /// across shard counts (see [`crate::shard`] for the full
-    /// determinism contract).
-    pub delay_rng: DelayRng,
     /// Sample fidelity every this many ticks (0 disables sampling).
     pub fidelity_sample_every: usize,
     /// Probability that any message (refresh or DAB-change) is silently
@@ -292,7 +204,6 @@ impl SimConfig {
             mu_cost: 5.0,
             seed: 42,
             shards: 1,
-            delay_rng: DelayRng::Global,
             fidelity_sample_every: 1,
             loss_probability: 0.0,
             gp: SolverOptions::default(),
@@ -344,6 +255,12 @@ pub enum SimError {
         /// The tick of the sample.
         tick: usize,
     },
+    /// [`SimConfig::loss_probability`] is not a probability (`NaN` or
+    /// outside `[0, 1]`).
+    BadLossProbability {
+        /// The configured value.
+        value: f64,
+    },
     /// Opening a telemetry sink (e.g. the JSONL trace file) failed.
     Obs {
         /// Underlying I/O error.
@@ -374,6 +291,9 @@ impl std::fmt::Display for SimError {
                     f,
                     "trace of item x{item} is not finite and non-negative at tick {tick}"
                 )
+            }
+            SimError::BadLossProbability { value } => {
+                write!(f, "loss_probability must lie in [0, 1], got {value}")
             }
             SimError::Obs { source } => {
                 write!(f, "failed to open telemetry sink: {source}")
@@ -410,8 +330,7 @@ pub fn run(config: &SimConfig) -> Result<SimMetrics, SimError> {
 /// the GP-solver timings (`gp.solve_ns`) from every recomputation.
 pub fn run_observed(config: &SimConfig, obs: &Obs) -> Result<SimMetrics, SimError> {
     if config.shards > 1 {
-        return crate::shard::run_sharded(config, obs, crate::shard::Execution::Threaded)
-            .map(|report| report.metrics);
+        return crate::shard::run_sharded(config, obs).map(|report| report.metrics);
     }
     Engine::new(config, obs.clone(), None)?.run()
 }
@@ -458,7 +377,7 @@ pub(crate) struct Engine<'a> {
     /// Monomial scratch of the shared plan's full evaluation.
     truth_scratch: Vec<f64>,
     queue: TimerWheel,
-    delay_rng: DelaySource,
+    draws: ItemDraws,
     metrics: SimMetrics,
     /// Multi-coordinator state when this engine runs as one shard of a
     /// partitioned run (`None` in the classic engine; see
@@ -646,6 +565,12 @@ impl<'a> Engine<'a> {
         shard: Option<ShardCtx>,
     ) -> Result<Self, SimError> {
         let n_items = cfg.traces.n_items();
+        // `NaN` fails the range test too.
+        if !(0.0..=1.0).contains(&cfg.loss_probability) {
+            return Err(SimError::BadLossProbability {
+                value: cfg.loss_probability,
+            });
+        }
         for q in &cfg.queries {
             if let Some(mx) = q.poly().max_item() {
                 if mx.index() >= n_items {
@@ -768,13 +693,7 @@ impl<'a> Engine<'a> {
             watched,
             tape,
             queue: TimerWheel::new(),
-            delay_rng: match cfg.delay_rng {
-                DelayRng::Global => DelaySource::Global(StdRng::seed_from_u64(cfg.seed)),
-                DelayRng::PerItem => DelaySource::PerItem {
-                    seed: cfg.seed,
-                    counters: vec![0; n_global_items],
-                },
-            },
+            draws: ItemDraws::new(cfg.seed, n_global_items),
             current_tick: 0,
             metrics: SimMetrics::with_items(cfg.queries.len(), n_items),
             coordinator_busy_until: 0.0,
@@ -1106,7 +1025,7 @@ impl<'a> Engine<'a> {
     fn publish_completed(&self, tick: u64) {
         if let Some(ctx) = &self.shard {
             for link in &ctx.outbound {
-                link.tx.publish_watermark(tick + 1);
+                link.publish_watermark(tick + 1);
             }
         }
     }
@@ -1161,7 +1080,7 @@ impl<'a> Engine<'a> {
         loop {
             {
                 let ctx = self.shard.as_ref().expect("ring_send without shard ctx");
-                if ctx.outbound[ring].tx.try_send(msg) {
+                if ctx.outbound[ring].try_send(msg) {
                     break;
                 }
             }
@@ -1268,7 +1187,7 @@ impl<'a> Engine<'a> {
                 return;
             };
             for link in &ctx.outbound {
-                link.tx.publish_watermark(u64::MAX);
+                link.publish_watermark(u64::MAX);
             }
             loop {
                 let mut all_done = true;
@@ -1288,7 +1207,7 @@ impl<'a> Engine<'a> {
                 }
                 break;
             }
-            let bp: u64 = ctx.outbound.iter().map(|l| l.tx.backpressure()).sum();
+            let bp: u64 = ctx.outbound.iter().map(RingProducer::backpressure).sum();
             (bp, ctx.shard)
         };
         if backpressure > 0 {
@@ -1317,7 +1236,7 @@ impl<'a> Engine<'a> {
             if self.drop_message(item) {
                 continue;
             }
-            let delay = self.delay_rng.pareto(&self.cfg.delays.node_to_node, gid);
+            let delay = self.draws.pareto(&self.cfg.delays.node_to_node, gid);
             let ring = self.shard.as_ref().expect("sharded").exports[item][k];
             self.ring_send(
                 ring,
@@ -1340,7 +1259,7 @@ impl<'a> Engine<'a> {
             self.items.set_last_pushed(item, v);
             if !self.drop_message(item) {
                 let gid = self.gi(item);
-                let delay = self.delay_rng.pareto(&self.cfg.delays.node_to_node, gid);
+                let delay = self.draws.pareto(&self.cfg.delays.node_to_node, gid);
                 self.c_sched_push.inc();
                 self.queue
                     .push(now + delay, Event::RefreshArrive { item, value: v });
@@ -1352,19 +1271,18 @@ impl<'a> Engine<'a> {
     }
 
     /// Failure injection: true if this message is lost in transit. The
-    /// draw runs on `item`'s stream under [`DelayRng::PerItem`].
+    /// draw runs on `item`'s stream.
     fn drop_message(&mut self, item: usize) -> bool {
-        if self.cfg.loss_probability > 0.0 {
-            let gid = self.gi(item);
-            if self.delay_rng.uniform(gid) < self.cfg.loss_probability {
-                self.metrics.lost_messages += 1;
-                self.c_lost.inc();
-                self.obs
-                    .emit_with(names::SIM_LOST_MESSAGE, EventKind::Count, |e| e);
-                return true;
-            }
+        // No draw when loss is off.
+        let lost = self.cfg.loss_probability > 0.0
+            && self.draws.uniform(self.gi(item)) < self.cfg.loss_probability;
+        if lost {
+            self.metrics.lost_messages += 1;
+            self.c_lost.inc();
+            self.obs
+                .emit_with(names::SIM_LOST_MESSAGE, EventKind::Count, |e| e);
         }
-        false
+        lost
     }
 
     /// Arrival bookkeeping for one refresh (metrics, attribution, trace
@@ -1476,10 +1394,8 @@ impl<'a> Engine<'a> {
     fn react(&mut self, item: usize, now: f64) -> Result<(), SimError> {
         // One query-check service charge per refresh (the paper's 4 ms
         // mean covers processing an arriving refresh, §V-A).
-        let item_gid = self.gi(item);
-        let mut service = self
-            .delay_rng
-            .pareto(&self.cfg.delays.coordinator_check, item_gid);
+        let gid = self.gi(item);
+        let mut service = self.draws.pareto(&self.cfg.delays.coordinator_check, gid);
         let outcome = self.core.react(item, Some(now))?;
         for &(query, qv) in &outcome.notify {
             self.metrics.user_notifications += 1;
@@ -1500,9 +1416,7 @@ impl<'a> Engine<'a> {
             // Occupy the coordinator: the per-query checks plus one
             // solver run per re-solved unit.
             for _ in &outcome.recomputed {
-                service += self
-                    .delay_rng
-                    .pareto(&self.cfg.delays.recompute_service, item_gid);
+                service += self.draws.pareto(&self.cfg.delays.recompute_service, gid);
             }
         }
         self.coordinator_busy_until = now + service;
@@ -1551,7 +1465,7 @@ impl<'a> Engine<'a> {
             if self.drop_message(item) {
                 continue;
             }
-            let delay = self.delay_rng.pareto(&self.cfg.delays.node_to_node, gid);
+            let delay = self.draws.pareto(&self.cfg.delays.node_to_node, gid);
             self.c_sched_push.inc();
             self.queue
                 .push(now + delay, Event::DabChangeArrive { item, dab });
@@ -1800,14 +1714,14 @@ mod tests {
 
     #[test]
     fn fixed_seed_metrics_match_the_recorded_shared_plane_runs() {
-        // Recorded at the last commit that still had three evaluation
-        // modes and two schedulers, from
-        // `EvalMode::Shared { rebase_every: 512 }` (heap and wheel
-        // agreed): deleting the other planes changed no decision.
-        // Columns: [refreshes, recomputations, DAB changes,
-        // notifications, ingest batches, lost messages], per query
-        // [violations, recomputations], per item [refreshes, recompute
-        // triggers].
+        // What `SimConfig::new` + `run` decide, message for message, on
+        // the per-item draw streams (`delay::ItemDraws`; its first bits
+        // are pinned in `delay::tests`): a change to the coordinator, the
+        // solver's arithmetic, the event order or the streams moves a
+        // count here (`zero_dual5` draws nothing). Columns: [refreshes,
+        // recomputations, DAB changes, notifications, ingest batches, lost
+        // messages], per query [violations, recomputations], per item
+        // [refreshes, recompute triggers].
         let recorded = |totals: [u64; 6], per_query: [&[u64]; 2], per_item: [&[u64]; 2]| {
             let [refreshes, recomputations, dab_change_messages, user_notifications, ingest_batches, lost_messages] =
                 totals;
@@ -1830,10 +1744,10 @@ mod tests {
         let want = [
             ("zero_dual5", recorded([262, 0, 0, 61, 262, 0], [&[0], &[0]], [&[119, 143], &[0, 0]])),
             ("planetlab_dual5", recorded([262, 0, 0, 62, 0, 0], [&[0], &[0]], [&[119, 143], &[0, 0]])),
-            ("node2_optimal", recorded([218, 218, 436, 69, 0, 0], [&[74], &[218]], [&[95, 123], &[95, 123]])),
-            ("lossy_dual1", recorded([177, 25, 50, 67, 0, 75], [&[194], &[25]], [&[81, 96], &[11, 14]])),
-            ("aao200", recorded([259, 9, 18, 63, 0, 0], [&[0], &[9]], [&[115, 144], &[0, 4]])),
-            ("two_queries", recorded([652, 34, 53, 228, 0, 0], [&[7, 0], &[19, 15]], [&[210, 267, 175], &[10, 13, 9]])),
+            ("node2_optimal", recorded([217, 217, 434, 71, 0, 0], [&[91], &[217]], [&[94, 123], &[94, 123]])),
+            ("lossy_dual1", recorded([185, 24, 48, 61, 0, 73], [&[222], &[24]], [&[80, 105], &[10, 14]])),
+            ("aao200", recorded([259, 9, 18, 64, 0, 0], [&[0], &[9]], [&[115, 144], &[0, 4]])),
+            ("two_queries", recorded([639, 33, 51, 227, 0, 0], [&[13, 0], &[18, 15]], [&[206, 261, 172], &[11, 11, 9]])),
         ];
         for ((name, cfg), (recorded_name, want)) in parity_configs().into_iter().zip(want) {
             assert_eq!(name, recorded_name);
@@ -2144,6 +2058,30 @@ mod tests {
                  p={p} gave {loss} after {last}"
             );
             last = loss;
+        }
+    }
+
+    #[test]
+    fn a_loss_probability_outside_the_unit_interval_is_refused() {
+        // Read as `uniform() < p`, `NaN` would silently disable loss and
+        // `1.5` drop every message.
+        for p in [f64::NAN, -0.1, 1.5] {
+            for shards in [1, 2] {
+                let mut cfg = two_query_config();
+                cfg.loss_probability = p;
+                cfg.shards = shards;
+                match run(&cfg) {
+                    Err(SimError::BadLossProbability { value }) => {
+                        assert_eq!(value.to_bits(), p.to_bits())
+                    }
+                    other => panic!("p = {p}, {shards} shard(s): {other:?}"),
+                }
+            }
+        }
+        for p in [0.0, 1.0] {
+            let mut cfg = two_query_config();
+            cfg.loss_probability = p;
+            assert!(run(&cfg).is_ok(), "p = {p}");
         }
     }
 }

@@ -4,7 +4,8 @@
 //!
 //! * [`audit`] — continuous fidelity audit: shadow naive evaluation of
 //!   a rotating query sample, live divergence gauges and events;
-//! * [`delay`] — heavy-tailed Pareto communication & computation delays;
+//! * [`delay`] — heavy-tailed Pareto communication & computation delays,
+//!   drawn from one counter-based stream per item;
 //! * [`event`] — the events the simulator schedules;
 //! * [`engine`] — the single-coordinator push-protocol simulation: the
 //!   world around one [`pq_core::Coordinator`] (sources with DAB
@@ -48,12 +49,12 @@ pub mod wheel;
 
 pub use audit::{AuditConfig, AuditFault};
 pub use delay::{DelayConfig, Pareto};
-pub use engine::{run, run_observed, DelayRng, SimConfig, SimError, SimStrategy};
+pub use engine::{run, run_observed, SimConfig, SimError, SimStrategy};
 pub use event::Event;
 pub use metrics::SimMetrics;
 pub use network::{run_network, run_network_observed, NetworkConfig, NetworkMetrics};
 pub use pq_obs::{Obs, ObsConfig, RecorderConfig, SloConfig};
 pub use ring::{RingConsumer, RingMsg, RingProducer};
-pub use shard::{run_sharded, Execution, ShardReport, ShardStat};
+pub use shard::{run_sharded, ShardReport, ShardStat};
 pub use table::{Bitset, ItemTable, ReaderIndex};
 pub use wheel::TimerWheel;

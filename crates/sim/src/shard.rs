@@ -26,10 +26,11 @@
 //!
 //! * `shards = 1` is **byte-identical** to the classic engine — same
 //!   struct, same draw sequence, same metrics and event log.
-//! * With [`DelayRng::PerItem`](crate::engine::DelayRng) and a **clean**
-//!   partition (no split components), fixed-seed [`SimMetrics`] are
-//!   invariant across shard counts except `ingest_batches` (batching is
-//!   per-coordinator) and `solver_seconds` (wall clock).
+//! * Every stochastic draw comes from its item's own counter-based
+//!   stream (keyed by global item id), so on a **clean** partition (no
+//!   split components) fixed-seed [`SimMetrics`] are invariant across
+//!   shard counts except `ingest_batches` (batching is per-coordinator)
+//!   and `solver_seconds` (wall clock).
 //! * Split components add real protocol work (forwarded refreshes draw
 //!   extra delays, replicas quantize arrivals to tick barriers), so
 //!   their metrics are shard-count-dependent by design — exactly like
@@ -38,11 +39,11 @@
 use std::collections::BTreeSet;
 use std::time::Instant;
 
-use pq_core::{partition_with_slack, PartitionInput, PartitionPlan};
+use pq_core::{partition, PartitionInput, PartitionPlan};
 use pq_obs::Obs;
 use pq_poly::ItemId;
 
-use crate::engine::{Engine, ShardCtx, ShardInlet, ShardLink, SimConfig, SimError};
+use crate::engine::{Engine, ShardCtx, ShardInlet, SimConfig, SimError};
 use crate::metrics::SimMetrics;
 use crate::ring::ring;
 
@@ -50,21 +51,6 @@ use crate::ring::ring;
 /// inbound) when a ring fills, so capacity only trades memory against
 /// backpressure stalls.
 const RING_CAPACITY: usize = 8192;
-
-/// How a sharded run executes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Execution {
-    /// One OS thread per shard — the production mode; wall-clock speedup
-    /// tracks the number of physical cores.
-    Threaded,
-    /// Shards run one after another on the calling thread, each timed in
-    /// isolation. Only valid for **clean** partitions (a split component
-    /// would deadlock on its ring barrier), so unclean plans silently
-    /// fall back to [`Execution::Threaded`]. This measures each shard's
-    /// busy time without core-count contention — on a single-core host,
-    /// `max(busy)` is the critical path a multi-core run would execute.
-    Sequential,
-}
 
 /// Per-shard outcome of a sharded run.
 #[derive(Debug, Clone)]
@@ -79,9 +65,8 @@ pub struct ShardStat {
     pub n_replicas: usize,
     /// Estimated load packed by the partitioner.
     pub load: f64,
-    /// Wall-clock seconds the shard's engine ran. Under
-    /// [`Execution::Threaded`] this includes barrier waits; under
-    /// [`Execution::Sequential`] it is pure busy time.
+    /// Wall-clock seconds the shard's engine ran, barrier waits
+    /// included.
     pub busy_seconds: f64,
 }
 
@@ -99,10 +84,6 @@ pub struct ShardReport {
     pub cross_edges: usize,
     /// Connected components of the query↔item graph.
     pub n_components: usize,
-    /// How the run actually executed (a [`Execution::Sequential`]
-    /// request over an unclean plan reports
-    /// [`Execution::Threaded`]).
-    pub execution: Execution,
 }
 
 impl ShardReport {
@@ -110,23 +91,15 @@ impl ShardReport {
     pub fn clean(&self) -> bool {
         self.cross_edges == 0
     }
-
-    /// The longest per-shard busy time — under [`Execution::Sequential`]
-    /// this is the critical path of an ideally parallel run.
-    pub fn max_busy_seconds(&self) -> f64 {
-        self.shards
-            .iter()
-            .map(|s| s.busy_seconds)
-            .fold(0.0, f64::max)
-    }
 }
 
 /// Runs `cfg` as a partitioned multi-coordinator simulation on
-/// `cfg.shards` shards and merges the per-shard metrics.
+/// `cfg.shards` shards, one OS thread per shard, and merges the
+/// per-shard metrics.
 ///
 /// `cfg.shards <= 1` runs the classic engine unchanged (byte-identical
 /// metrics and draw sequence) and reports it as a single shard.
-pub fn run_sharded(cfg: &SimConfig, obs: &Obs, exec: Execution) -> Result<ShardReport, SimError> {
+pub fn run_sharded(cfg: &SimConfig, obs: &Obs) -> Result<ShardReport, SimError> {
     let k = cfg.shards.max(1);
     let n_items = cfg.traces.n_items();
     let n_queries = cfg.queries.len();
@@ -148,18 +121,10 @@ pub fn run_sharded(cfg: &SimConfig, obs: &Obs, exec: Execution) -> Result<ShardR
             }],
             cross_edges: 0,
             n_components: 0,
-            execution: Execution::Sequential,
         });
     }
 
     let plan = plan_for(cfg);
-    let execution = match exec {
-        // A split component needs live peers on both sides of its
-        // barrier; sequential execution would deadlock on the first
-        // watermark wait.
-        Execution::Sequential if !plan.is_clean() => Execution::Threaded,
-        e => e,
-    };
 
     // Membership: home items per shard, then replicas from cross edges.
     let mut shard_queries: Vec<Vec<u32>> = vec![Vec::new(); k];
@@ -238,7 +203,6 @@ pub fn run_sharded(cfg: &SimConfig, obs: &Obs, exec: Execution) -> Result<ShardR
             delays: cfg.delays,
             mu_cost: cfg.mu_cost,
             seed: cfg.seed,
-            delay_rng: cfg.delay_rng,
             fidelity_sample_every: cfg.fidelity_sample_every,
             loss_probability: cfg.loss_probability,
             gp: cfg.gp.clone(),
@@ -280,11 +244,10 @@ pub fn run_sharded(cfg: &SimConfig, obs: &Obs, exec: Execution) -> Result<ShardR
         }
         let outbound = outbound_dests
             .iter()
-            .map(|&to| ShardLink {
-                dest: to,
-                tx: producers
+            .map(|&to| {
+                producers
                     .remove(&(s as u32, to))
-                    .expect("producer created for every directed pair"),
+                    .expect("producer created for every directed pair")
             })
             .collect();
         let inbound = inbound_srcs
@@ -325,32 +288,24 @@ pub fn run_sharded(cfg: &SimConfig, obs: &Obs, exec: Execution) -> Result<ShardR
         }
     }
 
-    let runs: Vec<(usize, Result<SimMetrics, SimError>, f64)> = match execution {
-        Execution::Threaded => std::thread::scope(|scope| {
-            let handles: Vec<_> = engines
-                .into_iter()
-                .map(|(s, engine)| {
-                    scope.spawn(move || {
-                        let t0 = Instant::now();
-                        let result = engine.run();
-                        (s, result, t0.elapsed().as_secs_f64())
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard thread panicked"))
-                .collect()
-        }),
-        Execution::Sequential => engines
+    // A split component needs live peers on both sides of its barrier,
+    // so every shard gets its own thread.
+    let runs: Vec<(usize, Result<SimMetrics, SimError>, f64)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = engines
             .into_iter()
             .map(|(s, engine)| {
-                let t0 = Instant::now();
-                let result = engine.run();
-                (s, result, t0.elapsed().as_secs_f64())
+                scope.spawn(move || {
+                    let t0 = Instant::now();
+                    let result = engine.run();
+                    (s, result, t0.elapsed().as_secs_f64())
+                })
             })
-            .collect(),
-    };
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("shard thread panicked"))
+            .collect()
+    });
 
     // Deterministic merge, in shard order (the vec already is): scalars
     // sum; fidelity_samples is a max (every shard samples the same
@@ -395,19 +350,16 @@ pub fn run_sharded(cfg: &SimConfig, obs: &Obs, exec: Execution) -> Result<ShardR
         shards,
         cross_edges: plan.cross_edges.len(),
         n_components: plan.n_components,
-        execution,
     })
 }
 
-/// The partition a sharded run of `cfg` uses — exposed so tools (e.g.
-/// `shardbench`) can report cleanliness and balance without running the
-/// simulation. It packs by the load signals the optimizers use:
-/// estimated per-item refresh rates, and per query the marginal cost of
-/// evaluating it — each shard compiles one cross-query
-/// [`pq_poly::SharedPlan`] over its partition, so that cost is
-/// dominated by the distinct monomials the query *introduces*;
+/// The partition a sharded run of `cfg` uses. It packs by the load
+/// signals the optimizers use: estimated per-item refresh rates, and per
+/// query the marginal cost of evaluating it — each shard compiles one
+/// cross-query [`pq_poly::SharedPlan`] over its partition, so that cost
+/// is dominated by the distinct monomials the query *introduces*;
 /// already-shared monomials only add a scatter subscription.
-pub fn plan_for(cfg: &SimConfig) -> PartitionPlan {
+fn plan_for(cfg: &SimConfig) -> PartitionPlan {
     let query_items: Vec<Vec<u32>> = cfg
         .queries
         .iter()
@@ -420,7 +372,7 @@ pub fn plan_for(cfg: &SimConfig) -> PartitionPlan {
         .map(|r| r.abs().max(1e-9))
         .collect();
     let query_load = pq_poly::shared_query_loads(cfg.queries.iter().map(|q| q.poly()));
-    partition_with_slack(
+    partition(
         &PartitionInput {
             query_items: &query_items,
             n_items: cfg.traces.n_items(),
@@ -428,23 +380,7 @@ pub fn plan_for(cfg: &SimConfig) -> PartitionPlan {
             query_load: &query_load,
         },
         cfg.shards.max(1),
-        split_slack_for(cfg),
     )
-}
-
-/// Split slack for this configuration. Only an *explicit*
-/// [`pq_gp::KktMode::Sparse`] opts into the widened
-/// [`pq_core::SPARSE_SPLIT_SLACK`] — larger units are then near-linear
-/// to solve, so keeping components whole (no ring traffic) beats
-/// balance. `Auto` keeps the dense default: the partitioner would have
-/// to guess whether the resulting units clear the sparse backend's
-/// size floor, and fixed-seed shard metrics must not shift under a
-/// heuristic.
-fn split_slack_for(cfg: &SimConfig) -> f64 {
-    match cfg.gp.kkt {
-        pq_gp::KktMode::Sparse => pq_core::SPARSE_SPLIT_SLACK,
-        pq_gp::KktMode::Auto | pq_gp::KktMode::Dense => pq_core::DEFAULT_SPLIT_SLACK,
-    }
 }
 
 #[cfg(test)]
@@ -456,7 +392,6 @@ mod tests {
 
     use super::*;
     use crate::delay::DelayConfig;
-    use crate::engine::DelayRng;
 
     /// The partitioner homes an item where one of its readers lives, but
     /// the engine does not rely on that: a home item whose only readers
@@ -474,7 +409,6 @@ mod tests {
         let mut reader_cfg = SimConfig::new(TraceSet::new(vec![x0, x1]), vec![query]);
         for cfg in [&mut home_cfg, &mut reader_cfg] {
             cfg.delays = DelayConfig::zero();
-            cfg.delay_rng = DelayRng::PerItem;
             cfg.threads = 1;
         }
         let (to_reader, from_home) = ring(RING_CAPACITY);
@@ -487,10 +421,7 @@ mod tests {
             replica: vec![false],
             exports: vec![vec![0]],
             home_ring: vec![None],
-            outbound: vec![ShardLink {
-                dest: 1,
-                tx: to_reader,
-            }],
+            outbound: vec![to_reader],
             inbound: vec![ShardInlet {
                 src: 1,
                 rx: from_reader,
@@ -506,10 +437,7 @@ mod tests {
             replica: vec![true, false],
             exports: vec![Vec::new(), Vec::new()],
             home_ring: vec![Some(0), None],
-            outbound: vec![ShardLink {
-                dest: 0,
-                tx: to_home,
-            }],
+            outbound: vec![to_home],
             inbound: vec![ShardInlet {
                 src: 0,
                 rx: from_home,

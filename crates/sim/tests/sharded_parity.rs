@@ -3,19 +3,17 @@
 //!
 //! * `shards = 1` through the sharded entry point is **byte-identical**
 //!   to the classic engine — metrics and the QAB-violation event log;
-//! * with [`DelayRng::PerItem`] draws, service-free delays and a clean
-//!   partition (the banded "large book" workload), fixed-seed metrics
-//!   are invariant across shard counts (only `ingest_batches` — a
-//!   per-coordinator artifact — and `solver_seconds` — wall clock —
-//!   may differ);
+//! * with service-free delays and a clean partition (the banded "large
+//!   book" workload), fixed-seed metrics and the violation log are
+//!   invariant across shard counts with nothing set but `shards` (only
+//!   `ingest_batches` — a per-coordinator artifact — and
+//!   `solver_seconds` — wall clock — may differ);
 //! * split components (one giant chain) run the full ring protocol to
 //!   completion without deadlock, with every refresh accounted.
 
 use pq_ddm::TraceSet;
 use pq_obs::{names, Obs, Value};
-use pq_sim::{
-    run_observed, run_sharded, DelayConfig, DelayRng, Execution, Pareto, SimConfig, SimMetrics,
-};
+use pq_sim::{run_observed, run_sharded, DelayConfig, Pareto, SimConfig, SimMetrics};
 use pq_workload::{WorkloadConfig, WorkloadGen};
 
 const SEED: u64 = 0x1CDE_2008;
@@ -38,13 +36,12 @@ fn banded_config(n_items: usize, n_queries: usize, n_ticks: usize) -> SimConfig 
     cfg
 }
 
-/// Fig. 5 regime with per-item draws and service-free delays: the
-/// coordinator check/solve occupancy is what legitimately differs
-/// between one shared coordinator and K independent ones, so cross-K
-/// metric invariance is defined over the service-free delay model.
+/// Fig. 5 regime with service-free delays: the coordinator check/solve
+/// occupancy is what legitimately differs between one shared coordinator
+/// and K independent ones, so cross-K metric invariance is defined over
+/// the service-free delay model.
 fn cross_k_config(n_items: usize, n_queries: usize, n_ticks: usize) -> SimConfig {
     let mut cfg = banded_config(n_items, n_queries, n_ticks);
-    cfg.delay_rng = DelayRng::PerItem;
     let mut delays = DelayConfig::zero();
     delays.node_to_node = Pareto::with_mean(0.110);
     cfg.delays = delays;
@@ -92,8 +89,7 @@ fn one_shard_is_byte_identical_to_the_classic_engine() {
     let classic = run_observed(&cfg, &obs_classic).expect("classic run");
 
     let (obs_sharded, ring_sharded) = Obs::ring(65_536);
-    let report =
-        run_sharded(&cfg, &obs_sharded, Execution::Threaded).expect("sharded run at k = 1");
+    let report = run_sharded(&cfg, &obs_sharded).expect("sharded run at k = 1");
 
     assert_eq!(
         without_wallclock(classic),
@@ -117,7 +113,7 @@ fn metrics_are_invariant_across_shard_counts_on_clean_partitions() {
         let mut cfg = base.clone();
         cfg.shards = k;
         let obs = Obs::null();
-        let report = run_sharded(&cfg, &obs, Execution::Threaded)
+        let report = run_sharded(&cfg, &obs)
             .unwrap_or_else(|e| panic!("sharded run failed at k = {k}: {e}"));
         assert_eq!(report.cross_edges, 0, "banded workload must split cleanly");
         let view = cross_k_view(report.metrics);
@@ -131,18 +127,31 @@ fn metrics_are_invariant_across_shard_counts_on_clean_partitions() {
 
 #[test]
 fn fidelity_and_violations_match_fig5_across_shard_counts() {
-    // The CI shard gate enforces exactly this pair on the large-book
-    // workload; keep an in-tree witness at test scale.
-    let base = cross_k_config(64, 8, 400);
-    let mut cfg1 = base.clone();
-    cfg1.shards = 1;
-    let obs = Obs::null();
-    let r1 = run_sharded(&cfg1, &obs, Execution::Threaded).expect("k = 1");
+    // Shard threads interleave their emissions, so the violation logs
+    // are compared as sorted `(query, tick)` sets.
+    let sorted_log = |ring: &pq_obs::RingBufferSubscriber| {
+        assert_eq!(ring.dropped(), 0, "ring too small for the event log");
+        let mut log = violation_log(ring);
+        log.sort_unstable();
+        log
+    };
+    let mut base = cross_k_config(64, 8, 400);
+    // Lossy enough that queries do go out of bound.
+    base.loss_probability = 0.3;
+    let (obs, ring1) = Obs::ring(65_536);
+    let r1 = run_sharded(&base, &obs).expect("k = 1");
+    let log1 = sorted_log(&ring1);
+    assert!(!log1.is_empty(), "no violation to compare");
     for k in [2usize, 4] {
         let mut cfg = base.clone();
         cfg.shards = k;
-        let obs = Obs::null();
-        let r = run_sharded(&cfg, &obs, Execution::Threaded).expect("k > 1");
+        let (obs, ring) = Obs::ring(65_536);
+        let r = run_sharded(&cfg, &obs).expect("k > 1");
+        assert_eq!(
+            log1,
+            sorted_log(&ring),
+            "the violation log must not depend on k (k = {k})"
+        );
         assert_eq!(
             r1.metrics.fidelity_samples, r.metrics.fidelity_samples,
             "fidelity sample count must not depend on k"
@@ -168,7 +177,7 @@ fn shared_eval_is_invariant_across_shard_counts() {
         let mut cfg = base.clone();
         cfg.shards = k;
         let obs = Obs::null();
-        let report = run_sharded(&cfg, &obs, Execution::Threaded)
+        let report = run_sharded(&cfg, &obs)
             .unwrap_or_else(|e| panic!("sharded shared run failed at k = {k}: {e}"));
         assert_eq!(report.cross_edges, 0, "banded workload must split cleanly");
         let view = cross_k_view(report.metrics);
@@ -185,23 +194,6 @@ fn shared_eval_is_invariant_across_shard_counts() {
             Some(b) => assert_eq!(b, &view, "fixed-seed metrics must be invariant at k = {k}"),
         }
     }
-}
-
-#[test]
-fn sequential_execution_matches_threaded_on_clean_partitions() {
-    let mut cfg = cross_k_config(64, 8, 200);
-    cfg.shards = 4;
-    let obs = Obs::null();
-    let threaded = run_sharded(&cfg, &obs, Execution::Threaded).expect("threaded");
-    let obs = Obs::null();
-    let sequential = run_sharded(&cfg, &obs, Execution::Sequential).expect("sequential");
-    assert_eq!(sequential.execution, Execution::Sequential);
-    assert!(sequential.max_busy_seconds() > 0.0);
-    assert_eq!(
-        cross_k_view(threaded.metrics),
-        cross_k_view(sequential.metrics),
-        "execution mode must not change simulated outcomes"
-    );
 }
 
 #[test]
@@ -224,10 +216,9 @@ fn split_components_run_the_ring_protocol_to_completion() {
         .collect();
     let mut cfg = SimConfig::new(traces, queries);
     cfg.seed = SEED;
-    cfg.delay_rng = DelayRng::PerItem;
     cfg.shards = 2;
     let obs = Obs::null();
-    let report = run_sharded(&cfg, &obs, Execution::Threaded).expect("split run must complete");
+    let report = run_sharded(&cfg, &obs).expect("split run must complete");
     assert!(report.cross_edges > 0, "a giant chain must split");
     assert!(!report.clean());
     assert!(report.metrics.refreshes > 0);
@@ -245,9 +236,4 @@ fn split_components_run_the_ring_protocol_to_completion() {
     );
     let replicas: usize = report.shards.iter().map(|s| s.n_replicas).sum();
     assert!(replicas > 0, "split components must create replicas");
-    // A sequential request over an unclean plan must fall back rather
-    // than deadlock on the ring barrier.
-    let obs = Obs::null();
-    let fallback = run_sharded(&cfg, &obs, Execution::Sequential).expect("fallback run");
-    assert_eq!(fallback.execution, Execution::Threaded);
 }

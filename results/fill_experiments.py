@@ -1,11 +1,16 @@
 #!/usr/bin/env python3
-"""Splices measured harness outputs into EXPERIMENTS.md placeholders."""
+"""Splices the harness outputs in results/quick/ into EXPERIMENTS.md.
+
+Each `<!-- NAME -->` marker there is followed by one ```text block per
+harness output listed below; the blocks are replaced, so the script can be
+rerun whenever results/quick/ is regenerated.
+"""
 import pathlib, re
 
 root = pathlib.Path(__file__).resolve().parent.parent
 quick = root / "results" / "quick"
 
-def tables(fname, keep=None):
+def tables(fname):
     text = (quick / fname).read_text()
     # Drop CSV blocks; keep the aligned tables.
     out, skip = [], False
@@ -22,19 +27,20 @@ def tables(fname, keep=None):
 
 md = (root / "EXPERIMENTS.md").read_text()
 subs = {
-    "<!-- FIG5_TABLES -->": tables("fig5.txt"),
-    "<!-- FIG6_TABLES -->": tables("fig6.txt"),
-    "<!-- FIG7_TABLES -->": tables("fig7.txt"),
-    "<!-- FIG8AB_TABLES -->": tables("fig8a.txt") + "\n\n" + tables("fig8b.txt"),
-    "<!-- FIG8C_TABLE -->": tables("fig8c.txt"),
-    "<!-- COMPARE_TABLE -->": tables("compare_related.txt"),
-    "<!-- DELAY_TABLE -->": tables("delay_sweep.txt"),
-    "<!-- ABLATION_TABLES -->": tables("ablations.txt"),
+    "<!-- FIG5_TABLES -->": ["fig5.txt"],
+    "<!-- FIG6_TABLES -->": ["fig6.txt"],
+    "<!-- FIG7_TABLES -->": ["fig7.txt"],
+    "<!-- FIG8AB_TABLES -->": ["fig8a.txt", "fig8b.txt"],
+    "<!-- FIG8C_TABLE -->": ["fig8c.txt"],
+    "<!-- COMPARE_TABLE -->": ["compare_related.txt"],
+    "<!-- DELAY_TABLE -->": ["delay_sweep.txt"],
+    "<!-- ABLATION_TABLES -->": ["ablations.txt"],
 }
-for marker, table in subs.items():
-    if marker in md:
-        md = md.replace(marker, table)
-    else:
-        print("missing marker", marker)
+for marker, files in subs.items():
+    blocks = r"(?:\n+```text\n.*?\n```){%d}" % len(files)
+    filled = marker + "\n" + "\n\n".join(tables(f) for f in files)
+    md, n = re.subn(re.escape(marker) + blocks, lambda _: filled, md, flags=re.S)
+    if n != 1:
+        print("marker", marker, "matched", n, "times")
 (root / "EXPERIMENTS.md").write_text(md)
 print("EXPERIMENTS.md filled")
