@@ -102,10 +102,21 @@ impl Scope {
         self.item_gid.get(item).map_or(item, |&g| g as usize)
     }
 
-    fn query_label(&self, qi: usize) -> String {
+    /// Query `qi`'s value in a `query`-labeled family: `c<node>.q<qi>`
+    /// in a tree, its global id otherwise.
+    fn query_label(&self, qi: usize) -> impl std::fmt::Display {
+        struct Label(Option<u32>, usize);
+        impl std::fmt::Display for Label {
+            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                match self {
+                    Label(Some(c), qi) => write!(f, "c{c}.q{qi}"),
+                    Label(None, gid) => write!(f, "{gid}"),
+                }
+            }
+        }
         match self.node {
-            Some(c) => format!("c{c}.q{qi}"),
-            None => self.query(qi).to_string(),
+            Some(c) => Label(Some(c), qi),
+            None => Label(None, self.query(qi)),
         }
     }
 }
@@ -174,24 +185,25 @@ struct Handles {
 impl Handles {
     fn resolve(cfg: &Config, n_queries: usize, readers: &ReaderIndex) -> Self {
         let Config { obs, scope, .. } = cfg;
+        // A family at a time: one registry lock for all of its labels.
         let by_query = |name: &str| -> Vec<Arc<Counter>> {
-            (0..n_queries)
-                .map(|qi| obs.labeled_counter(name, names::LABEL_QUERY, &scope.query_label(qi)))
-                .collect()
+            let labels = (0..n_queries).map(|qi| scope.query_label(qi));
+            obs.labeled_counters(name, names::LABEL_QUERY, labels)
         };
+        let n_items = readers.starts.len() - 1;
+        let is_read = |i: &usize| !readers.queries(*i).is_empty();
+        let mut triggers = obs
+            .labeled_counters(
+                names::DAB_RECOMPUTE_TRIGGER,
+                names::LABEL_ITEM,
+                (0..n_items).filter(is_read).map(|i| scope.item(i)),
+            )
+            .into_iter();
         Handles {
             recompute: obs.counter(names::DAB_RECOMPUTE),
             recompute_by_query: by_query(names::DAB_RECOMPUTE),
-            trigger_by_item: (0..readers.starts.len() - 1)
-                .map(|i| {
-                    (!readers.queries(i).is_empty()).then(|| {
-                        obs.labeled_counter(
-                            names::DAB_RECOMPUTE_TRIGGER,
-                            names::LABEL_ITEM,
-                            &scope.item(i).to_string(),
-                        )
-                    })
-                })
+            trigger_by_item: (0..n_items)
+                .map(|i| is_read(&i).then(|| triggers.next().expect("one per read item")))
                 .collect(),
             solve_by_query: by_query(names::GP_SOLVE),
             eval_full: obs.counter(names::EVAL_FULL),

@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use pq_poly::{Polynomial, PolynomialQuery, QueryClass};
 
-use crate::assignment::QueryAssignment;
+use crate::assignment::{QueryAssignment, ValidityRange};
 use crate::baseline::{equal_dab, per_item_split};
 use crate::cache::UnitCache;
 use crate::context::SolveContext;
@@ -223,6 +223,17 @@ fn assign_unit_with_cache(
     strategy: AssignmentStrategy,
     cache: Option<&mut UnitCache>,
 ) -> Result<QueryAssignment, DabError> {
+    // A unit that reads no item (a constant body) has no filter to size
+    // and no value that can invalidate it.
+    if unit.body.terms().iter().all(|t| t.vars().is_empty()) {
+        return Ok(QueryAssignment {
+            primary: Default::default(),
+            validity: ValidityRange::Always,
+            anchor: Default::default(),
+            recompute_rate: 0.0,
+            refresh_rate: 0.0,
+        });
+    }
     let _span = dab_span(&ctx.gp);
     match strategy {
         AssignmentStrategy::PerItemSplit => per_item_split(&unit.query()?, ctx),
@@ -301,6 +312,24 @@ mod tests {
             AssignmentStrategy::DualDab { mu: 5.0 },
         ] {
             let a = assign_query(&q, &ctx, s, PqHeuristic::DifferentSum).unwrap();
+            assert_eq!(a.validity, ValidityRange::Always, "{s}");
+        }
+    }
+
+    #[test]
+    fn a_unit_that_reads_no_item_holds_always_under_every_strategy() {
+        let ctx = SolveContext::new(&[], &[]);
+        let body = Polynomial::from_terms([pq_poly::PTerm::constant(7.0).unwrap()]);
+        let unit = AssignmentUnit::new(body, 1.0);
+        for s in [
+            AssignmentStrategy::OptimalRefresh,
+            AssignmentStrategy::DualDab { mu: 5.0 },
+            AssignmentStrategy::PerItemSplit,
+            AssignmentStrategy::EqualDab,
+            AssignmentStrategy::LinearizedFilter,
+        ] {
+            let a = assign_unit(&unit, &ctx, s).unwrap_or_else(|e| panic!("{s}: {e}"));
+            assert!(a.primary.is_empty(), "{s}");
             assert_eq!(a.validity, ValidityRange::Always, "{s}");
         }
     }

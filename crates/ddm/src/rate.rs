@@ -75,25 +75,6 @@ impl RateEstimator {
     pub fn estimate_all(&self, traces: &TraceSet) -> Vec<f64> {
         traces.traces().iter().map(|t| self.estimate(t)).collect()
     }
-
-    /// Estimates rates for `items` only, in a vector indexed like
-    /// [`RateEstimator::estimate_all`]'s; every other slot holds
-    /// [`RateEstimator::FLOOR`]. For callers that read the rates of a
-    /// known few items of a large universe.
-    ///
-    /// # Panics
-    /// Panics if an item has no trace.
-    pub fn estimate_items(
-        &self,
-        traces: &TraceSet,
-        items: impl IntoIterator<Item = usize>,
-    ) -> Vec<f64> {
-        let mut rates = vec![RateEstimator::FLOOR; traces.n_items()];
-        for i in items {
-            rates[i] = self.estimate(traces.trace(i));
-        }
-        rates
-    }
 }
 
 fn sampled_average(trace: &Trace, interval: usize) -> f64 {
@@ -240,23 +221,5 @@ mod tests {
         let rates = RateEstimator::SampledAverage { interval_ticks: 60 }.estimate_all(&ts);
         assert_eq!(rates.len(), 5);
         assert!(rates.iter().all(|&r| r > 0.0 && r.is_finite()));
-    }
-
-    #[test]
-    fn estimate_items_fills_only_the_named_slots() {
-        let ts = crate::trace::TraceSet::stock_universe(5, 200, 1);
-        let est = RateEstimator::SampledAverage { interval_ticks: 60 };
-        let all = est.estimate_all(&ts);
-        let some = est.estimate_items(&ts, [1, 3]);
-        assert_eq!(
-            some,
-            [
-                RateEstimator::FLOOR,
-                all[1],
-                RateEstimator::FLOOR,
-                all[3],
-                RateEstimator::FLOOR
-            ]
-        );
     }
 }

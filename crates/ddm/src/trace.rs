@@ -283,6 +283,9 @@ fn build_paths(
 #[derive(Debug, Clone)]
 pub struct TraceSet {
     traces: Vec<Trace>,
+    /// Kept beside the traces: a [`TraceSet::subset`] of no item has none
+    /// to read its length from.
+    n_ticks: usize,
 }
 
 impl TraceSet {
@@ -292,12 +295,12 @@ impl TraceSet {
     /// Panics on empty input or mismatched lengths.
     pub fn new(traces: Vec<Trace>) -> Self {
         assert!(!traces.is_empty(), "trace set must not be empty");
-        let n = traces[0].len();
+        let n_ticks = traces[0].len();
         assert!(
-            traces.iter().all(|t| t.len() == n),
+            traces.iter().all(|t| t.len() == n_ticks),
             "all traces must have equal length"
         );
-        TraceSet { traces }
+        TraceSet { traces, n_ticks }
     }
 
     /// The paper's emulation setup: `n_items` stock-like GBM traces over
@@ -377,7 +380,7 @@ impl TraceSet {
 
     /// Number of ticks (uniform across items).
     pub fn n_ticks(&self) -> usize {
-        self.traces[0].len()
+        self.n_ticks
     }
 
     /// The trace of item `i`.
@@ -402,19 +405,20 @@ impl TraceSet {
 
     /// A sub-universe over the given items, in the given order: local
     /// item `k` of the result replays the trace of global item
-    /// `items[k]`. The sharded engine uses this to hand each shard a
-    /// dense trace set for exactly the items it owns or replicates.
+    /// `items[k]`. The simulator uses this to hand each engine a dense
+    /// trace set for exactly the items it watches; with no item at all
+    /// the result is an empty universe over the same ticks.
     ///
     /// # Panics
-    /// Panics if any index is out of range (and, via [`TraceSet::new`],
-    /// if `items` is empty).
+    /// Panics if any index is out of range.
     pub fn subset(&self, items: &[u32]) -> TraceSet {
-        TraceSet::new(
-            items
+        TraceSet {
+            traces: items
                 .iter()
                 .map(|&i| self.traces[i as usize].clone())
                 .collect(),
-        )
+            n_ticks: self.n_ticks,
+        }
     }
 }
 

@@ -165,6 +165,10 @@ fn clone_and_subset_share_the_samples() {
             tape.trace(global as usize).values().as_ptr()
         );
     }
+    // No item at all is still a universe over the same ticks.
+    let none = tape.subset(&[]);
+    assert_eq!((none.n_items(), none.n_ticks()), (0, 50));
+    assert!(none.initial_values().is_empty());
 }
 
 /// A path that panics on a worker thread is reported in its own words.

@@ -497,6 +497,16 @@ impl Obs {
         self.inner.registry.counter(name)
     }
 
+    /// The counters named `<prefix><id>` for each of `ids` — see
+    /// [`Registry::counters_indexed`].
+    pub fn counters_indexed(
+        &self,
+        prefix: &str,
+        ids: impl IntoIterator<Item = usize>,
+    ) -> Vec<Arc<Counter>> {
+        self.inner.registry.counters_indexed(prefix, ids)
+    }
+
     /// The histogram named `name` in this handle's registry.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
         self.inner.registry.histogram(name)
@@ -508,6 +518,18 @@ impl Obs {
     /// [`Registry::labeled_counter`].
     pub fn labeled_counter(&self, name: &str, key: &str, value: &str) -> Arc<Counter> {
         self.inner.registry.labeled_counter(name, key, value)
+    }
+
+    /// One counter per label value of the family `name`, in order — a
+    /// whole per-query or per-item series resolved under one lock; see
+    /// [`Registry::labeled_counters`].
+    pub fn labeled_counters<V: std::fmt::Display>(
+        &self,
+        name: &str,
+        key: &str,
+        values: impl IntoIterator<Item = V>,
+    ) -> Vec<Arc<Counter>> {
+        self.inner.registry.labeled_counters(name, key, values)
     }
 
     /// The gauge named `name` in this handle's registry.

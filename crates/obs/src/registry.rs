@@ -13,7 +13,8 @@
 //! values; later values share a single `_other` overflow counter so a
 //! high-cardinality bug cannot balloon memory.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::fmt::{Display, Write as _};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -311,7 +312,9 @@ pub const LABEL_OVERFLOW: &str = "_other";
 #[derive(Debug)]
 struct LabeledFamily {
     key: String,
-    values: BTreeMap<String, Arc<Counter>>,
+    /// Hashed, not ordered: a run resolves thousands of labels and reads
+    /// them back once, into the ordered map of a snapshot.
+    values: HashMap<String, Arc<Counter>>,
 }
 
 /// Get-or-create storage for named counters, histograms, and gauges,
@@ -337,6 +340,32 @@ impl Registry {
         c
     }
 
+    /// The counters named `<prefix><id>` for each of `ids`, in order —
+    /// what [`Registry::counter`] returns for each name, under one lock
+    /// and with the names written into one reused buffer (a per-query
+    /// series such as `sim.qab_violation.q<id>` is resolved thousands at
+    /// a time).
+    pub fn counters_indexed(
+        &self,
+        prefix: &str,
+        ids: impl IntoIterator<Item = usize>,
+    ) -> Vec<Arc<Counter>> {
+        let mut map = lock_unpoisoned(&self.counters);
+        let mut name = String::from(prefix);
+        ids.into_iter()
+            .map(|id| {
+                name.truncate(prefix.len());
+                write!(name, "{id}").expect("writing to a String");
+                if let Some(c) = map.get(name.as_str()) {
+                    return c.clone();
+                }
+                let c = Arc::new(Counter::default());
+                map.insert(name.clone(), c.clone());
+                c
+            })
+            .collect()
+    }
+
     /// The histogram named `name`, created on first use.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
         let mut map = lock_unpoisoned(&self.histograms);
@@ -358,31 +387,63 @@ impl Registry {
     /// [`Counter`]. Past [`LABEL_CAPACITY`] distinct values the
     /// [`LABEL_OVERFLOW`] counter is returned instead.
     pub fn labeled_counter(&self, name: &str, key: &str, value: &str) -> Arc<Counter> {
+        self.labeled_counters(name, key, [value])
+            .pop()
+            .expect("one label in, one counter out")
+    }
+
+    /// [`Registry::labeled_counter`] for each of `values`, in order: the
+    /// handles that many single calls would return, with the lock taken
+    /// and the family looked up once and the label text written into one
+    /// reused buffer. An empty `values` registers nothing, not even the
+    /// family.
+    pub fn labeled_counters<V: Display>(
+        &self,
+        name: &str,
+        key: &str,
+        values: impl IntoIterator<Item = V>,
+    ) -> Vec<Arc<Counter>> {
+        let mut values = values.into_iter().peekable();
+        if values.peek().is_none() {
+            return Vec::new();
+        }
         let mut map = lock_unpoisoned(&self.labeled);
-        let family = map
-            .entry(name.to_string())
-            .or_insert_with(|| LabeledFamily {
+        if !map.contains_key(name) {
+            let family = LabeledFamily {
                 key: key.to_string(),
-                values: BTreeMap::new(),
-            });
+                values: HashMap::new(),
+            };
+            map.insert(name.to_string(), family);
+        }
+        let family = map.get_mut(name).expect("just inserted");
         assert_eq!(
             family.key, key,
             "labeled counter {name:?} registered with key {:?}, asked for {key:?}",
             family.key
         );
-        if let Some(c) = family.values.get(value) {
-            return c.clone();
-        }
-        let value = if family.values.len() >= LABEL_CAPACITY {
-            LABEL_OVERFLOW
-        } else {
-            value
-        };
-        family
-            .values
-            .entry(value.to_string())
-            .or_insert_with(|| Arc::new(Counter::default()))
-            .clone()
+        let mut label = String::new();
+        let mut overflow: Option<Arc<Counter>> = None;
+        values
+            .map(|value| {
+                label.clear();
+                write!(label, "{value}").expect("writing to a String");
+                // A value registered while the family had room keeps its
+                // own counter however full the family is now.
+                if let Some(c) = family.values.get(label.as_str()) {
+                    return c.clone();
+                }
+                if family.values.len() >= LABEL_CAPACITY {
+                    let shared = overflow.get_or_insert_with(|| {
+                        let slot = family.values.entry(LABEL_OVERFLOW.to_string());
+                        slot.or_default().clone()
+                    });
+                    return shared.clone();
+                }
+                let c = Arc::new(Counter::default());
+                family.values.insert(label.clone(), c.clone());
+                c
+            })
+            .collect()
     }
 
     /// The gauge named `name`, created on first use.
@@ -638,6 +699,45 @@ mod tests {
         assert_eq!(fam.values.len(), LABEL_CAPACITY + 1);
         assert_eq!(fam.values[LABEL_OVERFLOW], 10);
         assert_eq!(fam.total(), (LABEL_CAPACITY + 10) as u64);
+    }
+
+    #[test]
+    fn batch_registration_returns_what_single_calls_return() {
+        // Two registries fed the same labels, one call at a time and in
+        // batches: past capacity, with repeats, and with a label that got
+        // its own slot before the family filled up.
+        let rounds: [Vec<usize>; 3] = [
+            (0..LABEL_CAPACITY - 1).collect(),
+            vec![5, LABEL_CAPACITY + 7, 5, LABEL_CAPACITY + 7, 1],
+            (LABEL_CAPACITY - 3..LABEL_CAPACITY + 3).collect(),
+        ];
+        let (single, batch) = (Registry::default(), Registry::default());
+        assert!(batch.labeled_counters("m", "item", [0usize; 0]).is_empty());
+        assert!(batch.snapshot().labeled.is_empty(), "nothing to register");
+        for (round, ids) in rounds.iter().enumerate() {
+            let one_by_one: Vec<_> = ids
+                .iter()
+                .map(|i| single.labeled_counter("m", "item", &i.to_string()))
+                .collect();
+            let together = batch.labeled_counters("m", "item", ids);
+            for (k, (a, b)) in one_by_one.iter().zip(&together).enumerate() {
+                a.add((round * 10_000 + k) as u64);
+                b.add((round * 10_000 + k) as u64);
+            }
+            let plain: Vec<_> = ids
+                .iter()
+                .map(|i| single.counter(&format!("v.q{i}")))
+                .collect();
+            let indexed = batch.counters_indexed("v.q", ids.iter().copied());
+            for (a, b) in plain.iter().zip(&indexed) {
+                a.inc();
+                b.inc();
+            }
+        }
+        let (single, batch) = (single.snapshot(), batch.snapshot());
+        assert_eq!(single.labeled, batch.labeled);
+        assert_eq!(single.counters, batch.counters);
+        assert_eq!(single.labeled["m"].values.len(), LABEL_CAPACITY + 1);
     }
 
     #[test]

@@ -69,31 +69,37 @@ fn splitmix64(z: u64) -> u64 {
 
 /// The engine's one source of stochastic draws (network delays, service
 /// times, message-loss coin flips): a counter-based splitmix64 stream per
-/// **global** item id. An item's `n`-th draw is a function of
-/// `(seed, item, n)` alone, so it does not depend on which shard
-/// processes the item or on what other items do — which is what keeps
-/// fixed-seed metrics equal across shard counts (DESIGN.md §13).
+/// item, keyed by the item's **global** id. An item's `n`-th draw is a
+/// function of `(seed, global id, n)` alone, so it does not depend on
+/// which engine holds the item, under what local id, or on what other
+/// items do — which is what keeps fixed-seed metrics equal across shard
+/// counts and under projection (DESIGN.md §12, §13).
 #[derive(Debug)]
 pub(crate) struct ItemDraws {
-    seed: u64,
-    /// Draws taken so far, per global item id. Zeroed, so the pages of
-    /// items that never draw (the never-read ones) are never touched.
+    /// Each local item's stream key: a hash of the seed and its global id.
+    keys: Vec<u64>,
+    /// Draws taken so far, per local item.
     counters: Vec<u64>,
 }
 
 impl ItemDraws {
-    pub(crate) fn new(seed: u64, n_global_items: usize) -> Self {
+    /// Streams for local items `0, 1, ..`, whose global ids are `gids` in
+    /// that order.
+    pub(crate) fn new(seed: u64, gids: impl IntoIterator<Item = usize>) -> Self {
+        let keys: Vec<u64> = gids
+            .into_iter()
+            .map(|gid| splitmix64(seed ^ (gid as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)))
+            .collect();
         ItemDraws {
-            seed,
-            counters: vec![0; n_global_items],
+            counters: vec![0; keys.len()],
+            keys,
         }
     }
 
-    /// Next uniform draw in `[0, 1)` on `item`'s stream.
+    /// Next uniform draw in `[0, 1)` on local `item`'s stream.
     pub(crate) fn uniform(&mut self, item: usize) -> f64 {
-        let key = splitmix64(self.seed ^ (item as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let taken = &mut self.counters[item];
-        let x = splitmix64(key.wrapping_add(*taken));
+        let x = splitmix64(self.keys[item].wrapping_add(*taken));
         *taken += 1;
         (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
@@ -184,7 +190,7 @@ mod tests {
     const SEED: u64 = 0x1CDE_2008;
 
     fn first_uniforms(seed: u64, item: usize, n: usize) -> Vec<u64> {
-        let mut draws = ItemDraws::new(seed, item + 1);
+        let mut draws = ItemDraws::new(seed, 0..=item);
         (0..n).map(|_| draws.uniform(item).to_bits()).collect()
     }
 
@@ -213,6 +219,17 @@ mod tests {
         );
     }
 
+    /// The stream follows the global id, wherever the item sits locally.
+    #[test]
+    fn a_stream_is_keyed_by_global_id_not_by_local_position() {
+        let mut projected = ItemDraws::new(SEED, [7, 0]);
+        let local = |draws: &mut ItemDraws, item| -> Vec<u64> {
+            (0..4).map(|_| draws.uniform(item).to_bits()).collect()
+        };
+        assert_eq!(local(&mut projected, 0), first_uniforms(SEED, 7, 4));
+        assert_eq!(local(&mut projected, 1), first_uniforms(SEED, 0, 4));
+    }
+
     /// An item's sequence is a function of `(seed, item, n)`: however the
     /// draws of different items interleave, each item sees the same one.
     #[test]
@@ -231,7 +248,7 @@ mod tests {
             irregular.swap(k, j);
         }
         for order in [round_robin, reversed, irregular] {
-            let mut draws = ItemDraws::new(SEED, n_items);
+            let mut draws = ItemDraws::new(SEED, 0..n_items);
             let mut seen = vec![Vec::new(); n_items];
             for item in order {
                 seen[item].push(draws.uniform(item).to_bits());
@@ -243,7 +260,7 @@ mod tests {
     #[test]
     fn sample_mean_approximates_target() {
         let p = Pareto::with_mean(0.110);
-        let mut draws = ItemDraws::new(1, 1);
+        let mut draws = ItemDraws::new(1, [0]);
         let n = 200_000;
         let total: f64 = (0..n).map(|_| draws.pareto(&p, 0)).sum();
         let mean = total / n as f64;
@@ -257,7 +274,7 @@ mod tests {
     #[test]
     fn samples_respect_scale_and_cap() {
         let p = Pareto::with_mean(0.1);
-        let mut draws = ItemDraws::new(2, 1);
+        let mut draws = ItemDraws::new(2, [0]);
         for _ in 0..10_000 {
             let s = draws.pareto(&p, 0);
             assert!(s >= p.scale && s <= p.cap);
@@ -269,7 +286,7 @@ mod tests {
     #[test]
     fn zero_config_produces_zero_delays_and_draws_nothing() {
         let d = DelayConfig::zero();
-        let mut draws = ItemDraws::new(3, 1);
+        let mut draws = ItemDraws::new(3, [0]);
         assert_eq!(draws.pareto(&d.node_to_node, 0), 0.0);
         assert_eq!(draws.pareto(&d.coordinator_check, 0), 0.0);
         assert_eq!(draws.pareto(&d.user_push, 0), 0.0);
@@ -281,7 +298,7 @@ mod tests {
         // A heavy-tailed distribution should produce samples well above
         // the mean with non-negligible frequency.
         let p = Pareto::with_mean(0.1);
-        let mut draws = ItemDraws::new(4, 1);
+        let mut draws = ItemDraws::new(4, [0]);
         let big = (0..100_000).filter(|_| draws.pareto(&p, 0) > 0.3).count();
         assert!(big > 100, "only {big} samples above 3x mean");
     }

@@ -79,19 +79,12 @@ pub(crate) struct ShardInlet {
 }
 
 /// Everything a shard engine needs to act as one coordinator of the
-/// partitioned (multi-coordinator) engine: id translation between its
-/// dense local space and the global universe, replica bookkeeping, and
-/// the rings to its peers. Built by [`crate::shard::run_sharded`];
-/// `None` in the classic single-coordinator engine.
+/// partitioned (multi-coordinator) engine besides its id tables (those
+/// are the engine's [`Scope`]): replica bookkeeping and the rings to its
+/// peers. Built by [`crate::shard::run_sharded`]; `None` when one
+/// coordinator runs the whole book.
 pub(crate) struct ShardCtx {
     pub(crate) shard: u32,
-    /// Items in the *global* (pre-partition) universe — sizes the
-    /// per-item draw counters of [`ItemDraws`].
-    pub(crate) n_global_items: usize,
-    /// Local item id -> global item id (strictly ascending).
-    pub(crate) item_gid: Vec<u32>,
-    /// Local query id -> global query id (strictly ascending).
-    pub(crate) query_gid: Vec<u32>,
     /// `true` for local items homed on another shard: their source
     /// lives there, so the local filter is pinned at `INFINITY` (no
     /// local pushes) and refreshes arrive over the ring instead.
@@ -113,15 +106,6 @@ pub(crate) struct ShardCtx {
     pub(crate) remote_dab_min: Vec<Vec<(u32, f64)>>,
 }
 
-impl ShardCtx {
-    /// Translates a global item id to this shard's dense local id.
-    fn local_item(&self, gid: u32) -> usize {
-        self.item_gid
-            .binary_search(&gid)
-            .expect("ring message for an item this shard does not hold")
-    }
-}
-
 /// Full configuration of a simulation run.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
@@ -141,8 +125,8 @@ pub struct SimConfig {
     pub mu_cost: f64,
     /// RNG seed for delays.
     pub seed: u64,
-    /// Coordinator shards. `1` (default) runs the classic
-    /// single-coordinator engine; `> 1` partitions the query↔item graph
+    /// Coordinator shards. `1` (default) runs one coordinator over the
+    /// whole book; `> 1` partitions the query↔item graph
     /// ([`mod@pq_core::partition`]) and runs one coordinator per shard on
     /// its own thread, exchanging cross-partition refreshes and DAB
     /// minima over bounded SPSC rings (see [`crate::shard`]).
@@ -247,8 +231,8 @@ pub enum SimError {
         /// The missing item index.
         item: usize,
     },
-    /// A trace some query (or remote shard) reads holds a sample that is
-    /// not a finite non-negative number.
+    /// A trace some query reads holds a sample that is not a finite
+    /// non-negative number.
     BadSample {
         /// The item (global id) whose trace holds it.
         item: usize,
@@ -329,10 +313,7 @@ pub fn run(config: &SimConfig) -> Result<SimMetrics, SimError> {
 /// the returned metrics (see [`SimMetrics::from_snapshot`]), including
 /// the GP-solver timings (`gp.solve_ns`) from every recomputation.
 pub fn run_observed(config: &SimConfig, obs: &Obs) -> Result<SimMetrics, SimError> {
-    if config.shards > 1 {
-        return crate::shard::run_sharded(config, obs).map(|report| report.metrics);
-    }
-    Engine::new(config, obs.clone(), None)?.run()
+    crate::shard::run_sharded(config, obs).map(|report| report.metrics)
 }
 
 /// The world around one coordinator: sources replaying the tape through
@@ -341,38 +322,40 @@ pub fn run_observed(config: &SimConfig, obs: &Obs) -> Result<SimMetrics, SimErro
 /// sides. The coordinator itself is [`Coordinator`]; the engine moves
 /// refreshes into it and turns each [`pq_core::Outcome`] into events,
 /// RNG draws and [`SimMetrics`].
+///
+/// An engine is as large as what it watches: `cfg` is a projection
+/// ([`crate::shard::run_sharded`]) holding exactly the items some local
+/// query reads or a remote shard subscribes to, under dense local ids.
+/// Every column here is indexed by those ids and every local item is
+/// swept, filtered and labeled; global ids appear only in what leaves
+/// the engine (labels, events, errors, ring messages, draw keys), through
+/// the coordinator's [`Scope`].
 pub(crate) struct Engine<'a> {
     cfg: &'a SimConfig,
     n_items: usize,
     /// The coordinator: its item values, maintained query values,
-    /// assignments and the filters it last derived. In sharded runs, over
-    /// this shard's partition. An unwatched item's rate in it is the
-    /// estimator's floor, never an estimate.
+    /// assignments and the filters it last derived.
     core: Coordinator,
     /// Structure-of-arrays source-side state: source values, last-pushed
     /// values and installed DABs as flat columns (plus the dirty bits
     /// batched ingestion uses).
     items: ItemTable,
-    /// The items the source plane maintains, ascending: every item a
-    /// local query reads plus, on a home shard, every item a remote
-    /// shard subscribes to. Nothing else can hold a finite filter, push,
-    /// draw from the RNG or feed a query value, so the per-tick sweep
-    /// visits only these and an unwatched item's source value stays at
-    /// its tick-0 sample.
-    watched: Vec<u32>,
-    /// The watched items' traces, tick-major: the sample of
-    /// `watched[k]` at `tick` is `tape[tick * watched.len() + k]`, so
-    /// one tick's sweep reads one contiguous row (`ticks x watched x 8`
-    /// bytes for the run). Every sample in it is finite and
+    /// The traces, tick-major: item `i`'s sample at `tick` is
+    /// `tape[tick * n_items + i]`, so one tick's sweep reads one
+    /// contiguous row beside the [`ItemTable`] columns (`ticks x items x
+    /// 8` bytes for the run). Every sample in it is finite and
     /// non-negative.
     tape: Vec<f64>,
+    /// The items whose sample escaped their filter on the tick being
+    /// swept (reused across ticks).
+    escaped: Vec<u32>,
     /// Query values at the source view, evaluated in full on demand:
     /// current only after [`Engine::refresh_truth`], which the fidelity
     /// sampler and the auditor call on the ticks they read it. Between
-    /// two reads nearly every watched item has moved, so folding each
+    /// two reads nearly every item has moved, so folding each
     /// move in as a delta would cost more than one evaluation.
     truth: Vec<f64>,
-    /// A watched source value changed since `truth` was evaluated.
+    /// A source value changed since `truth` was evaluated.
     truth_stale: bool,
     /// Monomial scratch of the shared plan's full evaluation.
     truth_scratch: Vec<f64>,
@@ -380,8 +363,7 @@ pub(crate) struct Engine<'a> {
     draws: ItemDraws,
     metrics: SimMetrics,
     /// Multi-coordinator state when this engine runs as one shard of a
-    /// partitioned run (`None` in the classic engine; see
-    /// [`crate::shard`]).
+    /// partitioned run (see [`crate::shard`]).
     shard: Option<ShardCtx>,
     /// The simulated tick currently executing (stamped on outbound ring
     /// messages so receivers release them conservatively).
@@ -410,9 +392,8 @@ pub(crate) struct Engine<'a> {
     c_lost: Arc<Counter>,
     c_fidelity: Arc<Counter>,
     c_violations: Vec<Arc<Counter>>,
-    /// Per-item `sim.refresh` attribution (labeled family, key `item`),
-    /// resolved for watched items only — no other item can refresh.
-    lc_refresh_by_item: Vec<Option<Arc<Counter>>>,
+    /// Per-item `sim.refresh` attribution (labeled family, key `item`).
+    lc_refresh_by_item: Vec<Arc<Counter>>,
     /// Full evaluations of the source-side truth (`eval.full`; the
     /// coordinator counts its own rebases under the same name).
     c_eval_full: Arc<Counter>,
@@ -429,7 +410,7 @@ pub(crate) struct Engine<'a> {
     /// Per-shard hot-path attribution (`shard.refresh` /
     /// `shard.recompute` labeled by `shard`) plus ring-traffic counters
     /// (`shard.ring_send` / `shard.ring_recv`); present only when
-    /// running as a shard, so the classic engine pays nothing.
+    /// running as a shard, so a lone coordinator pays nothing.
     lc_shard_refresh: Option<Arc<Counter>>,
     lc_shard_recompute: Option<Arc<Counter>>,
     lc_ring_send: Option<Arc<Counter>>,
@@ -440,25 +421,24 @@ pub(crate) struct Engine<'a> {
     /// Live-health runtime (windowed plane + burn-rate engine +
     /// watchdog); present only when [`SimConfig::slo`] is set.
     slo: Option<SloRuntime>,
+    /// Test tap: the sweep to run and every event the wheel released.
+    #[cfg(test)]
+    probe: tests::SweepProbe,
 }
 
-/// Transposes the watched items' traces into one `[tick][watched rank]`
-/// tape, rejecting the first sample that is not finite and non-negative
-/// (`gid` names its item in the error).
-fn watched_tape(
-    traces: &TraceSet,
-    watched: &[u32],
-    gid: impl Fn(usize) -> usize,
-) -> Result<Vec<f64>, SimError> {
-    let mut tape = vec![0.0; traces.n_ticks() * watched.len()];
-    for (k, &item) in watched.iter().enumerate() {
-        let item = item as usize;
-        for (tick, &v) in traces.trace(item).values().iter().enumerate() {
+/// Transposes the traces into one `[tick][item]` tape, rejecting the
+/// first sample (in item, then tick order) that is not finite and
+/// non-negative; `gid` names its item in the error.
+fn transpose(traces: &TraceSet, gid: impl Fn(usize) -> usize) -> Result<Vec<f64>, SimError> {
+    let n_items = traces.n_items();
+    let mut tape = vec![0.0; traces.n_ticks() * n_items];
+    for (item, trace) in traces.traces().iter().enumerate() {
+        for (tick, &v) in trace.values().iter().enumerate() {
             if !(v.is_finite() && v >= 0.0) {
                 let item = gid(item);
                 return Err(SimError::BadSample { item, tick });
             }
-            tape[tick * watched.len() + k] = v;
+            tape[tick * n_items + item] = v;
         }
     }
     Ok(tape)
@@ -534,7 +514,7 @@ impl SloRuntime {
         };
         // Watchdogs stay per-engine: each shard beats its own, so a
         // single wedged shard is attributable. The singleton slot keeps
-        // its first-install-wins behavior for the classic engine;
+        // its first-install-wins behavior for a lone coordinator;
         // shards additionally register under a `shard<i>` label, which
         // `/health` aggregates and reports per shard.
         let watchdog = Arc::new(Watchdog::new(WATCHDOG_STALL_AFTER));
@@ -555,64 +535,32 @@ impl SloRuntime {
 }
 
 impl<'a> Engine<'a> {
-    /// Builds the classic engine, or with `shard` one coordinator of a
-    /// partitioned run: `cfg` is then the shard's projected configuration
-    /// (dense local ids), `shard` the translation tables and rings (see
-    /// [`crate::shard`]).
+    /// Builds the engine of one coordinator over `cfg`, a projection
+    /// whose every item is watched (validated by
+    /// [`crate::shard::run_sharded`], which builds it): `scope` maps its
+    /// dense local ids to the run's global ones, `shard` holds the rings
+    /// when the coordinator is one of several.
     pub(crate) fn new(
         cfg: &'a SimConfig,
         obs: Obs,
+        scope: Scope,
         shard: Option<ShardCtx>,
     ) -> Result<Self, SimError> {
         let n_items = cfg.traces.n_items();
-        // `NaN` fails the range test too.
-        if !(0.0..=1.0).contains(&cfg.loss_probability) {
-            return Err(SimError::BadLossProbability {
-                value: cfg.loss_probability,
-            });
-        }
-        for q in &cfg.queries {
-            if let Some(mx) = q.poly().max_item() {
-                if mx.index() >= n_items {
-                    return Err(SimError::MissingTrace { item: mx.index() });
-                }
-            }
-        }
         let source_values = cfg.traces.initial_values();
-        let mut read = vec![false; n_items];
-        for item in cfg.queries.iter().flat_map(PolynomialQuery::items) {
-            read[item.index()] = true;
-        }
-        let watched: Vec<u32> = (0..n_items)
-            .filter(|&i| read[i] || shard.as_ref().is_some_and(|c| !c.exports[i].is_empty()))
-            .map(|i| i as u32)
-            .collect();
-        // All registry names carry *global* ids so a partitioned run's
-        // shards write into one coherent attribution space (identity
-        // maps in the classic engine).
-        let scope = shard.as_ref().map_or_else(Scope::default, |c| Scope {
-            query_gid: c.query_gid.clone(),
-            item_gid: c.item_gid.clone(),
-            node: None,
-        });
-        let tape = watched_tape(&cfg.traces, &watched, |i| scope.item(i))?;
+        let tape = transpose(&cfg.traces, |i| scope.item(i))?;
         let shard_label = shard.as_ref().map(|c| c.shard.to_string());
-        let n_global_items = shard.as_ref().map_or(n_items, |c| c.n_global_items);
-        let mut lc_refresh_by_item = vec![None; n_items];
-        for &i in &watched {
-            let label = scope.item(i as usize).to_string();
-            lc_refresh_by_item[i as usize] =
-                Some(obs.labeled_counter(names::SIM_REFRESH, names::LABEL_ITEM, &label));
-        }
-        let c_violations = (0..cfg.queries.len())
-            .map(|qi| {
-                obs.counter(&format!(
-                    "{}.q{}",
-                    names::SIM_QAB_VIOLATION,
-                    scope.query(qi)
-                ))
-            })
-            .collect();
+        // All registry names carry *global* ids so a partitioned run's
+        // shards write into one coherent attribution space; so do the
+        // keys of the draw streams.
+        let item_gids = || (0..n_items).map(|i| scope.item(i));
+        let lc_refresh_by_item =
+            obs.labeled_counters(names::SIM_REFRESH, names::LABEL_ITEM, item_gids());
+        let c_violations = obs.counters_indexed(
+            &format!("{}.q", names::SIM_QAB_VIOLATION),
+            (0..cfg.queries.len()).map(|qi| scope.query(qi)),
+        );
+        let draws = ItemDraws::new(cfg.seed, item_gids());
         obs.emit_with(names::SIM_RUN_START, EventKind::Point, |e| {
             let e = e
                 .with("n_items", n_items)
@@ -636,11 +584,7 @@ impl<'a> Engine<'a> {
         // §V-A): the coordinator is installed at the sources' values and
         // its first filters are in place before the first tick.
         let core_cfg = Config {
-            // Only a watched item's rate is ever read (`SolveContext::rate`
-            // on a local query's items, the AAO program's).
-            rates: cfg
-                .rate_estimator
-                .estimate_items(&cfg.traces, watched.iter().map(|&i| i as usize)),
+            rates: cfg.rate_estimator.estimate_all(&cfg.traces),
             ddm: cfg.ddm,
             gp: cfg.gp.clone(),
             threads: cfg.threads,
@@ -690,10 +634,10 @@ impl<'a> Engine<'a> {
             truth_stale: false,
             truth_scratch: Vec::new(),
             core,
-            watched,
             tape,
+            escaped: Vec::new(),
             queue: TimerWheel::new(),
-            draws: ItemDraws::new(cfg.seed, n_global_items),
+            draws,
             current_tick: 0,
             metrics: SimMetrics::with_items(cfg.queries.len(), n_items),
             coordinator_busy_until: 0.0,
@@ -735,6 +679,8 @@ impl<'a> Engine<'a> {
                 .map(|slo| SloRuntime::new(slo, &obs, shard.as_ref().map(|c| c.shard))),
             shard,
             obs,
+            #[cfg(test)]
+            probe: tests::SweepProbe::default(),
         };
         engine.note_solver_ns(solve_ns);
         Ok(engine)
@@ -748,10 +694,18 @@ impl<'a> Engine<'a> {
         self.metrics.solver_seconds += ns as f64 / 1e9;
     }
 
-    /// Global item id for a local one (identity in the classic engine).
+    /// Global item id for a local one.
     #[inline]
     fn gi(&self, item: usize) -> usize {
         self.core.scope().item(item)
+    }
+
+    /// The local id of global item `gid`, named by a ring message.
+    fn local_item(&self, gid: u32) -> usize {
+        let item_gid = &self.core.scope().item_gid;
+        item_gid
+            .binary_search(&gid)
+            .expect("ring message for an item this shard does not hold")
     }
 
     pub(crate) fn run(mut self) -> Result<SimMetrics, SimError> {
@@ -768,160 +722,108 @@ impl<'a> Engine<'a> {
     }
 
     fn run_inner(&mut self) -> Result<(), SimError> {
+        self.start();
+        for tick in 1..self.cfg.traces.n_ticks() {
+            self.run_tick(tick)?;
+        }
+        self.finish();
+        Ok(())
+    }
+
+    /// Before the first tick of a shard: replicas never push locally —
+    /// their source lives on the home shard — and the home must learn
+    /// every remote's initial minimum before the first tick's pushes.
+    fn start(&mut self) {
         if self.shard.is_some() {
-            // Replicas never push locally — their source lives on the
-            // home shard — and the home must learn every remote's
-            // initial minimum before the first tick's pushes.
             self.force_replica_filters();
             self.send_initial_dab_updates();
             self.publish_completed(0);
         }
-        // Batched ingestion is only sound when the coordinator's service
-        // times are identically zero: then `busy_until` never outruns
-        // event time, nothing is ever deferred, and same-instant
-        // refreshes with disjoint query sets can be fused (§DESIGN 12).
-        let batching = self.cfg.delays.is_service_free();
-        // A same-time event popped while collecting a batch but not
-        // admissible into it; processed before touching the queue again.
-        let mut pending: Option<(f64, Event)> = None;
-        let n_ticks = self.cfg.traces.n_ticks();
-        for tick in 1..n_ticks {
-            let now = tick as f64;
-            self.current_tick = tick as u64;
-            // Conservative inter-shard barrier: wait for every peer to
-            // complete tick-1, then replay the staged cross-shard
-            // messages in deterministic (source-shard, FIFO) order.
-            if self.shard.is_some() {
-                self.shard_sync(tick);
-            }
-            // AAO-T periodic joint recomputation.
-            if let SimStrategy::AaoPeriodic { period_ticks, mu } = &self.cfg.strategy {
-                if *period_ticks > 0 && tick % period_ticks == 0 {
-                    self.periodic_aao(now, *mu)?;
-                }
-            }
-            // Watched sources observe the tick's values and push filtered
-            // changes. No query value is touched here: the source-side
-            // truth is evaluated when something asks for it.
-            let row = tick * self.watched.len();
-            for k in 0..self.watched.len() {
-                let item = self.watched[k] as usize;
-                let v = self.tape[row + k];
-                debug_assert_eq!(v.to_bits(), self.cfg.traces.trace(item).at(tick).to_bits());
-                self.truth_stale |= v != self.items.value(item);
-                self.items.set_value(item, v);
-                self.maybe_push(item, now);
-            }
-            // Deliver everything due by this tick: queued events in time
-            // order, interleaved with busy-deferred refreshes that start
-            // the moment the coordinator frees up (queued events win ties,
-            // matching the arrival order a re-push would have produced).
-            loop {
-                let next_time = pending
-                    .as_ref()
-                    .map(|&(t, _)| t)
-                    .or_else(|| self.queue.peek_time());
-                if !self.deferred.is_empty()
-                    && self.coordinator_busy_until <= now
-                    && next_time.is_none_or(|t| t > self.coordinator_busy_until)
-                {
-                    let (item, value) = self.deferred.pop_front().expect("non-empty");
-                    let t = self.coordinator_busy_until;
-                    self.ingest(&[(item, value)], t)?;
-                    continue;
-                }
-                let next = match pending.take() {
-                    Some(held) => Some(held),
-                    None => {
-                        let popped = self.queue.pop_until(now);
-                        if popped.is_some() {
-                            self.c_sched_pop.inc();
-                        }
-                        popped
-                    }
-                };
-                let Some((t, event)) = next else {
-                    break;
-                };
-                match event {
-                    Event::RefreshArrive { item, value } => {
-                        // Queueing at the coordinator: wait until it is
-                        // free, then occupy it for the processing time.
-                        if self.coordinator_busy_until > t {
-                            self.deferred.push_back((item, value));
-                            continue;
-                        }
-                        if batching {
-                            pending = self.collect_and_ingest_batch(item, value, t, now)?;
-                        } else {
-                            self.ingest(&[(item, value)], t)?;
-                        }
-                    }
-                    Event::DabChangeArrive { item, dab } => {
-                        self.items.set_installed_dab(item, dab);
-                        self.maybe_push(item, t);
-                    }
-                }
-            }
-            // Fidelity sample: truth, coordinator view and QABs as three
-            // columns.
-            if self.cfg.fidelity_sample_every > 0 && tick % self.cfg.fidelity_sample_every == 0 {
-                self.metrics.fidelity_samples += 1;
-                // Every shard samples the same ticks; only shard 0 feeds
-                // the global counter so `/metrics` reports true samples,
-                // not samples x shards.
-                if self.shard.as_ref().is_none_or(|c| c.shard == 0) {
-                    self.c_fidelity.inc();
-                }
-                self.refresh_truth();
-                let cached = self.core.query_values();
-                let columns = self.truth.iter().zip(cached).zip(self.core.qabs());
-                for (qi, ((&truth, &cached), &qab)) in columns.enumerate() {
-                    if (truth - cached).abs() > qab {
-                        self.metrics.per_query_violations[qi] += 1;
-                        self.c_violations[qi].inc();
-                        let gqi = self.core.scope().query(qi);
-                        self.obs
-                            .emit_with(names::SIM_QAB_VIOLATION, EventKind::Point, |e| {
-                                e.with("query", gqi)
-                                    .with("tick", tick)
-                                    .with("truth", truth)
-                                    .with("cached", cached)
-                            });
-                    }
-                }
-            }
-            // Continuous fidelity audit: read-only shadow evaluation of
-            // the delta plane, preceded by the test-only fault hook — the
-            // coordinator view is the only maintained plane there is to
-            // corrupt.
-            if let Some(fault) = &self.cfg.audit_fault {
-                if fault.tick == tick {
-                    self.core.corrupt_query_value(fault.query, fault.perturb);
-                }
-            }
-            if self.auditor.as_ref().is_some_and(|a| a.is_due(tick)) {
-                self.refresh_truth();
-                self.auditor.as_mut().expect("checked").on_tick(
-                    tick,
-                    &self.cfg.queries,
-                    self.items.values(),
-                    self.core.values(),
-                    &self.truth,
-                    self.core.query_values(),
-                    self.metrics.refreshes,
-                    &self.obs,
-                );
-            }
-            // Live-health tick: heartbeat, windowed-plane advance, and
-            // the burn-rate observation over this tick's fidelity
-            // samples. Runs after the audit so a divergence flagged this
-            // tick alerts this tick.
-            self.slo_on_tick(tick);
-            if self.shard.is_some() {
-                self.publish_completed(tick as u64);
+    }
+
+    /// One simulated second: sources sample and push, everything due is
+    /// delivered, then the samplers look at both sides.
+    fn run_tick(&mut self, tick: usize) -> Result<(), SimError> {
+        let now = tick as f64;
+        self.current_tick = tick as u64;
+        // Conservative inter-shard barrier: wait for every peer to
+        // complete tick-1, then replay the staged cross-shard
+        // messages in deterministic (source-shard, FIFO) order.
+        if self.shard.is_some() {
+            self.shard_sync(tick);
+        }
+        // AAO-T periodic joint recomputation.
+        if let SimStrategy::AaoPeriodic { period_ticks, mu } = &self.cfg.strategy {
+            if *period_ticks > 0 && tick.is_multiple_of(*period_ticks) {
+                self.periodic_aao(now, *mu)?;
             }
         }
+        self.sweep(tick, now);
+        self.deliver_due(now)?;
+        // Fidelity sample: truth, coordinator view and QABs as three
+        // columns.
+        if self.cfg.fidelity_sample_every > 0 && tick.is_multiple_of(self.cfg.fidelity_sample_every)
+        {
+            self.metrics.fidelity_samples += 1;
+            // Every shard samples the same ticks; only shard 0 feeds
+            // the global counter so `/metrics` reports true samples,
+            // not samples x shards.
+            if self.shard.as_ref().is_none_or(|c| c.shard == 0) {
+                self.c_fidelity.inc();
+            }
+            self.refresh_truth();
+            let cached = self.core.query_values();
+            let columns = self.truth.iter().zip(cached).zip(self.core.qabs());
+            for (qi, ((&truth, &cached), &qab)) in columns.enumerate() {
+                if (truth - cached).abs() > qab {
+                    self.metrics.per_query_violations[qi] += 1;
+                    self.c_violations[qi].inc();
+                    let gqi = self.core.scope().query(qi);
+                    self.obs
+                        .emit_with(names::SIM_QAB_VIOLATION, EventKind::Point, |e| {
+                            e.with("query", gqi)
+                                .with("tick", tick)
+                                .with("truth", truth)
+                                .with("cached", cached)
+                        });
+                }
+            }
+        }
+        // Continuous fidelity audit: read-only shadow evaluation of
+        // the delta plane, preceded by the test-only fault hook — the
+        // coordinator view is the only maintained plane there is to
+        // corrupt.
+        if let Some(fault) = &self.cfg.audit_fault {
+            if fault.tick == tick {
+                self.core.corrupt_query_value(fault.query, fault.perturb);
+            }
+        }
+        if self.auditor.as_ref().is_some_and(|a| a.is_due(tick)) {
+            self.refresh_truth();
+            self.auditor.as_mut().expect("checked").on_tick(
+                tick,
+                &self.cfg.queries,
+                self.items.values(),
+                self.core.values(),
+                &self.truth,
+                self.core.query_values(),
+                self.metrics.refreshes,
+                &self.obs,
+            );
+        }
+        // Live-health tick: heartbeat, windowed-plane advance, and
+        // the burn-rate observation over this tick's fidelity
+        // samples. Runs after the audit so a divergence flagged this
+        // tick alerts this tick.
+        self.slo_on_tick(tick);
+        if self.shard.is_some() {
+            self.publish_completed(tick as u64);
+        }
+        Ok(())
+    }
+
+    /// After the last tick: teardown and the end-of-run telemetry.
+    fn finish(&mut self) {
         if let Some(slo) = &self.slo {
             // A finished run is not a stall, however long ago its last
             // heartbeat was — post-run `/health` scrapes must stay green.
@@ -947,12 +849,116 @@ impl<'a> Engine<'a> {
                     )
             });
         self.obs.flush();
-        Ok(())
+    }
+
+    /// Sources observe `tick`'s samples and push the ones that escaped
+    /// their filter, in two passes: [`ItemTable::observe`] over the dense
+    /// columns, then one push per escaped item, ascending. A push touches
+    /// its own item's columns and draw stream only, so no push changes
+    /// whether or what a later item pushes: the pushes, each item's draw
+    /// order, the wheel insertions and the ring sends are those of a loop
+    /// that filters and pushes item by item ([`Engine::sweep_interleaved`]
+    /// holds it to that). No query value is touched here: the source-side
+    /// truth is evaluated when something asks for it.
+    fn sweep(&mut self, tick: usize, now: f64) {
+        #[cfg(test)]
+        if self.probe.interleaved {
+            return self.sweep_interleaved(tick, now);
+        }
+        let row = &self.tape[tick * self.n_items..][..self.n_items];
+        for (item, v) in row.iter().enumerate() {
+            debug_assert_eq!(
+                v.to_bits(),
+                self.cfg.traces.trace(item).at(tick).to_bits(),
+                "tape and trace disagree on x{item} at tick {tick}"
+            );
+        }
+        self.truth_stale |= self.items.observe(row, &mut self.escaped);
+        let escaped = std::mem::take(&mut self.escaped);
+        for &item in &escaped {
+            self.push(item as usize, now);
+        }
+        self.escaped = escaped;
+    }
+
+    /// The loop [`Engine::sweep`] replaces, kept as its oracle: each item
+    /// samples, filters and pushes before the next one samples.
+    #[cfg(test)]
+    fn sweep_interleaved(&mut self, tick: usize, now: f64) {
+        for item in 0..self.n_items {
+            let v = self.tape[tick * self.n_items + item];
+            self.truth_stale |= v != self.items.value(item);
+            self.items.set_value(item, v);
+            self.maybe_push(item, now);
+        }
+    }
+
+    /// The next queued event due by `now`, if any.
+    fn pop_due(&mut self, now: f64) -> Option<(f64, Event)> {
+        let popped = self.queue.pop_until(now);
+        if popped.is_some() {
+            self.c_sched_pop.inc();
+        }
+        #[cfg(test)]
+        self.probe.released.extend(popped.clone());
+        popped
+    }
+
+    /// Delivers everything due by `now`: queued events in time order,
+    /// interleaved with busy-deferred refreshes that start the moment the
+    /// coordinator frees up (queued events win ties, matching the arrival
+    /// order a re-push would have produced).
+    fn deliver_due(&mut self, now: f64) -> Result<(), SimError> {
+        // Batched ingestion is only sound when the coordinator's service
+        // times are identically zero: then `busy_until` never outruns
+        // event time, nothing is ever deferred, and same-instant
+        // refreshes with disjoint query sets can be fused (§DESIGN 12).
+        let batching = self.cfg.delays.is_service_free();
+        // A same-time event popped while collecting a batch but not
+        // admissible into it; processed before touching the queue again.
+        let mut pending: Option<(f64, Event)> = None;
+        loop {
+            let next_time = pending
+                .as_ref()
+                .map(|&(t, _)| t)
+                .or_else(|| self.queue.peek_time());
+            if !self.deferred.is_empty()
+                && self.coordinator_busy_until <= now
+                && next_time.is_none_or(|t| t > self.coordinator_busy_until)
+            {
+                let (item, value) = self.deferred.pop_front().expect("non-empty");
+                let t = self.coordinator_busy_until;
+                self.ingest(&[(item, value)], t)?;
+                continue;
+            }
+            let Some((t, event)) = pending.take().or_else(|| self.pop_due(now)) else {
+                return Ok(());
+            };
+            match event {
+                Event::RefreshArrive { item, value } => {
+                    // Queueing at the coordinator: wait until it is
+                    // free, then occupy it for the processing time.
+                    if self.coordinator_busy_until > t {
+                        self.deferred.push_back((item, value));
+                        continue;
+                    }
+                    if batching {
+                        pending = self.collect_and_ingest_batch(item, value, t, now)?;
+                    } else {
+                        self.ingest(&[(item, value)], t)?;
+                    }
+                }
+                Event::DabChangeArrive { item, dab } => {
+                    self.items.set_installed_dab(item, dab);
+                    self.maybe_push(item, t);
+                }
+            }
+        }
     }
 
     /// Brings [`Engine::truth`] up to the current source values with
-    /// one full evaluation of the book, unless no watched value changed
-    /// since the last one.
+    /// one full evaluation of the book, unless no value changed since the
+    /// last one.
     fn refresh_truth(&mut self) {
         if !std::mem::take(&mut self.truth_stale) {
             return;
@@ -1056,7 +1062,7 @@ impl<'a> Engine<'a> {
                         msgs.push((
                             ring,
                             RingMsg::DabUpdate {
-                                item: ctx.item_gid[item],
+                                item: self.gi(item) as u32,
                                 min_dab,
                                 time: 0.0,
                                 sent_tick: 0,
@@ -1149,7 +1155,7 @@ impl<'a> Engine<'a> {
             RingMsg::Refresh {
                 item, value, time, ..
             } => {
-                let local = self.shard.as_ref().expect("sharded").local_item(item);
+                let local = self.local_item(item);
                 // Cross-shard arrivals quantize to at least the current
                 // tick — the ring hop is only observed at barriers.
                 let at = time.max(tick as f64);
@@ -1158,8 +1164,8 @@ impl<'a> Engine<'a> {
                     .push(at, Event::RefreshArrive { item: local, value });
             }
             RingMsg::DabUpdate { item, min_dab, .. } => {
+                let local = self.local_item(item);
                 let ctx = self.shard.as_mut().expect("sharded");
-                let local = ctx.local_item(item);
                 let remote = &mut ctx.remote_dab_min[local];
                 match remote.iter_mut().find(|(shard, _)| *shard == src) {
                     Some(entry) => entry.1 = min_dab,
@@ -1236,7 +1242,7 @@ impl<'a> Engine<'a> {
             if self.drop_message(item) {
                 continue;
             }
-            let delay = self.draws.pareto(&self.cfg.delays.node_to_node, gid);
+            let delay = self.draws.pareto(&self.cfg.delays.node_to_node, item);
             let ring = self.shard.as_ref().expect("sharded").exports[item][k];
             self.ring_send(
                 ring,
@@ -1251,31 +1257,37 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Source-side filter: push when the value escapes the installed DAB.
+    /// Source-side filter: push when the value escapes the installed DAB
+    /// (nothing escapes an infinite one).
     fn maybe_push(&mut self, item: usize, now: f64) {
-        let v = self.items.value(item);
-        let dab = self.items.installed_dab(item);
-        if dab.is_finite() && (v - self.items.last_pushed(item)).abs() > dab {
-            self.items.set_last_pushed(item, v);
-            if !self.drop_message(item) {
-                let gid = self.gi(item);
-                let delay = self.draws.pareto(&self.cfg.delays.node_to_node, gid);
-                self.c_sched_push.inc();
-                self.queue
-                    .push(now + delay, Event::RefreshArrive { item, value: v });
-            }
-            // An accepted push also feeds every remote replica (no-op
-            // in the classic engine and for unexported items).
-            self.forward_exports(item, v, now);
+        let drift = self.items.value(item) - self.items.last_pushed(item);
+        if drift.abs() > self.items.installed_dab(item) {
+            self.push(item, now);
         }
+    }
+
+    /// `item`'s source pushes its current value toward the coordinator
+    /// and every remote replica.
+    fn push(&mut self, item: usize, now: f64) {
+        let v = self.items.value(item);
+        self.items.set_last_pushed(item, v);
+        if !self.drop_message(item) {
+            let delay = self.draws.pareto(&self.cfg.delays.node_to_node, item);
+            self.c_sched_push.inc();
+            self.queue
+                .push(now + delay, Event::RefreshArrive { item, value: v });
+        }
+        // An accepted push also feeds every remote replica (no-op for
+        // unexported items).
+        self.forward_exports(item, v, now);
     }
 
     /// Failure injection: true if this message is lost in transit. The
     /// draw runs on `item`'s stream.
     fn drop_message(&mut self, item: usize) -> bool {
         // No draw when loss is off.
-        let lost = self.cfg.loss_probability > 0.0
-            && self.draws.uniform(self.gi(item)) < self.cfg.loss_probability;
+        let lost =
+            self.cfg.loss_probability > 0.0 && self.draws.uniform(item) < self.cfg.loss_probability;
         if lost {
             self.metrics.lost_messages += 1;
             self.c_lost.inc();
@@ -1291,9 +1303,7 @@ impl<'a> Engine<'a> {
         self.metrics.refreshes += 1;
         self.metrics.per_item_refreshes[item] += 1;
         self.c_refreshes.inc();
-        if let Some(c) = &self.lc_refresh_by_item[item] {
-            c.inc();
-        }
+        self.lc_refresh_by_item[item].inc();
         if let Some(c) = &self.lc_shard_refresh {
             c.inc();
         }
@@ -1326,10 +1336,9 @@ impl<'a> Engine<'a> {
         }
         let mut held = None;
         while self.queue.peek_time() == Some(t) {
-            let Some((t2, event)) = self.queue.pop_until(now) else {
+            let Some((t2, event)) = self.pop_due(now) else {
                 break;
             };
-            self.c_sched_pop.inc();
             match event {
                 Event::RefreshArrive {
                     item: item2,
@@ -1394,8 +1403,7 @@ impl<'a> Engine<'a> {
     fn react(&mut self, item: usize, now: f64) -> Result<(), SimError> {
         // One query-check service charge per refresh (the paper's 4 ms
         // mean covers processing an arriving refresh, §V-A).
-        let gid = self.gi(item);
-        let mut service = self.draws.pareto(&self.cfg.delays.coordinator_check, gid);
+        let mut service = self.draws.pareto(&self.cfg.delays.coordinator_check, item);
         let outcome = self.core.react(item, Some(now))?;
         for &(query, qv) in &outcome.notify {
             self.metrics.user_notifications += 1;
@@ -1416,7 +1424,7 @@ impl<'a> Engine<'a> {
             // Occupy the coordinator: the per-query checks plus one
             // solver run per re-solved unit.
             for _ in &outcome.recomputed {
-                service += self.draws.pareto(&self.cfg.delays.recompute_service, gid);
+                service += self.draws.pareto(&self.cfg.delays.recompute_service, item);
             }
         }
         self.coordinator_busy_until = now + service;
@@ -1465,7 +1473,7 @@ impl<'a> Engine<'a> {
             if self.drop_message(item) {
                 continue;
             }
-            let delay = self.draws.pareto(&self.cfg.delays.node_to_node, gid);
+            let delay = self.draws.pareto(&self.cfg.delays.node_to_node, item);
             self.c_sched_push.inc();
             self.queue
                 .push(now + delay, Event::DabChangeArrive { item, dab });
@@ -1482,9 +1490,7 @@ impl<'a> Engine<'a> {
         self.core
             .install_joint(&joint.per_query, "aao-periodic", Some(now));
         self.note_recomputations(0..self.cfg.queries.len());
-        // Unwatched items have no assignment and no remote minimum: their
-        // filter is infinite before and after.
-        let changes = self.core.rederive(self.watched.iter().map(|&i| i as usize));
+        let changes = self.core.rederive(0..self.n_items);
         self.ship_filter_changes(&changes, now);
         Ok(())
     }
@@ -1499,6 +1505,77 @@ mod tests {
 
     fn x(i: u32) -> ItemId {
         ItemId(i)
+    }
+
+    /// Test tap on an engine ([`Engine::sweep`], [`Engine::pop_due`]).
+    #[derive(Default)]
+    pub(super) struct SweepProbe {
+        /// Run [`Engine::sweep_interleaved`] in place of the two passes.
+        pub(super) interleaved: bool,
+        /// Every event the wheel released since this was last emptied.
+        pub(super) released: Vec<(f64, Event)>,
+    }
+
+    #[test]
+    fn the_two_pass_sweep_releases_the_events_of_the_interleaved_loop() {
+        use pq_workload::{WorkloadConfig, WorkloadGen};
+        // Overlapping legs under tight bounds: several items escape on
+        // one tick and a refresh of one re-filters others.
+        let (n_items, seed) = (24, 0x1CDE_2008);
+        let traces = TraceSet::stock_universe(n_items, 300, seed);
+        let workload = WorkloadConfig {
+            n_items,
+            legs: 3..=4,
+            ppq_qab_fraction: 0.0005,
+            ..WorkloadConfig::default()
+        };
+        let queries = WorkloadGen::with_config(workload, seed)
+            .portfolio_queries(12, &traces.initial_values());
+        let mut lossy_service_free = SimConfig::new(traces, queries);
+        lossy_service_free.threads = 1;
+        lossy_service_free.loss_probability = 0.1;
+        lossy_service_free.delays = DelayConfig {
+            node_to_node: Pareto::with_mean(0.110),
+            ..DelayConfig::zero()
+        };
+        let mut planetlab = lossy_service_free.clone();
+        planetlab.loss_probability = 0.0;
+        planetlab.delays = DelayConfig::planetlab_like();
+        // Recomputing on every refresh keeps filter changes in flight.
+        planetlab.strategy = optimal();
+        // Bit patterns: a released event is (time, kind, item, payload).
+        let bits = |released: &mut Vec<(f64, Event)>| -> Vec<(u64, u8, usize, u64)> {
+            let bits = |(t, event): (f64, Event)| match event {
+                Event::RefreshArrive { item, value } => (t.to_bits(), 0, item, value.to_bits()),
+                Event::DabChangeArrive { item, dab } => (t.to_bits(), 1, item, dab.to_bits()),
+            };
+            std::mem::take(released).into_iter().map(bits).collect()
+        };
+        for cfg in [lossy_service_free, planetlab] {
+            let build = || Engine::new(&cfg, Obs::null(), Scope::default(), None).unwrap();
+            let (mut two_pass, mut oracle) = (build(), build());
+            oracle.probe.interleaved = true;
+            let (mut refreshes, mut dab_changes) = (0, 0);
+            for tick in 1..cfg.traces.n_ticks() {
+                two_pass.run_tick(tick).unwrap();
+                oracle.run_tick(tick).unwrap();
+                let released = bits(&mut two_pass.probe.released);
+                assert_eq!(released, bits(&mut oracle.probe.released), "tick {tick}");
+                dab_changes += released.iter().filter(|e| e.1 == 1).count();
+                refreshes += released.iter().filter(|e| e.1 == 0).count();
+            }
+            assert!(
+                refreshes > 1000 && dab_changes > 0,
+                "{refreshes} refreshes, {dab_changes} filter changes"
+            );
+            two_pass.metrics.solver_seconds = 0.0;
+            oracle.metrics.solver_seconds = 0.0;
+            assert_eq!(two_pass.metrics, oracle.metrics);
+            assert_eq!(
+                cfg.loss_probability > 0.0,
+                two_pass.metrics.lost_messages > 0
+            );
+        }
     }
 
     /// Two items moving as slow sinusoids, one product query.

@@ -15,10 +15,11 @@
 //! * [`network`] — a dissemination tree of cooperating coordinators for
 //!   the Fig. 8(c) experiment, one [`pq_core::Coordinator`] per node;
 //! * [`ring`] — bounded SPSC rings carrying cross-shard messages;
-//! * [`shard`] — the partitioned multi-coordinator engine: one
-//!   coordinator per shard of the query↔item graph
-//!   ([`mod@pq_core::partition`]), conservative tick barriers over the
-//!   rings, deterministic metric merge (set [`SimConfig::shards`]);
+//! * [`shard`] — how a configuration becomes engines: the run projected
+//!   onto the items its book reads, then one coordinator per shard of
+//!   the projected query↔item graph ([`mod@pq_core::partition`]),
+//!   conservative tick barriers over the rings, deterministic metric
+//!   merge (set [`SimConfig::shards`]; one shard is the default);
 //! * [`metrics`] — the paper's four metrics (fidelity loss, refreshes,
 //!   recomputations, total cost);
 //! * [`table`] — flat source-side per-item columns ([`ItemTable`]);

@@ -1,5 +1,22 @@
-//! Multi-coordinator execution: partition the query↔item graph, run one
-//! coordinator per shard, merge the metrics deterministically.
+//! How a configuration becomes engines: project it onto the items its
+//! book reads, then — with more than one shard — partition the projected
+//! query↔item graph, run one coordinator per shard, and merge the
+//! metrics deterministically.
+//!
+//! # Projection
+//!
+//! A source holds a filter only because some query reads its item, so
+//! [`run_sharded`] first restricts the run to the read items, renumbered
+//! densely in ascending order (`restrict`): every engine is sized by
+//! what it watches and sweeps all of it, whatever the universe around
+//! it. What stays global is what leaves an engine — labels, events,
+//! errors, ring messages and the key of each item's draw stream — through
+//! the engine's [`Scope`]; the per-item metrics are scattered back to
+//! universe size at the end. The shards of a partitioned run are the same
+//! restriction applied once more to each shard's part, so one coordinator
+//! over the whole book is literally the one-shard case.
+//!
+//! # Partition
 //!
 //! The AAO decomposition (§III) solves independently per connected unit
 //! of the query↔item graph, so [`mod@pq_core::partition`] packs whole
@@ -24,8 +41,8 @@
 //!
 //! # Determinism contract (DESIGN.md §13)
 //!
-//! * `shards = 1` is **byte-identical** to the classic engine — same
-//!   struct, same draw sequence, same metrics and event log.
+//! * `shards = 1` is the projection run by one engine with no rings:
+//!   [`crate::run`] and [`run_sharded`] are the same call.
 //! * Every stochastic draw comes from its item's own counter-based
 //!   stream (keyed by global item id), so on a **clean** partition (no
 //!   split components) fixed-seed [`SimMetrics`] are invariant across
@@ -36,12 +53,14 @@
 //!   their metrics are shard-count-dependent by design — exactly like
 //!   the paper's multiple-coordinator configuration (Fig. 8c).
 
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::time::Instant;
 
+use pq_core::coordinator::Scope;
 use pq_core::{partition, PartitionInput, PartitionPlan};
 use pq_obs::Obs;
-use pq_poly::ItemId;
+use pq_poly::{ItemId, PolynomialQuery};
 
 use crate::engine::{Engine, ShardCtx, ShardInlet, SimConfig, SimError};
 use crate::metrics::SimMetrics;
@@ -93,38 +112,143 @@ impl ShardReport {
     }
 }
 
-/// Runs `cfg` as a partitioned multi-coordinator simulation on
-/// `cfg.shards` shards, one OS thread per shard, and merges the
-/// per-shard metrics.
+/// `cfg` over `items` (global ids, ascending) and `queries` only, both
+/// renumbered densely in the order given: local item `k` replays the
+/// tape of `items[k]` through a shared handle, and each query reads the
+/// local ids of its items, which must all be among `items`.
+fn restrict<'q>(
+    cfg: &SimConfig,
+    items: &[u32],
+    queries: impl Iterator<Item = &'q PolynomialQuery>,
+) -> SimConfig {
+    let mut local_of = vec![u32::MAX; cfg.traces.n_items()];
+    for (local, &global) in items.iter().enumerate() {
+        local_of[global as usize] = local as u32;
+    }
+    // Field by field, not `cfg.clone()`: that would copy the whole book
+    // and every tape handle only to replace both.
+    SimConfig {
+        traces: cfg.traces.subset(items),
+        queries: queries
+            .map(|q| q.map_items(|i| ItemId(local_of[i.index()])))
+            .collect(),
+        strategy: cfg.strategy.clone(),
+        ddm: cfg.ddm,
+        rate_estimator: cfg.rate_estimator,
+        delays: cfg.delays,
+        mu_cost: cfg.mu_cost,
+        seed: cfg.seed,
+        shards: cfg.shards,
+        fidelity_sample_every: cfg.fidelity_sample_every,
+        loss_probability: cfg.loss_probability,
+        gp: cfg.gp.clone(),
+        threads: cfg.threads,
+        obs: cfg.obs.clone(),
+        audit: cfg.audit.clone(),
+        audit_fault: cfg.audit_fault,
+        slo: cfg.slo.clone(),
+    }
+}
+
+/// Checks `cfg` and projects it onto the items its book reads: the
+/// configuration engines are built from, and its local → global item
+/// table. When every item is read `cfg` runs as it is — no copy of the
+/// book — and the table is empty, which [`Scope`] reads as the identity.
+fn project(cfg: &SimConfig) -> Result<(Cow<'_, SimConfig>, Vec<u32>), SimError> {
+    // `NaN` fails the range test too.
+    if !(0.0..=1.0).contains(&cfg.loss_probability) {
+        return Err(SimError::BadLossProbability {
+            value: cfg.loss_probability,
+        });
+    }
+    let n_items = cfg.traces.n_items();
+    let mut read = vec![false; n_items];
+    for q in &cfg.queries {
+        // Ascending: the last one is the query's largest.
+        let items = q.items();
+        if let Some(item) = items.last().map(|i| i.index()).filter(|&i| i >= n_items) {
+            return Err(SimError::MissingTrace { item });
+        }
+        for item in items {
+            read[item.index()] = true;
+        }
+    }
+    let items: Vec<u32> = (0..n_items as u32).filter(|&i| read[i as usize]).collect();
+    if items.len() == n_items {
+        return Ok((Cow::Borrowed(cfg), Vec::new()));
+    }
+    let projected = restrict(cfg, &items, cfg.queries.iter());
+    Ok((Cow::Owned(projected), items))
+}
+
+/// Folds one engine's metrics into the run's, in shard order: scalars
+/// sum; `fidelity_samples` is a max (every engine samples the same
+/// ticks); the per-query and per-item vectors scatter through the
+/// engine's [`Scope`] to global ids.
+fn merge(run: &mut SimMetrics, engine: &SimMetrics, scope: &Scope) {
+    run.refreshes += engine.refreshes;
+    run.recomputations += engine.recomputations;
+    run.dab_change_messages += engine.dab_change_messages;
+    run.user_notifications += engine.user_notifications;
+    run.ingest_batches += engine.ingest_batches;
+    run.lost_messages += engine.lost_messages;
+    run.solver_seconds += engine.solver_seconds;
+    run.fidelity_samples = run.fidelity_samples.max(engine.fidelity_samples);
+    for (lq, &violations) in engine.per_query_violations.iter().enumerate() {
+        let gq = scope.query(lq);
+        run.per_query_violations[gq] += violations;
+        run.per_query_recomputations[gq] += engine.per_query_recomputations[lq];
+    }
+    for (li, &refreshes) in engine.per_item_refreshes.iter().enumerate() {
+        let gi = scope.item(li);
+        run.per_item_refreshes[gi] += refreshes;
+        run.per_item_recompute_triggers[gi] += engine.per_item_recompute_triggers[li];
+    }
+}
+
+/// Runs `cfg` on `cfg.shards` coordinators and reports the run's metrics
+/// with how it was split.
 ///
-/// `cfg.shards <= 1` runs the classic engine unchanged (byte-identical
-/// metrics and draw sequence) and reports it as a single shard.
+/// The run is first projected onto the items its book reads (see the
+/// module docs). One shard is one engine on the calling thread; more
+/// partition the projected book and run one engine per shard, each on
+/// its own OS thread, merging their metrics in shard order.
 pub fn run_sharded(cfg: &SimConfig, obs: &Obs) -> Result<ShardReport, SimError> {
     let k = cfg.shards.max(1);
-    let n_items = cfg.traces.n_items();
-    let n_queries = cfg.queries.len();
+    let (world, item_gid) = project(cfg)?;
+    let world: &SimConfig = &world;
+    // Projected → global ids.
+    let projection = Scope {
+        item_gid,
+        ..Scope::default()
+    };
+    let n_items = world.traces.n_items();
+    let n_queries = world.queries.len();
+    let mut merged = SimMetrics::with_items(n_queries, cfg.traces.n_items());
     if k == 1 {
         // Time only `run()`, matching the k > 1 path where engines are
         // constructed (solver setup included) before the clock starts.
-        let engine = Engine::new(cfg, obs.clone(), None)?;
+        let engine = Engine::new(world, obs.clone(), projection.clone(), None)?;
         let t0 = Instant::now();
         let metrics = engine.run()?;
+        let busy_seconds = t0.elapsed().as_secs_f64();
+        merge(&mut merged, &metrics, &projection);
         return Ok(ShardReport {
-            metrics,
+            metrics: merged,
             shards: vec![ShardStat {
                 shard: 0,
                 n_queries,
                 n_items,
                 n_replicas: 0,
                 load: 0.0,
-                busy_seconds: t0.elapsed().as_secs_f64(),
+                busy_seconds,
             }],
             cross_edges: 0,
             n_components: 0,
         });
     }
 
-    let plan = plan_for(cfg);
+    let plan = plan_for(world);
 
     // Membership: home items per shard, then replicas from cross edges.
     let mut shard_queries: Vec<Vec<u32>> = vec![Vec::new(); k];
@@ -157,34 +281,19 @@ pub fn run_sharded(cfg: &SimConfig, obs: &Obs) -> Result<ShardReport, SimError> 
         consumers.insert((from, to), rx);
     }
 
-    // Project each shard's configuration into its dense local id space
-    // and assemble its context. `local_of` is a reused scratch table.
-    let mut local_of = vec![u32::MAX; n_items];
-    let mut shard_cfgs: Vec<Option<SimConfig>> = Vec::with_capacity(k);
-    let mut shard_ctxs: Vec<Option<ShardCtx>> = Vec::with_capacity(k);
+    // Restrict the projection once more to each shard's part and assemble
+    // its context. A shard left with nothing still runs: it keeps the
+    // clock, so the run samples every tick whatever landed where.
+    let mut shard_cfgs: Vec<SimConfig> = Vec::with_capacity(k);
+    let mut shard_scopes: Vec<Scope> = Vec::with_capacity(k);
+    let mut shard_ctxs: Vec<ShardCtx> = Vec::with_capacity(k);
     let subscribers = plan.subscribers();
     for s in 0..k {
         let items = &shard_items[s];
-        if items.is_empty() {
-            // Nothing to simulate: any queries here are constants
-            // (itemless), which never refresh, recompute, or violate.
-            shard_cfgs.push(None);
-            shard_ctxs.push(None);
-            continue;
-        }
-        for (li, &g) in items.iter().enumerate() {
-            local_of[g as usize] = li as u32;
-        }
-        let queries: Vec<_> = shard_queries[s]
+        let queries = shard_queries[s]
             .iter()
-            .map(|&qi| cfg.queries[qi as usize].map_items(|i| ItemId(local_of[i.index()])))
-            .collect();
-        // Field by field, not `cfg.clone()`: that would copy the whole
-        // book and every tape handle per shard only to replace both.
-        let sc = SimConfig {
-            traces: cfg.traces.subset(items),
-            queries,
-            shards: 1,
+            .map(|&qi| &world.queries[qi as usize]);
+        shard_cfgs.push(SimConfig {
             // Recompute fan-out workers divide across shard threads so a
             // partitioned run doesn't oversubscribe the machine.
             threads: (cfg.threads / k).max(1),
@@ -197,18 +306,15 @@ pub fn run_sharded(cfg: &SimConfig, obs: &Obs) -> Result<ShardReport, SimError> 
                     .ok()
                     .map(|lqi| crate::audit::AuditFault { query: lqi, ..f })
             }),
-            strategy: cfg.strategy.clone(),
-            ddm: cfg.ddm,
-            rate_estimator: cfg.rate_estimator,
-            delays: cfg.delays,
-            mu_cost: cfg.mu_cost,
-            seed: cfg.seed,
-            fidelity_sample_every: cfg.fidelity_sample_every,
-            loss_probability: cfg.loss_probability,
-            gp: cfg.gp.clone(),
-            obs: cfg.obs.clone(),
-            slo: cfg.slo.clone(),
-        };
+            ..restrict(world, items, queries)
+        });
+        // Shard-local → projected → global: the tables compose.
+        let global = |&i: &u32| projection.item(i as usize) as u32;
+        shard_scopes.push(Scope {
+            query_gid: shard_queries[s].clone(),
+            item_gid: items.iter().map(global).collect(),
+            node: None,
+        });
 
         let outbound_dests: Vec<u32> = directed
             .iter()
@@ -225,12 +331,16 @@ pub fn run_sharded(cfg: &SimConfig, obs: &Obs) -> Result<ShardReport, SimError> 
                 .binary_search(&dest)
                 .expect("ring to a shard without a link")
         };
+        let local_of = |item: u32| -> usize {
+            items
+                .binary_search(&item)
+                .expect("an item of this shard's part")
+        };
         let n_local = items.len();
         let mut exports: Vec<Vec<usize>> = vec![Vec::new(); n_local];
         for (item, remotes) in &subscribers {
             if plan.item_home[*item as usize] == s as u32 {
-                let li = local_of[*item as usize] as usize;
-                exports[li] = remotes.iter().map(|&r| ring_index(r)).collect();
+                exports[local_of(*item)] = remotes.iter().map(|&r| ring_index(r)).collect();
             }
         }
         let mut replica = vec![false; n_local];
@@ -260,44 +370,35 @@ pub fn run_sharded(cfg: &SimConfig, obs: &Obs) -> Result<ShardReport, SimError> 
                 held: std::collections::VecDeque::new(),
             })
             .collect();
-        shard_ctxs.push(Some(ShardCtx {
+        shard_ctxs.push(ShardCtx {
             shard: s as u32,
-            n_global_items: n_items,
-            item_gid: items.clone(),
-            query_gid: shard_queries[s].clone(),
             replica,
             exports,
             home_ring,
             outbound,
             inbound,
             remote_dab_min: vec![Vec::new(); n_local],
-        }));
-        shard_cfgs.push(Some(sc));
-        for &g in items {
-            local_of[g as usize] = u32::MAX;
-        }
+        });
     }
 
     // Construct every engine on this thread *before* any shard runs: a
     // solver failure here returns cleanly, whereas a failure after
     // peers started would strand them at a ring barrier.
-    let mut engines: Vec<(usize, Engine<'_>)> = Vec::new();
-    for (s, (sc, ctx)) in shard_cfgs.iter().zip(shard_ctxs.iter_mut()).enumerate() {
-        if let (Some(sc), Some(ctx)) = (sc, ctx.take()) {
-            engines.push((s, Engine::new(sc, obs.clone(), Some(ctx))?));
-        }
+    let mut engines: Vec<Engine<'_>> = Vec::with_capacity(k);
+    for ((sc, scope), ctx) in shard_cfgs.iter().zip(&shard_scopes).zip(shard_ctxs) {
+        engines.push(Engine::new(sc, obs.clone(), scope.clone(), Some(ctx))?);
     }
 
     // A split component needs live peers on both sides of its barrier,
     // so every shard gets its own thread.
-    let runs: Vec<(usize, Result<SimMetrics, SimError>, f64)> = std::thread::scope(|scope| {
+    let runs: Vec<(Result<SimMetrics, SimError>, f64)> = std::thread::scope(|scope| {
         let handles: Vec<_> = engines
             .into_iter()
-            .map(|(s, engine)| {
+            .map(|engine| {
                 scope.spawn(move || {
                     let t0 = Instant::now();
                     let result = engine.run();
-                    (s, result, t0.elapsed().as_secs_f64())
+                    (result, t0.elapsed().as_secs_f64())
                 })
             })
             .collect();
@@ -307,30 +408,10 @@ pub fn run_sharded(cfg: &SimConfig, obs: &Obs) -> Result<ShardReport, SimError> 
             .collect()
     });
 
-    // Deterministic merge, in shard order (the vec already is): scalars
-    // sum; fidelity_samples is a max (every shard samples the same
-    // ticks); per-query/per-item vectors scatter through the gid maps.
-    let mut merged = SimMetrics::with_items(n_queries, n_items);
-    let mut busy = vec![0.0f64; k];
-    for (s, result, secs) in runs {
-        busy[s] = secs;
-        let m = result?;
-        merged.refreshes += m.refreshes;
-        merged.recomputations += m.recomputations;
-        merged.dab_change_messages += m.dab_change_messages;
-        merged.user_notifications += m.user_notifications;
-        merged.ingest_batches += m.ingest_batches;
-        merged.lost_messages += m.lost_messages;
-        merged.solver_seconds += m.solver_seconds;
-        merged.fidelity_samples = merged.fidelity_samples.max(m.fidelity_samples);
-        for (lq, &gq) in shard_queries[s].iter().enumerate() {
-            merged.per_query_violations[gq as usize] += m.per_query_violations[lq];
-            merged.per_query_recomputations[gq as usize] += m.per_query_recomputations[lq];
-        }
-        for (li, &gi) in shard_items[s].iter().enumerate() {
-            merged.per_item_refreshes[gi as usize] += m.per_item_refreshes[li];
-            merged.per_item_recompute_triggers[gi as usize] += m.per_item_recompute_triggers[li];
-        }
+    let mut busy = Vec::with_capacity(k);
+    for ((result, secs), scope) in runs.into_iter().zip(&shard_scopes) {
+        busy.push(secs);
+        merge(&mut merged, &result?, scope);
     }
     let shards = (0..k)
         .map(|s| ShardStat {
@@ -394,9 +475,9 @@ mod tests {
     use crate::delay::DelayConfig;
 
     /// The partitioner homes an item where one of its readers lives, but
-    /// the engine does not rely on that: a home item whose only readers
-    /// are on another shard is watched through its exports, so its
-    /// source keeps sampling the tape, pushing and forwarding.
+    /// the engine does not rely on that: it sweeps every item it holds,
+    /// so a home item whose only readers are on another shard keeps
+    /// sampling the tape, pushing and forwarding.
     #[test]
     fn a_home_item_read_only_remotely_is_still_swept_and_forwarded() {
         // Global universe: x0 homed on shard 0, which has no query at
@@ -413,11 +494,13 @@ mod tests {
         }
         let (to_reader, from_home) = ring(RING_CAPACITY);
         let (to_home, from_reader) = ring(RING_CAPACITY);
+        let scope = |item_gid: Vec<u32>, query_gid: Vec<u32>| Scope {
+            query_gid,
+            item_gid,
+            node: None,
+        };
         let home_ctx = ShardCtx {
             shard: 0,
-            n_global_items: 2,
-            item_gid: vec![0],
-            query_gid: Vec::new(),
             replica: vec![false],
             exports: vec![vec![0]],
             home_ring: vec![None],
@@ -431,9 +514,6 @@ mod tests {
         };
         let reader_ctx = ShardCtx {
             shard: 1,
-            n_global_items: 2,
-            item_gid: vec![0, 1],
-            query_gid: vec![0],
             replica: vec![true, false],
             exports: vec![Vec::new(), Vec::new()],
             home_ring: vec![Some(0), None],
@@ -445,8 +525,10 @@ mod tests {
             }],
             remote_dab_min: vec![Vec::new(), Vec::new()],
         };
-        let home = Engine::new(&home_cfg, Obs::null(), Some(home_ctx)).unwrap();
-        let reader = Engine::new(&reader_cfg, Obs::null(), Some(reader_ctx)).unwrap();
+        let home_scope = scope(vec![0], Vec::new());
+        let reader_scope = scope(vec![0, 1], vec![0]);
+        let home = Engine::new(&home_cfg, Obs::null(), home_scope, Some(home_ctx)).unwrap();
+        let reader = Engine::new(&reader_cfg, Obs::null(), reader_scope, Some(reader_ctx)).unwrap();
         // Both sides of the ring barrier must be live at once.
         let (home_metrics, reader_metrics) = std::thread::scope(|scope| {
             let home = scope.spawn(move || home.run());

@@ -55,7 +55,7 @@ impl Bitset {
 ///
 /// Columns:
 /// - `values`: true source value of each item (what the trace drifts;
-///   see [`ItemTable::values`] for which items the engine keeps current);
+///   an engine holds only items it watches, so every slot is current);
 /// - `last_pushed`: last value the source actually sent upstream;
 /// - `installed_dab`: the DAB filter width currently installed at the
 ///   source (infinite until the coordinator's first DAB message lands);
@@ -91,15 +91,40 @@ impl ItemTable {
         self.values.is_empty()
     }
 
-    /// The true source value column. The engine moves only the items
-    /// some query reads (or a remote shard subscribes to); every other
-    /// slot stays at its tick-0 sample for the whole run. Every reader —
-    /// the delta views, the fidelity sampler, the auditor and naive
-    /// `eval` alike — looks only at the items of a query, so none can
-    /// see a stale slot.
+    /// The true source value column.
     #[inline]
     pub fn values(&self) -> &[f64] {
         &self.values
+    }
+
+    /// Every source samples its tape: `row[k]` becomes item `k`'s value.
+    /// `escaped` is refilled with the items whose new value lies outside
+    /// their installed filter (`|value - last_pushed| > installed_dab`,
+    /// false for an infinite filter), ascending. Returns whether any
+    /// value moved.
+    ///
+    /// One pass over the four columns with no call and no data-dependent
+    /// branch in it: the escapes are compacted by a store and a
+    /// conditional bump of the length.
+    ///
+    /// # Panics
+    /// Panics unless `row` holds one sample per item.
+    pub fn observe(&mut self, row: &[f64], escaped: &mut Vec<u32>) -> bool {
+        let n = self.values.len();
+        assert_eq!(row.len(), n, "one sample per item");
+        escaped.clear();
+        escaped.resize(n, 0);
+        let (last_pushed, installed_dab) = (&self.last_pushed[..n], &self.installed_dab[..n]);
+        let mut moved = false;
+        let mut n_escaped = 0;
+        for (k, (value, &v)) in self.values.iter_mut().zip(row).enumerate() {
+            moved |= *value != v;
+            *value = v;
+            escaped[n_escaped] = k as u32;
+            n_escaped += usize::from((v - last_pushed[k]).abs() > installed_dab[k]);
+        }
+        escaped.truncate(n_escaped);
+        moved
     }
 
     /// The true source value of `item`.
@@ -192,6 +217,19 @@ mod tests {
         t.set_installed_dab(0, 0.5);
         assert_eq!(t.installed_dab(0), 0.5);
         assert!(t.installed_dab(1).is_infinite());
+
+        // One tick's samples: x0 stays inside its filter, x1 has none,
+        // x2 escapes a filter of 0.25 and keeps escaping until it pushes.
+        t.set_installed_dab(2, 0.25);
+        let mut escaped = vec![7];
+        assert!(t.observe(&[9.4, 50.0, 3.5], &mut escaped));
+        assert_eq!(escaped, [2]);
+        assert_eq!(t.values(), &[9.4, 50.0, 3.5]);
+        assert!(!t.observe(&[9.4, 50.0, 3.5], &mut escaped), "nothing moved");
+        assert_eq!(escaped, [2]);
+        t.set_last_pushed(2, 3.5);
+        t.observe(&[9.6, 50.0, 3.5], &mut escaped);
+        assert_eq!(escaped, [0], "9.6 is 0.6 from the 9.0 last pushed");
 
         assert!(!t.is_dirty(2));
         t.mark_dirty(2);
