@@ -30,22 +30,19 @@
 //! | `PQ_OBS_JSONL=path` | Record the **full** event trace (simulator, DAB, GP solver) as JSON Lines at `path`; analyze with `pq-trace` |
 //! | `PQ_OBS_ADDR=host:port` | Serve live `/metrics` (Prometheus text) and `/snapshot` (JSON) endpoints for the run's lifetime, e.g. `127.0.0.1:9464` |
 //! | `PQ_OBS_PROFILE_HZ=n` | Run the sampling profiler at `n` Hz for the process lifetime; `profile.sample` events land in the JSONL trace, rendered by `pq-trace profile` |
-//! | `PQ_OBS_AUDIT=1` | Enable the continuous fidelity audit (shadow naive evaluation of sampled queries) at its defaults; see [`audit_from_env`] |
-//! | `PQ_OBS_AUDIT_EVERY=n` | Audit cadence: shadow-evaluate every `n`-th tick (default 16); implies `PQ_OBS_AUDIT=1` |
-//! | `PQ_OBS_AUDIT_SAMPLE=n` | Queries shadow-evaluated per audited tick, round-robin (default 4); implies `PQ_OBS_AUDIT=1` |
-//! | `PQ_OBS_SLO=1` | Enable the fidelity SLO engine (windowed `*_rate_*` series on `/metrics`, burn-rate alerts on `/alerts`, verdict on `/health`); see [`slo_from_env`] |
-//! | `PQ_OBS_SLO_TARGET=f` | Fidelity objective, fraction of samples inside the QAB (default 0.9); implies `PQ_OBS_SLO=1` |
-//! | `PQ_OBS_RECORDER=path` | Arm the black-box flight recorder; on an SLO breach, audit divergence, watchdog stall, or panic it dumps its ring buffers as JSONL at `path` (triage with `pq-trace postmortem`) |
-//! | `PQ_OBS_RECORDER_CAP=n` | Flight-recorder ring capacity in events per thread (default 4096) |
+//! | `PQ_OBS_AUDIT=1` | Enable the continuous fidelity audit (shadow naive evaluation of 4 queries every 16th tick); see [`audit_from_env`] |
+//! | `PQ_OBS_SLO=1` | Enable the fidelity SLO engine at a 0.9 target (windowed `*_rate_*` series on `/metrics`, burn-rate alerts on `/alerts`, verdict on `/health`); see [`slo_from_env`] |
+//! | `PQ_OBS_RECORDER=path` | Arm the black-box flight recorder (4096 events per thread); on an SLO breach, audit divergence, watchdog stall, or panic it dumps its ring buffers as JSONL at `path` (triage with `pq-trace postmortem`) |
 //! | `PQ_OBS_AUDIT_FAULT=tick:query:perturb` | Inject a delta-plane corruption (CI smoke for the alert → dump → postmortem path); implies `PQ_OBS_AUDIT=1` |
+
+#![forbid(unsafe_code)]
 
 pub mod heuristics;
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use pq_ddm::TraceSet;
-use pq_obs::{names, EventKind, Obs};
+use pq_obs::{names, EventKind, Obs, ObsConfig};
 use pq_sim::SimMetrics;
 use pq_workload::{WorkloadConfig, WorkloadGen};
 
@@ -122,127 +119,51 @@ impl Scale {
     }
 }
 
+/// Whether the switch `var` is set to anything but `0`.
+fn env_on(var: &str) -> bool {
+    std::env::var_os(var).is_some_and(|v| v != "0")
+}
+
 /// Harness telemetry configured from the environment (see the env-var
-/// table in the crate docs):
-///
-/// * progress lines (only `bench.*` events) render to stderr, keeping
-///   stdout clean for result tables; set `PQ_OBS_STDERR=0` to silence
-///   them;
-/// * `PQ_OBS_JSONL=<path>` records the **full** event trace (simulator,
-///   DAB and GP-solver events) as JSON Lines at `<path>`;
-/// * `PQ_OBS_ADDR=<host:port>` serves live `/metrics` and `/snapshot`
-///   endpoints over this handle's registry until the process exits.
+/// table in the crate docs): the [`ObsConfig`] those variables spell,
+/// built by [`Obs::from_config`]. Progress lines (`bench.*` events)
+/// render to stderr unless `PQ_OBS_STDERR=0`, keeping stdout clean for
+/// result tables.
 ///
 /// Panics if the JSONL path cannot be created or the metrics address
 /// cannot be bound — a harness run asked to expose telemetry must not
 /// silently produce nothing.
 pub fn obs_from_env() -> Obs {
-    let mut sinks: Vec<Arc<dyn pq_obs::Subscriber>> = Vec::new();
-    if std::env::var_os("PQ_OBS_STDERR").is_none_or(|v| v != "0") {
-        sinks.push(Arc::new(pq_obs::PrefixFilter::new(
-            Arc::new(pq_obs::StderrSubscriber),
-            vec!["bench."],
-        )));
-    }
-    if let Some(path) = std::env::var_os("PQ_OBS_JSONL") {
-        let writer = pq_obs::JsonlWriter::create(&path)
-            .unwrap_or_else(|e| panic!("PQ_OBS_JSONL={}: {e}", path.to_string_lossy()));
-        sinks.push(Arc::new(writer));
-    }
-    let recorder = recorder_from_env().map(pq_obs::Recorder::new);
-    if let Some(recorder) = &recorder {
-        sinks.push(Arc::new(recorder.clone()));
-    }
-    let obs = match sinks.len() {
-        0 => Obs::null(),
-        1 => Obs::with_subscriber(sinks.pop().expect("one sink")),
-        _ => Obs::with_subscriber(Arc::new(pq_obs::Fanout::new(sinks))),
+    let config = ObsConfig {
+        jsonl: std::env::var_os("PQ_OBS_JSONL").map(Into::into),
+        stderr: std::env::var_os("PQ_OBS_STDERR").is_none_or(|v| v != "0"),
+        addr: std::env::var("PQ_OBS_ADDR").ok(),
+        profile_hz: std::env::var("PQ_OBS_PROFILE_HZ").ok().map(|hz| {
+            hz.parse()
+                .unwrap_or_else(|e| panic!("PQ_OBS_PROFILE_HZ={hz}: {e}"))
+        }),
+        recorder: std::env::var_os("PQ_OBS_RECORDER").map(pq_obs::RecorderConfig::new),
     };
-    if let Some(recorder) = recorder {
-        recorder.install_panic_hook();
-        obs.install_recorder(recorder);
-    }
-    if let Ok(addr) = std::env::var("PQ_OBS_ADDR") {
-        pq_obs::serve::spawn(obs.clone(), addr.as_str())
-            .unwrap_or_else(|e| panic!("PQ_OBS_ADDR={addr}: {e}"))
-            .detach();
-    }
-    if let Ok(hz) = std::env::var("PQ_OBS_PROFILE_HZ") {
-        let hz: u32 = hz
-            .parse()
-            .unwrap_or_else(|e| panic!("PQ_OBS_PROFILE_HZ={hz}: {e}"));
-        pq_obs::start_profiler(&obs, hz).detach();
-    }
-    obs
+    Obs::from_config(&config).unwrap_or_else(|e| panic!("PQ_OBS_JSONL / PQ_OBS_ADDR: {e}"))
 }
 
 /// Continuous fidelity-audit configuration from the environment, for
-/// wiring into [`pq_sim::SimConfig::audit`]. Returns `Some` when any of
-/// `PQ_OBS_AUDIT=1`, `PQ_OBS_AUDIT_EVERY=n`, or `PQ_OBS_AUDIT_SAMPLE=n`
-/// is set; cadence/sample-size default to [`pq_sim::AuditConfig`]'s
-/// defaults (every 16th tick, 4 queries round-robin). Denser sampling
-/// tightens divergence-detection latency at a cost linear in naive
-/// re-evaluations; the audit is read-only either way, so simulation
-/// metrics are byte-identical with it on or off.
+/// wiring into [`pq_sim::SimConfig::audit`]: [`pq_sim::AuditConfig`]'s
+/// defaults (every 16th tick, 4 queries round-robin) when
+/// `PQ_OBS_AUDIT=1` or `PQ_OBS_AUDIT_FAULT` is set. The audit is
+/// read-only, so simulation metrics are byte-identical with it on or
+/// off.
 pub fn audit_from_env() -> Option<pq_sim::AuditConfig> {
-    let on = std::env::var_os("PQ_OBS_AUDIT").is_some_and(|v| v != "0")
-        || std::env::var_os("PQ_OBS_AUDIT_FAULT").is_some();
-    let every = std::env::var("PQ_OBS_AUDIT_EVERY").ok().map(|s| {
-        s.parse()
-            .unwrap_or_else(|e| panic!("PQ_OBS_AUDIT_EVERY={s}: {e}"))
-    });
-    let sample = std::env::var("PQ_OBS_AUDIT_SAMPLE").ok().map(|s| {
-        s.parse()
-            .unwrap_or_else(|e| panic!("PQ_OBS_AUDIT_SAMPLE={s}: {e}"))
-    });
-    if !on && every.is_none() && sample.is_none() {
-        return None;
-    }
-    let mut cfg = pq_sim::AuditConfig::default();
-    if let Some(every) = every {
-        cfg.every = every;
-    }
-    if let Some(sample) = sample {
-        cfg.sample = sample;
-    }
-    Some(cfg)
+    (env_on("PQ_OBS_AUDIT") || std::env::var_os("PQ_OBS_AUDIT_FAULT").is_some())
+        .then(pq_sim::AuditConfig::default)
 }
 
 /// Fidelity SLO configuration from the environment, for wiring into
-/// [`pq_sim::SimConfig::slo`]. Returns `Some` when `PQ_OBS_SLO=1` or
-/// `PQ_OBS_SLO_TARGET=f` is set; the target defaults to
-/// [`pq_obs::SloConfig`]'s 0.9 (10% error budget), and the burn-rate
-/// window pairs stay at their SRE-style defaults (5 s/1 m paging,
-/// 1 m/1 h ticketing).
+/// [`pq_sim::SimConfig::slo`]: [`pq_obs::SloConfig`]'s defaults (target
+/// 0.9, i.e. a 10% error budget; 5 s/1 m paging and 1 m/1 h ticketing
+/// burn-rate pairs) when `PQ_OBS_SLO=1`.
 pub fn slo_from_env() -> Option<pq_obs::SloConfig> {
-    let on = std::env::var_os("PQ_OBS_SLO").is_some_and(|v| v != "0");
-    let target = std::env::var("PQ_OBS_SLO_TARGET").ok().map(|s| {
-        s.parse()
-            .unwrap_or_else(|e| panic!("PQ_OBS_SLO_TARGET={s}: {e}"))
-    });
-    if !on && target.is_none() {
-        return None;
-    }
-    let mut cfg = pq_obs::SloConfig::default();
-    if let Some(target) = target {
-        cfg.target = target;
-    }
-    Some(cfg)
-}
-
-/// Flight-recorder configuration from the environment (`PQ_OBS_RECORDER`
-/// dump path, `PQ_OBS_RECORDER_CAP` per-thread ring capacity).
-/// [`obs_from_env`] consumes this itself; it is public for harnesses
-/// that build their own telemetry handle.
-pub fn recorder_from_env() -> Option<pq_obs::RecorderConfig> {
-    let path = std::env::var_os("PQ_OBS_RECORDER")?;
-    let mut cfg = pq_obs::RecorderConfig::new(std::path::PathBuf::from(path));
-    if let Ok(cap) = std::env::var("PQ_OBS_RECORDER_CAP") {
-        cfg.capacity = cap
-            .parse()
-            .unwrap_or_else(|e| panic!("PQ_OBS_RECORDER_CAP={cap}: {e}"));
-    }
-    Some(cfg)
+    env_on("PQ_OBS_SLO").then(pq_obs::SloConfig::default)
 }
 
 /// Audit fault injection from `PQ_OBS_AUDIT_FAULT=tick:query:perturb`,

@@ -42,6 +42,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod assignment;
 pub mod baseline;

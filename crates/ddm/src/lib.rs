@@ -7,6 +7,7 @@
 //! ([`model`]).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod model;
 pub mod rate;

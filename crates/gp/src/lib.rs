@@ -37,6 +37,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod error;
 pub mod kkt;

@@ -46,7 +46,9 @@ pub fn to_json(event: &Event) -> String {
     out
 }
 
-fn push_json_string(out: &mut String, s: &str) {
+/// Appends `s` as a JSON string literal — the one escaper behind both
+/// the JSONL events and the `/snapshot` / `/health` / `/alerts` bodies.
+pub(crate) fn push_json_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -362,17 +364,6 @@ impl JsonlWriter {
     /// Creates (truncating) `path` and writes events to it.
     pub fn create(path: impl AsRef<Path>) -> std::io::Result<Self> {
         let file = std::fs::File::create(path)?;
-        Ok(JsonlWriter {
-            inner: Mutex::new(BufWriter::new(file)),
-        })
-    }
-
-    /// Opens `path` for appending, creating it if absent.
-    pub fn append(path: impl AsRef<Path>) -> std::io::Result<Self> {
-        let file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)?;
         Ok(JsonlWriter {
             inner: Mutex::new(BufWriter::new(file)),
         })

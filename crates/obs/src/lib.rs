@@ -5,13 +5,14 @@
 //! 1. **Structured events** ([`Event`]) delivered to a pluggable
 //!    [`Subscriber`] — a bounded in-memory ring
 //!    ([`RingBufferSubscriber`]), a JSONL file ([`JsonlWriter`]),
-//!    human-readable stderr lines ([`StderrSubscriber`]), or nothing
-//!    at all ([`NullSubscriber`], the default, which compiles down to
-//!    one virtual `enabled()` call per site).
+//!    `bench.*` progress lines on stderr ([`StderrSubscriber`]), or
+//!    nothing at all ([`NullSubscriber`], the default, which compiles
+//!    down to one virtual `enabled()` call per site).
 //! 2. **Metrics** — named monotonic [`Counter`]s and power-of-two
 //!    bucket [`Histogram`]s with p50/p95/p99 summaries, held in a
 //!    per-[`Obs`] [`Registry`] (no global state, so parallel tests
-//!    never share metrics).
+//!    never share metrics). A hot path resolves its handles once and
+//!    records through them: one relaxed atomic add, no lock.
 //! 3. **Timing spans** — [`Obs::timed`] returns a guard that records
 //!    the elapsed nanoseconds into a `<name>_ns` histogram and emits a
 //!    `<name>_ns` timing event when dropped.
@@ -31,13 +32,13 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod event;
 pub mod jsonl;
 pub mod recorder;
 pub mod registry;
 pub mod serve;
-pub mod sharded;
 pub mod slo;
 pub mod span;
 pub mod subscriber;
@@ -51,17 +52,10 @@ pub use registry::{
     Counter, Gauge, Histogram, HistogramSummary, LabeledCounterSnapshot, Registry, Snapshot,
 };
 pub use serve::MetricsServer;
-pub use sharded::{
-    CounterId, HistogramId, LocalCollector, COUNTER_SLOTS, HISTOGRAM_SLOTS, SHARD_OVERFLOW,
-};
 pub use slo::{Alert, AlertKind, BurnWindow, Health, SloConfig, SloEngine, Watchdog};
 pub use span::{start_profiler, Profiler, SpanContext, SpanContextGuard, SpanId, MAX_SPAN_DEPTH};
-pub use subscriber::{
-    Fanout, NullSubscriber, PrefixFilter, RingBufferSubscriber, StderrSubscriber, Subscriber,
-};
-pub use window::{
-    WindowPlane, WindowedCounter, WindowedHistogram, WINDOW_1H, WINDOW_1M, WINDOW_5S,
-};
+pub use subscriber::{Fanout, NullSubscriber, RingBufferSubscriber, StderrSubscriber, Subscriber};
+pub use window::{WindowPlane, WindowedCounter, WINDOW_1H, WINDOW_1M, WINDOW_5S};
 
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
@@ -232,15 +226,14 @@ pub mod names {
 }
 
 /// How a component should expose telemetry. `Default` is fully off.
+/// [`Obs::from_config`] is the one place that assembles the sinks,
+/// exporter, profiler and recorder it names.
 #[derive(Debug, Clone, Default)]
 pub struct ObsConfig {
     /// Write a JSONL event trace to this path.
     pub jsonl: Option<PathBuf>,
-    /// Append to the JSONL file instead of truncating it.
-    pub append: bool,
-    /// Keep the last N events in an in-memory ring.
-    pub ring: Option<usize>,
-    /// Render events as human-readable stderr lines.
+    /// Render `bench.*` progress events as stderr lines (see
+    /// [`StderrSubscriber`]).
     pub stderr: bool,
     /// Serve live `/metrics` (Prometheus text) and `/snapshot` (JSON)
     /// endpoints on this address (e.g. `127.0.0.1:9464`) for the
@@ -255,8 +248,8 @@ pub struct ObsConfig {
     /// Keep a black-box flight recorder of recent events (bounded
     /// per-thread rings, dumped to JSONL on SLO breach, audit
     /// divergence, watchdog stall, or panic) — see [`recorder`]. The
-    /// conventional environment variables are `PQ_OBS_RECORDER`
-    /// (dump path) and `PQ_OBS_RECORDER_CAP` (per-thread capacity).
+    /// conventional environment variable is `PQ_OBS_RECORDER` (dump
+    /// path).
     pub recorder: Option<RecorderConfig>,
 }
 
@@ -265,7 +258,6 @@ impl ObsConfig {
     /// profiler at all.
     pub fn is_off(&self) -> bool {
         self.jsonl.is_none()
-            && self.ring.is_none()
             && !self.stderr
             && self.addr.is_none()
             && self.profile_hz.is_none()
@@ -274,18 +266,17 @@ impl ObsConfig {
 }
 
 /// Optional live-health components attached to an [`Obs`] handle after
-/// construction: each is installed at most once (first caller wins)
-/// and shared by every clone, so the exporter's `/health`, `/alerts`,
-/// and windowed `/metrics` series see the same instances the engine
-/// drives.
+/// construction: the plane, the SLO engine and the recorder are each
+/// installed at most once (first caller wins) and shared by every
+/// clone, so the exporter's `/health`, `/alerts`, and windowed
+/// `/metrics` series see the same instances the engine drives.
 #[derive(Default)]
 struct HealthCell {
     window: OnceLock<Arc<WindowPlane>>,
     slo: OnceLock<Arc<SloEngine>>,
-    watchdog: OnceLock<Arc<Watchdog>>,
-    /// Labeled watchdogs registered by multi-threaded components (one
-    /// per shard thread); unlike `watchdog` this is a grow-only list,
-    /// so `/health` can attribute a stall to the thread that stopped.
+    /// Labeled watchdogs, one per heartbeating loop (`"monitor"`,
+    /// `"coordinator"`, `"shard<i>"`), so `/health` can attribute a
+    /// stall to the loop that stopped.
     watchdogs: std::sync::Mutex<Vec<(String, Arc<Watchdog>)>>,
     recorder: OnceLock<Recorder>,
 }
@@ -343,24 +334,20 @@ impl Obs {
     }
 
     /// Builds a handle from a declarative config. Fails only if the
-    /// JSONL file cannot be opened or the metrics address cannot be
-    /// bound. A configured `addr` starts a detached [`serve`] thread
-    /// that lives until process exit.
+    /// JSONL file cannot be created or the metrics address cannot be
+    /// bound; the error names the path or address. A configured `addr`
+    /// starts a detached [`serve`] thread that lives until process exit.
     pub fn from_config(config: &ObsConfig) -> std::io::Result<Self> {
         if config.is_off() {
             return Ok(Obs::null());
         }
+        let named = |what: String| {
+            move |e: std::io::Error| std::io::Error::new(e.kind(), format!("{what}: {e}"))
+        };
         let mut sinks: Vec<Arc<dyn Subscriber>> = Vec::new();
         if let Some(path) = &config.jsonl {
-            let writer = if config.append {
-                JsonlWriter::append(path)?
-            } else {
-                JsonlWriter::create(path)?
-            };
+            let writer = JsonlWriter::create(path).map_err(named(path.display().to_string()))?;
             sinks.push(Arc::new(writer));
-        }
-        if let Some(capacity) = config.ring {
-            sinks.push(Arc::new(RingBufferSubscriber::new(capacity)));
         }
         if config.stderr {
             sinks.push(Arc::new(StderrSubscriber));
@@ -379,7 +366,9 @@ impl Obs {
             obs.install_recorder(recorder);
         }
         if let Some(addr) = &config.addr {
-            serve::spawn(obs.clone(), addr)?.detach();
+            serve::spawn(obs.clone(), addr)
+                .map_err(named(addr.clone()))?
+                .detach();
         }
         if let Some(hz) = config.profile_hz {
             span::start_profiler(&obs, hz).detach();
@@ -411,24 +400,11 @@ impl Obs {
         self.inner.health.slo.get().cloned()
     }
 
-    /// Attaches a hot-loop watchdog; `/health` then reports its status
-    /// and a detected stall triggers a flight-recorder dump. First
-    /// installed watchdog wins.
-    pub fn install_watchdog(&self, watchdog: Arc<Watchdog>) -> bool {
-        self.inner.health.watchdog.set(watchdog).is_ok()
-    }
-
-    /// The attached watchdog, if any.
-    pub fn watchdog(&self) -> Option<Arc<Watchdog>> {
-        self.inner.health.watchdog.get().cloned()
-    }
-
-    /// Registers a labeled watchdog (e.g. `"shard3"` for a shard
-    /// thread's heartbeat). Unlike [`Obs::install_watchdog`] any number
-    /// can be registered; `/health` reports each by label so a stall is
-    /// attributed to the thread that stopped beating. Re-registering a
-    /// label replaces the previous watchdog (a fresh run supersedes a
-    /// finished one).
+    /// Registers a hot-loop watchdog under `label` (`"monitor"`,
+    /// `"coordinator"`, `"shard3"`, …). `/health` reports each by label,
+    /// degrades when any is stalled and attributes the stall's
+    /// flight-recorder dump to it. Re-registering a label replaces the
+    /// previous watchdog (a fresh run supersedes a finished one).
     pub fn register_watchdog(&self, label: &str, watchdog: Arc<Watchdog>) {
         let mut dogs = self
             .inner
@@ -535,24 +511,6 @@ impl Obs {
     /// The gauge named `name` in this handle's registry.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
         self.inner.registry.gauge(name)
-    }
-
-    /// Interns `name` into a fixed sharded counter slot for lock-free
-    /// recording through a [`LocalCollector`] — see [`sharded`].
-    pub fn counter_id(&self, name: &str) -> CounterId {
-        self.inner.registry.counter_id(name)
-    }
-
-    /// Interns `name` into a fixed sharded histogram slot — see
-    /// [`sharded`].
-    pub fn histogram_id(&self, name: &str) -> HistogramId {
-        self.inner.registry.histogram_id(name)
-    }
-
-    /// A thread-private collector cell merged into this handle's
-    /// snapshots; obtain one per worker thread — see [`sharded`].
-    pub fn collector(&self) -> LocalCollector {
-        self.inner.registry.collector()
     }
 
     /// Pre-resolves the `<name>_ns` histogram and span frame for a

@@ -4,8 +4,7 @@
 //! A JSONL trace of a long run is huge and mostly boring; the
 //! interesting part is always *the last few seconds before the
 //! incident*. The recorder keeps exactly that: each emitting thread
-//! owns a bounded ring cell (the same thread-sharded discipline as
-//! [`crate::sharded::LocalCollector`] — private cell, registered in a
+//! owns a bounded ring cell (private to the thread, registered in a
 //! shared set, contents preserved after the thread dies), and a
 //! **dump trigger** merges every cell, sorts by timestamp, and writes
 //! one JSONL postmortem file that `pq-trace postmortem` renders.

@@ -18,8 +18,6 @@ use std::fmt::{Display, Write as _};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use crate::sharded::{CounterId, HistogramId, LocalCollector, ShardSet};
-
 /// Locks `m`, recovering the guard if a panicking thread poisoned it.
 ///
 /// Every value guarded by a registry mutex is either an `Arc` handle map
@@ -144,13 +142,10 @@ impl Histogram {
     }
 }
 
-/// A plain-data accumulation of histogram contents, used wherever
-/// several histograms (per-thread shard cells, retired cells, the
-/// shared handle) must merge into one [`HistogramSummary`]. All
-/// summary/quantile math lives here so the merged and single-histogram
-/// paths cannot drift.
+/// A plain-data copy of a [`Histogram`]'s contents, read once so every
+/// quantile of one summary comes from the same counts.
 #[derive(Debug, Clone)]
-pub(crate) struct HistAcc {
+struct HistAcc {
     buckets: [u64; BUCKETS],
     count: u64,
     sum: u64,
@@ -159,49 +154,15 @@ pub(crate) struct HistAcc {
     max: u64,
 }
 
-impl Default for HistAcc {
-    fn default() -> Self {
-        HistAcc {
-            buckets: [0; BUCKETS],
-            count: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
-        }
-    }
-}
-
 impl HistAcc {
-    pub(crate) fn of(h: &Histogram) -> Self {
-        let mut acc = HistAcc::default();
-        acc.absorb(h);
-        acc
-    }
-
-    /// Folds a live histogram's current contents into this accumulation.
-    pub(crate) fn absorb(&mut self, h: &Histogram) {
-        for (slot, bucket) in self.buckets.iter_mut().zip(&h.buckets) {
-            *slot += bucket.load(Ordering::Relaxed);
+    fn of(h: &Histogram) -> Self {
+        HistAcc {
+            buckets: std::array::from_fn(|i| h.buckets[i].load(Ordering::Relaxed)),
+            count: h.count(),
+            sum: h.sum(),
+            min: h.min.load(Ordering::Relaxed),
+            max: h.max.load(Ordering::Relaxed),
         }
-        self.count += h.count();
-        self.sum = self.sum.wrapping_add(h.sum());
-        self.min = self.min.min(h.min.load(Ordering::Relaxed));
-        self.max = self.max.max(h.max.load(Ordering::Relaxed));
-    }
-
-    /// Folds another accumulation into this one.
-    pub(crate) fn merge(&mut self, other: &HistAcc) {
-        for (slot, n) in self.buckets.iter_mut().zip(&other.buckets) {
-            *slot += n;
-        }
-        self.count += other.count;
-        self.sum = self.sum.wrapping_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    pub(crate) fn is_empty(&self) -> bool {
-        self.count == 0 && self.buckets.iter().all(|&n| n == 0)
     }
 
     fn quantile(&self, q: f64) -> u64 {
@@ -224,7 +185,7 @@ impl HistAcc {
         self.max
     }
 
-    pub(crate) fn summary(&self) -> HistogramSummary {
+    fn summary(&self) -> HistogramSummary {
         let mut buckets = Vec::new();
         let mut cumulative = 0u64;
         for (i, &n) in self.buckets.iter().enumerate() {
@@ -317,15 +278,13 @@ struct LabeledFamily {
     values: HashMap<String, Arc<Counter>>,
 }
 
-/// Get-or-create storage for named counters, histograms, and gauges,
-/// plus the thread-sharded collector cells (see [`crate::sharded`]).
+/// Get-or-create storage for named counters, histograms, and gauges.
 #[derive(Debug, Default)]
 pub struct Registry {
     counters: Mutex<BTreeMap<String, Arc<Counter>>>,
     histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
     labeled: Mutex<BTreeMap<String, LabeledFamily>>,
     gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
-    shards: Arc<ShardSet>,
 }
 
 impl Registry {
@@ -457,41 +416,16 @@ impl Registry {
         g
     }
 
-    /// Interns `name` into a fixed sharded counter slot — resolve once
-    /// at registration, then record through a [`LocalCollector`].
-    pub fn counter_id(&self, name: &str) -> CounterId {
-        self.shards.counter_id(name)
-    }
-
-    /// Interns `name` into a fixed sharded histogram slot.
-    pub fn histogram_id(&self, name: &str) -> HistogramId {
-        self.shards.histogram_id(name)
-    }
-
-    /// A new thread-private collector cell whose contents merge into
-    /// this registry's snapshots. See [`crate::sharded`].
-    pub fn collector(&self) -> LocalCollector {
-        self.shards.collector()
-    }
-
-    /// Values of all metrics at this moment, sorted by name. Sharded
-    /// collector cells are merged in by name, so consumers see one
-    /// total per metric regardless of how it was recorded.
+    /// Values of all metrics at this moment, sorted by name.
     pub fn snapshot(&self) -> Snapshot {
-        let mut counters: BTreeMap<String, u64> = lock_unpoisoned(&self.counters)
-            .iter()
-            .map(|(k, v)| (k.clone(), v.get()))
-            .collect();
-        let mut hist_accs: BTreeMap<String, HistAcc> = lock_unpoisoned(&self.histograms)
-            .iter()
-            .map(|(k, v)| (k.clone(), HistAcc::of(v)))
-            .collect();
-        self.shards.merge_into(&mut counters, &mut hist_accs);
         Snapshot {
-            counters,
-            histograms: hist_accs
-                .into_iter()
-                .map(|(k, acc)| (k, acc.summary()))
+            counters: lock_unpoisoned(&self.counters)
+                .iter()
+                .map(|(k, v)| (k.clone(), v.get()))
+                .collect(),
+            histograms: lock_unpoisoned(&self.histograms)
+                .iter()
+                .map(|(k, v)| (k.clone(), v.summary()))
                 .collect(),
             labeled: lock_unpoisoned(&self.labeled)
                 .iter()
@@ -773,25 +707,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_and_handle_counts_merge_under_one_name() {
-        let registry = Registry::default();
-        registry.counter("sim.refresh").add(2);
-        let id = registry.counter_id("sim.refresh");
-        let hid = registry.histogram_id("gp.solve_ns");
-        registry.histogram("gp.solve_ns").record(10);
-        let local = registry.collector();
-        local.add(id, 5);
-        local.record(hid, 1000);
-        let s = registry.snapshot();
-        assert_eq!(s.counters["sim.refresh"], 7);
-        let h = &s.histograms["gp.solve_ns"];
-        assert_eq!((h.count, h.sum, h.min, h.max), (2, 1010, 10, 1000));
-        drop(local);
-        // Retired cells keep contributing to later snapshots.
-        assert_eq!(registry.snapshot().counters["sim.refresh"], 7);
-    }
-
-    #[test]
     fn panicking_thread_does_not_poison_the_telemetry_plane() {
         let obs = crate::Obs::null();
         obs.labeled_counter("m", "query", "0").inc();
@@ -814,24 +729,5 @@ mod tests {
         assert_eq!(snap.labeled["m"].values["1"], 4);
         assert_eq!(snap.histograms["gp.solve_ns"].count, 1);
         assert_eq!(snap.gauges["audit.drift_max"], 0.5);
-    }
-
-    #[test]
-    fn merged_histogram_quantiles_match_single_histogram() {
-        let registry = Registry::default();
-        let hid = registry.histogram_id("h");
-        let a = registry.collector();
-        let b = registry.collector();
-        let single = Histogram::default();
-        for v in 1..=1000u64 {
-            if v % 2 == 0 {
-                a.record(hid, v)
-            } else {
-                b.record(hid, v)
-            }
-            single.record(v);
-        }
-        let merged = registry.snapshot().histograms["h"].clone();
-        assert_eq!(merged, single.summary());
     }
 }

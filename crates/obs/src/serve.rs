@@ -7,14 +7,17 @@
 //!   plus windowed `*_rate_*` series when a [`crate::WindowPlane`] is installed;
 //! * `GET /snapshot` — the same snapshot as JSON ([`crate::text::render_json`]);
 //! * `GET /health` — one-line JSON health verdict from the installed
-//!   [`crate::SloEngine`] and [`crate::Watchdog`] (always `ok` when
-//!   neither is installed);
+//!   [`crate::SloEngine`] and the registered [`crate::Watchdog`]s
+//!   (always `ok` when none is installed);
 //! * `GET /alerts` — active and recently cleared SLO alerts as JSON.
 //!
 //! Scrapes take a fresh [`crate::Snapshot`] per request; the instrumented
 //! process pays nothing between requests. Connections are handled
 //! sequentially — a scrape endpoint serving one Prometheus poller every
-//! few seconds needs no concurrency.
+//! few seconds needs no concurrency — so a client must not be able to
+//! hold the thread: every socket read and write times out after 5 s,
+//! and a request head over 8 KiB is refused with `431` without being
+//! buffered.
 //!
 //! ```no_run
 //! let obs = pq_obs::Obs::null();
@@ -25,12 +28,16 @@
 
 use crate::text;
 use crate::Obs;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{self, BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
+
+/// The largest request head (request line plus headers) the exporter
+/// reads; a longer one is answered `431`.
+const MAX_REQUEST_BYTES: usize = 8 * 1024;
 
 /// Handle to a running metrics server. Dropping it (or calling
 /// [`MetricsServer::shutdown`]) stops the listener; call
@@ -110,29 +117,87 @@ fn serve_loop(listener: TcpListener, obs: Obs, stop: Arc<AtomicBool>) {
     }
 }
 
-fn handle_connection(stream: TcpStream, obs: &Obs) -> std::io::Result<()> {
-    let mut reader = BufReader::new(stream);
-    let mut request_line = String::new();
-    reader.read_line(&mut request_line)?;
-    // Drain headers; requests are header-only GETs.
+/// What the exporter read of one request head.
+enum Head {
+    /// A well-formed request line; the headers were read and ignored.
+    Request { method: String, path: String },
+    /// The client closed the connection before sending a byte.
+    Closed,
+    /// The head ran past [`MAX_REQUEST_BYTES`].
+    TooLarge,
+    /// A non-UTF-8 or malformed request line, or a head cut short.
+    Malformed,
+}
+
+/// Reads one request head. `reader` yields at most
+/// `MAX_REQUEST_BYTES + 1` bytes, so no line grows past the cap.
+fn read_head(reader: &mut impl BufRead) -> io::Result<Head> {
+    let mut line = Vec::new();
+    let mut total = 0;
+    let mut request = None;
     loop {
-        let mut line = String::new();
-        if reader.read_line(&mut line)? == 0 || line == "\r\n" || line == "\n" {
-            break;
+        line.clear();
+        total += reader.read_until(b'\n', &mut line)?;
+        if total > MAX_REQUEST_BYTES {
+            return Ok(Head::TooLarge);
+        }
+        if total == 0 {
+            return Ok(Head::Closed);
+        }
+        if !line.ends_with(b"\n") {
+            return Ok(Head::Malformed);
+        }
+        match request {
+            None => match parse_request_line(&line) {
+                Some(parsed) => request = Some(parsed),
+                None => return Ok(Head::Malformed),
+            },
+            Some((method, path)) if line == b"\r\n" || line == b"\n" => {
+                return Ok(Head::Request { method, path })
+            }
+            Some(_) => {}
         }
     }
-    let mut parts = request_line.split_whitespace();
-    let method = parts.next().unwrap_or("");
-    let path = parts.next().unwrap_or("");
-    let (status, content_type, body) = route(method, path, obs);
-    let mut stream = reader.into_inner();
+}
+
+/// `(method, path)` of a `METHOD PATH HTTP/x` request line.
+fn parse_request_line(line: &[u8]) -> Option<(String, String)> {
+    let mut parts = std::str::from_utf8(line).ok()?.split_whitespace();
+    let (method, path, version) = (parts.next()?, parts.next()?, parts.next()?);
+    (version.starts_with("HTTP/") && parts.next().is_none())
+        .then(|| (method.to_string(), path.to_string()))
+}
+
+fn handle_connection(stream: TcpStream, obs: &Obs) -> io::Result<()> {
+    let mut reader = BufReader::new((&stream).take(MAX_REQUEST_BYTES as u64 + 1));
+    let head = read_head(&mut reader)?;
+    let plain = "text/plain; charset=utf-8";
+    let (status, content_type, body) = match &head {
+        Head::Closed => return Ok(()),
+        Head::Request { method, path } => route(method, path, obs),
+        Head::TooLarge => (
+            "431 Request Header Fields Too Large",
+            plain,
+            "request head over 8 KiB\n".into(),
+        ),
+        Head::Malformed => ("400 Bad Request", plain, "malformed request\n".into()),
+    };
+    let mut out = &stream;
     write!(
-        stream,
+        out,
         "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()
     )?;
-    stream.write_all(body.as_bytes())?;
-    stream.flush()
+    out.write_all(body.as_bytes())?;
+    out.flush()?;
+    if !matches!(head, Head::Request { .. }) {
+        // A refused request may be partly unread, and closing over
+        // unread input resets the connection before the client reads
+        // the answer: close our side, then drain a bounded amount.
+        stream.shutdown(Shutdown::Write)?;
+        io::copy(&mut (&stream).take(64 * 1024), &mut io::sink())?;
+    }
+    Ok(())
 }
 
 fn route(method: &str, path: &str, obs: &Obs) -> (&'static str, &'static str, String) {
@@ -174,8 +239,9 @@ fn route(method: &str, path: &str, obs: &Obs) -> (&'static str, &'static str, St
 }
 
 /// The `/health` payload. Health comes from the SLO engine's active
-/// alerts OR a stalled watchdog — either one degrades the verdict. A
-/// stall observed here also fires the flight-recorder dump, exactly
+/// alerts OR a stalled watchdog — either one degrades the verdict. Each
+/// watchdog reports under its label, and a stall observed here fires
+/// the flight-recorder dump (reason `watchdog_stall:<label>`), exactly
 /// once per stall episode: the scrape is the detection point.
 fn render_health(obs: &Obs) -> String {
     use crate::slo::{Health, WatchdogStatus};
@@ -186,24 +252,6 @@ fn render_health(obs: &Obs) -> String {
         }
         None => (Health::Ok, 0, 1.0),
     };
-    let watchdog = match obs.watchdog() {
-        Some(watchdog) => {
-            let wd_status = watchdog.status();
-            if wd_status == WatchdogStatus::Stalled {
-                status = Health::Degraded;
-                if watchdog.should_report_stall() {
-                    if let Some(recorder) = obs.recorder() {
-                        let _ = recorder.trigger("watchdog_stall");
-                    }
-                }
-            }
-            wd_status.as_str()
-        }
-        None => "uninstalled",
-    };
-    // Labeled watchdogs (one per shard thread): any stall degrades the
-    // verdict and is attributed to its label, both in the JSON body and
-    // in the flight-recorder dump reason.
     let mut labeled = String::new();
     for (label, dog) in obs.watchdogs() {
         let dog_status = dog.status();
@@ -227,19 +275,12 @@ fn render_health(obs: &Obs) -> String {
             ),
         );
     }
-    let watchdogs_field = if labeled.is_empty() {
-        String::new()
-    } else {
-        format!(",\"watchdogs\":{{{labeled}}}")
-    };
     let dumps = obs.recorder().map_or(0, crate::Recorder::dump_count);
     format!(
-        "{{\"status\":{},\"active_alerts\":{},\"error_budget_remaining\":{},\"watchdog\":{}{},\"recorder_dumps\":{}}}\n",
+        "{{\"status\":{},\"active_alerts\":{},\"error_budget_remaining\":{},\"watchdogs\":{{{labeled}}},\"recorder_dumps\":{}}}\n",
         text::json_string(status.as_str()),
         active,
         text::json_f64(budget),
-        text::json_string(watchdog),
-        watchdogs_field,
         dumps,
     )
 }
@@ -343,7 +384,7 @@ mod tests {
         assert_eq!(
             body,
             "{\"status\":\"ok\",\"active_alerts\":0,\"error_budget_remaining\":1.0,\
-             \"watchdog\":\"uninstalled\",\"recorder_dumps\":0}\n"
+             \"watchdogs\":{},\"recorder_dumps\":0}\n"
         );
         let (_, body) = get(server.addr(), "/alerts");
         assert_eq!(body, "{\"active\":0,\"alerts\":[]}\n");
@@ -375,11 +416,10 @@ mod tests {
     #[test]
     fn metrics_appends_windowed_series_when_a_plane_is_installed() {
         let obs = Obs::null();
-        obs.counter("sim.refresh").add(50);
         let plane = Arc::new(crate::WindowPlane::new());
-        let id = plane.track("sim.refresh");
+        plane.track_source("sim.refresh", obs.counter("sim.refresh"));
+        obs.counter("sim.refresh").add(50);
         plane.advance(10);
-        plane.record(id, 50);
         assert!(obs.install_window_plane(plane));
         let server = spawn(obs, "127.0.0.1:0").unwrap();
         let (_, body) = get(server.addr(), "/metrics");
@@ -405,14 +445,14 @@ mod tests {
         let obs = Obs::null();
         let watchdog = Arc::new(crate::Watchdog::new(Duration::ZERO));
         watchdog.beat();
-        assert!(obs.install_watchdog(watchdog));
+        obs.register_watchdog("coordinator", watchdog);
         let recorder = crate::Recorder::new(crate::RecorderConfig::new(dir.join("dump.jsonl")));
         assert!(obs.install_recorder(recorder));
         std::thread::sleep(Duration::from_millis(2));
         let server = spawn(obs, "127.0.0.1:0").unwrap();
         let (_, body) = get(server.addr(), "/health");
         assert!(body.contains("\"status\":\"degraded\""), "body: {body}");
-        assert!(body.contains("\"watchdog\":\"stalled\""));
+        assert!(body.contains("\"watchdogs\":{\"coordinator\":\"stalled\"}"));
         assert!(body.contains("\"recorder_dumps\":1"), "body: {body}");
         // A second scrape must not dump again for the same episode.
         let (_, body) = get(server.addr(), "/health");

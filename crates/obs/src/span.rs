@@ -5,9 +5,8 @@
 //! same thread, or the thread's *ambient parent*), and pushes its name
 //! onto two stacks — a plain thread-local one for parent resolution,
 //! and a lock-free mirror the [`Profiler`] can sample from another
-//! thread. Timing events gain additive `span_id` / `parent` fields, so
-//! `pq-trace tree` reconstructs the exact fan-out forest instead of
-//! guessing nesting from interval containment.
+//! thread. Timing events carry `span_id` / `parent` fields, from which
+//! `pq-trace tree` reconstructs the exact fan-out forest.
 //!
 //! **Propagation across threads** uses [`SpanContext`]: capture it
 //! where the work is *caused* (`SpanContext::current()`), move it into

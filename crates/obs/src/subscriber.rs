@@ -107,12 +107,17 @@ impl Subscriber for RingBufferSubscriber {
     }
 }
 
-/// Renders events as human-readable lines on stderr, keeping stdout
-/// clean for result tables.
+/// Renders `bench.*` progress events as human-readable lines on stderr,
+/// keeping stdout clean for result tables while a [`crate::JsonlWriter`]
+/// beside it in a [`Fanout`] records the full trace.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct StderrSubscriber;
 
 impl Subscriber for StderrSubscriber {
+    fn enabled(&self, target: &str) -> bool {
+        target.starts_with("bench.")
+    }
+
     fn on_event(&self, event: &Event) {
         use std::fmt::Write as _;
         let mut line = format!("[{}]", event.target);
@@ -133,40 +138,6 @@ impl Subscriber for StderrSubscriber {
             }
         }
         eprintln!("{line}");
-    }
-}
-
-/// Restricts an inner subscriber to targets starting with any of a set
-/// of prefixes.
-///
-/// Useful in a [`Fanout`]: e.g. render only `bench.` progress events to
-/// stderr while a [`crate::JsonlWriter`] records the full trace.
-pub struct PrefixFilter {
-    inner: Arc<dyn Subscriber>,
-    prefixes: Vec<&'static str>,
-}
-
-impl PrefixFilter {
-    /// Forwards to `inner` only events whose target starts with one of
-    /// `prefixes`.
-    pub fn new(inner: Arc<dyn Subscriber>, prefixes: Vec<&'static str>) -> Self {
-        PrefixFilter { inner, prefixes }
-    }
-}
-
-impl Subscriber for PrefixFilter {
-    fn enabled(&self, target: &str) -> bool {
-        self.prefixes.iter().any(|p| target.starts_with(p)) && self.inner.enabled(target)
-    }
-
-    fn on_event(&self, event: &Event) {
-        if self.enabled(&event.target) {
-            self.inner.on_event(event);
-        }
-    }
-
-    fn flush(&self) {
-        self.inner.flush();
     }
 }
 
@@ -259,20 +230,6 @@ mod tests {
     }
 
     #[test]
-    fn prefix_filter_passes_only_matching_targets() {
-        let ring = Arc::new(RingBufferSubscriber::new(8));
-        let filtered = PrefixFilter::new(ring.clone(), vec!["bench.", "sim.run"]);
-        assert!(filtered.enabled("bench.run"));
-        assert!(filtered.enabled("sim.run_end"));
-        assert!(!filtered.enabled("gp.newton"));
-        filtered.on_event(&Event::new("bench.run", EventKind::Point));
-        filtered.on_event(&Event::new("gp.newton", EventKind::Point));
-        let held = ring.events();
-        assert_eq!(held.len(), 1);
-        assert_eq!(held[0].target, "bench.run");
-    }
-
-    #[test]
     fn fanout_delivers_to_every_interested_sink() {
         let a = Arc::new(RingBufferSubscriber::new(4));
         let b = Arc::new(RingBufferSubscriber::new(4));
@@ -284,5 +241,10 @@ mod tests {
 
         let empty = Fanout::new(vec![Arc::new(NullSubscriber)]);
         assert!(!empty.enabled("x"), "all-null fanout disables targets");
+        // Stderr renders progress lines only, so beside a full trace it
+        // wants `bench.*` and nothing else.
+        let stderr = Fanout::new(vec![Arc::new(StderrSubscriber)]);
+        assert!(stderr.enabled("bench.run"));
+        assert!(!stderr.enabled("gp.newton"));
     }
 }

@@ -61,9 +61,8 @@ pub fn render_prometheus(snapshot: &Snapshot) -> String {
 
 /// Renders the windowed series of a [`crate::WindowPlane`] snapshot as
 /// Prometheus gauges: `pq_<name>_rate_5s` / `_rate_1m` / `_rate_1h`
-/// (events per simulated second over the trailing window), plus
-/// `_mean_1m` / `_max_1m` for windowed histograms. Appended to the
-/// `/metrics` body after [`render_prometheus`] when a plane is
+/// (events per simulated second over the trailing window). Appended to
+/// the `/metrics` body after [`render_prometheus`] when a plane is
 /// installed on the serving [`crate::Obs`] handle.
 pub fn render_windows(windows: &WindowSnapshot) -> String {
     let mut out = String::with_capacity(1024);
@@ -73,17 +72,6 @@ pub fn render_windows(windows: &WindowSnapshot) -> String {
             let _ = writeln!(out, "# TYPE {metric}_rate_{suffix} gauge");
             let _ = writeln!(out, "{metric}_rate_{suffix} {}", prom_f64(rate));
         }
-    }
-    for series in &windows.histograms {
-        let metric = format!("pq_{}", sanitize(&series.name));
-        for (suffix, rate) in series.rates {
-            let _ = writeln!(out, "# TYPE {metric}_rate_{suffix} gauge");
-            let _ = writeln!(out, "{metric}_rate_{suffix} {}", prom_f64(rate));
-        }
-        let _ = writeln!(out, "# TYPE {metric}_mean_1m gauge");
-        let _ = writeln!(out, "{metric}_mean_1m {}", prom_f64(series.mean_1m));
-        let _ = writeln!(out, "# TYPE {metric}_max_1m gauge");
-        let _ = writeln!(out, "{metric}_max_1m {}", series.max_1m);
     }
     out
 }
@@ -190,23 +178,10 @@ fn escape_label(value: &str) -> String {
     out
 }
 
+/// `s` as a JSON string literal, escaped exactly as JSONL events are.
 pub(crate) fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    crate::jsonl::push_json_string(&mut out, s);
     out
 }
 
@@ -295,18 +270,14 @@ pq_audit_drift_max 0.125
     #[test]
     fn windowed_series_render_as_rate_gauges() {
         let plane = crate::WindowPlane::new();
-        let id = plane.track("sim.refresh");
-        let hid = plane.track_histogram("gp.solve_ns");
+        let refreshes = std::sync::Arc::new(crate::Counter::default());
+        plane.track_source("sim.refresh", refreshes.clone());
+        refreshes.add(120);
         plane.advance(60);
-        plane.record(id, 120);
-        plane.record_sample(hid, 500);
-        plane.record_sample(hid, 1500);
         let text = render_windows(&plane.snapshot());
         assert!(text.contains("# TYPE pq_sim_refresh_rate_5s gauge\n"));
         assert!(text.contains("pq_sim_refresh_rate_5s 24\n"));
         assert!(text.contains("pq_sim_refresh_rate_1m 2\n"));
-        assert!(text.contains("pq_gp_solve_ns_mean_1m 1000\n"));
-        assert!(text.contains("pq_gp_solve_ns_max_1m 1500\n"));
         // Every line is still well-formed exposition text.
         for line in text.lines() {
             let (_, value) = line.rsplit_once(' ').expect("space-separated");
@@ -351,6 +322,20 @@ pq_audit_drift_max 0.125
             .chars()
             .fold(0i32, |d, c| d + (c == '{') as i32 - (c == '}') as i32);
         assert_eq!(balanced, 0);
+
+        // A label with a control character, a quote, a backslash and a
+        // tab is spelled byte for byte as a JSONL event spells it.
+        let label = "a\u{1}\"b\\\tc";
+        let escaped = r#""a\u0001\"b\\\tc""#;
+        let obs = Obs::null();
+        obs.labeled_counter("m", "key", label).inc();
+        let json = render_json(&obs.snapshot());
+        assert!(
+            json.contains(&format!("\"values\":{{{escaped}:1}}")),
+            "{json}"
+        );
+        let event = crate::Event::new("t", crate::EventKind::Point).with("s", label.to_string());
+        assert!(crate::to_json(&event).contains(&format!("\"s\":{escaped}")));
     }
 
     #[test]

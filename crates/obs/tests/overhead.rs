@@ -3,13 +3,14 @@
 //! staleness bound), and that it loses nothing. The loop runs three ways:
 //!
 //! * **off**: no telemetry call at all;
-//! * **sharded**: the shipped discipline — a thread-private
-//!   [`LocalCollector`] over interned ids, adds amortized over each
-//!   ingestion batch, one causal span per tick, the sampling profiler
-//!   running throughout;
-//! * **windowed**: sharded plus the live-health plane — a [`WindowPlane`]
-//!   advanced and fed every tick, the [`SloEngine`] observing each tick,
-//!   a [`Watchdog`] beat per tick, the flight [`Recorder`] subscribed.
+//! * **instrumented**: the shipped discipline — [`Counter`] and
+//!   [`Histogram`] handles resolved once, adds amortized over each
+//!   ingestion batch, one causal span per tick through a pre-resolved
+//!   [`Timer`], the sampling profiler running throughout;
+//! * **windowed**: instrumented plus the live-health plane — a
+//!   [`WindowPlane`] polling the refresh counter every tick, the
+//!   [`SloEngine`] observing each tick, a [`Watchdog`] beat per tick, the
+//!   flight [`Recorder`] subscribed.
 //!
 //! That every event is in an instrumented run's final snapshot is a count
 //! and runs under plain `cargo test`. The clock ceilings are `#[ignore]`d
@@ -20,18 +21,15 @@ use std::hint::black_box;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use pq_obs::window::WindowId;
 use pq_obs::{
-    names, start_profiler, CounterId, Health, HistogramId, LocalCollector, Obs, Profiler, Recorder,
-    RecorderConfig, SloConfig, SloEngine, Timer, Watchdog, WindowPlane, WINDOW_1M,
+    names, start_profiler, Counter, Health, Histogram, Obs, Profiler, Recorder, RecorderConfig,
+    SloConfig, SloEngine, Timer, Watchdog, WindowPlane, WINDOW_1M,
 };
 
-/// Sharded over off, on the 1M-item loop. It reads 0.5–3 % (≈ 45 ns per
-/// collector add + record pair, ≈ 200 ns per null span); per-event
-/// locking reads +50 % and more.
-const MAX_SHARDED_OVERHEAD_PCT: f64 = 6.0;
-/// Windowed over sharded: what the live-health plane adds per tick. It
-/// reads 2–3 %.
+/// Instrumented over off, on the 1M-item loop: per-event locking reads
+/// +50 % and more.
+const MAX_INSTRUMENTED_OVERHEAD_PCT: f64 = 6.0;
+/// Windowed over instrumented: what the live-health plane adds per tick.
 const MAX_PLANE_OVERHEAD_PCT: f64 = 3.0;
 /// Events folded per ingestion batch.
 const BATCH: u64 = 64;
@@ -98,19 +96,17 @@ impl LoopState {
 /// The live-health plane a windowed run drives once per tick.
 struct Live {
     plane: Arc<WindowPlane>,
-    w_refresh: WindowId,
     slo: Arc<SloEngine>,
     watchdog: Arc<Watchdog>,
     tick: u64,
 }
 
-/// The loop under the sharded discipline, with or without [`Live`].
+/// The loop under the shipped discipline, with or without [`Live`].
 struct Instrumented {
     obs: Obs,
-    c_refresh: CounterId,
-    h_batch: HistogramId,
+    c_refresh: Arc<Counter>,
+    h_batch: Arc<Histogram>,
     t_tick: Timer,
-    collector: LocalCollector,
     profiler: Profiler,
     live: Option<Live>,
     state: LoopState,
@@ -124,18 +120,15 @@ impl Instrumented {
             let recorder = Recorder::new(RecorderConfig::new(std::env::temp_dir().join(dump)));
             let obs = Obs::with_subscriber(Arc::new(recorder.clone()));
             obs.install_recorder(recorder);
-            // Sharded adds reach the named counters at snapshot time, so
-            // the plane is fed per tick, not by polling a counter.
             let plane = Arc::new(WindowPlane::new());
-            let w_refresh = plane.track(names::SIM_REFRESH);
+            plane.track_source(names::SIM_REFRESH, obs.counter(names::SIM_REFRESH));
             obs.install_window_plane(plane.clone());
             let slo = Arc::new(SloEngine::new(SloConfig::default(), &obs));
             obs.install_slo_engine(slo.clone());
             let watchdog = Arc::new(Watchdog::new(Duration::from_secs(30)));
-            obs.install_watchdog(watchdog.clone());
+            obs.register_watchdog("coordinator", watchdog.clone());
             let live = Live {
                 plane,
-                w_refresh,
                 slo,
                 watchdog,
                 tick: 0,
@@ -145,10 +138,9 @@ impl Instrumented {
             (Obs::null(), None)
         };
         Instrumented {
-            c_refresh: obs.counter_id(names::SIM_REFRESH),
-            h_batch: obs.histogram_id(names::INGEST_BATCH_SIZE),
+            c_refresh: obs.counter(names::SIM_REFRESH),
+            h_batch: obs.histogram(names::INGEST_BATCH_SIZE),
             t_tick: obs.timer(names::SIM_RECOMPUTE_BATCH),
-            collector: obs.collector(),
             profiler: start_profiler(&obs, PROFILE_HZ),
             obs,
             live,
@@ -173,13 +165,12 @@ impl Instrumented {
                     self.state.step(i);
                     i += 1;
                 }
-                self.collector.add(self.c_refresh, n);
-                self.collector.record(self.h_batch, n);
+                self.c_refresh.add(n);
+                self.h_batch.record(n);
             }
             drop(tick_span);
             if let Some(live) = &mut self.live {
                 live.plane.advance(live.tick);
-                live.plane.record(live.w_refresh, tick_events);
                 live.slo.observe(live.tick, tick_events, 0, 0);
                 live.tick += 1;
             }
@@ -216,15 +207,15 @@ impl Instrumented {
 
 /// The three variants over `events` events in interleaved slices, `reps`
 /// times. Returns the median over every slice of the same-slice ratios
-/// (sharded over off, windowed over sharded), in percent: each sample
-/// pairs two timings taken milliseconds apart, and the median drops the
-/// slices where either side was preempted.
+/// (instrumented over off, windowed over instrumented), in percent: each
+/// sample pairs two timings taken milliseconds apart, and the median
+/// drops the slices where either side was preempted.
 fn overheads(n_items: usize, events: u64, reps: usize) -> (f64, f64) {
-    let (mut sharded_over_off, mut windowed_over_sharded) = (Vec::new(), Vec::new());
+    let (mut instrumented_over_off, mut windowed_over_instrumented) = (Vec::new(), Vec::new());
     let mut cycle = 0;
     for _ in 0..reps {
         let mut off = LoopState::new(n_items);
-        let mut sharded = Instrumented::new(n_items, false);
+        let mut instrumented = Instrumented::new(n_items, false);
         let mut windowed = Instrumented::new(n_items, true);
         let mut start = 0;
         while start < events {
@@ -238,18 +229,22 @@ fn overheads(n_items: usize, events: u64, reps: usize) -> (f64, f64) {
                 let t = Instant::now();
                 match variant {
                     0 => (start..end).for_each(|i| off.step(i)),
-                    1 => sharded.slice(start, end),
+                    1 => instrumented.slice(start, end),
                     _ => windowed.slice(start, end),
                 }
                 secs[variant] = t.elapsed().as_secs_f64();
             }
-            sharded_over_off.push(secs[1] / secs[0]);
-            windowed_over_sharded.push(secs[2] / secs[1]);
+            instrumented_over_off.push(secs[1] / secs[0]);
+            windowed_over_instrumented.push(secs[2] / secs[1]);
             cycle += 1;
             start = end;
         }
         let want = off.digest();
-        assert_eq!(sharded.finish(events), want, "sharded ran other work");
+        assert_eq!(
+            instrumented.finish(events),
+            want,
+            "instrumented ran other work"
+        );
         assert_eq!(windowed.finish(events), want, "windowed ran other work");
     }
     let median_pct = |mut ratios: Vec<f64>| {
@@ -257,8 +252,8 @@ fn overheads(n_items: usize, events: u64, reps: usize) -> (f64, f64) {
         100.0 * (ratios[ratios.len() / 2] - 1.0)
     };
     (
-        median_pct(sharded_over_off),
-        median_pct(windowed_over_sharded),
+        median_pct(instrumented_over_off),
+        median_pct(windowed_over_instrumented),
     )
 }
 
@@ -276,15 +271,17 @@ fn overhead_ceilings_hold_on_the_release_build() {
     // 2.5 % to its ceiling: only a breach that repeats is one.
     let mut breaches = Vec::new();
     for _ in 0..5 {
-        let (sharded, plane) = overheads(1_000_000, 1_000_000, 9);
-        println!("sharded over off {sharded:.2} %, windowed over sharded {plane:.2} %");
-        if sharded < MAX_SHARDED_OVERHEAD_PCT && plane < MAX_PLANE_OVERHEAD_PCT {
+        let (instrumented, plane) = overheads(1_000_000, 1_000_000, 9);
+        println!(
+            "instrumented over off {instrumented:.2} %, windowed over instrumented {plane:.2} %"
+        );
+        if instrumented < MAX_INSTRUMENTED_OVERHEAD_PCT && plane < MAX_PLANE_OVERHEAD_PCT {
             return;
         }
-        breaches.push((sharded, plane));
+        breaches.push((instrumented, plane));
     }
     panic!(
-        "(sharded over off, windowed over sharded) read {breaches:.2?} %, \
-         ceilings {MAX_SHARDED_OVERHEAD_PCT} % and {MAX_PLANE_OVERHEAD_PCT} %"
+        "(instrumented over off, windowed over instrumented) read {breaches:.2?} %, \
+         ceilings {MAX_INSTRUMENTED_OVERHEAD_PCT} % and {MAX_PLANE_OVERHEAD_PCT} %"
     );
 }

@@ -143,6 +143,40 @@ fn snapshot_endpoint_serves_json_mirror() {
 }
 
 #[test]
+fn hostile_requests_are_answered_and_never_wedge_the_exporter() {
+    let obs = Obs::null();
+    obs.counter("sim.refresh").add(3);
+    let server = pq_obs::serve::spawn(obs, "127.0.0.1:0").unwrap();
+    let oversized = [b"GET /".as_slice(), &[b'a'; 9 * 1024]].concat();
+    let garbage = [
+        0xff, 0xfe, 0x00, 0x80, 0xc3, 0x28, b'\r', b'\n', b'\r', b'\n',
+    ];
+    // (request bytes, expected status line; None = no answer owed)
+    let cases: [(&[u8], Option<&str>); 4] = [
+        (&oversized, Some("HTTP/1.1 431 ")),
+        (b"GET /metrics HTTP/1.1\r\nHost: x", Some("HTTP/1.1 400 ")),
+        (&garbage, Some("HTTP/1.1 400 ")),
+        (b"", None),
+    ];
+    for (request, status) in cases {
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream.write_all(request).unwrap();
+        stream.shutdown(std::net::Shutdown::Write).unwrap();
+        let mut response = Vec::new();
+        stream.read_to_end(&mut response).unwrap();
+        let response = String::from_utf8_lossy(&response);
+        match status {
+            Some(status) => assert!(response.starts_with(status), "{response:?}"),
+            None => assert!(response.is_empty(), "{response:?}"),
+        }
+        let (head, body) = http_get(server.addr(), "/metrics");
+        assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
+        assert!(body.contains("pq_sim_refresh_total 3\n"));
+    }
+    server.shutdown();
+}
+
+#[test]
 fn obs_config_addr_spawns_detached_exporter() {
     // Pick a free port first, then hand it to ObsConfig.
     let probe = std::net::TcpListener::bind("127.0.0.1:0").unwrap();

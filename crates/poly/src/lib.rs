@@ -21,6 +21,7 @@
 //! * [`parse`] — a small expression parser for examples and tools.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod constraint;
 pub mod error;

@@ -31,8 +31,8 @@ use pq_core::{
 use pq_ddm::{DataDynamicsModel, RateEstimator, TraceSet};
 use pq_gp::SolverOptions;
 use pq_obs::{
-    names, Counter, EventKind, Histogram, Obs, ObsConfig, SloConfig, SloEngine, SpanContext,
-    Watchdog, WindowPlane,
+    names, Counter, EventKind, Histogram, Obs, SloConfig, SloEngine, SpanContext, Watchdog,
+    WindowPlane,
 };
 use pq_poly::{ItemId, PolynomialQuery};
 
@@ -146,11 +146,6 @@ pub struct SimConfig {
     /// simulated metrics are byte-identical for any value — parallelism
     /// only changes wall-clock time.
     pub threads: usize,
-    /// Telemetry configuration (fully off by default). [`run`] builds an
-    /// [`Obs`] handle from this and threads it through the coordinator
-    /// and the GP solver; use [`run_observed`] to supply a handle
-    /// directly and inspect its registry afterwards.
-    pub obs: ObsConfig,
     /// Continuous fidelity audit of the incrementally maintained query
     /// values (shadow naive evaluation; see [`crate::audit`]). `None`
     /// (default) disables it. The audit is read-only and RNG-free:
@@ -163,8 +158,9 @@ pub struct SimConfig {
     /// Fidelity SLO engine (`None`, the default, disables it). When set,
     /// the engine drives a sim-clock [`WindowPlane`], multi-window
     /// burn-rate alerting over the fidelity samples, a hot-loop
-    /// [`Watchdog`], and — when `obs` configures a flight recorder —
-    /// postmortem dumps on alerts and audit divergences. All of it is
+    /// [`Watchdog`], and — when the run's [`Obs`] handle carries a
+    /// flight recorder — postmortem dumps on alerts and audit
+    /// divergences. All of it is
     /// read-only over the simulation state: [`SimMetrics`] are
     /// byte-identical with the SLO engine on or off.
     pub slo: Option<SloConfig>,
@@ -192,7 +188,6 @@ impl SimConfig {
             loss_probability: 0.0,
             gp: SolverOptions::default(),
             threads: default_recompute_threads(),
-            obs: ObsConfig::default(),
             audit: None,
             audit_fault: None,
             slo: None,
@@ -245,11 +240,6 @@ pub enum SimError {
         /// The configured value.
         value: f64,
     },
-    /// Opening a telemetry sink (e.g. the JSONL trace file) failed.
-    Obs {
-        /// Underlying I/O error.
-        source: std::io::Error,
-    },
 }
 
 impl std::fmt::Display for SimError {
@@ -279,9 +269,6 @@ impl std::fmt::Display for SimError {
             SimError::BadLossProbability { value } => {
                 write!(f, "loss_probability must lie in [0, 1], got {value}")
             }
-            SimError::Obs { source } => {
-                write!(f, "failed to open telemetry sink: {source}")
-            }
         }
     }
 }
@@ -297,17 +284,15 @@ impl From<InstallError> for SimError {
     }
 }
 
-/// Runs the simulation to completion and returns the collected metrics.
-///
-/// Telemetry follows `config.obs`; with the default (off) configuration
-/// no events are constructed.
+/// Runs the simulation to completion and returns the collected metrics,
+/// with no telemetry sink: [`run_observed`] with [`Obs::null`].
 pub fn run(config: &SimConfig) -> Result<SimMetrics, SimError> {
-    let obs = Obs::from_config(&config.obs).map_err(|source| SimError::Obs { source })?;
-    run_observed(config, &obs)
+    run_observed(config, &Obs::null())
 }
 
-/// Runs the simulation with a caller-supplied telemetry handle,
-/// ignoring `config.obs`.
+/// Runs the simulation with a caller-supplied telemetry handle (build
+/// one from a declarative [`pq_obs::ObsConfig`] with
+/// [`Obs::from_config`] for a JSONL trace, an exporter or a recorder).
 ///
 /// After the run, `obs.snapshot()` holds the counter/histogram mirror of
 /// the returned metrics (see [`SimMetrics::from_snapshot`]), including
@@ -512,16 +497,12 @@ impl SloRuntime {
                 }
             }
         };
-        // Watchdogs stay per-engine: each shard beats its own, so a
-        // single wedged shard is attributable. The singleton slot keeps
-        // its first-install-wins behavior for a lone coordinator;
-        // shards additionally register under a `shard<i>` label, which
-        // `/health` aggregates and reports per shard.
+        // Watchdogs stay per-engine: each shard beats its own under a
+        // `shard<i>` label, so `/health` attributes a single wedged
+        // shard; a lone coordinator beats `coordinator`.
         let watchdog = Arc::new(Watchdog::new(WATCHDOG_STALL_AFTER));
-        obs.install_watchdog(watchdog.clone());
-        if let Some(s) = shard {
-            obs.register_watchdog(&format!("shard{s}"), watchdog.clone());
-        }
+        let label = shard.map_or_else(|| "coordinator".to_string(), |s| format!("shard{s}"));
+        obs.register_watchdog(&label, watchdog.clone());
         SloRuntime {
             plane,
             engine,
@@ -1976,12 +1957,13 @@ mod tests {
     #[test]
     fn jsonl_trace_mirrors_recomputation_count() {
         let path = std::env::temp_dir().join(format!("pq_sim_trace_{}.jsonl", std::process::id()));
-        let mut cfg = small_config(DelayConfig::zero(), optimal());
-        cfg.obs = ObsConfig {
+        let cfg = small_config(DelayConfig::zero(), optimal());
+        let obs = Obs::from_config(&pq_obs::ObsConfig {
             jsonl: Some(path.clone()),
             ..Default::default()
-        };
-        let m = run(&cfg).unwrap();
+        })
+        .unwrap();
+        let m = run_observed(&cfg, &obs).unwrap();
         assert!(m.recomputations > 0);
 
         let text = std::fs::read_to_string(&path).unwrap();
@@ -2063,8 +2045,11 @@ mod tests {
         let slo = obs.slo_engine().expect("engine installed on the handle");
         assert_eq!(slo.health(), (pq_obs::Health::Ok, 0));
         assert!(slo.alerts().is_empty(), "clean run must not page");
+        let watchdogs = obs.watchdogs();
+        assert_eq!(watchdogs.len(), 1);
+        assert_eq!(watchdogs[0].0, "coordinator");
         assert_eq!(
-            obs.watchdog().expect("watchdog installed").status(),
+            watchdogs[0].1.status(),
             pq_obs::slo::WatchdogStatus::Disarmed,
             "a finished run is not a stall"
         );

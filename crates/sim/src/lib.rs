@@ -30,12 +30,13 @@
 //! [`pq_poly::SharedPlan`]: per-refresh checks and fidelity samples are
 //! loads, a refresh costs `O(affected terms)`.
 //!
-//! Telemetry: set [`SimConfig::obs`] (re-exported [`ObsConfig`]) to get a
-//! JSONL trace of every refresh, recomputation, and GP solve, or call
-//! [`engine::run_observed`] with your own [`Obs`] handle to inspect the
-//! counter/histogram registry after a run.
+//! Telemetry: [`engine::run_observed`] runs under your own [`Obs`]
+//! handle — one built by [`Obs::from_config`] writes a JSONL trace of
+//! every refresh, recomputation, and GP solve — and leaves the
+//! counter/histogram registry to inspect after the run.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod audit;
 pub mod delay;
@@ -54,7 +55,7 @@ pub use engine::{run, run_observed, SimConfig, SimError, SimStrategy};
 pub use event::Event;
 pub use metrics::SimMetrics;
 pub use network::{run_network, run_network_observed, NetworkConfig, NetworkMetrics};
-pub use pq_obs::{Obs, ObsConfig, RecorderConfig, SloConfig};
+pub use pq_obs::{Obs, RecorderConfig, SloConfig};
 pub use ring::{RingConsumer, RingMsg, RingProducer};
 pub use shard::{run_sharded, ShardReport, ShardStat};
 pub use table::{Bitset, ItemTable, ReaderIndex};

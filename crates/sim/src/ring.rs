@@ -4,12 +4,11 @@
 //! The sharded engine (see [`crate::shard`]) connects every pair of
 //! shards that share at least one cross-partition item with two
 //! directed rings. Each ring is written by exactly one shard thread and
-//! read by exactly one other, so a classic lock-free SPSC queue over a
-//! fixed slot array suffices: the producer owns `tail`, the consumer
-//! owns `head`, and each slot is published with a release store /
-//! consumed with an acquire load.
+//! read by exactly one other; the messages travel through a bounded
+//! [`std::sync::mpsc::sync_channel`], whose non-blocking
+//! `try_send` / `try_recv` are all the protocol needs.
 //!
-//! Besides payload slots the ring carries a **watermark** — the
+//! Besides the messages the ring carries a **watermark** — the
 //! sender's progress marker, stored as `t + 1` once the sender has
 //! fully completed simulated tick `t` (0 = nothing completed yet,
 //! `u64::MAX` = the sender's run is over). The conservative
@@ -20,9 +19,8 @@
 //! **backpressure counter** records how often the producer found the
 //! ring full and had to spin.
 
-use std::cell::UnsafeCell;
-use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 
 use pq_obs::SpanId;
@@ -97,13 +95,9 @@ impl RingMsg {
     }
 }
 
-struct Shared {
-    slots: Box<[UnsafeCell<MaybeUninit<RingMsg>>]>,
-    /// Next slot the consumer will read. Owned by the consumer; the
-    /// producer only loads it to detect fullness.
-    head: AtomicUsize,
-    /// Next slot the producer will write. Owned by the producer.
-    tail: AtomicUsize,
+/// What both halves of a ring share beside the channel.
+#[derive(Debug)]
+struct Marks {
     /// Producer progress marker: `t + 1` once the producer has fully
     /// completed simulated tick `t`; 0 before initialization finishes;
     /// `u64::MAX` once the producer's run ends.
@@ -112,39 +106,29 @@ struct Shared {
     backpressure: AtomicU64,
 }
 
-// SAFETY: the slot array is only mutated through the SPSC discipline —
-// the producer writes slots in `head..head+capacity` bounds before
-// publishing them via the release store on `tail`; the consumer reads
-// them after the acquire load. `RingMsg` is `Copy`, so no drops race.
-unsafe impl Send for Shared {}
-unsafe impl Sync for Shared {}
-
 /// Builds a connected producer/consumer pair over a ring of `capacity`
-/// message slots (rounded up to a power of two, minimum 2).
+/// messages (rounded up to a power of two, minimum 2).
 pub fn ring(capacity: usize) -> (RingProducer, RingConsumer) {
     let capacity = capacity.max(2).next_power_of_two();
-    let slots = (0..capacity)
-        .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
-        .collect::<Vec<_>>()
-        .into_boxed_slice();
-    let shared = Arc::new(Shared {
-        slots,
-        head: AtomicUsize::new(0),
-        tail: AtomicUsize::new(0),
+    let (tx, rx) = sync_channel(capacity);
+    let marks = Arc::new(Marks {
         watermark: AtomicU64::new(0),
         backpressure: AtomicU64::new(0),
     });
     (
         RingProducer {
-            shared: shared.clone(),
+            tx,
+            marks: marks.clone(),
         },
-        RingConsumer { shared },
+        RingConsumer { rx, marks },
     )
 }
 
 /// The write half of a ring; exactly one shard thread holds it.
+#[derive(Debug)]
 pub struct RingProducer {
-    shared: Arc<Shared>,
+    tx: SyncSender<RingMsg>,
+    marks: Arc<Marks>,
 }
 
 impl RingProducer {
@@ -152,21 +136,16 @@ impl RingProducer {
     /// when the ring is full. The caller must then make progress
     /// elsewhere — the sharded engine drains its own inbound rings —
     /// and retry, which is what keeps two mutually full shards from
-    /// deadlocking.
+    /// deadlocking. A message to a consumer that is gone is dropped:
+    /// nothing would read it.
     pub fn try_send(&self, msg: RingMsg) -> bool {
-        let s = &*self.shared;
-        let tail = s.tail.load(Ordering::Relaxed);
-        let head = s.head.load(Ordering::Acquire);
-        if tail.wrapping_sub(head) >= s.slots.len() {
-            s.backpressure.fetch_add(1, Ordering::Relaxed);
-            return false;
+        match self.tx.try_send(msg) {
+            Err(TrySendError::Full(_)) => {
+                self.marks.backpressure.fetch_add(1, Ordering::Relaxed);
+                false
+            }
+            Ok(()) | Err(TrySendError::Disconnected(_)) => true,
         }
-        let idx = tail & (s.slots.len() - 1);
-        // SAFETY: `tail - head < capacity`, so the consumer has not yet
-        // been granted this slot; the producer is the only writer.
-        unsafe { (*s.slots[idx].get()).write(msg) };
-        s.tail.store(tail.wrapping_add(1), Ordering::Release);
-        true
     }
 
     /// Publishes the producer's progress marker (the sharded engine
@@ -174,62 +153,37 @@ impl RingProducer {
     /// enqueued before this call is visible to a consumer that observes
     /// the new marker (release/acquire pairing on the watermark).
     pub fn publish_watermark(&self, mark: u64) {
-        self.shared.watermark.store(mark, Ordering::Release);
+        self.marks.watermark.store(mark, Ordering::Release);
     }
 
     /// Times [`RingProducer::try_send`] found the ring full.
     pub fn backpressure(&self) -> u64 {
-        self.shared.backpressure.load(Ordering::Relaxed)
+        self.marks.backpressure.load(Ordering::Relaxed)
     }
 }
 
 /// The read half of a ring; exactly one shard thread holds it.
+#[derive(Debug)]
 pub struct RingConsumer {
-    shared: Arc<Shared>,
+    rx: Receiver<RingMsg>,
+    marks: Arc<Marks>,
 }
 
 impl RingConsumer {
     /// Dequeues the oldest message, if any.
     pub fn try_recv(&self) -> Option<RingMsg> {
-        let s = &*self.shared;
-        let head = s.head.load(Ordering::Relaxed);
-        let tail = s.tail.load(Ordering::Acquire);
-        if head == tail {
-            return None;
-        }
-        let idx = head & (s.slots.len() - 1);
-        // SAFETY: `head < tail`, so the producer published this slot
-        // (release/acquire on `tail`); the consumer is the only reader.
-        let msg = unsafe { (*s.slots[idx].get()).assume_init_read() };
-        s.head.store(head.wrapping_add(1), Ordering::Release);
-        Some(msg)
+        self.rx.try_recv().ok()
     }
 
     /// The producer's progress marker (see
     /// [`RingProducer::publish_watermark`]).
     pub fn watermark(&self) -> u64 {
-        self.shared.watermark.load(Ordering::Acquire)
+        self.marks.watermark.load(Ordering::Acquire)
     }
 
     /// Times the producer found the ring full.
     pub fn backpressure(&self) -> u64 {
-        self.shared.backpressure.load(Ordering::Relaxed)
-    }
-}
-
-impl std::fmt::Debug for RingProducer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RingProducer")
-            .field("capacity", &self.shared.slots.len())
-            .finish()
-    }
-}
-
-impl std::fmt::Debug for RingConsumer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RingConsumer")
-            .field("capacity", &self.shared.slots.len())
-            .finish()
+        self.marks.backpressure.load(Ordering::Relaxed)
     }
 }
 

@@ -143,7 +143,6 @@ fn restrict<'q>(
         loss_probability: cfg.loss_probability,
         gp: cfg.gp.clone(),
         threads: cfg.threads,
-        obs: cfg.obs.clone(),
         audit: cfg.audit.clone(),
         audit_fault: cfg.audit_fault,
         slo: cfg.slo.clone(),

@@ -11,11 +11,9 @@
 //!   force those recomputations.
 //! * [`render_tree`] — the span forest with inclusive/exclusive
 //!   timings, aggregated over repeated occurrences (a span's exclusive
-//!   time is its duration minus its direct children's). Traces whose
-//!   timing events carry the explicit `span_id`/`parent` fields (every
-//!   trace recorded since causal spans landed) nest by those ids — exact
-//!   even across the parallel solve fan-out; older traces fall back to
-//!   interval containment, byte-identical to the previous output.
+//!   time is its duration minus its direct children's), nested by the
+//!   `span_id`/`parent` fields every timing event carries — exact even
+//!   across the parallel solve fan-out.
 //! * [`render_profile`] — folds the sampling profiler's
 //!   `profile.sample` events into collapsed-stack (`flamegraph.pl`
 //!   compatible) `stack count` lines.
@@ -30,6 +28,8 @@
 //! Everything here is pure string-in/string-out over parsed [`Event`]s,
 //! so the binary in `main.rs` stays a thin argument parser and the
 //! golden tests can pin exact outputs.
+
+#![forbid(unsafe_code)]
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -409,9 +409,8 @@ pub struct SpanEdge {
     pub dur_ns: u64,
 }
 
-/// Extracts the explicit span forest from a trace: one [`SpanEdge`] per
-/// timing event carrying a `span_id` field, in event order. Traces from
-/// before causal spans landed yield an empty forest.
+/// Extracts the span forest from a trace: one [`SpanEdge`] per timing
+/// event carrying a `span_id` field, in event order.
 pub fn span_forest(events: &[Event]) -> Vec<SpanEdge> {
     events
         .iter()
@@ -427,8 +426,8 @@ pub fn span_forest(events: &[Event]) -> Vec<SpanEdge> {
         .collect()
 }
 
-/// Aggregates the explicit span forest by root-to-leaf name path.
-fn aggregate_by_ids(edges: &[SpanEdge]) -> BTreeMap<String, PathAgg> {
+/// Aggregates the span forest by root-to-leaf name path.
+fn aggregate_by_path(edges: &[SpanEdge]) -> BTreeMap<String, PathAgg> {
     use std::collections::HashMap;
     // A span id is process-unique, so the last occurrence wins (there
     // are no duplicates in well-formed traces).
@@ -463,88 +462,12 @@ fn aggregate_by_ids(edges: &[SpanEdge]) -> BTreeMap<String, PathAgg> {
     aggregate
 }
 
-/// Aggregates spans by interval containment (the pre-span-id fallback).
-///
-/// A timing event's timestamp is taken at span *end*, so each span
-/// covers `[ts_ns - dur_ns, ts_ns]`; containment of those intervals
-/// (single-threaded traces) reconstructs the nesting.
-fn aggregate_by_containment(events: &[Event]) -> BTreeMap<String, PathAgg> {
-    struct Span {
-        name: String,
-        start: u64,
-        end: u64,
-        dur: u64,
-    }
-    let mut spans: Vec<Span> = events
-        .iter()
-        .filter(|e| e.kind == EventKind::Timing)
-        .filter_map(|e| {
-            let dur = field_u64(e, "dur_ns")?;
-            Some(Span {
-                name: e.target.to_string(),
-                start: e.ts_ns.saturating_sub(dur),
-                end: e.ts_ns,
-                dur,
-            })
-        })
-        .collect();
-    // Parents start no later than their children and end no earlier.
-    spans.sort_by(|a, b| a.start.cmp(&b.start).then(b.end.cmp(&a.end)));
-
-    struct Open {
-        path: String,
-        end: u64,
-        dur: u64,
-        child_ns: u64,
-    }
-    let mut aggregate: BTreeMap<String, PathAgg> = BTreeMap::new();
-    let mut stack: Vec<Open> = Vec::new();
-    let close = |open: Open, aggregate: &mut BTreeMap<String, PathAgg>| {
-        let agg = aggregate.entry(open.path).or_default();
-        agg.count += 1;
-        agg.inclusive_ns += open.dur;
-        agg.exclusive_ns += open.dur.saturating_sub(open.child_ns);
-    };
-    for span in spans {
-        while stack.last().is_some_and(|top| top.end <= span.start) {
-            let top = stack.pop().expect("non-empty stack");
-            close(top, &mut aggregate);
-        }
-        if let Some(top) = stack.last_mut() {
-            top.child_ns += span.dur;
-        }
-        let path = match stack.last() {
-            Some(top) => format!("{}/{}", top.path, span.name),
-            None => span.name,
-        };
-        stack.push(Open {
-            path,
-            end: span.end,
-            dur: span.dur,
-            child_ns: 0,
-        });
-    }
-    while let Some(top) = stack.pop() {
-        close(top, &mut aggregate);
-    }
-    aggregate
-}
-
-/// Renders the `tree` report: the span forest aggregated by path, with
-/// inclusive and exclusive (self) time per path.
-///
-/// Traces whose timing events carry `span_id` fields nest by the
-/// explicit causal parents (exact across threads); older traces fall
-/// back to interval containment, producing byte-identical output to
-/// previous releases.
+/// Renders the `tree` report: the span forest ([`span_forest`])
+/// aggregated by path, with inclusive and exclusive (self) time per
+/// path. Spans nest by their explicit causal parents, exact across
+/// threads; a timing event without a `span_id` is not in the tree.
 pub fn render_tree(events: &[Event]) -> String {
-    let edges = span_forest(events);
-    let aggregate = if edges.is_empty() {
-        aggregate_by_containment(events)
-    } else {
-        aggregate_by_ids(&edges)
-    };
-
+    let aggregate = aggregate_by_path(&span_forest(events));
     let rows: Vec<Vec<String>> = aggregate
         .iter()
         .map(|(path, agg)| {
@@ -820,42 +743,10 @@ mod tests {
     }
 
     #[test]
-    fn tree_nests_spans_by_interval_containment() {
-        // install covers [100, 1100]; two solves inside; one solve after.
-        let events = vec![
-            event(500, "gp.solve_ns", EventKind::Timing).with("dur_ns", 300u64),
-            event(900, "gp.solve_ns", EventKind::Timing).with("dur_ns", 200u64),
-            event(1100, "monitor.install_ns", EventKind::Timing).with("dur_ns", 1000u64),
-            event(2000, "gp.solve_ns", EventKind::Timing).with("dur_ns", 400u64),
-        ];
-        let text = render_tree(&events);
-        // Parent: inclusive 1000, exclusive 1000 - 300 - 200 = 500.
-        assert!(text.contains("monitor.install_ns"), "{text}");
-        let lines: Vec<&str> = text.lines().collect();
-        let parent = lines
-            .iter()
-            .find(|l| l.contains("monitor.install_ns"))
-            .unwrap();
-        assert!(
-            parent.contains("1000") && parent.contains("500"),
-            "{parent}"
-        );
-        // Nested solves aggregate under the parent path (indented),
-        // the trailing solve is a root (unindented).
-        let nested = lines
-            .iter()
-            .find(|l| l.trim_start().starts_with("gp.solve_ns") && l.starts_with("  "))
-            .unwrap();
-        assert!(nested.contains('2') && nested.contains("500"), "{nested}");
-        let root = lines.iter().find(|l| l.starts_with("gp.solve_ns")).unwrap();
-        assert!(root.contains("400"), "{root}");
-    }
-
-    #[test]
-    fn tree_prefers_explicit_span_parents() {
+    fn tree_nests_spans_by_explicit_parents() {
         // Two fan-out solves parented to one batch span; the second
         // ends *after* its parent (worker outlived the guard's window),
-        // which interval containment would misread as a root.
+        // so only the ids say where it belongs.
         let events = vec![
             event(1000, "gp.solve_ns", EventKind::Timing)
                 .with("dur_ns", 300u64)
@@ -894,7 +785,7 @@ mod tests {
                 .with("dur_ns", 3u64)
                 .with("span_id", 8u64)
                 .with("parent", 7u64),
-            // No span_id: pre-causal-span trace line, not an edge.
+            // No span_id: not an edge.
             event(20, "legacy_ns", EventKind::Timing).with("dur_ns", 5u64),
         ];
         let edges = span_forest(&events);

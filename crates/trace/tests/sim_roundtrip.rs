@@ -88,7 +88,7 @@ fn trace_attribution_matches_sim_metrics_exactly() {
 /// `gp.solve` span recorded by a recompute batch must carry an explicit
 /// parent edge resolving to a `sim.recompute_batch` span — even though
 /// the solves run on scoped worker threads, whose wall-clock intervals
-/// containment analysis could never attribute.
+/// say nothing about the batch that caused them.
 #[test]
 fn parallel_solve_spans_parent_to_their_recompute_batch() {
     let traces = TraceSet::new(vec![

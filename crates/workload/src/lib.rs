@@ -7,6 +7,7 @@
 //! 2 % (PQs) of the initial query value.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

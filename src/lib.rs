@@ -57,6 +57,7 @@
 //! builder and a watchdog around one [`pq_core::Coordinator`].
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod monitor;
 

@@ -108,15 +108,15 @@ impl Monitor {
     }
 
     /// Arms a liveness watchdog: every applied refresh heartbeats it, and
-    /// the handle is installed on the telemetry plane so the live
-    /// exporter's `/health` reports `stalled` when no refresh has been
-    /// applied for `stall_after`. Only meaningful for deployments with a
+    /// it is registered on the telemetry handle as `"monitor"`, so the
+    /// live exporter's `/health` reports it `stalled` when no refresh has
+    /// been applied for `stall_after`. Only meaningful for deployments with a
     /// steady refresh stream — an idle-by-design coordinator should not
     /// arm one. Call after [`Monitor::with_obs`] / `with_obs_config` so
     /// the watchdog lands on the final handle.
     pub fn with_watchdog(mut self, stall_after: std::time::Duration) -> Self {
         let watchdog = Arc::new(Watchdog::new(stall_after));
-        self.obs.install_watchdog(watchdog.clone());
+        self.obs.register_watchdog("monitor", watchdog.clone());
         self.watchdog = Some(watchdog);
         self
     }
@@ -405,7 +405,14 @@ mod tests {
         m.add_query(PolynomialQuery::portfolio([(1.0, x, y)], 5.0).unwrap());
         m.install().unwrap();
         use pq_obs::slo::WatchdogStatus;
-        let installed = obs.watchdog().expect("watchdog installed on the handle");
+        let watchdogs = obs.watchdogs();
+        let [(label, installed)] = watchdogs.as_slice() else {
+            panic!(
+                "one watchdog registered on the handle, got {}",
+                watchdogs.len()
+            );
+        };
+        assert_eq!(label, "monitor");
         assert_eq!(installed.status(), WatchdogStatus::Disarmed, "no beat yet");
         m.on_refresh(x, 2.2).unwrap();
         assert_eq!(installed.status(), WatchdogStatus::Ok);
