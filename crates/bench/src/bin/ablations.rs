@@ -68,7 +68,6 @@ fn forced_secondary() {
         ("dual-dab(mu=5)", AssignmentStrategy::DualDab { mu: 5.0 }),
     ] {
         let mut cfg = SimConfig::new(traces.clone(), queries.clone());
-        cfg.gp = scale.sim_gp_options();
         cfg.strategy = SimStrategy::PerQuery {
             strategy,
             heuristic: PqHeuristic::DifferentSum,
@@ -117,7 +116,6 @@ fn rate_information() {
         ("unit (L1)", RateEstimator::Unit),
     ] {
         let mut cfg = SimConfig::new(traces.clone(), queries.clone());
-        cfg.gp = scale.sim_gp_options();
         cfg.strategy = SimStrategy::PerQuery {
             strategy: AssignmentStrategy::DualDab { mu: 5.0 },
             heuristic: PqHeuristic::DifferentSum,

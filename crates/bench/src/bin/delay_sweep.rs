@@ -37,7 +37,6 @@ fn main() {
         ),
     ] {
         let mut cfg = SimConfig::new(traces.clone(), queries.clone());
-        cfg.gp = scale.sim_gp_options();
         cfg.strategy = SimStrategy::PerQuery {
             strategy: AssignmentStrategy::DualDab { mu: 5.0 },
             heuristic: PqHeuristic::DifferentSum,
@@ -69,7 +68,6 @@ fn main() {
     let mut rows = Vec::new();
     for loss_p in [0.0, 0.01, 0.05, 0.10, 0.25] {
         let mut cfg = SimConfig::new(traces.clone(), queries.clone());
-        cfg.gp = scale.sim_gp_options();
         cfg.strategy = SimStrategy::PerQuery {
             strategy: AssignmentStrategy::DualDab { mu: 5.0 },
             heuristic: PqHeuristic::DifferentSum,

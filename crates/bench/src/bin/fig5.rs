@@ -51,7 +51,6 @@ fn main() {
         for (name, strategy) in &strategies {
             let mu_cost = strategy.mu().unwrap_or(1.0);
             let mut cfg = SimConfig::new(traces.clone(), queries.clone());
-            cfg.gp = scale.sim_gp_options();
             cfg.strategy = SimStrategy::PerQuery {
                 strategy: *strategy,
                 heuristic: PqHeuristic::DifferentSum,

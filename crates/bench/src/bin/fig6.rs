@@ -71,7 +71,6 @@ fn main() {
         let mut cost = vec![n.to_string()];
         for v in &variants {
             let mut cfg = SimConfig::new(traces.clone(), queries.clone());
-            cfg.gp = scale.sim_gp_options();
             cfg.strategy = SimStrategy::PerQuery {
                 strategy: AssignmentStrategy::DualDab { mu: v.mu },
                 heuristic: PqHeuristic::DifferentSum,

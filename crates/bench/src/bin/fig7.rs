@@ -54,7 +54,6 @@ fn main() {
         .collect();
         for (name, strategy) in strategies {
             let mut cfg = SimConfig::new(traces.clone(), queries.clone());
-            cfg.gp = scale.sim_gp_options();
             cfg.strategy = strategy;
             cfg.delays = DelayConfig::planetlab_like();
             cfg.mu_cost = mu;

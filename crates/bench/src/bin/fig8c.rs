@@ -49,13 +49,12 @@ fn main() {
             .portfolio_queries(n, &traces.initial_values());
         let mut row = vec![n.to_string()];
         for (name, strategy) in &strategies {
-            let mut cfg = NetworkConfig::round_robin(
+            let cfg = NetworkConfig::round_robin(
                 traces.clone(),
                 queries.clone(),
                 n_coordinators,
                 *strategy,
             );
-            cfg.gp = scale.sim_gp_options();
             let started = std::time::Instant::now();
             // Observed variant so PQ_OBS_JSONL/PQ_OBS_ADDR capture the
             // network's sim/DAB/GP events, as the other figures do.

@@ -38,7 +38,6 @@ pub fn run_heuristic_figure(independent: bool, title: &str) {
         for heuristic in [PqHeuristic::HalfAndHalf, PqHeuristic::DifferentSum] {
             for &mu in &mus {
                 let mut cfg = SimConfig::new(traces.clone(), queries.clone());
-                cfg.gp = scale.sim_gp_options();
                 cfg.strategy = SimStrategy::PerQuery {
                     strategy: AssignmentStrategy::DualDab { mu },
                     heuristic,

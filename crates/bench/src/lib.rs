@@ -93,19 +93,6 @@ impl Scale {
         TraceSet::stock_universe(self.n_items, self.n_ticks, self.seed)
     }
 
-    /// GP solver options tuned for simulation-embedded recomputation: a
-    /// `1e-5` duality gap is far below the precision that matters for a
-    /// filter width, and hotter starting duals cut Newton steps.
-    /// Library defaults stay rigorous; only the harnesses loosen them.
-    pub fn sim_gp_options(&self) -> pq_gp::SolverOptions {
-        pq_gp::SolverOptions {
-            tolerance: 1e-5,
-            t0: 10.0,
-            mu: 30.0,
-            ..pq_gp::SolverOptions::default()
-        }
-    }
-
     /// A workload generator matched to this scale.
     pub fn workload(&self) -> WorkloadGen {
         WorkloadGen::with_config(

@@ -4,8 +4,8 @@
 
 use pq_bench::Scale;
 use pq_core::{
-    aao_program, assign_unit, assign_unit_cached, assignment_units, AssignmentStrategy,
-    AssignmentUnit, PqHeuristic, SolveContext, UnitCache,
+    aao_program, assign_unit, assign_unit_cached, assignment_units, dab_solver_options,
+    AssignmentStrategy, AssignmentUnit, PqHeuristic, SolveContext, UnitCache,
 };
 use pq_ddm::{DataDynamicsModel, RateEstimator};
 use pq_gp::{KktMode, SolverOptions};
@@ -28,7 +28,6 @@ struct Book {
     units: Vec<AssignmentUnit>,
     values: Vec<f64>,
     rates: Vec<f64>,
-    gp: SolverOptions,
 }
 
 impl Book {
@@ -46,7 +45,6 @@ impl Book {
             units,
             rates: RateEstimator::SampledAverage { interval_ticks: 60 }.estimate_all(&traces),
             values,
-            gp: scale.sim_gp_options(),
         }
     }
 
@@ -58,7 +56,7 @@ impl Book {
             gp: SolverOptions {
                 kkt,
                 obs: obs.clone(),
-                ..self.gp.clone()
+                ..dab_solver_options()
             },
         }
     }
@@ -211,7 +209,7 @@ fn auto_solves_a_fig5_unit_dense_and_a_2048_variable_joint_unit_sparse() {
     let obs = Obs::null();
     let gp = SolverOptions {
         obs: obs.clone(),
-        ..book.gp.clone()
+        ..dab_solver_options()
     };
     let ctx = SolveContext {
         values: &values,

@@ -727,7 +727,7 @@ mod tests {
         Config {
             rates: vec![1.0; n_items],
             ddm: DataDynamicsModel::Monotonic,
-            gp: SolverOptions::default(),
+            gp: crate::dab_solver_options(),
             threads,
             obs: obs.clone(),
             scope: Scope::default(),

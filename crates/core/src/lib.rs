@@ -65,7 +65,7 @@ pub use cache::{
     default_recompute_threads, filter_changed, recompute_parallel, RecomputeDone, RecomputeJob,
     SolveCache, UnitCache,
 };
-pub use context::SolveContext;
+pub use context::{dab_solver_options, SolveContext};
 pub use coordinator::{Config, Coordinator, Outcome, ReaderIndex, Scope, REBASE_EVERY};
 pub use error::DabError;
 pub use filter_table::FilterTable;

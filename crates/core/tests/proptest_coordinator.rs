@@ -13,11 +13,10 @@ use proptest::prelude::*;
 
 use pq_core::coordinator::{Config, Coordinator, Scope, REBASE_EVERY};
 use pq_core::{
-    assign_unit, assignment_units, AssignmentStrategy, AssignmentUnit, DabError, PqHeuristic,
-    QueryAssignment, SolveContext,
+    assign_unit, assignment_units, dab_solver_options, AssignmentStrategy, AssignmentUnit,
+    DabError, PqHeuristic, QueryAssignment, SolveContext,
 };
 use pq_ddm::DataDynamicsModel;
-use pq_gp::SolverOptions;
 use pq_obs::Obs;
 use pq_poly::{ItemId, Polynomial, PolynomialQuery, QueryId};
 
@@ -136,7 +135,7 @@ fn config() -> Config {
     Config {
         rates: vec![0.05; N_ITEMS],
         ddm: DataDynamicsModel::Monotonic,
-        gp: SolverOptions::default(),
+        gp: dab_solver_options(),
         threads: 1,
         obs: Obs::null(),
         scope: Scope::default(),

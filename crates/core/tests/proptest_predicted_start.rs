@@ -18,7 +18,8 @@ use proptest::test_runner::TestRng;
 
 use pq_core::ppq::predicted_start;
 use pq_core::{
-    assign_unit_cached, AssignmentStrategy, AssignmentUnit, SolveContext, UnitCache, ValidityRange,
+    assign_unit_cached, dab_solver_options, AssignmentStrategy, AssignmentUnit, SolveContext,
+    UnitCache, ValidityRange,
 };
 use pq_ddm::DataDynamicsModel;
 use pq_gp::{GpProblem, Monomial, Posynomial, SolverOptions};
@@ -214,6 +215,7 @@ impl Case {
         }
         prop_assert!(problem.is_strictly_feasible(&interior, 0.0));
 
+        // At the generic solver's precision, to compare with the oracle.
         let (cost, _) = self.cold_solve(SolverOptions::default())?;
         let oracle = pq_gp::solve(&problem, &SolverOptions::default())
             .map_err(|e| TestCaseError::Fail(format!("oracle failed: {e}")))?;
@@ -223,16 +225,6 @@ impl Case {
             oracle.objective
         );
         Ok(())
-    }
-}
-
-/// The options every harness solves under inside the simulator.
-fn harness_options() -> SolverOptions {
-    SolverOptions {
-        tolerance: 1e-5,
-        t0: 10.0,
-        mu: 30.0,
-        ..SolverOptions::default()
     }
 }
 
@@ -254,7 +246,7 @@ fn cold_solves_take_a_handful_of_newton_steps() {
     for i in 0..CASES {
         let raw = raw_case().generate(&mut TestRng::for_case("cold_steps", i));
         let (_, steps) = Case::from_raw(&raw)
-            .cold_solve(harness_options())
+            .cold_solve(dab_solver_options())
             .unwrap_or_else(|e| panic!("case {i}: {e:?}\n{raw:?}"));
         assert!(steps <= 12, "case {i}: {steps} newton steps\n{raw:?}");
         total += steps;

@@ -23,6 +23,11 @@ pub enum PolyError {
     EmptyPolynomial,
     /// Query accuracy bounds must be strictly positive and finite.
     InvalidBound(f64),
+    /// An item's exponent in one term does not fit a `u32`.
+    ExponentOverflow {
+        /// Index of the item whose exponents overflowed.
+        item: u32,
+    },
     /// Parse error with a human-readable message and byte offset.
     Parse {
         /// What went wrong.
@@ -50,6 +55,9 @@ impl std::fmt::Display for PolyError {
             PolyError::EmptyPolynomial => write!(f, "polynomial has no terms"),
             PolyError::InvalidBound(b) => {
                 write!(f, "accuracy bound must be > 0 and finite, got {b}")
+            }
+            PolyError::ExponentOverflow { item } => {
+                write!(f, "exponent of item x{item} overflows u32")
             }
             PolyError::Parse { message, offset } => {
                 write!(f, "parse error at byte {offset}: {message}")

@@ -1,13 +1,28 @@
 //! A small expression parser for polynomial bodies.
 //!
-//! Grammar (whitespace-insensitive):
+//! Grammar (whitespace between tokens is ignored):
 //!
 //! ```text
 //! poly   := [sign] term (sign term)*
-//! term   := factor ('*' factor)*
+//! term   := factor (['*'] factor)*
 //! factor := number | ident ['^' integer]
+//! number := (digit | '.')+ [('e' | 'E') [sign] digit+]
+//! ident  := (letter | '_') (letter | digit | '_')*
 //! sign   := '+' | '-'
 //! ```
+//!
+//! A `'*'` must be followed by a factor; without one, factors multiply
+//! only when the next is an item name (`"2 x y"`). An exponent belongs
+//! to a number only when it follows the digits directly and a digit or a
+//! signed digit follows the `e`: `1e5` and `2.5E-3` are numbers, while
+//! `2e`, `2 e` and `2*e` are 2 times the item `e`. Letters and digits
+//! are ASCII; any other character is a parse error.
+//!
+//! Every failure is a [`PolyError`]. A term whose coefficient is zero or
+//! overflows to infinity, and a sum of like terms that overflows, are
+//! [`PolyError::InvalidCoefficient`] (like terms that cancel exactly are
+//! dropped); one item's exponents in a term summing past `u32::MAX` are
+//! [`PolyError::ExponentOverflow`].
 //!
 //! Identifiers are interned through an [`ItemCatalog`], so
 //! `"3.5*ibm*usd - spill^2"` builds the polynomial and registers the items
@@ -61,34 +76,32 @@ impl Parser<'_> {
                 return Err(self.error("expected '+' or '-' between terms"));
             };
         }
-        Ok(Polynomial::from_terms(terms))
+        let poly = Polynomial::from_terms(terms);
+        // Like terms merge by adding coefficients, which can overflow.
+        match poly.terms().iter().find(|t| !t.coef().is_finite()) {
+            Some(t) => Err(PolyError::InvalidCoefficient(t.coef())),
+            None => Ok(poly),
+        }
     }
 
     fn term(&mut self, sign: f64) -> Result<PTerm, PolyError> {
         let mut coef = sign;
         let mut vars = Vec::new();
-        let mut saw_factor = false;
         loop {
             self.skip_ws();
             if let Some(n) = self.number()? {
                 coef *= n;
-                saw_factor = true;
             } else if let Some(name) = self.ident() {
                 let id = self.catalog.intern(&name);
                 let exp = if self.eat(b'^') { self.uint()? } else { 1 };
                 vars.push((id, exp));
-                saw_factor = true;
-            } else if !saw_factor {
-                return Err(self.error("expected number or item name"));
             } else {
-                break;
+                return Err(self.error("expected number or item name"));
             }
-            self.skip_ws();
-            if !self.eat(b'*') {
-                // Allow juxtaposition only before identifiers ("2 x y").
-                if !self.peek_ident_start() {
-                    break;
-                }
+            // After a '*' a factor must follow; juxtaposition multiplies
+            // only before identifiers ("2 x y").
+            if !self.eat(b'*') && !self.peek_ident_start() {
+                break;
             }
         }
         PTerm::new(coef, vars)
@@ -96,15 +109,17 @@ impl Parser<'_> {
 
     fn number(&mut self) -> Result<Option<f64>, PolyError> {
         let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_digit() || *b == b'.')
-        {
-            self.pos += 1;
-        }
+        self.skip_while(|b| b.is_ascii_digit() || b == b'.');
         if self.pos == start {
             return Ok(None);
+        }
+        if matches!(self.bytes.get(self.pos), Some(b'e' | b'E')) {
+            let signed = matches!(self.bytes.get(self.pos + 1), Some(b'+' | b'-'));
+            let digits = self.pos + 1 + usize::from(signed);
+            if self.bytes.get(digits).is_some_and(u8::is_ascii_digit) {
+                self.pos = digits;
+                self.skip_while(|b| b.is_ascii_digit());
+            }
         }
         let s = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii digits");
         s.parse::<f64>()
@@ -115,9 +130,7 @@ impl Parser<'_> {
     fn uint(&mut self) -> Result<u32, PolyError> {
         self.skip_ws();
         let start = self.pos;
-        while self.bytes.get(self.pos).is_some_and(u8::is_ascii_digit) {
-            self.pos += 1;
-        }
+        self.skip_while(|b| b.is_ascii_digit());
         if self.pos == start {
             return Err(self.error("expected exponent"));
         }
@@ -131,13 +144,7 @@ impl Parser<'_> {
             return None;
         }
         let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_alphanumeric() || *b == b'_')
-        {
-            self.pos += 1;
-        }
+        self.skip_while(|b| b.is_ascii_alphanumeric() || b == b'_');
         Some(String::from_utf8_lossy(&self.bytes[start..self.pos]).into_owned())
     }
 
@@ -148,11 +155,11 @@ impl Parser<'_> {
     }
 
     fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(u8::is_ascii_whitespace)
-        {
+        self.skip_while(|b| b.is_ascii_whitespace());
+    }
+
+    fn skip_while(&mut self, f: impl Fn(u8) -> bool) {
+        while self.bytes.get(self.pos).is_some_and(|&b| f(b)) {
             self.pos += 1;
         }
     }
@@ -186,6 +193,7 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::item::ItemId;
 
     #[test]
     fn parses_portfolio_style_expression() {
@@ -238,6 +246,58 @@ mod tests {
         assert!(parse_polynomial("x ^", &mut cat).is_err());
         assert!(parse_polynomial("x y z &", &mut cat).is_err());
         assert!(parse_polynomial("3..5 * x", &mut cat).is_err());
+    }
+
+    #[test]
+    fn a_star_wants_a_factor_after_it() {
+        let mut cat = ItemCatalog::new();
+        for bad in ["x*", "x *", "2*x* + y", "x**y", "x * - y"] {
+            let err = parse_polynomial(bad, &mut cat).unwrap_err();
+            assert!(matches!(err, PolyError::Parse { .. }), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn scientific_notation_is_a_number() {
+        let mut cat = ItemCatalog::new();
+        let p = parse_polynomial("1e5*x + 2.5E-3 y + 3e+2", &mut cat).unwrap();
+        assert_eq!(cat.len(), 2, "no item named e5");
+        assert!((p.eval(&[2.0, 4.0]) - (2e5 + 1e-2 + 300.0)).abs() < 1e-9);
+        // Without a digit after it, an `e` is an item.
+        for (text, want) in [("2 e", 6.0), ("2*e", 6.0), ("2e", 6.0), ("2e-e", 3.0)] {
+            let mut cat = ItemCatalog::new();
+            let p = parse_polynomial(text, &mut cat).unwrap();
+            assert_eq!(cat.get("e"), Some(ItemId(0)), "{text}");
+            assert_eq!(p.eval(&[3.0]), want, "{text}");
+        }
+    }
+
+    #[test]
+    fn overflowing_coefficients_and_exponents_are_typed_errors() {
+        let mut cat = ItemCatalog::new();
+        let inf = PolyError::InvalidCoefficient(f64::INFINITY);
+        assert_eq!(parse_polynomial("1e999 x", &mut cat), Err(inf.clone()));
+        assert_eq!(
+            parse_polynomial("1e200 * 1e200", &mut cat),
+            Err(inf.clone())
+        );
+        assert_eq!(parse_polynomial("1e308 x + 1e308 x", &mut cat), Err(inf));
+        assert_eq!(
+            parse_polynomial("1e-999 x", &mut cat),
+            Err(PolyError::InvalidCoefficient(0.0))
+        );
+        let x = cat.get("x").unwrap().0;
+        // Used to wrap: the first parsed to the constant 1, the second to
+        // x + y.
+        for text in ["x^4294967295*x", "x^4294967295*x^2 + y"] {
+            assert_eq!(
+                parse_polynomial(text, &mut cat),
+                Err(PolyError::ExponentOverflow { item: x }),
+                "{text}"
+            );
+        }
+        let p = parse_polynomial("x^4294967294*x", &mut cat).unwrap();
+        assert_eq!(p.terms()[0].vars(), &[(ItemId(x), u32::MAX)]);
     }
 
     #[test]

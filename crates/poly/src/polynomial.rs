@@ -24,7 +24,9 @@ impl PTerm {
     /// Creates a term; exponent pairs may be unsorted/duplicated.
     ///
     /// # Errors
-    /// [`PolyError::InvalidCoefficient`] unless `coef` is finite & non-zero.
+    /// [`PolyError::InvalidCoefficient`] unless `coef` is finite & non-zero;
+    /// [`PolyError::ExponentOverflow`] when an item's exponents sum past
+    /// `u32::MAX`.
     pub fn new(
         coef: f64,
         vars: impl IntoIterator<Item = (ItemId, u32)>,
@@ -37,7 +39,11 @@ impl PTerm {
         let mut merged: Vec<(ItemId, u32)> = Vec::with_capacity(pairs.len());
         for (v, e) in pairs {
             match merged.last_mut() {
-                Some((lv, le)) if *lv == v => *le += e,
+                Some((lv, le)) if *lv == v => {
+                    *le = le
+                        .checked_add(e)
+                        .ok_or(PolyError::ExponentOverflow { item: v.0 })?;
+                }
                 _ => merged.push((v, e)),
             }
         }
@@ -62,9 +68,9 @@ impl PTerm {
         &self.vars
     }
 
-    /// Total degree (sum of exponents).
+    /// Total degree (sum of exponents), saturating at `u32::MAX`.
     pub fn degree(&self) -> u32 {
-        self.vars.iter().map(|&(_, e)| e).sum()
+        self.vars.iter().fold(0, |d, &(_, e)| d.saturating_add(e))
     }
 
     /// Evaluates the term at `values[item.index()]`.
@@ -370,6 +376,19 @@ mod tests {
         assert!(PTerm::new(0.0, []).is_err());
         assert!(PTerm::new(f64::NAN, []).is_err());
         assert!(PTerm::new(f64::INFINITY, []).is_err());
+    }
+
+    #[test]
+    fn term_rejects_an_exponent_that_overflows_u32() {
+        // Used to wrap to x^0 in release and panic in debug.
+        assert_eq!(
+            PTerm::new(1.0, [(x(2), u32::MAX), (x(2), 1)]),
+            Err(PolyError::ExponentOverflow { item: 2 })
+        );
+        let top = PTerm::new(1.0, [(x(2), u32::MAX - 1), (x(2), 1)]).unwrap();
+        assert_eq!(top.vars(), &[(x(2), u32::MAX)]);
+        let wide = PTerm::new(1.0, [(x(0), u32::MAX), (x(1), u32::MAX)]).unwrap();
+        assert_eq!(wide.degree(), u32::MAX, "saturates");
     }
 
     #[test]

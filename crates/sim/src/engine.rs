@@ -25,8 +25,8 @@ use std::time::Instant;
 
 use pq_core::coordinator::{Config, Coordinator, Scope};
 use pq_core::{
-    aao, default_recompute_threads, AssignmentStrategy, DabError, InstallError, PqHeuristic,
-    SolveContext,
+    aao, dab_solver_options, default_recompute_threads, AssignmentStrategy, DabError, InstallError,
+    PqHeuristic, SolveContext,
 };
 use pq_ddm::{DataDynamicsModel, RateEstimator, TraceSet};
 use pq_gp::SolverOptions;
@@ -139,7 +139,8 @@ pub struct SimConfig {
     /// lost refresh stays lost until the source's value escapes its filter
     /// again.
     pub loss_probability: f64,
-    /// GP solver options for all recomputations.
+    /// GP solver options for all recomputations
+    /// ([`pq_core::dab_solver_options`] unless set).
     pub gp: SolverOptions,
     /// Max worker threads for the recompute fan-out (capped at the
     /// machine's available parallelism; `1` forces the serial path). The
@@ -186,7 +187,7 @@ impl SimConfig {
             shards: 1,
             fidelity_sample_every: 1,
             loss_probability: 0.0,
-            gp: SolverOptions::default(),
+            gp: dab_solver_options(),
             threads: default_recompute_threads(),
             audit: None,
             audit_fault: None,

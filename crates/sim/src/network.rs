@@ -18,7 +18,7 @@
 use std::sync::Arc;
 
 use pq_core::coordinator::{Config, Coordinator, Scope};
-use pq_core::{AssignmentStrategy, PqHeuristic};
+use pq_core::{dab_solver_options, AssignmentStrategy, PqHeuristic};
 use pq_ddm::{DataDynamicsModel, RateEstimator, TraceSet};
 use pq_gp::SolverOptions;
 use pq_obs::{names, Counter, EventKind, Obs};
@@ -41,7 +41,7 @@ pub struct NetworkConfig {
     pub ddm: DataDynamicsModel,
     /// Rate estimator.
     pub rate_estimator: RateEstimator,
-    /// GP solver options.
+    /// GP solver options ([`pq_core::dab_solver_options`] unless set).
     pub gp: SolverOptions,
 }
 
@@ -66,7 +66,7 @@ impl NetworkConfig {
             heuristic: PqHeuristic::DifferentSum,
             ddm: DataDynamicsModel::Monotonic,
             rate_estimator: RateEstimator::SampledAverage { interval_ticks: 60 },
-            gp: SolverOptions::default(),
+            gp: dab_solver_options(),
         }
     }
 }

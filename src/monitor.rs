@@ -12,9 +12,10 @@
 //! builder and the liveness watchdog — the piece you would deploy.
 
 use pq_core::coordinator::{Config, Coordinator};
-use pq_core::{default_recompute_threads, AssignmentStrategy, DabError, PqHeuristic};
+use pq_core::{
+    dab_solver_options, default_recompute_threads, AssignmentStrategy, DabError, PqHeuristic,
+};
 use pq_ddm::DataDynamicsModel;
-use pq_gp::SolverOptions;
 use pq_obs::{names, EventKind, Obs, ObsConfig, Watchdog};
 use pq_poly::{ItemCatalog, ItemId, PolyError, Polynomial, PolynomialQuery, QueryId};
 use std::sync::Arc;
@@ -186,8 +187,16 @@ impl Monitor {
     /// Registers a query from an expression string (item names are
     /// resolved/created in the monitor's catalog), e.g.
     /// `"3 ibm usd + 2 tcs inr"`.
+    ///
+    /// # Errors
+    /// A [`PolyError`] for a malformed expression (see
+    /// [`pq_poly::parse_polynomial`]), a zero body or a bad `qab`; the
+    /// monitor is then left as it was, catalog included.
     pub fn add_query_str(&mut self, expr: &str, qab: f64) -> Result<QueryId, PolyError> {
-        let poly: Polynomial = pq_poly::parse_polynomial(expr, &mut self.catalog)?;
+        let mut catalog = self.catalog.clone();
+        let poly: Polynomial = pq_poly::parse_polynomial(expr, &mut catalog)?;
+        let query = PolynomialQuery::new(poly, qab)?;
+        self.catalog = catalog;
         if self.catalog.len() > self.values.len() {
             // Items first mentioned in the expression default to value 0 /
             // rate 0 until `add_item` updates them.
@@ -195,7 +204,7 @@ impl Monitor {
             self.values.resize(self.catalog.len(), 0.0);
             self.rates.resize(self.catalog.len(), 0.0);
         }
-        Ok(self.add_query(PolynomialQuery::new(poly, qab)?))
+        Ok(self.add_query(query))
     }
 
     /// The registered queries.
@@ -206,6 +215,8 @@ impl Monitor {
     /// Computes DAB assignments for every query and derives the installed
     /// per-item filters (EQI minimum rule). Returns the filters to ship.
     /// Users count as notified of every query's value at this point.
+    /// Every solve, here and on refresh, runs at
+    /// [`pq_core::dab_solver_options`], as the simulator's do.
     ///
     /// # Errors
     /// The first solve that fails; the monitor is left uninstalled.
@@ -215,7 +226,7 @@ impl Monitor {
         let cfg = Config {
             rates: self.rates.clone(),
             ddm: self.ddm,
-            gp: SolverOptions::default(),
+            gp: dab_solver_options(),
             threads: self.threads,
             obs: self.obs.clone(),
             scope: Default::default(),
@@ -303,6 +314,7 @@ impl Monitor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pq_gp::SolverOptions;
 
     fn two_item_monitor() -> (Monitor, ItemId, ItemId, QueryId) {
         let mut m = Monitor::new();
@@ -319,6 +331,30 @@ mod tests {
         assert!(m.is_installed());
         assert!(m.filter(x).unwrap() > 0.0);
         assert!(m.filter(y).unwrap() > 0.0);
+    }
+
+    #[test]
+    fn every_coordinator_solves_with_the_one_dab_configuration() {
+        let (m, ..) = two_item_monitor();
+        let knobs = |gp: &SolverOptions| (gp.tolerance, gp.t0, gp.mu);
+        let want = knobs(&dab_solver_options());
+        assert_eq!(want, (1e-5, 10.0, 30.0));
+        let monitor = m.core.as_ref().unwrap().solve_context().gp;
+        let traces = pq_ddm::TraceSet::new(vec![pq_ddm::Trace::constant(1.0, 2)]);
+        let sim = pq_sim::SimConfig::new(traces.clone(), Vec::new()).gp;
+        let strategy = AssignmentStrategy::DualDab { mu: 5.0 };
+        let tree = pq_sim::NetworkConfig::round_robin(traces, Vec::new(), 1, strategy).gp;
+        let context = pq_core::SolveContext::new(&[], &[]).gp;
+        for (name, gp) in [
+            ("Monitor", monitor),
+            ("SimConfig::new", sim),
+            ("NetworkConfig::round_robin", tree),
+            ("SolveContext::new", context),
+        ] {
+            assert_eq!(knobs(&gp), want, "{name}");
+        }
+        // The generic solver default stays the rigorous one.
+        assert_ne!(knobs(&SolverOptions::default()), want);
     }
 
     #[test]
