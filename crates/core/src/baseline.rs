@@ -14,11 +14,9 @@
 //! Both are value-dependent with no validity range, so — like Optimal
 //! Refresh — they must be recomputed on every refresh.
 
-use std::collections::BTreeMap;
-
 use pq_poly::{deviation_posynomial, DabVarMap, Polynomial, PolynomialQuery};
 
-use crate::assignment::{QueryAssignment, ValidityRange};
+use crate::assignment::{QueryAssignment, RangeKind, UnitColumns};
 use crate::context::SolveContext;
 use crate::error::DabError;
 
@@ -27,6 +25,15 @@ pub fn per_item_split(
     query: &PolynomialQuery,
     ctx: &SolveContext<'_>,
 ) -> Result<QueryAssignment, DabError> {
+    UnitColumns::one_shot(|out| per_item_split_into(query, ctx, out))
+}
+
+/// [`per_item_split`], written into `out`.
+pub(crate) fn per_item_split_into(
+    query: &PolynomialQuery,
+    ctx: &SolveContext<'_>,
+    out: &mut UnitColumns,
+) -> Result<(), DabError> {
     let body = abs_body(query.poly());
     let vmap = DabVarMap::for_polynomial(&body, false);
     let n = vmap.n_items();
@@ -61,7 +68,7 @@ pub fn per_item_split(
         }
     }
 
-    finish(ctx, &vmap, dabs)
+    finish(query, ctx, &dabs, out)
 }
 
 /// Equal-width baseline: the largest common DAB satisfying the QAB.
@@ -69,12 +76,21 @@ pub fn equal_dab(
     query: &PolynomialQuery,
     ctx: &SolveContext<'_>,
 ) -> Result<QueryAssignment, DabError> {
+    UnitColumns::one_shot(|out| equal_dab_into(query, ctx, out))
+}
+
+/// [`equal_dab`], written into `out`.
+pub(crate) fn equal_dab_into(
+    query: &PolynomialQuery,
+    ctx: &SolveContext<'_>,
+    out: &mut UnitColumns,
+) -> Result<(), DabError> {
     let body = abs_body(query.poly());
     let vmap = DabVarMap::for_polynomial(&body, false);
     let n = vmap.n_items();
     let condition = deviation_posynomial(&body, ctx.values, &vmap)?;
     let s = bisect_largest(|s| condition.eval(&vec![s; n]) <= query.qab());
-    finish(ctx, &vmap, vec![s; n])
+    finish(query, ctx, &vec![s; n], out)
 }
 
 /// Conservative positive-coefficient body: `P1 + P2` (abs coefficients);
@@ -90,26 +106,23 @@ fn abs_body(poly: &Polynomial) -> Polynomial {
     }
 }
 
+/// Writes `dabs`, one per item of `query` (the items of its
+/// absolute-value body, the same ones), as an anchor-only assignment.
 fn finish(
+    query: &PolynomialQuery,
     ctx: &SolveContext<'_>,
-    vmap: &DabVarMap,
-    dabs: Vec<f64>,
-) -> Result<QueryAssignment, DabError> {
-    let mut primary = BTreeMap::new();
-    let mut anchor = BTreeMap::new();
+    dabs: &[f64],
+    out: &mut UnitColumns,
+) -> Result<(), DabError> {
+    let items = query.shared_items();
+    let cols = out.start(items, RangeKind::AnchorOnly);
     let mut refresh_rate = 0.0;
-    for (k, &item) in vmap.items().iter().enumerate() {
-        primary.insert(item, dabs[k]);
-        anchor.insert(item, ctx.value(item)?);
+    for (k, &item) in items.iter().enumerate() {
+        (cols.primary[k], cols.anchor[k]) = (dabs[k], ctx.value(item)?);
         refresh_rate += ctx.ddm.refresh_rate(ctx.rate(item)?, dabs[k].max(1e-300));
     }
-    Ok(QueryAssignment {
-        primary,
-        validity: ValidityRange::AnchorOnly,
-        anchor,
-        recompute_rate: 0.0,
-        refresh_rate,
-    })
+    out.refresh_rate = refresh_rate;
+    Ok(())
 }
 
 /// Largest `v > 0` satisfying the monotone predicate, via doubling then
@@ -158,6 +171,7 @@ fn bisect_largest(mut ok: impl FnMut(f64) -> bool) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::assignment::ValidityRange;
     use crate::ppq::optimal_refresh;
     use pq_poly::ItemId;
 

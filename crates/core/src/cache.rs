@@ -14,7 +14,9 @@
 //!   the interior point of [`pq_gp::CompiledGp::solve_warm`];
 //! * what the unit compiled to (its coefficient map, rates and variable
 //!   layout: the program of [`crate::ppq`]), so a recompute re-derives
-//!   nothing that does not follow the values.
+//!   nothing that does not follow the values;
+//! * the unit's latest assignment as [`UnitColumns`], rewritten in place
+//!   by every solve: what the coordinator copies into its filter table.
 //!
 //! Solver iterations are allocation-free through one
 //! [`pq_gp::SolveWorkspace`] per thread: a workspace is scratch that fits
@@ -35,7 +37,7 @@ use std::sync::OnceLock;
 use pq_gp::{CompiledGp, GpProblem, GpSolution, SolveWorkspace, SolverOptions, WarmStart};
 use pq_obs::names;
 
-use crate::assignment::QueryAssignment;
+use crate::assignment::UnitColumns;
 use crate::context::SolveContext;
 use crate::error::DabError;
 use crate::heuristics::UnitProgram;
@@ -49,7 +51,9 @@ pub struct UnitCache {
     /// What the unit compiled to, when `compiled` is that program's GP
     /// (see [`crate::heuristics::solve_positive_cached`], which takes it
     /// out for the duration of a solve).
-    pub(crate) program: Option<Box<UnitProgram>>,
+    pub(crate) program: Option<UnitProgram>,
+    /// The assignment of the last solve through this cache.
+    pub(crate) columns: UnitColumns,
 }
 
 thread_local! {
@@ -108,6 +112,12 @@ impl UnitCache {
         self.compiled = None;
         self.last_x.clear();
         self.program = None;
+    }
+
+    /// The assignment the last solve through this cache wrote (see
+    /// [`crate::assign_unit_cached`]).
+    pub fn columns(&self) -> &UnitColumns {
+        &self.columns
     }
 
     /// The warm solve of a recompute that moved nothing but the
@@ -237,6 +247,7 @@ impl SolveCache {
     pub fn resize(&mut self, unit_counts: &[usize]) {
         self.units.resize_with(unit_counts.len(), Vec::new);
         for (row, &n) in self.units.iter_mut().zip(unit_counts) {
+            row.reserve_exact(n.saturating_sub(row.len()));
             row.resize_with(n, UnitCache::new);
         }
         self.units.truncate(unit_counts.len());
@@ -287,10 +298,11 @@ pub struct RecomputeDone {
     pub qi: usize,
     /// Index of the unit within the query.
     pub ui: usize,
-    /// The warm-start cache, updated with the new optimum on success.
+    /// The warm-start cache, updated with the new optimum on success; its
+    /// [`UnitCache::columns`] are then the recomputed assignment.
     pub cache: UnitCache,
-    /// The recomputed assignment.
-    pub result: Result<QueryAssignment, DabError>,
+    /// Whether the solve succeeded.
+    pub result: Result<(), DabError>,
 }
 
 fn run_job(job: RecomputeJob<'_>, strategy: AssignmentStrategy) -> RecomputeDone {
@@ -301,7 +313,7 @@ fn run_job(job: RecomputeJob<'_>, strategy: AssignmentStrategy) -> RecomputeDone
         ctx,
         mut cache,
     } = job;
-    let result = assign_unit_cached(unit, &ctx, strategy, &mut cache);
+    let result = assign_unit_cached(unit, &ctx, strategy, &mut cache).map(|_| ());
     RecomputeDone {
         qi,
         ui,
@@ -639,7 +651,9 @@ mod tests {
         let mut cache = UnitCache::new();
         let mut solve = |values: &[f64; 3], strategy| {
             let ctx = SolveContext::new(values, &rates);
-            assign_unit_cached(unit, &ctx, strategy, &mut cache).unwrap()
+            assign_unit_cached(unit, &ctx, strategy, &mut cache)
+                .unwrap()
+                .assignment()
         };
         solve(&[20.0, 3.0, 15.0], dual);
         solve(&[20.1, 3.0, 15.1], dual);
@@ -649,7 +663,9 @@ mod tests {
         let fresh = {
             let values = [20.2, 3.01, 15.0];
             let ctx = SolveContext::new(&values, &rates);
-            assign_unit_cached(unit, &ctx, dual, &mut UnitCache::new()).unwrap()
+            assign_unit_cached(unit, &ctx, dual, &mut UnitCache::new())
+                .unwrap()
+                .assignment()
         };
         for (item, b) in &fresh.primary {
             assert!((after.primary[item] - b).abs() <= 1e-4 * b, "{item:?}");

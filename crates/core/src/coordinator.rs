@@ -25,7 +25,7 @@ use crate::context::SolveContext;
 use crate::error::DabError;
 use crate::filter_table::FilterTable;
 use crate::heuristics::PqHeuristic;
-use crate::install::{install_units, InstallError};
+use crate::install::{install_units, unit_items, InstallError};
 use crate::strategy::{assignment_units, AssignmentStrategy, AssignmentUnit};
 
 /// Applied refreshes between two full re-evaluations of the maintained
@@ -50,9 +50,9 @@ impl ReaderIndex {
     ///
     /// # Panics
     /// Panics if a query references an item `>= n_items`.
-    pub fn new(n_items: usize, query_items: &[Vec<ItemId>]) -> Self {
+    pub fn new<I: AsRef<[ItemId]>>(n_items: usize, query_items: &[I]) -> Self {
         let mut starts = vec![0u32; n_items + 1];
-        for item in query_items.iter().flatten() {
+        for item in query_items.iter().flat_map(AsRef::as_ref) {
             starts[item.index() + 1] += 1;
         }
         for i in 0..n_items {
@@ -61,7 +61,7 @@ impl ReaderIndex {
         let mut cursor = starts.clone();
         let mut queries = vec![0u32; starts[n_items] as usize];
         for (qi, items) in query_items.iter().enumerate() {
-            for item in items {
+            for item in items.as_ref() {
                 let at = &mut cursor[item.index()];
                 queries[*at as usize] = qi as u32;
                 *at += 1;
@@ -258,7 +258,9 @@ impl Coordinator {
     /// [`install_units`].
     ///
     /// # Errors
-    /// The first solve that fails, with its query's index.
+    /// Before anything is compiled, [`DabError::NonFiniteValue`] (with no
+    /// query) for the first value the refresh gate would refuse; then the
+    /// first solve that fails, with its query's index.
     ///
     /// # Panics
     /// Panics if a query reads an item `values` does not cover.
@@ -269,6 +271,10 @@ impl Coordinator {
         values: Vec<f64>,
         cfg: Config,
     ) -> Result<Self, InstallError> {
+        admit_all(&values).map_err(|source| InstallError {
+            query: None,
+            source,
+        })?;
         let mut this = Coordinator::unsolved(queries, strategy, values, cfg);
         let started = Instant::now();
         let by_query = &this.handles.solve_by_query;
@@ -295,17 +301,22 @@ impl Coordinator {
     /// (`assignments[q]`, one whole-query unit each: a joint AAO solve);
     /// a unit that goes stale is re-solved on its own under `strategy`.
     ///
+    /// # Errors
+    /// [`DabError::NonFiniteValue`] for the first value the refresh gate
+    /// would refuse, with nothing built.
+    ///
     /// # Panics
     /// Panics if a query reads an item `values` does not cover, or
     /// `assignments` is not one per query over the query's items.
     pub fn with_assignments(
         queries: &[PolynomialQuery],
         strategy: AssignmentStrategy,
-        assignments: Vec<QueryAssignment>,
+        assignments: &[QueryAssignment],
         values: Vec<f64>,
         cfg: Config,
-    ) -> Self {
+    ) -> Result<Self, DabError> {
         assert_eq!(queries.len(), assignments.len(), "one assignment per query");
+        admit_all(&values)?;
         let mut this = Coordinator::unsolved(queries, strategy, values, cfg);
         this.units = queries
             .iter()
@@ -313,10 +324,12 @@ impl Coordinator {
             .collect();
         let unit_counts: Vec<usize> = this.units.iter().map(Vec::len).collect();
         this.cache.resize(&unit_counts);
-        let per_unit: Vec<_> = assignments.into_iter().map(|a| vec![a]).collect();
-        this.filters = FilterTable::new(this.values.len(), &per_unit);
+        this.filters = FilterTable::new(this.values.len(), unit_items(&this.units));
+        for (qi, assignment) in assignments.iter().enumerate() {
+            this.filters.install(qi, 0, assignment);
+        }
         this.seed_filters();
-        this
+        Ok(this)
     }
 
     /// The first derivation: every item's filter is its tightest DAB.
@@ -339,7 +352,7 @@ impl Coordinator {
         // reach their own peak.
         let plan = SharedPlan::compile(queries.iter().map(PolynomialQuery::poly));
         let view = SharedView::new(&plan, &values);
-        let query_items: Vec<Vec<ItemId>> = queries.iter().map(PolynomialQuery::items).collect();
+        let query_items: Vec<&[ItemId]> = queries.iter().map(PolynomialQuery::items).collect();
         let readers = ReaderIndex::new(values.len(), &query_items);
         let handles = Handles::resolve(&cfg, queries.len(), &readers);
         handles.eval_full.add(queries.len() as u64);
@@ -452,16 +465,7 @@ impl Coordinator {
     /// The input gate: a refresh must name a known item and carry a
     /// finite value.
     fn admit(&self, item: usize, value: f64) -> Result<(), DabError> {
-        if item >= self.values.len() {
-            return Err(DabError::UnknownItem { item: item as u32 });
-        }
-        if !value.is_finite() {
-            return Err(DabError::NonFiniteValue {
-                item: item as u32,
-                value,
-            });
-        }
-        Ok(())
+        admit(self.values.len(), item, value)
     }
 
     /// Moves `item` to `value` and folds the move into every query value
@@ -584,10 +588,9 @@ impl Coordinator {
         outcome.solve_ns = started.elapsed().as_nanos() as u64;
         let mut failure: Option<InstallError> = None;
         for d in done {
-            self.cache.put_back(d.qi, d.ui, d.cache);
             match d.result {
-                Ok(assignment) if failure.is_none() => {
-                    self.filters.install(d.qi, d.ui, &assignment);
+                Ok(()) if failure.is_none() => {
+                    self.filters.write(d.qi, d.ui, d.cache.columns());
                     self.note_recompute(d.qi, Some((d.ui, item)), "validity", at);
                     outcome.recomputed.push(QueryId(d.qi as u32));
                     // The unit's items are the only ones whose minimum
@@ -606,12 +609,13 @@ impl Coordinator {
                     self.filters.invalidate(d.qi, d.ui);
                     if let (Err(source), None) = (result, &failure) {
                         failure = Some(InstallError {
-                            query: d.qi,
+                            query: Some(d.qi),
                             source,
                         });
                     }
                 }
             }
+            self.cache.put_back(d.qi, d.ui, d.cache);
         }
         failure.map_or(Ok(()), Err)
     }
@@ -688,6 +692,26 @@ impl Coordinator {
         }
         changes
     }
+}
+
+/// The input gate over a book of `n_items` items: a value must name a
+/// known item and be finite.
+fn admit(n_items: usize, item: usize, value: f64) -> Result<(), DabError> {
+    if item >= n_items {
+        return Err(DabError::UnknownItem { item: item as u32 });
+    }
+    if !value.is_finite() {
+        return Err(DabError::NonFiniteValue {
+            item: item as u32,
+            value,
+        });
+    }
+    Ok(())
+}
+
+/// [`admit`] over every value a coordinator is built at.
+fn admit_all(values: &[f64]) -> Result<(), DabError> {
+    (values.iter().enumerate()).try_for_each(|(item, &value)| admit(values.len(), item, value))
 }
 
 /// Moves an installed filter to its newly derived width when
@@ -799,7 +823,7 @@ mod tests {
         // The GP needs positive data: the re-solve this refresh forces
         // fails, naming its query; the value stays applied.
         c.apply(0, -5.0).unwrap();
-        assert_eq!(c.react(0, None).unwrap_err().query, 0);
+        assert_eq!(c.react(0, None).unwrap_err().query, Some(0));
         assert_eq!(c.values()[0], -5.0);
         // x1 barely moves, but the unit is still owed a solve: retried
         // (and failing again, x0 being what it is) rather than skipped.
@@ -807,6 +831,46 @@ mod tests {
         let out = c.on_refresh(0, 2.5).unwrap();
         assert_eq!(out.recomputed, vec![QueryId(0)]);
         assert!(c.on_refresh(1, 2.02).unwrap().recomputed.is_empty());
+    }
+
+    #[test]
+    fn a_non_finite_value_refuses_a_coordinator_before_any_solve() {
+        let q = PolynomialQuery::portfolio([(1.0, x(0), x(1))], 5.0).unwrap();
+        let (obs, _ring) = Obs::ring(64);
+        // x2 is read by nobody: it is refused all the same.
+        let values = vec![2.0, 2.0, f64::NAN];
+        let book = std::slice::from_ref(&q);
+        let err = Coordinator::install(
+            book,
+            DUAL,
+            PqHeuristic::DifferentSum,
+            values.clone(),
+            config(3, 1, &obs),
+        )
+        .unwrap_err();
+        assert_eq!(err.query, None);
+        assert!(
+            matches!(err.source, DabError::NonFiniteValue { item: 2, value } if value.is_nan())
+        );
+        assert_eq!(err.to_string(), format!("installing: {}", err.source));
+        let snap = obs.snapshot();
+        assert_eq!(
+            snap.counters.get(names::SOLVE_COLD_START),
+            None,
+            "nothing was solved"
+        );
+        let joint = vec![QueryAssignment {
+            primary: [(x(0), 0.1), (x(1), 0.1)].into(),
+            validity: crate::ValidityRange::Always,
+            anchor: [(x(0), 2.0), (x(1), 2.0)].into(),
+            recompute_rate: 0.0,
+            refresh_rate: 0.0,
+        }];
+        let refused = Coordinator::with_assignments(book, DUAL, &joint, values, config(3, 1, &obs));
+        assert!(matches!(
+            refused,
+            Err(DabError::NonFiniteValue { item: 2, .. })
+        ));
     }
 
     #[test]
@@ -840,7 +904,8 @@ mod tests {
         let ctx = SolveContext::new(&values, &cfg.rates);
         let joint = crate::multi::aao(&queries, &ctx, 5.0).unwrap();
         let shared = joint.item_dab(x(1)).unwrap();
-        let mut c = Coordinator::with_assignments(&queries, DUAL, joint.per_query, values, cfg);
+        let mut c =
+            Coordinator::with_assignments(&queries, DUAL, &joint.per_query, values, cfg).unwrap();
         assert_eq!(c.filter(1), shared);
         assert_eq!(c.install_ns(), 0);
         // A stale unit is re-solved on its own, through its (cold) cache.

@@ -1,32 +1,43 @@
 //! The coordinator's filter table: every installed assignment, stored
 //! item-major.
 //!
-//! A [`QueryAssignment`] is three maps keyed by item. A coordinator asks
-//! two questions of *all* its assignments on every refresh, both about
-//! one item: "which units does `x`'s new value invalidate?" (the
-//! secondary-DAB check of §III-A.2) and "what is the tightest primary DAB
-//! any unit holds for `x`?" (the EQI minimum rule of §IV). The table
-//! answers both from one contiguous run: item `x`'s *cells*, one per
-//! `(query, unit)` whose assignment mentions `x`, each holding that
-//! unit's `anchor`, `secondary` and `primary` for `x`.
+//! A coordinator asks two questions of *all* its assignments on every
+//! refresh, both about one item: "which units does `x`'s new value
+//! invalidate?" (the secondary-DAB check of §III-A.2) and "what is the
+//! tightest primary DAB any unit holds for `x`?" (the EQI minimum rule of
+//! §IV). The table answers both from one contiguous run: item `x`'s
+//! *cells*, one per `(query, unit)` whose unit reads `x`, each holding
+//! that unit's `anchor`, `secondary` and `primary` for `x`.
+//!
+//! The cells are laid out once, from every unit's item list, before
+//! anything is solved ([`FilterTable::new`]). A solve writes a unit's
+//! assignment as the three columns of a [`UnitColumns`], and
+//! [`FilterTable::write`] scatters them into the unit's cells; a
+//! [`QueryAssignment`] goes in through the same writer
+//! ([`FilterTable::install`]) and comes back out as a view
+//! ([`FilterTable::assignment`]).
 //!
 //! **Validity invariant.** [`FilterTable::stale_after`] looks only at the
 //! moved item's run. That equals a full [`QueryAssignment::is_valid_at`]
 //! scan of every reader as long as every installed assignment was valid
 //! at the coordinator's values *before* the move — which a coordinator
-//! maintains by re-solving (and [`FilterTable::install`]ing, anchored at
-//! the current values) every unit a refresh invalidates before it looks
-//! at the next refresh. [`FilterTable::scan_agrees`] is the full-scan
-//! oracle [`crate::Coordinator::react`] `debug_assert!`s after each
-//! refresh.
+//! maintains by re-solving (and writing, anchored at the current values)
+//! every unit a refresh invalidates before it looks at the next refresh.
+//! [`FilterTable::scan_agrees`] is the full-scan oracle
+//! [`crate::Coordinator::react`] `debug_assert!`s after each refresh.
 //!
 //! Encoding of [`ValidityRange`] per cell, checked as
 //! `|value − anchor| ≤ secondary`: `Box` stores its entry (a missing
-//! entry is `0`), `AnchorOnly` stores `0`, `Always` stores `+∞`. A NaN
-//! value fails the comparison and reads as stale — for `Always` too,
-//! the one input where the table is stricter than `is_valid_at`.
+//! entry is `0`), `AnchorOnly` stores `0`, `Always` stores `+∞` (the
+//! secondary column of [`UnitColumns`]). A NaN value fails the comparison
+//! and reads as stale — for `Always` too, the one input where the table
+//! is stricter than `is_valid_at`. A unit not yet written is stale.
 
-use crate::assignment::{QueryAssignment, ValidityRange};
+use std::sync::Arc;
+
+use pq_poly::ItemId;
+
+use crate::assignment::{QueryAssignment, UnitColumns, ValidityRange};
 
 /// All installed assignments of one coordinator as item-major columns
 /// (see the module docs).
@@ -58,23 +69,25 @@ fn in_range(value: f64, anchor: f64, secondary: f64) -> bool {
 }
 
 impl FilterTable {
-    /// Builds the table over `n_items` items from every unit's first
-    /// assignment (`assignments[q][u]`). The items of its `anchor` (every
-    /// solver keys `primary` by the same items) fix the unit's cells for
-    /// the table's lifetime.
+    /// Lays the table out over `n_items` items: `units` yields, query by
+    /// query, the item list (ascending) of every unit of the query. Those
+    /// items are the unit's cells for the table's lifetime. Every unit is
+    /// stale, with no primary DAB, until it is first written.
     ///
     /// # Panics
-    /// Panics if an assignment mentions an item `>= n_items`, or holds a
-    /// primary DAB for an item outside its anchor.
-    pub fn new(n_items: usize, assignments: &[Vec<QueryAssignment>]) -> Self {
+    /// Panics if a unit reads an item `>= n_items`.
+    pub fn new<'a, Q>(n_items: usize, units: impl IntoIterator<Item = Q>) -> Self
+    where
+        Q: IntoIterator<Item = &'a [ItemId]>,
+    {
         let mut item_start = vec![0u32; n_items + 1];
-        let mut unit_base = Vec::with_capacity(assignments.len() + 1);
+        let mut unit_base = Vec::new();
         let mut unit_start = vec![0u32];
         let mut unit_items = Vec::new();
-        for per_query in assignments {
+        for per_query in units {
             unit_base.push(unit_start.len() as u32 - 1);
-            for qa in per_query {
-                for item in qa.anchor.keys() {
+            for items in per_query {
+                for item in items {
                     item_start[item.index() + 1] += 1;
                     unit_items.push(item.0);
                 }
@@ -91,9 +104,9 @@ impl FilterTable {
         let mut unit_cells = vec![0u32; n_cells];
         // Queries then units ascending, so each item's run comes out in
         // (query, unit) order — the order stale units are solved in.
-        for (q, per_query) in assignments.iter().enumerate() {
-            for u in 0..per_query.len() {
-                let f = (unit_base[q] + u as u32) as usize;
+        for q in 0..unit_base.len() - 1 {
+            for f in unit_base[q] as usize..unit_base[q + 1] as usize {
+                let u = f - unit_base[q] as usize;
                 for m in unit_start[f] as usize..unit_start[f + 1] as usize {
                     let at = &mut cursor[unit_items[m] as usize];
                     owner[*at as usize] = (q as u32, u as u32);
@@ -102,23 +115,17 @@ impl FilterTable {
                 }
             }
         }
-        let mut table = FilterTable {
+        FilterTable {
             item_start,
             owner,
             anchor: vec![0.0; n_cells],
-            secondary: vec![0.0; n_cells],
+            secondary: vec![f64::NAN; n_cells],
             primary: vec![f64::INFINITY; n_cells],
             unit_base,
             unit_start,
             unit_cells,
             unit_items,
-        };
-        for (q, per_query) in assignments.iter().enumerate() {
-            for (u, qa) in per_query.iter().enumerate() {
-                table.install(q, u, qa);
-            }
         }
-        table
     }
 
     #[inline]
@@ -143,31 +150,38 @@ impl FilterTable {
         &self.unit_items[self.mirror(q, u)]
     }
 
-    /// Scatters a fresh solve of unit `u` of query `q` into its cells.
+    /// Scatters a fresh solve of unit `u` of query `q`, written as
+    /// columns, into its cells.
     ///
     /// # Panics
-    /// Panics unless `qa` is anchored at exactly the unit's items (fixed
-    /// at [`FilterTable::new`]) and holds primary DABs for those only.
-    pub fn install(&mut self, q: usize, u: usize, qa: &QueryAssignment) {
+    /// Panics unless `columns` is over exactly the unit's items (fixed at
+    /// [`FilterTable::new`]).
+    pub fn write(&mut self, q: usize, u: usize, columns: &UnitColumns) {
         let run = self.mirror(q, u);
         assert!(
-            qa.anchor
-                .keys()
-                .map(|i| i.0)
-                .eq(self.unit_items[run.clone()].iter().copied())
-                && qa.primary.keys().all(|i| qa.anchor.contains_key(i)),
+            (columns.items().iter().map(|i| i.0)).eq(self.unit_items[run.clone()].iter().copied()),
             "assignment for unit ({q}, {u}) does not match the unit's items"
         );
-        for (m, (item, &v0)) in run.zip(&qa.anchor) {
+        let (anchor, secondary, primary) =
+            (columns.anchor(), columns.secondary(), columns.primary());
+        for (k, m) in run.enumerate() {
             let cell = self.unit_cells[m] as usize;
-            self.anchor[cell] = v0;
-            self.secondary[cell] = match &qa.validity {
-                ValidityRange::Always => f64::INFINITY,
-                ValidityRange::AnchorOnly => 0.0,
-                ValidityRange::Box(c) => c.get(item).copied().unwrap_or(0.0),
-            };
-            self.primary[cell] = qa.primary.get(item).copied().unwrap_or(f64::INFINITY);
+            self.anchor[cell] = anchor[k];
+            self.secondary[cell] = secondary[k];
+            self.primary[cell] = primary[k];
         }
+    }
+
+    /// [`FilterTable::write`] of an assignment in its one-shot form.
+    ///
+    /// # Panics
+    /// Panics unless `qa` is anchored at exactly the unit's items and
+    /// holds primary DABs for those only.
+    pub fn install(&mut self, q: usize, u: usize, qa: &QueryAssignment) {
+        let items: Arc<[ItemId]> = self.unit_items(q, u).iter().map(|&i| ItemId(i)).collect();
+        let mut columns = UnitColumns::default();
+        columns.write_assignment(&items, qa);
+        self.write(q, u, &columns);
     }
 
     /// What unit `u` of query `q` holds, read back out of its cells: the
@@ -178,7 +192,7 @@ impl FilterTable {
         let column = |of: &[f64]| {
             self.mirror(q, u)
                 .map(|m| {
-                    let item = pq_poly::ItemId(self.unit_items[m]);
+                    let item = ItemId(self.unit_items[m]);
                     (item, of[self.unit_cells[m] as usize])
                 })
                 .collect::<std::collections::BTreeMap<_, _>>()
@@ -252,11 +266,31 @@ impl FilterTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pq_poly::ItemId;
     use std::collections::BTreeMap;
 
     fn map(pairs: &[(u32, f64)]) -> BTreeMap<ItemId, f64> {
         pairs.iter().map(|&(i, v)| (ItemId(i), v)).collect()
+    }
+
+    /// A table laid out over the anchors of `book`, each assignment
+    /// installed.
+    fn installed(n_items: usize, book: &[Vec<QueryAssignment>]) -> FilterTable {
+        let items: Vec<Vec<Vec<ItemId>>> = (book.iter())
+            .map(|units| {
+                units
+                    .iter()
+                    .map(|qa| qa.anchor.keys().copied().collect())
+                    .collect()
+            })
+            .collect();
+        let units = items.iter().map(|units| units.iter().map(Vec::as_slice));
+        let mut table = FilterTable::new(n_items, units);
+        for (q, units) in book.iter().enumerate() {
+            for (u, qa) in units.iter().enumerate() {
+                table.install(q, u, qa);
+            }
+        }
+        table
     }
 
     fn boxed(
@@ -287,7 +321,7 @@ mod tests {
             &[(1, 20.0), (2, 30.0)],
         );
         let q1u0 = boxed(&[(1, 0.4)], &[(1, 5.0)], &[(1, 20.0)]);
-        let mut t = FilterTable::new(4, &[vec![q0u0, q0u1.clone()], vec![q1u0]]);
+        let mut t = installed(4, &[vec![q0u0, q0u1.clone()], vec![q1u0]]);
         assert_eq!(t.unit_items(0, 1), &[1, 2]);
         assert_eq!(t.assignment(0, 1), q0u1);
         assert_eq!(t.min_primary(0), 0.5);
@@ -329,7 +363,7 @@ mod tests {
     #[should_panic(expected = "does not match the unit's items")]
     fn an_install_may_not_grow_a_units_item_set() {
         let first = boxed(&[(0, 0.5)], &[(0, 1.0)], &[(0, 1.0)]);
-        let mut t = FilterTable::new(2, &[vec![first]]);
+        let mut t = installed(2, &[vec![first]]);
         t.install(0, 0, &boxed(&[(1, 0.5)], &[(1, 1.0)], &[(1, 1.0)]));
     }
 }

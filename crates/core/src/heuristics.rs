@@ -19,12 +19,13 @@ use std::sync::Arc;
 
 use pq_poly::{Polynomial, PolynomialQuery};
 
-use crate::assignment::{QueryAssignment, ValidityRange};
+use crate::assignment::{QueryAssignment, UnitColumns, ValidityRange};
 use crate::cache::UnitCache;
 use crate::context::SolveContext;
 use crate::error::DabError;
-use crate::laq::linear_closed_form;
+use crate::laq::linear_closed_form_into;
 use crate::ppq::PpqProgram;
+use crate::strategy::AssignmentUnit;
 
 /// Which §III-B heuristic to use for mixed-sign queries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -120,7 +121,8 @@ pub(crate) fn solve_positive(
     ctx: &SolveContext<'_>,
     method: PpqMethod,
 ) -> Result<QueryAssignment, DabError> {
-    solve_positive_cached(&Arc::new(poly), qab, ctx, method, None)
+    let unit = AssignmentUnit::new(poly, qab);
+    UnitColumns::one_shot(|out| solve_positive_cached(&unit, ctx, method, None, out))
 }
 
 /// What a non-linear positive-coefficient unit `P : B` compiles to, once:
@@ -146,31 +148,32 @@ impl UnitProgram {
     }
 }
 
-/// [`solve_positive`] with an optional warm-start cache. Linear bodies take
-/// the closed form (nothing to solve, nothing to keep); GP solves thread
-/// the cache through, and the cache keeps the unit's [`UnitProgram`]
-/// between calls.
+/// [`solve_positive`] of a unit into `out`, with an optional warm-start
+/// cache. Linear bodies take the closed form (nothing to solve, nothing
+/// to keep); GP solves thread the cache through, and the cache keeps the
+/// unit's [`UnitProgram`] between calls.
 pub(crate) fn solve_positive_cached(
-    body: &Arc<Polynomial>,
-    qab: f64,
+    unit: &AssignmentUnit,
     ctx: &SolveContext<'_>,
     method: PpqMethod,
     mut cache: Option<&mut UnitCache>,
-) -> Result<QueryAssignment, DabError> {
+    out: &mut UnitColumns,
+) -> Result<(), DabError> {
+    let (body, qab) = (&unit.body, unit.qab);
     if body.is_linear() {
         // Installed once: a linear unit's assignment is valid forever.
-        return linear_closed_form(&PolynomialQuery::new((**body).clone(), qab)?, ctx);
+        return linear_closed_form_into(body, unit.items(), qab, ctx, out);
     }
     let kept = (cache.as_mut().and_then(|c| c.program.take()))
         .filter(|program| program.is_for(body, qab, ctx, method));
     let mut program = match kept {
         Some(program) => program,
-        None => Box::new(UnitProgram {
+        None => UnitProgram {
             body: body.clone(),
-            gp: PpqProgram::for_body(body, qab, method, ctx)?,
-        }),
+            gp: PpqProgram::for_body(body, unit.items(), unit.coupled(), qab, method, ctx)?,
+        },
     };
-    let result = program.gp.solve(ctx, cache.as_deref_mut());
+    let result = program.gp.solve_into(ctx, cache.as_deref_mut(), out);
     if let Some(cache) = cache {
         cache.program = Some(program);
     }

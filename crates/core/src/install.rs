@@ -4,12 +4,12 @@
 //! the first refresh (§V-A "steady-state start"). Whatever drives it —
 //! the deployable monitor, the simulator's engine — the steps are the
 //! same: decompose every query into its assignment units, shape the
-//! warm-start caches to them, solve each unit once through its cache slot
-//! (which seeds the warm starts of every later recompute), and index the
-//! resulting filters by item.
+//! warm-start caches and lay out the filter table by item from them, then
+//! solve each unit once through its cache slot (which seeds the warm
+//! starts of every later recompute) and write its filters into the table.
 
 use pq_gp::SolverOptions;
-use pq_poly::PolynomialQuery;
+use pq_poly::{ItemId, PolynomialQuery};
 
 use crate::cache::SolveCache;
 use crate::context::SolveContext;
@@ -18,18 +18,23 @@ use crate::filter_table::FilterTable;
 use crate::heuristics::PqHeuristic;
 use crate::strategy::{assign_unit_cached, assignment_units, AssignmentStrategy, AssignmentUnit};
 
-/// An install-time solve that failed: whose it was, and why.
+/// An install or re-solve that failed: whose it was, and why.
 #[derive(Debug, Clone, PartialEq)]
 pub struct InstallError {
-    /// Index of the query the failed unit belongs to.
-    pub query: usize,
-    /// The solve's error.
+    /// Index of the query the failed unit belongs to; `None` when the
+    /// install was refused before anything was solved (a value no query
+    /// could be solved at).
+    pub query: Option<usize>,
+    /// The error.
     pub source: DabError,
 }
 
 impl std::fmt::Display for InstallError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "installing query {}: {}", self.query, self.source)
+        match self.query {
+            Some(query) => write!(f, "installing query {query}: {}", self.source),
+            None => write!(f, "installing: {}", self.source),
+        }
     }
 }
 
@@ -41,7 +46,7 @@ impl std::error::Error for InstallError {
 
 /// Installs `queries` under `strategy` (+ `heuristic` for mixed-sign
 /// bodies) at `ctx`'s values and rates: returns every query's units
-/// (`units[q][u]`) and the filter table over `n_items` items built from
+/// (`units[q][u]`) and the filter table over `n_items` items holding
 /// their first assignments, leaving `cache` shaped to the units and
 /// holding each one's program and optimum.
 ///
@@ -67,18 +72,29 @@ pub fn install_units(
         .collect();
     let unit_counts: Vec<usize> = units.iter().map(Vec::len).collect();
     cache.resize(&unit_counts);
-    let mut assignments = Vec::with_capacity(units.len());
+    let mut filters = FilterTable::new(n_items, unit_items(&units));
     for (query, per_query) in units.iter().enumerate() {
         attribute(&mut ctx.gp, query);
-        let mut per_unit = Vec::with_capacity(per_query.len());
         for (ui, unit) in per_query.iter().enumerate() {
             let solved = assign_unit_cached(unit, &ctx, strategy, cache.unit_mut(query, ui));
-            per_unit.push(solved.map_err(|source| InstallError { query, source })?);
+            let columns = solved.map_err(|source| InstallError {
+                query: Some(query),
+                source,
+            })?;
+            filters.write(query, ui, columns);
         }
-        assignments.push(per_unit);
     }
-    let filters = FilterTable::new(n_items, &assignments);
     Ok((units, filters))
+}
+
+/// Every unit's item list, query by query: the layout of a
+/// [`FilterTable`] over `units`.
+pub(crate) fn unit_items(
+    units: &[Vec<AssignmentUnit>],
+) -> impl Iterator<Item = impl Iterator<Item = &[ItemId]>> {
+    units
+        .iter()
+        .map(|per_query| per_query.iter().map(|u| &u.items()[..]))
 }
 
 #[cfg(test)]
@@ -132,7 +148,12 @@ mod tests {
             let solve = |u| crate::strategy::assign_unit(u, &ctx, strategy).unwrap();
             by_hand.push(per_query.iter().map(solve).collect::<Vec<_>>());
         }
-        let expected = FilterTable::new(values.len(), &by_hand);
+        let mut expected = FilterTable::new(values.len(), unit_items(&units));
+        for (q, per_query) in by_hand.iter().enumerate() {
+            for (u, assignment) in per_query.iter().enumerate() {
+                expected.install(q, u, assignment);
+            }
+        }
         for item in 0..values.len() {
             assert_eq!(
                 filters.min_primary(item).to_bits(),
@@ -164,7 +185,7 @@ mod tests {
             |_, _| {},
         )
         .unwrap_err();
-        assert_eq!(err.query, 1);
+        assert_eq!(err.query, Some(1));
         assert!(err.to_string().starts_with("installing query 1: "));
     }
 }

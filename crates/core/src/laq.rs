@@ -13,12 +13,12 @@
 //! * random walk: minimize `sum (lambda_i / b_i)^2` gives
 //!   `b_i ∝ (lambda_i^2 / a_i)^{1/3}`, scaled so the constraint is tight.
 
-use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use pq_ddm::DataDynamicsModel;
-use pq_poly::{PolynomialQuery, QueryClass};
+use pq_poly::{ItemId, PolyError, Polynomial, PolynomialQuery, QueryClass};
 
-use crate::assignment::{QueryAssignment, ValidityRange};
+use crate::assignment::{QueryAssignment, RangeKind, UnitColumns};
 use crate::context::SolveContext;
 use crate::error::DabError;
 
@@ -35,11 +35,30 @@ pub fn linear_closed_form(
             detail: "closed form applies to degree-1 queries only",
         });
     }
+    UnitColumns::one_shot(|out| {
+        linear_closed_form_into(query.poly(), query.shared_items(), query.qab(), ctx, out)
+    })
+}
 
+/// [`linear_closed_form`] for the degree-1 body `poly : qab` over its
+/// items, written into `out`.
+pub(crate) fn linear_closed_form_into(
+    poly: &Polynomial,
+    items: &Arc<[ItemId]>,
+    qab: f64,
+    ctx: &SolveContext<'_>,
+    out: &mut UnitColumns,
+) -> Result<(), DabError> {
+    if poly.is_zero() {
+        return Err(PolyError::EmptyPolynomial.into());
+    }
+    if !(qab.is_finite() && qab > 0.0) {
+        return Err(PolyError::InvalidBound(qab).into());
+    }
     // Collect (item, |w|, lambda); the polynomial merges items, and the
     // constant term (no vars) does not affect the deviation.
     let mut entries = Vec::new();
-    for t in query.poly().terms() {
+    for t in poly.terms() {
         match t.vars() {
             [] => {}
             [(item, 1)] => entries.push((*item, t.coef().abs(), ctx.rate(*item)?)),
@@ -47,10 +66,10 @@ pub fn linear_closed_form(
         }
     }
     if entries.is_empty() {
-        return Err(DabError::Poly(pq_poly::PolyError::EmptyPolynomial));
+        return Err(DabError::Poly(PolyError::EmptyPolynomial));
     }
 
-    let b_total = query.qab();
+    let b_total = qab;
     let dabs: Vec<f64> = match ctx.ddm {
         DataDynamicsModel::Monotonic => {
             let denom: f64 = entries.iter().map(|&(_, a, l)| (l * a).sqrt()).sum();
@@ -73,32 +92,27 @@ pub fn linear_closed_form(
         }
     };
 
-    let primary: BTreeMap<_, _> = entries
-        .iter()
-        .zip(&dabs)
-        .map(|(&(item, _, _), &b)| (item, b))
-        .collect();
     let refresh_rate = entries
         .iter()
         .zip(&dabs)
         .map(|(&(_, _, l), &b)| ctx.ddm.refresh_rate(l, b))
         .sum();
-    let anchor = entries
-        .iter()
-        .map(|&(item, _, _)| Ok((item, ctx.value(item)?)))
-        .collect::<Result<_, DabError>>()?;
-    Ok(QueryAssignment {
-        primary,
-        validity: ValidityRange::Always,
-        anchor,
-        recompute_rate: 0.0,
-        refresh_rate,
-    })
+    let cols = out.start(items, RangeKind::Always);
+    // Terms come in the body's order, the columns in the items'.
+    for (&(item, _, _), &b) in entries.iter().zip(&dabs) {
+        let k = items
+            .binary_search(&item)
+            .expect("a term's item is an item");
+        (cols.anchor[k], cols.primary[k]) = (ctx.value(item)?, b);
+    }
+    out.refresh_rate = refresh_rate;
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::assignment::ValidityRange;
     use pq_gp::{GpProblem, Monomial, Posynomial, SolverOptions};
     use pq_poly::ItemId;
 

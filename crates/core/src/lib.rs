@@ -60,7 +60,7 @@ pub mod partition;
 pub mod ppq;
 pub mod strategy;
 
-pub use assignment::{CoordinatorAssignment, QueryAssignment, ValidityRange};
+pub use assignment::{CoordinatorAssignment, QueryAssignment, UnitColumns, ValidityRange};
 pub use cache::{
     default_recompute_threads, filter_changed, recompute_parallel, RecomputeDone, RecomputeJob,
     SolveCache, UnitCache,

@@ -12,12 +12,10 @@
 //! Refresh's and it refreshes more. Isolates the value of the paper's
 //! exact condition.
 
-use std::collections::BTreeMap;
-
 use pq_gp::{GpProblem, Posynomial};
 use pq_poly::{linearized_sufficient, DabVarMap, PolynomialQuery};
 
-use crate::assignment::{QueryAssignment, ValidityRange};
+use crate::assignment::{QueryAssignment, RangeKind, UnitColumns};
 use crate::cache::{solve_cached, UnitCache};
 use crate::context::SolveContext;
 use crate::error::DabError;
@@ -31,16 +29,17 @@ pub fn linearized_filter(
     query: &PolynomialQuery,
     ctx: &SolveContext<'_>,
 ) -> Result<QueryAssignment, DabError> {
-    linearized_filter_cached(query, ctx, None)
+    UnitColumns::one_shot(|out| linearized_filter_cached(query, ctx, None, out))
 }
 
 /// [`linearized_filter`] with an optional warm-start cache (see
-/// [`crate::cache::solve_cached`]).
+/// [`crate::cache::solve_cached`]), written into `out`.
 pub(crate) fn linearized_filter_cached(
     query: &PolynomialQuery,
     ctx: &SolveContext<'_>,
     cache: Option<&mut UnitCache>,
-) -> Result<QueryAssignment, DabError> {
+    out: &mut UnitColumns,
+) -> Result<(), DabError> {
     let (p1, p2) = query.poly().split_pos_neg();
     let body = if p2.is_zero() {
         p1
@@ -73,29 +72,19 @@ pub(crate) fn linearized_filter_cached(
         predicted_start(&condition, query.qab(), &lambdas, ctx.ddm, None, refine)?;
     let sol = solve_cached(&problem, &guess, &interior, &ctx.gp, cache)?;
 
-    let primary: BTreeMap<_, _> = vmap
-        .items()
-        .iter()
-        .enumerate()
-        .map(|(k, &item)| (item, sol.x[k]))
-        .collect();
-    let anchor = vmap
-        .items()
-        .iter()
-        .map(|&item| Ok((item, ctx.value(item)?)))
-        .collect::<Result<_, DabError>>()?;
-    Ok(QueryAssignment {
-        primary,
-        validity: ValidityRange::AnchorOnly,
-        anchor,
-        recompute_rate: 0.0,
-        refresh_rate: sol.objective,
-    })
+    // The items of the absolute-value body are the query's.
+    let cols = out.start(query.shared_items(), RangeKind::AnchorOnly);
+    for (k, &item) in vmap.items().iter().enumerate() {
+        (cols.primary[k], cols.anchor[k]) = (sol.x[k], ctx.value(item)?);
+    }
+    out.refresh_rate = sol.objective;
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::assignment::ValidityRange;
     use crate::ppq::optimal_refresh;
     use pq_poly::ItemId;
 

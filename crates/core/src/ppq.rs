@@ -16,14 +16,14 @@
 //!   Slightly more refreshes, far fewer recomputations.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use pq_ddm::DataDynamicsModel;
-use pq_gp::logsumexp::{count_rows, LogArena};
+use pq_gp::logsumexp::LogArena;
 use pq_gp::{CompiledGp, GpError, GpProblem, GpSolution, Monomial, Posynomial};
-use pq_poly::{coupled_items, DeviationMap, PolyError, Polynomial, PolynomialQuery};
+use pq_poly::{DeviationMap, ItemId, PolyError, Polynomial, PolynomialQuery};
 
-use crate::assignment::{QueryAssignment, ValidityRange};
+use crate::assignment::{QueryAssignment, RangeKind, UnitColumns};
 use crate::cache::{solve_compiled, UnitCache};
 use crate::context::SolveContext;
 use crate::error::DabError;
@@ -84,8 +84,9 @@ pub(crate) struct PpqProgram {
     qab: f64,
     method: PpqMethod,
     ddm: DataDynamicsModel,
-    /// `lambda_k` of the body's `k`-th item (`map.items()[k]`, ascending),
-    /// floored positive.
+    /// The body's items, ascending (the map's): `b_k` is `items[k]`'s.
+    items: Arc<[ItemId]>,
+    /// `lambda_k` of the body's `k`-th item, floored positive.
     lambdas: Vec<f64>,
     /// The primary variable of the item that owns each `c_j`, ascending.
     coupled_b: Vec<usize>,
@@ -119,13 +120,18 @@ impl PpqProgram {
         method: PpqMethod,
         ctx: &SolveContext<'_>,
     ) -> Result<Self, DabError> {
-        Self::for_body(query.poly(), query.qab(), method, ctx)
+        let (items, coupled) = (query.shared_items(), query.coupled_items());
+        Self::for_body(query.poly(), items, coupled, query.qab(), method, ctx)
     }
 
     /// [`PpqProgram::compile`] for the query `poly : qab`, which need not
-    /// exist as one.
+    /// exist as one, over its items and coupled items as the caller
+    /// derived them ([`pq_poly::coupled_items`]; Optimal Refresh ignores
+    /// them).
     pub(crate) fn for_body(
         poly: &Polynomial,
+        items: &Arc<[ItemId]>,
+        coupled: &[ItemId],
         qab: f64,
         method: PpqMethod,
         ctx: &SolveContext<'_>,
@@ -137,23 +143,23 @@ impl PpqProgram {
             return Err(PolyError::InvalidBound(qab).into());
         }
         require_ppq(poly)?;
-        // The body's items, collected once: `b` of the `k`-th is variable
-        // `k`, and the map keeps the list.
-        let items = poly.items();
         let coupled = match method {
-            PpqMethod::OptimalRefresh => Vec::new(),
-            PpqMethod::DualDab { .. } => coupled_items(poly),
+            PpqMethod::OptimalRefresh => &[],
+            PpqMethod::DualDab { .. } => coupled,
         };
+        // `b` of the `k`-th item is variable `k`.
         let primary = |c| items.binary_search(c).expect("a coupled item is an item");
         let coupled_b = coupled.iter().map(primary).collect();
-        let map = DeviationMap::for_unit(poly, items, &coupled)?;
-        let lambdas = (map.items().iter())
-            .map(|&item| ctx.rate(item))
-            .collect::<Result<_, _>>()?;
+        let map = DeviationMap::for_unit(poly, items.clone(), coupled)?;
+        let mut lambdas = Vec::with_capacity(items.len());
+        for &item in items.iter() {
+            lambdas.push(ctx.rate(item)?);
+        }
         Ok(PpqProgram {
             qab,
             method,
             ddm: ctx.ddm,
+            items: items.clone(),
             lambdas,
             coupled_b,
             coefs: vec![0.0; map.n_terms()],
@@ -179,6 +185,16 @@ impl PpqProgram {
         ctx: &SolveContext<'_>,
         cache: Option<&mut UnitCache>,
     ) -> Result<QueryAssignment, DabError> {
+        UnitColumns::one_shot(|out| self.solve_into(ctx, cache, out))
+    }
+
+    /// [`PpqProgram::solve`], the assignment written into `out`.
+    pub(crate) fn solve_into(
+        &mut self,
+        ctx: &SolveContext<'_>,
+        cache: Option<&mut UnitCache>,
+        out: &mut UnitColumns,
+    ) -> Result<(), DabError> {
         self.map.eval_into(ctx.values, &mut self.coefs)?;
         let warm = cache.as_ref().is_some_and(|c| c.has_solution());
         let mut start = START.take();
@@ -188,7 +204,8 @@ impl PpqProgram {
             .predict(condition, self.qab, &self.lambdas, self.ddm, dual, !warm)
             .and_then(|()| self.solve_from(&start.guess, &start.interior, ctx, cache));
         START.set(start);
-        Ok(self.assignment(&sol?, ctx))
+        self.write(&sol?, ctx, out);
+        Ok(())
     }
 
     /// The solve at the values `coefs` was evaluated at, from their
@@ -215,37 +232,34 @@ impl PpqProgram {
         Ok(sol)
     }
 
-    /// The assignment `sol` stands for, anchored at `ctx`'s values.
-    fn assignment(&self, sol: &GpSolution, ctx: &SolveContext<'_>) -> QueryAssignment {
-        let items = self.map.items();
-        let n = items.len();
-        // Three maps over the same ascending item list.
-        let primary = (items.iter().zip(&sol.x))
-            .map(|(&item, &b)| (item, b))
-            .collect();
-        let anchor = (items.iter())
-            .map(|&item| (item, ctx.values[item.index()]))
-            .collect();
-        let Some(mu) = self.method.mu() else {
-            return QueryAssignment {
-                primary,
-                validity: ValidityRange::AnchorOnly,
-                anchor,
-                recompute_rate: 0.0,
-                refresh_rate: sol.objective,
-            };
+    /// Writes the assignment `sol` stands for, anchored at `ctx`'s
+    /// values, into `out`.
+    fn write(&self, sol: &GpSolution, ctx: &SolveContext<'_>, out: &mut UnitColumns) {
+        let n = self.items.len();
+        let mu = self.method.mu();
+        let kind = if mu.is_some() {
+            RangeKind::Box
+        } else {
+            RangeKind::AnchorOnly
         };
-        let mut coupled = self.coupled_b.iter().zip(&sol.x[n..]).peekable();
-        let secondary: BTreeMap<_, _> = (items.iter().enumerate())
-            .map(|(k, &item)| {
-                let c = coupled.next_if(|&(&b_var, _)| b_var == k);
-                (item, c.map_or(f64::INFINITY, |(_, &c)| c))
-            })
-            .collect();
+        let cols = out.start(&self.items, kind);
+        for (v0, item) in cols.anchor.iter_mut().zip(self.items.iter()) {
+            *v0 = ctx.values[item.index()];
+        }
+        cols.primary.copy_from_slice(&sol.x[..n]);
+        let Some(mu) = mu else {
+            out.refresh_rate = sol.objective;
+            return;
+        };
+        // An uncoupled item keeps its `+∞`: its value cannot invalidate.
+        for (&b_var, &c) in self.coupled_b.iter().zip(&sol.x[n..]) {
+            cols.secondary[b_var] = c;
+        }
         let recompute_rate = sol.x[n + self.coupled_b.len()];
         let refresh_rate: f64 = (self.lambdas.iter().zip(&sol.x))
             .map(|(&l, &b)| self.ddm.refresh_rate(l, b))
             .sum();
+        (out.recompute_rate, out.refresh_rate) = (recompute_rate, refresh_rate);
         ctx.gp
             .obs
             .emit_with(pq_obs::names::DAB_SOLVE, pq_obs::EventKind::Point, |e| {
@@ -256,13 +270,14 @@ impl PpqProgram {
                     .with("refresh_rate", refresh_rate)
                     .with("recompute_rate", recompute_rate)
             });
-        QueryAssignment {
-            primary,
-            validity: ValidityRange::Box(secondary),
-            anchor,
-            recompute_rate,
-            refresh_rate,
-        }
+    }
+
+    /// The assignment `sol` stands for, anchored at `ctx`'s values.
+    #[cfg(test)]
+    fn assignment(&self, sol: &GpSolution, ctx: &SolveContext<'_>) -> QueryAssignment {
+        let mut out = UnitColumns::default();
+        self.write(sol, ctx, &mut out);
+        out.assignment()
     }
 
     /// The program at the values `coefs` was evaluated at, in the
@@ -279,9 +294,9 @@ impl PpqProgram {
         let refresh = |k: usize| self.ddm.refresh_coef(self.lambdas[k]);
 
         // The QAB condition: at the anchor (Eq. 1), or over the validity
-        // range (Eq. 2). A filter has no size hint: count its rows.
+        // range (Eq. 2), sized by the map.
         let condition = self.map.terms(&self.coefs);
-        let (condition_terms, condition_exps) = count_rows(condition.clone());
+        let (condition_terms, condition_exps) = self.map.counts(&self.coefs);
         let objective_terms = n + usize::from(mu.is_some());
         let mut arena = LogArena::with_capacity(
             n_vars,
@@ -654,6 +669,7 @@ fn scalar_feasible_start(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::assignment::ValidityRange;
     use pq_ddm::DataDynamicsModel;
     use pq_poly::{ItemId, PTerm, Polynomial};
 

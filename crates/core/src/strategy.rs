@@ -7,10 +7,10 @@
 
 use std::sync::Arc;
 
-use pq_poly::{Polynomial, PolynomialQuery, QueryClass};
+use pq_poly::{ItemId, Polynomial, PolynomialQuery, QueryClass};
 
-use crate::assignment::{QueryAssignment, ValidityRange};
-use crate::baseline::{equal_dab, per_item_split};
+use crate::assignment::{QueryAssignment, RangeKind, UnitColumns};
+use crate::baseline::{equal_dab, equal_dab_into, per_item_split, per_item_split_into};
 use crate::cache::UnitCache;
 use crate::context::SolveContext;
 use crate::error::DabError;
@@ -137,35 +137,68 @@ pub fn estimate_mu(
 #[derive(Debug, Clone, PartialEq)]
 pub struct AssignmentUnit {
     /// The unit's polynomial body (positive-coefficient for split units),
-    /// shared with the program its [`UnitCache`] keeps: one copy per unit.
+    /// shared with its query when the query is one unit, and with the
+    /// program its [`UnitCache`] keeps.
     pub body: Arc<Polynomial>,
     /// The unit's accuracy budget.
     pub qab: f64,
+    /// The body's items, ascending: the rows of every assignment of the
+    /// unit.
+    items: Arc<[ItemId]>,
+    /// The body's coupled items ([`pq_poly::coupled_items`]), ascending.
+    coupled: Arc<[ItemId]>,
 }
 
 impl AssignmentUnit {
     /// The unit `body : qab`.
     pub fn new(body: Polynomial, qab: f64) -> Self {
         AssignmentUnit {
+            items: body.items().into(),
+            coupled: pq_poly::coupled_items(&body).into(),
             body: Arc::new(body),
             qab,
         }
     }
 
+    /// The unit `body : qab` over the items of `query`, whose body has
+    /// the same terms as `body` up to their signs and order.
+    fn of_query(query: &PolynomialQuery, body: Arc<Polynomial>, qab: f64) -> Self {
+        AssignmentUnit {
+            body,
+            qab,
+            items: query.shared_items().clone(),
+            coupled: query.coupled_items().clone(),
+        }
+    }
+
+    /// The body's items, ascending.
+    pub fn items(&self) -> &Arc<[ItemId]> {
+        &self.items
+    }
+
+    /// The body's coupled items, ascending.
+    pub fn coupled(&self) -> &Arc<[ItemId]> {
+        &self.coupled
+    }
+
     /// The unit as a query of its own, for the strategies that take one.
     fn query(&self) -> Result<PolynomialQuery, DabError> {
-        Ok(PolynomialQuery::new((*self.body).clone(), self.qab)?)
+        Ok(PolynomialQuery::shared(self.body.clone(), self.qab)?)
     }
 }
 
 /// Decomposes a query into its independently maintained units under
-/// `strategy` + `heuristic`.
+/// `strategy` + `heuristic`. A query that is one unit shares its body
+/// and item lists with it.
 pub fn assignment_units(
     query: &PolynomialQuery,
     strategy: AssignmentStrategy,
     heuristic: PqHeuristic,
 ) -> Vec<AssignmentUnit> {
-    let whole = || vec![AssignmentUnit::new(query.poly().clone(), query.qab())];
+    let whole = || {
+        let body = query.shared_poly().clone();
+        vec![AssignmentUnit::of_query(query, body, query.qab())]
+    };
     match strategy {
         // Baselines and the linearized filter handle mixed signs
         // internally and keep one unit.
@@ -180,11 +213,12 @@ pub fn assignment_units(
             if p1.is_zero() || p2.is_zero() {
                 // Purely negative body: |deviation(-P2)| = |deviation(P2)|.
                 let body = if p1.is_zero() { p2 } else { p1 };
-                return vec![AssignmentUnit::new(body, query.qab())];
+                return vec![AssignmentUnit::of_query(query, Arc::new(body), query.qab())];
             }
             match heuristic {
                 PqHeuristic::DifferentSum => {
-                    vec![AssignmentUnit::new(p1.add(&p2), query.qab())]
+                    let body = Arc::new(p1.add(&p2));
+                    vec![AssignmentUnit::of_query(query, body, query.qab())]
                 }
                 PqHeuristic::HalfAndHalf => {
                     let half = query.qab() / 2.0;
@@ -201,51 +235,52 @@ pub fn assign_unit(
     ctx: &SolveContext<'_>,
     strategy: AssignmentStrategy,
 ) -> Result<QueryAssignment, DabError> {
-    assign_unit_with_cache(unit, ctx, strategy, None)
+    UnitColumns::one_shot(|out| solve_unit(unit, ctx, strategy, None, out))
 }
 
 /// Solves one unit under `strategy`, warm-starting the GP solve from
 /// `cache` (and updating it with the new optimum). Closed-form strategies
-/// ignore the cache; GP-backed ones reuse the compiled program, the last
-/// solution and the solver workspace stored in it.
-pub fn assign_unit_cached(
+/// ignore the warm start; GP-backed ones reuse the compiled program and
+/// the last solution stored in it. The new assignment is left in the
+/// cache, as columns ([`UnitCache::columns`]), and returned from there.
+pub fn assign_unit_cached<'c>(
     unit: &AssignmentUnit,
     ctx: &SolveContext<'_>,
     strategy: AssignmentStrategy,
-    cache: &mut UnitCache,
-) -> Result<QueryAssignment, DabError> {
-    assign_unit_with_cache(unit, ctx, strategy, Some(cache))
+    cache: &'c mut UnitCache,
+) -> Result<&'c UnitColumns, DabError> {
+    let mut out = std::mem::take(&mut cache.columns);
+    let solved = solve_unit(unit, ctx, strategy, Some(cache), &mut out);
+    cache.columns = out;
+    solved.map(|()| &cache.columns)
 }
 
-fn assign_unit_with_cache(
+/// The one solve of a unit every entry point runs, into `out`.
+fn solve_unit(
     unit: &AssignmentUnit,
     ctx: &SolveContext<'_>,
     strategy: AssignmentStrategy,
     cache: Option<&mut UnitCache>,
-) -> Result<QueryAssignment, DabError> {
+    out: &mut UnitColumns,
+) -> Result<(), DabError> {
     // A unit that reads no item (a constant body) has no filter to size
     // and no value that can invalidate it.
-    if unit.body.terms().iter().all(|t| t.vars().is_empty()) {
-        return Ok(QueryAssignment {
-            primary: Default::default(),
-            validity: ValidityRange::Always,
-            anchor: Default::default(),
-            recompute_rate: 0.0,
-            refresh_rate: 0.0,
-        });
+    if unit.items.is_empty() {
+        out.start(&unit.items, RangeKind::Always);
+        return Ok(());
     }
     let _span = dab_span(&ctx.gp);
     match strategy {
-        AssignmentStrategy::PerItemSplit => per_item_split(&unit.query()?, ctx),
-        AssignmentStrategy::EqualDab => equal_dab(&unit.query()?, ctx),
+        AssignmentStrategy::PerItemSplit => per_item_split_into(&unit.query()?, ctx, out),
+        AssignmentStrategy::EqualDab => equal_dab_into(&unit.query()?, ctx, out),
         AssignmentStrategy::LinearizedFilter => {
-            crate::linearized::linearized_filter_cached(&unit.query()?, ctx, cache)
+            crate::linearized::linearized_filter_cached(&unit.query()?, ctx, cache, out)
         }
         AssignmentStrategy::OptimalRefresh => {
-            solve_positive_or_general(unit, ctx, PpqMethod::OptimalRefresh, cache)
+            solve_positive_or_general(unit, ctx, PpqMethod::OptimalRefresh, cache, out)
         }
         AssignmentStrategy::DualDab { mu } => {
-            solve_positive_or_general(unit, ctx, PpqMethod::DualDab { mu }, cache)
+            solve_positive_or_general(unit, ctx, PpqMethod::DualDab { mu }, cache, out)
         }
     }
 }
@@ -255,13 +290,16 @@ fn solve_positive_or_general(
     ctx: &SolveContext<'_>,
     method: PpqMethod,
     cache: Option<&mut UnitCache>,
-) -> Result<QueryAssignment, DabError> {
+    out: &mut UnitColumns,
+) -> Result<(), DabError> {
     if unit.body.is_positive_coefficient() {
-        solve_positive_cached(&unit.body, unit.qab, ctx, method, cache)
+        solve_positive_cached(unit, ctx, method, cache, out)
     } else {
         // A mixed-sign unit only arises when the caller bypassed
         // `assignment_units`; fall back to Different Sum.
-        general_pq(&unit.query()?, ctx, PqHeuristic::DifferentSum, method)
+        let qa = general_pq(&unit.query()?, ctx, PqHeuristic::DifferentSum, method)?;
+        out.write_assignment(&unit.items, &qa);
+        Ok(())
     }
 }
 

@@ -66,6 +66,29 @@ fn arb_unit() -> impl Strategy<Value = RawUnit> {
     )
 }
 
+/// A table laid out over the items of `book`'s assignments, each one
+/// installed through the column writer.
+fn installed(n_items: usize, book: &[Vec<QueryAssignment>]) -> FilterTable {
+    let items: Vec<Vec<Vec<ItemId>>> = (book.iter())
+        .map(|units| {
+            units
+                .iter()
+                .map(|qa| qa.anchor.keys().copied().collect())
+                .collect()
+        })
+        .collect();
+    let mut table = FilterTable::new(
+        n_items,
+        items.iter().map(|units| units.iter().map(Vec::as_slice)),
+    );
+    for (q, units) in book.iter().enumerate() {
+        for (u, qa) in units.iter().enumerate() {
+            table.install(q, u, qa);
+        }
+    }
+    table
+}
+
 /// The units the oracle rejects at `values`, plus the table's one
 /// documented stricter case: an `Always` unit reading a NaN `moved` item.
 fn oracle_stale(
@@ -102,7 +125,7 @@ proptest! {
             .iter()
             .map(|units| units.iter().map(|raw| assignment(raw, n_items, &values, 1.0)).collect())
             .collect();
-        let mut table = FilterTable::new(n_items, &book);
+        let mut table = installed(n_items, &book);
 
         for (step, &(item, kind, delta)) in moves.iter().enumerate() {
             let item = item % n_items;
@@ -165,7 +188,7 @@ fn an_item_absent_from_one_unit_never_touches_it() {
         unit(&[(0, 10.0), (1, 20.0)], 1.0),
         unit(&[(2, 30.0), (3, 40.0)], 1.0),
     ]];
-    let table = FilterTable::new(4, &book);
+    let table = installed(4, &book);
     let mut stale = Vec::new();
     table.stale_after(3, f64::NAN, &mut stale);
     assert_eq!(stale, vec![(0, 1)]);

@@ -185,7 +185,8 @@ impl Case {
             self.strategy,
             &mut UnitCache::new(),
         )
-        .map_err(|e| TestCaseError::Fail(format!("solve failed: {e}")))?;
+        .map_err(|e| TestCaseError::Fail(format!("solve failed: {e}")))?
+        .assignment();
         let snap = obs.snapshot();
         prop_assert_eq!(snap.counters.get(names::SOLVE_COLD_START), Some(&1));
         prop_assert_eq!(

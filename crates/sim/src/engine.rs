@@ -278,9 +278,13 @@ impl std::error::Error for SimError {}
 
 impl From<InstallError> for SimError {
     fn from(e: InstallError) -> Self {
-        SimError::Dab {
-            query: e.query,
-            source: e.source,
+        match e.query {
+            Some(query) => SimError::Dab {
+                query,
+                source: e.source,
+            },
+            // Refused before any solve: an input, not a query, was bad.
+            None => SimError::Refresh { source: e.source },
         }
     }
 }
@@ -600,7 +604,8 @@ impl<'a> Engine<'a> {
                 // with Dual-DAB (§V-B.1).
                 let strategy = AssignmentStrategy::DualDab { mu: *mu };
                 let core =
-                    Coordinator::with_assignments(&cfg.queries, strategy, joint, values, core_cfg);
+                    Coordinator::with_assignments(&cfg.queries, strategy, &joint, values, core_cfg)
+                        .map_err(|source| SimError::Refresh { source })?;
                 (core, solve_ns)
             }
         };

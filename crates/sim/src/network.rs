@@ -250,10 +250,13 @@ pub fn run_network_observed(cfg: &NetworkConfig, obs: &Obs) -> Result<NetworkMet
 
 /// A node's failed solve: the failing query, local to the node named.
 fn node_error(node: usize, e: pq_core::InstallError) -> SimError {
-    SimError::NodeDab {
-        node,
-        query: e.query,
-        source: e.source,
+    match e.query {
+        Some(query) => SimError::NodeDab {
+            node,
+            query,
+            source: e.source,
+        },
+        None => SimError::Refresh { source: e.source },
     }
 }
 

@@ -219,7 +219,10 @@ impl Monitor {
     /// [`pq_core::dab_solver_options`], as the simulator's do.
     ///
     /// # Errors
-    /// The first solve that fails; the monitor is left uninstalled.
+    /// [`DabError::NonFiniteValue`] for the first registered value the
+    /// refresh gate would refuse, read by a query or not, before anything
+    /// is solved; then the first solve that fails. Either way the monitor
+    /// is left uninstalled.
     pub fn install(&mut self) -> Result<Vec<(ItemId, f64)>, DabError> {
         let _span = self.obs.timed(names::MONITOR_INSTALL);
         self.uninstall();
@@ -512,6 +515,51 @@ mod tests {
         assert_eq!(m.query_value(q), before.2);
         m.install().unwrap();
         assert!(m.on_refresh(x, 2.6).is_ok());
+    }
+
+    /// The refresh gate runs over every registered value at install: a
+    /// value it would refuse on refresh cannot be installed either.
+    fn refused_install(m: &mut Monitor, item: ItemId, bad: f64) {
+        let err = m.install().unwrap_err();
+        assert!(
+            matches!(err, DabError::NonFiniteValue { item: i, value }
+                if i == item.0 && value.to_bits() == bad.to_bits()),
+            "{err}"
+        );
+        assert!(!m.is_installed());
+        assert_eq!(m.on_refresh(item, 1.0), Err(DabError::NotInstalled));
+    }
+
+    #[test]
+    fn install_refuses_a_nan_value_a_linear_query_reads() {
+        let mut m = Monitor::new();
+        let x = m.add_item("x", f64::NAN, 1.0);
+        let y = m.add_item("y", 2.0, 1.0);
+        m.add_query(PolynomialQuery::linear_aggregate([(2.0, x), (1.0, y)], 1.0).unwrap());
+        refused_install(&mut m, x, f64::NAN);
+        // Fixed, it installs.
+        m.add_item("x", 3.0, 1.0);
+        m.install().unwrap();
+        assert_eq!(m.query_value(QueryId(0)), Some(8.0));
+    }
+
+    #[test]
+    fn install_refuses_a_nan_value_no_query_reads() {
+        let mut m = Monitor::new();
+        let x = m.add_item("x", 2.0, 1.0);
+        let y = m.add_item("y", 2.0, 1.0);
+        let unread = m.add_item("unread", f64::NAN, 1.0);
+        m.add_query(PolynomialQuery::portfolio([(1.0, x, y)], 5.0).unwrap());
+        refused_install(&mut m, unread, f64::NAN);
+    }
+
+    #[test]
+    fn install_refuses_an_infinite_value_on_a_product_book() {
+        let mut m = Monitor::new();
+        let x = m.add_item("x", f64::INFINITY, 1.0);
+        let y = m.add_item("y", 2.0, 1.0);
+        m.add_query(PolynomialQuery::portfolio([(1.0, x, y)], 5.0).unwrap());
+        refused_install(&mut m, x, f64::INFINITY);
     }
 
     #[test]
