@@ -1,6 +1,8 @@
 //! What the solver is held to on the fig5 steady-state workload, in
 //! counts that repeat exactly. The clocks of the same paths are pqbench
-//! rows (`core.assign_*`, `gp.joint16_*`).
+//! rows (`core.assign_*`, `gp.joint16_*`). Dense/sparse parity on a fig5
+//! unit is pq-gp's `kkt::tests::backend_parity`, where a backend can be
+//! forced.
 
 use pq_bench::Scale;
 use pq_core::{
@@ -8,7 +10,7 @@ use pq_core::{
     AssignmentStrategy, AssignmentUnit, PqHeuristic, SolveContext, UnitCache,
 };
 use pq_ddm::{DataDynamicsModel, RateEstimator};
-use pq_gp::{KktMode, SolverOptions};
+use pq_gp::SolverOptions;
 use pq_obs::{names, Obs, Value};
 use pq_poly::{ItemId, PolynomialQuery};
 
@@ -18,8 +20,6 @@ const MAX_STEPS: f64 = 10.0;
 /// Mean Newton steps a cold solve may take beyond a warm one.
 const MAX_COLD_OVER_WARM_STEPS: f64 = 2.0;
 const MIN_WARM_HIT_RATE: f64 = 0.8;
-/// Forced-dense and forced-sparse assignments agree to this, relative.
-const MAX_PARITY_REL_DIFF: f64 = 1e-3;
 const STRATEGY: AssignmentStrategy = AssignmentStrategy::DualDab { mu: 5.0 };
 
 /// The units of twelve fig5 portfolio PPQs under Dual-DAB, with the
@@ -48,13 +48,12 @@ impl Book {
         }
     }
 
-    fn ctx<'a>(&'a self, values: &'a [f64], obs: &Obs, kkt: KktMode) -> SolveContext<'a> {
+    fn ctx<'a>(&'a self, values: &'a [f64], obs: &Obs) -> SolveContext<'a> {
         SolveContext {
             values,
             rates: &self.rates,
             ddm: DataDynamicsModel::Monotonic,
             gp: SolverOptions {
-                kkt,
                 obs: obs.clone(),
                 ..dab_solver_options()
             },
@@ -103,16 +102,16 @@ fn a_cold_solve_costs_what_a_warm_one_does_in_newton_steps() {
 
     let (obs, ring) = Obs::ring(1 << 18);
     for u in &book.units {
-        assign_unit(u, &book.ctx(&drifted, &obs, KktMode::Auto), STRATEGY).expect("cold solve");
+        assign_unit(u, &book.ctx(&drifted, &obs), STRATEGY).expect("cold solve");
     }
     let cold = mean_newton_steps(&ring, book.units.len());
 
     let (obs, ring) = Obs::ring(1 << 18);
     for u in &book.units {
         let mut cache = UnitCache::new();
-        let seed = book.ctx(&book.values, &Obs::null(), KktMode::Auto);
+        let seed = book.ctx(&book.values, &Obs::null());
         assign_unit_cached(u, &seed, STRATEGY, &mut cache).expect("seed solve");
-        let warm = book.ctx(&drifted, &obs, KktMode::Auto);
+        let warm = book.ctx(&drifted, &obs);
         assign_unit_cached(u, &warm, STRATEGY, &mut cache).expect("warm solve");
     }
     let warm = mean_newton_steps(&ring, book.units.len());
@@ -138,7 +137,7 @@ fn drifting_values_keep_hitting_the_warm_start() {
         // The seeding round (every cache empty) is not counted.
         let round_obs = if round == 0 { Obs::null() } else { obs.clone() };
         for (u, cache) in book.units.iter().zip(&mut caches) {
-            let ctx = book.ctx(&values, &round_obs, KktMode::Auto);
+            let ctx = book.ctx(&values, &round_obs);
             assign_unit_cached(u, &ctx, STRATEGY, cache).expect("solve");
         }
     }
@@ -154,26 +153,6 @@ fn drifting_values_keep_hitting_the_warm_start() {
 }
 
 #[test]
-fn forced_dense_and_forced_sparse_agree_on_fig5_units() {
-    let book = Book::fig5();
-    let mut worst = 0.0f64;
-    for u in &book.units {
-        let [d, s] = [KktMode::Dense, KktMode::Sparse].map(|kkt| {
-            assign_unit(u, &book.ctx(&book.values, &Obs::null(), kkt), STRATEGY).expect("solve")
-        });
-        for (item, bd) in &d.primary {
-            worst = worst.max((bd - s.primary[item]).abs() / bd.abs().max(1e-12));
-        }
-        worst = worst
-            .max((d.recompute_rate - s.recompute_rate).abs() / d.recompute_rate.abs().max(1e-12));
-    }
-    assert!(
-        worst <= MAX_PARITY_REL_DIFF,
-        "dense and sparse differ by {worst:.2e}"
-    );
-}
-
-#[test]
 fn auto_solves_a_fig5_unit_dense_and_a_2048_variable_joint_unit_sparse() {
     let sparse_solves = |obs: &Obs| {
         let counters = obs.snapshot().counters;
@@ -183,7 +162,7 @@ fn auto_solves_a_fig5_unit_dense_and_a_2048_variable_joint_unit_sparse() {
     let book = Book::fig5();
     let obs = Obs::null();
     for u in &book.units {
-        assign_unit(u, &book.ctx(&book.values, &obs, KktMode::Auto), STRATEGY).expect("solve");
+        assign_unit(u, &book.ctx(&book.values, &obs), STRATEGY).expect("solve");
     }
     assert_eq!(sparse_solves(&obs), 0, "a fig5 unit was solved sparse");
 

@@ -27,14 +27,16 @@
 //! predicted optimum of [`crate::ppq::predicted_start`]. Afterwards the
 //! outcomes are: warm hit (a light blend of the previous optimum
 //! regained strict feasibility) → warm repair (the drift needed a deeper
-//! blend toward the interior point) → cold fallback (full phase-I
-//! [`pq_gp::solve`]). Each bumps a `solve.*` counter so `pq-trace summary`
-//! can attribute the win.
+//! blend toward the interior point) → cold fallback (phase I on the
+//! unit's own compiled program, [`pq_gp::CompiledGp::solve_cold`]). Each
+//! bumps a `solve.*` counter so `pq-trace summary` can attribute the win.
+//! The compiled program is the only form a unit's GP takes: nothing on
+//! this path spells it out as posynomial objects first.
 
 use std::cell::RefCell;
 use std::sync::OnceLock;
 
-use pq_gp::{CompiledGp, GpProblem, GpSolution, SolveWorkspace, SolverOptions, WarmStart};
+use pq_gp::{CompiledGp, GpSolution, SolveWorkspace, SolverOptions, WarmStart};
 use pq_obs::names;
 
 use crate::assignment::UnitColumns;
@@ -107,13 +109,6 @@ impl UnitCache {
         !self.last_x.is_empty()
     }
 
-    /// Forgets the cached solution and compiled program.
-    pub fn clear(&mut self) {
-        self.compiled = None;
-        self.last_x.clear();
-        self.program = None;
-    }
-
     /// The assignment the last solve through this cache wrote (see
     /// [`crate::assign_unit_cached`]).
     pub fn columns(&self) -> &UnitColumns {
@@ -123,8 +118,8 @@ impl UnitCache {
     /// The warm solve of a recompute that moved nothing but the
     /// coefficients of constraint `row`: writes `scale * coefs` into the
     /// compiled program's row and re-solves from the cached optimum, as
-    /// [`solve_cached`] does after refreshing every coefficient from a
-    /// rebuilt problem. `None` — with nothing counted and no solution
+    /// [`solve_compiled`] does with the whole program emitted afresh.
+    /// `None` — with nothing counted and no solution
     /// stored — when there is no compiled program with an optimum, a
     /// coefficient does not fit the row, or the blend toward `interior`
     /// fails; the caller then compiles the program for
@@ -158,9 +153,8 @@ impl UnitCache {
 /// of [`CompiledGp::solve_warm`] toward `interior`: from `guess` on a
 /// unit's first solve (and on every solve without a `cache`), from the
 /// last cached optimum afterwards. A `cache` keeps `compiled` in place of
-/// whatever program it held. When the blend fails `phase_one` answers
-/// instead: the full phase-I [`pq_gp::solve`] of the same program, which
-/// only then has to exist as a [`GpProblem`].
+/// whatever program it held. When the blend fails, phase I answers
+/// instead, on the same program ([`CompiledGp::solve_cold`]).
 ///
 /// Telemetry (cached solves only): a first solve bumps `solve.cold_start`,
 /// a later one `solve.warm_hit`, `solve.warm_repair` or
@@ -171,15 +165,15 @@ pub(crate) fn solve_compiled(
     interior: &[f64],
     options: &SolverOptions,
     cache: Option<&mut UnitCache>,
-    phase_one: impl FnOnce() -> Result<GpSolution, DabError>,
 ) -> Result<GpSolution, DabError> {
     let blend_from = |c: &CompiledGp, from| {
         WORKSPACE.with_borrow_mut(|ws| c.solve_warm(from, interior, options, ws))
     };
+    let phase_one = |c: &CompiledGp| WORKSPACE.with_borrow_mut(|ws| c.solve_cold(options, ws));
     let Some(cache) = cache else {
         return match blend_from(&compiled, guess) {
             Ok((sol, _)) => Ok(sol),
-            Err(_) => phase_one(),
+            Err(_) => Ok(phase_one(&compiled)?),
         };
     };
     let first = cache.last_x.len() != compiled.n_vars();
@@ -194,38 +188,11 @@ pub(crate) fn solve_compiled(
     let solution = match outcome {
         Ok((sol, _)) => sol,
         // Blend exhausted: pay the full cold phase-I price.
-        Err(_) => phase_one()?,
+        Err(_) => phase_one(compiled)?,
     };
     cache.last_x.clear();
     cache.last_x.extend_from_slice(&solution.x);
     Ok(solution)
-}
-
-/// [`solve_compiled`] for a program that exists as a [`GpProblem`]: a
-/// `cache` refreshes its compiled program from `problem` (recompiling only
-/// what changed structure).
-pub(crate) fn solve_cached(
-    problem: &GpProblem,
-    guess: &[f64],
-    interior: &[f64],
-    options: &SolverOptions,
-    mut cache: Option<&mut UnitCache>,
-) -> Result<GpSolution, DabError> {
-    // Whatever program the cache kept no longer describes `compiled`
-    // (a solve of that program has taken it out and puts it back).
-    let kept = cache.as_deref_mut().and_then(|cache| {
-        cache.program = None;
-        cache.compiled.take()
-    });
-    let compiled = match kept {
-        Some(mut compiled) => {
-            compiled.update_from(problem)?;
-            compiled
-        }
-        None => CompiledGp::compile(problem)?,
-    };
-    let phase_one = || Ok(pq_gp::solve(problem, options)?);
-    solve_compiled(compiled, guess, interior, options, cache, phase_one)
 }
 
 /// Per-query × per-unit warm-start caches for a whole monitored workload,
@@ -406,6 +373,18 @@ mod tests {
     use super::*;
     use pq_gp::{GpProblem, Monomial, Posynomial};
 
+    /// `problem` solved through `cache`, compiled afresh as a unit's
+    /// program is emitted afresh.
+    fn solve_problem(
+        problem: &GpProblem,
+        start: &[f64],
+        options: &SolverOptions,
+        cache: &mut UnitCache,
+    ) -> Result<GpSolution, DabError> {
+        let compiled = CompiledGp::compile(problem)?;
+        solve_compiled(compiled, start, start, options, Some(cache))
+    }
+
     fn mono(c: f64, e: &[(usize, f64)]) -> Posynomial {
         Posynomial::monomial(Monomial::new(c, e.iter().copied()).unwrap())
     }
@@ -440,21 +419,15 @@ mod tests {
         let mut cache = UnitCache::new();
         let interior = [0.25, 0.25];
 
-        let first = solve_cached(
-            &problem(1.0, 1.0, 1.0),
-            &interior,
-            &interior,
-            &options,
-            Some(&mut cache),
-        )
-        .unwrap();
+        let first =
+            solve_problem(&problem(1.0, 1.0, 1.0), &interior, &options, &mut cache).unwrap();
         assert!((first.x[0] - 0.5).abs() < 1e-5);
         assert!(cache.has_solution());
 
         for step in 1..=5 {
             let a = 1.0 + 0.02 * step as f64;
             let p = problem(a, 1.0, 1.0);
-            let sol = solve_cached(&p, &interior, &interior, &options, Some(&mut cache)).unwrap();
+            let sol = solve_problem(&p, &interior, &options, &mut cache).unwrap();
             let cold = pq_gp::solve_with_start(&p, &interior, &SolverOptions::default()).unwrap();
             assert!(
                 (sol.objective - cold.objective).abs() < 1e-5 * cold.objective,
@@ -487,12 +460,11 @@ mod tests {
             obs: pq_obs::Obs::null(),
             ..SolverOptions::default()
         };
-        solve_cached(
+        solve_problem(
             &problem(1.0, 1.0, 1.0),
             &interior,
-            &interior,
             &seed_options,
-            Some(&mut cache),
+            &mut cache,
         )
         .unwrap();
 
@@ -501,14 +473,7 @@ mod tests {
             obs: obs.clone(),
             ..SolverOptions::default()
         };
-        solve_cached(
-            &problem(1.02, 1.0, 1.0),
-            &interior,
-            &interior,
-            &options,
-            Some(&mut cache),
-        )
-        .unwrap();
+        solve_problem(&problem(1.02, 1.0, 1.0), &interior, &options, &mut cache).unwrap();
         let snap = obs.snapshot();
         let count = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
         assert_eq!(
@@ -606,32 +571,23 @@ mod tests {
         }
     }
 
+    /// A cache whose optimum belongs to a program of another shape starts
+    /// the next program from its guess, as a first solve.
     #[test]
-    fn shape_change_recompiles_instead_of_failing() {
-        let options = SolverOptions {
-            obs: pq_obs::Obs::null(),
-            ..SolverOptions::default()
-        };
+    fn shape_change_starts_over_instead_of_failing() {
+        let options = SolverOptions::default();
         let mut cache = UnitCache::new();
-        let interior = [0.25, 0.25];
-        solve_cached(
-            &problem(1.0, 1.0, 1.0),
-            &interior,
-            &interior,
-            &options,
-            Some(&mut cache),
-        )
-        .unwrap();
+        solve_problem(&problem(1.0, 1.0, 1.0), &[0.25, 0.25], &options, &mut cache).unwrap();
         // Different shape: 1 variable, different constraint count.
         let mut p1 = GpProblem::new(1);
         p1.set_objective(mono(1.0, &[(0, 1.0)])).unwrap();
         p1.add_lower_bound(0, 2.0).unwrap();
-        let sol = solve_cached(&p1, &[4.0], &[4.0], &options, Some(&mut cache)).unwrap();
+        let sol = solve_problem(&p1, &[4.0], &options, &mut cache).unwrap();
         assert!((sol.x[0] - 2.0).abs() < 1e-4);
     }
 
     /// The kept program describes the cache's compiled GP, and a solve of
-    /// anything else through the same cache replaces that GP: the next
+    /// another program through the same cache replaces both: the next
     /// Dual-DAB solve must not write its condition coefficients into the
     /// other program's row.
     #[test]
@@ -657,7 +613,7 @@ mod tests {
         };
         solve(&[20.0, 3.0, 15.0], dual);
         solve(&[20.1, 3.0, 15.1], dual);
-        solve(&[20.1, 3.0, 15.1], AssignmentStrategy::LinearizedFilter);
+        solve(&[20.1, 3.0, 15.1], AssignmentStrategy::OptimalRefresh);
         let after = solve(&[20.2, 3.01, 15.0], dual);
         assert!(after.respects_qab(&query, 1e-6));
         let fresh = {

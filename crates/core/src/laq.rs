@@ -131,7 +131,8 @@ mod tests {
         let mut p = GpProblem::new(n);
         let mut obj = Posynomial::zero();
         for (k, &(_, item)) in weights.iter().enumerate() {
-            obj.push(ddm.refresh_monomial(rates[item.index()], k).unwrap());
+            let coef = ddm.refresh_coef(rates[item.index()]);
+            obj.push(Monomial::new(coef, [(k, -ddm.exponent())]).unwrap());
         }
         p.set_objective(obj).unwrap();
         let mut c = Posynomial::zero();

@@ -54,7 +54,6 @@ pub mod filter_table;
 pub mod heuristics;
 pub mod install;
 pub mod laq;
-pub mod linearized;
 pub mod multi;
 pub mod partition;
 pub mod ppq;
@@ -72,7 +71,6 @@ pub use filter_table::FilterTable;
 pub use heuristics::{general_pq, PpqMethod, PqHeuristic};
 pub use install::{install_units, InstallError};
 pub use laq::linear_closed_form;
-pub use linearized::linearized_filter;
 pub use multi::{aao, aao_program, eqi, AaoProgram};
 pub use partition::{partition, CrossEdge, PartitionInput, PartitionPlan};
 pub use ppq::{dual_dab, optimal_refresh};

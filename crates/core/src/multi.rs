@@ -161,17 +161,14 @@ pub fn aao_program(
 
     let mut problem = GpProblem::new(n_vars);
 
-    // Objective: refresh rates on shared b + mu * sum_q R_q.
+    // Objective: refresh rates `lambda^p b^-p` on shared b + mu * sum_q R_q.
+    let p = ctx.ddm.exponent();
     let mut objective = Posynomial::zero();
     let mut lambdas = vec![0.0; n_items];
     for (&item, &k) in &b_index {
         let lambda = ctx.rate(item)?;
         lambdas[k] = lambda;
-        objective.push(
-            ctx.ddm
-                .refresh_monomial(lambda, k)
-                .expect("rate is floored positive"),
-        );
+        objective.push(Monomial::new(ctx.ddm.refresh_coef(lambda), [(k, -p)])?);
     }
     for qi in 0..queries.len() {
         objective.push(Monomial::new(mu, [(r_base + qi, 1.0)])?);
@@ -193,10 +190,7 @@ pub fn aao_program(
             let b_var = b_index[&item];
             let c_var = c_base[qi] + pos;
             problem.add_var_le_var(b_var, c_var)?;
-            let escape = ctx
-                .ddm
-                .refresh_monomial(lambdas[b_var], c_var)
-                .expect("rate is floored positive");
+            let escape = Monomial::new(ctx.ddm.refresh_coef(lambdas[b_var]), [(c_var, -p)])?;
             let coupled = escape.mul(&Monomial::new(1.0, [(r_base + qi, -1.0)])?);
             problem.add_constraint(Posynomial::monomial(coupled))?;
         }

@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use pq_ddm::DataDynamicsModel;
 use pq_gp::logsumexp::LogArena;
-use pq_gp::{CompiledGp, GpError, GpProblem, GpSolution, Monomial, Posynomial};
+use pq_gp::{CompiledGp, GpError, GpSolution, Posynomial};
 use pq_poly::{DeviationMap, ItemId, PolyError, Polynomial, PolynomialQuery};
 
 use crate::assignment::{QueryAssignment, RangeKind, UnitColumns};
@@ -76,9 +76,9 @@ pub fn dual_dab(
 /// solves. A first solve — and one after a value at exactly zero has
 /// removed a monomial from (or a positive one returned it to) the
 /// condition the cache compiled — emits the rows straight into the
-/// solver's form ([`PpqProgram::compiled`]); the program is spelled out
-/// as a [`GpProblem`] ([`PpqProgram::problem`]) only for phase I, when
-/// the blend toward the predicted start's anchor fails.
+/// solver's form ([`PpqProgram::compiled`]). That emitted program is the
+/// only form the GP takes: when the blend toward the predicted start's
+/// anchor fails, phase I runs on it too.
 #[derive(Debug)]
 pub(crate) struct PpqProgram {
     qab: f64,
@@ -98,12 +98,6 @@ pub(crate) struct PpqProgram {
     /// The cache's compiled GP came from a condition that held every
     /// monomial of `map`: its condition row takes `coefs` as they are.
     aligned: bool,
-}
-
-#[cfg(test)]
-thread_local! {
-    /// Calls of [`PpqProgram::problem`] on this thread.
-    static PROBLEMS_BUILT: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 thread_local! {
@@ -226,8 +220,7 @@ impl PpqProgram {
             }
         }
         self.aligned = false;
-        let phase_one = || Ok(pq_gp::solve(&self.problem()?, &ctx.gp)?);
-        let sol = solve_compiled(self.compiled()?, guess, interior, &ctx.gp, cache, phase_one)?;
+        let sol = solve_compiled(self.compiled()?, guess, interior, &ctx.gp, cache)?;
         self.aligned = self.coefs.iter().all(|&c| c != 0.0);
         Ok(sol)
     }
@@ -281,9 +274,10 @@ impl PpqProgram {
     }
 
     /// The program at the values `coefs` was evaluated at, in the
-    /// solver's own form: term for term and bit for bit what compiling
-    /// [`PpqProgram::problem`] gives, every posynomial emitted in one pass
-    /// into one arena counted beforehand, with nothing built in between.
+    /// solver's own form: every posynomial emitted in one pass into one
+    /// arena counted beforehand, with nothing built in between — term for
+    /// term and bit for bit what compiling the program spelled out as a
+    /// problem gives (the tests' `PpqProgram::problem`).
     fn compiled(&self) -> Result<CompiledGp, GpError> {
         let n = self.lambdas.len();
         let coupled = self.coupled_b.len();
@@ -317,38 +311,6 @@ impl PpqProgram {
             arena.push([escape].into_iter(), 1.0)?;
         }
         CompiledGp::from_arena(arena)
-    }
-
-    /// [`PpqProgram::compiled`] spelled out as a problem: what phase I
-    /// takes when the blend toward the start's anchor fails, and the
-    /// reference the emitted rows are tested against.
-    fn problem(&self) -> Result<GpProblem, DabError> {
-        #[cfg(test)]
-        PROBLEMS_BUILT.set(PROBLEMS_BUILT.get() + 1);
-        let n = self.lambdas.len();
-        let r_var = n + self.coupled_b.len();
-        let refresh = |lambda: f64, var: usize| {
-            (self.ddm.refresh_monomial(lambda, var)).expect("rate is floored positive")
-        };
-        let mut objective = Posynomial::zero();
-        for (k, &lambda) in self.lambdas.iter().enumerate() {
-            objective.push(refresh(lambda, k));
-        }
-        let mu = self.method.mu();
-        let mut problem = GpProblem::new(r_var + usize::from(mu.is_some()));
-        if let Some(mu) = mu {
-            objective.push(Monomial::new(mu, [(r_var, 1.0)])?);
-        }
-        problem.set_objective(objective)?;
-        problem.add_constraint_le(self.map.posynomial(&self.coefs)?, self.qab)?;
-        for (j, &b_var) in self.coupled_b.iter().enumerate() {
-            let c_var = n + j;
-            problem.add_var_le_var(b_var, c_var)?;
-            let escape = refresh(self.lambdas[b_var], c_var);
-            let coupled = escape.mul(&Monomial::new(1.0, [(r_var, -1.0)])?);
-            problem.add_constraint(Posynomial::monomial(coupled))?;
-        }
-        Ok(problem)
     }
 }
 
@@ -671,6 +633,7 @@ mod tests {
     use super::*;
     use crate::assignment::ValidityRange;
     use pq_ddm::DataDynamicsModel;
+    use pq_gp::{GpProblem, Monomial};
     use pq_poly::{ItemId, PTerm, Polynomial};
 
     fn x(i: u32) -> ItemId {
@@ -875,7 +838,7 @@ mod tests {
     /// leg), installed at one set of values and recomputed at drifted
     /// ones: the recompute that writes the map's coefficients into the
     /// cached compiled GP returns the assignment, bit for bit, of the one
-    /// that rebuilds the problem and refreshes the compiled GP from it.
+    /// that emits the whole program afresh.
     #[test]
     fn warm_recompute_through_the_map_matches_the_rebuild_path_bit_for_bit() {
         let p = Polynomial::from_terms([
@@ -903,7 +866,7 @@ mod tests {
             assert_eq!(bits(&a0), bits(&b0));
             assert!(through_map.aligned && cache_a.has_solution());
             // Same cache state, but nothing says its compiled GP takes
-            // the map's coefficients: the problem is rebuilt.
+            // the map's coefficients: the program is emitted again.
             rebuilding.aligned = false;
             let a1 = through_map
                 .solve(&at(&drifted), Some(&mut cache_a))
@@ -916,9 +879,9 @@ mod tests {
     }
 
     /// A value reaching exactly zero removes monomials from the condition:
-    /// the compiled GP cannot take the coefficients, the problem is
-    /// rebuilt, and the program stays on that path until a rebuild holds
-    /// every monomial again.
+    /// the compiled GP cannot take the coefficients, the program is
+    /// emitted again, and stays on that path until an emitted condition
+    /// holds every monomial again.
     #[test]
     fn a_value_at_zero_takes_the_rebuild_path_and_still_respects_the_qab() {
         let q = PolynomialQuery::portfolio([(2.0, x(0), x(1)), (3.0, x(2), x(3))], 10.0).unwrap();
@@ -959,9 +922,8 @@ mod tests {
     }
 
     /// The solve as it ran before programs were emitted: spell the
-    /// program out as a [`GpProblem`] and hand it to `solve_cached`, which
-    /// compiles it on a first solve and refreshes the cache's compiled
-    /// program from it afterwards.
+    /// program out as a [`GpProblem`], compile that, and solve it through
+    /// the cache.
     fn solve_through_the_problem(
         program: &mut PpqProgram,
         ctx: &SolveContext<'_>,
@@ -977,9 +939,42 @@ mod tests {
             dual,
             !cache.has_solution(),
         )?;
-        let problem = program.problem()?;
-        let sol = crate::cache::solve_cached(&problem, &guess, &interior, &ctx.gp, Some(cache))?;
+        let compiled = CompiledGp::compile(&program.problem()?)?;
+        let sol = solve_compiled(compiled, &guess, &interior, &ctx.gp, Some(cache))?;
         Ok(program.assignment(&sol, ctx))
+    }
+
+    impl PpqProgram {
+        /// [`PpqProgram::compiled`] spelled out as a problem: the reference
+        /// the emitted rows are tested against.
+        fn problem(&self) -> Result<GpProblem, DabError> {
+            let n = self.lambdas.len();
+            let r_var = n + self.coupled_b.len();
+            let refresh = |lambda: f64, var: usize| {
+                let coef = self.ddm.refresh_coef(lambda);
+                Monomial::new(coef, [(var, -self.ddm.exponent())])
+                    .expect("rate is floored positive")
+            };
+            let mut objective = Posynomial::zero();
+            for (k, &lambda) in self.lambdas.iter().enumerate() {
+                objective.push(refresh(lambda, k));
+            }
+            let mu = self.method.mu();
+            let mut problem = GpProblem::new(r_var + usize::from(mu.is_some()));
+            if let Some(mu) = mu {
+                objective.push(Monomial::new(mu, [(r_var, 1.0)])?);
+            }
+            problem.set_objective(objective)?;
+            problem.add_constraint_le(self.map.posynomial(&self.coefs)?, self.qab)?;
+            for (j, &b_var) in self.coupled_b.iter().enumerate() {
+                let c_var = n + j;
+                problem.add_var_le_var(b_var, c_var)?;
+                let escape = refresh(self.lambdas[b_var], c_var);
+                let coupled = escape.mul(&Monomial::new(1.0, [(r_var, -1.0)])?);
+                problem.add_constraint(Posynomial::monomial(coupled))?;
+            }
+            Ok(problem)
+        }
     }
 
     /// One term: the bits of its `ln` coefficient, its row.
@@ -1101,45 +1096,10 @@ mod tests {
         }
     }
 
-    /// Paper-shaped units, both methods, both ddms: the first solve
-    /// through a cache and the recompute after it build no `GpProblem` —
-    /// and with it no `Monomial` and no `Posynomial`, which this module
-    /// constructs nowhere else.
-    #[test]
-    fn solves_through_a_cache_never_spell_the_problem_out() {
-        let p = Polynomial::from_terms([
-            PTerm::new(2.0, [(x(0), 1), (x(1), 1)]).unwrap(),
-            PTerm::new(3.0, [(x(1), 1), (x(2), 1)]).unwrap(),
-            PTerm::new(0.5, [(x(3), 2)]).unwrap(),
-            PTerm::new(4.0, [(x(4), 1)]).unwrap(),
-        ]);
-        let q = PolynomialQuery::new(p, 10.0).unwrap();
-        let rates = [0.5, 0.01, 0.3, 0.2, 0.1];
-        for ddm in [DataDynamicsModel::Monotonic, DataDynamicsModel::RandomWalk] {
-            for method in [PpqMethod::OptimalRefresh, PpqMethod::DualDab { mu: 5.0 }] {
-                let at = |values| SolveContext::new(values, &rates).with_ddm(ddm);
-                // One value to zero and back: the structure changes twice.
-                let visited = [
-                    [50.0, 2.0, 30.0, 7.0, 11.0],
-                    [50.4, 0.0, 30.3, 7.05, 11.2],
-                    [50.4, 1.98, 30.3, 7.05, 11.2],
-                ];
-                let mut program = PpqProgram::compile(&q, method, &at(&visited[0])).unwrap();
-                let mut cache = UnitCache::new();
-                let built = PROBLEMS_BUILT.get();
-                for values in &visited {
-                    let a = program.solve(&at(values), Some(&mut cache)).unwrap();
-                    assert!(a.respects_qab(&q, 1e-6));
-                }
-                assert_eq!(PROBLEMS_BUILT.get(), built, "{ddm} / {method:?}");
-            }
-        }
-    }
-
     /// A start whose blend fails — here an anchor outside the condition —
-    /// still ends in phase I: on the problem spelled out then, counted as
-    /// the one cold start it is, with phase I's answer kept as the
-    /// cache's optimum.
+    /// still ends in phase I, on the emitted program, counted as the one
+    /// cold start it is, with phase I's answer kept as the cache's
+    /// optimum.
     #[test]
     fn a_failed_blend_reaches_phase_one_through_the_emitted_program() {
         let q = PolynomialQuery::portfolio([(2.0, x(0), x(1)), (3.0, x(1), x(2))], 10.0).unwrap();
@@ -1154,11 +1114,9 @@ mod tests {
         assert!(program.problem().unwrap().max_violation(&outside) > 0.0);
 
         let mut cache = UnitCache::new();
-        let built = PROBLEMS_BUILT.get();
         let sol = program
             .solve_from(&outside, &outside, &ctx, Some(&mut cache))
             .unwrap();
-        assert_eq!(PROBLEMS_BUILT.get(), built + 1);
         let oracle = pq_gp::solve(&program.problem().unwrap(), &ctx.gp).unwrap();
         assert_eq!(sol.x, oracle.x);
         assert!(program.assignment(&sol, &ctx).respects_qab(&q, 1e-6));
@@ -1182,8 +1140,57 @@ mod tests {
             )
             .unwrap();
         assert!(next.respects_qab(&q, 1e-6));
-        assert_eq!(PROBLEMS_BUILT.get(), built + 2, "only the oracle's since");
         assert_eq!(obs.snapshot().counters[pq_obs::names::SOLVE_WARM_HIT], 1);
+    }
+
+    /// A Dual-DAB and an Optimal-Refresh unit whose blend fails (start
+    /// and anchor both outside the condition) end in phase I on the
+    /// emitted program, and the answer is, bit for bit, the one the
+    /// phase-I solve of the program spelled out as a problem gave when
+    /// phase I still ran on that: the FNV-1a hash of every float of the
+    /// solution and the assignment was taken from it.
+    #[test]
+    fn a_failed_blend_solves_phase_one_on_the_compiled_program() {
+        let q = PolynomialQuery::portfolio([(2.0, x(0), x(1)), (3.0, x(1), x(2))], 10.0).unwrap();
+        let values = [50.0, 2.0, 30.0];
+        let rates = [0.5, 0.01, 0.3];
+        let cases = [
+            (
+                PpqMethod::DualDab { mu: 5.0 },
+                3 + 3 + 1,
+                0xf1e4_38ca_6740_733d_u64,
+            ),
+            (PpqMethod::OptimalRefresh, 3, 0x0da4_7cd2_f9ed_4bee),
+        ];
+        for (method, n_vars, golden) in cases {
+            let (obs, ring) = pq_obs::Obs::ring(1024);
+            let mut ctx = SolveContext::new(&values, &rates);
+            ctx.gp.obs = obs.clone();
+            let mut program = PpqProgram::compile(&q, method, &ctx).unwrap();
+            program.map.eval_into(&values, &mut program.coefs).unwrap();
+            let outside = vec![1e3; n_vars];
+            let sol = program
+                .solve_from(&outside, &outside, &ctx, Some(&mut UnitCache::new()))
+                .unwrap();
+            let phase_one = ring.events().iter().any(|e| {
+                e.target == pq_obs::names::GP_NEWTON
+                    && e.field("phase") == Some(&pq_obs::Value::from("phase1"))
+            });
+            assert!(phase_one, "{method:?}: phase I ran");
+            let oracle = pq_gp::solve(&program.problem().unwrap(), &ctx.gp).unwrap();
+            assert_eq!(sol.x, oracle.x, "{method:?}");
+            let a = program.assignment(&sol, &ctx);
+            assert!(a.respects_qab(&q, 1e-6), "{method:?}");
+            let bits = (sol.x.iter().chain([&sol.objective]))
+                .map(|v| v.to_bits())
+                .chain(all_bits(&a));
+            let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+            for byte in bits.flat_map(u64::to_le_bytes) {
+                hash ^= u64::from(byte);
+                hash = hash.wrapping_mul(0x0100_0000_01b3);
+            }
+            assert_eq!(hash, golden, "{method:?}");
+        }
     }
 
     #[test]

@@ -31,9 +31,6 @@ pub enum AssignmentStrategy {
     PerItemSplit,
     /// Naive equal-width filter baseline.
     EqualDab,
-    /// First-order gradient-bound allocation (ablation baseline; see
-    /// [`crate::linearized`]).
-    LinearizedFilter,
 }
 
 impl AssignmentStrategy {
@@ -54,7 +51,6 @@ impl std::fmt::Display for AssignmentStrategy {
             AssignmentStrategy::DualDab { mu } => write!(f, "dual-dab(mu={mu})"),
             AssignmentStrategy::PerItemSplit => write!(f, "per-item-split"),
             AssignmentStrategy::EqualDab => write!(f, "equal-dab"),
-            AssignmentStrategy::LinearizedFilter => write!(f, "linearized-filter"),
         }
     }
 }
@@ -89,7 +85,6 @@ pub fn assign_query(
     match strategy {
         AssignmentStrategy::PerItemSplit => per_item_split(query, ctx),
         AssignmentStrategy::EqualDab => equal_dab(query, ctx),
-        AssignmentStrategy::LinearizedFilter => crate::linearized::linearized_filter(query, ctx),
         AssignmentStrategy::OptimalRefresh => {
             if query.class() == QueryClass::LinearAggregate {
                 linear_closed_form(query, ctx)
@@ -200,11 +195,8 @@ pub fn assignment_units(
         vec![AssignmentUnit::of_query(query, body, query.qab())]
     };
     match strategy {
-        // Baselines and the linearized filter handle mixed signs
-        // internally and keep one unit.
-        AssignmentStrategy::PerItemSplit
-        | AssignmentStrategy::EqualDab
-        | AssignmentStrategy::LinearizedFilter => whole(),
+        // Baselines handle mixed signs internally and keep one unit.
+        AssignmentStrategy::PerItemSplit | AssignmentStrategy::EqualDab => whole(),
         AssignmentStrategy::OptimalRefresh | AssignmentStrategy::DualDab { .. } => {
             if query.class() != QueryClass::General {
                 return whole();
@@ -273,9 +265,6 @@ fn solve_unit(
     match strategy {
         AssignmentStrategy::PerItemSplit => per_item_split_into(&unit.query()?, ctx, out),
         AssignmentStrategy::EqualDab => equal_dab_into(&unit.query()?, ctx, out),
-        AssignmentStrategy::LinearizedFilter => {
-            crate::linearized::linearized_filter_cached(&unit.query()?, ctx, cache, out)
-        }
         AssignmentStrategy::OptimalRefresh => {
             solve_positive_or_general(unit, ctx, PpqMethod::OptimalRefresh, cache, out)
         }
@@ -328,7 +317,6 @@ mod tests {
             AssignmentStrategy::DualDab { mu: 5.0 },
             AssignmentStrategy::PerItemSplit,
             AssignmentStrategy::EqualDab,
-            AssignmentStrategy::LinearizedFilter,
         ];
         for q in &queries {
             for &s in &strategies {
@@ -364,7 +352,6 @@ mod tests {
             AssignmentStrategy::DualDab { mu: 5.0 },
             AssignmentStrategy::PerItemSplit,
             AssignmentStrategy::EqualDab,
-            AssignmentStrategy::LinearizedFilter,
         ] {
             let a = assign_unit(&unit, &ctx, s).unwrap_or_else(|e| panic!("{s}: {e}"));
             assert!(a.primary.is_empty(), "{s}");

@@ -117,7 +117,9 @@ impl Case {
         let body = &self.unit.body;
         let vmap = PartialDabVarMap::for_polynomial(body);
         let lambdas: Vec<f64> = vmap.items().iter().map(|i| self.rates[i.index()]).collect();
-        let refresh = |var: usize, lambda: f64| self.ddm.refresh_monomial(lambda, var).unwrap();
+        let refresh = |var: usize, lambda: f64| {
+            Monomial::new(self.ddm.refresh_coef(lambda), [(var, -self.ddm.exponent())]).unwrap()
+        };
         let mut objective = Posynomial::zero();
         for (k, &l) in lambdas.iter().enumerate() {
             objective.push(refresh(k, l));

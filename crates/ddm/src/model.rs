@@ -15,8 +15,6 @@
 //! Both estimates are posynomial in `b`, which is what lets the refresh
 //! objective enter a geometric program.
 
-use pq_gp::{Monomial, Posynomial};
-
 /// The assumed model of data evolution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DataDynamicsModel {
@@ -55,31 +53,6 @@ impl DataDynamicsModel {
             DataDynamicsModel::RandomWalk => lambda * lambda,
         }
     }
-
-    /// The refresh-rate term as a GP monomial in the DAB variable
-    /// `b_var`: `lambda * b^-1` or `lambda^2 * b^-2`.
-    ///
-    /// Returns `None` when `lambda` is zero or non-finite (an immobile item
-    /// contributes no refreshes and must not enter the objective).
-    pub fn refresh_monomial(self, lambda: f64, b_var: usize) -> Option<Monomial> {
-        if !(lambda.is_finite() && lambda > 0.0) {
-            return None;
-        }
-        let m = Monomial::new(self.refresh_coef(lambda), [(b_var, -self.exponent())]);
-        Some(m.expect("positive lambda yields valid monomial"))
-    }
-
-    /// Sum of refresh-rate monomials for `(lambda_i, b_var_i)` pairs — the
-    /// refresh part of the paper's objective functions.
-    pub fn refresh_objective(self, items: impl IntoIterator<Item = (f64, usize)>) -> Posynomial {
-        let mut p = Posynomial::zero();
-        for (lambda, var) in items {
-            if let Some(m) = self.refresh_monomial(lambda, var) {
-                p.push(m);
-            }
-        }
-        p
-    }
 }
 
 impl std::fmt::Display for DataDynamicsModel {
@@ -104,28 +77,12 @@ mod tests {
     }
 
     #[test]
-    fn monomials_evaluate_like_rates() {
+    fn coefficient_and_exponent_give_the_rate() {
         for model in [DataDynamicsModel::Monotonic, DataDynamicsModel::RandomWalk] {
-            let mono = model.refresh_monomial(3.0, 0).unwrap();
-            for b in [0.1, 1.0, 7.5] {
-                assert!((mono.eval(&[b]) - model.refresh_rate(3.0, b)).abs() < 1e-9);
+            for b in [0.1_f64, 1.0, 7.5] {
+                let term = model.refresh_coef(3.0) * b.powf(-model.exponent());
+                assert!((term - model.refresh_rate(3.0, b)).abs() < 1e-9);
             }
         }
-    }
-
-    #[test]
-    fn zero_rate_items_are_skipped() {
-        assert!(DataDynamicsModel::Monotonic
-            .refresh_monomial(0.0, 0)
-            .is_none());
-        let p = DataDynamicsModel::Monotonic.refresh_objective([(0.0, 0), (2.0, 1)]);
-        assert_eq!(p.n_terms(), 1);
-    }
-
-    #[test]
-    fn objective_sums_per_item_rates() {
-        let p = DataDynamicsModel::RandomWalk.refresh_objective([(1.0, 0), (2.0, 1)]);
-        // (1/b0)^2 + (2/b1)^2 at b = (0.5, 1.0) -> 4 + 4.
-        assert!((p.eval(&[0.5, 1.0]) - 8.0).abs() < 1e-12);
     }
 }

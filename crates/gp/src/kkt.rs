@@ -164,10 +164,10 @@ pub fn kkt_report(problem: &GpProblem, x: &[f64]) -> KktReport {
 /// out of `S` (hoisted into an SMW correction) instead of materializing an
 /// `s × s` clique.
 const GRAD_CLIQUE_CUTOFF: usize = 48;
-/// `KktMode::Auto` never routes programs smaller than this to the sparse
+/// A compiled program smaller than this never takes the sparse
 /// backend — dense wins below it.
 const SPARSE_MIN_N: usize = 192;
-/// `KktMode::Auto` gives up when more than this many posynomials need
+/// A compiled program stays dense when more than this many posynomials need
 /// hoisting (each costs a dense triangular solve per Newton step).
 const MAX_HOISTED_AUTO: usize = 16;
 /// Relative residual accepted from an SMW-corrected solve before the
@@ -346,7 +346,7 @@ fn slot_of(col_ptr: &[u32], row_idx: &[u32], pi: u32, pj: u32) -> u32 {
     (lo + off) as u32
 }
 
-/// True when [`crate::KktMode::Auto`] should route this program to the
+/// True when a program compiled from `arena` should solve on the
 /// sparse backend: large enough, clique density low enough, and few
 /// enough wide-support posynomials to hoist.
 pub(crate) fn auto_wanted(arena: &LogArena) -> bool {
@@ -895,10 +895,23 @@ fn solve_small_pivoted(m: &mut [f64], rhs: &mut [f64], k: usize) -> bool {
 mod tests {
     use super::*;
     use crate::posynomial::{Monomial, Posynomial};
-    use crate::solver::{solve_with_start, SolverOptions};
+    use crate::solver::{solve_with_start, CompiledGp, SolveWorkspace, SolverOptions};
+    use crate::GpSolution;
 
     fn mono(c: f64, e: &[(usize, f64)]) -> Posynomial {
         Posynomial::monomial(Monomial::new(c, e.iter().copied()).unwrap())
+    }
+
+    /// `p` solved from `start` (or phase I, without one) on the dense or
+    /// the sparse backend, whichever the program would pick.
+    fn solve_on(p: &GpProblem, start: &[f64], sparse: bool) -> GpSolution {
+        let compiled = CompiledGp::compile(p).unwrap().with_backend(sparse);
+        let (options, mut ws) = (SolverOptions::default(), SolveWorkspace::new());
+        match start {
+            [] => compiled.solve_cold(&options, &mut ws),
+            x0 => compiled.solve_from(x0, &options, &mut ws),
+        }
+        .unwrap()
     }
 
     fn sample_problem() -> GpProblem {
@@ -1182,24 +1195,7 @@ mod tests {
             p.add_constraint_le(c, 6.0).unwrap();
         }
         let start = vec![1.0; n];
-        let dense = solve_with_start(
-            &p,
-            &start,
-            &SolverOptions {
-                kkt: crate::solver::KktMode::Dense,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let sparse = solve_with_start(
-            &p,
-            &start,
-            &SolverOptions {
-                kkt: crate::solver::KktMode::Sparse,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let [dense, sparse] = [false, true].map(|sparse| solve_on(&p, &start, sparse));
         assert!(
             (dense.objective - sparse.objective).abs() <= 1e-6 * dense.objective.abs(),
             "objectives diverge: dense {} sparse {}",
@@ -1223,5 +1219,186 @@ mod tests {
         let report = kkt_report(&p, &[2.0]);
         assert!(report.is_optimal(1e-9));
         assert!(report.multipliers[0] > 0.5, "bound must be active");
+    }
+
+    /// Property tests of the sparse backend against the dense one: the
+    /// same optimum on random query↔item-graph-shaped programs, and bitwise
+    /// determinism of the sparse path under term-insertion-order
+    /// permutations (the canonical term order at plan-build time must make
+    /// the arithmetic independent of how callers assembled the
+    /// posynomials).
+    mod backend_parity {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Deterministic xorshift64* so structure is generated from one seed.
+        struct Rng(u64);
+
+        impl Rng {
+            fn next_u64(&mut self) -> u64 {
+                let mut x = self.0;
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                self.0 = x;
+                x.wrapping_mul(0x2545_f491_4f6c_dd1d)
+            }
+
+            fn unit(&mut self) -> f64 {
+                (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
+            }
+
+            fn below(&mut self, n: usize) -> usize {
+                (self.next_u64() % n as u64) as usize
+            }
+        }
+
+        /// Random AAO-shaped program as raw term lists: a coercive
+        /// objective touching every variable (wide support, like the joint
+        /// AAO objective) plus narrow-support constraints over random
+        /// variable pairs/triples (like per-item coupling constraints).
+        /// Every constraint evaluates to at most 0.5 at `x = 1`, so the
+        /// all-ones start is strictly feasible.
+        fn random_terms(seed: u64, n: usize) -> (Vec<Monomial>, Vec<Vec<Monomial>>) {
+            let mut rng = Rng(seed | 1);
+            let mut obj = Vec::new();
+            for v in 0..n {
+                obj.push(Monomial::new(0.5 + rng.unit(), [(v, -1.0)]).unwrap());
+                obj.push(Monomial::new(0.1 + 0.5 * rng.unit(), [(v, 1.0)]).unwrap());
+            }
+            let mut cons = Vec::new();
+            for _ in 0..n {
+                let n_terms = 1 + rng.below(3);
+                let mut terms = Vec::new();
+                for _ in 0..n_terms {
+                    let a = rng.below(n);
+                    let b = rng.below(n);
+                    let ea = [1.0, 0.5, -1.0][rng.below(3)];
+                    let coef = (0.1 + 0.8 * rng.unit()) * 0.5 / n_terms as f64;
+                    let m = if a == b {
+                        Monomial::new(coef, [(a, ea)]).unwrap()
+                    } else {
+                        Monomial::new(coef, [(a, ea), (b, 1.0)]).unwrap()
+                    };
+                    terms.push(m);
+                }
+                cons.push(terms);
+            }
+            (obj, cons)
+        }
+
+        /// Assembles the program, each posynomial's terms in the given
+        /// order or reversed.
+        fn assemble(
+            n: usize,
+            obj: &[Monomial],
+            cons: &[Vec<Monomial>],
+            reverse: bool,
+        ) -> GpProblem {
+            let build = |terms: &[Monomial]| {
+                let mut p = Posynomial::zero();
+                if reverse {
+                    terms.iter().rev().for_each(|m| p.push(m.clone()));
+                } else {
+                    terms.iter().for_each(|m| p.push(m.clone()));
+                }
+                p
+            };
+            let mut prob = GpProblem::new(n);
+            prob.set_objective(build(obj)).unwrap();
+            for terms in cons {
+                prob.add_constraint(build(terms)).unwrap();
+            }
+            prob
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(24))]
+
+            /// Sparse and dense backends agree on random programs: same
+            /// objective to 1e-5 relative, same point to 1e-3 relative, both
+            /// feasible.
+            #[test]
+            fn sparse_agrees_with_dense(seed in 0u64..u64::MAX, n in 8usize..32) {
+                let (obj, cons) = random_terms(seed, n);
+                let prob = assemble(n, &obj, &cons, false);
+                let start = vec![1.0; n];
+                let dense = solve_on(&prob, &start, false);
+                let sparse = solve_on(&prob, &start, true);
+                prop_assert!(prob.max_violation(&sparse.x) <= 1e-7,
+                    "sparse point infeasible by {}", prob.max_violation(&sparse.x));
+                prop_assert!(
+                    (dense.objective - sparse.objective).abs() <= 1e-5 * dense.objective.abs().max(1e-12),
+                    "objective: dense {} vs sparse {}", dense.objective, sparse.objective);
+                for (a, b) in dense.x.iter().zip(&sparse.x) {
+                    prop_assert!((a - b).abs() <= 1e-3 * a.abs().max(1.0),
+                        "x: dense {a} vs sparse {b}");
+                }
+            }
+
+            /// The sparse path is *bitwise* deterministic under permutation
+            /// of the term insertion order: the canonical term order inside
+            /// the plan makes every softmax and scatter run in the same
+            /// sequence regardless of how the posynomials were assembled.
+            #[test]
+            fn sparse_solution_is_insertion_order_invariant(seed in 0u64..u64::MAX, n in 8usize..24) {
+                let (obj, cons) = random_terms(seed, n);
+                let start = vec![1.0; n];
+                let a = solve_on(&assemble(n, &obj, &cons, false), &start, true);
+                let b = solve_on(&assemble(n, &obj, &cons, true), &start, true);
+                for (va, vb) in a.x.iter().zip(&b.x) {
+                    prop_assert_eq!(va.to_bits(), vb.to_bits(),
+                        "sparse path must be insertion-order invariant: {} vs {}", va, vb);
+                }
+            }
+        }
+
+        /// A fig5 Dual-DAB unit — six weighted two-item products, QAB
+        /// 1 % of the value — spelled out as its GP (Eq. 2 over the
+        /// validity range, `b <= c` and `rate(lambda, c) <= R` per item),
+        /// solved cold on each backend: the primary DABs and the recompute
+        /// rate agree to 1e-3, relative.
+        #[test]
+        fn forced_dense_and_forced_sparse_agree_on_a_fig5_unit() {
+            const LEGS: usize = 6;
+            let n = 2 * LEGS;
+            let (c0, r) = (n, 2 * n);
+            let values: Vec<f64> = (0..n).map(|i| 20.0 + 7.0 * (i % 5) as f64).collect();
+            let rates: Vec<f64> = (0..n).map(|i| 0.05 + 0.04 * (i % 4) as f64).collect();
+            let weight = |leg: usize| 1.0 + 0.5 * leg as f64;
+            let value: f64 = (0..LEGS)
+                .map(|l| weight(l) * values[2 * l] * values[2 * l + 1])
+                .sum();
+
+            let mut p = GpProblem::new(2 * n + 1);
+            let mut objective = mono(5.0, &[(r, 1.0)]);
+            for (k, &lambda) in rates.iter().enumerate() {
+                objective.add(&mono(lambda, &[(k, -1.0)]));
+            }
+            p.set_objective(objective).unwrap();
+            // (V_i + c_i + b_i)(V_j + c_j + b_j) - (V_i + c_i)(V_j + c_j).
+            let mut condition = Posynomial::zero();
+            for leg in 0..LEGS {
+                let (i, j, w) = (2 * leg, 2 * leg + 1, weight(leg));
+                for (a, b) in [(i, j), (j, i)] {
+                    condition.add(&mono(w * values[a], &[(b, 1.0)]));
+                    condition.add(&mono(w, &[(c0 + a, 1.0), (b, 1.0)]));
+                }
+                condition.add(&mono(w, &[(i, 1.0), (j, 1.0)]));
+            }
+            p.add_constraint_le(condition, 0.01 * value).unwrap();
+            for (k, &lambda) in rates.iter().enumerate() {
+                p.add_var_le_var(k, c0 + k).unwrap();
+                p.add_constraint(mono(lambda, &[(c0 + k, -1.0), (r, -1.0)]))
+                    .unwrap();
+            }
+
+            let [d, s] = [false, true].map(|sparse| solve_on(&p, &[], sparse));
+            let worst = (0..n)
+                .chain([r])
+                .map(|v| (d.x[v] - s.x[v]).abs() / d.x[v].abs().max(1e-12))
+                .fold(0.0f64, f64::max);
+            assert!(worst <= 1e-3, "dense and sparse differ by {worst:.2e}");
+        }
     }
 }

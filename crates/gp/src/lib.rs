@@ -19,7 +19,7 @@
 //!
 //! Small programs (tens to a couple hundred variables) stay on the dense
 //! `O(n^3)` path; larger structured units are routed to the sparse backend
-//! automatically (see [`KktMode`]).
+//! automatically when a program is compiled (see [`CompiledGp`]).
 //!
 //! ```
 //! use pq_gp::{GpProblem, Monomial, Posynomial, SolverOptions, solve_with_start};
@@ -54,6 +54,5 @@ pub use kkt::{kkt_report, KktReport, SparseKktPlan};
 pub use posynomial::{Monomial, Posynomial};
 pub use problem::{GpProblem, GpSolution};
 pub use solver::{
-    solve, solve_with_start, CompiledGp, DabTelemetry, KktMode, SolveWorkspace, SolverOptions,
-    WarmStart,
+    solve, solve_with_start, CompiledGp, DabTelemetry, SolveWorkspace, SolverOptions, WarmStart,
 };

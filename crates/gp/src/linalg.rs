@@ -6,10 +6,10 @@
 //! sparse path. Large AAO units route through the sparse path in
 //! [`crate::sparse`] (upper-CSC up-looking Cholesky under a min-degree
 //! ordering from [`crate::ordering`], driven by the structure plan in
-//! `kkt.rs`). The crossover is picked automatically in `solver.rs`:
+//! `kkt.rs`). The crossover is picked when a program is compiled:
 //! sparse kicks in when the variable count is large and the estimated
 //! clique density of the query↔item graph stays low (see
-//! [`crate::KktMode`]); dense remains the unconditional fallback.
+//! [`crate::CompiledGp`]); dense remains the unconditional fallback.
 
 /// A dense, row-major matrix of `f64`. `Default` is the empty `0 x 0`
 /// matrix.

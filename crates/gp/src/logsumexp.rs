@@ -210,33 +210,6 @@ impl LogArena {
         }
     }
 
-    /// Refreshes every log-coefficient in place from `posynomials` when
-    /// the term structure (posynomial count, term counts and exponent
-    /// rows) matches; returns `false` (leaving `self` untouched) when it
-    /// does not.
-    ///
-    /// DAB recomputation rebuilds the same program with coefficients that
-    /// track the drifting data values, so the exponent structure is
-    /// almost always stable and recompilation is wasted work.
-    pub fn refresh_coefs<'p>(
-        &mut self,
-        posynomials: impl Iterator<Item = &'p Posynomial> + Clone,
-    ) -> bool {
-        let same_rows = |(p, lp): (&Posynomial, LogPosynomial<'_>)| {
-            p.n_terms() == lp.n_terms()
-                && (p.terms().iter().zip(lp.rows())).all(|(t, row)| t.exponents() == row)
-        };
-        let same_count = posynomials.clone().count() == self.len();
-        if !(same_count && posynomials.clone().zip(self.iter()).all(same_rows)) {
-            return false;
-        }
-        let terms = posynomials.flat_map(|p| p.terms());
-        for (t, lc) in terms.zip(self.log_coefs.iter_mut()) {
-            *lc = t.coef().ln();
-        }
-        true
-    }
-
     /// Overwrites the coefficients of posynomial `p` with
     /// `scale * coefs[k]`, keeping the exponent rows.
     ///

@@ -26,15 +26,17 @@
 //! both KKT backends and phase I all run this same loop; DESIGN.md §2
 //! has the derivation and the three safeguards the textbook loop needs.
 //!
-//! The program the loop runs on is one flat [`LogArena`] — the objective,
-//! then every constraint, term rows and `ln` coefficients back to back —
-//! read through borrowed per-posynomial views; an iterate's softmax
-//! weights ([`SolveWorkspace`]) are one flat buffer in the same term
-//! order.
+//! The program the loop runs on is one [`CompiledGp`]: a flat
+//! [`LogArena`] — the objective, then every constraint, term rows and
+//! `ln` coefficients back to back — read through borrowed per-posynomial
+//! views, and the sparse KKT plan compiled with it when the program is
+//! large and sparse enough to want one. An iterate's softmax weights
+//! ([`SolveWorkspace`]) are one flat buffer in the same term order.
 //!
-//! If the caller has no strictly feasible starting point, the phase-I
-//! program `minimize σ  s.t.  fi(x)/σ <= 1` — itself a GP — is solved
-//! first, stopping as soon as `σ` is comfortably below one.
+//! If the caller has no strictly feasible starting point
+//! ([`CompiledGp::solve_cold`]), the phase-I program
+//! `minimize σ  s.t.  fi(x)/σ <= 1` — itself a GP — is solved first,
+//! stopping as soon as `σ` is comfortably below one.
 
 use crate::error::GpError;
 use crate::kkt::{auto_wanted, newton_weights, SparseKktPlan, SparseScratch};
@@ -50,56 +52,24 @@ use std::sync::Arc;
 /// The dense path assembles the reduced Newton matrix and factors it in
 /// place, an `O(n³)` Cholesky per step — unbeatable for the small
 /// per-query programs. The sparse path assembles it directly in
-/// compressed form (exploiting the
-/// query↔item structure of joint AAO units), factors it under a cached
-/// fill-reducing ordering, and hoists the few dense gradient outer
-/// products into Sherman–Morrison–Woodbury corrections — scaling joint
-/// units to 10k+ variables.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum KktMode {
-    /// Pick automatically: sparse for large, structurally sparse programs
-    /// (a cached plan on a [`CompiledGp`] is always used when present);
-    /// dense otherwise. The default.
-    #[default]
-    Auto,
-    /// Always dense — the small-`n` fallback and the correctness oracle.
-    Dense,
-    /// Always sparse, building a plan on the fly if none is cached.
-    Sparse,
-}
-
-/// Resolved backend for one solve.
+/// compressed form (exploiting the query↔item structure of joint AAO
+/// units), factors it under the compiled program's fill-reducing
+/// ordering, and hoists the few dense gradient outer products into
+/// Sherman–Morrison–Woodbury corrections — scaling joint units to 10k+
+/// variables.
 enum Backend {
     Dense,
     Sparse(Arc<SparseKktPlan>),
 }
 
 /// A compiled program — objective first, then the constraints
-/// `Fi(y) <= 0` — together with the backend resolved for one solve: what
-/// the loop iterates on.
+/// `Fi(y) <= 0` — together with its backend: what the loop iterates on.
 struct Program<'a> {
     arena: &'a LogArena,
     backend: Backend,
 }
 
-impl<'a> Program<'a> {
-    /// Picks the backend for a one-shot (non-compiled) solve; compiled GPs
-    /// resolve against their cached plan instead (see [`CompiledGp`]).
-    fn resolve(arena: &'a LogArena, options: &SolverOptions) -> Self {
-        let sparse = match options.kkt {
-            KktMode::Dense => false,
-            KktMode::Sparse => true,
-            KktMode::Auto => auto_wanted(arena),
-        };
-        let backend = if sparse {
-            options.obs.counter(names::GP_SPARSE_SYMBOLIC).inc();
-            Backend::Sparse(Arc::new(SparseKktPlan::build(arena)))
-        } else {
-            Backend::Dense
-        };
-        Program { arena, backend }
-    }
-
+impl Program<'_> {
     /// Number of constraints.
     fn n_constraints(&self) -> usize {
         self.arena.len() - 1
@@ -147,8 +117,6 @@ pub struct SolverOptions {
     /// (it reads its [`Obs`] from these options too); same caching
     /// contract as [`SolverOptions::query_counter`].
     pub dab: Option<Arc<DabTelemetry>>,
-    /// KKT backend selection. Default [`KktMode::Auto`].
-    pub kkt: KktMode,
 }
 
 /// The `dab.solve` span and the four `solve.*` outcome counters of one
@@ -201,7 +169,6 @@ impl Default for SolverOptions {
             query_counter: None,
             solve_timer: None,
             dab: None,
-            kkt: KktMode::Auto,
         }
     }
 }
@@ -325,7 +292,8 @@ fn compile_all(objective: &Posynomial, constraints: &[Posynomial], n: usize) -> 
 }
 
 /// Solves `problem` starting from a caller-supplied strictly feasible point
-/// `x0 > 0`.
+/// `x0 > 0`: [`CompiledGp::solve_from`] on the program compiled for this
+/// one solve.
 ///
 /// # Errors
 /// [`GpError::InvalidStartingPoint`] if `x0` is not strictly positive, not
@@ -335,42 +303,20 @@ pub fn solve_with_start(
     x0: &[f64],
     options: &SolverOptions,
 ) -> Result<GpSolution, GpError> {
-    let (objective, constraints) = problem.validated()?;
-    if x0.len() != problem.n_vars()
-        || x0.iter().any(|&v| !(v.is_finite() && v > 0.0))
-        || !problem.is_strictly_feasible(x0, 0.0)
-    {
+    let compiled = CompiledGp::compile(problem)?;
+    if !problem.is_strictly_feasible(x0, 0.0) {
         return Err(GpError::InvalidStartingPoint);
     }
-    let _span = solve_span(options);
-    let n = problem.n_vars();
-    let arena = compile_all(objective, constraints, n);
-    let mut ws = SolveWorkspace::new();
-    ws.seed_from_x(x0);
-    let program = Program::resolve(&arena, options);
-    phase_two(&program, options, &mut ws, COLD_DUAL_SLACK)
+    compiled
+        .counted(options)
+        .solve_from(x0, options, &mut SolveWorkspace::new())
 }
 
-/// Solves `problem`, running a phase-I feasibility search first if needed.
-///
-/// An all-ones starting point is tried first; unless it is comfortably
-/// inside every constraint (by the margin phase I itself stops at — a
-/// start hugging a constraint costs more Newton steps than phase I does),
-/// the phase-I program `minimize σ  s.t.  fi(x)/σ <= 1` locates a
-/// strictly feasible point or certifies infeasibility.
+/// Solves `problem`, running a phase-I feasibility search first if needed:
+/// [`CompiledGp::solve_cold`] on the program compiled for this one solve.
 pub fn solve(problem: &GpProblem, options: &SolverOptions) -> Result<GpSolution, GpError> {
-    let (objective, constraints) = problem.validated()?;
-    let n = problem.n_vars();
-    let ones = vec![1.0; n];
-    if problem.is_strictly_feasible(&ones, 1.0 - (-PHASE_ONE_MARGIN).exp()) {
-        return solve_with_start(problem, &ones, options);
-    }
-    let _span = solve_span(options);
-    let arena = compile_all(objective, constraints, n);
-    let mut ws = SolveWorkspace::new();
-    phase_one(&arena, options, &mut ws)?;
-    let program = Program::resolve(&arena, options);
-    phase_two(&program, options, &mut ws, COLD_DUAL_SLACK)
+    let compiled = CompiledGp::compile(problem)?.counted(options);
+    compiled.solve_cold(options, &mut SolveWorkspace::new())
 }
 
 /// A geometric program compiled once to log-space for repeated solves.
@@ -380,17 +326,18 @@ pub fn solve(problem: &GpProblem, options: &SolverOptions) -> Result<GpSolution,
 /// allocating solver buffers each time is the dominant fixed cost.
 /// `CompiledGp` keeps every posynomial of the program — objective first,
 /// then the constraints `fs[i] <= 1` — in one flat [`LogArena`] (four
-/// arrays however many constraints there are) and refreshes coefficients
-/// in place via [`CompiledGp::update_from`] or
-/// [`CompiledGp::set_constraint_coefs`].
+/// arrays however many constraints there are) and rewrites a constraint's
+/// coefficients in place via [`CompiledGp::set_constraint_coefs`].
 #[derive(Debug, Clone)]
 pub struct CompiledGp {
     arena: LogArena,
     /// Cached sparse KKT structure (term ordering, min-degree permutation,
     /// symbolic factorization, scatter slots). Built at compile time when
-    /// the auto heuristic wants the sparse backend and shared across
-    /// clones, so the per-unit solve caches upstream reuse one symbolic
-    /// analysis across every warm-started refresh.
+    /// the program is large and structurally sparse enough for the sparse
+    /// backend to win, and shared across clones, so the per-unit solve
+    /// caches upstream reuse one symbolic analysis across every
+    /// warm-started refresh. Its presence is the backend decision: every
+    /// solve of a program with a plan runs sparse, every other one dense.
     plan: Option<Arc<SparseKktPlan>>,
 }
 
@@ -440,21 +387,35 @@ impl CompiledGp {
         &self.arena
     }
 
-    /// True when a cached sparse plan exists (i.e. [`KktMode::Auto`] will
-    /// route this program to the sparse backend).
+    /// True when a cached sparse plan exists, i.e. this program solves on
+    /// the sparse backend.
     pub fn has_sparse_plan(&self) -> bool {
         self.plan.is_some()
     }
 
-    /// This compiled program with its backend resolved under `options`.
-    fn program(&self, options: &SolverOptions) -> Program<'_> {
-        let backend = match (options.kkt, &self.plan) {
-            (KktMode::Dense, _) | (KktMode::Auto, None) => Backend::Dense,
-            (_, Some(plan)) => Backend::Sparse(plan.clone()),
-            (KktMode::Sparse, None) => {
-                options.obs.counter(names::GP_SPARSE_SYMBOLIC).inc();
-                Backend::Sparse(Arc::new(SparseKktPlan::build(&self.arena)))
-            }
+    /// This program compiled for one solve: the sparse plan it built, if
+    /// any, is counted on `options.obs`.
+    fn counted(self, options: &SolverOptions) -> Self {
+        if self.plan.is_some() {
+            options.obs.counter(names::GP_SPARSE_SYMBOLIC).inc();
+        }
+        self
+    }
+
+    /// This program with the backend forced: sparse with a plan built now,
+    /// or dense. The oracle tests compare the two on one program.
+    #[cfg(test)]
+    pub(crate) fn with_backend(mut self, sparse: bool) -> Self {
+        self.plan = sparse.then(|| Arc::new(SparseKktPlan::build(&self.arena)));
+        self
+    }
+
+    /// What the loop iterates on: the arena on the backend its plan
+    /// decided.
+    fn program(&self) -> Program<'_> {
+        let backend = match &self.plan {
+            Some(plan) => Backend::Sparse(plan.clone()),
+            None => Backend::Dense,
         };
         Program {
             arena: &self.arena,
@@ -472,34 +433,11 @@ impl CompiledGp {
         self.arena.len() - 1
     }
 
-    /// Refreshes the compiled coefficients from `problem` in place when
-    /// its term structure is the compiled one, and recompiles it
-    /// otherwise.
-    pub fn update_from(&mut self, problem: &GpProblem) -> Result<(), GpError> {
-        let (objective, constraints) = problem.validated()?;
-        let posynomials = std::iter::once(objective).chain(constraints);
-        let same_space = problem.n_vars() == self.n_vars();
-        if same_space && self.arena.refresh_coefs(posynomials) {
-            // A pure coefficient refresh keeps the cached sparse plan (the
-            // structure it encodes is unchanged).
-            return Ok(());
-        }
-        // A structural change rebuilds the plan when one existed or the
-        // heuristic now wants one; a new shape starts over.
-        let arena = compile_all(objective, constraints, problem.n_vars());
-        let same_shape = same_space && arena.len() == self.arena.len();
-        let plan = ((same_shape && self.plan.is_some()) || auto_wanted(&arena))
-            .then(|| Arc::new(SparseKktPlan::build(&arena)));
-        *self = CompiledGp { arena, plan };
-        Ok(())
-    }
-
     /// Overwrites the coefficients of constraint `i` with
     /// `scale * coefs[k]`, in the constraint's term order, keeping its
-    /// exponent structure (and with it the cached sparse plan): what
-    /// [`CompiledGp::update_from`] does with a rebuilt
-    /// `add_constraint_le(f, 1 / scale)` row whose structure is
-    /// unchanged, without the row.
+    /// exponent structure (and with it the cached sparse plan): the
+    /// program compiling a rebuilt `add_constraint_le(f, 1 / scale)` row
+    /// of the same structure gives, without the row.
     ///
     /// # Errors
     /// [`GpError::EmptyPosynomial`] when there is no constraint `i` or
@@ -531,7 +469,35 @@ impl CompiledGp {
         }
         ws.seed_from_x(x0);
         let _span = solve_span(options);
-        phase_two(&self.program(options), options, ws, COLD_DUAL_SLACK)
+        phase_two(&self.program(), options, ws, COLD_DUAL_SLACK)
+    }
+
+    /// Solves without a start, reusing `ws` buffers. The all-ones point
+    /// is the start when it is comfortably inside every constraint (by
+    /// the margin phase I itself stops at — a start hugging a constraint
+    /// costs more Newton steps than phase I does); otherwise phase I on
+    /// this program's lift `minimize σ  s.t.  fi(x)/σ <= 1` locates a
+    /// strictly feasible point or certifies infeasibility.
+    ///
+    /// # Errors
+    /// [`GpError::Infeasible`] when phase I proves the program has no
+    /// feasible point; solver errors otherwise.
+    pub fn solve_cold(
+        &self,
+        options: &SolverOptions,
+        ws: &mut SolveWorkspace,
+    ) -> Result<GpSolution, GpError> {
+        let _span = solve_span(options);
+        // `y = ln 1`.
+        ws.cur.y.clear();
+        ws.cur.y.resize(self.n_vars(), 0.0);
+        let worst = (self.arena.iter().skip(1))
+            .map(|f| f.value(&ws.cur.y))
+            .fold(f64::NEG_INFINITY, f64::max);
+        if worst >= -PHASE_ONE_MARGIN {
+            phase_one(&self.arena, worst, options, ws)?;
+        }
+        phase_two(&self.program(), options, ws, COLD_DUAL_SLACK)
     }
 
     /// Warm-started solve: blends the previous optimum `prev_x` toward the
@@ -555,8 +521,8 @@ impl CompiledGp {
     ///
     /// # Errors
     /// [`GpError::InvalidStartingPoint`] when not even the interior point
-    /// is strictly feasible (callers should fall back to a cold phase-I
-    /// [`solve`]); solver errors otherwise.
+    /// is strictly feasible (callers should fall back to
+    /// [`CompiledGp::solve_cold`]); solver errors otherwise.
     pub fn solve_warm(
         &self,
         prev_x: &[f64],
@@ -605,7 +571,7 @@ impl CompiledGp {
         );
         // Every constraint the blend left at the slack is one the previous
         // optimum had active, so its dual stays centred.
-        let solution = phase_two(&self.program(options), options, ws, WARM_SLACK)?;
+        let solution = phase_two(&self.program(), options, ws, WARM_SLACK)?;
         let kind = if theta <= WARM_HIT_BLEND {
             WarmStart::Hit
         } else {
@@ -942,26 +908,20 @@ const PHASE_ONE_MARGIN: f64 = 0.1;
 /// of `arena` (its first posynomial, the objective, plays no part) and
 /// leaves it in `ws.cur.y`, by running the same loop on the lifted GP
 /// `minimize σ  s.t.  fi(x)/σ <= 1` (in log space `Fi(y) − ln σ <= 0`)
-/// from `y = 0`. A thin feasible region never reaches the early-exit
-/// margin; the loop then converges to the deepest point, which is
-/// feasible exactly when its `ln σ` is negative.
+/// from the `y = 0` in `ws.cur.y`, where the largest `Fi` is `worst`. A
+/// thin feasible region never reaches the early-exit margin; the loop
+/// then converges to the deepest point, which is feasible exactly when
+/// its `ln σ` is negative.
 fn phase_one(
     arena: &LogArena,
+    worst: f64,
     options: &SolverOptions,
     ws: &mut SolveWorkspace,
 ) -> Result<(), GpError> {
-    let n = arena.n_vars();
-    let lifted = arena.phase_one_lift();
-    let y0 = vec![0.0; n];
-    let worst = (arena.iter().skip(1))
-        .map(|f| f.value(&y0))
-        .fold(f64::NEG_INFINITY, f64::max);
-    ws.cur.y.clear();
-    ws.cur.y.resize(n, 0.0);
+    let lifted = CompiledGp::from_arena(arena.phase_one_lift())?.counted(options);
     ws.cur.y.push(worst + 1.0);
-    let program = Program::resolve(&lifted, options);
     let outcome = primal_dual(
-        &program,
+        &lifted.program(),
         options,
         ws,
         COLD_DUAL_SLACK,
@@ -1011,20 +971,23 @@ mod tests {
         let mut p = GpProblem::new(1);
         p.set_objective(mono(1.0, &[(0, 1.0)])).unwrap();
         p.add_lower_bound(0, 2.0).unwrap();
-        let (objective, constraints) = p.validated().unwrap();
-        let arena = compile_all(objective, constraints, 1);
-        let ln2 = arena.get(1).log_coefs()[0];
-        for kkt in [KktMode::Dense, KktMode::Sparse] {
-            let program = Program::resolve(&arena, &SolverOptions { kkt, ..opts() });
+        for sparse in [false, true] {
+            let compiled = CompiledGp::compile(&p).unwrap().with_backend(sparse);
+            let ln2 = compiled.arena().get(1).log_coefs()[0];
+            let program = compiled.program();
             let mut ws = SolveWorkspace::default();
             ws.ensure(1, 1, &program.backend);
             ws.cur.y[0] = 1.0;
-            assert!(program.eval_point(&mut ws.cur), "{kkt:?}");
-            assert_eq!((ws.cur.f0, ws.cur.slack[0]), (1.0, 1.0 - ln2), "{kkt:?}");
-            assert_eq!(ws.cur.probs, [1.0, 1.0], "{kkt:?}");
+            assert!(program.eval_point(&mut ws.cur), "sparse: {sparse}");
+            let point = (ws.cur.f0, ws.cur.slack[0]);
+            assert_eq!(point, (1.0, 1.0 - ln2), "sparse: {sparse}");
+            assert_eq!(ws.cur.probs, [1.0, 1.0], "sparse: {sparse}");
             for y in [ln2, 0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
                 ws.cur.y[0] = y;
-                assert!(!program.eval_point(&mut ws.cur), "{kkt:?} at y = {y}");
+                assert!(
+                    !program.eval_point(&mut ws.cur),
+                    "sparse: {sparse} at y = {y}"
+                );
             }
         }
     }
@@ -1228,23 +1191,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn update_from_tracks_coefficient_drift() {
-        let p = drifting_problem(2.0, 3.0, 4.0, 5.0);
-        let mut compiled = CompiledGp::compile(&p).unwrap();
-        let mut ws = SolveWorkspace::new();
-        let drifted = drifting_problem(2.2, 2.9, 4.1, 4.9);
-        compiled.update_from(&drifted).unwrap();
-        let got = compiled.solve_from(&[0.5, 0.5], &opts(), &mut ws).unwrap();
-        let want = solve_with_start(&drifted, &[0.5, 0.5], &opts()).unwrap();
-        assert!(
-            (got.objective - want.objective).abs() < 1e-6 * want.objective,
-            "compiled {} vs fresh {}",
-            got.objective,
-            want.objective
-        );
-    }
-
     /// A program emitted row by row into an arena is the one compiled from
     /// the problem that spells the same rows out, and solves like it.
     #[test]
@@ -1277,48 +1223,17 @@ mod tests {
         );
     }
 
-    /// A refresh whose term structure differs recompiles: more terms in a
-    /// row, another row count, another space.
-    #[test]
-    fn update_from_recompiles_on_a_structure_change() {
-        let mut compiled = CompiledGp::compile(&drifting_problem(2.0, 3.0, 4.0, 5.0)).unwrap();
-        let mut ws = SolveWorkspace::new();
-        let mut wider = drifting_problem(2.0, 3.0, 4.0, 5.0);
-        wider.add_upper_bound(0, 1.5).unwrap();
-        let mut bigger = GpProblem::new(3);
-        bigger
-            .set_objective(mono(1.0, &[(0, -1.0), (1, -1.0), (2, -1.0)]))
-            .unwrap();
-        let mut c = mono(1.0, &[(0, 1.0)]);
-        c.add(&mono(1.0, &[(1, 1.0)]));
-        c.add(&mono(1.0, &[(2, 1.0)]));
-        bigger.add_constraint_le(c, 3.0).unwrap();
-        for problem in [wider, bigger] {
-            compiled.update_from(&problem).unwrap();
-            let fresh = CompiledGp::compile(&problem).unwrap();
-            assert_eq!(compiled.n_vars(), problem.n_vars());
-            assert_eq!(compiled.n_constraints(), fresh.n_constraints());
-            let start = vec![0.5; problem.n_vars()];
-            let got = compiled.solve_from(&start, &opts(), &mut ws).unwrap();
-            let want = fresh.solve_from(&start, &opts(), &mut ws).unwrap();
-            assert_eq!(got.x, want.x);
-        }
-    }
-
     /// Writing a row's coefficients directly lands on the same compiled
-    /// program as rebuilding the problem and refreshing from it, and a
-    /// rejected write changes nothing.
+    /// program as compiling the rebuilt problem, and a rejected write
+    /// changes nothing.
     #[test]
-    fn set_constraint_coefs_matches_update_from_bit_for_bit() {
+    fn set_constraint_coefs_matches_a_recompile_bit_for_bit() {
         let mut direct = CompiledGp::compile(&drifting_problem(2.0, 3.0, 4.0, 5.0)).unwrap();
-        let mut rebuilt = direct.clone();
         // Row 1 is `(x + y) / c2 <= 1`.
         direct
             .set_constraint_coefs(1, &[1.0, 1.0], 1.0 / 4.9)
             .unwrap();
-        rebuilt
-            .update_from(&drifting_problem(2.0, 3.0, 4.0, 4.9))
-            .unwrap();
+        let rebuilt = CompiledGp::compile(&drifting_problem(2.0, 3.0, 4.0, 4.9)).unwrap();
         let mut ws = SolveWorkspace::new();
         let a = direct.solve_from(&[0.5, 0.5], &opts(), &mut ws).unwrap();
         let b = rebuilt.solve_from(&[0.5, 0.5], &opts(), &mut ws).unwrap();

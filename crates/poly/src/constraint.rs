@@ -646,115 +646,6 @@ pub fn deviation_posynomial(
     map.posynomial(&coefs)
 }
 
-/// First-order *sufficient* condition (not necessary): bounds the deviation
-/// by `sum_i b_i * max_box |dP/dx_i|`, with the partial derivatives
-/// evaluated at the all-up corner `V + c + b` and expanded exactly.
-///
-/// Strictly more conservative than [`deviation_posynomial`]; exposed for
-/// the ablation comparing optimal against gradient-style filter allocation.
-pub fn linearized_sufficient(
-    poly: &Polynomial,
-    values: &[f64],
-    vars: &dyn DabVarIndexer,
-) -> Result<Posynomial, PolyError> {
-    if poly.is_zero() {
-        return Err(PolyError::EmptyPolynomial);
-    }
-    if !poly.is_positive_coefficient() {
-        return Err(PolyError::NotPositiveCoefficient);
-    }
-    let mut out = Posynomial::zero();
-    for item in poly.items() {
-        let b_var = vars.primary(item);
-        let dp = partial_derivative(poly, item);
-        if dp.is_zero() {
-            continue;
-        }
-        // Expand dP/dx_i at (V + c + b) — all terms survive (no
-        // subtraction here), multiplied by b_i.
-        let expanded = expand_at_displaced(&dp, values, vars)?;
-        let bi = Monomial::new(1.0, [(b_var, 1.0)]).expect("unit monomial");
-        out.add(&expanded.mul_monomial(&bi));
-    }
-    out.simplify();
-    if out.is_zero() {
-        return Err(PolyError::EmptyPolynomial);
-    }
-    Ok(out)
-}
-
-/// `dP/dx_item` for integer-exponent polynomials.
-fn partial_derivative(poly: &Polynomial, item: ItemId) -> Polynomial {
-    use crate::polynomial::PTerm;
-    let mut terms = Vec::new();
-    for t in poly.terms() {
-        if let Some(&(_, e)) = t.vars().iter().find(|&&(i, _)| i == item) {
-            let coef = t.coef() * e as f64;
-            let vars: Vec<(ItemId, u32)> = t
-                .vars()
-                .iter()
-                .filter_map(|&(i, p)| {
-                    if i == item {
-                        (p > 1).then_some((i, p - 1))
-                    } else {
-                        Some((i, p))
-                    }
-                })
-                .collect();
-            if let Ok(t) = PTerm::new(coef, vars) {
-                terms.push(t);
-            }
-        }
-    }
-    Polynomial::from_terms(terms)
-}
-
-/// Expands `P(V + c + b)` fully (no subtraction) into a posynomial.
-fn expand_at_displaced(
-    poly: &Polynomial,
-    values: &[f64],
-    vars: &dyn DabVarIndexer,
-) -> Result<Posynomial, PolyError> {
-    let mut out = Posynomial::zero();
-    for term in poly.terms() {
-        let mut partial: Vec<(f64, Vec<(usize, f64)>)> = vec![(term.coef(), Vec::new())];
-        for &(item, p) in term.vars() {
-            let v = *values
-                .get(item.index())
-                .ok_or(PolyError::MissingValue { item: item.0 })?;
-            if v < 0.0 {
-                return Err(PolyError::NegativeValue {
-                    item: item.0,
-                    value: v,
-                });
-            }
-            let (b_var, c_var) = (vars.primary(item), vars.secondary(item));
-            let mut next = Vec::new();
-            for (c0, e0) in &partial {
-                for split in expansion_of(p, c_var.is_some()) {
-                    let mut exps = e0.clone();
-                    if let (Some(c_var), true) = (c_var, split.k > 0) {
-                        exps.push((c_var, split.k as f64));
-                    }
-                    if split.l > 0 {
-                        exps.push((b_var, split.l as f64));
-                    }
-                    next.push((c0 * (split.mult * pow_skip_zero(v, split.j)), exps));
-                }
-            }
-            partial = next;
-        }
-        for (c, e) in partial {
-            if c == 0.0 {
-                continue;
-            }
-            out.push(Monomial::new(c, e).expect("positive expansion coefficient"));
-        }
-    }
-    out.simplify();
-    Ok(out)
-}
-
 /// How an exponent row packs into a key of at most 32 bits: one digit
 /// `(var + 1) << exp_bits | exp` per `(var, exp)` pair, the first pair
 /// most significant, and zero digits after a row's last pair. The digits
@@ -968,24 +859,6 @@ mod tests {
         let g = deviation_posynomial(&p, &[0.0, 0.0], &vmap).unwrap();
         assert_eq!(g.n_terms(), 1);
         assert!((g.eval(&[2.0, 3.0]) - 6.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn linearized_is_sufficient_but_conservative() {
-        let p = product_xy();
-        let vmap = DabVarMap::for_polynomial(&p, false);
-        let v = [3.0, 2.0];
-        let exact = deviation_posynomial(&p, &v, &vmap).unwrap();
-        let lin = linearized_sufficient(&p, &v, &vmap).unwrap();
-        for b in [[0.5, 0.5], [1.0, 0.2], [2.0, 2.0]] {
-            assert!(
-                lin.eval(&b) >= exact.eval(&b) - 1e-12,
-                "linearized must dominate the exact deviation"
-            );
-        }
-        // lin = bx*(Vy + by) + by*(Vx + bx) has the cross term twice.
-        let b = [1.0, 1.0];
-        assert!((lin.eval(&b) - (1.0 * 3.0 + 1.0 * 2.0 + 2.0)).abs() < 1e-12);
     }
 
     #[test]

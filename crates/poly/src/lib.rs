@@ -32,8 +32,7 @@ pub mod query;
 pub mod shared;
 
 pub use constraint::{
-    coupled_items, deviation_posynomial, linearized_sufficient, DabVarIndexer, DabVarMap,
-    DeviationMap, PartialDabVarMap,
+    coupled_items, deviation_posynomial, DabVarIndexer, DabVarMap, DeviationMap, PartialDabVarMap,
 };
 pub use error::PolyError;
 pub use item::{ItemCatalog, ItemId};
