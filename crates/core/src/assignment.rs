@@ -140,6 +140,21 @@ impl QueryAssignment {
             }
         }
     }
+
+    /// Every float of the assignment, as bits: primary, secondary (box
+    /// ranges), anchor, then the two rates.
+    #[cfg(test)]
+    pub(crate) fn all_bits(&self) -> Vec<u64> {
+        let secondary = match &self.validity {
+            ValidityRange::Box(secondary) => secondary.values().copied().collect(),
+            _ => Vec::new(),
+        };
+        (self.primary.values().chain(&secondary))
+            .chain(self.anchor.values())
+            .chain([&self.recompute_rate, &self.refresh_rate])
+            .map(|v| v.to_bits())
+            .collect()
+    }
 }
 
 /// Which [`ValidityRange`] the secondary column of a [`UnitColumns`]

@@ -1,17 +1,18 @@
-//! Warm-start caches for incremental DAB recomputation.
+//! Per-unit caches for incremental DAB recomputation.
 //!
 //! The paper's central cost is DAB *recomputation* (§III-A.2–3): every
-//! refresh that escapes a validity range triggers a fresh GP solve. Between
-//! consecutive recomputations the data drifts only a little (each movement
-//! is bounded by the very DABs being maintained), so the previous optimum
-//! is an excellent warm start. A [`UnitCache`] keeps, per assignment unit:
+//! refresh that escapes a validity range triggers a fresh GP solve at the
+//! current values. Every solve, first or later, starts from the same
+//! place: the predicted optimum of [`crate::ppq::predicted_start`] at those
+//! values, entered through the minimal blend toward its interior anchor
+//! ([`pq_gp::CompiledGp::solve_warm`]). A unit's filter is therefore a
+//! function of the unit and the values, not of its solve history, and a
+//! [`UnitCache`] keeps only what the values do not decide:
 //!
 //! * the compiled [`pq_gp::CompiledGp`]: objective and every constraint
 //!   in one flat arena (four arrays per unit, emitted in one pass on the
 //!   first solve), its condition's coefficients rewritten in place each
 //!   recompute — the exponent structure is stable across drift;
-//! * the last optimal point, warm-started via the minimal blend toward
-//!   the interior point of [`pq_gp::CompiledGp::solve_warm`];
 //! * what the unit compiled to (its coefficient map, rates and variable
 //!   layout: the program of [`crate::ppq`]), so a recompute re-derives
 //!   nothing that does not follow the values;
@@ -23,15 +24,14 @@
 //! any program and carries nothing from one solve to the next, so it is
 //! not a unit's to keep.
 //!
-//! A unit's first solve (cold start) enters the same blend from the
-//! predicted optimum of [`crate::ppq::predicted_start`]. Afterwards the
-//! outcomes are: warm hit (a light blend of the previous optimum
-//! regained strict feasibility) → warm repair (the drift needed a deeper
-//! blend toward the interior point) → cold fallback (phase I on the
-//! unit's own compiled program, [`pq_gp::CompiledGp::solve_cold`]). Each
-//! bumps a `solve.*` counter so `pq-trace summary` can attribute the win.
-//! The compiled program is the only form a unit's GP takes: nothing on
-//! this path spells it out as posynomial objects first.
+//! A solve into a cache with no compiled program is a cold start. A later
+//! one is a warm hit (a light blend of the prediction regained strict
+//! feasibility) or a warm repair (it needed a deeper blend toward the
+//! interior point); when the blend fails, phase I runs on the unit's own
+//! compiled program ([`pq_gp::CompiledGp::solve_cold`]), a cold fallback.
+//! Each bumps a `solve.*` counter so `pq-trace summary` can attribute the
+//! win. The compiled program is the only form a unit's GP takes: nothing
+//! on this path spells it out as posynomial objects first.
 
 use std::cell::RefCell;
 use std::sync::OnceLock;
@@ -45,11 +45,10 @@ use crate::error::DabError;
 use crate::heuristics::UnitProgram;
 use crate::strategy::{assign_unit_cached, AssignmentStrategy, AssignmentUnit};
 
-/// Warm-start state for one assignment unit (one GP shape).
+/// What one assignment unit keeps between solves (one GP shape).
 #[derive(Debug, Default)]
 pub struct UnitCache {
     compiled: Option<CompiledGp>,
-    last_x: Vec<f64>,
     /// What the unit compiled to, when `compiled` is that program's GP
     /// (see [`crate::heuristics::solve_positive_cached`], which takes it
     /// out for the duration of a solve).
@@ -104,61 +103,49 @@ impl UnitCache {
         UnitCache::default()
     }
 
-    /// True once a solution has been cached (subsequent solves warm-start).
-    pub fn has_solution(&self) -> bool {
-        !self.last_x.is_empty()
-    }
-
     /// The assignment the last solve through this cache wrote (see
     /// [`crate::assign_unit_cached`]).
     pub fn columns(&self) -> &UnitColumns {
         &self.columns
     }
 
-    /// The warm solve of a recompute that moved nothing but the
-    /// coefficients of constraint `row`: writes `scale * coefs` into the
-    /// compiled program's row and re-solves from the cached optimum, as
-    /// [`solve_compiled`] does with the whole program emitted afresh.
-    /// `None` — with nothing counted and no solution
-    /// stored — when there is no compiled program with an optimum, a
-    /// coefficient does not fit the row, or the blend toward `interior`
-    /// fails; the caller then compiles the program for
-    /// [`solve_compiled`].
+    /// The solve of a recompute that moved nothing but the coefficients
+    /// of constraint `row`: writes `scale * coefs` into the compiled
+    /// program's row and solves from `guess`, as [`solve_compiled`] does
+    /// with the whole program emitted afresh. `None` — with nothing
+    /// counted — when there is no compiled program, a coefficient does not
+    /// fit the row, or the blend toward `interior` fails; the caller then
+    /// compiles the program for [`solve_compiled`].
     pub(crate) fn solve_row(
         &mut self,
         row: usize,
         coefs: &[f64],
         scale: f64,
+        guess: &[f64],
         interior: &[f64],
         options: &SolverOptions,
     ) -> Option<GpSolution> {
         let compiled = self.compiled.as_mut()?;
-        if self.last_x.len() != compiled.n_vars() {
-            return None;
-        }
         compiled.set_constraint_coefs(row, coefs, scale).ok()?;
         let (solution, blend) = WORKSPACE
-            .with_borrow_mut(|ws| compiled.solve_warm(&self.last_x, interior, options, ws))
+            .with_borrow_mut(|ws| compiled.solve_warm(guess, interior, options, ws))
             .ok()?;
         Start::of_blend(blend).count(options);
-        self.last_x.clear();
-        self.last_x.extend_from_slice(&solution.x);
         Some(solution)
     }
 }
 
 /// Solves `compiled` from a caller-supplied start: `interior` is a strictly
 /// feasible point and `guess` where the optimum is expected (see
-/// [`crate::ppq::predicted_start`]). The solve is always the minimal blend
-/// of [`CompiledGp::solve_warm`] toward `interior`: from `guess` on a
-/// unit's first solve (and on every solve without a `cache`), from the
-/// last cached optimum afterwards. A `cache` keeps `compiled` in place of
-/// whatever program it held. When the blend fails, phase I answers
-/// instead, on the same program ([`CompiledGp::solve_cold`]).
+/// [`crate::ppq::predicted_start`]). The solve is the minimal blend of
+/// [`CompiledGp::solve_warm`] from `guess` toward `interior`, with or
+/// without a `cache`; a `cache` keeps `compiled` in place of whatever
+/// program it held. When the blend fails, phase I answers instead, on the
+/// same program ([`CompiledGp::solve_cold`]).
 ///
-/// Telemetry (cached solves only): a first solve bumps `solve.cold_start`,
-/// a later one `solve.warm_hit`, `solve.warm_repair` or
-/// `solve.cold_fallback`, on `options.obs`.
+/// Telemetry (cached solves only): a solve into a cache with no compiled
+/// program bumps `solve.cold_start`, a later one `solve.warm_hit`,
+/// `solve.warm_repair` or `solve.cold_fallback`, on `options.obs`.
 pub(crate) fn solve_compiled(
     compiled: CompiledGp,
     guess: &[f64],
@@ -166,36 +153,29 @@ pub(crate) fn solve_compiled(
     options: &SolverOptions,
     cache: Option<&mut UnitCache>,
 ) -> Result<GpSolution, DabError> {
-    let blend_from = |c: &CompiledGp, from| {
-        WORKSPACE.with_borrow_mut(|ws| c.solve_warm(from, interior, options, ws))
+    // Cached solves only: whether the cache held no program yet.
+    let first = cache.as_ref().map(|c| c.compiled.is_none());
+    let compiled = match cache {
+        Some(cache) => cache.compiled.insert(compiled),
+        None => &compiled,
     };
-    let phase_one = |c: &CompiledGp| WORKSPACE.with_borrow_mut(|ws| c.solve_cold(options, ws));
-    let Some(cache) = cache else {
-        return match blend_from(&compiled, guess) {
-            Ok((sol, _)) => Ok(sol),
-            Err(_) => Ok(phase_one(&compiled)?),
+    let outcome = WORKSPACE.with_borrow_mut(|ws| compiled.solve_warm(guess, interior, options, ws));
+    if let Some(first) = first {
+        let start = match &outcome {
+            _ if first => Start::Cold,
+            Ok((_, blend)) => Start::of_blend(*blend),
+            Err(_) => Start::ColdFallback,
         };
-    };
-    let first = cache.last_x.len() != compiled.n_vars();
-    let compiled = cache.compiled.insert(compiled);
-    let outcome = blend_from(compiled, if first { guess } else { &cache.last_x });
-    let start = match &outcome {
-        _ if first => Start::Cold,
-        Ok((_, blend)) => Start::of_blend(*blend),
-        Err(_) => Start::ColdFallback,
-    };
-    start.count(options);
-    let solution = match outcome {
-        Ok((sol, _)) => sol,
+        start.count(options);
+    }
+    match outcome {
+        Ok((solution, _)) => Ok(solution),
         // Blend exhausted: pay the full cold phase-I price.
-        Err(_) => phase_one(compiled)?,
-    };
-    cache.last_x.clear();
-    cache.last_x.extend_from_slice(&solution.x);
-    Ok(solution)
+        Err(_) => Ok(WORKSPACE.with_borrow_mut(|ws| compiled.solve_cold(options, ws))?),
+    }
 }
 
-/// Per-query × per-unit warm-start caches for a whole monitored workload,
+/// Per-query × per-unit caches for a whole monitored workload,
 /// shaped to match the unit decomposition of
 /// [`crate::strategy::assignment_units`].
 #[derive(Debug, Default)]
@@ -254,7 +234,7 @@ pub struct RecomputeJob<'a> {
     pub unit: &'a AssignmentUnit,
     /// Solve context snapshot (values/rates/ddm/solver options).
     pub ctx: SolveContext<'a>,
-    /// The unit's warm-start cache, owned for the duration of the job.
+    /// The unit's cache, owned for the duration of the job.
     pub cache: UnitCache,
 }
 
@@ -265,8 +245,8 @@ pub struct RecomputeDone {
     pub qi: usize,
     /// Index of the unit within the query.
     pub ui: usize,
-    /// The warm-start cache, updated with the new optimum on success; its
-    /// [`UnitCache::columns`] are then the recomputed assignment.
+    /// The unit's cache; on success its [`UnitCache::columns`] are the
+    /// recomputed assignment.
     pub cache: UnitCache,
     /// Whether the solve succeeded.
     pub result: Result<(), DabError>,
@@ -422,7 +402,6 @@ mod tests {
         let first =
             solve_problem(&problem(1.0, 1.0, 1.0), &interior, &options, &mut cache).unwrap();
         assert!((first.x[0] - 0.5).abs() < 1e-5);
-        assert!(cache.has_solution());
 
         for step in 1..=5 {
             let a = 1.0 + 0.02 * step as f64;
@@ -485,14 +464,15 @@ mod tests {
 
     /// Fig5-style Dual-DAB units (six two-item legs, QAB 1 % of the value)
     /// solved under the library-default tolerances and recomputed after
-    /// their values advanced 60 ticks: the first solve starts from the
-    /// predicted optimum and the recompute from the previous one, so both
-    /// are one solve of about the eight Newton steps the gap schedule
-    /// needs from `m / t0` down to `1e-8` (the uniform scalar start took
-    /// 22-30). The barrier-ladder warm start estimated drift from the
-    /// worst constraint residual, which the data-independent `b <= c` rows
-    /// pin near zero; it restarted far too hot and burned its whole step
-    /// budget before re-solving.
+    /// their values advanced 60 ticks: the first solve and the recompute
+    /// both start from the predicted optimum at their values, so both are
+    /// one solve of about the eight Newton steps the gap schedule needs
+    /// from `m / t0` down to `1e-8` (the uniform scalar start took 22-30),
+    /// and the recompute's light blend counts as one warm hit. The
+    /// barrier-ladder warm start estimated drift from the worst constraint
+    /// residual, which the data-independent `b <= c` rows pin near zero;
+    /// it restarted far too hot and burned its whole step budget before
+    /// re-solving.
     #[test]
     fn default_tolerance_warm_recompute_is_one_cheaper_solve() {
         use crate::strategy::{assign_unit_cached, assignment_units};
@@ -571,8 +551,8 @@ mod tests {
         }
     }
 
-    /// A cache whose optimum belongs to a program of another shape starts
-    /// the next program from its guess, as a first solve.
+    /// A cache whose program is of another shape takes the next program
+    /// in its place and solves it from its guess.
     #[test]
     fn shape_change_starts_over_instead_of_failing() {
         let options = SolverOptions::default();
@@ -589,7 +569,7 @@ mod tests {
     /// The kept program describes the cache's compiled GP, and a solve of
     /// another program through the same cache replaces both: the next
     /// Dual-DAB solve must not write its condition coefficients into the
-    /// other program's row.
+    /// other program's row, and answers what a fresh cache answers.
     #[test]
     fn a_cache_shared_across_strategies_solves_each_one_s_own_program() {
         use crate::strategy::{assign_unit_cached, assignment_units};
@@ -623,16 +603,14 @@ mod tests {
                 .unwrap()
                 .assignment()
         };
-        for (item, b) in &fresh.primary {
-            assert!((after.primary[item] - b).abs() <= 1e-4 * b, "{item:?}");
-        }
+        assert_eq!(after.all_bits(), fresh.all_bits());
     }
 
     #[test]
     fn solve_cache_shapes_and_takes() {
         let mut cache = SolveCache::new();
         cache.resize(&[1, 2]);
-        assert!(!cache.unit_mut(1, 1).has_solution());
+        assert!(cache.unit_mut(1, 1).columns().items().is_empty());
         let taken = cache.take(0, 0);
         cache.put_back(0, 0, taken);
         // Reshaping preserves rows it can.

@@ -12,13 +12,12 @@ use crate::error::DabError;
 /// `pq_sim::SimConfig::new` and `pq_sim::NetworkConfig::round_robin` all
 /// start from these.
 ///
-/// A DAB solve starts from a predicted or previous optimum, where hot
-/// starting duals and a `1e-5` gap take few Newton steps: on the
-/// `monitor_replay` book 4.0 per install solve and 5.0 per recompute,
-/// against 7.7 and 8.3 under the generic default (`1e-8`, `t0 = 1`,
-/// `mu = 20`). The precision given up is far below a filter width: there
-/// the installed filters differ from the `1e-8` ones by at most 6.2e-6
-/// relative (median 1.6e-6). Condition 1 cannot depend on the
+/// A DAB solve starts from a predicted optimum, where hot starting duals
+/// and a `1e-5` gap take few Newton steps: on the `monitor_replay` book
+/// 4.0 per install solve and per recompute, against 7.7 and 8.3 under the
+/// generic default (`1e-8`, `t0 = 1`, `mu = 20`). The precision given up
+/// is far below a filter width: there the installed filters differ from
+/// the `1e-8` ones by at most 6.2e-6 relative (median 1.6e-6). Condition 1 cannot depend on the
 /// tolerance: every primal–dual iterate is kept strictly feasible, so
 /// the filters of a solve stopped early still satisfy every QAB
 /// constraint — stopping early only costs optimality, i.e. a few

@@ -148,7 +148,7 @@ impl UnitProgram {
     }
 }
 
-/// [`solve_positive`] of a unit into `out`, with an optional warm-start
+/// [`solve_positive`] of a unit into `out`, with an optional per-unit
 /// cache. Linear bodies take the closed form (nothing to solve, nothing
 /// to keep); GP solves thread the cache through, and the cache keeps the
 /// unit's [`UnitProgram`] between calls.

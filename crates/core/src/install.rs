@@ -4,9 +4,10 @@
 //! the first refresh (§V-A "steady-state start"). Whatever drives it —
 //! the deployable monitor, the simulator's engine — the steps are the
 //! same: decompose every query into its assignment units, shape the
-//! warm-start caches and lay out the filter table by item from them, then
-//! solve each unit once through its cache slot (which seeds the warm
-//! starts of every later recompute) and write its filters into the table.
+//! per-unit caches and lay out the filter table by item from them, then
+//! solve each unit once through its cache slot (which keeps the compiled
+//! program every later recompute rewrites) and write its filters into the
+//! table.
 
 use pq_gp::SolverOptions;
 use pq_poly::{ItemId, PolynomialQuery};
@@ -160,11 +161,12 @@ mod tests {
                 expected.min_primary(item).to_bits()
             );
         }
-        // GP-backed units left a warm start behind; the linear one has
-        // nothing to keep.
-        assert!(cache.unit_mut(0, 0).has_solution());
-        assert!(cache.unit_mut(1, 0).has_solution() && cache.unit_mut(1, 1).has_solution());
-        assert!(!cache.unit_mut(2, 0).has_solution());
+        // Every unit left its assignment in its cache.
+        for (q, per_query) in units.iter().enumerate() {
+            for (u, unit) in per_query.iter().enumerate() {
+                assert_eq!(cache.unit_mut(q, u).columns().items(), &unit.items()[..]);
+            }
+        }
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! * [`filter_table`] — a coordinator's installed assignments, item-major:
 //!   stale-unit collection and the minimum rule as one contiguous scan;
 //! * [`install`] — the install loop: every unit's first solve;
-//! * [`cache`] — warm-start caches and the parallel recompute fan-out;
+//! * [`cache`] — per-unit caches and the parallel recompute fan-out;
 //! * [`coordinator`] — the coordinator itself: refresh → notify →
 //!   re-solve the stale units → re-derive the filters, over the three
 //!   above. The monitor, the simulator's engine and the Fig. 8(c) tree

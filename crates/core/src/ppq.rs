@@ -190,12 +190,11 @@ impl PpqProgram {
         out: &mut UnitColumns,
     ) -> Result<(), DabError> {
         self.map.eval_into(ctx.values, &mut self.coefs)?;
-        let warm = cache.as_ref().is_some_and(|c| c.has_solution());
         let mut start = START.take();
         let dual = self.method.mu().map(|mu| (mu, &self.coupled_b[..]));
         let condition = self.map.terms(&self.coefs);
         let sol = start
-            .predict(condition, self.qab, &self.lambdas, self.ddm, dual, !warm)
+            .predict(condition, self.qab, &self.lambdas, self.ddm, dual)
             .and_then(|()| self.solve_from(&start.guess, &start.interior, ctx, cache));
         START.set(start);
         self.write(&sol?, ctx, out);
@@ -204,8 +203,8 @@ impl PpqProgram {
 
     /// The solve at the values `coefs` was evaluated at, from their
     /// predicted start: by writing `coefs` into the program `cache`
-    /// compiled when it holds an optimum of one that takes them, by
-    /// emitting the program otherwise.
+    /// compiled when it holds one that takes them, by emitting the
+    /// program otherwise.
     fn solve_from(
         &mut self,
         guess: &[f64],
@@ -214,7 +213,8 @@ impl PpqProgram {
         mut cache: Option<&mut UnitCache>,
     ) -> Result<GpSolution, DabError> {
         if let Some(cache) = cache.as_deref_mut().filter(|_| self.aligned) {
-            let rewritten = cache.solve_row(0, &self.coefs, 1.0 / self.qab, interior, &ctx.gp);
+            let scale = 1.0 / self.qab;
+            let rewritten = cache.solve_row(0, &self.coefs, scale, guess, interior, &ctx.gp);
             if let Some(sol) = rewritten {
                 return Ok(sol);
             }
@@ -358,8 +358,7 @@ const SETTLED: f64 = 0.01;
 /// `g` comes from the `b·c` terms; later rounds re-linearize at the
 /// previous round's point until it settles. On a book whose QABs are a
 /// percent of the query value round 0 is already within a few percent.
-/// `refine = false` stops after round 0: enough for the interior anchor,
-/// which is all a solve that starts from a cached optimum reads.
+/// Every DAB solve, first or recompute, starts from this prediction.
 ///
 /// Only a start: a component that comes out non-finite or non-positive
 /// (`a_k = 0` in round 0, an empty first-order part) falls back to 1.
@@ -369,13 +368,12 @@ pub fn predicted_start(
     lambdas: &[f64],
     ddm: DataDynamicsModel,
     dual: Option<(f64, &[usize])>,
-    refine: bool,
 ) -> Result<(Vec<f64>, Vec<f64>), DabError> {
     let terms = condition.terms().iter();
     let condition = terms.map(|m| (m.coef(), m.exponents()));
     let mut start = START.take();
     let predicted = start
-        .predict(condition, qab, lambdas, ddm, dual, refine)
+        .predict(condition, qab, lambdas, ddm, dual)
         .map(|()| (start.guess.clone(), start.interior.clone()));
     START.set(start);
     predicted
@@ -498,7 +496,6 @@ impl StartScratch {
         lambdas: &[f64],
         ddm: DataDynamicsModel,
         dual: Option<(f64, &[usize])>,
-        refine: bool,
     ) -> Result<(), DabError> {
         let StartScratch {
             rates,
@@ -563,7 +560,7 @@ impl StartScratch {
             }
         };
         zeroed(next, n);
-        for _ in 0..if refine { MAX_ROUNDS } else { 0 } {
+        for _ in 0..MAX_ROUNDS {
             point(b, u, guess);
             w.iter_mut().chain(g.iter_mut()).for_each(|v| *v = 0.0);
             // The condition's value, and `w·b + g·c` (each term times its
@@ -823,17 +820,6 @@ mod tests {
         assert!(a.respects_qab(&q, 1e-6));
     }
 
-    fn bits(a: &QueryAssignment) -> Vec<u64> {
-        let ValidityRange::Box(secondary) = &a.validity else {
-            panic!("dual-DAB validity is a box")
-        };
-        (a.primary.values().chain(secondary.values()))
-            .chain(a.anchor.values())
-            .chain([&a.recompute_rate, &a.refresh_rate])
-            .map(|v| v.to_bits())
-            .collect()
-    }
-
     /// Two units shaped like the paper's (shared item, a square, a linear
     /// leg), installed at one set of values and recomputed at drifted
     /// ones: the recompute that writes the map's coefficients into the
@@ -863,8 +849,8 @@ mod tests {
             let b0 = rebuilding
                 .solve(&at(&installed), Some(&mut cache_b))
                 .unwrap();
-            assert_eq!(bits(&a0), bits(&b0));
-            assert!(through_map.aligned && cache_a.has_solution());
+            assert_eq!(a0.all_bits(), b0.all_bits());
+            assert!(through_map.aligned);
             // Same cache state, but nothing says its compiled GP takes
             // the map's coefficients: the program is emitted again.
             rebuilding.aligned = false;
@@ -872,9 +858,51 @@ mod tests {
                 .solve(&at(&drifted), Some(&mut cache_a))
                 .unwrap();
             let b1 = rebuilding.solve(&at(&drifted), Some(&mut cache_b)).unwrap();
-            assert_eq!(bits(&a1), bits(&b1), "{ddm}");
-            assert_ne!(bits(&a1), bits(&a0), "the recompute moved the DABs");
+            assert_eq!(a1.all_bits(), b1.all_bits(), "{ddm}");
+            assert_ne!(a1.all_bits(), a0.all_bits(), "the recompute moved the DABs");
             assert!(a1.respects_qab(&q, 1e-6));
+        }
+    }
+
+    /// A unit's filter is a function of the unit and the values, not of
+    /// its solve history: solved through one cache at `V0` and then `V1`,
+    /// it is bit for bit the solve of a fresh cache at `V1` — whether the
+    /// recompute rewrites the kept program's condition row (`V0` all
+    /// positive) or emits the program again (a value at zero in `V0` left
+    /// a monomial out of the kept condition).
+    #[test]
+    fn a_recompute_is_the_fresh_solve_at_the_same_values() {
+        let p = Polynomial::from_terms([
+            PTerm::new(2.0, [(x(0), 1), (x(1), 1)]).unwrap(),
+            PTerm::new(3.0, [(x(1), 1), (x(2), 1)]).unwrap(),
+            PTerm::new(0.5, [(x(3), 2)]).unwrap(),
+            PTerm::new(4.0, [(x(4), 1)]).unwrap(),
+        ]);
+        let q = PolynomialQuery::new(p, 10.0).unwrap();
+        let rates = [0.5, 0.01, 0.3, 0.2, 0.1];
+        let drifted = [50.4, 1.98, 30.3, 7.05, 11.2];
+        let methods = [PpqMethod::DualDab { mu: 5.0 }, PpqMethod::OptimalRefresh];
+        let installs = [[50.0, 2.0, 30.0, 7.0, 11.0], [50.0, 2.0, 30.0, 0.0, 11.0]];
+        for ddm in [DataDynamicsModel::Monotonic, DataDynamicsModel::RandomWalk] {
+            let at = |values| SolveContext::new(values, &rates).with_ddm(ddm);
+            for method in methods {
+                for installed in &installs {
+                    let mut program = PpqProgram::compile(&q, method, &at(installed)).unwrap();
+                    let mut cache = UnitCache::new();
+                    program.solve(&at(installed), Some(&mut cache)).unwrap();
+                    assert_eq!(program.aligned, installed[3] != 0.0);
+                    let recomputed = program.solve(&at(&drifted), Some(&mut cache)).unwrap();
+                    let fresh = PpqProgram::compile(&q, method, &at(&drifted))
+                        .unwrap()
+                        .solve(&at(&drifted), Some(&mut UnitCache::new()))
+                        .unwrap();
+                    assert_eq!(
+                        recomputed.all_bits(),
+                        fresh.all_bits(),
+                        "{method:?} {ddm} from {installed:?}"
+                    );
+                }
+            }
         }
     }
 
@@ -908,19 +936,6 @@ mod tests {
         solve(&[0.31, 2.0, 30.1, 4.0], &mut program);
     }
 
-    /// Every float of an assignment, either validity kind.
-    fn all_bits(a: &QueryAssignment) -> Vec<u64> {
-        let secondary = match &a.validity {
-            ValidityRange::Box(secondary) => secondary.values().copied().collect(),
-            _ => Vec::new(),
-        };
-        (a.primary.values().chain(&secondary))
-            .chain(a.anchor.values())
-            .chain([&a.recompute_rate, &a.refresh_rate])
-            .map(|v| v.to_bits())
-            .collect()
-    }
-
     /// The solve as it ran before programs were emitted: spell the
     /// program out as a [`GpProblem`], compile that, and solve it through
     /// the cache.
@@ -937,7 +952,6 @@ mod tests {
             &program.lambdas,
             program.ddm,
             dual,
-            !cache.has_solution(),
         )?;
         let compiled = CompiledGp::compile(&program.problem()?)?;
         let sol = solve_compiled(compiled, &guess, &interior, &ctx.gp, Some(cache))?;
@@ -1086,11 +1100,10 @@ mod tests {
                     let emitted = emitting.solve(&at(values), Some(&mut cache_e));
                     let spelled = solve_through_the_problem(&mut spelling, &at(values), &mut cache_s);
                     match (emitted, spelled) {
-                        (Ok(e), Ok(s)) => prop_assert_eq!(all_bits(&e), all_bits(&s)),
+                        (Ok(e), Ok(s)) => prop_assert_eq!(e.all_bits(), s.all_bits()),
                         (Err(_), Err(_)) => {}
                         (e, s) => prop_assert!(false, "emitted {:?}, spelled out {:?}", e, s),
                     }
-                    prop_assert_eq!(cache_e.has_solution(), cache_s.has_solution());
                 }
             }
         }
@@ -1098,8 +1111,7 @@ mod tests {
 
     /// A start whose blend fails — here an anchor outside the condition —
     /// still ends in phase I, on the emitted program, counted as the one
-    /// cold start it is, with phase I's answer kept as the cache's
-    /// optimum.
+    /// cold start it is; the cache keeps that program for the next solve.
     #[test]
     fn a_failed_blend_reaches_phase_one_through_the_emitted_program() {
         let q = PolynomialQuery::portfolio([(2.0, x(0), x(1)), (3.0, x(1), x(2))], 10.0).unwrap();
@@ -1127,8 +1139,9 @@ mod tests {
         assert_eq!(count(pq_obs::names::SOLVE_WARM_HIT), 0);
         assert_eq!(count(pq_obs::names::SOLVE_WARM_REPAIR), 0);
 
-        // The next solve starts from phase I's optimum, in place.
-        assert!(program.aligned && cache.has_solution());
+        // The next solve rewrites the kept program's condition in place
+        // and starts from the prediction at the drifted values.
+        assert!(program.aligned);
         let drifted = [50.4, 1.98, 30.3];
         let next = program
             .solve(
@@ -1183,7 +1196,7 @@ mod tests {
             assert!(a.respects_qab(&q, 1e-6), "{method:?}");
             let bits = (sol.x.iter().chain([&sol.objective]))
                 .map(|v| v.to_bits())
-                .chain(all_bits(&a));
+                .chain(a.all_bits());
             let mut hash = 0xcbf2_9ce4_8422_2325_u64;
             for byte in bits.flat_map(u64::to_le_bytes) {
                 hash ^= u64::from(byte);

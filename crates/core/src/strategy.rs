@@ -230,10 +230,10 @@ pub fn assign_unit(
     UnitColumns::one_shot(|out| solve_unit(unit, ctx, strategy, None, out))
 }
 
-/// Solves one unit under `strategy`, warm-starting the GP solve from
-/// `cache` (and updating it with the new optimum). Closed-form strategies
-/// ignore the warm start; GP-backed ones reuse the compiled program and
-/// the last solution stored in it. The new assignment is left in the
+/// Solves one unit under `strategy` through `cache`. Closed-form
+/// strategies keep nothing in it; GP-backed ones reuse the compiled
+/// program stored there and start from the predicted optimum at `ctx`'s
+/// values, as an uncached solve does. The new assignment is left in the
 /// cache, as columns ([`UnitCache::columns`]), and returned from there.
 pub fn assign_unit_cached<'c>(
     unit: &AssignmentUnit,

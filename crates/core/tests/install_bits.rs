@@ -3,12 +3,16 @@
 //! Three books are installed through `Coordinator::install` at a stock
 //! tape's tick-0 values, then driven through the tape's first 60 ticks,
 //! every moved item refreshed, which re-solves whatever the drift
-//! invalidated. After each
-//! phase every cell of every unit (anchor, secondary and primary DAB per
-//! item) and every item's installed filter are folded into one FNV-1a
-//! hash. The hashes were taken from the coordinator as it solved before
-//! its per-unit bookkeeping was rewritten: a change that moves one bit of
-//! one filter fails here.
+//! invalidated. After each phase every cell of every unit (anchor,
+//! secondary and primary DAB per item) and every item's installed filter
+//! are folded into an FNV-1a hash of its own: an install hash and a drift
+//! hash per book. A change that moves one bit of one filter fails here.
+//!
+//! The install hashes were taken from the coordinator as it solved before
+//! its per-unit bookkeeping was rewritten. The drift hashes were re-taken
+//! when recomputes began to start from the predicted optimum at their
+//! values rather than from the unit's previous optimum (DESIGN.md,
+//! "One start rule").
 
 use pq_core::coordinator::{Config, Coordinator, Scope};
 use pq_core::{dab_solver_options, AssignmentStrategy, PqHeuristic, ValidityRange};
@@ -19,6 +23,13 @@ use pq_poly::{ItemId, PolynomialQuery};
 const ITEMS: u32 = 100;
 const QUERIES: usize = 40;
 const DRIFT_TICK: usize = 60;
+
+const INSTALL_FIG5: u64 = 0xb116_9746_0ab6_ca63;
+const DRIFT_FIG5: u64 = 0x8609_1556_853b_935a;
+const INSTALL_OVERLAP: u64 = 0x03ad_75b2_e096_f047;
+const DRIFT_OVERLAP: u64 = 0xdbda_82ab_d4ad_8d04;
+const INSTALL_HALF: u64 = 0xf7fe_46f6_d0f8_1154;
+const DRIFT_HALF: u64 = 0xf1b2_1e16_9620_28a3;
 
 /// 64-bit FNV-1a over the little-endian bytes of every value folded in.
 struct Fnv(u64);
@@ -106,11 +117,11 @@ fn fold(c: &Coordinator, units: &[usize], hash: &mut Fnv) {
     }
 }
 
-/// The hash of a book installed at tick 0, then drifted to tick 60.
+/// The hashes of a book installed at tick 0, and of it drifted to tick 60.
 fn installed_then_drifted(
     queries: impl Fn(&[f64]) -> Vec<PolynomialQuery>,
     heuristic: PqHeuristic,
-) -> u64 {
+) -> (u64, u64) {
     let traces = TraceSet::stock_universe(ITEMS as usize, DRIFT_TICK + 1, 0x1CDE_2008);
     let rates = RateEstimator::SampledAverage {
         interval_ticks: DRIFT_TICK,
@@ -136,8 +147,8 @@ fn installed_then_drifted(
     };
     let strategy = AssignmentStrategy::DualDab { mu: 5.0 };
     let mut c = Coordinator::install(&queries, strategy, heuristic, start.clone(), cfg).unwrap();
-    let mut hash = Fnv::new();
-    fold(&c, &units, &mut hash);
+    let mut installed = Fnv::new();
+    fold(&c, &units, &mut installed);
     let mut recomputed = 0;
     for tick in 1..=DRIFT_TICK {
         for item in 0..ITEMS as usize {
@@ -148,33 +159,48 @@ fn installed_then_drifted(
         }
     }
     assert!(recomputed > 0, "the drift re-solved nothing");
-    fold(&c, &units, &mut hash);
-    hash.0
+    let mut drifted = Fnv::new();
+    fold(&c, &units, &mut drifted);
+    (installed.0, drifted.0)
 }
 
 #[test]
 fn a_fig5_style_book_installs_and_recomputes_the_same_bits() {
-    let hash = installed_then_drifted(|v| book(6..=7, None, false, v), PqHeuristic::DifferentSum);
-    assert_eq!(hash, 0xc294_3673_79aa_d69f, "fig5-style book: {hash:#018x}");
+    let (install, drift) =
+        installed_then_drifted(|v| book(6..=7, None, false, v), PqHeuristic::DifferentSum);
+    assert_eq!(
+        install, INSTALL_FIG5,
+        "fig5-style book, installed: {install:#018x}"
+    );
+    assert_eq!(drift, DRIFT_FIG5, "fig5-style book, drifted: {drift:#018x}");
 }
 
 #[test]
 fn an_overlap_style_book_installs_and_recomputes_the_same_bits() {
-    let hash = installed_then_drifted(
+    let (install, drift) = installed_then_drifted(
         |v| book(3..=4, Some(12), false, v),
         PqHeuristic::DifferentSum,
     );
     assert_eq!(
-        hash, 0x6c59_dd06_b70d_f140,
-        "overlap-style book: {hash:#018x}"
+        install, INSTALL_OVERLAP,
+        "overlap-style book, installed: {install:#018x}"
+    );
+    assert_eq!(
+        drift, DRIFT_OVERLAP,
+        "overlap-style book, drifted: {drift:#018x}"
     );
 }
 
 #[test]
 fn a_half_and_half_arbitrage_book_installs_and_recomputes_the_same_bits() {
-    let hash = installed_then_drifted(|v| book(3..=4, None, true, v), PqHeuristic::HalfAndHalf);
+    let (install, drift) =
+        installed_then_drifted(|v| book(3..=4, None, true, v), PqHeuristic::HalfAndHalf);
     assert_eq!(
-        hash, 0x3ffb_ea30_b62e_3d5a,
-        "half-and-half book: {hash:#018x}"
+        install, INSTALL_HALF,
+        "half-and-half book, installed: {install:#018x}"
+    );
+    assert_eq!(
+        drift, DRIFT_HALF,
+        "half-and-half book, drifted: {drift:#018x}"
     );
 }

@@ -1,6 +1,6 @@
 //! Property tests for the predicted start of a PPQ solve.
 //!
-//! Every first DAB solve of a unit starts from the closed-form optimum of
+//! Every DAB solve of a unit starts from the closed-form optimum of
 //! the query's tangent linear program ([`pq_core::ppq::predicted_start`],
 //! DESIGN.md §10). The prediction is only a start, so three things must
 //! hold on any unit, not just the benchmark books:
@@ -151,7 +151,6 @@ impl Case {
                     &lambdas,
                     self.ddm,
                     Some((mu, &coupled_b)),
-                    true,
                 )
                 .unwrap();
                 (problem, guess, interior)
@@ -165,8 +164,7 @@ impl Case {
                     .add_constraint_le(condition.clone(), self.unit.qab)
                     .unwrap();
                 let (guess, interior) =
-                    predicted_start(&condition, self.unit.qab, &lambdas, self.ddm, None, true)
-                        .unwrap();
+                    predicted_start(&condition, self.unit.qab, &lambdas, self.ddm, None).unwrap();
                 (problem, guess, interior)
             }
         }

@@ -125,11 +125,13 @@ pub struct SolverOptions {
 pub struct DabTelemetry {
     /// Timer of the `dab.solve` span.
     pub span: pq_obs::Timer,
-    /// `solve.cold_start`: a unit's first solve.
+    /// `solve.cold_start`: a solve into a cache with no compiled program.
     pub cold_start: Arc<pq_obs::Counter>,
-    /// `solve.warm_hit`: a light blend off the cached optimum sufficed.
+    /// `solve.warm_hit`: a later solve whose start needed only a light
+    /// blend off the predicted optimum.
     pub warm_hit: Arc<pq_obs::Counter>,
-    /// `solve.warm_repair`: the drift needed a deeper blend.
+    /// `solve.warm_repair`: a later solve whose start needed a deeper
+    /// blend.
     pub warm_repair: Arc<pq_obs::Counter>,
     /// `solve.cold_fallback`: the blend failed, phase I ran.
     pub cold_fallback: Arc<pq_obs::Counter>,
@@ -341,19 +343,21 @@ pub struct CompiledGp {
     plan: Option<Arc<SparseKktPlan>>,
 }
 
-/// How far a warm-started solve had to move off the previous optimum to
-/// regain a strictly feasible start (see [`CompiledGp::solve_warm`]).
+/// How far a warm-started solve had to move off the caller's predicted
+/// optimum to regain a strictly feasible start (see
+/// [`CompiledGp::solve_warm`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WarmStart {
     /// A blend of at most 0.1 toward the interior point sufficed: the
-    /// start is essentially the previous optimum.
+    /// start is essentially the prediction.
     Hit,
-    /// Data drift forced a deeper blend toward the interior point.
+    /// The prediction lay outside or on the feasible set's boundary and
+    /// needed a deeper blend toward the interior point.
     Repaired,
 }
 
-/// Largest blend toward the interior point that still counts as a warm
-/// *hit*; anything deeper is a *repair*.
+/// Largest blend of the predicted start toward the interior point that
+/// still counts as a warm *hit*; anything deeper is a *repair*.
 const WARM_HIT_BLEND: f64 = 0.1;
 
 /// Log-space slack a warm start restores on every constraint:
@@ -500,21 +504,21 @@ impl CompiledGp {
         phase_two(&self.program(), options, ws, COLD_DUAL_SLACK)
     }
 
-    /// Warm-started solve: blends the previous optimum `prev_x` toward the
-    /// strictly interior `interior_x` in log space,
-    /// `y(theta) = (1-theta) ln prev_x + theta ln interior_x`, by the
+    /// Warm-started solve: blends `start`, the caller's predicted optimum,
+    /// toward the strictly interior `interior_x` in log space,
+    /// `y(theta) = (1-theta) ln start + theta ln interior_x`, by the
     /// *smallest* `theta` that restores a log-space slack of `1e-3` on
     /// every constraint, and starts the primal–dual loop there with
     /// centred duals.
     ///
-    /// The previous optimum sits on the active constraint boundary and
-    /// data drift pushes it a little to either side, so the blended start
-    /// is already close to the new optimum; what is unknown is *how*
-    /// close. Nothing here estimates that: the loop re-derives its path
-    /// parameter from the surrogate gap of the current iterate every step,
-    /// so from a near-optimal start full Newton steps shrink the gap by
-    /// `mu` each and the solve ends in a handful of steps, while a start
-    /// the drift left far from optimal simply takes more.
+    /// A good prediction sits on or near the active constraint boundary,
+    /// so the blended start is already close to the optimum; what is
+    /// unknown is *how* close. Nothing here estimates that: the loop
+    /// re-derives its path parameter from the surrogate gap of the
+    /// current iterate every step, so from a near-optimal start full
+    /// Newton steps shrink the gap by `mu` each and the solve ends in a
+    /// handful of steps, while a start far from optimal simply takes
+    /// more.
     ///
     /// A blend of at most 0.1 counts as [`WarmStart::Hit`], a deeper one
     /// as [`WarmStart::Repaired`].
@@ -525,23 +529,23 @@ impl CompiledGp {
     /// [`CompiledGp::solve_cold`]); solver errors otherwise.
     pub fn solve_warm(
         &self,
-        prev_x: &[f64],
+        start: &[f64],
         interior_x: &[f64],
         options: &SolverOptions,
         ws: &mut SolveWorkspace,
     ) -> Result<(GpSolution, WarmStart), GpError> {
-        if prev_x.len() != self.n_vars()
+        if start.len() != self.n_vars()
             || interior_x.len() != self.n_vars()
-            || prev_x.iter().any(|&v| !(v.is_finite() && v > 0.0))
+            || start.iter().any(|&v| !(v.is_finite() && v > 0.0))
             || interior_x.iter().any(|&v| !(v.is_finite() && v > 0.0))
         {
             return Err(GpError::InvalidStartingPoint);
         }
         let _span = solve_span(options);
         // The Newton buffers hold the two endpoints until the loop starts.
-        let (y_prev, y_int, z) = (&mut ws.rhs, &mut ws.dy, &mut ws.cur.probs);
-        y_prev.clear();
-        y_prev.extend(prev_x.iter().map(|&v| v.ln()));
+        let (y_start, y_int, z) = (&mut ws.rhs, &mut ws.dy, &mut ws.cur.probs);
+        y_start.clear();
+        y_start.extend(start.iter().map(|&v| v.ln()));
         y_int.clear();
         y_int.extend(interior_x.iter().map(|&v| v.ln()));
 
@@ -551,7 +555,7 @@ impl CompiledGp {
         // interior point itself lacks the slack, start from it outright.
         let mut theta = 0.0f64;
         for fi in self.arena.iter().skip(1) {
-            let fp = fi.value_buf(y_prev, z);
+            let fp = fi.value_buf(y_start, z);
             if fp <= -WARM_SLACK {
                 continue;
             }
@@ -564,13 +568,13 @@ impl CompiledGp {
         }
         ws.cur.y.clear();
         ws.cur.y.extend(
-            y_prev
+            y_start
                 .iter()
                 .zip(y_int.iter())
                 .map(|(&p, &q)| (1.0 - theta) * p + theta * q),
         );
-        // Every constraint the blend left at the slack is one the previous
-        // optimum had active, so its dual stays centred.
+        // Every constraint the blend left at the slack is one the start
+        // had active, so its dual stays centred.
         let solution = phase_two(&self.program(), options, ws, WARM_SLACK)?;
         let kind = if theta <= WARM_HIT_BLEND {
             WarmStart::Hit

@@ -1,7 +1,7 @@
 //! The deployable `Monitor`'s Newton-step budget on a fig5-style book.
 //! It solves at `pq_core::dab_solver_options`, the one DAB solver
 //! configuration, so an install solve and a recompute each start from a
-//! predicted or previous optimum and take a handful of Newton steps, not
+//! predicted optimum and take a handful of Newton steps, not
 //! the ≈ 8 of the generic solver default it used to install with.
 
 use polyquery::obs::{names, Event, Value};
@@ -30,8 +30,8 @@ fn mean(steps: &[u64]) -> f64 {
 #[test]
 fn install_and_recompute_take_a_handful_of_newton_steps() {
     // 40 items, 40 PPQs of 6-7 legs: 40 install solves and 128
-    // recomputes, 4.05 and 4.70 Newton steps each (7.40 and 8.00 under
-    // the generic default).
+    // recomputes, 4.05 Newton steps each (7.40 and 8.00 under the generic
+    // default).
     let (n_items, n_queries, n_ticks) = (40, 40, 3000);
     let traces = TraceSet::stock_universe(n_items, n_ticks, 0x1CDE_2008);
     let initial = traces.initial_values();
