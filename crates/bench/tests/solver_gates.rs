@@ -15,8 +15,9 @@ use pq_obs::{names, Obs, Value};
 use pq_poly::{ItemId, PolynomialQuery};
 
 /// Mean Newton steps a first (cold) and a warm solve may take. Both read
-/// ≈ 4: a unit's first solve starts from a predicted optimum.
-const MAX_STEPS: f64 = 10.0;
+/// 2.0: every solve starts from a predicted optimum with the duals it
+/// implies (4.0 from centred duals).
+const MAX_STEPS: f64 = 3.0;
 /// Mean Newton steps a cold solve may take beyond a warm one.
 const MAX_COLD_OVER_WARM_STEPS: f64 = 2.0;
 const MIN_WARM_HIT_RATE: f64 = 0.8;

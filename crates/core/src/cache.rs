@@ -465,14 +465,14 @@ mod tests {
     /// Fig5-style Dual-DAB units (six two-item legs, QAB 1 % of the value)
     /// solved under the library-default tolerances and recomputed after
     /// their values advanced 60 ticks: the first solve and the recompute
-    /// both start from the predicted optimum at their values, so both are
-    /// one solve of about the eight Newton steps the gap schedule needs
-    /// from `m / t0` down to `1e-8` (the uniform scalar start took 22-30),
-    /// and the recompute's light blend counts as one warm hit. The
-    /// barrier-ladder warm start estimated drift from the worst constraint
-    /// residual, which the data-independent `b <= c` rows pin near zero;
-    /// it restarted far too hot and burned its whole step budget before
-    /// re-solving.
+    /// both start from the predicted optimum at their values and the
+    /// duals it implies, so both are one solve of five Newton steps down
+    /// to a `1e-8` gap (eight or nine from centred duals, 22-30 from the
+    /// uniform scalar start), and the recompute's light blend counts as
+    /// one warm hit. The barrier-ladder warm start estimated drift from
+    /// the worst constraint residual, which the data-independent `b <= c`
+    /// rows pin near zero; it restarted far too hot and burned its whole
+    /// step budget before re-solving.
     #[test]
     fn default_tolerance_warm_recompute_is_one_cheaper_solve() {
         use crate::strategy::{assign_unit_cached, assignment_units};
@@ -482,8 +482,9 @@ mod tests {
 
         const QUERIES: u32 = 8;
         /// `gp.newton` events (Newton steps + the converged check) a
-        /// solve may emit, cold or warm.
-        const NEWTON_CEILING: usize = 12;
+        /// solve may emit, cold or warm: each reads 6, and 9-10 from
+        /// centred duals.
+        const NEWTON_CEILING: usize = 8;
         let n_items = 12 * QUERIES as usize;
         let traces = TraceSet::stock_universe(n_items, 61, 0x1CDE_2008);
         let values_at =

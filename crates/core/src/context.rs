@@ -12,10 +12,13 @@ use crate::error::DabError;
 /// `pq_sim::SimConfig::new` and `pq_sim::NetworkConfig::round_robin` all
 /// start from these.
 ///
-/// A DAB solve starts from a predicted optimum, where hot starting duals
-/// and a `1e-5` gap take few Newton steps: on the `monitor_replay` book
-/// 4.0 per install solve and per recompute, against 7.7 and 8.3 under the
-/// generic default (`1e-8`, `t0 = 1`, `mu = 20`). The precision given up
+/// A DAB solve starts from a predicted optimum with the duals that point
+/// implies ([`pq_gp::CompiledGp::solve_warm`]), where a `1e-5` gap takes
+/// two Newton steps per install solve and per recompute on a fig5 book
+/// (`tests/monitor_budget.rs`). Centred duals at `t0 = 10` took four, and
+/// the generic default (`1e-8`, `t0 = 1`, `mu = 20`) 7.7 and 8.3 on the
+/// `monitor_replay` book; `t0` now only sets the duals of a warm start
+/// whose fit falls back, and of a phase-I fallback. The precision given up
 /// is far below a filter width: there the installed filters differ from
 /// the `1e-8` ones by at most 6.2e-6 relative (median 1.6e-6). Condition 1 cannot depend on the
 /// tolerance: every primal–dual iterate is kept strictly feasible, so

@@ -238,8 +238,9 @@ proptest! {
     }
 }
 
-/// Newton steps of a cold solve: at most 12 on any unit, at most 8 on
-/// average (the uniform start averaged 16-19 and peaked past 25).
+/// Newton steps of a cold solve: at most 8 on any unit, at most 3 on
+/// average. They read 6 and 2.35; centred warm-start duals read 7 and
+/// 3.81, the uniform start averaged 16-19 and peaked past 25.
 #[test]
 fn cold_solves_take_a_handful_of_newton_steps() {
     const CASES: u64 = 256;
@@ -249,11 +250,11 @@ fn cold_solves_take_a_handful_of_newton_steps() {
         let (_, steps) = Case::from_raw(&raw)
             .cold_solve(dab_solver_options())
             .unwrap_or_else(|e| panic!("case {i}: {e:?}\n{raw:?}"));
-        assert!(steps <= 12, "case {i}: {steps} newton steps\n{raw:?}");
+        assert!(steps <= 8, "case {i}: {steps} newton steps\n{raw:?}");
         total += steps;
     }
     let mean = total as f64 / CASES as f64;
-    assert!(mean <= 8.0, "mean {mean:.2} newton steps per cold solve");
+    assert!(mean <= 3.0, "mean {mean:.2} newton steps per cold solve");
 }
 
 fn x(i: u32) -> ItemId {
