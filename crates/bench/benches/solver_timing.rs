@@ -1,11 +1,11 @@
 //! §V-A "Solver": running-time of the DAB optimizations.
 //!
 //! The paper reports 40–70 ms per Dual-DAB PPQ solve (CVXOPT on a 2.66 GHz
-//! P4) and 600–750 ms for AAO over 10 PPQs. These benches measure our
-//! from-scratch GP solver on problems of the same shape; expect orders of
-//! magnitude faster on modern hardware — the relevant reproduction is the
-//! *ratio* (AAO over 10 queries costs ~10x a single Dual-DAB solve) and
-//! that both are practical.
+//! P4) and 600–750 ms for AAO over 10 PPQs (≈ 10–15× one PPQ). These
+//! benches measure our from-scratch GP solver on problems of the same
+//! shape. Both are practical here, but the ratio is not the paper's: a
+//! Dual-DAB solve runs on the warm-started compiled path, AAO on the
+//! object-form program from a scalar start (EXPERIMENTS.md §V-A).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 

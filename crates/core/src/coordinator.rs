@@ -241,12 +241,8 @@ pub struct Coordinator {
     cache: SolveCache,
     /// Every unit's installed assignment, item-major.
     filters: FilterTable,
-    /// Per item, a bound on its filter from outside this coordinator's
-    /// own units (`+∞` unless [`Coordinator::set_floor`] said otherwise).
-    floor: Vec<f64>,
-    /// Per item, the filter its source was last told:
-    /// `min(filters.min_primary, floor)` as of the last derivation that
-    /// [`filter_changed`] called a change.
+    /// Per item, the filter its source was last told: `filters.min_primary`
+    /// as of the last derivation that [`filter_changed`] called a change.
     installed: Vec<f64>,
     install_ns: u64,
     handles: Handles,
@@ -360,7 +356,6 @@ impl Coordinator {
             .counter(names::EVAL_SHARED_TERMS)
             .add(plan.n_terms() as u64);
         Coordinator {
-            floor: vec![f64::INFINITY; values.len()],
             installed: vec![f64::INFINITY; values.len()],
             values,
             cfg,
@@ -513,9 +508,13 @@ impl Coordinator {
     ///
     /// # Errors
     /// The first re-solve that failed, with its query's index. The value
-    /// stays applied and the units that did solve stay installed; every
-    /// unit that did not is marked stale, so the next refresh of any of
-    /// its items tries again.
+    /// stays applied. Stale units merge in unit order: the ones before
+    /// the first failure stay installed, and the filters they moved count
+    /// as told, but their filter changes are dropped with the `Err`, so
+    /// no source hears of them. The failed unit and every unit after it,
+    /// including those that did solve, are marked stale, so the next
+    /// refresh of any of their items tries again. A failure that
+    /// degrades instead is ROADMAP.md item 1.
     pub fn react(&mut self, item: usize, at: Option<f64>) -> Result<Outcome, InstallError> {
         let mut outcome = Outcome::default();
         for &qi in self.readers.queries(item) {
@@ -597,7 +596,7 @@ impl Coordinator {
                     // primary DAB this install can have moved.
                     for &i in self.filters.unit_items(d.qi, d.ui) {
                         let item = i as usize;
-                        let new = self.filters.min_primary(item).min(self.floor[item]);
+                        let new = self.filters.min_primary(item);
                         if rederive(&mut self.installed[item], new) {
                             outcome.filter_changes.push((ItemId(i), new));
                         }
@@ -672,20 +671,12 @@ impl Coordinator {
         });
     }
 
-    /// Bounds `item`'s filter from outside — a home shard's way to honour
-    /// the minima remote shards derived over their replicas: the
-    /// installed filter is `min(floor, this coordinator's tightest DAB)`.
-    /// Follow with [`Coordinator::rederive`].
-    pub fn set_floor(&mut self, item: usize, floor: f64) {
-        self.floor[item] = floor;
-    }
-
     /// Re-derives the installed filter of each of `items`, returning the
     /// ones that changed, in order.
     pub fn rederive(&mut self, items: impl IntoIterator<Item = usize>) -> Vec<(ItemId, f64)> {
         let mut changes = Vec::new();
         for item in items {
-            let new = self.filters.min_primary(item).min(self.floor[item]);
+            let new = self.filters.min_primary(item);
             if rederive(&mut self.installed[item], new) {
                 changes.push((ItemId(item as u32), new));
             }
@@ -871,26 +862,6 @@ mod tests {
             refused,
             Err(DabError::NonFiniteValue { item: 2, .. })
         ));
-    }
-
-    #[test]
-    fn a_floor_bounds_the_installed_filter_until_it_is_lifted() {
-        let mut c = one_product(&Obs::null());
-        c.on_refresh(1, 30.0).unwrap();
-        let own = c.filter(0);
-        assert!(own.is_finite() && c.rederive([0, 1]).is_empty());
-        c.set_floor(0, own / 2.0);
-        assert_eq!(c.rederive([0, 1]), vec![(x(0), own / 2.0)]);
-        assert_eq!(c.filter(0), own / 2.0);
-        // A re-solve derives under the floor too: x1 falling back widens
-        // the unit's DAB for x0, and the installed filter stays put.
-        let out = c.on_refresh(1, 2.0).unwrap();
-        assert_eq!(out.recomputed.len(), 1);
-        assert!(out.filter_changes.iter().all(|&(item, _)| item != x(0)));
-        let widened = c.assignment(0, 0).primary[&x(0)];
-        assert!(widened > own && c.filter(0) == own / 2.0);
-        c.set_floor(0, f64::INFINITY);
-        assert_eq!(c.rederive([0]), vec![(x(0), widened)]);
     }
 
     #[test]

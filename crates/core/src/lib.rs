@@ -24,7 +24,8 @@
 //!   re-solve the stale units → re-derive the filters, over the three
 //!   above. The monitor, the simulator's engine and the Fig. 8(c) tree
 //!   each wrap one;
-//! * [`mod@partition`] — the query↔item graph cut into coordinator shards;
+//! * [`mod@partition`] — whole connected components of the query↔item
+//!   graph packed onto coordinator shards;
 //! * [`strategy`] — a single dispatch point used by the simulator.
 //!
 //! ```
@@ -72,7 +73,7 @@ pub use heuristics::{general_pq, PpqMethod, PqHeuristic};
 pub use install::{install_units, InstallError};
 pub use laq::linear_closed_form;
 pub use multi::{aao, aao_program, eqi, AaoProgram};
-pub use partition::{partition, CrossEdge, PartitionInput, PartitionPlan};
+pub use partition::{partition, PartitionInput, PartitionPlan};
 pub use ppq::{dual_dab, optimal_refresh};
 pub use strategy::{
     assign_query, assign_unit, assign_unit_cached, assignment_units, estimate_mu,

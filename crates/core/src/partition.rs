@@ -2,23 +2,16 @@
 //!
 //! The AAO decomposition (§III) already solves independently per
 //! connected unit of the query↔item graph, so connected components are
-//! a natural shard seam: two queries that share no item (directly or
+//! the shard seam: two queries that share no item (directly or
 //! transitively) never interact — not through DAB minima, not through
 //! refresh processing, not through joint solves. The partitioner
 //! computes those components with a union-find over items, estimates
 //! each component's refresh/recompute load, and packs whole components
 //! onto `k` shards with an LPT (longest-processing-time) greedy bin
-//! packing.
-//!
-//! A component whose load alone exceeds its fair share cannot be
-//! packed whole without starving the other shards; such components are
-//! split with a min-cut-style region-growing heuristic: queries are
-//! peeled off greedily in order of shared-item affinity with the piece
-//! grown so far, which keeps strongly coupled queries together and
-//! pushes the cut through weakly shared items. Each item referenced
-//! from more than one shard keeps a **home** shard (where its source
-//! lives) and the remaining references become **cross edges** the
-//! engine routes over inter-shard rings.
+//! packing. A component is never split: one whose load alone exceeds a
+//! fair share lands whole on one shard, and the imbalance is accepted.
+//! Every item a query reads therefore lives on that query's shard, and
+//! shards share nothing.
 //!
 //! Everything here is deterministic: ties break on lowest index, and
 //! the plan depends only on the inputs, never on iteration order of a
@@ -44,28 +37,13 @@ pub struct PartitionInput<'a> {
     pub query_load: &'a [f64],
 }
 
-/// One item referenced by queries outside its home shard. The home
-/// shard owns the source (drifts the value, applies the installed
-/// filter) and forwards accepted refreshes to each remote shard; remote
-/// shards ship their local DAB minima back so the home's installed
-/// filter stays the global minimum.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CrossEdge {
-    /// Global item id.
-    pub item: u32,
-    /// Shard owning the item's source.
-    pub home: u32,
-    /// A shard with at least one query referencing the item. Never
-    /// equal to `home`; each `(item, remote)` pair appears exactly once.
-    pub remote: u32,
-}
-
 /// The output of [`partition`]: a disjoint cover of queries and items
-/// by `n_shards` shards, plus the cross edges of split components.
+/// by `n_shards` shards, each a set of whole connected components.
 #[derive(Debug, Clone)]
 pub struct PartitionPlan {
-    /// Number of shards (the `k` requested, possibly reduced when there
-    /// is less work than shards — always at least 1).
+    /// Number of shards: always the `k` requested, even when there are
+    /// fewer components than shards (a surplus shard holds no query
+    /// that reads an item).
     pub n_shards: usize,
     /// Shard of each query.
     pub query_shard: Vec<u32>,
@@ -73,43 +51,11 @@ pub struct PartitionPlan {
     /// by load).
     pub item_home: Vec<u32>,
     /// Estimated load packed onto each shard. Sums to the total input
-    /// load (cross edges do not double-count: an item's load stays with
-    /// its home).
+    /// load.
     pub shard_loads: Vec<f64>,
-    /// Every `(item, home, remote)` reference crossing a shard
-    /// boundary, each pair accounted exactly once, sorted by
-    /// `(item, remote)`.
-    pub cross_edges: Vec<CrossEdge>,
-    /// Connected components found before any splitting.
+    /// Connected components of the query↔item graph.
     pub n_components: usize,
 }
-
-impl PartitionPlan {
-    /// True when no component had to be split — every shard is fully
-    /// independent and the engine needs no inter-shard rings.
-    pub fn is_clean(&self) -> bool {
-        self.cross_edges.is_empty()
-    }
-
-    /// The remote shards referencing each item (grouped view of
-    /// [`PartitionPlan::cross_edges`]): `(item, remotes)` sorted by
-    /// item, remotes sorted ascending.
-    pub fn subscribers(&self) -> Vec<(u32, Vec<u32>)> {
-        let mut out: Vec<(u32, Vec<u32>)> = Vec::new();
-        for e in &self.cross_edges {
-            match out.last_mut() {
-                Some((item, remotes)) if *item == e.item => remotes.push(e.remote),
-                _ => out.push((e.item, vec![e.remote])),
-            }
-        }
-        out
-    }
-}
-
-/// A component packed whole may exceed the ideal share (`total / k`) by
-/// this factor before [`partition`] splits it. Splitting buys balance
-/// but costs ring traffic, so mild imbalance is preferred to a cut.
-const SPLIT_SLACK: f64 = 1.25;
 
 struct UnionFind {
     parent: Vec<u32>,
@@ -153,10 +99,7 @@ impl UnionFind {
 ///
 /// * every query and every item lands on exactly one shard;
 /// * `shard_loads` sums to the total input load;
-/// * for every query `q` and item `i ∈ q`: either
-///   `item_home[i] == query_shard[q]`, or `cross_edges` contains
-///   `(i, item_home[i], query_shard[q])` exactly once;
-/// * with `k == 1` there are no cross edges.
+/// * for every query `q` and item `i ∈ q`, `item_home[i] == query_shard[q]`.
 ///
 /// # Panics
 /// Panics if `k == 0`, a load slice length mismatches, or an item id
@@ -221,20 +164,6 @@ pub fn partition(input: &PartitionInput<'_>, k: usize) -> PartitionPlan {
         }
     }
 
-    let total_load: f64 = comp_load.iter().sum::<f64>()
-        + (0..n_items)
-            .filter(|&i| !referenced[i])
-            .map(|i| input.item_load[i])
-            .sum::<f64>()
-        + input
-            .query_items
-            .iter()
-            .enumerate()
-            .filter(|(_, items)| items.is_empty())
-            .map(|(qi, _)| input.query_load[qi])
-            .sum::<f64>();
-    let threshold = total_load / k as f64 * SPLIT_SLACK;
-
     let mut query_shard = vec![u32::MAX; n_queries];
     let mut item_home = vec![u32::MAX; n_items];
     let mut shard_loads = vec![0.0f64; k];
@@ -248,8 +177,8 @@ pub fn partition(input: &PartitionInput<'_>, k: usize) -> PartitionPlan {
         best
     };
 
-    // LPT over whole components that fit; oversized ones split first.
-    // Order: descending load, ties by lowest component id.
+    // LPT over whole components: descending load, ties by lowest
+    // component id.
     let mut order: Vec<u32> = (0..n_components).collect();
     order.sort_by(|&a, &b| {
         comp_load[b as usize]
@@ -257,32 +186,18 @@ pub fn partition(input: &PartitionInput<'_>, k: usize) -> PartitionPlan {
             .expect("finite loads")
             .then(a.cmp(&b))
     });
-    let mut cross_pairs: Vec<(u32, u32)> = Vec::new(); // (item, remote shard)
     for &c in &order {
         let c = c as usize;
         if comp_queries[c].is_empty() {
             continue;
         }
-        if k > 1 && comp_load[c] > threshold {
-            split_component(
-                input,
-                &comp_queries[c],
-                comp_load[c],
-                &mut query_shard,
-                &mut item_home,
-                &mut shard_loads,
-                &mut cross_pairs,
-                threshold,
-            );
-        } else {
-            let s = least_loaded(&shard_loads) as u32;
-            shard_loads[s as usize] += comp_load[c];
-            for &qi in &comp_queries[c] {
-                query_shard[qi as usize] = s;
-            }
-            for &i in &comp_items[c] {
-                item_home[i as usize] = s;
-            }
+        let s = least_loaded(&shard_loads) as u32;
+        shard_loads[s as usize] += comp_load[c];
+        for &qi in &comp_queries[c] {
+            query_shard[qi as usize] = s;
+        }
+        for &i in &comp_items[c] {
+            item_home[i as usize] = s;
         }
     }
     // Itemless queries: cheapest shard each, in query order.
@@ -302,125 +217,12 @@ pub fn partition(input: &PartitionInput<'_>, k: usize) -> PartitionPlan {
         }
     }
 
-    cross_pairs.sort_unstable();
-    cross_pairs.dedup();
-    let cross_edges = cross_pairs
-        .into_iter()
-        .map(|(item, remote)| CrossEdge {
-            item,
-            home: item_home[item as usize],
-            remote,
-        })
-        .collect();
-
     PartitionPlan {
         n_shards: k,
         query_shard,
         item_home,
         shard_loads,
-        cross_edges,
         n_components: nc,
-    }
-}
-
-/// Splits one oversized component across shards by greedy region
-/// growing. Pieces are grown query by query: the next query added is
-/// the unplaced one sharing the most items with the piece so far
-/// (lowest query id on ties) — a local min-cut heuristic that keeps
-/// densely coupled queries on one side of the cut. A piece closes when
-/// its load reaches the component's fair share; each piece then lands
-/// on the currently least-loaded shard. Items are homed on the shard
-/// of the first piece that references them; every later reference from
-/// a different shard becomes a cross pair.
-#[allow(clippy::too_many_arguments)]
-fn split_component(
-    input: &PartitionInput<'_>,
-    queries: &[u32],
-    comp_load: f64,
-    query_shard: &mut [u32],
-    item_home: &mut [u32],
-    shard_loads: &mut [f64],
-    cross_pairs: &mut Vec<(u32, u32)>,
-    threshold: f64,
-) {
-    // Fair share per piece; the last piece absorbs the remainder.
-    let n_pieces = (comp_load / threshold).ceil().max(2.0) as usize;
-    let piece_target = comp_load / n_pieces as f64;
-
-    let mut item_first_shard: std::collections::HashMap<u32, u32> =
-        std::collections::HashMap::new();
-    let mut remaining: Vec<u32> = queries.to_vec();
-    while !remaining.is_empty() {
-        // Open a new piece on the least-loaded shard.
-        let shard = {
-            let mut best = 0usize;
-            for (s, &l) in shard_loads.iter().enumerate().skip(1) {
-                if l < shard_loads[best] {
-                    best = s;
-                }
-            }
-            best as u32
-        };
-        let mut piece_load = 0.0f64;
-        let mut piece_items: std::collections::HashSet<u32> = std::collections::HashSet::new();
-        // Seed: the unplaced query with the highest total load (it
-        // anchors the region; ties to lowest id).
-        let mut seed_idx = 0usize;
-        let mut seed_load = f64::NEG_INFINITY;
-        for (idx, &qi) in remaining.iter().enumerate() {
-            let l = input.query_load[qi as usize];
-            if l > seed_load {
-                seed_load = l;
-                seed_idx = idx;
-            }
-        }
-        let mut next = Some(seed_idx);
-        while let Some(idx) = next {
-            let qi = remaining.swap_remove(idx);
-            remaining.sort_unstable(); // keep deterministic order after swap_remove
-            query_shard[qi as usize] = shard;
-            piece_load += input.query_load[qi as usize];
-            for &i in &input.query_items[qi as usize] {
-                if piece_items.insert(i) {
-                    match item_first_shard.entry(i) {
-                        std::collections::hash_map::Entry::Vacant(v) => {
-                            // First reference anywhere: this shard is home
-                            // and carries the item's load.
-                            v.insert(shard);
-                            item_home[i as usize] = shard;
-                            piece_load += input.item_load[i as usize];
-                        }
-                        std::collections::hash_map::Entry::Occupied(o) => {
-                            let home = *o.get();
-                            if home != shard {
-                                cross_pairs.push((i, shard));
-                            }
-                        }
-                    }
-                }
-            }
-            if piece_load >= piece_target || remaining.is_empty() {
-                next = None;
-            } else {
-                // Affinity: most shared items with the piece; ties to
-                // lowest query id (remaining is sorted, so the first
-                // max wins).
-                let mut best_idx = 0usize;
-                let mut best_aff = -1i64;
-                for (jdx, &cand) in remaining.iter().enumerate() {
-                    let aff = input.query_items[cand as usize]
-                        .iter()
-                        .filter(|i| piece_items.contains(i))
-                        .count() as i64;
-                    if aff > best_aff {
-                        best_aff = aff;
-                        best_idx = jdx;
-                    }
-                }
-                next = Some(best_idx);
-            }
-        }
-        shard_loads[shard as usize] += piece_load;
     }
 }
 
@@ -432,9 +234,9 @@ mod tests {
         vec![1.0; n]
     }
 
-    /// Checks the plan invariants against its input; returns cross-edge
-    /// count. The integration proptest mirrors these checks.
-    fn check_invariants(input: &PartitionInput<'_>, plan: &PartitionPlan) -> usize {
+    /// Checks the plan invariants against its input. The integration
+    /// proptest mirrors these checks.
+    fn check_invariants(input: &PartitionInput<'_>, plan: &PartitionPlan) {
         let k = plan.n_shards as u32;
         assert_eq!(plan.query_shard.len(), input.query_items.len());
         assert_eq!(plan.item_home.len(), input.n_items);
@@ -444,28 +246,14 @@ mod tests {
         for &s in &plan.item_home {
             assert!(s < k, "item home {s} out of range");
         }
-        // Every cross-shard reference accounted exactly once.
-        let mut expected: Vec<(u32, u32)> = Vec::new();
+        // Every item a query reads lives on the query's shard.
         for (qi, items) in input.query_items.iter().enumerate() {
-            let qs = plan.query_shard[qi];
             for &i in items {
-                let home = plan.item_home[i as usize];
-                if home != qs {
-                    expected.push((i, qs));
-                }
+                assert_eq!(
+                    plan.item_home[i as usize], plan.query_shard[qi],
+                    "item {i} of query {qi} homed elsewhere"
+                );
             }
-        }
-        expected.sort_unstable();
-        expected.dedup();
-        let actual: Vec<(u32, u32)> = plan
-            .cross_edges
-            .iter()
-            .map(|e| (e.item, e.remote))
-            .collect();
-        assert_eq!(actual, expected, "cross edges must match references");
-        for e in &plan.cross_edges {
-            assert_eq!(e.home, plan.item_home[e.item as usize]);
-            assert_ne!(e.home, e.remote);
         }
         // Loads sum to the unsharded total.
         let total: f64 = input.item_load.iter().sum::<f64>() + input.query_load.iter().sum::<f64>();
@@ -474,11 +262,10 @@ mod tests {
             (total - packed).abs() <= 1e-9 * (1.0 + total.abs()),
             "load sum {packed} != total {total}"
         );
-        plan.cross_edges.len()
     }
 
     #[test]
-    fn single_shard_is_trivial_and_clean() {
+    fn single_shard_is_trivial() {
         let query_items = vec![vec![0, 1], vec![1, 2], vec![3, 4]];
         let input = PartitionInput {
             query_items: &query_items,
@@ -488,15 +275,14 @@ mod tests {
         };
         let plan = partition(&input, 1);
         check_invariants(&input, &plan);
-        assert!(plan.is_clean());
         assert!(plan.query_shard.iter().all(|&s| s == 0));
         assert!(plan.item_home.iter().all(|&s| s == 0));
         assert_eq!(plan.n_components, 2); // {0,1,2} and {3,4}
     }
 
     #[test]
-    fn disjoint_components_pack_without_cross_edges() {
-        // Four independent two-item queries -> 2 shards, clean split.
+    fn disjoint_components_pack_balanced() {
+        // Four independent two-item queries -> 2 shards, two each.
         let query_items = vec![vec![0, 1], vec![2, 3], vec![4, 5], vec![6, 7]];
         let input = PartitionInput {
             query_items: &query_items,
@@ -506,23 +292,15 @@ mod tests {
         };
         let plan = partition(&input, 2);
         check_invariants(&input, &plan);
-        assert!(plan.is_clean());
         let l0 = plan.shard_loads[0];
         let l1 = plan.shard_loads[1];
         assert!((l0 - l1).abs() <= 1e-9, "balanced: {l0} vs {l1}");
-        // Items follow their query's shard.
-        for (qi, items) in query_items.iter().enumerate() {
-            for &i in items {
-                assert_eq!(plan.item_home[i as usize], plan.query_shard[qi]);
-            }
-        }
     }
 
     #[test]
-    fn one_giant_component_splits_with_cross_edges() {
+    fn a_giant_chain_packs_whole_onto_one_shard() {
         // A chain q_i = {i, i+1} over 33 items: one component far above
-        // any fair share at k = 4 -> must split, and the chain structure
-        // means each cut costs exactly one shared item.
+        // any fair share at k = 4, packed whole all the same.
         let query_items: Vec<Vec<u32>> = (0..32u32).map(|i| vec![i, i + 1]).collect();
         let input = PartitionInput {
             query_items: &query_items,
@@ -532,17 +310,11 @@ mod tests {
         };
         let plan = partition(&input, 4);
         check_invariants(&input, &plan);
-        assert!(!plan.is_clean(), "a giant chain must split");
-        let shards_used: std::collections::HashSet<u32> =
-            plan.query_shard.iter().copied().collect();
-        assert!(shards_used.len() >= 2, "split must use multiple shards");
-        // Region growing over a chain keeps cuts rare: far fewer cross
-        // edges than references.
-        assert!(
-            plan.cross_edges.len() < 16,
-            "chain cut too wide: {} cross edges",
-            plan.cross_edges.len()
-        );
+        assert_eq!(plan.n_components, 1);
+        assert_eq!(plan.n_shards, 4);
+        assert!(plan.query_shard.iter().all(|&s| s == plan.query_shard[0]));
+        assert_eq!(plan.shard_loads[plan.query_shard[0] as usize], 65.0);
+        assert_eq!(plan.shard_loads.iter().filter(|&&l| l == 0.0).count(), 3);
     }
 
     #[test]
@@ -559,34 +331,5 @@ mod tests {
         // Items 1..3 are unreferenced but still get homes.
         assert!(plan.item_home.iter().all(|&s| s < 2));
         assert!(plan.query_shard.iter().all(|&s| s < 2));
-    }
-
-    #[test]
-    fn subscribers_group_cross_edges_by_item() {
-        let plan = PartitionPlan {
-            n_shards: 3,
-            query_shard: vec![],
-            item_home: vec![0, 0],
-            shard_loads: vec![0.0; 3],
-            cross_edges: vec![
-                CrossEdge {
-                    item: 0,
-                    home: 0,
-                    remote: 1,
-                },
-                CrossEdge {
-                    item: 0,
-                    home: 0,
-                    remote: 2,
-                },
-                CrossEdge {
-                    item: 1,
-                    home: 0,
-                    remote: 2,
-                },
-            ],
-            n_components: 1,
-        };
-        assert_eq!(plan.subscribers(), vec![(0, vec![1, 2]), (1, vec![2])]);
     }
 }

@@ -1,11 +1,10 @@
 //! Property tests for the query↔item graph partitioner.
 //!
 //! The partitioner's contract (DESIGN.md §13): shards form a disjoint
-//! cover of queries and items, every cross-shard reference is accounted
-//! exactly once in `cross_edges`, and the packed shard loads sum to the
-//! unsharded total — for any graph shape (empty queries, unreferenced
-//! items, single giant components, duplicate item references) and any
-//! shard count.
+//! cover of queries and items, every item a query reads is homed on that
+//! query's shard, and the packed shard loads sum to the unsharded total
+//! — for any graph shape (empty queries, unreferenced items, single
+//! giant components, duplicate item references) and any shard count.
 
 use proptest::prelude::*;
 
@@ -50,8 +49,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     /// Disjoint cover: every query and item gets exactly one in-range
-    /// shard; cross edges match the references that actually cross,
-    /// each `(item, remote)` pair once; loads are conserved.
+    /// shard, and every item a query reads is homed on the query's
+    /// shard; loads are conserved.
     #[test]
     fn plan_invariants_hold(g in arb_graph(), k in 1usize..9) {
         let input = PartitionInput {
@@ -72,24 +71,15 @@ proptest! {
             prop_assert!((s as usize) < k);
         }
 
-        // Every cross-shard reference accounted exactly once.
-        let mut expected: Vec<(u32, u32)> = Vec::new();
+        // Components stay whole: no query reads across shards.
         for (qi, items) in g.query_items.iter().enumerate() {
-            let qs = plan.query_shard[qi];
             for &i in items {
-                if plan.item_home[i as usize] != qs {
-                    expected.push((i, qs));
-                }
+                prop_assert_eq!(
+                    plan.item_home[i as usize],
+                    plan.query_shard[qi],
+                    "item {} of query {} homed on another shard", i, qi
+                );
             }
-        }
-        expected.sort_unstable();
-        expected.dedup();
-        let actual: Vec<(u32, u32)> =
-            plan.cross_edges.iter().map(|e| (e.item, e.remote)).collect();
-        prop_assert_eq!(actual, expected);
-        for e in &plan.cross_edges {
-            prop_assert_eq!(e.home, plan.item_home[e.item as usize]);
-            prop_assert!(e.home != e.remote, "self-edge on item {}", e.item);
         }
 
         // Load conservation: packed loads sum to the unsharded total.
@@ -100,11 +90,6 @@ proptest! {
             (total - packed).abs() <= 1e-9 * (1.0 + total.abs()),
             "packed {} != total {}", packed, total
         );
-
-        // k = 1 degenerates to the unsharded engine: no cross edges.
-        if k == 1 {
-            prop_assert!(plan.is_clean());
-        }
     }
 
     /// Determinism: the same input always yields the identical plan.
@@ -120,37 +105,6 @@ proptest! {
         let b = partition(&input, k);
         prop_assert_eq!(a.query_shard, b.query_shard);
         prop_assert_eq!(a.item_home, b.item_home);
-        prop_assert_eq!(a.cross_edges, b.cross_edges);
         prop_assert_eq!(a.shard_loads, b.shard_loads);
-    }
-
-    /// Queries sharing items land on the same shard unless their
-    /// component was split — i.e. whole components are never scattered:
-    /// if a component produced no cross edges, all its queries share
-    /// one shard.
-    #[test]
-    fn unsplit_components_stay_whole(g in arb_graph(), k in 1usize..5) {
-        let input = PartitionInput {
-            query_items: &g.query_items,
-            n_items: g.n_items,
-            item_load: &g.item_load,
-            query_load: &g.query_load,
-        };
-        let plan = partition(&input, k);
-        let crossed: std::collections::HashSet<u32> =
-            plan.cross_edges.iter().map(|e| e.item).collect();
-        for (qi, items) in g.query_items.iter().enumerate() {
-            // A query none of whose items cross shards must be co-located
-            // with all of them.
-            if items.iter().all(|i| !crossed.contains(i)) {
-                for &i in items {
-                    prop_assert_eq!(
-                        plan.item_home[i as usize],
-                        plan.query_shard[qi],
-                        "uncrossed item {} split from query {}", i, qi
-                    );
-                }
-            }
-        }
     }
 }

@@ -201,14 +201,6 @@ pub mod names {
     pub const SHARD_REFRESH: &str = "shard.refresh";
     /// DAB recomputations, labeled by coordinator shard.
     pub const SHARD_RECOMPUTE: &str = "shard.recompute";
-    /// Messages sent over an inter-shard ring, labeled by sending shard.
-    pub const SHARD_RING_SEND: &str = "shard.ring_send";
-    /// Messages received from inter-shard rings, labeled by receiving
-    /// shard.
-    pub const SHARD_RING_RECV: &str = "shard.ring_recv";
-    /// Times a sender found its outbound ring full and had to spin
-    /// (draining its own inbound), labeled by sending shard.
-    pub const SHARD_RING_BACKPRESSURE: &str = "shard.ring_backpressure";
 
     /// One SLO alert raised (structured Point event — see [`crate::slo`]).
     pub const SLO_ALERT: &str = "slo.alert";

@@ -226,14 +226,6 @@ impl SpanContext {
         SpanContext { parent: None }
     }
 
-    /// A context parenting under an explicit span id — used to restore
-    /// causality after a span id crossed a thread or message-channel
-    /// boundary as a raw `u64` (e.g. the sharded engine's inter-shard
-    /// rings ship the sender's span id in each message).
-    pub fn with_parent(parent: Option<SpanId>) -> Self {
-        SpanContext { parent }
-    }
-
     /// The span new children will parent under, if any.
     pub fn parent(&self) -> Option<SpanId> {
         self.parent

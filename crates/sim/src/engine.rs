@@ -31,8 +31,7 @@ use pq_core::{
 use pq_ddm::{DataDynamicsModel, RateEstimator, TraceSet};
 use pq_gp::SolverOptions;
 use pq_obs::{
-    names, Counter, EventKind, Histogram, Obs, SloConfig, SloEngine, SpanContext, Watchdog,
-    WindowPlane,
+    names, Counter, EventKind, Histogram, Obs, SloConfig, SloEngine, Watchdog, WindowPlane,
 };
 use pq_poly::{ItemId, PolynomialQuery};
 
@@ -40,7 +39,6 @@ use crate::audit::{AuditConfig, AuditFault, FidelityAuditor};
 use crate::delay::{DelayConfig, ItemDraws};
 use crate::event::Event;
 use crate::metrics::SimMetrics;
-use crate::ring::{RingConsumer, RingMsg, RingProducer};
 use crate::table::{Bitset, ItemTable};
 use crate::wheel::TimerWheel;
 
@@ -66,46 +64,6 @@ pub enum SimStrategy {
     },
 }
 
-/// One inbound inter-shard link: the read half plus the holdback buffer
-/// of drained-but-not-yet-releasable messages (a sender may run several
-/// ticks ahead; its messages wait here until this shard's clock passes
-/// their `sent_tick`).
-pub(crate) struct ShardInlet {
-    /// Source shard; inlets are processed in ascending `src` order so
-    /// staged cross-shard work is replayed deterministically.
-    pub(crate) src: u32,
-    pub(crate) rx: RingConsumer,
-    pub(crate) held: VecDeque<RingMsg>,
-}
-
-/// Everything a shard engine needs to act as one coordinator of the
-/// partitioned (multi-coordinator) engine besides its id tables (those
-/// are the engine's [`Scope`]): replica bookkeeping and the rings to its
-/// peers. Built by [`crate::shard::run_sharded`]; `None` when one
-/// coordinator runs the whole book.
-pub(crate) struct ShardCtx {
-    pub(crate) shard: u32,
-    /// `true` for local items homed on another shard: their source
-    /// lives there, so the local filter is pinned at `INFINITY` (no
-    /// local pushes) and refreshes arrive over the ring instead.
-    pub(crate) replica: Vec<bool>,
-    /// Local item -> outbound ring indices to every shard holding a
-    /// replica of it (home items only; empty elsewhere).
-    pub(crate) exports: Vec<Vec<usize>>,
-    /// Local item -> outbound ring index toward its home shard
-    /// (replicas only).
-    pub(crate) home_ring: Vec<Option<usize>>,
-    /// Outbound links, ascending by destination shard.
-    pub(crate) outbound: Vec<RingProducer>,
-    /// Inbound links, ascending by source shard.
-    pub(crate) inbound: Vec<ShardInlet>,
-    /// Local item -> each remote shard's current minimum DAB over its
-    /// replica (home items with subscribers only). Their minimum is the
-    /// floor the coordinator folds into the local minimum, so the
-    /// installed source filter stays the global minimum.
-    pub(crate) remote_dab_min: Vec<Vec<(u32, f64)>>,
-}
-
 /// Full configuration of a simulation run.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
@@ -126,10 +84,10 @@ pub struct SimConfig {
     /// RNG seed for delays.
     pub seed: u64,
     /// Coordinator shards. `1` (default) runs one coordinator over the
-    /// whole book; `> 1` partitions the query↔item graph
-    /// ([`mod@pq_core::partition`]) and runs one coordinator per shard on
-    /// its own thread, exchanging cross-partition refreshes and DAB
-    /// minima over bounded SPSC rings (see [`crate::shard`]).
+    /// whole book; `> 1` packs whole connected components of the
+    /// query↔item graph onto that many shards
+    /// ([`mod@pq_core::partition`]) and runs one independent coordinator
+    /// per shard on its own thread (see [`crate::shard`]).
     pub shards: usize,
     /// Sample fidelity every this many ticks (0 disables sampling).
     pub fidelity_sample_every: usize,
@@ -314,12 +272,11 @@ pub fn run_observed(config: &SimConfig, obs: &Obs) -> Result<SimMetrics, SimErro
 /// RNG draws and [`SimMetrics`].
 ///
 /// An engine is as large as what it watches: `cfg` is a projection
-/// ([`crate::shard::run_sharded`]) holding exactly the items some local
-/// query reads or a remote shard subscribes to, under dense local ids.
-/// Every column here is indexed by those ids and every local item is
-/// swept, filtered and labeled; global ids appear only in what leaves
-/// the engine (labels, events, errors, ring messages, draw keys), through
-/// the coordinator's [`Scope`].
+/// ([`crate::shard::run_sharded`]) holding exactly the items its queries
+/// read, under dense local ids. Every column here is indexed by those
+/// ids and every local item is swept, filtered and labeled; global ids
+/// appear only in what leaves the engine (labels, events, errors, draw
+/// keys), through the coordinator's [`Scope`].
 pub(crate) struct Engine<'a> {
     cfg: &'a SimConfig,
     n_items: usize,
@@ -352,12 +309,9 @@ pub(crate) struct Engine<'a> {
     queue: TimerWheel,
     draws: ItemDraws,
     metrics: SimMetrics,
-    /// Multi-coordinator state when this engine runs as one shard of a
-    /// partitioned run (see [`crate::shard`]).
-    shard: Option<ShardCtx>,
-    /// The simulated tick currently executing (stamped on outbound ring
-    /// messages so receivers release them conservatively).
-    current_tick: u64,
+    /// This engine's shard when it is one of several (see
+    /// [`crate::shard`]).
+    shard: Option<u32>,
     /// The coordinator is busy (checking queries / re-solving DABs) until
     /// this time; refreshes arriving earlier wait in its queue.
     coordinator_busy_until: f64,
@@ -398,13 +352,10 @@ pub(crate) struct Engine<'a> {
     /// (one registry lookup at construction instead of one per batch).
     h_solve_ns: Arc<Histogram>,
     /// Per-shard hot-path attribution (`shard.refresh` /
-    /// `shard.recompute` labeled by `shard`) plus ring-traffic counters
-    /// (`shard.ring_send` / `shard.ring_recv`); present only when
-    /// running as a shard, so a lone coordinator pays nothing.
+    /// `shard.recompute` labeled by `shard`); present only when running
+    /// as a shard, so a lone coordinator pays nothing.
     lc_shard_refresh: Option<Arc<Counter>>,
     lc_shard_recompute: Option<Arc<Counter>>,
-    lc_ring_send: Option<Arc<Counter>>,
-    lc_ring_recv: Option<Arc<Counter>>,
     /// Continuous fidelity audit (shadow naive evaluation); present only
     /// when configured.
     auditor: Option<FidelityAuditor>,
@@ -524,18 +475,18 @@ impl<'a> Engine<'a> {
     /// Builds the engine of one coordinator over `cfg`, a projection
     /// whose every item is watched (validated by
     /// [`crate::shard::run_sharded`], which builds it): `scope` maps its
-    /// dense local ids to the run's global ones, `shard` holds the rings
-    /// when the coordinator is one of several.
+    /// dense local ids to the run's global ones, `shard` names the
+    /// coordinator when it is one of several.
     pub(crate) fn new(
         cfg: &'a SimConfig,
         obs: Obs,
         scope: Scope,
-        shard: Option<ShardCtx>,
+        shard: Option<u32>,
     ) -> Result<Self, SimError> {
         let n_items = cfg.traces.n_items();
         let source_values = cfg.traces.initial_values();
         let tape = transpose(&cfg.traces, |i| scope.item(i))?;
-        let shard_label = shard.as_ref().map(|c| c.shard.to_string());
+        let shard_label = shard.map(|s| s.to_string());
         // All registry names carry *global* ids so a partitioned run's
         // shards write into one coherent attribution space; so do the
         // keys of the draw streams.
@@ -561,8 +512,8 @@ impl<'a> Engine<'a> {
                         SimStrategy::AaoPeriodic { .. } => "aao-periodic",
                     },
                 );
-            match &shard {
-                Some(c) => e.with("shard", c.shard as u64),
+            match shard {
+                Some(s) => e.with("shard", s as u64),
                 None => e,
             }
         });
@@ -625,7 +576,6 @@ impl<'a> Engine<'a> {
             escaped: Vec::new(),
             queue: TimerWheel::new(),
             draws,
-            current_tick: 0,
             metrics: SimMetrics::with_items(cfg.queries.len(), n_items),
             coordinator_busy_until: 0.0,
             deferred: VecDeque::new(),
@@ -650,20 +600,11 @@ impl<'a> Engine<'a> {
             lc_shard_recompute: shard_label
                 .as_ref()
                 .map(|s| obs.labeled_counter(names::SHARD_RECOMPUTE, names::LABEL_SHARD, s)),
-            lc_ring_send: shard_label
-                .as_ref()
-                .map(|s| obs.labeled_counter(names::SHARD_RING_SEND, names::LABEL_SHARD, s)),
-            lc_ring_recv: shard_label
-                .as_ref()
-                .map(|s| obs.labeled_counter(names::SHARD_RING_RECV, names::LABEL_SHARD, s)),
             auditor: cfg
                 .audit
                 .as_ref()
                 .map(|audit| FidelityAuditor::new(audit.clone(), &obs)),
-            slo: cfg
-                .slo
-                .clone()
-                .map(|slo| SloRuntime::new(slo, &obs, shard.as_ref().map(|c| c.shard))),
+            slo: cfg.slo.clone().map(|slo| SloRuntime::new(slo, &obs, shard)),
             shard,
             obs,
             #[cfg(test)]
@@ -687,58 +628,18 @@ impl<'a> Engine<'a> {
         self.core.scope().item(item)
     }
 
-    /// The local id of global item `gid`, named by a ring message.
-    fn local_item(&self, gid: u32) -> usize {
-        let item_gid = &self.core.scope().item_gid;
-        item_gid
-            .binary_search(&gid)
-            .expect("ring message for an item this shard does not hold")
-    }
-
     pub(crate) fn run(mut self) -> Result<SimMetrics, SimError> {
-        match self.run_inner() {
-            Ok(()) => Ok(std::mem::take(&mut self.metrics)),
-            Err(e) => {
-                // A failed shard must not strand its peers mid-protocol:
-                // publish the terminal watermark and keep draining until
-                // every peer finishes, then surface the error.
-                self.shard_finish();
-                Err(e)
-            }
-        }
-    }
-
-    fn run_inner(&mut self) -> Result<(), SimError> {
-        self.start();
         for tick in 1..self.cfg.traces.n_ticks() {
             self.run_tick(tick)?;
         }
         self.finish();
-        Ok(())
-    }
-
-    /// Before the first tick of a shard: replicas never push locally —
-    /// their source lives on the home shard — and the home must learn
-    /// every remote's initial minimum before the first tick's pushes.
-    fn start(&mut self) {
-        if self.shard.is_some() {
-            self.force_replica_filters();
-            self.send_initial_dab_updates();
-            self.publish_completed(0);
-        }
+        Ok(self.metrics)
     }
 
     /// One simulated second: sources sample and push, everything due is
     /// delivered, then the samplers look at both sides.
     fn run_tick(&mut self, tick: usize) -> Result<(), SimError> {
         let now = tick as f64;
-        self.current_tick = tick as u64;
-        // Conservative inter-shard barrier: wait for every peer to
-        // complete tick-1, then replay the staged cross-shard
-        // messages in deterministic (source-shard, FIFO) order.
-        if self.shard.is_some() {
-            self.shard_sync(tick);
-        }
         // AAO-T periodic joint recomputation.
         if let SimStrategy::AaoPeriodic { period_ticks, mu } = &self.cfg.strategy {
             if *period_ticks > 0 && tick.is_multiple_of(*period_ticks) {
@@ -755,7 +656,7 @@ impl<'a> Engine<'a> {
             // Every shard samples the same ticks; only shard 0 feeds
             // the global counter so `/metrics` reports true samples,
             // not samples x shards.
-            if self.shard.as_ref().is_none_or(|c| c.shard == 0) {
+            if self.shard.is_none_or(|s| s == 0) {
                 self.c_fidelity.inc();
             }
             self.refresh_truth();
@@ -803,9 +704,6 @@ impl<'a> Engine<'a> {
         // samples. Runs after the audit so a divergence flagged this
         // tick alerts this tick.
         self.slo_on_tick(tick);
-        if self.shard.is_some() {
-            self.publish_completed(tick as u64);
-        }
         Ok(())
     }
 
@@ -815,9 +713,6 @@ impl<'a> Engine<'a> {
             // A finished run is not a stall, however long ago its last
             // heartbeat was — post-run `/health` scrapes must stay green.
             slo.watchdog.disarm();
-        }
-        if self.shard.is_some() {
-            self.shard_finish();
         }
         // The wheel only knows its cascade total at the end of the run.
         let cascades = self.queue.cascades();
@@ -843,7 +738,7 @@ impl<'a> Engine<'a> {
     /// columns, then one push per escaped item, ascending. A push touches
     /// its own item's columns and draw stream only, so no push changes
     /// whether or what a later item pushes: the pushes, each item's draw
-    /// order, the wheel insertions and the ring sends are those of a loop
+    /// order and the wheel insertions are those of a loop
     /// that filters and pushes item by item ([`Engine::sweep_interleaved`]
     /// holds it to that). No query value is touched here: the source-side
     /// truth is evaluated when something asks for it.
@@ -1010,240 +905,6 @@ impl<'a> Engine<'a> {
         }
     }
 
-    // ---- inter-shard protocol (multi-coordinator runs only; see
-    // DESIGN.md §13) --------------------------------------------------
-
-    /// Publishes `completed(tick)` on every outbound ring (stored as
-    /// `tick + 1`; 0 means "initialization not finished").
-    fn publish_completed(&self, tick: u64) {
-        if let Some(ctx) = &self.shard {
-            for link in &ctx.outbound {
-                link.publish_watermark(tick + 1);
-            }
-        }
-    }
-
-    /// Pins every replica's installed filter at `INFINITY`: replicas
-    /// track the source trace for fidelity truth, but the push protocol
-    /// runs only at the item's home shard — refreshes arrive over the
-    /// ring instead.
-    fn force_replica_filters(&mut self) {
-        let Some(ctx) = &self.shard else { return };
-        for item in 0..self.n_items {
-            if ctx.replica[item] {
-                self.items.set_installed_dab(item, f64::INFINITY);
-            }
-        }
-    }
-
-    /// Ships each replica's initial local DAB minimum to its home shard
-    /// (processed there at the tick-1 barrier, so the installed source
-    /// filter becomes the global minimum before pushes accumulate).
-    fn send_initial_dab_updates(&mut self) {
-        let mut msgs: Vec<(usize, RingMsg)> = Vec::new();
-        if let Some(ctx) = &self.shard {
-            for item in 0..self.n_items {
-                if let Some(ring) = ctx.home_ring[item] {
-                    let min_dab = self.core.filter(item);
-                    if min_dab.is_finite() {
-                        msgs.push((
-                            ring,
-                            RingMsg::DabUpdate {
-                                item: self.gi(item) as u32,
-                                min_dab,
-                                time: 0.0,
-                                sent_tick: 0,
-                                span: 0,
-                            },
-                        ));
-                    }
-                }
-            }
-        }
-        for (ring, msg) in msgs {
-            self.ring_send(ring, msg);
-        }
-    }
-
-    /// Blocking ring send with deadlock avoidance: when the outbound
-    /// ring is full, drain our own inbound rings into their holdback
-    /// buffers (the peer may itself be blocked sending to us) and
-    /// retry. The ring's backpressure counter records every full poll.
-    fn ring_send(&mut self, ring: usize, msg: RingMsg) {
-        loop {
-            {
-                let ctx = self.shard.as_ref().expect("ring_send without shard ctx");
-                if ctx.outbound[ring].try_send(msg) {
-                    break;
-                }
-            }
-            let ctx = self.shard.as_mut().expect("ring_send without shard ctx");
-            for inlet in &mut ctx.inbound {
-                while let Some(m) = inlet.rx.try_recv() {
-                    inlet.held.push_back(m);
-                }
-            }
-            std::hint::spin_loop();
-        }
-        if let Some(c) = &self.lc_ring_send {
-            c.inc();
-        }
-    }
-
-    /// The tick-start barrier: wait until every inbound peer completed
-    /// `tick - 1`, then release and apply every held message sent
-    /// during ticks `≤ tick - 1`, in (source shard, FIFO) order —
-    /// deterministic regardless of thread interleaving. Shards with no
-    /// inbound rings skip this entirely.
-    fn shard_sync(&mut self, tick: usize) {
-        let t = tick as u64;
-        let mut staged: Vec<(u32, RingMsg)> = Vec::new();
-        {
-            let ctx = self.shard.as_mut().expect("shard_sync without ctx");
-            for inlet in &mut ctx.inbound {
-                loop {
-                    while let Some(m) = inlet.rx.try_recv() {
-                        inlet.held.push_back(m);
-                    }
-                    if inlet.rx.watermark() >= t {
-                        break;
-                    }
-                    std::hint::spin_loop();
-                }
-                // One more drain after observing the watermark: its
-                // acquire pairs with the sender's release, so every
-                // message from ticks ≤ tick-1 is now visible. Later
-                // messages (the sender may already be ticks ahead)
-                // stay held until our clock passes their sent_tick.
-                while let Some(m) = inlet.rx.try_recv() {
-                    inlet.held.push_back(m);
-                }
-                while inlet.held.front().is_some_and(|m| m.sent_tick() < t) {
-                    staged.push((inlet.src, inlet.held.pop_front().expect("non-empty")));
-                }
-            }
-        }
-        if !staged.is_empty() {
-            if let Some(c) = &self.lc_ring_recv {
-                c.add(staged.len() as u64);
-            }
-        }
-        for (src, msg) in staged {
-            self.apply_ring_msg(src, msg, tick);
-        }
-    }
-
-    /// Applies one released cross-shard message at the start of `tick`,
-    /// re-entering the sender's span so emitted events stay causally
-    /// parented across the thread hop.
-    fn apply_ring_msg(&mut self, src: u32, msg: RingMsg, tick: usize) {
-        let _causal = SpanContext::with_parent(msg.span()).enter();
-        match msg {
-            RingMsg::Refresh {
-                item, value, time, ..
-            } => {
-                let local = self.local_item(item);
-                // Cross-shard arrivals quantize to at least the current
-                // tick — the ring hop is only observed at barriers.
-                let at = time.max(tick as f64);
-                self.c_sched_push.inc();
-                self.queue
-                    .push(at, Event::RefreshArrive { item: local, value });
-            }
-            RingMsg::DabUpdate { item, min_dab, .. } => {
-                let local = self.local_item(item);
-                let ctx = self.shard.as_mut().expect("sharded");
-                let remote = &mut ctx.remote_dab_min[local];
-                match remote.iter_mut().find(|(shard, _)| *shard == src) {
-                    Some(entry) => entry.1 = min_dab,
-                    None => remote.push((src, min_dab)),
-                }
-                // Fold the remote minima into the global filter and ship
-                // the change to the local source if it moved.
-                let floor = remote.iter().fold(f64::INFINITY, |m, &(_, d)| m.min(d));
-                self.core.set_floor(local, floor);
-                let changes = self.core.rederive([local]);
-                self.ship_filter_changes(&changes, tick as f64);
-            }
-        }
-    }
-
-    /// End-of-run teardown (called once per run, also on the error
-    /// path): publish the terminal watermark, then keep draining
-    /// inbound rings until every peer has published its own — no
-    /// sender is ever left spinning on a full ring to a finished
-    /// shard. Messages drained here are beyond the simulated horizon
-    /// and are discarded.
-    fn shard_finish(&mut self) {
-        let (backpressure, shard) = {
-            let Some(ctx) = self.shard.as_mut() else {
-                return;
-            };
-            for link in &ctx.outbound {
-                link.publish_watermark(u64::MAX);
-            }
-            loop {
-                let mut all_done = true;
-                for inlet in &mut ctx.inbound {
-                    while inlet.rx.try_recv().is_some() {}
-                    if inlet.rx.watermark() != u64::MAX {
-                        all_done = false;
-                    }
-                }
-                if !all_done {
-                    std::hint::spin_loop();
-                    continue;
-                }
-                // Final sweep after the last peer's terminal watermark.
-                for inlet in &mut ctx.inbound {
-                    while inlet.rx.try_recv().is_some() {}
-                }
-                break;
-            }
-            let bp: u64 = ctx.outbound.iter().map(RingProducer::backpressure).sum();
-            (bp, ctx.shard)
-        };
-        if backpressure > 0 {
-            self.obs
-                .labeled_counter(
-                    names::SHARD_RING_BACKPRESSURE,
-                    names::LABEL_SHARD,
-                    &shard.to_string(),
-                )
-                .add(backpressure);
-        }
-    }
-
-    /// Fans an accepted push out to every shard holding a replica of
-    /// `item` — one independent simulated link per destination (its own
-    /// loss coin flip and delay draw), stamped with the current tick
-    /// for conservative release on the remote side.
-    fn forward_exports(&mut self, item: usize, value: f64, now: f64) {
-        let n = self.shard.as_ref().map_or(0, |c| c.exports[item].len());
-        if n == 0 {
-            return;
-        }
-        let gid = self.gi(item);
-        let span = SpanContext::current().parent().map_or(0, |s| s.0);
-        for k in 0..n {
-            if self.drop_message(item) {
-                continue;
-            }
-            let delay = self.draws.pareto(&self.cfg.delays.node_to_node, item);
-            let ring = self.shard.as_ref().expect("sharded").exports[item][k];
-            self.ring_send(
-                ring,
-                RingMsg::Refresh {
-                    item: gid as u32,
-                    value,
-                    time: now + delay,
-                    sent_tick: self.current_tick,
-                    span,
-                },
-            );
-        }
-    }
-
     /// Source-side filter: push when the value escapes the installed DAB
     /// (nothing escapes an infinite one).
     fn maybe_push(&mut self, item: usize, now: f64) {
@@ -1253,8 +914,7 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// `item`'s source pushes its current value toward the coordinator
-    /// and every remote replica.
+    /// `item`'s source pushes its current value toward the coordinator.
     fn push(&mut self, item: usize, now: f64) {
         let v = self.items.value(item);
         self.items.set_last_pushed(item, v);
@@ -1264,9 +924,6 @@ impl<'a> Engine<'a> {
             self.queue
                 .push(now + delay, Event::RefreshArrive { item, value: v });
         }
-        // An accepted push also feeds every remote replica (no-op for
-        // unexported items).
-        self.forward_exports(item, v, now);
     }
 
     /// Failure injection: true if this message is lost in transit. The
@@ -1429,9 +1086,8 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Ships the coordinator's filter changes, in order: to the item's
-    /// home shard over the ring for a replica, to the local source over
-    /// the lossy, delayed network otherwise.
+    /// Ships the coordinator's filter changes, in order, to their
+    /// sources over the lossy, delayed network.
     fn ship_filter_changes(&mut self, changes: &[(ItemId, f64)], now: f64) {
         for &(item, dab) in changes {
             let item = item.index();
@@ -1442,21 +1098,6 @@ impl<'a> Engine<'a> {
                 .emit_with(names::SIM_DAB_CHANGE, EventKind::Count, |e| {
                     e.with("item", gid).with("dab", dab).with("t", now)
                 });
-            // A replica has no local source to re-filter, and no floor:
-            // `dab` is its local minimum, which the home folds into the
-            // global one (coordinator-to-coordinator link — reliable,
-            // released at the next tick barrier).
-            if let Some(ring) = self.shard.as_ref().and_then(|c| c.home_ring[item]) {
-                let msg = RingMsg::DabUpdate {
-                    item: gid as u32,
-                    min_dab: dab,
-                    time: now,
-                    sent_tick: self.current_tick,
-                    span: SpanContext::current().parent().map_or(0, |s| s.0),
-                };
-                self.ring_send(ring, msg);
-                continue;
-            }
             if self.drop_message(item) {
                 continue;
             }

@@ -14,12 +14,11 @@
 //!   RNG draws and metrics;
 //! * [`network`] — a dissemination tree of cooperating coordinators for
 //!   the Fig. 8(c) experiment, one [`pq_core::Coordinator`] per node;
-//! * [`ring`] — bounded SPSC rings carrying cross-shard messages;
 //! * [`shard`] — how a configuration becomes engines: the run projected
-//!   onto the items its book reads, then one coordinator per shard of
-//!   the projected query↔item graph ([`mod@pq_core::partition`]),
-//!   conservative tick barriers over the rings, deterministic metric
-//!   merge (set [`SimConfig::shards`]; one shard is the default);
+//!   onto the items its book reads, then one independent coordinator per
+//!   shard, each over whole connected components of the projected
+//!   query↔item graph ([`mod@pq_core::partition`]), and a deterministic
+//!   metric merge (set [`SimConfig::shards`]; one shard is the default);
 //! * [`metrics`] — the paper's four metrics (fidelity loss, refreshes,
 //!   recomputations, total cost);
 //! * [`table`] — flat source-side per-item columns ([`ItemTable`]);
@@ -44,7 +43,6 @@ pub mod engine;
 pub mod event;
 pub mod metrics;
 pub mod network;
-pub mod ring;
 pub mod shard;
 pub mod table;
 pub mod wheel;
@@ -56,7 +54,6 @@ pub use event::Event;
 pub use metrics::SimMetrics;
 pub use network::{run_network, run_network_observed, NetworkConfig, NetworkMetrics};
 pub use pq_obs::{Obs, RecorderConfig, SloConfig};
-pub use ring::{RingConsumer, RingMsg, RingProducer};
 pub use shard::{run_sharded, ShardReport, ShardStat};
 pub use table::{Bitset, ItemTable, ReaderIndex};
 pub use wheel::TimerWheel;
