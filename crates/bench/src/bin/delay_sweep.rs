@@ -31,7 +31,6 @@ fn main() {
             DelayConfig {
                 node_to_node: Pareto::with_mean(0.110),
                 coordinator_check: Pareto::with_mean(0.020),
-                user_push: Pareto::with_mean(0.005),
                 recompute_service: Pareto::with_mean(0.050),
             },
         ),

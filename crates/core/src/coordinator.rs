@@ -408,11 +408,6 @@ impl Coordinator {
         &self.plan
     }
 
-    /// The queries reading `item`, ascending.
-    pub fn readers(&self, item: usize) -> &[u32] {
-        self.readers.queries(item)
-    }
-
     /// The filter installed for `item` (`+∞`: none — no unit reads it).
     pub fn filter(&self, item: usize) -> f64 {
         self.installed[item]
@@ -471,26 +466,14 @@ impl Coordinator {
     /// With nothing moved: [`DabError::UnknownItem`],
     /// [`DabError::NonFiniteValue`].
     pub fn apply(&mut self, item: usize, value: f64) -> Result<(), DabError> {
-        self.apply_batch(&[(item, value)])
-    }
-
-    /// [`Coordinator::apply`] for refreshes that arrived together, in
-    /// order; the caller then reacts to each item in the same order.
-    /// Reacting only after all have moved equals interleaving as long as
-    /// no two of them share a reader.
-    ///
-    /// # Errors
-    /// As [`Coordinator::apply`], for the first bad refresh, with nothing
-    /// of the batch moved.
-    pub fn apply_batch(&mut self, batch: &[(usize, f64)]) -> Result<(), DabError> {
-        for &(item, value) in batch {
-            self.admit(item, value)?;
-        }
-        let fanout = self.view.apply_batch(&self.plan, &mut self.values, batch);
+        self.admit(item, value)?;
+        let old = self.values[item];
+        let fanout = self.view.apply(&self.plan, &self.values, item, old, value);
+        self.values[item] = value;
         if fanout > 0 {
             self.handles.scatter_fanout.add(fanout);
         }
-        self.applied_since_rebase += batch.len() as u32;
+        self.applied_since_rebase += 1;
         if self.applied_since_rebase >= REBASE_EVERY {
             self.view.rebase(&self.plan, &self.values);
             self.applied_since_rebase = 0;

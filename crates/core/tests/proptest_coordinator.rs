@@ -206,9 +206,9 @@ proptest! {
     }
 
     /// A refresh naming no item, or carrying no number, is refused with
-    /// its typed error before anything moves — alone or inside a batch —
-    /// and a coordinator fed hostile refreshes between its real ones ends
-    /// where one fed only the real ones does, bit for bit.
+    /// its typed error before anything moves — by `on_refresh` and by
+    /// `apply` — and a coordinator fed hostile refreshes between its real
+    /// ones ends where one fed only the real ones does, bit for bit.
     #[test]
     fn hostile_refreshes_move_nothing(
         queries in proptest::collection::vec(arb_query(), 1..5),
@@ -246,7 +246,7 @@ proptest! {
                     got.err().map(|e| e.to_string()) == Some(want.to_string())
                 };
                 prop_assert!(refused(hostile.on_refresh(bad_item, bad_value).map(|_| ())));
-                prop_assert!(refused(hostile.apply_batch(&[(item, value), (bad_item, bad_value)])));
+                prop_assert!(refused(hostile.apply(bad_item, bad_value)));
                 prop_assert_eq!(state_bits(&hostile), before);
             }
             let (a, b) = (clean.on_refresh(item, value), hostile.on_refresh(item, value));

@@ -96,11 +96,6 @@ pub struct SolverOptions {
     pub mu: f64,
     /// Maximum Newton steps per solve. Default `200`.
     pub max_newton_steps: usize,
-    /// Sufficient-decrease parameter of the residual-norm backtracking
-    /// line search. Default `0.05`.
-    pub armijo: f64,
-    /// Step shrink factor for backtracking. Default `0.5`.
-    pub backtrack: f64,
     /// Telemetry handle. Defaults to the null handle (no events, but
     /// `gp.solve_ns` timings still accumulate in its private registry).
     pub obs: Obs,
@@ -168,8 +163,6 @@ impl Default for SolverOptions {
             t0: 1.0,
             mu: 20.0,
             max_newton_steps: 200,
-            armijo: 0.05,
-            backtrack: 0.5,
             obs: Obs::null(),
             query: None,
             query_counter: None,
@@ -882,6 +875,12 @@ const STEP_TO_BOUNDARY: f64 = 0.99;
 const MAX_LOG_STEP: f64 = 8.0;
 /// Backtracking trials per Newton step before the solve reports a stall.
 const MAX_BACKTRACKS: usize = 60;
+/// Sufficient-decrease parameter of the residual-norm line search: a
+/// trial step of length `α` must shrink the residual norm by a factor
+/// `1 - ARMIJO α`.
+const ARMIJO: f64 = 0.05;
+/// Step shrink factor of one backtracking trial.
+const BACKTRACK: f64 = 0.5;
 /// Slack below which a cold start's constraint is taken to be *hugged*
 /// rather than active: its starting dual is `1 / (t0 COLD_DUAL_SLACK)`
 /// instead of the centred `1 / (t0 s_i)`. A centred dual on a slack of
@@ -1023,7 +1022,7 @@ fn primal_dual(
                 for (&l, &s) in trial.lam.iter().zip(&trial.slack) {
                     r_sq += (l * s - inv_t).powi(2);
                 }
-                if r_sq.sqrt() <= (1.0 - options.armijo * alpha) * r_norm {
+                if r_sq.sqrt() <= (1.0 - ARMIJO * alpha) * r_norm {
                     gap = dot(&trial.lam, &trial.slack);
                     rd = trial_rd;
                     last_alpha = alpha;
@@ -1031,7 +1030,7 @@ fn primal_dual(
                     break;
                 }
             }
-            alpha *= options.backtrack;
+            alpha *= BACKTRACK;
         }
         if !accepted {
             return Err(GpError::NumericalFailure("line search stalled"));

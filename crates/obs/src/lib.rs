@@ -158,12 +158,6 @@ pub mod names {
     /// One timer-wheel cascade: a higher-level slot re-filed into finer
     /// buckets as simulated time advanced past its span.
     pub const SCHED_CASCADE: &str = "sched.cascade";
-    /// One batched-ingestion drain: same-time `RefreshArrive` events
-    /// applied through a single fused delta sweep.
-    pub const INGEST_BATCH: &str = "ingest.batch";
-    /// Histogram of refreshes per ingestion batch.
-    pub const INGEST_BATCH_SIZE: &str = "ingest.batch_size";
-
     /// One parallel DAB recompute batch dispatched by the simulator
     /// (span; parent of the fanned-out `gp.solve` spans).
     pub const SIM_RECOMPUTE_BATCH: &str = "sim.recompute_batch";

@@ -5,7 +5,7 @@
 //! * **off**: no telemetry call at all;
 //! * **instrumented**: the shipped discipline — [`Counter`] and
 //!   [`Histogram`] handles resolved once, adds amortized over each
-//!   ingestion batch, one causal span per tick through a pre-resolved
+//!   batch of events, one causal span per tick through a pre-resolved
 //!   [`Timer`], the sampling profiler running throughout;
 //! * **windowed**: instrumented plus the live-health plane — a
 //!   [`WindowPlane`] polling the refresh counter every tick, the
@@ -31,8 +31,10 @@ use pq_obs::{
 const MAX_INSTRUMENTED_OVERHEAD_PCT: f64 = 6.0;
 /// Windowed over instrumented: what the live-health plane adds per tick.
 const MAX_PLANE_OVERHEAD_PCT: f64 = 3.0;
-/// Events folded per ingestion batch.
+/// Events folded per batch.
 const BATCH: u64 = 64;
+/// The loop's own histogram of events per batch.
+const BATCH_SIZE: &str = "loop.batch_size";
 /// Events per simulated tick (one span each).
 const TICK: u64 = 1024;
 /// Prime, so samples do not phase-lock with the tick cadence.
@@ -139,7 +141,7 @@ impl Instrumented {
         };
         Instrumented {
             c_refresh: obs.counter(names::SIM_REFRESH),
-            h_batch: obs.histogram(names::INGEST_BATCH_SIZE),
+            h_batch: obs.histogram(BATCH_SIZE),
             t_tick: obs.timer(names::SIM_RECOMPUTE_BATCH),
             profiler: start_profiler(&obs, PROFILE_HZ),
             obs,
@@ -190,7 +192,7 @@ impl Instrumented {
             "every event must be in the final snapshot"
         );
         assert_eq!(
-            snapshot.histograms[names::INGEST_BATCH_SIZE].count,
+            snapshot.histograms[BATCH_SIZE].count,
             events.div_ceil(BATCH),
             "every batch must be in the final snapshot"
         );

@@ -812,26 +812,6 @@ impl SharedView {
         plan.delta_scatter(values, ItemId(item as u32), old, new, &mut self.qv)
     }
 
-    /// Folds a batch of moves `(item, new_value)` into the view in
-    /// order, writing each new value into `values` as it is applied so
-    /// later moves in the batch see earlier ones — bit-identical to the
-    /// equivalent sequence of [`SharedView::apply`] calls followed by
-    /// per-item stores. Returns the total scatter fan-out.
-    pub fn apply_batch(
-        &mut self,
-        plan: &SharedPlan,
-        values: &mut [f64],
-        moves: &[(usize, f64)],
-    ) -> u64 {
-        let mut updated = 0;
-        for &(item, new) in moves {
-            let old = values[item];
-            updated += self.apply(plan, values, item, old, new);
-            values[item] = new;
-        }
-        updated
-    }
-
     /// Fault injection: perturbs the maintained value of query `qi` by
     /// `amount` without touching the underlying item values. The view is
     /// now wrong by construction — exactly the failure mode (a missed or
@@ -1247,29 +1227,6 @@ mod tests {
             }
         }
         assert_eq!(view.apply(&plan, &values, 0, 3.5, 3.5), 0, "a no-op move");
-    }
-
-    #[test]
-    fn view_apply_batch_matches_sequential_applies() {
-        let plan = SharedPlan::compile(&book());
-        let moves = [(0usize, 3.5), (1, -2.0), (2, 0.25), (1, 10.0)];
-
-        let mut seq_values = vec![3.0, 4.0, 5.0];
-        let mut seq_view = SharedView::new(&plan, &seq_values);
-        let mut seq_updated = 0;
-        for &(item, new) in &moves {
-            let old = seq_values[item];
-            seq_updated += seq_view.apply(&plan, &seq_values, item, old, new);
-            seq_values[item] = new;
-        }
-
-        let mut batch_values = vec![3.0, 4.0, 5.0];
-        let mut batch_view = SharedView::new(&plan, &batch_values);
-        let batch_updated = batch_view.apply_batch(&plan, &mut batch_values, &moves);
-
-        assert_eq!(batch_updated, seq_updated);
-        assert_eq!(batch_values, seq_values);
-        assert_eq!(batch_view.values(), seq_view.values());
     }
 
     #[test]

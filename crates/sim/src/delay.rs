@@ -3,9 +3,10 @@
 //! The paper derives node-to-node delays from a heavy-tailed Pareto
 //! distribution with a mean of 100–120 ms, and coordinator computational
 //! delays likewise (4 ms mean to check a query, 1 ms to push a value to
-//! the user; §V-A). We implement Pareto sampling by inverse CDF — no
-//! external distribution crate needed — with a cap to keep the tail from
-//! producing pathological multi-minute delays.
+//! the user; §V-A). The push to the user is not modelled: fidelity is
+//! sampled at the coordinator's view. We implement Pareto sampling by
+//! inverse CDF — no external distribution crate needed — with a cap to
+//! keep the tail from producing pathological multi-minute delays.
 
 /// A bounded Pareto distribution sampled by inverse CDF.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -43,7 +44,7 @@ impl Pareto {
     }
 
     /// True if every sample is exactly 0 (and drawing one consumes no
-    /// randomness) — the predicate batched ingestion relies on.
+    /// randomness).
     pub fn is_zero(&self) -> bool {
         self.scale == 0.0
     }
@@ -105,7 +106,8 @@ impl ItemDraws {
     }
 
     /// One Pareto draw on `item`'s stream. A zero-scale distribution
-    /// consumes no randomness (the batching predicate relies on that).
+    /// consumes no randomness, so a zero delay leaves the stream where it
+    /// was: every recorded zero-delay run depends on that.
     pub(crate) fn pareto(&mut self, p: &Pareto, item: usize) -> f64 {
         if p.is_zero() {
             return 0.0;
@@ -121,8 +123,6 @@ pub struct DelayConfig {
     pub node_to_node: Pareto,
     /// Coordinator processing time per arriving refresh (query check).
     pub coordinator_check: Pareto,
-    /// Delay to push a query value to the user.
-    pub user_push: Pareto,
     /// Coordinator service time per DAB recomputation (the paper's CVXOPT
     /// solves cost 40-70 ms; §V-A). This is what turns recomputation
     /// *counts* into coordinator *load*: while the coordinator is busy
@@ -131,13 +131,12 @@ pub struct DelayConfig {
 }
 
 impl DelayConfig {
-    /// The paper's PlanetLab-like conditions: ~110 ms node-to-node, 4 ms
-    /// query-check, 1 ms user-push means.
+    /// The paper's PlanetLab-like conditions: ~110 ms node-to-node and
+    /// 4 ms query-check means.
     pub fn planetlab_like() -> Self {
         DelayConfig {
             node_to_node: Pareto::with_mean(0.110),
             coordinator_check: Pareto::with_mean(0.004),
-            user_push: Pareto::with_mean(0.001),
             // ~1 ms per solve: a modern reimplementation's cost (our GP
             // solver measures ~0.1-0.3 ms; the paper's CVXOPT took
             // 40-70 ms on 2006 hardware). Chosen so coordinator
@@ -158,18 +157,8 @@ impl DelayConfig {
         DelayConfig {
             node_to_node: z,
             coordinator_check: z,
-            user_push: z,
             recompute_service: z,
         }
-    }
-
-    /// True when the coordinator's service times (`coordinator_check`
-    /// and `recompute_service`) are identically zero, so `busy_until`
-    /// can never advance past the current event time and same-instant
-    /// refreshes may be ingested as one batch without changing any
-    /// outcome (see DESIGN.md §12).
-    pub fn is_service_free(&self) -> bool {
-        self.coordinator_check.is_zero() && self.recompute_service.is_zero()
     }
 
     /// Same shape as [`DelayConfig::planetlab_like`] but with the given
@@ -289,7 +278,7 @@ mod tests {
         let mut draws = ItemDraws::new(3, [0]);
         assert_eq!(draws.pareto(&d.node_to_node, 0), 0.0);
         assert_eq!(draws.pareto(&d.coordinator_check, 0), 0.0);
-        assert_eq!(draws.pareto(&d.user_push, 0), 0.0);
+        assert_eq!(draws.pareto(&d.recompute_service, 0), 0.0);
         assert_eq!(draws.counters, [0]);
     }
 

@@ -39,7 +39,7 @@ use crate::audit::{AuditConfig, AuditFault, FidelityAuditor};
 use crate::delay::{DelayConfig, ItemDraws};
 use crate::event::Event;
 use crate::metrics::SimMetrics;
-use crate::table::{Bitset, ItemTable};
+use crate::table::ItemTable;
 use crate::wheel::TimerWheel;
 
 /// How the coordinator manages DABs across its queries.
@@ -89,8 +89,6 @@ pub struct SimConfig {
     /// ([`mod@pq_core::partition`]) and runs one independent coordinator
     /// per shard on its own thread (see [`crate::shard`]).
     pub shards: usize,
-    /// Sample fidelity every this many ticks (0 disables sampling).
-    pub fidelity_sample_every: usize,
     /// Probability that any message (refresh or DAB-change) is silently
     /// dropped in transit — failure injection for resilience experiments.
     /// The push protocol has no acknowledgements (as in the paper), so a
@@ -143,7 +141,6 @@ impl SimConfig {
             mu_cost: 5.0,
             seed: 42,
             shards: 1,
-            fidelity_sample_every: 1,
             loss_probability: 0.0,
             gp: dab_solver_options(),
             threads: default_recompute_threads(),
@@ -284,8 +281,7 @@ pub(crate) struct Engine<'a> {
     /// assignments and the filters it last derived.
     core: Coordinator,
     /// Structure-of-arrays source-side state: source values, last-pushed
-    /// values and installed DABs as flat columns (plus the dirty bits
-    /// batched ingestion uses).
+    /// values and installed DABs as flat columns.
     items: ItemTable,
     /// The traces, tick-major: item `i`'s sample at `tick` is
     /// `tape[tick * n_items + i]`, so one tick's sweep reads one
@@ -320,11 +316,6 @@ pub(crate) struct Engine<'a> {
     /// instead of re-pushing into the queue, which churned it and
     /// subtly reordered same-time arrivals).
     deferred: VecDeque<(usize, f64)>,
-    /// The refresh batch being ingested (batched ingestion only).
-    batch: Vec<(usize, f64)>,
-    /// Per-query membership marks for the current batch: a batch only
-    /// admits refreshes whose affected query sets are pairwise disjoint.
-    query_mark: Bitset,
     /// Telemetry handle (the coordinator holds a clone).
     obs: Obs,
     /// Registry counters mirroring the [`SimMetrics`] fields (the
@@ -344,12 +335,8 @@ pub(crate) struct Engine<'a> {
     /// Scheduler counters: events pushed into / popped from the queue.
     c_sched_push: Arc<Counter>,
     c_sched_pop: Arc<Counter>,
-    /// Batched-ingestion telemetry: one count + one size sample per
-    /// batch drained.
-    c_ingest_batch: Arc<Counter>,
-    h_ingest_batch_size: Arc<Histogram>,
-    /// Pre-resolved `sim.solve_ns` handle for [`Engine::note_solver_time`]
-    /// (one registry lookup at construction instead of one per batch).
+    /// Pre-resolved `sim.solve_ns` handle for [`Engine::note_solver_ns`]
+    /// (one registry lookup at construction instead of one per solve).
     h_solve_ns: Arc<Histogram>,
     /// Per-shard hot-path attribution (`shard.refresh` /
     /// `shard.recompute` labeled by `shard`); present only when running
@@ -579,8 +566,6 @@ impl<'a> Engine<'a> {
             metrics: SimMetrics::with_items(cfg.queries.len(), n_items),
             coordinator_busy_until: 0.0,
             deferred: VecDeque::new(),
-            batch: Vec::new(),
-            query_mark: Bitset::new(cfg.queries.len()),
             c_refreshes: obs.counter(names::SIM_REFRESH),
             c_dab_changes: obs.counter(names::SIM_DAB_CHANGE),
             c_notifications: obs.counter(names::SIM_USER_NOTIFY),
@@ -591,8 +576,6 @@ impl<'a> Engine<'a> {
             c_eval_full: obs.counter(names::EVAL_FULL),
             c_sched_push: obs.counter(names::SCHED_PUSH),
             c_sched_pop: obs.counter(names::SCHED_POP),
-            c_ingest_batch: obs.counter(names::INGEST_BATCH),
-            h_ingest_batch_size: obs.histogram(names::INGEST_BATCH_SIZE),
             h_solve_ns: obs.histogram(names::SIM_SOLVE_NS),
             lc_shard_refresh: shard_label
                 .as_ref()
@@ -650,31 +633,28 @@ impl<'a> Engine<'a> {
         self.deliver_due(now)?;
         // Fidelity sample: truth, coordinator view and QABs as three
         // columns.
-        if self.cfg.fidelity_sample_every > 0 && tick.is_multiple_of(self.cfg.fidelity_sample_every)
-        {
-            self.metrics.fidelity_samples += 1;
-            // Every shard samples the same ticks; only shard 0 feeds
-            // the global counter so `/metrics` reports true samples,
-            // not samples x shards.
-            if self.shard.is_none_or(|s| s == 0) {
-                self.c_fidelity.inc();
-            }
-            self.refresh_truth();
-            let cached = self.core.query_values();
-            let columns = self.truth.iter().zip(cached).zip(self.core.qabs());
-            for (qi, ((&truth, &cached), &qab)) in columns.enumerate() {
-                if (truth - cached).abs() > qab {
-                    self.metrics.per_query_violations[qi] += 1;
-                    self.c_violations[qi].inc();
-                    let gqi = self.core.scope().query(qi);
-                    self.obs
-                        .emit_with(names::SIM_QAB_VIOLATION, EventKind::Point, |e| {
-                            e.with("query", gqi)
-                                .with("tick", tick)
-                                .with("truth", truth)
-                                .with("cached", cached)
-                        });
-                }
+        self.metrics.fidelity_samples += 1;
+        // Every shard samples the same ticks; only shard 0 feeds the
+        // global counter so `/metrics` reports true samples, not
+        // samples x shards.
+        if self.shard.is_none_or(|s| s == 0) {
+            self.c_fidelity.inc();
+        }
+        self.refresh_truth();
+        let cached = self.core.query_values();
+        let columns = self.truth.iter().zip(cached).zip(self.core.qabs());
+        for (qi, ((&truth, &cached), &qab)) in columns.enumerate() {
+            if (truth - cached).abs() > qab {
+                self.metrics.per_query_violations[qi] += 1;
+                self.c_violations[qi].inc();
+                let gqi = self.core.scope().query(qi);
+                self.obs
+                    .emit_with(names::SIM_QAB_VIOLATION, EventKind::Point, |e| {
+                        e.with("query", gqi)
+                            .with("tick", tick)
+                            .with("truth", truth)
+                            .with("cached", cached)
+                    });
             }
         }
         // Continuous fidelity audit: read-only shadow evaluation of
@@ -791,29 +771,20 @@ impl<'a> Engine<'a> {
     /// coordinator frees up (queued events win ties, matching the arrival
     /// order a re-push would have produced).
     fn deliver_due(&mut self, now: f64) -> Result<(), SimError> {
-        // Batched ingestion is only sound when the coordinator's service
-        // times are identically zero: then `busy_until` never outruns
-        // event time, nothing is ever deferred, and same-instant
-        // refreshes with disjoint query sets can be fused (§DESIGN 12).
-        let batching = self.cfg.delays.is_service_free();
-        // A same-time event popped while collecting a batch but not
-        // admissible into it; processed before touching the queue again.
-        let mut pending: Option<(f64, Event)> = None;
         loop {
-            let next_time = pending
-                .as_ref()
-                .map(|&(t, _)| t)
-                .or_else(|| self.queue.peek_time());
             if !self.deferred.is_empty()
                 && self.coordinator_busy_until <= now
-                && next_time.is_none_or(|t| t > self.coordinator_busy_until)
+                && self
+                    .queue
+                    .peek_time()
+                    .is_none_or(|t| t > self.coordinator_busy_until)
             {
                 let (item, value) = self.deferred.pop_front().expect("non-empty");
                 let t = self.coordinator_busy_until;
-                self.ingest(&[(item, value)], t)?;
+                self.ingest(item, value, t)?;
                 continue;
             }
-            let Some((t, event)) = pending.take().or_else(|| self.pop_due(now)) else {
+            let Some((t, event)) = self.pop_due(now) else {
                 return Ok(());
             };
             match event {
@@ -824,11 +795,7 @@ impl<'a> Engine<'a> {
                         self.deferred.push_back((item, value));
                         continue;
                     }
-                    if batching {
-                        pending = self.collect_and_ingest_batch(item, value, t, now)?;
-                    } else {
-                        self.ingest(&[(item, value)], t)?;
-                    }
+                    self.ingest(item, value, t)?;
                 }
                 Event::DabChangeArrive { item, dab } => {
                     self.items.set_installed_dab(item, dab);
@@ -864,13 +831,7 @@ impl<'a> Engine<'a> {
         rt.watchdog.beat();
         let now = tick as u64;
         rt.plane.advance(now);
-        let sampled = self.cfg.fidelity_sample_every > 0
-            && tick.is_multiple_of(self.cfg.fidelity_sample_every);
-        let samples = if sampled {
-            self.cfg.queries.len() as u64
-        } else {
-            0
-        };
+        let samples = self.cfg.queries.len() as u64;
         let total_violations: u64 = self.metrics.per_query_violations.iter().sum();
         let violations = total_violations - rt.seen_violations;
         rt.seen_violations = total_violations;
@@ -958,87 +919,14 @@ impl<'a> Engine<'a> {
             });
     }
 
-    /// Collects every queued `RefreshArrive` at the same instant `t`
-    /// whose affected query sets are pairwise disjoint from the batch so
-    /// far, then ingests the batch through one fused sweep. The first
-    /// event not admitted (different time/type, duplicate item, or
-    /// overlapping queries) is returned so the caller processes it next
-    /// — pop order is never reordered.
-    fn collect_and_ingest_batch(
-        &mut self,
-        item: usize,
-        value: f64,
-        t: f64,
-        now: f64,
-    ) -> Result<Option<(f64, Event)>, SimError> {
-        let mut batch = std::mem::take(&mut self.batch);
-        debug_assert!(batch.is_empty());
-        batch.push((item, value));
-        self.items.mark_dirty(item);
-        for &qi in self.core.readers(item) {
-            self.query_mark.set(qi as usize);
-        }
-        let mut held = None;
-        while self.queue.peek_time() == Some(t) {
-            let Some((t2, event)) = self.pop_due(now) else {
-                break;
-            };
-            match event {
-                Event::RefreshArrive {
-                    item: item2,
-                    value: value2,
-                } if !self.items.is_dirty(item2)
-                    && self
-                        .core
-                        .readers(item2)
-                        .iter()
-                        .all(|&qi| !self.query_mark.get(qi as usize)) =>
-                {
-                    batch.push((item2, value2));
-                    self.items.mark_dirty(item2);
-                    for &qi in self.core.readers(item2) {
-                        self.query_mark.set(qi as usize);
-                    }
-                }
-                other => {
-                    held = Some((t2, other));
-                    break;
-                }
-            }
-        }
-        for &(i, _) in &batch {
-            self.items.clear_dirty(i);
-            for &qi in self.core.readers(i) {
-                self.query_mark.clear(qi as usize);
-            }
-        }
-        self.metrics.ingest_batches += 1;
-        self.c_ingest_batch.inc();
-        self.h_ingest_batch_size.record(batch.len() as u64);
-        let result = self.ingest(&batch, t);
-        batch.clear();
-        self.batch = batch;
-        result?;
-        Ok(held)
-    }
-
-    /// Ingests one arriving refresh, or a batch of same-instant ones:
-    /// phase A applies every value through one fused delta sweep (in
-    /// arrival order), phase B reacts to each refresh in the same arrival
-    /// order. Because admitted refreshes touch pairwise-disjoint query
-    /// sets and the delay model is service-free, a batch is
-    /// outcome-identical to its refreshes one by one (DESIGN.md §12).
-    fn ingest(&mut self, batch: &[(usize, f64)], now: f64) -> Result<(), SimError> {
-        for &(item, value) in batch {
-            self.note_refresh_arrival(item, value, now);
-        }
+    /// One arriving refresh: arrival bookkeeping, the coordinator moves
+    /// the value, then reacts to it.
+    fn ingest(&mut self, item: usize, value: f64, now: f64) -> Result<(), SimError> {
+        self.note_refresh_arrival(item, value, now);
         self.core
-            .apply_batch(batch)
+            .apply(item, value)
             .map_err(|source| SimError::Refresh { source })?;
-        for &(item, _) in batch {
-            self.react(item, now)?;
-        }
-        Ok(())
+        self.react(item, now)
     }
 
     /// Post-apply half of a refresh: the coordinator reacts, and what it
@@ -1388,32 +1276,22 @@ mod tests {
         // Naive `Polynomial::eval` is the oracle: with the auditor
         // shadow-evaluating every query on every tick — at the source
         // view and the coordinator view, values and QAB decisions both —
-        // no run may report a divergence, whether truth is evaluated on
-        // every tick (sampling every 1) or for the auditor alone on six
-        // ticks out of seven (sampling every 7).
-        for (name, cfg) in parity_configs() {
-            for sample_every in [1, 7] {
-                let mut cfg = cfg.clone();
-                cfg.fidelity_sample_every = sample_every;
-                cfg.audit = Some(AuditConfig {
-                    every: 1,
-                    sample: cfg.queries.len(),
-                    ..AuditConfig::default()
-                });
-                let obs = Obs::null();
-                let m = run_observed(&cfg, &obs).unwrap();
-                assert_eq!(m.fidelity_samples, (1199 / sample_every) as u64);
-                let snap = obs.snapshot();
-                assert_eq!(
-                    snap.counters[names::AUDIT_SAMPLE],
-                    1199 * cfg.queries.len() as u64
-                );
-                assert_eq!(
-                    snap.counters[names::AUDIT_DIVERGENCE],
-                    0,
-                    "{name}, sampling every {sample_every}"
-                );
-            }
+        // no run may report a divergence.
+        for (name, mut cfg) in parity_configs() {
+            cfg.audit = Some(AuditConfig {
+                every: 1,
+                sample: cfg.queries.len(),
+                ..AuditConfig::default()
+            });
+            let obs = Obs::null();
+            let m = run_observed(&cfg, &obs).unwrap();
+            assert_eq!(m.fidelity_samples, 1199);
+            let snap = obs.snapshot();
+            assert_eq!(
+                snap.counters[names::AUDIT_SAMPLE],
+                1199 * cfg.queries.len() as u64
+            );
+            assert_eq!(snap.counters[names::AUDIT_DIVERGENCE], 0, "{name}");
         }
     }
 
@@ -1424,11 +1302,11 @@ mod tests {
         // are pinned in `delay::tests`): a change to the coordinator, the
         // solver's arithmetic, the event order or the streams moves a
         // count here (`zero_dual5` draws nothing). Columns: [refreshes,
-        // recomputations, DAB changes, notifications, ingest batches, lost
-        // messages], per query [violations, recomputations], per item
-        // [refreshes, recompute triggers].
-        let recorded = |totals: [u64; 6], per_query: [&[u64]; 2], per_item: [&[u64]; 2]| {
-            let [refreshes, recomputations, dab_change_messages, user_notifications, ingest_batches, lost_messages] =
+        // recomputations, DAB changes, notifications, lost messages], per
+        // query [violations, recomputations], per item [refreshes,
+        // recompute triggers].
+        let recorded = |totals: [u64; 5], per_query: [&[u64]; 2], per_item: [&[u64]; 2]| {
+            let [refreshes, recomputations, dab_change_messages, user_notifications, lost_messages] =
                 totals;
             SimMetrics {
                 refreshes,
@@ -1439,7 +1317,7 @@ mod tests {
                 per_query_recomputations: per_query[1].to_vec(),
                 per_item_refreshes: per_item[0].to_vec(),
                 per_item_recompute_triggers: per_item[1].to_vec(),
-                ingest_batches,
+                ingest_batches: 0,
                 fidelity_samples: 1199,
                 lost_messages,
                 solver_seconds: 0.0,
@@ -1447,12 +1325,12 @@ mod tests {
         };
         #[rustfmt::skip]
         let want = [
-            ("zero_dual5", recorded([262, 0, 0, 61, 262, 0], [&[0], &[0]], [&[119, 143], &[0, 0]])),
-            ("planetlab_dual5", recorded([262, 0, 0, 62, 0, 0], [&[0], &[0]], [&[119, 143], &[0, 0]])),
-            ("node2_optimal", recorded([217, 217, 434, 71, 0, 0], [&[91], &[217]], [&[94, 123], &[94, 123]])),
-            ("lossy_dual1", recorded([185, 24, 48, 61, 0, 73], [&[222], &[24]], [&[80, 105], &[10, 14]])),
-            ("aao200", recorded([259, 9, 18, 64, 0, 0], [&[0], &[9]], [&[115, 144], &[0, 4]])),
-            ("two_queries", recorded([639, 33, 51, 227, 0, 0], [&[13, 0], &[18, 15]], [&[206, 261, 172], &[11, 11, 9]])),
+            ("zero_dual5", recorded([262, 0, 0, 61, 0], [&[0], &[0]], [&[119, 143], &[0, 0]])),
+            ("planetlab_dual5", recorded([262, 0, 0, 62, 0], [&[0], &[0]], [&[119, 143], &[0, 0]])),
+            ("node2_optimal", recorded([217, 217, 434, 71, 0], [&[91], &[217]], [&[94, 123], &[94, 123]])),
+            ("lossy_dual1", recorded([185, 24, 48, 61, 73], [&[222], &[24]], [&[80, 105], &[10, 14]])),
+            ("aao200", recorded([259, 9, 18, 64, 0], [&[0], &[9]], [&[115, 144], &[0, 4]])),
+            ("two_queries", recorded([639, 33, 51, 227, 0], [&[13, 0], &[18, 15]], [&[206, 261, 172], &[11, 11, 9]])),
         ];
         for ((name, cfg), (recorded_name, want)) in parity_configs().into_iter().zip(want) {
             assert_eq!(name, recorded_name);
@@ -1464,7 +1342,7 @@ mod tests {
 
     #[test]
     fn eval_counters_count_terms_scatters_and_rebases() {
-        let mut cfg = small_config(DelayConfig::zero(), dual(5.0));
+        let cfg = small_config(DelayConfig::zero(), dual(5.0));
         let obs = Obs::null();
         let m = run_observed(&cfg, &obs).unwrap();
         let snap = obs.snapshot();
@@ -1482,12 +1360,9 @@ mod tests {
         let rebases = m.refreshes / u64::from(pq_core::REBASE_EVERY);
         assert_eq!(count(names::EVAL_REBASE), rebases);
         assert_eq!(count(names::EVAL_FULL), 1 + rebases + m.fidelity_samples);
-
-        // With nothing reading it, the truth is never evaluated.
-        cfg.fidelity_sample_every = 0;
-        let obs = Obs::null();
-        run_observed(&cfg, &obs).unwrap();
-        assert_eq!(obs.snapshot().counters[names::EVAL_FULL], 1 + rebases);
+        // Zero delays: every scheduled event is delivered the same tick.
+        assert_eq!(count(names::SCHED_PUSH), count(names::SCHED_POP));
+        assert!(count(names::SCHED_PUSH) > 0);
 
         // A busier book crosses a rebase period; each full evaluation
         // counts both of its queries.
@@ -1625,58 +1500,6 @@ mod tests {
         assert_eq!(count(names::SIM_RUN_START), 1);
         assert_eq!(count(names::SIM_RUN_END), 1);
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn batching_engages_only_under_service_free_delays() {
-        let free = run(&small_config(DelayConfig::zero(), dual(5.0))).unwrap();
-        assert!(free.ingest_batches > 0, "zero delays must batch");
-        assert!(free.ingest_batches <= free.refreshes);
-        let busy = run(&small_config(DelayConfig::planetlab_like(), dual(5.0))).unwrap();
-        assert_eq!(
-            busy.ingest_batches, 0,
-            "nonzero service times must fall back to per-event ingestion"
-        );
-    }
-
-    #[test]
-    fn disjoint_queries_fuse_same_tick_refreshes() {
-        // Two queries over disjoint item sets: same-tick refreshes of
-        // items belonging to different queries are admitted into one
-        // batch, so there are strictly fewer batches than refreshes.
-        let traces = TraceSet::new(vec![
-            Trace::sinusoid(20.0, 3.0, 400.0, 1200),
-            Trace::sinusoid(10.0, 2.0, 300.0, 1200),
-            Trace::sinusoid(15.0, 2.5, 350.0, 1200),
-            Trace::sinusoid(12.0, 2.0, 320.0, 1200),
-        ]);
-        let queries = vec![
-            PolynomialQuery::portfolio([(1.0, x(0), x(1))], 8.0).unwrap(),
-            PolynomialQuery::portfolio([(1.0, x(2), x(3))], 8.0).unwrap(),
-        ];
-        let mut cfg = SimConfig::new(traces, queries);
-        cfg.delays = DelayConfig::zero();
-        let obs = Obs::null();
-        let m = run_observed(&cfg, &obs).unwrap();
-        assert!(m.ingest_batches > 0);
-        assert!(
-            m.ingest_batches < m.refreshes,
-            "disjoint queries must fuse: {} batches for {} refreshes",
-            m.ingest_batches,
-            m.refreshes
-        );
-        let snap = obs.snapshot();
-        let count = |n: &str| snap.counters.get(n).copied().unwrap_or(0);
-        // Zero delays: every scheduled event is delivered the same tick.
-        assert_eq!(count(names::SCHED_PUSH), count(names::SCHED_POP));
-        assert!(count(names::SCHED_PUSH) > 0);
-        // Every refresh flows through exactly one batch.
-        let h = snap
-            .histograms
-            .get(names::INGEST_BATCH_SIZE)
-            .expect("batch size histogram recorded");
-        assert_eq!(h.count, m.ingest_batches);
-        assert_eq!(h.sum, m.refreshes);
     }
 
     #[test]

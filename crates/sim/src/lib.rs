@@ -55,5 +55,5 @@ pub use metrics::SimMetrics;
 pub use network::{run_network, run_network_observed, NetworkConfig, NetworkMetrics};
 pub use pq_obs::{Obs, RecorderConfig, SloConfig};
 pub use shard::{run_sharded, ShardReport, ShardStat};
-pub use table::{Bitset, ItemTable, ReaderIndex};
+pub use table::{ItemTable, ReaderIndex};
 pub use wheel::TimerWheel;

@@ -25,10 +25,9 @@ pub struct SimMetrics {
     /// Per-item count of refreshes whose arrival forced at least one
     /// DAB recomputation — the "who triggers the solver" attribution.
     pub per_item_recompute_triggers: Vec<u64>,
-    /// Batched-ingestion drains: groups of same-instant refreshes
-    /// applied through one fused delta sweep. Stays 0 whenever the delay
-    /// model keeps the coordinator service busy (batching only engages
-    /// under service-free delays; see DESIGN.md §12).
+    /// Always 0: the engine ingests every refresh on its own, so there
+    /// are no batches to count. Kept only because benchmark harnesses
+    /// still read the field.
     pub ingest_batches: u64,
     /// Number of fidelity samples taken (per query).
     pub fidelity_samples: u64,
@@ -163,7 +162,7 @@ impl SimMetrics {
             per_query_recomputations: per_query(names::DAB_RECOMPUTE),
             per_item_refreshes: per_item(names::SIM_REFRESH),
             per_item_recompute_triggers: per_item(names::DAB_RECOMPUTE_TRIGGER),
-            ingest_batches: counter(names::INGEST_BATCH),
+            ingest_batches: 0,
             fidelity_samples: counter(names::SIM_FIDELITY_SAMPLE),
             lost_messages: counter(names::SIM_LOST_MESSAGE),
             solver_seconds: snapshot

@@ -34,9 +34,8 @@
 //!   and [`run_sharded`] are the same call.
 //! * Every stochastic draw comes from its item's own counter-based
 //!   stream (keyed by global item id), so under service-free delays
-//!   fixed-seed [`SimMetrics`] are invariant across shard counts except
-//!   `ingest_batches` (batching is per-coordinator) and `solver_seconds`
-//!   (wall clock).
+//!   fixed-seed [`SimMetrics`] are invariant across shard counts in every
+//!   field but `solver_seconds` (wall clock).
 //! * With service times on, each shard's coordinator queues only its
 //!   own refreshes, so metrics move with the packing. A book of one
 //!   component runs whole on one shard and matches the one-shard run in
@@ -109,7 +108,6 @@ fn restrict<'q>(
         mu_cost: cfg.mu_cost,
         seed: cfg.seed,
         shards: cfg.shards,
-        fidelity_sample_every: cfg.fidelity_sample_every,
         loss_probability: cfg.loss_probability,
         gp: cfg.gp.clone(),
         threads: cfg.threads,
@@ -159,7 +157,6 @@ fn merge(run: &mut SimMetrics, engine: &SimMetrics, scope: &Scope) {
     run.recomputations += engine.recomputations;
     run.dab_change_messages += engine.dab_change_messages;
     run.user_notifications += engine.user_notifications;
-    run.ingest_batches += engine.ingest_batches;
     run.lost_messages += engine.lost_messages;
     run.solver_seconds += engine.solver_seconds;
     run.fidelity_samples = run.fidelity_samples.max(engine.fidelity_samples);

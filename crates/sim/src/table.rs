@@ -6,49 +6,9 @@
 //! can be handed to the evaluator as slices. The coordinator's side of
 //! every item — its cached value, the filter it last derived — lives in
 //! [`pq_core::Coordinator`], as does the item → reader-queries index
-//! ([`ReaderIndex`], re-exported here). [`Bitset`] is the companion flat
-//! bit column used for per-item dirty bits and per-query membership
-//! marks during batched ingestion.
+//! ([`ReaderIndex`], re-exported here).
 
 pub use pq_core::ReaderIndex;
-
-/// A flat bit column (one `u64` word per 64 bits).
-#[derive(Debug, Clone, Default)]
-pub struct Bitset {
-    words: Vec<u64>,
-}
-
-impl Bitset {
-    /// An all-clear bitset holding `n_bits` bits.
-    pub fn new(n_bits: usize) -> Self {
-        Bitset {
-            words: vec![0; n_bits.div_ceil(64)],
-        }
-    }
-
-    /// True if bit `i` is set.
-    #[inline]
-    pub fn get(&self, i: usize) -> bool {
-        self.words[i / 64] & (1 << (i % 64)) != 0
-    }
-
-    /// Sets bit `i`.
-    #[inline]
-    pub fn set(&mut self, i: usize) {
-        self.words[i / 64] |= 1 << (i % 64);
-    }
-
-    /// Clears bit `i`.
-    #[inline]
-    pub fn clear(&mut self, i: usize) {
-        self.words[i / 64] &= !(1 << (i % 64));
-    }
-
-    /// Clears every bit.
-    pub fn clear_all(&mut self) {
-        self.words.fill(0);
-    }
-}
 
 /// Structure-of-arrays item state: one flat column per attribute,
 /// indexed by item id.
@@ -58,14 +18,12 @@ impl Bitset {
 ///   an engine holds only items it watches, so every slot is current);
 /// - `last_pushed`: last value the source actually sent upstream;
 /// - `installed_dab`: the DAB filter width currently installed at the
-///   source (infinite until the coordinator's first DAB message lands);
-/// - a dirty [`Bitset`] used transiently by batched ingestion.
+///   source (infinite until the coordinator's first DAB message lands).
 #[derive(Debug, Clone)]
 pub struct ItemTable {
     values: Vec<f64>,
     last_pushed: Vec<f64>,
     installed_dab: Vec<f64>,
-    dirty: Bitset,
 }
 
 impl ItemTable {
@@ -77,7 +35,6 @@ impl ItemTable {
             values: initial.to_vec(),
             last_pushed: initial.to_vec(),
             installed_dab: vec![f64::INFINITY; n],
-            dirty: Bitset::new(n),
         }
     }
 
@@ -162,44 +119,11 @@ impl ItemTable {
     pub fn set_installed_dab(&mut self, item: usize, dab: f64) {
         self.installed_dab[item] = dab;
     }
-
-    /// True if `item`'s dirty bit is set.
-    #[inline]
-    pub fn is_dirty(&self, item: usize) -> bool {
-        self.dirty.get(item)
-    }
-
-    /// Sets `item`'s dirty bit.
-    #[inline]
-    pub fn mark_dirty(&mut self, item: usize) {
-        self.dirty.set(item);
-    }
-
-    /// Clears `item`'s dirty bit.
-    #[inline]
-    pub fn clear_dirty(&mut self, item: usize) {
-        self.dirty.clear(item);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bitset_set_get_clear() {
-        let mut b = Bitset::new(130);
-        assert!(!b.get(0) && !b.get(64) && !b.get(129));
-        b.set(0);
-        b.set(64);
-        b.set(129);
-        assert!(b.get(0) && b.get(64) && b.get(129));
-        assert!(!b.get(1) && !b.get(63) && !b.get(65) && !b.get(128));
-        b.clear(64);
-        assert!(!b.get(64) && b.get(0) && b.get(129));
-        b.clear_all();
-        assert!(!b.get(0) && !b.get(129));
-    }
 
     #[test]
     fn table_starts_consistent_and_updates_columns() {
@@ -230,11 +154,5 @@ mod tests {
         t.set_last_pushed(2, 3.5);
         t.observe(&[9.6, 50.0, 3.5], &mut escaped);
         assert_eq!(escaped, [0], "9.6 is 0.6 from the 9.0 last pushed");
-
-        assert!(!t.is_dirty(2));
-        t.mark_dirty(2);
-        assert!(t.is_dirty(2));
-        t.clear_dirty(2);
-        assert!(!t.is_dirty(2));
     }
 }

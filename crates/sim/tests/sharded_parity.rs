@@ -6,7 +6,6 @@
 //! * with service-free delays (the banded "large book" workload, many
 //!   components), fixed-seed metrics and the violation log are
 //!   invariant across shard counts with nothing set but `shards` (only
-//!   `ingest_batches` — a per-coordinator artifact — and
 //!   `solver_seconds` — wall clock — may differ);
 //! * a book of one connected component runs whole on one shard, so under
 //!   the default delays (service times on) its fixed-seed metrics equal
@@ -74,14 +73,6 @@ fn without_wallclock(mut m: SimMetrics) -> SimMetrics {
     m
 }
 
-/// What must be invariant across shard counts: everything except the
-/// per-coordinator batching artifact and wall clock.
-fn cross_k_view(mut m: SimMetrics) -> SimMetrics {
-    m.solver_seconds = 0.0;
-    m.ingest_batches = 0;
-    m
-}
-
 #[test]
 fn one_shard_is_byte_identical_to_the_classic_engine() {
     let cfg = banded_config(48, 6, 300);
@@ -115,7 +106,7 @@ fn metrics_are_invariant_across_shard_counts_on_clean_partitions() {
         let obs = Obs::null();
         let report = run_sharded(&cfg, &obs)
             .unwrap_or_else(|e| panic!("sharded run failed at k = {k}: {e}"));
-        let view = cross_k_view(report.metrics);
+        let view = without_wallclock(report.metrics);
         assert!(view.refreshes > 0, "degenerate run at k = {k}");
         match &baseline {
             None => baseline = Some(view),
@@ -178,11 +169,11 @@ fn shared_eval_is_invariant_across_shard_counts() {
         let obs = Obs::null();
         let report = run_sharded(&cfg, &obs)
             .unwrap_or_else(|e| panic!("sharded shared run failed at k = {k}: {e}"));
-        let view = cross_k_view(report.metrics);
+        let view = without_wallclock(report.metrics);
         assert!(view.refreshes > 0, "degenerate run at k = {k}");
         if k == 1 {
             assert_eq!(
-                cross_k_view(classic.clone()),
+                without_wallclock(classic.clone()),
                 view,
                 "shards = 1 must reproduce the classic shared-eval engine"
             );

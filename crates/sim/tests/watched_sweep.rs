@@ -120,9 +120,7 @@ fn unpadded(mut m: SimMetrics, n: usize, place: impl Fn(usize) -> usize) -> SimM
     m
 }
 
-/// Runs `cfg` on `shards` shards and drops the wall-clock field; above
-/// one shard also the per-coordinator batching count, which is not
-/// invariant across shard counts.
+/// Runs `cfg` on `shards` shards and drops the wall-clock field.
 fn metrics(cfg: &SimConfig, shards: usize) -> SimMetrics {
     let mut cfg = cfg.clone();
     cfg.shards = shards;
@@ -130,9 +128,6 @@ fn metrics(cfg: &SimConfig, shards: usize) -> SimMetrics {
     let mut m = report.metrics;
     assert!(m.refreshes > 0, "degenerate run");
     m.solver_seconds = 0.0;
-    if shards > 1 {
-        m.ingest_batches = 0;
-    }
     m
 }
 
@@ -176,9 +171,11 @@ fn a_scattered_book_is_invariant_across_shard_counts() {
         let mut base = banded_config(n, 12);
         base.loss_probability = loss_probability;
         let scattered = padded(&base, 3 * n + 2, interleaved);
-        let mut one = metrics(&scattered, 1);
-        one.ingest_batches = 0;
-        assert_eq!(one, metrics(&scattered, 2), "loss {loss_probability}");
+        assert_eq!(
+            metrics(&scattered, 1),
+            metrics(&scattered, 2),
+            "loss {loss_probability}"
+        );
     }
 }
 
@@ -352,8 +349,7 @@ fn with_every_item_read(cfg: &SimConfig) -> SimConfig {
 }
 
 /// Runs `cfg` on `shards` shards: its metrics without the wall-clock
-/// field (and, above one shard, without the per-coordinator batching
-/// count), seen from the first `n_queries` queries, plus the sorted
+/// field, seen from the first `n_queries` queries, plus the sorted
 /// `(query, tick)` log of violation events.
 fn observed(cfg: &SimConfig, shards: usize, n_queries: usize) -> (SimMetrics, Vec<(u64, u64)>) {
     let mut cfg = cfg.clone();
@@ -374,9 +370,6 @@ fn observed(cfg: &SimConfig, shards: usize, n_queries: usize) -> (SimMetrics, Ve
     log.sort_unstable();
     let mut m = report.metrics;
     m.solver_seconds = 0.0;
-    if shards > 1 {
-        m.ingest_batches = 0;
-    }
     let extra = m.per_query_violations.split_off(n_queries);
     assert!(extra.iter().all(|&v| v == 0), "a frozen query violated");
     let extra = m.per_query_recomputations.split_off(n_queries);
@@ -419,9 +412,8 @@ proptest! {
             prop_assert!(got.refreshes > 0, "degenerate run");
             prop_assert_eq!(&got, &want, "{} shard(s)", shards);
             prop_assert_eq!(&got_log, &want_log, "{} shard(s)", shards);
-            let view = SimMetrics { ingest_batches: 0, ..got };
-            let (first, first_log) = across_shards.get_or_insert((view.clone(), got_log.clone()));
-            prop_assert_eq!(&view, &*first, "one shard against two");
+            let (first, first_log) = across_shards.get_or_insert((got.clone(), got_log.clone()));
+            prop_assert_eq!(&got, &*first, "one shard against two");
             prop_assert_eq!(&got_log, &*first_log, "one shard against two");
 
             // One overflowing tape, under a read item and under a
