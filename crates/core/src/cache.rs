@@ -269,9 +269,9 @@ fn run_job(job: RecomputeJob<'_>, strategy: AssignmentStrategy) -> RecomputeDone
     }
 }
 
-/// The default recompute fan-out width: one worker per available core.
+/// The machine's available parallelism, the fan-out's upper bound.
 /// Resolved once per process: the query reads the cgroup quota from files.
-pub fn default_recompute_threads() -> usize {
+fn available_cores() -> usize {
     static CORES: OnceLock<usize> = OnceLock::new();
     *CORES.get_or_init(|| {
         std::thread::available_parallelism()
@@ -282,7 +282,7 @@ pub fn default_recompute_threads() -> usize {
 
 /// Runs a batch of independent unit recomputations, fanning out over at
 /// most `max_threads` scoped worker threads (clamped to the job count and
-/// to [`default_recompute_threads`]).
+/// to the machine's available parallelism).
 ///
 /// Results come back in **job order** regardless of thread count, and each
 /// job touches only its own [`UnitCache`], so the outcome is byte-identical
@@ -299,7 +299,7 @@ pub fn recompute_parallel(
     let workers = if max_threads <= 1 || n <= 1 {
         1
     } else {
-        max_threads.min(default_recompute_threads()).min(n)
+        max_threads.min(available_cores()).min(n)
     };
     if workers <= 1 {
         return jobs.into_iter().map(|j| run_job(j, strategy)).collect();

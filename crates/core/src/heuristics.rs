@@ -36,16 +36,6 @@ pub enum PqHeuristic {
     DifferentSum,
 }
 
-impl PqHeuristic {
-    /// Stable lowercase name used in telemetry and result tables.
-    pub fn name(&self) -> &'static str {
-        match self {
-            PqHeuristic::HalfAndHalf => "half-and-half",
-            PqHeuristic::DifferentSum => "different-sum",
-        }
-    }
-}
-
 /// How each positive-coefficient (sub-)problem is solved.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PpqMethod {
@@ -79,22 +69,6 @@ pub fn general_pq(
     method: PpqMethod,
 ) -> Result<QueryAssignment, DabError> {
     let (p1, p2) = query.poly().split_pos_neg();
-    let split = if p2.is_zero() || p1.is_zero() {
-        "single-sign"
-    } else {
-        heuristic.name()
-    };
-    ctx.gp
-        .obs
-        .emit_with(pq_obs::names::CORE_ASSIGN, pq_obs::EventKind::Point, |e| {
-            e.with("split", split).with("qab", query.qab()).with(
-                "method",
-                match method {
-                    PpqMethod::OptimalRefresh => "optimal-refresh",
-                    PpqMethod::DualDab { .. } => "dual-dab",
-                },
-            )
-        });
     if p2.is_zero() {
         return solve_positive(p1, query.qab(), ctx, method);
     }

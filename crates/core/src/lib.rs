@@ -62,8 +62,7 @@ pub mod strategy;
 
 pub use assignment::{CoordinatorAssignment, QueryAssignment, UnitColumns, ValidityRange};
 pub use cache::{
-    default_recompute_threads, filter_changed, recompute_parallel, RecomputeDone, RecomputeJob,
-    SolveCache, UnitCache,
+    filter_changed, recompute_parallel, RecomputeDone, RecomputeJob, SolveCache, UnitCache,
 };
 pub use context::{dab_solver_options, SolveContext};
 pub use coordinator::{Config, Coordinator, Outcome, ReaderIndex, Scope, REBASE_EVERY};

@@ -240,10 +240,10 @@ impl PpqProgram {
             *v0 = ctx.values[item.index()];
         }
         cols.primary.copy_from_slice(&sol.x[..n]);
-        let Some(mu) = mu else {
+        if mu.is_none() {
             out.refresh_rate = sol.objective;
             return;
-        };
+        }
         // An uncoupled item keeps its `+∞`: its value cannot invalidate.
         for (&b_var, &c) in self.coupled_b.iter().zip(&sol.x[n..]) {
             cols.secondary[b_var] = c;
@@ -253,16 +253,6 @@ impl PpqProgram {
             .map(|(&l, &b)| self.ddm.refresh_rate(l, b))
             .sum();
         (out.recompute_rate, out.refresh_rate) = (recompute_rate, refresh_rate);
-        ctx.gp
-            .obs
-            .emit_with(pq_obs::names::DAB_SOLVE, pq_obs::EventKind::Point, |e| {
-                e.with("kind", "dual-dab")
-                    .with("items", n)
-                    .with("coupled", self.coupled_b.len())
-                    .with("mu", mu)
-                    .with("refresh_rate", refresh_rate)
-                    .with("recompute_rate", recompute_rate)
-            });
     }
 
     /// The assignment `sol` stands for, anchored at `ctx`'s values.

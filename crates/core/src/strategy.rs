@@ -75,13 +75,6 @@ pub fn assign_query(
     heuristic: PqHeuristic,
 ) -> Result<QueryAssignment, DabError> {
     let _span = dab_span(&ctx.gp);
-    ctx.gp
-        .obs
-        .emit_with(pq_obs::names::CORE_ASSIGN, pq_obs::EventKind::Point, |e| {
-            e.with("strategy", strategy.to_string())
-                .with("heuristic", heuristic.name())
-                .with("class", format!("{:?}", query.class()))
-        });
     match strategy {
         AssignmentStrategy::PerItemSplit => per_item_split(query, ctx),
         AssignmentStrategy::EqualDab => equal_dab(query, ctx),

@@ -1,4 +1,5 @@
-//! The coordinator against its reference, and against hostile input.
+//! The coordinator against its reference, against hostile input, and
+//! against the paper's Condition 1.
 //!
 //! [`Reference`] is the coordinator algorithm with every short cut taken
 //! out: query values by `Polynomial::eval`, staleness by a full
@@ -7,7 +8,9 @@
 //! every assignment. [`pq_core::Coordinator`] — compiled plan and
 //! delta-maintained values with their rebase period, item-major filter
 //! table, warm caches and compiled programs — must make the same
-//! decisions on any book.
+//! decisions on any book. With sources that push the moment they leave
+//! their filter and filters that install the moment they change, every
+//! query must stay within its QAB under every strategy and heuristic.
 
 use proptest::prelude::*;
 
@@ -22,6 +25,12 @@ use pq_poly::{ItemId, Polynomial, PolynomialQuery, QueryId};
 
 const N_ITEMS: usize = 5;
 const STRATEGY: AssignmentStrategy = AssignmentStrategy::DualDab { mu: 5.0 };
+const STRATEGIES: [AssignmentStrategy; 4] = [
+    AssignmentStrategy::OptimalRefresh,
+    STRATEGY,
+    AssignmentStrategy::PerItemSplit,
+    AssignmentStrategy::EqualDab,
+];
 
 /// The differential oracle (see the module docs).
 struct Reference {
@@ -254,5 +263,48 @@ proptest! {
                             b.map(|o| (o.notify, o.recomputed, o.filter_changes)));
         }
         prop_assert_eq!(state_bits(&clean), state_bits(&hostile));
+    }
+
+    /// Condition 1 at zero delay: sources walk at random, every source
+    /// outside its installed filter pushes through `apply` + `react`, and
+    /// the filter changes each push returns are installed at once (which
+    /// may send another source out of its new filter, so the pushes run
+    /// until none is outside). After every step each query's value at the
+    /// sources is within its QAB of its value at the coordinator.
+    #[test]
+    fn condition_one_holds_at_zero_delay(
+        queries in proptest::collection::vec(arb_query(), 1..6),
+        start in proptest::collection::vec(0.75f64..1.75, N_ITEMS),
+        walk in proptest::collection::vec((0usize..N_ITEMS, -0.06f64..0.06), 150),
+    ) {
+        for strategy in STRATEGIES {
+            for heuristic in [PqHeuristic::HalfAndHalf, PqHeuristic::DifferentSum] {
+                let mut core =
+                    Coordinator::install(&queries, strategy, heuristic, start.clone(), config())
+                        .unwrap();
+                let mut filters: Vec<f64> = (0..N_ITEMS).map(|i| core.filter(i)).collect();
+                let mut source = start.clone();
+                for (step, &(item, delta)) in walk.iter().enumerate() {
+                    source[item] = (source[item] + delta).clamp(0.5, 2.0);
+                    while let Some(i) = (0..N_ITEMS)
+                        .find(|&i| (source[i] - core.values()[i]).abs() > filters[i])
+                    {
+                        core.apply(i, source[i]).unwrap();
+                        let out = core.react(i, None).unwrap();
+                        for (ItemId(j), b) in out.filter_changes {
+                            filters[j as usize] = b;
+                        }
+                    }
+                    for (qi, q) in queries.iter().enumerate() {
+                        let gap = (q.eval(&source) - q.eval(core.values())).abs();
+                        prop_assert!(
+                            gap <= q.qab() * (1.0 + 1e-9),
+                            "{} / {:?}, step {}, q{}: |P(source) - P(coordinator)| = {} > QAB {}",
+                            strategy, heuristic, step, qi, gap, q.qab()
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -240,9 +240,8 @@ impl Matrix {
     /// matrix (no second `n × n` buffer is kept for the rare retry). On
     /// success `x` holds the solution and the shift that was needed is
     /// returned: `Some(0.0)` when the plain factorization succeeded,
-    /// `Some(reg > 0)` when the ladder had to bump the diagonal (callers
-    /// surface this as the `gp.chol_regularized` counter), `None` when
-    /// every level failed.
+    /// `Some(reg > 0)` when the ladder had to bump the diagonal, `None`
+    /// when every level failed.
     ///
     /// Interior-point matrices can lose definiteness to rounding near the
     /// central path; a small ridge restores it while barely perturbing the

@@ -325,15 +325,13 @@ pub fn solve_with_start(
     if !problem.is_strictly_feasible(x0, 0.0) {
         return Err(GpError::InvalidStartingPoint);
     }
-    compiled
-        .counted(options)
-        .solve_from(x0, options, &mut SolveWorkspace::new())
+    compiled.solve_from(x0, options, &mut SolveWorkspace::new())
 }
 
 /// Solves `problem`, running a phase-I feasibility search first if needed:
 /// [`CompiledGp::solve_cold`] on the program compiled for this one solve.
 pub fn solve(problem: &GpProblem, options: &SolverOptions) -> Result<GpSolution, GpError> {
-    let compiled = CompiledGp::compile(problem)?.counted(options);
+    let compiled = CompiledGp::compile(problem)?;
     compiled.solve_cold(options, &mut SolveWorkspace::new())
 }
 
@@ -428,15 +426,6 @@ impl CompiledGp {
     /// the sparse backend.
     pub fn has_sparse_plan(&self) -> bool {
         self.plan.is_some()
-    }
-
-    /// This program compiled for one solve: the sparse plan it built, if
-    /// any, is counted on `options.obs`.
-    fn counted(self, options: &SolverOptions) -> Self {
-        if self.plan.is_some() {
-            options.obs.counter(names::GP_SPARSE_SYMBOLIC).inc();
-        }
-        self
     }
 
     /// This program with the backend forced: sparse with a plan built now,
@@ -803,9 +792,9 @@ impl Program<'_> {
     ///
     /// leaving `Δy` in `ws.dy` and every `∇Fi · Δy` in `ws.dlam`. The dense
     /// backend assembles the matrix's lower triangle only, which is all
-    /// its factorization reads. Returns the diagonal shift the
-    /// factorization needed, `None` when every regularization level failed.
-    fn newton_direction(&self, inv_t: f64, ws: &mut SolveWorkspace) -> Option<f64> {
+    /// its factorization reads. Returns `None` when every regularization
+    /// level failed.
+    fn newton_direction(&self, inv_t: f64, ws: &mut SolveWorkspace) -> Option<()> {
         let it = &ws.cur;
         match &self.backend {
             Backend::Dense => {
@@ -832,13 +821,13 @@ impl Program<'_> {
                         }
                     });
                 };
-                let reg = ws.hess.solve_regularized_in_place(fill, &mut ws.dy)?;
+                ws.hess.solve_regularized_in_place(fill, &mut ws.dy)?;
                 self.for_each_posy(&it.probs, |pi, lp, p| {
                     if pi > 0 {
                         ws.dlam[pi - 1] = lp.directional(p, &ws.dy);
                     }
                 });
-                Some(reg)
+                Some(())
             }
             Backend::Sparse(plan) => {
                 plan.assemble(
@@ -849,9 +838,9 @@ impl Program<'_> {
                     &mut ws.sparse,
                     &mut ws.rhs,
                 );
-                let reg = plan.solve_newton(&mut ws.sparse, &ws.rhs, &mut ws.dy)?;
+                plan.solve_newton(&mut ws.sparse, &ws.rhs, &mut ws.dy)?;
                 plan.directional(&it.probs, &ws.dy, &mut ws.dlam);
-                Some(reg)
+                Some(())
             }
         }
     }
@@ -971,12 +960,9 @@ fn primal_dual(
         } else {
             sigma * gap / mf
         };
-        let reg = program
+        program
             .newton_direction(inv_t, ws)
             .ok_or(GpError::NumericalFailure("newton system unsolvable"))?;
-        if reg > 0.0 {
-            options.obs.counter(names::GP_CHOL_REGULARIZED).inc();
-        }
 
         // Dual step, the perturbed-KKT residual norm the line search must
         // decrease, and the largest step that keeps the duals positive
@@ -1091,7 +1077,7 @@ fn phase_one(
     options: &SolverOptions,
     ws: &mut SolveWorkspace,
 ) -> Result<(), GpError> {
-    let lifted = CompiledGp::from_arena(arena.phase_one_lift())?.counted(options);
+    let lifted = CompiledGp::from_arena(arena.phase_one_lift())?;
     ws.cur.y.push(worst + 1.0);
     let outcome = primal_dual(
         &lifted.program(),

@@ -77,25 +77,14 @@ pub mod names {
     /// One iterate of the GP solver's primal–dual loop (the start, then
     /// one per Newton step).
     pub const GP_NEWTON: &str = "gp.newton";
-    /// Counter: a KKT solve (dense or sparse) only succeeded after the
-    /// regularization ladder bumped the diagonal — a near-singular system
-    /// that would otherwise hide in timing noise.
-    pub const GP_CHOL_REGULARIZED: &str = "gp.chol_regularized";
     /// Counter: solves routed through the sparse KKT backend.
     pub const GP_SPARSE_SOLVE: &str = "gp.sparse_solve";
-    /// Counter: sparse symbolic analyses built at solve time (compiled
-    /// GPs build theirs at compile time and are not counted here).
-    pub const GP_SPARSE_SYMBOLIC: &str = "gp.sparse_symbolic";
     /// DAB assignment solve span (histogram `dab.solve_ns`).
     pub const DAB_SOLVE: &str = "dab.solve";
     /// A DAB recomputation was triggered (one event per query solved).
     pub const DAB_RECOMPUTE: &str = "dab.recompute";
-    /// Strategy/heuristic selection for one assignment unit.
-    pub const CORE_ASSIGN: &str = "core.assign";
     /// A monitor was installed over the current data snapshot.
     pub const MONITOR_INSTALL: &str = "monitor.install";
-    /// Outcome of one `Monitor::on_refresh` call.
-    pub const MONITOR_REFRESH: &str = "monitor.refresh";
     /// A source refresh arrived at the simulated coordinator.
     pub const SIM_REFRESH: &str = "sim.refresh";
     /// A DAB change message was sent to a source.
@@ -111,29 +100,21 @@ pub mod names {
     /// Wall-clock nanoseconds the simulated coordinator spent in DAB
     /// solvers (histogram; the `_ns` suffix is already included).
     pub const SIM_SOLVE_NS: &str = "sim.solve_ns";
-    /// A simulation run started (carries configuration fields).
-    pub const SIM_RUN_START: &str = "sim.run_start";
-    /// A simulation run finished (carries summary metrics).
-    pub const SIM_RUN_END: &str = "sim.run_end";
     /// One benchmark harness data point.
     pub const BENCH_RUN: &str = "bench.run";
     /// A refresh whose processing forced at least one DAB recomputation
     /// (labeled counter by triggering item — the paper's μ cost driver).
     pub const DAB_RECOMPUTE_TRIGGER: &str = "dab.recompute_trigger";
-    /// A metric consumer saw a counter name it does not recognize
-    /// (schema drift between producer and consumer).
-    pub const OBS_UNKNOWN_METRIC: &str = "obs.unknown_metric";
-    /// A cached recompute solved warm from the lightly blended previous
-    /// optimum (first rung of the warm-start ladder).
+    /// A warm solve started from the lightly blended start (first rung
+    /// of the warm-start ladder).
     pub const SOLVE_WARM_HIT: &str = "solve.warm_hit";
-    /// A cached recompute needed the shrink-toward-interior repair before
-    /// a strictly feasible warm start was found.
+    /// A warm solve needed a deeper blend toward the interior before a
+    /// strictly feasible start was found.
     pub const SOLVE_WARM_REPAIR: &str = "solve.warm_repair";
-    /// A cached recompute fell back to a cold phase-I solve after warm
-    /// repair failed.
+    /// A warm solve fell back to phase I after every blend failed.
     pub const SOLVE_COLD_FALLBACK: &str = "solve.cold_fallback";
-    /// The first solve of a cache entry (install time; excluded from the
-    /// warm-hit-rate denominator).
+    /// A solve into a cache with no compiled program yet (excluded from
+    /// the warm-hit-rate denominator).
     pub const SOLVE_COLD_START: &str = "solve.cold_start";
 
     /// One full query evaluation through the compiled plan: view
@@ -155,9 +136,6 @@ pub mod names {
     pub const SCHED_PUSH: &str = "sched.push";
     /// One event popped from the simulator scheduler.
     pub const SCHED_POP: &str = "sched.pop";
-    /// One timer-wheel cascade: a higher-level slot re-filed into finer
-    /// buckets as simulated time advanced past its span.
-    pub const SCHED_CASCADE: &str = "sched.cascade";
     /// One parallel DAB recompute batch dispatched by the simulator
     /// (span; parent of the fanned-out `gp.solve` spans).
     pub const SIM_RECOMPUTE_BATCH: &str = "sim.recompute_batch";
@@ -165,10 +143,6 @@ pub mod names {
     /// One profiler sample of a thread's span stack (Point event with a
     /// folded `stack` field — see [`crate::span`]).
     pub const PROFILE_SAMPLE: &str = "profile.sample";
-    /// Total thread-stack samples the profiler has taken.
-    pub const PROFILE_SAMPLES: &str = "profile.samples";
-    /// Nanoseconds the profiler spent sampling (its self-overhead).
-    pub const PROFILE_OVERHEAD_NS: &str = "profile.overhead_ns";
 
     /// One fidelity-audit shadow evaluation of a sampled query.
     pub const AUDIT_SAMPLE: &str = "audit.sample";
@@ -180,8 +154,6 @@ pub mod names {
     pub const AUDIT_FIDELITY_LOSS_PCT: &str = "audit.fidelity_loss_pct";
     /// Gauge: largest |delta-maintained − naive| drift seen so far.
     pub const AUDIT_DRIFT_MAX: &str = "audit.drift_max";
-    /// Gauge: total cost (refreshes + μ·recomputations) per refresh.
-    pub const AUDIT_COST_PER_REFRESH: &str = "audit.cost_per_refresh";
 
     /// Label key for per-query attribution (value: decimal query index).
     pub const LABEL_QUERY: &str = "query";
@@ -198,14 +170,6 @@ pub mod names {
 
     /// One SLO alert raised (structured Point event — see [`crate::slo`]).
     pub const SLO_ALERT: &str = "slo.alert";
-    /// Total SLO alerts raised over the run (counter).
-    pub const SLO_ALERTS_RAISED: &str = "slo.alerts_raised";
-    /// Gauge: fidelity burn rate over the fast pair's long window.
-    pub const SLO_BURN_FAST: &str = "slo.burn_rate_fast";
-    /// Gauge: fidelity burn rate over the slow pair's long window.
-    pub const SLO_BURN_SLOW: &str = "slo.burn_rate_slow";
-    /// Gauge: fraction of the run's error budget still unspent.
-    pub const SLO_BUDGET_REMAINING: &str = "slo.error_budget_remaining";
     /// Synthetic header event of a flight-recorder postmortem dump
     /// (fields `reason`, `seq`, `threads`, `events`, `dropped`).
     pub const RECORDER_DUMP: &str = "recorder.dump";

@@ -394,7 +394,7 @@ mod tests {
     #[test]
     fn health_and_alerts_reflect_the_slo_engine() {
         let obs = Obs::null();
-        let slo = Arc::new(crate::SloEngine::new(crate::SloConfig::default(), &obs));
+        let slo = Arc::new(crate::SloEngine::new(crate::SloConfig::default()));
         assert!(obs.install_slo_engine(slo.clone()));
         // One audit divergence: the zero-budget objective pages at once.
         let raised = slo.observe(7, 10, 0, 1);

@@ -5,7 +5,7 @@
 //! value stays inside its quantified accuracy bound — is exactly a
 //! service-level objective over a continuously maintained view. This
 //! module turns the per-tick fidelity samples, the per-query QAB
-//! violation counters, and the PR 6 audit stream into an ops story:
+//! violation counters, and the audit stream into an ops story:
 //!
 //! * an **error budget** per query book: with target availability `t`,
 //!   the budget is the `1 - t` fraction of query-samples allowed to
@@ -34,11 +34,10 @@
 //! and `/health` flags a coordinator that stopped processing (a stall
 //! no throughput metric can distinguish from a quiet workload).
 
-use crate::registry::{lock_unpoisoned, Counter, Gauge};
+use crate::registry::lock_unpoisoned;
 use crate::window::{WindowedCounter, WINDOW_1H, WINDOW_1M, WINDOW_5S};
-use crate::{names, Obs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// One burn-rate alerting pair: short and long windows (clock units)
 /// plus the burn factor both must exceed.
@@ -166,16 +165,11 @@ struct SloInner {
     next_id: u64,
 }
 
-/// The engine: windowed good/bad accounting, alert lifecycle, and the
-/// registry mirror (gauges `slo.burn_rate_fast` / `slo.burn_rate_slow`
-/// / `slo.error_budget_remaining`, counter `slo.alerts_raised`).
+/// The engine: windowed good/bad accounting and the alert lifecycle.
+/// `/health` and `/alerts` read it directly.
 pub struct SloEngine {
     cfg: SloConfig,
     inner: Mutex<SloInner>,
-    g_burn_fast: Arc<Gauge>,
-    g_burn_slow: Arc<Gauge>,
-    g_budget: Arc<Gauge>,
-    c_raised: Arc<Counter>,
 }
 
 impl std::fmt::Debug for SloEngine {
@@ -190,9 +184,9 @@ impl std::fmt::Debug for SloEngine {
 }
 
 impl SloEngine {
-    /// A fresh engine at clock 0, mirroring into `obs`'s registry.
-    pub fn new(cfg: SloConfig, obs: &Obs) -> Self {
-        let engine = SloEngine {
+    /// A fresh engine at clock 0.
+    pub fn new(cfg: SloConfig) -> Self {
+        SloEngine {
             cfg,
             inner: Mutex::new(SloInner {
                 now: 0,
@@ -204,13 +198,7 @@ impl SloEngine {
                 alerts: Vec::new(),
                 next_id: 0,
             }),
-            g_burn_fast: obs.gauge(names::SLO_BURN_FAST),
-            g_burn_slow: obs.gauge(names::SLO_BURN_SLOW),
-            g_budget: obs.gauge(names::SLO_BUDGET_REMAINING),
-            c_raised: obs.counter(names::SLO_ALERTS_RAISED),
-        };
-        engine.g_budget.set(1.0);
-        engine
+        }
     }
 
     /// The engine's configuration.
@@ -224,7 +212,7 @@ impl SloEngine {
     /// runs the alert lifecycle. Returns the alerts *newly raised* by
     /// this observation — the caller's cue to dump the flight recorder.
     pub fn observe(&self, now: u64, samples: u64, violations: u64, divergences: u64) -> Vec<Alert> {
-        let budget = (1.0 - self.cfg.target).max(0.0);
+        let budget = self.budget();
         let mut inner = lock_unpoisoned(&self.inner);
         let inner = &mut *inner;
         inner.now = inner.now.max(now);
@@ -260,14 +248,6 @@ impl SloEngine {
         };
         let fast = (burn(self.cfg.fast.short), burn(self.cfg.fast.long));
         let slow = (burn(self.cfg.slow.short), burn(self.cfg.slow.long));
-        self.g_burn_fast.set(fast.1);
-        self.g_burn_slow.set(slow.1);
-        self.g_budget
-            .set(if inner.total_samples == 0 || budget <= 0.0 {
-                1.0
-            } else {
-                1.0 - (inner.total_violations as f64 / inner.total_samples as f64) / budget
-            });
 
         let divergences_recent = inner.divergences.sum(self.cfg.fast.long);
         let mut raised = Vec::new();
@@ -332,7 +312,6 @@ impl SloEngine {
                         message,
                     };
                     inner.next_id += 1;
-                    self.c_raised.inc();
                     raised.push(alert.clone());
                     inner.alerts.push(alert);
                 }
@@ -381,10 +360,21 @@ impl SloEngine {
         }
     }
 
+    /// The error budget: the fraction of samples allowed to violate.
+    fn budget(&self) -> f64 {
+        (1.0 - self.cfg.target).max(0.0)
+    }
+
     /// Fraction of the run's error budget still unspent (1.0 with no
     /// samples; negative when overspent).
     pub fn error_budget_remaining(&self) -> f64 {
-        self.g_budget.get()
+        let budget = self.budget();
+        let inner = lock_unpoisoned(&self.inner);
+        if inner.total_samples == 0 || budget <= 0.0 {
+            1.0
+        } else {
+            1.0 - (inner.total_violations as f64 / inner.total_samples as f64) / budget
+        }
     }
 }
 
@@ -486,31 +476,28 @@ impl Watchdog {
 mod tests {
     use super::*;
 
-    fn engine(target: f64) -> (SloEngine, Obs) {
-        let obs = Obs::null();
-        let cfg = SloConfig {
+    fn engine(target: f64) -> SloEngine {
+        SloEngine::new(SloConfig {
             target,
             ..SloConfig::default()
-        };
-        (SloEngine::new(cfg, &obs), obs)
+        })
     }
 
     #[test]
     fn clean_stream_raises_nothing() {
-        let (slo, obs) = engine(0.9);
+        let slo = engine(0.9);
         for t in 1..=200 {
             assert!(slo.observe(t, 10, 0, 0).is_empty());
         }
         assert_eq!(slo.health(), (Health::Ok, 0));
         assert!(slo.alerts().is_empty());
         assert_eq!(slo.error_budget_remaining(), 1.0);
-        assert_eq!(obs.snapshot().counters[names::SLO_ALERTS_RAISED], 0);
     }
 
     #[test]
     fn violations_under_budget_do_not_alert() {
         // 5% violations against a 10% budget: burn 0.5, no alert.
-        let (slo, _obs) = engine(0.9);
+        let slo = engine(0.9);
         for t in 1..=600 {
             let v = u64::from(t % 20 == 0);
             assert!(slo.observe(t, 1, v, 0).is_empty());
@@ -523,11 +510,14 @@ mod tests {
     fn sustained_burn_raises_fast_then_clears() {
         // 100% violations against a 1% budget: burn 100 exceeds both
         // the fast (14.4) and slow (6) factors, so both pairs page.
-        let (slo, obs) = engine(0.99);
+        let slo = engine(0.99);
         let mut raised: Vec<(AlertKind, u64)> = Vec::new();
         for t in 1..=120 {
             for a in slo.observe(t, 10, 10, 0) {
                 assert!(a.burn_short >= 6.0 && a.burn_long >= 6.0);
+                if a.kind == AlertKind::FastBurn {
+                    assert!(a.burn_long > 14.4);
+                }
                 raised.push((a.kind, t));
             }
         }
@@ -538,8 +528,6 @@ mod tests {
         );
         assert_eq!(slo.health(), (Health::Degraded, 2));
         assert!(slo.error_budget_remaining() < 0.0, "budget overspent");
-        assert_eq!(obs.snapshot().counters[names::SLO_ALERTS_RAISED], 2);
-        assert!(obs.snapshot().gauges[names::SLO_BURN_FAST] > 14.4);
 
         // Recovery: an alert clears as soon as *either* of its windows
         // drops under the factor — the short window is what makes that
@@ -562,7 +550,7 @@ mod tests {
     fn short_blip_does_not_page() {
         // One violating tick in an otherwise clean stream: the 5 s
         // window spikes but the 1 m window never crosses the factor.
-        let (slo, _obs) = engine(0.99);
+        let slo = engine(0.99);
         for t in 1..=120 {
             let bad = if t == 60 { 10 } else { 0 };
             assert!(slo.observe(t, 10, bad, 0).is_empty(), "paged at t={t}");
@@ -579,7 +567,7 @@ mod tests {
         // alert can legitimately flap once or twice before t=60; what
         // matters is that every page is a SlowBurn and it is still
         // active after an hour of smoldering.)
-        let (slo, _obs) = engine(0.99);
+        let slo = engine(0.99);
         let mut kinds = Vec::new();
         for t in 1..=3700 {
             let bad = u64::from(t % 10 == 0) * 10;
@@ -597,7 +585,7 @@ mod tests {
 
     #[test]
     fn any_divergence_alerts_immediately_and_ages_out() {
-        let (slo, _obs) = engine(0.9);
+        let slo = engine(0.9);
         for t in 1..=50 {
             assert!(slo.observe(t, 10, 0, 0).is_empty());
         }
@@ -618,7 +606,7 @@ mod tests {
 
     #[test]
     fn zero_budget_makes_any_violation_infinite_burn() {
-        let (slo, _obs) = engine(1.0);
+        let slo = engine(1.0);
         for t in 1..=10 {
             slo.observe(t, 10, 1, 0);
         }
@@ -661,7 +649,7 @@ mod tests {
 
     #[test]
     fn alert_history_is_bounded() {
-        let (slo, _obs) = engine(0.9);
+        let slo = engine(0.9);
         let mut t = 0;
         for _ in 0..(ALERT_HISTORY_CAP + 40) {
             // One divergence raises; 61 clean ticks clear it.

@@ -22,9 +22,7 @@
 //! `pq-trace profile` aggregates). The mirror is written with a
 //! release-store of the depth after the frame, so the sampler sees a
 //! consistent prefix; a sample racing a push/pop may be one frame
-//! stale, which is noise a profiler tolerates by design. Self-overhead
-//! is reported in the `profile.samples` / `profile.overhead_ns`
-//! counters.
+//! stale, which is noise a profiler tolerates by design.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -277,8 +275,7 @@ pub struct Profiler {
 /// Starts a sampling profiler emitting into `obs`. `hz` is clamped to
 /// `1..=1000`. Each sampling round emits one `profile.sample` event
 /// per thread with a non-empty span stack (folded `stack` field plus
-/// the thread label) and accounts its own cost in the
-/// `profile.samples` and `profile.overhead_ns` counters.
+/// the thread label).
 pub fn start_profiler(obs: &Obs, hz: u32) -> Profiler {
     let period = Duration::from_nanos(1_000_000_000 / u64::from(hz.clamp(1, 1000)));
     let stop = Arc::new(AtomicBool::new(false));
@@ -287,8 +284,6 @@ pub fn start_profiler(obs: &Obs, hz: u32) -> Profiler {
     let handle = std::thread::Builder::new()
         .name("pq-obs-profiler".into())
         .spawn(move || {
-            let c_samples = obs.counter(crate::names::PROFILE_SAMPLES);
-            let c_overhead = obs.counter(crate::names::PROFILE_OVERHEAD_NS);
             let mut names: Vec<String> = Vec::new();
             while !stop_flag.load(Ordering::Relaxed) {
                 let round_start = Instant::now();
@@ -313,15 +308,12 @@ pub fn start_profiler(obs: &Obs, hz: u32) -> Profiler {
                         }
                         folded.push_str(names.get(id).map_or("?", String::as_str));
                     }
-                    c_samples.inc();
                     let label = stack.label.clone();
                     obs.emit_with(crate::names::PROFILE_SAMPLE, EventKind::Point, |e| {
                         e.with("stack", folded).with("thread", label)
                     });
                 }
-                let spent = round_start.elapsed();
-                c_overhead.add(u64::try_from(spent.as_nanos()).unwrap_or(u64::MAX));
-                if let Some(rest) = period.checked_sub(spent) {
+                if let Some(rest) = period.checked_sub(round_start.elapsed()) {
                     std::thread::sleep(rest);
                 }
             }
@@ -436,27 +428,21 @@ mod tests {
             sampled.iter().any(|s| s.contains("prof_outer;prof_inner")),
             "expected a folded prof_outer;prof_inner sample, got {sampled:?}"
         );
-        let snap = obs.snapshot();
-        assert!(snap.counters[crate::names::PROFILE_SAMPLES] > 0);
-        assert!(snap
-            .counters
-            .contains_key(crate::names::PROFILE_OVERHEAD_NS));
     }
 
     #[test]
     fn detached_profiler_keeps_sampling() {
-        let (obs, _ring) = Obs::ring(64);
+        let (obs, ring) = Obs::ring(64);
         start_profiler(&obs, 1000).detach();
         let _span = obs.timed("detached_work");
         // The detached sampler must survive the drop of its handle
         // shell; poll until it proves it is alive (bounded for CI).
         let deadline = Instant::now() + Duration::from_secs(10);
         while Instant::now() < deadline {
-            let snap = obs.snapshot();
-            if snap
-                .counters
-                .get(crate::names::PROFILE_SAMPLES)
-                .is_some_and(|&n| n > 0)
+            if ring
+                .events()
+                .iter()
+                .any(|e| e.target == crate::names::PROFILE_SAMPLE)
             {
                 return;
             }

@@ -125,7 +125,7 @@ impl Instrumented {
             let plane = Arc::new(WindowPlane::new());
             plane.track_source(names::SIM_REFRESH, obs.counter(names::SIM_REFRESH));
             obs.install_window_plane(plane.clone());
-            let slo = Arc::new(SloEngine::new(SloConfig::default(), &obs));
+            let slo = Arc::new(SloEngine::new(SloConfig::default()));
             obs.install_slo_engine(slo.clone());
             let watchdog = Arc::new(Watchdog::new(Duration::from_secs(30)));
             obs.register_watchdog("coordinator", watchdog.clone());

@@ -21,12 +21,10 @@
 //!
 //! The audit consumes no randomness and writes no engine state, so a run
 //! produces byte-identical [`crate::SimMetrics`] whether it is on or
-//! off; its only cost is the sampled naive evaluations, surfaced by the
-//! `audit.cost_per_refresh` gauge (shadow-evaluation nanoseconds per
-//! processed refresh). Sampling guidance lives in DESIGN.md §9.
+//! off; its only cost is the sampled naive evaluations. Sampling
+//! guidance lives in DESIGN.md §9.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use pq_obs::{names, Counter, EventKind, Gauge, Obs};
 use pq_poly::PolynomialQuery;
@@ -101,13 +99,10 @@ pub(crate) struct FidelityAuditor {
     violations: u64,
     /// Largest value drift observed so far (gauge `audit.drift_max`).
     drift_max: f64,
-    /// Total shadow-evaluation wall clock, in nanoseconds.
-    audit_ns: u64,
     c_sample: Arc<Counter>,
     c_divergence: Arc<Counter>,
     g_fidelity_loss: Arc<Gauge>,
     g_drift_max: Arc<Gauge>,
-    g_cost_per_refresh: Arc<Gauge>,
 }
 
 impl FidelityAuditor {
@@ -120,16 +115,13 @@ impl FidelityAuditor {
             samples: 0,
             violations: 0,
             drift_max: 0.0,
-            audit_ns: 0,
             c_sample: obs.counter(names::AUDIT_SAMPLE),
             c_divergence: obs.counter(names::AUDIT_DIVERGENCE),
             g_fidelity_loss: obs.gauge(names::AUDIT_FIDELITY_LOSS_PCT),
             g_drift_max: obs.gauge(names::AUDIT_DRIFT_MAX),
-            g_cost_per_refresh: obs.gauge(names::AUDIT_COST_PER_REFRESH),
         };
         auditor.g_fidelity_loss.set(0.0);
         auditor.g_drift_max.set(0.0);
-        auditor.g_cost_per_refresh.set(0.0);
         auditor
     }
 
@@ -145,9 +137,8 @@ impl FidelityAuditor {
     /// `src_values` / `coord_values` are the per-item value columns of
     /// the two views; `src_qv` the engine's on-demand full evaluation at
     /// the source values, `coord_qv` the maintained per-query values of
-    /// the coordinator's delta plane; `refreshes` the engine's
-    /// processed-refresh count (for the cost gauge). Pure with respect
-    /// to the simulation: reads only.
+    /// the coordinator's delta plane. Pure with respect to the
+    /// simulation: reads only.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn on_tick(
         &mut self,
@@ -157,13 +148,11 @@ impl FidelityAuditor {
         coord_values: &[f64],
         src_qv: &[f64],
         coord_qv: &[f64],
-        refreshes: u64,
         obs: &Obs,
     ) {
         if !self.is_due(tick) || queries.is_empty() {
             return;
         }
-        let started = Instant::now();
         let take = self.cfg.sample.clamp(1, queries.len());
         for _ in 0..take {
             let qi = self.cursor;
@@ -182,9 +171,6 @@ impl FidelityAuditor {
         self.g_fidelity_loss
             .set(100.0 * self.violations as f64 / self.samples as f64);
         self.g_drift_max.set(self.drift_max);
-        self.audit_ns += started.elapsed().as_nanos() as u64;
-        self.g_cost_per_refresh
-            .set(self.audit_ns as f64 / refreshes.max(1) as f64);
     }
 
     /// Shadow-evaluates one query at both views and compares values and
@@ -316,7 +302,6 @@ mod tests {
         );
         assert_eq!(snap.gauges[names::AUDIT_FIDELITY_LOSS_PCT], 0.0);
         assert!(snap.gauges[names::AUDIT_DRIFT_MAX] < 1e-9);
-        assert!(snap.gauges[names::AUDIT_COST_PER_REFRESH] > 0.0);
     }
 
     #[test]
@@ -383,9 +368,9 @@ mod tests {
         let plan = pq_poly::SharedPlan::compile(cfg.queries.iter().map(|q| q.poly()));
         let view = pq_poly::SharedView::new(&plan, &values);
         let qv = view.values();
-        auditor.on_tick(4, &cfg.queries, &values, &values, qv, qv, 1, &obs);
+        auditor.on_tick(4, &cfg.queries, &values, &values, qv, qv, &obs);
         assert_eq!(auditor.cursor, 1, "first pass audits q0, cursor advances");
-        auditor.on_tick(8, &cfg.queries, &values, &values, qv, qv, 2, &obs);
+        auditor.on_tick(8, &cfg.queries, &values, &values, qv, qv, &obs);
         assert_eq!(auditor.cursor, 0, "second pass audits q1, wraps around");
         assert_eq!(auditor.samples, 2);
         assert_eq!(obs.snapshot().counters[names::AUDIT_DIVERGENCE], 0);

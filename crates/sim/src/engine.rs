@@ -25,8 +25,7 @@ use std::time::Instant;
 
 use pq_core::coordinator::{Config, Coordinator, Scope};
 use pq_core::{
-    aao, dab_solver_options, default_recompute_threads, AssignmentStrategy, DabError, InstallError,
-    PqHeuristic, SolveContext,
+    aao, dab_solver_options, AssignmentStrategy, DabError, InstallError, PqHeuristic, SolveContext,
 };
 use pq_ddm::{DataDynamicsModel, RateEstimator, TraceSet};
 use pq_gp::SolverOptions;
@@ -99,9 +98,10 @@ pub struct SimConfig {
     /// ([`pq_core::dab_solver_options`] unless set).
     pub gp: SolverOptions,
     /// Max worker threads for the recompute fan-out (capped at the
-    /// machine's available parallelism; `1` forces the serial path). The
-    /// simulated metrics are byte-identical for any value — parallelism
-    /// only changes wall-clock time.
+    /// machine's available parallelism). The default, `1`, is the serial
+    /// path: a scoped thread costs more than the unit solves of a typical
+    /// batch (DESIGN.md §10). The simulated metrics are byte-identical for
+    /// any value — parallelism only changes wall-clock time.
     pub threads: usize,
     /// Continuous fidelity audit of the incrementally maintained query
     /// values (shadow naive evaluation; see [`crate::audit`]). `None`
@@ -143,7 +143,7 @@ impl SimConfig {
             shards: 1,
             loss_probability: 0.0,
             gp: dab_solver_options(),
-            threads: default_recompute_threads(),
+            threads: 1,
             audit: None,
             audit_fault: None,
             slo: None,
@@ -432,7 +432,7 @@ impl SloRuntime {
         let engine = match obs.slo_engine() {
             Some(engine) => engine,
             None => {
-                let engine = Arc::new(SloEngine::new(cfg, obs));
+                let engine = Arc::new(SloEngine::new(cfg));
                 if obs.install_slo_engine(engine.clone()) {
                     engine
                 } else {
@@ -485,25 +485,6 @@ impl<'a> Engine<'a> {
             (0..cfg.queries.len()).map(|qi| scope.query(qi)),
         );
         let draws = ItemDraws::new(cfg.seed, item_gids());
-        obs.emit_with(names::SIM_RUN_START, EventKind::Point, |e| {
-            let e = e
-                .with("n_items", n_items)
-                .with("n_queries", cfg.queries.len())
-                .with("n_ticks", cfg.traces.n_ticks())
-                .with("seed", cfg.seed)
-                .with("loss_probability", cfg.loss_probability)
-                .with(
-                    "strategy",
-                    match &cfg.strategy {
-                        SimStrategy::PerQuery { .. } => "per-query",
-                        SimStrategy::AaoPeriodic { .. } => "aao-periodic",
-                    },
-                );
-            match shard {
-                Some(s) => e.with("shard", s as u64),
-                None => e,
-            }
-        });
         // Coordinator and sources agree at t = 0 (steady-state start,
         // §V-A): the coordinator is installed at the sources' values and
         // its first filters are in place before the first tick.
@@ -675,7 +656,6 @@ impl<'a> Engine<'a> {
                 self.core.values(),
                 &self.truth,
                 self.core.query_values(),
-                self.metrics.refreshes,
                 &self.obs,
             );
         }
@@ -694,22 +674,6 @@ impl<'a> Engine<'a> {
             // heartbeat was — post-run `/health` scrapes must stay green.
             slo.watchdog.disarm();
         }
-        // The wheel only knows its cascade total at the end of the run.
-        let cascades = self.queue.cascades();
-        if cascades > 0 {
-            self.obs.counter(names::SCHED_CASCADE).add(cascades);
-        }
-        self.obs
-            .emit_with(names::SIM_RUN_END, EventKind::Point, |e| {
-                e.with("refreshes", self.metrics.refreshes)
-                    .with("recomputations", self.metrics.recomputations)
-                    .with("dab_change_messages", self.metrics.dab_change_messages)
-                    .with("lost_messages", self.metrics.lost_messages)
-                    .with(
-                        "loss_in_fidelity_percent",
-                        self.metrics.loss_in_fidelity_percent(),
-                    )
-            });
         self.obs.flush();
     }
 
@@ -1467,7 +1431,7 @@ mod tests {
         let snap = obs.snapshot();
         // The GP solver ran under this handle's registry.
         assert!(snap.histograms.contains_key("gp.solve_ns"));
-        let mut bridged = SimMetrics::from_snapshot(&snap, cfg.queries.len(), &obs);
+        let mut bridged = SimMetrics::from_snapshot(&snap, cfg.queries.len());
         // solver_seconds: f64 running sum vs exact u64 ns sum.
         assert!((bridged.solver_seconds - m.solver_seconds).abs() < 1e-6);
         let mut direct = m;
@@ -1497,8 +1461,6 @@ mod tests {
         assert_eq!(count(names::DAB_RECOMPUTE), m.recomputations);
         assert_eq!(count(names::SIM_REFRESH), m.refreshes);
         assert!(count("gp.solve_ns") > 0, "GP solve timings reach the trace");
-        assert_eq!(count(names::SIM_RUN_START), 1);
-        assert_eq!(count(names::SIM_RUN_END), 1);
         std::fs::remove_file(&path).ok();
     }
 

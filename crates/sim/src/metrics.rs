@@ -95,12 +95,7 @@ impl SimMetrics {
     /// (nanosecond-exact) sum of the `sim.solve_ns` histogram. The
     /// per-item vectors end at the highest item any query reads: items
     /// past it carry no label (their counts are zero by construction).
-    ///
-    /// Any `sim.`/`dab.` counter in the snapshot this bridge does not
-    /// consume is reported as an [`pq_obs::names::OBS_UNKNOWN_METRIC`]
-    /// event on `obs` — schema drift between writer and reader is made
-    /// visible instead of silently dropped.
-    pub fn from_snapshot(snapshot: &pq_obs::Snapshot, n_queries: usize, obs: &pq_obs::Obs) -> Self {
+    pub fn from_snapshot(snapshot: &pq_obs::Snapshot, n_queries: usize) -> Self {
         use pq_obs::names;
 
         let counter = |name: &str| snapshot.counters.get(name).copied().unwrap_or(0);
@@ -129,29 +124,6 @@ impl SimMetrics {
                 })
                 .unwrap_or_default()
         };
-
-        // Schema-drift guard: every `sim.`/`dab.` counter must be one
-        // this bridge consumes.
-        for (name, &value) in &snapshot.counters {
-            let known = [
-                names::SIM_REFRESH,
-                names::DAB_RECOMPUTE,
-                names::SIM_DAB_CHANGE,
-                names::SIM_USER_NOTIFY,
-                names::SIM_FIDELITY_SAMPLE,
-                names::SIM_LOST_MESSAGE,
-            ]
-            .contains(&name.as_str())
-                || name
-                    .strip_prefix(&format!("{}.q", names::SIM_QAB_VIOLATION))
-                    .is_some_and(|qi| qi.parse::<usize>().is_ok_and(|qi| qi < n_queries));
-            if !known && (name.starts_with("sim.") || name.starts_with("dab.")) {
-                let name = name.clone();
-                obs.emit_with(names::OBS_UNKNOWN_METRIC, pq_obs::EventKind::Point, |e| {
-                    e.with("name", name).with("value", value)
-                });
-            }
-        }
 
         SimMetrics {
             refreshes: counter(names::SIM_REFRESH),
@@ -245,7 +217,7 @@ mod tests {
     #[test]
     fn from_snapshot_of_empty_registry_is_zeroed() {
         let snap = pq_obs::Snapshot::default();
-        let m = SimMetrics::from_snapshot(&snap, 2, &pq_obs::Obs::null());
+        let m = SimMetrics::from_snapshot(&snap, 2);
         assert_eq!(m, SimMetrics::new(2));
     }
 
@@ -259,7 +231,7 @@ mod tests {
         obs.counter(pq_obs::names::SIM_FIDELITY_SAMPLE).add(9);
         obs.histogram(pq_obs::names::SIM_SOLVE_NS)
             .record(1_500_000_000);
-        let m = SimMetrics::from_snapshot(&obs.snapshot(), 2, &obs);
+        let m = SimMetrics::from_snapshot(&obs.snapshot(), 2);
         assert_eq!(m.refreshes, 7);
         assert_eq!(m.recomputations, 3);
         assert_eq!(m.per_query_violations, vec![0, 2]);
@@ -282,40 +254,11 @@ mod tests {
             obs.labeled_counter(names::DAB_RECOMPUTE_TRIGGER, names::LABEL_ITEM, item)
                 .add(n / 2);
         }
-        let m = SimMetrics::from_snapshot(&obs.snapshot(), 2, &obs);
+        let m = SimMetrics::from_snapshot(&obs.snapshot(), 2);
         assert_eq!(m.per_query_recomputations, vec![2, 3]);
         assert_eq!(m.per_query_recomputations.iter().sum::<u64>(), 5);
         assert_eq!(m.per_item_refreshes, vec![4, 6]);
         assert_eq!(m.per_item_recompute_triggers, vec![2, 3]);
-    }
-
-    #[test]
-    fn from_snapshot_reports_unknown_sim_counters() {
-        let writer = pq_obs::Obs::null();
-        writer.counter(pq_obs::names::SIM_REFRESH).add(1);
-        writer.counter("sim.renamed_in_v3").add(9);
-        writer.counter("dab.mystery").add(2);
-        writer.counter("bench.run").inc(); // foreign namespace: ignored
-        let snap = writer.snapshot();
-
-        let (reader, ring) = pq_obs::Obs::ring(16);
-        let m = SimMetrics::from_snapshot(&snap, 1, &reader);
-        assert_eq!(m.refreshes, 1, "known counters still bridge");
-        let events = ring.events();
-        let unknown: Vec<&pq_obs::Event> = events
-            .iter()
-            .filter(|e| e.target == pq_obs::names::OBS_UNKNOWN_METRIC)
-            .collect();
-        let named = |n: &str| {
-            unknown.iter().any(|e| {
-                e.fields
-                    .iter()
-                    .any(|(_, v)| matches!(v, pq_obs::Value::Str(s) if s == n))
-            })
-        };
-        assert_eq!(unknown.len(), 2, "events: {events:?}");
-        assert!(named("sim.renamed_in_v3"));
-        assert!(named("dab.mystery"));
     }
 
     #[test]

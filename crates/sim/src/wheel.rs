@@ -34,8 +34,7 @@
 //! overflow list that is re-filed (a *cascade*) when the wheel advances
 //! into their span. Each level-`l` slot spans `64^l` quanta; advancing
 //! past a level's window re-files its next occupied slot into finer
-//! buckets, also counted as a cascade (see [`TimerWheel::cascades`],
-//! exported as the `sched.cascade` counter).
+//! buckets, also counted as a cascade (see [`TimerWheel::cascades`]).
 
 use crate::event::Event;
 
@@ -248,7 +247,7 @@ impl TimerWheel {
     }
 
     /// Cascades performed so far: coarse slots or the overflow list
-    /// re-filed into finer buckets (the `sched.cascade` counter).
+    /// re-filed into finer buckets.
     pub fn cascades(&self) -> u64 {
         self.cascades
     }

@@ -12,11 +12,9 @@
 //! builder and the liveness watchdog — the piece you would deploy.
 
 use pq_core::coordinator::{Config, Coordinator};
-use pq_core::{
-    dab_solver_options, default_recompute_threads, AssignmentStrategy, DabError, PqHeuristic,
-};
+use pq_core::{dab_solver_options, AssignmentStrategy, DabError, PqHeuristic};
 use pq_ddm::DataDynamicsModel;
-use pq_obs::{names, EventKind, Obs, ObsConfig, Watchdog};
+use pq_obs::{names, Obs, ObsConfig, Watchdog};
 use pq_poly::{ItemCatalog, ItemId, PolyError, Polynomial, PolynomialQuery, QueryId};
 use std::sync::Arc;
 
@@ -37,7 +35,7 @@ pub struct Monitor {
     strategy: AssignmentStrategy,
     heuristic: PqHeuristic,
     ddm: DataDynamicsModel,
-    /// Max worker threads for recompute fan-out (1 = serial).
+    /// Max worker threads for recompute fan-out (1 = serial, the default).
     threads: usize,
     /// Telemetry handle; threaded into every GP solve.
     obs: Obs,
@@ -67,7 +65,7 @@ impl Monitor {
             strategy: AssignmentStrategy::DualDab { mu: 5.0 },
             heuristic: PqHeuristic::DifferentSum,
             ddm: DataDynamicsModel::Monotonic,
-            threads: default_recompute_threads(),
+            threads: 1,
             obs: Obs::null(),
             core: None,
             watchdog: None,
@@ -75,8 +73,8 @@ impl Monitor {
     }
 
     /// Caps the recompute fan-out at `threads` worker threads (also capped
-    /// at the machine's available parallelism). `1` forces the serial
-    /// path; results are identical either way.
+    /// at the machine's available parallelism). The default is `1`, the
+    /// serial path; results are identical either way.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         if let Some(core) = &mut self.core {
@@ -239,12 +237,6 @@ impl Monitor {
             .map_err(|e| e.source)?;
         let filters: Vec<(ItemId, f64)> = core.filters().collect();
         self.core = Some(core);
-        self.obs
-            .emit_with(names::MONITOR_INSTALL, EventKind::Point, |e| {
-                e.with("n_queries", self.queries.len())
-                    .with("n_items", self.values.len())
-                    .with("n_filters", filters.len())
-            });
         Ok(filters)
     }
 
@@ -302,14 +294,6 @@ impl Monitor {
         outcome.filter_changes.reverse();
         outcome.filter_changes.sort_by_key(|&(item, _)| item);
         outcome.filter_changes.dedup_by_key(|&mut (item, _)| item);
-        self.obs
-            .emit_with(names::MONITOR_REFRESH, EventKind::Point, |e| {
-                e.with("item", item.index())
-                    .with("value", value)
-                    .with("notified", outcome.notify.len())
-                    .with("recomputed", outcome.recomputed.len())
-                    .with("filter_changes", outcome.filter_changes.len())
-            });
         Ok(outcome)
     }
 }
@@ -404,21 +388,15 @@ mod tests {
 
     #[test]
     fn telemetry_reports_install_and_refresh_outcomes() {
-        let (obs, ring) = Obs::ring(4096);
+        let obs = Obs::null();
         let mut m = Monitor::new().with_obs(obs.clone());
         let x = m.add_item("x", 2.0, 1.0);
         let y = m.add_item("y", 2.0, 1.0);
         m.add_query(PolynomialQuery::portfolio([(1.0, x, y)], 5.0).unwrap());
         m.install().unwrap();
-        m.on_refresh(x, 30.0).unwrap();
+        let outcome = m.on_refresh(x, 30.0).unwrap();
+        assert_eq!(outcome.recomputed.len(), 1);
 
-        let events = ring.events();
-        assert!(events.iter().any(|e| e.target == names::MONITOR_INSTALL));
-        let refresh = events
-            .iter()
-            .find(|e| e.target == names::MONITOR_REFRESH)
-            .expect("refresh event");
-        assert_eq!(refresh.field("recomputed"), Some(&pq_obs::Value::U64(1)));
         // The GP solver ran under the same registry.
         let snap = obs.snapshot();
         assert!(snap.histograms["gp.solve_ns"].count > 0);
