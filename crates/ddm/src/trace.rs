@@ -186,20 +186,19 @@ fn standard_normal(rng: &mut StdRng) -> f64 {
     }
 }
 
-/// Samples a worker must have to build before a second worker pays for
-/// its thread — about 4.5 ms of path building, against the 2–3 ms an
-/// idle core can take to start one: the paper's 100-item tapes stay on
-/// the calling thread.
-const MIN_SAMPLES_PER_WORKER: usize = 128 * 1024;
-
-/// Workers for a universe of this shape: one per available core, fewer
-/// while a worker's share would fall under [`MIN_SAMPLES_PER_WORKER`].
-/// The core count is resolved once per process (the query reads the
-/// cgroup quota from files).
+/// Workers for a universe of this shape: one per available core, and
+/// never more than the tape has chunks, so a one-chunk tape is built
+/// inline. A thread starts ≈ 0.24 ms after its spawn when the core
+/// was idle for 5 ms, ≈ 40 µs back to back (p50s of 200 spawns on a
+/// shared 2-vCPU VM): half a chunk. [`build_paths`] lets the calling
+/// thread take the chunks a late starter has not reached, so the tape
+/// waits for one chunk, or for a start slower than the whole build. The
+/// core count is resolved once per process (the query reads the cgroup
+/// quota from files).
 fn universe_workers(n_items: usize, n_ticks: usize) -> usize {
     static CORES: OnceLock<usize> = OnceLock::new();
     let cores = *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
-    (n_items.saturating_mul(n_ticks) / MIN_SAMPLES_PER_WORKER).clamp(1, cores)
+    cores.min(n_items.div_ceil(chunk_items(n_ticks)))
 }
 
 /// The universes' argument check, on the calling thread and before any
@@ -307,9 +306,9 @@ impl TraceSet {
     /// `n_ticks` ticks with heterogeneous initial prices ($10–$200) and
     /// per-tick volatilities (0.02 %–0.2 %), seeded deterministically.
     ///
-    /// A pure function of `(n_items, n_ticks, seed)`: large tapes are
-    /// built on every available core, bit for bit the tape one thread
-    /// builds (DESIGN.md §2 item 3).
+    /// A pure function of `(n_items, n_ticks, seed)`: a tape of more
+    /// than one chunk (≈ 16 k samples) is built on every available core,
+    /// bit for bit the tape one thread builds (DESIGN.md §2 item 3).
     ///
     /// # Panics
     /// Panics unless `n_items > 0` and `n_ticks > 0`.
@@ -346,7 +345,7 @@ impl TraceSet {
     /// Fig. 8 heuristic comparison is run.
     ///
     /// Built like [`TraceSet::stock_universe`]: a pure function of its
-    /// arguments, on every available core when the tape is large.
+    /// arguments, on every available core once it spans two chunks.
     ///
     /// # Panics
     /// Panics unless `n_items > 0` and `n_ticks > 0`.

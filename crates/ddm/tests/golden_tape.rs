@@ -1,4 +1,4 @@
-//! Golden hashes of three tapes, recorded before paths were built in
+//! Golden hashes of four tapes, recorded before paths were built in
 //! chunks and shared by handle. Every EXPERIMENTS.md number and every
 //! pqbench `total_cost_msgs` replays one of these generators: a tape bit
 //! that moves should fail here, not in the benchmark.
@@ -37,6 +37,12 @@ fn the_fig5_paper_tape_has_not_moved() {
 fn the_overlap_book_tape_has_not_moved() {
     let tape = TraceSet::stock_universe(400, 400, TAPE_SEED ^ 2);
     assert_eq!(tape_hash(&tape), 0xc81c_bb75_c161_5e6e);
+}
+
+#[test]
+fn the_monitor_replay_tape_has_not_moved() {
+    let tape = TraceSet::stock_universe(100, 700, TAPE_SEED ^ 3);
+    assert_eq!(tape_hash(&tape), 0xa748_a132_5ad8_719c);
 }
 
 #[test]

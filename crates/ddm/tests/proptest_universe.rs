@@ -8,13 +8,15 @@
 //! public functions take none), so this file is compiled into the crate's
 //! unit tests from `src/trace.rs`.
 
+use std::sync::{Condvar, Mutex};
+use std::time::Duration;
+
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use super::{
-    build_paths, chunk_items, standard_normal, universe_workers, Trace, TraceSet,
-    MIN_SAMPLES_PER_WORKER,
+    build_paths, chunk_items, standard_normal, universe_workers, Trace, TraceSet, CHUNK_SAMPLES,
 };
 
 /// Forced worker counts: the loop run once, a pair, a count that leaves
@@ -121,16 +123,21 @@ fn every_chunk_boundary_matches_the_oracle() {
 }
 
 /// The public functions either side of the points where they add a
-/// worker (64-tick tapes: 2 048 items a worker), on whatever cores this
-/// machine shows; with one visible core all six run the one-worker path.
+/// worker (64-tick tapes: 256 items a chunk, a worker a chunk up to the
+/// core count), on whatever cores this machine shows; with one visible
+/// core all six run the one-worker path.
 #[test]
 fn public_universes_match_the_oracle_either_side_of_the_threshold() {
     const TICKS: usize = 64;
-    let per_worker = MIN_SAMPLES_PER_WORKER / TICKS;
+    let per_chunk = chunk_items(TICKS);
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    assert_eq!(universe_workers(100, 1000), 1, "the paper's tape");
+    assert_eq!(
+        universe_workers(100, 1000),
+        7.min(cores),
+        "the paper's tape: 7 chunks"
+    );
     for workers in [2, 3] {
-        let at = workers * per_worker;
+        let at = (workers - 1) * per_chunk + 1;
         assert_eq!(universe_workers(at - 1, TICKS), (workers - 1).min(cores));
         assert_eq!(universe_workers(at, TICKS), workers.min(cores));
         for n_items in [at - 1, at, at + 1] {
@@ -171,6 +178,79 @@ fn clone_and_subset_share_the_samples() {
     assert!(none.initial_values().is_empty());
 }
 
+/// A worker that stalls after claiming its first chunk costs the tape
+/// that chunk and no more: the calling thread builds its own share, then
+/// steals the rest of the stalled worker's. The worker's first path
+/// waits until the caller has built every other chunk, and the caller's
+/// first waits until the worker has claimed, so the split is the same on
+/// every run.
+#[test]
+fn a_stalled_worker_costs_one_chunk() {
+    const TICKS: usize = 1000;
+    const N_ITEMS: usize = 100;
+    /// Long enough never to fire on a loaded machine; it turns a broken
+    /// hand-off into a failure instead of a hang.
+    const PATIENCE: Duration = Duration::from_secs(60);
+    #[derive(Default)]
+    struct Hand {
+        /// The first item the spawned worker reached.
+        stalled_on: Option<usize>,
+        /// Items the calling thread has built.
+        built_by_caller: Vec<usize>,
+        released: bool,
+    }
+    let per_chunk = chunk_items(TICKS);
+    assert_eq!(N_ITEMS.div_ceil(per_chunk), 7);
+    let path = |i: usize| Trace::gbm(100.0, 0.0, 0.01, TICKS, i as u64);
+    let caller = std::thread::current().id();
+    let hand = Mutex::new(Hand::default());
+    let signal = Condvar::new();
+    let wait = |until: &dyn Fn(&Hand) -> bool, what: &str| {
+        let guard = hand.lock().unwrap();
+        let (guard, timeout) = signal
+            .wait_timeout_while(guard, PATIENCE, |h| !until(h))
+            .unwrap();
+        assert!(!timeout.timed_out(), "waited {PATIENCE:?} for {what}");
+        drop(guard);
+    };
+    let built = build_paths(2, per_chunk, N_ITEMS, |i| {
+        if std::thread::current().id() == caller {
+            if i == 0 {
+                wait(&|h| h.stalled_on.is_some(), "the worker to claim");
+            }
+            let mut h = hand.lock().unwrap();
+            h.built_by_caller.push(i);
+            if h.built_by_caller.len() == N_ITEMS - per_chunk {
+                h.released = true;
+                signal.notify_all();
+            }
+        } else {
+            let mut h = hand.lock().unwrap();
+            if h.stalled_on.is_none() {
+                h.stalled_on = Some(i);
+                signal.notify_all();
+                drop(h);
+                wait(&|h| h.released, "the caller to build every other chunk");
+            }
+        }
+        path(i)
+    });
+    let alone = build_paths(1, per_chunk, N_ITEMS, path);
+    let bits = |tape: &[Trace]| -> Vec<Vec<u64>> {
+        tape.iter()
+            .map(|t| t.values().iter().map(|v| v.to_bits()).collect())
+            .collect()
+    };
+    assert_eq!(bits(&built), bits(&alone));
+    let hand = hand.into_inner().unwrap();
+    let stalled_chunk = hand.stalled_on.unwrap() / per_chunk;
+    let mut caller_chunks: Vec<usize> =
+        hand.built_by_caller.iter().map(|i| i / per_chunk).collect();
+    caller_chunks.dedup();
+    let others: Vec<usize> = (0..7).filter(|&c| c != stalled_chunk).collect();
+    assert_eq!(caller_chunks, others, "the caller built all chunks but one");
+}
+
 /// A path that panics on a worker thread is reported in its own words.
 #[test]
 #[should_panic(expected = "path 7 failed")]
@@ -193,7 +273,7 @@ fn stock_universe_names_an_empty_tape_below_the_threshold() {
 #[test]
 #[should_panic(expected = "stock_universe: n_ticks must be at least 1")]
 fn stock_universe_names_an_empty_tape_above_the_threshold() {
-    let _ = TraceSet::stock_universe(8 * MIN_SAMPLES_PER_WORKER, 0, 1);
+    let _ = TraceSet::stock_universe(8 * CHUNK_SAMPLES, 0, 1);
 }
 
 #[test]
@@ -205,7 +285,7 @@ fn drifting_universe_names_an_empty_tape_below_the_threshold() {
 #[test]
 #[should_panic(expected = "drifting_universe: n_ticks must be at least 1")]
 fn drifting_universe_names_an_empty_tape_above_the_threshold() {
-    let _ = TraceSet::drifting_universe(8 * MIN_SAMPLES_PER_WORKER, 0, 1);
+    let _ = TraceSet::drifting_universe(8 * CHUNK_SAMPLES, 0, 1);
 }
 
 #[test]
