@@ -156,13 +156,6 @@ impl Posynomial {
         Ok(Posynomial { terms })
     }
 
-    /// Multiplies by a monomial.
-    pub fn mul_monomial(&self, m: &Monomial) -> Posynomial {
-        Posynomial {
-            terms: self.terms.iter().map(|t| t.mul(m)).collect(),
-        }
-    }
-
     /// Evaluates at strictly positive `x`.
     pub fn eval(&self, x: &[f64]) -> f64 {
         self.terms.iter().map(|m| m.eval(x)).sum()
@@ -274,18 +267,6 @@ mod tests {
             Monomial::new(2.0, [(1, 1.0)]).unwrap(),
         ]);
         assert!((p.eval(&[3.0, 5.0]) - 13.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mul_monomial_distributes() {
-        let p = Posynomial::from_terms(vec![
-            Monomial::new(1.0, [(0, 1.0)]).unwrap(),
-            Monomial::new(1.0, [(1, 1.0)]).unwrap(),
-        ]);
-        let m = Monomial::new(2.0, [(0, 1.0)]).unwrap();
-        let q = p.mul_monomial(&m);
-        // 2 x0^2 + 2 x0 x1 at (3, 5) = 18 + 30.
-        assert!((q.eval(&[3.0, 5.0]) - 48.0).abs() < 1e-12);
     }
 
     #[test]

@@ -132,7 +132,7 @@ pub mod names {
     /// refresh). Source moves fold nothing.
     pub const EVAL_SCATTER_FANOUT: &str = "eval.scatter_fanout";
 
-    /// One event pushed into the simulator's timer wheel.
+    /// One event pushed into the simulator's event queue.
     pub const SCHED_PUSH: &str = "sched.push";
     /// One event popped from the simulator scheduler.
     pub const SCHED_POP: &str = "sched.pop";

@@ -162,11 +162,6 @@ impl Recorder {
         self.shared.dumps.load(Ordering::Relaxed)
     }
 
-    /// The path the *next* dump will write.
-    pub fn next_dump_path(&self) -> PathBuf {
-        numbered_path(&self.shared.path, self.dump_count())
-    }
-
     /// Merges every thread's ring, sorts by timestamp, and writes one
     /// JSONL postmortem file. The first line is a synthetic
     /// `recorder.dump` event carrying the trigger `reason` and the

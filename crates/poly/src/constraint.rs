@@ -87,11 +87,6 @@ impl DabVarMap {
         }
     }
 
-    /// True if the layout includes secondary DABs.
-    pub fn has_secondary(&self) -> bool {
-        self.with_secondary
-    }
-
     fn position(&self, item: ItemId) -> usize {
         self.items
             .binary_search(&item)

@@ -38,15 +38,6 @@ impl ItemCatalog {
         Self::default()
     }
 
-    /// Creates a catalog pre-populated with `n` items named `x0..x{n-1}`.
-    pub fn with_anonymous_items(n: usize) -> Self {
-        let mut c = Self::new();
-        for i in 0..n {
-            c.intern(&format!("x{i}"));
-        }
-        c
-    }
-
     /// Returns the id for `name`, creating it on first use.
     pub fn intern(&mut self, name: &str) -> ItemId {
         if let Some(&id) = self.index.get(name) {
@@ -109,14 +100,6 @@ mod tests {
         assert_eq!(c.get("usd_inr"), Some(id));
         assert_eq!(c.get("missing"), None);
         assert_eq!(c.name(ItemId(99)), None);
-    }
-
-    #[test]
-    fn anonymous_items_use_dense_names() {
-        let c = ItemCatalog::with_anonymous_items(3);
-        assert_eq!(c.len(), 3);
-        assert_eq!(c.get("x0"), Some(ItemId(0)));
-        assert_eq!(c.get("x2"), Some(ItemId(2)));
     }
 
     #[test]

@@ -43,6 +43,16 @@ impl Pareto {
         }
     }
 
+    /// True if every sample is a finite delay of at least 0: `scale` and
+    /// `cap` are finite and `>= 0`, `shape` finite and `> 0`.
+    pub fn is_valid(&self) -> bool {
+        let non_negative = |v: f64| v.is_finite() && v >= 0.0;
+        non_negative(self.scale)
+            && non_negative(self.cap)
+            && self.shape.is_finite()
+            && self.shape > 0.0
+    }
+
     /// True if every sample is exactly 0 (and drawing one consumes no
     /// randomness).
     pub fn is_zero(&self) -> bool {

@@ -35,7 +35,7 @@ use pq_obs::{
 use pq_poly::{ItemId, PolynomialQuery};
 
 use crate::audit::{AuditConfig, AuditFault, FidelityAuditor};
-use crate::delay::{DelayConfig, ItemDraws};
+use crate::delay::{DelayConfig, ItemDraws, Pareto};
 use crate::event::Event;
 use crate::metrics::SimMetrics;
 use crate::table::ItemTable;
@@ -196,6 +196,15 @@ pub enum SimError {
         /// The configured value.
         value: f64,
     },
+    /// A distribution in [`SimConfig::delays`] that can draw a delay
+    /// the queue cannot schedule (see [`Pareto::is_valid`]).
+    BadDelay {
+        /// Its [`DelayConfig`] field: `node_to_node`,
+        /// `coordinator_check` or `recompute_service`.
+        name: &'static str,
+        /// The configured distribution.
+        value: Pareto,
+    },
 }
 
 impl std::fmt::Display for SimError {
@@ -225,6 +234,10 @@ impl std::fmt::Display for SimError {
             SimError::BadLossProbability { value } => {
                 write!(f, "loss_probability must lie in [0, 1], got {value}")
             }
+            SimError::BadDelay { name, value } => write!(
+                f,
+                "delays.{name} needs a finite scale and cap >= 0 and a finite shape > 0, got {value:?}"
+            ),
         }
     }
 }
@@ -349,7 +362,7 @@ pub(crate) struct Engine<'a> {
     /// Live-health runtime (windowed plane + burn-rate engine +
     /// watchdog); present only when [`SimConfig::slo`] is set.
     slo: Option<SloRuntime>,
-    /// Test tap: the sweep to run and every event the wheel released.
+    /// Test tap: the sweep to run and every event the queue released.
     #[cfg(test)]
     probe: tests::SweepProbe,
 }
@@ -682,7 +695,7 @@ impl<'a> Engine<'a> {
     /// columns, then one push per escaped item, ascending. A push touches
     /// its own item's columns and draw stream only, so no push changes
     /// whether or what a later item pushes: the pushes, each item's draw
-    /// order and the wheel insertions are those of a loop
+    /// order and the queue insertions are those of a loop
     /// that filters and pushes item by item ([`Engine::sweep_interleaved`]
     /// holds it to that). No query value is touched here: the source-side
     /// truth is evaluated when something asks for it.
@@ -992,7 +1005,7 @@ mod tests {
     pub(super) struct SweepProbe {
         /// Run [`Engine::sweep_interleaved`] in place of the two passes.
         pub(super) interleaved: bool,
-        /// Every event the wheel released since this was last emptied.
+        /// Every event the queue released since this was last emptied.
         pub(super) released: Vec<(f64, Event)>,
     }
 
@@ -1576,6 +1589,56 @@ mod tests {
             let mut cfg = two_query_config();
             cfg.loss_probability = p;
             assert!(run(&cfg).is_ok(), "p = {p}");
+        }
+    }
+
+    #[test]
+    fn a_delay_the_queue_cannot_schedule_is_refused() {
+        // A negative scale schedules events before the instant that
+        // sends them; NaN and infinite fields draw non-finite delays.
+        type Field = fn(&mut DelayConfig) -> &mut Pareto;
+        let fields: [(&str, Field); 3] = [
+            ("node_to_node", |d| &mut d.node_to_node),
+            ("coordinator_check", |d| &mut d.coordinator_check),
+            ("recompute_service", |d| &mut d.recompute_service),
+        ];
+        let (nan, inf) = (f64::NAN, f64::INFINITY);
+        // (scale, shape, cap)
+        let bad = [
+            (-5.0, 2.5, 1.0),
+            (nan, 2.5, 1.0),
+            (inf, 2.5, 1.0),
+            (0.1, 0.0, 1.0),
+            (0.1, -2.5, 1.0),
+            (0.1, nan, 1.0),
+            (0.1, inf, 1.0),
+            (0.1, 2.5, -1.0),
+            (0.1, 2.5, nan),
+            (0.1, 2.5, inf),
+        ];
+        for (field, get) in fields {
+            for (scale, shape, cap) in bad {
+                let p = Pareto { scale, shape, cap };
+                let mut cfg = two_query_config();
+                *get(&mut cfg.delays) = p;
+                match run(&cfg) {
+                    Err(SimError::BadDelay { name, value }) => {
+                        assert_eq!(name, field);
+                        // Compared as text: a NaN field is never `==`.
+                        assert_eq!(format!("{value:?}"), format!("{p:?}"));
+                    }
+                    other => panic!("{field} = {p:?}: {other:?}"),
+                }
+            }
+        }
+        for delays in [
+            DelayConfig::zero(),
+            DelayConfig::planetlab_like(),
+            DelayConfig::with_node_mean(0.5),
+        ] {
+            let mut cfg = two_query_config();
+            cfg.delays = delays;
+            assert!(run(&cfg).is_ok(), "{delays:?}");
         }
     }
 }

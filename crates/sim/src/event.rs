@@ -1,4 +1,4 @@
-//! The events the simulator schedules (queued by [`crate::wheel`]).
+//! The events the simulator schedules (queued by [`crate::TimerWheel`]).
 
 /// Events flowing through the simulator.
 #[derive(Debug, Clone, PartialEq)]

@@ -22,7 +22,7 @@
 //! * [`metrics`] — the paper's four metrics (fidelity loss, refreshes,
 //!   recomputations, total cost);
 //! * [`table`] — flat source-side per-item columns ([`ItemTable`]);
-//! * [`wheel`] — the hierarchical timer wheel that queues the events.
+//! * [`wheel`] — the binary-heap event queue ([`TimerWheel`]).
 //!
 //! Query values are maintained by the coordinator's
 //! [`pq_poly::SharedView`] over the book's cross-query

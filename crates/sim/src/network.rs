@@ -35,12 +35,6 @@ pub struct NetworkConfig {
     pub queries_per_coordinator: Vec<Vec<PolynomialQuery>>,
     /// Per-query assignment policy.
     pub strategy: AssignmentStrategy,
-    /// Heuristic for mixed-sign queries.
-    pub heuristic: PqHeuristic,
-    /// Assumed data-dynamics model.
-    pub ddm: DataDynamicsModel,
-    /// Rate estimator.
-    pub rate_estimator: RateEstimator,
     /// GP solver options ([`pq_core::dab_solver_options`] unless set).
     pub gp: SolverOptions,
 }
@@ -63,9 +57,6 @@ impl NetworkConfig {
             traces,
             queries_per_coordinator: per,
             strategy,
-            heuristic: PqHeuristic::DifferentSum,
-            ddm: DataDynamicsModel::Monotonic,
-            rate_estimator: RateEstimator::SampledAverage { interval_ticks: 60 },
             gp: dab_solver_options(),
         }
     }
@@ -179,7 +170,9 @@ pub fn run_network(cfg: &NetworkConfig) -> Result<NetworkMetrics, SimError> {
 pub fn run_network_observed(cfg: &NetworkConfig, obs: &Obs) -> Result<NetworkMetrics, SimError> {
     let n_items = cfg.traces.n_items();
     let n_nodes = cfg.queries_per_coordinator.len();
-    let rates = cfg.rate_estimator.estimate_all(&cfg.traces);
+    // Every node runs the engine's defaults: Different Sum for mixed-sign
+    // queries, monotonic dynamics, rates sampled every 60 ticks.
+    let rates = RateEstimator::SampledAverage { interval_ticks: 60 }.estimate_all(&cfg.traces);
     let initial = cfg.traces.initial_values();
     let mut net = Net {
         obs: obs.clone(),
@@ -207,7 +200,7 @@ pub fn run_network_observed(cfg: &NetworkConfig, obs: &Obs) -> Result<NetworkMet
         }
         let node_cfg = Config {
             rates: rates.clone(),
-            ddm: cfg.ddm,
+            ddm: DataDynamicsModel::Monotonic,
             gp: cfg.gp.clone(),
             // One node's refresh rarely breaks two units at once.
             threads: 1,
@@ -218,8 +211,14 @@ pub fn run_network_observed(cfg: &NetworkConfig, obs: &Obs) -> Result<NetworkMet
             },
         };
         let values = initial.clone();
-        let core = Coordinator::install(queries, cfg.strategy, cfg.heuristic, values, node_cfg)
-            .map_err(|e| node_error(c, e))?;
+        let core = Coordinator::install(
+            queries,
+            cfg.strategy,
+            PqHeuristic::DifferentSum,
+            values,
+            node_cfg,
+        )
+        .map_err(|e| node_error(c, e))?;
         net.metrics.solver_seconds += core.install_ns() as f64 / 1e9;
         nodes.push(core);
     }

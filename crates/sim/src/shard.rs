@@ -23,7 +23,7 @@
 //! connected components onto `k` shards by estimated refresh/recompute
 //! load. A component is never split, however large: no query on one
 //! shard reads an item on another, so shards exchange nothing. Each
-//! shard runs the single-coordinator engine — its own timer wheel, SoA
+//! shard runs the single-coordinator engine — its own event queue, SoA
 //! item table, cross-query [`pq_poly::SharedPlan`] compiled over just
 //! its components and solve caches — over a dense projection of its
 //! items and queries, on its own thread.
@@ -127,6 +127,16 @@ fn project(cfg: &SimConfig) -> Result<(Cow<'_, SimConfig>, Vec<u32>), SimError> 
         return Err(SimError::BadLossProbability {
             value: cfg.loss_probability,
         });
+    }
+    let d = &cfg.delays;
+    for (name, value) in [
+        ("node_to_node", d.node_to_node),
+        ("coordinator_check", d.coordinator_check),
+        ("recompute_service", d.recompute_service),
+    ] {
+        if !value.is_valid() {
+            return Err(SimError::BadDelay { name, value });
+        }
     }
     let n_items = cfg.traces.n_items();
     let mut read = vec![false; n_items];

@@ -1,255 +1,90 @@
-//! Hierarchical timer wheel — the engine's event queue, O(1) amortized
-//! scheduling.
-//!
-//! A binary heap pays `O(log n)` per push/pop with `n` events in
-//! flight; at production scale (millions of items pushing refreshes)
-//! that churn dominates the simulator hot loop. A hierarchical timer
-//! wheel files each event into a time bucket in O(1) and drains buckets
-//! in time order, paying a small sort only when a bucket is opened.
-//!
-//! # Exactness contract
-//!
-//! [`TimerWheel`] is **order-identical** to a binary heap keyed by
-//! `(time, seq)`, not merely approximately so: events pop in ascending
-//! `(time, seq)` order, where `seq` is the monotonic push counter. Two
-//! facts make this work:
-//!
-//! 1. Bucketing is *floor* quantization (`q = ⌊time·64⌋`), which is
-//!    monotone: `t1 < t2` implies `q1 <= q2`, so draining buckets in
-//!    index order never pops a later event before an earlier one.
-//! 2. When a bucket is opened its entries are sorted by `(time, seq)`,
-//!    and events pushed *into the bucket currently being drained* (a
-//!    zero-delay push at the current instant) are merge-inserted at
-//!    their sorted position.
-//!
-//! The heap survives as the reference model of
-//! `tests/proptest_scheduler.rs`, which holds the wheel to its pop
-//! stream under random interleavings and under the engine's own
-//! push/drain pattern.
-//!
-//! # Layout
-//!
-//! Four levels of 64 slots at a resolution of 1/64 s cover ~2^24
-//! quanta (~3 days of simulated time); farther events wait in an
-//! overflow list that is re-filed (a *cascade*) when the wheel advances
-//! into their span. Each level-`l` slot spans `64^l` quanta; advancing
-//! past a level's window re-files its next occupied slot into finer
-//! buckets, also counted as a cascade (see [`TimerWheel::cascades`]).
+//! The engine's event queue: a binary heap popping in ascending
+//! `(time, seq)` order, `seq` being the push counter (earliest first,
+//! FIFO among equal times). Every pop, per-item draw and fixed-seed
+//! number depends on that order; `tests/proptest_scheduler.rs` holds the
+//! queue to an independent model of it. Only messages in flight are
+//! queued (tens to a few hundred under the paper's delays), so a push or
+//! pop is a handful of comparisons.
+
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 use crate::event::Event;
 
-const SLOT_BITS: u32 = 6;
-const SLOTS: usize = 1 << SLOT_BITS;
-const LEVELS: usize = 4;
-/// Wheel resolution: quanta per simulated second.
-const QUANTA_PER_SEC: f64 = 64.0;
-
-#[inline]
-fn quantum(time: f64) -> u64 {
-    // Floor for non-negative input (push asserts time >= 0), saturating
-    // far beyond the wheel span for pathological times.
-    (time * QUANTA_PER_SEC) as u64
-}
-
-#[derive(Debug, Clone)]
-struct WheelEntry {
+#[derive(Debug)]
+struct Entry {
     time: f64,
     seq: u64,
     event: Event,
 }
 
-#[inline]
-fn entry_before(a: &WheelEntry, time: f64, seq: u64) -> bool {
-    match a.time.total_cmp(&time) {
-        std::cmp::Ordering::Less => true,
-        std::cmp::Ordering::Equal => a.seq < seq,
-        std::cmp::Ordering::Greater => false,
+impl Ord for Entry {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // Reversed: `BinaryHeap` pops the greatest, we want the least.
+        let by_time = other.time.total_cmp(&self.time);
+        by_time.then(other.seq.cmp(&self.seq))
     }
 }
 
-/// A time-ordered event queue (earliest first; FIFO among equal times)
-/// — see the module docs for the exactness argument.
-#[derive(Debug)]
+impl PartialOrd for Entry {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Entry {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Entry {}
+
+/// A time-ordered event queue (earliest first; FIFO among equal times).
+#[derive(Debug, Default)]
 pub struct TimerWheel {
-    /// `levels[l][s]`: unsorted bucket for the level-`l` slot `s`.
-    levels: Vec<Vec<Vec<WheelEntry>>>,
-    /// Events beyond the wheel span, re-filed on cascade.
-    overflow: Vec<WheelEntry>,
-    /// The quantum currently being drained; `ready` holds its events.
-    cur: u64,
-    /// Sorted (by `(time, seq)`) events of quantum `cur`; drained from
-    /// `ready_pos` so already-popped entries are not shifted out.
-    ready: Vec<WheelEntry>,
-    ready_pos: usize,
+    heap: BinaryHeap<Entry>,
     seq: u64,
-    len: usize,
-    cascades: u64,
-}
-
-impl Default for TimerWheel {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl TimerWheel {
-    /// An empty wheel positioned at time 0.
+    /// An empty queue.
     pub fn new() -> Self {
-        TimerWheel {
-            levels: vec![vec![Vec::new(); SLOTS]; LEVELS],
-            overflow: Vec::new(),
-            cur: 0,
-            ready: Vec::new(),
-            ready_pos: 0,
-            seq: 0,
-            len: 0,
-            cascades: 0,
-        }
+        Self::default()
     }
 
-    /// Schedules `event` at absolute `time` — O(1).
+    /// Schedules `event` at absolute `time`.
     pub fn push(&mut self, time: f64, event: Event) {
         debug_assert!(time.is_finite() && time >= 0.0);
-        let entry = WheelEntry {
+        self.heap.push(Entry {
             time,
             seq: self.seq,
             event,
-        };
+        });
         self.seq += 1;
-        self.len += 1;
-        self.file(entry);
     }
 
-    /// Files one entry into the ready run, a wheel slot, or overflow.
-    fn file(&mut self, entry: WheelEntry) {
-        let q = quantum(entry.time);
-        if q <= self.cur {
-            // The quantum currently being drained (e.g. a zero-delay
-            // push at the current instant): merge-insert so the ready
-            // run stays sorted by (time, seq).
-            let at = self.ready_pos
-                + self.ready[self.ready_pos..]
-                    .partition_point(|e| entry_before(e, entry.time, entry.seq));
-            self.ready.insert(at, entry);
-            return;
-        }
-        for l in 0..LEVELS {
-            let window = SLOT_BITS * (l as u32 + 1);
-            if q >> window == self.cur >> window {
-                let slot = ((q >> (SLOT_BITS * l as u32)) & (SLOTS as u64 - 1)) as usize;
-                self.levels[l][slot].push(entry);
-                return;
-            }
-        }
-        self.overflow.push(entry);
-    }
-
-    /// Advances `cur` to the next occupied quantum and loads its sorted
-    /// bucket into `ready`. Requires `len > 0` and an exhausted ready
-    /// run.
-    fn advance(&mut self) {
-        debug_assert!(self.len > 0);
-        debug_assert!(self.ready_pos >= self.ready.len());
-        self.ready.clear();
-        self.ready_pos = 0;
-        'search: loop {
-            // Level 0: remaining quanta of the current 64-quantum window.
-            let base = self.cur & !(SLOTS as u64 - 1);
-            let start = (self.cur & (SLOTS as u64 - 1)) as usize;
-            for s in start + 1..SLOTS {
-                if !self.levels[0][s].is_empty() {
-                    self.cur = base + s as u64;
-                    std::mem::swap(&mut self.ready, &mut self.levels[0][s]);
-                    break 'search;
-                }
-            }
-            // Cascade: re-file the next occupied coarser slot into finer
-            // buckets (entries at the slot's first quantum land directly
-            // in `ready` via `file`).
-            for l in 1..LEVELS {
-                let lshift = SLOT_BITS * l as u32;
-                let wshift = lshift + SLOT_BITS;
-                let wbase = (self.cur >> wshift) << wshift;
-                let lstart = ((self.cur >> lshift) & (SLOTS as u64 - 1)) as usize;
-                for s in lstart + 1..SLOTS {
-                    if self.levels[l][s].is_empty() {
-                        continue;
-                    }
-                    self.cur = wbase + ((s as u64) << lshift);
-                    let entries = std::mem::take(&mut self.levels[l][s]);
-                    self.cascades += 1;
-                    for e in entries {
-                        self.file(e);
-                    }
-                    if self.ready.is_empty() {
-                        continue 'search;
-                    }
-                    break 'search;
-                }
-            }
-            // The whole wheel span is empty: jump to the earliest
-            // overflow quantum and re-file.
-            debug_assert!(!self.overflow.is_empty(), "len > 0 but nothing scheduled");
-            self.cur = self
-                .overflow
-                .iter()
-                .map(|e| quantum(e.time))
-                .min()
-                .expect("overflow non-empty");
-            self.cascades += 1;
-            let entries = std::mem::take(&mut self.overflow);
-            for e in entries {
-                self.file(e);
-            }
-            debug_assert!(!self.ready.is_empty());
-            break 'search;
-        }
-        self.ready[self.ready_pos..]
-            .sort_unstable_by(|a, b| a.time.total_cmp(&b.time).then_with(|| a.seq.cmp(&b.seq)));
-    }
-
-    /// The time of the earliest pending event, if any. Takes `&mut self`
-    /// because peeking may open the next bucket (no event is lost).
-    pub fn peek_time(&mut self) -> Option<f64> {
-        if self.ready_pos >= self.ready.len() {
-            if self.len == 0 {
-                return None;
-            }
-            self.advance();
-        }
-        Some(self.ready[self.ready_pos].time)
+    /// The time of the earliest pending event, if any.
+    pub fn peek_time(&self) -> Option<f64> {
+        self.heap.peek().map(|e| e.time)
     }
 
     /// Pops the next event if it occurs at or before `horizon`.
     pub fn pop_until(&mut self, horizon: f64) -> Option<(f64, Event)> {
-        let t = self.peek_time()?;
-        if t > horizon {
+        if self.peek_time()? > horizon {
             return None;
         }
-        let entry = self.ready[self.ready_pos].clone();
-        self.ready_pos += 1;
-        self.len -= 1;
-        if self.ready_pos >= self.ready.len() {
-            self.ready.clear();
-            self.ready_pos = 0;
-        }
-        Some((entry.time, entry.event))
+        self.heap.pop().map(|e| (e.time, e.event))
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len()
     }
 
     /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Cascades performed so far: coarse slots or the overflow list
-    /// re-filed into finer buckets.
-    pub fn cascades(&self) -> u64 {
-        self.cascades
+        self.heap.is_empty()
     }
 }
 
@@ -296,8 +131,7 @@ mod tests {
 
     #[test]
     fn sub_quantum_times_sort_exactly() {
-        // Times closer together than the 1/64 s resolution share a
-        // bucket; the sorted drain must still order them by time.
+        // Times milliseconds apart still pop in time order.
         let mut w = TimerWheel::new();
         w.push(1.010, refresh(2));
         w.push(1.002, refresh(1));
@@ -346,8 +180,7 @@ mod tests {
 
     #[test]
     fn cascade_across_level_boundaries_is_lossless() {
-        // Events spread far beyond one level-0 window (64 quanta = 1 s):
-        // spanning minutes forces level-1/2 cascades.
+        // Events spread over two hours, pushed latest first.
         let mut w = TimerWheel::new();
         let times: Vec<f64> = (0..200).map(|k| (k as f64) * 37.21).collect();
         for (i, &t) in times.iter().enumerate().rev() {
@@ -357,13 +190,11 @@ mod tests {
         assert_eq!(popped.len(), times.len());
         let items: Vec<usize> = popped.iter().map(|&(_, i)| i).collect();
         assert_eq!(items, (0..200).collect::<Vec<_>>());
-        assert!(w.cascades() > 0, "spanning minutes must cascade");
     }
 
     #[test]
     fn far_future_events_wait_in_overflow() {
-        // Beyond the 4-level span (64^4 quanta = 262144 s) events sit in
-        // the overflow bucket and are re-filed when the wheel arrives.
+        // Events days ahead pop after the near ones, in time order.
         let mut w = TimerWheel::new();
         w.push(300_000.0, refresh(9));
         w.push(1.0, refresh(0));
@@ -372,8 +203,7 @@ mod tests {
         assert_eq!(
             popped,
             vec![(1.0, 0), (300_000.0, 9), (300_000.5, 10)],
-            "overflow events pop last, in time order"
+            "far-future events pop last, in time order"
         );
-        assert!(w.cascades() > 0, "overflow re-file counts as a cascade");
     }
 }

@@ -1,80 +1,50 @@
-//! Property tests for the timer-wheel scheduler.
+//! Property tests for the simulator's event queue.
 //!
-//! The wheel's contract is *exactness*, not mere approximate ordering:
-//! for any interleaving of pushes and pops it must emit the identical
-//! event stream as a binary heap keyed by `(time, push order)`. That
-//! heap — the engine's queue before the wheel replaced it — lives on
-//! here as the reference model.
-
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+//! The queue's contract is *exactness*: for any interleaving of pushes
+//! and pops it emits events in ascending `(time, push order)`. The model
+//! here states that contract as directly as possible — a `Vec` scanned
+//! for the least `(time, seq)` on every pop — so it shares no code or
+//! data structure with the binary heap under test.
 
 use proptest::prelude::*;
 
 use pq_sim::{Event, TimerWheel};
 
-#[derive(Debug)]
-struct Scheduled {
-    time: f64,
-    seq: u64,
-    event: Event,
-}
-
-impl PartialEq for Scheduled {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl Eq for Scheduled {}
-
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap: invert to pop the earliest event;
-        // FIFO tiebreak on the sequence number.
-        other
-            .time
-            .total_cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// The reference model: a binary-heap event queue (earliest first; FIFO
-/// among equal times) with the wheel's API.
+/// The reference model: pending `(time, seq, event)` entries in push
+/// order; a pop removes the least `(time, seq)`.
 #[derive(Debug, Default)]
-struct EventQueue {
-    heap: BinaryHeap<Scheduled>,
+struct Model {
+    pending: Vec<(f64, u64, Event)>,
     seq: u64,
 }
 
-impl EventQueue {
+impl Model {
     fn push(&mut self, time: f64, event: Event) {
-        self.heap.push(Scheduled {
-            time,
-            seq: self.seq,
-            event,
-        });
+        self.pending.push((time, self.seq, event));
         self.seq += 1;
     }
 
+    /// Index of the least `(time, seq)` entry.
+    fn earliest(&self) -> Option<usize> {
+        (0..self.pending.len()).min_by(|&a, &b| {
+            let (ta, sa, _) = &self.pending[a];
+            let (tb, sb, _) = &self.pending[b];
+            ta.total_cmp(tb).then(sa.cmp(sb))
+        })
+    }
+
     fn pop_until(&mut self, horizon: f64) -> Option<(f64, Event)> {
-        if self.heap.peek().is_some_and(|s| s.time <= horizon) {
-            self.heap.pop().map(|s| (s.time, s.event))
-        } else {
-            None
-        }
+        let i = self.earliest().filter(|&i| self.pending[i].0 <= horizon)?;
+        let (time, _, event) = self.pending.remove(i);
+        Some((time, event))
     }
 
     fn peek_time(&self) -> Option<f64> {
-        self.heap.peek().map(|s| s.time)
+        self.earliest().map(|i| self.pending[i].0)
     }
 
     fn len(&self) -> usize {
-        self.heap.len()
+        self.pending.len()
     }
 }
 
@@ -84,8 +54,8 @@ fn refresh(item: usize) -> Event {
 
 /// The reference model's own contract: time order, FIFO within a time.
 #[test]
-fn reference_heap_pops_in_time_then_push_order() {
-    let mut q = EventQueue::default();
+fn reference_model_pops_in_time_then_push_order() {
+    let mut q = Model::default();
     let times = [5.0, 5.0, 2.0, 5.0, 2.0, 9.5, 2.0, 9.5, 5.0, 0.0];
     for (i, &t) in times.iter().enumerate() {
         q.push(t, refresh(i));
@@ -105,13 +75,13 @@ fn reference_heap_pops_in_time_then_push_order() {
 /// `tick + delay`, the coordinator drains everything due by the tick,
 /// and handling a popped event schedules follow-ups — at the very
 /// instant being drained under zero delays (a DAB change applied at
-/// once), later under heavy-tailed ones. Both queues must pop the same
-/// stream, peeked times included.
+/// once), later under heavy-tailed ones. Queue and model must pop the
+/// same stream, peeked times included.
 #[test]
-fn wheel_matches_heap_on_the_engines_push_and_drain_pattern() {
+fn queue_matches_model_on_the_engines_push_and_drain_pattern() {
     for zero_delay in [true, false] {
-        let mut heap = EventQueue::default();
-        let mut wheel = TimerWheel::new();
+        let mut model = Model::default();
+        let mut queue = TimerWheel::new();
         let mut state = 0x9E37_79B9_7F4A_7C15_u64;
         let mut next = move || {
             state ^= state << 13;
@@ -134,15 +104,15 @@ fn wheel_matches_heap_on_the_engines_push_and_drain_pattern() {
             let now = tick as f64;
             for _ in 0..next() % 6 {
                 let at = now + delay(next());
-                heap.push(at, refresh(next_id));
-                wheel.push(at, refresh(next_id));
+                model.push(at, refresh(next_id));
+                queue.push(at, refresh(next_id));
                 next_id += 1;
             }
             loop {
-                assert_eq!(heap.peek_time(), wheel.peek_time(), "tick {tick}");
-                let h = heap.pop_until(now);
-                assert_eq!(h, wheel.pop_until(now), "tick {tick}");
-                let Some((t, _)) = h else { break };
+                assert_eq!(model.peek_time(), queue.peek_time(), "tick {tick}");
+                let m = model.pop_until(now);
+                assert_eq!(m, queue.pop_until(now), "tick {tick}");
+                let Some((t, _)) = m else { break };
                 popped += 1;
                 // One pop in three answers with a follow-up message.
                 if next() % 3 == 0 {
@@ -151,12 +121,12 @@ fn wheel_matches_heap_on_the_engines_push_and_drain_pattern() {
                         item: next_id,
                         dab: at,
                     };
-                    heap.push(at, event.clone());
-                    wheel.push(at, event);
+                    model.push(at, event.clone());
+                    queue.push(at, event);
                     next_id += 1;
                 }
             }
-            assert_eq!(heap.len(), wheel.len());
+            assert_eq!(model.len(), queue.len());
         }
         assert!(popped > 500, "the pattern must carry traffic: {popped}");
     }
@@ -171,9 +141,8 @@ enum Op {
     Pop,
 }
 
-/// Offsets mixing exact quantum-aligned collisions (multiples of the
-/// wheel's 1/64 s quantum, including zero), arbitrary sub-quantum floats,
-/// and far-future jumps that land in higher levels or the overflow list.
+/// Offsets mixing exact collisions (zero and multiples of 1/64 s),
+/// arbitrary floats, and far-future jumps of days.
 fn offset_from(kind: u32, k: u32, f: f64) -> f64 {
     match kind % 13 {
         0..=3 => 0.0,
@@ -201,12 +170,12 @@ fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The wheel pops the identical `(time, event)` stream as the heap
+    /// The queue pops the identical `(time, event)` stream as the model
     /// for any interleaving of pushes and pops.
     #[test]
-    fn wheel_and_heap_pop_identical_streams(ops in arb_ops()) {
-        let mut heap = EventQueue::default();
-        let mut wheel = TimerWheel::new();
+    fn queue_and_model_pop_identical_streams(ops in arb_ops()) {
+        let mut model = Model::default();
+        let mut queue = TimerWheel::new();
         let mut now = 0.0_f64;
         let mut next_id = 0usize;
         for op in &ops {
@@ -215,38 +184,38 @@ proptest! {
                     let time = now + offset;
                     let ev = Event::RefreshArrive { item: next_id, value: time };
                     next_id += 1;
-                    heap.push(time, ev.clone());
-                    wheel.push(time, ev);
+                    model.push(time, ev.clone());
+                    queue.push(time, ev);
                 }
                 Op::Pop => {
-                    let h = heap.pop_until(f64::INFINITY);
-                    let w = wheel.pop_until(f64::INFINITY);
-                    prop_assert_eq!(&h, &w);
-                    if let Some((t, _)) = h {
+                    let m = model.pop_until(f64::INFINITY);
+                    let q = queue.pop_until(f64::INFINITY);
+                    prop_assert_eq!(&m, &q);
+                    if let Some((t, _)) = m {
                         now = t;
                     }
                 }
             }
-            prop_assert_eq!(heap.len(), wheel.len());
+            prop_assert_eq!(model.len(), queue.len());
         }
         // Drain whatever is left; the tails must match event for event.
         loop {
-            let h = heap.pop_until(f64::INFINITY);
-            let w = wheel.pop_until(f64::INFINITY);
-            prop_assert_eq!(&h, &w);
-            if h.is_none() {
+            let m = model.pop_until(f64::INFINITY);
+            let q = queue.pop_until(f64::INFINITY);
+            prop_assert_eq!(&m, &q);
+            if m.is_none() {
                 break;
             }
         }
     }
 
-    /// The wheel agrees with the heap on `peek_time` as well as the
+    /// The queue agrees with the model on `peek_time` as well as the
     /// popped stream under a bounded-horizon drain (the engine's access
     /// pattern: peek, then pop everything up to the next tick).
     #[test]
-    fn wheel_agrees_under_horizon_drains(ops in arb_ops(), horizon_step in 0.25f64..8.0) {
-        let mut heap = EventQueue::default();
-        let mut wheel = TimerWheel::new();
+    fn queue_agrees_under_horizon_drains(ops in arb_ops(), horizon_step in 0.25f64..8.0) {
+        let mut model = Model::default();
+        let mut queue = TimerWheel::new();
         let mut now = 0.0_f64;
         let mut next_id = 0usize;
         for op in &ops {
@@ -255,16 +224,16 @@ proptest! {
                     let time = now + offset;
                     let ev = Event::RefreshArrive { item: next_id, value: time };
                     next_id += 1;
-                    heap.push(time, ev.clone());
-                    wheel.push(time, ev);
+                    model.push(time, ev.clone());
+                    queue.push(time, ev);
                 }
                 Op::Pop => {
-                    prop_assert_eq!(heap.peek_time(), wheel.peek_time());
+                    prop_assert_eq!(model.peek_time(), queue.peek_time());
                     let horizon = now + horizon_step;
-                    while let Some((t, ev)) = heap.pop_until(horizon) {
-                        prop_assert_eq!(wheel.pop_until(horizon), Some((t, ev)));
+                    while let Some((t, ev)) = model.pop_until(horizon) {
+                        prop_assert_eq!(queue.pop_until(horizon), Some((t, ev)));
                     }
-                    prop_assert_eq!(wheel.pop_until(horizon), None);
+                    prop_assert_eq!(queue.pop_until(horizon), None);
                     now = horizon;
                 }
             }
