@@ -34,8 +34,9 @@
 //! on this path spells it out as posynomial objects first.
 
 use std::cell::RefCell;
-use std::sync::OnceLock;
+use std::sync::Mutex;
 
+use pq_ddm::parallel::{available_cores, split_map};
 use pq_gp::{CompiledGp, GpSolution, SolveWorkspace, SolverOptions, WarmStart};
 use pq_obs::names;
 
@@ -189,6 +190,11 @@ impl SolveCache {
         SolveCache::default()
     }
 
+    /// A cache holding `rows[qi][ui]` for unit `ui` of query `qi`.
+    pub(crate) fn from_rows(rows: Vec<Vec<UnitCache>>) -> Self {
+        SolveCache { units: rows }
+    }
+
     /// Shapes the cache to `unit_counts[qi]` units per query, preserving
     /// existing entries where the shape is unchanged.
     pub fn resize(&mut self, unit_counts: &[usize]) {
@@ -269,20 +275,10 @@ fn run_job(job: RecomputeJob<'_>, strategy: AssignmentStrategy) -> RecomputeDone
     }
 }
 
-/// The machine's available parallelism, the fan-out's upper bound.
-/// Resolved once per process: the query reads the cgroup quota from files.
-fn available_cores() -> usize {
-    static CORES: OnceLock<usize> = OnceLock::new();
-    *CORES.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    })
-}
-
 /// Runs a batch of independent unit recomputations, fanning out over at
-/// most `max_threads` scoped worker threads (clamped to the job count and
-/// to the machine's available parallelism).
+/// most `max_threads` workers (clamped to the job count and to the
+/// machine's available parallelism), the calling thread first, in
+/// contiguous shares ([`pq_ddm::parallel::split_map`]).
 ///
 /// Results come back in **job order** regardless of thread count, and each
 /// job touches only its own [`UnitCache`], so the outcome is byte-identical
@@ -304,31 +300,19 @@ pub fn recompute_parallel(
     if workers <= 1 {
         return jobs.into_iter().map(|j| run_job(j, strategy)).collect();
     }
-    // Contiguous chunks keep each (qi, ui) on exactly one worker; slots are
-    // pre-sized so workers write disjoint ranges.
-    let chunk = n.div_ceil(workers);
-    let mut jobs: Vec<Option<RecomputeJob<'_>>> = jobs.into_iter().map(Some).collect();
-    let mut slots: Vec<Option<RecomputeDone>> = Vec::new();
-    slots.resize_with(n, || None);
+    // Contiguous shares keep each (qi, ui) on exactly one worker, which
+    // takes its job out once.
+    let jobs: Vec<Mutex<Option<RecomputeJob<'_>>>> =
+        jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
     // Spans opened by workers (gp.solve etc.) parent under whatever span
     // the dispatching thread has open, keeping the fan-out causally
     // attributed in traces.
     let causal = pq_obs::SpanContext::current();
-    std::thread::scope(|s| {
-        for (job_chunk, slot_chunk) in jobs.chunks_mut(chunk).zip(slots.chunks_mut(chunk)) {
-            s.spawn(move || {
-                let _causal = causal.enter();
-                for (job, slot) in job_chunk.iter_mut().zip(slot_chunk) {
-                    let job = job.take().expect("job taken once");
-                    *slot = Some(run_job(job, strategy));
-                }
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|d| d.expect("every slot filled"))
-        .collect()
+    split_map(workers, n, |i| {
+        let _causal = causal.enter();
+        let job = jobs[i].lock().expect("a job is taken whole").take();
+        run_job(job.expect("job taken once"), strategy)
+    })
 }
 
 /// True when a derived per-item filter width meaningfully changed — the

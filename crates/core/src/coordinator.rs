@@ -134,7 +134,9 @@ pub struct Config {
     /// to `obs`.
     pub gp: SolverOptions,
     /// Max worker threads of the recompute fan-out (`1` = serial; the
-    /// results are identical either way).
+    /// results are identical either way). It caps nothing else: the
+    /// install solves on every available core once the book is large
+    /// enough ([`install_units`]).
     pub threads: usize,
     /// Telemetry handle.
     pub obs: Obs,
@@ -274,7 +276,7 @@ impl Coordinator {
         let mut this = Coordinator::unsolved(queries, strategy, values, cfg);
         let started = Instant::now();
         let by_query = &this.handles.solve_by_query;
-        (this.units, this.filters) = install_units(
+        (this.units, this.filters, this.cache) = install_units(
             queries,
             strategy,
             heuristic,
@@ -284,8 +286,6 @@ impl Coordinator {
                 ddm: this.cfg.ddm,
                 gp: this.cfg.gp.clone(),
             },
-            this.values.len(),
-            &mut this.cache,
             |gp, qi| attribute(by_query, gp, qi),
         )?;
         this.install_ns = started.elapsed().as_nanos() as u64;
@@ -491,13 +491,12 @@ impl Coordinator {
     ///
     /// # Errors
     /// The first re-solve that failed, with its query's index. The value
-    /// stays applied. Stale units merge in unit order: the ones before
-    /// the first failure stay installed, and the filters they moved count
-    /// as told, but their filter changes are dropped with the `Err`, so
-    /// no source hears of them. The failed unit and every unit after it,
-    /// including those that did solve, are marked stale, so the next
-    /// refresh of any of their items tries again. A failure that
-    /// degrades instead is ROADMAP.md item 1.
+    /// stays applied. Every stale unit that solved is installed, and the
+    /// filters it moved count as told, but their filter changes are
+    /// dropped with the `Err`, so no source hears of them. Only the units
+    /// that failed are marked stale, so the next refresh of any of their
+    /// items tries them again. A failure that degrades instead is
+    /// ROADMAP.md item 1.
     pub fn react(&mut self, item: usize, at: Option<f64>) -> Result<Outcome, InstallError> {
         let mut outcome = Outcome::default();
         for &qi in self.readers.queries(item) {
@@ -571,7 +570,7 @@ impl Coordinator {
         let mut failure: Option<InstallError> = None;
         for d in done {
             match d.result {
-                Ok(()) if failure.is_none() => {
+                Ok(()) => {
                     self.filters.write(d.qi, d.ui, d.cache.columns());
                     self.note_recompute(d.qi, Some((d.ui, item)), "validity", at);
                     outcome.recomputed.push(QueryId(d.qi as u32));
@@ -585,16 +584,14 @@ impl Coordinator {
                         }
                     }
                 }
-                result => {
+                Err(source) => {
                     // Not re-solved: the unit stays stale, so the next
                     // refresh of any of its items tries again.
                     self.filters.invalidate(d.qi, d.ui);
-                    if let (Err(source), None) = (result, &failure) {
-                        failure = Some(InstallError {
-                            query: Some(d.qi),
-                            source,
-                        });
-                    }
+                    failure.get_or_insert(InstallError {
+                        query: Some(d.qi),
+                        source,
+                    });
                 }
             }
             self.cache.put_back(d.qi, d.ui, d.cache);
@@ -805,6 +802,58 @@ mod tests {
         let out = c.on_refresh(0, 2.5).unwrap();
         assert_eq!(out.recomputed, vec![QueryId(0)]);
         assert!(c.on_refresh(1, 2.02).unwrap().recomputed.is_empty());
+    }
+
+    /// A batch keeps its successful solves: the unit that fails in the
+    /// middle of it is invalidated, the units after it are installed.
+    #[test]
+    fn a_failed_unit_mid_batch_leaves_the_later_units_installed() {
+        // Three products share x1; only the middle one reads x0.
+        let queries = [
+            PolynomialQuery::portfolio([(1.0, x(1), x(2))], 5.0).unwrap(),
+            PolynomialQuery::portfolio([(1.0, x(0), x(1))], 5.0).unwrap(),
+            PolynomialQuery::portfolio([(1.0, x(1), x(3))], 5.0).unwrap(),
+        ];
+        let (values, cfg) = (vec![2.0; 4], config(4, 1, &Obs::null()));
+        let mut c =
+            Coordinator::install(&queries, DUAL, PqHeuristic::DifferentSum, values, cfg).unwrap();
+        // The GP needs positive data: query 1's re-solve fails and its
+        // unit is left stale.
+        c.apply(0, -5.0).unwrap();
+        assert_eq!(c.react(0, None).unwrap_err().query, Some(1));
+        // x1 leaves every unit's validity range: query 1 fails again, in
+        // the middle of a batch whose other two units solve.
+        c.apply(1, 6.0).unwrap();
+        let err = c.react(1, None).unwrap_err();
+        assert_eq!(err.query, Some(1));
+        for qi in [0, 2] {
+            let a = c.assignment(qi, 0);
+            let crate::ValidityRange::Box(secondary) = &a.validity else {
+                panic!("a table reads its cells back as boxes")
+            };
+            assert_eq!(
+                a.anchor[&x(1)],
+                6.0,
+                "query {qi} was re-solved at the new value"
+            );
+            assert!(secondary
+                .values()
+                .chain(a.primary.values())
+                .all(|b| b.is_finite()));
+            assert_eq!(a.primary.len(), 2, "query {qi} has a filter on both items");
+        }
+        assert!(c.filter(3).is_finite(), "query 2's filter is installed");
+        let failed = c.assignment(1, 0);
+        let crate::ValidityRange::Box(secondary) = &failed.validity else {
+            panic!("a table reads its cells back as boxes")
+        };
+        assert!(
+            secondary.values().all(|b| b.is_nan()),
+            "query 1 is invalidated"
+        );
+        // Only the failed unit is owed a solve: a small move of x3 leaves
+        // query 2 alone.
+        assert!(c.on_refresh(3, 2.0001).unwrap().recomputed.is_empty());
     }
 
     #[test]

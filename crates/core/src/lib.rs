@@ -69,7 +69,7 @@ pub use coordinator::{Config, Coordinator, Outcome, ReaderIndex, Scope, REBASE_E
 pub use error::DabError;
 pub use filter_table::FilterTable;
 pub use heuristics::{general_pq, PpqMethod, PqHeuristic};
-pub use install::{install_units, InstallError};
+pub use install::{install_units, InstallError, Installed};
 pub use laq::linear_closed_form;
 pub use multi::{aao, aao_program, eqi, AaoProgram};
 pub use partition::{partition, PartitionInput, PartitionPlan};

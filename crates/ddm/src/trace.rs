@@ -15,11 +15,12 @@
 //! when the path is built, and cloning a trace, a [`TraceSet`] or a
 //! sub-universe copies handles, never samples.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+use crate::parallel::{available_cores, chunked_map};
 
 /// A per-tick time series for one data item.
 ///
@@ -188,17 +189,11 @@ fn standard_normal(rng: &mut StdRng) -> f64 {
 
 /// Workers for a universe of this shape: one per available core, and
 /// never more than the tape has chunks, so a one-chunk tape is built
-/// inline. A thread starts ≈ 0.24 ms after its spawn when the core
-/// was idle for 5 ms, ≈ 40 µs back to back (p50s of 200 spawns on a
-/// shared 2-vCPU VM): half a chunk. [`build_paths`] lets the calling
-/// thread take the chunks a late starter has not reached, so the tape
-/// waits for one chunk, or for a start slower than the whole build. The
-/// core count is resolved once per process (the query reads the cgroup
-/// quota from files).
+/// inline. [`chunked_map`] lets the calling thread take the chunks a late
+/// starter has not reached, so the tape waits for one chunk, or for a
+/// start slower than the whole build.
 fn universe_workers(n_items: usize, n_ticks: usize) -> usize {
-    static CORES: OnceLock<usize> = OnceLock::new();
-    let cores = *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
-    cores.min(n_items.div_ceil(chunk_items(n_ticks)))
+    available_cores().min(n_items.div_ceil(chunk_items(n_ticks)))
 }
 
 /// The universes' argument check, on the calling thread and before any
@@ -215,67 +210,6 @@ const CHUNK_SAMPLES: usize = 16 * 1024;
 /// Items in a chunk of a tape `n_ticks` long.
 fn chunk_items(n_ticks: usize) -> usize {
     (CHUNK_SAMPLES / n_ticks).max(1)
-}
-
-/// Builds `path(0), …, path(n_items - 1)` in contiguous chunks of
-/// `chunk_items` items, laid out in item order. The chunks are dealt out
-/// in equal contiguous shares, one to the calling thread and one to each
-/// of `workers - 1` scoped threads; a worker builds its own share chunk
-/// by chunk and then whatever the others have not reached yet, so one
-/// that starts late or runs slow delays the tape by a chunk, not by its
-/// share. `path(i)` depends on `i` alone, so the result is the same
-/// whoever builds which chunk; one worker is the same loop run once,
-/// with no thread started.
-fn build_paths(
-    workers: usize,
-    chunk_items: usize,
-    n_items: usize,
-    path: impl Fn(usize) -> Trace + Sync,
-) -> Vec<Trace> {
-    let chunks: Vec<OnceLock<Vec<Trace>>> = (0..n_items.div_ceil(chunk_items))
-        .map(|_| OnceLock::new())
-        .collect();
-    let workers = workers.min(chunks.len());
-    let share = chunks.len().div_ceil(workers);
-    // A share's cursor hands out its chunk indices and nothing else: a
-    // built chunk reaches the calling thread through its slot and the
-    // join.
-    let cursors: Vec<AtomicUsize> = (0..workers).map(|w| AtomicUsize::new(w * share)).collect();
-    let work = |worker: usize| {
-        for owner in (worker..workers).chain(0..worker) {
-            let end = ((owner + 1) * share).min(chunks.len());
-            loop {
-                let claimed = cursors[owner].fetch_add(1, Ordering::Relaxed);
-                if claimed >= end {
-                    break;
-                }
-                let first = claimed * chunk_items;
-                let built = (first..(first + chunk_items).min(n_items))
-                    .map(&path)
-                    .collect();
-                chunks[claimed]
-                    .set(built)
-                    .expect("a chunk index is handed out once");
-            }
-        }
-    };
-    std::thread::scope(|scope| {
-        let others: Vec<_> = (1..workers)
-            .map(|worker| scope.spawn(move || work(worker)))
-            .collect();
-        work(0);
-        for other in others {
-            // A worker's panic keeps its own message.
-            other
-                .join()
-                .unwrap_or_else(|p| std::panic::resume_unwind(p));
-        }
-    });
-    let mut traces = Vec::with_capacity(n_items);
-    for chunk in chunks {
-        traces.extend(chunk.into_inner().expect("every chunk was built"));
-    }
-    traces
 }
 
 /// A set of traces, one per data item (item `i` uses trace `i`).
@@ -330,7 +264,7 @@ impl TraceSet {
                 (initial, mu, sigma)
             })
             .collect();
-        TraceSet::new(build_paths(workers, chunk_items(n_ticks), n_items, |i| {
+        TraceSet::new(chunked_map(workers, chunk_items(n_ticks), n_items, |i| {
             let (initial, mu, sigma) = params[i];
             let path_seed = seed ^ (i as u64).wrapping_mul(0x9e3779b9);
             Trace::gbm(initial, mu, sigma, n_ticks, path_seed)
@@ -365,7 +299,7 @@ impl TraceSet {
                 (initial, rate)
             })
             .collect();
-        TraceSet::new(build_paths(workers, chunk_items(n_ticks), n_items, |i| {
+        TraceSet::new(chunked_map(workers, chunk_items(n_ticks), n_items, |i| {
             let (initial, rate) = params[i];
             let path_seed = seed ^ (i as u64).wrapping_mul(0x2545F491);
             Trace::monotonic(initial, rate, 1.0, n_ticks, path_seed)

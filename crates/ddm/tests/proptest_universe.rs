@@ -8,16 +8,11 @@
 //! public functions take none), so this file is compiled into the crate's
 //! unit tests from `src/trace.rs`.
 
-use std::sync::{Condvar, Mutex};
-use std::time::Duration;
-
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use super::{
-    build_paths, chunk_items, standard_normal, universe_workers, Trace, TraceSet, CHUNK_SAMPLES,
-};
+use super::{chunk_items, standard_normal, universe_workers, TraceSet, CHUNK_SAMPLES};
 
 /// Forced worker counts: the loop run once, a pair, a count that leaves
 /// a short last share, and one above the chunk count of most shapes below.
@@ -90,25 +85,6 @@ fn assert_both_match_the_oracle(workers: usize, n_items: usize, n_ticks: usize, 
     );
 }
 
-/// The claim loop itself, on paths that cost nothing: every item count
-/// up to one past three full chunks, for chunks of one to five items,
-/// comes back complete and in item order whoever built which chunk.
-#[test]
-fn chunks_come_back_in_item_order_around_every_boundary() {
-    for workers in WORKERS {
-        for chunk_items in 1..=5 {
-            for n_items in 1..=3 * chunk_items + 1 {
-                let built = build_paths(workers, chunk_items, n_items, |i| {
-                    Trace::constant(i as f64, 1)
-                });
-                let items: Vec<f64> = built.iter().map(Trace::initial).collect();
-                let want: Vec<f64> = (0..n_items).map(|i| i as f64).collect();
-                assert_eq!(items, want, "{workers} workers, chunks of {chunk_items}");
-            }
-        }
-    }
-}
-
 /// Both universes one item below, at and one above one and two full
 /// chunks, on tapes long enough that a chunk is four items.
 #[test]
@@ -176,89 +152,6 @@ fn clone_and_subset_share_the_samples() {
     let none = tape.subset(&[]);
     assert_eq!((none.n_items(), none.n_ticks()), (0, 50));
     assert!(none.initial_values().is_empty());
-}
-
-/// A worker that stalls after claiming its first chunk costs the tape
-/// that chunk and no more: the calling thread builds its own share, then
-/// steals the rest of the stalled worker's. The worker's first path
-/// waits until the caller has built every other chunk, and the caller's
-/// first waits until the worker has claimed, so the split is the same on
-/// every run.
-#[test]
-fn a_stalled_worker_costs_one_chunk() {
-    const TICKS: usize = 1000;
-    const N_ITEMS: usize = 100;
-    /// Long enough never to fire on a loaded machine; it turns a broken
-    /// hand-off into a failure instead of a hang.
-    const PATIENCE: Duration = Duration::from_secs(60);
-    #[derive(Default)]
-    struct Hand {
-        /// The first item the spawned worker reached.
-        stalled_on: Option<usize>,
-        /// Items the calling thread has built.
-        built_by_caller: Vec<usize>,
-        released: bool,
-    }
-    let per_chunk = chunk_items(TICKS);
-    assert_eq!(N_ITEMS.div_ceil(per_chunk), 7);
-    let path = |i: usize| Trace::gbm(100.0, 0.0, 0.01, TICKS, i as u64);
-    let caller = std::thread::current().id();
-    let hand = Mutex::new(Hand::default());
-    let signal = Condvar::new();
-    let wait = |until: &dyn Fn(&Hand) -> bool, what: &str| {
-        let guard = hand.lock().unwrap();
-        let (guard, timeout) = signal
-            .wait_timeout_while(guard, PATIENCE, |h| !until(h))
-            .unwrap();
-        assert!(!timeout.timed_out(), "waited {PATIENCE:?} for {what}");
-        drop(guard);
-    };
-    let built = build_paths(2, per_chunk, N_ITEMS, |i| {
-        if std::thread::current().id() == caller {
-            if i == 0 {
-                wait(&|h| h.stalled_on.is_some(), "the worker to claim");
-            }
-            let mut h = hand.lock().unwrap();
-            h.built_by_caller.push(i);
-            if h.built_by_caller.len() == N_ITEMS - per_chunk {
-                h.released = true;
-                signal.notify_all();
-            }
-        } else {
-            let mut h = hand.lock().unwrap();
-            if h.stalled_on.is_none() {
-                h.stalled_on = Some(i);
-                signal.notify_all();
-                drop(h);
-                wait(&|h| h.released, "the caller to build every other chunk");
-            }
-        }
-        path(i)
-    });
-    let alone = build_paths(1, per_chunk, N_ITEMS, path);
-    let bits = |tape: &[Trace]| -> Vec<Vec<u64>> {
-        tape.iter()
-            .map(|t| t.values().iter().map(|v| v.to_bits()).collect())
-            .collect()
-    };
-    assert_eq!(bits(&built), bits(&alone));
-    let hand = hand.into_inner().unwrap();
-    let stalled_chunk = hand.stalled_on.unwrap() / per_chunk;
-    let mut caller_chunks: Vec<usize> =
-        hand.built_by_caller.iter().map(|i| i / per_chunk).collect();
-    caller_chunks.dedup();
-    let others: Vec<usize> = (0..7).filter(|&c| c != stalled_chunk).collect();
-    assert_eq!(caller_chunks, others, "the caller built all chunks but one");
-}
-
-/// A path that panics on a worker thread is reported in its own words.
-#[test]
-#[should_panic(expected = "path 7 failed")]
-fn a_workers_panic_keeps_its_message() {
-    build_paths(3, 1, 9, |i| {
-        assert!(i != 7, "path {i} failed");
-        Trace::constant(1.0, 2)
-    });
 }
 
 // A bad shape is refused by name on the calling thread, for an item count

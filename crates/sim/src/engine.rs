@@ -100,8 +100,10 @@ pub struct SimConfig {
     /// Max worker threads for the recompute fan-out (capped at the
     /// machine's available parallelism). The default, `1`, is the serial
     /// path: a scoped thread costs more than the unit solves of a typical
-    /// batch (DESIGN.md §10). The simulated metrics are byte-identical for
-    /// any value — parallelism only changes wall-clock time.
+    /// batch (DESIGN.md §10). It caps only that fan-out: every engine's
+    /// install solves its book on every available core once the book is
+    /// large enough. The simulated metrics are byte-identical for any
+    /// value — parallelism only changes wall-clock time.
     pub threads: usize,
     /// Continuous fidelity audit of the incrementally maintained query
     /// values (shadow naive evaluation; see [`crate::audit`]). `None`
@@ -161,6 +163,12 @@ pub enum SimError {
         /// Underlying error.
         source: DabError,
     },
+    /// The joint all-at-once solve of every query failed: no one query
+    /// is to blame.
+    Aao {
+        /// Underlying error.
+        source: DabError,
+    },
     /// A DAB solve failed at one coordinator of a dissemination tree.
     NodeDab {
         /// The tree node.
@@ -213,6 +221,7 @@ impl std::fmt::Display for SimError {
             SimError::Dab { query, source } => {
                 write!(f, "DAB assignment failed for query {query}: {source}")
             }
+            SimError::Aao { source } => write!(f, "joint AAO solve failed: {source}"),
             SimError::NodeDab {
                 node,
                 query,
@@ -529,7 +538,7 @@ impl<'a> Engine<'a> {
                     gp: cfg.gp.clone().observed_by(&obs),
                 };
                 let joint = aao(&cfg.queries, &ctx, *mu)
-                    .map_err(|source| SimError::Dab { query: 0, source })?
+                    .map_err(|source| SimError::Aao { source })?
                     .per_query;
                 let solve_ns = started.elapsed().as_nanos() as u64;
                 // Between periods a stale query is re-solved on its own
@@ -976,7 +985,7 @@ impl<'a> Engine<'a> {
     fn periodic_aao(&mut self, now: f64, mu: f64) -> Result<(), SimError> {
         let started = Instant::now();
         let joint = aao(&self.cfg.queries, &self.core.solve_context(), mu)
-            .map_err(|source| SimError::Dab { query: 0, source })?;
+            .map_err(|source| SimError::Aao { source })?;
         self.note_solver_ns(started.elapsed().as_nanos() as u64);
         // Every query's DABs were recomputed (counted per query, as the
         // paper does for the AAO-T curves).
@@ -1204,6 +1213,24 @@ mod tests {
             m.recomputations
         );
         assert_eq!(m.loss_in_fidelity_percent(), 0.0);
+    }
+
+    /// A failed joint solve blames the whole book, not a query.
+    #[test]
+    fn a_failed_aao_solve_names_no_query() {
+        let mut cfg = small_config(DelayConfig::zero(), dual(5.0));
+        cfg.strategy = SimStrategy::AaoPeriodic {
+            period_ticks: 100,
+            mu: 0.0,
+        };
+        let err = run(&cfg).unwrap_err();
+        assert!(
+            matches!(err, SimError::Aao { source: DabError::InvalidMu(mu) } if mu == 0.0),
+            "{err:?}"
+        );
+        let message = err.to_string();
+        assert!(message.starts_with("joint AAO solve failed: "), "{message}");
+        assert!(!message.contains("query"), "{message}");
     }
 
     /// The two-query book sharing item x1.

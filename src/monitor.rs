@@ -35,7 +35,8 @@ pub struct Monitor {
     strategy: AssignmentStrategy,
     heuristic: PqHeuristic,
     ddm: DataDynamicsModel,
-    /// Max worker threads for recompute fan-out (1 = serial, the default).
+    /// Max worker threads for the recompute fan-out (1 = serial, the
+    /// default); the install uses every core regardless.
     threads: usize,
     /// Telemetry handle; threaded into every GP solve.
     obs: Obs,
@@ -74,7 +75,9 @@ impl Monitor {
 
     /// Caps the recompute fan-out at `threads` worker threads (also capped
     /// at the machine's available parallelism). The default is `1`, the
-    /// serial path; results are identical either way.
+    /// serial path; results are identical either way. It caps only the
+    /// recompute fan-out: [`Monitor::install`] solves the book on every
+    /// available core once it is large enough.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         if let Some(core) = &mut self.core {
