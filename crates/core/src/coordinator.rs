@@ -226,8 +226,8 @@ pub struct Coordinator {
     cfg: Config,
     /// What a stale unit is re-solved under.
     strategy: AssignmentStrategy,
-    /// The whole book compiled for delta maintenance.
-    plan: SharedPlan,
+    /// The whole book compiled for delta maintenance (never mutated).
+    plan: Arc<SharedPlan>,
     /// Every query's value at `values`, maintained through `plan`:
     /// `values` and `view` only ever move together.
     view: SharedView,
@@ -346,7 +346,7 @@ impl Coordinator {
         cfg.threads = cfg.threads.max(1);
         // Compiled first: its transients are freed before the solves
         // reach their own peak.
-        let plan = SharedPlan::compile(queries.iter().map(PolynomialQuery::poly));
+        let plan = Arc::new(SharedPlan::compile(queries.iter().map(|q| q.poly())));
         let view = SharedView::new(&plan, &values);
         let query_items: Vec<&[ItemId]> = queries.iter().map(PolynomialQuery::items).collect();
         let readers = ReaderIndex::new(values.len(), &query_items);
@@ -403,8 +403,8 @@ impl Coordinator {
     }
 
     /// The book's compiled evaluation plan (for evaluating it at other
-    /// values than the coordinator's).
-    pub fn plan(&self) -> &SharedPlan {
+    /// values than the coordinator's, on any thread).
+    pub fn plan(&self) -> &Arc<SharedPlan> {
         &self.plan
     }
 

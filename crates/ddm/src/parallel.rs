@@ -1,11 +1,12 @@
-//! The one parallel map: `f(0), …, f(n - 1)` in index order, in
-//! contiguous shares over the calling thread and scoped workers. Its
-//! callers — the tape generators ([`crate::TraceSet::stock_universe`])
-//! and a coordinator's install (pq-core) — map an index to a value of the
-//! index alone, so the result is the plain loop's whoever computes what.
+//! The parallel map: `f(0), …, f(n - 1)` in index order, in contiguous
+//! shares over the calling thread and scoped workers. Its callers — the
+//! tape generators ([`crate::TraceSet::stock_universe`]) and a
+//! coordinator's install (pq-core) — map an index to a value of the index
+//! alone, so the result is the plain loop's whoever computes what. And
+//! [`read_ahead`], which streams a worker's blocks to the calling thread.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{mpsc, OnceLock};
 
 /// The machine's available parallelism. Resolved once per process: the
 /// query reads the cgroup quota from files.
@@ -103,6 +104,58 @@ fn map_in_shares<T: Send + Sync>(
         out.extend(chunk.into_inner().expect("every chunk was computed"));
     }
     out
+}
+
+/// Blocks `0, …, n_blocks - 1`, each filled by `produce(block, buffer)`
+/// and then read by `consume(block, buffer)` on the calling thread, in
+/// order, in the caller's `buffers` (recycled: the producer writes into
+/// nothing else). With `ahead`, two blocks and two buffers, `produce`
+/// runs on one scoped worker up to `buffers.len() - 1` blocks ahead;
+/// otherwise the two alternate on `buffers[0]`. The first `Err` of
+/// `consume` stops the producer at its next block and comes back; a
+/// panic in `produce` resumes here with its own message.
+pub fn read_ahead<B: Send, E>(
+    ahead: bool,
+    buffers: &mut [B],
+    n_blocks: usize,
+    mut produce: impl FnMut(usize, &mut B) + Send,
+    mut consume: impl FnMut(usize, &B) -> Result<(), E>,
+) -> Result<(), E> {
+    if !ahead || n_blocks < 2 || buffers.len() < 2 {
+        for block in 0..n_blocks {
+            produce(block, &mut buffers[0]);
+            consume(block, &buffers[0])?;
+        }
+        return Ok(());
+    }
+    std::thread::scope(|scope| {
+        // Both channels drop with this closure however it ends, so the
+        // worker stops at its next send or receive and the join returns.
+        let (free_tx, free_rx) = mpsc::channel();
+        let (full_tx, full_rx) = mpsc::channel();
+        for buffer in buffers.iter_mut() {
+            free_tx.send(buffer).expect("the receiver is in scope");
+        }
+        let producer = scope.spawn(move || {
+            let mut free = free_rx.iter().take(n_blocks).enumerate();
+            let _ = free.try_for_each(|(block, buffer)| {
+                produce(block, buffer);
+                full_tx.send(buffer)
+            });
+        });
+        // Ends early only if the producer panicked: the join says how.
+        let result = full_rx.iter().enumerate().try_for_each(|(block, buffer)| {
+            consume(block, buffer)?;
+            // Refused once the producer has filled its last block.
+            let _ = free_tx.send(buffer);
+            Ok(())
+        });
+        drop((free_tx, full_rx));
+        producer
+            .join()
+            .unwrap_or_else(|p| std::panic::resume_unwind(p));
+        result
+    })
 }
 
 #[cfg(test)]
@@ -222,6 +275,95 @@ mod tests {
         assert_eq!(
             caller_chunks, others,
             "the caller computed all chunks but one"
+        );
+    }
+
+    /// Every block count read ahead through one, two or three buffers,
+    /// on the worker and inline, comes back complete and in block order,
+    /// each block in the caller's buffer it rotates to: the producer
+    /// takes them back in the order the caller frees them, which is
+    /// block order.
+    #[test]
+    fn blocks_come_back_in_order_in_the_callers_buffers() {
+        for ahead in [false, true] {
+            for n_buffers in 1..=3 {
+                for n_blocks in [0, 1, 2, 7] {
+                    let mut buffers: Vec<Vec<usize>> =
+                        (0..n_buffers).map(|_| Vec::with_capacity(4)).collect();
+                    let owned: Vec<*const usize> = buffers.iter().map(|b| b.as_ptr()).collect();
+                    let rotates = ahead && n_blocks > 1 && n_buffers > 1;
+                    let mut seen = Vec::new();
+                    let done = read_ahead(
+                        ahead,
+                        &mut buffers,
+                        n_blocks,
+                        |block, buffer| {
+                            buffer.clear();
+                            buffer.extend((0..4).map(|k| 4 * block + k));
+                        },
+                        |block, buffer| {
+                            let slot = if rotates { block % n_buffers } else { 0 };
+                            assert_eq!(buffer.as_ptr(), owned[slot], "block {block}");
+                            seen.extend_from_slice(buffer);
+                            Ok::<(), ()>(())
+                        },
+                    );
+                    assert_eq!(done, Ok(()));
+                    let want: Vec<usize> = (0..4 * n_blocks).collect();
+                    let case = format!("ahead {ahead}, {n_buffers} buffers, {n_blocks} blocks");
+                    assert_eq!(seen, want, "{case}");
+                    for (buffer, &ptr) in buffers.iter().zip(&owned) {
+                        assert_eq!((buffer.as_ptr(), buffer.capacity()), (ptr, 4), "{case}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The consumer's first error comes back, and the producer stops
+    /// within the blocks its buffers hold: the worker is joined, not
+    /// left filling the other 97 blocks.
+    #[test]
+    fn a_consumer_error_stops_the_producer() {
+        for ahead in [false, true] {
+            let produced = AtomicUsize::new(0);
+            let mut buffers = [0usize; 3];
+            let err = read_ahead(
+                ahead,
+                &mut buffers,
+                100,
+                |block, buffer| {
+                    produced.fetch_add(1, Ordering::Relaxed);
+                    *buffer = block;
+                },
+                |block, &buffer| {
+                    assert_eq!(block, buffer);
+                    if block == 2 {
+                        Err(format!("block {block}"))
+                    } else {
+                        Ok(())
+                    }
+                },
+            );
+            assert_eq!(err, Err("block 2".to_string()), "ahead {ahead}");
+            let produced = produced.into_inner();
+            assert!(
+                (3..=5).contains(&produced),
+                "ahead {ahead}: {produced} blocks"
+            );
+        }
+    }
+
+    /// A panic in the producer is reported in its own words.
+    #[test]
+    #[should_panic(expected = "block 4 failed")]
+    fn a_producers_panic_keeps_its_message() {
+        let _ = read_ahead(
+            true,
+            &mut [0; 3],
+            9,
+            |block, _| assert!(block != 4, "block {block} failed"),
+            |_, _| Ok::<(), ()>(()),
         );
     }
 

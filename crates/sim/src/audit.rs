@@ -10,7 +10,7 @@
 //! at both the source and the coordinator view, and compares
 //!
 //! * the **values** against the engine's (the delta-maintained
-//!   coordinator view; the on-demand full evaluation at the source), and
+//!   coordinator view; the played full evaluation at the source), and
 //! * the **QAB violation decision** the engine would take from each.
 //!
 //! Agreement is reported as live gauges; any divergence increments the
@@ -26,6 +26,7 @@
 
 use std::sync::Arc;
 
+use pq_core::coordinator::Scope;
 use pq_obs::{names, Counter, EventKind, Gauge, Obs};
 use pq_poly::PolynomialQuery;
 
@@ -125,20 +126,13 @@ impl FidelityAuditor {
         auditor
     }
 
-    /// True when `tick` falls on the configured interval — the ticks on
-    /// which [`FidelityAuditor::on_tick`] reads `src_qv`, so the engine
-    /// evaluates it for those only.
-    pub(crate) fn is_due(&self, tick: usize) -> bool {
-        self.cfg.every > 0 && tick.is_multiple_of(self.cfg.every)
-    }
-
     /// Runs one audit pass if `tick` falls on the configured interval.
     ///
     /// `src_values` / `coord_values` are the per-item value columns of
-    /// the two views; `src_qv` the engine's on-demand full evaluation at
-    /// the source values, `coord_qv` the maintained per-query values of
-    /// the coordinator's delta plane. Pure with respect to the
-    /// simulation: reads only.
+    /// the two views; `src_qv` the engine's full evaluation at the source
+    /// values, `coord_qv` the maintained per-query values of the
+    /// coordinator's delta plane; `scope` names a divergent query by its
+    /// global id. Pure with respect to the simulation: reads only.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn on_tick(
         &mut self,
@@ -148,9 +142,11 @@ impl FidelityAuditor {
         coord_values: &[f64],
         src_qv: &[f64],
         coord_qv: &[f64],
+        scope: &Scope,
         obs: &Obs,
     ) {
-        if !self.is_due(tick) || queries.is_empty() {
+        let due = self.cfg.every > 0 && tick.is_multiple_of(self.cfg.every);
+        if !due || queries.is_empty() {
             return;
         }
         let take = self.cfg.sample.clamp(1, queries.len());
@@ -159,6 +155,7 @@ impl FidelityAuditor {
             self.cursor = (self.cursor + 1) % queries.len();
             self.audit_query(
                 qi,
+                scope.query(qi),
                 tick,
                 &queries[qi],
                 src_values,
@@ -173,12 +170,14 @@ impl FidelityAuditor {
         self.g_drift_max.set(self.drift_max);
     }
 
-    /// Shadow-evaluates one query at both views and compares values and
-    /// the QAB decision against the delta plane.
+    /// Shadow-evaluates one query (`qi` here, `gqi` in the run) at both
+    /// views and compares values and the QAB decision against the delta
+    /// plane.
     #[allow(clippy::too_many_arguments)]
     fn audit_query(
         &mut self,
         qi: usize,
+        gqi: usize,
         tick: usize,
         query: &PolynomialQuery,
         src_values: &[f64],
@@ -209,7 +208,7 @@ impl FidelityAuditor {
             }
             // NaN drift (e.g. a poisoned delta plane) must diverge too.
             if drift.is_nan() || drift > self.cfg.tolerance * (1.0 + naive.abs()) {
-                self.divergence(qi, tick, view, naive, delta, drift, "value", obs);
+                self.divergence(gqi, tick, view, naive, delta, drift, "value", obs);
             }
         }
         // Decision parity: would the engine's QAB check fire? Only
@@ -222,7 +221,7 @@ impl FidelityAuditor {
         let robust = (naive_gap - qab).abs() > self.cfg.tolerance * (1.0 + naive_gap);
         if robust && (naive_gap > qab) != (delta_gap > qab) {
             self.divergence(
-                qi,
+                gqi,
                 tick,
                 "decision",
                 naive_gap,
@@ -234,11 +233,12 @@ impl FidelityAuditor {
         }
     }
 
-    /// Records one divergence: counter bump plus a structured event.
+    /// Records one divergence of query `gqi` (global id): counter bump
+    /// plus a structured event.
     #[allow(clippy::too_many_arguments)]
     fn divergence(
         &mut self,
-        qi: usize,
+        gqi: usize,
         tick: usize,
         view: &'static str,
         naive: f64,
@@ -249,7 +249,7 @@ impl FidelityAuditor {
     ) {
         self.c_divergence.inc();
         obs.emit_with(names::AUDIT_DIVERGENCE, EventKind::Point, |e| {
-            e.with("query", qi)
+            e.with("query", gqi)
                 .with("tick", tick)
                 .with("view", view)
                 .with("naive", naive)
@@ -338,6 +338,52 @@ mod tests {
         );
     }
 
+    /// A divergence names the query as the run numbers it, not as its
+    /// shard does: over two components on two shards, global query 2 is
+    /// the second query of its shard.
+    #[test]
+    fn a_divergence_on_a_shard_names_the_global_query() {
+        let mut cfg = audited_config();
+        cfg.traces = TraceSet::new(vec![
+            Trace::sinusoid(20.0, 3.0, 400.0, 800),
+            Trace::sinusoid(10.0, 2.0, 300.0, 800),
+            Trace::sinusoid(15.0, 2.5, 350.0, 800),
+            Trace::sinusoid(12.0, 2.0, 250.0, 800),
+        ]);
+        cfg.queries = vec![
+            PolynomialQuery::portfolio([(1.0, ItemId(0), ItemId(1))], 8.0).unwrap(),
+            PolynomialQuery::portfolio([(1.0, ItemId(2), ItemId(3))], 8.0).unwrap(),
+            PolynomialQuery::portfolio([(2.0, ItemId(0), ItemId(1))], 8.0).unwrap(),
+        ];
+        cfg.shards = 2;
+        cfg.audit = Some(AuditConfig {
+            every: 1,
+            sample: 4,
+            ..AuditConfig::default()
+        });
+        cfg.audit_fault = Some(AuditFault {
+            tick: 100,
+            query: 2,
+            perturb: 500.0,
+        });
+        let (obs, ring) = Obs::ring(1 << 16);
+        let report = crate::shard::run_sharded(&cfg, &obs).unwrap();
+        let mut split: Vec<usize> = report.shards.iter().map(|s| s.n_queries).collect();
+        split.sort_unstable();
+        assert_eq!(split, [1, 2], "one component a shard");
+        let named: Vec<u64> = ring
+            .events()
+            .iter()
+            .filter(|e| e.target == names::AUDIT_DIVERGENCE)
+            .map(|e| match e.field("query") {
+                Some(Value::U64(q)) => *q,
+                other => panic!("query field {other:?}"),
+            })
+            .collect();
+        assert!(!named.is_empty(), "fault missed");
+        assert!(named.iter().all(|&q| q == 2), "{named:?}");
+    }
+
     #[test]
     fn metrics_are_identical_with_audit_on_and_off() {
         let audited = audited_config();
@@ -368,9 +414,10 @@ mod tests {
         let plan = pq_poly::SharedPlan::compile(cfg.queries.iter().map(|q| q.poly()));
         let view = pq_poly::SharedView::new(&plan, &values);
         let qv = view.values();
-        auditor.on_tick(4, &cfg.queries, &values, &values, qv, qv, &obs);
+        let scope = Scope::default();
+        auditor.on_tick(4, &cfg.queries, &values, &values, qv, qv, &scope, &obs);
         assert_eq!(auditor.cursor, 1, "first pass audits q0, cursor advances");
-        auditor.on_tick(8, &cfg.queries, &values, &values, qv, qv, &obs);
+        auditor.on_tick(8, &cfg.queries, &values, &values, qv, qv, &scope, &obs);
         assert_eq!(auditor.cursor, 0, "second pass audits q1, wraps around");
         assert_eq!(auditor.samples, 2);
         assert_eq!(obs.snapshot().counters[names::AUDIT_DIVERGENCE], 0);

@@ -20,6 +20,7 @@
 //! paper makes the same caveat for its PlanetLab runs).
 
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -27,12 +28,13 @@ use pq_core::coordinator::{Config, Coordinator, Scope};
 use pq_core::{
     aao, dab_solver_options, AssignmentStrategy, DabError, InstallError, PqHeuristic, SolveContext,
 };
+use pq_ddm::parallel::{available_cores, read_ahead};
 use pq_ddm::{DataDynamicsModel, RateEstimator, TraceSet};
 use pq_gp::SolverOptions;
 use pq_obs::{
     names, Counter, EventKind, Histogram, Obs, SloConfig, SloEngine, Watchdog, WindowPlane,
 };
-use pq_poly::{ItemId, PolynomialQuery};
+use pq_poly::{ItemId, PolynomialQuery, SharedPlan};
 
 use crate::audit::{AuditConfig, AuditFault, FidelityAuditor};
 use crate::delay::{DelayConfig, ItemDraws, Pareto};
@@ -298,32 +300,16 @@ pub fn run_observed(config: &SimConfig, obs: &Obs) -> Result<SimMetrics, SimErro
 /// keys), through the coordinator's [`Scope`].
 pub(crate) struct Engine<'a> {
     cfg: &'a SimConfig,
-    n_items: usize,
     /// The coordinator: its item values, maintained query values,
     /// assignments and the filters it last derived.
     core: Coordinator,
-    /// Structure-of-arrays source-side state: source values, last-pushed
-    /// values and installed DABs as flat columns.
+    /// Structure-of-arrays source-side state: last-pushed values and
+    /// installed DABs as flat columns (a source's value is its sample in
+    /// the tick's played row).
     items: ItemTable,
-    /// The traces, tick-major: item `i`'s sample at `tick` is
-    /// `tape[tick * n_items + i]`, so one tick's sweep reads one
-    /// contiguous row beside the [`ItemTable`] columns (`ticks x items x
-    /// 8` bytes for the run). Every sample in it is finite and
-    /// non-negative.
-    tape: Vec<f64>,
     /// The items whose sample escaped their filter on the tick being
     /// swept (reused across ticks).
     escaped: Vec<u32>,
-    /// Query values at the source view, evaluated in full on demand:
-    /// current only after [`Engine::refresh_truth`], which the fidelity
-    /// sampler and the auditor call on the ticks they read it. Between
-    /// two reads nearly every item has moved, so folding each
-    /// move in as a delta would cost more than one evaluation.
-    truth: Vec<f64>,
-    /// A source value changed since `truth` was evaluated.
-    truth_stale: bool,
-    /// Monomial scratch of the shared plan's full evaluation.
-    truth_scratch: Vec<f64>,
     queue: TimerWheel,
     draws: ItemDraws,
     metrics: SimMetrics,
@@ -376,22 +362,81 @@ pub(crate) struct Engine<'a> {
     probe: tests::SweepProbe,
 }
 
-/// Transposes the traces into one `[tick][item]` tape, rejecting the
-/// first sample (in item, then tick order) that is not finite and
-/// non-negative; `gid` names its item in the error.
-fn transpose(traces: &TraceSet, gid: impl Fn(usize) -> usize) -> Result<Vec<f64>, SimError> {
-    let n_items = traces.n_items();
-    let mut tape = vec![0.0; traces.n_ticks() * n_items];
+/// Rejects the first sample of `traces` (in item, then tick order) that
+/// is not finite and non-negative; `gid` names its item in the error.
+fn check_samples(traces: &TraceSet, gid: impl Fn(usize) -> usize) -> Result<(), SimError> {
+    let bad = |v: &f64| !(v.is_finite() && *v >= 0.0);
     for (item, trace) in traces.traces().iter().enumerate() {
-        for (tick, &v) in trace.values().iter().enumerate() {
-            if !(v.is_finite() && v >= 0.0) {
-                let item = gid(item);
-                return Err(SimError::BadSample { item, tick });
-            }
-            tape[tick * n_items + item] = v;
+        if let Some(tick) = trace.values().iter().position(bad) {
+            let item = gid(item);
+            return Err(SimError::BadSample { item, tick });
         }
     }
-    Ok(tape)
+    Ok(())
+}
+
+/// Values (rows plus truths) in a full block of the played tape.
+const BLOCK_VALUES: usize = 32 * 1024;
+
+/// The blocks ticks `1..n_ticks` are played in: 1, 2, 4, … ticks, then
+/// `full` ticks each, so the first tick waits for one tick's work.
+fn tape_blocks(n_ticks: usize, full: usize) -> Vec<Range<usize>> {
+    let (mut blocks, mut start, mut len) = (Vec::new(), 1, 1);
+    while start < n_ticks {
+        let end = (start + len).min(n_ticks);
+        blocks.push(start..end);
+        (start, len) = (end, (2 * len).min(full));
+    }
+    blocks
+}
+
+/// Ticks `ticks` of the played tape with their source rows
+/// (`[tick][item]`) and truths (`[tick][query]`).
+struct TapeBlock {
+    ticks: Range<usize>,
+    rows: Vec<f64>,
+    truths: Vec<f64>,
+    /// Ticks of the block whose truth was evaluated, not carried.
+    evaluated: u64,
+}
+
+/// Plays the tape ahead of the tick loop: the sources' values at tick
+/// `t` are exactly tape row `t`, so the rows and the query values at
+/// them are a pure function of the tape and the book.
+struct TapePlayer<'a> {
+    traces: &'a TraceSet,
+    plan: Arc<SharedPlan>,
+    /// The last row played, and the truth at it.
+    row: Vec<f64>,
+    truth: Vec<f64>,
+    /// Monomial scratch of the plan's full evaluation.
+    scratch: Vec<f64>,
+}
+
+impl TapePlayer<'_> {
+    /// Fills `block` with `ticks`: each row gathered from the traces, each
+    /// truth evaluated in full when the row moved (`!=`), else carried.
+    fn play(&mut self, ticks: Range<usize>, block: &mut TapeBlock) {
+        let (n_items, n_queries) = (self.row.len(), self.truth.len());
+        let rows = &mut block.rows[..ticks.len() * n_items];
+        for (item, trace) in self.traces.traces().iter().enumerate() {
+            for (k, &v) in trace.values()[ticks.clone()].iter().enumerate() {
+                rows[k * n_items + item] = v;
+            }
+        }
+        block.evaluated = 0;
+        for k in 0..ticks.len() {
+            let row = &rows[k * n_items..][..n_items];
+            if row != self.row {
+                self.row.copy_from_slice(row);
+                self.plan
+                    .full_eval_into(row, &mut self.scratch, &mut self.truth);
+                block.evaluated += 1;
+            }
+            block.truths[k * n_queries..][..n_queries].copy_from_slice(&self.truth);
+        }
+        block.ticks = ticks;
+    }
 }
 
 /// How long the hot loop may go without a heartbeat before the live
@@ -494,7 +539,7 @@ impl<'a> Engine<'a> {
     ) -> Result<Self, SimError> {
         let n_items = cfg.traces.n_items();
         let source_values = cfg.traces.initial_values();
-        let tape = transpose(&cfg.traces, |i| scope.item(i))?;
+        check_samples(&cfg.traces, |i| scope.item(i))?;
         let shard_label = shard.map(|s| s.to_string());
         // All registry names carry *global* ids so a partitioned run's
         // shards write into one coherent attribution space; so do the
@@ -556,13 +601,8 @@ impl<'a> Engine<'a> {
         }
         let mut engine = Engine {
             cfg,
-            n_items,
             items,
-            truth: core.query_values().to_vec(),
-            truth_stale: false,
-            truth_scratch: Vec::new(),
             core,
-            tape,
             escaped: Vec::new(),
             queue: TimerWheel::new(),
             draws,
@@ -615,16 +655,67 @@ impl<'a> Engine<'a> {
     }
 
     pub(crate) fn run(mut self) -> Result<SimMetrics, SimError> {
-        for tick in 1..self.cfg.traces.n_ticks() {
-            self.run_tick(tick)?;
-        }
+        let cfg = self.cfg;
+        let full = BLOCK_VALUES / (cfg.traces.n_items() + cfg.queries.len()).max(1);
+        self.play(available_cores() > 1, full.clamp(1, cfg.traces.n_ticks()))?;
         self.finish();
         Ok(self.metrics)
     }
 
-    /// One simulated second: sources sample and push, everything due is
-    /// delivered, then the samplers look at both sides.
-    fn run_tick(&mut self, tick: usize) -> Result<(), SimError> {
+    /// Runs every tick of the tape, played in blocks of at most `full`
+    /// ticks by a [`TapePlayer`] on a read-ahead worker (`ahead`) or
+    /// inline, from the initial row and the coordinator's seeding
+    /// evaluation (the truth before tick 1).
+    fn play(&mut self, ahead: bool, full: usize) -> Result<(), SimError> {
+        let cfg = self.cfg;
+        let (n_items, n_queries) = (cfg.traces.n_items(), cfg.queries.len());
+        let plan = self.core.plan().clone();
+        let mut player = TapePlayer {
+            traces: &cfg.traces,
+            scratch: Vec::with_capacity(plan.n_terms()),
+            plan,
+            row: cfg.traces.initial_values(),
+            truth: self.core.query_values().to_vec(),
+        };
+        let blocks = tape_blocks(cfg.traces.n_ticks(), full);
+        let mut buffers: Vec<TapeBlock> = (0..3)
+            .map(|_| TapeBlock {
+                ticks: 0..0,
+                rows: vec![0.0; full * n_items],
+                truths: vec![0.0; full * n_queries],
+                evaluated: 0,
+            })
+            .collect();
+        let played = read_ahead(
+            ahead,
+            &mut buffers,
+            blocks.len(),
+            |b, block| player.play(blocks[b].clone(), block),
+            |_, block| {
+                self.c_eval_full.add(block.evaluated * n_queries as u64);
+                for (k, tick) in block.ticks.clone().enumerate() {
+                    let row = &block.rows[k * n_items..][..n_items];
+                    let truth = &block.truths[k * n_queries..][..n_queries];
+                    self.run_tick(tick, row, truth)?;
+                }
+                Ok(())
+            },
+        );
+        #[cfg(test)]
+        {
+            self.probe.played_to = buffers.iter().map(|b| b.ticks.end).max();
+        }
+        played
+    }
+
+    /// One simulated second: sources sample `row` and push, everything
+    /// due is delivered, then the samplers compare the coordinator's view
+    /// with `truth`, the query values at `row`.
+    fn run_tick(&mut self, tick: usize, row: &[f64], truth: &[f64]) -> Result<(), SimError> {
+        #[cfg(test)]
+        if let Some(truths) = &mut self.probe.truths {
+            truths.extend_from_slice(truth);
+        }
         let now = tick as f64;
         // AAO-T periodic joint recomputation.
         if let SimStrategy::AaoPeriodic { period_ticks, mu } = &self.cfg.strategy {
@@ -632,8 +723,8 @@ impl<'a> Engine<'a> {
                 self.periodic_aao(now, *mu)?;
             }
         }
-        self.sweep(tick, now);
-        self.deliver_due(now)?;
+        self.sweep(tick, now, row);
+        self.deliver_due(now, row)?;
         // Fidelity sample: truth, coordinator view and QABs as three
         // columns.
         self.metrics.fidelity_samples += 1;
@@ -643,9 +734,8 @@ impl<'a> Engine<'a> {
         if self.shard.is_none_or(|s| s == 0) {
             self.c_fidelity.inc();
         }
-        self.refresh_truth();
         let cached = self.core.query_values();
-        let columns = self.truth.iter().zip(cached).zip(self.core.qabs());
+        let columns = truth.iter().zip(cached).zip(self.core.qabs());
         for (qi, ((&truth, &cached), &qab)) in columns.enumerate() {
             if (truth - cached).abs() > qab {
                 self.metrics.per_query_violations[qi] += 1;
@@ -669,15 +759,15 @@ impl<'a> Engine<'a> {
                 self.core.corrupt_query_value(fault.query, fault.perturb);
             }
         }
-        if self.auditor.as_ref().is_some_and(|a| a.is_due(tick)) {
-            self.refresh_truth();
-            self.auditor.as_mut().expect("checked").on_tick(
+        if let Some(auditor) = &mut self.auditor {
+            auditor.on_tick(
                 tick,
                 &self.cfg.queries,
-                self.items.values(),
+                row,
                 self.core.values(),
-                &self.truth,
+                truth,
                 self.core.query_values(),
+                self.core.scope(),
                 &self.obs,
             );
         }
@@ -699,46 +789,33 @@ impl<'a> Engine<'a> {
         self.obs.flush();
     }
 
-    /// Sources observe `tick`'s samples and push the ones that escaped
-    /// their filter, in two passes: [`ItemTable::observe`] over the dense
-    /// columns, then one push per escaped item, ascending. A push touches
-    /// its own item's columns and draw stream only, so no push changes
-    /// whether or what a later item pushes: the pushes, each item's draw
-    /// order and the queue insertions are those of a loop
+    /// Sources observe `tick`'s samples `row` and push the ones that
+    /// escaped their filter, in two passes: [`ItemTable::observe`] over
+    /// the dense columns, then one push per escaped item, ascending. A
+    /// push touches its own item's columns and draw stream only, so no
+    /// push changes whether or what a later item pushes: the pushes, each
+    /// item's draw order and the queue insertions are those of a loop
     /// that filters and pushes item by item ([`Engine::sweep_interleaved`]
     /// holds it to that). No query value is touched here: the source-side
-    /// truth is evaluated when something asks for it.
-    fn sweep(&mut self, tick: usize, now: f64) {
+    /// truth comes with the row.
+    fn sweep(&mut self, tick: usize, now: f64, row: &[f64]) {
         #[cfg(test)]
         if self.probe.interleaved {
-            return self.sweep_interleaved(tick, now);
+            return self.sweep_interleaved(now, row);
         }
-        let row = &self.tape[tick * self.n_items..][..self.n_items];
         for (item, v) in row.iter().enumerate() {
             debug_assert_eq!(
                 v.to_bits(),
                 self.cfg.traces.trace(item).at(tick).to_bits(),
-                "tape and trace disagree on x{item} at tick {tick}"
+                "played row and trace disagree on x{item} at tick {tick}"
             );
         }
-        self.truth_stale |= self.items.observe(row, &mut self.escaped);
+        self.items.observe(row, &mut self.escaped);
         let escaped = std::mem::take(&mut self.escaped);
         for &item in &escaped {
-            self.push(item as usize, now);
+            self.push(item as usize, now, row[item as usize]);
         }
         self.escaped = escaped;
-    }
-
-    /// The loop [`Engine::sweep`] replaces, kept as its oracle: each item
-    /// samples, filters and pushes before the next one samples.
-    #[cfg(test)]
-    fn sweep_interleaved(&mut self, tick: usize, now: f64) {
-        for item in 0..self.n_items {
-            let v = self.tape[tick * self.n_items + item];
-            self.truth_stale |= v != self.items.value(item);
-            self.items.set_value(item, v);
-            self.maybe_push(item, now);
-        }
     }
 
     /// The next queued event due by `now`, if any.
@@ -752,11 +829,12 @@ impl<'a> Engine<'a> {
         popped
     }
 
-    /// Delivers everything due by `now`: queued events in time order,
-    /// interleaved with busy-deferred refreshes that start the moment the
-    /// coordinator frees up (queued events win ties, matching the arrival
-    /// order a re-push would have produced).
-    fn deliver_due(&mut self, now: f64) -> Result<(), SimError> {
+    /// Delivers everything due by `now`, with the sources at `row`:
+    /// queued events in time order, interleaved with busy-deferred
+    /// refreshes that start the moment the coordinator frees up (queued
+    /// events win ties, matching the arrival order a re-push would have
+    /// produced).
+    fn deliver_due(&mut self, now: f64, row: &[f64]) -> Result<(), SimError> {
         loop {
             if !self.deferred.is_empty()
                 && self.coordinator_busy_until <= now
@@ -785,25 +863,10 @@ impl<'a> Engine<'a> {
                 }
                 Event::DabChangeArrive { item, dab } => {
                     self.items.set_installed_dab(item, dab);
-                    self.maybe_push(item, t);
+                    self.maybe_push(item, t, row[item]);
                 }
             }
         }
-    }
-
-    /// Brings [`Engine::truth`] up to the current source values with
-    /// one full evaluation of the book, unless no value changed since the
-    /// last one.
-    fn refresh_truth(&mut self) {
-        if !std::mem::take(&mut self.truth_stale) {
-            return;
-        }
-        self.core.plan().full_eval_into(
-            self.items.values(),
-            &mut self.truth_scratch,
-            &mut self.truth,
-        );
-        self.c_eval_full.add(self.truth.len() as u64);
     }
 
     /// One live-health step at the end of tick `tick`: beat the
@@ -852,18 +915,18 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Source-side filter: push when the value escapes the installed DAB
-    /// (nothing escapes an infinite one).
-    fn maybe_push(&mut self, item: usize, now: f64) {
-        let drift = self.items.value(item) - self.items.last_pushed(item);
+    /// Source-side filter: push when `item`'s value `v` escapes the
+    /// installed DAB (nothing escapes an infinite one).
+    fn maybe_push(&mut self, item: usize, now: f64, v: f64) {
+        let drift = v - self.items.last_pushed(item);
         if drift.abs() > self.items.installed_dab(item) {
-            self.push(item, now);
+            self.push(item, now, v);
         }
     }
 
-    /// `item`'s source pushes its current value toward the coordinator.
-    fn push(&mut self, item: usize, now: f64) {
-        let v = self.items.value(item);
+    /// `item`'s source pushes its current value `v` toward the
+    /// coordinator.
+    fn push(&mut self, item: usize, now: f64, v: f64) {
         self.items.set_last_pushed(item, v);
         if !self.drop_message(item) {
             let delay = self.draws.pareto(&self.cfg.delays.node_to_node, item);
@@ -992,7 +1055,7 @@ impl<'a> Engine<'a> {
         self.core
             .install_joint(&joint.per_query, "aao-periodic", Some(now));
         self.note_recomputations(0..self.cfg.queries.len());
-        let changes = self.core.rederive(0..self.n_items);
+        let changes = self.core.rederive(0..self.cfg.traces.n_items());
         self.ship_filter_changes(&changes, now);
         Ok(())
     }
@@ -1009,13 +1072,176 @@ mod tests {
         ItemId(i)
     }
 
-    /// Test tap on an engine ([`Engine::sweep`], [`Engine::pop_due`]).
+    impl Engine<'_> {
+        /// The loop [`Engine::sweep`] replaces, kept as its oracle: each
+        /// item samples, filters and pushes before the next one samples.
+        pub(super) fn sweep_interleaved(&mut self, now: f64, row: &[f64]) {
+            for (item, &v) in row.iter().enumerate() {
+                self.maybe_push(item, now, v);
+            }
+        }
+    }
+
+    /// Test tap on an engine ([`Engine::sweep`], [`Engine::pop_due`],
+    /// [`Engine::run_tick`], [`Engine::play`]).
     #[derive(Default)]
     pub(super) struct SweepProbe {
         /// Run [`Engine::sweep_interleaved`] in place of the two passes.
         pub(super) interleaved: bool,
         /// Every event the queue released since this was last emptied.
         pub(super) released: Vec<(f64, Event)>,
+        /// When set, every tick's truth is appended here.
+        pub(super) truths: Option<Vec<f64>>,
+        /// The end of the last block the player played.
+        pub(super) played_to: Option<usize>,
+    }
+
+    /// The source-side truth at `row`, evaluated inline.
+    fn inline_truth(engine: &Engine<'_>, row: &[f64]) -> Vec<f64> {
+        let (mut scratch, mut truth) = (Vec::new(), Vec::new());
+        engine
+            .core
+            .plan()
+            .full_eval_into(row, &mut scratch, &mut truth);
+        truth
+    }
+
+    /// Block caps around every boundary of a 160-tick tape: one tick a
+    /// block, two, a count that leaves a short last block, and more than
+    /// the tape.
+    const BLOCK_CAPS: [usize; 4] = [1, 2, 7, 200];
+
+    /// Three items that hold still for stretches of the tape, under two
+    /// queries that read all three.
+    fn stretches_config() -> SimConfig {
+        let n_ticks = 160;
+        let moving = |center: f64, period: f64, still: &[Range<usize>]| {
+            let mut v = Trace::sinusoid(center, 3.0, period, n_ticks)
+                .values()
+                .to_vec();
+            for r in still {
+                let held = v[r.start - 1];
+                v[r.clone()].fill(held);
+            }
+            Trace::from_values(v)
+        };
+        let traces = TraceSet::new(vec![
+            moving(20.0, 90.0, &[10..40, 100..130]),
+            moving(10.0, 70.0, &[20..45, 90..140]),
+            moving(15.0, 80.0, &[5..50, 95..125]),
+        ]);
+        let queries = vec![
+            PolynomialQuery::portfolio([(1.0, x(0), x(1))], 6.0).unwrap(),
+            PolynomialQuery::portfolio([(1.0, x(1), x(2))], 6.0).unwrap(),
+        ];
+        let mut cfg = SimConfig::new(traces, queries);
+        cfg.rate_estimator = RateEstimator::SampledAverage { interval_ticks: 20 };
+        cfg
+    }
+
+    /// The played truth is the inline evaluation at each tick's row, bit
+    /// for bit, at every block cap, on the worker and inline; a tick on
+    /// which no item moved is carried, not evaluated, so `eval.full`
+    /// counts the moving ticks only.
+    #[test]
+    fn the_played_truth_is_the_inline_evaluation_at_every_tick() {
+        let cfg = stretches_config();
+        let n_ticks = cfg.traces.n_ticks();
+        let moved = (1..n_ticks)
+            .filter(|&t| cfg.traces.values_at(t) != cfg.traces.values_at(t - 1))
+            .count() as u64;
+        assert!(0 < moved && moved < 120, "{moved} moving ticks");
+        for ahead in [false, true] {
+            for cap in BLOCK_CAPS {
+                let obs = Obs::null();
+                let mut engine = Engine::new(&cfg, obs.clone(), Scope::default(), None).unwrap();
+                engine.probe.truths = Some(Vec::new());
+                engine.play(ahead, cap).unwrap();
+                let truths = engine.probe.truths.take().unwrap();
+                assert_eq!(truths.len(), 2 * (n_ticks - 1), "ahead {ahead}, cap {cap}");
+                for (tick, got) in (1..n_ticks).zip(truths.chunks_exact(2)) {
+                    let want = inline_truth(&engine, &cfg.traces.values_at(tick));
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(got),
+                        bits(&want),
+                        "ahead {ahead}, cap {cap}, tick {tick}"
+                    );
+                }
+                let snap = obs.snapshot();
+                let rebases = snap.counters[names::EVAL_REBASE];
+                assert_eq!(
+                    snap.counters[names::EVAL_FULL],
+                    2 * (1 + rebases + moved),
+                    "ahead {ahead}, cap {cap}"
+                );
+                assert_eq!(engine.probe.played_to, Some(n_ticks));
+            }
+        }
+    }
+
+    /// An engine with no item (a book of constants) or no query plays
+    /// empty rows or empty truths, and still samples every tick.
+    #[test]
+    fn an_engine_with_no_item_or_no_query_samples_every_tick() {
+        let constant = |c: f64| {
+            let poly = pq_poly::Polynomial::from_terms([pq_poly::PTerm::constant(c).unwrap()]);
+            PolynomialQuery::new(poly, 1.0).unwrap()
+        };
+        let no_item = SimConfig::new(
+            TraceSet::stock_universe(3, 50, 7).subset(&[]),
+            vec![constant(3.0), constant(0.5)],
+        );
+        let no_query = SimConfig::new(TraceSet::stock_universe(3, 50, 7), Vec::new());
+        for cfg in [no_item, no_query] {
+            for ahead in [false, true] {
+                for cap in BLOCK_CAPS {
+                    let mut engine =
+                        Engine::new(&cfg, Obs::null(), Scope::default(), None).unwrap();
+                    engine.play(ahead, cap).unwrap();
+                    let case = format!("{} items, ahead {ahead}, cap {cap}", cfg.traces.n_items());
+                    assert_eq!(engine.metrics.fidelity_samples, 49, "{case}");
+                    assert_eq!(engine.metrics.refreshes, 0, "{case}");
+                }
+            }
+        }
+    }
+
+    /// A refresh the coordinator refuses mid-tape ends the run with its
+    /// error on that tick, and the player stops within the three blocks
+    /// it may hold instead of playing the rest of the tape.
+    #[test]
+    fn a_run_that_fails_mid_tape_returns_its_error_promptly() {
+        let traces = TraceSet::new(vec![
+            Trace::sinusoid(20.0, 3.0, 400.0, 20_000),
+            Trace::sinusoid(10.0, 2.0, 300.0, 20_000),
+        ]);
+        let queries = vec![PolynomialQuery::portfolio([(1.0, x(0), x(1))], 8.0).unwrap()];
+        let cfg = SimConfig::new(traces, queries);
+        for ahead in [false, true] {
+            let mut engine = Engine::new(&cfg, Obs::null(), Scope::default(), None).unwrap();
+            let poisoned = Event::RefreshArrive {
+                item: 1,
+                value: f64::NAN,
+            };
+            engine.queue.push(100.5, poisoned);
+            let err = engine.play(ahead, 16).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    SimError::Refresh {
+                        source: DabError::NonFiniteValue { item: 1, .. }
+                    }
+                ),
+                "{err:?}"
+            );
+            assert_eq!(engine.metrics.fidelity_samples, 100, "ahead {ahead}");
+            let played = engine.probe.played_to.unwrap();
+            assert!(
+                played <= 101 + 3 * 16,
+                "ahead {ahead}: played to tick {played}"
+            );
+        }
     }
 
     #[test]
@@ -1059,8 +1285,10 @@ mod tests {
             oracle.probe.interleaved = true;
             let (mut refreshes, mut dab_changes) = (0, 0);
             for tick in 1..cfg.traces.n_ticks() {
-                two_pass.run_tick(tick).unwrap();
-                oracle.run_tick(tick).unwrap();
+                let row = cfg.traces.values_at(tick);
+                let truth = inline_truth(&two_pass, &row);
+                two_pass.run_tick(tick, &row, &truth).unwrap();
+                oracle.run_tick(tick, &row, &truth).unwrap();
                 let released = bits(&mut two_pass.probe.released);
                 assert_eq!(released, bits(&mut oracle.probe.released), "tick {tick}");
                 dab_changes += released.iter().filter(|e| e.1 == 1).count();

@@ -11,89 +11,52 @@
 pub use pq_core::ReaderIndex;
 
 /// Structure-of-arrays item state: one flat column per attribute,
-/// indexed by item id.
+/// indexed by item id. A source's true value at a tick is its sample in
+/// the tick's row, which the engine plays from the tape.
 ///
 /// Columns:
-/// - `values`: true source value of each item (what the trace drifts;
-///   an engine holds only items it watches, so every slot is current);
 /// - `last_pushed`: last value the source actually sent upstream;
 /// - `installed_dab`: the DAB filter width currently installed at the
 ///   source (infinite until the coordinator's first DAB message lands).
 #[derive(Debug, Clone)]
 pub struct ItemTable {
-    values: Vec<f64>,
     last_pushed: Vec<f64>,
     installed_dab: Vec<f64>,
 }
 
 impl ItemTable {
-    /// A table where every item starts at its initial trace value and no
-    /// DAB is installed yet.
+    /// A table where every item last pushed its initial trace value and
+    /// no DAB is installed yet.
     pub fn new(initial: &[f64]) -> Self {
-        let n = initial.len();
         ItemTable {
-            values: initial.to_vec(),
             last_pushed: initial.to_vec(),
-            installed_dab: vec![f64::INFINITY; n],
+            installed_dab: vec![f64::INFINITY; initial.len()],
         }
     }
 
-    /// Number of items.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// True if the table holds no items.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
-    /// The true source value column.
-    #[inline]
-    pub fn values(&self) -> &[f64] {
-        &self.values
-    }
-
-    /// Every source samples its tape: `row[k]` becomes item `k`'s value.
-    /// `escaped` is refilled with the items whose new value lies outside
-    /// their installed filter (`|value - last_pushed| > installed_dab`,
-    /// false for an infinite filter), ascending. Returns whether any
-    /// value moved.
+    /// Every source samples its tape row: `escaped` is refilled with the
+    /// items `k` whose sample `row[k]` lies outside their installed filter
+    /// (`|row[k] - last_pushed| > installed_dab`, false for an infinite
+    /// filter), ascending.
     ///
-    /// One pass over the four columns with no call and no data-dependent
+    /// One pass over the three columns with no call and no data-dependent
     /// branch in it: the escapes are compacted by a store and a
     /// conditional bump of the length.
     ///
     /// # Panics
     /// Panics unless `row` holds one sample per item.
-    pub fn observe(&mut self, row: &[f64], escaped: &mut Vec<u32>) -> bool {
-        let n = self.values.len();
+    pub fn observe(&self, row: &[f64], escaped: &mut Vec<u32>) {
+        let n = self.last_pushed.len();
         assert_eq!(row.len(), n, "one sample per item");
         escaped.clear();
         escaped.resize(n, 0);
-        let (last_pushed, installed_dab) = (&self.last_pushed[..n], &self.installed_dab[..n]);
-        let mut moved = false;
+        let installed_dab = &self.installed_dab[..n];
         let mut n_escaped = 0;
-        for (k, (value, &v)) in self.values.iter_mut().zip(row).enumerate() {
-            moved |= *value != v;
-            *value = v;
+        for (k, (&v, &last)) in row.iter().zip(&self.last_pushed).enumerate() {
             escaped[n_escaped] = k as u32;
-            n_escaped += usize::from((v - last_pushed[k]).abs() > installed_dab[k]);
+            n_escaped += usize::from((v - last).abs() > installed_dab[k]);
         }
         escaped.truncate(n_escaped);
-        moved
-    }
-
-    /// The true source value of `item`.
-    #[inline]
-    pub fn value(&self, item: usize) -> f64 {
-        self.values[item]
-    }
-
-    /// Overwrites the true source value of `item`.
-    #[inline]
-    pub fn set_value(&mut self, item: usize, v: f64) {
-        self.values[item] = v;
     }
 
     /// The last value pushed upstream by `item`'s source.
@@ -128,15 +91,10 @@ mod tests {
     #[test]
     fn table_starts_consistent_and_updates_columns() {
         let mut t = ItemTable::new(&[1.0, 2.0, 3.0]);
-        assert_eq!(t.len(), 3);
-        assert!(!t.is_empty());
-        assert_eq!(t.values(), &[1.0, 2.0, 3.0]);
         assert_eq!(t.last_pushed(1), 2.0);
         assert!(t.installed_dab(0).is_infinite());
 
-        t.set_value(0, 9.0);
         t.set_last_pushed(0, 9.0);
-        assert_eq!(t.value(0), 9.0);
         assert_eq!(t.last_pushed(0), 9.0);
         t.set_installed_dab(0, 0.5);
         assert_eq!(t.installed_dab(0), 0.5);
@@ -146,11 +104,10 @@ mod tests {
         // x2 escapes a filter of 0.25 and keeps escaping until it pushes.
         t.set_installed_dab(2, 0.25);
         let mut escaped = vec![7];
-        assert!(t.observe(&[9.4, 50.0, 3.5], &mut escaped));
+        t.observe(&[9.4, 50.0, 3.5], &mut escaped);
         assert_eq!(escaped, [2]);
-        assert_eq!(t.values(), &[9.4, 50.0, 3.5]);
-        assert!(!t.observe(&[9.4, 50.0, 3.5], &mut escaped), "nothing moved");
-        assert_eq!(escaped, [2]);
+        t.observe(&[9.4, 50.0, 3.5], &mut escaped);
+        assert_eq!(escaped, [2], "still outside until it pushes");
         t.set_last_pushed(2, 3.5);
         t.observe(&[9.6, 50.0, 3.5], &mut escaped);
         assert_eq!(escaped, [0], "9.6 is 0.6 from the 9.0 last pushed");

@@ -18,11 +18,11 @@
 //!   every never-read item frozen and read by a query of its own — which
 //!   takes the unprojected path, ids and draws unchanged.
 //!
-//! The sweep reads a tick-major copy of the traces made once per engine.
+//! The sweep reads rows that a read-ahead worker gathers from the traces.
 //! In a debug build it asserts, for every item on every tick, that the
-//! copy holds the trace's sample bit for bit, so each run here (one
-//! coordinator and two shards) checks the transposition; the copy is also
-//! where a non-finite or negative sample is caught.
+//! row holds the trace's sample bit for bit, so each run here (one
+//! coordinator and two shards) checks the gather; a read-only pass over
+//! the read items before tick 1 catches a non-finite or negative sample.
 
 use proptest::prelude::*;
 
