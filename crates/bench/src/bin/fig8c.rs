@@ -56,7 +56,7 @@ fn main() {
                 *strategy,
             );
             let started = std::time::Instant::now();
-            // Observed variant so PQ_OBS_JSONL/PQ_OBS_ADDR capture the
+            // Observed variant so PQ_OBS_JSONL / PQ_OBS_RECORDER capture the
             // network's sim/DAB/GP events, as the other figures do.
             let m =
                 run_network_observed(&cfg, &obs).unwrap_or_else(|e| panic!("{name} x {n}: {e}"));

@@ -28,11 +28,10 @@
 //! | `PQ_BENCH_SEED=n` | Base RNG seed (default `0x1CDE2008`) |
 //! | `PQ_OBS_STDERR=0` | Silence the per-run `bench.run` progress lines on stderr (default: on) |
 //! | `PQ_OBS_JSONL=path` | Record the **full** event trace (simulator, DAB, GP solver) as JSON Lines at `path`; analyze with `pq-trace` |
-//! | `PQ_OBS_ADDR=host:port` | Serve live `/metrics` (Prometheus text) and `/snapshot` (JSON) endpoints for the run's lifetime, e.g. `127.0.0.1:9464` |
 //! | `PQ_OBS_PROFILE_HZ=n` | Run the sampling profiler at `n` Hz for the process lifetime; `profile.sample` events land in the JSONL trace, rendered by `pq-trace profile` |
 //! | `PQ_OBS_AUDIT=1` | Enable the continuous fidelity audit (shadow naive evaluation of 4 queries every 16th tick); see [`audit_from_env`] |
-//! | `PQ_OBS_SLO=1` | Enable the fidelity SLO engine at a 0.9 target (windowed `*_rate_*` series on `/metrics`, burn-rate alerts on `/alerts`, verdict on `/health`); see [`slo_from_env`] |
-//! | `PQ_OBS_RECORDER=path` | Arm the black-box flight recorder (4096 events per thread); on an SLO breach, audit divergence, watchdog stall, or panic it dumps its ring buffers as JSONL at `path` (triage with `pq-trace postmortem`) |
+//! | `PQ_OBS_SLO=1` | Enable the fidelity SLO engine at a 0.9 target: each burn-rate or audit-divergence alert is one `slo.alert` event in the trace; see [`slo_from_env`] |
+//! | `PQ_OBS_RECORDER=path` | Arm the black-box flight recorder (4096 events per thread); on an SLO alert, an audit divergence, or a panic it dumps its ring buffers as JSONL at `path` (triage with `pq-trace postmortem`) |
 //! | `PQ_OBS_AUDIT_FAULT=tick:query:perturb` | Inject a delta-plane corruption (CI smoke for the alert → dump → postmortem path); implies `PQ_OBS_AUDIT=1` |
 
 #![forbid(unsafe_code)]
@@ -117,21 +116,19 @@ fn env_on(var: &str) -> bool {
 /// render to stderr unless `PQ_OBS_STDERR=0`, keeping stdout clean for
 /// result tables.
 ///
-/// Panics if the JSONL path cannot be created or the metrics address
-/// cannot be bound — a harness run asked to expose telemetry must not
-/// silently produce nothing.
+/// Panics if the JSONL path cannot be created — a harness run asked to
+/// record telemetry must not silently produce nothing.
 pub fn obs_from_env() -> Obs {
     let config = ObsConfig {
         jsonl: std::env::var_os("PQ_OBS_JSONL").map(Into::into),
         stderr: std::env::var_os("PQ_OBS_STDERR").is_none_or(|v| v != "0"),
-        addr: std::env::var("PQ_OBS_ADDR").ok(),
         profile_hz: std::env::var("PQ_OBS_PROFILE_HZ").ok().map(|hz| {
             hz.parse()
                 .unwrap_or_else(|e| panic!("PQ_OBS_PROFILE_HZ={hz}: {e}"))
         }),
         recorder: std::env::var_os("PQ_OBS_RECORDER").map(pq_obs::RecorderConfig::new),
     };
-    Obs::from_config(&config).unwrap_or_else(|e| panic!("PQ_OBS_JSONL / PQ_OBS_ADDR: {e}"))
+    Obs::from_config(&config).unwrap_or_else(|e| panic!("PQ_OBS_JSONL: {e}"))
 }
 
 /// Continuous fidelity-audit configuration from the environment, for
@@ -179,6 +176,9 @@ pub fn audit_fault_from_env() -> Option<pq_sim::AuditFault> {
 }
 
 /// Emits the `bench.run` data point for one finished simulation run.
+/// Once the fidelity audit has sampled on `obs`, the point also carries
+/// `audit_samples`, the handle's `audit.sample` total so far (every run
+/// on the handle, this one included).
 pub fn emit_sim_run(
     obs: &Obs,
     figure: &'static str,
@@ -189,7 +189,8 @@ pub fn emit_sim_run(
 ) {
     let series = series.to_string();
     obs.emit_with(names::BENCH_RUN, EventKind::Point, |e| {
-        e.with("figure", figure)
+        let e = e
+            .with("figure", figure)
             .with("series", series)
             .with("n_queries", n_queries)
             .with("recomputations", m.recomputations)
@@ -197,7 +198,11 @@ pub fn emit_sim_run(
             .with("loss_percent", m.loss_in_fidelity_percent())
             .with("lost_messages", m.lost_messages)
             .with("solver_s", m.solver_seconds)
-            .with("wall_s", started.elapsed().as_secs_f64())
+            .with("wall_s", started.elapsed().as_secs_f64());
+        match obs.counter(names::AUDIT_SAMPLE).get() {
+            0 => e,
+            samples => e.with("audit_samples", samples),
+        }
     });
 }
 

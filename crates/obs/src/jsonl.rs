@@ -46,8 +46,8 @@ pub fn to_json(event: &Event) -> String {
     out
 }
 
-/// Appends `s` as a JSON string literal — the one escaper behind both
-/// the JSONL events and the `/snapshot` / `/health` / `/alerts` bodies.
+/// Appends `s` as a JSON string literal — the escaper behind every
+/// JSONL event.
 pub(crate) fn push_json_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {

@@ -38,11 +38,9 @@ pub mod event;
 pub mod jsonl;
 pub mod recorder;
 pub mod registry;
-pub mod serve;
 pub mod slo;
 pub mod span;
 pub mod subscriber;
-pub mod text;
 pub mod window;
 
 pub use event::{Event, EventKind, Value};
@@ -51,11 +49,10 @@ pub use recorder::{Recorder, RecorderConfig, DEFAULT_RECORDER_CAPACITY};
 pub use registry::{
     Counter, Gauge, Histogram, HistogramSummary, LabeledCounterSnapshot, Registry, Snapshot,
 };
-pub use serve::MetricsServer;
-pub use slo::{Alert, AlertKind, BurnWindow, Health, SloConfig, SloEngine, Watchdog};
+pub use slo::{Alert, AlertKind, BurnWindow, SloConfig, SloEngine};
 pub use span::{start_profiler, Profiler, SpanContext, SpanContextGuard, SpanId, MAX_SPAN_DEPTH};
 pub use subscriber::{Fanout, NullSubscriber, RingBufferSubscriber, StderrSubscriber, Subscriber};
-pub use window::{WindowPlane, WindowedCounter, WINDOW_1H, WINDOW_1M, WINDOW_5S};
+pub use window::{WindowedCounter, WINDOW_1H, WINDOW_1M, WINDOW_5S};
 
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
@@ -177,7 +174,7 @@ pub mod names {
 
 /// How a component should expose telemetry. `Default` is fully off.
 /// [`Obs::from_config`] is the one place that assembles the sinks,
-/// exporter, profiler and recorder it names.
+/// profiler and recorder it names.
 #[derive(Debug, Clone, Default)]
 pub struct ObsConfig {
     /// Write a JSONL event trace to this path.
@@ -185,49 +182,35 @@ pub struct ObsConfig {
     /// Render `bench.*` progress events as stderr lines (see
     /// [`StderrSubscriber`]).
     pub stderr: bool,
-    /// Serve live `/metrics` (Prometheus text) and `/snapshot` (JSON)
-    /// endpoints on this address (e.g. `127.0.0.1:9464`) for the
-    /// lifetime of the process — see [`serve`]. The conventional
-    /// environment variable is `PQ_OBS_ADDR`.
-    pub addr: Option<String>,
     /// Run the sampling profiler at this rate (samples per second,
     /// clamped to `1..=1000`) for the lifetime of the process — see
     /// [`span`]. The conventional environment variable is
     /// `PQ_OBS_PROFILE_HZ`.
     pub profile_hz: Option<u32>,
     /// Keep a black-box flight recorder of recent events (bounded
-    /// per-thread rings, dumped to JSONL on SLO breach, audit
-    /// divergence, watchdog stall, or panic) — see [`recorder`]. The
+    /// per-thread rings, dumped to JSONL on an SLO alert, an audit
+    /// divergence, or a panic) — see [`recorder`]. The
     /// conventional environment variable is `PQ_OBS_RECORDER` (dump
     /// path).
     pub recorder: Option<RecorderConfig>,
 }
 
 impl ObsConfig {
-    /// Whether this config produces any subscriber, server, or
-    /// profiler at all.
+    /// Whether this config produces any subscriber, profiler or
+    /// recorder at all.
     pub fn is_off(&self) -> bool {
-        self.jsonl.is_none()
-            && !self.stderr
-            && self.addr.is_none()
-            && self.profile_hz.is_none()
-            && self.recorder.is_none()
+        self.jsonl.is_none() && !self.stderr && self.profile_hz.is_none() && self.recorder.is_none()
     }
 }
 
 /// Optional live-health components attached to an [`Obs`] handle after
-/// construction: the plane, the SLO engine and the recorder are each
-/// installed at most once (first caller wins) and shared by every
-/// clone, so the exporter's `/health`, `/alerts`, and windowed
-/// `/metrics` series see the same instances the engine drives.
+/// construction: the SLO engine and the recorder are each installed at
+/// most once (first caller wins) and shared by every clone, so the
+/// shards of one run spend one error budget and every engine on the
+/// handle triggers the same recorder.
 #[derive(Default)]
 struct HealthCell {
-    window: OnceLock<Arc<WindowPlane>>,
     slo: OnceLock<Arc<SloEngine>>,
-    /// Labeled watchdogs, one per heartbeating loop (`"monitor"`,
-    /// `"coordinator"`, `"shard<i>"`), so `/health` can attribute a
-    /// stall to the loop that stopped.
-    watchdogs: std::sync::Mutex<Vec<(String, Arc<Watchdog>)>>,
     recorder: OnceLock<Recorder>,
 }
 
@@ -284,19 +267,15 @@ impl Obs {
     }
 
     /// Builds a handle from a declarative config. Fails only if the
-    /// JSONL file cannot be created or the metrics address cannot be
-    /// bound; the error names the path or address. A configured `addr`
-    /// starts a detached [`serve`] thread that lives until process exit.
+    /// JSONL file cannot be created; the error names the path.
     pub fn from_config(config: &ObsConfig) -> std::io::Result<Self> {
         if config.is_off() {
             return Ok(Obs::null());
         }
-        let named = |what: String| {
-            move |e: std::io::Error| std::io::Error::new(e.kind(), format!("{what}: {e}"))
-        };
         let mut sinks: Vec<Arc<dyn Subscriber>> = Vec::new();
         if let Some(path) = &config.jsonl {
-            let writer = JsonlWriter::create(path).map_err(named(path.display().to_string()))?;
+            let writer = JsonlWriter::create(path)
+                .map_err(|e| std::io::Error::new(e.kind(), format!("{}: {e}", path.display())))?;
             sinks.push(Arc::new(writer));
         }
         if config.stderr {
@@ -315,32 +294,14 @@ impl Obs {
             recorder.install_panic_hook();
             obs.install_recorder(recorder);
         }
-        if let Some(addr) = &config.addr {
-            serve::spawn(obs.clone(), addr)
-                .map_err(named(addr.clone()))?
-                .detach();
-        }
         if let Some(hz) = config.profile_hz {
             span::start_profiler(&obs, hz).detach();
         }
         Ok(obs)
     }
 
-    /// Attaches a windowed-telemetry plane to this handle (and every
-    /// clone); `/metrics` then exposes its `*_rate_5s/_1m/_1h` series.
-    /// The first installed plane wins; returns `false` if one was
-    /// already attached.
-    pub fn install_window_plane(&self, plane: Arc<WindowPlane>) -> bool {
-        self.inner.health.window.set(plane).is_ok()
-    }
-
-    /// The attached windowed-telemetry plane, if any.
-    pub fn window_plane(&self) -> Option<Arc<WindowPlane>> {
-        self.inner.health.window.get().cloned()
-    }
-
-    /// Attaches a fidelity SLO engine; `/health` and `/alerts` then
-    /// report its verdicts. First installed engine wins.
+    /// Attaches a fidelity SLO engine, so every run on this handle (and
+    /// every shard of one) observes into it. First installed engine wins.
     pub fn install_slo_engine(&self, slo: Arc<SloEngine>) -> bool {
         self.inner.health.slo.set(slo).is_ok()
     }
@@ -348,35 +309,6 @@ impl Obs {
     /// The attached SLO engine, if any.
     pub fn slo_engine(&self) -> Option<Arc<SloEngine>> {
         self.inner.health.slo.get().cloned()
-    }
-
-    /// Registers a hot-loop watchdog under `label` (`"monitor"`,
-    /// `"coordinator"`, `"shard3"`, …). `/health` reports each by label,
-    /// degrades when any is stalled and attributes the stall's
-    /// flight-recorder dump to it. Re-registering a label replaces the
-    /// previous watchdog (a fresh run supersedes a finished one).
-    pub fn register_watchdog(&self, label: &str, watchdog: Arc<Watchdog>) {
-        let mut dogs = self
-            .inner
-            .health
-            .watchdogs
-            .lock()
-            .expect("watchdog registry poisoned");
-        if let Some(slot) = dogs.iter_mut().find(|(l, _)| l == label) {
-            slot.1 = watchdog;
-        } else {
-            dogs.push((label.to_string(), watchdog));
-        }
-    }
-
-    /// All labeled watchdogs, in registration order.
-    pub fn watchdogs(&self) -> Vec<(String, Arc<Watchdog>)> {
-        self.inner
-            .health
-            .watchdogs
-            .lock()
-            .expect("watchdog registry poisoned")
-            .clone()
     }
 
     /// Attaches a flight recorder for trigger access (the recorder

@@ -9,8 +9,8 @@
 //! **dump trigger** merges every cell, sorts by timestamp, and writes
 //! one JSONL postmortem file that `pq-trace postmortem` renders.
 //!
-//! Triggers: an SLO burn-rate alert, an `audit.divergence`, a watchdog
-//! stall, or the process panic hook ([`Recorder::install_panic_hook`]).
+//! Triggers: an SLO burn-rate alert, an `audit.divergence`, or the
+//! process panic hook ([`Recorder::install_panic_hook`]).
 //! Dumps are capped per process so a flapping alert cannot fill a disk.
 //!
 //! The recorder is a [`Subscriber`]; [`crate::Obs::from_config`] fans

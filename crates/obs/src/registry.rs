@@ -186,14 +186,6 @@ impl HistAcc {
     }
 
     fn summary(&self) -> HistogramSummary {
-        let mut buckets = Vec::new();
-        let mut cumulative = 0u64;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            if n > 0 {
-                cumulative += n;
-                buckets.push((bucket_upper(i), cumulative));
-            }
-        }
         HistogramSummary {
             count: self.count,
             sum: self.sum,
@@ -210,7 +202,6 @@ impl HistAcc {
             // report 0, never the `u64::MAX` sentinel.
             min: if self.min == u64::MAX { 0 } else { self.min },
             max: self.max,
-            buckets,
         }
     }
 }
@@ -234,11 +225,6 @@ pub struct HistogramSummary {
     pub min: u64,
     /// Exact largest sample.
     pub max: u64,
-    /// Non-empty power-of-two buckets as `(inclusive upper bound,
-    /// cumulative count ≤ bound)` pairs, ascending — exactly the shape a
-    /// Prometheus `_bucket{le=...}` series needs, so exporters never
-    /// reconstruct cumulative totals from per-bucket tallies.
-    pub buckets: Vec<(u64, u64)>,
 }
 
 /// A last-write-wins floating-point level (e.g. `audit.drift_max`):
@@ -580,21 +566,6 @@ mod tests {
         assert_eq!(snap.counters.get("b"), Some(&1));
         assert_eq!(snap.histograms.get("h").unwrap().count, 1);
         assert_eq!(snap.histograms.get("h").unwrap().max, 42);
-    }
-
-    #[test]
-    fn summary_buckets_are_cumulative_and_end_at_count() {
-        let h = Histogram::default();
-        for v in [0u64, 1, 3, 3, 900] {
-            h.record(v);
-        }
-        let s = h.summary();
-        // Buckets: 0 -> 1, [1,2) -> 1, [2,4) -> 2, [512,1024) -> 1.
-        assert_eq!(s.buckets, vec![(0, 1), (1, 2), (3, 4), (1023, 5)]);
-        assert_eq!(s.buckets.last().unwrap().1, s.count);
-
-        let empty = Histogram::default();
-        assert!(empty.summary().buckets.is_empty());
     }
 
     #[test]

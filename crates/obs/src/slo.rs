@@ -24,19 +24,14 @@
 //!   ([`crate::names::AUDIT_DIVERGENCE`]) is always a bug, so any
 //!   divergence is an infinite burn and raises immediately.
 //!
-//! The engine is driven by the same caller-owned clock as
+//! The engine is driven by the caller-owned clock of
 //! [`crate::window`] (one unit = one simulated second), so alerting is
 //! deterministic on a fixed seed. Feed it per-tick deltas with
 //! [`SloEngine::observe`]; newly raised alerts come back to the caller,
 //! which is where the flight-recorder dump trigger lives.
-//!
-//! A [`Watchdog`] rides along: the coordinator hot loop heartbeats it,
-//! and `/health` flags a coordinator that stopped processing (a stall
-//! no throughput metric can distinguish from a quiet workload).
 
 use crate::registry::lock_unpoisoned;
 use crate::window::{WindowedCounter, WINDOW_1H, WINDOW_1M, WINDOW_5S};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// One burn-rate alerting pair: short and long windows (clock units)
@@ -132,25 +127,6 @@ impl Alert {
     }
 }
 
-/// Aggregate health verdict, the `/health` payload's core.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Health {
-    /// No active alerts.
-    Ok,
-    /// At least one active alert.
-    Degraded,
-}
-
-impl Health {
-    /// Stable lowercase identifier used in the `/health` payload.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Health::Ok => "ok",
-            Health::Degraded => "degraded",
-        }
-    }
-}
-
 /// Bound on remembered (cleared) alerts; active ones are always kept.
 const ALERT_HISTORY_CAP: usize = 256;
 
@@ -159,14 +135,11 @@ struct SloInner {
     samples: WindowedCounter,
     violations: WindowedCounter,
     divergences: WindowedCounter,
-    total_samples: u64,
-    total_violations: u64,
     alerts: Vec<Alert>,
     next_id: u64,
 }
 
 /// The engine: windowed good/bad accounting and the alert lifecycle.
-/// `/health` and `/alerts` read it directly.
 pub struct SloEngine {
     cfg: SloConfig,
     inner: Mutex<SloInner>,
@@ -193,8 +166,6 @@ impl SloEngine {
                 samples: WindowedCounter::new(),
                 violations: WindowedCounter::new(),
                 divergences: WindowedCounter::new(),
-                total_samples: 0,
-                total_violations: 0,
                 alerts: Vec::new(),
                 next_id: 0,
             }),
@@ -204,6 +175,13 @@ impl SloEngine {
     /// The engine's configuration.
     pub fn config(&self) -> &SloConfig {
         &self.cfg
+    }
+
+    /// The clock value of the latest observation (0 before any). A run
+    /// that adopts an engine other runs already drove continues from
+    /// here, since the clock never moves backwards.
+    pub fn now(&self) -> u64 {
+        lock_unpoisoned(&self.inner).now
     }
 
     /// Advances the clock to `now`, accounts one tick's deltas
@@ -229,8 +207,6 @@ impl SloEngine {
         if divergences > 0 {
             inner.divergences.record(divergences);
         }
-        inner.total_samples += samples;
-        inner.total_violations += violations;
 
         let burn = |window: u64| -> f64 {
             let s = inner.samples.sum(window);
@@ -336,139 +312,9 @@ impl SloEngine {
         lock_unpoisoned(&self.inner).alerts.clone()
     }
 
-    /// The currently firing alerts.
-    pub fn active_alerts(&self) -> Vec<Alert> {
-        lock_unpoisoned(&self.inner)
-            .alerts
-            .iter()
-            .filter(|a| a.is_active())
-            .cloned()
-            .collect()
-    }
-
-    /// Aggregate verdict plus the active alert count.
-    pub fn health(&self) -> (Health, usize) {
-        let active = lock_unpoisoned(&self.inner)
-            .alerts
-            .iter()
-            .filter(|a| a.is_active())
-            .count();
-        if active == 0 {
-            (Health::Ok, 0)
-        } else {
-            (Health::Degraded, active)
-        }
-    }
-
     /// The error budget: the fraction of samples allowed to violate.
     fn budget(&self) -> f64 {
         (1.0 - self.cfg.target).max(0.0)
-    }
-
-    /// Fraction of the run's error budget still unspent (1.0 with no
-    /// samples; negative when overspent).
-    pub fn error_budget_remaining(&self) -> f64 {
-        let budget = self.budget();
-        let inner = lock_unpoisoned(&self.inner);
-        if inner.total_samples == 0 || budget <= 0.0 {
-            1.0
-        } else {
-            1.0 - (inner.total_violations as f64 / inner.total_samples as f64) / budget
-        }
-    }
-}
-
-/// Where a [`Watchdog`] currently stands.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WatchdogStatus {
-    /// Never beaten, or explicitly disarmed (run finished cleanly).
-    Disarmed,
-    /// Beating within the stall threshold.
-    Ok,
-    /// Armed but silent past the threshold: the loop that promised to
-    /// heartbeat has stalled.
-    Stalled,
-}
-
-impl WatchdogStatus {
-    /// Stable lowercase identifier used in JSON.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            WatchdogStatus::Disarmed => "disarmed",
-            WatchdogStatus::Ok => "ok",
-            WatchdogStatus::Stalled => "stalled",
-        }
-    }
-}
-
-/// A hot-loop heartbeat monitor. The monitored loop calls
-/// [`Watchdog::beat`] every iteration (one relaxed store); `/health`
-/// calls [`Watchdog::status`] at scrape time. No background thread —
-/// detection happens at observation, which is when anyone cares.
-#[derive(Debug)]
-pub struct Watchdog {
-    /// Wall-clock ns ([`crate::now_ns`]) of the last beat.
-    last_beat_ns: AtomicU64,
-    stall_after_ns: u64,
-    armed: AtomicBool,
-    /// Set once the first stall has been reported (the flight-recorder
-    /// dump trigger must not fire on every scrape).
-    stall_reported: AtomicBool,
-}
-
-impl Watchdog {
-    /// A watchdog that reports a stall after `stall_after` without a
-    /// beat. Disarmed until the first beat.
-    pub fn new(stall_after: std::time::Duration) -> Self {
-        Watchdog {
-            last_beat_ns: AtomicU64::new(0),
-            stall_after_ns: u64::try_from(stall_after.as_nanos()).unwrap_or(u64::MAX),
-            armed: AtomicBool::new(false),
-            stall_reported: AtomicBool::new(false),
-        }
-    }
-
-    /// Records a heartbeat (and arms the watchdog). A beat ends any
-    /// stall episode, so the next stall reports again.
-    pub fn beat(&self) {
-        self.last_beat_ns.store(crate::now_ns(), Ordering::Relaxed);
-        self.armed.store(true, Ordering::Relaxed);
-        self.stall_reported.store(false, Ordering::Relaxed);
-    }
-
-    /// Disarms the watchdog — a loop that finished cleanly is not
-    /// stalled, however long ago its last beat was.
-    pub fn disarm(&self) {
-        self.armed.store(false, Ordering::Relaxed);
-    }
-
-    /// The current status against the live clock.
-    pub fn status(&self) -> WatchdogStatus {
-        self.status_at(crate::now_ns())
-    }
-
-    /// The status as of `now_ns` — the deterministic test entry point.
-    pub fn status_at(&self, now_ns: u64) -> WatchdogStatus {
-        if !self.armed.load(Ordering::Relaxed) {
-            return WatchdogStatus::Disarmed;
-        }
-        let last = self.last_beat_ns.load(Ordering::Relaxed);
-        if now_ns.saturating_sub(last) > self.stall_after_ns {
-            WatchdogStatus::Stalled
-        } else {
-            WatchdogStatus::Ok
-        }
-    }
-
-    /// True exactly once per stall episode: the first caller to observe
-    /// a stall gets `true` (and should trigger the postmortem dump);
-    /// later observers get `false`. A beat re-arms the report.
-    pub fn should_report_stall(&self) -> bool {
-        if self.status() != WatchdogStatus::Stalled {
-            self.stall_reported.store(false, Ordering::Relaxed);
-            return false;
-        }
-        !self.stall_reported.swap(true, Ordering::Relaxed)
     }
 }
 
@@ -483,15 +329,18 @@ mod tests {
         })
     }
 
+    /// How many of the engine's remembered alerts are still firing.
+    fn active(slo: &SloEngine) -> usize {
+        slo.alerts().iter().filter(|a| a.is_active()).count()
+    }
+
     #[test]
     fn clean_stream_raises_nothing() {
         let slo = engine(0.9);
         for t in 1..=200 {
             assert!(slo.observe(t, 10, 0, 0).is_empty());
         }
-        assert_eq!(slo.health(), (Health::Ok, 0));
         assert!(slo.alerts().is_empty());
-        assert_eq!(slo.error_budget_remaining(), 1.0);
     }
 
     #[test]
@@ -502,8 +351,7 @@ mod tests {
             let v = u64::from(t % 20 == 0);
             assert!(slo.observe(t, 1, v, 0).is_empty());
         }
-        assert_eq!(slo.health(), (Health::Ok, 0));
-        assert!(slo.error_budget_remaining() > 0.4);
+        assert!(slo.alerts().is_empty());
     }
 
     #[test]
@@ -526,8 +374,7 @@ mod tests {
             vec![(AlertKind::FastBurn, 1), (AlertKind::SlowBurn, 1)],
             "both pairs fire as soon as every window agrees"
         );
-        assert_eq!(slo.health(), (Health::Degraded, 2));
-        assert!(slo.error_budget_remaining() < 0.0, "budget overspent");
+        assert_eq!(active(&slo), 2);
 
         // Recovery: an alert clears as soon as *either* of its windows
         // drops under the factor — the short window is what makes that
@@ -535,7 +382,7 @@ mod tests {
         for t in 121..=400 {
             slo.observe(t, 10, 0, 0);
         }
-        assert_eq!(slo.health(), (Health::Ok, 0));
+        assert_eq!(active(&slo), 0);
         let history = slo.alerts();
         assert_eq!(history.len(), 2);
         let cleared: std::collections::BTreeMap<_, _> = history
@@ -555,7 +402,7 @@ mod tests {
             let bad = if t == 60 { 10 } else { 0 };
             assert!(slo.observe(t, 10, bad, 0).is_empty(), "paged at t={t}");
         }
-        assert_eq!(slo.health(), (Health::Ok, 0));
+        assert_eq!(active(&slo), 0);
     }
 
     #[test]
@@ -580,7 +427,7 @@ mod tests {
             kinds.iter().all(|k| *k == AlertKind::SlowBurn),
             "only the slow pair may page on a smoldering burn: {kinds:?}"
         );
-        assert_eq!(slo.health().0, Health::Degraded);
+        assert!(active(&slo) > 0, "the slow burn is still firing");
     }
 
     #[test]
@@ -592,14 +439,14 @@ mod tests {
         let new = slo.observe(51, 10, 0, 1);
         assert_eq!(new.len(), 1);
         assert_eq!(new[0].kind, AlertKind::AuditDivergence);
-        assert_eq!(slo.health(), (Health::Degraded, 1));
+        assert_eq!(active(&slo), 1);
         // No repeat alert while it stays active.
         assert!(slo.observe(52, 10, 0, 1).is_empty());
         // Clears once the divergence leaves the 1 m window.
         for t in 53..=120 {
             slo.observe(t, 10, 0, 0);
         }
-        assert_eq!(slo.health(), (Health::Ok, 0));
+        assert_eq!(active(&slo), 0);
         assert_eq!(slo.alerts().len(), 1);
         assert!(!slo.alerts()[0].is_active());
     }
@@ -610,41 +457,7 @@ mod tests {
         for t in 1..=10 {
             slo.observe(t, 10, 1, 0);
         }
-        assert_eq!(slo.health().0, Health::Degraded);
-        assert_eq!(
-            slo.error_budget_remaining(),
-            1.0,
-            "undefined budget stays 1"
-        );
-    }
-
-    #[test]
-    fn watchdog_lifecycle() {
-        let w = Watchdog::new(std::time::Duration::from_millis(10));
-        assert_eq!(w.status(), WatchdogStatus::Disarmed);
-        assert!(!w.should_report_stall());
-        w.beat();
-        let base = crate::now_ns();
-        assert_eq!(w.status_at(base), WatchdogStatus::Ok);
-        assert_eq!(
-            w.status_at(base + 50_000_000),
-            WatchdogStatus::Stalled,
-            "50ms past a 10ms threshold"
-        );
-        w.disarm();
-        assert_eq!(w.status_at(base + 50_000_000), WatchdogStatus::Disarmed);
-    }
-
-    #[test]
-    fn stall_reports_exactly_once_per_episode() {
-        let w = Watchdog::new(std::time::Duration::ZERO);
-        w.beat();
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        assert!(w.should_report_stall());
-        assert!(!w.should_report_stall(), "second observer stays quiet");
-        w.beat(); // recovery...
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        assert!(w.should_report_stall(), "...re-arms the report");
+        assert!(active(&slo) > 0);
     }
 
     #[test]
@@ -659,6 +472,6 @@ mod tests {
             slo.observe(t, 1, 0, 0);
         }
         assert!(slo.alerts().len() <= ALERT_HISTORY_CAP);
-        assert_eq!(slo.health().0, Health::Ok);
+        assert_eq!(active(&slo), 0);
     }
 }

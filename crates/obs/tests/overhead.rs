@@ -7,10 +7,9 @@
 //!   [`Histogram`] handles resolved once, adds amortized over each
 //!   batch of events, one causal span per tick through a pre-resolved
 //!   [`Timer`], the sampling profiler running throughout;
-//! * **windowed**: instrumented plus the live-health plane — a
-//!   [`WindowPlane`] polling the refresh counter every tick, the
-//!   [`SloEngine`] observing each tick, a [`Watchdog`] beat per tick, the
-//!   flight [`Recorder`] subscribed.
+//! * **windowed**: instrumented plus the live-health plane — the
+//!   [`SloEngine`] observing each tick and the flight [`Recorder`]
+//!   subscribed.
 //!
 //! That every event is in an instrumented run's final snapshot is a count
 //! and runs under plain `cargo test`. The clock ceilings are `#[ignore]`d
@@ -19,11 +18,11 @@
 
 use std::hint::black_box;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use pq_obs::{
-    names, start_profiler, Counter, Health, Histogram, Obs, Profiler, Recorder, RecorderConfig,
-    SloConfig, SloEngine, Timer, Watchdog, WindowPlane, WINDOW_1M,
+    names, start_profiler, Counter, Histogram, Obs, Profiler, Recorder, RecorderConfig, SloConfig,
+    SloEngine, Timer,
 };
 
 /// Instrumented over off, on the 1M-item loop: per-event locking reads
@@ -97,9 +96,7 @@ impl LoopState {
 
 /// The live-health plane a windowed run drives once per tick.
 struct Live {
-    plane: Arc<WindowPlane>,
     slo: Arc<SloEngine>,
-    watchdog: Arc<Watchdog>,
     tick: u64,
 }
 
@@ -122,20 +119,9 @@ impl Instrumented {
             let recorder = Recorder::new(RecorderConfig::new(std::env::temp_dir().join(dump)));
             let obs = Obs::with_subscriber(Arc::new(recorder.clone()));
             obs.install_recorder(recorder);
-            let plane = Arc::new(WindowPlane::new());
-            plane.track_source(names::SIM_REFRESH, obs.counter(names::SIM_REFRESH));
-            obs.install_window_plane(plane.clone());
             let slo = Arc::new(SloEngine::new(SloConfig::default()));
             obs.install_slo_engine(slo.clone());
-            let watchdog = Arc::new(Watchdog::new(Duration::from_secs(30)));
-            obs.register_watchdog("coordinator", watchdog.clone());
-            let live = Live {
-                plane,
-                slo,
-                watchdog,
-                tick: 0,
-            };
-            (obs, Some(live))
+            (obs, Some(Live { slo, tick: 0 }))
         } else {
             (Obs::null(), None)
         };
@@ -154,9 +140,6 @@ impl Instrumented {
     fn slice(&mut self, start: u64, end: u64) {
         let mut i = start;
         while i < end {
-            if let Some(live) = &self.live {
-                live.watchdog.beat();
-            }
             let tick_span = self.t_tick.start(&self.obs);
             let tick_end = (i + TICK).min(end);
             let tick_events = tick_end - i;
@@ -172,7 +155,6 @@ impl Instrumented {
             }
             drop(tick_span);
             if let Some(live) = &mut self.live {
-                live.plane.advance(live.tick);
                 live.slo.observe(live.tick, tick_events, 0, 0);
                 live.tick += 1;
             }
@@ -181,9 +163,6 @@ impl Instrumented {
 
     /// Tears down and checks that the snapshot holds every event.
     fn finish(self, events: u64) -> u64 {
-        if let Some(live) = &self.live {
-            live.watchdog.disarm();
-        }
         self.profiler.stop();
         let snapshot = self.obs.snapshot();
         assert_eq!(
@@ -197,10 +176,9 @@ impl Instrumented {
             "every batch must be in the final snapshot"
         );
         if let Some(live) = &self.live {
-            assert_eq!(live.slo.health().0, Health::Ok, "a clean run must not page");
             assert!(
-                live.plane.sum(names::SIM_REFRESH, WINDOW_1M).unwrap_or(0) > 0,
-                "the windowed plane must have accumulated refresh ticks"
+                live.slo.alerts().iter().all(|a| !a.is_active()),
+                "a clean run must not page"
             );
         }
         self.state.digest()

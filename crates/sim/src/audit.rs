@@ -14,10 +14,10 @@
 //! * the **QAB violation decision** the engine would take from each.
 //!
 //! Agreement is reported as live gauges; any divergence increments the
-//! eagerly-registered `audit.divergence` counter (so `pq_audit_divergence_total 0`
-//! is always scrapeable as a health check) and emits a structured
-//! `audit.divergence` event carrying the query, tick, both values, the
-//! drift, and whether the value or the decision diverged.
+//! `audit.divergence` counter (which the SLO engine's audit-integrity
+//! objective diffs per tick) and emits a structured `audit.divergence`
+//! event carrying the query, tick, both values, the drift, and whether
+//! the value or the decision diverged.
 //!
 //! The audit consumes no randomness and writes no engine state, so a run
 //! produces byte-identical [`crate::SimMetrics`] whether it is on or
@@ -107,8 +107,8 @@ pub(crate) struct FidelityAuditor {
 }
 
 impl FidelityAuditor {
-    /// Builds the auditor, eagerly registering its counters and gauges
-    /// so they are scrapeable (at zero) before the first pass runs.
+    /// Builds the auditor, resolving its counters and gauges once and
+    /// zeroing the gauges, which an earlier run on `obs` may have set.
     pub(crate) fn new(cfg: AuditConfig, obs: &Obs) -> Self {
         let auditor = FidelityAuditor {
             cfg,

@@ -31,9 +31,7 @@ use pq_core::{
 use pq_ddm::parallel::{available_cores, read_ahead};
 use pq_ddm::{DataDynamicsModel, RateEstimator, TraceSet};
 use pq_gp::SolverOptions;
-use pq_obs::{
-    names, Counter, EventKind, Histogram, Obs, SloConfig, SloEngine, Watchdog, WindowPlane,
-};
+use pq_obs::{names, Counter, EventKind, Histogram, Obs, SloConfig, SloEngine};
 use pq_poly::{ItemId, PolynomialQuery, SharedPlan};
 
 use crate::audit::{AuditConfig, AuditFault, FidelityAuditor};
@@ -117,11 +115,10 @@ pub struct SimConfig {
     /// flags a wrong delta plane within one interval.
     pub audit_fault: Option<AuditFault>,
     /// Fidelity SLO engine (`None`, the default, disables it). When set,
-    /// the engine drives a sim-clock [`WindowPlane`], multi-window
-    /// burn-rate alerting over the fidelity samples, a hot-loop
-    /// [`Watchdog`], and — when the run's [`Obs`] handle carries a
-    /// flight recorder — postmortem dumps on alerts and audit
-    /// divergences. All of it is
+    /// the engine drives multi-window burn-rate alerting over the
+    /// fidelity samples (one `slo.alert` event per alert raised) and —
+    /// when the run's [`Obs`] handle carries a flight recorder —
+    /// postmortem dumps on alerts and audit divergences. All of it is
     /// read-only over the simulation state: [`SimMetrics`] are
     /// byte-identical with the SLO engine on or off.
     pub slo: Option<SloConfig>,
@@ -276,7 +273,7 @@ pub fn run(config: &SimConfig) -> Result<SimMetrics, SimError> {
 
 /// Runs the simulation with a caller-supplied telemetry handle (build
 /// one from a declarative [`pq_obs::ObsConfig`] with
-/// [`Obs::from_config`] for a JSONL trace, an exporter or a recorder).
+/// [`Obs::from_config`] for a JSONL trace, a profiler or a recorder).
 ///
 /// After the run, `obs.snapshot()` holds the counter/histogram mirror of
 /// the returned metrics (see [`SimMetrics::from_snapshot`]), including
@@ -354,8 +351,8 @@ pub(crate) struct Engine<'a> {
     /// Continuous fidelity audit (shadow naive evaluation); present only
     /// when configured.
     auditor: Option<FidelityAuditor>,
-    /// Live-health runtime (windowed plane + burn-rate engine +
-    /// watchdog); present only when [`SimConfig::slo`] is set.
+    /// Live-health runtime (the burn-rate engine's per-tick feed);
+    /// present only when [`SimConfig::slo`] is set.
     slo: Option<SloRuntime>,
     /// Test tap: the sweep to run and every event the queue released.
     #[cfg(test)]
@@ -439,22 +436,17 @@ impl TapePlayer<'_> {
     }
 }
 
-/// How long the hot loop may go without a heartbeat before the live
-/// exporter's `/health` reports a stall. One beat per simulated tick
-/// leaves orders of magnitude of headroom at any realistic tick cost —
-/// a stall means the process is genuinely wedged.
-const WATCHDOG_STALL_AFTER: std::time::Duration = std::time::Duration::from_secs(30);
-
-/// Live-health state the engine drives once per simulated tick: the
-/// sim-clock [`WindowPlane`] (windowed `*_rate_*` series), the
-/// [`SloEngine`] (error budgets and multi-window burn-rate alerts over
-/// the fidelity samples), and the wall-clock [`Watchdog`]. All three are
-/// installed on the run's [`Obs`] handle so the live exporter
-/// (`/metrics`, `/health`, `/alerts`) sees them.
+/// What the engine feeds the [`SloEngine`] once per simulated tick:
+/// the tick's fidelity samples, QAB violations and audit divergences.
+/// The SLO engine is installed on the run's [`Obs`] handle, so the
+/// shards of one run spend one error budget.
 struct SloRuntime {
-    plane: Arc<WindowPlane>,
     engine: Arc<SloEngine>,
-    watchdog: Arc<Watchdog>,
+    /// The SLO engine's clock when this run began: tick `t` observes at
+    /// `origin + t`, so a run on a handle an earlier run drove continues
+    /// that clock instead of stamping its first ticks with the earlier
+    /// run's last one.
+    origin: u64,
     /// Pre-resolved `audit.divergence` counter, diffed per tick to feed
     /// the zero-budget audit-integrity objective.
     c_divergence: Arc<Counter>,
@@ -467,35 +459,16 @@ struct SloRuntime {
 }
 
 impl SloRuntime {
+    /// Every engine of a run is built before any of them ticks, so the
+    /// shards of one run read the same `origin`.
     fn new(cfg: SloConfig, obs: &Obs, shard: Option<u32>) -> Self {
         // Install-or-fetch: the first runtime on this `Obs` handle (the
-        // first run, or the first shard to get here) creates the plane
-        // and the SLO engine; everyone else adopts the installed ones.
-        // All shards feeding one shared engine is what makes the error
-        // budget global — each shard contributes its own per-tick
+        // first run, or the first shard to get here) creates the SLO
+        // engine; everyone else adopts the installed one. All shards
+        // feeding one shared engine is what makes the error budget
+        // global — each shard contributes its own per-tick
         // sample/violation deltas, and `SloEngine::observe` locks
         // internally.
-        let plane = match obs.window_plane() {
-            Some(plane) => plane,
-            None => {
-                let plane = Arc::new(WindowPlane::new());
-                for name in [
-                    names::SIM_REFRESH,
-                    names::DAB_RECOMPUTE,
-                    names::SIM_USER_NOTIFY,
-                    names::SIM_FIDELITY_SAMPLE,
-                    names::AUDIT_SAMPLE,
-                    names::AUDIT_DIVERGENCE,
-                ] {
-                    plane.track_source(name, obs.counter(name));
-                }
-                if obs.install_window_plane(plane.clone()) {
-                    plane
-                } else {
-                    obs.window_plane().expect("a racing shard just installed")
-                }
-            }
-        };
         let engine = match obs.slo_engine() {
             Some(engine) => engine,
             None => {
@@ -507,16 +480,9 @@ impl SloRuntime {
                 }
             }
         };
-        // Watchdogs stay per-engine: each shard beats its own under a
-        // `shard<i>` label, so `/health` attributes a single wedged
-        // shard; a lone coordinator beats `coordinator`.
-        let watchdog = Arc::new(Watchdog::new(WATCHDOG_STALL_AFTER));
-        let label = shard.map_or_else(|| "coordinator".to_string(), |s| format!("shard{s}"));
-        obs.register_watchdog(&label, watchdog.clone());
         SloRuntime {
-            plane,
+            origin: engine.now(),
             engine,
-            watchdog,
             c_divergence: obs.counter(names::AUDIT_DIVERGENCE),
             seen_divergences: 0,
             seen_violations: 0,
@@ -658,7 +624,7 @@ impl<'a> Engine<'a> {
         let cfg = self.cfg;
         let full = BLOCK_VALUES / (cfg.traces.n_items() + cfg.queries.len()).max(1);
         self.play(available_cores() > 1, full.clamp(1, cfg.traces.n_ticks()))?;
-        self.finish();
+        self.obs.flush();
         Ok(self.metrics)
     }
 
@@ -729,7 +695,7 @@ impl<'a> Engine<'a> {
         // columns.
         self.metrics.fidelity_samples += 1;
         // Every shard samples the same ticks; only shard 0 feeds the
-        // global counter so `/metrics` reports true samples, not
+        // global counter so the registry holds true samples, not
         // samples x shards.
         if self.shard.is_none_or(|s| s == 0) {
             self.c_fidelity.inc();
@@ -771,22 +737,11 @@ impl<'a> Engine<'a> {
                 &self.obs,
             );
         }
-        // Live-health tick: heartbeat, windowed-plane advance, and
-        // the burn-rate observation over this tick's fidelity
-        // samples. Runs after the audit so a divergence flagged this
-        // tick alerts this tick.
+        // Live-health tick: the burn-rate observation over this tick's
+        // fidelity samples. Runs after the audit so a divergence
+        // flagged this tick alerts this tick.
         self.slo_on_tick(tick);
         Ok(())
-    }
-
-    /// After the last tick: teardown and the end-of-run telemetry.
-    fn finish(&mut self) {
-        if let Some(slo) = &self.slo {
-            // A finished run is not a stall, however long ago its last
-            // heartbeat was — post-run `/health` scrapes must stay green.
-            slo.watchdog.disarm();
-        }
-        self.obs.flush();
     }
 
     /// Sources observe `tick`'s samples `row` and push the ones that
@@ -869,17 +824,14 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// One live-health step at the end of tick `tick`: beat the
-    /// watchdog, advance the windowed plane (which polls its tracked
-    /// counter sources), and feed the SLO engine the tick's fidelity
-    /// deltas. Newly raised alerts are emitted as `slo.alert` events;
+    /// One live-health step at the end of tick `tick`: feed the SLO
+    /// engine the tick's fidelity deltas at `origin + tick` on its
+    /// clock. Newly raised alerts are emitted as `slo.alert` events;
     /// alerts and fresh audit divergences snapshot the flight recorder
     /// (at most one dump per tick).
     fn slo_on_tick(&mut self, tick: usize) {
         let Some(rt) = self.slo.as_mut() else { return };
-        rt.watchdog.beat();
-        let now = tick as u64;
-        rt.plane.advance(now);
+        let now = rt.origin + tick as u64;
         let samples = self.cfg.queries.len() as u64;
         let total_violations: u64 = self.metrics.per_query_violations.iter().sum();
         let violations = total_violations - rt.seen_violations;
@@ -1743,24 +1695,44 @@ mod tests {
         observed.solver_seconds = plain.solver_seconds;
         assert_eq!(plain, observed, "the SLO engine must be read-only");
         let slo = obs.slo_engine().expect("engine installed on the handle");
-        assert_eq!(slo.health(), (pq_obs::Health::Ok, 0));
         assert!(slo.alerts().is_empty(), "clean run must not page");
-        let watchdogs = obs.watchdogs();
-        assert_eq!(watchdogs.len(), 1);
-        assert_eq!(watchdogs[0].0, "coordinator");
-        assert_eq!(
-            watchdogs[0].1.status(),
-            pq_obs::slo::WatchdogStatus::Disarmed,
-            "a finished run is not a stall"
-        );
-        let plane = obs.window_plane().expect("plane installed");
-        assert_eq!(plane.now(), (with_slo.traces.n_ticks() - 1) as u64);
+        assert_eq!(slo.now(), (with_slo.traces.n_ticks() - 1) as u64);
+    }
+
+    #[test]
+    fn a_second_run_on_one_handle_continues_the_slo_clock() {
+        // The fig5 harness runs every strategy and query count on one
+        // handle: each run after the first adopts the SLO engine the
+        // first one installed, and must stamp its ticks after the ticks
+        // already observed, not all at the earlier run's last one.
+        let mut clean = small_config(DelayConfig::zero(), dual(5.0));
+        clean.audit = Some(AuditConfig::default());
+        clean.slo = Some(SloConfig::default());
+        let mut faulty = clean.clone();
+        let fault_tick = 200;
+        faulty.audit_fault = Some(AuditFault {
+            tick: fault_tick as usize,
+            query: 0,
+            perturb: 1.0e6,
+        });
+        let obs = Obs::null();
+        run_observed(&clean, &obs).unwrap();
+        let slo = obs.slo_engine().unwrap();
+        assert!(slo.alerts().is_empty(), "clean run must not page");
+        // The first run leaves the clock at its last tick.
+        let start = (clean.traces.n_ticks() - 1) as u64;
+        run_observed(&faulty, &obs).unwrap();
+        assert_eq!(slo.now(), 2 * start);
+        let alert = slo
+            .alerts()
+            .into_iter()
+            .find(|a| a.kind == pq_obs::AlertKind::AuditDivergence)
+            .expect("the second run's fault must page");
+        let every = AuditConfig::default().every as u64;
+        let at = alert.raised_at - start;
         assert!(
-            plane
-                .sum(names::SIM_REFRESH, pq_obs::window::WINDOW_1H)
-                .unwrap()
-                > 0,
-            "refresh source polled into the windowed plane"
+            (fault_tick..=fault_tick + every).contains(&at),
+            "paged at tick {at} of the second run, fault at {fault_tick}, interval {every}"
         );
     }
 

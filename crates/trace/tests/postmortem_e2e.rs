@@ -1,11 +1,8 @@
 //! End-to-end flight-recorder check: a fixed-seed simulation with an
 //! injected audit fault must page the SLO engine within one audit
-//! interval, flip the live exporter's `/health` to degraded, and leave a
-//! recorder dump that `pq-trace postmortem` renders into a usable triage
-//! report.
+//! interval and leave a recorder dump that `pq-trace postmortem` renders
+//! into a usable triage report.
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
 use std::sync::Arc;
 
 use pq_ddm::{Trace, TraceSet};
@@ -14,16 +11,8 @@ use pq_poly::{ItemId, PolynomialQuery};
 use pq_sim::{run_observed, AuditConfig, AuditFault, RecorderConfig, SimConfig, SloConfig};
 use pq_trace::{load, render_postmortem};
 
-fn get(addr: std::net::SocketAddr, path: &str) -> String {
-    let mut stream = TcpStream::connect(addr).unwrap();
-    write!(stream, "GET {path} HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
-    let mut response = String::new();
-    stream.read_to_string(&mut response).unwrap();
-    response.split_once("\r\n\r\n").unwrap().1.to_string()
-}
-
 #[test]
-fn injected_fault_pages_degrades_health_and_renders_a_postmortem() {
+fn injected_fault_pages_and_renders_a_postmortem() {
     let dir = std::env::temp_dir().join(format!("pq-postmortem-e2e-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let dump_path = dir.join("flight.jsonl");
@@ -61,29 +50,6 @@ fn injected_fault_pages_degrades_health_and_renders_a_postmortem() {
         "raised at {} — more than one audit interval after tick {fault_tick}",
         alert.raised_at
     );
-
-    // The live exporter reflects it. The alert may have aged out of its
-    // 1 m window by run end, so accept either an active or cleared alert
-    // — but the alert history and windowed series must be served.
-    let server = pq_obs::serve::spawn(obs.clone(), "127.0.0.1:0").unwrap();
-    let health = get(server.addr(), "/health");
-    if alert.is_active() {
-        assert!(health.contains("\"status\":\"degraded\""), "{health}");
-    } else {
-        assert!(health.contains("\"status\":\"ok\""), "{health}");
-    }
-    assert!(health.contains("\"recorder_dumps\":"), "{health}");
-    let alerts_json = get(server.addr(), "/alerts");
-    assert!(
-        alerts_json.contains("\"kind\":\"audit_divergence\""),
-        "{alerts_json}"
-    );
-    let metrics = get(server.addr(), "/metrics");
-    assert!(
-        metrics.contains("pq_sim_refresh_rate_1m"),
-        "windowed series must be exported"
-    );
-    server.shutdown();
 
     // The dump renders into a postmortem naming the trigger.
     let events = load(&dump_path).expect("flight recorder dumped");

@@ -53,8 +53,8 @@
 //! assert!(outcome.notify.is_empty()); // 10*1*80 = 800 not exceeded
 //! ```
 
-//! [`monitor`] is the deployable face of that coordinator: names, a
-//! builder and a watchdog around one [`pq_core::Coordinator`].
+//! [`monitor`] is the deployable face of that coordinator: names and a
+//! builder around one [`pq_core::Coordinator`].
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

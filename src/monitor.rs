@@ -8,15 +8,14 @@
 //! re-shipped to which sources.
 //!
 //! The coordinator algorithm itself is [`pq_core::Coordinator`], the one
-//! the simulator in [`pq_sim`] evaluates; `Monitor` adds the names, the
-//! builder and the liveness watchdog — the piece you would deploy.
+//! the simulator in [`pq_sim`] evaluates; `Monitor` adds the names and
+//! the builder — the piece you would deploy.
 
 use pq_core::coordinator::{Config, Coordinator};
 use pq_core::{dab_solver_options, AssignmentStrategy, DabError, PqHeuristic};
 use pq_ddm::DataDynamicsModel;
-use pq_obs::{names, Obs, ObsConfig, Watchdog};
+use pq_obs::{names, Obs, ObsConfig};
 use pq_poly::{ItemCatalog, ItemId, PolyError, Polynomial, PolynomialQuery, QueryId};
-use std::sync::Arc;
 
 /// What happened when a refresh was applied: [`pq_core::Outcome`], with
 /// each recomputed query listed once and each changed item once, at the
@@ -43,9 +42,6 @@ pub struct Monitor {
     /// The installed coordinator; `None` until [`Monitor::install`] and
     /// again after any registration.
     core: Option<Coordinator>,
-    /// Optional liveness watchdog, beaten on every applied refresh so the
-    /// live exporter's `/health` can flag a wedged coordinator.
-    watchdog: Option<Arc<Watchdog>>,
 }
 
 impl Default for Monitor {
@@ -69,7 +65,6 @@ impl Monitor {
             threads: 1,
             obs: Obs::null(),
             core: None,
-            watchdog: None,
         }
     }
 
@@ -107,25 +102,6 @@ impl Monitor {
     /// The attached telemetry handle (null unless configured).
     pub fn obs(&self) -> &Obs {
         &self.obs
-    }
-
-    /// Arms a liveness watchdog: every applied refresh heartbeats it, and
-    /// it is registered on the telemetry handle as `"monitor"`, so the
-    /// live exporter's `/health` reports it `stalled` when no refresh has
-    /// been applied for `stall_after`. Only meaningful for deployments with a
-    /// steady refresh stream — an idle-by-design coordinator should not
-    /// arm one. Call after [`Monitor::with_obs`] / `with_obs_config` so
-    /// the watchdog lands on the final handle.
-    pub fn with_watchdog(mut self, stall_after: std::time::Duration) -> Self {
-        let watchdog = Arc::new(Watchdog::new(stall_after));
-        self.obs.register_watchdog("monitor", watchdog.clone());
-        self.watchdog = Some(watchdog);
-        self
-    }
-
-    /// The armed watchdog, if any.
-    pub fn watchdog(&self) -> Option<&Arc<Watchdog>> {
-        self.watchdog.as_ref()
     }
 
     /// Drops the installed coordinator, keeping the values it reached:
@@ -287,9 +263,6 @@ impl Monitor {
     pub fn on_refresh(&mut self, item: ItemId, value: f64) -> Result<RefreshOutcome, DabError> {
         let core = self.core.as_mut().ok_or(DabError::NotInstalled)?;
         core.apply(item.index(), value)?;
-        if let Some(watchdog) = &self.watchdog {
-            watchdog.beat();
-        }
         let mut outcome = core.react(item.index(), None).map_err(|e| e.source)?;
         // Units come query by query; an item's later change supersedes
         // its earlier one.
@@ -412,33 +385,6 @@ mod tests {
         assert_eq!(snap.labeled["dab.recompute_trigger"].key, "item");
         assert_eq!(snap.labeled["dab.recompute_trigger"].values["0"], 1);
         assert!(snap.labeled["gp.solve"].values["0"] >= 1);
-    }
-
-    #[test]
-    fn watchdog_beats_on_refresh_and_lands_on_the_obs_handle() {
-        let obs = Obs::null();
-        let mut m = Monitor::new()
-            .with_obs(obs.clone())
-            .with_watchdog(std::time::Duration::from_secs(60));
-        let x = m.add_item("x", 2.0, 1.0);
-        let y = m.add_item("y", 2.0, 1.0);
-        m.add_query(PolynomialQuery::portfolio([(1.0, x, y)], 5.0).unwrap());
-        m.install().unwrap();
-        use pq_obs::slo::WatchdogStatus;
-        let watchdogs = obs.watchdogs();
-        let [(label, installed)] = watchdogs.as_slice() else {
-            panic!(
-                "one watchdog registered on the handle, got {}",
-                watchdogs.len()
-            );
-        };
-        assert_eq!(label, "monitor");
-        assert_eq!(installed.status(), WatchdogStatus::Disarmed, "no beat yet");
-        m.on_refresh(x, 2.2).unwrap();
-        assert_eq!(installed.status(), WatchdogStatus::Ok);
-        // Deterministic stall check: far past the threshold, same episode.
-        let far = pq_obs::now_ns() + 120_000_000_000;
-        assert_eq!(installed.status_at(far), WatchdogStatus::Stalled);
     }
 
     #[test]
