@@ -49,14 +49,12 @@ fn main() {
         let mut refresh = vec![n.to_string()];
         let mut fidelity = vec![n.to_string()];
         for (name, strategy) in &strategies {
-            let mu_cost = strategy.mu().unwrap_or(1.0);
             let mut cfg = SimConfig::new(traces.clone(), queries.clone());
             cfg.strategy = SimStrategy::PerQuery {
                 strategy: *strategy,
                 heuristic: PqHeuristic::DifferentSum,
             };
             cfg.delays = DelayConfig::planetlab_like();
-            cfg.mu_cost = mu_cost;
             cfg.audit = audit.clone();
             cfg.slo = slo.clone();
             cfg.audit_fault = audit_fault;

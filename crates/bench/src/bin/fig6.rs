@@ -78,7 +78,6 @@ fn main() {
             cfg.ddm = v.ddm;
             cfg.rate_estimator = v.estimator;
             cfg.delays = DelayConfig::planetlab_like();
-            cfg.mu_cost = v.mu;
             let started = std::time::Instant::now();
             let m = run_observed(&cfg, &obs).unwrap_or_else(|e| panic!("{} x {n}: {e}", v.name));
             emit_sim_run(&obs, "fig6", v.name, n, &m, started);

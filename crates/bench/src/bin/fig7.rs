@@ -56,7 +56,6 @@ fn main() {
             let mut cfg = SimConfig::new(traces.clone(), queries.clone());
             cfg.strategy = strategy;
             cfg.delays = DelayConfig::planetlab_like();
-            cfg.mu_cost = mu;
             let started = std::time::Instant::now();
             let m = run_observed(&cfg, &obs).unwrap_or_else(|e| panic!("{name} mu={mu}: {e}"));
             emit_sim_run(

@@ -43,7 +43,6 @@ pub fn run_heuristic_figure(independent: bool, title: &str) {
                     heuristic,
                 };
                 cfg.delays = DelayConfig::planetlab_like();
-                cfg.mu_cost = mu;
                 let started = std::time::Instant::now();
                 let m = run_observed(&cfg, &obs)
                     .unwrap_or_else(|e| panic!("{heuristic:?} mu={mu} n={n}: {e}"));

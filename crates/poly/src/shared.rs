@@ -6,9 +6,11 @@
 //! per-refresh work scale with *total* terms rather than *distinct*
 //! terms. A [`SharedPlan`] applies DBToaster's higher-order-delta idea
 //! at the query-set level: maintain each distinct monomial once and
-//! scatter its delta to every subscribing query with one fused
-//! multiply-add per subscription. A [`SharedView`] holds the query
-//! values a plan maintains.
+//! scatter its delta to every subscribing query with one multiply and
+//! one add per subscription (`qv[q] += c · d`, two roundings, never a
+//! fused `mul_add`: the floating-point contract below is stated in
+//! those roundings). A [`SharedView`] holds the query values a plan
+//! maintains.
 //!
 //! # Compiler pipeline
 //!
@@ -31,7 +33,13 @@
 //!    item → term index for delta dispatch keyed by the book's own
 //!    sorted item list (so a plan costs `O(terms)` bytes wherever its
 //!    item ids sit in the universe), and a CSR term → query scatter
-//!    with per-subscription coefficients.
+//!    with per-subscription coefficients. Each index entry carries the
+//!    term's delta kernel *for that item*: a bilinear term stores its
+//!    other factor, so a move's delta is `new·x_o − old·x_o` without
+//!    dispatching on the term's kind or asking which factor moved;
+//!    linear, square and general terms store a tag. An item finds its
+//!    row at `k = item` when the index's items are exactly `0..n` and
+//!    by binary search otherwise.
 //!
 //! # Floating-point contract
 //!
@@ -79,7 +87,7 @@ type TermKey = Vec<(u32, u32)>;
 const DEAD: u32 = u32::MAX;
 
 /// Per-subscription partitioner load relative to one distinct-monomial
-/// kernel evaluation: a subscription costs one fused multiply-add on
+/// kernel evaluation: a subscription costs one multiply and one add on
 /// the scatter, a fresh monomial a full kernel evaluation per delta.
 const SUB_LOAD: f64 = 0.25;
 
@@ -95,6 +103,29 @@ enum SharedKind {
     Bilinear { i: u32, j: u32 },
     /// General product over `factors[start..end]`.
     General { start: u32, end: u32 },
+}
+
+/// How a move `old -> new` of one item changes a term containing it
+/// (coefficient-free), compiled into that item's index entry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Delta {
+    /// `x · x_other`: `new·x_o − old·x_o`, which rounds as the
+    /// bilinear term at either value does (IEEE products commute).
+    Bilinear { other: u32 },
+    /// `x`: `new − old`.
+    Linear,
+    /// `x^2`: `new·new − old·old`.
+    Square,
+    /// Any other term: its value at `new` minus its value at `old`.
+    General,
+}
+
+/// One item → term index entry: a term containing the item, and the
+/// term's delta kernel for that item.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Entry {
+    term: u32,
+    delta: Delta,
 }
 
 /// One query normalized by the parse stage: folded constant plus
@@ -143,15 +174,16 @@ pub struct SharedPlan {
     /// The distinct items the flat index covers, ascending.
     index_items: Vec<u32>,
     /// CSR item → term over `index_items`:
-    /// `index_terms[index_starts[k]..index_starts[k+1]]` are the terms
-    /// containing item `index_items[k]`, ascending (the universe as of
-    /// the last compile or compaction; admitted terms live in the
-    /// overlay until the next one).
+    /// `index_entries[index_starts[k]..index_starts[k+1]]` are the terms
+    /// containing item `index_items[k]`, ascending, each with its delta
+    /// kernel (the universe as of the last compile or compaction;
+    /// admitted terms live in the overlay until the next one).
     index_starts: Vec<u32>,
-    index_terms: Vec<u32>,
+    index_entries: Vec<Entry>,
     /// Admission overlay of the item → term index; empty except between
-    /// the admission of a new monomial and the next compaction.
-    index_overlay: HashMap<u32, Vec<u32>>,
+    /// the admission of a new monomial and the next compaction. Its
+    /// terms all follow the flat index's.
+    index_overlay: HashMap<u32, Vec<Entry>>,
 
     /// CSR term → subscriptions: queries and coefficients in
     /// `sub_starts[t]..sub_starts[t+1]`. `sub_query[k] == u32::MAX`
@@ -163,8 +195,9 @@ pub struct SharedPlan {
     sub_overlay: HashMap<u32, Vec<(u32, f64)>>,
     /// Dense guard for the overlay lookup, indexed by term.
     term_overlaid: Vec<bool>,
-    /// Live subscriptions per term (flat + overlay); a zero row skips
-    /// the kernel entirely on delta dispatch.
+    /// Live subscriptions per term (flat + overlay), for the fan-out
+    /// and [`SharedPlan::delta_cost`]; the scatter does not read it (a
+    /// retired term's row holds only tombstones).
     sub_live: Vec<u32>,
     /// Tombstoned flat subscriptions / overlay subscriptions, driving
     /// the compaction threshold.
@@ -314,7 +347,7 @@ impl SharedPlan {
         let sub_live: Vec<u32> = (0..n_terms)
             .map(|t| sub_starts[t + 1] - sub_starts[t])
             .collect();
-        let (index_items, index_starts, index_terms) = build_item_index(&kinds, &factors);
+        let (index_items, index_starts, index_entries) = build_item_index(&kinds, &factors);
 
         SharedPlan {
             kinds,
@@ -322,7 +355,7 @@ impl SharedPlan {
             key_index,
             index_items,
             index_starts,
-            index_terms,
+            index_entries,
             index_overlay: HashMap::new(),
             sub_starts,
             sub_query,
@@ -398,7 +431,7 @@ impl SharedPlan {
         let overlays: usize = self
             .index_overlay
             .values()
-            .map(|v| v.len() * size_of::<u32>() + map_entry)
+            .map(|v| v.len() * size_of::<Entry>() + map_entry)
             .sum::<usize>()
             + self
                 .sub_overlay
@@ -414,8 +447,8 @@ impl SharedPlan {
             + self.kinds.len() * size_of::<SharedKind>()
             + self.factors.len() * size_of::<(u32, u32)>()
             + key_bytes
-            + (self.index_items.len() + self.index_starts.len() + self.index_terms.len())
-                * size_of::<u32>()
+            + (self.index_items.len() + self.index_starts.len()) * size_of::<u32>()
+            + self.index_entries.len() * size_of::<Entry>()
             + overlays
             + (self.sub_starts.len() + self.sub_query.len() + self.sub_live.len())
                 * size_of::<u32>()
@@ -449,7 +482,8 @@ impl SharedPlan {
 
     /// Monomial value with `values[item]` overridden to `v`, so the old
     /// and the new value of a term each round exactly as a full
-    /// evaluation at the respective inputs would.
+    /// evaluation at the respective inputs would: the delta of a
+    /// [`Delta::General`] entry.
     #[inline]
     fn term_value_with(&self, t: usize, values: &[f64], item: u32, v: f64) -> f64 {
         let at = |i: u32| if i == item { v } else { values[i as usize] };
@@ -499,11 +533,12 @@ impl SharedPlan {
     }
 
     /// Scatters the move `old -> new` of `item` into `qv`: for each
-    /// live distinct monomial containing the item, the coefficient-free
-    /// delta `m(new) - m(old)` is computed **once** and applied as
-    /// `qv[q] += c_q · d` per subscription. `values[item]` itself is
-    /// ignored (the explicit `old`/`new` take its place). Returns the
-    /// scatter fan-out (query values updated).
+    /// distinct monomial containing the item, the coefficient-free
+    /// delta `m(new) - m(old)` is computed **once**, by the kernel its
+    /// index entry carries, and applied as `qv[q] += c_q · d` per live
+    /// subscription, terms ascending. `values[item]` itself is ignored
+    /// (the explicit `old`/`new` take its place). Returns the scatter
+    /// fan-out (query values updated).
     ///
     /// # Panics
     /// Panics if `values.len() < self.n_values()` or `qv` is shorter
@@ -521,79 +556,87 @@ impl SharedPlan {
         }
         assert!(values.len() >= self.n_values, "values slice too short");
         let i = item.0;
+        let overlaid = !self.sub_overlay.is_empty();
         let mut fanout = 0u64;
-        for &t in self.flat_terms(i).iter().chain(self.overlay_terms(i)) {
-            fanout += self.scatter_term(t as usize, values, i, old, new, qv);
-        }
-        fanout
-    }
-
-    /// The flat index's terms containing `item` (ascending; empty for an
-    /// item the index does not cover).
-    #[inline]
-    fn flat_terms(&self, item: u32) -> &[u32] {
-        match self.index_items.binary_search(&item) {
-            Ok(k) => {
-                &self.index_terms[self.index_starts[k] as usize..self.index_starts[k + 1] as usize]
+        for entry in self.flat_entries(i).iter().chain(self.overlay_entries(i)) {
+            let t = entry.term as usize;
+            let d = match entry.delta {
+                Delta::Bilinear { other } => {
+                    let x = values[other as usize];
+                    new * x - old * x
+                }
+                Delta::Linear => new - old,
+                Delta::Square => new * new - old * old,
+                Delta::General => {
+                    self.term_value_with(t, values, i, new)
+                        - self.term_value_with(t, values, i, old)
+                }
+            };
+            let row = self.sub_starts[t] as usize..self.sub_starts[t + 1] as usize;
+            for (&q, &c) in self.sub_query[row.clone()].iter().zip(&self.sub_coef[row]) {
+                if q == DEAD {
+                    continue;
+                }
+                qv[q as usize] += c * d;
+                fanout += 1;
             }
-            Err(_) => &[],
-        }
-    }
-
-    /// Terms containing `item` admitted since the last compaction.
-    #[inline]
-    fn overlay_terms(&self, item: u32) -> &[u32] {
-        if self.index_overlay.is_empty() {
-            return &[];
-        }
-        self.index_overlay.get(&item).map_or(&[], Vec::as_slice)
-    }
-
-    /// Scatters one term's delta over its live subscriptions.
-    #[inline]
-    fn scatter_term(
-        &self,
-        t: usize,
-        values: &[f64],
-        item: u32,
-        old: f64,
-        new: f64,
-        qv: &mut [f64],
-    ) -> u64 {
-        if self.sub_live[t] == 0 {
-            return 0;
-        }
-        let d =
-            self.term_value_with(t, values, item, new) - self.term_value_with(t, values, item, old);
-        let mut fanout = 0u64;
-        let s = self.sub_starts[t] as usize;
-        let e = self.sub_starts[t + 1] as usize;
-        for k in s..e {
-            let q = self.sub_query[k];
-            if q == DEAD {
-                continue;
-            }
-            qv[q as usize] += self.sub_coef[k] * d;
-            fanout += 1;
-        }
-        if self.term_overlaid[t] {
-            if let Some(subs) = self.sub_overlay.get(&(t as u32)) {
-                for &(q, c) in subs {
-                    qv[q as usize] += c * d;
-                    fanout += 1;
+            if overlaid && self.term_overlaid[t] {
+                if let Some(subs) = self.sub_overlay.get(&entry.term) {
+                    for &(q, c) in subs {
+                        qv[q as usize] += c * d;
+                        fanout += 1;
+                    }
                 }
             }
         }
         fanout
     }
 
+    /// The flat index's entries for `item` (ascending by term; empty for
+    /// an item the index does not cover). Ascending distinct items whose
+    /// last is `n − 1` are exactly `0..n`, so item `i` sits in row `i`
+    /// (every projected engine; a Monitor book whose items are all
+    /// read); any other index is binary-searched. One test per plan, not
+    /// per item: probing `index_items[i] == i` first cost a scattered
+    /// book's foreign moves ≈ 13 ns each.
+    #[inline]
+    fn flat_entries(&self, item: u32) -> &[Entry] {
+        let n = self.index_items.len();
+        let dense = self
+            .index_items
+            .last()
+            .is_some_and(|&l| l as usize + 1 == n);
+        let k = if dense {
+            if item as usize >= n {
+                return &[];
+            }
+            item as usize
+        } else {
+            match self.index_items.binary_search(&item) {
+                Ok(k) => k,
+                Err(_) => return &[],
+            }
+        };
+        &self.index_entries[self.index_starts[k] as usize..self.index_starts[k + 1] as usize]
+    }
+
+    /// Entries for `item` whose terms were admitted since the last
+    /// compaction.
+    #[inline]
+    fn overlay_entries(&self, item: u32) -> &[Entry] {
+        if self.index_overlay.is_empty() {
+            return &[];
+        }
+        self.index_overlay.get(&item).map_or(&[], Vec::as_slice)
+    }
+
     /// Live distinct monomials a change to `item` dispatches to — the
     /// work metric behind the `O(affected terms)` claim.
     pub fn delta_cost(&self, item: ItemId) -> usize {
-        self.flat_terms(item.0)
+        self.flat_entries(item.0)
             .iter()
-            .chain(self.overlay_terms(item.0))
-            .filter(|&&t| self.sub_live[t as usize] > 0)
+            .chain(self.overlay_entries(item.0))
+            .filter(|e| self.sub_live[e.term as usize] > 0)
             .count()
     }
 
@@ -637,12 +680,15 @@ impl SharedPlan {
                     // New monomial: append at the tail of every array;
                     // its first subscription extends the flat CSR.
                     let t = self.kinds.len() as u32;
-                    self.kinds.push(classify(&key, &mut self.factors));
+                    let kind = classify(&key, &mut self.factors);
+                    self.kinds.push(kind);
                     self.degree = self.degree.max(key.iter().map(|&(_, e)| e).sum());
                     for &(i, _) in &key {
                         self.n_values = self.n_values.max(i as usize + 1);
-                        self.index_overlay.entry(i).or_default().push(t);
                     }
+                    emit_entries(kind, &self.factors, t, |i, entry| {
+                        self.index_overlay.entry(i).or_default().push(entry)
+                    });
                     self.sub_query.push(slot as u32);
                     self.sub_coef.push(coef);
                     self.sub_starts.push(self.sub_query.len() as u32);
@@ -748,7 +794,7 @@ impl SharedPlan {
         self.dead_subs = 0;
         self.overlay_subs = 0;
 
-        (self.index_items, self.index_starts, self.index_terms) =
+        (self.index_items, self.index_starts, self.index_entries) =
             build_item_index(&self.kinds, &self.factors);
         self.index_overlay.clear();
     }
@@ -846,47 +892,62 @@ fn classify(key: &[(u32, u32)], factors: &mut Vec<(u32, u32)>) -> SharedKind {
     }
 }
 
+/// Emits `(item, entry)` for every item term `t` (of kind `kind`)
+/// contains, each entry with the term's delta kernel for that item.
+fn emit_entries(
+    kind: SharedKind,
+    factors: &[(u32, u32)],
+    t: u32,
+    mut emit: impl FnMut(u32, Entry),
+) {
+    let entry = |delta| Entry { term: t, delta };
+    match kind {
+        SharedKind::Linear { i } => emit(i, entry(Delta::Linear)),
+        SharedKind::Square { i } => emit(i, entry(Delta::Square)),
+        SharedKind::Bilinear { i, j } => {
+            emit(i, entry(Delta::Bilinear { other: j }));
+            emit(j, entry(Delta::Bilinear { other: i }));
+        }
+        SharedKind::General { start, end } => {
+            for &(i, _) in &factors[start as usize..end as usize] {
+                emit(i, entry(Delta::General));
+            }
+        }
+    }
+}
+
 /// Builds the item → term index: the distinct items ascending, CSR
-/// offsets over them, and each item's term ids ascending.
+/// offsets over them, and each item's entries ascending by term.
 fn build_item_index(
     kinds: &[SharedKind],
     factors: &[(u32, u32)],
-) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
-    let mut pairs: Vec<(u32, u32)> = Vec::new();
-    for (t, kind) in kinds.iter().enumerate() {
-        let t = t as u32;
-        match *kind {
-            SharedKind::Linear { i } | SharedKind::Square { i } => pairs.push((i, t)),
-            SharedKind::Bilinear { i, j } => pairs.extend([(i, t), (j, t)]),
-            SharedKind::General { start, end } => pairs.extend(
-                factors[start as usize..end as usize]
-                    .iter()
-                    .map(|&(i, _)| (i, t)),
-            ),
-        }
+) -> (Vec<u32>, Vec<u32>, Vec<Entry>) {
+    let mut pairs: Vec<(u32, Entry)> = Vec::new();
+    for (t, &kind) in kinds.iter().enumerate() {
+        emit_entries(kind, factors, t as u32, |i, entry| pairs.push((i, entry)));
     }
     // Terms were visited in ascending order and the sort is stable, so
     // each item's run comes out ascending by term id.
     pairs.sort_by_key(|&(i, _)| i);
     let mut index_items: Vec<u32> = Vec::new();
     let mut index_starts: Vec<u32> = Vec::new();
-    let mut index_terms: Vec<u32> = Vec::with_capacity(pairs.len());
-    for &(i, t) in &pairs {
+    let mut index_entries: Vec<Entry> = Vec::with_capacity(pairs.len());
+    for &(i, entry) in &pairs {
         if index_items.last() != Some(&i) {
             index_items.push(i);
-            index_starts.push(index_terms.len() as u32);
+            index_starts.push(index_entries.len() as u32);
         }
-        index_terms.push(t);
+        index_entries.push(entry);
     }
-    index_starts.push(index_terms.len() as u32);
-    (index_items, index_starts, index_terms)
+    index_starts.push(index_entries.len() as u32);
+    (index_items, index_starts, index_entries)
 }
 
 /// Partitioner load estimates for a book under shared evaluation: a
 /// query's marginal cost is the distinct monomials it is **first** to
 /// introduce (in book order — one kernel evaluation each per delta)
-/// plus a small scatter cost (`0.25`) per subscription (one fused
-/// multiply-add on the scatter). An `items per query` proxy
+/// plus a small scatter cost (`0.25`) per subscription (one multiply
+/// and one add on the scatter). An `items per query` proxy
 /// over-charges overlapping books, which is exactly what a
 /// shared-aware partitioner must not do.
 pub fn shared_query_loads<'a>(polys: impl IntoIterator<Item = &'a Polynomial>) -> Vec<f64> {
@@ -912,9 +973,74 @@ pub fn shared_query_loads<'a>(polys: impl IntoIterator<Item = &'a Polynomial>) -
 }
 
 #[cfg(test)]
+impl SharedPlan {
+    /// Whether term `t` reads `item`.
+    fn term_reads(&self, t: usize, item: u32) -> bool {
+        match self.kinds[t] {
+            SharedKind::Linear { i } | SharedKind::Square { i } => i == item,
+            SharedKind::Bilinear { i, j } => i == item || j == item,
+            SharedKind::General { start, end } => self.factors[start as usize..end as usize]
+                .iter()
+                .any(|&(i, _)| i == item),
+        }
+    }
+
+    /// The term-major reference for [`SharedPlan::delta_scatter`]: scan
+    /// every term, and for each live one reading `item` take both
+    /// values through [`SharedPlan::term_value_with`] and add `c · d`
+    /// over the flat row, then the overlay. Terms ascend, which is the
+    /// flat index's order followed by the overlay's.
+    fn delta_scatter_reference(
+        &self,
+        values: &[f64],
+        item: ItemId,
+        old: f64,
+        new: f64,
+        qv: &mut [f64],
+    ) -> u64 {
+        if old == new {
+            return 0;
+        }
+        let i = item.0;
+        let mut fanout = 0u64;
+        for t in 0..self.n_terms() {
+            if self.sub_live[t] == 0 || !self.term_reads(t, i) {
+                continue;
+            }
+            let d =
+                self.term_value_with(t, values, i, new) - self.term_value_with(t, values, i, old);
+            for k in self.sub_starts[t] as usize..self.sub_starts[t + 1] as usize {
+                let q = self.sub_query[k];
+                if q != DEAD {
+                    qv[q as usize] += self.sub_coef[k] * d;
+                    fanout += 1;
+                }
+            }
+            for &(q, c) in self
+                .sub_overlay
+                .get(&(t as u32))
+                .map_or(&[][..], Vec::as_slice)
+            {
+                qv[q as usize] += c * d;
+                fanout += 1;
+            }
+        }
+        fanout
+    }
+
+    /// The term-major reference for [`SharedPlan::delta_cost`].
+    fn delta_cost_reference(&self, item: ItemId) -> usize {
+        (0..self.n_terms())
+            .filter(|&t| self.sub_live[t] > 0 && self.term_reads(t, item.0))
+            .count()
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::polynomial::PTerm;
+    use proptest::prelude::*;
 
     fn x(i: u32) -> ItemId {
         ItemId(i)
@@ -1254,6 +1380,142 @@ mod tests {
         // q0 introduces x0x1 and x2 (2 terms, 2 subs); q1 introduces
         // x1^2 (1 of 2); q2 introduces x1x2^3 (1 of 2).
         assert_eq!(loads, vec![2.5, 1.5, 1.5]);
+    }
+
+    /// Items a kernel-oracle book reads, as slots into an id layout.
+    const KERNEL_ITEMS: u32 = 8;
+
+    /// A term of any kind over item slots `< KERNEL_ITEMS`: linear,
+    /// square, bilinear, or a degree-3+ general term (a cube, a
+    /// square-times-linear, or a triple product; a repeated slot merges
+    /// into a higher power).
+    fn arb_kernel_term() -> impl Strategy<Value = (f64, Vec<(u32, u32)>)> {
+        let slot = 0..KERNEL_ITEMS;
+        let coef = (-8.0f64..8.0).prop_filter("nonzero", |c| c.abs() > 1e-3);
+        (coef, 0u32..6, slot.clone(), slot.clone(), slot).prop_map(|(c, shape, i, j, k)| {
+            let vars = match shape {
+                0 => vec![(i, 1)],
+                1 => vec![(i, 2)],
+                2 => vec![(i, 1), (j, 1)],
+                3 => vec![(i, 3)],
+                4 => vec![(i, 2), (j, 1)],
+                _ => vec![(i, 1), (j, 1), (k, 1)],
+            };
+            (c, vars)
+        })
+    }
+
+    fn arb_kernel_query() -> impl Strategy<Value = Vec<(f64, Vec<(u32, u32)>)>> {
+        proptest::collection::vec(arb_kernel_term(), 1..6)
+    }
+
+    /// One step of a kernel-oracle walk.
+    #[derive(Debug, Clone)]
+    enum KernelOp {
+        /// Move the item in slot `slot` (past the book's slots: a
+        /// foreign id) to `new`; `None` keeps the old value.
+        Move {
+            slot: u32,
+            new: Option<f64>,
+        },
+        Admit(Vec<(f64, Vec<(u32, u32)>)>),
+        Retire(u32),
+        Compact,
+    }
+
+    /// Moves two thirds of the time (a quarter of them no-ops, a
+    /// quarter to zero), then admissions, retirements and compactions.
+    fn arb_kernel_op() -> impl Strategy<Value = KernelOp> {
+        (
+            0u32..12,
+            0..KERNEL_ITEMS + 2,
+            0u32..4,
+            -5.0f64..5.0,
+            arb_kernel_query(),
+        )
+            .prop_map(|(op, slot, how, v, query)| match op {
+                0..=7 => KernelOp::Move {
+                    slot,
+                    new: match how {
+                        0 => None,
+                        1 => Some(0.0),
+                        _ => Some(v),
+                    },
+                },
+                8 | 9 => KernelOp::Admit(query),
+                10 => KernelOp::Retire(slot),
+                _ => KernelOp::Compact,
+            })
+    }
+
+    proptest! {
+        /// `delta_scatter`'s compiled kernels add the very bits the
+        /// term-major reference adds, on dense ids (the `k = item`
+        /// probe) and scattered ones (the binary search), through the
+        /// admission overlay, tombstones and the index `compact`
+        /// rebuilds; a move to or from zero, a no-op and a foreign item
+        /// included. `delta_cost` counts what the reference counts.
+        #[test]
+        fn kernel_scatter_matches_the_term_major_reference_bit_for_bit(
+            book in proptest::collection::vec(arb_kernel_query(), 1..6),
+            ops in proptest::collection::vec(arb_kernel_op(), 1..48),
+            start in proptest::collection::vec(-5.0f64..5.0, KERNEL_ITEMS as usize),
+            layout in 0u32..2,
+        ) {
+            // Slot `s` is item `s`, or item `3 + 37·s` with gaps between;
+            // the two slots past the book's are foreign ids.
+            let id = |s: u32| if layout == 1 { 3 + 37 * s } else { s };
+            let poly = |q: &[(f64, Vec<(u32, u32)>)]| {
+                Polynomial::from_terms(q.iter().map(|(c, vars)| {
+                    PTerm::new(*c, vars.iter().map(|&(s, e)| (x(id(s)), e))).unwrap()
+                }))
+            };
+            // One query reads every slot, so the dense layout's index is
+            // `0..KERNEL_ITEMS` (rows found at `k = item`) until churn
+            // retires it; the scattered one is binary-searched.
+            let every_slot: Vec<(f64, Vec<(u32, u32)>)> =
+                (0..KERNEL_ITEMS).map(|s| (1.5, vec![(s, 1)])).collect();
+            let book: Vec<Polynomial> =
+                std::iter::once(&every_slot).chain(&book).map(|q| poly(q)).collect();
+            let mut plan = SharedPlan::compile(book.iter());
+            let mut values = vec![0.0; id(KERNEL_ITEMS + 2) as usize];
+            for (s, v) in start.iter().enumerate() {
+                values[id(s as u32) as usize] = *v;
+            }
+            let mut scratch = Vec::new();
+            let mut kernel = Vec::new();
+            plan.full_eval_into(&values, &mut scratch, &mut kernel);
+            let mut reference = kernel.clone();
+            for op in ops {
+                match op {
+                    KernelOp::Move { slot, new } => {
+                        let item = id(slot);
+                        let old = values[item as usize];
+                        let new = new.unwrap_or(old);
+                        let got = plan.delta_scatter(&values, x(item), old, new, &mut kernel);
+                        let want =
+                            plan.delta_scatter_reference(&values, x(item), old, new, &mut reference);
+                        values[item as usize] = new;
+                        prop_assert_eq!(got, want, "fan-out of x{}", item);
+                        prop_assert_eq!(plan.delta_cost(x(item)), plan.delta_cost_reference(x(item)));
+                        for (q, (a, b)) in kernel.iter().zip(&reference).enumerate() {
+                            prop_assert_eq!(a.to_bits(), b.to_bits(), "q{}: {} vs {}", q, a, b);
+                        }
+                        continue;
+                    }
+                    KernelOp::Admit(q) => {
+                        plan.admit(&poly(&q));
+                    }
+                    KernelOp::Retire(slot) => {
+                        plan.retire(slot);
+                    }
+                    KernelOp::Compact => plan.compact(),
+                }
+                // Churn re-seeds both walks from one full evaluation.
+                plan.full_eval_into(&values, &mut scratch, &mut kernel);
+                reference.clone_from(&kernel);
+            }
+        }
     }
 
     #[test]

@@ -78,7 +78,9 @@ pub struct SimConfig {
     pub rate_estimator: RateEstimator,
     /// Delay model.
     pub delays: DelayConfig,
-    /// Accounting cost of one recomputation, in messages (metric 4).
+    /// Ignored by the engine: metric 4 takes its μ as an argument
+    /// ([`SimMetrics::total_cost`]). The field stays only because the
+    /// benchmark harness sets it.
     pub mu_cost: f64,
     /// RNG seed for delays.
     pub seed: u64,
@@ -361,10 +363,11 @@ pub(crate) struct Engine<'a> {
 
 /// Rejects the first sample of `traces` (in item, then tick order) that
 /// is not finite and non-negative; `gid` names its item in the error.
+/// Each trace noted its first such sample when it was built, so this
+/// reads one field per item.
 fn check_samples(traces: &TraceSet, gid: impl Fn(usize) -> usize) -> Result<(), SimError> {
-    let bad = |v: &f64| !(v.is_finite() && *v >= 0.0);
     for (item, trace) in traces.traces().iter().enumerate() {
-        if let Some(tick) = trace.values().iter().position(bad) {
+        if let Some(tick) = trace.first_bad_sample() {
             let item = gid(item);
             return Err(SimError::BadSample { item, tick });
         }
