@@ -18,7 +18,9 @@
 //!    `<name>_ns` timing event when dropped.
 //!
 //! An [`Obs`] handle is a cheap `Arc` clone; the solver, monitor, and
-//! simulator each accept one and default to the null handle.
+//! simulator each accept one and default to the null handle. A run whose
+//! handle nobody can read takes [`Obs::disabled`], which registers and
+//! records nothing.
 //!
 //! ```
 //! let (obs, ring) = pq_obs::Obs::ring(256);
@@ -214,10 +216,20 @@ struct HealthCell {
     recorder: OnceLock<Recorder>,
 }
 
+/// The one instrument of each kind that every request on a disabled
+/// handle is given: inert, registered nowhere.
+struct Inert {
+    counter: Arc<Counter>,
+    histogram: Arc<Histogram>,
+    gauge: Arc<Gauge>,
+}
+
 struct Inner {
     subscriber: Arc<dyn Subscriber>,
     registry: Registry,
     health: HealthCell,
+    /// Present only on a disabled handle ([`Obs::disabled`]).
+    inert: Option<Inert>,
 }
 
 /// The telemetry handle: an `Arc` around a subscriber and a metrics
@@ -242,19 +254,43 @@ impl std::fmt::Debug for Obs {
 }
 
 impl Obs {
-    /// A handle that emits nothing. Metrics still accumulate (they are
-    /// how `SimMetrics` is populated), but no events are constructed.
+    /// A handle that emits nothing. Its metrics still accumulate, so
+    /// whoever holds the handle can read them from [`Obs::snapshot`], but
+    /// no events are constructed.
     pub fn null() -> Self {
         Obs::with_subscriber(Arc::new(NullSubscriber))
     }
 
+    /// A handle that records nothing, for a run no caller can observe:
+    /// it emits no events, and every counter, histogram, gauge and timer
+    /// it hands out is inert. Resolving one registers nothing (no label
+    /// is formatted, no lock taken), recording returns before any atomic,
+    /// and a span reads no clock, opens no [`SpanId`] and clones no
+    /// handle. Its [`Obs::snapshot`] stays empty. The SLO engine and the
+    /// recorder attach to it as to any handle.
+    pub fn disabled() -> Self {
+        Obs::build(
+            Arc::new(NullSubscriber),
+            Some(Inert {
+                counter: Arc::new(Counter::inert()),
+                histogram: Arc::new(Histogram::inert()),
+                gauge: Arc::new(Gauge::inert()),
+            }),
+        )
+    }
+
     /// A handle delivering events to the given subscriber.
     pub fn with_subscriber(subscriber: Arc<dyn Subscriber>) -> Self {
+        Obs::build(subscriber, None)
+    }
+
+    fn build(subscriber: Arc<dyn Subscriber>, inert: Option<Inert>) -> Self {
         Obs {
             inner: Arc::new(Inner {
                 subscriber,
                 registry: Registry::default(),
                 health: HealthCell::default(),
+                inert,
             }),
         }
     }
@@ -352,7 +388,10 @@ impl Obs {
 
     /// The counter named `name` in this handle's registry.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        self.inner.registry.counter(name)
+        match &self.inner.inert {
+            Some(inert) => inert.counter.clone(),
+            None => self.inner.registry.counter(name),
+        }
     }
 
     /// The counters named `<prefix><id>` for each of `ids` — see
@@ -362,12 +401,18 @@ impl Obs {
         prefix: &str,
         ids: impl IntoIterator<Item = usize>,
     ) -> Vec<Arc<Counter>> {
-        self.inner.registry.counters_indexed(prefix, ids)
+        match &self.inner.inert {
+            Some(inert) => ids.into_iter().map(|_| inert.counter.clone()).collect(),
+            None => self.inner.registry.counters_indexed(prefix, ids),
+        }
     }
 
     /// The histogram named `name` in this handle's registry.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        self.inner.registry.histogram(name)
+        match &self.inner.inert {
+            Some(inert) => inert.histogram.clone(),
+            None => self.inner.registry.histogram(name),
+        }
     }
 
     /// The counter for label `value` of the labeled family `name` with
@@ -375,7 +420,10 @@ impl Obs {
     /// Obtain once at setup, then `inc()` on the hot path — see
     /// [`Registry::labeled_counter`].
     pub fn labeled_counter(&self, name: &str, key: &str, value: &str) -> Arc<Counter> {
-        self.inner.registry.labeled_counter(name, key, value)
+        match &self.inner.inert {
+            Some(inert) => inert.counter.clone(),
+            None => self.inner.registry.labeled_counter(name, key, value),
+        }
     }
 
     /// One counter per label value of the family `name`, in order — a
@@ -387,12 +435,18 @@ impl Obs {
         key: &str,
         values: impl IntoIterator<Item = V>,
     ) -> Vec<Arc<Counter>> {
-        self.inner.registry.labeled_counters(name, key, values)
+        match &self.inner.inert {
+            Some(inert) => values.into_iter().map(|_| inert.counter.clone()).collect(),
+            None => self.inner.registry.labeled_counters(name, key, values),
+        }
     }
 
     /// The gauge named `name` in this handle's registry.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        self.inner.registry.gauge(name)
+        match &self.inner.inert {
+            Some(inert) => inert.gauge.clone(),
+            None => self.inner.registry.gauge(name),
+        }
     }
 
     /// Pre-resolves the `<name>_ns` histogram and span frame for a
@@ -400,12 +454,16 @@ impl Obs {
     /// setup path, then [`Timer::start`] per measurement without
     /// touching the registry lock.
     pub fn timer(&self, name: &str) -> Timer {
+        if self.inner.inert.is_some() {
+            return Timer { span: None };
+        }
         let metric = format!("{name}_ns");
-        Timer {
+        let span = TimerSpan {
             hist: self.histogram(&metric),
             metric: Arc::from(metric),
             name: Arc::from(name),
-        }
+        };
+        Timer { span: Some(span) }
     }
 
     /// Starts a timing span for `name` (e.g. [`names::GP_SOLVE`]).
@@ -441,6 +499,13 @@ impl Obs {
 /// and names, resolved once. Cloning shares the handles.
 #[derive(Debug, Clone)]
 pub struct Timer {
+    /// `None` from a disabled handle: its spans record nothing.
+    span: Option<TimerSpan>,
+}
+
+/// What every span of one [`Timer`] records under.
+#[derive(Debug, Clone)]
+struct TimerSpan {
     metric: Arc<str>,
     name: Arc<str>,
     hist: Arc<Histogram>,
@@ -459,15 +524,20 @@ impl Timer {
     }
 
     fn start_inner(&self, obs: &Obs, label: Option<(&'static str, u64)>) -> TimedGuard {
-        let (span_id, parent) = span::push_span(&self.name);
+        let open = self.span.as_ref().map(|timer| {
+            let (span_id, parent) = span::push_span(&timer.name);
+            OpenSpan {
+                obs: obs.clone(),
+                metric: timer.metric.clone(),
+                hist: timer.hist.clone(),
+                label,
+                span_id,
+                parent,
+                start: Instant::now(),
+            }
+        });
         TimedGuard {
-            obs: obs.clone(),
-            metric: self.metric.clone(),
-            hist: self.hist.clone(),
-            label,
-            span_id,
-            parent,
-            start: Instant::now(),
+            open,
             _not_send: std::marker::PhantomData,
         }
     }
@@ -479,6 +549,13 @@ impl Timer {
 /// threads).
 #[derive(Debug)]
 pub struct TimedGuard {
+    /// `None` for a span of a disabled handle's timer.
+    open: Option<OpenSpan>,
+    _not_send: std::marker::PhantomData<*const ()>,
+}
+
+#[derive(Debug)]
+struct OpenSpan {
     obs: Obs,
     metric: Arc<str>,
     hist: Arc<Histogram>,
@@ -486,33 +563,33 @@ pub struct TimedGuard {
     span_id: SpanId,
     parent: Option<SpanId>,
     start: Instant,
-    _not_send: std::marker::PhantomData<*const ()>,
 }
 
 impl TimedGuard {
     /// This span's process-unique id (e.g. to hand to a [`SpanContext`]
-    /// consumer out of band).
-    pub fn span_id(&self) -> SpanId {
-        self.span_id
+    /// consumer out of band); `None` for a disabled handle's span.
+    pub fn span_id(&self) -> Option<SpanId> {
+        self.open.as_ref().map(|open| open.span_id)
     }
 }
 
 impl Drop for TimedGuard {
     fn drop(&mut self) {
-        let dur_ns = u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        let Some(open) = &self.open else { return };
+        let dur_ns = u64::try_from(open.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         span::pop_span();
-        self.hist.record(dur_ns);
-        if self.obs.enabled(&self.metric) {
-            let mut event = Event::new(self.metric.to_string(), EventKind::Timing)
+        open.hist.record(dur_ns);
+        if open.obs.enabled(&open.metric) {
+            let mut event = Event::new(open.metric.to_string(), EventKind::Timing)
                 .with("dur_ns", dur_ns)
-                .with("span_id", self.span_id.0);
-            if let Some(SpanId(parent)) = self.parent {
+                .with("span_id", open.span_id.0);
+            if let Some(SpanId(parent)) = open.parent {
                 event = event.with("parent", parent);
             }
-            if let Some((key, value)) = self.label {
+            if let Some((key, value)) = open.label {
                 event = event.with(key, value);
             }
-            self.obs.emit(&event);
+            open.obs.emit(&event);
         }
     }
 }
@@ -531,6 +608,70 @@ mod tests {
         });
         obs.counter(names::DAB_RECOMPUTE).inc();
         assert_eq!(obs.snapshot().counters["dab.recompute"], 1);
+    }
+
+    #[test]
+    fn disabled_handle_records_nothing_of_any_kind() {
+        let obs = Obs::disabled();
+        assert!(!obs.enabled(names::GP_SOLVE));
+        obs.emit_with(names::GP_SOLVE, EventKind::Point, |_| {
+            panic!("event built on a disabled handle")
+        });
+        let counter = obs.counter(names::DAB_RECOMPUTE);
+        counter.add(3);
+        let indexed = obs.counters_indexed("sim.qab_violation.q", 0..4);
+        let labeled = obs.labeled_counter(names::SIM_REFRESH, names::LABEL_ITEM, "7");
+        let family = obs.labeled_counters(names::GP_SOLVE, names::LABEL_QUERY, 0..5);
+        assert_eq!(
+            (indexed.len(), family.len()),
+            (4, 5),
+            "one handle per id asked for"
+        );
+        for c in indexed.iter().chain(&family).chain([&labeled]) {
+            c.inc();
+        }
+        let histogram = obs.histogram(names::SIM_SOLVE_NS);
+        histogram.record(42);
+        let gauge = obs.gauge(names::AUDIT_DRIFT_MAX);
+        gauge.set(0.5);
+        let timer = obs.timer(names::SIM_RECOMPUTE_BATCH);
+        drop(timer.start(&obs));
+        drop(timer.start_labeled(&obs, names::LABEL_QUERY, 3));
+        drop(obs.timed_labeled(names::GP_SOLVE, names::LABEL_QUERY, 1));
+        assert!(indexed.iter().chain(&family).all(|c| c.get() == 0));
+        assert_eq!((counter.get(), labeled.get()), (0, 0));
+        assert_eq!(histogram.summary(), HistogramSummary::default());
+        assert_eq!(gauge.get(), 0.0);
+        let snap = obs.clone().snapshot();
+        assert!(snap.counters.is_empty(), "{:?}", snap.counters);
+        assert!(snap.histograms.is_empty(), "{:?}", snap.histograms);
+        assert!(snap.labeled.is_empty(), "{:?}", snap.labeled);
+        assert!(snap.gauges.is_empty(), "{:?}", snap.gauges);
+    }
+
+    #[test]
+    fn a_disabled_span_opens_nothing() {
+        let obs = Obs::disabled();
+        let root = SpanContext::current();
+        let guard = obs.timed(names::GP_SOLVE);
+        assert_eq!(guard.span_id(), None);
+        assert_eq!(SpanContext::current(), root);
+        drop(guard);
+        // Inside a live span the disabled one is invisible: the live
+        // span stays the causal parent of what opens under it.
+        let (live, ring) = Obs::ring(16);
+        let outer = live.timed("outer_span");
+        let under_outer = SpanContext::current();
+        assert_eq!(under_outer.parent(), outer.span_id());
+        let disabled = obs.timer("inner_span").start(&obs);
+        assert_eq!(SpanContext::current(), under_outer);
+        let child = live.timed("child_span");
+        drop((child, disabled, outer));
+        assert_eq!(SpanContext::current(), root);
+        let events = ring.events();
+        assert_eq!(events.len(), 2, "the disabled span emits nothing");
+        assert_eq!(events[0].field("parent"), events[1].field("span_id"));
+        assert!(obs.snapshot().histograms.is_empty(), "no _ns histogram");
     }
 
     #[test]

@@ -12,6 +12,11 @@
 //! path. Each family holds at most [`LABEL_CAPACITY`] distinct label
 //! values; later values share a single `_other` overflow counter so a
 //! high-cardinality bug cannot balloon memory.
+//!
+//! A disabled handle ([`crate::Obs::disabled`]) hands out *inert*
+//! instruments instead: each kind carries a `live` flag that its
+//! recording methods test before any atomic, so an inert one records
+//! nothing and its readers see zero.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::{Display, Write as _};
@@ -32,12 +37,31 @@ pub(crate) fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// A monotonically increasing event tally.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Counter {
     value: AtomicU64,
+    /// False on an inert counter, which records nothing.
+    live: bool,
+}
+
+impl Default for Counter {
+    fn default() -> Self {
+        Counter {
+            value: AtomicU64::new(0),
+            live: true,
+        }
+    }
 }
 
 impl Counter {
+    /// A counter that records nothing and reads zero.
+    pub(crate) fn inert() -> Self {
+        Counter {
+            live: false,
+            ..Counter::default()
+        }
+    }
+
     /// Adds one.
     pub fn inc(&self) {
         self.add(1);
@@ -45,7 +69,9 @@ impl Counter {
 
     /// Adds `n`.
     pub fn add(&self, n: u64) {
-        self.value.fetch_add(n, Ordering::Relaxed);
+        if self.live {
+            self.value.fetch_add(n, Ordering::Relaxed);
+        }
     }
 
     /// Current total.
@@ -67,6 +93,8 @@ pub struct Histogram {
     sum: AtomicU64,
     min: AtomicU64,
     max: AtomicU64,
+    /// False on an inert histogram, which records nothing.
+    live: bool,
 }
 
 impl Default for Histogram {
@@ -77,6 +105,7 @@ impl Default for Histogram {
             sum: AtomicU64::new(0),
             min: AtomicU64::new(u64::MAX),
             max: AtomicU64::new(0),
+            live: true,
         }
     }
 }
@@ -110,8 +139,19 @@ fn bucket_upper(i: usize) -> u64 {
 }
 
 impl Histogram {
+    /// A histogram that records nothing and stays empty.
+    pub(crate) fn inert() -> Self {
+        Histogram {
+            live: false,
+            ..Histogram::default()
+        }
+    }
+
     /// Records one sample.
     pub fn record(&self, v: u64) {
+        if !self.live {
+            return;
+        }
         self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
@@ -230,15 +270,36 @@ pub struct HistogramSummary {
 /// A last-write-wins floating-point level (e.g. `audit.drift_max`):
 /// the one metric kind that may go down. Stored as `f64` bits in an
 /// atomic, so `set` is a relaxed store and never locks.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Gauge {
     bits: AtomicU64,
+    /// False on an inert gauge, which records nothing.
+    live: bool,
+}
+
+impl Default for Gauge {
+    fn default() -> Self {
+        Gauge {
+            bits: AtomicU64::new(0),
+            live: true,
+        }
+    }
 }
 
 impl Gauge {
+    /// A gauge that records nothing and reads 0.0.
+    pub(crate) fn inert() -> Self {
+        Gauge {
+            live: false,
+            ..Gauge::default()
+        }
+    }
+
     /// Sets the gauge to `v`.
     pub fn set(&self, v: f64) {
-        self.bits.store(v.to_bits(), Ordering::Relaxed);
+        if self.live {
+            self.bits.store(v.to_bits(), Ordering::Relaxed);
+        }
     }
 
     /// Current value (0.0 until first set).

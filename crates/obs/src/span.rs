@@ -1,6 +1,7 @@
 //! Causal span context and the sampling profiler.
 //!
-//! Every [`crate::Obs::timed`] guard is a **span**: it gets a
+//! Every [`crate::Obs::timed`] guard is a **span** (but on a disabled
+//! handle, whose guards open nothing): it gets a
 //! process-unique [`SpanId`], a parent (the innermost span open on the
 //! same thread, or the thread's *ambient parent*), and pushes its name
 //! onto two stacks — a plain thread-local one for parent resolution,

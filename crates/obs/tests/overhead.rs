@@ -1,6 +1,6 @@
 //! What the telemetry plane costs a coordinator-style hot loop (drift a
 //! hashed item, fold the delta into two accumulator queries, check a
-//! staleness bound), and that it loses nothing. The loop runs three ways:
+//! staleness bound), and that it loses nothing. The loop runs four ways:
 //!
 //! * **off**: no telemetry call at all;
 //! * **instrumented**: the shipped discipline — [`Counter`] and
@@ -9,12 +9,15 @@
 //!   [`Timer`], the sampling profiler running throughout;
 //! * **windowed**: instrumented plus the live-health plane — the
 //!   [`SloEngine`] observing each tick and the flight [`Recorder`]
-//!   subscribed.
+//!   subscribed;
+//! * **disabled**: the instrumented loop on [`Obs::disabled`], what a run
+//!   nobody can observe pays for its instrumentation.
 //!
-//! That every event is in an instrumented run's final snapshot is a count
-//! and runs under plain `cargo test`. The clock ceilings are `#[ignore]`d
-//! (CI: `cargo test --release -p pq-obs -- --ignored`): a debug build
-//! measures the missing inlining, not the plane.
+//! That every event is in an instrumented run's final snapshot, and none
+//! in a disabled one's, is a count and runs under plain `cargo test`. The
+//! clock ceilings are `#[ignore]`d (CI: `cargo test --release -p pq-obs --
+//! --ignored`): a debug build measures the missing inlining, not the
+//! plane.
 
 use std::hint::black_box;
 use std::sync::Arc;
@@ -30,6 +33,9 @@ use pq_obs::{
 const MAX_INSTRUMENTED_OVERHEAD_PCT: f64 = 6.0;
 /// Windowed over instrumented: what the live-health plane adds per tick.
 const MAX_PLANE_OVERHEAD_PCT: f64 = 3.0;
+/// Disabled over off: the instrumentation left in a loop whose handle
+/// records nothing.
+const MAX_DISABLED_OVERHEAD_PCT: f64 = 1.0;
 /// Events folded per batch.
 const BATCH: u64 = 64;
 /// The loop's own histogram of events per batch.
@@ -100,6 +106,17 @@ struct Live {
     tick: u64,
 }
 
+/// Which handle an [`Instrumented`] loop records through.
+#[derive(Clone, Copy, PartialEq)]
+enum Handle {
+    /// [`Obs::null`].
+    Null,
+    /// A recorder's handle with an SLO engine: the windowed variant.
+    Windowed,
+    /// [`Obs::disabled`].
+    Disabled,
+}
+
 /// The loop under the shipped discipline, with or without [`Live`].
 struct Instrumented {
     obs: Obs,
@@ -108,22 +125,25 @@ struct Instrumented {
     t_tick: Timer,
     profiler: Profiler,
     live: Option<Live>,
+    handle: Handle,
     state: LoopState,
 }
 
 impl Instrumented {
-    fn new(n_items: usize, windowed: bool) -> Self {
-        let (obs, live) = if windowed {
-            // Written only if something pages, which fails the run.
-            let dump = format!("pq-obs-overhead-{}-{n_items}.jsonl", std::process::id());
-            let recorder = Recorder::new(RecorderConfig::new(std::env::temp_dir().join(dump)));
-            let obs = Obs::with_subscriber(Arc::new(recorder.clone()));
-            obs.install_recorder(recorder);
-            let slo = Arc::new(SloEngine::new(SloConfig::default()));
-            obs.install_slo_engine(slo.clone());
-            (obs, Some(Live { slo, tick: 0 }))
-        } else {
-            (Obs::null(), None)
+    fn new(n_items: usize, handle: Handle) -> Self {
+        let (obs, live) = match handle {
+            Handle::Windowed => {
+                // Written only if something pages, which fails the run.
+                let dump = format!("pq-obs-overhead-{}-{n_items}.jsonl", std::process::id());
+                let recorder = Recorder::new(RecorderConfig::new(std::env::temp_dir().join(dump)));
+                let obs = Obs::with_subscriber(Arc::new(recorder.clone()));
+                obs.install_recorder(recorder);
+                let slo = Arc::new(SloEngine::new(SloConfig::default()));
+                obs.install_slo_engine(slo.clone());
+                (obs, Some(Live { slo, tick: 0 }))
+            }
+            Handle::Disabled => (Obs::disabled(), None),
+            Handle::Null => (Obs::null(), None),
         };
         Instrumented {
             c_refresh: obs.counter(names::SIM_REFRESH),
@@ -132,6 +152,7 @@ impl Instrumented {
             profiler: start_profiler(&obs, PROFILE_HZ),
             obs,
             live,
+            handle,
             state: LoopState::new(n_items),
         }
     }
@@ -161,10 +182,16 @@ impl Instrumented {
         }
     }
 
-    /// Tears down and checks that the snapshot holds every event.
+    /// Tears down and checks that the snapshot holds every event, or
+    /// none on a disabled handle.
     fn finish(self, events: u64) -> u64 {
         self.profiler.stop();
         let snapshot = self.obs.snapshot();
+        if self.handle == Handle::Disabled {
+            assert_eq!(self.c_refresh.get(), 0);
+            assert!(snapshot.counters.is_empty() && snapshot.histograms.is_empty());
+            return self.state.digest();
+        }
         assert_eq!(
             snapshot.counters[names::SIM_REFRESH],
             events,
@@ -185,37 +212,46 @@ impl Instrumented {
     }
 }
 
-/// The three variants over `events` events in interleaved slices, `reps`
-/// times. Returns the median over every slice of the same-slice ratios
-/// (instrumented over off, windowed over instrumented), in percent: each
-/// sample pairs two timings taken milliseconds apart, and the median
-/// drops the slices where either side was preempted.
-fn overheads(n_items: usize, events: u64, reps: usize) -> (f64, f64) {
-    let (mut instrumented_over_off, mut windowed_over_instrumented) = (Vec::new(), Vec::new());
+/// Median same-slice overheads, in percent.
+struct Overheads {
+    instrumented_over_off: f64,
+    windowed_over_instrumented: f64,
+    disabled_over_off: f64,
+}
+
+/// The four variants over `events` events in interleaved slices, `reps`
+/// times. Returns the median over every slice of the same-slice ratios,
+/// in percent: each sample pairs two timings taken milliseconds apart,
+/// and the median drops the slices where either side was preempted.
+fn overheads(n_items: usize, events: u64, reps: usize) -> Overheads {
+    let mut ratios = [Vec::new(), Vec::new(), Vec::new()];
     let mut cycle = 0;
     for _ in 0..reps {
         let mut off = LoopState::new(n_items);
-        let mut instrumented = Instrumented::new(n_items, false);
-        let mut windowed = Instrumented::new(n_items, true);
+        let mut instrumented = Instrumented::new(n_items, Handle::Null);
+        let mut windowed = Instrumented::new(n_items, Handle::Windowed);
+        let mut disabled = Instrumented::new(n_items, Handle::Disabled);
         let mut start = 0;
         while start < events {
             let end = (start + TICK * SLICE_TICKS).min(events);
-            let mut secs = [0.0f64; 3];
+            let mut secs = [0.0f64; 4];
             // Each slice starts one variant later than the last, so none
             // is pinned to a position and none runs twice in a row: a
             // variant resuming on its own warm cache reads ≈ 5 % faster,
-            // more than either ceiling.
-            for variant in (0..3).map(|k| (cycle + k) % 3) {
+            // more than any ceiling.
+            for variant in (0..4).map(|k| (cycle + k) % 4) {
                 let t = Instant::now();
                 match variant {
                     0 => (start..end).for_each(|i| off.step(i)),
                     1 => instrumented.slice(start, end),
-                    _ => windowed.slice(start, end),
+                    2 => windowed.slice(start, end),
+                    _ => disabled.slice(start, end),
                 }
                 secs[variant] = t.elapsed().as_secs_f64();
             }
-            instrumented_over_off.push(secs[1] / secs[0]);
-            windowed_over_instrumented.push(secs[2] / secs[1]);
+            ratios[0].push(secs[1] / secs[0]);
+            ratios[1].push(secs[2] / secs[1]);
+            ratios[2].push(secs[3] / secs[0]);
             cycle += 1;
             start = end;
         }
@@ -226,15 +262,18 @@ fn overheads(n_items: usize, events: u64, reps: usize) -> (f64, f64) {
             "instrumented ran other work"
         );
         assert_eq!(windowed.finish(events), want, "windowed ran other work");
+        assert_eq!(disabled.finish(events), want, "disabled ran other work");
     }
-    let median_pct = |mut ratios: Vec<f64>| {
-        ratios.sort_by(f64::total_cmp);
-        100.0 * (ratios[ratios.len() / 2] - 1.0)
-    };
-    (
-        median_pct(instrumented_over_off),
-        median_pct(windowed_over_instrumented),
-    )
+    let [instrumented_over_off, windowed_over_instrumented, disabled_over_off] =
+        ratios.map(|mut ratios| {
+            ratios.sort_by(f64::total_cmp);
+            100.0 * (ratios[ratios.len() / 2] - 1.0)
+        });
+    Overheads {
+        instrumented_over_off,
+        windowed_over_instrumented,
+        disabled_over_off,
+    }
 }
 
 #[test]
@@ -251,17 +290,27 @@ fn overhead_ceilings_hold_on_the_release_build() {
     // 2.5 % to its ceiling: only a breach that repeats is one.
     let mut breaches = Vec::new();
     for _ in 0..5 {
-        let (instrumented, plane) = overheads(1_000_000, 1_000_000, 9);
-        println!(
-            "instrumented over off {instrumented:.2} %, windowed over instrumented {plane:.2} %"
+        let o = overheads(1_000_000, 1_000_000, 9);
+        let (instrumented, plane, disabled) = (
+            o.instrumented_over_off,
+            o.windowed_over_instrumented,
+            o.disabled_over_off,
         );
-        if instrumented < MAX_INSTRUMENTED_OVERHEAD_PCT && plane < MAX_PLANE_OVERHEAD_PCT {
+        println!(
+            "instrumented over off {instrumented:.2} %, windowed over instrumented \
+             {plane:.2} %, disabled over off {disabled:.2} %"
+        );
+        if instrumented < MAX_INSTRUMENTED_OVERHEAD_PCT
+            && plane < MAX_PLANE_OVERHEAD_PCT
+            && disabled <= MAX_DISABLED_OVERHEAD_PCT
+        {
             return;
         }
-        breaches.push((instrumented, plane));
+        breaches.push((instrumented, plane, disabled));
     }
     panic!(
-        "(instrumented over off, windowed over instrumented) read {breaches:.2?} %, \
-         ceilings {MAX_INSTRUMENTED_OVERHEAD_PCT} % and {MAX_PLANE_OVERHEAD_PCT} %"
+        "(instrumented over off, windowed over instrumented, disabled over off) read \
+         {breaches:.2?} %, ceilings {MAX_INSTRUMENTED_OVERHEAD_PCT} %, \
+         {MAX_PLANE_OVERHEAD_PCT} % and {MAX_DISABLED_OVERHEAD_PCT} %"
     );
 }

@@ -14,10 +14,11 @@
 //! * the **QAB violation decision** the engine would take from each.
 //!
 //! Agreement is reported as live gauges; any divergence increments the
-//! `audit.divergence` counter (which the SLO engine's audit-integrity
-//! objective diffs per tick) and emits a structured `audit.divergence`
+//! `audit.divergence` counter and emits a structured `audit.divergence`
 //! event carrying the query, tick, both values, the drift, and whether
-//! the value or the decision diverged.
+//! the value or the decision diverged. Each pass also returns its count
+//! to the engine, which feeds it to the SLO engine's audit-integrity
+//! objective.
 //!
 //! The audit consumes no randomness and writes no engine state, so a run
 //! produces byte-identical [`crate::SimMetrics`] whether it is on or
@@ -133,6 +134,7 @@ impl FidelityAuditor {
     /// values, `coord_qv` the maintained per-query values of the
     /// coordinator's delta plane; `scope` names a divergent query by its
     /// global id. Pure with respect to the simulation: reads only.
+    /// Returns the divergences the pass found (0 off the interval).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn on_tick(
         &mut self,
@@ -144,16 +146,17 @@ impl FidelityAuditor {
         coord_qv: &[f64],
         scope: &Scope,
         obs: &Obs,
-    ) {
+    ) -> u64 {
         let due = self.cfg.every > 0 && tick.is_multiple_of(self.cfg.every);
         if !due || queries.is_empty() {
-            return;
+            return 0;
         }
         let take = self.cfg.sample.clamp(1, queries.len());
+        let mut divergences = 0;
         for _ in 0..take {
             let qi = self.cursor;
             self.cursor = (self.cursor + 1) % queries.len();
-            self.audit_query(
+            divergences += self.audit_query(
                 qi,
                 scope.query(qi),
                 tick,
@@ -168,11 +171,12 @@ impl FidelityAuditor {
         self.g_fidelity_loss
             .set(100.0 * self.violations as f64 / self.samples as f64);
         self.g_drift_max.set(self.drift_max);
+        divergences
     }
 
     /// Shadow-evaluates one query (`qi` here, `gqi` in the run) at both
     /// views and compares values and the QAB decision against the delta
-    /// plane.
+    /// plane; returns the divergences found.
     #[allow(clippy::too_many_arguments)]
     fn audit_query(
         &mut self,
@@ -185,7 +189,8 @@ impl FidelityAuditor {
         src_qv: &[f64],
         coord_qv: &[f64],
         obs: &Obs,
-    ) {
+    ) -> u64 {
+        let mut divergences = 0;
         self.samples += 1;
         self.c_sample.inc();
         let naive_src = query.eval(src_values);
@@ -209,6 +214,7 @@ impl FidelityAuditor {
             // NaN drift (e.g. a poisoned delta plane) must diverge too.
             if drift.is_nan() || drift > self.cfg.tolerance * (1.0 + naive.abs()) {
                 self.divergence(gqi, tick, view, naive, delta, drift, "value", obs);
+                divergences += 1;
             }
         }
         // Decision parity: would the engine's QAB check fire? Only
@@ -230,7 +236,9 @@ impl FidelityAuditor {
                 "decision",
                 obs,
             );
+            divergences += 1;
         }
+        divergences
     }
 
     /// Records one divergence of query `gqi` (global id): counter bump

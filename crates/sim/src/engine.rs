@@ -267,10 +267,14 @@ impl From<InstallError> for SimError {
     }
 }
 
-/// Runs the simulation to completion and returns the collected metrics,
-/// with no telemetry sink: [`run_observed`] with [`Obs::null`].
+/// Runs the simulation to completion and returns the collected metrics.
+///
+/// The run records nothing: it is [`run_observed`] on [`Obs::disabled`],
+/// a handle no caller can read, so it registers no metric, emits no
+/// event and opens no span (a profiler started on another handle sees
+/// none inside it). To observe a run, pass a handle to [`run_observed`].
 pub fn run(config: &SimConfig) -> Result<SimMetrics, SimError> {
-    run_observed(config, &Obs::null())
+    run_observed(config, &Obs::disabled())
 }
 
 /// Runs the simulation with a caller-supplied telemetry handle (build
@@ -442,7 +446,7 @@ impl TapePlayer<'_> {
 /// What the engine feeds the [`SloEngine`] once per simulated tick:
 /// the tick's fidelity samples, QAB violations and audit divergences.
 /// The SLO engine is installed on the run's [`Obs`] handle, so the
-/// shards of one run spend one error budget.
+/// shards of one run spend one error budget, each feeding its own.
 struct SloRuntime {
     engine: Arc<SloEngine>,
     /// The SLO engine's clock when this run began: tick `t` observes at
@@ -450,28 +454,20 @@ struct SloRuntime {
     /// that clock instead of stamping its first ticks with the earlier
     /// run's last one.
     origin: u64,
-    /// Pre-resolved `audit.divergence` counter, diffed per tick to feed
-    /// the zero-budget audit-integrity objective.
-    c_divergence: Arc<Counter>,
-    seen_divergences: u64,
     seen_violations: u64,
-    /// The registry's `audit.divergence` counter is shared by every
-    /// shard of a partitioned run, so only one runtime (shard 0) may
-    /// diff it — concurrent diffing would double-count.
-    track_divergences: bool,
 }
 
 impl SloRuntime {
     /// Every engine of a run is built before any of them ticks, so the
     /// shards of one run read the same `origin`.
-    fn new(cfg: SloConfig, obs: &Obs, shard: Option<u32>) -> Self {
+    fn new(cfg: SloConfig, obs: &Obs) -> Self {
         // Install-or-fetch: the first runtime on this `Obs` handle (the
         // first run, or the first shard to get here) creates the SLO
         // engine; everyone else adopts the installed one. All shards
         // feeding one shared engine is what makes the error budget
-        // global — each shard contributes its own per-tick
-        // sample/violation deltas, and `SloEngine::observe` locks
-        // internally.
+        // global — each shard contributes its own per-tick sample,
+        // violation and divergence deltas, and `SloEngine::observe`
+        // locks internally.
         let engine = match obs.slo_engine() {
             Some(engine) => engine,
             None => {
@@ -486,10 +482,7 @@ impl SloRuntime {
         SloRuntime {
             origin: engine.now(),
             engine,
-            c_divergence: obs.counter(names::AUDIT_DIVERGENCE),
-            seen_divergences: 0,
             seen_violations: 0,
-            track_divergences: shard.is_none_or(|s| s == 0),
         }
     }
 }
@@ -599,7 +592,7 @@ impl<'a> Engine<'a> {
                 .audit
                 .as_ref()
                 .map(|audit| FidelityAuditor::new(audit.clone(), &obs)),
-            slo: cfg.slo.clone().map(|slo| SloRuntime::new(slo, &obs, shard)),
+            slo: cfg.slo.clone().map(|slo| SloRuntime::new(slo, &obs)),
             shard,
             obs,
             #[cfg(test)]
@@ -728,8 +721,8 @@ impl<'a> Engine<'a> {
                 self.core.corrupt_query_value(fault.query, fault.perturb);
             }
         }
-        if let Some(auditor) = &mut self.auditor {
-            auditor.on_tick(
+        let divergences = match &mut self.auditor {
+            Some(auditor) => auditor.on_tick(
                 tick,
                 &self.cfg.queries,
                 row,
@@ -738,12 +731,13 @@ impl<'a> Engine<'a> {
                 self.core.query_values(),
                 self.core.scope(),
                 &self.obs,
-            );
-        }
+            ),
+            None => 0,
+        };
         // Live-health tick: the burn-rate observation over this tick's
         // fidelity samples. Runs after the audit so a divergence
         // flagged this tick alerts this tick.
-        self.slo_on_tick(tick);
+        self.slo_on_tick(tick, divergences);
         Ok(())
     }
 
@@ -828,28 +822,18 @@ impl<'a> Engine<'a> {
     }
 
     /// One live-health step at the end of tick `tick`: feed the SLO
-    /// engine the tick's fidelity deltas at `origin + tick` on its
+    /// engine the tick's fidelity deltas and this engine's `divergences`
+    /// (what its auditor flagged this tick) at `origin + tick` on its
     /// clock. Newly raised alerts are emitted as `slo.alert` events;
     /// alerts and fresh audit divergences snapshot the flight recorder
     /// (at most one dump per tick).
-    fn slo_on_tick(&mut self, tick: usize) {
+    fn slo_on_tick(&mut self, tick: usize, divergences: u64) {
         let Some(rt) = self.slo.as_mut() else { return };
         let now = rt.origin + tick as u64;
         let samples = self.cfg.queries.len() as u64;
         let total_violations: u64 = self.metrics.per_query_violations.iter().sum();
         let violations = total_violations - rt.seen_violations;
         rt.seen_violations = total_violations;
-        // The audit divergence counter is process-global; in sharded
-        // runs only shard 0 diffs it so the shared SLO engine doesn't
-        // count each divergence once per shard.
-        let divergences = if rt.track_divergences {
-            let total_divergences = rt.c_divergence.get();
-            let d = total_divergences - rt.seen_divergences;
-            rt.seen_divergences = total_divergences;
-            d
-        } else {
-            0
-        };
         let raised = rt.engine.observe(now, samples, violations, divergences);
         for alert in &raised {
             self.obs.emit_with(names::SLO_ALERT, EventKind::Point, |e| {
@@ -1740,6 +1724,34 @@ mod tests {
     }
 
     #[test]
+    fn a_run_after_a_faulty_one_on_one_handle_pages_only_for_its_own() {
+        // The handle's `audit.divergence` counter still holds the first
+        // run's divergences; the second run's SLO feed must not take them
+        // for its own. Passes 200 ticks apart let the first run's alert
+        // clear before it ends, so a phantom count would page anew.
+        let mut clean = small_config(DelayConfig::zero(), dual(5.0));
+        clean.audit = Some(AuditConfig {
+            every: 200,
+            ..AuditConfig::default()
+        });
+        clean.slo = Some(SloConfig::default());
+        let mut faulty = clean.clone();
+        faulty.audit_fault = Some(AuditFault {
+            tick: 200,
+            query: 0,
+            perturb: 1.0e6,
+        });
+        let obs = Obs::null();
+        run_observed(&faulty, &obs).unwrap();
+        let slo = obs.slo_engine().unwrap();
+        let raised = || slo.alerts().iter().map(|a| a.id).collect::<Vec<_>>();
+        let paged = raised();
+        assert!(!paged.is_empty(), "the fault must page");
+        run_observed(&clean, &obs).unwrap();
+        assert_eq!(raised(), paged, "the clean run paged: {:?}", slo.alerts());
+    }
+
+    #[test]
     fn injected_audit_fault_pages_and_dumps_within_one_interval() {
         let dir = std::env::temp_dir().join(format!(
             "pq-sim-slo-{}-{}",
@@ -1779,6 +1791,54 @@ mod tests {
         assert!(dump.lines().next().unwrap().contains("recorder.dump"));
         assert!(dump.contains("audit.divergence"));
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn each_shard_feeds_the_slo_engine_its_own_divergences_once() {
+        // Two disjoint products, one a shard. The fault lands on the last
+        // tick, an audited one, so what the SLO engine counted is exactly
+        // what that tick's pass flagged: a shard that missed the other's
+        // divergence, or counted it again, reads another total.
+        let n_ticks = 801;
+        let traces = TraceSet::new(vec![
+            Trace::sinusoid(20.0, 3.0, 400.0, n_ticks),
+            Trace::sinusoid(10.0, 2.0, 300.0, n_ticks),
+            Trace::sinusoid(15.0, 2.5, 350.0, n_ticks),
+            Trace::sinusoid(12.0, 1.5, 250.0, n_ticks),
+        ]);
+        let queries = vec![
+            PolynomialQuery::portfolio([(1.0, x(0), x(1))], 8.0).unwrap(),
+            PolynomialQuery::portfolio([(1.0, x(2), x(3))], 8.0).unwrap(),
+        ];
+        for query in [0, 1] {
+            let mut cfg = SimConfig::new(traces.clone(), queries.clone());
+            cfg.shards = 2;
+            cfg.audit = Some(AuditConfig {
+                every: 4,
+                sample: 2,
+                ..AuditConfig::default()
+            });
+            cfg.audit_fault = Some(AuditFault {
+                tick: n_ticks - 1,
+                query,
+                perturb: 1.0e6,
+            });
+            cfg.slo = Some(SloConfig::default());
+            let obs = Obs::null();
+            run_observed(&cfg, &obs).unwrap();
+            let flagged = obs.snapshot().counters[names::AUDIT_DIVERGENCE];
+            assert!(flagged > 0, "fault on query {query} never flagged");
+            let alerts: Vec<_> = (obs.slo_engine().unwrap().alerts().into_iter())
+                .filter(|a| a.kind == pq_obs::AlertKind::AuditDivergence)
+                .collect();
+            assert_eq!(alerts.len(), 1, "fault on query {query}: {alerts:?}");
+            assert_eq!(alerts[0].raised_at, (n_ticks - 1) as u64);
+            assert_eq!(
+                alerts[0].burn_short, flagged as f64,
+                "fault on query {query}: the SLO engine counted {} of {flagged} divergences",
+                alerts[0].burn_short
+            );
+        }
     }
 
     #[test]

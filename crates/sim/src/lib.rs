@@ -32,7 +32,8 @@
 //! Telemetry: [`engine::run_observed`] runs under your own [`Obs`]
 //! handle — one built by [`Obs::from_config`] writes a JSONL trace of
 //! every refresh, recomputation, and GP solve — and leaves the
-//! counter/histogram registry to inspect after the run.
+//! counter/histogram registry to inspect after the run. [`run`] and
+//! [`run_network`] record nothing: their handle is [`Obs::disabled`].
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

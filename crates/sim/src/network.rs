@@ -156,9 +156,12 @@ struct Net {
     lc_refresh_by_item: Vec<Arc<Counter>>,
 }
 
-/// Runs the dissemination-network simulation without telemetry.
+/// Runs the dissemination-network simulation. Like [`crate::run`] it
+/// records nothing ([`run_network_observed`] on [`Obs::disabled`]): no
+/// metric, event or span, not even for a profiler started elsewhere.
+/// To observe a run, pass a handle to [`run_network_observed`].
 pub fn run_network(cfg: &NetworkConfig) -> Result<NetworkMetrics, SimError> {
-    run_network_observed(cfg, &Obs::null())
+    run_network_observed(cfg, &Obs::disabled())
 }
 
 /// Runs the dissemination-network simulation with a caller-supplied
@@ -183,9 +186,7 @@ pub fn run_network_observed(cfg: &NetworkConfig, obs: &Obs) -> Result<NetworkMet
         },
         c_refreshes: obs.counter(names::SIM_REFRESH),
         c_dab_changes: obs.counter(names::SIM_DAB_CHANGE),
-        lc_refresh_by_item: (0..n_items)
-            .map(|i| obs.labeled_counter(names::SIM_REFRESH, names::LABEL_ITEM, &i.to_string()))
-            .collect(),
+        lc_refresh_by_item: obs.labeled_counters(names::SIM_REFRESH, names::LABEL_ITEM, 0..n_items),
     };
 
     // One installed coordinator per node.

@@ -388,6 +388,54 @@ mod tests {
     }
 
     #[test]
+    fn a_disabled_handle_changes_no_outcome() {
+        // 48 queries: the install splits them over two workers wherever
+        // there are two cores.
+        let replay = |obs: Option<Obs>| {
+            let mut m = Monitor::new();
+            if let Some(obs) = obs {
+                m = m.with_obs(obs);
+            }
+            let n_items = 24;
+            let initial: Vec<f64> = (0..n_items).map(|i| 50.0 + i as f64).collect();
+            let items: Vec<ItemId> = (initial.iter().enumerate())
+                .map(|(i, &v)| m.add_item(&format!("x{i}"), v, 0.5 + 0.1 * i as f64))
+                .collect();
+            for k in 0..48 {
+                let legs = (0..3).map(|l| {
+                    let a = (k + 5 * l) % n_items;
+                    let b = (a + 1 + (k + l) % (n_items - 1)) % n_items;
+                    (1.0 + ((k + l) % 4) as f64, items[a], items[b])
+                });
+                let query = PolynomialQuery::portfolio(legs, 1.0).unwrap();
+                let qab = 0.01 * query.eval(&initial);
+                m.add_query(query.with_qab(qab).unwrap());
+            }
+            let filters = m.install().unwrap();
+            let outcomes: Vec<RefreshOutcome> = (0..400)
+                .map(|step| {
+                    let i = (step * 7) % n_items;
+                    let wave = (0.37 * step as f64 + i as f64).sin();
+                    let value = initial[i] * (1.0 + 0.03 * wave);
+                    let mut outcome = m.on_refresh(items[i], value).unwrap();
+                    outcome.solve_ns = 0; // wall clock
+                    outcome
+                })
+                .collect();
+            let values: Vec<_> = (0..48).map(|q| m.query_value(QueryId(q))).collect();
+            (filters, outcomes, values, m.obs().snapshot())
+        };
+        let (filters, outcomes, values, counted) = replay(None);
+        let (quiet_filters, quiet_outcomes, quiet_values, quiet) = replay(Some(Obs::disabled()));
+        assert!(outcomes.iter().any(|o| !o.recomputed.is_empty()));
+        assert_eq!(quiet_filters, filters);
+        assert_eq!(quiet_outcomes, outcomes);
+        assert_eq!(quiet_values, values);
+        assert!(counted.counters[names::DAB_RECOMPUTE] > 0);
+        assert!(quiet.counters.is_empty() && quiet.histograms.is_empty());
+    }
+
+    #[test]
     fn non_finite_refreshes_are_rejected_before_any_state_changes() {
         let (mut m, x, y, q) = two_item_monitor();
         m.on_refresh(x, 2.5).unwrap();
