@@ -9,8 +9,7 @@
 //! fidelity loss is substantially lower.
 
 use pq_bench::{
-    audit_fault_from_env, audit_from_env, emit_sim_run, fmt, obs_from_env, print_table,
-    slo_from_env, Scale,
+    audit_fault_from_env, audit_from_env, emit_sim_run, fmt, obs_from_env, print_table, Scale,
 };
 use pq_core::{AssignmentStrategy, PqHeuristic};
 use pq_sim::{run_observed, DelayConfig, SimConfig, SimStrategy};
@@ -19,7 +18,6 @@ fn main() {
     let scale = Scale::from_env();
     let obs = obs_from_env();
     let audit = audit_from_env();
-    let slo = slo_from_env();
     let audit_fault = audit_fault_from_env();
     let traces = scale.universe();
     let strategies: Vec<(String, AssignmentStrategy)> = vec![
@@ -56,7 +54,6 @@ fn main() {
             };
             cfg.delays = DelayConfig::planetlab_like();
             cfg.audit = audit.clone();
-            cfg.slo = slo.clone();
             cfg.audit_fault = audit_fault;
             let started = std::time::Instant::now();
             let m = run_observed(&cfg, &obs).unwrap_or_else(|e| panic!("{name} x {n}: {e}"));

@@ -30,9 +30,8 @@
 //! | `PQ_OBS_JSONL=path` | Record the **full** event trace (simulator, DAB, GP solver) as JSON Lines at `path`; analyze with `pq-trace` |
 //! | `PQ_OBS_PROFILE_HZ=n` | Run the sampling profiler at `n` Hz for the process lifetime; `profile.sample` events land in the JSONL trace, rendered by `pq-trace profile` |
 //! | `PQ_OBS_AUDIT=1` | Enable the continuous fidelity audit (shadow naive evaluation of 4 queries every 16th tick); see [`audit_from_env`] |
-//! | `PQ_OBS_SLO=1` | Enable the fidelity SLO engine at a 0.9 target: each burn-rate or audit-divergence alert is one `slo.alert` event in the trace; see [`slo_from_env`] |
-//! | `PQ_OBS_RECORDER=path` | Arm the black-box flight recorder (4096 events per thread); on an SLO alert, an audit divergence, or a panic it dumps its ring buffers as JSONL at `path` (triage with `pq-trace postmortem`) |
-//! | `PQ_OBS_AUDIT_FAULT=tick:query:perturb` | Inject a delta-plane corruption (CI smoke for the alert → dump → postmortem path); implies `PQ_OBS_AUDIT=1` |
+//! | `PQ_OBS_RECORDER=path` | Arm the black-box flight recorder (4096 events per thread); on a tick whose audit flags a divergence, or a panic, it dumps its ring buffers as JSONL at `path` (triage with `pq-trace postmortem`) |
+//! | `PQ_OBS_AUDIT_FAULT=tick:query:perturb` | Inject a delta-plane corruption (CI smoke for the divergence → dump → postmortem path); implies `PQ_OBS_AUDIT=1` |
 
 #![forbid(unsafe_code)]
 
@@ -142,20 +141,11 @@ pub fn audit_from_env() -> Option<pq_sim::AuditConfig> {
         .then(pq_sim::AuditConfig::default)
 }
 
-/// Fidelity SLO configuration from the environment, for wiring into
-/// [`pq_sim::SimConfig::slo`]: [`pq_obs::SloConfig`]'s defaults (target
-/// 0.9, i.e. a 10% error budget; 5 s/1 m paging and 1 m/1 h ticketing
-/// burn-rate pairs) when `PQ_OBS_SLO=1`.
-pub fn slo_from_env() -> Option<pq_obs::SloConfig> {
-    env_on("PQ_OBS_SLO").then(pq_obs::SloConfig::default)
-}
-
 /// Audit fault injection from `PQ_OBS_AUDIT_FAULT=tick:query:perturb`,
 /// for wiring into [`pq_sim::SimConfig::audit_fault`]. CI uses this to
-/// smoke-test the whole divergence → alert → flight-recorder-dump →
-/// `pq-trace postmortem` path on a real run; combine with
-/// `PQ_OBS_AUDIT=1` (the fault only fires under an active audit and
-/// delta evaluation).
+/// smoke-test the whole divergence → flight-recorder dump →
+/// `pq-trace postmortem` path on a real run; the variable switches the
+/// audit on by itself (see [`audit_from_env`]).
 pub fn audit_fault_from_env() -> Option<pq_sim::AuditFault> {
     let spec = std::env::var("PQ_OBS_AUDIT_FAULT").ok()?;
     let parts: Vec<&str> = spec.split(':').collect();

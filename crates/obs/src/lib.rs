@@ -20,7 +20,9 @@
 //! An [`Obs`] handle is a cheap `Arc` clone; the solver, monitor, and
 //! simulator each accept one and default to the null handle. A run whose
 //! handle nobody can read takes [`Obs::disabled`], which registers and
-//! records nothing.
+//! records nothing. A handle may also carry a flight [`Recorder`]: the
+//! last events of every thread, dumped to JSONL when a simulator's audit
+//! flags a divergence or the process panics.
 //!
 //! ```
 //! let (obs, ring) = pq_obs::Obs::ring(256);
@@ -40,10 +42,8 @@ pub mod event;
 pub mod jsonl;
 pub mod recorder;
 pub mod registry;
-pub mod slo;
 pub mod span;
 pub mod subscriber;
-pub mod window;
 
 pub use event::{Event, EventKind, Value};
 pub use jsonl::{parse, to_json, JsonError, JsonlWriter};
@@ -51,10 +51,8 @@ pub use recorder::{Recorder, RecorderConfig, DEFAULT_RECORDER_CAPACITY};
 pub use registry::{
     Counter, Gauge, Histogram, HistogramSummary, LabeledCounterSnapshot, Registry, Snapshot,
 };
-pub use slo::{Alert, AlertKind, BurnWindow, SloConfig, SloEngine};
 pub use span::{start_profiler, Profiler, SpanContext, SpanContextGuard, SpanId, MAX_SPAN_DEPTH};
 pub use subscriber::{Fanout, NullSubscriber, RingBufferSubscriber, StderrSubscriber, Subscriber};
-pub use window::{WindowedCounter, WINDOW_1H, WINDOW_1M, WINDOW_5S};
 
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
@@ -94,11 +92,6 @@ pub mod names {
     pub const SIM_USER_NOTIFY: &str = "sim.user_notification";
     /// A fidelity sample found a query outside its QAB.
     pub const SIM_QAB_VIOLATION: &str = "sim.qab_violation";
-    /// One fidelity sample was taken across all queries.
-    pub const SIM_FIDELITY_SAMPLE: &str = "sim.fidelity_sample";
-    /// Wall-clock nanoseconds the simulated coordinator spent in DAB
-    /// solvers (histogram; the `_ns` suffix is already included).
-    pub const SIM_SOLVE_NS: &str = "sim.solve_ns";
     /// One benchmark harness data point.
     pub const BENCH_RUN: &str = "bench.run";
     /// A refresh whose processing forced at least one DAB recomputation
@@ -167,8 +160,6 @@ pub mod names {
     /// DAB recomputations, labeled by coordinator shard.
     pub const SHARD_RECOMPUTE: &str = "shard.recompute";
 
-    /// One SLO alert raised (structured Point event — see [`crate::slo`]).
-    pub const SLO_ALERT: &str = "slo.alert";
     /// Synthetic header event of a flight-recorder postmortem dump
     /// (fields `reason`, `seq`, `threads`, `events`, `dropped`).
     pub const RECORDER_DUMP: &str = "recorder.dump";
@@ -190,8 +181,8 @@ pub struct ObsConfig {
     /// `PQ_OBS_PROFILE_HZ`.
     pub profile_hz: Option<u32>,
     /// Keep a black-box flight recorder of recent events (bounded
-    /// per-thread rings, dumped to JSONL on an SLO alert, an audit
-    /// divergence, or a panic) — see [`recorder`]. The
+    /// per-thread rings, dumped to JSONL on an audit divergence or a
+    /// panic) — see [`recorder`]. The
     /// conventional environment variable is `PQ_OBS_RECORDER` (dump
     /// path).
     pub recorder: Option<RecorderConfig>,
@@ -205,17 +196,6 @@ impl ObsConfig {
     }
 }
 
-/// Optional live-health components attached to an [`Obs`] handle after
-/// construction: the SLO engine and the recorder are each installed at
-/// most once (first caller wins) and shared by every clone, so the
-/// shards of one run spend one error budget and every engine on the
-/// handle triggers the same recorder.
-#[derive(Default)]
-struct HealthCell {
-    slo: OnceLock<Arc<SloEngine>>,
-    recorder: OnceLock<Recorder>,
-}
-
 /// The one instrument of each kind that every request on a disabled
 /// handle is given: inert, registered nowhere.
 struct Inert {
@@ -227,7 +207,10 @@ struct Inert {
 struct Inner {
     subscriber: Arc<dyn Subscriber>,
     registry: Registry,
-    health: HealthCell,
+    /// The flight recorder, installed at most once (first caller wins)
+    /// and shared by every clone, so every engine on the handle triggers
+    /// the same one.
+    recorder: OnceLock<Recorder>,
     /// Present only on a disabled handle ([`Obs::disabled`]).
     inert: Option<Inert>,
 }
@@ -266,8 +249,8 @@ impl Obs {
     /// it hands out is inert. Resolving one registers nothing (no label
     /// is formatted, no lock taken), recording returns before any atomic,
     /// and a span reads no clock, opens no [`SpanId`] and clones no
-    /// handle. Its [`Obs::snapshot`] stays empty. The SLO engine and the
-    /// recorder attach to it as to any handle.
+    /// handle. Its [`Obs::snapshot`] stays empty. A recorder attaches to
+    /// it as to any handle.
     pub fn disabled() -> Self {
         Obs::build(
             Arc::new(NullSubscriber),
@@ -289,7 +272,7 @@ impl Obs {
             inner: Arc::new(Inner {
                 subscriber,
                 registry: Registry::default(),
-                health: HealthCell::default(),
+                recorder: OnceLock::new(),
                 inert,
             }),
         }
@@ -336,27 +319,16 @@ impl Obs {
         Ok(obs)
     }
 
-    /// Attaches a fidelity SLO engine, so every run on this handle (and
-    /// every shard of one) observes into it. First installed engine wins.
-    pub fn install_slo_engine(&self, slo: Arc<SloEngine>) -> bool {
-        self.inner.health.slo.set(slo).is_ok()
-    }
-
-    /// The attached SLO engine, if any.
-    pub fn slo_engine(&self) -> Option<Arc<SloEngine>> {
-        self.inner.health.slo.get().cloned()
-    }
-
     /// Attaches a flight recorder for trigger access (the recorder
     /// must separately ride in the subscriber chain to capture events;
     /// [`Obs::from_config`] wires both). First installed wins.
     pub fn install_recorder(&self, recorder: Recorder) -> bool {
-        self.inner.health.recorder.set(recorder).is_ok()
+        self.inner.recorder.set(recorder).is_ok()
     }
 
     /// The attached flight recorder, if any.
     pub fn recorder(&self) -> Option<&Recorder> {
-        self.inner.health.recorder.get()
+        self.inner.recorder.get()
     }
 
     /// Whether any subscriber wants events for `target`.
@@ -391,19 +363,6 @@ impl Obs {
         match &self.inner.inert {
             Some(inert) => inert.counter.clone(),
             None => self.inner.registry.counter(name),
-        }
-    }
-
-    /// The counters named `<prefix><id>` for each of `ids` — see
-    /// [`Registry::counters_indexed`].
-    pub fn counters_indexed(
-        &self,
-        prefix: &str,
-        ids: impl IntoIterator<Item = usize>,
-    ) -> Vec<Arc<Counter>> {
-        match &self.inner.inert {
-            Some(inert) => ids.into_iter().map(|_| inert.counter.clone()).collect(),
-            None => self.inner.registry.counters_indexed(prefix, ids),
         }
     }
 
@@ -619,18 +578,13 @@ mod tests {
         });
         let counter = obs.counter(names::DAB_RECOMPUTE);
         counter.add(3);
-        let indexed = obs.counters_indexed("sim.qab_violation.q", 0..4);
         let labeled = obs.labeled_counter(names::SIM_REFRESH, names::LABEL_ITEM, "7");
         let family = obs.labeled_counters(names::GP_SOLVE, names::LABEL_QUERY, 0..5);
-        assert_eq!(
-            (indexed.len(), family.len()),
-            (4, 5),
-            "one handle per id asked for"
-        );
-        for c in indexed.iter().chain(&family).chain([&labeled]) {
+        assert_eq!(family.len(), 5, "one handle per id asked for");
+        for c in family.iter().chain([&labeled]) {
             c.inc();
         }
-        let histogram = obs.histogram(names::SIM_SOLVE_NS);
+        let histogram = obs.histogram(names::GP_SOLVE);
         histogram.record(42);
         let gauge = obs.gauge(names::AUDIT_DRIFT_MAX);
         gauge.set(0.5);
@@ -638,7 +592,7 @@ mod tests {
         drop(timer.start(&obs));
         drop(timer.start_labeled(&obs, names::LABEL_QUERY, 3));
         drop(obs.timed_labeled(names::GP_SOLVE, names::LABEL_QUERY, 1));
-        assert!(indexed.iter().chain(&family).all(|c| c.get() == 0));
+        assert!(family.iter().all(|c| c.get() == 0));
         assert_eq!((counter.get(), labeled.get()), (0, 0));
         assert_eq!(histogram.summary(), HistogramSummary::default());
         assert_eq!(gauge.get(), 0.0);

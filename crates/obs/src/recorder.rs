@@ -9,9 +9,10 @@
 //! **dump trigger** merges every cell, sorts by timestamp, and writes
 //! one JSONL postmortem file that `pq-trace postmortem` renders.
 //!
-//! Triggers: an SLO burn-rate alert, an `audit.divergence`, or the
-//! process panic hook ([`Recorder::install_panic_hook`]).
-//! Dumps are capped per process so a flapping alert cannot fill a disk.
+//! Triggers: a simulator tick whose fidelity audit flagged an
+//! `audit.divergence`, or the process panic hook
+//! ([`Recorder::install_panic_hook`]). Dumps are capped per recorder so
+//! a fault that repeats cannot fill a disk.
 //!
 //! The recorder is a [`Subscriber`]; [`crate::Obs::from_config`] fans
 //! it in next to the other sinks when [`crate::ObsConfig::recorder`]

@@ -346,32 +346,6 @@ impl Registry {
         c
     }
 
-    /// The counters named `<prefix><id>` for each of `ids`, in order —
-    /// what [`Registry::counter`] returns for each name, under one lock
-    /// and with the names written into one reused buffer (a per-query
-    /// series such as `sim.qab_violation.q<id>` is resolved thousands at
-    /// a time).
-    pub fn counters_indexed(
-        &self,
-        prefix: &str,
-        ids: impl IntoIterator<Item = usize>,
-    ) -> Vec<Arc<Counter>> {
-        let mut map = lock_unpoisoned(&self.counters);
-        let mut name = String::from(prefix);
-        ids.into_iter()
-            .map(|id| {
-                name.truncate(prefix.len());
-                write!(name, "{id}").expect("writing to a String");
-                if let Some(c) = map.get(name.as_str()) {
-                    return c.clone();
-                }
-                let c = Arc::new(Counter::default());
-                map.insert(name.clone(), c.clone());
-                c
-            })
-            .collect()
-    }
-
     /// The histogram named `name`, created on first use.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
         let mut map = lock_unpoisoned(&self.histograms);
@@ -512,21 +486,6 @@ impl LabeledCounterSnapshot {
     pub fn total(&self) -> u64 {
         self.values.values().sum()
     }
-
-    /// Totals reassembled into a dense vector for label values that are
-    /// decimal indices `0..n` (the per-query / per-item convention);
-    /// non-numeric and out-of-range labels are ignored.
-    pub fn dense(&self, n: usize) -> Vec<u64> {
-        let mut out = vec![0u64; n];
-        for (value, &count) in &self.values {
-            if let Ok(i) = value.parse::<usize>() {
-                if i < n {
-                    out[i] = count;
-                }
-            }
-        }
-        out
-    }
 }
 
 /// A point-in-time copy of every registered metric.
@@ -648,7 +607,6 @@ mod tests {
         assert_eq!(fam.values["0"], 2);
         assert_eq!(fam.values["1"], 4);
         assert_eq!(fam.total(), 6);
-        assert_eq!(fam.dense(3), vec![2, 4, 0]);
     }
 
     #[test]
@@ -690,19 +648,9 @@ mod tests {
                 a.add((round * 10_000 + k) as u64);
                 b.add((round * 10_000 + k) as u64);
             }
-            let plain: Vec<_> = ids
-                .iter()
-                .map(|i| single.counter(&format!("v.q{i}")))
-                .collect();
-            let indexed = batch.counters_indexed("v.q", ids.iter().copied());
-            for (a, b) in plain.iter().zip(&indexed) {
-                a.inc();
-                b.inc();
-            }
         }
         let (single, batch) = (single.snapshot(), batch.snapshot());
         assert_eq!(single.labeled, batch.labeled);
-        assert_eq!(single.counters, batch.counters);
         assert_eq!(single.labeled["m"].values.len(), LABEL_CAPACITY + 1);
     }
 

@@ -7,9 +7,9 @@
 //!   [`Histogram`] handles resolved once, adds amortized over each
 //!   batch of events, one causal span per tick through a pre-resolved
 //!   [`Timer`], the sampling profiler running throughout;
-//! * **windowed**: instrumented plus the live-health plane — the
-//!   [`SloEngine`] observing each tick and the flight [`Recorder`]
-//!   subscribed;
+//! * **recorded**: instrumented on a handle with the flight [`Recorder`]
+//!   subscribed and installed, so every tick's span event lands in its
+//!   ring;
 //! * **disabled**: the instrumented loop on [`Obs::disabled`], what a run
 //!   nobody can observe pays for its instrumentation.
 //!
@@ -24,15 +24,15 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use pq_obs::{
-    names, start_profiler, Counter, Histogram, Obs, Profiler, Recorder, RecorderConfig, SloConfig,
-    SloEngine, Timer,
+    names, start_profiler, Counter, Histogram, Obs, Profiler, Recorder, RecorderConfig, Timer,
 };
 
 /// Instrumented over off, on the 1M-item loop: per-event locking reads
 /// +50 % and more.
 const MAX_INSTRUMENTED_OVERHEAD_PCT: f64 = 6.0;
-/// Windowed over instrumented: what the live-health plane adds per tick.
-const MAX_PLANE_OVERHEAD_PCT: f64 = 3.0;
+/// Recorded over instrumented: what an armed flight recorder adds per
+/// tick.
+const MAX_RECORDED_OVERHEAD_PCT: f64 = 3.0;
 /// Disabled over off: the instrumentation left in a loop whose handle
 /// records nothing.
 const MAX_DISABLED_OVERHEAD_PCT: f64 = 1.0;
@@ -100,50 +100,42 @@ impl LoopState {
     }
 }
 
-/// The live-health plane a windowed run drives once per tick.
-struct Live {
-    slo: Arc<SloEngine>,
-    tick: u64,
-}
-
 /// Which handle an [`Instrumented`] loop records through.
 #[derive(Clone, Copy, PartialEq)]
 enum Handle {
     /// [`Obs::null`].
     Null,
-    /// A recorder's handle with an SLO engine: the windowed variant.
-    Windowed,
+    /// A recorder's handle: the recorded variant.
+    Recorded,
     /// [`Obs::disabled`].
     Disabled,
 }
 
-/// The loop under the shipped discipline, with or without [`Live`].
+/// The loop under the shipped discipline, on one [`Handle`].
 struct Instrumented {
     obs: Obs,
     c_refresh: Arc<Counter>,
     h_batch: Arc<Histogram>,
     t_tick: Timer,
     profiler: Profiler,
-    live: Option<Live>,
     handle: Handle,
     state: LoopState,
 }
 
 impl Instrumented {
     fn new(n_items: usize, handle: Handle) -> Self {
-        let (obs, live) = match handle {
-            Handle::Windowed => {
-                // Written only if something pages, which fails the run.
+        let obs = match handle {
+            Handle::Recorded => {
+                // Written only if something triggers a dump, which fails
+                // the run.
                 let dump = format!("pq-obs-overhead-{}-{n_items}.jsonl", std::process::id());
                 let recorder = Recorder::new(RecorderConfig::new(std::env::temp_dir().join(dump)));
                 let obs = Obs::with_subscriber(Arc::new(recorder.clone()));
                 obs.install_recorder(recorder);
-                let slo = Arc::new(SloEngine::new(SloConfig::default()));
-                obs.install_slo_engine(slo.clone());
-                (obs, Some(Live { slo, tick: 0 }))
+                obs
             }
-            Handle::Disabled => (Obs::disabled(), None),
-            Handle::Null => (Obs::null(), None),
+            Handle::Disabled => Obs::disabled(),
+            Handle::Null => Obs::null(),
         };
         Instrumented {
             c_refresh: obs.counter(names::SIM_REFRESH),
@@ -151,7 +143,6 @@ impl Instrumented {
             t_tick: obs.timer(names::SIM_RECOMPUTE_BATCH),
             profiler: start_profiler(&obs, PROFILE_HZ),
             obs,
-            live,
             handle,
             state: LoopState::new(n_items),
         }
@@ -163,7 +154,6 @@ impl Instrumented {
         while i < end {
             let tick_span = self.t_tick.start(&self.obs);
             let tick_end = (i + TICK).min(end);
-            let tick_events = tick_end - i;
             while i < tick_end {
                 let batch_end = (i + BATCH).min(tick_end);
                 let n = batch_end - i;
@@ -175,10 +165,6 @@ impl Instrumented {
                 self.h_batch.record(n);
             }
             drop(tick_span);
-            if let Some(live) = &mut self.live {
-                live.slo.observe(live.tick, tick_events, 0, 0);
-                live.tick += 1;
-            }
         }
     }
 
@@ -202,11 +188,9 @@ impl Instrumented {
             events.div_ceil(BATCH),
             "every batch must be in the final snapshot"
         );
-        if let Some(live) = &self.live {
-            assert!(
-                live.slo.alerts().iter().all(|a| !a.is_active()),
-                "a clean run must not page"
-            );
+        if let Some(recorder) = self.obs.recorder() {
+            assert!(recorder.buffered() > 0, "the recorder saw no event");
+            assert_eq!(recorder.dump_count(), 0, "a clean run must not dump");
         }
         self.state.digest()
     }
@@ -215,7 +199,7 @@ impl Instrumented {
 /// Median same-slice overheads, in percent.
 struct Overheads {
     instrumented_over_off: f64,
-    windowed_over_instrumented: f64,
+    recorded_over_instrumented: f64,
     disabled_over_off: f64,
 }
 
@@ -229,7 +213,7 @@ fn overheads(n_items: usize, events: u64, reps: usize) -> Overheads {
     for _ in 0..reps {
         let mut off = LoopState::new(n_items);
         let mut instrumented = Instrumented::new(n_items, Handle::Null);
-        let mut windowed = Instrumented::new(n_items, Handle::Windowed);
+        let mut recorded = Instrumented::new(n_items, Handle::Recorded);
         let mut disabled = Instrumented::new(n_items, Handle::Disabled);
         let mut start = 0;
         while start < events {
@@ -244,7 +228,7 @@ fn overheads(n_items: usize, events: u64, reps: usize) -> Overheads {
                 match variant {
                     0 => (start..end).for_each(|i| off.step(i)),
                     1 => instrumented.slice(start, end),
-                    2 => windowed.slice(start, end),
+                    2 => recorded.slice(start, end),
                     _ => disabled.slice(start, end),
                 }
                 secs[variant] = t.elapsed().as_secs_f64();
@@ -261,17 +245,17 @@ fn overheads(n_items: usize, events: u64, reps: usize) -> Overheads {
             want,
             "instrumented ran other work"
         );
-        assert_eq!(windowed.finish(events), want, "windowed ran other work");
+        assert_eq!(recorded.finish(events), want, "recorded ran other work");
         assert_eq!(disabled.finish(events), want, "disabled ran other work");
     }
-    let [instrumented_over_off, windowed_over_instrumented, disabled_over_off] =
+    let [instrumented_over_off, recorded_over_instrumented, disabled_over_off] =
         ratios.map(|mut ratios| {
             ratios.sort_by(f64::total_cmp);
             100.0 * (ratios[ratios.len() / 2] - 1.0)
         });
     Overheads {
         instrumented_over_off,
-        windowed_over_instrumented,
+        recorded_over_instrumented,
         disabled_over_off,
     }
 }
@@ -286,31 +270,31 @@ fn every_event_is_accounted_for_in_the_final_snapshot() {
 #[ignore = "clock ceilings: release build only, `cargo test --release -p pq-obs -- --ignored`"]
 fn overhead_ceilings_hold_on_the_release_build() {
     // On a shared 2-vCPU box one reading of the same build moves by about
-    // a point either way, which is the distance from the plane's usual
-    // 2.5 % to its ceiling: only a breach that repeats is one.
+    // a point either way, as far as the recorded variant's 1–3 % sits
+    // from its ceiling: only a breach that repeats is one.
     let mut breaches = Vec::new();
     for _ in 0..5 {
         let o = overheads(1_000_000, 1_000_000, 9);
-        let (instrumented, plane, disabled) = (
+        let (instrumented, recorded, disabled) = (
             o.instrumented_over_off,
-            o.windowed_over_instrumented,
+            o.recorded_over_instrumented,
             o.disabled_over_off,
         );
         println!(
-            "instrumented over off {instrumented:.2} %, windowed over instrumented \
-             {plane:.2} %, disabled over off {disabled:.2} %"
+            "instrumented over off {instrumented:.2} %, recorded over instrumented \
+             {recorded:.2} %, disabled over off {disabled:.2} %"
         );
         if instrumented < MAX_INSTRUMENTED_OVERHEAD_PCT
-            && plane < MAX_PLANE_OVERHEAD_PCT
+            && recorded < MAX_RECORDED_OVERHEAD_PCT
             && disabled <= MAX_DISABLED_OVERHEAD_PCT
         {
             return;
         }
-        breaches.push((instrumented, plane, disabled));
+        breaches.push((instrumented, recorded, disabled));
     }
     panic!(
-        "(instrumented over off, windowed over instrumented, disabled over off) read \
+        "(instrumented over off, recorded over instrumented, disabled over off) read \
          {breaches:.2?} %, ceilings {MAX_INSTRUMENTED_OVERHEAD_PCT} %, \
-         {MAX_PLANE_OVERHEAD_PCT} % and {MAX_DISABLED_OVERHEAD_PCT} %"
+         {MAX_RECORDED_OVERHEAD_PCT} % and {MAX_DISABLED_OVERHEAD_PCT} %"
     );
 }

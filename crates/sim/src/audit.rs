@@ -17,8 +17,8 @@
 //! `audit.divergence` counter and emits a structured `audit.divergence`
 //! event carrying the query, tick, both values, the drift, and whether
 //! the value or the decision diverged. Each pass also returns its count
-//! to the engine, which feeds it to the SLO engine's audit-integrity
-//! objective.
+//! to the engine, which dumps the handle's flight recorder, if it
+//! carries one, after a pass that flagged any.
 //!
 //! The audit consumes no randomness and writes no engine state, so a run
 //! produces byte-identical [`crate::SimMetrics`] whether it is on or

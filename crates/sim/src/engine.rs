@@ -31,7 +31,7 @@ use pq_core::{
 use pq_ddm::parallel::{available_cores, read_ahead};
 use pq_ddm::{DataDynamicsModel, RateEstimator, TraceSet};
 use pq_gp::SolverOptions;
-use pq_obs::{names, Counter, EventKind, Histogram, Obs, SloConfig, SloEngine};
+use pq_obs::{names, Counter, EventKind, Obs};
 use pq_poly::{ItemId, PolynomialQuery, SharedPlan};
 
 use crate::audit::{AuditConfig, AuditFault, FidelityAuditor};
@@ -116,14 +116,6 @@ pub struct SimConfig {
     /// [`pq_poly::SharedView`] at a chosen tick so tests can prove the auditor
     /// flags a wrong delta plane within one interval.
     pub audit_fault: Option<AuditFault>,
-    /// Fidelity SLO engine (`None`, the default, disables it). When set,
-    /// the engine drives multi-window burn-rate alerting over the
-    /// fidelity samples (one `slo.alert` event per alert raised) and —
-    /// when the run's [`Obs`] handle carries a flight recorder —
-    /// postmortem dumps on alerts and audit divergences. All of it is
-    /// read-only over the simulation state: [`SimMetrics`] are
-    /// byte-identical with the SLO engine on or off.
-    pub slo: Option<SloConfig>,
 }
 
 impl SimConfig {
@@ -149,7 +141,6 @@ impl SimConfig {
             threads: 1,
             audit: None,
             audit_fault: None,
-            slo: None,
         }
     }
 }
@@ -281,9 +272,12 @@ pub fn run(config: &SimConfig) -> Result<SimMetrics, SimError> {
 /// one from a declarative [`pq_obs::ObsConfig`] with
 /// [`Obs::from_config`] for a JSONL trace, a profiler or a recorder).
 ///
-/// After the run, `obs.snapshot()` holds the counter/histogram mirror of
-/// the returned metrics (see [`SimMetrics::from_snapshot`]), including
-/// the GP-solver timings (`gp.solve_ns`) from every recomputation.
+/// After the run, `obs.snapshot()` holds what the run recorded: refresh
+/// and recomputation counts with their per-item / per-query attribution,
+/// the evaluation and scheduler counters, the audit's counters and
+/// gauges, and the GP-solver timings (`gp.solve_ns`) of every solve. A
+/// pass of the fidelity audit that flags a divergence dumps the handle's
+/// flight recorder, if it carries one (at most once a tick).
 pub fn run_observed(config: &SimConfig, obs: &Obs) -> Result<SimMetrics, SimError> {
     crate::shard::run_sharded(config, obs).map(|report| report.metrics)
 }
@@ -316,9 +310,6 @@ pub(crate) struct Engine<'a> {
     queue: TimerWheel,
     draws: ItemDraws,
     metrics: SimMetrics,
-    /// This engine's shard when it is one of several (see
-    /// [`crate::shard`]).
-    shard: Option<u32>,
     /// The coordinator is busy (checking queries / re-solving DABs) until
     /// this time; refreshes arriving earlier wait in its queue.
     coordinator_busy_until: f64,
@@ -329,15 +320,9 @@ pub(crate) struct Engine<'a> {
     deferred: VecDeque<(usize, f64)>,
     /// Telemetry handle (the coordinator holds a clone).
     obs: Obs,
-    /// Registry counters mirroring the [`SimMetrics`] fields (the
-    /// lossless bridge — see [`SimMetrics::from_snapshot`]);
-    /// `dab.recompute` is the coordinator's.
+    /// Refresh arrivals (`sim.refresh`; `dab.recompute` is the
+    /// coordinator's).
     c_refreshes: Arc<Counter>,
-    c_dab_changes: Arc<Counter>,
-    c_notifications: Arc<Counter>,
-    c_lost: Arc<Counter>,
-    c_fidelity: Arc<Counter>,
-    c_violations: Vec<Arc<Counter>>,
     /// Per-item `sim.refresh` attribution (labeled family, key `item`).
     lc_refresh_by_item: Vec<Arc<Counter>>,
     /// Full evaluations of the source-side truth (`eval.full`; the
@@ -346,9 +331,6 @@ pub(crate) struct Engine<'a> {
     /// Scheduler counters: events pushed into / popped from the queue.
     c_sched_push: Arc<Counter>,
     c_sched_pop: Arc<Counter>,
-    /// Pre-resolved `sim.solve_ns` handle for [`Engine::note_solver_ns`]
-    /// (one registry lookup at construction instead of one per solve).
-    h_solve_ns: Arc<Histogram>,
     /// Per-shard hot-path attribution (`shard.refresh` /
     /// `shard.recompute` labeled by `shard`); present only when running
     /// as a shard, so a lone coordinator pays nothing.
@@ -357,9 +339,6 @@ pub(crate) struct Engine<'a> {
     /// Continuous fidelity audit (shadow naive evaluation); present only
     /// when configured.
     auditor: Option<FidelityAuditor>,
-    /// Live-health runtime (the burn-rate engine's per-tick feed);
-    /// present only when [`SimConfig::slo`] is set.
-    slo: Option<SloRuntime>,
     /// Test tap: the sweep to run and every event the queue released.
     #[cfg(test)]
     probe: tests::SweepProbe,
@@ -443,50 +422,6 @@ impl TapePlayer<'_> {
     }
 }
 
-/// What the engine feeds the [`SloEngine`] once per simulated tick:
-/// the tick's fidelity samples, QAB violations and audit divergences.
-/// The SLO engine is installed on the run's [`Obs`] handle, so the
-/// shards of one run spend one error budget, each feeding its own.
-struct SloRuntime {
-    engine: Arc<SloEngine>,
-    /// The SLO engine's clock when this run began: tick `t` observes at
-    /// `origin + t`, so a run on a handle an earlier run drove continues
-    /// that clock instead of stamping its first ticks with the earlier
-    /// run's last one.
-    origin: u64,
-    seen_violations: u64,
-}
-
-impl SloRuntime {
-    /// Every engine of a run is built before any of them ticks, so the
-    /// shards of one run read the same `origin`.
-    fn new(cfg: SloConfig, obs: &Obs) -> Self {
-        // Install-or-fetch: the first runtime on this `Obs` handle (the
-        // first run, or the first shard to get here) creates the SLO
-        // engine; everyone else adopts the installed one. All shards
-        // feeding one shared engine is what makes the error budget
-        // global — each shard contributes its own per-tick sample,
-        // violation and divergence deltas, and `SloEngine::observe`
-        // locks internally.
-        let engine = match obs.slo_engine() {
-            Some(engine) => engine,
-            None => {
-                let engine = Arc::new(SloEngine::new(cfg));
-                if obs.install_slo_engine(engine.clone()) {
-                    engine
-                } else {
-                    obs.slo_engine().expect("a racing shard just installed")
-                }
-            }
-        };
-        SloRuntime {
-            origin: engine.now(),
-            engine,
-            seen_violations: 0,
-        }
-    }
-}
-
 impl<'a> Engine<'a> {
     /// Builds the engine of one coordinator over `cfg`, a projection
     /// whose every item is watched (validated by
@@ -509,10 +444,6 @@ impl<'a> Engine<'a> {
         let item_gids = || (0..n_items).map(|i| scope.item(i));
         let lc_refresh_by_item =
             obs.labeled_counters(names::SIM_REFRESH, names::LABEL_ITEM, item_gids());
-        let c_violations = obs.counters_indexed(
-            &format!("{}.q", names::SIM_QAB_VIOLATION),
-            (0..cfg.queries.len()).map(|qi| scope.query(qi)),
-        );
         let draws = ItemDraws::new(cfg.seed, item_gids());
         // Coordinator and sources agree at t = 0 (steady-state start,
         // §V-A): the coordinator is installed at the sources' values and
@@ -572,16 +503,10 @@ impl<'a> Engine<'a> {
             coordinator_busy_until: 0.0,
             deferred: VecDeque::new(),
             c_refreshes: obs.counter(names::SIM_REFRESH),
-            c_dab_changes: obs.counter(names::SIM_DAB_CHANGE),
-            c_notifications: obs.counter(names::SIM_USER_NOTIFY),
-            c_lost: obs.counter(names::SIM_LOST_MESSAGE),
-            c_fidelity: obs.counter(names::SIM_FIDELITY_SAMPLE),
-            c_violations,
             lc_refresh_by_item,
             c_eval_full: obs.counter(names::EVAL_FULL),
             c_sched_push: obs.counter(names::SCHED_PUSH),
             c_sched_pop: obs.counter(names::SCHED_POP),
-            h_solve_ns: obs.histogram(names::SIM_SOLVE_NS),
             lc_shard_refresh: shard_label
                 .as_ref()
                 .map(|s| obs.labeled_counter(names::SHARD_REFRESH, names::LABEL_SHARD, s)),
@@ -592,8 +517,6 @@ impl<'a> Engine<'a> {
                 .audit
                 .as_ref()
                 .map(|audit| FidelityAuditor::new(audit.clone(), &obs)),
-            slo: cfg.slo.clone().map(|slo| SloRuntime::new(slo, &obs)),
-            shard,
             obs,
             #[cfg(test)]
             probe: tests::SweepProbe::default(),
@@ -602,11 +525,8 @@ impl<'a> Engine<'a> {
         Ok(engine)
     }
 
-    /// Accounts solver wall-clock into both the metrics field and the
-    /// `sim.solve_ns` histogram, from the same nanosecond reading, so
-    /// [`SimMetrics::from_snapshot`] stays a lossless mirror.
+    /// Accounts `ns` of solver wall-clock into the metrics.
     fn note_solver_ns(&mut self, ns: u64) {
-        self.h_solve_ns.record(ns);
         self.metrics.solver_seconds += ns as f64 / 1e9;
     }
 
@@ -690,18 +610,11 @@ impl<'a> Engine<'a> {
         // Fidelity sample: truth, coordinator view and QABs as three
         // columns.
         self.metrics.fidelity_samples += 1;
-        // Every shard samples the same ticks; only shard 0 feeds the
-        // global counter so the registry holds true samples, not
-        // samples x shards.
-        if self.shard.is_none_or(|s| s == 0) {
-            self.c_fidelity.inc();
-        }
         let cached = self.core.query_values();
         let columns = truth.iter().zip(cached).zip(self.core.qabs());
         for (qi, ((&truth, &cached), &qab)) in columns.enumerate() {
             if (truth - cached).abs() > qab {
                 self.metrics.per_query_violations[qi] += 1;
-                self.c_violations[qi].inc();
                 let gqi = self.core.scope().query(qi);
                 self.obs
                     .emit_with(names::SIM_QAB_VIOLATION, EventKind::Point, |e| {
@@ -734,10 +647,13 @@ impl<'a> Engine<'a> {
             ),
             None => 0,
         };
-        // Live-health tick: the burn-rate observation over this tick's
-        // fidelity samples. Runs after the audit so a divergence
-        // flagged this tick alerts this tick.
-        self.slo_on_tick(tick, divergences);
+        // A pass that flagged a divergence dumps the flight recorder, if
+        // the handle carries one: at most one dump a tick.
+        if divergences > 0 {
+            if let Some(recorder) = self.obs.recorder() {
+                let _ = recorder.trigger(names::AUDIT_DIVERGENCE);
+            }
+        }
         Ok(())
     }
 
@@ -821,39 +737,6 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// One live-health step at the end of tick `tick`: feed the SLO
-    /// engine the tick's fidelity deltas and this engine's `divergences`
-    /// (what its auditor flagged this tick) at `origin + tick` on its
-    /// clock. Newly raised alerts are emitted as `slo.alert` events;
-    /// alerts and fresh audit divergences snapshot the flight recorder
-    /// (at most one dump per tick).
-    fn slo_on_tick(&mut self, tick: usize, divergences: u64) {
-        let Some(rt) = self.slo.as_mut() else { return };
-        let now = rt.origin + tick as u64;
-        let samples = self.cfg.queries.len() as u64;
-        let total_violations: u64 = self.metrics.per_query_violations.iter().sum();
-        let violations = total_violations - rt.seen_violations;
-        rt.seen_violations = total_violations;
-        let raised = rt.engine.observe(now, samples, violations, divergences);
-        for alert in &raised {
-            self.obs.emit_with(names::SLO_ALERT, EventKind::Point, |e| {
-                e.with("kind", alert.kind.as_str())
-                    .with("id", alert.id)
-                    .with("tick", tick)
-                    .with("burn_short", alert.burn_short)
-                    .with("burn_long", alert.burn_long)
-            });
-        }
-        let dump_reason = if divergences > 0 {
-            Some("audit.divergence")
-        } else {
-            raised.first().map(|a| a.kind.as_str())
-        };
-        if let (Some(reason), Some(recorder)) = (dump_reason, self.obs.recorder()) {
-            let _ = recorder.trigger(reason);
-        }
-    }
-
     /// Source-side filter: push when `item`'s value `v` escapes the
     /// installed DAB (nothing escapes an infinite one).
     fn maybe_push(&mut self, item: usize, now: f64, v: f64) {
@@ -883,7 +766,6 @@ impl<'a> Engine<'a> {
             self.cfg.loss_probability > 0.0 && self.draws.uniform(item) < self.cfg.loss_probability;
         if lost {
             self.metrics.lost_messages += 1;
-            self.c_lost.inc();
             self.obs
                 .emit_with(names::SIM_LOST_MESSAGE, EventKind::Count, |e| e);
         }
@@ -927,7 +809,6 @@ impl<'a> Engine<'a> {
         let outcome = self.core.react(item, Some(now))?;
         for &(query, qv) in &outcome.notify {
             self.metrics.user_notifications += 1;
-            self.c_notifications.inc();
             let gqi = self.core.scope().query(query.index());
             self.obs
                 .emit_with(names::SIM_USER_NOTIFY, EventKind::Count, |e| {
@@ -968,7 +849,6 @@ impl<'a> Engine<'a> {
         for &(item, dab) in changes {
             let item = item.index();
             self.metrics.dab_change_messages += 1;
-            self.c_dab_changes.inc();
             let gid = self.gi(item);
             self.obs
                 .emit_with(names::SIM_DAB_CHANGE, EventKind::Count, |e| {
@@ -1630,24 +1510,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_bridge_matches_direct_metrics() {
-        let mut cfg = small_config(DelayConfig::planetlab_like(), dual(5.0));
-        cfg.loss_probability = 0.1;
-        let obs = Obs::null();
-        let m = run_observed(&cfg, &obs).unwrap();
-        let snap = obs.snapshot();
-        // The GP solver ran under this handle's registry.
-        assert!(snap.histograms.contains_key("gp.solve_ns"));
-        let mut bridged = SimMetrics::from_snapshot(&snap, cfg.queries.len());
-        // solver_seconds: f64 running sum vs exact u64 ns sum.
-        assert!((bridged.solver_seconds - m.solver_seconds).abs() < 1e-6);
-        let mut direct = m;
-        direct.solver_seconds = 0.0;
-        bridged.solver_seconds = 0.0;
-        assert_eq!(direct, bridged);
-    }
-
-    #[test]
     fn jsonl_trace_mirrors_recomputation_count() {
         let path = std::env::temp_dir().join(format!("pq_sim_trace_{}.jsonl", std::process::id()));
         let cfg = small_config(DelayConfig::zero(), optimal());
@@ -1671,134 +1533,83 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    #[test]
-    fn slo_engine_is_metrics_invariant_and_stays_green_on_a_clean_run() {
-        let base = small_config(DelayConfig::zero(), dual(5.0));
-        let mut with_slo = base.clone();
-        with_slo.slo = Some(SloConfig::default());
-        let plain = run(&base).unwrap();
-        let obs = Obs::null();
-        let mut observed = run_observed(&with_slo, &obs).unwrap();
-        observed.solver_seconds = plain.solver_seconds;
-        assert_eq!(plain, observed, "the SLO engine must be read-only");
-        let slo = obs.slo_engine().expect("engine installed on the handle");
-        assert!(slo.alerts().is_empty(), "clean run must not page");
-        assert_eq!(slo.now(), (with_slo.traces.n_ticks() - 1) as u64);
-    }
-
-    #[test]
-    fn a_second_run_on_one_handle_continues_the_slo_clock() {
-        // The fig5 harness runs every strategy and query count on one
-        // handle: each run after the first adopts the SLO engine the
-        // first one installed, and must stamp its ticks after the ticks
-        // already observed, not all at the earlier run's last one.
-        let mut clean = small_config(DelayConfig::zero(), dual(5.0));
-        clean.audit = Some(AuditConfig::default());
-        clean.slo = Some(SloConfig::default());
-        let mut faulty = clean.clone();
-        let fault_tick = 200;
-        faulty.audit_fault = Some(AuditFault {
-            tick: fault_tick as usize,
-            query: 0,
-            perturb: 1.0e6,
-        });
-        let obs = Obs::null();
-        run_observed(&clean, &obs).unwrap();
-        let slo = obs.slo_engine().unwrap();
-        assert!(slo.alerts().is_empty(), "clean run must not page");
-        // The first run leaves the clock at its last tick.
-        let start = (clean.traces.n_ticks() - 1) as u64;
-        run_observed(&faulty, &obs).unwrap();
-        assert_eq!(slo.now(), 2 * start);
-        let alert = slo
-            .alerts()
-            .into_iter()
-            .find(|a| a.kind == pq_obs::AlertKind::AuditDivergence)
-            .expect("the second run's fault must page");
-        let every = AuditConfig::default().every as u64;
-        let at = alert.raised_at - start;
-        assert!(
-            (fault_tick..=fault_tick + every).contains(&at),
-            "paged at tick {at} of the second run, fault at {fault_tick}, interval {every}"
-        );
-    }
-
-    #[test]
-    fn a_run_after_a_faulty_one_on_one_handle_pages_only_for_its_own() {
-        // The handle's `audit.divergence` counter still holds the first
-        // run's divergences; the second run's SLO feed must not take them
-        // for its own. Passes 200 ticks apart let the first run's alert
-        // clear before it ends, so a phantom count would page anew.
-        let mut clean = small_config(DelayConfig::zero(), dual(5.0));
-        clean.audit = Some(AuditConfig {
-            every: 200,
-            ..AuditConfig::default()
-        });
-        clean.slo = Some(SloConfig::default());
-        let mut faulty = clean.clone();
-        faulty.audit_fault = Some(AuditFault {
-            tick: 200,
-            query: 0,
-            perturb: 1.0e6,
-        });
-        let obs = Obs::null();
-        run_observed(&faulty, &obs).unwrap();
-        let slo = obs.slo_engine().unwrap();
-        let raised = || slo.alerts().iter().map(|a| a.id).collect::<Vec<_>>();
-        let paged = raised();
-        assert!(!paged.is_empty(), "the fault must page");
-        run_observed(&clean, &obs).unwrap();
-        assert_eq!(raised(), paged, "the clean run paged: {:?}", slo.alerts());
-    }
-
-    #[test]
-    fn injected_audit_fault_pages_and_dumps_within_one_interval() {
-        let dir = std::env::temp_dir().join(format!(
-            "pq-sim-slo-{}-{}",
-            std::process::id(),
-            std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .unwrap()
-                .as_nanos()
-        ));
+    /// A fresh directory for one test's recorder dumps.
+    fn dump_dir(test: &str) -> std::path::PathBuf {
+        let nanos = std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .unwrap()
+            .as_nanos();
+        let dir =
+            std::env::temp_dir().join(format!("pq-sim-{test}-{}-{nanos}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// A handle whose only subscriber is a flight recorder dumping to
+    /// `path`, the way `PQ_OBS_RECORDER` arms one and nothing else.
+    fn recorder_only(path: &std::path::Path) -> Obs {
+        let recorder = pq_obs::Recorder::new(pq_obs::RecorderConfig::new(path));
+        let obs = Obs::with_subscriber(Arc::new(recorder.clone()));
+        assert!(obs.install_recorder(recorder));
+        obs
+    }
+
+    fn dumps(obs: &Obs) -> u64 {
+        obs.recorder().unwrap().dump_count()
+    }
+
+    /// The events of the recorder dump at `path`, header first.
+    fn read_dump(path: &std::path::Path) -> Vec<pq_obs::Event> {
+        let text = std::fs::read_to_string(path).expect("flight recorder dumped");
+        let events: Vec<_> = text
+            .lines()
+            .map(|l| pq_obs::jsonl::parse(l).unwrap())
+            .collect();
+        assert_eq!(events[0].target, names::RECORDER_DUMP);
+        events
+    }
+
+    fn faulted(mut cfg: SimConfig, tick: usize, query: usize) -> SimConfig {
+        cfg.audit_fault = Some(AuditFault {
+            tick,
+            query,
+            perturb: 1.0e6,
+        });
+        cfg
+    }
+
+    #[test]
+    fn injected_audit_fault_dumps_the_recorder_within_one_interval() {
+        // An armed recorder is the only switch: the pass that flags the
+        // fault dumps, and the dump opens on the reason.
+        let dir = dump_dir("fault-dump");
         let dump_path = dir.join("flight.jsonl");
         let mut cfg = small_config(DelayConfig::zero(), dual(5.0));
         cfg.audit = Some(AuditConfig::default());
-        cfg.audit_fault = Some(AuditFault {
-            tick: 200,
-            query: 0,
-            perturb: 1.0e6,
-        });
-        cfg.slo = Some(SloConfig::default());
-        let recorder = pq_obs::Recorder::new(pq_obs::RecorderConfig::new(dump_path.clone()));
-        let obs = Obs::with_subscriber(Arc::new(recorder.clone()));
-        assert!(obs.install_recorder(recorder));
-        run_observed(&cfg, &obs).unwrap();
-        let slo = obs.slo_engine().unwrap();
-        let alerts = slo.alerts();
-        let divergence_alert = alerts
+        let fault_tick = 200;
+        let obs = recorder_only(&dump_path);
+        run_observed(&faulted(cfg, fault_tick, 0), &obs).unwrap();
+        let dump = read_dump(&dump_path);
+        let reason = pq_obs::Value::from(names::AUDIT_DIVERGENCE);
+        assert_eq!(dump[0].field("reason"), Some(&reason));
+        let first = dump
             .iter()
-            .find(|a| a.kind == pq_obs::AlertKind::AuditDivergence)
-            .expect("injected fault must page the audit-integrity objective");
+            .find(|e| e.target == names::AUDIT_DIVERGENCE)
+            .expect("the dump holds the divergence");
+        let Some(&pq_obs::Value::U64(tick)) = first.field("tick") else {
+            panic!("{first:?}")
+        };
         let every = AuditConfig::default().every as u64;
+        let fault_tick = fault_tick as u64;
         assert!(
-            divergence_alert.raised_at <= 200 + every,
-            "paged at {} — more than one audit interval after the fault",
-            divergence_alert.raised_at
+            (fault_tick..=fault_tick + every).contains(&tick),
+            "flagged at tick {tick}, fault at {fault_tick}, interval {every}"
         );
-        let dump = std::fs::read_to_string(&dump_path).expect("flight recorder dumped");
-        assert!(dump.lines().next().unwrap().contains("recorder.dump"));
-        assert!(dump.contains("audit.divergence"));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
 
-    #[test]
-    fn each_shard_feeds_the_slo_engine_its_own_divergences_once() {
         // Two disjoint products, one a shard. The fault lands on the last
-        // tick, an audited one, so what the SLO engine counted is exactly
-        // what that tick's pass flagged: a shard that missed the other's
-        // divergence, or counted it again, reads another total.
+        // tick, an audited one, so exactly one pass flags it: the shard
+        // that holds the query dumps once, and the other shard not at
+        // all.
         let n_ticks = 801;
         let traces = TraceSet::new(vec![
             Trace::sinusoid(20.0, 3.0, 400.0, n_ticks),
@@ -1818,27 +1629,43 @@ mod tests {
                 sample: 2,
                 ..AuditConfig::default()
             });
-            cfg.audit_fault = Some(AuditFault {
-                tick: n_ticks - 1,
-                query,
-                perturb: 1.0e6,
-            });
-            cfg.slo = Some(SloConfig::default());
-            let obs = Obs::null();
-            run_observed(&cfg, &obs).unwrap();
-            let flagged = obs.snapshot().counters[names::AUDIT_DIVERGENCE];
-            assert!(flagged > 0, "fault on query {query} never flagged");
-            let alerts: Vec<_> = (obs.slo_engine().unwrap().alerts().into_iter())
-                .filter(|a| a.kind == pq_obs::AlertKind::AuditDivergence)
-                .collect();
-            assert_eq!(alerts.len(), 1, "fault on query {query}: {alerts:?}");
-            assert_eq!(alerts[0].raised_at, (n_ticks - 1) as u64);
-            assert_eq!(
-                alerts[0].burn_short, flagged as f64,
-                "fault on query {query}: the SLO engine counted {} of {flagged} divergences",
-                alerts[0].burn_short
-            );
+            let dump_path = dir.join(format!("shard-fault-q{query}.jsonl"));
+            let obs = recorder_only(&dump_path);
+            run_observed(&faulted(cfg, n_ticks - 1, query), &obs).unwrap();
+            assert_eq!(dumps(&obs), 1, "fault on query {query}");
+            let dump = read_dump(&dump_path);
+            assert_eq!(dump[0].field("reason"), Some(&reason));
+            assert!(dump.iter().any(|e| e.target == names::AUDIT_DIVERGENCE
+                && e.field("query") == Some(&pq_obs::Value::U64(query as u64))));
         }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_clean_run_after_a_faulty_one_on_one_handle_dumps_nothing() {
+        // The handle's `audit.divergence` counter still holds the first
+        // run's divergences; the second run triggers only on what its own
+        // passes flag. Passes 200 ticks apart keep the faulty run's dumps
+        // under the recorder's cap, so a phantom trigger would show.
+        let dir = dump_dir("phantom-dump");
+        let mut clean = small_config(DelayConfig::zero(), dual(5.0));
+        clean.audit = Some(AuditConfig {
+            every: 200,
+            ..AuditConfig::default()
+        });
+        let faulty = faulted(clean.clone(), 200, 0);
+        let obs = recorder_only(&dir.join("flight.jsonl"));
+        run_observed(&clean, &obs).unwrap();
+        assert_eq!(dumps(&obs), 0, "a clean run dumped");
+        run_observed(&faulty, &obs).unwrap();
+        let dumped = dumps(&obs);
+        assert!(
+            (1..pq_obs::recorder::MAX_DUMPS).contains(&dumped),
+            "{dumped} dumps"
+        );
+        run_observed(&clean, &obs).unwrap();
+        assert_eq!(dumps(&obs), dumped, "the clean run dumped");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -32,7 +32,9 @@
 //! Telemetry: [`engine::run_observed`] runs under your own [`Obs`]
 //! handle — one built by [`Obs::from_config`] writes a JSONL trace of
 //! every refresh, recomputation, and GP solve — and leaves the
-//! counter/histogram registry to inspect after the run. [`run`] and
+//! counter/histogram registry to inspect after the run; a flight
+//! recorder on the handle dumps whenever an audit pass flags a
+//! divergence. [`run`] and
 //! [`run_network`] record nothing: their handle is [`Obs::disabled`].
 
 #![warn(missing_docs)]
@@ -54,7 +56,7 @@ pub use engine::{run, run_observed, SimConfig, SimError, SimStrategy};
 pub use event::Event;
 pub use metrics::SimMetrics;
 pub use network::{run_network, run_network_observed, NetworkConfig, NetworkMetrics};
-pub use pq_obs::{Obs, RecorderConfig, SloConfig};
+pub use pq_obs::{Obs, RecorderConfig};
 pub use shard::{run_sharded, ShardReport, ShardStat};
 pub use table::{ItemTable, ReaderIndex};
 pub use wheel::TimerWheel;

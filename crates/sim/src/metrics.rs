@@ -83,68 +83,6 @@ impl SimMetrics {
         100.0 * mean_violation
     }
 
-    /// Lossless bridge from the telemetry registry: reconstructs the
-    /// counters of a finished run from an [`pq_obs::Obs`] snapshot taken
-    /// after [`crate::run_observed`] returned.
-    ///
-    /// Counter names follow [`pq_obs::names`]; per-query violations live
-    /// under `sim.qab_violation.q<i>` for `i in 0..n_queries`, the
-    /// attribution rollups come from the labeled families
-    /// (`dab.recompute` by `query`, `sim.refresh` and
-    /// `dab.recompute_trigger` by `item`), and `solver_seconds` is the
-    /// (nanosecond-exact) sum of the `sim.solve_ns` histogram. The
-    /// per-item vectors end at the highest item any query reads: items
-    /// past it carry no label (their counts are zero by construction).
-    pub fn from_snapshot(snapshot: &pq_obs::Snapshot, n_queries: usize) -> Self {
-        use pq_obs::names;
-
-        let counter = |name: &str| snapshot.counters.get(name).copied().unwrap_or(0);
-        let per_query_violations: Vec<u64> = (0..n_queries)
-            .map(|qi| counter(&format!("{}.q{qi}", names::SIM_QAB_VIOLATION)))
-            .collect();
-        // Per-query/per-item rollups from the labeled families. The
-        // engine pre-creates a label for every query but only for the
-        // items some query reads, so the item dimension ends at the
-        // highest labeled item (later items were never read and cannot
-        // have refreshed).
-        let per_query = |name: &str| {
-            snapshot
-                .labeled
-                .get(name)
-                .map(|f| f.dense(n_queries))
-                .unwrap_or_else(|| vec![0; n_queries])
-        };
-        let per_item = |name: &str| {
-            snapshot
-                .labeled
-                .get(name)
-                .map(|f| {
-                    let labeled = f.values.keys().filter_map(|v| v.parse::<usize>().ok());
-                    f.dense(labeled.max().map_or(0, |last| last + 1))
-                })
-                .unwrap_or_default()
-        };
-
-        SimMetrics {
-            refreshes: counter(names::SIM_REFRESH),
-            recomputations: counter(names::DAB_RECOMPUTE),
-            dab_change_messages: counter(names::SIM_DAB_CHANGE),
-            user_notifications: counter(names::SIM_USER_NOTIFY),
-            per_query_violations,
-            per_query_recomputations: per_query(names::DAB_RECOMPUTE),
-            per_item_refreshes: per_item(names::SIM_REFRESH),
-            per_item_recompute_triggers: per_item(names::DAB_RECOMPUTE_TRIGGER),
-            ingest_batches: 0,
-            fidelity_samples: counter(names::SIM_FIDELITY_SAMPLE),
-            lost_messages: counter(names::SIM_LOST_MESSAGE),
-            solver_seconds: snapshot
-                .histograms
-                .get(names::SIM_SOLVE_NS)
-                .map(|h| h.sum as f64 / 1e9)
-                .unwrap_or(0.0),
-        }
-    }
-
     /// The `k` heaviest entries of an attribution vector as
     /// `(index, count)` pairs, heaviest first, zero entries skipped —
     /// e.g. `top_k(&m.per_item_recompute_triggers, 5)` is the paper-cost
@@ -212,53 +150,6 @@ mod tests {
         m.per_query_violations = vec![0, 50, 25];
         // (0% + 100% + 50%) / 3
         assert!((m.loss_in_fidelity_percent() - 50.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn from_snapshot_of_empty_registry_is_zeroed() {
-        let snap = pq_obs::Snapshot::default();
-        let m = SimMetrics::from_snapshot(&snap, 2);
-        assert_eq!(m, SimMetrics::new(2));
-    }
-
-    #[test]
-    fn from_snapshot_reads_counters_by_name() {
-        let obs = pq_obs::Obs::null();
-        obs.counter(pq_obs::names::SIM_REFRESH).add(7);
-        obs.counter(pq_obs::names::DAB_RECOMPUTE).add(3);
-        obs.counter(&format!("{}.q1", pq_obs::names::SIM_QAB_VIOLATION))
-            .add(2);
-        obs.counter(pq_obs::names::SIM_FIDELITY_SAMPLE).add(9);
-        obs.histogram(pq_obs::names::SIM_SOLVE_NS)
-            .record(1_500_000_000);
-        let m = SimMetrics::from_snapshot(&obs.snapshot(), 2);
-        assert_eq!(m.refreshes, 7);
-        assert_eq!(m.recomputations, 3);
-        assert_eq!(m.per_query_violations, vec![0, 2]);
-        assert_eq!(m.fidelity_samples, 9);
-        assert!((m.solver_seconds - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn from_snapshot_reconstructs_attribution_rollups() {
-        let obs = pq_obs::Obs::null();
-        use pq_obs::names;
-        obs.counter(names::DAB_RECOMPUTE).add(5);
-        obs.labeled_counter(names::DAB_RECOMPUTE, names::LABEL_QUERY, "0")
-            .add(2);
-        obs.labeled_counter(names::DAB_RECOMPUTE, names::LABEL_QUERY, "1")
-            .add(3);
-        for (item, n) in [("0", 4u64), ("1", 6)] {
-            obs.labeled_counter(names::SIM_REFRESH, names::LABEL_ITEM, item)
-                .add(n);
-            obs.labeled_counter(names::DAB_RECOMPUTE_TRIGGER, names::LABEL_ITEM, item)
-                .add(n / 2);
-        }
-        let m = SimMetrics::from_snapshot(&obs.snapshot(), 2);
-        assert_eq!(m.per_query_recomputations, vec![2, 3]);
-        assert_eq!(m.per_query_recomputations.iter().sum::<u64>(), 5);
-        assert_eq!(m.per_item_refreshes, vec![4, 6]);
-        assert_eq!(m.per_item_recompute_triggers, vec![2, 3]);
     }
 
     #[test]

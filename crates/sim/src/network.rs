@@ -150,7 +150,6 @@ struct Net {
     obs: Obs,
     metrics: NetworkMetrics,
     c_refreshes: Arc<Counter>,
-    c_dab_changes: Arc<Counter>,
     /// Per-item `sim.refresh` attribution (one arrival per receiving
     /// node counts once, as in [`NetworkMetrics::refreshes`]).
     lc_refresh_by_item: Vec<Arc<Counter>>,
@@ -185,7 +184,6 @@ pub fn run_network_observed(cfg: &NetworkConfig, obs: &Obs) -> Result<NetworkMet
             ..Default::default()
         },
         c_refreshes: obs.counter(names::SIM_REFRESH),
-        c_dab_changes: obs.counter(names::SIM_DAB_CHANGE),
         lc_refresh_by_item: obs.labeled_counters(names::SIM_REFRESH, names::LABEL_ITEM, 0..n_items),
     };
 
@@ -288,7 +286,6 @@ fn deliver(
     // Changed needs ripple up to the source as DAB-change messages: only
     // `c`'s own filters moved, so only it and its ancestors re-derive.
     net.metrics.dab_change_messages += outcome.filter_changes.len() as u64;
-    net.c_dab_changes.add(outcome.filter_changes.len() as u64);
     for &(changed, _) in &outcome.filter_changes {
         let mut node = c;
         loop {
@@ -403,7 +400,6 @@ mod tests {
         let snap = obs.snapshot();
         assert_eq!(snap.counters[names::SIM_REFRESH], m.refreshes());
         assert_eq!(snap.counters[names::DAB_RECOMPUTE], m.recomputations());
-        assert_eq!(snap.counters[names::SIM_DAB_CHANGE], m.dab_change_messages);
         // Attribution families cover every item and node-local query, and
         // their sums equal the plain totals.
         let refresh_fam = &snap.labeled[names::SIM_REFRESH];

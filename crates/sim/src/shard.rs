@@ -113,7 +113,6 @@ fn restrict<'q>(
         threads: cfg.threads,
         audit: cfg.audit.clone(),
         audit_fault: cfg.audit_fault,
-        slo: cfg.slo.clone(),
     }
 }
 

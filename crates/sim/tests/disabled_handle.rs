@@ -4,12 +4,12 @@
 //! [`Obs::null`] handle returns, in every field but the wall-clock
 //! `solver_seconds`, on books shaped like the benchmark's (a fig5 book,
 //! an overlapping one, a banded one with loss on), with the fidelity
-//! audit and the SLO engine configured, on one shard and on two. The
+//! audit configured, on one shard and on two. The
 //! disabled handle itself ends a run with an empty snapshot.
 
 use pq_core::AssignmentStrategy;
 use pq_ddm::TraceSet;
-use pq_obs::{Obs, SloConfig};
+use pq_obs::Obs;
 use pq_sim::{
     run, run_network, run_network_observed, run_observed, AuditConfig, NetworkConfig, SimConfig,
     SimMetrics,
@@ -25,8 +25,8 @@ enum Book {
     Banded,
 }
 
-/// A small book of `shape` over a stock universe, audited and watched
-/// by the SLO engine; the banded one loses messages.
+/// A small book of `shape` over a stock universe, audited; the banded
+/// one loses messages.
 fn config(shape: Book) -> SimConfig {
     let (n_items, n_queries, n_ticks, legs) = match shape {
         Book::Fig5 => (40, 30, 400, 6..=7),
@@ -53,7 +53,6 @@ fn config(shape: Book) -> SimConfig {
     let mut cfg = SimConfig::new(traces, queries);
     cfg.seed = SEED;
     cfg.audit = Some(AuditConfig::default());
-    cfg.slo = Some(SloConfig::default());
     if matches!(shape, Book::Banded) {
         cfg.loss_probability = 0.02;
     }

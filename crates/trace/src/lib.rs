@@ -20,8 +20,8 @@
 //! * [`render_diff`] — two traces side by side with deltas, for
 //!   regression triage between runs.
 //! * [`render_postmortem`] — a flight-recorder dump (the JSONL file the
-//!   [`pq_obs`] recorder writes on an SLO alert, an audit divergence,
-//!   or a panic) rendered as a triage report: the dump
+//!   [`pq_obs`] recorder writes when a simulator tick's audit flags a
+//!   divergence, or on a panic) rendered as a triage report: the dump
 //!   header, per-thread buffer accounting, event counts, and the final
 //!   timeline leading up to the trigger.
 //!
