@@ -78,16 +78,16 @@ impl ReaderIndex {
 }
 
 /// How a coordinator names its queries and items in telemetry. Ids
-/// inside a coordinator are dense and local; counters' labels and
-/// events' fields carry what the rest of the deployment calls them.
+/// inside a coordinator are dense and local; events' fields and spans'
+/// labels carry what the rest of the deployment calls them.
 #[derive(Debug, Clone, Default)]
 pub struct Scope {
     /// Local query id → global query id (empty: the ids are global).
     pub query_gid: Vec<u32>,
     /// Local item id → global item id (empty: the ids are global).
     pub item_gid: Vec<u32>,
-    /// The coordinator's node in a dissemination tree: query labels read
-    /// `c<node>.q<query>` and events carry a `node` field.
+    /// The coordinator's node in a dissemination tree: its
+    /// `dab.recompute` events carry a `node` field.
     pub node: Option<u32>,
 }
 
@@ -100,24 +100,6 @@ impl Scope {
     /// The global id of local item `item`.
     pub fn item(&self, item: usize) -> usize {
         self.item_gid.get(item).map_or(item, |&g| g as usize)
-    }
-
-    /// Query `qi`'s value in a `query`-labeled family: `c<node>.q<qi>`
-    /// in a tree, its global id otherwise.
-    fn query_label(&self, qi: usize) -> impl std::fmt::Display {
-        struct Label(Option<u32>, usize);
-        impl std::fmt::Display for Label {
-            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-                match self {
-                    Label(Some(c), qi) => write!(f, "c{c}.q{qi}"),
-                    Label(None, gid) => write!(f, "{gid}"),
-                }
-            }
-        }
-        match self.node {
-            Some(c) => Label(Some(c), qi),
-            None => Label(None, self.query(qi)),
-        }
     }
 }
 
@@ -168,14 +150,8 @@ pub struct Outcome {
 /// records with relaxed adds instead of registry lookups.
 #[derive(Debug)]
 struct Handles {
-    /// `dab.recompute`: the total, then one per query.
+    /// `dab.recompute`.
     recompute: Arc<Counter>,
-    recompute_by_query: Vec<Arc<Counter>>,
-    /// `dab.recompute_trigger` of every item some query reads — no other
-    /// item's refresh can force a recomputation.
-    trigger_by_item: Vec<Option<Arc<Counter>>>,
-    /// `gp.solve` per query, handed to the solver with each solve.
-    solve_by_query: Vec<Arc<Counter>>,
     eval_full: Arc<Counter>,
     eval_rebase: Arc<Counter>,
     scatter_fanout: Arc<Counter>,
@@ -185,29 +161,9 @@ struct Handles {
 }
 
 impl Handles {
-    fn resolve(cfg: &Config, n_queries: usize, readers: &ReaderIndex) -> Self {
-        let Config { obs, scope, .. } = cfg;
-        // A family at a time: one registry lock for all of its labels.
-        let by_query = |name: &str| -> Vec<Arc<Counter>> {
-            let labels = (0..n_queries).map(|qi| scope.query_label(qi));
-            obs.labeled_counters(name, names::LABEL_QUERY, labels)
-        };
-        let n_items = readers.starts.len() - 1;
-        let is_read = |i: &usize| !readers.queries(*i).is_empty();
-        let mut triggers = obs
-            .labeled_counters(
-                names::DAB_RECOMPUTE_TRIGGER,
-                names::LABEL_ITEM,
-                (0..n_items).filter(is_read).map(|i| scope.item(i)),
-            )
-            .into_iter();
+    fn resolve(obs: &Obs) -> Self {
         Handles {
             recompute: obs.counter(names::DAB_RECOMPUTE),
-            recompute_by_query: by_query(names::DAB_RECOMPUTE),
-            trigger_by_item: (0..n_items)
-                .map(|i| is_read(&i).then(|| triggers.next().expect("one per read item")))
-                .collect(),
-            solve_by_query: by_query(names::GP_SOLVE),
             eval_full: obs.counter(names::EVAL_FULL),
             eval_rebase: obs.counter(names::EVAL_REBASE),
             scatter_fanout: obs.counter(names::EVAL_SCATTER_FANOUT),
@@ -275,7 +231,7 @@ impl Coordinator {
         })?;
         let mut this = Coordinator::unsolved(queries, strategy, values, cfg);
         let started = Instant::now();
-        let by_query = &this.handles.solve_by_query;
+        let scope = &this.cfg.scope;
         (this.units, this.filters, this.cache) = install_units(
             queries,
             strategy,
@@ -286,7 +242,7 @@ impl Coordinator {
                 ddm: this.cfg.ddm,
                 gp: this.cfg.gp.clone(),
             },
-            |gp, qi| attribute(by_query, gp, qi),
+            |gp, qi| attribute(scope, gp, qi),
         )?;
         this.install_ns = started.elapsed().as_nanos() as u64;
         this.seed_filters();
@@ -350,7 +306,7 @@ impl Coordinator {
         let view = SharedView::new(&plan, &values);
         let query_items: Vec<&[ItemId]> = queries.iter().map(PolynomialQuery::items).collect();
         let readers = ReaderIndex::new(values.len(), &query_items);
-        let handles = Handles::resolve(&cfg, queries.len(), &readers);
+        let handles = Handles::resolve(&cfg.obs);
         handles.eval_full.add(queries.len() as u64);
         cfg.obs
             .counter(names::EVAL_SHARED_TERMS)
@@ -379,7 +335,7 @@ impl Coordinator {
     pub fn observe(&mut self, obs: Obs) {
         self.cfg.gp = std::mem::take(&mut self.cfg.gp).observed_by(&obs);
         self.cfg.obs = obs;
-        self.handles = Handles::resolve(&self.cfg, self.qabs.len(), &self.readers);
+        self.handles = Handles::resolve(&self.cfg.obs);
     }
 
     /// Caps the recompute fan-out at `threads` workers.
@@ -520,9 +476,6 @@ impl Coordinator {
         if !stale.is_empty() {
             self.resolve(&stale, item, at, &mut outcome)?;
             // Attribution: this item's refresh forced recomputations.
-            if let Some(c) = &self.handles.trigger_by_item[item] {
-                c.inc();
-            }
             let Config { obs, scope, .. } = &self.cfg;
             obs.emit_with(names::DAB_RECOMPUTE_TRIGGER, EventKind::Count, |e| {
                 let e = e.with("item", scope.item(item));
@@ -548,7 +501,7 @@ impl Coordinator {
         let mut jobs: Vec<RecomputeJob<'_>> = Vec::with_capacity(stale.len());
         for &(qi, ui) in stale {
             let mut gp = self.cfg.gp.clone();
-            attribute(&self.handles.solve_by_query, &mut gp, qi);
+            attribute(&self.cfg.scope, &mut gp, qi);
             let cache = self.cache.take(qi, ui);
             jobs.push(RecomputeJob {
                 qi,
@@ -635,7 +588,6 @@ impl Coordinator {
         at: Option<f64>,
     ) {
         self.handles.recompute.inc();
-        self.handles.recompute_by_query[qi].inc();
         let Config { obs, scope, .. } = &self.cfg;
         obs.emit_with(names::DAB_RECOMPUTE, EventKind::Count, |e| {
             let e = match scope.node {
@@ -695,11 +647,11 @@ fn rederive(installed: &mut f64, new: f64) -> bool {
     changed
 }
 
-/// Attributes `gp` to query `qi`: GP solves under it carry `query=<qi>`
-/// on their timing spans and tally `by_query[qi]`.
-fn attribute(by_query: &[Arc<Counter>], gp: &mut SolverOptions, qi: usize) {
-    gp.query = Some(qi as u32);
-    gp.query_counter = Some(by_query[qi].clone());
+/// Attributes `gp` to query `qi`: GP solves under it carry the query's
+/// id in `scope` on their events and timing spans, as its
+/// `dab.recompute` events do.
+fn attribute(scope: &Scope, gp: &mut SolverOptions, qi: usize) {
+    gp.query = Some(scope.query(qi) as u32);
 }
 
 /// Adds the caller's clock to an event, when it has one.
@@ -902,7 +854,7 @@ mod tests {
             PolynomialQuery::portfolio([(1.0, x(0), x(1))], 8.0).unwrap(),
             PolynomialQuery::portfolio([(1.0, x(1), x(2))], 8.0).unwrap(),
         ];
-        let obs = Obs::null();
+        let (obs, ring) = Obs::ring(256);
         let (values, cfg) = (vec![20.0, 10.0, 15.0], config(3, 1, &obs));
         let ctx = SolveContext::new(&values, &cfg.rates);
         let joint = crate::multi::aao(&queries, &ctx, 5.0).unwrap();
@@ -918,10 +870,16 @@ mod tests {
         c.install_joint(&again.per_query, "aao-periodic", Some(7.0));
         c.rederive(0..3);
         assert_eq!(c.filter(1), again.item_dab(x(1)).unwrap());
-        let snap = obs.snapshot();
-        assert_eq!(snap.counters[names::DAB_RECOMPUTE], 3);
-        assert_eq!(snap.labeled[names::DAB_RECOMPUTE].values["0"], 2);
-        assert_eq!(snap.labeled[names::DAB_RECOMPUTE].values["1"], 1);
+        assert_eq!(obs.snapshot().counters[names::DAB_RECOMPUTE], 3);
+        let per_query = |q: u64| {
+            let events = ring.events();
+            let of_q = |e: &&pq_obs::Event| e.field("query") == Some(&pq_obs::Value::U64(q));
+            (events.iter())
+                .filter(|e| e.target == names::DAB_RECOMPUTE)
+                .filter(of_q)
+                .count()
+        };
+        assert_eq!((per_query(0), per_query(1)), (2, 1));
     }
 
     #[test]
@@ -951,18 +909,25 @@ mod tests {
         .unwrap();
         node.on_refresh(0, 30.0).unwrap();
 
-        let snap = obs.snapshot();
-        let by_query = &snap.labeled[names::DAB_RECOMPUTE].values;
-        assert_eq!((by_query["40"], by_query["c2.q0"]), (1, 1));
-        assert_eq!(snap.labeled[names::DAB_RECOMPUTE_TRIGGER].values["9"], 1);
-        assert!(snap.labeled[names::GP_SOLVE].values["40"] >= 2);
-        let events = ring.events();
-        let recomputes: Vec<_> = events
-            .iter()
-            .filter(|e| e.target == names::DAB_RECOMPUTE)
-            .collect();
-        assert_eq!(recomputes.len(), 2);
         use pq_obs::Value;
+        let events = ring.events();
+        let of =
+            |target: &str| -> Vec<_> { events.iter().filter(|e| e.target == target).collect() };
+        // A shard's solves name their query by its global id, as its
+        // recompute events do: the install's and the re-solve's.
+        let solves_of_40 = (of("gp.solve_ns").iter())
+            .filter(|e| e.kind == EventKind::Timing)
+            .filter(|e| e.field("query") == Some(&Value::U64(40)))
+            .count();
+        assert!(
+            solves_of_40 >= 2,
+            "{solves_of_40} gp.solve spans of query 40"
+        );
+        let triggers = of(names::DAB_RECOMPUTE_TRIGGER);
+        assert_eq!(triggers.len(), 2);
+        assert_eq!(triggers[0].field("item"), Some(&Value::U64(9)));
+        let recomputes = of(names::DAB_RECOMPUTE);
+        assert_eq!(recomputes.len(), 2);
         assert_eq!(recomputes[0].field("query"), Some(&Value::U64(40)));
         assert_eq!(recomputes[0].field("item"), Some(&Value::U64(9)));
         assert_eq!(recomputes[0].field("t"), Some(&Value::F64(3.5)));

@@ -287,6 +287,18 @@ mod tests {
         })
     }
 
+    /// The `gp.solve` spans `ring` caught, counted per attributed query.
+    fn solves_by_query(ring: &pq_obs::RingBufferSubscriber) -> Vec<(u64, usize)> {
+        assert_eq!(ring.dropped(), 0, "the ring holds the whole install");
+        let mut by_query = std::collections::BTreeMap::new();
+        for e in ring.events().iter().filter(|e| e.target == "gp.solve_ns") {
+            if let Some(&pq_obs::Value::U64(q)) = e.field("query") {
+                *by_query.entry(q).or_insert(0) += 1;
+            }
+        }
+        by_query.into_iter().collect()
+    }
+
     /// `queries` installed on `workers` workers, `label(q)` called before
     /// query `q`'s solves.
     fn install_on_labeled(
@@ -329,16 +341,17 @@ mod tests {
             .flat_map(|at| [at - 1, at, at + 1])
         {
             let queries = book(n, &[]);
-            let one = Obs::null();
+            let (one, ring) = Obs::ring(1 << 14);
             let want = bits(install_on(1, &queries, &one).unwrap());
             let want_counts = one.snapshot();
+            let want_solves = solves_by_query(&ring);
             assert_eq!(
                 want_counts.counters[names::SOLVE_COLD_START],
                 gp_units(n),
                 "a cold start per GP unit"
             );
             for workers in WORKERS {
-                let obs = Obs::null();
+                let (obs, ring) = Obs::ring(1 << 14);
                 let got = bits(install_on(workers, &queries, &obs).unwrap());
                 assert!(got == want, "{workers} workers, {n} queries: other bits");
                 let counts = obs.snapshot();
@@ -347,7 +360,8 @@ mod tests {
                     "{workers} workers, {n} queries"
                 );
                 assert_eq!(
-                    counts.labeled, want_counts.labeled,
+                    solves_by_query(&ring),
+                    want_solves,
                     "{workers} workers, {n} queries"
                 );
             }

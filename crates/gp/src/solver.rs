@@ -96,25 +96,23 @@ pub struct SolverOptions {
     pub mu: f64,
     /// Maximum Newton steps per solve. Default `200`.
     pub max_newton_steps: usize,
-    /// Telemetry handle. Defaults to the null handle (no events, but
-    /// `gp.solve_ns` timings still accumulate in its private registry).
+    /// Telemetry handle. Defaults to the disabled handle, which records
+    /// nothing: a caller that wants the solves' timings passes its own
+    /// (see [`SolverOptions::observed_by`]).
     pub obs: Obs,
-    /// Attribution label: the index of the query this solve serves, if
-    /// any. When set, `gp.solve` events/timings carry a `query` field
-    /// and the `gp.solve` labeled counter tallies per-query solves, so
-    /// cost rollups can answer "whose recomputations eat the budget?".
+    /// Attribution label: the id of the query this solve serves, if any
+    /// (a coordinator passes the id its deployment knows the query by).
+    /// When set, `gp.solve` events and timing spans carry a `query`
+    /// field, so `pq-trace` can answer "whose recomputations eat the
+    /// budget?".
     pub query: Option<u32>,
-    /// Pre-resolved handle for this query's `gp.solve` labeled counter.
-    /// Callers that solve in a loop (the simulator) set this once per
-    /// query so the per-solve hot path never touches the registry
-    /// mutex; when unset the counter is resolved per solve.
-    pub query_counter: Option<std::sync::Arc<pq_obs::Counter>>,
-    /// Pre-resolved `gp.solve` span timer (see [`Obs::timer`]); same
-    /// caching contract as [`SolverOptions::query_counter`].
+    /// Pre-resolved `gp.solve` span timer (see [`Obs::timer`]). Callers
+    /// that solve in a loop set this once so the per-solve hot path never
+    /// touches the registry mutex; when unset the span resolves per solve.
     pub solve_timer: Option<pq_obs::Timer>,
     /// Pre-resolved handles for what the DAB layer records around a solve
     /// (it reads its [`Obs`] from these options too); same caching
-    /// contract as [`SolverOptions::query_counter`].
+    /// contract as [`SolverOptions::solve_timer`].
     pub dab: Option<Arc<DabTelemetry>>,
 }
 
@@ -163,9 +161,8 @@ impl Default for SolverOptions {
             t0: 1.0,
             mu: 20.0,
             max_newton_steps: 200,
-            obs: Obs::null(),
+            obs: Obs::disabled(),
             query: None,
-            query_counter: None,
             solve_timer: None,
             dab: None,
         }
@@ -173,32 +170,15 @@ impl Default for SolverOptions {
 }
 
 /// Starts the `gp.solve` span, tagged with the originating query when
-/// the caller attributed the solve, and tallies the per-query labeled
-/// counter. Prefers the pre-resolved handles in the options (set once
-/// per query by looping callers) over per-solve registry resolution.
+/// the caller attributed the solve. Prefers the pre-resolved timer in the
+/// options (set once by looping callers) over per-solve resolution.
 fn solve_span(options: &SolverOptions) -> pq_obs::TimedGuard {
-    match options.query {
-        Some(q) => {
-            match &options.query_counter {
-                Some(counter) => counter.inc(),
-                None => options
-                    .obs
-                    .labeled_counter(names::GP_SOLVE, names::LABEL_QUERY, &q.to_string())
-                    .inc(),
-            }
-            match &options.solve_timer {
-                Some(timer) => timer.start_labeled(&options.obs, names::LABEL_QUERY, u64::from(q)),
-                None => {
-                    options
-                        .obs
-                        .timed_labeled(names::GP_SOLVE, names::LABEL_QUERY, u64::from(q))
-                }
-            }
-        }
-        None => match &options.solve_timer {
-            Some(timer) => timer.start(&options.obs),
-            None => options.obs.timed(names::GP_SOLVE),
-        },
+    let obs = &options.obs;
+    match (&options.solve_timer, options.query) {
+        (Some(timer), Some(q)) => timer.start_labeled(obs, names::LABEL_QUERY, u64::from(q)),
+        (Some(timer), None) => timer.start(obs),
+        (None, Some(q)) => obs.timed_labeled(names::GP_SOLVE, names::LABEL_QUERY, u64::from(q)),
+        (None, None) => obs.timed(names::GP_SOLVE),
     }
 }
 

@@ -18,9 +18,10 @@
 //!    `<name>_ns` timing event when dropped.
 //!
 //! An [`Obs`] handle is a cheap `Arc` clone; the solver, monitor, and
-//! simulator each accept one and default to the null handle. A run whose
-//! handle nobody can read takes [`Obs::disabled`], which registers and
-//! records nothing. A handle may also carry a flight [`Recorder`]: the
+//! simulator each accept one. Whoever can read the handle back (the
+//! monitor) defaults to the null handle; a solve or run whose handle
+//! nobody can read takes [`Obs::disabled`], which registers and records
+//! nothing. A handle may also carry a flight [`Recorder`]: the
 //! last events of every thread, dumped to JSONL when a simulator's audit
 //! flags a divergence or the process panics.
 //!
@@ -48,9 +49,7 @@ pub mod subscriber;
 pub use event::{Event, EventKind, Value};
 pub use jsonl::{parse, to_json, JsonError, JsonlWriter};
 pub use recorder::{Recorder, RecorderConfig, DEFAULT_RECORDER_CAPACITY};
-pub use registry::{
-    Counter, Gauge, Histogram, HistogramSummary, LabeledCounterSnapshot, Registry, Snapshot,
-};
+pub use registry::{Counter, Histogram, HistogramSummary, Registry, Snapshot};
 pub use span::{start_profiler, Profiler, SpanContext, SpanContextGuard, SpanId, MAX_SPAN_DEPTH};
 pub use subscriber::{Fanout, NullSubscriber, RingBufferSubscriber, StderrSubscriber, Subscriber};
 
@@ -95,7 +94,7 @@ pub mod names {
     /// One benchmark harness data point.
     pub const BENCH_RUN: &str = "bench.run";
     /// A refresh whose processing forced at least one DAB recomputation
-    /// (labeled counter by triggering item — the paper's μ cost driver).
+    /// (event with the triggering `item` — the paper's μ cost driver).
     pub const DAB_RECOMPUTE_TRIGGER: &str = "dab.recompute_trigger";
     /// A warm solve started from the lightly blended start (first rung
     /// of the warm-start ladder).
@@ -141,25 +140,10 @@ pub mod names {
     /// The audited delta-maintained value or violation decision diverged
     /// from the naive shadow evaluation (structured Point event + counter).
     pub const AUDIT_DIVERGENCE: &str = "audit.divergence";
-    /// Gauge: percentage of audited samples where the coordinator value
-    /// violated its QAB against the naive source truth (the live fig5 curve).
-    pub const AUDIT_FIDELITY_LOSS_PCT: &str = "audit.fidelity_loss_pct";
-    /// Gauge: largest |delta-maintained − naive| drift seen so far.
-    pub const AUDIT_DRIFT_MAX: &str = "audit.drift_max";
 
-    /// Label key for per-query attribution (value: decimal query index).
+    /// Field key of a span's per-query attribution (value: the query's
+    /// id).
     pub const LABEL_QUERY: &str = "query";
-    /// Label key for per-item attribution (value: decimal item index).
-    pub const LABEL_ITEM: &str = "item";
-    /// Label key for per-shard attribution (value: decimal shard index).
-    pub const LABEL_SHARD: &str = "shard";
-
-    /// Refreshes processed, labeled by coordinator shard (the sharded
-    /// engine's per-shard view of [`SIM_REFRESH`]).
-    pub const SHARD_REFRESH: &str = "shard.refresh";
-    /// DAB recomputations, labeled by coordinator shard.
-    pub const SHARD_RECOMPUTE: &str = "shard.recompute";
-
     /// Synthetic header event of a flight-recorder postmortem dump
     /// (fields `reason`, `seq`, `threads`, `events`, `dropped`).
     pub const RECORDER_DUMP: &str = "recorder.dump";
@@ -201,7 +185,6 @@ impl ObsConfig {
 struct Inert {
     counter: Arc<Counter>,
     histogram: Arc<Histogram>,
-    gauge: Arc<Gauge>,
 }
 
 struct Inner {
@@ -245,9 +228,9 @@ impl Obs {
     }
 
     /// A handle that records nothing, for a run no caller can observe:
-    /// it emits no events, and every counter, histogram, gauge and timer
-    /// it hands out is inert. Resolving one registers nothing (no label
-    /// is formatted, no lock taken), recording returns before any atomic,
+    /// it emits no events, and every counter, histogram and timer it
+    /// hands out is inert. Resolving one registers nothing (no lock
+    /// taken), recording returns before any atomic,
     /// and a span reads no clock, opens no [`SpanId`] and clones no
     /// handle. Its [`Obs::snapshot`] stays empty. A recorder attaches to
     /// it as to any handle.
@@ -257,7 +240,6 @@ impl Obs {
             Some(Inert {
                 counter: Arc::new(Counter::inert()),
                 histogram: Arc::new(Histogram::inert()),
-                gauge: Arc::new(Gauge::inert()),
             }),
         )
     }
@@ -371,40 +353,6 @@ impl Obs {
         match &self.inner.inert {
             Some(inert) => inert.histogram.clone(),
             None => self.inner.registry.histogram(name),
-        }
-    }
-
-    /// The counter for label `value` of the labeled family `name` with
-    /// label key `key` (e.g. `("dab.recompute", "query", "3")`).
-    /// Obtain once at setup, then `inc()` on the hot path — see
-    /// [`Registry::labeled_counter`].
-    pub fn labeled_counter(&self, name: &str, key: &str, value: &str) -> Arc<Counter> {
-        match &self.inner.inert {
-            Some(inert) => inert.counter.clone(),
-            None => self.inner.registry.labeled_counter(name, key, value),
-        }
-    }
-
-    /// One counter per label value of the family `name`, in order — a
-    /// whole per-query or per-item series resolved under one lock; see
-    /// [`Registry::labeled_counters`].
-    pub fn labeled_counters<V: std::fmt::Display>(
-        &self,
-        name: &str,
-        key: &str,
-        values: impl IntoIterator<Item = V>,
-    ) -> Vec<Arc<Counter>> {
-        match &self.inner.inert {
-            Some(inert) => values.into_iter().map(|_| inert.counter.clone()).collect(),
-            None => self.inner.registry.labeled_counters(name, key, values),
-        }
-    }
-
-    /// The gauge named `name` in this handle's registry.
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        match &self.inner.inert {
-            Some(inert) => inert.gauge.clone(),
-            None => self.inner.registry.gauge(name),
         }
     }
 
@@ -578,29 +526,17 @@ mod tests {
         });
         let counter = obs.counter(names::DAB_RECOMPUTE);
         counter.add(3);
-        let labeled = obs.labeled_counter(names::SIM_REFRESH, names::LABEL_ITEM, "7");
-        let family = obs.labeled_counters(names::GP_SOLVE, names::LABEL_QUERY, 0..5);
-        assert_eq!(family.len(), 5, "one handle per id asked for");
-        for c in family.iter().chain([&labeled]) {
-            c.inc();
-        }
         let histogram = obs.histogram(names::GP_SOLVE);
         histogram.record(42);
-        let gauge = obs.gauge(names::AUDIT_DRIFT_MAX);
-        gauge.set(0.5);
         let timer = obs.timer(names::SIM_RECOMPUTE_BATCH);
         drop(timer.start(&obs));
         drop(timer.start_labeled(&obs, names::LABEL_QUERY, 3));
         drop(obs.timed_labeled(names::GP_SOLVE, names::LABEL_QUERY, 1));
-        assert!(family.iter().all(|c| c.get() == 0));
-        assert_eq!((counter.get(), labeled.get()), (0, 0));
+        assert_eq!(counter.get(), 0);
         assert_eq!(histogram.summary(), HistogramSummary::default());
-        assert_eq!(gauge.get(), 0.0);
         let snap = obs.clone().snapshot();
         assert!(snap.counters.is_empty(), "{:?}", snap.counters);
         assert!(snap.histograms.is_empty(), "{:?}", snap.histograms);
-        assert!(snap.labeled.is_empty(), "{:?}", snap.labeled);
-        assert!(snap.gauges.is_empty(), "{:?}", snap.gauges);
     }
 
     #[test]

@@ -3,23 +3,16 @@
 //! Handles ([`Counter`], [`Histogram`]) are `Arc`s of atomics, so the
 //! hot path is a relaxed fetch-add — no lock is held while recording.
 //! The [`Registry`] map itself is only locked at handle-creation and
-//! snapshot time.
-//!
-//! Counters additionally support one cheap **label dimension** for cost
-//! attribution (e.g. `dab.recompute` broken down by `query`): a labeled
-//! counter is obtained once per `(name, key, value)` triple — paying the
-//! registry lock at setup — and is then a plain [`Counter`] on the hot
-//! path. Each family holds at most [`LABEL_CAPACITY`] distinct label
-//! values; later values share a single `_other` overflow counter so a
-//! high-cardinality bug cannot balloon memory.
+//! snapshot time. Per-query and per-item attribution is not kept here:
+//! it rides on the events (`query` / `item` fields) that `pq-trace`
+//! folds.
 //!
 //! A disabled handle ([`crate::Obs::disabled`]) hands out *inert*
 //! instruments instead: each kind carries a `live` flag that its
 //! recording methods test before any atomic, so an inert one records
 //! nothing and its readers see zero.
 
-use std::collections::{BTreeMap, HashMap};
-use std::fmt::{Display, Write as _};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -267,71 +260,11 @@ pub struct HistogramSummary {
     pub max: u64,
 }
 
-/// A last-write-wins floating-point level (e.g. `audit.drift_max`):
-/// the one metric kind that may go down. Stored as `f64` bits in an
-/// atomic, so `set` is a relaxed store and never locks.
-#[derive(Debug)]
-pub struct Gauge {
-    bits: AtomicU64,
-    /// False on an inert gauge, which records nothing.
-    live: bool,
-}
-
-impl Default for Gauge {
-    fn default() -> Self {
-        Gauge {
-            bits: AtomicU64::new(0),
-            live: true,
-        }
-    }
-}
-
-impl Gauge {
-    /// A gauge that records nothing and reads 0.0.
-    pub(crate) fn inert() -> Self {
-        Gauge {
-            live: false,
-            ..Gauge::default()
-        }
-    }
-
-    /// Sets the gauge to `v`.
-    pub fn set(&self, v: f64) {
-        if self.live {
-            self.bits.store(v.to_bits(), Ordering::Relaxed);
-        }
-    }
-
-    /// Current value (0.0 until first set).
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.bits.load(Ordering::Relaxed))
-    }
-}
-
-/// Maximum distinct label values per labeled-counter family; further
-/// values fold into the [`LABEL_OVERFLOW`] counter.
-pub const LABEL_CAPACITY: usize = 1024;
-
-/// Label value under which out-of-capacity increments accumulate.
-pub const LABEL_OVERFLOW: &str = "_other";
-
-/// One labeled-counter family: a metric name with a single label key
-/// (e.g. `dab.recompute` by `query`) and a bounded set of label values.
-#[derive(Debug)]
-struct LabeledFamily {
-    key: String,
-    /// Hashed, not ordered: a run resolves thousands of labels and reads
-    /// them back once, into the ordered map of a snapshot.
-    values: HashMap<String, Arc<Counter>>,
-}
-
-/// Get-or-create storage for named counters, histograms, and gauges.
+/// Get-or-create storage for named counters and histograms.
 #[derive(Debug, Default)]
 pub struct Registry {
     counters: Mutex<BTreeMap<String, Arc<Counter>>>,
     histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
-    labeled: Mutex<BTreeMap<String, LabeledFamily>>,
-    gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
 }
 
 impl Registry {
@@ -357,86 +290,6 @@ impl Registry {
         h
     }
 
-    /// The counter for `(name, key, value)` in the labeled family
-    /// `name`, created on first use. The family's label key is fixed by
-    /// its first caller; a mismatched key on a later call panics (a
-    /// programming error — one family, one dimension).
-    ///
-    /// Obtain the handle once (setup path), then `inc()` it on the hot
-    /// path — recording is the same relaxed fetch-add as a plain
-    /// [`Counter`]. Past [`LABEL_CAPACITY`] distinct values the
-    /// [`LABEL_OVERFLOW`] counter is returned instead.
-    pub fn labeled_counter(&self, name: &str, key: &str, value: &str) -> Arc<Counter> {
-        self.labeled_counters(name, key, [value])
-            .pop()
-            .expect("one label in, one counter out")
-    }
-
-    /// [`Registry::labeled_counter`] for each of `values`, in order: the
-    /// handles that many single calls would return, with the lock taken
-    /// and the family looked up once and the label text written into one
-    /// reused buffer. An empty `values` registers nothing, not even the
-    /// family.
-    pub fn labeled_counters<V: Display>(
-        &self,
-        name: &str,
-        key: &str,
-        values: impl IntoIterator<Item = V>,
-    ) -> Vec<Arc<Counter>> {
-        let mut values = values.into_iter().peekable();
-        if values.peek().is_none() {
-            return Vec::new();
-        }
-        let mut map = lock_unpoisoned(&self.labeled);
-        if !map.contains_key(name) {
-            let family = LabeledFamily {
-                key: key.to_string(),
-                values: HashMap::new(),
-            };
-            map.insert(name.to_string(), family);
-        }
-        let family = map.get_mut(name).expect("just inserted");
-        assert_eq!(
-            family.key, key,
-            "labeled counter {name:?} registered with key {:?}, asked for {key:?}",
-            family.key
-        );
-        let mut label = String::new();
-        let mut overflow: Option<Arc<Counter>> = None;
-        values
-            .map(|value| {
-                label.clear();
-                write!(label, "{value}").expect("writing to a String");
-                // A value registered while the family had room keeps its
-                // own counter however full the family is now.
-                if let Some(c) = family.values.get(label.as_str()) {
-                    return c.clone();
-                }
-                if family.values.len() >= LABEL_CAPACITY {
-                    let shared = overflow.get_or_insert_with(|| {
-                        let slot = family.values.entry(LABEL_OVERFLOW.to_string());
-                        slot.or_default().clone()
-                    });
-                    return shared.clone();
-                }
-                let c = Arc::new(Counter::default());
-                family.values.insert(label.clone(), c.clone());
-                c
-            })
-            .collect()
-    }
-
-    /// The gauge named `name`, created on first use.
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut map = lock_unpoisoned(&self.gauges);
-        if let Some(g) = map.get(name) {
-            return g.clone();
-        }
-        let g = Arc::new(Gauge::default());
-        map.insert(name.to_string(), g.clone());
-        g
-    }
-
     /// Values of all metrics at this moment, sorted by name.
     pub fn snapshot(&self) -> Snapshot {
         Snapshot {
@@ -448,43 +301,7 @@ impl Registry {
                 .iter()
                 .map(|(k, v)| (k.clone(), v.summary()))
                 .collect(),
-            labeled: lock_unpoisoned(&self.labeled)
-                .iter()
-                .map(|(k, fam)| {
-                    (
-                        k.clone(),
-                        LabeledCounterSnapshot {
-                            key: fam.key.clone(),
-                            values: fam
-                                .values
-                                .iter()
-                                .map(|(v, c)| (v.clone(), c.get()))
-                                .collect(),
-                        },
-                    )
-                })
-                .collect(),
-            gauges: lock_unpoisoned(&self.gauges)
-                .iter()
-                .map(|(k, g)| (k.clone(), g.get()))
-                .collect(),
         }
-    }
-}
-
-/// Point-in-time totals of one labeled-counter family.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct LabeledCounterSnapshot {
-    /// The family's label key, e.g. `query` or `item`.
-    pub key: String,
-    /// Totals per label value, sorted by value.
-    pub values: BTreeMap<String, u64>,
-}
-
-impl LabeledCounterSnapshot {
-    /// Sum across all label values (including overflow).
-    pub fn total(&self) -> u64 {
-        self.values.values().sum()
     }
 }
 
@@ -495,10 +312,6 @@ pub struct Snapshot {
     pub counters: BTreeMap<String, u64>,
     /// Histogram summaries by name.
     pub histograms: BTreeMap<String, HistogramSummary>,
-    /// Labeled-counter families by name (see [`Registry::labeled_counter`]).
-    pub labeled: BTreeMap<String, LabeledCounterSnapshot>,
-    /// Gauge levels by name (see [`Registry::gauge`]).
-    pub gauges: BTreeMap<String, f64>,
 }
 
 #[cfg(test)]
@@ -589,80 +402,6 @@ mod tests {
     }
 
     #[test]
-    fn labeled_counters_accumulate_per_value() {
-        let registry = Registry::default();
-        registry
-            .labeled_counter("dab.recompute", "query", "0")
-            .inc();
-        registry
-            .labeled_counter("dab.recompute", "query", "1")
-            .add(4);
-        // Same (name, value) returns the same underlying counter.
-        registry
-            .labeled_counter("dab.recompute", "query", "0")
-            .inc();
-        let snap = registry.snapshot();
-        let fam = &snap.labeled["dab.recompute"];
-        assert_eq!(fam.key, "query");
-        assert_eq!(fam.values["0"], 2);
-        assert_eq!(fam.values["1"], 4);
-        assert_eq!(fam.total(), 6);
-    }
-
-    #[test]
-    fn labeled_counters_overflow_into_other() {
-        let registry = Registry::default();
-        for i in 0..LABEL_CAPACITY + 10 {
-            registry
-                .labeled_counter("hot", "item", &i.to_string())
-                .inc();
-        }
-        let snap = registry.snapshot();
-        let fam = &snap.labeled["hot"];
-        // Capacity distinct values plus one shared overflow slot.
-        assert_eq!(fam.values.len(), LABEL_CAPACITY + 1);
-        assert_eq!(fam.values[LABEL_OVERFLOW], 10);
-        assert_eq!(fam.total(), (LABEL_CAPACITY + 10) as u64);
-    }
-
-    #[test]
-    fn batch_registration_returns_what_single_calls_return() {
-        // Two registries fed the same labels, one call at a time and in
-        // batches: past capacity, with repeats, and with a label that got
-        // its own slot before the family filled up.
-        let rounds: [Vec<usize>; 3] = [
-            (0..LABEL_CAPACITY - 1).collect(),
-            vec![5, LABEL_CAPACITY + 7, 5, LABEL_CAPACITY + 7, 1],
-            (LABEL_CAPACITY - 3..LABEL_CAPACITY + 3).collect(),
-        ];
-        let (single, batch) = (Registry::default(), Registry::default());
-        assert!(batch.labeled_counters("m", "item", [0usize; 0]).is_empty());
-        assert!(batch.snapshot().labeled.is_empty(), "nothing to register");
-        for (round, ids) in rounds.iter().enumerate() {
-            let one_by_one: Vec<_> = ids
-                .iter()
-                .map(|i| single.labeled_counter("m", "item", &i.to_string()))
-                .collect();
-            let together = batch.labeled_counters("m", "item", ids);
-            for (k, (a, b)) in one_by_one.iter().zip(&together).enumerate() {
-                a.add((round * 10_000 + k) as u64);
-                b.add((round * 10_000 + k) as u64);
-            }
-        }
-        let (single, batch) = (single.snapshot(), batch.snapshot());
-        assert_eq!(single.labeled, batch.labeled);
-        assert_eq!(single.labeled["m"].values.len(), LABEL_CAPACITY + 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "registered with key")]
-    fn labeled_counter_key_mismatch_panics() {
-        let registry = Registry::default();
-        registry.labeled_counter("m", "query", "0");
-        registry.labeled_counter("m", "item", "0");
-    }
-
-    #[test]
     fn registered_but_never_recorded_histogram_reports_zero_min() {
         let registry = Registry::default();
         let _h = registry.histogram("gp.solve_ns");
@@ -674,40 +413,23 @@ mod tests {
     }
 
     #[test]
-    fn gauges_snapshot_last_written_value() {
-        let registry = Registry::default();
-        let g = registry.gauge("audit.drift_max");
-        assert_eq!(g.get(), 0.0);
-        g.set(0.25);
-        g.set(0.125); // gauges may go down
-        registry.gauge("audit.fidelity_loss_pct").set(1.5);
-        let s = registry.snapshot();
-        assert_eq!(s.gauges["audit.drift_max"], 0.125);
-        assert_eq!(s.gauges["audit.fidelity_loss_pct"], 1.5);
-    }
-
-    #[test]
     fn panicking_thread_does_not_poison_the_telemetry_plane() {
         let obs = crate::Obs::null();
-        obs.labeled_counter("m", "query", "0").inc();
         let clone = obs.clone();
         let worker = std::thread::spawn(move || {
             // Recording from the doomed thread must survive the panic...
             clone.counter("sim.refresh").add(3);
-            // ...and this key-mismatch panic fires while the `labeled`
-            // mutex is held, poisoning it the hard way.
-            clone.labeled_counter("m", "item", "0");
+            // ...and this panic fires while the `counters` mutex is
+            // held, poisoning it the hard way.
+            let _held = clone.inner.registry.counters.lock();
+            panic!("worker dies holding the registry lock");
         });
         assert!(worker.join().is_err(), "worker must have panicked");
         // Every accessor and the snapshot keep working afterwards.
-        obs.labeled_counter("m", "query", "1").add(4);
         obs.counter("sim.refresh").inc();
         obs.histogram("gp.solve_ns").record(10);
-        obs.gauge("audit.drift_max").set(0.5);
         let snap = obs.snapshot();
         assert_eq!(snap.counters["sim.refresh"], 4);
-        assert_eq!(snap.labeled["m"].values["1"], 4);
         assert_eq!(snap.histograms["gp.solve_ns"].count, 1);
-        assert_eq!(snap.gauges["audit.drift_max"], 0.5);
     }
 }

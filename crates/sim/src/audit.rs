@@ -13,10 +13,10 @@
 //!   coordinator view; the played full evaluation at the source), and
 //! * the **QAB violation decision** the engine would take from each.
 //!
-//! Agreement is reported as live gauges; any divergence increments the
-//! `audit.divergence` counter and emits a structured `audit.divergence`
-//! event carrying the query, tick, both values, the drift, and whether
-//! the value or the decision diverged. Each pass also returns its count
+//! Each shadow evaluation counts one `audit.sample`; any divergence
+//! increments the `audit.divergence` counter and emits a structured
+//! `audit.divergence` event carrying the query, tick, both values, the
+//! drift, and whether the value or the decision diverged. Each pass also returns its count
 //! to the engine, which dumps the handle's flight recorder, if it
 //! carries one, after a pass that flagged any.
 //!
@@ -28,7 +28,7 @@
 use std::sync::Arc;
 
 use pq_core::coordinator::Scope;
-use pq_obs::{names, Counter, EventKind, Gauge, Obs};
+use pq_obs::{names, Counter, EventKind, Obs};
 use pq_poly::PolynomialQuery;
 
 /// Configuration of the continuous fidelity audit (see module docs).
@@ -94,37 +94,19 @@ pub(crate) struct FidelityAuditor {
     cfg: AuditConfig,
     /// Round-robin position over the query index space.
     cursor: usize,
-    /// Audited samples / naive-truth violations among them, driving the
-    /// `audit.fidelity_loss_pct` gauge (the live estimate of the
-    /// paper's loss metric from the audited subset).
-    samples: u64,
-    violations: u64,
-    /// Largest value drift observed so far (gauge `audit.drift_max`).
-    drift_max: f64,
     c_sample: Arc<Counter>,
     c_divergence: Arc<Counter>,
-    g_fidelity_loss: Arc<Gauge>,
-    g_drift_max: Arc<Gauge>,
 }
 
 impl FidelityAuditor {
-    /// Builds the auditor, resolving its counters and gauges once and
-    /// zeroing the gauges, which an earlier run on `obs` may have set.
+    /// Builds the auditor, resolving its counters once.
     pub(crate) fn new(cfg: AuditConfig, obs: &Obs) -> Self {
-        let auditor = FidelityAuditor {
+        FidelityAuditor {
             cfg,
             cursor: 0,
-            samples: 0,
-            violations: 0,
-            drift_max: 0.0,
             c_sample: obs.counter(names::AUDIT_SAMPLE),
             c_divergence: obs.counter(names::AUDIT_DIVERGENCE),
-            g_fidelity_loss: obs.gauge(names::AUDIT_FIDELITY_LOSS_PCT),
-            g_drift_max: obs.gauge(names::AUDIT_DRIFT_MAX),
-        };
-        auditor.g_fidelity_loss.set(0.0);
-        auditor.g_drift_max.set(0.0);
-        auditor
+        }
     }
 
     /// Runs one audit pass if `tick` falls on the configured interval.
@@ -168,9 +150,6 @@ impl FidelityAuditor {
                 obs,
             );
         }
-        self.g_fidelity_loss
-            .set(100.0 * self.violations as f64 / self.samples as f64);
-        self.g_drift_max.set(self.drift_max);
         divergences
     }
 
@@ -191,26 +170,16 @@ impl FidelityAuditor {
         obs: &Obs,
     ) -> u64 {
         let mut divergences = 0;
-        self.samples += 1;
         self.c_sample.inc();
         let naive_src = query.eval(src_values);
         let naive_coord = query.eval(coord_values);
         let delta_src = src_qv[qi];
         let delta_coord = coord_qv[qi];
-        if naive_src.is_finite()
-            && naive_coord.is_finite()
-            && (naive_src - naive_coord).abs() > query.qab()
-        {
-            self.violations += 1;
-        }
         for (view, naive, delta) in [
             ("source", naive_src, delta_src),
             ("coordinator", naive_coord, delta_coord),
         ] {
             let drift = (naive - delta).abs();
-            if drift.is_finite() && drift > self.drift_max {
-                self.drift_max = drift;
-            }
             // NaN drift (e.g. a poisoned delta plane) must diverge too.
             if drift.is_nan() || drift > self.cfg.tolerance * (1.0 + naive.abs()) {
                 self.divergence(gqi, tick, view, naive, delta, drift, "value", obs);
@@ -308,8 +277,6 @@ mod tests {
             0,
             "delta plane diverged from naive truth"
         );
-        assert_eq!(snap.gauges[names::AUDIT_FIDELITY_LOSS_PCT], 0.0);
-        assert!(snap.gauges[names::AUDIT_DRIFT_MAX] < 1e-9);
     }
 
     #[test]
@@ -427,8 +394,9 @@ mod tests {
         assert_eq!(auditor.cursor, 1, "first pass audits q0, cursor advances");
         auditor.on_tick(8, &cfg.queries, &values, &values, qv, qv, &scope, &obs);
         assert_eq!(auditor.cursor, 0, "second pass audits q1, wraps around");
-        assert_eq!(auditor.samples, 2);
-        assert_eq!(obs.snapshot().counters[names::AUDIT_DIVERGENCE], 0);
+        let snap = obs.snapshot();
+        assert_eq!(snap.counters[names::AUDIT_SAMPLE], 2);
+        assert_eq!(snap.counters[names::AUDIT_DIVERGENCE], 0);
     }
 
     #[test]

@@ -272,12 +272,13 @@ pub fn run(config: &SimConfig) -> Result<SimMetrics, SimError> {
 /// one from a declarative [`pq_obs::ObsConfig`] with
 /// [`Obs::from_config`] for a JSONL trace, a profiler or a recorder).
 ///
-/// After the run, `obs.snapshot()` holds what the run recorded: refresh
-/// and recomputation counts with their per-item / per-query attribution,
-/// the evaluation and scheduler counters, the audit's counters and
-/// gauges, and the GP-solver timings (`gp.solve_ns`) of every solve. A
-/// pass of the fidelity audit that flags a divergence dumps the handle's
-/// flight recorder, if it carries one (at most once a tick).
+/// After the run, `obs.snapshot()` holds what the run recorded: the
+/// recomputation, evaluation, scheduler and audit counters and the
+/// GP-solver timings (`gp.solve_ns`) of every solve; per-query and
+/// per-item attribution is in the returned [`SimMetrics`] and on the
+/// emitted events. A pass of the fidelity audit that flags a divergence
+/// dumps the handle's flight recorder, if it carries one (at most once a
+/// tick).
 pub fn run_observed(config: &SimConfig, obs: &Obs) -> Result<SimMetrics, SimError> {
     crate::shard::run_sharded(config, obs).map(|report| report.metrics)
 }
@@ -292,8 +293,8 @@ pub fn run_observed(config: &SimConfig, obs: &Obs) -> Result<SimMetrics, SimErro
 /// An engine is as large as what it watches: `cfg` is a projection
 /// ([`crate::shard::run_sharded`]) holding exactly the items its queries
 /// read, under dense local ids. Every column here is indexed by those
-/// ids and every local item is swept, filtered and labeled; global ids
-/// appear only in what leaves the engine (labels, events, errors, draw
+/// ids and every local item is swept and filtered; global ids appear
+/// only in what leaves the engine (events, span labels, errors, draw
 /// keys), through the coordinator's [`Scope`].
 pub(crate) struct Engine<'a> {
     cfg: &'a SimConfig,
@@ -320,22 +321,12 @@ pub(crate) struct Engine<'a> {
     deferred: VecDeque<(usize, f64)>,
     /// Telemetry handle (the coordinator holds a clone).
     obs: Obs,
-    /// Refresh arrivals (`sim.refresh`; `dab.recompute` is the
-    /// coordinator's).
-    c_refreshes: Arc<Counter>,
-    /// Per-item `sim.refresh` attribution (labeled family, key `item`).
-    lc_refresh_by_item: Vec<Arc<Counter>>,
     /// Full evaluations of the source-side truth (`eval.full`; the
     /// coordinator counts its own rebases under the same name).
     c_eval_full: Arc<Counter>,
     /// Scheduler counters: events pushed into / popped from the queue.
     c_sched_push: Arc<Counter>,
     c_sched_pop: Arc<Counter>,
-    /// Per-shard hot-path attribution (`shard.refresh` /
-    /// `shard.recompute` labeled by `shard`); present only when running
-    /// as a shard, so a lone coordinator pays nothing.
-    lc_shard_refresh: Option<Arc<Counter>>,
-    lc_shard_recompute: Option<Arc<Counter>>,
     /// Continuous fidelity audit (shadow naive evaluation); present only
     /// when configured.
     auditor: Option<FidelityAuditor>,
@@ -426,25 +417,14 @@ impl<'a> Engine<'a> {
     /// Builds the engine of one coordinator over `cfg`, a projection
     /// whose every item is watched (validated by
     /// [`crate::shard::run_sharded`], which builds it): `scope` maps its
-    /// dense local ids to the run's global ones, `shard` names the
-    /// coordinator when it is one of several.
-    pub(crate) fn new(
-        cfg: &'a SimConfig,
-        obs: Obs,
-        scope: Scope,
-        shard: Option<u32>,
-    ) -> Result<Self, SimError> {
+    /// dense local ids to the run's global ones.
+    pub(crate) fn new(cfg: &'a SimConfig, obs: Obs, scope: Scope) -> Result<Self, SimError> {
         let n_items = cfg.traces.n_items();
         let source_values = cfg.traces.initial_values();
         check_samples(&cfg.traces, |i| scope.item(i))?;
-        let shard_label = shard.map(|s| s.to_string());
-        // All registry names carry *global* ids so a partitioned run's
-        // shards write into one coherent attribution space; so do the
-        // keys of the draw streams.
-        let item_gids = || (0..n_items).map(|i| scope.item(i));
-        let lc_refresh_by_item =
-            obs.labeled_counters(names::SIM_REFRESH, names::LABEL_ITEM, item_gids());
-        let draws = ItemDraws::new(cfg.seed, item_gids());
+        // Draw streams are keyed by *global* ids, so an item draws the
+        // same whatever shard or projection it lands in.
+        let draws = ItemDraws::new(cfg.seed, (0..n_items).map(|i| scope.item(i)));
         // Coordinator and sources agree at t = 0 (steady-state start,
         // §V-A): the coordinator is installed at the sources' values and
         // its first filters are in place before the first tick.
@@ -502,17 +482,9 @@ impl<'a> Engine<'a> {
             metrics: SimMetrics::with_items(cfg.queries.len(), n_items),
             coordinator_busy_until: 0.0,
             deferred: VecDeque::new(),
-            c_refreshes: obs.counter(names::SIM_REFRESH),
-            lc_refresh_by_item,
             c_eval_full: obs.counter(names::EVAL_FULL),
             c_sched_push: obs.counter(names::SCHED_PUSH),
             c_sched_pop: obs.counter(names::SCHED_POP),
-            lc_shard_refresh: shard_label
-                .as_ref()
-                .map(|s| obs.labeled_counter(names::SHARD_REFRESH, names::LABEL_SHARD, s)),
-            lc_shard_recompute: shard_label
-                .as_ref()
-                .map(|s| obs.labeled_counter(names::SHARD_RECOMPUTE, names::LABEL_SHARD, s)),
             auditor: cfg
                 .audit
                 .as_ref()
@@ -772,16 +744,11 @@ impl<'a> Engine<'a> {
         lost
     }
 
-    /// Arrival bookkeeping for one refresh (metrics, attribution, trace
-    /// event) — everything that happens before the value is applied.
+    /// Arrival bookkeeping for one refresh (metrics, trace event) —
+    /// everything that happens before the value is applied.
     fn note_refresh_arrival(&mut self, item: usize, value: f64, now: f64) {
         self.metrics.refreshes += 1;
         self.metrics.per_item_refreshes[item] += 1;
-        self.c_refreshes.inc();
-        self.lc_refresh_by_item[item].inc();
-        if let Some(c) = &self.lc_shard_refresh {
-            c.inc();
-        }
         let gid = self.gi(item);
         self.obs
             .emit_with(names::SIM_REFRESH, EventKind::Count, |e| {
@@ -837,9 +804,6 @@ impl<'a> Engine<'a> {
         for qi in queries {
             self.metrics.recomputations += 1;
             self.metrics.per_query_recomputations[qi] += 1;
-            if let Some(c) = &self.lc_shard_recompute {
-                c.inc();
-            }
         }
     }
 
@@ -973,7 +937,7 @@ mod tests {
         for ahead in [false, true] {
             for cap in BLOCK_CAPS {
                 let obs = Obs::null();
-                let mut engine = Engine::new(&cfg, obs.clone(), Scope::default(), None).unwrap();
+                let mut engine = Engine::new(&cfg, obs.clone(), Scope::default()).unwrap();
                 engine.probe.truths = Some(Vec::new());
                 engine.play(ahead, cap).unwrap();
                 let truths = engine.probe.truths.take().unwrap();
@@ -1015,8 +979,7 @@ mod tests {
         for cfg in [no_item, no_query] {
             for ahead in [false, true] {
                 for cap in BLOCK_CAPS {
-                    let mut engine =
-                        Engine::new(&cfg, Obs::null(), Scope::default(), None).unwrap();
+                    let mut engine = Engine::new(&cfg, Obs::null(), Scope::default()).unwrap();
                     engine.play(ahead, cap).unwrap();
                     let case = format!("{} items, ahead {ahead}, cap {cap}", cfg.traces.n_items());
                     assert_eq!(engine.metrics.fidelity_samples, 49, "{case}");
@@ -1038,7 +1001,7 @@ mod tests {
         let queries = vec![PolynomialQuery::portfolio([(1.0, x(0), x(1))], 8.0).unwrap()];
         let cfg = SimConfig::new(traces, queries);
         for ahead in [false, true] {
-            let mut engine = Engine::new(&cfg, Obs::null(), Scope::default(), None).unwrap();
+            let mut engine = Engine::new(&cfg, Obs::null(), Scope::default()).unwrap();
             let poisoned = Event::RefreshArrive {
                 item: 1,
                 value: f64::NAN,
@@ -1099,7 +1062,7 @@ mod tests {
             std::mem::take(released).into_iter().map(bits).collect()
         };
         for cfg in [lossy_service_free, planetlab] {
-            let build = || Engine::new(&cfg, Obs::null(), Scope::default(), None).unwrap();
+            let build = || Engine::new(&cfg, Obs::null(), Scope::default()).unwrap();
             let (mut two_pass, mut oracle) = (build(), build());
             oracle.probe.interleaved = true;
             let (mut refreshes, mut dab_changes) = (0, 0);

@@ -3,7 +3,7 @@
 //! Substrate replacing the paper's emulation / PlanetLab test-bed (§V-A):
 //!
 //! * [`audit`] — continuous fidelity audit: shadow naive evaluation of
-//!   a rotating query sample, live divergence gauges and events;
+//!   a rotating query sample, sample and divergence counters and events;
 //! * [`delay`] — heavy-tailed Pareto communication & computation delays,
 //!   drawn from one counter-based stream per item;
 //! * [`event`] — the events the simulator schedules;

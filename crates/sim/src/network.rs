@@ -15,13 +15,11 @@
 //! experiment's metric is message and recomputation *counts*, which are
 //! delay-independent in the push model.
 
-use std::sync::Arc;
-
 use pq_core::coordinator::{Config, Coordinator, Scope};
 use pq_core::{dab_solver_options, AssignmentStrategy, PqHeuristic};
 use pq_ddm::{DataDynamicsModel, RateEstimator, TraceSet};
 use pq_gp::SolverOptions;
-use pq_obs::{names, Counter, EventKind, Obs};
+use pq_obs::{names, EventKind, Obs};
 use pq_poly::PolynomialQuery;
 
 use crate::engine::SimError;
@@ -149,10 +147,6 @@ impl EdgeState {
 struct Net {
     obs: Obs,
     metrics: NetworkMetrics,
-    c_refreshes: Arc<Counter>,
-    /// Per-item `sim.refresh` attribution (one arrival per receiving
-    /// node counts once, as in [`NetworkMetrics::refreshes`]).
-    lc_refresh_by_item: Vec<Arc<Counter>>,
 }
 
 /// Runs the dissemination-network simulation. Like [`crate::run`] it
@@ -164,11 +158,11 @@ pub fn run_network(cfg: &NetworkConfig) -> Result<NetworkMetrics, SimError> {
 }
 
 /// Runs the dissemination-network simulation with a caller-supplied
-/// telemetry handle: `sim.refresh`/`dab.recompute` events and counters
-/// (with per-item / per-query labels — a node's queries are labeled
-/// `c<node>.q<local>`, ids being coordinator-local) and GP-solver spans
-/// are reported through it, matching what [`crate::run_observed`] records
-/// for the single-coordinator engine.
+/// telemetry handle: `sim.refresh` / `dab.recompute` events (each with
+/// a `node` field; query ids are node-local, so `pq-trace` names a
+/// node's query `c<node>.q<local>`), the `dab.recompute` counter and
+/// GP-solver spans are reported through it, matching what
+/// [`crate::run_observed`] records for the single-coordinator engine.
 pub fn run_network_observed(cfg: &NetworkConfig, obs: &Obs) -> Result<NetworkMetrics, SimError> {
     let n_items = cfg.traces.n_items();
     let n_nodes = cfg.queries_per_coordinator.len();
@@ -183,8 +177,6 @@ pub fn run_network_observed(cfg: &NetworkConfig, obs: &Obs) -> Result<NetworkMet
             recomputations_per_node: vec![0; n_nodes],
             ..Default::default()
         },
-        c_refreshes: obs.counter(names::SIM_REFRESH),
-        lc_refresh_by_item: obs.labeled_counters(names::SIM_REFRESH, names::LABEL_ITEM, 0..n_items),
     };
 
     // One installed coordinator per node.
@@ -270,8 +262,6 @@ fn deliver(
     net: &mut Net,
 ) -> Result<(), SimError> {
     net.metrics.refreshes_per_node[c] += 1;
-    net.c_refreshes.inc();
-    net.lc_refresh_by_item[item].inc();
     net.obs
         .emit_with(names::SIM_REFRESH, EventKind::Count, |e| {
             e.with("node", c).with("item", item).with("value", value)
@@ -388,7 +378,7 @@ mod tests {
     }
 
     #[test]
-    fn observed_network_mirrors_metrics_into_registry() {
+    fn observed_network_counts_recomputes_and_solves() {
         let cfg = NetworkConfig::round_robin(
             traces(),
             queries(6),
@@ -398,17 +388,7 @@ mod tests {
         let obs = Obs::null();
         let m = run_network_observed(&cfg, &obs).unwrap();
         let snap = obs.snapshot();
-        assert_eq!(snap.counters[names::SIM_REFRESH], m.refreshes());
         assert_eq!(snap.counters[names::DAB_RECOMPUTE], m.recomputations());
-        // Attribution families cover every item and node-local query, and
-        // their sums equal the plain totals.
-        let refresh_fam = &snap.labeled[names::SIM_REFRESH];
-        assert_eq!(refresh_fam.key, names::LABEL_ITEM);
-        assert_eq!(refresh_fam.total(), m.refreshes());
-        let rec_fam = &snap.labeled[names::DAB_RECOMPUTE];
-        assert_eq!(rec_fam.key, names::LABEL_QUERY);
-        assert_eq!(rec_fam.total(), m.recomputations());
-        assert!(rec_fam.values.contains_key("c0.q0"));
         // GP solves ran under the same registry.
         assert!(snap.histograms["gp.solve_ns"].count > 0);
     }

@@ -203,7 +203,7 @@ pub fn run_sharded(cfg: &SimConfig, obs: &Obs) -> Result<ShardReport, SimError> 
     if k == 1 {
         // Time only `run()`, matching the k > 1 path where engines are
         // constructed (solver setup included) before the clock starts.
-        let engine = Engine::new(world, obs.clone(), projection.clone(), None)?;
+        let engine = Engine::new(world, obs.clone(), projection.clone())?;
         let t0 = Instant::now();
         let metrics = engine.run()?;
         let busy_seconds = t0.elapsed().as_secs_f64();
@@ -269,8 +269,8 @@ pub fn run_sharded(cfg: &SimConfig, obs: &Obs) -> Result<ShardReport, SimError> 
     // Construct every engine on this thread before any shard runs, so a
     // failed first solve returns before any thread starts.
     let mut engines: Vec<Engine<'_>> = Vec::with_capacity(k);
-    for (s, (sc, scope)) in shard_cfgs.iter().zip(&shard_scopes).enumerate() {
-        engines.push(Engine::new(sc, obs.clone(), scope.clone(), Some(s as u32))?);
+    for (sc, scope) in shard_cfgs.iter().zip(&shard_scopes) {
+        engines.push(Engine::new(sc, obs.clone(), scope.clone())?);
     }
     let runs: Vec<(Result<SimMetrics, SimError>, f64)> = std::thread::scope(|scope| {
         let handles: Vec<_> = engines

@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use pq_ddm::{Trace, TraceSet};
 use pq_poly::{ItemId, PolynomialQuery};
-use pq_sim::{run_observed, Obs, SimConfig};
+use pq_sim::{run_network_observed, run_observed, NetworkConfig, Obs, SimConfig};
 use pq_trace::{load, span_forest, TraceStats};
 
 #[test]
@@ -82,6 +82,45 @@ fn trace_attribution_matches_sim_metrics_exactly() {
             .is_some_and(|s| !s.is_empty()),
         "trace should carry gp.solve spans"
     );
+}
+
+/// The same for a dissemination tree: a node's `dab.recompute` events
+/// carry a `node` field and node-local query ids, which `pq-trace` names
+/// `c<node>.q<qi>`, and its `sim.refresh` events one per receiving node.
+#[test]
+fn tree_trace_attribution_sums_to_network_metrics() {
+    let traces = TraceSet::new(vec![
+        Trace::sinusoid(20.0, 3.0, 400.0, 800),
+        Trace::sinusoid(10.0, 2.0, 300.0, 800),
+        Trace::sinusoid(15.0, 2.5, 350.0, 800),
+    ]);
+    let queries = (0..6)
+        .map(|k| {
+            let (a, b) = [(0, 1), (1, 2), (0, 2)][k % 3];
+            let leg = (1.0 + k as f64, ItemId(a), ItemId(b));
+            PolynomialQuery::portfolio([leg], 20.0 + k as f64).unwrap()
+        })
+        .collect();
+    let strategy = pq_core::AssignmentStrategy::DualDab { mu: 5.0 };
+    let cfg = NetworkConfig::round_robin(traces, queries, 3, strategy);
+    let (obs, ring) = Obs::ring(1 << 16);
+    let m = run_network_observed(&cfg, &obs).unwrap();
+    assert_eq!(ring.dropped(), 0, "the ring holds the whole run");
+    let stats = TraceStats::from_events(&ring.events());
+
+    assert!(m.recomputations() > 0, "the tree should recompute");
+    // Three nodes of two queries each: every key names one of them.
+    let node_local = |key: &str| {
+        let (node, qi) = key.strip_prefix('c')?.split_once(".q")?;
+        Some(node.parse::<u32>().ok()? < 3 && qi.parse::<u32>().ok()? < 2)
+    };
+    for key in stats.recomputes_by_query.keys() {
+        assert_eq!(node_local(key), Some(true), "{key}");
+    }
+    let traced: u64 = stats.recomputes_by_query.values().sum();
+    assert_eq!(traced, m.recomputations(), "total recomputations");
+    let traced: u64 = stats.refreshes_by_item.values().sum();
+    assert_eq!(traced, m.refreshes(), "total refreshes");
 }
 
 /// Causal spans across the parallel solve fan-out: every in-run

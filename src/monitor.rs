@@ -364,7 +364,7 @@ mod tests {
 
     #[test]
     fn telemetry_reports_install_and_refresh_outcomes() {
-        let obs = Obs::null();
+        let (obs, ring) = Obs::ring(1024);
         let mut m = Monitor::new().with_obs(obs.clone());
         let x = m.add_item("x", 2.0, 1.0);
         let y = m.add_item("y", 2.0, 1.0);
@@ -377,14 +377,21 @@ mod tests {
         let snap = obs.snapshot();
         assert!(snap.histograms["gp.solve_ns"].count > 0);
         assert!(snap.histograms["monitor.install_ns"].count == 1);
+        assert_eq!(snap.counters["dab.recompute"], 1);
         // Attribution: the recomputation and its GP solves carry query 0,
         // and the trigger is charged to the item that forced it.
-        assert_eq!(snap.counters["dab.recompute"], 1);
-        assert_eq!(snap.labeled["dab.recompute"].key, "query");
-        assert_eq!(snap.labeled["dab.recompute"].values["0"], 1);
-        assert_eq!(snap.labeled["dab.recompute_trigger"].key, "item");
-        assert_eq!(snap.labeled["dab.recompute_trigger"].values["0"], 1);
-        assert!(snap.labeled["gp.solve"].values["0"] >= 1);
+        let events = ring.events();
+        let of =
+            |target: &str| -> Vec<_> { events.iter().filter(|e| e.target == target).collect() };
+        let zero = Some(&pq_obs::Value::U64(0));
+        let recomputes = of("dab.recompute");
+        assert_eq!(recomputes.len(), 1);
+        assert_eq!(recomputes[0].field("query"), zero);
+        let triggers = of("dab.recompute_trigger");
+        assert_eq!(triggers.len(), 1);
+        assert_eq!(triggers[0].field("item"), zero);
+        let solves = of("gp.solve_ns");
+        assert!(!solves.is_empty() && solves.iter().all(|e| e.field("query") == zero));
     }
 
     #[test]
