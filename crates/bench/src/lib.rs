@@ -28,7 +28,6 @@
 //! | `PQ_BENCH_SEED=n` | Base RNG seed (default `0x1CDE2008`) |
 //! | `PQ_OBS_STDERR=0` | Silence the per-run `bench.run` progress lines on stderr (default: on) |
 //! | `PQ_OBS_JSONL=path` | Record the **full** event trace (simulator, DAB, GP solver) as JSON Lines at `path`; analyze with `pq-trace` |
-//! | `PQ_OBS_PROFILE_HZ=n` | Run the sampling profiler at `n` Hz for the process lifetime; `profile.sample` events land in the JSONL trace, rendered by `pq-trace profile` |
 //! | `PQ_OBS_AUDIT=1` | Enable the continuous fidelity audit (shadow naive evaluation of 4 queries every 16th tick); see [`audit_from_env`] |
 //! | `PQ_OBS_RECORDER=path` | Arm the black-box flight recorder (4096 events per thread); on a tick whose audit flags a divergence, or a panic, it dumps its ring buffers as JSONL at `path` (triage with `pq-trace postmortem`) |
 //! | `PQ_OBS_AUDIT_FAULT=tick:query:perturb` | Inject a delta-plane corruption (CI smoke for the divergence → dump → postmortem path); implies `PQ_OBS_AUDIT=1` |
@@ -121,10 +120,6 @@ pub fn obs_from_env() -> Obs {
     let config = ObsConfig {
         jsonl: std::env::var_os("PQ_OBS_JSONL").map(Into::into),
         stderr: std::env::var_os("PQ_OBS_STDERR").is_none_or(|v| v != "0"),
-        profile_hz: std::env::var("PQ_OBS_PROFILE_HZ").ok().map(|hz| {
-            hz.parse()
-                .unwrap_or_else(|e| panic!("PQ_OBS_PROFILE_HZ={hz}: {e}"))
-        }),
         recorder: std::env::var_os("PQ_OBS_RECORDER").map(pq_obs::RecorderConfig::new),
     };
     Obs::from_config(&config).unwrap_or_else(|e| panic!("PQ_OBS_JSONL: {e}"))

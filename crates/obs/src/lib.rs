@@ -50,7 +50,7 @@ pub use event::{Event, EventKind, Value};
 pub use jsonl::{parse, to_json, JsonError, JsonlWriter};
 pub use recorder::{Recorder, RecorderConfig, DEFAULT_RECORDER_CAPACITY};
 pub use registry::{Counter, Histogram, HistogramSummary, Registry, Snapshot};
-pub use span::{start_profiler, Profiler, SpanContext, SpanContextGuard, SpanId, MAX_SPAN_DEPTH};
+pub use span::{SpanContext, SpanContextGuard, SpanId};
 pub use subscriber::{Fanout, NullSubscriber, RingBufferSubscriber, StderrSubscriber, Subscriber};
 
 use std::path::PathBuf;
@@ -131,10 +131,6 @@ pub mod names {
     /// (span; parent of the fanned-out `gp.solve` spans).
     pub const SIM_RECOMPUTE_BATCH: &str = "sim.recompute_batch";
 
-    /// One profiler sample of a thread's span stack (Point event with a
-    /// folded `stack` field — see [`crate::span`]).
-    pub const PROFILE_SAMPLE: &str = "profile.sample";
-
     /// One fidelity-audit shadow evaluation of a sampled query.
     pub const AUDIT_SAMPLE: &str = "audit.sample";
     /// The audited delta-maintained value or violation decision diverged
@@ -150,8 +146,8 @@ pub mod names {
 }
 
 /// How a component should expose telemetry. `Default` is fully off.
-/// [`Obs::from_config`] is the one place that assembles the sinks,
-/// profiler and recorder it names.
+/// [`Obs::from_config`] is the one place that assembles the sinks and
+/// recorder it names.
 #[derive(Debug, Clone, Default)]
 pub struct ObsConfig {
     /// Write a JSONL event trace to this path.
@@ -159,11 +155,6 @@ pub struct ObsConfig {
     /// Render `bench.*` progress events as stderr lines (see
     /// [`StderrSubscriber`]).
     pub stderr: bool,
-    /// Run the sampling profiler at this rate (samples per second,
-    /// clamped to `1..=1000`) for the lifetime of the process — see
-    /// [`span`]. The conventional environment variable is
-    /// `PQ_OBS_PROFILE_HZ`.
-    pub profile_hz: Option<u32>,
     /// Keep a black-box flight recorder of recent events (bounded
     /// per-thread rings, dumped to JSONL on an audit divergence or a
     /// panic) — see [`recorder`]. The
@@ -173,10 +164,9 @@ pub struct ObsConfig {
 }
 
 impl ObsConfig {
-    /// Whether this config produces any subscriber, profiler or
-    /// recorder at all.
+    /// Whether this config produces any subscriber or recorder at all.
     pub fn is_off(&self) -> bool {
-        self.jsonl.is_none() && !self.stderr && self.profile_hz.is_none() && self.recorder.is_none()
+        self.jsonl.is_none() && !self.stderr && self.recorder.is_none()
     }
 }
 
@@ -295,9 +285,6 @@ impl Obs {
             recorder.install_panic_hook();
             obs.install_recorder(recorder);
         }
-        if let Some(hz) = config.profile_hz {
-            span::start_profiler(&obs, hz).detach();
-        }
         Ok(obs)
     }
 
@@ -356,7 +343,7 @@ impl Obs {
         }
     }
 
-    /// Pre-resolves the `<name>_ns` histogram and span frame for a
+    /// Pre-resolves the `<name>_ns` histogram and event target for a
     /// timing span started many times: build the [`Timer`] once on the
     /// setup path, then [`Timer::start`] per measurement without
     /// touching the registry lock.
@@ -368,7 +355,6 @@ impl Obs {
         let span = TimerSpan {
             hist: self.histogram(&metric),
             metric: Arc::from(metric),
-            name: Arc::from(name),
         };
         Timer { span: Some(span) }
     }
@@ -378,7 +364,7 @@ impl Obs {
     /// the `<name>_ns` histogram and — if a subscriber is listening —
     /// emitted as a `<name>_ns` timing event with `dur_ns`, `span_id`,
     /// and (when nested) `parent` fields. The span participates in
-    /// causal parenting and profiler sampling — see [`span`].
+    /// causal parenting — see [`span`].
     pub fn timed(&self, name: &str) -> TimedGuard {
         self.timer(name).start(self)
     }
@@ -414,7 +400,6 @@ pub struct Timer {
 #[derive(Debug, Clone)]
 struct TimerSpan {
     metric: Arc<str>,
-    name: Arc<str>,
     hist: Arc<Histogram>,
 }
 
@@ -432,7 +417,7 @@ impl Timer {
 
     fn start_inner(&self, obs: &Obs, label: Option<(&'static str, u64)>) -> TimedGuard {
         let open = self.span.as_ref().map(|timer| {
-            let (span_id, parent) = span::push_span(&timer.name);
+            let (span_id, parent) = span::push_span();
             OpenSpan {
                 obs: obs.clone(),
                 metric: timer.metric.clone(),

@@ -27,7 +27,7 @@ use std::collections::VecDeque;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, Weak};
 
 /// Default per-thread ring capacity (events).
 pub const DEFAULT_RECORDER_CAPACITY: usize = 4096;
@@ -94,11 +94,12 @@ impl std::fmt::Debug for Recorder {
 }
 
 thread_local! {
-    /// This thread's cells, one per live recorder (keyed by the shared
-    /// state's address). Dropping the thread drops only the map — the
+    /// This thread's cells, one per recorder (keyed by a weak handle to
+    /// the shared state, which keeps its address from being reused while
+    /// the entry lives). Dropping the thread drops only the map — the
     /// shared set keeps the cell, so a dead thread's last events still
     /// reach the postmortem.
-    static CELLS: RefCell<Vec<(usize, Arc<Cell>)>> = const { RefCell::new(Vec::new()) };
+    static CELLS: RefCell<Vec<(Weak<Shared>, Arc<Cell>)>> = const { RefCell::new(Vec::new()) };
 }
 
 impl Recorder {
@@ -116,12 +117,14 @@ impl Recorder {
     }
 
     fn cell(&self) -> Arc<Cell> {
-        let key = Arc::as_ptr(&self.shared) as usize;
         CELLS.with(|cells| {
             let mut cells = cells.borrow_mut();
-            if let Some((_, cell)) = cells.iter().find(|(k, _)| *k == key) {
+            let me = Arc::as_ptr(&self.shared);
+            if let Some((_, cell)) = cells.iter().find(|(key, _)| key.as_ptr() == me) {
                 return cell.clone();
             }
+            // Dropped recorders' cells go before a new one joins.
+            cells.retain(|(key, _)| key.strong_count() > 0);
             let cell = Arc::new(Cell {
                 thread: std::thread::current()
                     .name()
@@ -133,7 +136,7 @@ impl Recorder {
                 }),
             });
             lock_unpoisoned(&self.shared.cells).push(cell.clone());
-            cells.push((key, cell.clone()));
+            cells.push((Arc::downgrade(&self.shared), cell.clone()));
             cell
         })
     }
@@ -353,5 +356,19 @@ mod tests {
             let _t = obs.timed("gp.solve");
         }
         assert_eq!(recorder.buffered(), 2);
+    }
+
+    #[test]
+    fn a_recorder_built_after_another_dropped_keeps_its_own_events() {
+        // The allocator hands a new recorder the address of one just
+        // dropped; this thread's events must still land in the new one.
+        for round in 0..8u64 {
+            let recorder = Recorder::new(RecorderConfig {
+                capacity: 4,
+                path: temp_path("reuse.jsonl"),
+            });
+            recorder.record(&Event::new("x", EventKind::Point).with("round", round));
+            assert_eq!(recorder.buffered(), 1, "round {round}");
+        }
     }
 }

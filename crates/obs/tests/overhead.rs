@@ -6,7 +6,7 @@
 //! * **instrumented**: the shipped discipline — [`Counter`] and
 //!   [`Histogram`] handles resolved once, adds amortized over each
 //!   batch of events, one causal span per tick through a pre-resolved
-//!   [`Timer`], the sampling profiler running throughout;
+//!   [`Timer`];
 //! * **recorded**: instrumented on a handle with the flight [`Recorder`]
 //!   subscribed and installed, so every tick's span event lands in its
 //!   ring;
@@ -23,9 +23,7 @@ use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
 
-use pq_obs::{
-    names, start_profiler, Counter, Histogram, Obs, Profiler, Recorder, RecorderConfig, Timer,
-};
+use pq_obs::{names, Counter, Histogram, Obs, Recorder, RecorderConfig, Timer};
 
 /// Instrumented over off, on the 1M-item loop: per-event locking reads
 /// +50 % and more.
@@ -42,8 +40,6 @@ const BATCH: u64 = 64;
 const BATCH_SIZE: &str = "loop.batch_size";
 /// Events per simulated tick (one span each).
 const TICK: u64 = 1024;
-/// Prime, so samples do not phase-lock with the tick cadence.
-const PROFILE_HZ: u32 = 97;
 /// Ticks a variant advances before the next one runs (≈ 3 ms): long
 /// enough to re-warm the telemetry state the others evicted, far below
 /// the timescale of a noisy neighbour.
@@ -117,7 +113,6 @@ struct Instrumented {
     c_refresh: Arc<Counter>,
     h_batch: Arc<Histogram>,
     t_tick: Timer,
-    profiler: Profiler,
     handle: Handle,
     state: LoopState,
 }
@@ -141,7 +136,6 @@ impl Instrumented {
             c_refresh: obs.counter(names::SIM_REFRESH),
             h_batch: obs.histogram(BATCH_SIZE),
             t_tick: obs.timer(names::SIM_RECOMPUTE_BATCH),
-            profiler: start_profiler(&obs, PROFILE_HZ),
             obs,
             handle,
             state: LoopState::new(n_items),
@@ -171,7 +165,6 @@ impl Instrumented {
     /// Tears down and checks that the snapshot holds every event, or
     /// none on a disabled handle.
     fn finish(self, events: u64) -> u64 {
-        self.profiler.stop();
         let snapshot = self.obs.snapshot();
         if self.handle == Handle::Disabled {
             assert_eq!(self.c_refresh.get(), 0);

@@ -262,15 +262,15 @@ impl From<InstallError> for SimError {
 ///
 /// The run records nothing: it is [`run_observed`] on [`Obs::disabled`],
 /// a handle no caller can read, so it registers no metric, emits no
-/// event and opens no span (a profiler started on another handle sees
-/// none inside it). To observe a run, pass a handle to [`run_observed`].
+/// event and opens no span. To observe a run, pass a handle to
+/// [`run_observed`].
 pub fn run(config: &SimConfig) -> Result<SimMetrics, SimError> {
     run_observed(config, &Obs::disabled())
 }
 
 /// Runs the simulation with a caller-supplied telemetry handle (build
 /// one from a declarative [`pq_obs::ObsConfig`] with
-/// [`Obs::from_config`] for a JSONL trace, a profiler or a recorder).
+/// [`Obs::from_config`] for a JSONL trace or a recorder).
 ///
 /// After the run, `obs.snapshot()` holds what the run recorded: the
 /// recomputation, evaluation, scheduler and audit counters and the

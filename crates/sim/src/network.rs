@@ -151,18 +151,20 @@ struct Net {
 
 /// Runs the dissemination-network simulation. Like [`crate::run`] it
 /// records nothing ([`run_network_observed`] on [`Obs::disabled`]): no
-/// metric, event or span, not even for a profiler started elsewhere.
-/// To observe a run, pass a handle to [`run_network_observed`].
+/// metric, event or span. To observe a run, pass a handle to
+/// [`run_network_observed`].
 pub fn run_network(cfg: &NetworkConfig) -> Result<NetworkMetrics, SimError> {
     run_network_observed(cfg, &Obs::disabled())
 }
 
 /// Runs the dissemination-network simulation with a caller-supplied
 /// telemetry handle: `sim.refresh` / `dab.recompute` events (each with
-/// a `node` field; query ids are node-local, so `pq-trace` names a
-/// node's query `c<node>.q<local>`), the `dab.recompute` counter and
-/// GP-solver spans are reported through it, matching what
-/// [`crate::run_observed`] records for the single-coordinator engine.
+/// a `node` field), the `dab.recompute` counter and GP-solver spans are
+/// reported through it, matching what [`crate::run_observed`] records
+/// for the single-coordinator engine. Events and spans name a query by
+/// its tree-wide id, its position in `queries_per_coordinator` read
+/// node after node, so no two nodes' queries share one (`pq-trace`
+/// labels a recompute `c<node>.q<id>`).
 pub fn run_network_observed(cfg: &NetworkConfig, obs: &Obs) -> Result<NetworkMetrics, SimError> {
     let n_items = cfg.traces.n_items();
     let n_nodes = cfg.queries_per_coordinator.len();
@@ -181,6 +183,7 @@ pub fn run_network_observed(cfg: &NetworkConfig, obs: &Obs) -> Result<NetworkMet
 
     // One installed coordinator per node.
     let mut nodes = Vec::with_capacity(n_nodes);
+    let mut first_gid = 0;
     for (c, queries) in cfg.queries_per_coordinator.iter().enumerate() {
         for q in queries {
             if let Some(mx) = q.poly().max_item() {
@@ -197,10 +200,12 @@ pub fn run_network_observed(cfg: &NetworkConfig, obs: &Obs) -> Result<NetworkMet
             threads: 1,
             obs: obs.clone(),
             scope: Scope {
+                query_gid: (first_gid..first_gid + queries.len() as u32).collect(),
                 node: Some(c as u32),
                 ..Scope::default()
             },
         };
+        first_gid += queries.len() as u32;
         let values = initial.clone();
         let core = Coordinator::install(
             queries,

@@ -13,10 +13,8 @@
 //!   timings, aggregated over repeated occurrences (a span's exclusive
 //!   time is its duration minus its direct children's), nested by the
 //!   `span_id`/`parent` fields every timing event carries — exact even
-//!   across the parallel solve fan-out.
-//! * [`render_profile`] — folds the sampling profiler's
-//!   `profile.sample` events into collapsed-stack (`flamegraph.pl`
-//!   compatible) `stack count` lines.
+//!   across the parallel solve fan-out. This is the time breakdown: each
+//!   root-to-leaf path's span count and nanoseconds.
 //! * [`render_diff`] — two traces side by side with deltas, for
 //!   regression triage between runs.
 //! * [`render_postmortem`] — a flight-recorder dump (the JSONL file the
@@ -500,31 +498,6 @@ pub fn render_tree(events: &[Event]) -> String {
     out
 }
 
-/// Renders the `profile` report: the sampling profiler's
-/// `profile.sample` events folded into collapsed-stack lines —
-/// `a;b;c <count>`, one line per distinct stack, heaviest first (ties
-/// toward the lexicographically smaller stack). The output is the
-/// collapsed format `flamegraph.pl` and `inferno-flamegraph` consume
-/// directly.
-pub fn render_profile(events: &[Event]) -> String {
-    let mut folded: BTreeMap<&str, u64> = BTreeMap::new();
-    for event in events {
-        if event.target != "profile.sample" {
-            continue;
-        }
-        if let Some(Value::Str(stack)) = event.field("stack") {
-            *folded.entry(stack.as_ref()).or_insert(0) += 1;
-        }
-    }
-    let mut lines: Vec<(&str, u64)> = folded.into_iter().collect();
-    lines.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
-    let mut out = String::new();
-    for (stack, count) in lines {
-        let _ = writeln!(out, "{stack} {count}");
-    }
-    out
-}
-
 /// One field value as display text (postmortem timeline cells).
 fn value_str(v: &Value) -> String {
     match v {
@@ -795,23 +768,6 @@ mod tests {
         assert_eq!(edges[1].parent, Some(7));
         assert_eq!(edges[1].name, "inner_ns");
         assert_eq!(edges[1].dur_ns, 3);
-    }
-
-    #[test]
-    fn profile_folds_samples_into_collapsed_stacks() {
-        let events = vec![
-            event(1, "profile.sample", EventKind::Point)
-                .with("stack", "sim.recompute_batch;gp.solve"),
-            event(2, "profile.sample", EventKind::Point)
-                .with("stack", "sim.recompute_batch;gp.solve"),
-            event(3, "profile.sample", EventKind::Point).with("stack", "sim.recompute_batch"),
-            event(4, "sim.refresh", EventKind::Count).with("stack", "not-a-sample"),
-        ];
-        assert_eq!(
-            render_profile(&events),
-            "sim.recompute_batch;gp.solve 2\nsim.recompute_batch 1\n"
-        );
-        assert_eq!(render_profile(&[]), "");
     }
 
     #[test]

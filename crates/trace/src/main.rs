@@ -3,23 +3,19 @@
 //! ```text
 //! pq-trace summary <trace.jsonl> [--top K]   per-phase/per-query percentiles + attribution
 //! pq-trace tree    <trace.jsonl>             span forest with inclusive/exclusive ns
-//! pq-trace profile <trace.jsonl>             collapsed profiler stacks (flamegraph.pl format)
 //! pq-trace diff    <a.jsonl> <b.jsonl>       event/span/attribution deltas between runs
 //! pq-trace postmortem <dump.jsonl> [--tail K]  triage a flight-recorder dump
 //! ```
 //!
-//! Produce a trace with e.g. `PQ_OBS_JSONL=fig5.jsonl cargo run --release --bin fig5`
-//! (add `PQ_OBS_PROFILE_HZ=99` for profiler samples).
+//! Produce a trace with e.g. `PQ_OBS_JSONL=fig5.jsonl cargo run --release --bin fig5`.
 
 use pq_trace::{
-    for_each_event, load, render_diff, render_postmortem, render_profile, render_summary,
-    render_tree, timing_events, TraceStats,
+    load, render_diff, render_postmortem, render_summary, render_tree, timing_events, TraceStats,
 };
 
 const USAGE: &str = "usage:
   pq-trace summary <trace.jsonl> [--top K]
   pq-trace tree    <trace.jsonl>
-  pq-trace profile <trace.jsonl>
   pq-trace diff    <a.jsonl> <b.jsonl>
   pq-trace postmortem <dump.jsonl> [--tail K]";
 
@@ -72,16 +68,6 @@ fn main() {
         ["tree", path] => {
             let timings = timing_events(path).unwrap_or_else(|e| fail(format_args!("{path}: {e}")));
             print!("{}", render_tree(&timings));
-        }
-        ["profile", path] => {
-            let mut samples = Vec::new();
-            for_each_event(path, |e| {
-                if e.target == "profile.sample" {
-                    samples.push(e);
-                }
-            })
-            .unwrap_or_else(|e| fail(format_args!("{path}: {e}")));
-            print!("{}", render_profile(&samples));
         }
         ["diff", a, b] => {
             print!("{}", render_diff(&stats_or_fail(a), &stats_or_fail(b)));

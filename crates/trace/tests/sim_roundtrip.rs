@@ -85,8 +85,9 @@ fn trace_attribution_matches_sim_metrics_exactly() {
 }
 
 /// The same for a dissemination tree: a node's `dab.recompute` events
-/// carry a `node` field and node-local query ids, which `pq-trace` names
-/// `c<node>.q<qi>`, and its `sim.refresh` events one per receiving node.
+/// carry a `node` field, which `pq-trace` names `c<node>.q<id>`, and its
+/// `sim.refresh` events one per receiving node. Query ids are tree-wide,
+/// so every node's `gp.solve` spans land in solve rows of their own.
 #[test]
 fn tree_trace_attribution_sums_to_network_metrics() {
     let traces = TraceSet::new(vec![
@@ -109,14 +110,31 @@ fn tree_trace_attribution_sums_to_network_metrics() {
     let stats = TraceStats::from_events(&ring.events());
 
     assert!(m.recomputations() > 0, "the tree should recompute");
-    // Three nodes of two queries each: every key names one of them.
-    let node_local = |key: &str| {
-        let (node, qi) = key.strip_prefix('c')?.split_once(".q")?;
-        Some(node.parse::<u32>().ok()? < 3 && qi.parse::<u32>().ok()? < 2)
+    // Three nodes of two queries each: node c's are tree-wide 2c, 2c + 1.
+    let node_of = |key: &str| {
+        let (node, q) = key.strip_prefix('c')?.split_once(".q")?;
+        let q = q.parse::<u64>().ok()?;
+        (node.parse::<u64>().ok()? == q / 2 && q < 6).then_some(q)
     };
-    for key in stats.recomputes_by_query.keys() {
-        assert_eq!(node_local(key), Some(true), "{key}");
+    for (key, &n) in &stats.recomputes_by_query {
+        let q = node_of(key).unwrap_or_else(|| panic!("{key} names no query of its node"));
+        // Its own solve row: the install's solve and one per recompute.
+        let solves = stats.solve_by_query.get(&q).map_or(0, Vec::len) as u64;
+        assert!(solves > n, "{key}: {n} recomputes, {solves} solves");
     }
+    // Every node's queries solved at install, each in a row of its own.
+    let rows: Vec<u64> = stats.solve_by_query.keys().copied().collect();
+    assert_eq!(
+        rows,
+        (0..6).collect::<Vec<_>>(),
+        "one row per (node, query)"
+    );
+    let traced: usize = stats.solve_by_query.values().map(Vec::len).sum();
+    assert_eq!(
+        traced,
+        stats.spans["gp.solve_ns"].len(),
+        "every solve attributed"
+    );
     let traced: u64 = stats.recomputes_by_query.values().sum();
     assert_eq!(traced, m.recomputations(), "total recomputations");
     let traced: u64 = stats.refreshes_by_item.values().sum();

@@ -126,17 +126,37 @@ proptest! {
         }
         prop_assert_eq!(&recovered, &expected);
 
-        // And the tree report nests by those ids: every modeled span
-        // shows up at its exact depth, timestamps notwithstanding.
+        // And the tree report is the model's, row for row: one row per
+        // path in path order, at the path's depth, with the path's span
+        // count, summed duration and summed self time (duration minus
+        // direct children's), timestamps notwithstanding.
+        let mut child_ns = vec![0u64; forest.len()];
+        for span in &forest {
+            if let Some(p) = span.parent {
+                child_ns[p] += span.dur_ns;
+            }
+        }
+        let mut model: BTreeMap<String, [u64; 3]> = BTreeMap::new();
+        for (i, span) in forest.iter().enumerate() {
+            let row = model.entry(model_path(&forest, i)).or_default();
+            row[0] += 1;
+            row[1] += span.dur_ns;
+            row[2] += span.dur_ns.saturating_sub(child_ns[i]);
+        }
         let text = render_tree(&parsed);
-        for path in expected.keys() {
+        let rows: Vec<&str> = text.lines().skip(2).take_while(|l| !l.is_empty()).collect();
+        prop_assert_eq!(rows.len(), model.len(), "{}", text);
+        for (row, (path, want)) in rows.iter().zip(&model) {
             let depth = path.matches('/').count();
             let leaf = path.rsplit('/').next().unwrap();
-            let needle = format!("{}{leaf}", "  ".repeat(depth));
-            prop_assert!(
-                text.lines().any(|l| l.starts_with(&needle)),
-                "missing {needle:?} in:\n{text}"
-            );
+            let needle = format!("{}{leaf} ", "  ".repeat(depth));
+            prop_assert!(row.starts_with(&needle), "want {:?}, got {:?}", needle, row);
+            let cells: Vec<u64> = row
+                .split_whitespace()
+                .skip(1)
+                .map(|c| c.parse().unwrap())
+                .collect();
+            prop_assert_eq!(&cells[..], &want[..], "{}", path);
         }
     }
 }
