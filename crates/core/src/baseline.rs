@@ -14,11 +14,12 @@
 //! Both are value-dependent with no validity range, so — like Optimal
 //! Refresh — they must be recomputed on every refresh.
 
-use pq_poly::{deviation_posynomial, DabVarMap, Polynomial, PolynomialQuery};
+use pq_poly::{deviation_posynomial, DabVarMap, PolynomialQuery};
 
 use crate::assignment::{QueryAssignment, RangeKind, UnitColumns};
 use crate::context::SolveContext;
 use crate::error::DabError;
+use crate::strategy::abs_body;
 
 /// Per-item budget-split baseline (Sharfman-style, adapted).
 pub fn per_item_split(
@@ -91,19 +92,6 @@ pub(crate) fn equal_dab_into(
     let condition = deviation_posynomial(&body, ctx.values, &vmap)?;
     let s = bisect_largest(|s| condition.eval(&vec![s; n]) <= query.qab());
     finish(query, ctx, &vec![s; n], out)
-}
-
-/// Conservative positive-coefficient body: `P1 + P2` (abs coefficients);
-/// its deviation dominates the deviation of `P = P1 - P2` (Claim 1).
-fn abs_body(poly: &Polynomial) -> Polynomial {
-    let (p1, p2) = poly.split_pos_neg();
-    if p2.is_zero() {
-        p1
-    } else if p1.is_zero() {
-        p2
-    } else {
-        p1.add(&p2)
-    }
 }
 
 /// Writes `dabs`, one per item of `query` (the items of its

@@ -34,17 +34,13 @@
 //! on this path spells it out as posynomial objects first.
 
 use std::cell::RefCell;
-use std::sync::Mutex;
 
-use pq_ddm::parallel::{available_cores, split_map};
 use pq_gp::{CompiledGp, GpSolution, SolveWorkspace, SolverOptions, WarmStart};
 use pq_obs::names;
 
 use crate::assignment::UnitColumns;
-use crate::context::SolveContext;
 use crate::error::DabError;
 use crate::heuristics::UnitProgram;
-use crate::strategy::{assign_unit_cached, AssignmentStrategy, AssignmentUnit};
 
 /// What one assignment unit keeps between solves (one GP shape).
 #[derive(Debug, Default)]
@@ -59,8 +55,8 @@ pub struct UnitCache {
 }
 
 thread_local! {
-    /// This thread's solver scratch (a recompute worker thread grows its
-    /// own on its first solve).
+    /// This thread's solver scratch (an install worker grows its own on
+    /// its first solve).
     static WORKSPACE: RefCell<SolveWorkspace> = RefCell::default();
 }
 
@@ -213,106 +209,6 @@ impl SolveCache {
     pub fn unit_mut(&mut self, qi: usize, ui: usize) -> &mut UnitCache {
         &mut self.units[qi][ui]
     }
-
-    /// Takes unit `(qi, ui)`'s cache out (for a worker thread), leaving an
-    /// empty one in its place; return it with [`SolveCache::put_back`].
-    pub fn take(&mut self, qi: usize, ui: usize) -> UnitCache {
-        std::mem::take(&mut self.units[qi][ui])
-    }
-
-    /// Restores a cache taken with [`SolveCache::take`].
-    pub fn put_back(&mut self, qi: usize, ui: usize, cache: UnitCache) {
-        self.units[qi][ui] = cache;
-    }
-}
-
-/// One pending unit recomputation, ready to run on any thread.
-///
-/// The job *owns* its [`UnitCache`] (taken out of a [`SolveCache`] with
-/// [`SolveCache::take`]) so workers never alias shared mutable state; the
-/// caller puts the cache back when merging results.
-pub struct RecomputeJob<'a> {
-    /// Index of the query this unit belongs to.
-    pub qi: usize,
-    /// Index of the unit within the query.
-    pub ui: usize,
-    /// The unit to re-solve.
-    pub unit: &'a AssignmentUnit,
-    /// Solve context snapshot (values/rates/ddm/solver options).
-    pub ctx: SolveContext<'a>,
-    /// The unit's cache, owned for the duration of the job.
-    pub cache: UnitCache,
-}
-
-/// A finished [`RecomputeJob`]: same `(qi, ui)`, the cache to put back,
-/// and the solve outcome.
-pub struct RecomputeDone {
-    /// Index of the query this unit belongs to.
-    pub qi: usize,
-    /// Index of the unit within the query.
-    pub ui: usize,
-    /// The unit's cache; on success its [`UnitCache::columns`] are the
-    /// recomputed assignment.
-    pub cache: UnitCache,
-    /// Whether the solve succeeded.
-    pub result: Result<(), DabError>,
-}
-
-fn run_job(job: RecomputeJob<'_>, strategy: AssignmentStrategy) -> RecomputeDone {
-    let RecomputeJob {
-        qi,
-        ui,
-        unit,
-        ctx,
-        mut cache,
-    } = job;
-    let result = assign_unit_cached(unit, &ctx, strategy, &mut cache).map(|_| ());
-    RecomputeDone {
-        qi,
-        ui,
-        cache,
-        result,
-    }
-}
-
-/// Runs a batch of independent unit recomputations, fanning out over at
-/// most `max_threads` workers (clamped to the job count and to the
-/// machine's available parallelism), the calling thread first, in
-/// contiguous shares ([`pq_ddm::parallel::split_map`]).
-///
-/// Results come back in **job order** regardless of thread count, and each
-/// job touches only its own [`UnitCache`], so the outcome is byte-identical
-/// to running the jobs serially — callers merge results in order and keep
-/// serial semantics for counters, filter derivation and messages.
-pub fn recompute_parallel(
-    jobs: Vec<RecomputeJob<'_>>,
-    strategy: AssignmentStrategy,
-    max_threads: usize,
-) -> Vec<RecomputeDone> {
-    let n = jobs.len();
-    // One job or one thread takes the serial path without asking for
-    // the core count.
-    let workers = if max_threads <= 1 || n <= 1 {
-        1
-    } else {
-        max_threads.min(available_cores()).min(n)
-    };
-    if workers <= 1 {
-        return jobs.into_iter().map(|j| run_job(j, strategy)).collect();
-    }
-    // Contiguous shares keep each (qi, ui) on exactly one worker, which
-    // takes its job out once.
-    let jobs: Vec<Mutex<Option<RecomputeJob<'_>>>> =
-        jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
-    // Spans opened by workers (gp.solve etc.) parent under whatever span
-    // the dispatching thread has open, keeping the fan-out causally
-    // attributed in traces.
-    let causal = pq_obs::SpanContext::current();
-    split_map(workers, n, |i| {
-        let _causal = causal.enter();
-        let job = jobs[i].lock().expect("a job is taken whole").take();
-        run_job(job.expect("job taken once"), strategy)
-    })
 }
 
 /// True when a derived per-item filter width meaningfully changed — the
@@ -592,15 +488,16 @@ mod tests {
     }
 
     #[test]
-    fn solve_cache_shapes_and_takes() {
+    fn solve_cache_shapes_and_reshapes() {
         let mut cache = SolveCache::new();
         cache.resize(&[1, 2]);
         assert!(cache.unit_mut(1, 1).columns().items().is_empty());
-        let taken = cache.take(0, 0);
-        cache.put_back(0, 0, taken);
-        // Reshaping preserves rows it can.
+        cache.unit_mut(0, 0).columns.refresh_rate = 1.0;
+        cache.unit_mut(1, 0).columns.refresh_rate = 2.0;
+        // Reshaping preserves the units it keeps.
         cache.resize(&[1, 1]);
-        let _ = cache.unit_mut(1, 0);
+        assert_eq!(cache.unit_mut(0, 0).columns().refresh_rate, 1.0);
+        assert_eq!(cache.unit_mut(1, 0).columns().refresh_rate, 2.0);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! QAB, re-solve the units whose validity range the new value broke, and
 //! re-derive the per-item filters (EQI minimum rule) those solves can
 //! have moved. [`Coordinator`] is that sequence over [`install_units`],
-//! [`FilterTable`], [`SolveCache`], [`recompute_parallel`] and
+//! [`FilterTable`], [`SolveCache`], [`assign_unit_cached`] and
 //! [`filter_changed`] — and nothing about how a refresh got here or where
 //! a filter change goes next: the deployable monitor, the simulator's
 //! engine and the Fig. 8(c) tree each wrap one, supply that transport,
@@ -20,13 +20,13 @@ use pq_obs::{names, Counter, EventKind, Obs, Timer};
 use pq_poly::{ItemId, PolynomialQuery, QueryId, SharedPlan, SharedView};
 
 use crate::assignment::QueryAssignment;
-use crate::cache::{filter_changed, recompute_parallel, RecomputeJob, SolveCache};
+use crate::cache::{filter_changed, SolveCache};
 use crate::context::SolveContext;
 use crate::error::DabError;
 use crate::filter_table::FilterTable;
 use crate::heuristics::PqHeuristic;
 use crate::install::{install_units, unit_items, InstallError};
-use crate::strategy::{assignment_units, AssignmentStrategy, AssignmentUnit};
+use crate::strategy::{assign_unit_cached, assignment_units, AssignmentStrategy, AssignmentUnit};
 
 /// Applied refreshes between two full re-evaluations of the maintained
 /// query values. Each delta fold adds one rounding per updated value, so
@@ -115,11 +115,6 @@ pub struct Config {
     /// from one clone pointed at its query); the coordinator binds them
     /// to `obs`.
     pub gp: SolverOptions,
-    /// Max worker threads of the recompute fan-out (`1` = serial; the
-    /// results are identical either way). It caps nothing else: the
-    /// install solves on every available core once the book is large
-    /// enough ([`install_units`]).
-    pub threads: usize,
     /// Telemetry handle.
     pub obs: Obs,
     /// Telemetry naming.
@@ -155,8 +150,8 @@ struct Handles {
     eval_full: Arc<Counter>,
     eval_rebase: Arc<Counter>,
     scatter_fanout: Arc<Counter>,
-    /// Span around one refresh's re-solves: the causal parent of the
-    /// `gp.solve` spans [`recompute_parallel`] fans out.
+    /// Span around one refresh's re-solves: the parent of their
+    /// `dab.solve` spans.
     batch: Timer,
 }
 
@@ -299,7 +294,6 @@ impl Coordinator {
         mut cfg: Config,
     ) -> Self {
         cfg.gp = cfg.gp.observed_by(&cfg.obs);
-        cfg.threads = cfg.threads.max(1);
         // Compiled first: its transients are freed before the solves
         // reach their own peak.
         let plan = Arc::new(SharedPlan::compile(queries.iter().map(|q| q.poly())));
@@ -336,11 +330,6 @@ impl Coordinator {
         self.cfg.gp = std::mem::take(&mut self.cfg.gp).observed_by(&obs);
         self.cfg.obs = obs;
         self.handles = Handles::resolve(&self.cfg.obs);
-    }
-
-    /// Caps the recompute fan-out at `threads` workers.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.cfg.threads = threads.max(1);
     }
 
     /// The cached item values.
@@ -485,11 +474,11 @@ impl Coordinator {
         Ok(outcome)
     }
 
-    /// Re-solves `stale` as one batch over the worker threads —
-    /// staleness depends only on each unit's own assignment and the
-    /// already-updated values, so this equals solving inline — and merges
-    /// the results serially in unit order: any thread count gives the
-    /// same counters, installs and filter changes.
+    /// Re-solves `stale` in unit order on this thread, each unit in place
+    /// in its own cache, installing each solve and re-deriving the
+    /// filters of its items before the next. A unit's solve reads only
+    /// the unit, its cache and the already-updated values, so no install
+    /// of the batch moves another's solve.
     fn resolve(
         &mut self,
         stale: &[(usize, usize)],
@@ -497,39 +486,33 @@ impl Coordinator {
         at: Option<f64>,
         outcome: &mut Outcome,
     ) -> Result<(), InstallError> {
-        let started = Instant::now();
-        let mut jobs: Vec<RecomputeJob<'_>> = Vec::with_capacity(stale.len());
+        let _batch = self.handles.batch.start(&self.cfg.obs);
+        let mut failure: Option<InstallError> = None;
         for &(qi, ui) in stale {
             let mut gp = self.cfg.gp.clone();
             attribute(&self.cfg.scope, &mut gp, qi);
-            let cache = self.cache.take(qi, ui);
-            jobs.push(RecomputeJob {
-                qi,
-                ui,
-                unit: &self.units[qi][ui],
-                ctx: SolveContext {
-                    values: &self.values,
-                    rates: &self.cfg.rates,
-                    ddm: self.cfg.ddm,
-                    gp,
-                },
-                cache,
-            });
-        }
-        let batch_span = self.handles.batch.start(&self.cfg.obs);
-        let done = recompute_parallel(jobs, self.strategy, self.cfg.threads);
-        drop(batch_span);
-        outcome.solve_ns = started.elapsed().as_nanos() as u64;
-        let mut failure: Option<InstallError> = None;
-        for d in done {
-            match d.result {
-                Ok(()) => {
-                    self.filters.write(d.qi, d.ui, d.cache.columns());
-                    self.note_recompute(d.qi, Some((d.ui, item)), "validity", at);
-                    outcome.recomputed.push(QueryId(d.qi as u32));
+            let ctx = SolveContext {
+                values: &self.values,
+                rates: &self.cfg.rates,
+                ddm: self.cfg.ddm,
+                gp,
+            };
+            let started = Instant::now();
+            let solved = assign_unit_cached(
+                &self.units[qi][ui],
+                &ctx,
+                self.strategy,
+                self.cache.unit_mut(qi, ui),
+            );
+            outcome.solve_ns += started.elapsed().as_nanos() as u64;
+            match solved {
+                Ok(columns) => {
+                    self.filters.write(qi, ui, columns);
+                    self.note_recompute(qi, Some((ui, item)), "validity", at);
+                    outcome.recomputed.push(QueryId(qi as u32));
                     // The unit's items are the only ones whose minimum
                     // primary DAB this install can have moved.
-                    for &i in self.filters.unit_items(d.qi, d.ui) {
+                    for &i in self.filters.unit_items(qi, ui) {
                         let item = i as usize;
                         let new = self.filters.min_primary(item);
                         if rederive(&mut self.installed[item], new) {
@@ -540,14 +523,13 @@ impl Coordinator {
                 Err(source) => {
                     // Not re-solved: the unit stays stale, so the next
                     // refresh of any of its items tries again.
-                    self.filters.invalidate(d.qi, d.ui);
+                    self.filters.invalidate(qi, ui);
                     failure.get_or_insert(InstallError {
-                        query: Some(d.qi),
+                        query: Some(qi),
                         source,
                     });
                 }
             }
-            self.cache.put_back(d.qi, d.ui, d.cache);
         }
         failure.map_or(Ok(()), Err)
     }
@@ -670,12 +652,11 @@ mod tests {
         ItemId(i)
     }
 
-    fn config(n_items: usize, threads: usize, obs: &Obs) -> Config {
+    fn config(n_items: usize, obs: &Obs) -> Config {
         Config {
             rates: vec![1.0; n_items],
             ddm: DataDynamicsModel::Monotonic,
             gp: crate::dab_solver_options(),
-            threads,
             obs: obs.clone(),
             scope: Scope::default(),
         }
@@ -686,7 +667,7 @@ mod tests {
     /// `x0 x1 : 5` at `(2, 2)`.
     fn one_product(obs: &Obs) -> Coordinator {
         let q = PolynomialQuery::portfolio([(1.0, x(0), x(1))], 5.0).unwrap();
-        let (values, cfg) = (vec![2.0, 2.0], config(2, 1, obs));
+        let (values, cfg) = (vec![2.0, 2.0], config(2, obs));
         Coordinator::install(&[q], DUAL, PqHeuristic::DifferentSum, values, cfg).unwrap()
     }
 
@@ -700,44 +681,6 @@ mod tests {
         assert_eq!(idx.queries(1), &[0, 1]);
         assert_eq!(idx.queries(2), &[1]);
         assert!(idx.queries(3).is_empty());
-    }
-
-    #[test]
-    fn parallel_recompute_fanout_matches_serial() {
-        // Three queries sharing item x1, one of them split in two units
-        // by Half-and-Half: a refresh of x1 can invalidate all four units
-        // at once, exercising the multi-job fan-out. Outcomes, values and
-        // installed filters must be bit-identical no matter how many
-        // workers run the solves.
-        let queries = [
-            PolynomialQuery::portfolio([(1.0, x(0), x(1))], 6.0).unwrap(),
-            PolynomialQuery::portfolio([(1.0, x(1), x(2))], 6.0).unwrap(),
-            PolynomialQuery::arbitrage([(1.0, x(0), x(1))], [(1.0, x(1), x(2))], 4.0).unwrap(),
-        ];
-        let install = |threads| {
-            let (values, cfg) = (vec![20.0, 10.0, 15.0], config(3, threads, &Obs::null()));
-            Coordinator::install(&queries, DUAL, PqHeuristic::HalfAndHalf, values, cfg).unwrap()
-        };
-        let (mut serial, mut parallel) = (install(1), install(8));
-        let mut widest = 0;
-        for step in 0..60 {
-            let item = [1, 0, 1, 2][step % 4];
-            let value = serial.values()[item] * if step % 3 == 0 { 1.7 } else { 0.8 };
-            let mut a = serial.on_refresh(item, value).unwrap();
-            let mut b = parallel.on_refresh(item, value).unwrap();
-            widest = widest.max(a.recomputed.len());
-            // Wall-clock solver time is the only nondeterministic field.
-            (a.solve_ns, b.solve_ns) = (0, 0);
-            assert_eq!(a, b, "step {step}");
-            let bits = |c: &Coordinator| -> Vec<u64> {
-                (0..3)
-                    .map(|i| c.filter(i).to_bits())
-                    .chain(c.query_values().iter().map(|v| v.to_bits()))
-                    .collect()
-            };
-            assert_eq!(bits(&serial), bits(&parallel), "step {step}");
-        }
-        assert!(widest >= 3, "the fan-out never ran wide: {widest}");
     }
 
     #[test]
@@ -766,7 +709,7 @@ mod tests {
             PolynomialQuery::portfolio([(1.0, x(0), x(1))], 5.0).unwrap(),
             PolynomialQuery::portfolio([(1.0, x(1), x(3))], 5.0).unwrap(),
         ];
-        let (values, cfg) = (vec![2.0; 4], config(4, 1, &Obs::null()));
+        let (values, cfg) = (vec![2.0; 4], config(4, &Obs::null()));
         let mut c =
             Coordinator::install(&queries, DUAL, PqHeuristic::DifferentSum, values, cfg).unwrap();
         // The GP needs positive data: query 1's re-solve fails and its
@@ -820,7 +763,7 @@ mod tests {
             DUAL,
             PqHeuristic::DifferentSum,
             values.clone(),
-            config(3, 1, &obs),
+            config(3, &obs),
         )
         .unwrap_err();
         assert_eq!(err.query, None);
@@ -841,7 +784,7 @@ mod tests {
             recompute_rate: 0.0,
             refresh_rate: 0.0,
         }];
-        let refused = Coordinator::with_assignments(book, DUAL, &joint, values, config(3, 1, &obs));
+        let refused = Coordinator::with_assignments(book, DUAL, &joint, values, config(3, &obs));
         assert!(matches!(
             refused,
             Err(DabError::NonFiniteValue { item: 2, .. })
@@ -855,7 +798,7 @@ mod tests {
             PolynomialQuery::portfolio([(1.0, x(1), x(2))], 8.0).unwrap(),
         ];
         let (obs, ring) = Obs::ring(256);
-        let (values, cfg) = (vec![20.0, 10.0, 15.0], config(3, 1, &obs));
+        let (values, cfg) = (vec![20.0, 10.0, 15.0], config(3, &obs));
         let ctx = SolveContext::new(&values, &cfg.rates);
         let joint = crate::multi::aao(&queries, &ctx, 5.0).unwrap();
         let shared = joint.item_dab(x(1)).unwrap();
@@ -889,7 +832,7 @@ mod tests {
         let install = |scope| {
             let cfg = Config {
                 scope,
-                ..config(2, 1, &obs)
+                ..config(2, &obs)
             };
             let book = std::slice::from_ref(&q);
             Coordinator::install(book, DUAL, PqHeuristic::DifferentSum, vec![2.0, 2.0], cfg)

@@ -14,10 +14,15 @@
 //!   condition term-by-term), and provably near-optimal for independent
 //!   sub-polynomials with small DABs (Claim 2: within `1/(1−α)^d` of
 //!   optimal under the monotonic ddm).
+//!
+//! Either split is a query's decomposition into assignment units
+//! ([`crate::assignment_units`]); each unit is then solved as a PPQ, and
+//! [`crate::assign_query`] installs the per-item minimum of a split
+//! query's two.
 
 use std::sync::Arc;
 
-use pq_poly::{Polynomial, PolynomialQuery};
+use pq_poly::Polynomial;
 
 use crate::assignment::{QueryAssignment, UnitColumns, ValidityRange};
 use crate::cache::UnitCache;
@@ -36,9 +41,9 @@ pub enum PqHeuristic {
     DifferentSum,
 }
 
-/// How each positive-coefficient (sub-)problem is solved.
+/// How each positive-coefficient unit is solved.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum PpqMethod {
+pub(crate) enum PpqMethod {
     /// §III-A.1 — optimal in refreshes, recomputes on every refresh.
     OptimalRefresh,
     /// §III-A.2 — Dual-DAB with recomputation cost `mu`.
@@ -56,47 +61,6 @@ impl PpqMethod {
             PpqMethod::DualDab { mu } => Some(mu),
         }
     }
-}
-
-/// Assigns DABs for a general polynomial query `P : B` via `heuristic`,
-/// solving each positive-coefficient piece with `method`.
-///
-/// Also accepts pure PPQs and LAQs (they skip the split).
-pub fn general_pq(
-    query: &PolynomialQuery,
-    ctx: &SolveContext<'_>,
-    heuristic: PqHeuristic,
-    method: PpqMethod,
-) -> Result<QueryAssignment, DabError> {
-    let (p1, p2) = query.poly().split_pos_neg();
-    if p2.is_zero() {
-        return solve_positive(p1, query.qab(), ctx, method);
-    }
-    if p1.is_zero() {
-        // P = -P2: the deviation of -P2 equals the deviation of P2.
-        return solve_positive(p2, query.qab(), ctx, method);
-    }
-    match heuristic {
-        PqHeuristic::DifferentSum => solve_positive(p1.add(&p2), query.qab(), ctx, method),
-        PqHeuristic::HalfAndHalf => {
-            let half = query.qab() / 2.0;
-            let a1 = solve_positive(p1, half, ctx, method)?;
-            let a2 = solve_positive(p2, half, ctx, method)?;
-            Ok(merge_min(a1, a2, ctx))
-        }
-    }
-}
-
-/// Solves a positive-coefficient polynomial `P : B`, dispatching linear
-/// bodies to the closed form.
-pub(crate) fn solve_positive(
-    poly: Polynomial,
-    qab: f64,
-    ctx: &SolveContext<'_>,
-    method: PpqMethod,
-) -> Result<QueryAssignment, DabError> {
-    let unit = AssignmentUnit::new(poly, qab);
-    UnitColumns::one_shot(|out| solve_positive_cached(&unit, ctx, method, None, out))
 }
 
 /// What a non-linear positive-coefficient unit `P : B` compiles to, once:
@@ -122,10 +86,12 @@ impl UnitProgram {
     }
 }
 
-/// [`solve_positive`] of a unit into `out`, with an optional per-unit
-/// cache. Linear bodies take the closed form (nothing to solve, nothing
-/// to keep); GP solves thread the cache through, and the cache keeps the
-/// unit's [`UnitProgram`] between calls.
+/// Solves a unit `P : B` into `out`, with an optional per-unit cache.
+/// Linear bodies, of any sign, take the closed form (nothing to solve,
+/// nothing to keep); a positive-coefficient one is a GP solve that
+/// threads the cache through, and the cache keeps the unit's
+/// [`UnitProgram`] between calls. Any other body is
+/// [`DabError::UnsupportedQueryClass`].
 pub(crate) fn solve_positive_cached(
     unit: &AssignmentUnit,
     ctx: &SolveContext<'_>,
@@ -156,7 +122,11 @@ pub(crate) fn solve_positive_cached(
 
 /// Half-and-Half combination: per-item minimum primary DAB, intersection
 /// of validity ranges, summed recomputation rates.
-fn merge_min(a1: QueryAssignment, a2: QueryAssignment, ctx: &SolveContext<'_>) -> QueryAssignment {
+pub(crate) fn merge_min(
+    a1: QueryAssignment,
+    a2: QueryAssignment,
+    ctx: &SolveContext<'_>,
+) -> QueryAssignment {
     let mut primary = a1.primary.clone();
     for (&item, &b) in &a2.primary {
         primary
@@ -207,7 +177,10 @@ fn merge_min(a1: QueryAssignment, a2: QueryAssignment, ctx: &SolveContext<'_>) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pq_poly::ItemId;
+    use crate::assign_query;
+    use crate::AssignmentStrategy::{DualDab, OptimalRefresh};
+    use pq_poly::{ItemId, PolynomialQuery};
+    use PqHeuristic::{DifferentSum, HalfAndHalf};
 
     fn x(i: u32) -> ItemId {
         ItemId(i)
@@ -227,8 +200,8 @@ mod tests {
         let q = arbitrage(5.0);
         let (values, rates) = ctx_data();
         let ctx = SolveContext::new(&values, &rates);
-        for h in [PqHeuristic::HalfAndHalf, PqHeuristic::DifferentSum] {
-            let a = general_pq(&q, &ctx, h, PpqMethod::DualDab { mu: 5.0 }).unwrap();
+        for h in [HalfAndHalf, DifferentSum] {
+            let a = assign_query(&q, &ctx, DualDab { mu: 5.0 }, h).unwrap();
             assert_eq!(a.primary.len(), 4, "{h:?}");
             assert!(
                 a.respects_qab(&q, 1e-6),
@@ -244,13 +217,7 @@ mod tests {
         let q = arbitrage(5.0);
         let (values, rates) = ctx_data();
         let ctx = SolveContext::new(&values, &rates);
-        let a = general_pq(
-            &q,
-            &ctx,
-            PqHeuristic::DifferentSum,
-            PpqMethod::OptimalRefresh,
-        )
-        .unwrap();
+        let a = assign_query(&q, &ctx, OptimalRefresh, DifferentSum).unwrap();
         // Worst-case deviation of the SUM bound also bounds the difference.
         let (p1, p2) = q.poly().split_pos_neg();
         let sum = p1.add(&p2);
@@ -272,20 +239,8 @@ mod tests {
         let (values, rates) = ctx_data();
         let ctx = SolveContext::new(&values, &rates);
         let mu = 5.0;
-        let hh = general_pq(
-            &q,
-            &ctx,
-            PqHeuristic::HalfAndHalf,
-            PpqMethod::DualDab { mu },
-        )
-        .unwrap();
-        let ds = general_pq(
-            &q,
-            &ctx,
-            PqHeuristic::DifferentSum,
-            PpqMethod::DualDab { mu },
-        )
-        .unwrap();
+        let hh = assign_query(&q, &ctx, DualDab { mu }, HalfAndHalf).unwrap();
+        let ds = assign_query(&q, &ctx, DualDab { mu }, DifferentSum).unwrap();
         let cost = |a: &QueryAssignment| a.refresh_rate + mu * a.recompute_rate;
         assert!(
             cost(&ds) <= cost(&hh) * 1.05,
@@ -301,13 +256,7 @@ mod tests {
         let values = [10.0, 10.0];
         let rates = [1.0, 1.0];
         let ctx = SolveContext::new(&values, &rates);
-        let a = general_pq(
-            &q,
-            &ctx,
-            PqHeuristic::HalfAndHalf,
-            PpqMethod::OptimalRefresh,
-        )
-        .unwrap();
+        let a = assign_query(&q, &ctx, OptimalRefresh, HalfAndHalf).unwrap();
         // No halving happened: the assignment saturates the full B = 5.
         let mut dabs = vec![0.0; 2];
         for (&item, &b) in &a.primary {
@@ -324,13 +273,7 @@ mod tests {
         let values = [10.0, 10.0];
         let rates = [1.0, 1.0];
         let ctx = SolveContext::new(&values, &rates);
-        let a = general_pq(
-            &q,
-            &ctx,
-            PqHeuristic::DifferentSum,
-            PpqMethod::OptimalRefresh,
-        )
-        .unwrap();
+        let a = assign_query(&q, &ctx, OptimalRefresh, DifferentSum).unwrap();
         assert!(a.respects_qab(&q, 1e-6));
     }
 
@@ -348,24 +291,12 @@ mod tests {
         let values = [100.0, 10.0, 9.0];
         let rates = [2.0, 0.5, 0.5];
         let ctx = SolveContext::new(&values, &rates);
-        let hh = general_pq(
-            &q,
-            &ctx,
-            PqHeuristic::HalfAndHalf,
-            PpqMethod::DualDab { mu: 2.0 },
-        )
-        .unwrap();
+        let hh = assign_query(&q, &ctx, DualDab { mu: 2.0 }, HalfAndHalf).unwrap();
         assert!(hh.respects_qab(&q, 1e-6));
         // P1 = x0 is linear: its half contributes no recomputations, so the
         // merged validity is a Box from the P2 side.
         assert!(matches!(hh.validity, ValidityRange::Box(_)));
-        let ds = general_pq(
-            &q,
-            &ctx,
-            PqHeuristic::DifferentSum,
-            PpqMethod::DualDab { mu: 2.0 },
-        )
-        .unwrap();
+        let ds = assign_query(&q, &ctx, DualDab { mu: 2.0 }, DifferentSum).unwrap();
         assert!(ds.respects_qab(&q, 1e-6));
     }
 
@@ -376,8 +307,8 @@ mod tests {
         let values = [15.0, 2.0, 14.0];
         let rates = [1.0, 0.1, 1.0];
         let ctx = SolveContext::new(&values, &rates);
-        for h in [PqHeuristic::HalfAndHalf, PqHeuristic::DifferentSum] {
-            let a = general_pq(&q, &ctx, h, PpqMethod::DualDab { mu: 5.0 }).unwrap();
+        for h in [HalfAndHalf, DifferentSum] {
+            let a = assign_query(&q, &ctx, DualDab { mu: 5.0 }, h).unwrap();
             assert!(a.respects_qab(&q, 1e-6), "{h:?}");
         }
     }

@@ -19,14 +19,16 @@
 //! * [`filter_table`] — a coordinator's installed assignments, item-major:
 //!   stale-unit collection and the minimum rule as one contiguous scan;
 //! * [`install`] — the install loop: every unit's first solve;
-//! * [`cache`] — per-unit caches and the parallel recompute fan-out;
+//! * [`cache`] — per-unit caches, each unit's compiled program and last
+//!   assignment, re-solved in place;
 //! * [`coordinator`] — the coordinator itself: refresh → notify →
 //!   re-solve the stale units → re-derive the filters, over the three
 //!   above. The monitor, the simulator's engine and the Fig. 8(c) tree
 //!   each wrap one;
 //! * [`mod@partition`] — whole connected components of the query↔item
 //!   graph packed onto coordinator shards;
-//! * [`strategy`] — a single dispatch point used by the simulator.
+//! * [`strategy`] — a query's decomposition into assignment units and
+//!   the one solve of a unit every entry point runs.
 //!
 //! ```
 //! use pq_core::{assign_query, AssignmentStrategy, PqHeuristic, SolveContext};
@@ -61,14 +63,12 @@ pub mod ppq;
 pub mod strategy;
 
 pub use assignment::{CoordinatorAssignment, QueryAssignment, UnitColumns, ValidityRange};
-pub use cache::{
-    filter_changed, recompute_parallel, RecomputeDone, RecomputeJob, SolveCache, UnitCache,
-};
+pub use cache::{filter_changed, SolveCache, UnitCache};
 pub use context::{dab_solver_options, SolveContext};
 pub use coordinator::{Config, Coordinator, Outcome, ReaderIndex, Scope, REBASE_EVERY};
 pub use error::DabError;
 pub use filter_table::FilterTable;
-pub use heuristics::{general_pq, PpqMethod, PqHeuristic};
+pub use heuristics::PqHeuristic;
 pub use install::{install_units, InstallError, Installed};
 pub use laq::linear_closed_form;
 pub use multi::{aao, aao_program, eqi, AaoProgram};

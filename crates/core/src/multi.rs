@@ -22,18 +22,20 @@ use pq_poly::{
 use crate::assignment::{CoordinatorAssignment, QueryAssignment, ValidityRange};
 use crate::context::SolveContext;
 use crate::error::DabError;
-use crate::heuristics::{general_pq, PpqMethod, PqHeuristic};
+use crate::heuristics::PqHeuristic;
+use crate::strategy::{abs_body, assign_query, AssignmentStrategy};
 
-/// EQI: each query independently, minimum DAB per item (§IV).
+/// EQI: each query independently ([`assign_query`], the units a
+/// coordinator installs), minimum DAB per item (§IV).
 pub fn eqi(
     queries: &[PolynomialQuery],
     ctx: &SolveContext<'_>,
+    strategy: AssignmentStrategy,
     heuristic: PqHeuristic,
-    method: PpqMethod,
 ) -> Result<CoordinatorAssignment, DabError> {
     let per_query = queries
         .iter()
-        .map(|q| general_pq(q, ctx, heuristic, method))
+        .map(|q| assign_query(q, ctx, strategy, heuristic))
         .collect::<Result<Vec<_>, _>>()?;
     Ok(CoordinatorAssignment::from_queries(per_query))
 }
@@ -126,19 +128,7 @@ pub fn aao_program(
     assert!(!queries.is_empty(), "AAO program needs at least one query");
 
     // Different-Sum transform for mixed signs; collect per-query item lists.
-    let bodies: Vec<Polynomial> = queries
-        .iter()
-        .map(|q| {
-            let (p1, p2) = q.poly().split_pos_neg();
-            if p2.is_zero() {
-                p1
-            } else if p1.is_zero() {
-                p2
-            } else {
-                p1.add(&p2)
-            }
-        })
-        .collect();
+    let bodies: Vec<Polynomial> = queries.iter().map(|q| abs_body(q.poly())).collect();
     let per_query_items: Vec<Vec<ItemId>> = bodies.iter().map(Polynomial::items).collect();
     let per_query_coupled: Vec<Vec<ItemId>> = bodies.iter().map(coupled_items).collect();
 
@@ -313,8 +303,8 @@ mod tests {
         let ca = eqi(
             &queries,
             &ctx,
+            AssignmentStrategy::DualDab { mu: 5.0 },
             PqHeuristic::DifferentSum,
-            PpqMethod::DualDab { mu: 5.0 },
         )
         .unwrap();
         assert_eq!(ca.per_query.len(), 2);
@@ -331,6 +321,48 @@ mod tests {
         // Every per-query assignment individually respects its QAB.
         for (qa, q) in ca.per_query.iter().zip(&queries) {
             assert!(qa.respects_qab(q, 1e-6));
+        }
+    }
+
+    /// EQI installs what a coordinator installs over the same book, bit
+    /// for bit, under either heuristic: both solve the queries' units.
+    /// The book mixes a mixed-sign linear query, one closed-form unit
+    /// under either heuristic, with an arbitrage query Half-and-Half
+    /// splits in two.
+    #[test]
+    fn eqi_installs_what_the_coordinator_installs() {
+        use crate::coordinator::{Config, Coordinator};
+        use pq_poly::PTerm;
+
+        let linear = Polynomial::from_terms([
+            PTerm::new(1.0, [(x(3), 1)]).unwrap(),
+            PTerm::new(-2.0, [(x(4), 1)]).unwrap(),
+        ]);
+        let queries = vec![
+            PolynomialQuery::arbitrage([(1.0, x(0), x(1))], [(1.0, x(2), x(3))], 5.0).unwrap(),
+            PolynomialQuery::new(linear, 2.0).unwrap(),
+        ];
+        let values = vec![20.0, 30.0, 25.0, 24.0, 10.0];
+        let rates = vec![1.0, 0.5, 0.7, 0.3, 0.05];
+        let strategy = AssignmentStrategy::DualDab { mu: 5.0 };
+        for heuristic in [PqHeuristic::HalfAndHalf, PqHeuristic::DifferentSum] {
+            let ctx = SolveContext::new(&values, &rates);
+            let ca = eqi(&queries, &ctx, strategy, heuristic).unwrap();
+            let cfg = Config {
+                rates: rates.clone(),
+                ddm: ctx.ddm,
+                gp: crate::dab_solver_options(),
+                obs: pq_obs::Obs::null(),
+                scope: Default::default(),
+            };
+            let c =
+                Coordinator::install(&queries, strategy, heuristic, values.clone(), cfg).unwrap();
+            let installed: Vec<(ItemId, u64)> =
+                c.filters().map(|(i, b)| (i, b.to_bits())).collect();
+            let by_eqi: Vec<(ItemId, u64)> = (ca.item_dabs.iter())
+                .map(|(&i, b)| (i, b.to_bits()))
+                .collect();
+            assert_eq!(by_eqi, installed, "{heuristic:?}");
         }
     }
 
@@ -364,8 +396,8 @@ mod tests {
         let e = eqi(
             &queries,
             &ctx,
+            AssignmentStrategy::DualDab { mu },
             PqHeuristic::DifferentSum,
-            PpqMethod::DualDab { mu },
         )
         .unwrap();
         let model_cost = |ca: &CoordinatorAssignment| -> f64 {
@@ -434,8 +466,8 @@ mod tests {
         let ca = eqi(
             &queries,
             &ctx,
+            AssignmentStrategy::DualDab { mu: 5.0 },
             PqHeuristic::DifferentSum,
-            PpqMethod::DualDab { mu: 5.0 },
         )
         .unwrap();
         assert_eq!(ca.per_query.len(), 40);

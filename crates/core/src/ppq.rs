@@ -311,7 +311,7 @@ fn require_ppq(poly: &Polynomial) -> Result<(), DabError> {
         })
     } else if !poly.is_positive_coefficient() {
         Err(DabError::UnsupportedQueryClass {
-            detail: "mixed-sign query: use pq_core::heuristics (Half-and-Half / Different Sum)",
+            detail: "mixed-sign query: solve its Half-and-Half or Different-Sum units (pq_core::assignment_units)",
         })
     } else {
         Ok(())

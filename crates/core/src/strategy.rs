@@ -10,12 +10,11 @@ use std::sync::Arc;
 use pq_poly::{ItemId, Polynomial, PolynomialQuery, QueryClass};
 
 use crate::assignment::{QueryAssignment, RangeKind, UnitColumns};
-use crate::baseline::{equal_dab, equal_dab_into, per_item_split, per_item_split_into};
+use crate::baseline::{equal_dab_into, per_item_split_into};
 use crate::cache::UnitCache;
 use crate::context::SolveContext;
 use crate::error::DabError;
-use crate::heuristics::{general_pq, solve_positive_cached, PpqMethod, PqHeuristic};
-use crate::laq::linear_closed_form;
+use crate::heuristics::{merge_min, solve_positive_cached, PpqMethod, PqHeuristic};
 
 /// A complete per-query DAB assignment policy.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -65,34 +64,19 @@ fn dab_span(options: &pq_gp::SolverOptions) -> pq_obs::TimedGuard {
 }
 
 /// Assigns DABs for one query under `strategy`, using `heuristic` for
-/// mixed-sign bodies. Linear queries take the closed form regardless of
-/// strategy (they are strictly easier; §I-A), except under the baselines,
-/// which apply their own rule uniformly.
+/// mixed-sign bodies: each of the query's [`assignment_units`] solved as
+/// a coordinator solves it ([`assign_unit`]), and a query split in two
+/// (Half-and-Half) given the per-item minimum of its units' DABs.
 pub fn assign_query(
     query: &PolynomialQuery,
     ctx: &SolveContext<'_>,
     strategy: AssignmentStrategy,
     heuristic: PqHeuristic,
 ) -> Result<QueryAssignment, DabError> {
-    let _span = dab_span(&ctx.gp);
-    match strategy {
-        AssignmentStrategy::PerItemSplit => per_item_split(query, ctx),
-        AssignmentStrategy::EqualDab => equal_dab(query, ctx),
-        AssignmentStrategy::OptimalRefresh => {
-            if query.class() == QueryClass::LinearAggregate {
-                linear_closed_form(query, ctx)
-            } else {
-                general_pq(query, ctx, heuristic, PpqMethod::OptimalRefresh)
-            }
-        }
-        AssignmentStrategy::DualDab { mu } => {
-            if query.class() == QueryClass::LinearAggregate {
-                linear_closed_form(query, ctx)
-            } else {
-                general_pq(query, ctx, heuristic, PpqMethod::DualDab { mu })
-            }
-        }
-    }
+    let units = assignment_units(query, strategy, heuristic);
+    let mut solved = units.iter().map(|unit| assign_unit(unit, ctx, strategy));
+    let first = solved.next().expect("a query is at least one unit")?;
+    solved.try_fold(first, |merged, next| Ok(merge_min(merged, next?, ctx)))
 }
 
 /// Estimates the recomputation cost `mu` in messages, following the
@@ -183,34 +167,38 @@ pub fn assignment_units(
     strategy: AssignmentStrategy,
     heuristic: PqHeuristic,
 ) -> Vec<AssignmentUnit> {
-    let whole = || {
+    let baseline = matches!(
+        strategy,
+        AssignmentStrategy::PerItemSplit | AssignmentStrategy::EqualDab
+    );
+    // Baselines handle mixed signs internally, and a linear body of any
+    // sign takes the closed form, which sizes each item by `|w|`.
+    if baseline || query.class() != QueryClass::General {
         let body = query.shared_poly().clone();
-        vec![AssignmentUnit::of_query(query, body, query.qab())]
-    };
-    match strategy {
-        // Baselines handle mixed signs internally and keep one unit.
-        AssignmentStrategy::PerItemSplit | AssignmentStrategy::EqualDab => whole(),
-        AssignmentStrategy::OptimalRefresh | AssignmentStrategy::DualDab { .. } => {
-            if query.class() != QueryClass::General {
-                return whole();
-            }
-            let (p1, p2) = query.poly().split_pos_neg();
-            if p1.is_zero() || p2.is_zero() {
-                // Purely negative body: |deviation(-P2)| = |deviation(P2)|.
-                let body = if p1.is_zero() { p2 } else { p1 };
-                return vec![AssignmentUnit::of_query(query, Arc::new(body), query.qab())];
-            }
-            match heuristic {
-                PqHeuristic::DifferentSum => {
-                    let body = Arc::new(p1.add(&p2));
-                    vec![AssignmentUnit::of_query(query, body, query.qab())]
-                }
-                PqHeuristic::HalfAndHalf => {
-                    let half = query.qab() / 2.0;
-                    vec![AssignmentUnit::new(p1, half), AssignmentUnit::new(p2, half)]
-                }
-            }
+        return vec![AssignmentUnit::of_query(query, body, query.qab())];
+    }
+    if heuristic == PqHeuristic::HalfAndHalf {
+        let (p1, p2) = query.poly().split_pos_neg();
+        if !p1.is_zero() && !p2.is_zero() {
+            let half = query.qab() / 2.0;
+            return vec![AssignmentUnit::new(p1, half), AssignmentUnit::new(p2, half)];
         }
+    }
+    let body = Arc::new(abs_body(query.poly()));
+    vec![AssignmentUnit::of_query(query, body, query.qab())]
+}
+
+/// `P1 + P2` for `P = P1 − P2`: the positive-coefficient body whose
+/// deviation bounds `P`'s (Claim 1), the Different-Sum unit. A body of
+/// one sign is itself, up to that sign.
+pub(crate) fn abs_body(poly: &Polynomial) -> Polynomial {
+    let (p1, p2) = poly.split_pos_neg();
+    if p2.is_zero() {
+        p1
+    } else if p1.is_zero() {
+        p2
+    } else {
+        p1.add(&p2)
     }
 }
 
@@ -240,7 +228,10 @@ pub fn assign_unit_cached<'c>(
     solved.map(|()| &cache.columns)
 }
 
-/// The one solve of a unit every entry point runs, into `out`.
+/// The one solve of a unit every entry point runs, into `out`. A linear
+/// unit of any sign takes the closed form; a non-linear one must be
+/// positive-coefficient, as every unit [`assignment_units`] makes is
+/// ([`DabError::UnsupportedQueryClass`] otherwise).
 fn solve_unit(
     unit: &AssignmentUnit,
     ctx: &SolveContext<'_>,
@@ -259,29 +250,11 @@ fn solve_unit(
         AssignmentStrategy::PerItemSplit => per_item_split_into(&unit.query()?, ctx, out),
         AssignmentStrategy::EqualDab => equal_dab_into(&unit.query()?, ctx, out),
         AssignmentStrategy::OptimalRefresh => {
-            solve_positive_or_general(unit, ctx, PpqMethod::OptimalRefresh, cache, out)
+            solve_positive_cached(unit, ctx, PpqMethod::OptimalRefresh, cache, out)
         }
         AssignmentStrategy::DualDab { mu } => {
-            solve_positive_or_general(unit, ctx, PpqMethod::DualDab { mu }, cache, out)
+            solve_positive_cached(unit, ctx, PpqMethod::DualDab { mu }, cache, out)
         }
-    }
-}
-
-fn solve_positive_or_general(
-    unit: &AssignmentUnit,
-    ctx: &SolveContext<'_>,
-    method: PpqMethod,
-    cache: Option<&mut UnitCache>,
-    out: &mut UnitColumns,
-) -> Result<(), DabError> {
-    if unit.body.is_positive_coefficient() {
-        solve_positive_cached(unit, ctx, method, cache, out)
-    } else {
-        // A mixed-sign unit only arises when the caller bypassed
-        // `assignment_units`; fall back to Different Sum.
-        let qa = general_pq(&unit.query()?, ctx, PqHeuristic::DifferentSum, method)?;
-        out.write_assignment(&unit.items, &qa);
-        Ok(())
     }
 }
 

@@ -144,7 +144,6 @@ fn installed_then_drifted(
         rates,
         ddm: DataDynamicsModel::Monotonic,
         gp: dab_solver_options(),
-        threads: 2,
         obs: Obs::null(),
         scope: Scope::default(),
     };

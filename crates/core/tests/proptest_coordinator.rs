@@ -145,7 +145,6 @@ fn config() -> Config {
         rates: vec![0.05; N_ITEMS],
         ddm: DataDynamicsModel::Monotonic,
         gp: dab_solver_options(),
-        threads: 1,
         obs: Obs::null(),
         scope: Scope::default(),
     }

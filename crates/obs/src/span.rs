@@ -6,14 +6,14 @@
 //! same thread, or the thread's *ambient parent*), and pushes its id
 //! onto a thread-local stack for parent resolution. Timing events carry
 //! `span_id` / `parent` fields, from which `pq-trace tree` reconstructs
-//! the exact fan-out forest.
+//! the exact span forest.
 //!
 //! **Propagation across threads** uses [`SpanContext`]: capture it
 //! where the work is *caused* (`SpanContext::current()`), move it into
 //! the worker closure, and `enter()` it there — spans the worker opens
 //! then parent under the capture point. This is how `gp.solve` spans
-//! inside the parallel recompute pool chain back to the coordinator's
-//! `sim.recompute_batch` span.
+//! on the install's workers chain back to the span open where the
+//! install was called.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -99,13 +99,10 @@ pub struct SimConfig {
     /// GP solver options for all recomputations
     /// ([`pq_core::dab_solver_options`] unless set).
     pub gp: SolverOptions,
-    /// Max worker threads for the recompute fan-out (capped at the
-    /// machine's available parallelism). The default, `1`, is the serial
-    /// path: a scoped thread costs more than the unit solves of a typical
-    /// batch (DESIGN.md §10). It caps only that fan-out: every engine's
-    /// install solves its book on every available core once the book is
-    /// large enough. The simulated metrics are byte-identical for any
-    /// value — parallelism only changes wall-clock time.
+    /// Ignored by the engine: a refresh's stale units are re-solved on
+    /// the engine's own thread, one after another (DESIGN.md §10), and
+    /// the install splits its book over the cores by its size. The field
+    /// stays only because the benchmark harness sets it.
     pub threads: usize,
     /// Continuous fidelity audit of the incrementally maintained query
     /// values (shadow naive evaluation; see [`crate::audit`]). `None`
@@ -432,7 +429,6 @@ impl<'a> Engine<'a> {
             rates: cfg.rate_estimator.estimate_all(&cfg.traces),
             ddm: cfg.ddm,
             gp: cfg.gp.clone(),
-            threads: cfg.threads,
             obs: obs.clone(),
             scope,
         };
@@ -1042,7 +1038,6 @@ mod tests {
         let queries = WorkloadGen::with_config(workload, seed)
             .portfolio_queries(12, &traces.initial_values());
         let mut lossy_service_free = SimConfig::new(traces, queries);
-        lossy_service_free.threads = 1;
         lossy_service_free.loss_probability = 0.1;
         lossy_service_free.delays = DelayConfig {
             node_to_node: Pareto::with_mean(0.110),

@@ -196,8 +196,6 @@ pub fn run_network_observed(cfg: &NetworkConfig, obs: &Obs) -> Result<NetworkMet
             rates: rates.clone(),
             ddm: DataDynamicsModel::Monotonic,
             gp: cfg.gp.clone(),
-            // One node's refresh rarely breaks two units at once.
-            threads: 1,
             obs: obs.clone(),
             scope: Scope {
                 query_gid: (first_gid..first_gid + queries.len() as u32).collect(),

@@ -110,7 +110,7 @@ fn restrict<'q>(
         shards: cfg.shards,
         loss_probability: cfg.loss_probability,
         gp: cfg.gp.clone(),
-        threads: cfg.threads,
+        threads: 1,
         audit: cfg.audit.clone(),
         audit_fault: cfg.audit_fault,
     }
@@ -243,9 +243,6 @@ pub fn run_sharded(cfg: &SimConfig, obs: &Obs) -> Result<ShardReport, SimError> 
             .iter()
             .map(|&qi| &world.queries[qi as usize]);
         shard_cfgs.push(SimConfig {
-            // Recompute fan-out workers divide across shard threads so a
-            // partitioned run doesn't oversubscribe the machine.
-            threads: (cfg.threads / k).max(1),
             // The audit budget divides too: K shards each shadow-evaluating
             // 1/K of the sample keep the global audit cost constant.
             audit: cfg.audit.as_ref().map(|a| a.per_shard(k)),

@@ -42,7 +42,6 @@ fn recomputations_per_tick(ticks: usize, delays: DelayConfig, interval_ticks: us
         queries,
     );
     cfg.seed = SEED;
-    cfg.threads = 1;
     cfg.delays = delays;
     cfg.rate_estimator = RateEstimator::SampledAverage { interval_ticks };
     run(&cfg).unwrap().recomputations as f64 / ticks as f64

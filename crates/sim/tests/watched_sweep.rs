@@ -50,7 +50,6 @@ fn dense_config(n_items: usize, n_queries: usize) -> SimConfig {
     let queries = gen.portfolio_queries(n_queries, &traces.initial_values());
     let mut cfg = SimConfig::new(traces, queries);
     cfg.seed = SEED;
-    cfg.threads = 1;
     cfg.delays = DelayConfig::zero();
     cfg
 }
@@ -70,7 +69,6 @@ fn banded_config(n_items: usize, n_queries: usize) -> SimConfig {
     let queries = gen.banded_portfolio_queries(n_queries, &traces.initial_values());
     let mut cfg = SimConfig::new(traces, queries);
     cfg.seed = SEED;
-    cfg.threads = 1;
     cfg.delays = DelayConfig {
         node_to_node: Pareto::with_mean(0.110),
         ..DelayConfig::zero()
@@ -265,7 +263,6 @@ fn a_book_that_reads_no_item_still_samples_every_tick() {
         Vec::new(),
     ] {
         let mut cfg = SimConfig::new(traces.clone(), queries);
-        cfg.threads = 1;
         for shards in [1, 2] {
             cfg.shards = shards;
             let m = run_sharded(&cfg, &Obs::null()).expect("run").metrics;
@@ -309,7 +306,6 @@ fn grouped_book(group_sizes: &[usize], seed: u64) -> SimConfig {
     }
     let mut cfg = SimConfig::new(traces, queries);
     cfg.seed = seed;
-    cfg.threads = 1;
     // A tape of 120 ticks holds six 20-tick rate samples, not one.
     cfg.rate_estimator = RateEstimator::SampledAverage { interval_ticks: 20 };
     cfg.delays = DelayConfig {

@@ -13,7 +13,7 @@
 //!   timings, aggregated over repeated occurrences (a span's exclusive
 //!   time is its duration minus its direct children's), nested by the
 //!   `span_id`/`parent` fields every timing event carries — exact even
-//!   across the parallel solve fan-out. This is the time breakdown: each
+//!   across the install's worker threads. This is the time breakdown: each
 //!   root-to-leaf path's span count and nanoseconds.
 //! * [`render_diff`] — two traces side by side with deltas, for
 //!   regression triage between runs.
@@ -398,7 +398,7 @@ pub struct SpanEdge {
     /// The span's `span_id` field.
     pub id: u64,
     /// The span's `parent` field, if it had an open parent span —
-    /// including a parent on another thread (fan-out workers carry the
+    /// including a parent on another thread (install workers carry the
     /// spawning span's context).
     pub parent: Option<u64>,
     /// Span name (the timing event's target, e.g. `gp.solve_ns`).
@@ -717,7 +717,7 @@ mod tests {
 
     #[test]
     fn tree_nests_spans_by_explicit_parents() {
-        // Two fan-out solves parented to one batch span; the second
+        // Two worker solves parented to one batch span; the second
         // ends *after* its parent (worker outlived the guard's window),
         // so only the ids say where it belongs.
         let events = vec![

@@ -141,13 +141,13 @@ fn tree_trace_attribution_sums_to_network_metrics() {
     assert_eq!(traced, m.refreshes(), "total refreshes");
 }
 
-/// Causal spans across the parallel solve fan-out: every in-run
-/// `gp.solve` span recorded by a recompute batch must carry an explicit
-/// parent edge resolving to a `sim.recompute_batch` span — even though
-/// the solves run on scoped worker threads, whose wall-clock intervals
-/// say nothing about the batch that caused them.
+/// Causal spans of the in-run re-solves: every in-run `gp.solve` span
+/// recorded by a recompute batch must carry an explicit parent edge
+/// whose chain is rooted at a `sim.recompute_batch` span. (Parenting
+/// across threads is `pq_core`'s install test
+/// `solve_spans_parent_under_the_caller_on_any_worker`.)
 #[test]
-fn parallel_solve_spans_parent_to_their_recompute_batch() {
+fn in_run_solve_spans_nest_under_their_recompute_batch() {
     let traces = TraceSet::new(vec![
         Trace::sinusoid(20.0, 3.0, 400.0, 600),
         Trace::sinusoid(10.0, 2.0, 300.0, 600),
@@ -157,8 +157,7 @@ fn parallel_solve_spans_parent_to_their_recompute_batch() {
         PolynomialQuery::portfolio([(1.0, ItemId(0), ItemId(1))], 8.0).unwrap(),
         PolynomialQuery::portfolio([(1.0, ItemId(1), ItemId(2))], 6.0).unwrap(),
     ];
-    let mut cfg = SimConfig::new(traces, queries);
-    cfg.threads = 4;
+    let cfg = SimConfig::new(traces, queries);
 
     let dir = std::env::temp_dir().join("pq-trace-roundtrip");
     std::fs::create_dir_all(&dir).unwrap();
@@ -182,7 +181,7 @@ fn parallel_solve_spans_parent_to_their_recompute_batch() {
 
     // Every gp.solve span whose ancestor chain leaves the solver layer
     // (gp.solve under dab.solve) must land in a recompute batch: these
-    // are exactly the in-run fan-out solves. Install-time seeding
+    // are exactly the in-run re-solves. Install-time seeding
     // solves have no batch ancestor and stay roots of their chains.
     let ancestry = |edge: &pq_trace::SpanEdge| {
         let mut names = Vec::new();
@@ -200,13 +199,13 @@ fn parallel_solve_spans_parent_to_their_recompute_batch() {
             assert_eq!(
                 chain.last().map(String::as_str),
                 Some("sim.recompute_batch_ns"),
-                "the recompute batch must be the root of a fan-out solve's chain: {chain:?}"
+                "the recompute batch must be the root of an in-run solve's chain: {chain:?}"
             );
             batched += 1;
         }
     }
     assert!(
         batched > 0,
-        "fan-out gp.solve spans should resolve to batch parents across threads"
+        "in-run gp.solve spans should resolve to batch parents"
     );
 }

@@ -2,7 +2,7 @@
 //! exactly through `pq-trace` — [`pq_trace::span_forest`] recovers the
 //! precise parent/child structure regardless of event order or
 //! timestamps (the explicit `span_id`/`parent` fields carry the
-//! causality, as they do across the parallel solve fan-out, where
+//! causality, as they do across the install's worker threads, where
 //! interval containment would misattribute overlapping workers).
 
 use std::collections::{BTreeMap, HashMap};

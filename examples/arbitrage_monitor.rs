@@ -9,12 +9,13 @@
 //!
 //! Run with: `cargo run --example arbitrage_monitor`
 
-use polyquery::core::{general_pq, PpqMethod, PqHeuristic, SolveContext};
-use polyquery::{Monitor, PolynomialQuery, PqHeuristic as Heuristic};
+use polyquery::{
+    assign_query, AssignmentStrategy, Monitor, PolynomialQuery, PqHeuristic, SolveContext,
+};
 
 fn main() {
     // Items: buy price, fx at buy venue, sell price, fx at sell venue.
-    let mut monitor = Monitor::new().with_heuristic(Heuristic::DifferentSum);
+    let mut monitor = Monitor::new().with_heuristic(PqHeuristic::DifferentSum);
     let buy = monitor.add_item("buy_px", 40.0, 0.08);
     let fx_a = monitor.add_item("fx_a", 1.10, 0.001);
     let sell = monitor.add_item("sell_px", 44.0, 0.08);
@@ -32,7 +33,8 @@ fn main() {
     let rates = [0.08, 0.001, 0.08, 0.001];
     let ctx = SolveContext::new(&values, &rates);
     for heuristic in [PqHeuristic::HalfAndHalf, PqHeuristic::DifferentSum] {
-        let a = general_pq(&query, &ctx, heuristic, PpqMethod::DualDab { mu: 5.0 }).unwrap();
+        let strategy = AssignmentStrategy::DualDab { mu: 5.0 };
+        let a = assign_query(&query, &ctx, strategy, heuristic).unwrap();
         println!("{heuristic:?}:");
         for (&item, &b) in &a.primary {
             println!("  b_{item} = {b:.5}");

@@ -34,9 +34,6 @@ pub struct Monitor {
     strategy: AssignmentStrategy,
     heuristic: PqHeuristic,
     ddm: DataDynamicsModel,
-    /// Max worker threads for the recompute fan-out (1 = serial, the
-    /// default); the install uses every core regardless.
-    threads: usize,
     /// Telemetry handle; threaded into every GP solve.
     obs: Obs,
     /// The installed coordinator; `None` until [`Monitor::install`] and
@@ -62,22 +59,16 @@ impl Monitor {
             strategy: AssignmentStrategy::DualDab { mu: 5.0 },
             heuristic: PqHeuristic::DifferentSum,
             ddm: DataDynamicsModel::Monotonic,
-            threads: 1,
             obs: Obs::null(),
             core: None,
         }
     }
 
-    /// Caps the recompute fan-out at `threads` worker threads (also capped
-    /// at the machine's available parallelism). The default is `1`, the
-    /// serial path; results are identical either way. It caps only the
-    /// recompute fan-out: [`Monitor::install`] solves the book on every
-    /// available core once it is large enough.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        if let Some(core) = &mut self.core {
-            core.set_threads(self.threads);
-        }
+    /// Does nothing: a refresh's stale units are re-solved on the
+    /// caller's thread, one after another, and [`Monitor::install`]
+    /// splits the book over the cores by its size. The method stays only
+    /// because the benchmark harness calls it.
+    pub fn with_threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -207,7 +198,6 @@ impl Monitor {
             rates: self.rates.clone(),
             ddm: self.ddm,
             gp: dab_solver_options(),
-            threads: self.threads,
             obs: self.obs.clone(),
             scope: Default::default(),
         };

@@ -54,7 +54,7 @@ fn well_formed(p: &Polynomial, catalog: &ItemCatalog) -> Result<(), String> {
 
 /// An installed monitor over `a`, `b` with one query.
 fn installed() -> Monitor {
-    let mut m = Monitor::new().with_threads(1);
+    let mut m = Monitor::new();
     let (a, b) = (m.add_item("a", 2.0, 1.0), m.add_item("b", 3.0, 1.0));
     m.add_query(PolynomialQuery::portfolio([(1.0, a, b)], 1.0).unwrap());
     m.install().unwrap();

@@ -43,7 +43,7 @@ fn install_and_recompute_take_a_handful_of_newton_steps() {
     let rates = RateEstimator::SampledAverage { interval_ticks: 60 }.estimate_all(&traces);
 
     let (obs, ring) = Obs::ring(1 << 16);
-    let mut monitor = Monitor::new().with_threads(1).with_obs(obs);
+    let mut monitor = Monitor::new().with_obs(obs);
     for (i, (value, rate)) in initial.iter().zip(&rates).enumerate() {
         monitor.add_item(&format!("x{i}"), *value, *rate);
     }
