@@ -212,20 +212,24 @@ impl SolveCache {
 }
 
 /// True when a derived per-item filter width meaningfully changed — the
-/// mixed absolute/relative tolerance the coordinator uses when deciding
-/// whether to send a DAB-change message.
+/// relative tolerance the coordinator uses when deciding whether to send
+/// a DAB-change message.
 ///
-/// A pure relative test (`|new - old| > eps * |old|`) misclassifies
-/// `old == 0`: *any* new width would count as unchanged. The absolute
-/// floor fixes that while the relative term keeps large widths from
-/// flapping on rounding noise. A non-finite width means "no filter": it
+/// The tolerance is relative to the wider of the two widths, so
+/// `old == 0` reads any positive new width as a change, and a width
+/// does not flap on rounding noise at any scale. It has no absolute
+/// floor: a source kept at a filter wider than its units allow breaks
+/// Condition 1 by that excess times its partners' widths, and a partner
+/// may be wide (a per-item split at a value of 0 sizes its neighbours
+/// without bound), so a tightening between two widths far below `1e-12`
+/// must reach the source. A non-finite width means "no filter": it
 /// changed exactly when the other side is finite.
 pub fn filter_changed(old: f64, new: f64) -> bool {
     if !(old.is_finite() && new.is_finite()) {
         return old.is_finite() != new.is_finite();
     }
     let scale = old.abs().max(new.abs());
-    (new - old).abs() > f64::max(1e-12, 1e-12 * scale)
+    (new - old).abs() > 1e-12 * scale
 }
 
 #[cfg(test)]
@@ -510,6 +514,8 @@ mod tests {
         assert!(!filter_changed(1.0, 1.0 + 1e-15));
         assert!(filter_changed(1.0, 1.001));
         assert!(!filter_changed(1e9, 1e9 * (1.0 + 1e-15)));
+        assert!(filter_changed(7.9e-32, 1.5e-32), "no absolute floor");
+        assert!(!filter_changed(1e-30, 1e-30 * (1.0 + 1e-15)));
         assert!(filter_changed(f64::INFINITY, 3.0));
         assert!(filter_changed(3.0, f64::INFINITY));
         assert!(!filter_changed(f64::INFINITY, f64::INFINITY));

@@ -837,14 +837,14 @@ mod tests {
             let book = std::slice::from_ref(&q);
             Coordinator::install(book, DUAL, PqHeuristic::DifferentSum, vec![2.0, 2.0], cfg)
         };
-        let mut shard = install(Scope {
+        let mut scoped = install(Scope {
             query_gid: vec![40],
             item_gid: vec![7, 9],
             node: None,
         })
         .unwrap();
-        shard.apply(1, 30.0).unwrap();
-        shard.react(1, Some(3.5)).unwrap();
+        scoped.apply(1, 30.0).unwrap();
+        scoped.react(1, Some(3.5)).unwrap();
         let mut node = install(Scope {
             node: Some(2),
             ..Scope::default()
@@ -856,8 +856,8 @@ mod tests {
         let events = ring.events();
         let of =
             |target: &str| -> Vec<_> { events.iter().filter(|e| e.target == target).collect() };
-        // A shard's solves name their query by its global id, as its
-        // recompute events do: the install's and the re-solve's.
+        // A scoped coordinator's solves name their query by its global
+        // id, as its recompute events do: the install's and the re-solve's.
         let solves_of_40 = (of("gp.solve_ns").iter())
             .filter(|e| e.kind == EventKind::Timing)
             .filter(|e| e.field("query") == Some(&Value::U64(40)))
@@ -877,5 +877,28 @@ mod tests {
         assert_eq!(recomputes[0].field("node"), None);
         assert_eq!(recomputes[1].field("node"), Some(&Value::U64(2)));
         assert_eq!(recomputes[1].field("t"), None);
+    }
+
+    /// A per-item split at a value of 0 sizes the items whose solo
+    /// deviation vanishes without bound and their partners at ≈ 1e-31.
+    /// Moving `x2` to 0 tightens `x2` and `x3` from ≈ 8e-32 / 9e-32 to
+    /// ≈ 5e-32 / 6e-32 while `x0` and `x1` widen to ≈ 2e30: the
+    /// tightenings must ship, or the wide neighbours carry the query
+    /// past its QAB at a corner of the filters.
+    #[test]
+    fn a_tightening_below_any_absolute_floor_still_ships() {
+        let q = PolynomialQuery::portfolio([(0.95, x(0), x(2)), (0.5, x(1), x(3))], 0.15).unwrap();
+        let (values, cfg) = (vec![0.5, 0.8, 0.5, 0.0], config(4, &Obs::null()));
+        let strategy = AssignmentStrategy::PerItemSplit;
+        let book = std::slice::from_ref(&q);
+        let mut c =
+            Coordinator::install(book, strategy, PqHeuristic::DifferentSum, values, cfg).unwrap();
+        let out = c.on_refresh(2, 0.0).unwrap();
+        let filters: Vec<f64> = (0..4).map(|i| c.filter(i)).collect();
+        assert!(filters[2] < 1e-30 && filters[0] > 1e29, "{filters:?}");
+        let shipped: Vec<usize> = out.filter_changes.iter().map(|(i, _)| i.index()).collect();
+        assert_eq!(shipped, [0, 1, 2, 3]);
+        let worst = q.poly().max_abs_deviation_over_box(c.values(), &filters);
+        assert!(worst <= q.qab() * (1.0 + 1e-6), "worst corner {worst}");
     }
 }

@@ -25,8 +25,9 @@
 //!   re-solve the stale units → re-derive the filters, over the three
 //!   above. The monitor, the simulator's engine and the Fig. 8(c) tree
 //!   each wrap one;
-//! * [`mod@partition`] — whole connected components of the query↔item
-//!   graph packed onto coordinator shards;
+//! * [`mod@partition`] — the connected components of the query↔item
+//!   graph, packed onto `k` balanced parts (no shipped path runs more
+//!   than one coordinator; the benchmark times it);
 //! * [`strategy`] — a query's decomposition into assignment units and
 //!   the one solve of a unit every entry point runs.
 //!

@@ -2,7 +2,7 @@
 //!
 //! The AAO decomposition (§III) already solves independently per
 //! connected unit of the query↔item graph, so connected components are
-//! the shard seam: two queries that share no item (directly or
+//! the natural seam: two queries that share no item (directly or
 //! transitively) never interact — not through DAB minima, not through
 //! refresh processing, not through joint solves. The partitioner
 //! computes those components with a union-find over items, estimates
@@ -12,6 +12,12 @@
 //! fair share lands whole on one shard, and the imbalance is accepted.
 //! Every item a query reads therefore lives on that query's shard, and
 //! shards share nothing.
+//!
+//! No shipped path runs a shard: the simulator runs one coordinator
+//! over the whole book (DESIGN.md §10, "Tried and rejected"). The module
+//! stays because the benchmark times [`partition`] (`core.partition_s`)
+//! and a per-component joint solve (ROADMAP item 5) needs the
+//! union-find.
 //!
 //! Everything here is deterministic: ties break on lowest index, and
 //! the plan depends only on the inputs, never on iteration order of a
@@ -30,10 +36,8 @@ pub struct PartitionInput<'a> {
     pub n_items: usize,
     /// Estimated load contributed by each item (e.g. refresh rate).
     pub item_load: &'a [f64],
-    /// Estimated load contributed by each query (e.g. recompute cost;
-    /// under shared cross-query evaluation, the marginal eval cost from
-    /// `pq_poly::shared_query_loads` — distinct monomials a query
-    /// introduces plus a small per-subscription scatter charge).
+    /// Estimated load contributed by each query (e.g. recompute cost, or
+    /// the distinct monomials a query introduces into a shared plan).
     pub query_load: &'a [f64],
 }
 

@@ -17,7 +17,7 @@ use proptest::prelude::*;
 use pq_core::coordinator::{Config, Coordinator, Scope, REBASE_EVERY};
 use pq_core::{
     assign_unit, assignment_units, dab_solver_options, AssignmentStrategy, AssignmentUnit,
-    DabError, PqHeuristic, QueryAssignment, SolveContext,
+    DabError, PqHeuristic, QueryAssignment, SolveContext, ValidityRange,
 };
 use pq_ddm::DataDynamicsModel;
 use pq_obs::Obs;
@@ -158,6 +158,49 @@ fn heuristic(half_and_half: u8) -> PqHeuristic {
     }
 }
 
+/// Zero delay: every source outside its filter pushes through `apply` +
+/// `react`, and the filter changes each push returns are installed at
+/// once (which may send another source out of its new filter, so the
+/// pushes run until none is outside).
+fn deliver(core: &mut Coordinator, filters: &mut [f64], source: &[f64]) {
+    while let Some(i) = (0..N_ITEMS).find(|&i| (source[i] - core.values()[i]).abs() > filters[i]) {
+        core.apply(i, source[i]).unwrap();
+        let out = core.react(i, None).unwrap();
+        for (ItemId(j), b) in out.filter_changes {
+            filters[j as usize] = b;
+        }
+    }
+}
+
+/// The unit with the tightest finite validity range for `item`, as
+/// `(item, anchor, c)` for each item it holds a finite range for: the
+/// box the unit's solve stays valid in.
+fn tightest_box(
+    core: &Coordinator,
+    queries: &[PolynomialQuery],
+    strategy: AssignmentStrategy,
+    heuristic: PqHeuristic,
+    item: usize,
+) -> Vec<(usize, f64, f64)> {
+    let mut tightest = (f64::INFINITY, Vec::new());
+    for (q, query) in queries.iter().enumerate() {
+        for u in 0..assignment_units(query, strategy, heuristic).len() {
+            let a = core.assignment(q, u);
+            let ValidityRange::Box(c) = &a.validity else {
+                continue;
+            };
+            if let Some(&own) = c.get(&ItemId(item as u32)).filter(|&&c| c < tightest.0) {
+                let finite = c.iter().filter(|(_, c)| c.is_finite());
+                tightest = (
+                    own,
+                    finite.map(|(j, &c)| (j.index(), a.anchor[j], c)).collect(),
+                );
+            }
+        }
+    }
+    tightest.1
+}
+
 /// Everything a refresh may move, bit for bit.
 fn state_bits(core: &Coordinator) -> Vec<u64> {
     let filters = (0..N_ITEMS).map(|i| core.filter(i));
@@ -264,11 +307,8 @@ proptest! {
         prop_assert_eq!(state_bits(&clean), state_bits(&hostile));
     }
 
-    /// Condition 1 at zero delay: sources walk at random, every source
-    /// outside its installed filter pushes through `apply` + `react`, and
-    /// the filter changes each push returns are installed at once (which
-    /// may send another source out of its new filter, so the pushes run
-    /// until none is outside). After every step each query's value at the
+    /// Condition 1 at zero delay: sources walk at random and [`deliver`]
+    /// what leaves a filter. After every step each query's value at the
     /// sources is within its QAB of its value at the coordinator.
     #[test]
     fn condition_one_holds_at_zero_delay(
@@ -285,21 +325,64 @@ proptest! {
                 let mut source = start.clone();
                 for (step, &(item, delta)) in walk.iter().enumerate() {
                     source[item] = (source[item] + delta).clamp(0.5, 2.0);
-                    while let Some(i) = (0..N_ITEMS)
-                        .find(|&i| (source[i] - core.values()[i]).abs() > filters[i])
-                    {
-                        core.apply(i, source[i]).unwrap();
-                        let out = core.react(i, None).unwrap();
-                        for (ItemId(j), b) in out.filter_changes {
-                            filters[j as usize] = b;
-                        }
-                    }
+                    deliver(&mut core, &mut filters, &source);
                     for (qi, q) in queries.iter().enumerate() {
                         let gap = (q.eval(&source) - q.eval(core.values())).abs();
                         prop_assert!(
                             gap <= q.qab() * (1.0 + 1e-9),
                             "{} / {:?}, step {}, q{}: |P(source) - P(coordinator)| = {} > QAB {}",
                             strategy, heuristic, step, qi, gap, q.qab()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Condition 1 where it binds: moves of ±0.6 on values in [0.5, 2],
+    /// moves to exactly 0 and back, and moves that put every item of a
+    /// unit's validity box within 5 % of its upper edge carry the sources
+    /// through their filters and to the edge of the units' validity
+    /// ranges. After every delivered step, wherever each source may sit without pushing —
+    /// anywhere within its filter of the coordinator's value — each query
+    /// is within its QAB of its value at the coordinator. The worst such
+    /// point is a corner of the box (`max_abs_deviation_over_box`), and a
+    /// Dual-DAB optimum puts it on the bound, so a filter a little looser
+    /// than its unit allows shows here.
+    #[test]
+    fn condition_one_holds_at_every_corner_of_the_filters(
+        queries in proptest::collection::vec(arb_query(), 1..6),
+        start in proptest::collection::vec(0.75f64..1.75, N_ITEMS),
+        walk in proptest::collection::vec((0usize..N_ITEMS, -0.6f64..0.6, 0u8..8), 24),
+    ) {
+        for strategy in STRATEGIES {
+            for heuristic in [PqHeuristic::HalfAndHalf, PqHeuristic::DifferentSum] {
+                let mut core =
+                    Coordinator::install(&queries, strategy, heuristic, start.clone(), config())
+                        .unwrap();
+                let mut filters: Vec<f64> = (0..N_ITEMS).map(|i| core.filter(i)).collect();
+                let mut source = start.clone();
+                for (step, &(item, delta, kind)) in walk.iter().enumerate() {
+                    match kind {
+                        0 => source[item] = 0.0,
+                        // Every item of a box within 5 % of its upper
+                        // edge, either side.
+                        1..=3 => {
+                            for (j, anchor, c) in
+                                tightest_box(&core, &queries, strategy, heuristic, item)
+                            {
+                                source[j] = (anchor + c * (1.0 + delta / 12.0)).max(0.0);
+                            }
+                        }
+                        _ => source[item] = (source[item] + delta).clamp(0.5, 2.0),
+                    }
+                    deliver(&mut core, &mut filters, &source);
+                    for (qi, q) in queries.iter().enumerate() {
+                        let worst = q.poly().max_abs_deviation_over_box(core.values(), &filters);
+                        prop_assert!(
+                            worst <= q.qab() * (1.0 + 1e-6),
+                            "{} / {:?}, step {}, q{}: worst corner {} > QAB {}",
+                            strategy, heuristic, step, qi, worst, q.qab()
                         );
                     }
                 }

@@ -1,9 +1,9 @@
 //! Property tests for the query↔item graph partitioner.
 //!
-//! The partitioner's contract (DESIGN.md §13): shards form a disjoint
-//! cover of queries and items, every item a query reads is homed on that
-//! query's shard, and the packed shard loads sum to the unsharded total
-//! — for any graph shape (empty queries, unreferenced items, single
+//! The partitioner's contract: shards form a disjoint cover of queries
+//! and items, every item a query reads is homed on that query's shard,
+//! and the packed shard loads sum to the unsharded total — for any graph
+//! shape (empty queries, unreferenced items, single
 //! giant components, duplicate item references) and any shard count.
 
 use proptest::prelude::*;

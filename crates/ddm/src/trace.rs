@@ -378,7 +378,7 @@ impl TraceSet {
 
     /// A sub-universe over the given items, in the given order: local
     /// item `k` of the result replays the trace of global item
-    /// `items[k]`. The simulator uses this to hand each engine a dense
+    /// `items[k]`. The simulator uses this to hand its engine a dense
     /// trace set for exactly the items it watches; with no item at all
     /// the result is an empty universe over the same ticks.
     ///

@@ -181,8 +181,8 @@ struct Inner {
     subscriber: Arc<dyn Subscriber>,
     registry: Registry,
     /// The flight recorder, installed at most once (first caller wins)
-    /// and shared by every clone, so every engine on the handle triggers
-    /// the same one.
+    /// and shared by every clone, so every run on the handle triggers the
+    /// same one.
     recorder: OnceLock<Recorder>,
     /// Present only on a disabled handle ([`Obs::disabled`]).
     inert: Option<Inert>,

@@ -39,4 +39,4 @@ pub use item::{ItemCatalog, ItemId};
 pub use parse::parse_polynomial;
 pub use polynomial::{PTerm, Polynomial};
 pub use query::{PolynomialQuery, QueryClass, QueryId};
-pub use shared::{shared_query_loads, SharedPlan, SharedView};
+pub use shared::{SharedPlan, SharedView};

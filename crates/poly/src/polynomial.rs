@@ -186,9 +186,9 @@ impl Polynomial {
     /// injective on the referenced items — mapping two distinct items of
     /// one term onto the same id would silently merge their exponents.
     ///
-    /// This is the shard-local renumbering step of the partitioned
-    /// engine: a query assigned to a shard is rewritten from global item
-    /// ids onto that shard's dense local ids.
+    /// This is the simulator's projection step: a query is rewritten
+    /// from the universe's item ids onto the dense local ids of the items
+    /// the book reads.
     pub fn map_items(&self, mut f: impl FnMut(ItemId) -> ItemId) -> Polynomial {
         Polynomial::from_terms(self.terms.iter().map(|t| {
             PTerm::new(t.coef, t.vars.iter().map(|&(i, e)| (f(i), e)))

@@ -86,11 +86,6 @@ type TermKey = Vec<(u32, u32)>;
 /// Tombstone marker for a retired flat subscription.
 const DEAD: u32 = u32::MAX;
 
-/// Per-subscription partitioner load relative to one distinct-monomial
-/// kernel evaluation: a subscription costs one multiply and one add on
-/// the scatter, a fresh monomial a full kernel evaluation per delta.
-const SUB_LOAD: f64 = 0.25;
-
 /// Kernel shape of one distinct monomial (coefficient-free: the
 /// coefficients live on the term → query scatter).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -943,35 +938,6 @@ fn build_item_index(
     (index_items, index_starts, index_entries)
 }
 
-/// Partitioner load estimates for a book under shared evaluation: a
-/// query's marginal cost is the distinct monomials it is **first** to
-/// introduce (in book order — one kernel evaluation each per delta)
-/// plus a small scatter cost (`0.25`) per subscription (one multiply
-/// and one add on the scatter). An `items per query` proxy
-/// over-charges overlapping books, which is exactly what a
-/// shared-aware partitioner must not do.
-pub fn shared_query_loads<'a>(polys: impl IntoIterator<Item = &'a Polynomial>) -> Vec<f64> {
-    let mut seen: HashMap<TermKey, ()> = HashMap::new();
-    polys
-        .into_iter()
-        .map(|p| {
-            let mut new_terms = 0usize;
-            let mut subs = 0usize;
-            for t in p.terms() {
-                if t.vars().is_empty() {
-                    continue;
-                }
-                subs += 1;
-                let key: TermKey = t.vars().iter().map(|&(i, e)| (i.0, e)).collect();
-                if seen.insert(key, ()).is_none() {
-                    new_terms += 1;
-                }
-            }
-            new_terms as f64 + SUB_LOAD * subs as f64
-        })
-        .collect()
-}
-
 #[cfg(test)]
 impl SharedPlan {
     /// Whether term `t` reads `item`.
@@ -1371,15 +1337,6 @@ mod tests {
         let (mut scratch, mut qv) = (Vec::new(), Vec::new());
         plan.full_eval_into(&values, &mut scratch, &mut qv);
         assert_eq!(view.values(), qv.as_slice());
-    }
-
-    #[test]
-    fn shared_loads_charge_first_introduction() {
-        let book = book();
-        let loads = shared_query_loads(book.iter());
-        // q0 introduces x0x1 and x2 (2 terms, 2 subs); q1 introduces
-        // x1^2 (1 of 2); q2 introduces x1x2^3 (1 of 2).
-        assert_eq!(loads, vec![2.5, 1.5, 1.5]);
     }
 
     /// Items a kernel-oracle book reads, as slots into an id layout.

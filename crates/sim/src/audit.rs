@@ -27,7 +27,6 @@
 
 use std::sync::Arc;
 
-use pq_core::coordinator::Scope;
 use pq_obs::{names, Counter, EventKind, Obs};
 use pq_poly::PolynomialQuery;
 
@@ -55,21 +54,6 @@ impl Default for AuditConfig {
             every: 16,
             sample: 4,
             tolerance: 1e-9,
-        }
-    }
-}
-
-impl AuditConfig {
-    /// The per-shard slice of this audit budget: each of `shards`
-    /// coordinators shadow-evaluates `ceil(sample / shards)` of its own
-    /// queries per pass (at least one), so the total audit cost of a
-    /// partitioned run stays `O(1/K)` per thread while the round-robin
-    /// cursor still eventually covers every query.
-    pub fn per_shard(&self, shards: usize) -> AuditConfig {
-        let k = shards.max(1);
-        AuditConfig {
-            sample: self.sample.div_ceil(k).max(1),
-            ..self.clone()
         }
     }
 }
@@ -114,8 +98,8 @@ impl FidelityAuditor {
     /// `src_values` / `coord_values` are the per-item value columns of
     /// the two views; `src_qv` the engine's full evaluation at the source
     /// values, `coord_qv` the maintained per-query values of the
-    /// coordinator's delta plane; `scope` names a divergent query by its
-    /// global id. Pure with respect to the simulation: reads only.
+    /// coordinator's delta plane. Pure with respect to the simulation:
+    /// reads only.
     /// Returns the divergences the pass found (0 off the interval).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn on_tick(
@@ -126,7 +110,6 @@ impl FidelityAuditor {
         coord_values: &[f64],
         src_qv: &[f64],
         coord_qv: &[f64],
-        scope: &Scope,
         obs: &Obs,
     ) -> u64 {
         let due = self.cfg.every > 0 && tick.is_multiple_of(self.cfg.every);
@@ -140,7 +123,6 @@ impl FidelityAuditor {
             self.cursor = (self.cursor + 1) % queries.len();
             divergences += self.audit_query(
                 qi,
-                scope.query(qi),
                 tick,
                 &queries[qi],
                 src_values,
@@ -153,14 +135,13 @@ impl FidelityAuditor {
         divergences
     }
 
-    /// Shadow-evaluates one query (`qi` here, `gqi` in the run) at both
-    /// views and compares values and the QAB decision against the delta
-    /// plane; returns the divergences found.
+    /// Shadow-evaluates query `qi` at both views and compares values and
+    /// the QAB decision against the delta plane; returns the divergences
+    /// found.
     #[allow(clippy::too_many_arguments)]
     fn audit_query(
         &mut self,
         qi: usize,
-        gqi: usize,
         tick: usize,
         query: &PolynomialQuery,
         src_values: &[f64],
@@ -182,7 +163,7 @@ impl FidelityAuditor {
             let drift = (naive - delta).abs();
             // NaN drift (e.g. a poisoned delta plane) must diverge too.
             if drift.is_nan() || drift > self.cfg.tolerance * (1.0 + naive.abs()) {
-                self.divergence(gqi, tick, view, naive, delta, drift, "value", obs);
+                self.divergence(qi, tick, view, naive, delta, drift, "value", obs);
                 divergences += 1;
             }
         }
@@ -196,7 +177,7 @@ impl FidelityAuditor {
         let robust = (naive_gap - qab).abs() > self.cfg.tolerance * (1.0 + naive_gap);
         if robust && (naive_gap > qab) != (delta_gap > qab) {
             self.divergence(
-                gqi,
+                qi,
                 tick,
                 "decision",
                 naive_gap,
@@ -210,12 +191,12 @@ impl FidelityAuditor {
         divergences
     }
 
-    /// Records one divergence of query `gqi` (global id): counter bump
-    /// plus a structured event.
+    /// Records one divergence of query `qi`: counter bump plus a
+    /// structured event.
     #[allow(clippy::too_many_arguments)]
     fn divergence(
         &mut self,
-        gqi: usize,
+        qi: usize,
         tick: usize,
         view: &'static str,
         naive: f64,
@@ -226,7 +207,7 @@ impl FidelityAuditor {
     ) {
         self.c_divergence.inc();
         obs.emit_with(names::AUDIT_DIVERGENCE, EventKind::Point, |e| {
-            e.with("query", gqi)
+            e.with("query", qi)
                 .with("tick", tick)
                 .with("view", view)
                 .with("naive", naive)
@@ -313,52 +294,6 @@ mod tests {
         );
     }
 
-    /// A divergence names the query as the run numbers it, not as its
-    /// shard does: over two components on two shards, global query 2 is
-    /// the second query of its shard.
-    #[test]
-    fn a_divergence_on_a_shard_names_the_global_query() {
-        let mut cfg = audited_config();
-        cfg.traces = TraceSet::new(vec![
-            Trace::sinusoid(20.0, 3.0, 400.0, 800),
-            Trace::sinusoid(10.0, 2.0, 300.0, 800),
-            Trace::sinusoid(15.0, 2.5, 350.0, 800),
-            Trace::sinusoid(12.0, 2.0, 250.0, 800),
-        ]);
-        cfg.queries = vec![
-            PolynomialQuery::portfolio([(1.0, ItemId(0), ItemId(1))], 8.0).unwrap(),
-            PolynomialQuery::portfolio([(1.0, ItemId(2), ItemId(3))], 8.0).unwrap(),
-            PolynomialQuery::portfolio([(2.0, ItemId(0), ItemId(1))], 8.0).unwrap(),
-        ];
-        cfg.shards = 2;
-        cfg.audit = Some(AuditConfig {
-            every: 1,
-            sample: 4,
-            ..AuditConfig::default()
-        });
-        cfg.audit_fault = Some(AuditFault {
-            tick: 100,
-            query: 2,
-            perturb: 500.0,
-        });
-        let (obs, ring) = Obs::ring(1 << 16);
-        let report = crate::shard::run_sharded(&cfg, &obs).unwrap();
-        let mut split: Vec<usize> = report.shards.iter().map(|s| s.n_queries).collect();
-        split.sort_unstable();
-        assert_eq!(split, [1, 2], "one component a shard");
-        let named: Vec<u64> = ring
-            .events()
-            .iter()
-            .filter(|e| e.target == names::AUDIT_DIVERGENCE)
-            .map(|e| match e.field("query") {
-                Some(Value::U64(q)) => *q,
-                other => panic!("query field {other:?}"),
-            })
-            .collect();
-        assert!(!named.is_empty(), "fault missed");
-        assert!(named.iter().all(|&q| q == 2), "{named:?}");
-    }
-
     #[test]
     fn metrics_are_identical_with_audit_on_and_off() {
         let audited = audited_config();
@@ -389,29 +324,12 @@ mod tests {
         let plan = pq_poly::SharedPlan::compile(cfg.queries.iter().map(|q| q.poly()));
         let view = pq_poly::SharedView::new(&plan, &values);
         let qv = view.values();
-        let scope = Scope::default();
-        auditor.on_tick(4, &cfg.queries, &values, &values, qv, qv, &scope, &obs);
+        auditor.on_tick(4, &cfg.queries, &values, &values, qv, qv, &obs);
         assert_eq!(auditor.cursor, 1, "first pass audits q0, cursor advances");
-        auditor.on_tick(8, &cfg.queries, &values, &values, qv, qv, &scope, &obs);
+        auditor.on_tick(8, &cfg.queries, &values, &values, qv, qv, &obs);
         assert_eq!(auditor.cursor, 0, "second pass audits q1, wraps around");
         let snap = obs.snapshot();
         assert_eq!(snap.counters[names::AUDIT_SAMPLE], 2);
         assert_eq!(snap.counters[names::AUDIT_DIVERGENCE], 0);
-    }
-
-    #[test]
-    fn per_shard_divides_the_sample_budget() {
-        let cfg = AuditConfig {
-            every: 16,
-            sample: 8,
-            tolerance: 1e-9,
-        };
-        assert_eq!(cfg.per_shard(1).sample, 8);
-        assert_eq!(cfg.per_shard(3).sample, 3, "ceiling division");
-        assert_eq!(cfg.per_shard(4).sample, 2);
-        assert_eq!(cfg.per_shard(64).sample, 1, "never below one query");
-        assert_eq!(cfg.per_shard(0).sample, 8, "zero shards clamps to one");
-        assert_eq!(cfg.per_shard(4).every, 16, "interval unchanged");
-        assert_eq!(cfg.per_shard(4).tolerance, 1e-9);
     }
 }

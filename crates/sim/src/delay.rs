@@ -82,9 +82,9 @@ fn splitmix64(z: u64) -> u64 {
 /// times, message-loss coin flips): a counter-based splitmix64 stream per
 /// item, keyed by the item's **global** id. An item's `n`-th draw is a
 /// function of `(seed, global id, n)` alone, so it does not depend on
-/// which engine holds the item, under what local id, or on what other
-/// items do — which is what keeps fixed-seed metrics equal across shard
-/// counts and under projection (DESIGN.md §12, §13).
+/// the local id the run's projection gives the item or on what other
+/// items do — which is what keeps fixed-seed metrics equal whether or
+/// not a universe holds items no query reads (DESIGN.md §12).
 #[derive(Debug)]
 pub(crate) struct ItemDraws {
     /// Each local item's stream key: a hash of the seed and its global id.

@@ -19,6 +19,7 @@
 //! trends across strategies and delays are what this reproduces (the
 //! paper makes the same caveat for its PlanetLab runs).
 
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::Arc;
@@ -84,11 +85,9 @@ pub struct SimConfig {
     pub mu_cost: f64,
     /// RNG seed for delays.
     pub seed: u64,
-    /// Coordinator shards. `1` (default) runs one coordinator over the
-    /// whole book; `> 1` packs whole connected components of the
-    /// query↔item graph onto that many shards
-    /// ([`mod@pq_core::partition`]) and runs one independent coordinator
-    /// per shard on its own thread (see [`crate::shard`]).
+    /// Ignored by the engine: a run is one coordinator over the whole
+    /// book on the calling thread (DESIGN.md §10). The field stays only
+    /// because the benchmark harness sets it.
     pub shards: usize,
     /// Probability that any message (refresh or DAB-change) is silently
     /// dropped in transit — failure injection for resilience experiments.
@@ -269,6 +268,10 @@ pub fn run(config: &SimConfig) -> Result<SimMetrics, SimError> {
 /// one from a declarative [`pq_obs::ObsConfig`] with
 /// [`Obs::from_config`] for a JSONL trace or a recorder).
 ///
+/// The run is the configuration projected onto the items its book reads
+/// and one engine over that projection, on the calling thread; the
+/// per-item metrics come back at the universe's ids.
+///
 /// After the run, `obs.snapshot()` holds what the run recorded: the
 /// recomputation, evaluation, scheduler and audit counters and the
 /// GP-solver timings (`gp.solve_ns`) of every solve; per-query and
@@ -277,7 +280,85 @@ pub fn run(config: &SimConfig) -> Result<SimMetrics, SimError> {
 /// dumps the handle's flight recorder, if it carries one (at most once a
 /// tick).
 pub fn run_observed(config: &SimConfig, obs: &Obs) -> Result<SimMetrics, SimError> {
-    crate::shard::run_sharded(config, obs).map(|report| report.metrics)
+    let (world, scope) = project(config)?;
+    let mut metrics = Engine::new(&world, obs.clone(), scope.clone())?.run()?;
+    // Per-item columns back to universe size, at global ids.
+    for column in [
+        &mut metrics.per_item_refreshes,
+        &mut metrics.per_item_recompute_triggers,
+    ] {
+        let mut global = vec![0; config.traces.n_items()];
+        for (item, &count) in column.iter().enumerate() {
+            global[scope.item(item)] = count;
+        }
+        *column = global;
+    }
+    Ok(metrics)
+}
+
+/// Checks `cfg` and projects it onto the items its book reads: the
+/// configuration the engine is built from, and the [`Scope`] holding its
+/// local → global item table.
+///
+/// A source holds a filter only because some query reads its item, so
+/// the run keeps only the read items, renumbered densely in ascending
+/// order: the engine is sized by what it watches and sweeps all of it,
+/// whatever the universe around it. What stays global is what leaves the
+/// engine — labels, events, errors and the key of each item's draw
+/// stream — through its [`Scope`]. When every item is read `cfg` runs as
+/// it is — no copy of the book — and the table is empty, which [`Scope`]
+/// reads as the identity.
+fn project(cfg: &SimConfig) -> Result<(Cow<'_, SimConfig>, Scope), SimError> {
+    // `NaN` fails the range test too.
+    if !(0.0..=1.0).contains(&cfg.loss_probability) {
+        return Err(SimError::BadLossProbability {
+            value: cfg.loss_probability,
+        });
+    }
+    let d = &cfg.delays;
+    for (name, value) in [
+        ("node_to_node", d.node_to_node),
+        ("coordinator_check", d.coordinator_check),
+        ("recompute_service", d.recompute_service),
+    ] {
+        if !value.is_valid() {
+            return Err(SimError::BadDelay { name, value });
+        }
+    }
+    let n_items = cfg.traces.n_items();
+    let items = read_items(&cfg.traces, &cfg.queries)?;
+    if items.len() == n_items {
+        return Ok((Cow::Borrowed(cfg), Scope::default()));
+    }
+    let mut local_of = vec![u32::MAX; n_items];
+    for (local, &global) in items.iter().enumerate() {
+        local_of[global as usize] = local as u32;
+    }
+    // Field by field, not `cfg.clone()`: that would copy the whole book
+    // and every tape handle only to replace both.
+    let projected = SimConfig {
+        traces: cfg.traces.subset(&items),
+        queries: (cfg.queries.iter())
+            .map(|q| q.map_items(|i| ItemId(local_of[i.index()])))
+            .collect(),
+        strategy: cfg.strategy.clone(),
+        ddm: cfg.ddm,
+        rate_estimator: cfg.rate_estimator,
+        delays: cfg.delays,
+        mu_cost: cfg.mu_cost,
+        seed: cfg.seed,
+        shards: 1,
+        loss_probability: cfg.loss_probability,
+        gp: cfg.gp.clone(),
+        threads: 1,
+        audit: cfg.audit.clone(),
+        audit_fault: cfg.audit_fault,
+    };
+    let scope = Scope {
+        item_gid: items,
+        ..Scope::default()
+    };
+    Ok((Cow::Owned(projected), scope))
 }
 
 /// The world around one coordinator: sources replaying the tape through
@@ -288,8 +369,8 @@ pub fn run_observed(config: &SimConfig, obs: &Obs) -> Result<SimMetrics, SimErro
 /// RNG draws and [`SimMetrics`].
 ///
 /// An engine is as large as what it watches: `cfg` is a projection
-/// ([`crate::shard::run_sharded`]) holding exactly the items its queries
-/// read, under dense local ids. Every column here is indexed by those
+/// ([`run_observed`]) holding exactly the items its queries read, under
+/// dense local ids. Every column here is indexed by those
 /// ids and every local item is swept and filtered; global ids appear
 /// only in what leaves the engine (events, span labels, errors, draw
 /// keys), through the coordinator's [`Scope`].
@@ -332,18 +413,35 @@ pub(crate) struct Engine<'a> {
     probe: tests::SweepProbe,
 }
 
-/// Rejects the first sample of `traces` (in item, then tick order) that
-/// is not finite and non-negative; `gid` names its item in the error.
-/// Each trace noted its first such sample when it was built, so this
-/// reads one field per item.
-fn check_samples(traces: &TraceSet, gid: impl Fn(usize) -> usize) -> Result<(), SimError> {
-    for (item, trace) in traces.traces().iter().enumerate() {
-        if let Some(tick) = trace.first_bad_sample() {
-            let item = gid(item);
+/// The items `queries` read, ascending, once each is known to have a
+/// trace whose every sample is finite and non-negative: the first that
+/// has none is [`SimError::MissingTrace`], the first bad sample (in
+/// item, then tick order) [`SimError::BadSample`]. Each trace noted its
+/// first bad sample when it was built, so this reads one field per item.
+pub(crate) fn read_items<'q>(
+    traces: &TraceSet,
+    queries: impl IntoIterator<Item = &'q PolynomialQuery>,
+) -> Result<Vec<u32>, SimError> {
+    let n_items = traces.n_items();
+    let mut read = vec![false; n_items];
+    for q in queries {
+        // Ascending: the last one is the query's largest.
+        let items = q.items();
+        if let Some(item) = items.last().map(|i| i.index()).filter(|&i| i >= n_items) {
+            return Err(SimError::MissingTrace { item });
+        }
+        for item in items {
+            read[item.index()] = true;
+        }
+    }
+    let items: Vec<u32> = (0..n_items as u32).filter(|&i| read[i as usize]).collect();
+    for &item in &items {
+        if let Some(tick) = traces.trace(item as usize).first_bad_sample() {
+            let item = item as usize;
             return Err(SimError::BadSample { item, tick });
         }
     }
-    Ok(())
+    Ok(items)
 }
 
 /// Values (rows plus truths) in a full block of the played tape.
@@ -411,16 +509,14 @@ impl TapePlayer<'_> {
 }
 
 impl<'a> Engine<'a> {
-    /// Builds the engine of one coordinator over `cfg`, a projection
-    /// whose every item is watched (validated by
-    /// [`crate::shard::run_sharded`], which builds it): `scope` maps its
-    /// dense local ids to the run's global ones.
+    /// Builds the engine of the coordinator over `cfg`, a projection
+    /// whose every item is watched (checked by [`project`], which builds
+    /// it): `scope` maps its dense local ids to the run's global ones.
     pub(crate) fn new(cfg: &'a SimConfig, obs: Obs, scope: Scope) -> Result<Self, SimError> {
         let n_items = cfg.traces.n_items();
         let source_values = cfg.traces.initial_values();
-        check_samples(&cfg.traces, |i| scope.item(i))?;
         // Draw streams are keyed by *global* ids, so an item draws the
-        // same whatever shard or projection it lands in.
+        // same whether or not the run is projected.
         let draws = ItemDraws::new(cfg.seed, (0..n_items).map(|i| scope.item(i)));
         // Coordinator and sources agree at t = 0 (steady-state start,
         // §V-A): the coordinator is installed at the sources' values and
@@ -583,10 +679,9 @@ impl<'a> Engine<'a> {
         for (qi, ((&truth, &cached), &qab)) in columns.enumerate() {
             if (truth - cached).abs() > qab {
                 self.metrics.per_query_violations[qi] += 1;
-                let gqi = self.core.scope().query(qi);
                 self.obs
                     .emit_with(names::SIM_QAB_VIOLATION, EventKind::Point, |e| {
-                        e.with("query", gqi)
+                        e.with("query", qi)
                             .with("tick", tick)
                             .with("truth", truth)
                             .with("cached", cached)
@@ -610,7 +705,6 @@ impl<'a> Engine<'a> {
                 self.core.values(),
                 truth,
                 self.core.query_values(),
-                self.core.scope(),
                 &self.obs,
             ),
             None => 0,
@@ -772,10 +866,11 @@ impl<'a> Engine<'a> {
         let outcome = self.core.react(item, Some(now))?;
         for &(query, qv) in &outcome.notify {
             self.metrics.user_notifications += 1;
-            let gqi = self.core.scope().query(query.index());
             self.obs
                 .emit_with(names::SIM_USER_NOTIFY, EventKind::Count, |e| {
-                    e.with("query", gqi).with("value", qv).with("t", now)
+                    e.with("query", query.index())
+                        .with("value", qv)
+                        .with("t", now)
                 });
         }
         if !outcome.recomputed.is_empty() {
@@ -1564,10 +1659,9 @@ mod tests {
             "flagged at tick {tick}, fault at {fault_tick}, interval {every}"
         );
 
-        // Two disjoint products, one a shard. The fault lands on the last
-        // tick, an audited one, so exactly one pass flags it: the shard
-        // that holds the query dumps once, and the other shard not at
-        // all.
+        // Two disjoint products. The fault lands on the last tick, an
+        // audited one, so exactly one pass flags it, whichever product
+        // it corrupts: the recorder dumps once.
         let n_ticks = 801;
         let traces = TraceSet::new(vec![
             Trace::sinusoid(20.0, 3.0, 400.0, n_ticks),
@@ -1581,13 +1675,12 @@ mod tests {
         ];
         for query in [0, 1] {
             let mut cfg = SimConfig::new(traces.clone(), queries.clone());
-            cfg.shards = 2;
             cfg.audit = Some(AuditConfig {
                 every: 4,
                 sample: 2,
                 ..AuditConfig::default()
             });
-            let dump_path = dir.join(format!("shard-fault-q{query}.jsonl"));
+            let dump_path = dir.join(format!("last-tick-fault-q{query}.jsonl"));
             let obs = recorder_only(&dump_path);
             run_observed(&faulted(cfg, n_ticks - 1, query), &obs).unwrap();
             assert_eq!(dumps(&obs), 1, "fault on query {query}");
@@ -1648,16 +1741,13 @@ mod tests {
         // Read as `uniform() < p`, `NaN` would silently disable loss and
         // `1.5` drop every message.
         for p in [f64::NAN, -0.1, 1.5] {
-            for shards in [1, 2] {
-                let mut cfg = two_query_config();
-                cfg.loss_probability = p;
-                cfg.shards = shards;
-                match run(&cfg) {
-                    Err(SimError::BadLossProbability { value }) => {
-                        assert_eq!(value.to_bits(), p.to_bits())
-                    }
-                    other => panic!("p = {p}, {shards} shard(s): {other:?}"),
+            let mut cfg = two_query_config();
+            cfg.loss_probability = p;
+            match run(&cfg) {
+                Err(SimError::BadLossProbability { value }) => {
+                    assert_eq!(value.to_bits(), p.to_bits())
                 }
+                other => panic!("p = {p}: {other:?}"),
             }
         }
         for p in [0.0, 1.0] {

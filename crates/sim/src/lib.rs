@@ -7,18 +7,15 @@
 //! * [`delay`] — heavy-tailed Pareto communication & computation delays,
 //!   drawn from one counter-based stream per item;
 //! * [`event`] — the events the simulator schedules;
-//! * [`engine`] — the single-coordinator push-protocol simulation: the
-//!   world around one [`pq_core::Coordinator`] (sources with DAB
-//!   filters, lossy delayed delivery, the coordinator's service queue,
-//!   fidelity sampling), turning each refresh's `Outcome` into events,
-//!   RNG draws and metrics;
+//! * [`engine`] — the single-coordinator push-protocol simulation: a run
+//!   is projected onto the items its book reads, then one engine plays
+//!   it on the calling thread — the world around one
+//!   [`pq_core::Coordinator`] (sources with DAB filters, lossy delayed
+//!   delivery, the coordinator's service queue, fidelity sampling),
+//!   turning each refresh's `Outcome` into events, RNG draws and
+//!   metrics;
 //! * [`network`] — a dissemination tree of cooperating coordinators for
 //!   the Fig. 8(c) experiment, one [`pq_core::Coordinator`] per node;
-//! * [`shard`] — how a configuration becomes engines: the run projected
-//!   onto the items its book reads, then one independent coordinator per
-//!   shard, each over whole connected components of the projected
-//!   query↔item graph ([`mod@pq_core::partition`]), and a deterministic
-//!   metric merge (set [`SimConfig::shards`]; one shard is the default);
 //! * [`metrics`] — the paper's four metrics (fidelity loss, refreshes,
 //!   recomputations, total cost);
 //! * [`table`] — flat source-side per-item columns ([`ItemTable`]);
@@ -46,7 +43,6 @@ pub mod engine;
 pub mod event;
 pub mod metrics;
 pub mod network;
-pub mod shard;
 pub mod table;
 pub mod wheel;
 
@@ -57,6 +53,5 @@ pub use event::Event;
 pub use metrics::SimMetrics;
 pub use network::{run_network, run_network_observed, NetworkConfig, NetworkMetrics};
 pub use pq_obs::{Obs, RecorderConfig};
-pub use shard::{run_sharded, ShardReport, ShardStat};
 pub use table::{ItemTable, ReaderIndex};
 pub use wheel::TimerWheel;

@@ -22,7 +22,7 @@ use pq_gp::SolverOptions;
 use pq_obs::{names, EventKind, Obs};
 use pq_poly::PolynomialQuery;
 
-use crate::engine::SimError;
+use crate::engine::{read_items, SimError};
 
 /// Configuration of a dissemination-network run.
 #[derive(Debug, Clone)]
@@ -181,17 +181,14 @@ pub fn run_network_observed(cfg: &NetworkConfig, obs: &Obs) -> Result<NetworkMet
         },
     };
 
+    // The tape of every item some node reads is checked before any node
+    // installs, as the engine checks its projection.
+    read_items(&cfg.traces, cfg.queries_per_coordinator.iter().flatten())?;
+
     // One installed coordinator per node.
     let mut nodes = Vec::with_capacity(n_nodes);
     let mut first_gid = 0;
     for (c, queries) in cfg.queries_per_coordinator.iter().enumerate() {
-        for q in queries {
-            if let Some(mx) = q.poly().max_item() {
-                if mx.index() >= n_items {
-                    return Err(SimError::MissingTrace { item: mx.index() });
-                }
-            }
-        }
         let node_cfg = Config {
             rates: rates.clone(),
             ddm: DataDynamicsModel::Monotonic,
@@ -425,6 +422,35 @@ mod tests {
             "{err}"
         );
         assert!(err.to_string().contains("query 2 of node 1"), "{err}");
+    }
+
+    /// `Trace::gbm` builds without `from_values`' checks, and a drift of
+    /// `e^700` per tick overflows at tick 2. Read by some node's query,
+    /// such a tape is refused before any node installs, as the engine
+    /// refuses it; read by nobody, it is never looked at.
+    #[test]
+    fn a_non_finite_sample_is_refused_before_tick_one() {
+        assert_eq!(Trace::gbm(1.0, 700.0, 0.0, 800, 1).at(2), f64::INFINITY);
+        // Two nodes reading x0..x2, and a never-read x3.
+        let run = |bad: usize| {
+            let mut tape = traces().traces().to_vec();
+            tape.push(Trace::constant(1.0, 800));
+            tape[bad] = Trace::gbm(1.0, 700.0, 0.0, 800, 1);
+            let strategy = AssignmentStrategy::DualDab { mu: 5.0 };
+            run_network(&NetworkConfig::round_robin(
+                TraceSet::new(tape),
+                queries(2),
+                2,
+                strategy,
+            ))
+        };
+        for bad in [0, 2] {
+            match run(bad) {
+                Err(SimError::BadSample { item, tick: 2 }) => assert_eq!(item, bad),
+                other => panic!("x{bad}: {other:?}"),
+            }
+        }
+        assert!(run(3).is_ok());
     }
 
     #[test]

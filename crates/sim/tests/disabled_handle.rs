@@ -4,8 +4,8 @@
 //! [`Obs::null`] handle returns, in every field but the wall-clock
 //! `solver_seconds`, on books shaped like the benchmark's (a fig5 book,
 //! an overlapping one, a banded one with loss on), with the fidelity
-//! audit configured, on one shard and on two. The
-//! disabled handle itself ends a run with an empty snapshot.
+//! audit configured. The disabled handle itself ends a run with an empty
+//! snapshot.
 
 use pq_core::AssignmentStrategy;
 use pq_ddm::TraceSet;
@@ -67,24 +67,21 @@ fn without_wallclock(mut m: SimMetrics) -> SimMetrics {
 #[test]
 fn run_returns_what_a_run_on_a_live_handle_returns() {
     for shape in [Book::Fig5, Book::Overlap, Book::Banded] {
-        for shards in [1, 2] {
-            let mut cfg = config(shape);
-            cfg.shards = shards;
-            let quiet = run(&cfg).unwrap();
-            let live = Obs::null();
-            let observed = run_observed(&cfg, &live).unwrap();
-            assert!(
-                quiet.refreshes > 0 && quiet.recomputations > 0,
-                "{shape:?}: nothing moved"
-            );
-            assert_eq!(
-                without_wallclock(quiet),
-                without_wallclock(observed),
-                "{shape:?} at {shards} shard(s)"
-            );
-            let audited = live.snapshot().counters[pq_obs::names::AUDIT_SAMPLE];
-            assert!(audited > 0, "{shape:?}: no audit");
-        }
+        let cfg = config(shape);
+        let quiet = run(&cfg).unwrap();
+        let live = Obs::null();
+        let observed = run_observed(&cfg, &live).unwrap();
+        assert!(
+            quiet.refreshes > 0 && quiet.recomputations > 0,
+            "{shape:?}: nothing moved"
+        );
+        assert_eq!(
+            without_wallclock(quiet),
+            without_wallclock(observed),
+            "{shape:?}"
+        );
+        let audited = live.snapshot().counters[pq_obs::names::AUDIT_SAMPLE];
+        assert!(audited > 0, "{shape:?}: no audit");
     }
 }
 
@@ -107,16 +104,12 @@ fn run_network_returns_what_a_run_on_a_live_handle_returns() {
 
 #[test]
 fn a_disabled_handle_ends_a_run_with_an_empty_snapshot() {
-    for shards in [1, 2] {
-        let mut cfg = config(Book::Overlap);
-        cfg.shards = shards;
-        let obs = Obs::disabled();
-        run_observed(&cfg, &obs).unwrap();
-        let snap = obs.snapshot();
-        assert_eq!(
-            (snap.counters.len(), snap.histograms.len()),
-            (0, 0),
-            "{snap:?}"
-        );
-    }
+    let obs = Obs::disabled();
+    run_observed(&config(Book::Overlap), &obs).unwrap();
+    let snap = obs.snapshot();
+    assert_eq!(
+        (snap.counters.len(), snap.histograms.len()),
+        (0, 0),
+        "{snap:?}"
+    );
 }

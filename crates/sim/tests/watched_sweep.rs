@@ -1,8 +1,8 @@
 //! An engine holds only what its book reads: a run is projected onto
-//! the read items before any engine is built, so an item nobody reads
+//! the read items before the engine is built, so an item nobody reads
 //! costs nothing and changes nothing. Adding such items to the universe —
 //! before, between or after the read ones — must not move a single
-//! fixed-seed metric, and everything that leaves the engines (per-item
+//! fixed-seed metric, and everything that leaves the engine (per-item
 //! metrics, violation events, errors) must still carry global ids.
 //!
 //! * An item's draws are keyed by its global id, so renumbering the read
@@ -11,8 +11,7 @@
 //!   runs as it is, no projection) is the oracle for the same book
 //!   scattered over a universe three times its size.
 //! * Where draws happen, the read items keep their ids and the
-//!   never-read ones go behind them; the scattered book is checked
-//!   against itself across shard counts instead.
+//!   never-read ones go behind them.
 //! * As a property: a random mixed book scattered at random over a larger
 //!   universe on a delayed, lossy network equals the same universe with
 //!   every never-read item frozen and read by a query of its own — which
@@ -20,16 +19,16 @@
 //!
 //! The sweep reads rows that a read-ahead worker gathers from the traces.
 //! In a debug build it asserts, for every item on every tick, that the
-//! row holds the trace's sample bit for bit, so each run here (one
-//! coordinator and two shards) checks the gather; a read-only pass over
-//! the read items before tick 1 catches a non-finite or negative sample.
+//! row holds the trace's sample bit for bit, so each run here checks the
+//! gather; a read-only pass over the read items before tick 1 catches a
+//! non-finite or negative sample.
 
 use proptest::prelude::*;
 
 use pq_ddm::{RateEstimator, Trace, TraceSet};
 use pq_obs::{names, Obs, Value};
 use pq_poly::{ItemId, PTerm, Polynomial, PolynomialQuery};
-use pq_sim::{run_sharded, DelayConfig, Pareto, SimConfig, SimError, SimMetrics};
+use pq_sim::{run, run_observed, DelayConfig, Pareto, SimConfig, SimError, SimMetrics};
 use pq_workload::{WorkloadConfig, WorkloadGen};
 
 const SEED: u64 = 0x1CDE_2008;
@@ -54,9 +53,7 @@ fn dense_config(n_items: usize, n_queries: usize) -> SimConfig {
     cfg
 }
 
-/// Independent banded portfolios (many components, so every shard gets
-/// some) on a service-free network — the regime cross-shard metric invariance
-/// is defined over.
+/// Independent banded portfolios on a service-free network.
 fn banded_config(n_items: usize, n_queries: usize) -> SimConfig {
     let traces = TraceSet::stock_universe(n_items, TICKS, SEED);
     let mut gen = WorkloadGen::with_config(
@@ -118,12 +115,9 @@ fn unpadded(mut m: SimMetrics, n: usize, place: impl Fn(usize) -> usize) -> SimM
     m
 }
 
-/// Runs `cfg` on `shards` shards and drops the wall-clock field.
-fn metrics(cfg: &SimConfig, shards: usize) -> SimMetrics {
-    let mut cfg = cfg.clone();
-    cfg.shards = shards;
-    let report = run_sharded(&cfg, &Obs::null()).expect("run");
-    let mut m = report.metrics;
+/// Runs `cfg` and drops the wall-clock field.
+fn metrics(cfg: &SimConfig) -> SimMetrics {
+    let mut m = run(cfg).expect("run");
     assert!(m.refreshes > 0, "degenerate run");
     m.solver_seconds = 0.0;
     m
@@ -140,8 +134,8 @@ fn interleaved_never_read_items_change_no_metric_on_a_draw_free_network() {
     let dense = dense_config(n, 10);
     let scattered = padded(&dense, 3 * n + 2, interleaved);
     assert_eq!(
-        metrics(&dense, 1),
-        unpadded(metrics(&scattered, 1), n, interleaved)
+        metrics(&dense),
+        unpadded(metrics(&scattered), n, interleaved)
     );
 }
 
@@ -152,26 +146,9 @@ fn trailing_never_read_items_change_no_metric_where_draws_happen() {
         let mut base = banded_config(n, 12);
         base.loss_probability = loss_probability;
         let longer = padded(&base, 2 * n, |i| i);
-        for shards in [1, 2] {
-            assert_eq!(
-                metrics(&base, shards),
-                unpadded(metrics(&longer, shards), n, |i| i),
-                "loss {loss_probability}, {shards} shard(s)"
-            );
-        }
-    }
-}
-
-#[test]
-fn a_scattered_book_is_invariant_across_shard_counts() {
-    let n = 96;
-    for loss_probability in [0.0, 0.02] {
-        let mut base = banded_config(n, 12);
-        base.loss_probability = loss_probability;
-        let scattered = padded(&base, 3 * n + 2, interleaved);
         assert_eq!(
-            metrics(&scattered, 1),
-            metrics(&scattered, 2),
+            metrics(&base),
+            unpadded(metrics(&longer), n, |i| i),
             "loss {loss_probability}"
         );
     }
@@ -211,8 +188,8 @@ fn never_read_items_change_no_metric_for_any_rate_reader() {
         dense.rate_estimator = rate_estimator;
         let scattered = padded(&dense, 3 * n + 2, interleaved);
         assert_eq!(
-            metrics(&dense, 1),
-            unpadded(metrics(&scattered, 1), n, interleaved),
+            metrics(&dense),
+            unpadded(metrics(&scattered), n, interleaved),
             "{strategy:?} / {ddm} / {rate_estimator:?}"
         );
     }
@@ -220,8 +197,8 @@ fn never_read_items_change_no_metric_for_any_rate_reader() {
 
 /// `Trace::gbm` builds without `from_values`' checks, and a drift of
 /// `e^700` per tick overflows at tick 2. Read by a query, such a tape is
-/// refused before the first tick, naming the item by its global id at any
-/// shard count; read by nobody, it is never looked at.
+/// refused before the first tick, naming the item by its global id; read
+/// by nobody, it is never looked at.
 #[test]
 fn a_non_finite_sample_is_an_error_only_on_a_read_item() {
     let overflowing = Trace::gbm(1.0, 700.0, 0.0, TICKS, 1);
@@ -229,28 +206,25 @@ fn a_non_finite_sample_is_an_error_only_on_a_read_item() {
     let n = 96;
     let base = banded_config(n, 12);
     let read = base.queries[7].items()[0].index();
-    for shards in [1, 2] {
-        let run = |item: usize| {
-            let mut tape = base.traces.traces().to_vec();
-            // One never-read item behind the book.
-            tape.push(Trace::constant(1.0, TICKS));
-            tape[item] = overflowing.clone();
-            let mut cfg = base.clone();
-            cfg.traces = TraceSet::new(tape);
-            cfg.shards = shards;
-            run_sharded(&cfg, &Obs::null()).map(|report| report.metrics)
-        };
-        match run(read) {
-            Err(SimError::BadSample { item, tick: 2 }) => assert_eq!(item, read),
-            other => panic!("{shards} shard(s): {other:?}"),
-        }
-        assert!(run(n).is_ok(), "{shards} shard(s)");
+    let run_with_bad = |item: usize| {
+        let mut tape = base.traces.traces().to_vec();
+        // One never-read item behind the book.
+        tape.push(Trace::constant(1.0, TICKS));
+        tape[item] = overflowing.clone();
+        let mut cfg = base.clone();
+        cfg.traces = TraceSet::new(tape);
+        run(&cfg)
+    };
+    match run_with_bad(read) {
+        Err(SimError::BadSample { item, tick: 2 }) => assert_eq!(item, read),
+        other => panic!("{other:?}"),
     }
+    assert!(run_with_bad(n).is_ok());
 }
 
 /// A book of constants reads no item: the projection is an empty
 /// universe, which still keeps the run's clock. Every tick is sampled,
-/// nothing refreshes and nothing can violate, on one coordinator or two.
+/// nothing refreshes and nothing can violate.
 #[test]
 fn a_book_that_reads_no_item_still_samples_every_tick() {
     let constant = |c: f64| {
@@ -262,28 +236,25 @@ fn a_book_that_reads_no_item_still_samples_every_tick() {
         vec![constant(3.0), constant(40.0), constant(0.5)],
         Vec::new(),
     ] {
-        let mut cfg = SimConfig::new(traces.clone(), queries);
-        for shards in [1, 2] {
-            cfg.shards = shards;
-            let m = run_sharded(&cfg, &Obs::null()).expect("run").metrics;
-            let mut want = SimMetrics::with_items(cfg.queries.len(), 5);
-            want.fidelity_samples = TICKS as u64 - 1;
-            assert_eq!(
-                SimMetrics {
-                    solver_seconds: 0.0,
-                    ..m
-                },
-                want,
-                "{} queries, {shards} shard(s)",
-                cfg.queries.len()
-            );
-        }
+        let cfg = SimConfig::new(traces.clone(), queries);
+        let m = run(&cfg).expect("run");
+        let mut want = SimMetrics::with_items(cfg.queries.len(), 5);
+        want.fidelity_samples = TICKS as u64 - 1;
+        assert_eq!(
+            SimMetrics {
+                solver_seconds: 0.0,
+                ..m
+            },
+            want,
+            "{} queries",
+            cfg.queries.len()
+        );
     }
 }
 
 /// Disjoint groups of 4–6 items, each read by its own one to three
-/// portfolio and arbitrage queries of 2–3 legs: a mixed book that
-/// partitions cleanly in two. Some items of a group may go unread.
+/// portfolio and arbitrage queries of 2–3 legs: a mixed book of several
+/// components. Some items of a group may go unread.
 fn grouped_book(group_sizes: &[usize], seed: u64) -> SimConfig {
     let n_items: usize = group_sizes.iter().sum();
     let traces = TraceSet::stock_universe(n_items, PROP_TICKS, seed);
@@ -344,27 +315,23 @@ fn with_every_item_read(cfg: &SimConfig) -> SimConfig {
     out
 }
 
-/// Runs `cfg` on `shards` shards: its metrics without the wall-clock
-/// field, seen from the first `n_queries` queries, plus the sorted
-/// `(query, tick)` log of violation events.
-fn observed(cfg: &SimConfig, shards: usize, n_queries: usize) -> (SimMetrics, Vec<(u64, u64)>) {
-    let mut cfg = cfg.clone();
-    cfg.shards = shards;
+/// Runs `cfg`: its metrics without the wall-clock field, seen from the
+/// first `n_queries` queries, plus the `(query, tick)` log of violation
+/// events.
+fn observed(cfg: &SimConfig, n_queries: usize) -> (SimMetrics, Vec<(u64, u64)>) {
     let (obs, ring) = Obs::ring(1 << 17);
-    let report = run_sharded(&cfg, &obs).expect("run");
+    let mut m = run_observed(cfg, &obs).expect("run");
     assert_eq!(ring.dropped(), 0, "ring too small for the event log");
     let field = |e: &pq_obs::Event, name: &str| match e.field(name) {
         Some(Value::U64(v)) => *v,
         other => panic!("violation event without {name}: {other:?}"),
     };
-    let mut log: Vec<(u64, u64)> = ring
+    let log: Vec<(u64, u64)> = ring
         .events()
         .iter()
         .filter(|e| e.target == names::SIM_QAB_VIOLATION)
         .map(|e| (field(e, "query"), field(e, "tick")))
         .collect();
-    log.sort_unstable();
-    let mut m = report.metrics;
     m.solver_seconds = 0.0;
     let extra = m.per_query_violations.split_off(n_queries);
     assert!(extra.iter().all(|&v| v == 0), "a frozen query violated");
@@ -379,9 +346,8 @@ proptest! {
     /// Projection parity: a random mixed book scattered over a larger
     /// universe — never-read items before, between and after the read
     /// ones — on a delayed, lossy network, against the same universe run
-    /// unprojected ([`with_every_item_read`]), on one coordinator and on
-    /// two. Metrics, per-item vectors at global ids and the violation log
-    /// must agree; a bad sample is refused by its global id when the
+    /// unprojected ([`with_every_item_read`]). Metrics, per-item vectors
+    /// at global ids and the violation log must agree; a bad sample is refused by its global id when the
     /// item is read and never looked at when it is not.
     #[test]
     fn a_scattered_book_runs_as_its_unprojected_universe(
@@ -401,42 +367,35 @@ proptest! {
         let scattered = padded(&base, n_total, place);
         let unprojected = with_every_item_read(&scattered);
         let n_queries = scattered.queries.len();
-        let mut across_shards = None;
-        for shards in [1, 2] {
-            let (want, want_log) = observed(&unprojected, shards, n_queries);
-            let (got, got_log) = observed(&scattered, shards, n_queries);
-            prop_assert!(got.refreshes > 0, "degenerate run");
-            prop_assert_eq!(&got, &want, "{} shard(s)", shards);
-            prop_assert_eq!(&got_log, &want_log, "{} shard(s)", shards);
-            let (first, first_log) = across_shards.get_or_insert((got.clone(), got_log.clone()));
-            prop_assert_eq!(&got, &*first, "one shard against two");
-            prop_assert_eq!(&got_log, &*first_log, "one shard against two");
+        let (want, want_log) = observed(&unprojected, n_queries);
+        let (got, got_log) = observed(&scattered, n_queries);
+        prop_assert!(got.refreshes > 0, "degenerate run");
+        prop_assert_eq!(&got, &want);
+        prop_assert_eq!(&got_log, &want_log);
 
-            // One overflowing tape, under a read item and under a
-            // never-read one (when the scatter left any).
-            let overflowing = Trace::gbm(1.0, 700.0, 0.0, PROP_TICKS, 1);
-            let read: Vec<usize> = scattered
-                .queries
-                .iter()
-                .flat_map(|q| q.items())
-                .map(|i| i.index())
-                .collect();
-            let with_bad_tape = |item: usize| {
-                let mut tape = scattered.traces.traces().to_vec();
-                tape[item] = overflowing.clone();
-                let mut cfg = scattered.clone();
-                cfg.traces = TraceSet::new(tape);
-                cfg.shards = shards;
-                run_sharded(&cfg, &Obs::null()).map(|report| report.metrics)
-            };
-            let target = read[bad % read.len()];
-            match with_bad_tape(target) {
-                Err(SimError::BadSample { item, tick: 2 }) => prop_assert_eq!(item, target),
-                other => prop_assert!(false, "{} shard(s): {:?}", shards, other),
-            }
-            if let Some(unread) = (0..n_total).find(|i| !read.contains(i)) {
-                prop_assert!(with_bad_tape(unread).is_ok(), "{} shard(s)", shards);
-            }
+        // One overflowing tape, under a read item and under a never-read
+        // one (when the scatter left any).
+        let overflowing = Trace::gbm(1.0, 700.0, 0.0, PROP_TICKS, 1);
+        let read: Vec<usize> = scattered
+            .queries
+            .iter()
+            .flat_map(|q| q.items())
+            .map(|i| i.index())
+            .collect();
+        let with_bad_tape = |item: usize| {
+            let mut tape = scattered.traces.traces().to_vec();
+            tape[item] = overflowing.clone();
+            let mut cfg = scattered.clone();
+            cfg.traces = TraceSet::new(tape);
+            run(&cfg)
+        };
+        let target = read[bad % read.len()];
+        match with_bad_tape(target) {
+            Err(SimError::BadSample { item, tick: 2 }) => prop_assert_eq!(item, target),
+            other => prop_assert!(false, "{:?}", other),
+        }
+        if let Some(unread) = (0..n_total).find(|i| !read.contains(i)) {
+            prop_assert!(with_bad_tape(unread).is_ok());
         }
     }
 }

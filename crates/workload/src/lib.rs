@@ -193,8 +193,8 @@ impl WorkloadGen {
     /// counts and within-band picks still follow the configured
     /// distributions, but no two queries share an item, so the
     /// query↔item graph has `n` connected components — the "large book"
-    /// shape (many independent portfolios over one big universe) that
-    /// the sharded engine partitions cleanly.
+    /// shape (many independent portfolios over one big universe, most of
+    /// its items read by nobody when `n_items` is large).
     ///
     /// # Panics
     /// Panics unless each band holds at least 2 items

@@ -558,4 +558,85 @@ mod tests {
             }
         }
     }
+
+    /// A mixed-sign query over items `0..5`: one to four terms (linear,
+    /// square or bilinear) with coefficients of either sign.
+    fn arb_query() -> impl proptest::strategy::Strategy<Value = PolynomialQuery> {
+        use proptest::prelude::*;
+        let coef = (0.25f64..2.0, 0u8..2).prop_map(|(c, neg)| if neg == 1 { -c } else { c });
+        let term = (coef, 0u32..5, 0u32..5, 0u8..3).prop_map(|(c, i, j, shape)| {
+            let vars = if shape == 0 {
+                vec![(ItemId(i), 1)]
+            } else {
+                vec![(ItemId(i), 1), (ItemId(j), 1)]
+            };
+            pq_poly::PTerm::new(c, vars).unwrap()
+        });
+        (proptest::collection::vec(term, 1..5), 0.05f64..0.5)
+            .prop_map(|(terms, qab)| (Polynomial::from_terms(terms), qab))
+            .prop_filter("reads an item", |(p, _)| !p.items().is_empty())
+            .prop_map(|(p, qab)| PolynomialQuery::new(p, qab).unwrap())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(8))]
+
+        /// Condition 1 where it binds, through the monitor's surface:
+        /// sources take moves of ±0.6 on [0.5, 2] and moves to exactly 0
+        /// and back, push whatever leaves the filters the monitor shipped
+        /// and install each returned filter change at once. After every
+        /// step, anywhere each source may sit without pushing, each query
+        /// is within its QAB of the monitor's value, under every strategy
+        /// and heuristic.
+        #[test]
+        fn condition1_holds_at_every_corner_of_the_shipped_filters(
+            queries in proptest::collection::vec(arb_query(), 1..5),
+            start in proptest::collection::vec(0.75f64..1.75, 5),
+            walk in proptest::collection::vec((0usize..5, -0.6f64..0.6, 0u8..8), 24),
+        ) {
+            use AssignmentStrategy::*;
+            for strategy in [OptimalRefresh, DualDab { mu: 5.0 }, PerItemSplit, EqualDab] {
+                for heuristic in [PqHeuristic::HalfAndHalf, PqHeuristic::DifferentSum] {
+                    let mut m = Monitor::new().with_strategy(strategy).with_heuristic(heuristic);
+                    for (i, &v) in start.iter().enumerate() {
+                        m.add_item(&format!("x{i}"), v, 0.05);
+                    }
+                    for q in &queries {
+                        m.add_query(q.clone());
+                    }
+                    let mut filters = [f64::INFINITY; 5];
+                    for (item, b) in m.install().unwrap() {
+                        filters[item.index()] = b;
+                    }
+                    let mut source = start.clone();
+                    let values = |m: &Monitor| -> Vec<f64> {
+                        (0..5).map(|i| m.value(ItemId(i)).unwrap()).collect()
+                    };
+                    for (step, &(item, delta, kind)) in walk.iter().enumerate() {
+                        source[item] = match kind {
+                            0 => 0.0,
+                            _ => (source[item] + delta).clamp(0.5, 2.0),
+                        };
+                        while let Some(i) = (0..5)
+                            .find(|&i| (source[i] - values(&m)[i]).abs() > filters[i])
+                        {
+                            let out = m.on_refresh(ItemId(i as u32), source[i]).unwrap();
+                            for (changed, b) in out.filter_changes {
+                                filters[changed.index()] = b;
+                            }
+                        }
+                        let at = values(&m);
+                        for (qi, q) in queries.iter().enumerate() {
+                            let worst = q.poly().max_abs_deviation_over_box(&at, &filters);
+                            proptest::prop_assert!(
+                                worst <= q.qab() * (1.0 + 1e-6),
+                                "{} / {:?}, step {}, q{}: worst corner {} > QAB {}",
+                                strategy, heuristic, step, qi, worst, q.qab()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
