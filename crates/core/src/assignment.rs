@@ -23,9 +23,24 @@ pub enum ValidityRange {
     /// non-linear queries, §I-B): any refresh of a referenced item
     /// invalidates the assignment and forces a recomputation.
     AnchorOnly,
-    /// Valid while every item stays within `anchor ± secondary[item]`
-    /// (the Dual-DAB approach, §III-A.2).
+    /// Valid while every item stays within
+    /// `[min(0, anchor − secondary[item]), anchor + secondary[item]]`
+    /// (the Dual-DAB approach, §III-A.2): the condition holds at the top
+    /// corner `anchor + secondary`, which covers every value of smaller
+    /// magnitude, so only a rise past it invalidates (see
+    /// [`QueryAssignment::is_valid_at`]). A missing entry reads as `0`.
     Box(BTreeMap<ItemId, f64>),
+}
+
+impl ValidityRange {
+    /// The kind of range, without its secondary DABs.
+    pub(crate) fn kind(&self) -> RangeKind {
+        match self {
+            ValidityRange::Always => RangeKind::Always,
+            ValidityRange::AnchorOnly => RangeKind::AnchorOnly,
+            ValidityRange::Box(_) => RangeKind::Box,
+        }
+    }
 }
 
 /// A DAB assignment for one query.
@@ -60,24 +75,22 @@ impl QueryAssignment {
     }
 
     /// True if the assignment is still valid when the coordinator's cached
-    /// values are `values` (indexed by item id).
+    /// values are `values` (indexed by item id): every anchored item's
+    /// value lies in the range `RangeKind::accepted` gives it, checked
+    /// by `accepts`, the predicate the filter table checks its cells
+    /// with.
     ///
     /// For `AnchorOnly`, validity requires the cached values to still equal
-    /// the anchor (up to floating-point identity): in the push protocol
-    /// this means "no refresh has arrived since the assignment was made".
+    /// the anchor: in the push protocol this means "no refresh has arrived
+    /// since the assignment was made". A NaN or missing value is invalid
+    /// under every kind, `Always` included.
     pub fn is_valid_at(&self, values: &[f64]) -> bool {
-        match &self.validity {
-            ValidityRange::Always => true,
-            ValidityRange::AnchorOnly => self
-                .anchor
-                .iter()
-                .all(|(item, v)| values.get(item.index()) == Some(v)),
-            ValidityRange::Box(c) => self.anchor.iter().all(|(item, v0)| {
-                let now = values.get(item.index()).copied().unwrap_or(f64::NAN);
-                let cx = c.get(item).copied().unwrap_or(0.0);
-                (now - v0).abs() <= cx
-            }),
-        }
+        let kind = self.validity.kind();
+        self.anchor.iter().all(|(&item, &v0)| {
+            let now = values.get(item.index()).copied().unwrap_or(f64::NAN);
+            let c = self.secondary_dab(item).unwrap_or(0.0);
+            accepts(kind.accepted(v0, c), now)
+        })
     }
 
     /// Numerically verifies Condition 1 at the anchor: the worst-case query
@@ -109,7 +122,7 @@ impl QueryAssignment {
                     }
                 }
                 // Worst reference point: anchor shifted to a corner of the
-                // secondary box (uncoupled items stay put — their shift
+                // accepted range (uncoupled items stay put — their shift
                 // provably cannot change the deviation). For positive data
                 // the all-up corner dominates, but we enumerate all corners
                 // to stay strategy-agnostic.
@@ -118,14 +131,13 @@ impl QueryAssignment {
                 let mut shifted = values.clone();
                 for mask in 0u32..(1u32 << items.len()) {
                     for (bit, &it) in items.iter().enumerate() {
-                        let cx = c.get(&it).copied().unwrap_or(0.0);
-                        let cx = if cx.is_infinite() { 0.0 } else { cx };
-                        let v0 = values[it.index()];
-                        shifted[it.index()] = if mask >> bit & 1 == 1 {
-                            v0 + cx
+                        let (v0, cx) = (values[it.index()], c.get(&it).copied().unwrap_or(0.0));
+                        let [lo, hi] = if cx.is_infinite() {
+                            [v0, v0]
                         } else {
-                            (v0 - cx).max(0.0)
+                            RangeKind::Box.accepted(v0, cx)
                         };
+                        shifted[it.index()] = if mask >> bit & 1 == 1 { hi } else { lo };
                     }
                     let dev = query.poly().max_abs_deviation_over_box(&shifted, &dabs);
                     if dev > query.qab() + tolerance {
@@ -170,15 +182,51 @@ pub(crate) enum RangeKind {
     Box,
 }
 
+impl RangeKind {
+    /// The values `[lo, hi]` an item anchored at `anchor`, with
+    /// secondary DAB `secondary`, may take while an assignment of this
+    /// kind stays valid: everything under `Always`, the anchor alone
+    /// under `AnchorOnly` (Optimal Refresh recomputes on every refresh),
+    /// and `[min(0, anchor − secondary), anchor + secondary]` under
+    /// `Box`.
+    ///
+    /// The `Box` range is one-sided. A unit's condition holds at the top
+    /// corner `anchor + secondary` of its positive body, and a body's
+    /// deviation at `W` is bounded by its deviation at `|W|`, which grows
+    /// with `|W|` (DESIGN.md §10, "Validity invariant"). So any value of
+    /// magnitude at most `anchor + secondary` keeps the unit valid, and
+    /// the range only extends the symmetric box down to 0 (the GP refuses
+    /// a negative anchor, so `anchor ≥ 0`). A NaN anchor or secondary
+    /// makes `hi` NaN, which accepts nothing.
+    #[inline]
+    pub(crate) fn accepted(self, anchor: f64, secondary: f64) -> [f64; 2] {
+        match self {
+            RangeKind::Always => [f64::NEG_INFINITY, f64::INFINITY],
+            RangeKind::AnchorOnly => [anchor, anchor],
+            RangeKind::Box => [(anchor - secondary).min(0.0), anchor + secondary],
+        }
+    }
+}
+
+/// The one validity predicate: `value` lies in the accepted range
+/// `[lo, hi]` (from `RangeKind::accepted`). A NaN on any side compares
+/// false, so it reads as stale.
+#[inline]
+pub(crate) fn accepts([lo, hi]: [f64; 2], value: f64) -> bool {
+    lo <= value && value <= hi
+}
+
 /// One unit's assignment as a coordinator stores it: per item of the
 /// unit ([`UnitColumns::items`], ascending) its anchor value, its
 /// secondary DAB and its primary DAB. These three columns are what every
 /// solver writes and what [`crate::FilterTable::write`] scatters into the
 /// unit's cells.
 ///
-/// A secondary DAB is the half-width of the item's validity range:
-/// `+∞` under [`ValidityRange::Always`] and for an item the range does
-/// not bound, `0` under [`ValidityRange::AnchorOnly`]. A primary DAB of
+/// A secondary DAB is how far above its anchor an item may rise before
+/// the assignment goes stale (under [`ValidityRange::Box`] it may also
+/// fall to 0, or to `anchor − secondary` below it): `+∞` under
+/// [`ValidityRange::Always`] and for an item the range does not bound,
+/// `0` under [`ValidityRange::AnchorOnly`]. A primary DAB of
 /// `+∞` is no filter. [`UnitColumns::assignment`] is the same assignment
 /// as a [`QueryAssignment`].
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -253,12 +301,7 @@ impl UnitColumns {
                 && qa.primary.keys().all(|i| qa.anchor.contains_key(i)),
             "the assignment does not match the unit's items"
         );
-        let kind = match &qa.validity {
-            ValidityRange::Always => RangeKind::Always,
-            ValidityRange::AnchorOnly => RangeKind::AnchorOnly,
-            ValidityRange::Box(_) => RangeKind::Box,
-        };
-        let cols = self.start(items, kind);
+        let cols = self.start(items, qa.validity.kind());
         for (k, (item, &v0)) in qa.anchor.iter().enumerate() {
             cols.anchor[k] = v0;
             if let ValidityRange::Box(c) = &qa.validity {
@@ -274,6 +317,11 @@ impl UnitColumns {
     /// The unit's items, ascending: the rows of every column.
     pub fn items(&self) -> &[ItemId] {
         &self.items
+    }
+
+    /// Which validity range the secondary column stands for.
+    pub(crate) fn kind(&self) -> RangeKind {
+        self.kind
     }
 
     /// The value each item had when the assignment was made.

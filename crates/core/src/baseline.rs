@@ -41,23 +41,31 @@ pub(crate) fn per_item_split_into(
     let condition = deviation_posynomial(&body, ctx.values, &vmap)?;
     let budget = query.qab() / n as f64;
 
-    // Per-item: largest b_i whose solo deviation fits B/n.
+    // Per-item: largest b_i whose solo deviation fits B/n. An item whose
+    // solo deviation vanishes (every partner it multiplies sits at 0)
+    // fits at any width: it waits for the bounded items.
     let mut dabs = vec![0.0; n];
+    let mut unbounded = Vec::new();
     let mut probe = vec![0.0; n];
     for k in 0..n {
-        probe.iter_mut().for_each(|v| *v = 0.0);
         // Zero entries are fine: deviation posynomials have positive
         // exponents only, so 0^e = 0 and untouched items contribute 0.
-        dabs[k] = bisect_largest(|b| {
+        let b = bisect_largest(|b| {
             probe[k] = b;
             let g = condition.eval(&probe);
             probe[k] = 0.0;
             g <= budget
         });
+        if b >= CEILING {
+            unbounded.push(k);
+        } else {
+            dabs[k] = b;
+        }
     }
 
     // Global correctness pass: cross terms (b_i * b_j) can push the
-    // combined deviation past B; scale down uniformly if needed.
+    // combined deviation of the bounded items past B; scale them down
+    // uniformly if needed.
     let total = condition.eval(&dabs);
     if total > query.qab() {
         let t = bisect_largest(|t| {
@@ -66,6 +74,21 @@ pub(crate) fn per_item_split_into(
         });
         for b in &mut dabs {
             *b *= t.min(1.0);
+        }
+    }
+
+    // The unbounded items share one width: the largest that keeps the
+    // whole box within B, the bounded items held.
+    if !unbounded.is_empty() {
+        let mut probe = dabs.clone();
+        let s = bisect_largest(|s| {
+            for &k in &unbounded {
+                probe[k] = s;
+            }
+            condition.eval(&probe) <= query.qab()
+        });
+        for &k in &unbounded {
+            dabs[k] = s;
         }
     }
 
@@ -113,19 +136,19 @@ fn finish(
     Ok(())
 }
 
-/// Largest `v > 0` satisfying the monotone predicate, via doubling then
-/// 80 bisection steps. Returns 0 if even tiny values fail.
+/// Where [`bisect_largest`]'s doubling stops: a result at or above it
+/// means the predicate held at every width tried.
+const CEILING: f64 = 1.606_938_044_258_990_3e60; // 2^200, exactly
+
+/// Largest `v > 0` satisfying the monotone predicate, via doubling (up
+/// to [`CEILING`]) then 80 bisection steps. Returns 0 if even tiny
+/// values fail.
 fn bisect_largest(mut ok: impl FnMut(f64) -> bool) -> f64 {
     let mut lo = 0.0_f64;
     let mut hi = 1.0_f64;
     if ok(hi) {
-        for _ in 0..200 {
-            let next = hi * 2.0;
-            if ok(next) {
-                hi = next;
-            } else {
-                break;
-            }
+        while hi < CEILING && ok(2.0 * hi) {
+            hi *= 2.0;
         }
         lo = hi;
         hi *= 2.0;
@@ -201,6 +224,29 @@ mod tests {
         // Solo budgets alone give b = 1 each; total 2+2+1 = 5 > 4, so the
         // scale-down must have fired.
         assert!(bx < 1.0 && by < 1.0, "bx={bx} by={by}");
+    }
+
+    #[test]
+    fn per_item_split_at_a_zero_value_sizes_every_item_finitely() {
+        // x3 = 0 leaves x1's solo deviation 0.5 x3 b1 at 0, and x2 = 0
+        // then does the same to x0: those items share one width fitted
+        // with the others held, not a doubling ceiling scaled down.
+        let q = PolynomialQuery::portfolio([(0.95, x(0), x(2)), (0.5, x(1), x(3))], 0.15).unwrap();
+        let rates = [1.0; 4];
+        for values in [[0.5, 0.8, 0.5, 0.0], [0.5, 0.8, 0.0, 0.0]] {
+            let ctx = SolveContext::new(&values, &rates);
+            let a = per_item_split(&q, &ctx).unwrap();
+            let dabs: Vec<f64> = (0..4).map(|i| a.primary_dab(x(i)).unwrap()).collect();
+            assert!(
+                dabs.iter().all(|&b| (1e-12..=1e6).contains(&b)),
+                "{values:?}: {dabs:?}"
+            );
+            let worst = q.poly().max_abs_deviation_over_box(&values, &dabs);
+            assert!(
+                worst <= q.qab() * (1.0 + 1e-12),
+                "{values:?}: worst corner {worst}"
+            );
+        }
     }
 
     #[test]

@@ -202,6 +202,14 @@ impl SolveCache {
         self.units.truncate(unit_counts.len());
     }
 
+    /// The cache for unit `ui` of query `qi`, to read.
+    ///
+    /// # Panics
+    /// Panics if the cache was not sized to cover `(qi, ui)`.
+    pub fn unit(&self, qi: usize, ui: usize) -> &UnitCache {
+        &self.units[qi][ui]
+    }
+
     /// The cache for unit `ui` of query `qi`.
     ///
     /// # Panics

@@ -19,7 +19,7 @@ use pq_gp::SolverOptions;
 use pq_obs::{names, Counter, EventKind, Obs, Timer};
 use pq_poly::{ItemId, PolynomialQuery, QueryId, SharedPlan, SharedView};
 
-use crate::assignment::QueryAssignment;
+use crate::assignment::{QueryAssignment, ValidityRange};
 use crate::cache::{filter_changed, SolveCache};
 use crate::context::SolveContext;
 use crate::error::DabError;
@@ -273,7 +273,7 @@ impl Coordinator {
         this.cache.resize(&unit_counts);
         this.filters = FilterTable::new(this.values.len(), unit_items(&this.units));
         for (qi, assignment) in assignments.iter().enumerate() {
-            this.filters.install(qi, 0, assignment);
+            this.install_unit(qi, assignment);
         }
         this.seed_filters();
         Ok(this)
@@ -364,10 +364,16 @@ impl Coordinator {
         self.installed.iter().enumerate().filter_map(finite)
     }
 
-    /// The assignment unit `u` of query `q` holds
-    /// ([`FilterTable::assignment`]).
+    /// The assignment unit `u` of query `q` holds: its last solve or
+    /// install, as its cache keeps it. A unit whose re-solve failed reads
+    /// as that assignment with a `Box` of NaN secondaries, valid nowhere
+    /// ([`FilterTable::invalidate`]).
     pub fn assignment(&self, q: usize, u: usize) -> QueryAssignment {
-        self.filters.assignment(q, u)
+        let mut a = self.cache.unit(q, u).columns().assignment();
+        if self.filters.is_invalidated(q, u) {
+            a.validity = ValidityRange::Box(a.anchor.keys().map(|&i| (i, f64::NAN)).collect());
+        }
+        a
     }
 
     /// How this coordinator names itself in telemetry.
@@ -554,9 +560,17 @@ impl Coordinator {
         at: Option<f64>,
     ) {
         for (qi, assignment) in per_query.iter().enumerate() {
-            self.filters.install(qi, 0, assignment);
+            self.install_unit(qi, assignment);
             self.note_recompute(qi, None, reason, at);
         }
+    }
+
+    /// Writes `assignment` for unit 0 of query `qi` into the unit's
+    /// cache, as a solve would, and from there into the table.
+    fn install_unit(&mut self, qi: usize, assignment: &QueryAssignment) {
+        let columns = &mut self.cache.unit_mut(qi, 0).columns;
+        columns.write_assignment(self.units[qi][0].items(), assignment);
+        self.filters.write(qi, 0, columns);
     }
 
     /// Counts one recomputation of query `qi` and emits its event:
@@ -723,7 +737,7 @@ mod tests {
         assert_eq!(err.query, Some(1));
         for qi in [0, 2] {
             let a = c.assignment(qi, 0);
-            let crate::ValidityRange::Box(secondary) = &a.validity else {
+            let ValidityRange::Box(secondary) = &a.validity else {
                 panic!("a table reads its cells back as boxes")
             };
             assert_eq!(
@@ -739,7 +753,7 @@ mod tests {
         }
         assert!(c.filter(3).is_finite(), "query 2's filter is installed");
         let failed = c.assignment(1, 0);
-        let crate::ValidityRange::Box(secondary) = &failed.validity else {
+        let ValidityRange::Box(secondary) = &failed.validity else {
             panic!("a table reads its cells back as boxes")
         };
         assert!(
@@ -779,7 +793,7 @@ mod tests {
         );
         let joint = vec![QueryAssignment {
             primary: [(x(0), 0.1), (x(1), 0.1)].into(),
-            validity: crate::ValidityRange::Always,
+            validity: ValidityRange::Always,
             anchor: [(x(0), 2.0), (x(1), 2.0)].into(),
             recompute_rate: 0.0,
             refresh_rate: 0.0,
@@ -879,25 +893,32 @@ mod tests {
         assert_eq!(recomputes[1].field("t"), None);
     }
 
-    /// A per-item split at a value of 0 sizes the items whose solo
-    /// deviation vanishes without bound and their partners at ≈ 1e-31.
-    /// Moving `x2` to 0 tightens `x2` and `x3` from ≈ 8e-32 / 9e-32 to
-    /// ≈ 5e-32 / 6e-32 while `x0` and `x1` widen to ≈ 2e30: the
-    /// tightenings must ship, or the wide neighbours carry the query
-    /// past its QAB at a corner of the filters.
+    /// A QAB of `1e-13` on `x0 x1` at `(1, 1)` gives per-item split
+    /// filters of ≈ 5e-14. Moving `x1` to 1.25 tightens `x0`'s to ≈
+    /// 4e-14: a change far below `1e-12` in absolute terms, which must
+    /// ship all the same, or the source keeps a filter its unit no
+    /// longer allows and the query leaves its QAB at a corner.
     #[test]
     fn a_tightening_below_any_absolute_floor_still_ships() {
-        let q = PolynomialQuery::portfolio([(0.95, x(0), x(2)), (0.5, x(1), x(3))], 0.15).unwrap();
-        let (values, cfg) = (vec![0.5, 0.8, 0.5, 0.0], config(4, &Obs::null()));
+        let q = PolynomialQuery::portfolio([(1.0, x(0), x(1))], 1e-13).unwrap();
+        let (values, cfg) = (vec![1.0, 1.0], config(2, &Obs::null()));
         let strategy = AssignmentStrategy::PerItemSplit;
         let book = std::slice::from_ref(&q);
         let mut c =
             Coordinator::install(book, strategy, PqHeuristic::DifferentSum, values, cfg).unwrap();
-        let out = c.on_refresh(2, 0.0).unwrap();
-        let filters: Vec<f64> = (0..4).map(|i| c.filter(i)).collect();
-        assert!(filters[2] < 1e-30 && filters[0] > 1e29, "{filters:?}");
-        let shipped: Vec<usize> = out.filter_changes.iter().map(|(i, _)| i.index()).collect();
-        assert_eq!(shipped, [0, 1, 2, 3]);
+        let before = c.filter(0);
+        let out = c.on_refresh(1, 1.25).unwrap();
+        let after = c.filter(0);
+        assert!(
+            after < 0.9 * before && before < 1e-12,
+            "{before} -> {after}"
+        );
+        assert!(
+            out.filter_changes.contains(&(x(0), after)),
+            "{:?}",
+            out.filter_changes
+        );
+        let filters: Vec<f64> = (0..2).map(|i| c.filter(i)).collect();
         let worst = q.poly().max_abs_deviation_over_box(c.values(), &filters);
         assert!(worst <= q.qab() * (1.0 + 1e-6), "worst corner {worst}");
     }

@@ -7,15 +7,17 @@
 //! tightest primary DAB any unit holds for `x`?" (the EQI minimum rule of
 //! §IV). The table answers both from one contiguous run: item `x`'s
 //! *cells*, one per `(query, unit)` whose unit reads `x`, each holding
-//! that unit's `anchor`, `secondary` and `primary` for `x`.
+//! the values that unit accepts for `x` and its primary DAB for `x`.
 //!
 //! The cells are laid out once, from every unit's item list, before
 //! anything is solved ([`FilterTable::new`]). A solve writes a unit's
 //! assignment as the three columns of a [`UnitColumns`], and
 //! [`FilterTable::write`] scatters them into the unit's cells; a
 //! [`QueryAssignment`] goes in through the same writer
-//! ([`FilterTable::install`]) and comes back out as a view
-//! ([`FilterTable::assignment`]).
+//! ([`FilterTable::install`]). The cells keep only what a refresh
+//! reads: the assignment itself stays in the columns it was written
+//! from (the unit's [`crate::UnitCache`], which
+//! [`crate::Coordinator::assignment`] reads).
 //!
 //! **Validity invariant.** [`FilterTable::stale_after`] looks only at the
 //! moved item's run. That equals a full [`QueryAssignment::is_valid_at`]
@@ -26,18 +28,20 @@
 //! [`FilterTable::scan_agrees`] is the full-scan oracle
 //! [`crate::Coordinator::react`] `debug_assert!`s after each refresh.
 //!
-//! Encoding of [`ValidityRange`] per cell, checked as
-//! `|value − anchor| ≤ secondary`: `Box` stores its entry (a missing
-//! entry is `0`), `AnchorOnly` stores `0`, `Always` stores `+∞` (the
-//! secondary column of [`UnitColumns`]). A NaN value fails the comparison
-//! and reads as stale — for `Always` too, the one input where the table
-//! is stricter than `is_valid_at`. A unit not yet written is stale.
+//! **Encoding.** A write stores each cell's accepted range `[lo, hi]`,
+//! as `RangeKind::accepted` derives it from the unit's kind, the anchor
+//! and the secondary DAB: `[min(0, anchor − c), anchor + c]` for `Box`
+//! (a missing entry is `c = 0`), `[anchor, anchor]` for `AnchorOnly`,
+//! `[−∞, +∞]` for `Always`. The check is `accepts`, two comparisons,
+//! the predicate `is_valid_at` calls too, so a NaN value reads as stale
+//! under every kind in both. A unit not yet written, or invalidated, has
+//! the range `[NaN, NaN]`: stale at any value.
 
 use std::sync::Arc;
 
 use pq_poly::ItemId;
 
-use crate::assignment::{QueryAssignment, UnitColumns, ValidityRange};
+use crate::assignment::{accepts, QueryAssignment, UnitColumns};
 
 /// All installed assignments of one coordinator as item-major columns
 /// (see the module docs).
@@ -47,8 +51,8 @@ pub struct FilterTable {
     item_start: Vec<u32>,
     /// Per cell: the `(query, unit)` it belongs to, ascending in a run.
     owner: Vec<(u32, u32)>,
-    anchor: Vec<f64>,
-    secondary: Vec<f64>,
+    /// Per cell: the values `[lo, hi]` its unit accepts for its item.
+    bounds: Vec<[f64; 2]>,
     primary: Vec<f64>,
     /// `unit_base[q] + u` is the flat index of unit `u` of query `q`.
     unit_base: Vec<u32>,
@@ -59,13 +63,6 @@ pub struct FilterTable {
     /// (ascending within a unit).
     unit_cells: Vec<u32>,
     unit_items: Vec<u32>,
-}
-
-/// One cell's validity check. A NaN on either side compares false, so
-/// it reads as stale.
-#[inline]
-fn in_range(value: f64, anchor: f64, secondary: f64) -> bool {
-    (value - anchor).abs() <= secondary
 }
 
 impl FilterTable {
@@ -118,8 +115,7 @@ impl FilterTable {
         FilterTable {
             item_start,
             owner,
-            anchor: vec![0.0; n_cells],
-            secondary: vec![f64::NAN; n_cells],
+            bounds: vec![[f64::NAN; 2]; n_cells],
             primary: vec![f64::INFINITY; n_cells],
             unit_base,
             unit_start,
@@ -162,12 +158,12 @@ impl FilterTable {
             (columns.items().iter().map(|i| i.0)).eq(self.unit_items[run.clone()].iter().copied()),
             "assignment for unit ({q}, {u}) does not match the unit's items"
         );
+        let kind = columns.kind();
         let (anchor, secondary, primary) =
             (columns.anchor(), columns.secondary(), columns.primary());
         for (k, m) in run.enumerate() {
             let cell = self.unit_cells[m] as usize;
-            self.anchor[cell] = anchor[k];
-            self.secondary[cell] = secondary[k];
+            self.bounds[cell] = kind.accepted(anchor[k], secondary[k]);
             self.primary[cell] = primary[k];
         }
     }
@@ -184,28 +180,20 @@ impl FilterTable {
         self.write(q, u, &columns);
     }
 
-    /// What unit `u` of query `q` holds, read back out of its cells: the
-    /// anchor, the primary DABs and — every validity range in its `Box`
-    /// encoding (see the module docs) — the secondary DABs. The rate
-    /// estimates of the solve are not kept.
-    pub fn assignment(&self, q: usize, u: usize) -> QueryAssignment {
-        let column = |of: &[f64]| {
-            self.mirror(q, u)
-                .map(|m| {
-                    let item = ItemId(self.unit_items[m]);
-                    (item, of[self.unit_cells[m] as usize])
-                })
-                .collect::<std::collections::BTreeMap<_, _>>()
-        };
-        let mut primary = column(&self.primary);
-        primary.retain(|_, b| b.is_finite());
-        QueryAssignment {
-            primary,
-            validity: ValidityRange::Box(column(&self.secondary)),
-            anchor: column(&self.anchor),
-            recompute_rate: 0.0,
-            refresh_rate: 0.0,
-        }
+    /// Each of unit `u` of query `q`'s cells, in item order: the values
+    /// `[lo, hi]` the unit accepts for the item and its primary DAB.
+    pub fn cells(&self, q: usize, u: usize) -> impl Iterator<Item = ([f64; 2], f64)> + '_ {
+        self.mirror(q, u).map(|m| {
+            let cell = self.unit_cells[m] as usize;
+            (self.bounds[cell], self.primary[cell])
+        })
+    }
+
+    /// True while unit `u` of query `q` accepts no value of some item:
+    /// before its first write, and from an [`FilterTable::invalidate`]
+    /// to its next write.
+    pub fn is_invalidated(&self, q: usize, u: usize) -> bool {
+        self.cells(q, u).any(|([_, hi], _)| hi.is_nan())
     }
 
     /// Appends to `out`, in `(query, unit)` order, every unit that
@@ -214,12 +202,8 @@ impl FilterTable {
     #[inline]
     pub fn stale_after(&self, item: usize, value: f64, out: &mut Vec<(usize, usize)>) {
         let run = self.run(item);
-        let cells = self.anchor[run.clone()]
-            .iter()
-            .zip(&self.secondary[run.clone()])
-            .zip(&self.owner[run]);
-        for ((&anchor, &secondary), &(q, u)) in cells {
-            if !in_range(value, anchor, secondary) {
+        for (&bounds, &(q, u)) in self.bounds[run.clone()].iter().zip(&self.owner[run]) {
+            if !accepts(bounds, value) {
                 out.push((q as usize, u as usize));
             }
         }
@@ -240,7 +224,7 @@ impl FilterTable {
     /// longer valid, and the next refresh should try again.
     pub fn invalidate(&mut self, q: usize, u: usize) {
         for m in self.mirror(q, u) {
-            self.secondary[self.unit_cells[m] as usize] = f64::NAN;
+            self.bounds[self.unit_cells[m] as usize] = [f64::NAN; 2];
         }
     }
 
@@ -254,9 +238,8 @@ impl FilterTable {
             .map(|&(q, u)| (q as usize, u as usize))
             .filter(|&(q, u)| {
                 !self.mirror(q, u).all(|m| {
-                    let cell = self.unit_cells[m] as usize;
                     let value = values[self.unit_items[m] as usize];
-                    in_range(value, self.anchor[cell], self.secondary[cell])
+                    accepts(self.bounds[self.unit_cells[m] as usize], value)
                 })
             });
         full.eq(stale.iter().copied())
@@ -266,6 +249,7 @@ impl FilterTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::assignment::ValidityRange;
     use std::collections::BTreeMap;
 
     fn map(pairs: &[(u32, f64)]) -> BTreeMap<ItemId, f64> {
@@ -323,7 +307,10 @@ mod tests {
         let q1u0 = boxed(&[(1, 0.4)], &[(1, 5.0)], &[(1, 20.0)]);
         let mut t = installed(4, &[vec![q0u0, q0u1.clone()], vec![q1u0]]);
         assert_eq!(t.unit_items(0, 1), &[1, 2]);
-        assert_eq!(t.assignment(0, 1), q0u1);
+        // A box of 1 about 20 and 30 accepts everything from 0 up to 21
+        // and 31.
+        let cells: Vec<_> = t.cells(0, 1).collect();
+        assert_eq!(cells, [([0.0, 21.0], 0.3), ([0.0, 31.0], 0.9)]);
         assert_eq!(t.min_primary(0), 0.5);
         assert_eq!(t.min_primary(1), 0.3);
         assert_eq!(t.min_primary(3), f64::INFINITY);
@@ -350,13 +337,73 @@ mod tests {
         assert!(stale.is_empty());
 
         // A failed re-solve leaves the unit stale for all of its items.
+        assert!(!t.is_invalidated(0, 0));
         t.invalidate(0, 0);
+        assert!(t.is_invalidated(0, 0) && !t.is_invalidated(0, 1));
         for item in [0, 1] {
             stale.clear();
             t.stale_after(item, [10.0, 21.5][item], &mut stale);
             assert_eq!(stale, vec![(0, 0)]);
             assert!(t.scan_agrees(item, &[10.0, 21.5, 30.0, 0.0], &stale));
         }
+    }
+
+    /// A one-item unit of `validity` anchored at `x0 = 10`, in a table.
+    fn one_cell(validity: ValidityRange) -> FilterTable {
+        let qa = QueryAssignment {
+            validity,
+            ..boxed(&[(0, 0.5)], &[], &[(0, 10.0)])
+        };
+        installed(1, &[vec![qa]])
+    }
+
+    fn stale_at(t: &FilterTable, value: f64) -> bool {
+        let mut stale = Vec::new();
+        t.stale_after(0, value, &mut stale);
+        assert!(t.scan_agrees(0, &[value], &stale));
+        !stale.is_empty()
+    }
+
+    #[test]
+    fn a_box_cell_accepts_every_fall_down_to_zero_and_no_rise_past_its_top() {
+        let t = one_cell(ValidityRange::Box(map(&[(0, 3.0)])));
+        for value in [13.0, 10.0, 7.0, 6.9, 1.0, 0.0] {
+            assert!(!stale_at(&t, value), "10 ± 3 holds {value}");
+        }
+        for value in [13.000_001, 20.0, -1e-9, -7.0, f64::NAN] {
+            assert!(stale_at(&t, value), "10 ± 3 breaks at {value}");
+        }
+        // A range wider than its anchor reaches below 0 to `anchor − c`.
+        let wide = one_cell(ValidityRange::Box(map(&[(0, 12.0)])));
+        for (value, stale) in [
+            (-2.0, false),
+            (-2.000_001, true),
+            (22.0, false),
+            (22.1, true),
+        ] {
+            assert_eq!(stale_at(&wide, value), stale, "10 ± 12 at {value}");
+        }
+        // A missing entry is `c = 0`: `[0, anchor]`.
+        let missing = one_cell(ValidityRange::Box(BTreeMap::new()));
+        assert!(!stale_at(&missing, 0.0) && !stale_at(&missing, 10.0));
+        assert!(stale_at(&missing, 10.5) && stale_at(&missing, -0.5));
+    }
+
+    #[test]
+    fn an_anchor_only_cell_breaks_on_any_move_and_an_always_cell_on_nan() {
+        let anchor_only = one_cell(ValidityRange::AnchorOnly);
+        assert!(!stale_at(&anchor_only, 10.0));
+        for value in [9.999_999, 10.000_001, 0.0, f64::NAN] {
+            assert!(stale_at(&anchor_only, value), "anchor-only at {value}");
+        }
+        let always = one_cell(ValidityRange::Always);
+        for value in [-1e300, 0.0, 1e300, f64::INFINITY] {
+            assert!(!stale_at(&always, value), "always at {value}");
+        }
+        assert!(stale_at(&always, f64::NAN));
+        let range = |t: &FilterTable| t.cells(0, 0).map(|(bounds, _)| bounds).collect::<Vec<_>>();
+        assert_eq!(range(&anchor_only), [[10.0, 10.0]]);
+        assert_eq!(range(&always), [[f64::NEG_INFINITY, f64::INFINITY]]);
     }
 
     #[test]

@@ -322,7 +322,9 @@ mod tests {
         let mut bits = Vec::new();
         for (q, per_query) in units.iter().enumerate() {
             for u in 0..per_query.len() {
-                bits.extend(filters.assignment(q, u).all_bits());
+                for ([lo, hi], primary) in filters.cells(q, u) {
+                    bits.extend([lo, hi, primary].map(f64::to_bits));
+                }
                 bits.extend(cache.unit_mut(q, u).columns().assignment().all_bits());
             }
         }

@@ -16,6 +16,9 @@
 //! duals instead of centring them (DESIGN.md, "Warm start rule"): the
 //! solver stops at other points within its gap tolerance, every unit's
 //! modelled objective within 1.7e-6 relative of the centred start's.
+//! The drift hashes were re-taken once more when a `Box` unit's validity
+//! range became one-sided (DESIGN.md §10, "Validity invariant"): a fall
+//! no longer re-solves a unit, so the drift re-solves at other refreshes.
 
 use pq_core::coordinator::{Config, Coordinator, Scope};
 use pq_core::{dab_solver_options, AssignmentStrategy, PqHeuristic, ValidityRange};
@@ -28,11 +31,11 @@ const QUERIES: usize = 40;
 const DRIFT_TICK: usize = 60;
 
 const INSTALL_FIG5: u64 = 0x7b14_da2e_2448_9a41;
-const DRIFT_FIG5: u64 = 0x28b5_18d8_6bcd_887a;
+const DRIFT_FIG5: u64 = 0xadbc_ac34_ab76_c2fd;
 const INSTALL_OVERLAP: u64 = 0x2dc0_195c_829d_3517;
-const DRIFT_OVERLAP: u64 = 0x303e_3579_4426_f113;
+const DRIFT_OVERLAP: u64 = 0x0168_b201_2fad_dd47;
 const INSTALL_HALF: u64 = 0x952d_f4e9_2535_89c1;
-const DRIFT_HALF: u64 = 0x84ed_8121_5913_d6e2;
+const DRIFT_HALF: u64 = 0x602f_c449_8156_3147;
 
 /// 64-bit FNV-1a over the little-endian bytes of every value folded in.
 struct Fnv(u64);

@@ -17,7 +17,7 @@ use proptest::prelude::*;
 use pq_core::coordinator::{Config, Coordinator, Scope, REBASE_EVERY};
 use pq_core::{
     assign_unit, assignment_units, dab_solver_options, AssignmentStrategy, AssignmentUnit,
-    DabError, PqHeuristic, QueryAssignment, SolveContext, ValidityRange,
+    DabError, InstallError, PqHeuristic, QueryAssignment, SolveContext, ValidityRange,
 };
 use pq_ddm::DataDynamicsModel;
 use pq_obs::Obs;
@@ -161,15 +161,21 @@ fn heuristic(half_and_half: u8) -> PqHeuristic {
 /// Zero delay: every source outside its filter pushes through `apply` +
 /// `react`, and the filter changes each push returns are installed at
 /// once (which may send another source out of its new filter, so the
-/// pushes run until none is outside).
-fn deliver(core: &mut Coordinator, filters: &mut [f64], source: &[f64]) {
+/// pushes run until none is outside). Stops at the first push whose
+/// re-solve fails.
+fn deliver(
+    core: &mut Coordinator,
+    filters: &mut [f64],
+    source: &[f64],
+) -> Result<(), InstallError> {
     while let Some(i) = (0..N_ITEMS).find(|&i| (source[i] - core.values()[i]).abs() > filters[i]) {
         core.apply(i, source[i]).unwrap();
-        let out = core.react(i, None).unwrap();
+        let out = core.react(i, None)?;
         for (ItemId(j), b) in out.filter_changes {
             filters[j as usize] = b;
         }
     }
+    Ok(())
 }
 
 /// The unit with the tightest finite validity range for `item`, as
@@ -325,7 +331,7 @@ proptest! {
                 let mut source = start.clone();
                 for (step, &(item, delta)) in walk.iter().enumerate() {
                     source[item] = (source[item] + delta).clamp(0.5, 2.0);
-                    deliver(&mut core, &mut filters, &source);
+                    deliver(&mut core, &mut filters, &source).unwrap();
                     for (qi, q) in queries.iter().enumerate() {
                         let gap = (q.eval(&source) - q.eval(core.values())).abs();
                         prop_assert!(
@@ -340,20 +346,27 @@ proptest! {
     }
 
     /// Condition 1 where it binds: moves of ±0.6 on values in [0.5, 2],
-    /// moves to exactly 0 and back, and moves that put every item of a
-    /// unit's validity box within 5 % of its upper edge carry the sources
-    /// through their filters and to the edge of the units' validity
-    /// ranges. After every delivered step, wherever each source may sit without pushing —
+    /// moves to exactly 0 and back, moves that put every item of a
+    /// unit's validity box within 5 % of its upper edge, and moves of an
+    /// item below the mirror image `−(anchor + c)` of the top of its
+    /// tightest box carry the sources through their filters and to the
+    /// edges of the units' validity ranges, the lower one included. After
+    /// every delivered step, wherever each source may sit without pushing —
     /// anywhere within its filter of the coordinator's value — each query
     /// is within its QAB of its value at the coordinator. The worst such
     /// point is a corner of the box (`max_abs_deviation_over_box`), and a
     /// Dual-DAB optimum puts it on the bound, so a filter a little looser
-    /// than its unit allows shows here.
+    /// than its unit allows shows here, and so does a unit kept valid at
+    /// a value of larger magnitude than its condition covers. Only the
+    /// move below the mirror image may fail its re-solve (the GP refuses
+    /// a negative value); the source then goes back to where it was, the
+    /// coordinator's filters are shipped again, and that delivery must
+    /// succeed. Any other failed delivery fails the test.
     #[test]
     fn condition_one_holds_at_every_corner_of_the_filters(
         queries in proptest::collection::vec(arb_query(), 1..6),
         start in proptest::collection::vec(0.75f64..1.75, N_ITEMS),
-        walk in proptest::collection::vec((0usize..N_ITEMS, -0.6f64..0.6, 0u8..8), 24),
+        walk in proptest::collection::vec((0usize..N_ITEMS, -0.6f64..0.6, 0u8..9), 24),
     ) {
         for strategy in STRATEGIES {
             for heuristic in [PqHeuristic::HalfAndHalf, PqHeuristic::DifferentSum] {
@@ -363,6 +376,7 @@ proptest! {
                 let mut filters: Vec<f64> = (0..N_ITEMS).map(|i| core.filter(i)).collect();
                 let mut source = start.clone();
                 for (step, &(item, delta, kind)) in walk.iter().enumerate() {
+                    let before = source[item];
                     match kind {
                         0 => source[item] = 0.0,
                         // Every item of a box within 5 % of its upper
@@ -374,9 +388,35 @@ proptest! {
                                 source[j] = (anchor + c * (1.0 + delta / 12.0)).max(0.0);
                             }
                         }
+                        // Below the mirror image of the top of the item's
+                        // tightest box, by up to 7 times its magnitude.
+                        8 => {
+                            let top = tightest_box(&core, &queries, strategy, heuristic, item)
+                                .into_iter()
+                                .find(|&(j, ..)| j == item)
+                                .map_or(source[item].abs(), |(_, anchor, c)| anchor + c);
+                            source[item] = -top * (1.0 + 10.0 * delta.abs()) - 1e-9;
+                        }
                         _ => source[item] = (source[item] + delta).clamp(0.5, 2.0),
                     }
-                    deliver(&mut core, &mut filters, &source);
+                    match deliver(&mut core, &mut filters, &source) {
+                        Ok(()) => {}
+                        Err(_) if kind == 8 => {
+                            source[item] = before;
+                            filters = (0..N_ITEMS).map(|i| core.filter(i)).collect();
+                            let back = deliver(&mut core, &mut filters, &source);
+                            prop_assert!(
+                                back.is_ok(),
+                                "{} / {:?}, step {}: the move back failed: {:?}",
+                                strategy, heuristic, step, back
+                            );
+                        }
+                        Err(e) => prop_assert!(
+                            false,
+                            "{} / {:?}, step {}: {:?}",
+                            strategy, heuristic, step, e
+                        ),
+                    }
                     for (qi, q) in queries.iter().enumerate() {
                         let worst = q.poly().max_abs_deviation_over_box(core.values(), &filters);
                         prop_assert!(

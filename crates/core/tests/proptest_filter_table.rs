@@ -8,7 +8,8 @@
 //! `QueryAssignment::primary_dab` — for any book shape (one- and two-unit
 //! queries whose units cover different items, unread items), every
 //! validity kind (`Always`, `AnchorOnly`, `Box` with finite, infinite and
-//! missing secondaries) and hostile values (NaN, ±∞).
+//! missing secondaries), moves to 0 and below it, and hostile values
+//! (NaN, ±∞).
 
 use std::collections::BTreeMap;
 
@@ -89,20 +90,12 @@ fn installed(n_items: usize, book: &[Vec<QueryAssignment>]) -> FilterTable {
     table
 }
 
-/// The units the oracle rejects at `values`, plus the table's one
-/// documented stricter case: an `Always` unit reading a NaN `moved` item.
-fn oracle_stale(
-    book: &[Vec<QueryAssignment>],
-    values: &[f64],
-    moved: usize,
-) -> Vec<(usize, usize)> {
+/// The units the oracle rejects at `values`.
+fn oracle_stale(book: &[Vec<QueryAssignment>], values: &[f64]) -> Vec<(usize, usize)> {
     let mut stale = Vec::new();
     for (q, per_query) in book.iter().enumerate() {
         for (u, qa) in per_query.iter().enumerate() {
-            let always_nan = qa.validity == ValidityRange::Always
-                && values[moved].is_nan()
-                && qa.anchor.contains_key(&ItemId(moved as u32));
-            if !qa.is_valid_at(values) || always_nan {
+            if !qa.is_valid_at(values) {
                 stale.push((q, u));
             }
         }
@@ -134,12 +127,14 @@ proptest! {
                 0 => f64::NAN,
                 1 => f64::INFINITY,
                 2 => f64::NEG_INFINITY,
+                3 => 0.0,
+                4 => -before,
                 _ => before + delta,
             };
 
             let mut stale = Vec::new();
             table.stale_after(item, values[item], &mut stale);
-            prop_assert_eq!(&stale, &oracle_stale(&book, &values, item), "step {}", step);
+            prop_assert_eq!(&stale, &oracle_stale(&book, &values), "step {}", step);
             prop_assert!(table.scan_agrees(item, &values, &stale), "step {}", step);
 
             // What a coordinator does next: re-solve every stale unit at

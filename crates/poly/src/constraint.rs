@@ -14,6 +14,12 @@
 //! each displacement). With `c = 0` this is Eq. 1, the Optimal Refresh
 //! condition of §III-A.1.
 //!
+//! The same monotonicity is why a coordinator keeps a Dual-DAB unit valid
+//! over every fall to 0: the condition at `V + c` covers each value of
+//! magnitude at most `V + c`, so pq-core's validity range (`RangeKind::accepted`
+//! in `crates/core/src/assignment.rs`, argued in DESIGN.md §10, "Validity
+//! invariant") is one-sided.
+//!
 //! This module expands the left-hand side *exactly* by multinomial
 //! expansion — every surviving term contains at least one factor of `b`
 //! and has a positive coefficient, so the result is a posynomial in the

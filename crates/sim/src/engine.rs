@@ -1432,9 +1432,9 @@ mod tests {
             ("zero_dual5", recorded([262, 0, 0, 61, 0], [&[0], &[0]], [&[119, 143], &[0, 0]])),
             ("planetlab_dual5", recorded([262, 0, 0, 62, 0], [&[0], &[0]], [&[119, 143], &[0, 0]])),
             ("node2_optimal", recorded([217, 217, 434, 71, 0], [&[91], &[217]], [&[94, 123], &[94, 123]])),
-            ("lossy_dual1", recorded([185, 24, 48, 61, 73], [&[222], &[24]], [&[80, 105], &[10, 14]])),
-            ("aao200", recorded([259, 9, 18, 64, 0], [&[0], &[9]], [&[115, 144], &[0, 4]])),
-            ("two_queries", recorded([639, 33, 51, 227, 0], [&[13, 0], &[18, 15]], [&[206, 261, 172], &[11, 11, 9]])),
+            ("lossy_dual1", recorded([193, 2, 4, 62, 76], [&[162], &[2]], [&[91, 102], &[1, 1]])),
+            ("aao200", recorded([268, 7, 14, 67, 0], [&[0], &[7]], [&[121, 147], &[0, 2]])),
+            ("two_queries", recorded([722, 2, 3, 236, 0], [&[5, 0], &[1, 1]], [&[242, 286, 194], &[1, 0, 1]])),
         ];
         for ((name, cfg), (recorded_name, want)) in parity_configs().into_iter().zip(want) {
             assert_eq!(name, recorded_name);
