@@ -6,15 +6,19 @@
 //! recompute-on-every-refresh assignment) is compared against Dual-DAB
 //! for mu in {1, 5, 10, 20}.
 //!
+//! Two tables: recomputations at zero delay, then the loss in fidelity
+//! under PlanetLab-like delays.
+//!
 //! Expected shape (paper): the single-DAB scheme's recomputation count
 //! explodes with the number of queries (604,735 at 10,000 queries in the
 //! paper) — at large query counts an approach that reduces recomputations
 //! is essential.
 
-use pq_bench::{obs_from_env, print_table, Scale};
-use pq_core::AssignmentStrategy;
-use pq_obs::{names, EventKind};
-use pq_sim::{run_network_observed, NetworkConfig};
+use std::num::NonZeroUsize;
+
+use pq_bench::{emit_sim_run, fmt, obs_from_env, print_table, Scale};
+use pq_core::{AssignmentStrategy, PqHeuristic};
+use pq_sim::{run_observed, DelayConfig, SimConfig, SimStrategy};
 
 fn main() {
     let scale = Scale::from_env();
@@ -42,37 +46,36 @@ fn main() {
         ),
     ];
 
-    let mut rows = Vec::new();
+    let (mut rows_recomp, mut rows_fidelity) = (Vec::new(), Vec::new());
     for &n in &query_counts {
         let queries = scale
             .workload()
             .portfolio_queries(n, &traces.initial_values());
-        let mut row = vec![n.to_string()];
+        let mut recomp = vec![n.to_string()];
+        let mut fidelity = vec![n.to_string()];
         for (name, strategy) in &strategies {
-            let cfg = NetworkConfig::round_robin(
-                traces.clone(),
-                queries.clone(),
-                n_coordinators,
-                *strategy,
-            );
-            let started = std::time::Instant::now();
-            // Observed variant so PQ_OBS_JSONL / PQ_OBS_RECORDER capture the
-            // network's sim/DAB/GP events, as the other figures do.
-            let m =
-                run_network_observed(&cfg, &obs).unwrap_or_else(|e| panic!("{name} x {n}: {e}"));
-            let series = name.clone();
-            obs.emit_with(names::BENCH_RUN, EventKind::Point, |e| {
-                e.with("figure", "fig8c")
-                    .with("series", series)
-                    .with("n_queries", n)
-                    .with("recomputations", m.recomputations())
-                    .with("refreshes", m.refreshes())
-                    .with("solver_s", m.solver_seconds)
-                    .with("wall_s", started.elapsed().as_secs_f64())
-            });
-            row.push(m.recomputations().to_string());
+            let mut cfg = SimConfig::new(traces.clone(), queries.clone());
+            cfg.coordinators = NonZeroUsize::new(n_coordinators).unwrap();
+            cfg.strategy = SimStrategy::PerQuery {
+                strategy: *strategy,
+                heuristic: PqHeuristic::DifferentSum,
+            };
+            let mut run = |figure, delays| {
+                cfg.delays = delays;
+                let started = std::time::Instant::now();
+                // Observed so PQ_OBS_JSONL / PQ_OBS_RECORDER capture the
+                // tree's sim/DAB/GP events, as the other figures do.
+                let m = run_observed(&cfg, &obs).unwrap_or_else(|e| panic!("{name} x {n}: {e}"));
+                emit_sim_run(&obs, figure, name, n, &m, started);
+                m
+            };
+            let m = run("fig8c", DelayConfig::zero());
+            recomp.push(m.recomputations.to_string());
+            let m = run("fig8c-delayed", DelayConfig::planetlab_like());
+            fidelity.push(fmt(m.loss_in_fidelity_percent()));
         }
-        rows.push(row);
+        rows_recomp.push(recomp);
+        rows_fidelity.push(fidelity);
     }
 
     let header: Vec<&str> = std::iter::once("queries")
@@ -81,7 +84,12 @@ fn main() {
     print_table(
         &format!("Fig 8(c): recomputations on a {n_coordinators}-coordinator network"),
         &header,
-        &rows,
+        &rows_recomp,
+    );
+    print_table(
+        &format!("Fig 8(c): loss in fidelity (%) on a {n_coordinators}-coordinator network, PlanetLab-like delays"),
+        &header,
+        &rows_fidelity,
     );
     obs.flush();
 }

@@ -8,9 +8,9 @@ use crate::error::DabError;
 
 /// The GP solver options every DAB coordinator solves with: tolerance
 /// `1e-5`, `t0 = 10`, `mu = 30`, every other field from
-/// [`SolverOptions::default`]. [`SolveContext::new`], `Monitor::install`,
-/// `pq_sim::SimConfig::new` and `pq_sim::NetworkConfig::round_robin` all
-/// start from these.
+/// [`SolverOptions::default`]. [`SolveContext::new`], `Monitor::install`
+/// and `pq_sim::SimConfig::new`, for one coordinator or a tree of them,
+/// all start from these.
 ///
 /// A DAB solve starts from a predicted optimum with the duals that point
 /// implies ([`pq_gp::CompiledGp::solve_warm`]), where a `1e-5` gap takes

@@ -163,7 +163,7 @@ fn heuristic(half_and_half: u8) -> PqHeuristic {
 /// once (which may send another source out of its new filter, so the
 /// pushes run until none is outside). Stops at the first push whose
 /// re-solve fails.
-fn deliver(
+fn push_until_settled(
     core: &mut Coordinator,
     filters: &mut [f64],
     source: &[f64],
@@ -313,7 +313,7 @@ proptest! {
         prop_assert_eq!(state_bits(&clean), state_bits(&hostile));
     }
 
-    /// Condition 1 at zero delay: sources walk at random and [`deliver`]
+    /// Condition 1 at zero delay: sources walk at random and [`push_until_settled`]
     /// what leaves a filter. After every step each query's value at the
     /// sources is within its QAB of its value at the coordinator.
     #[test]
@@ -331,7 +331,7 @@ proptest! {
                 let mut source = start.clone();
                 for (step, &(item, delta)) in walk.iter().enumerate() {
                     source[item] = (source[item] + delta).clamp(0.5, 2.0);
-                    deliver(&mut core, &mut filters, &source).unwrap();
+                    push_until_settled(&mut core, &mut filters, &source).unwrap();
                     for (qi, q) in queries.iter().enumerate() {
                         let gap = (q.eval(&source) - q.eval(core.values())).abs();
                         prop_assert!(
@@ -399,12 +399,12 @@ proptest! {
                         }
                         _ => source[item] = (source[item] + delta).clamp(0.5, 2.0),
                     }
-                    match deliver(&mut core, &mut filters, &source) {
+                    match push_until_settled(&mut core, &mut filters, &source) {
                         Ok(()) => {}
                         Err(_) if kind == 8 => {
                             source[item] = before;
                             filters = (0..N_ITEMS).map(|i| core.filter(i)).collect();
-                            let back = deliver(&mut core, &mut filters, &source);
+                            let back = push_until_settled(&mut core, &mut filters, &source);
                             prop_assert!(
                                 back.is_ok(),
                                 "{} / {:?}, step {}: the move back failed: {:?}",

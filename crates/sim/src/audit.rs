@@ -27,6 +27,7 @@
 
 use std::sync::Arc;
 
+use pq_core::Coordinator;
 use pq_obs::{names, Counter, EventKind, Obs};
 use pq_poly::PolynomialQuery;
 
@@ -93,23 +94,22 @@ impl FidelityAuditor {
         }
     }
 
-    /// Runs one audit pass if `tick` falls on the configured interval.
+    /// Runs one audit pass over `core`'s `queries` if `tick` falls on
+    /// the configured interval.
     ///
-    /// `src_values` / `coord_values` are the per-item value columns of
-    /// the two views; `src_qv` the engine's full evaluation at the source
-    /// values, `coord_qv` the maintained per-query values of the
-    /// coordinator's delta plane. Pure with respect to the simulation:
+    /// `src_values` is the per-item value column of the source view and
+    /// `src_qv` the engine's full evaluation of `queries` at it; the
+    /// coordinator view is `core`'s values and the maintained per-query
+    /// values of its delta plane. Pure with respect to the simulation:
     /// reads only.
     /// Returns the divergences the pass found (0 off the interval).
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn on_tick(
         &mut self,
         tick: usize,
         queries: &[PolynomialQuery],
         src_values: &[f64],
-        coord_values: &[f64],
         src_qv: &[f64],
-        coord_qv: &[f64],
+        core: &Coordinator,
         obs: &Obs,
     ) -> u64 {
         let due = self.cfg.every > 0 && tick.is_multiple_of(self.cfg.every);
@@ -121,16 +121,7 @@ impl FidelityAuditor {
         for _ in 0..take {
             let qi = self.cursor;
             self.cursor = (self.cursor + 1) % queries.len();
-            divergences += self.audit_query(
-                qi,
-                tick,
-                &queries[qi],
-                src_values,
-                coord_values,
-                src_qv,
-                coord_qv,
-                obs,
-            );
+            divergences += self.audit_query(qi, tick, &queries[qi], src_values, src_qv, core, obs);
         }
         divergences
     }
@@ -145,17 +136,18 @@ impl FidelityAuditor {
         tick: usize,
         query: &PolynomialQuery,
         src_values: &[f64],
-        coord_values: &[f64],
         src_qv: &[f64],
-        coord_qv: &[f64],
+        core: &Coordinator,
         obs: &Obs,
     ) -> u64 {
         let mut divergences = 0;
         self.c_sample.inc();
         let naive_src = query.eval(src_values);
-        let naive_coord = query.eval(coord_values);
+        let naive_coord = query.eval(core.values());
         let delta_src = src_qv[qi];
-        let delta_coord = coord_qv[qi];
+        let delta_coord = core.query_values()[qi];
+        // Events name the query by its index in the book.
+        let qi = core.scope().query(qi);
         for (view, naive, delta) in [
             ("source", naive_src, delta_src),
             ("coordinator", naive_coord, delta_coord),
@@ -321,12 +313,24 @@ mod tests {
             .expect("audited_config always sets an audit interval");
         let mut auditor = FidelityAuditor::new(audit, &obs);
         let values = vec![3.0, 4.0, 5.0];
-        let plan = pq_poly::SharedPlan::compile(cfg.queries.iter().map(|q| q.poly()));
-        let view = pq_poly::SharedView::new(&plan, &values);
-        let qv = view.values();
-        auditor.on_tick(4, &cfg.queries, &values, &values, qv, qv, &obs);
+        let core = pq_core::Coordinator::install(
+            &cfg.queries,
+            pq_core::AssignmentStrategy::OptimalRefresh,
+            pq_core::PqHeuristic::DifferentSum,
+            values.clone(),
+            pq_core::coordinator::Config {
+                rates: vec![1.0; 3],
+                ddm: cfg.ddm,
+                gp: cfg.gp.clone(),
+                obs: obs.clone(),
+                scope: Default::default(),
+            },
+        )
+        .unwrap();
+        let qv = core.query_values();
+        auditor.on_tick(4, &cfg.queries, &values, qv, &core, &obs);
         assert_eq!(auditor.cursor, 1, "first pass audits q0, cursor advances");
-        auditor.on_tick(8, &cfg.queries, &values, &values, qv, qv, &obs);
+        auditor.on_tick(8, &cfg.queries, &values, qv, &core, &obs);
         assert_eq!(auditor.cursor, 0, "second pass audits q1, wraps around");
         let snap = obs.snapshot();
         assert_eq!(snap.counters[names::AUDIT_SAMPLE], 2);

@@ -1,4 +1,5 @@
-//! The single-coordinator discrete-event simulation (§V-A methodology).
+//! The discrete-event simulation (§V-A methodology) of one coordinator
+//! or a tree of them (Fig. 8(c)).
 //!
 //! Sources replay per-item traces at 1 s ticks and push a refresh whenever
 //! their value drifts past the installed primary DAB. Refreshes reach the
@@ -9,6 +10,14 @@
 //! back to the sources (which apply them after another network delay).
 //! What the coordinator does with a refresh is [`pq_core::Coordinator`];
 //! this module is everything around it.
+//!
+//! With [`SimConfig::coordinators`] above one, the coordinators form a
+//! balanced binary tree (node `c`'s children are `2c + 1` and `2c + 2`)
+//! serving the book dealt round-robin. The sources feed the root and
+//! filter against the whole tree's tightest need; a node forwards each
+//! value it ingests, over the same lossy delayed network, to every child
+//! whose subtree needs it. A node's filter change re-derives the needs up
+//! its chain at once: only the root's need travels, to the sources.
 //!
 //! Fidelity is sampled at tick instants: a query is in violation when the
 //! coordinator's cached query value deviates from the true source value by
@@ -21,6 +30,7 @@
 
 use std::borrow::Cow;
 use std::collections::VecDeque;
+use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
@@ -73,6 +83,10 @@ pub struct SimConfig {
     pub queries: Vec<PolynomialQuery>,
     /// DAB management strategy.
     pub strategy: SimStrategy,
+    /// Coordinators serving the book: one, or a balanced binary tree of
+    /// them with query `q` on node `q % coordinators` (see the module
+    /// docs).
+    pub coordinators: NonZeroUsize,
     /// Assumed data-dynamics model for the optimizers.
     pub ddm: DataDynamicsModel,
     /// Rate-of-change estimator (the paper samples at 60 s).
@@ -126,6 +140,7 @@ impl SimConfig {
                 strategy: AssignmentStrategy::DualDab { mu: 5.0 },
                 heuristic: PqHeuristic::DifferentSum,
             },
+            coordinators: NonZeroUsize::MIN,
             ddm: DataDynamicsModel::Monotonic,
             rate_estimator: RateEstimator::SampledAverage { interval_ticks: 60 },
             delays: DelayConfig::planetlab_like(),
@@ -144,7 +159,8 @@ impl SimConfig {
 /// Simulation failure.
 #[derive(Debug)]
 pub enum SimError {
-    /// A DAB solve failed for the given query index.
+    /// A DAB solve failed for the given query index, on whichever
+    /// coordinator serves it.
     Dab {
         /// Index into `SimConfig::queries`.
         query: usize,
@@ -154,16 +170,6 @@ pub enum SimError {
     /// The joint all-at-once solve of every query failed: no one query
     /// is to blame.
     Aao {
-        /// Underlying error.
-        source: DabError,
-    },
-    /// A DAB solve failed at one coordinator of a dissemination tree.
-    NodeDab {
-        /// The tree node.
-        node: usize,
-        /// Index into the node's `NetworkConfig::queries_per_coordinator`
-        /// entry.
-        query: usize,
         /// Underlying error.
         source: DabError,
     },
@@ -210,14 +216,6 @@ impl std::fmt::Display for SimError {
                 write!(f, "DAB assignment failed for query {query}: {source}")
             }
             SimError::Aao { source } => write!(f, "joint AAO solve failed: {source}"),
-            SimError::NodeDab {
-                node,
-                query,
-                source,
-            } => write!(
-                f,
-                "DAB assignment failed for query {query} of node {node}: {source}"
-            ),
             SimError::Refresh { source } => write!(f, "coordinator refused a refresh: {source}"),
             SimError::MissingTrace { item } => {
                 write!(f, "query references item x{item} with no trace")
@@ -241,16 +239,16 @@ impl std::fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-impl From<InstallError> for SimError {
-    fn from(e: InstallError) -> Self {
-        match e.query {
-            Some(query) => SimError::Dab {
-                query,
-                source: e.source,
-            },
-            // Refused before any solve: an input, not a query, was bad.
-            None => SimError::Refresh { source: e.source },
-        }
+/// A coordinator's failed install or re-solve, its query named by its
+/// index in the book through the coordinator's `scope`.
+fn solve_error(scope: &Scope) -> impl Fn(InstallError) -> SimError + '_ {
+    |e| match e.query {
+        Some(query) => SimError::Dab {
+            query: scope.query(query),
+            source: e.source,
+        },
+        // Refused before any solve: an input, not a query, was bad.
+        None => SimError::Refresh { source: e.source },
     }
 }
 
@@ -342,6 +340,7 @@ fn project(cfg: &SimConfig) -> Result<(Cow<'_, SimConfig>, Scope), SimError> {
             .map(|q| q.map_items(|i| ItemId(local_of[i.index()])))
             .collect(),
         strategy: cfg.strategy.clone(),
+        coordinators: cfg.coordinators,
         ddm: cfg.ddm,
         rate_estimator: cfg.rate_estimator,
         delays: cfg.delays,
@@ -361,24 +360,24 @@ fn project(cfg: &SimConfig) -> Result<(Cow<'_, SimConfig>, Scope), SimError> {
     Ok((Cow::Owned(projected), scope))
 }
 
-/// The world around one coordinator: sources replaying the tape through
-/// their filters, the network between them and the coordinator, the
-/// coordinator's service queue, and the fidelity sampler watching both
-/// sides. The coordinator itself is [`Coordinator`]; the engine moves
-/// refreshes into it and turns each [`pq_core::Outcome`] into events,
-/// RNG draws and [`SimMetrics`].
+/// The world around the coordinators: sources replaying the tape through
+/// their filters, the network between them, each coordinator's service
+/// queue, and the fidelity sampler watching both sides. A coordinator
+/// itself is [`Coordinator`]; the engine moves refreshes into it and
+/// turns each [`pq_core::Outcome`] into events, RNG draws and
+/// [`SimMetrics`].
 ///
 /// An engine is as large as what it watches: `cfg` is a projection
 /// ([`run_observed`]) holding exactly the items its queries read, under
 /// dense local ids. Every column here is indexed by those
 /// ids and every local item is swept and filtered; global ids appear
 /// only in what leaves the engine (events, span labels, errors, draw
-/// keys), through the coordinator's [`Scope`].
+/// keys), through each coordinator's [`Scope`].
 pub(crate) struct Engine<'a> {
     cfg: &'a SimConfig,
-    /// The coordinator: its item values, maintained query values,
-    /// assignments and the filters it last derived.
-    core: Coordinator,
+    /// The coordinators, root first; node `c`'s children are `2c + 1`
+    /// and `2c + 2`.
+    nodes: Vec<Node<'a>>,
     /// Structure-of-arrays source-side state: last-pushed values and
     /// installed DABs as flat columns (a source's value is its sample in
     /// the tick's played row).
@@ -389,28 +388,46 @@ pub(crate) struct Engine<'a> {
     queue: TimerWheel,
     draws: ItemDraws,
     metrics: SimMetrics,
-    /// The coordinator is busy (checking queries / re-solving DABs) until
-    /// this time; refreshes arriving earlier wait in its queue.
-    coordinator_busy_until: f64,
-    /// Refreshes that arrived while the coordinator was busy, held in
-    /// FIFO order and drained at `coordinator_busy_until` (a side buffer
-    /// instead of re-pushing into the queue, which churned it and
-    /// subtly reordered same-time arrivals).
-    deferred: VecDeque<(usize, f64)>,
-    /// Telemetry handle (the coordinator holds a clone).
+    /// Telemetry handle (each coordinator holds a clone).
     obs: Obs,
     /// Full evaluations of the source-side truth (`eval.full`; the
-    /// coordinator counts its own rebases under the same name).
+    /// coordinators count their own rebases under the same name).
     c_eval_full: Arc<Counter>,
     /// Scheduler counters: events pushed into / popped from the queue.
     c_sched_push: Arc<Counter>,
     c_sched_pop: Arc<Counter>,
-    /// Continuous fidelity audit (shadow naive evaluation); present only
-    /// when configured.
-    auditor: Option<FidelityAuditor>,
     /// Test tap: the sweep to run and every event the queue released.
     #[cfg(test)]
     probe: tests::SweepProbe,
+}
+
+/// One coordinator of the run and what the engine keeps beside it.
+struct Node<'a> {
+    /// Its item values, maintained query values, assignments and the
+    /// filters it last derived.
+    core: Coordinator,
+    /// Its queries: the book, or the node's round-robin share of it.
+    book: Cow<'a, [PolynomialQuery]>,
+    /// Busy checking queries or re-solving DABs until this time;
+    /// refreshes arriving earlier wait in `deferred`, FIFO, and are
+    /// drained at `busy_until` (a side buffer instead of re-pushing into
+    /// the queue, which churned it and subtly reordered same-time
+    /// arrivals).
+    busy_until: f64,
+    deferred: VecDeque<(usize, f64)>,
+    /// Per item, the value last forwarded to this node (unused at the
+    /// root: a source keeps its own).
+    delivered: Vec<f64>,
+    /// Per item, the tightest filter of this node's subtree.
+    need: Vec<f64>,
+    /// Continuous fidelity audit (shadow naive evaluation) of its
+    /// queries; present only when configured.
+    auditor: Option<FidelityAuditor>,
+}
+
+/// The children of node `c` in a tree of `n`.
+fn children(c: usize, n: usize) -> std::ops::Range<usize> {
+    2 * c + 1..(2 * c + 3).min(n)
 }
 
 /// The items `queries` read, ascending, once each is known to have a
@@ -418,10 +435,7 @@ pub(crate) struct Engine<'a> {
 /// has none is [`SimError::MissingTrace`], the first bad sample (in
 /// item, then tick order) [`SimError::BadSample`]. Each trace noted its
 /// first bad sample when it was built, so this reads one field per item.
-pub(crate) fn read_items<'q>(
-    traces: &TraceSet,
-    queries: impl IntoIterator<Item = &'q PolynomialQuery>,
-) -> Result<Vec<u32>, SimError> {
+fn read_items(traces: &TraceSet, queries: &[PolynomialQuery]) -> Result<Vec<u32>, SimError> {
     let n_items = traces.n_items();
     let mut read = vec![false; n_items];
     for q in queries {
@@ -474,12 +488,15 @@ struct TapeBlock {
 /// them are a pure function of the tape and the book.
 struct TapePlayer<'a> {
     traces: &'a TraceSet,
-    plan: Arc<SharedPlan>,
+    /// Each node's plan, root first: a truth row is their query values
+    /// end to end.
+    plans: Vec<Arc<SharedPlan>>,
     /// The last row played, and the truth at it.
     row: Vec<f64>,
     truth: Vec<f64>,
-    /// Monomial scratch of the plan's full evaluation.
+    /// Monomial and query-value scratch of a plan's full evaluation.
     scratch: Vec<f64>,
+    part: Vec<f64>,
 }
 
 impl TapePlayer<'_> {
@@ -498,8 +515,12 @@ impl TapePlayer<'_> {
             let row = &rows[k * n_items..][..n_items];
             if row != self.row {
                 self.row.copy_from_slice(row);
-                self.plan
-                    .full_eval_into(row, &mut self.scratch, &mut self.truth);
+                let mut at = 0;
+                for plan in &self.plans {
+                    plan.full_eval_into(row, &mut self.scratch, &mut self.part);
+                    self.truth[at..][..self.part.len()].copy_from_slice(&self.part);
+                    at += self.part.len();
+                }
                 block.evaluated += 1;
             }
             block.truths[k * n_queries..][..n_queries].copy_from_slice(&self.truth);
@@ -509,7 +530,7 @@ impl TapePlayer<'_> {
 }
 
 impl<'a> Engine<'a> {
-    /// Builds the engine of the coordinator over `cfg`, a projection
+    /// Builds the engine of the coordinators over `cfg`, a projection
     /// whose every item is watched (checked by [`project`], which builds
     /// it): `scope` maps its dense local ids to the run's global ones.
     pub(crate) fn new(cfg: &'a SimConfig, obs: Obs, scope: Scope) -> Result<Self, SimError> {
@@ -518,69 +539,104 @@ impl<'a> Engine<'a> {
         // Draw streams are keyed by *global* ids, so an item draws the
         // same whether or not the run is projected.
         let draws = ItemDraws::new(cfg.seed, (0..n_items).map(|i| scope.item(i)));
-        // Coordinator and sources agree at t = 0 (steady-state start,
-        // §V-A): the coordinator is installed at the sources' values and
-        // its first filters are in place before the first tick.
-        let core_cfg = Config {
-            rates: cfg.rate_estimator.estimate_all(&cfg.traces),
-            ddm: cfg.ddm,
-            gp: cfg.gp.clone(),
-            obs: obs.clone(),
-            scope,
-        };
-        let values = source_values.clone();
-        let (core, solve_ns) = match &cfg.strategy {
-            SimStrategy::PerQuery {
-                strategy,
-                heuristic,
-            } => {
-                let core =
-                    Coordinator::install(&cfg.queries, *strategy, *heuristic, values, core_cfg)?;
-                let solve_ns = core.install_ns();
-                (core, solve_ns)
-            }
-            SimStrategy::AaoPeriodic { mu, .. } => {
-                let started = Instant::now();
-                let ctx = SolveContext {
-                    values: &values,
-                    rates: &core_cfg.rates,
-                    ddm: cfg.ddm,
-                    gp: cfg.gp.clone().observed_by(&obs),
+        let rates = cfg.rate_estimator.estimate_all(&cfg.traces);
+        let n = cfg.coordinators.get();
+        let (mut nodes, mut solve_ns) = (Vec::with_capacity(n), 0);
+        for c in 0..n {
+            // One coordinator serves the book; a tree node its share,
+            // naming each query by its index in the book.
+            let (book, scope) = if n == 1 {
+                (Cow::Borrowed(&cfg.queries[..]), scope.clone())
+            } else {
+                let gids: Vec<u32> = (c..cfg.queries.len())
+                    .step_by(n)
+                    .map(|q| q as u32)
+                    .collect();
+                let book = gids
+                    .iter()
+                    .map(|&q| cfg.queries[q as usize].clone())
+                    .collect();
+                let node = Some(c as u32);
+                let scope = Scope {
+                    query_gid: gids,
+                    node,
+                    ..scope.clone()
                 };
-                let joint = aao(&cfg.queries, &ctx, *mu)
-                    .map_err(|source| SimError::Aao { source })?
-                    .per_query;
-                let solve_ns = started.elapsed().as_nanos() as u64;
-                // Between periods a stale query is re-solved on its own
-                // with Dual-DAB (§V-B.1).
-                let strategy = AssignmentStrategy::DualDab { mu: *mu };
-                let core =
-                    Coordinator::with_assignments(&cfg.queries, strategy, &joint, values, core_cfg)
-                        .map_err(|source| SimError::Refresh { source })?;
-                (core, solve_ns)
+                (Cow::Owned(book), scope)
+            };
+            // Coordinators and sources agree at t = 0 (steady-state
+            // start, §V-A): each coordinator is installed at the sources'
+            // values and its first filters are in place before the first
+            // tick.
+            let core_cfg = Config {
+                rates: rates.clone(),
+                ddm: cfg.ddm,
+                gp: cfg.gp.clone(),
+                obs: obs.clone(),
+                scope: scope.clone(),
+            };
+            let values = source_values.clone();
+            let core = match &cfg.strategy {
+                SimStrategy::PerQuery {
+                    strategy,
+                    heuristic,
+                } => {
+                    let core = Coordinator::install(&book, *strategy, *heuristic, values, core_cfg)
+                        .map_err(solve_error(&scope))?;
+                    solve_ns += core.install_ns();
+                    core
+                }
+                SimStrategy::AaoPeriodic { mu, .. } => {
+                    let started = Instant::now();
+                    let ctx = SolveContext {
+                        values: &values,
+                        rates: &core_cfg.rates,
+                        ddm: cfg.ddm,
+                        gp: cfg.gp.clone().observed_by(&obs),
+                    };
+                    let joint = aao(&book, &ctx, *mu)
+                        .map_err(|source| SimError::Aao { source })?
+                        .per_query;
+                    solve_ns += started.elapsed().as_nanos() as u64;
+                    // Between periods a stale query is re-solved on its
+                    // own with Dual-DAB (§V-B.1).
+                    let strategy = AssignmentStrategy::DualDab { mu: *mu };
+                    Coordinator::with_assignments(&book, strategy, &joint, values, core_cfg)
+                        .map_err(|source| SimError::Refresh { source })?
+                }
+            };
+            nodes.push(Node {
+                core,
+                book,
+                busy_until: 0.0,
+                deferred: VecDeque::new(),
+                delivered: source_values.clone(),
+                need: vec![f64::INFINITY; n_items],
+                auditor: (cfg.audit.as_ref()).map(|a| FidelityAuditor::new(a.clone(), &obs)),
+            });
+        }
+        // Each subtree's need, leaves first: the sources filter against
+        // the root's.
+        for c in (0..n).rev() {
+            for item in 0..n_items {
+                nodes[c].need[item] = subtree_need(&nodes, c, item, nodes[c].core.filter(item));
             }
-        };
+        }
         let mut items = ItemTable::new(&source_values);
         for item in 0..n_items {
-            items.set_installed_dab(item, core.filter(item));
+            items.set_installed_dab(item, nodes[0].need[item]);
         }
         let mut engine = Engine {
             cfg,
+            nodes,
             items,
-            core,
             escaped: Vec::new(),
             queue: TimerWheel::new(),
             draws,
             metrics: SimMetrics::with_items(cfg.queries.len(), n_items),
-            coordinator_busy_until: 0.0,
-            deferred: VecDeque::new(),
             c_eval_full: obs.counter(names::EVAL_FULL),
             c_sched_push: obs.counter(names::SCHED_PUSH),
             c_sched_pop: obs.counter(names::SCHED_POP),
-            auditor: cfg
-                .audit
-                .as_ref()
-                .map(|audit| FidelityAuditor::new(audit.clone(), &obs)),
             obs,
             #[cfg(test)]
             probe: tests::SweepProbe::default(),
@@ -597,7 +653,7 @@ impl<'a> Engine<'a> {
     /// Global item id for a local one.
     #[inline]
     fn gi(&self, item: usize) -> usize {
-        self.core.scope().item(item)
+        self.nodes[0].core.scope().item(item)
     }
 
     pub(crate) fn run(mut self) -> Result<SimMetrics, SimError> {
@@ -610,18 +666,21 @@ impl<'a> Engine<'a> {
 
     /// Runs every tick of the tape, played in blocks of at most `full`
     /// ticks by a [`TapePlayer`] on a read-ahead worker (`ahead`) or
-    /// inline, from the initial row and the coordinator's seeding
-    /// evaluation (the truth before tick 1).
+    /// inline, from the initial row and the coordinators' seeding
+    /// evaluations (the truth before tick 1).
     fn play(&mut self, ahead: bool, full: usize) -> Result<(), SimError> {
         let cfg = self.cfg;
         let (n_items, n_queries) = (cfg.traces.n_items(), cfg.queries.len());
-        let plan = self.core.plan().clone();
         let mut player = TapePlayer {
             traces: &cfg.traces,
-            scratch: Vec::with_capacity(plan.n_terms()),
-            plan,
+            plans: self.nodes.iter().map(|n| n.core.plan().clone()).collect(),
             row: cfg.traces.initial_values(),
-            truth: self.core.query_values().to_vec(),
+            truth: (self.nodes.iter())
+                .flat_map(|n| n.core.query_values())
+                .copied()
+                .collect(),
+            scratch: Vec::new(),
+            part: Vec::new(),
         };
         let blocks = tape_blocks(cfg.traces.n_ticks(), full);
         let mut buffers: Vec<TapeBlock> = (0..3)
@@ -655,60 +714,59 @@ impl<'a> Engine<'a> {
     }
 
     /// One simulated second: sources sample `row` and push, everything
-    /// due is delivered, then the samplers compare the coordinator's view
-    /// with `truth`, the query values at `row`.
+    /// due is delivered, then the samplers compare each coordinator's
+    /// view with its queries' part of `truth`, the query values at `row`.
     fn run_tick(&mut self, tick: usize, row: &[f64], truth: &[f64]) -> Result<(), SimError> {
         #[cfg(test)]
         if let Some(truths) = &mut self.probe.truths {
             truths.extend_from_slice(truth);
         }
         let now = tick as f64;
-        // AAO-T periodic joint recomputation.
+        // AAO-T periodic joint recomputation, node by node.
         if let SimStrategy::AaoPeriodic { period_ticks, mu } = &self.cfg.strategy {
             if *period_ticks > 0 && tick.is_multiple_of(*period_ticks) {
-                self.periodic_aao(now, *mu)?;
+                for c in 0..self.nodes.len() {
+                    self.periodic_aao(c, now, *mu)?;
+                }
             }
         }
         self.sweep(tick, now, row);
         self.deliver_due(now, row)?;
-        // Fidelity sample: truth, coordinator view and QABs as three
-        // columns.
         self.metrics.fidelity_samples += 1;
-        let cached = self.core.query_values();
-        let columns = truth.iter().zip(cached).zip(self.core.qabs());
-        for (qi, ((&truth, &cached), &qab)) in columns.enumerate() {
-            if (truth - cached).abs() > qab {
-                self.metrics.per_query_violations[qi] += 1;
-                self.obs
-                    .emit_with(names::SIM_QAB_VIOLATION, EventKind::Point, |e| {
-                        e.with("query", qi)
-                            .with("tick", tick)
-                            .with("truth", truth)
-                            .with("cached", cached)
-                    });
+        let (n, mut truth, mut divergences) = (self.nodes.len(), truth, 0);
+        for (c, node) in self.nodes.iter_mut().enumerate() {
+            let mine;
+            (mine, truth) = truth.split_at(node.book.len());
+            // Fidelity sample: truth, coordinator view and QABs as three
+            // columns.
+            let columns = mine.iter().zip(node.core.query_values());
+            for (qi, ((&truth, &cached), &qab)) in columns.zip(node.core.qabs()).enumerate() {
+                if (truth - cached).abs() > qab {
+                    let query = node.core.scope().query(qi);
+                    self.metrics.per_query_violations[query] += 1;
+                    self.obs
+                        .emit_with(names::SIM_QAB_VIOLATION, EventKind::Point, |e| {
+                            e.with("query", query)
+                                .with("tick", tick)
+                                .with("truth", truth)
+                                .with("cached", cached)
+                        });
+                }
+            }
+            // Continuous fidelity audit: read-only shadow evaluation of
+            // the delta plane, preceded by the test-only fault hook — the
+            // coordinator view is the only maintained plane there is to
+            // corrupt.
+            if let Some(fault) = &self.cfg.audit_fault {
+                if fault.tick == tick && fault.query % n == c {
+                    node.core
+                        .corrupt_query_value(fault.query / n, fault.perturb);
+                }
+            }
+            if let Some(auditor) = &mut node.auditor {
+                divergences += auditor.on_tick(tick, &node.book, row, mine, &node.core, &self.obs);
             }
         }
-        // Continuous fidelity audit: read-only shadow evaluation of
-        // the delta plane, preceded by the test-only fault hook — the
-        // coordinator view is the only maintained plane there is to
-        // corrupt.
-        if let Some(fault) = &self.cfg.audit_fault {
-            if fault.tick == tick {
-                self.core.corrupt_query_value(fault.query, fault.perturb);
-            }
-        }
-        let divergences = match &mut self.auditor {
-            Some(auditor) => auditor.on_tick(
-                tick,
-                &self.cfg.queries,
-                row,
-                self.core.values(),
-                truth,
-                self.core.query_values(),
-                &self.obs,
-            ),
-            None => 0,
-        };
         // A pass that flagged a divergence dumps the flight recorder, if
         // the handle carries one: at most one dump a tick.
         if divergences > 0 {
@@ -761,41 +819,41 @@ impl<'a> Engine<'a> {
 
     /// Delivers everything due by `now`, with the sources at `row`:
     /// queued events in time order, interleaved with busy-deferred
-    /// refreshes that start the moment the coordinator frees up (queued
-    /// events win ties, matching the arrival order a re-push would have
-    /// produced).
+    /// refreshes, each started the moment its node frees up (the lowest
+    /// node first on a tie; queued events win ties, matching the arrival
+    /// order a re-push would have produced).
     fn deliver_due(&mut self, now: f64, row: &[f64]) -> Result<(), SimError> {
         loop {
-            if !self.deferred.is_empty()
-                && self.coordinator_busy_until <= now
-                && self
-                    .queue
-                    .peek_time()
-                    .is_none_or(|t| t > self.coordinator_busy_until)
-            {
-                let (item, value) = self.deferred.pop_front().expect("non-empty");
-                let t = self.coordinator_busy_until;
-                self.ingest(item, value, t)?;
-                continue;
+            let waiting = (self.nodes.iter().enumerate())
+                .filter(|(_, node)| !node.deferred.is_empty())
+                .map(|(c, node)| (node.busy_until, c))
+                .min_by(|a, b| a.0.total_cmp(&b.0));
+            if let Some((t, c)) = waiting {
+                if t <= now && self.queue.peek_time().is_none_or(|queued| queued > t) {
+                    let (item, value) = self.nodes[c].deferred.pop_front().expect("non-empty");
+                    self.ingest(c, item, value, t)?;
+                    continue;
+                }
             }
             let Some((t, event)) = self.pop_due(now) else {
                 return Ok(());
             };
-            match event {
-                Event::RefreshArrive { item, value } => {
-                    // Queueing at the coordinator: wait until it is
-                    // free, then occupy it for the processing time.
-                    if self.coordinator_busy_until > t {
-                        self.deferred.push_back((item, value));
-                        continue;
-                    }
-                    self.ingest(item, value, t)?;
-                }
+            let (c, item, value) = match event {
+                Event::RefreshArrive { item, value } => (0, item, value),
+                Event::Forward { node, item, value } => (node, item, value),
                 Event::DabChangeArrive { item, dab } => {
                     self.items.set_installed_dab(item, dab);
                     self.maybe_push(item, t, row[item]);
+                    continue;
                 }
+            };
+            // Queueing at the node: wait until it is free, then occupy
+            // it for the processing time.
+            if self.nodes[c].busy_until > t {
+                self.nodes[c].deferred.push_back((item, value));
+                continue;
             }
+            self.ingest(c, item, value, t)?;
         }
     }
 
@@ -808,130 +866,192 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// `item`'s source pushes its current value `v` toward the
-    /// coordinator.
+    /// `item`'s source pushes its current value `v` toward the root.
     fn push(&mut self, item: usize, now: f64, v: f64) {
         self.items.set_last_pushed(item, v);
-        if !self.drop_message(item) {
-            let delay = self.draws.pareto(&self.cfg.delays.node_to_node, item);
-            self.c_sched_push.inc();
-            self.queue
-                .push(now + delay, Event::RefreshArrive { item, value: v });
-        }
+        self.send(item, now, Event::RefreshArrive { item, value: v });
     }
 
-    /// Failure injection: true if this message is lost in transit. The
-    /// draw runs on `item`'s stream.
-    fn drop_message(&mut self, item: usize) -> bool {
-        // No draw when loss is off.
-        let lost =
-            self.cfg.loss_probability > 0.0 && self.draws.uniform(item) < self.cfg.loss_probability;
-        if lost {
+    /// Sends `event`, a message about `item`, over the network: it is
+    /// lost with [`SimConfig::loss_probability`] (failure injection; no
+    /// draw when loss is off), else queued after a `node_to_node` delay.
+    /// Both draws run on `item`'s stream.
+    fn send(&mut self, item: usize, now: f64, event: Event) {
+        let p = self.cfg.loss_probability;
+        if p > 0.0 && self.draws.uniform(item) < p {
             self.metrics.lost_messages += 1;
             self.obs
                 .emit_with(names::SIM_LOST_MESSAGE, EventKind::Count, |e| e);
+            return;
         }
-        lost
+        let delay = self.draws.pareto(&self.cfg.delays.node_to_node, item);
+        self.c_sched_push.inc();
+        self.queue.push(now + delay, event);
     }
 
-    /// Arrival bookkeeping for one refresh (metrics, trace event) —
-    /// everything that happens before the value is applied.
-    fn note_refresh_arrival(&mut self, item: usize, value: f64, now: f64) {
+    /// One refresh arriving at node `c`: arrival bookkeeping (metrics,
+    /// trace event), the coordinator moves the value and reacts to it,
+    /// then the node forwards it down the tree.
+    fn ingest(&mut self, c: usize, item: usize, value: f64, now: f64) -> Result<(), SimError> {
         self.metrics.refreshes += 1;
         self.metrics.per_item_refreshes[item] += 1;
-        let gid = self.gi(item);
+        let scope = self.nodes[c].core.scope();
+        let gid = scope.item(item);
         self.obs
             .emit_with(names::SIM_REFRESH, EventKind::Count, |e| {
+                let e = match scope.node {
+                    Some(node) => e.with("node", node),
+                    None => e,
+                };
                 e.with("item", gid).with("value", value).with("t", now)
             });
-    }
-
-    /// One arriving refresh: arrival bookkeeping, the coordinator moves
-    /// the value, then reacts to it.
-    fn ingest(&mut self, item: usize, value: f64, now: f64) -> Result<(), SimError> {
-        self.note_refresh_arrival(item, value, now);
-        self.core
+        self.nodes[c]
+            .core
             .apply(item, value)
             .map_err(|source| SimError::Refresh { source })?;
-        self.react(item, now)
+        self.react(c, item, now)?;
+        self.forward(c, item, value, now);
+        Ok(())
     }
 
-    /// Post-apply half of a refresh: the coordinator reacts, and what it
-    /// did becomes metrics, events, DAB-change messages and the
-    /// coordinator-occupancy accounting.
-    fn react(&mut self, item: usize, now: f64) -> Result<(), SimError> {
+    /// Post-apply half of a refresh at node `c`: the coordinator reacts,
+    /// and what it did becomes metrics, events, need changes and the
+    /// node-occupancy accounting.
+    fn react(&mut self, c: usize, item: usize, now: f64) -> Result<(), SimError> {
         // One query-check service charge per refresh (the paper's 4 ms
         // mean covers processing an arriving refresh, §V-A).
         let mut service = self.draws.pareto(&self.cfg.delays.coordinator_check, item);
-        let outcome = self.core.react(item, Some(now))?;
+        let core = &mut self.nodes[c].core;
+        let outcome = core
+            .react(item, Some(now))
+            .map_err(solve_error(core.scope()))?;
+        let scope = self.nodes[c].core.scope();
         for &(query, qv) in &outcome.notify {
             self.metrics.user_notifications += 1;
+            let query = scope.query(query.index());
             self.obs
                 .emit_with(names::SIM_USER_NOTIFY, EventKind::Count, |e| {
-                    e.with("query", query.index())
-                        .with("value", qv)
-                        .with("t", now)
+                    e.with("query", query).with("value", qv).with("t", now)
                 });
         }
         if !outcome.recomputed.is_empty() {
+            let recomputed = outcome.recomputed.iter().map(|q| scope.query(q.index()));
+            note_recomputations(&mut self.metrics, recomputed);
             self.note_solver_ns(outcome.solve_ns);
-            self.note_recomputations(outcome.recomputed.iter().map(|q| q.index()));
             self.metrics.per_item_recompute_triggers[item] += 1;
             // DAB-change messages are scheduled from the processing
             // start — a slight idealization.
-            self.ship_filter_changes(&outcome.filter_changes, now);
-            // Occupy the coordinator: the per-query checks plus one
-            // solver run per re-solved unit.
+            self.ship_filter_changes(c, &outcome.filter_changes, now);
+            // Occupy the node: the per-query checks plus one solver run
+            // per re-solved unit.
             for _ in &outcome.recomputed {
                 service += self.draws.pareto(&self.cfg.delays.recompute_service, item);
             }
         }
-        self.coordinator_busy_until = now + service;
+        self.nodes[c].busy_until = now + service;
         Ok(())
     }
 
-    /// Counts one recomputation per entry of `queries`.
-    fn note_recomputations(&mut self, queries: impl Iterator<Item = usize>) {
-        for qi in queries {
-            self.metrics.recomputations += 1;
-            self.metrics.per_query_recomputations[qi] += 1;
+    /// Node `c` forwards `item`'s new `value` to each child whose
+    /// subtree needs it.
+    fn forward(&mut self, c: usize, item: usize, value: f64, now: f64) {
+        for k in children(c, self.nodes.len()) {
+            self.forward_to(k, item, value, now);
         }
     }
 
-    /// Ships the coordinator's filter changes, in order, to their
-    /// sources over the lossy, delayed network.
-    fn ship_filter_changes(&mut self, changes: &[(ItemId, f64)], now: f64) {
-        for &(item, dab) in changes {
+    /// Node `k`'s parent sends it `value` of `item` if that moved past
+    /// the edge's filter since the value last sent there. The filter is
+    /// the child's need less the parent's: the parent's own value may be
+    /// off the source's by up to its need, so the child's stays within
+    /// its own (the coherency-preserving rule of Shah et al., TKDE'04).
+    /// An infinite need ships nothing (`∞ − ∞` is NaN).
+    fn forward_to(&mut self, k: usize, item: usize, value: f64, now: f64) {
+        let filter = self.nodes[k].need[item] - self.nodes[(k - 1) / 2].need[item];
+        let child = &mut self.nodes[k];
+        if (value - child.delivered[item]).abs() > filter {
+            child.delivered[item] = value;
+            self.send(
+                item,
+                now,
+                Event::Forward {
+                    node: k,
+                    item,
+                    value,
+                },
+            );
+        }
+    }
+
+    /// Folds node `c`'s filter changes, in order, into the needs up its
+    /// chain, at once; re-checks every edge of the tree against them, as
+    /// a source re-checks its filter when a DAB change lands; and ships
+    /// each move of the root's need to its source over the lossy,
+    /// delayed network.
+    fn ship_filter_changes(&mut self, c: usize, changes: &[(ItemId, f64)], now: f64) {
+        for &(item, mut own) in changes {
             let item = item.index();
+            let before = self.nodes[0].need[item];
+            let mut node = c;
+            loop {
+                self.nodes[node].need[item] = subtree_need(&self.nodes, node, item, own);
+                if node == 0 {
+                    break;
+                }
+                node = (node - 1) / 2;
+                own = self.nodes[node].core.filter(item);
+            }
+            for k in 1..self.nodes.len() {
+                let value = self.nodes[(k - 1) / 2].core.values()[item];
+                self.forward_to(k, item, value, now);
+            }
+            let dab = self.nodes[0].need[item];
+            if dab == before {
+                continue;
+            }
             self.metrics.dab_change_messages += 1;
             let gid = self.gi(item);
             self.obs
                 .emit_with(names::SIM_DAB_CHANGE, EventKind::Count, |e| {
                     e.with("item", gid).with("dab", dab).with("t", now)
                 });
-            if self.drop_message(item) {
-                continue;
-            }
-            let delay = self.draws.pareto(&self.cfg.delays.node_to_node, item);
-            self.c_sched_push.inc();
-            self.queue
-                .push(now + delay, Event::DabChangeArrive { item, dab });
+            self.send(item, now, Event::DabChangeArrive { item, dab });
         }
     }
 
-    fn periodic_aao(&mut self, now: f64, mu: f64) -> Result<(), SimError> {
+    /// Node `c`'s joint AAO re-solve of its whole share of the book.
+    fn periodic_aao(&mut self, c: usize, now: f64, mu: f64) -> Result<(), SimError> {
         let started = Instant::now();
-        let joint = aao(&self.cfg.queries, &self.core.solve_context(), mu)
+        let node = &mut self.nodes[c];
+        let joint = aao(&node.book, &node.core.solve_context(), mu)
             .map_err(|source| SimError::Aao { source })?;
-        self.note_solver_ns(started.elapsed().as_nanos() as u64);
+        self.metrics.solver_seconds += started.elapsed().as_nanos() as f64 / 1e9;
         // Every query's DABs were recomputed (counted per query, as the
         // paper does for the AAO-T curves).
-        self.core
+        node.core
             .install_joint(&joint.per_query, "aao-periodic", Some(now));
-        self.note_recomputations(0..self.cfg.queries.len());
-        let changes = self.core.rederive(0..self.cfg.traces.n_items());
-        self.ship_filter_changes(&changes, now);
+        let scope = node.core.scope();
+        note_recomputations(
+            &mut self.metrics,
+            (0..node.book.len()).map(|q| scope.query(q)),
+        );
+        let changes = node.core.rederive(0..self.cfg.traces.n_items());
+        self.ship_filter_changes(c, &changes, now);
         Ok(())
+    }
+}
+
+/// Node `c`'s need for `item` when its own filter is `own`: the
+/// tightest of it and its children's needs.
+fn subtree_need(nodes: &[Node<'_>], c: usize, item: usize, own: f64) -> f64 {
+    children(c, nodes.len()).fold(own, |m, k| m.min(nodes[k].need[item]))
+}
+
+/// Counts one recomputation per entry of `queries` (book indices).
+fn note_recomputations(metrics: &mut SimMetrics, queries: impl Iterator<Item = usize>) {
+    for qi in queries {
+        metrics.recomputations += 1;
+        metrics.per_query_recomputations[qi] += 1;
     }
 }
 
@@ -973,7 +1093,7 @@ mod tests {
     /// The source-side truth at `row`, evaluated inline.
     fn inline_truth(engine: &Engine<'_>, row: &[f64]) -> Vec<f64> {
         let (mut scratch, mut truth) = (Vec::new(), Vec::new());
-        engine
+        engine.nodes[0]
             .core
             .plan()
             .full_eval_into(row, &mut scratch, &mut truth);
@@ -1148,6 +1268,7 @@ mod tests {
             let bits = |(t, event): (f64, Event)| match event {
                 Event::RefreshArrive { item, value } => (t.to_bits(), 0, item, value.to_bits()),
                 Event::DabChangeArrive { item, dab } => (t.to_bits(), 1, item, dab.to_bits()),
+                Event::Forward { .. } => unreachable!("one coordinator forwards nothing"),
             };
             std::mem::take(released).into_iter().map(bits).collect()
         };
@@ -1442,6 +1563,105 @@ mod tests {
             got.solver_seconds = 0.0;
             assert_eq!(got, want, "{name}");
         }
+    }
+
+    /// Six two-leg products over three items on a tree of `n` nodes,
+    /// with no delay.
+    fn tree_config(n: usize, strategy: AssignmentStrategy) -> SimConfig {
+        let traces = TraceSet::new(vec![
+            Trace::sinusoid(20.0, 3.0, 400.0, 800),
+            Trace::sinusoid(10.0, 2.0, 300.0, 800),
+            Trace::sinusoid(15.0, 2.5, 350.0, 800),
+        ]);
+        let queries = (0..6)
+            .map(|k| {
+                let (a, b) = [(0, 1), (1, 2), (0, 2)][k % 3];
+                PolynomialQuery::portfolio([(1.0 + k as f64, x(a), x(b))], 20.0 + k as f64).unwrap()
+            })
+            .collect();
+        let mut cfg = SimConfig::new(traces, queries);
+        cfg.coordinators = NonZeroUsize::new(n).unwrap();
+        cfg.delays = DelayConfig::zero();
+        cfg.strategy = SimStrategy::PerQuery {
+            strategy,
+            heuristic: PqHeuristic::DifferentSum,
+        };
+        cfg
+    }
+
+    #[test]
+    fn dual_dab_beats_optimal_refresh_on_tree_recomputations() {
+        let optimal = run(&tree_config(3, AssignmentStrategy::OptimalRefresh)).unwrap();
+        let dual = run(&tree_config(3, AssignmentStrategy::DualDab { mu: 5.0 })).unwrap();
+        assert!(
+            dual.recomputations < optimal.recomputations,
+            "dual {} vs optimal-refresh {}",
+            dual.recomputations,
+            optimal.recomputations
+        );
+    }
+
+    /// Every node counts its recomputations and times its solves under
+    /// the run's handle, naming its queries by their book index.
+    #[test]
+    fn a_tree_counts_every_node_s_recomputes_and_solves() {
+        let cfg = tree_config(3, AssignmentStrategy::OptimalRefresh);
+        let obs = Obs::null();
+        let m = run_observed(&cfg, &obs).unwrap();
+        let snap = obs.snapshot();
+        assert_eq!(snap.counters[names::DAB_RECOMPUTE], m.recomputations);
+        assert!(snap.histograms["gp.solve_ns"].count > 0);
+        // Node c serves queries c and c + 3; all of them recompute.
+        assert!(m.per_query_recomputations.iter().all(|&r| r > 0), "{m:?}");
+    }
+
+    #[test]
+    fn a_failed_solve_on_a_tree_names_its_query_in_the_book() {
+        let linear = |c, i| PolynomialQuery::linear_aggregate([(c, x(i))], 2.0).unwrap();
+        let mut cfg = tree_config(2, AssignmentStrategy::DualDab { mu: 5.0 });
+        // Node 0 serves queries 0 and 2, node 1 queries 1 and 3.
+        cfg.queries = vec![
+            linear(1.0, 0),
+            linear(1.0, 1),
+            linear(2.0, 0),
+            PolynomialQuery::portfolio([(1.0, x(1), x(2))], 5.0).unwrap(),
+        ];
+        // Linear queries are closed forms; with no Newton step allowed
+        // the one GP-backed query, the second node's second, cannot solve.
+        cfg.gp.max_newton_steps = 0;
+        let err = run(&cfg).unwrap_err();
+        assert!(matches!(err, SimError::Dab { query: 3, .. }), "{err}");
+        assert!(err.to_string().contains("query 3:"), "{err}");
+    }
+
+    /// A need that tightens re-checks the edge above it: the parent's
+    /// value, which drifted off the child's by less than the old edge
+    /// filter, is sent at once, not at the item's next move. Without the
+    /// re-check node 1's product reads x1 0.03 stale, ten times over,
+    /// from tick 150 on: 50 violations of its 0.2 QAB.
+    #[test]
+    fn a_tightened_need_resends_what_the_child_now_needs() {
+        // x1 swings, settles at 0.5, steps up by 0.03; then x0 grows
+        // tenfold.
+        let x0 = (0..200).map(|t| if t < 150 { 1.0 } else { 10.0 }).collect();
+        let swing = |t: usize| 1.0 + 0.3 * (t as f64 * std::f64::consts::TAU / 10.0).sin();
+        let x1 = (0..200)
+            .map(|t| match t {
+                0..90 => swing(t),
+                90..100 => 0.5,
+                _ => 0.53,
+            })
+            .collect();
+        let traces = TraceSet::new(vec![Trace::from_values(x0), Trace::from_values(x1)]);
+        let mut cfg = tree_config(2, AssignmentStrategy::OptimalRefresh);
+        cfg.traces = traces;
+        // The root watches x1 closely; node 1 serves the product.
+        cfg.queries = vec![
+            PolynomialQuery::linear_aggregate([(1.0, x(1))], 0.001).unwrap(),
+            PolynomialQuery::portfolio([(1.0, x(0), x(1))], 0.2).unwrap(),
+        ];
+        let m = run(&cfg).unwrap();
+        assert_eq!(m.per_query_violations, [0, 0]);
     }
 
     #[test]

@@ -3,7 +3,8 @@
 /// Events flowing through the simulator.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Event {
-    /// A data refresh from a source arrives at the coordinator.
+    /// A data refresh from a source arrives at the coordinator (the
+    /// root of a tree of them).
     RefreshArrive {
         /// Refreshed item (dense id).
         item: usize,
@@ -16,5 +17,14 @@ pub enum Event {
         item: usize,
         /// The new filter width.
         dab: f64,
+    },
+    /// A refresh forwarded by a tree node arrives at its child `node`.
+    Forward {
+        /// The receiving node.
+        node: usize,
+        /// Refreshed item (dense id).
+        item: usize,
+        /// The value the parent forwarded.
+        value: f64,
     },
 }

@@ -1,19 +1,19 @@
 //! A run nobody can observe records nothing, and that changes no result:
-//! [`pq_sim::run`] and [`pq_sim::run_network`] build on
-//! [`Obs::disabled`], so each must return what the same run on a live
-//! [`Obs::null`] handle returns, in every field but the wall-clock
-//! `solver_seconds`, on books shaped like the benchmark's (a fig5 book,
-//! an overlapping one, a banded one with loss on), with the fidelity
-//! audit configured. The disabled handle itself ends a run with an empty
-//! snapshot.
+//! [`pq_sim::run`] builds on [`Obs::disabled`], so it must return what
+//! the same run on a live [`Obs::null`] handle returns, in every field
+//! but the wall-clock `solver_seconds`, on books shaped like the
+//! benchmark's (a fig5 book, an overlapping one, a banded one with loss
+//! on), with the fidelity audit configured, on one coordinator or a tree
+//! of them. The disabled handle itself ends a run with an empty snapshot.
+//! The same fig5 book on a tree keeps Condition 1 at zero delay.
 
-use pq_core::AssignmentStrategy;
-use pq_ddm::TraceSet;
-use pq_obs::Obs;
-use pq_sim::{
-    run, run_network, run_network_observed, run_observed, AuditConfig, NetworkConfig, SimConfig,
-    SimMetrics,
-};
+use std::num::NonZeroUsize;
+
+use pq_core::{AssignmentStrategy, PqHeuristic};
+use pq_ddm::{Trace, TraceSet};
+use pq_obs::{names, Obs, Value};
+use pq_poly::{ItemId, PolynomialQuery};
+use pq_sim::{run, run_observed, AuditConfig, DelayConfig, SimConfig, SimMetrics, SimStrategy};
 use pq_workload::{WorkloadConfig, WorkloadGen};
 
 const SEED: u64 = 0x1CDE_2008;
@@ -85,21 +85,139 @@ fn run_returns_what_a_run_on_a_live_handle_returns() {
     }
 }
 
+fn tree(n: usize) -> NonZeroUsize {
+    NonZeroUsize::new(n).unwrap()
+}
+
 #[test]
-fn run_network_returns_what_a_run_on_a_live_handle_returns() {
-    let cfg = config(Book::Fig5);
-    let net = NetworkConfig::round_robin(
-        cfg.traces,
-        cfg.queries,
-        3,
+fn a_tree_run_returns_what_a_run_on_a_live_handle_returns() {
+    let mut cfg = config(Book::Fig5);
+    cfg.coordinators = tree(3);
+    let quiet = run(&cfg).unwrap();
+    let observed = run_observed(&cfg, &Obs::null()).unwrap();
+    assert!(quiet.refreshes > 0 && quiet.recomputations > 0);
+    assert_eq!(without_wallclock(quiet), without_wallclock(observed));
+}
+
+/// Three items under six two-leg products of growing QAB.
+fn small_tree_book() -> SimConfig {
+    let traces = TraceSet::new(vec![
+        Trace::sinusoid(20.0, 3.0, 400.0, 800),
+        Trace::sinusoid(10.0, 2.0, 300.0, 800),
+        Trace::sinusoid(15.0, 2.5, 350.0, 800),
+    ]);
+    let queries = (0..6)
+        .map(|k| {
+            let (a, b) = [(0, 1), (1, 2), (0, 2)][k % 3];
+            let leg = (1.0 + k as f64, ItemId(a), ItemId(b));
+            PolynomialQuery::portfolio([leg], 20.0 + k as f64).unwrap()
+        })
+        .collect();
+    SimConfig::new(traces, queries)
+}
+
+/// `cfg` on the first `ticks` ticks of its tape.
+fn first_ticks(mut cfg: SimConfig, ticks: usize) -> SimConfig {
+    let prefix = |t: &Trace| Trace::from_values(t.values()[..ticks].to_vec());
+    cfg.traces = TraceSet::new(cfg.traces.traces().iter().map(prefix).collect());
+    cfg
+}
+
+/// Condition 1 holds on every node of a tree: with no delay and no loss,
+/// every item within its filter at every node keeps every query within
+/// its QAB at every sample, under every strategy and heuristic and under
+/// AAO-T, and the audit finds every node's delta plane equal to naive
+/// evaluation. The fig5 book plays its first 30 ticks: the per-item
+/// split re-solves every refresh by bisection, at ~0.3 ms a solve.
+#[test]
+fn a_tree_at_zero_delay_never_violates_a_qab() {
+    let heuristics = [PqHeuristic::DifferentSum, PqHeuristic::HalfAndHalf];
+    let mut strategies: Vec<SimStrategy> = [
+        AssignmentStrategy::OptimalRefresh,
         AssignmentStrategy::DualDab { mu: 5.0 },
+        AssignmentStrategy::PerItemSplit,
+        AssignmentStrategy::EqualDab,
+    ]
+    .into_iter()
+    .flat_map(|strategy| {
+        (heuristics.into_iter()).map(move |heuristic| SimStrategy::PerQuery {
+            strategy,
+            heuristic,
+        })
+    })
+    .collect();
+    // Every node's joint re-solve, on the short tapes' middle tick.
+    strategies.push(SimStrategy::AaoPeriodic {
+        period_ticks: 20,
+        mu: 5.0,
+    });
+    for (name, book) in [
+        ("small", small_tree_book()),
+        ("fig5", first_ticks(config(Book::Fig5), 30)),
+    ] {
+        for n in 2..=4 {
+            for strategy in &strategies {
+                let mut cfg = book.clone();
+                cfg.coordinators = tree(n);
+                cfg.delays = DelayConfig::zero();
+                cfg.strategy = strategy.clone();
+                cfg.audit = Some(AuditConfig {
+                    every: 1,
+                    sample: cfg.queries.len(),
+                    ..AuditConfig::default()
+                });
+                let obs = Obs::null();
+                let m = run_observed(&cfg, &obs).unwrap();
+                let case = format!("{name}, {n} nodes, {strategy:?}");
+                assert!(m.refreshes > 0, "{case}: nothing moved");
+                assert!(
+                    m.per_query_violations.iter().all(|&v| v == 0),
+                    "{case}: {:?}",
+                    m.per_query_violations
+                );
+                let snap = obs.snapshot();
+                assert!(snap.counters[names::AUDIT_SAMPLE] > 0, "{case}");
+                assert_eq!(snap.counters[names::AUDIT_DIVERGENCE], 0, "{case}");
+            }
+        }
+    }
+}
+
+/// A tree under heavy-tailed delays and 5 % loss runs to the end, the
+/// same for one seed, and loses messages. A child hears only what the
+/// root forwards it, a part of what the root ingests, so by the
+/// `sim.refresh` events' `node` field the root ingests at least as many
+/// refreshes as each child.
+#[test]
+fn a_delayed_lossy_tree_is_deterministic_and_the_root_sees_the_most() {
+    let mut cfg = small_tree_book();
+    cfg.coordinators = tree(3);
+    cfg.delays = DelayConfig::planetlab_like();
+    cfg.loss_probability = 0.05;
+    let (obs, ring) = Obs::ring(1 << 16);
+    let m = run_observed(&cfg, &obs).unwrap();
+    assert_eq!(
+        without_wallclock(m.clone()),
+        without_wallclock(run(&cfg).unwrap())
     );
-    let mut quiet = run_network(&net).unwrap();
-    let mut observed = run_network_observed(&net, &Obs::null()).unwrap();
-    assert!(quiet.refreshes() > 0);
-    quiet.solver_seconds = 0.0;
-    observed.solver_seconds = 0.0;
-    assert_eq!(quiet, observed);
+    assert!(m.lost_messages > 0 && m.recomputations > 0, "{m:?}");
+    assert_eq!(ring.dropped(), 0, "the ring holds the whole run");
+    let mut per_node = [0u64; 3];
+    for e in ring
+        .events()
+        .iter()
+        .filter(|e| e.target == names::SIM_REFRESH)
+    {
+        let Some(&Value::U64(node)) = e.field("node") else {
+            panic!("{e:?} names no node")
+        };
+        per_node[node as usize] += 1;
+    }
+    assert_eq!(per_node.iter().sum::<u64>(), m.refreshes);
+    assert!(
+        per_node[0] >= per_node[1] && per_node[0] >= per_node[2],
+        "{per_node:?}"
+    );
 }
 
 #[test]

@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use pq_ddm::{Trace, TraceSet};
 use pq_poly::{ItemId, PolynomialQuery};
-use pq_sim::{run_network_observed, run_observed, NetworkConfig, Obs, SimConfig};
+use pq_sim::{run_observed, DelayConfig, Obs, SimConfig};
 use pq_trace::{load, span_forest, TraceStats};
 
 #[test]
@@ -86,10 +86,11 @@ fn trace_attribution_matches_sim_metrics_exactly() {
 
 /// The same for a dissemination tree: a node's `dab.recompute` events
 /// carry a `node` field, which `pq-trace` names `c<node>.q<id>`, and its
-/// `sim.refresh` events one per receiving node. Query ids are tree-wide,
-/// so every node's `gp.solve` spans land in solve rows of their own.
+/// `sim.refresh` events one per receiving node. Queries are named by
+/// their index in the book, so every node's `gp.solve` spans land in
+/// solve rows of their own.
 #[test]
-fn tree_trace_attribution_sums_to_network_metrics() {
+fn tree_trace_attribution_sums_to_tree_metrics() {
     let traces = TraceSet::new(vec![
         Trace::sinusoid(20.0, 3.0, 400.0, 800),
         Trace::sinusoid(10.0, 2.0, 300.0, 800),
@@ -102,19 +103,21 @@ fn tree_trace_attribution_sums_to_network_metrics() {
             PolynomialQuery::portfolio([leg], 20.0 + k as f64).unwrap()
         })
         .collect();
-    let strategy = pq_core::AssignmentStrategy::DualDab { mu: 5.0 };
-    let cfg = NetworkConfig::round_robin(traces, queries, 3, strategy);
+    let mut cfg = SimConfig::new(traces, queries);
+    cfg.coordinators = std::num::NonZeroUsize::new(3).unwrap();
+    cfg.delays = DelayConfig::zero();
     let (obs, ring) = Obs::ring(1 << 16);
-    let m = run_network_observed(&cfg, &obs).unwrap();
+    let m = run_observed(&cfg, &obs).unwrap();
     assert_eq!(ring.dropped(), 0, "the ring holds the whole run");
     let stats = TraceStats::from_events(&ring.events());
 
-    assert!(m.recomputations() > 0, "the tree should recompute");
-    // Three nodes of two queries each: node c's are tree-wide 2c, 2c + 1.
+    assert!(m.recomputations > 0, "the tree should recompute");
+    // Three nodes of two queries each, dealt round-robin: node c's are
+    // c and c + 3.
     let node_of = |key: &str| {
         let (node, q) = key.strip_prefix('c')?.split_once(".q")?;
         let q = q.parse::<u64>().ok()?;
-        (node.parse::<u64>().ok()? == q / 2 && q < 6).then_some(q)
+        (node.parse::<u64>().ok()? == q % 3 && q < 6).then_some(q)
     };
     for (key, &n) in &stats.recomputes_by_query {
         let q = node_of(key).unwrap_or_else(|| panic!("{key} names no query of its node"));
@@ -136,9 +139,9 @@ fn tree_trace_attribution_sums_to_network_metrics() {
         "every solve attributed"
     );
     let traced: u64 = stats.recomputes_by_query.values().sum();
-    assert_eq!(traced, m.recomputations(), "total recomputations");
+    assert_eq!(traced, m.recomputations, "total recomputations");
     let traced: u64 = stats.refreshes_by_item.values().sum();
-    assert_eq!(traced, m.refreshes(), "total refreshes");
+    assert_eq!(traced, m.refreshes, "total refreshes");
 }
 
 /// Causal spans of the in-run re-solves: every in-run `gp.solve` span

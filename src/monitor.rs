@@ -294,14 +294,11 @@ mod tests {
         assert_eq!(want, (1e-5, 10.0, 30.0));
         let monitor = m.core.as_ref().unwrap().solve_context().gp;
         let traces = pq_ddm::TraceSet::new(vec![pq_ddm::Trace::constant(1.0, 2)]);
-        let sim = pq_sim::SimConfig::new(traces.clone(), Vec::new()).gp;
-        let strategy = AssignmentStrategy::DualDab { mu: 5.0 };
-        let tree = pq_sim::NetworkConfig::round_robin(traces, Vec::new(), 1, strategy).gp;
+        let sim = pq_sim::SimConfig::new(traces, Vec::new()).gp;
         let context = pq_core::SolveContext::new(&[], &[]).gp;
         for (name, gp) in [
             ("Monitor", monitor),
             ("SimConfig::new", sim),
-            ("NetworkConfig::round_robin", tree),
             ("SolveContext::new", context),
         ] {
             assert_eq!(knobs(&gp), want, "{name}");
