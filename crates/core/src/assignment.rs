@@ -314,6 +314,22 @@ impl UnitColumns {
         (self.recompute_rate, self.refresh_rate) = (qa.recompute_rate, qa.refresh_rate);
     }
 
+    /// Moves the assignment to the values it is now valid at: each
+    /// item's anchor to `values[item]`, each finite secondary DAB scaled
+    /// by `t`, and the recompute rate to `recompute_rate`. The primary
+    /// DABs, and so the refresh rate, stay as they are.
+    pub(crate) fn reanchor(&mut self, values: &[f64], t: f64, recompute_rate: f64) {
+        let n = self.items.len();
+        let (anchor, rest) = self.cells.split_at_mut(n);
+        for (v0, item) in anchor.iter_mut().zip(self.items.iter()) {
+            *v0 = values[item.index()];
+        }
+        for c in rest[..n].iter_mut().filter(|c| c.is_finite()) {
+            *c *= t;
+        }
+        self.recompute_rate = recompute_rate;
+    }
+
     /// The unit's items, ascending: the rows of every column.
     pub fn items(&self) -> &[ItemId] {
         &self.items

@@ -14,6 +14,7 @@
 //! Both are value-dependent with no validity range, so — like Optimal
 //! Refresh — they must be recomputed on every refresh.
 
+use pq_gp::Monomial;
 use pq_poly::{deviation_posynomial, DabVarMap, PolynomialQuery};
 
 use crate::assignment::{QueryAssignment, RangeKind, UnitColumns};
@@ -47,12 +48,19 @@ pub(crate) fn per_item_split_into(
     let mut dabs = vec![0.0; n];
     let mut unbounded = Vec::new();
     let mut probe = vec![0.0; n];
-    for k in 0..n {
-        // Zero entries are fine: deviation posynomials have positive
-        // exponents only, so 0^e = 0 and untouched items contribute 0.
+    // Deviation posynomials have positive exponents only, so with every
+    // other width at 0 a term that does not read `b_k` is an exact `+0.0`:
+    // summing the terms that read it gives the full sum, bit for bit.
+    let mut reading: Vec<Vec<&Monomial>> = vec![Vec::new(); n];
+    for term in condition.terms() {
+        for &(v, _) in term.exponents() {
+            reading[v].push(term);
+        }
+    }
+    for (k, terms) in reading.iter().enumerate() {
         let b = bisect_largest(|b| {
             probe[k] = b;
-            let g = condition.eval(&probe);
+            let g: f64 = terms.iter().map(|term| term.eval(&probe)).sum();
             probe[k] = 0.0;
             g <= budget
         });

@@ -39,6 +39,10 @@ pub fn dab_solver_options() -> SolverOptions {
     }
 }
 
+/// The smallest rate of change a DAB program charges an item with
+/// ([`SolveContext::rate`]).
+pub(crate) const RATE_FLOOR: f64 = 1e-9;
+
 /// Everything an assignment algorithm needs besides the query itself:
 /// current data values, per-item rate-of-change estimates, the assumed
 /// data-dynamics model and GP solver options.
@@ -83,7 +87,7 @@ impl<'a> SolveContext<'a> {
         if !r.is_finite() || r < 0.0 {
             return Err(DabError::MissingRate { item: item.0 });
         }
-        Ok(r.max(1e-9))
+        Ok(r.max(RATE_FLOOR))
     }
 
     /// The current value for `item`.

@@ -2,14 +2,15 @@
 //!
 //! A refresh arriving from a source runs the sequence of §III / §V-A:
 //! move the cached value, notify the users whose query moved past its
-//! QAB, re-solve the units whose validity range the new value broke, and
-//! re-derive the per-item filters (EQI minimum rule) those solves can
-//! have moved. [`Coordinator`] is that sequence over [`install_units`],
-//! [`FilterTable`], [`SolveCache`], [`assign_unit_cached`] and
-//! [`filter_changed`] — and nothing about how a refresh got here or where
-//! a filter change goes next: the deployable monitor, the simulator's
-//! engine and the Fig. 8(c) tree each wrap one, supply that transport,
-//! and read what happened from the returned [`Outcome`].
+//! QAB, re-anchor or else re-solve the units whose validity range the new
+//! value broke, and re-derive the per-item filters (EQI minimum rule)
+//! those solves can have moved. [`Coordinator`] is that sequence over
+//! [`install_units`], [`FilterTable`], [`SolveCache`],
+//! [`assign_unit_cached`] and [`filter_changed`] — and nothing about how
+//! a refresh got here or where a filter change goes next: the deployable
+//! monitor, the simulator's engine and the Fig. 8(c) tree each wrap one,
+//! supply that transport, and read what happened from the returned
+//! [`Outcome`].
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -19,9 +20,9 @@ use pq_gp::SolverOptions;
 use pq_obs::{names, Counter, EventKind, Obs, Timer};
 use pq_poly::{ItemId, PolynomialQuery, QueryId, SharedPlan, SharedView};
 
-use crate::assignment::{QueryAssignment, ValidityRange};
+use crate::assignment::{QueryAssignment, RangeKind, UnitColumns, ValidityRange};
 use crate::cache::{filter_changed, SolveCache};
-use crate::context::SolveContext;
+use crate::context::{SolveContext, RATE_FLOOR};
 use crate::error::DabError;
 use crate::filter_table::FilterTable;
 use crate::heuristics::PqHeuristic;
@@ -132,6 +133,11 @@ pub struct Outcome {
     /// re-solved *unit*, so a Half-and-Half query can be listed twice in
     /// a row.
     pub recomputed: Vec<QueryId>,
+    /// Queries whose invalidated DABs were re-anchored instead of
+    /// recomputed: one entry per unit whose primary DABs were still
+    /// feasible at the new values (see [`Coordinator::react`]). A
+    /// re-anchor moves no filter.
+    pub reanchored: Vec<QueryId>,
     /// Items whose installed filters changed — ship these to the sources.
     /// From [`Coordinator::react`]: unit by unit in solve order, so an
     /// item two re-solved units read can appear twice; its last entry is
@@ -197,6 +203,9 @@ pub struct Coordinator {
     /// Per item, the filter its source was last told: `filters.min_primary`
     /// as of the last derivation that [`filter_changed`] called a change.
     installed: Vec<f64>,
+    /// Scratch over every item: the points a re-anchor evaluates a
+    /// unit's body at.
+    point: Vec<f64>,
     install_ns: u64,
     handles: Handles,
 }
@@ -307,6 +316,7 @@ impl Coordinator {
             .add(plan.n_terms() as u64);
         Coordinator {
             installed: vec![f64::INFINITY; values.len()],
+            point: vec![0.0; values.len()],
             values,
             cfg,
             strategy,
@@ -435,10 +445,19 @@ impl Coordinator {
     }
 
     /// Reacts to `item` having moved (by [`Coordinator::apply`]):
-    /// notifications for its readers past their QAB, a re-solve of every
-    /// unit its new value invalidated, and the filter changes those
-    /// solves caused. `at` stamps the emitted events with the caller's
-    /// clock.
+    /// notifications for its readers past their QAB, then every unit its
+    /// new value invalidated is re-anchored or re-solved, and the filter
+    /// changes those solves caused are returned. `at` stamps the emitted
+    /// events with the caller's clock.
+    ///
+    /// A stale Dual-DAB unit (a `Box` range) is first tried for a
+    /// re-anchor: while its primary DABs `b`, with its secondary DABs `c`
+    /// scaled to `t·c` (`t` of `1, ½, ¼, ⅛`, `t·c ≥ b`), are still a
+    /// feasible point of its own program at the current values `W ≥ 0`,
+    /// `P(W + t·c + b) − P(W + t·c) ≤ B`, the unit is anchored at `W`
+    /// with secondary DABs `t·c` instead of solved. No filter moves, so
+    /// nothing is shipped, and it counts in [`Outcome::reanchored`], not
+    /// as a recomputation. Every other stale unit is re-solved.
     ///
     /// # Errors
     /// The first re-solve that failed, with its query's index. The value
@@ -459,8 +478,9 @@ impl Coordinator {
             }
         }
         // Every unit was valid before this refresh (a stale one is
-        // re-solved, or marked, before the call returns), so only the
-        // refreshed item can break one: scan its run of the table.
+        // re-anchored, re-solved or marked before the call returns), so
+        // only the refreshed item can break one: scan its run of the
+        // table.
         let mut stale = Vec::new();
         self.filters
             .stale_after(item, self.values[item], &mut stale);
@@ -470,6 +490,8 @@ impl Coordinator {
         );
         if !stale.is_empty() {
             self.resolve(&stale, item, at, &mut outcome)?;
+        }
+        if !outcome.recomputed.is_empty() {
             // Attribution: this item's refresh forced recomputations.
             let Config { obs, scope, .. } = &self.cfg;
             obs.emit_with(names::DAB_RECOMPUTE_TRIGGER, EventKind::Count, |e| {
@@ -480,11 +502,11 @@ impl Coordinator {
         Ok(outcome)
     }
 
-    /// Re-solves `stale` in unit order on this thread, each unit in place
-    /// in its own cache, installing each solve and re-deriving the
-    /// filters of its items before the next. A unit's solve reads only
-    /// the unit, its cache and the already-updated values, so no install
-    /// of the batch moves another's solve.
+    /// Re-anchors or re-solves `stale` in unit order on this thread, each
+    /// unit in place in its own cache, installing each and re-deriving
+    /// the filters of a re-solved unit's items before the next. A unit's
+    /// solve reads only the unit, its cache and the already-updated
+    /// values, so no install of the batch moves another's solve.
     fn resolve(
         &mut self,
         stale: &[(usize, usize)],
@@ -495,6 +517,13 @@ impl Coordinator {
         let _batch = self.handles.batch.start(&self.cfg.obs);
         let mut failure: Option<InstallError> = None;
         for &(qi, ui) in stale {
+            let unit = &self.units[qi][ui];
+            let columns = &mut self.cache.unit_mut(qi, ui).columns;
+            if reanchor(unit, &self.values, &self.cfg, columns, &mut self.point) {
+                self.filters.write(qi, ui, columns);
+                outcome.reanchored.push(QueryId(qi as u32));
+                continue;
+            }
             let mut gp = self.cfg.gp.clone();
             attribute(&self.cfg.scope, &mut gp, qi);
             let ctx = SolveContext {
@@ -633,6 +662,69 @@ fn admit_all(values: &[f64]) -> Result<(), DabError> {
     (values.iter().enumerate()).try_for_each(|(item, &value)| admit(values.len(), item, value))
 }
 
+/// The secondary-DAB scales `t` a stale `Box` unit is re-anchored at,
+/// tried in order before it is re-solved.
+const REANCHOR_SCALES: [f64; 4] = [1.0, 0.5, 0.25, 0.125];
+
+/// Re-anchors `columns`, the stale assignment of `unit`, at `values`
+/// when its primary DABs `b` are still a feasible point of the unit's
+/// Dual-DAB program there (§III-A.2, Eq. 2); true when it did. Only a
+/// `Box` assignment is tried, and only while `W`, `values` on the unit's
+/// items, is non-negative (the program's data; the refresh gate keeps it
+/// finite). For each `t` of [`REANCHOR_SCALES`], until some
+/// coupled item has `t·c < b` (the program's `b ≤ c` row), the test is
+/// `P(W + t·c + b) − P(W + t·c) ≤ B` on the unit's body `P` and QAB `B`,
+/// an uncoupled item (`c = +∞`) entering with `c = 0`: its terms are
+/// linear, so its value moves nothing. At the first `t` that passes, the
+/// unit is anchored at `W` with secondary DABs `t·c`, its primary DABs
+/// kept, and its recompute rate set to the model's `R` at the shrunk
+/// box. That point is feasible for the program at `W`, so it is valid
+/// over `[min(0, W − t·c), W + t·c]` as a solve there would be (DESIGN.md
+/// §10, "Validity invariant"). `point` is scratch over every item.
+fn reanchor(
+    unit: &AssignmentUnit,
+    values: &[f64],
+    cfg: &Config,
+    columns: &mut UnitColumns,
+    point: &mut [f64],
+) -> bool {
+    if columns.kind() != RangeKind::Box {
+        return false;
+    }
+    let items = columns.items();
+    if !items.iter().all(|i| values[i.index()] >= 0.0) {
+        return false;
+    }
+    let cells = || items.iter().zip(columns.secondary()).zip(columns.primary());
+    let coupled = |c: f64| c != f64::INFINITY;
+    let mut fits = |t: f64| {
+        let mut body_at = |with_b: bool| {
+            for ((item, &c), &b) in cells() {
+                let corner = values[item.index()] + if coupled(c) { t * c } else { 0.0 };
+                point[item.index()] = if with_b { corner + b } else { corner };
+            }
+            unit.body.eval(point)
+        };
+        body_at(true) - body_at(false) <= unit.qab
+    };
+    let Some(t) = REANCHOR_SCALES
+        .into_iter()
+        .take_while(|&t| cells().all(|((_, &c), &b)| !coupled(c) || t * c >= b))
+        .find(|&t| fits(t))
+    else {
+        return false;
+    };
+    // The model's R at the shrunk box: its fastest escape
+    // (`rate(λ_j, c_j) ≤ R` binds at the program's optimum).
+    let mut recompute_rate = 0.0_f64;
+    for ((item, &c), _) in cells().filter(|((_, &c), _)| coupled(c)) {
+        let lambda = cfg.rates[item.index()].max(RATE_FLOOR);
+        recompute_rate = recompute_rate.max(cfg.ddm.refresh_rate(lambda, t * c));
+    }
+    columns.reanchor(values, t, recompute_rate);
+    true
+}
+
 /// Moves an installed filter to its newly derived width when
 /// [`filter_changed`] calls that a change; true when it did.
 fn rederive(installed: &mut f64, new: f64) -> bool {
@@ -708,9 +800,54 @@ mod tests {
         // x1 barely moves, but the unit is still owed a solve: retried
         // (and failing again, x0 being what it is) rather than skipped.
         assert!(c.on_refresh(1, 2.01).is_err());
-        let out = c.on_refresh(0, 2.5).unwrap();
+        // Far enough up that the DABs the unit held before it failed no
+        // longer fit there: re-solved, not re-anchored.
+        let out = c.on_refresh(0, 20.0).unwrap();
         assert_eq!(out.recomputed, vec![QueryId(0)]);
+        assert!(out.reanchored.is_empty());
         assert!(c.on_refresh(1, 2.02).unwrap().recomputed.is_empty());
+    }
+
+    /// A rise past a unit's box top, with its partner fallen far enough
+    /// that the primary DABs still fit at the new values: the unit is
+    /// re-anchored there at one of the scales, with no solve, no filter
+    /// change and no recomputation counted.
+    #[test]
+    fn a_rise_whose_primaries_still_fit_reanchors_the_unit() {
+        let (obs, ring) = Obs::ring(1024);
+        let mut c = one_product(&obs);
+        let before = c.assignment(0, 0);
+        let ValidityRange::Box(secondary) = &before.validity else {
+            panic!("a Dual-DAB unit holds a box")
+        };
+        assert!(c.on_refresh(1, 0.5).unwrap().reanchored.is_empty());
+        let solves = |ring: &pq_obs::RingBufferSubscriber| {
+            let events = ring.events();
+            events
+                .iter()
+                .filter(|e| e.target == names::GP_SOLVE)
+                .count()
+        };
+        let solved = solves(&ring);
+        let top = before.anchor[&x(0)] + secondary[&x(0)];
+        let out = c.on_refresh(0, 1.01 * top).unwrap();
+        assert_eq!(out.reanchored, vec![QueryId(0)]);
+        assert!(out.recomputed.is_empty() && out.filter_changes.is_empty());
+        assert_eq!(solves(&ring), solved);
+        assert_eq!(obs.snapshot().counters[names::DAB_RECOMPUTE], 0);
+
+        let after = c.assignment(0, 0);
+        assert_eq!(after.primary, before.primary);
+        assert!(after.anchor.values().eq(c.values()));
+        let ValidityRange::Box(shrunk) = &after.validity else {
+            panic!("a re-anchored unit keeps its box")
+        };
+        let t = shrunk[&x(0)] / secondary[&x(0)];
+        assert!(REANCHOR_SCALES.contains(&t), "scale {t}");
+        assert_eq!(shrunk[&x(1)], t * secondary[&x(1)]);
+        let query = PolynomialQuery::portfolio([(1.0, x(0), x(1))], 5.0).unwrap();
+        assert!(after.respects_qab(&query, 0.0));
+        assert!(after.recompute_rate > before.recompute_rate || t == 1.0);
     }
 
     /// A batch keeps its successful solves: the unit that fails in the

@@ -22,9 +22,9 @@
 //! * [`cache`] — per-unit caches, each unit's compiled program and last
 //!   assignment, re-solved in place;
 //! * [`coordinator`] — the coordinator itself: refresh → notify →
-//!   re-solve the stale units → re-derive the filters, over the three
-//!   above. The monitor, the simulator's engine and the Fig. 8(c) tree
-//!   each wrap one;
+//!   re-anchor or re-solve the stale units → re-derive the filters, over
+//!   the three above. The monitor, the simulator's engine and the
+//!   Fig. 8(c) tree each wrap one;
 //! * [`mod@partition`] — the connected components of the query↔item
 //!   graph, packed onto `k` balanced parts (no shipped path runs more
 //!   than one coordinator; the benchmark times it);

@@ -1,9 +1,10 @@
 //! Golden bits of what a coordinator installs.
 //!
 //! Three books are installed through `Coordinator::install` at a stock
-//! tape's tick-0 values, then driven through the tape's first 60 ticks,
-//! every moved item refreshed, which re-solves whatever the drift
-//! invalidated. After each phase every cell of every unit (anchor,
+//! tape's tick-0 values (at rates sampled over its first 60 ticks), then
+//! driven through the tape's first 240 ticks, every moved item refreshed,
+//! which re-anchors or re-solves whatever the drift invalidated. After
+//! each phase every cell of every unit (anchor,
 //! secondary and primary DAB per item) and every item's installed filter
 //! are folded into an FNV-1a hash of its own: an install hash and a drift
 //! hash per book. A change that moves one bit of one filter fails here.
@@ -19,6 +20,10 @@
 //! The drift hashes were re-taken once more when a `Box` unit's validity
 //! range became one-sided (DESIGN.md §10, "Validity invariant"): a fall
 //! no longer re-solves a unit, so the drift re-solves at other refreshes.
+//! They were re-taken again, over a drift four times as long, when a
+//! stale unit whose primary DABs still fit began to be re-anchored
+//! instead of re-solved (DESIGN.md §10, "Validity invariant"): 60 ticks
+//! re-solved no unit of two of the books.
 
 use pq_core::coordinator::{Config, Coordinator, Scope};
 use pq_core::{dab_solver_options, AssignmentStrategy, PqHeuristic, ValidityRange};
@@ -28,14 +33,15 @@ use pq_poly::{ItemId, PolynomialQuery};
 
 const ITEMS: u32 = 100;
 const QUERIES: usize = 40;
-const DRIFT_TICK: usize = 60;
+const RATE_TICKS: usize = 60;
+const DRIFT_TICKS: usize = 240;
 
 const INSTALL_FIG5: u64 = 0x7b14_da2e_2448_9a41;
-const DRIFT_FIG5: u64 = 0xadbc_ac34_ab76_c2fd;
+const DRIFT_FIG5: u64 = 0xfb01_1a8f_f818_2c4c;
 const INSTALL_OVERLAP: u64 = 0x2dc0_195c_829d_3517;
-const DRIFT_OVERLAP: u64 = 0x0168_b201_2fad_dd47;
+const DRIFT_OVERLAP: u64 = 0x8173_4508_424b_179c;
 const INSTALL_HALF: u64 = 0x952d_f4e9_2535_89c1;
-const DRIFT_HALF: u64 = 0x602f_c449_8156_3147;
+const DRIFT_HALF: u64 = 0xef4b_6363_6d53_f179;
 
 /// 64-bit FNV-1a over the little-endian bytes of every value folded in.
 struct Fnv(u64);
@@ -123,16 +129,18 @@ fn fold(c: &Coordinator, units: &[usize], hash: &mut Fnv) {
     }
 }
 
-/// The hashes of a book installed at tick 0, and of it drifted to tick 60.
+/// The hashes of a book installed at tick 0, and of it drifted to tick
+/// [`DRIFT_TICKS`].
 fn installed_then_drifted(
     queries: impl Fn(&[f64]) -> Vec<PolynomialQuery>,
     heuristic: PqHeuristic,
 ) -> (u64, u64) {
-    let traces = TraceSet::stock_universe(ITEMS as usize, DRIFT_TICK + 1, 0x1CDE_2008);
+    let traces = TraceSet::stock_universe(ITEMS as usize, DRIFT_TICKS + 1, 0x1CDE_2008);
+    let rated = TraceSet::stock_universe(ITEMS as usize, RATE_TICKS + 1, 0x1CDE_2008);
     let rates = RateEstimator::SampledAverage {
-        interval_ticks: DRIFT_TICK,
+        interval_ticks: RATE_TICKS,
     }
-    .estimate_all(&traces);
+    .estimate_all(&rated);
     let start = traces.values_at(0);
     let queries = queries(&start);
     // Half-and-Half splits a mixed-sign body in two units.
@@ -155,7 +163,7 @@ fn installed_then_drifted(
     let mut installed = Fnv::new();
     fold(&c, &units, &mut installed);
     let mut recomputed = 0;
-    for tick in 1..=DRIFT_TICK {
+    for tick in 1..=DRIFT_TICKS {
         for item in 0..ITEMS as usize {
             let now = traces.trace(item).at(tick);
             if now != c.values()[item] {

@@ -4,6 +4,7 @@
 //! [`Reference`] is the coordinator algorithm with every short cut taken
 //! out: query values by `Polynomial::eval`, staleness by a full
 //! `QueryAssignment::is_valid_at` scan over every unit of every query,
+//! re-anchors by `QueryAssignment::respects_qab`'s corner enumeration,
 //! re-solves by the uncached `assign_unit`, filters by a minimum over
 //! every assignment. [`pq_core::Coordinator`] — compiled plan and
 //! delta-maintained values with their rebase period, item-major filter
@@ -11,6 +12,8 @@
 //! decisions on any book. With sources that push the moment they leave
 //! their filter and filters that install the moment they change, every
 //! query must stay within its QAB under every strategy and heuristic.
+
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 
 use proptest::prelude::*;
 
@@ -31,6 +34,17 @@ const STRATEGIES: [AssignmentStrategy; 4] = [
     AssignmentStrategy::PerItemSplit,
     AssignmentStrategy::EqualDab,
 ];
+
+/// Cases each property runs.
+const CASES: u32 = 12;
+/// Cases of `condition_one_holds_at_every_corner_of_the_filters` run so
+/// far, and the units their walks re-anchored.
+static CORNER_CASES: AtomicU32 = AtomicU32::new(0);
+static CORNER_REANCHORS: AtomicUsize = AtomicUsize::new(0);
+
+/// The queries of the units a refresh re-solved, and of those it
+/// re-anchored, one entry per unit.
+type Refreshed = (Vec<QueryId>, Vec<QueryId>);
 
 /// The differential oracle (see the module docs).
 struct Reference {
@@ -67,9 +81,44 @@ impl Reference {
         assign_unit(&self.units[q][u], &ctx, STRATEGY).expect("positive data")
     }
 
+    /// The stale unit `u` of query `q` re-anchored at the current values,
+    /// when its primary DABs still hold there: its `Box` of secondary
+    /// DABs scaled by the first `t` of `1, ½, ¼, ⅛` whose every corner
+    /// keeps the unit's QAB, tried while every scaled finite secondary
+    /// DAB stays at or above its primary one, over non-negative values.
+    fn reanchored(&self, q: usize, u: usize) -> Option<QueryAssignment> {
+        let a = &self.assignments[q][u];
+        let ValidityRange::Box(c) = &a.validity else {
+            return None;
+        };
+        let values = || a.anchor.keys().map(|&i| (i, self.values[i.index()]));
+        if !values().all(|(_, v)| v >= 0.0) {
+            return None;
+        }
+        let unit = &self.units[q][u];
+        let query = PolynomialQuery::shared(unit.body.clone(), unit.qab).unwrap();
+        for t in [1.0, 0.5, 0.25, 0.125] {
+            if c.iter()
+                .any(|(i, &c)| c.is_finite() && t * c < a.primary[i])
+            {
+                return None;
+            }
+            let moved = QueryAssignment {
+                anchor: values().collect(),
+                validity: ValidityRange::Box(c.iter().map(|(&i, &c)| (i, t * c)).collect()),
+                ..a.clone()
+            };
+            if moved.respects_qab(&query, 0.0) {
+                return Some(moved);
+            }
+        }
+        None
+    }
+
     /// One refresh: the notifications it causes and, once per unit it
-    /// breaks (re-solved before returning), the unit's query.
-    fn on_refresh(&mut self, item: usize, value: f64) -> (Vec<(QueryId, f64)>, Vec<QueryId>) {
+    /// breaks (re-anchored or re-solved before returning), the unit's
+    /// query, as `(recomputed, reanchored)`.
+    fn on_refresh(&mut self, item: usize, value: f64) -> (Vec<(QueryId, f64)>, Refreshed) {
         self.values[item] = value;
         let mut notify = Vec::new();
         for (qi, q) in self.queries.iter().enumerate() {
@@ -89,11 +138,20 @@ impl Reference {
                 }
             }
         }
-        for &(q, u) in &stale {
-            self.assignments[q][u] = self.solve(q, u);
+        let (mut recomputed, mut reanchored) = (Vec::new(), Vec::new());
+        for (q, u) in stale {
+            self.assignments[q][u] = match self.reanchored(q, u) {
+                Some(moved) => {
+                    reanchored.push(QueryId(q as u32));
+                    moved
+                }
+                None => {
+                    recomputed.push(QueryId(q as u32));
+                    self.solve(q, u)
+                }
+            };
         }
-        let recomputed = stale.iter().map(|&(q, _)| QueryId(q as u32)).collect();
-        (notify, recomputed)
+        (notify, (recomputed, reanchored))
     }
 
     /// The EQI minimum rule over every assignment.
@@ -161,21 +219,23 @@ fn heuristic(half_and_half: u8) -> PqHeuristic {
 /// Zero delay: every source outside its filter pushes through `apply` +
 /// `react`, and the filter changes each push returns are installed at
 /// once (which may send another source out of its new filter, so the
-/// pushes run until none is outside). Stops at the first push whose
-/// re-solve fails.
+/// pushes run until none is outside). Returns how many units the pushes
+/// re-anchored; stops at the first push whose re-solve fails.
 fn push_until_settled(
     core: &mut Coordinator,
     filters: &mut [f64],
     source: &[f64],
-) -> Result<(), InstallError> {
+) -> Result<usize, InstallError> {
+    let mut reanchored = 0;
     while let Some(i) = (0..N_ITEMS).find(|&i| (source[i] - core.values()[i]).abs() > filters[i]) {
         core.apply(i, source[i]).unwrap();
         let out = core.react(i, None)?;
+        reanchored += out.reanchored.len();
         for (ItemId(j), b) in out.filter_changes {
             filters[j as usize] = b;
         }
     }
-    Ok(())
+    Ok(reanchored)
 }
 
 /// The unit with the tightest finite validity range for `item`, as
@@ -215,7 +275,7 @@ fn state_bits(core: &Coordinator) -> Vec<u64> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+    #![proptest_config(ProptestConfig::with_cases(CASES))]
 
     /// Over more than three rebase periods of random refreshes, the
     /// coordinator and the reference agree after every call: query
@@ -238,7 +298,7 @@ proptest! {
         for (step, (item, delta)) in moves.into_iter().enumerate() {
             let value = (core.values()[item] + delta).clamp(0.5, 2.0);
             let out = core.on_refresh(item, value).unwrap();
-            let (want_notify, want_recomputed) = oracle.on_refresh(item, value);
+            let (want_notify, (want_recomputed, want_reanchored)) = oracle.on_refresh(item, value);
             for (qi, q) in queries.iter().enumerate() {
                 let (got, want) = (core.query_values()[qi], q.eval(core.values()));
                 prop_assert!(close(got, want, 1e-12), "step {}, q{}: {} vs {}", step, qi, got, want);
@@ -249,6 +309,7 @@ proptest! {
                 prop_assert!(close(got, want, 1e-12));
             }
             prop_assert_eq!(&out.recomputed, &want_recomputed, "step {}", step);
+            prop_assert_eq!(&out.reanchored, &want_reanchored, "step {}", step);
             for i in 0..N_ITEMS {
                 let (got, want) = (core.filter(i), oracle.filter(i));
                 prop_assert!(
@@ -361,7 +422,9 @@ proptest! {
     /// move below the mirror image may fail its re-solve (the GP refuses
     /// a negative value); the source then goes back to where it was, the
     /// coordinator's filters are shipped again, and that delivery must
-    /// succeed. Any other failed delivery fails the test.
+    /// succeed. Any other failed delivery fails the test. The walks must
+    /// re-anchor some unit over the cases: a corner check that only ever
+    /// sees re-solved units cannot catch a bad re-anchor.
     #[test]
     fn condition_one_holds_at_every_corner_of_the_filters(
         queries in proptest::collection::vec(arb_query(), 1..6),
@@ -400,7 +463,9 @@ proptest! {
                         _ => source[item] = (source[item] + delta).clamp(0.5, 2.0),
                     }
                     match push_until_settled(&mut core, &mut filters, &source) {
-                        Ok(()) => {}
+                        Ok(reanchored) => {
+                            CORNER_REANCHORS.fetch_add(reanchored, Ordering::Relaxed);
+                        }
                         Err(_) if kind == 8 => {
                             source[item] = before;
                             filters = (0..N_ITEMS).map(|i| core.filter(i)).collect();
@@ -427,6 +492,13 @@ proptest! {
                     }
                 }
             }
+        }
+        // The last case of the sweep (a replayed case runs alone).
+        if CORNER_CASES.fetch_add(1, Ordering::Relaxed) + 1 == CASES {
+            prop_assert!(
+                CORNER_REANCHORS.load(Ordering::Relaxed) > 0,
+                "no corner walk re-anchored a unit"
+            );
         }
     }
 }

@@ -9,6 +9,10 @@ pub struct SimMetrics {
     pub refreshes: u64,
     /// Total DAB recomputations across all queries (metric 3).
     pub recomputations: u64,
+    /// Invalidated Dual-DAB units whose primary DABs still held at the
+    /// new values, so they were re-anchored there instead of recomputed
+    /// (`pq_core::Outcome::reanchored`): no solve, no message.
+    pub reanchors: u64,
     /// DAB-change messages sent from the coordinator to sources after
     /// recomputations (informational; the paper folds these into `mu`).
     pub dab_change_messages: u64,

@@ -18,8 +18,8 @@ use pq_obs::{names, Obs, ObsConfig};
 use pq_poly::{ItemCatalog, ItemId, PolyError, Polynomial, PolynomialQuery, QueryId};
 
 /// What happened when a refresh was applied: [`pq_core::Outcome`], with
-/// each recomputed query listed once and each changed item once, at the
-/// filter now installed, ascending by item.
+/// each recomputed or re-anchored query listed once and each changed item
+/// once, at the filter now installed, ascending by item.
 pub type RefreshOutcome = pq_core::Outcome;
 
 /// Builder-style configuration + runtime state for one coordinator.
@@ -240,8 +240,8 @@ impl Monitor {
     }
 
     /// Applies an arriving refresh: updates the cached value, determines
-    /// user notifications, recomputes any invalidated assignments, and
-    /// reports filter changes to ship back to sources.
+    /// user notifications, re-anchors or recomputes any invalidated
+    /// assignments, and reports filter changes to ship back to sources.
     ///
     /// # Errors
     /// With the monitor's state untouched: [`DabError::NotInstalled`]
@@ -257,6 +257,7 @@ impl Monitor {
         // Units come query by query; an item's later change supersedes
         // its earlier one.
         outcome.recomputed.dedup();
+        outcome.reanchored.dedup();
         outcome.filter_changes.reverse();
         outcome.filter_changes.sort_by_key(|&(item, _)| item);
         outcome.filter_changes.dedup_by_key(|&mut (item, _)| item);
@@ -268,6 +269,7 @@ impl Monitor {
 mod tests {
     use super::*;
     use pq_gp::SolverOptions;
+    use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 
     fn two_item_monitor() -> (Monitor, ItemId, ItemId, QueryId) {
         let mut m = Monitor::new();
@@ -384,7 +386,9 @@ mod tests {
     #[test]
     fn a_disabled_handle_changes_no_outcome() {
         // 48 queries: the install splits them over two workers wherever
-        // there are two cores.
+        // there are two cores. A ±10 % wave: at ±3 % every stale unit
+        // re-anchors, at any QAB (b and c scale with it), and nothing is
+        // re-solved.
         let replay = |obs: Option<Obs>| {
             let mut m = Monitor::new();
             if let Some(obs) = obs {
@@ -410,7 +414,7 @@ mod tests {
                 .map(|step| {
                     let i = (step * 7) % n_items;
                     let wave = (0.37 * step as f64 + i as f64).sin();
-                    let value = initial[i] * (1.0 + 0.03 * wave);
+                    let value = initial[i] * (1.0 + 0.1 * wave);
                     let mut outcome = m.on_refresh(items[i], value).unwrap();
                     outcome.solve_ns = 0; // wall clock
                     outcome
@@ -575,8 +579,14 @@ mod tests {
             .prop_map(|(p, qab)| PolynomialQuery::new(p, qab).unwrap())
     }
 
+    /// Cases of the corner walk, the cases run so far, and the queries
+    /// their walks re-anchored.
+    const CORNER_CASES: u32 = 8;
+    static CORNER_CASES_RUN: AtomicU32 = AtomicU32::new(0);
+    static CORNER_REANCHORS: AtomicUsize = AtomicUsize::new(0);
+
     proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(8))]
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(CORNER_CASES))]
 
         /// Condition 1 where it binds, through the monitor's surface:
         /// sources take moves of ±0.6 on [0.5, 2] and moves to exactly 0
@@ -584,7 +594,9 @@ mod tests {
         /// and install each returned filter change at once. After every
         /// step, anywhere each source may sit without pushing, each query
         /// is within its QAB of the monitor's value, under every strategy
-        /// and heuristic.
+        /// and heuristic. The walks must re-anchor some query over the
+        /// cases: a corner check that only ever sees re-solved units cannot
+        /// catch a bad re-anchor.
         #[test]
         fn condition1_holds_at_every_corner_of_the_shipped_filters(
             queries in proptest::collection::vec(arb_query(), 1..5),
@@ -618,6 +630,7 @@ mod tests {
                             .find(|&i| (source[i] - values(&m)[i]).abs() > filters[i])
                         {
                             let out = m.on_refresh(ItemId(i as u32), source[i]).unwrap();
+                            CORNER_REANCHORS.fetch_add(out.reanchored.len(), Ordering::Relaxed);
                             for (changed, b) in out.filter_changes {
                                 filters[changed.index()] = b;
                             }
@@ -633,6 +646,13 @@ mod tests {
                         }
                     }
                 }
+            }
+            // The last case of the sweep (a replayed case runs alone).
+            if CORNER_CASES_RUN.fetch_add(1, Ordering::Relaxed) + 1 == CORNER_CASES {
+                proptest::prop_assert!(
+                    CORNER_REANCHORS.load(Ordering::Relaxed) > 0,
+                    "no corner walk re-anchored a query"
+                );
             }
         }
     }
