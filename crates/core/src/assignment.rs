@@ -216,6 +216,14 @@ pub(crate) fn accepts([lo, hi]: [f64; 2], value: f64) -> bool {
     lo <= value && value <= hi
 }
 
+/// The secondary DAB a re-anchor at scale `t` leaves an item whose
+/// secondary DAB is `c` and primary `b`: `t·c`, never below `b` (the
+/// Dual-DAB program's `b ≤ c` row, bit for bit).
+#[inline]
+pub(crate) fn reanchored_secondary(t: f64, c: f64, b: f64) -> f64 {
+    (t * c).max(b)
+}
+
 /// One unit's assignment as a coordinator stores it: per item of the
 /// unit ([`UnitColumns::items`], ascending) its anchor value, its
 /// secondary DAB and its primary DAB. These three columns are what every
@@ -315,17 +323,21 @@ impl UnitColumns {
     }
 
     /// Moves the assignment to the values it is now valid at: each
-    /// item's anchor to `values[item]`, each finite secondary DAB scaled
-    /// by `t`, and the recompute rate to `recompute_rate`. The primary
-    /// DABs, and so the refresh rate, stay as they are.
+    /// item's anchor to `values[item]`, each finite secondary DAB `c` to
+    /// `max(t·c, b)` over its primary DAB `b`, and the recompute rate to
+    /// `recompute_rate`. The primary DABs, and so the refresh rate, stay
+    /// as they are.
     pub(crate) fn reanchor(&mut self, values: &[f64], t: f64, recompute_rate: f64) {
         let n = self.items.len();
         let (anchor, rest) = self.cells.split_at_mut(n);
         for (v0, item) in anchor.iter_mut().zip(self.items.iter()) {
             *v0 = values[item.index()];
         }
-        for c in rest[..n].iter_mut().filter(|c| c.is_finite()) {
-            *c *= t;
+        let (secondary, primary) = rest.split_at_mut(n);
+        for (c, &b) in secondary.iter_mut().zip(&*primary) {
+            if c.is_finite() {
+                *c = reanchored_secondary(t, *c, b);
+            }
         }
         self.recompute_rate = recompute_rate;
     }

@@ -20,7 +20,9 @@ use pq_gp::SolverOptions;
 use pq_obs::{names, Counter, EventKind, Obs, Timer};
 use pq_poly::{ItemId, PolynomialQuery, QueryId, SharedPlan, SharedView};
 
-use crate::assignment::{QueryAssignment, RangeKind, UnitColumns, ValidityRange};
+use crate::assignment::{
+    reanchored_secondary, QueryAssignment, RangeKind, UnitColumns, ValidityRange,
+};
 use crate::cache::{filter_changed, SolveCache};
 use crate::context::{SolveContext, RATE_FLOOR};
 use crate::error::DabError;
@@ -452,12 +454,14 @@ impl Coordinator {
     ///
     /// A stale Dual-DAB unit (a `Box` range) is first tried for a
     /// re-anchor: while its primary DABs `b`, with its secondary DABs `c`
-    /// scaled to `t·c` (`t` of `1, ½, ¼, ⅛`, `t·c ≥ b`), are still a
-    /// feasible point of its own program at the current values `W ≥ 0`,
-    /// `P(W + t·c + b) − P(W + t·c) ≤ B`, the unit is anchored at `W`
-    /// with secondary DABs `t·c` instead of solved. No filter moves, so
-    /// nothing is shipped, and it counts in [`Outcome::reanchored`], not
-    /// as a recomputation. Every other stale unit is re-solved.
+    /// shrunk to `c' = max(t·c, b)` (`t` of `1, ½, ¼, ⅛` down to the
+    /// floor `max_j b_j / c_j`, then the floor itself), are still a
+    /// feasible point of its own program at the current values `W`,
+    /// `P(W + c' + b) − P(W + c') ≤ B`, the unit is anchored at `W`
+    /// with secondary DABs `c'` instead of solved. No filter moves, so
+    /// nothing is shipped; it counts in [`Outcome::reanchored`], not as a
+    /// recomputation, and emits a `dab.reanchor` event. Every other stale
+    /// unit is re-solved.
     ///
     /// # Errors
     /// The first re-solve that failed, with its query's index. The value
@@ -519,8 +523,9 @@ impl Coordinator {
         for &(qi, ui) in stale {
             let unit = &self.units[qi][ui];
             let columns = &mut self.cache.unit_mut(qi, ui).columns;
-            if reanchor(unit, &self.values, &self.cfg, columns, &mut self.point) {
+            if let Some(rung) = reanchor(unit, &self.values, &self.cfg, columns, &mut self.point) {
                 self.filters.write(qi, ui, columns);
+                self.note_reanchor(qi, ui, item, rung, at);
                 outcome.reanchored.push(QueryId(qi as u32));
                 continue;
             }
@@ -628,6 +633,21 @@ impl Coordinator {
         });
     }
 
+    /// Emits the `dab.reanchor` event of unit `ui` of query `qi`, which
+    /// the refresh of `item` broke and which was re-anchored at `rung`.
+    fn note_reanchor(&self, qi: usize, ui: usize, item: usize, rung: Rung, at: Option<f64>) {
+        let Config { obs, scope, .. } = &self.cfg;
+        obs.emit_with(names::DAB_REANCHOR, EventKind::Count, |e| {
+            let e = match scope.node {
+                Some(c) => e.with("node", c),
+                None => e,
+            };
+            let e = e.with("query", scope.query(qi)).with("unit", ui);
+            let e = e.with("item", scope.item(item)).with("scale", rung.t);
+            stamp(e.with("floor", rung.floor), at)
+        });
+    }
+
     /// Re-derives the installed filter of each of `items`, returning the
     /// ones that changed, in order.
     pub fn rederive(&mut self, items: impl IntoIterator<Item = usize>) -> Vec<(ItemId, f64)> {
@@ -663,66 +683,98 @@ fn admit_all(values: &[f64]) -> Result<(), DabError> {
 }
 
 /// The secondary-DAB scales `t` a stale `Box` unit is re-anchored at,
-/// tried in order before it is re-solved.
+/// tried in order, down to the unit's floor, before it is re-solved.
 const REANCHOR_SCALES: [f64; 4] = [1.0, 0.5, 0.25, 0.125];
+
+/// The scale a stale unit was re-anchored at: its secondary DABs are now
+/// `max(t·c, b)`. `floor` when `t` is the unit's floor `max_j b_j / c_j`
+/// rather than one of [`REANCHOR_SCALES`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Rung {
+    t: f64,
+    floor: bool,
+}
 
 /// Re-anchors `columns`, the stale assignment of `unit`, at `values`
 /// when its primary DABs `b` are still a feasible point of the unit's
-/// Dual-DAB program there (§III-A.2, Eq. 2); true when it did. Only a
-/// `Box` assignment is tried, and only while `W`, `values` on the unit's
-/// items, is non-negative (the program's data; the refresh gate keeps it
-/// finite). For each `t` of [`REANCHOR_SCALES`], until some
-/// coupled item has `t·c < b` (the program's `b ≤ c` row), the test is
-/// `P(W + t·c + b) − P(W + t·c) ≤ B` on the unit's body `P` and QAB `B`,
-/// an uncoupled item (`c = +∞`) entering with `c = 0`: its terms are
-/// linear, so its value moves nothing. At the first `t` that passes, the
-/// unit is anchored at `W` with secondary DABs `t·c`, its primary DABs
-/// kept, and its recompute rate set to the model's `R` at the shrunk
-/// box. That point is feasible for the program at `W`, so it is valid
-/// over `[min(0, W − t·c), W + t·c]` as a solve there would be (DESIGN.md
-/// §10, "Validity invariant"). `point` is scratch over every item.
+/// Dual-DAB program there (§III-A.2, Eq. 2); the scale it used, when it
+/// did. Only a `Box` assignment is tried, and only while `W`, `values`
+/// on the unit's coupled items (`c < +∞`, the ones whose value enters
+/// the program's data), is non-negative; the refresh gate keeps it
+/// finite. The rungs are the `t` of [`REANCHOR_SCALES`] at or above the
+/// floor `t_min = max_j b_j / c_j` over coupled items, then `t_min`
+/// itself: at each the box is `c' = max(t·c, b)`, so the program's
+/// `b ≤ c` row holds bit for bit, and the test is
+/// `P(W + c' + b) − P(W + c') ≤ B` on the unit's body `P` and QAB `B`,
+/// an uncoupled item entering with `c' = 0`: its terms are linear, so
+/// its value moves nothing. At the first rung that passes, the unit is
+/// anchored at `W` with secondary DABs `c'`, its primary DABs kept, and
+/// its recompute rate set to the model's `R` at `c'`. That point is
+/// feasible for the program at `W`, so it is valid over
+/// `[min(0, W − c'), W + c']` as a solve there would be (DESIGN.md §10,
+/// "Validity invariant"). `point` is scratch over every item.
 fn reanchor(
     unit: &AssignmentUnit,
     values: &[f64],
     cfg: &Config,
     columns: &mut UnitColumns,
     point: &mut [f64],
-) -> bool {
+) -> Option<Rung> {
     if columns.kind() != RangeKind::Box {
-        return false;
+        return None;
     }
     let items = columns.items();
-    if !items.iter().all(|i| values[i.index()] >= 0.0) {
-        return false;
-    }
     let cells = || items.iter().zip(columns.secondary()).zip(columns.primary());
-    let coupled = |c: f64| c != f64::INFINITY;
+    let coupled = || cells().filter(|((_, &c), _)| c != f64::INFINITY);
+    if !coupled().all(|((item, _), _)| values[item.index()] >= 0.0) {
+        return None;
+    }
+    let mut floor = 0.0_f64;
+    for ((_, &c), &b) in coupled() {
+        // A NaN ratio (a NaN cell, or `b = c = 0`) has no floor: no rung.
+        let need = b / c;
+        if need.is_nan() {
+            return None;
+        }
+        floor = floor.max(need);
+    }
     let mut fits = |t: f64| {
         let mut body_at = |with_b: bool| {
             for ((item, &c), &b) in cells() {
-                let corner = values[item.index()] + if coupled(c) { t * c } else { 0.0 };
+                let uncoupled = c == f64::INFINITY;
+                let shift = if uncoupled {
+                    0.0
+                } else {
+                    reanchored_secondary(t, c, b)
+                };
+                let corner = values[item.index()] + shift;
                 point[item.index()] = if with_b { corner + b } else { corner };
             }
             unit.body.eval(point)
         };
         body_at(true) - body_at(false) <= unit.qab
     };
-    let Some(t) = REANCHOR_SCALES
-        .into_iter()
-        .take_while(|&t| cells().all(|((_, &c), &b)| !coupled(c) || t * c >= b))
-        .find(|&t| fits(t))
-    else {
-        return false;
-    };
+    let scales = (REANCHOR_SCALES.into_iter())
+        .take_while(|&t| t >= floor)
+        .map(|t| Rung { t, floor: false });
+    let own_rung = 0.0 < floor && floor <= 1.0 && !REANCHOR_SCALES.contains(&floor);
+    let at_floor = own_rung.then_some(Rung {
+        t: floor,
+        floor: true,
+    });
+    let rung = scales.chain(at_floor).find(|rung| fits(rung.t))?;
     // The model's R at the shrunk box: its fastest escape
     // (`rate(λ_j, c_j) ≤ R` binds at the program's optimum).
     let mut recompute_rate = 0.0_f64;
-    for ((item, &c), _) in cells().filter(|((_, &c), _)| coupled(c)) {
+    for ((item, &c), &b) in coupled() {
         let lambda = cfg.rates[item.index()].max(RATE_FLOOR);
-        recompute_rate = recompute_rate.max(cfg.ddm.refresh_rate(lambda, t * c));
+        let escape = cfg
+            .ddm
+            .refresh_rate(lambda, reanchored_secondary(rung.t, c, b));
+        recompute_rate = recompute_rate.max(escape);
     }
-    columns.reanchor(values, t, recompute_rate);
-    true
+    columns.reanchor(values, rung.t, recompute_rate);
+    Some(rung)
 }
 
 /// Moves an installed filter to its newly derived width when
@@ -808,6 +860,54 @@ mod tests {
         assert!(c.on_refresh(1, 2.02).unwrap().recomputed.is_empty());
     }
 
+    /// An item every query reads only linearly enters no deviation
+    /// coefficient, so a negative value on it is data like any other:
+    /// x1 moves to −3.28, then x0 moves far enough to stale the units
+    /// that read both. Every refresh succeeds under either strategy and
+    /// heuristic, and the worst corner of the filters keeps every QAB.
+    #[test]
+    fn a_negative_value_on_a_linear_only_item_breaks_no_re_solve() {
+        let term = |c: f64, vars: &[(u32, u32)]| {
+            pq_poly::PTerm::new(c, vars.iter().map(|&(i, p)| (x(i), p))).unwrap()
+        };
+        let body = |terms: Vec<_>| pq_poly::Polynomial::from_terms(terms);
+        let queries = [
+            body(vec![term(1.0, &[(0, 1), (2, 1)]), term(1.0, &[(1, 1)])]),
+            body(vec![term(1.0, &[(2, 1), (3, 1)]), term(0.5, &[(1, 1)])]),
+            // Mixed sign: the heuristics split it.
+            body(vec![
+                term(1.0, &[(0, 1), (3, 1)]),
+                term(-0.5, &[(2, 2)]),
+                term(2.0, &[(1, 1)]),
+            ]),
+        ];
+        let queries: Vec<_> = (queries.into_iter())
+            .map(|p| PolynomialQuery::new(p, 0.4).unwrap())
+            .collect();
+        for strategy in [DUAL, AssignmentStrategy::OptimalRefresh] {
+            for heuristic in [PqHeuristic::HalfAndHalf, PqHeuristic::DifferentSum] {
+                let (values, cfg) = (vec![2.0; 4], config(4, &Obs::null()));
+                let mut c =
+                    Coordinator::install(&queries, strategy, heuristic, values, cfg).unwrap();
+                let mut recomputed = 0;
+                for (item, value) in [(1, -3.28), (0, 6.0), (3, 0.5)] {
+                    let out = c.on_refresh(item, value);
+                    let out = out.unwrap_or_else(|e| panic!("{strategy} / {heuristic:?}: {e}"));
+                    recomputed += out.recomputed.len();
+                    let filters: Vec<f64> = (0..4).map(|i| c.filter(i)).collect();
+                    for q in &queries {
+                        let worst = q.poly().max_abs_deviation_over_box(c.values(), &filters);
+                        assert!(worst <= q.qab() * (1.0 + 1e-6), "{strategy}: {worst}");
+                    }
+                }
+                assert!(
+                    recomputed > 0,
+                    "{strategy} / {heuristic:?} re-solved nothing"
+                );
+            }
+        }
+    }
+
     /// A rise past a unit's box top, with its partner fallen far enough
     /// that the primary DABs still fit at the new values: the unit is
     /// re-anchored there at one of the scales, with no solve, no filter
@@ -848,6 +948,57 @@ mod tests {
         let query = PolynomialQuery::portfolio([(1.0, x(0), x(1))], 5.0).unwrap();
         assert!(after.respects_qab(&query, 0.0));
         assert!(after.recompute_rate > before.recompute_rate || t == 1.0);
+    }
+
+    /// `x0 x1 : 5` at `(2, 2)` holds `b ≈ 0.518`, `c ≈ 2.566` on both
+    /// items, so its floor is `b / c ≈ 0.202`. At `(5.96, 2)` the
+    /// primaries fit a box of `b` (`x0 + x1 ≤ 8.10`) but not of `¼ c`
+    /// (`≤ 7.85`): the unit is re-anchored at the floor rung, with no
+    /// solve, and its event says so.
+    #[test]
+    fn a_unit_whose_primaries_fit_only_at_its_floor_reanchors_there() {
+        let (obs, ring) = Obs::ring(1024);
+        let mut c = one_product(&obs);
+        let before = c.assignment(0, 0);
+        let solves = |ring: &pq_obs::RingBufferSubscriber| {
+            (ring.events().iter())
+                .filter(|e| e.target == names::GP_SOLVE)
+                .count()
+        };
+        let solved = solves(&ring);
+        let out = c.on_refresh(0, 5.96).unwrap();
+        assert_eq!(solves(&ring), solved);
+        assert_eq!(out.reanchored, vec![QueryId(0)]);
+        assert!(out.recomputed.is_empty() && out.filter_changes.is_empty());
+        let after = c.assignment(0, 0);
+        let ValidityRange::Box(shrunk) = &after.validity else {
+            panic!("a re-anchored unit keeps its box")
+        };
+        // Both items bind the floor: the box is the primaries, bit for bit.
+        assert_eq!(
+            shrunk.values().collect::<Vec<_>>(),
+            after.primary.values().collect::<Vec<_>>()
+        );
+        assert_eq!(after.primary, before.primary);
+        let query = PolynomialQuery::portfolio([(1.0, x(0), x(1))], 5.0).unwrap();
+        assert!(after.respects_qab(&query, 0.0));
+
+        use pq_obs::Value;
+        let events = ring.events();
+        let reanchors: Vec<_> = (events.iter())
+            .filter(|e| e.target == names::DAB_REANCHOR)
+            .collect();
+        assert_eq!(reanchors.len(), 1);
+        let e = reanchors[0];
+        assert_eq!(e.field("query"), Some(&Value::U64(0)));
+        assert_eq!(e.field("unit"), Some(&Value::U64(0)));
+        assert_eq!(e.field("item"), Some(&Value::U64(0)));
+        assert_eq!(e.field("floor"), Some(&Value::Bool(true)));
+        let ValidityRange::Box(secondary) = &before.validity else {
+            panic!("a Dual-DAB unit holds a box")
+        };
+        let floor = before.primary[&x(0)] / secondary[&x(0)];
+        assert_eq!(e.field("scale"), Some(&Value::F64(floor)));
     }
 
     /// A batch keeps its successful solves: the unit that fails in the

@@ -10,11 +10,14 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use pq_core::coordinator::{Config, Coordinator, Scope};
 use pq_core::{
-    assign_unit_cached, assignment_units, AssignmentStrategy, AssignmentUnit, PqHeuristic,
-    SolveContext, UnitCache,
+    assign_unit_cached, assignment_units, dab_solver_options, AssignmentStrategy, AssignmentUnit,
+    PqHeuristic, SolveContext, UnitCache, ValidityRange,
 };
+use pq_ddm::DataDynamicsModel;
 use pq_gp::{CompiledGp, GpProblem, Monomial, Posynomial};
+use pq_obs::Obs;
 use pq_poly::{ItemId, PolynomialQuery};
 
 struct Counting;
@@ -191,4 +194,49 @@ fn a_compiled_program_is_four_allocations() {
     let (n, compiled) = allocations_in(|| CompiledGp::compile(&problem).unwrap());
     assert_eq!(compiled.n_constraints(), 1 + 2 * k);
     assert!(n <= 4, "compiling allocated {n} times");
+}
+
+/// A refresh that only re-anchors — the common path of a stale Dual-DAB
+/// unit — allocates what its [`pq_core::coordinator::Outcome`] returns
+/// and the stale list, not a solve's worth. `x0 x1 : 5` at `(2, 2)` holds
+/// `b ≈ 0.518`, `c ≈ 2.566` on both items: `x0 → 4.7` re-anchors at
+/// `t = ¼`, then `x0 → 5.96` at the floor, where the box is `b` itself.
+#[test]
+fn a_refresh_that_only_re_anchors_stays_within_its_allocation_budget() {
+    let q = PolynomialQuery::portfolio([(1.0, ItemId(0), ItemId(1))], 5.0).unwrap();
+    let cfg = Config {
+        rates: vec![1.0; 2],
+        ddm: DataDynamicsModel::Monotonic,
+        gp: dab_solver_options(),
+        obs: Obs::null(),
+        scope: Scope::default(),
+    };
+    let strategy = AssignmentStrategy::DualDab { mu: 5.0 };
+    let book = std::slice::from_ref(&q);
+    let mut c =
+        Coordinator::install(book, strategy, PqHeuristic::DifferentSum, vec![2.0; 2], cfg).unwrap();
+    // Each ceiling is the call's reading plus one: 3 (the stale list,
+    // the notification and the re-anchored query), then 2 (the query
+    // moved less than its QAB since it was last notified).
+    for (value, floor, ceiling) in [(4.7, false, 4), (5.96, true, 3)] {
+        let (n, out) = allocations_in(|| c.on_refresh(0, value).unwrap());
+        assert!(
+            out.reanchored.len() == 1 && out.recomputed.is_empty(),
+            "{out:?}"
+        );
+        let a = c.assignment(0, 0);
+        let ValidityRange::Box(secondary) = &a.validity else {
+            panic!("a re-anchored unit keeps its box")
+        };
+        assert_eq!(
+            secondary.values().eq(a.primary.values()),
+            floor,
+            "x0 = {value}"
+        );
+        println!("re-anchor at x0 = {value}: {n} allocations");
+        assert!(
+            n <= ceiling,
+            "a re-anchor at x0 = {value} allocated {n} times"
+        );
+    }
 }

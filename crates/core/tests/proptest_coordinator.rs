@@ -82,37 +82,53 @@ impl Reference {
     }
 
     /// The stale unit `u` of query `q` re-anchored at the current values,
-    /// when its primary DABs still hold there: its `Box` of secondary
-    /// DABs scaled by the first `t` of `1, ½, ¼, ⅛` whose every corner
-    /// keeps the unit's QAB, tried while every scaled finite secondary
-    /// DAB stays at or above its primary one, over non-negative values.
+    /// when its primary DABs still hold there: each finite secondary DAB
+    /// `c` widened to `max(t·c, b)` over its primary `b`, for the first
+    /// `t` whose every corner keeps the unit's QAB, trying the `t` of
+    /// `1, ½, ¼, ⅛` at or above the floor `max b / c`, then the floor,
+    /// over non-negative values on the items with a finite `c`.
     fn reanchored(&self, q: usize, u: usize) -> Option<QueryAssignment> {
         let a = &self.assignments[q][u];
         let ValidityRange::Box(c) = &a.validity else {
             return None;
         };
-        let values = || a.anchor.keys().map(|&i| (i, self.values[i.index()]));
-        if !values().all(|(_, v)| v >= 0.0) {
+        let coupled = || c.iter().filter(|(_, c)| c.is_finite());
+        if !coupled().all(|(i, _)| self.values[i.index()] >= 0.0) {
             return None;
+        }
+        let needs: Vec<f64> = coupled().map(|(i, &c)| a.primary[i] / c).collect();
+        if needs.iter().any(|n| n.is_nan()) {
+            return None;
+        }
+        let floor = needs.into_iter().fold(0.0, f64::max);
+        let scales = [1.0, 0.5, 0.25, 0.125];
+        let mut rungs: Vec<f64> = scales.into_iter().filter(|&t| t >= floor).collect();
+        if 0.0 < floor && floor <= 1.0 && !scales.contains(&floor) {
+            rungs.push(floor);
         }
         let unit = &self.units[q][u];
         let query = PolynomialQuery::shared(unit.body.clone(), unit.qab).unwrap();
-        for t in [1.0, 0.5, 0.25, 0.125] {
-            if c.iter()
-                .any(|(i, &c)| c.is_finite() && t * c < a.primary[i])
-            {
-                return None;
+        let widened = |t: f64, i: &ItemId, c: f64| {
+            if c.is_finite() {
+                (t * c).max(a.primary[i])
+            } else {
+                c
             }
+        };
+        rungs.into_iter().find_map(|t| {
             let moved = QueryAssignment {
-                anchor: values().collect(),
-                validity: ValidityRange::Box(c.iter().map(|(&i, &c)| (i, t * c)).collect()),
+                anchor: a
+                    .anchor
+                    .keys()
+                    .map(|&i| (i, self.values[i.index()]))
+                    .collect(),
+                validity: ValidityRange::Box(
+                    c.iter().map(|(i, &c)| (*i, widened(t, i, c))).collect(),
+                ),
                 ..a.clone()
             };
-            if moved.respects_qab(&query, 0.0) {
-                return Some(moved);
-            }
-        }
-        None
+            moved.respects_qab(&query, 0.0).then_some(moved)
+        })
     }
 
     /// One refresh: the notifications it causes and, once per unit it
@@ -419,12 +435,15 @@ proptest! {
     /// Dual-DAB optimum puts it on the bound, so a filter a little looser
     /// than its unit allows shows here, and so does a unit kept valid at
     /// a value of larger magnitude than its condition covers. Only the
-    /// move below the mirror image may fail its re-solve (the GP refuses
-    /// a negative value); the source then goes back to where it was, the
-    /// coordinator's filters are shipped again, and that delivery must
-    /// succeed. Any other failed delivery fails the test. The walks must
-    /// re-anchor some unit over the cases: a corner check that only ever
-    /// sees re-solved units cannot catch a bad re-anchor.
+    /// move below the mirror image may fail its re-solve: the GP refuses
+    /// a negative value on an item some product or power reads. An item
+    /// read only linearly enters no coefficient, so its negative value
+    /// is kept, and every later re-solve of a unit reading it must
+    /// succeed. After a failure the source goes back to where it was,
+    /// the coordinator's filters are shipped again, and that delivery
+    /// must succeed. Any other failed delivery fails the test. The walks
+    /// must re-anchor some unit over the cases: a corner check that only
+    /// ever sees re-solved units cannot catch a bad re-anchor.
     #[test]
     fn condition_one_holds_at_every_corner_of_the_filters(
         queries in proptest::collection::vec(arb_query(), 1..6),

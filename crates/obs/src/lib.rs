@@ -79,6 +79,10 @@ pub mod names {
     pub const DAB_SOLVE: &str = "dab.solve";
     /// A DAB recomputation was triggered (one event per query solved).
     pub const DAB_RECOMPUTE: &str = "dab.recompute";
+    /// A stale Dual-DAB unit was re-anchored instead of re-solved (one
+    /// event per unit, with its `query`, `unit`, the refreshed `item`,
+    /// the secondary-DAB `scale` and whether it was the unit's `floor`).
+    pub const DAB_REANCHOR: &str = "dab.reanchor";
     /// A monitor was installed over the current data snapshot.
     pub const MONITOR_INSTALL: &str = "monitor.install";
     /// A source refresh arrived at the simulated coordinator.

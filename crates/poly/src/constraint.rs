@@ -567,24 +567,20 @@ impl DeviationMap {
     ///
     /// # Errors
     /// * [`PolyError::MissingValue`] if `values` is too short;
-    /// * [`PolyError::NegativeValue`] if any referenced value is negative
-    ///   (positive data is what makes the all-up corner worst).
+    /// * [`PolyError::NegativeValue`] for the lowest item whose value is
+    ///   negative and enters a coefficient (positive data is what makes
+    ///   the all-up corner worst). An item read only linearly enters
+    ///   none — its deviation is `w·b` at any value — so its sign is not
+    ///   checked.
     ///
     /// # Panics
     /// Panics unless `out.len() == self.n_terms()`.
     pub fn eval_into(&self, values: &[f64], out: &mut [f64]) -> Result<(), PolyError> {
         assert_eq!(out.len(), self.monomials.len(), "one slot per monomial");
-        for item in self.items.iter() {
-            let v = *values
-                .get(item.index())
-                .ok_or(PolyError::MissingValue { item: item.0 })?;
-            if v < 0.0 {
-                return Err(PolyError::NegativeValue {
-                    item: item.0,
-                    value: v,
-                });
-            }
+        if let Some(item) = self.items.iter().find(|i| i.index() >= values.len()) {
+            return Err(PolyError::MissingValue { item: item.0 });
         }
+        let mut negative: Option<u32> = None;
         let (mut c, mut f) = (0, 0);
         for (out, m) in out.iter_mut().zip(&self.monomials) {
             let end = m.contribs;
@@ -592,7 +588,11 @@ impl DeviationMap {
             for contrib in &self.contribs[c..end as usize] {
                 let mut coef = contrib.weight;
                 for vf in &self.factors[f..contrib.end as usize] {
-                    coef *= vf.mult * pow_skip_zero(values[vf.item as usize], vf.power);
+                    let v = values[vf.item as usize];
+                    if v < 0.0 && vf.power > 0 {
+                        negative = Some(negative.map_or(vf.item, |n| n.min(vf.item)));
+                    }
+                    coef *= vf.mult * pow_skip_zero(v, vf.power);
                 }
                 f = contrib.end as usize;
                 sum += coef;
@@ -600,7 +600,13 @@ impl DeviationMap {
             c = end as usize;
             *out = sum;
         }
-        Ok(())
+        match negative {
+            Some(item) => Err(PolyError::NegativeValue {
+                item,
+                value: values[item as usize],
+            }),
+            None => Ok(()),
+        }
     }
 
     /// The deviation as a posynomial, from coefficients written by
@@ -850,6 +856,23 @@ mod tests {
             deviation_posynomial(&q, &[1.0], &vmap),
             Err(PolyError::MissingValue { item: 1 })
         ));
+    }
+
+    /// `x0 x1 + x2`: x2's value enters no coefficient, so a negative one
+    /// is taken and changes no bit; a negative x1 is still refused.
+    #[test]
+    fn a_linear_only_item_may_be_negative() {
+        let p = product_xy().add(&Polynomial::term(PTerm::new(2.0, [(x(2), 1)]).unwrap()));
+        for with_c in [false, true] {
+            let vmap = DabVarMap::for_polynomial(&p, with_c);
+            let at = |v: &[f64]| deviation_posynomial(&p, v, &vmap);
+            assert_eq!(at(&[1.5, 2.0, -3.28]), at(&[1.5, 2.0, 4.0]));
+            assert!(at(&[1.5, 2.0, -3.28]).is_ok());
+            assert!(matches!(
+                at(&[1.5, -2.0, -3.28]),
+                Err(PolyError::NegativeValue { item: 1, .. })
+            ));
+        }
     }
 
     #[test]

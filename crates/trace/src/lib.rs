@@ -167,6 +167,9 @@ pub struct TraceStats {
     /// `dab.recompute` event counts per query label. Network traces
     /// carry a `node` field; their queries are labeled `c<node>.q<qi>`.
     pub recomputes_by_query: BTreeMap<String, u64>,
+    /// `dab.reanchor` event counts per query label, labeled as
+    /// `recomputes_by_query` is: stale units re-anchored, not re-solved.
+    pub reanchors_by_query: BTreeMap<String, u64>,
     /// `sim.refresh` event counts per item.
     pub refreshes_by_item: BTreeMap<u64, u64>,
     /// `dab.recompute_trigger` event counts per item: refreshes whose
@@ -215,13 +218,18 @@ impl TraceStats {
             }
         }
         match event.target.as_ref() {
-            "dab.recompute" => {
+            target @ ("dab.recompute" | "dab.reanchor") => {
                 if let Some(q) = field_u64(event, "query") {
                     let label = match field_u64(event, "node") {
                         Some(node) => format!("c{node}.q{q}"),
                         None => q.to_string(),
                     };
-                    *self.recomputes_by_query.entry(label).or_insert(0) += 1;
+                    let by_query = if target == "dab.recompute" {
+                        &mut self.recomputes_by_query
+                    } else {
+                        &mut self.reanchors_by_query
+                    };
+                    *by_query.entry(label).or_insert(0) += 1;
                 }
             }
             "sim.refresh" => {
@@ -704,8 +712,18 @@ mod tests {
             event(40, "gp.solve_ns", EventKind::Timing)
                 .with("dur_ns", 500u64)
                 .with("query", 1u64),
+            event(50, "dab.reanchor", EventKind::Count)
+                .with("query", 1u64)
+                .with("unit", 0u64)
+                .with("scale", 0.5)
+                .with("floor", false),
+            event(60, "dab.reanchor", EventKind::Count)
+                .with("node", 1u64)
+                .with("query", 0u64),
         ];
         let stats = TraceStats::from_events(&events);
+        assert_eq!(stats.reanchors_by_query["1"], 1);
+        assert_eq!(stats.reanchors_by_query["c1.q0"], 1);
         assert_eq!(stats.refreshes_by_item[&3], 1);
         assert_eq!(stats.recomputes_by_query["1"], 1);
         assert_eq!(stats.recomputes_by_query["c1.q0"], 1);

@@ -1,7 +1,8 @@
 //! End-to-end attribution check: run the simulator with a JSONL trace
 //! attached, re-analyze the trace with `pq-trace`, and require that the
-//! trace-derived attribution matches [`pq_sim::SimMetrics`] exactly —
-//! the acceptance bar for the offline analysis being trustworthy.
+//! trace-derived attribution (recomputations, re-anchors, refreshes)
+//! matches [`pq_sim::SimMetrics`] exactly — the acceptance bar for the
+//! offline analysis being trustworthy.
 
 use std::sync::Arc;
 
@@ -17,9 +18,10 @@ fn trace_attribution_matches_sim_metrics_exactly() {
         Trace::sinusoid(10.0, 2.0, 300.0, 600),
         Trace::sinusoid(15.0, 4.0, 250.0, 600),
     ]);
+    // QABs tight enough that the run both re-solves and re-anchors.
     let queries = vec![
-        PolynomialQuery::portfolio([(1.0, ItemId(0), ItemId(1))], 8.0).unwrap(),
-        PolynomialQuery::portfolio([(1.0, ItemId(1), ItemId(2))], 6.0).unwrap(),
+        PolynomialQuery::portfolio([(1.0, ItemId(0), ItemId(1))], 4.0).unwrap(),
+        PolynomialQuery::portfolio([(1.0, ItemId(1), ItemId(2))], 3.0).unwrap(),
     ];
     let cfg = SimConfig::new(traces, queries);
 
@@ -47,6 +49,10 @@ fn trace_attribution_matches_sim_metrics_exactly() {
     }
     let traced_total: u64 = stats.recomputes_by_query.values().sum();
     assert_eq!(traced_total, metrics.recomputations, "total recomputations");
+    // One dab.reanchor event per re-anchored unit.
+    let traced_total: u64 = stats.reanchors_by_query.values().sum();
+    assert_eq!(traced_total, metrics.reanchors, "total re-anchors");
+    assert!(metrics.reanchors > 0, "simulation should re-anchor");
 
     // Per-item refreshes and refreshes-that-forced-recomputation.
     for (item, &n) in metrics.per_item_refreshes.iter().enumerate() {
@@ -140,6 +146,16 @@ fn tree_trace_attribution_sums_to_tree_metrics() {
     );
     let traced: u64 = stats.recomputes_by_query.values().sum();
     assert_eq!(traced, m.recomputations, "total recomputations");
+    let traced: u64 = stats.reanchors_by_query.values().sum();
+    assert_eq!(traced, m.reanchors, "total re-anchors");
+    assert!(m.reanchors > 0, "the tree should re-anchor");
+    assert!(
+        stats
+            .reanchors_by_query
+            .keys()
+            .all(|key| node_of(key).is_some()),
+        "every re-anchor names a query of its node"
+    );
     let traced: u64 = stats.refreshes_by_item.values().sum();
     assert_eq!(traced, m.refreshes, "total refreshes");
 }

@@ -29,12 +29,13 @@ fn mean(steps: &[u64]) -> f64 {
 
 #[test]
 fn install_and_recompute_take_a_handful_of_newton_steps() {
-    // 40 items, 40 PPQs of 6-7 legs over 20 000 ticks (a fall re-solves
-    // no unit and most rises only re-anchor one, so 4 000 ticks hold only
-    // 23 recomputes): 40 install solves and 148 recomputes, 2.00 Newton
-    // steps each (4.05 from centred duals, 7.40 and 8.00 under the
-    // generic default, read at 3 000 ticks before either rule).
-    let (n_items, n_queries, n_ticks) = (40, 40, 20_000);
+    // 40 items, 40 PPQs of 6-7 legs over 30 000 ticks (a fall re-solves
+    // no unit and most rises only re-anchor one, down to its floor, so
+    // 20 000 ticks hold only 85 recomputes): 40 install solves and 122
+    // recomputes, 2.00 Newton steps each (4.05 from centred duals, 7.40
+    // and 8.00 under the generic default, read at 3 000 ticks before
+    // either rule).
+    let (n_items, n_queries, n_ticks) = (40, 40, 30_000);
     let traces = TraceSet::stock_universe(n_items, n_ticks, 0x1CDE_2008);
     let initial = traces.initial_values();
     let config = WorkloadConfig {
