@@ -15,9 +15,11 @@ use pq_obs::{names, Obs, Value};
 use pq_poly::{ItemId, PolynomialQuery};
 
 /// Mean Newton steps a first (cold) and a warm solve may take. Both read
-/// 2.0: every solve starts from a predicted optimum with the duals it
-/// implies (4.0 from centred duals).
-const MAX_STEPS: f64 = 3.0;
+/// 1.0: every solve starts from a predicted optimum with the duals it
+/// implies and stops at its first iterate within the certified gap
+/// `DAB_GAP` (2.0 down to the `1e-5` tolerance, 4.0 from centred duals).
+/// The ceiling is the reading plus a half, so a return to two steps fails.
+const MAX_STEPS: f64 = 1.5;
 /// Mean Newton steps a cold solve may take beyond a warm one.
 const MAX_COLD_OVER_WARM_STEPS: f64 = 2.0;
 const MIN_WARM_HIT_RATE: f64 = 0.8;

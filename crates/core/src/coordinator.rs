@@ -251,6 +251,11 @@ impl Coordinator {
             |gp, qi| attribute(scope, gp, qi),
         )?;
         this.install_ns = started.elapsed().as_nanos() as u64;
+        for qi in 0..this.units.len() {
+            for ui in 0..this.units[qi].len() {
+                this.debug_assert_eq2(qi, ui, "an install");
+            }
+        }
         this.seed_filters();
         Ok(this)
     }
@@ -548,6 +553,7 @@ impl Coordinator {
             match solved {
                 Ok(columns) => {
                     self.filters.write(qi, ui, columns);
+                    self.debug_assert_eq2(qi, ui, "a re-solve");
                     self.note_recompute(qi, Some((ui, item)), "validity", at);
                     outcome.recomputed.push(QueryId(qi as u32));
                     // The unit's items are the only ones whose minimum
@@ -648,6 +654,26 @@ impl Coordinator {
         });
     }
 
+    /// Asserts, in debug builds, that unit `ui` of query `qi` as `solve`
+    /// just left it keeps Eq. 2 at the current values ([`eq2_holds`]), so
+    /// every certified stop is checked there.
+    fn debug_assert_eq2(&mut self, qi: usize, ui: usize, solve: &str) {
+        if cfg!(debug_assertions) {
+            let (unit, columns) = (&self.units[qi][ui], self.cache.unit(qi, ui).columns());
+            assert!(
+                eq2_holds(
+                    unit,
+                    columns,
+                    &self.values,
+                    1.0,
+                    EQ2_ROUNDING,
+                    &mut self.point
+                ),
+                "query {qi} unit {ui}: {solve} broke Eq. 2"
+            );
+        }
+    }
+
     /// Re-derives the installed filter of each of `items`, returning the
     /// ones that changed, in order.
     pub fn rederive(&mut self, items: impl IntoIterator<Item = usize>) -> Vec<(ItemId, f64)> {
@@ -738,22 +764,6 @@ fn reanchor(
         }
         floor = floor.max(need);
     }
-    let mut fits = |t: f64| {
-        let mut body_at = |with_b: bool| {
-            for ((item, &c), &b) in cells() {
-                let uncoupled = c == f64::INFINITY;
-                let shift = if uncoupled {
-                    0.0
-                } else {
-                    reanchored_secondary(t, c, b)
-                };
-                let corner = values[item.index()] + shift;
-                point[item.index()] = if with_b { corner + b } else { corner };
-            }
-            unit.body.eval(point)
-        };
-        body_at(true) - body_at(false) <= unit.qab
-    };
     let scales = (REANCHOR_SCALES.into_iter())
         .take_while(|&t| t >= floor)
         .map(|t| Rung { t, floor: false });
@@ -762,7 +772,8 @@ fn reanchor(
         t: floor,
         floor: true,
     });
-    let rung = scales.chain(at_floor).find(|rung| fits(rung.t))?;
+    let rung = (scales.chain(at_floor))
+        .find(|rung| eq2_holds(unit, columns, values, rung.t, 0.0, point))?;
     // The model's R at the shrunk box: its fastest escape
     // (`rate(λ_j, c_j) ≤ R` binds at the program's optimum).
     let mut recompute_rate = 0.0_f64;
@@ -776,6 +787,56 @@ fn reanchor(
     columns.reanchor(values, rung.t, recompute_rate);
     Some(rung)
 }
+
+/// The one Eq. 2 predicate (§III-A.2): whether `columns`, an assignment
+/// of `unit`, keeps the unit's QAB `B` on its body `P` when anchored at
+/// `values` (item-indexed). A `Box` unit passes when
+/// `P(W + c' + b) − P(W + c') ≤ B` with `W = values` and each coupled
+/// item's secondary DAB `c` read at scale `t`, `c' = max(t·c, b)` (an
+/// uncoupled item, `c = +∞`, enters with `c' = 0`: its terms are linear,
+/// so its value moves nothing); an `AnchorOnly` unit when
+/// `P(V + b) − P(V) ≤ B` with `V = values`; an `Always` unit always.
+/// [`reanchor`] decides by it exactly (`rounding = 0`); every install
+/// and re-solve asserts it at `t = 1` in debug builds, allowing
+/// [`EQ2_ROUNDING`]. `rounding` widens `B` by that share of
+/// `P(W + c' + b)`. `point` is scratch over every item.
+fn eq2_holds(
+    unit: &AssignmentUnit,
+    columns: &UnitColumns,
+    values: &[f64],
+    t: f64,
+    rounding: f64,
+    point: &mut [f64],
+) -> bool {
+    let kind = columns.kind();
+    if kind == RangeKind::Always {
+        return true;
+    }
+    let cells = || {
+        (columns.items().iter())
+            .zip(columns.secondary())
+            .zip(columns.primary())
+    };
+    let mut body_at = |with_b: bool| {
+        for ((item, &c), &b) in cells() {
+            let shift = match kind {
+                RangeKind::Box if c != f64::INFINITY => reanchored_secondary(t, c, b),
+                _ => 0.0,
+            };
+            let corner = values[item.index()] + shift;
+            point[item.index()] = if with_b { corner + b } else { corner };
+        }
+        unit.body.eval(point)
+    };
+    let top = body_at(true);
+    top - body_at(false) <= unit.qab + rounding * top.abs()
+}
+
+/// The rounding a solved assignment is asserted to meet Eq. 2 within,
+/// relative to `P(W + c' + b)` ([`eq2_holds`]): a closed-form unit meets
+/// it with equality, and the body's two evaluations then round it over
+/// by an ulp.
+const EQ2_ROUNDING: f64 = 1e-12;
 
 /// Moves an installed filter to its newly derived width when
 /// [`filter_changed`] calls that a change; true when it did.

@@ -64,7 +64,7 @@ pub mod ppq;
 pub mod strategy;
 
 pub use assignment::{CoordinatorAssignment, QueryAssignment, UnitColumns, ValidityRange};
-pub use cache::{filter_changed, SolveCache, UnitCache};
+pub use cache::{filter_changed, SolveCache, UnitCache, DAB_GAP};
 pub use context::{dab_solver_options, SolveContext};
 pub use coordinator::{Config, Coordinator, Outcome, ReaderIndex, Scope, REBASE_EVERY};
 pub use error::DabError;

@@ -138,18 +138,17 @@ fn values_and_rates() -> (Vec<f64>, Vec<f64>) {
 #[test]
 fn a_first_solve_and_a_warm_recompute_stay_within_their_allocation_budgets() {
     let (values, rates) = values_and_rates();
-    // Each ceiling is what the book reads plus one. A first solve
-    // allocates the program (the deviation map's four arrays and three
-    // vectors), the compiled GP's four arrays, the solution, the cached
-    // optimum and the columns; a warm recompute only the solution. The
-    // rest, about eight per solve, are the by-name timing spans of a context
-    // without a coordinator's pre-resolved handles. Before the compiled GP
-    // became one arena the books read 141.7 and 90.3 on a first solve;
-    // before solves wrote columns, 36.9 and 30.9, and 19.6 and 15.2 on a
-    // warm recompute, which built three maps per assignment.
+    // Each ceiling is what the book reads plus one: 13.6 / 13.0 on a
+    // first solve, 1.0 / 1.0 on a warm recompute. A first solve allocates
+    // the program (the deviation map's four arrays and three vectors), the
+    // compiled GP's four arrays, the solution and the columns; a warm
+    // recompute only the solution. Before the compiled GP became one
+    // arena the books read 141.7 and 90.3 on a first solve; before solves
+    // wrote columns, 36.9 and 30.9, and 19.6 and 15.2 on a warm
+    // recompute, which built three maps per assignment.
     let books = [
-        ("fig5-style", book(6..=7, None, &values), 23.5, 10.2),
-        ("overlap-style", book(3..=4, Some(12), &values), 23.0, 10.2),
+        ("fig5-style", book(6..=7, None, &values), 14.6, 2.0),
+        ("overlap-style", book(3..=4, Some(12), &values), 14.0, 2.0),
     ];
     for (name, queries, first_ceiling, warm_ceiling) in &books {
         let (first, warm) = per_unit(queries, &values, &rates);

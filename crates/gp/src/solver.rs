@@ -22,11 +22,12 @@
 //! reduced to an `n × n` positive-definite system, and backtracks on the
 //! residual norm with every trial point kept strictly feasible. It stops
 //! at `η̂ <= tolerance` and `‖r_dual‖ <= tolerance`, which certifies the
-//! duality gap. Cold starts, warm starts ([`CompiledGp::solve_warm`]),
-//! both KKT backends and phase I all run this same loop; they differ only
-//! in where it starts, a warm start's duals fitted to its point rather
-//! than centred. DESIGN.md §2 has the derivation and the three safeguards
-//! the textbook loop needs.
+//! duality gap, or at both within a warm start's own certified stop
+//! when its caller passes a looser one. Cold starts, warm starts
+//! ([`CompiledGp::solve_warm`]), both KKT backends and phase I all run
+//! this same loop; they differ only in where it starts, a warm start's
+//! duals fitted to its point rather than centred. DESIGN.md §2 has the
+//! derivation and the three safeguards the textbook loop needs.
 //!
 //! The program the loop runs on is one [`CompiledGp`]: a flat
 //! [`LogArena`] — the objective, then every constraint, term rows and
@@ -84,7 +85,8 @@ impl Program<'_> {
 pub struct SolverOptions {
     /// Convergence tolerance: the solve stops once the surrogate duality
     /// gap `Σ λ_i s_i` and the dual residual `‖∇F0 + Σ λ_i ∇Fi‖` are both
-    /// at most this. Default `1e-8`.
+    /// at most this, or within the looser `stop` a caller of
+    /// [`CompiledGp::solve_warm`] passes. Default `1e-8`.
     pub tolerance: f64,
     /// Initial path parameter of a cold start: its duals are centred at
     /// `λ_i = 1 / (t0 s_i)`, i.e. the initial gap is `m / t0`. A warm
@@ -480,6 +482,7 @@ impl CompiledGp {
             options,
             ws,
             Duals::Centred(COLD_DUAL_SLACK),
+            0.0,
         )
     }
 
@@ -513,6 +516,7 @@ impl CompiledGp {
             options,
             ws,
             Duals::Centred(COLD_DUAL_SLACK),
+            0.0,
         )
     }
 
@@ -530,14 +534,22 @@ impl CompiledGp {
     /// `λ_i s_i` of the positive fits, every other constraint, and every
     /// fit `≤ 0`, starts at `λ_i = η / s_i`, and no fit below
     /// `0.1 η / s_i`. The loop then spends its steps on the primal point
-    /// instead of on repairing centred duals: two Newton steps on a DAB
-    /// unit, where `λ_i = 1 / (t0 s_i)` took four. When no constraint is
-    /// near-active, the near-active gradients are linearly dependent, or
+    /// instead of on repairing centred duals: two Newton steps to a `1e-5`
+    /// gap on a DAB unit, where `λ_i = 1 / (t0 s_i)` took four. When no
+    /// constraint is near-active, the near-active gradients are linearly dependent, or
     /// no fit is positive, the duals start centred at `1 / (t0 s_i)`, as
     /// they always do on a program with a sparse plan. Nothing here
     /// estimates how close the start is: the loop re-derives its path
     /// parameter from the surrogate gap of the current iterate every
     /// step, so a start far from optimal simply takes more steps.
+    ///
+    /// `stop` is the caller's certified stop: the loop also returns the
+    /// first iterate, the start included, whose surrogate gap and dual
+    /// residual are both at most `stop`, even while they exceed
+    /// `options.tolerance`. The gap is in units of `ln F0`, so it bounds
+    /// the relative excess of the objective over the optimum; every
+    /// iterate is strictly feasible, so an early stop costs optimality
+    /// only. `0.0` leaves `options.tolerance` the only stop.
     ///
     /// A blend of at most 0.1 counts as [`WarmStart::Hit`], a deeper one
     /// as [`WarmStart::Repaired`].
@@ -551,6 +563,7 @@ impl CompiledGp {
         start: &[f64],
         interior_x: &[f64],
         options: &SolverOptions,
+        stop: f64,
         ws: &mut SolveWorkspace,
     ) -> Result<(GpSolution, WarmStart), GpError> {
         if start.len() != self.n_vars()
@@ -562,7 +575,7 @@ impl CompiledGp {
         }
         let _span = solve_span(options);
         let theta = self.blend_into(start, interior_x, ws);
-        let solution = phase_two(&self.program(), options, ws, Duals::Fitted)?;
+        let solution = phase_two(&self.program(), options, ws, Duals::Fitted, stop)?;
         let kind = if theta <= WARM_HIT_BLEND {
             WarmStart::Hit
         } else {
@@ -871,17 +884,22 @@ enum Duals {
 
 /// The primal–dual path-following loop, from the strictly feasible start
 /// in `ws.cur.y` with duals as `duals` says. Runs until the surrogate gap
-/// and the dual residual are within `options.tolerance`, or — for phase
-/// I — until `F0` drops below `stop_below`. The final iterate is left in
-/// `ws.cur`; returns `(newton steps, surrogate gap)`.
+/// and the dual residual are within `options.tolerance`, or both within
+/// the caller's certified stop `stop` (see [`CompiledGp::solve_warm`]),
+/// or — for phase I — until `F0` drops below `stop_below`. The final
+/// iterate is left in `ws.cur`; returns `(newton steps, surrogate gap)`.
 fn primal_dual(
     program: &Program<'_>,
     options: &SolverOptions,
     ws: &mut SolveWorkspace,
     duals: Duals,
+    stop: f64,
     stop_below: f64,
     phase: &'static str,
 ) -> Result<(usize, f64), GpError> {
+    // `max`, not a second test: a `stop` of 0 stops where the tolerance
+    // alone does, bit for bit.
+    let stop = options.tolerance.max(stop);
     let (n, m) = (ws.cur.y.len(), program.n_constraints());
     ws.ensure(n, m, &program.backend);
     if let Backend::Sparse(_) = program.backend {
@@ -919,7 +937,7 @@ fn primal_dual(
                     .with("r_dual", rd)
                     .with("worst", -least)
             });
-        if (gap <= options.tolerance && rd <= options.tolerance) || ws.cur.f0 < stop_below {
+        if (gap <= stop && rd <= stop) || ws.cur.f0 < stop_below {
             return Ok((step, gap));
         }
         if step == options.max_newton_steps {
@@ -1006,15 +1024,17 @@ fn primal_dual(
     Err(GpError::IterationLimit)
 }
 
-/// Phase II: runs the loop from the start in `ws.cur.y` to optimality and
-/// reports the solution in the original variables.
+/// Phase II: runs the loop from the start in `ws.cur.y` to optimality, or
+/// to the certified stop `stop`, and reports the solution in the original
+/// variables.
 fn phase_two(
     program: &Program<'_>,
     options: &SolverOptions,
     ws: &mut SolveWorkspace,
     duals: Duals,
+    stop: f64,
 ) -> Result<GpSolution, GpError> {
-    let (steps, gap) = primal_dual(program, options, ws, duals, f64::NEG_INFINITY, "pd")?;
+    let (steps, gap) = primal_dual(program, options, ws, duals, stop, f64::NEG_INFINITY, "pd")?;
     let solution = GpSolution {
         x: ws.cur.y.iter().map(|&v| v.exp()).collect(),
         objective: ws.cur.f0.exp(),
@@ -1064,6 +1084,7 @@ fn phase_one(
         options,
         ws,
         Duals::Centred(COLD_DUAL_SLACK),
+        0.0,
         -PHASE_ONE_MARGIN,
         "phase1",
     );
@@ -1397,7 +1418,7 @@ mod tests {
         let compiled = CompiledGp::compile(&drifted).unwrap();
         let mut ws = SolveWorkspace::new();
         let (warm, kind) = compiled
-            .solve_warm(&prev.x, &[0.5, 0.5], &opts(), &mut ws)
+            .solve_warm(&prev.x, &[0.5, 0.5], &opts(), 0.0, &mut ws)
             .unwrap();
         assert_eq!(kind, WarmStart::Hit, "small drift needs only a light blend");
         assert!(
@@ -1428,7 +1449,7 @@ mod tests {
         let compiled = CompiledGp::compile(&drifted).unwrap();
         let mut ws = SolveWorkspace::new();
         let (warm, kind) = compiled
-            .solve_warm(&prev.x, &[0.4, 0.4], &opts(), &mut ws)
+            .solve_warm(&prev.x, &[0.4, 0.4], &opts(), 0.0, &mut ws)
             .unwrap();
         assert_eq!(kind, WarmStart::Repaired);
         let cold = solve_with_start(&drifted, &[0.4, 0.4], &opts()).unwrap();
@@ -1443,7 +1464,7 @@ mod tests {
         let mut ws = SolveWorkspace::new();
         // Both points violate x + y <= 5: no blend is feasible.
         let err = compiled
-            .solve_warm(&[10.0, 10.0], &[8.0, 8.0], &opts(), &mut ws)
+            .solve_warm(&[10.0, 10.0], &[8.0, 8.0], &opts(), 0.0, &mut ws)
             .unwrap_err();
         assert_eq!(err, GpError::InvalidStartingPoint);
     }
@@ -1623,12 +1644,21 @@ mod tests {
     fn centred_warm(c: &CompiledGp, start: &[f64], interior: &[f64]) -> GpSolution {
         let mut ws = SolveWorkspace::new();
         c.blend_into(start, interior, &mut ws);
-        phase_two(&c.program(), &opts(), &mut ws, Duals::Centred(WARM_SLACK)).unwrap()
+        phase_two(
+            &c.program(),
+            &opts(),
+            &mut ws,
+            Duals::Centred(WARM_SLACK),
+            0.0,
+        )
+        .unwrap()
     }
 
     fn warm(c: &CompiledGp, start: &[f64], interior: &[f64]) -> GpSolution {
         let mut ws = SolveWorkspace::new();
-        c.solve_warm(start, interior, &opts(), &mut ws).unwrap().0
+        c.solve_warm(start, interior, &opts(), 0.0, &mut ws)
+            .unwrap()
+            .0
     }
 
     /// The duals and slacks [`CompiledGp::solve_warm`] starts its loop at.
@@ -1638,12 +1668,45 @@ mod tests {
             ..opts()
         };
         let mut ws = SolveWorkspace::new();
-        let outcome = c.solve_warm(start, interior, &no_steps, &mut ws);
+        let outcome = c.solve_warm(start, interior, &no_steps, 0.0, &mut ws);
         assert!(
             matches!(outcome, Ok(_) | Err(GpError::IterationLimit)),
             "{outcome:?}"
         );
         (ws.cur.lam.clone(), ws.cur.slack.clone())
+    }
+
+    /// A certified stop returns the first iterate whose gap and dual
+    /// residual are both within it: no later than the full solve, on a
+    /// strictly feasible point, and within the gap of the optimum in
+    /// units of `ln F0`.
+    #[test]
+    fn a_certified_stop_returns_an_iterate_within_its_gap() {
+        let stop = 2e-3;
+        let (mut stopped_steps, mut full_steps) = (0, 0);
+        for i in 0..32 {
+            let (compiled, start, interior) = predicted_dual_dab("certified_stop", i);
+            let full = warm(&compiled, &start, &interior);
+            let mut ws = SolveWorkspace::new();
+            let (stopped, _) = compiled
+                .solve_warm(&start, &interior, &opts(), stop, &mut ws)
+                .unwrap();
+            assert!(stopped.duality_gap <= stop, "case {i}");
+            assert!(stopped.newton_steps <= full.newton_steps, "case {i}");
+            let excess = stopped.objective.ln() - full.objective.ln();
+            assert!(
+                (-full.duality_gap..=stopped.duality_gap).contains(&excess),
+                "case {i}: excess {excess} over gap {}",
+                stopped.duality_gap
+            );
+            assert!(ws.cur.slack.iter().all(|&s| s > 0.0), "case {i}");
+            stopped_steps += stopped.newton_steps;
+            full_steps += full.newton_steps;
+        }
+        assert!(
+            stopped_steps < full_steps,
+            "{stopped_steps} Newton steps to the stop, {full_steps} to the tolerance"
+        );
     }
 
     /// From a prediction within 0.3 % of the optimum, the fitted duals

@@ -147,7 +147,7 @@ proptest! {
         let compiled = CompiledGp::compile(&drifted).unwrap();
         let mut ws = SolveWorkspace::new();
         let (warm, kind) = compiled
-            .solve_warm(&prev.x, &interior(dc1, dc2), &opts, &mut ws)
+            .solve_warm(&prev.x, &interior(dc1, dc2), &opts, 0.0, &mut ws)
             .unwrap();
         prop_assert!(drifted.max_violation(&warm.x) <= 0.0,
             "{kind:?} warm solution violates a constraint by {}",
@@ -190,7 +190,7 @@ proptest! {
         let (dc1, dc2) = (c1 * f1, c2 * f2);
         let compiled = CompiledGp::compile(&build(dc1, dc2)).unwrap();
         let (warm, _) = compiled
-            .solve_warm(&prev.x, &interior(dc1, dc2), &opts, &mut SolveWorkspace::new())
+            .solve_warm(&prev.x, &interior(dc1, dc2), &opts, 0.0, &mut SolveWorkspace::new())
             .unwrap();
 
         let worst: Vec<f64> = ring
