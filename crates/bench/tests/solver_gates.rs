@@ -81,14 +81,14 @@ impl Book {
     }
 }
 
-/// Mean `newton_steps` over the `gp.solve` events in `ring`, which must
+/// Mean `newton_steps` over the `gp.solve` spans in `ring`, which must
 /// hold one per unit.
 fn mean_newton_steps(ring: &pq_obs::RingBufferSubscriber, n_units: usize) -> f64 {
     assert_eq!(ring.dropped(), 0, "ring too small for the step count");
     let steps: Vec<u64> = ring
         .events()
         .iter()
-        .filter(|e| e.target == names::GP_SOLVE)
+        .filter(|e| e.target == "gp.solve_ns")
         .filter_map(|e| match e.field("newton_steps") {
             Some(Value::U64(n)) => Some(*n),
             _ => None,

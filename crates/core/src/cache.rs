@@ -394,10 +394,9 @@ mod tests {
         use pq_poly::{ItemId, PolynomialQuery};
 
         const QUERIES: u32 = 8;
-        /// `gp.newton` events (Newton steps + the converged check) a
-        /// solve may emit, cold or warm: each reads 2 (6 down to the
-        /// `1e-8` tolerance, 9-10 from centred duals).
-        const NEWTON_CEILING: usize = 3;
+        /// Newton steps a solve may take, cold or warm: each reads 1 (5
+        /// down to the `1e-8` tolerance, 8-9 from centred duals).
+        const NEWTON_CEILING: u64 = 2;
         let n_items = 12 * QUERIES as usize;
         let traces = TraceSet::stock_universe(n_items, 61, 0x1CDE_2008);
         let values_at =
@@ -422,7 +421,7 @@ mod tests {
                 ..SolverOptions::default()
             };
             let mut cache = UnitCache::new();
-            // Newton steps taken (converged or not) by each call.
+            // Newton steps of each call's one solve.
             let mut newton = Vec::new();
             for tick in [0, 60] {
                 let values = values_at(tick);
@@ -434,19 +433,15 @@ mod tests {
                 };
                 let before = ring.events().len();
                 assign_unit_cached(&units[0], &ctx, strategy, &mut cache).unwrap();
-                let events = ring.events();
-                let of = |target: &str| {
-                    events[before..]
-                        .iter()
-                        .filter(|e| e.target == target)
-                        .count()
-                };
-                assert_eq!(
-                    of(names::GP_SOLVE),
-                    1,
-                    "query {q}: one converged solve per call"
-                );
-                newton.push(of(names::GP_NEWTON));
+                // Each solve's `gp.solve_ns` span records its steps.
+                let steps: Vec<u64> = (ring.events()[before..].iter())
+                    .filter_map(|e| match e.field("newton_steps") {
+                        Some(&pq_obs::Value::U64(n)) => Some(n),
+                        _ => None,
+                    })
+                    .collect();
+                assert_eq!(steps.len(), 1, "query {q}: one converged solve per call");
+                newton.push(steps[0]);
             }
             assert!(
                 newton.iter().all(|&n| n <= NEWTON_CEILING),

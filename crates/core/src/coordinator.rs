@@ -969,6 +969,13 @@ mod tests {
         }
     }
 
+    /// The solves `ring` recorded: one `gp.solve_ns` span each.
+    fn solves(ring: &pq_obs::RingBufferSubscriber) -> usize {
+        (ring.events().iter())
+            .filter(|e| e.target == "gp.solve_ns")
+            .count()
+    }
+
     /// A rise past a unit's box top, with its partner fallen far enough
     /// that the primary DABs still fit at the new values: the unit is
     /// re-anchored there at one of the scales, with no solve, no filter
@@ -982,13 +989,6 @@ mod tests {
             panic!("a Dual-DAB unit holds a box")
         };
         assert!(c.on_refresh(1, 0.5).unwrap().reanchored.is_empty());
-        let solves = |ring: &pq_obs::RingBufferSubscriber| {
-            let events = ring.events();
-            events
-                .iter()
-                .filter(|e| e.target == names::GP_SOLVE)
-                .count()
-        };
         let solved = solves(&ring);
         let top = before.anchor[&x(0)] + secondary[&x(0)];
         let out = c.on_refresh(0, 1.01 * top).unwrap();
@@ -1021,11 +1021,6 @@ mod tests {
         let (obs, ring) = Obs::ring(1024);
         let mut c = one_product(&obs);
         let before = c.assignment(0, 0);
-        let solves = |ring: &pq_obs::RingBufferSubscriber| {
-            (ring.events().iter())
-                .filter(|e| e.target == names::GP_SOLVE)
-                .count()
-        };
         let solved = solves(&ring);
         let out = c.on_refresh(0, 5.96).unwrap();
         assert_eq!(solves(&ring), solved);

@@ -1176,8 +1176,8 @@ mod tests {
                 .solve_from(&outside, &outside, &ctx, Some(&mut UnitCache::new()))
                 .unwrap();
             let phase_one = ring.events().iter().any(|e| {
-                e.target == pq_obs::names::GP_NEWTON
-                    && e.field("phase") == Some(&pq_obs::Value::from("phase1"))
+                e.target == "gp.solve_ns"
+                    && e.field("phase_one") == Some(&pq_obs::Value::Bool(true))
             });
             assert!(phase_one, "{method:?}: phase I ran");
             let oracle = pq_gp::solve(&program.problem().unwrap(), &ctx.gp).unwrap();

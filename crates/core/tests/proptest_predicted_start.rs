@@ -201,12 +201,14 @@ impl Case {
             prop_assert!(a.primary.iter().all(|(i, &b)| b <= c[i] * (1.0 + 1e-9)));
         }
         let cost = a.refresh_rate + self.strategy.mu().unwrap_or(0.0) * a.recompute_rate;
-        let events = ring.events();
-        let newton = events
-            .iter()
-            .filter(|e| e.target == names::GP_NEWTON)
-            .count();
-        Ok((cost, newton - 1))
+        // The solve's one record, its `gp.solve_ns` span event.
+        let steps = (ring.events().iter())
+            .find_map(|e| match e.field("newton_steps") {
+                Some(&pq_obs::Value::U64(n)) => Some(n as usize),
+                _ => None,
+            })
+            .expect("the solve's span carries its newton_steps");
+        Ok((cost, steps))
     }
 
     fn check(&self) -> Result<(), TestCaseError> {

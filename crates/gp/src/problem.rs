@@ -147,10 +147,8 @@ pub struct GpSolution {
     pub x: Vec<f64>,
     /// Objective value `f0(x*)`.
     pub objective: f64,
-    /// Iterations of the primal–dual loop. Each takes exactly one Newton
-    /// step, so this equals [`GpSolution::newton_steps`].
-    pub outer_iterations: usize,
-    /// Newton steps (linear solves) taken by phase II.
+    /// Newton steps (linear solves) taken by phase II: the iterations of
+    /// the primal–dual loop, one step each.
     pub newton_steps: usize,
     /// Surrogate duality gap `Σ λ_i s_i` at termination. It bounds the
     /// suboptimality up to the dual residual, which the solver also

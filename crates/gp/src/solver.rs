@@ -47,7 +47,7 @@ use crate::linalg::{axpy, dot, norm2, Matrix};
 use crate::logsumexp::{LogArena, LogPosynomial};
 use crate::posynomial::Posynomial;
 use crate::problem::{GpProblem, GpSolution};
-use pq_obs::{names, EventKind, Obs};
+use pq_obs::{names, Obs, TimedGuard};
 use std::sync::Arc;
 
 /// Which KKT backend solves the Newton systems inside the solver.
@@ -104,9 +104,8 @@ pub struct SolverOptions {
     pub obs: Obs,
     /// Attribution label: the id of the query this solve serves, if any
     /// (a coordinator passes the id its deployment knows the query by).
-    /// When set, `gp.solve` events and timing spans carry a `query`
-    /// field, so `pq-trace` can answer "whose recomputations eat the
-    /// budget?".
+    /// When set, the `gp.solve` span's event carries a `query` field, so
+    /// `pq-trace` can answer "whose recomputations eat the budget?".
     pub query: Option<u32>,
     /// Pre-resolved `gp.solve` span timer (see [`Obs::timer`]). Callers
     /// that solve in a loop set this once so the per-solve hot path never
@@ -174,14 +173,15 @@ impl Default for SolverOptions {
 /// Starts the `gp.solve` span, tagged with the originating query when
 /// the caller attributed the solve. Prefers the pre-resolved timer in the
 /// options (set once by looping callers) over per-solve resolution.
-fn solve_span(options: &SolverOptions) -> pq_obs::TimedGuard {
-    let obs = &options.obs;
-    match (&options.solve_timer, options.query) {
-        (Some(timer), Some(q)) => timer.start_labeled(obs, names::LABEL_QUERY, u64::from(q)),
-        (Some(timer), None) => timer.start(obs),
-        (None, Some(q)) => obs.timed_labeled(names::GP_SOLVE, names::LABEL_QUERY, u64::from(q)),
-        (None, None) => obs.timed(names::GP_SOLVE),
+fn solve_span(options: &SolverOptions) -> TimedGuard {
+    let mut span = match &options.solve_timer {
+        Some(timer) => timer.start(&options.obs),
+        None => options.obs.timed(names::GP_SOLVE),
+    };
+    if let Some(q) = options.query {
+        span.set(names::LABEL_QUERY, q);
     }
+    span
 }
 
 /// One primal–dual point together with everything evaluated at it.
@@ -476,13 +476,14 @@ impl CompiledGp {
             return Err(GpError::InvalidStartingPoint);
         }
         ws.seed_from_x(x0);
-        let _span = solve_span(options);
+        let mut span = solve_span(options);
         phase_two(
             &self.program(),
             options,
             ws,
             Duals::Centred(COLD_DUAL_SLACK),
             0.0,
+            &mut span,
         )
     }
 
@@ -501,7 +502,7 @@ impl CompiledGp {
         options: &SolverOptions,
         ws: &mut SolveWorkspace,
     ) -> Result<GpSolution, GpError> {
-        let _span = solve_span(options);
+        let mut span = solve_span(options);
         // `y = ln 1`.
         ws.cur.y.clear();
         ws.cur.y.resize(self.n_vars(), 0.0);
@@ -510,6 +511,7 @@ impl CompiledGp {
             .fold(f64::NEG_INFINITY, f64::max);
         if worst >= -PHASE_ONE_MARGIN {
             phase_one(&self.arena, worst, options, ws)?;
+            span.set("phase_one", true);
         }
         phase_two(
             &self.program(),
@@ -517,6 +519,7 @@ impl CompiledGp {
             ws,
             Duals::Centred(COLD_DUAL_SLACK),
             0.0,
+            &mut span,
         )
     }
 
@@ -573,9 +576,9 @@ impl CompiledGp {
         {
             return Err(GpError::InvalidStartingPoint);
         }
-        let _span = solve_span(options);
+        let mut span = solve_span(options);
         let theta = self.blend_into(start, interior_x, ws);
-        let solution = phase_two(&self.program(), options, ws, Duals::Fitted, stop)?;
+        let solution = phase_two(&self.program(), options, ws, Duals::Fitted, stop, &mut span)?;
         let kind = if theta <= WARM_HIT_BLEND {
             WarmStart::Hit
         } else {
@@ -888,6 +891,11 @@ enum Duals {
 /// the caller's certified stop `stop` (see [`CompiledGp::solve_warm`]),
 /// or — for phase I — until `F0` drops below `stop_below`. The final
 /// iterate is left in `ws.cur`; returns `(newton steps, surrogate gap)`.
+/// Every iterate is strictly feasible (checked in debug builds). Phase II
+/// writes onto its `span` the start's gap and dual residual (`gap0`,
+/// `r_dual0`), the event clock as the loop begins (`loop_ns`, after the
+/// blend and dual fit; read only when someone listens), and at the stop
+/// `newton_steps`, `gap`, `r_dual`.
 fn primal_dual(
     program: &Program<'_>,
     options: &SolverOptions,
@@ -895,7 +903,7 @@ fn primal_dual(
     duals: Duals,
     stop: f64,
     stop_below: f64,
-    phase: &'static str,
+    mut span: Option<&mut TimedGuard>,
 ) -> Result<(usize, f64), GpError> {
     // `max`, not a second test: a `stop` of 0 stops where the tolerance
     // alone does, bit for bit.
@@ -923,21 +931,28 @@ fn primal_dual(
     let mut gap = dot(&ws.cur.lam, &ws.cur.slack);
     let mut rd = program.dual_residual(&ws.cur, &mut ws.grad);
     let lag0 = if m == 0 { 1.0 } else { (rd / gap).max(1.0) };
+    if let Some(span) = span.as_deref_mut() {
+        span.set("gap0", gap);
+        span.set("r_dual0", rd);
+        if options.obs.enabled(names::GP_SOLVE) {
+            span.set("loop_ns", pq_obs::now_ns());
+        }
+    }
 
     let mut last_alpha: f64 = 1.0;
     for step in 0..=options.max_newton_steps {
-        options
-            .obs
-            .emit_with(names::GP_NEWTON, EventKind::Point, |ev| {
-                let least = ws.cur.slack.iter().copied().fold(f64::INFINITY, f64::min);
-                ev.with("phase", phase)
-                    .with("step", step)
-                    .with("value", ws.cur.f0)
-                    .with("gap", gap)
-                    .with("r_dual", rd)
-                    .with("worst", -least)
-            });
+        // The trial's weights are stale here: scratch that allocates nothing.
+        debug_assert!(
+            (program.arena.iter().skip(1))
+                .all(|f| f.value_buf(&ws.cur.y, &mut ws.trial.probs) < 0.0),
+            "step {step}: an iterate outside a constraint"
+        );
         if (gap <= stop && rd <= stop) || ws.cur.f0 < stop_below {
+            if let Some(span) = span {
+                span.set("newton_steps", step);
+                span.set("gap", gap);
+                span.set("r_dual", rd);
+            }
             return Ok((step, gap));
         }
         if step == options.max_newton_steps {
@@ -1026,35 +1041,32 @@ fn primal_dual(
 
 /// Phase II: runs the loop from the start in `ws.cur.y` to optimality, or
 /// to the certified stop `stop`, and reports the solution in the original
-/// variables.
+/// variables, with the loop's readings and the `objective` on `span`: the
+/// solve's one record.
 fn phase_two(
     program: &Program<'_>,
     options: &SolverOptions,
     ws: &mut SolveWorkspace,
     duals: Duals,
     stop: f64,
+    span: &mut TimedGuard,
 ) -> Result<GpSolution, GpError> {
-    let (steps, gap) = primal_dual(program, options, ws, duals, stop, f64::NEG_INFINITY, "pd")?;
+    let (steps, gap) = primal_dual(
+        program,
+        options,
+        ws,
+        duals,
+        stop,
+        f64::NEG_INFINITY,
+        Some(span),
+    )?;
     let solution = GpSolution {
         x: ws.cur.y.iter().map(|&v| v.exp()).collect(),
         objective: ws.cur.f0.exp(),
-        outer_iterations: steps,
         newton_steps: steps,
         duality_gap: gap,
     };
-    // One structured summary event per successful solve.
-    options
-        .obs
-        .emit_with(names::GP_SOLVE, EventKind::Point, |e| {
-            let e = e
-                .with("newton_steps", solution.newton_steps)
-                .with("gap", solution.duality_gap)
-                .with("objective", solution.objective);
-            match options.query {
-                Some(q) => e.with(names::LABEL_QUERY, q),
-                None => e,
-            }
-        });
+    span.set("objective", solution.objective);
     Ok(solution)
 }
 
@@ -1086,7 +1098,7 @@ fn phase_one(
         Duals::Centred(COLD_DUAL_SLACK),
         0.0,
         -PHASE_ONE_MARGIN,
-        "phase1",
+        None,
     );
     // Every iterate satisfies `Fi(y) < ln σ`, so a negative `ln σ` is a
     // strictly feasible point however the loop ended.
@@ -1650,6 +1662,7 @@ mod tests {
             &mut ws,
             Duals::Centred(WARM_SLACK),
             0.0,
+            &mut solve_span(&opts()),
         )
         .unwrap()
     }
@@ -1677,20 +1690,47 @@ mod tests {
     }
 
     /// A certified stop returns the first iterate whose gap and dual
-    /// residual are both within it: no later than the full solve, on a
+    /// residual are both within it, and records it once, on its span: no
+    /// later than the full solve, on a
     /// strictly feasible point, and within the gap of the optimum in
     /// units of `ln F0`.
     #[test]
     fn a_certified_stop_returns_an_iterate_within_its_gap() {
+        use pq_obs::Value;
         let stop = 2e-3;
+        let (obs, ring) = Obs::ring(64);
+        let observed = SolverOptions {
+            query: Some(7),
+            ..opts()
+        }
+        .observed_by(&obs);
         let (mut stopped_steps, mut full_steps) = (0, 0);
         for i in 0..32 {
             let (compiled, start, interior) = predicted_dual_dab("certified_stop", i);
             let full = warm(&compiled, &start, &interior);
             let mut ws = SolveWorkspace::new();
             let (stopped, _) = compiled
-                .solve_warm(&start, &interior, &opts(), stop, &mut ws)
+                .solve_warm(&start, &interior, &observed, stop, &mut ws)
                 .unwrap();
+            // Its one record, the span's event, carries what it did.
+            let events = ring.events();
+            let e = &events[i as usize];
+            let is = |key, v: Value| assert_eq!(e.field(key), Some(&v), "case {i}: {key}");
+            is("query", Value::U64(7));
+            is("newton_steps", stopped.newton_steps.into());
+            is("gap", stopped.duality_gap.into());
+            is("objective", stopped.objective.into());
+            let num = |key| match e.field(key) {
+                Some(&Value::F64(v)) => v,
+                Some(&Value::U64(v)) => v as f64,
+                other => panic!("case {i}: {key}: {other:?}"),
+            };
+            assert!(
+                num("r_dual") <= stop && num("gap0") >= num("gap"),
+                "case {i}"
+            );
+            let opened = e.ts_ns as f64 - num("dur_ns");
+            assert!((opened..=e.ts_ns as f64).contains(&num("loop_ns")));
             assert!(stopped.duality_gap <= stop, "case {i}");
             assert!(stopped.newton_steps <= full.newton_steps, "case {i}");
             let excess = stopped.objective.ln() - full.objective.ln();

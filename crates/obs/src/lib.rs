@@ -57,8 +57,8 @@ use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-/// Nanoseconds since the first telemetry call in this process
-/// (monotonic, saturating at `u64::MAX`).
+/// Nanoseconds since the first telemetry call in this process (monotonic,
+/// saturating at `u64::MAX`): the clock events and spans both read.
 pub fn now_ns() -> u64 {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     let epoch = *EPOCH.get_or_init(Instant::now);
@@ -70,9 +70,6 @@ pub fn now_ns() -> u64 {
 pub mod names {
     /// GP solve span (histogram `gp.solve_ns`).
     pub const GP_SOLVE: &str = "gp.solve";
-    /// One iterate of the GP solver's primal–dual loop (the start, then
-    /// one per Newton step).
-    pub const GP_NEWTON: &str = "gp.newton";
     /// Counter: solves routed through the sparse KKT backend.
     pub const GP_SPARSE_SOLVE: &str = "gp.sparse_solve";
     /// DAB assignment solve span (histogram `dab.solve_ns`).
@@ -367,18 +364,11 @@ impl Obs {
     /// When the guard drops, the elapsed nanoseconds are recorded in
     /// the `<name>_ns` histogram and — if a subscriber is listening —
     /// emitted as a `<name>_ns` timing event with `dur_ns`, `span_id`,
-    /// and (when nested) `parent` fields. The span participates in
-    /// causal parenting — see [`span`].
+    /// (when nested) `parent`, and whatever [`TimedGuard::set`] added
+    /// while it was open. The span participates in causal parenting —
+    /// see [`span`].
     pub fn timed(&self, name: &str) -> TimedGuard {
         self.timer(name).start(self)
-    }
-
-    /// Like [`Obs::timed`], but the emitted timing event carries an
-    /// attribution field `key=value` (e.g. `query=3`), so offline
-    /// analysis can split span durations per query or per item. The
-    /// histogram itself stays unlabeled — one series per span name.
-    pub fn timed_labeled(&self, name: &str, key: &'static str, value: u64) -> TimedGuard {
-        self.timer(name).start_labeled(self, key, value)
     }
 
     /// A point-in-time copy of every metric in this handle's registry.
@@ -411,25 +401,16 @@ impl Timer {
     /// Starts one timing span; same semantics as [`Obs::timed`] minus
     /// the per-call registry resolution.
     pub fn start(&self, obs: &Obs) -> TimedGuard {
-        self.start_inner(obs, None)
-    }
-
-    /// Starts one labeled timing span; see [`Obs::timed_labeled`].
-    pub fn start_labeled(&self, obs: &Obs, key: &'static str, value: u64) -> TimedGuard {
-        self.start_inner(obs, Some((key, value)))
-    }
-
-    fn start_inner(&self, obs: &Obs, label: Option<(&'static str, u64)>) -> TimedGuard {
         let open = self.span.as_ref().map(|timer| {
             let (span_id, parent) = span::push_span();
             OpenSpan {
                 obs: obs.clone(),
+                fields: obs.enabled(&timer.metric).then(Vec::new),
                 metric: timer.metric.clone(),
                 hist: timer.hist.clone(),
-                label,
                 span_id,
                 parent,
-                start: Instant::now(),
+                start: now_ns(),
             }
         });
         TimedGuard {
@@ -455,10 +436,11 @@ struct OpenSpan {
     obs: Obs,
     metric: Arc<str>,
     hist: Arc<Histogram>,
-    label: Option<(&'static str, u64)>,
+    /// [`TimedGuard::set`]'s fields; `None` when no subscriber wants them.
+    fields: Option<Vec<(event::Str, Value)>>,
     span_id: SpanId,
     parent: Option<SpanId>,
-    start: Instant,
+    start: u64,
 }
 
 impl TimedGuard {
@@ -467,24 +449,33 @@ impl TimedGuard {
     pub fn span_id(&self) -> Option<SpanId> {
         self.open.as_ref().map(|open| open.span_id)
     }
+
+    /// Adds `key = value` (e.g. `query=3`, or what the spanned work found)
+    /// to the event this span emits when it closes, after its `dur_ns`,
+    /// `span_id` and `parent`; a span whose event nobody wants keeps none.
+    pub fn set(&mut self, key: &'static str, value: impl Into<Value>) {
+        if let Some(fields) = self.open.as_mut().and_then(|open| open.fields.as_mut()) {
+            fields.push((key.into(), value.into()));
+        }
+    }
 }
 
 impl Drop for TimedGuard {
     fn drop(&mut self) {
-        let Some(open) = &self.open else { return };
-        let dur_ns = u64::try_from(open.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        let Some(open) = &mut self.open else { return };
+        let end = now_ns();
+        let dur_ns = end.saturating_sub(open.start);
         span::pop_span();
         open.hist.record(dur_ns);
-        if open.obs.enabled(&open.metric) {
+        if let Some(fields) = open.fields.take() {
             let mut event = Event::new(open.metric.to_string(), EventKind::Timing)
                 .with("dur_ns", dur_ns)
                 .with("span_id", open.span_id.0);
             if let Some(SpanId(parent)) = open.parent {
                 event = event.with("parent", parent);
             }
-            if let Some((key, value)) = open.label {
-                event = event.with(key, value);
-            }
+            event.ts_ns = end;
+            event.fields.extend(fields);
             open.obs.emit(&event);
         }
     }
@@ -519,8 +510,7 @@ mod tests {
         histogram.record(42);
         let timer = obs.timer(names::SIM_RECOMPUTE_BATCH);
         drop(timer.start(&obs));
-        drop(timer.start_labeled(&obs, names::LABEL_QUERY, 3));
-        drop(obs.timed_labeled(names::GP_SOLVE, names::LABEL_QUERY, 1));
+        obs.timed(names::GP_SOLVE).set(names::LABEL_QUERY, 1u64);
         assert_eq!(counter.get(), 0);
         assert_eq!(histogram.summary(), HistogramSummary::default());
         let snap = obs.clone().snapshot();
@@ -570,8 +560,9 @@ mod tests {
     fn timed_guard_records_histogram_and_event() {
         let (obs, ring) = Obs::ring(16);
         {
-            let _span = obs.timed(names::GP_SOLVE);
-            std::hint::black_box(0u64);
+            let mut span = obs.timed(names::GP_SOLVE);
+            span.set(names::LABEL_QUERY, 3u64);
+            span.set("gap", 0.5);
         }
         let snap = obs.snapshot();
         let hist = &snap.histograms["gp.solve_ns"];
@@ -580,7 +571,8 @@ mod tests {
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].target, "gp.solve_ns");
         assert_eq!(events[0].kind, EventKind::Timing);
-        assert!(matches!(events[0].field("dur_ns"), Some(Value::U64(_))));
+        let keys: Vec<&str> = events[0].fields.iter().map(|(k, _)| k.as_ref()).collect();
+        assert_eq!(keys, ["dur_ns", "span_id", "query", "gap"]);
     }
 
     #[test]

@@ -245,6 +245,6 @@ mod tests {
         // wants `bench.*` and nothing else.
         let stderr = Fanout::new(vec![Arc::new(StderrSubscriber)]);
         assert!(stderr.enabled("bench.run"));
-        assert!(!stderr.enabled("gp.newton"));
+        assert!(!stderr.enabled("gp.solve_ns"));
     }
 }

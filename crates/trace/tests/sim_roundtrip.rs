@@ -11,6 +11,18 @@ use pq_poly::{ItemId, PolynomialQuery};
 use pq_sim::{run_observed, DelayConfig, Obs, SimConfig};
 use pq_trace::{load, span_forest, TraceStats};
 
+/// One record per solve: every `gp.*` event of a run is a `gp.solve_ns`
+/// span event that carries what its solve did (no per-iterate events,
+/// no point event beside the span).
+fn assert_one_record_per_solve(events: &[pq_obs::Event]) {
+    let solves = events.iter().filter(|e| e.target.starts_with("gp."));
+    assert!(solves.clone().count() > 0, "the run solved");
+    for e in solves {
+        let record = e.target == "gp.solve_ns" && e.field("newton_steps").is_some();
+        assert!(record, "{e:?}");
+    }
+}
+
 #[test]
 fn trace_attribution_matches_sim_metrics_exactly() {
     let traces = TraceSet::new(vec![
@@ -34,8 +46,10 @@ fn trace_attribution_matches_sim_metrics_exactly() {
     let metrics = run_observed(&cfg, &obs).unwrap();
     obs.flush();
 
-    let stats = TraceStats::from_events(&load(&path).unwrap());
+    let events = load(&path).unwrap();
     std::fs::remove_file(&path).ok();
+    assert_one_record_per_solve(&events);
+    let stats = TraceStats::from_events(&events);
 
     // Per-query recomputations: every dab.recompute event carries its
     // query label; the trace tally must equal the engine's own counts.
@@ -81,13 +95,6 @@ fn trace_attribution_matches_sim_metrics_exactly() {
     let forced_total: u64 = stats.forced_by_item.values().sum();
     assert!(forced_total <= metrics.recomputations);
     assert!(metrics.recomputations > 0, "simulation should recompute");
-    assert!(
-        stats
-            .spans
-            .get("gp.solve_ns")
-            .is_some_and(|s| !s.is_empty()),
-        "trace should carry gp.solve spans"
-    );
 }
 
 /// The same for a dissemination tree: a node's `dab.recompute` events
@@ -115,7 +122,9 @@ fn tree_trace_attribution_sums_to_tree_metrics() {
     let (obs, ring) = Obs::ring(1 << 16);
     let m = run_observed(&cfg, &obs).unwrap();
     assert_eq!(ring.dropped(), 0, "the ring holds the whole run");
-    let stats = TraceStats::from_events(&ring.events());
+    let events = ring.events();
+    assert_one_record_per_solve(&events);
+    let stats = TraceStats::from_events(&events);
 
     assert!(m.recomputations > 0, "the tree should recompute");
     // Three nodes of two queries each, dealt round-robin: node c's are

@@ -4,7 +4,7 @@
 //! predicted optimum and take a handful of Newton steps, not
 //! the ≈ 8 of the generic solver default it used to install with.
 
-use polyquery::obs::{names, Event, Value};
+use polyquery::obs::{Event, Value};
 use polyquery::workload::{WorkloadConfig, WorkloadGen};
 use polyquery::{ItemId, Monitor, Obs, RateEstimator, TraceSet};
 
@@ -12,11 +12,11 @@ use polyquery::{ItemId, Monitor, Obs, RateEstimator, TraceSet};
 /// reading, 1.00, plus a half, so a return to two steps fails.
 const MAX_MEAN_STEPS: f64 = 1.5;
 
-/// `newton_steps` of every `gp.solve` event in `events`.
+/// `newton_steps` of every `gp.solve` span in `events`.
 fn newton_steps(events: &[Event]) -> Vec<u64> {
     events
         .iter()
-        .filter(|e| e.target == names::GP_SOLVE)
+        .filter(|e| e.target == "gp.solve_ns")
         .filter_map(|e| match e.field("newton_steps") {
             Some(Value::U64(n)) => Some(*n),
             _ => None,
