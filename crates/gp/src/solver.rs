@@ -892,10 +892,10 @@ enum Duals {
 /// or — for phase I — until `F0` drops below `stop_below`. The final
 /// iterate is left in `ws.cur`; returns `(newton steps, surrogate gap)`.
 /// Every iterate is strictly feasible (checked in debug builds). Phase II
-/// writes onto its `span` the start's gap and dual residual (`gap0`,
-/// `r_dual0`), the event clock as the loop begins (`loop_ns`, after the
-/// blend and dual fit; read only when someone listens), and at the stop
-/// `newton_steps`, `gap`, `r_dual`.
+/// writes onto its `span` the event clock as the loop begins (`loop_ns`,
+/// after the blend and dual fit; read only when someone listens), and at
+/// the stop `newton_steps`, `gap`, `r_dual` and, if the loop took a step,
+/// the start's gap and dual residual (`gap0`, `r_dual0`).
 fn primal_dual(
     program: &Program<'_>,
     options: &SolverOptions,
@@ -931,9 +931,8 @@ fn primal_dual(
     let mut gap = dot(&ws.cur.lam, &ws.cur.slack);
     let mut rd = program.dual_residual(&ws.cur, &mut ws.grad);
     let lag0 = if m == 0 { 1.0 } else { (rd / gap).max(1.0) };
+    let (gap0, rd0) = (gap, rd);
     if let Some(span) = span.as_deref_mut() {
-        span.set("gap0", gap);
-        span.set("r_dual0", rd);
         if options.obs.enabled(names::GP_SOLVE) {
             span.set("loop_ns", pq_obs::now_ns());
         }
@@ -952,6 +951,11 @@ fn primal_dual(
                 span.set("newton_steps", step);
                 span.set("gap", gap);
                 span.set("r_dual", rd);
+                // A stop at the start would repeat `gap` and `r_dual`.
+                if step > 0 {
+                    span.set("gap0", gap0);
+                    span.set("r_dual0", rd0);
+                }
             }
             return Ok((step, gap));
         }
@@ -1725,10 +1729,10 @@ mod tests {
                 Some(&Value::U64(v)) => v as f64,
                 other => panic!("case {i}: {key}: {other:?}"),
             };
-            assert!(
-                num("r_dual") <= stop && num("gap0") >= num("gap"),
-                "case {i}"
-            );
+            assert!(num("r_dual") <= stop, "case {i}");
+            if stopped.newton_steps > 0 {
+                assert!(num("gap0") >= num("gap"), "case {i}");
+            }
             let opened = e.ts_ns as f64 - num("dur_ns");
             assert!((opened..=e.ts_ns as f64).contains(&num("loop_ns")));
             assert!(stopped.duality_gap <= stop, "case {i}");
@@ -1746,6 +1750,17 @@ mod tests {
         assert!(
             stopped_steps < full_steps,
             "{stopped_steps} Newton steps to the stop, {full_steps} to the tolerance"
+        );
+        // A start the stop certifies as it stands records no start.
+        let (compiled, start, interior) = predicted_dual_dab("certified_stop", 0);
+        let mut ws = SolveWorkspace::new();
+        let at_start = compiled.solve_warm(&start, &interior, &observed, f64::INFINITY, &mut ws);
+        assert_eq!(at_start.unwrap().0.newton_steps, 0);
+        let e = &ring.events()[32];
+        let has = |key| e.field(key).is_some();
+        assert!(
+            has("gap") && has("r_dual") && !has("gap0") && !has("r_dual0"),
+            "{e:?}"
         );
     }
 

@@ -82,14 +82,9 @@ pub mod names {
     pub const DAB_REANCHOR: &str = "dab.reanchor";
     /// A monitor was installed over the current data snapshot.
     pub const MONITOR_INSTALL: &str = "monitor.install";
-    /// A source refresh arrived at the simulated coordinator.
+    /// The `refreshes` of one `item` a simulated coordinator (`node` on a
+    /// tree) ingested, written once at the end of a run.
     pub const SIM_REFRESH: &str = "sim.refresh";
-    /// A DAB change message was sent to a source.
-    pub const SIM_DAB_CHANGE: &str = "sim.dab_change";
-    /// A message was dropped by failure injection.
-    pub const SIM_LOST_MESSAGE: &str = "sim.lost_message";
-    /// A user notification fired.
-    pub const SIM_USER_NOTIFY: &str = "sim.user_notification";
     /// A fidelity sample found a query outside its QAB.
     pub const SIM_QAB_VIOLATION: &str = "sim.qab_violation";
     /// One benchmark harness data point.
@@ -128,8 +123,8 @@ pub mod names {
     pub const SCHED_PUSH: &str = "sched.push";
     /// One event popped from the simulator scheduler.
     pub const SCHED_POP: &str = "sched.pop";
-    /// One parallel DAB recompute batch dispatched by the simulator
-    /// (span; parent of the fanned-out `gp.solve` spans).
+    /// The coordinator's serial re-solve of one refresh's stale units
+    /// (span, parent of their `dab.solve` spans).
     pub const SIM_RECOMPUTE_BATCH: &str = "sim.recompute_batch";
 
     /// One fidelity-audit shadow evaluation of a sampled query.

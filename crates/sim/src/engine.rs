@@ -368,7 +368,7 @@ fn project(cfg: &SimConfig) -> Result<(Cow<'_, SimConfig>, Scope), SimError> {
 /// their filters, the network between them, each coordinator's service
 /// queue, and the fidelity sampler watching both sides. A coordinator
 /// itself is [`Coordinator`]; the engine moves refreshes into it and
-/// turns each [`pq_core::Outcome`] into events, RNG draws and
+/// turns each [`pq_core::Outcome`] into messages, RNG draws and
 /// [`SimMetrics`].
 ///
 /// An engine is as large as what it watches: `cfg` is a projection
@@ -424,6 +424,8 @@ struct Node<'a> {
     delivered: Vec<f64>,
     /// Per item, the tightest filter of this node's subtree.
     need: Vec<f64>,
+    /// Per item, the refreshes this node ingested.
+    refreshes: Vec<u64>,
     /// Continuous fidelity audit (shadow naive evaluation) of its
     /// queries; present only when configured.
     auditor: Option<FidelityAuditor>,
@@ -616,6 +618,7 @@ impl<'a> Engine<'a> {
                 deferred: VecDeque::new(),
                 delivered: source_values.clone(),
                 need: vec![f64::INFINITY; n_items],
+                refreshes: vec![0; n_items],
                 auditor: (cfg.audit.as_ref()).map(|a| FidelityAuditor::new(a.clone(), &obs)),
             });
         }
@@ -654,18 +657,32 @@ impl<'a> Engine<'a> {
         self.metrics.solver_seconds += ns as f64 / 1e9;
     }
 
-    /// Global item id for a local one.
-    #[inline]
-    fn gi(&self, item: usize) -> usize {
-        self.nodes[0].core.scope().item(item)
-    }
-
     pub(crate) fn run(mut self) -> Result<SimMetrics, SimError> {
         let cfg = self.cfg;
         let full = BLOCK_VALUES / (cfg.traces.n_items() + cfg.queries.len()).max(1);
         self.play(available_cores() > 1, full.clamp(1, cfg.traces.n_ticks()))?;
+        self.note_refreshes();
         self.obs.flush();
         Ok(self.metrics)
+    }
+
+    /// Folds each node's per-item refresh counts into the metrics, and
+    /// writes one `sim.refresh` count per item the node ingested.
+    fn note_refreshes(&mut self) {
+        for node in &self.nodes {
+            let scope = node.core.scope();
+            for (item, &n) in node.refreshes.iter().enumerate().filter(|&(_, &n)| n > 0) {
+                self.metrics.per_item_refreshes[item] += n;
+                self.obs
+                    .emit_with(names::SIM_REFRESH, EventKind::Count, |e| {
+                        let e = match scope.node {
+                            Some(node) => e.with("node", node),
+                            None => e,
+                        };
+                        e.with("item", scope.item(item)).with("refreshes", n)
+                    });
+            }
+        }
     }
 
     /// Runs every tick of the tape, played in blocks of at most `full`
@@ -884,8 +901,6 @@ impl<'a> Engine<'a> {
         let p = self.cfg.loss_probability;
         if p > 0.0 && self.draws.uniform(item) < p {
             self.metrics.lost_messages += 1;
-            self.obs
-                .emit_with(names::SIM_LOST_MESSAGE, EventKind::Count, |e| e);
             return;
         }
         let delay = self.draws.pareto(&self.cfg.delays.node_to_node, item);
@@ -893,22 +908,12 @@ impl<'a> Engine<'a> {
         self.queue.push(now + delay, event);
     }
 
-    /// One refresh arriving at node `c`: arrival bookkeeping (metrics,
-    /// trace event), the coordinator moves the value and reacts to it,
-    /// then the node forwards it down the tree.
+    /// One refresh arriving at node `c`: it is counted, the coordinator
+    /// moves the value and reacts to it, then the node forwards it down
+    /// the tree.
     fn ingest(&mut self, c: usize, item: usize, value: f64, now: f64) -> Result<(), SimError> {
         self.metrics.refreshes += 1;
-        self.metrics.per_item_refreshes[item] += 1;
-        let scope = self.nodes[c].core.scope();
-        let gid = scope.item(item);
-        self.obs
-            .emit_with(names::SIM_REFRESH, EventKind::Count, |e| {
-                let e = match scope.node {
-                    Some(node) => e.with("node", node),
-                    None => e,
-                };
-                e.with("item", gid).with("value", value).with("t", now)
-            });
+        self.nodes[c].refreshes[item] += 1;
         self.nodes[c]
             .core
             .apply(item, value)
@@ -919,7 +924,7 @@ impl<'a> Engine<'a> {
     }
 
     /// Post-apply half of a refresh at node `c`: the coordinator reacts,
-    /// and what it did becomes metrics, events, need changes and the
+    /// and what it did becomes metrics, need changes and the
     /// node-occupancy accounting.
     fn react(&mut self, c: usize, item: usize, now: f64) -> Result<(), SimError> {
         // One query-check service charge per refresh (the paper's 4 ms
@@ -930,14 +935,7 @@ impl<'a> Engine<'a> {
             .react(item, Some(now))
             .map_err(solve_error(core.scope()))?;
         let scope = self.nodes[c].core.scope();
-        for &(query, qv) in &outcome.notify {
-            self.metrics.user_notifications += 1;
-            let query = scope.query(query.index());
-            self.obs
-                .emit_with(names::SIM_USER_NOTIFY, EventKind::Count, |e| {
-                    e.with("query", query).with("value", qv).with("t", now)
-                });
-        }
+        self.metrics.user_notifications += outcome.notify.len() as u64;
         self.metrics.reanchors += outcome.reanchored.len() as u64;
         if !outcome.recomputed.is_empty() {
             let recomputed = outcome.recomputed.iter().map(|q| scope.query(q.index()));
@@ -1015,11 +1013,6 @@ impl<'a> Engine<'a> {
                 continue;
             }
             self.metrics.dab_change_messages += 1;
-            let gid = self.gi(item);
-            self.obs
-                .emit_with(names::SIM_DAB_CHANGE, EventKind::Count, |e| {
-                    e.with("item", gid).with("dab", dab).with("t", now)
-                });
             self.send(item, now, Event::DabChangeArrive { item, dab });
         }
     }
@@ -1813,7 +1806,14 @@ mod tests {
             .collect();
         let count = |target: &str| events.iter().filter(|e| e.target == target).count() as u64;
         assert_eq!(count(names::DAB_RECOMPUTE), m.recomputations);
-        assert_eq!(count(names::SIM_REFRESH), m.refreshes);
+        // One `sim.refresh` count per item the coordinator ingested.
+        let refreshes = events.iter().filter(|e| e.target == names::SIM_REFRESH);
+        assert!(count(names::SIM_REFRESH) <= cfg.traces.n_items() as u64);
+        let n = |e: &pq_obs::Event| match e.field("refreshes") {
+            Some(&pq_obs::Value::U64(n)) => n,
+            other => panic!("{e:?}: {other:?}"),
+        };
+        assert_eq!(refreshes.map(n).sum::<u64>(), m.refreshes);
         assert!(count("gp.solve_ns") > 0, "GP solve timings reach the trace");
         std::fs::remove_file(&path).ok();
     }

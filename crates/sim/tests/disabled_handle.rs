@@ -6,12 +6,18 @@
 //! on), with the fidelity audit configured, on one coordinator or a tree
 //! of them. The disabled handle itself ends a run with an empty snapshot.
 //! The same fig5 book on a tree keeps Condition 1 at zero delay.
+//!
+//! What observing costs is clocked on a book of pqbench's `fig5_paper`
+//! size: the ceilings are `#[ignore]`d (CI: `cargo test --release -p
+//! pq-sim --test disabled_handle -- --ignored`).
 
 use std::num::NonZeroUsize;
+use std::sync::Arc;
+use std::time::Instant;
 
 use pq_core::{AssignmentStrategy, PqHeuristic};
 use pq_ddm::{Trace, TraceSet};
-use pq_obs::{names, Obs, Value};
+use pq_obs::{names, Obs, Recorder, RecorderConfig, Value};
 use pq_poly::{ItemId, PolynomialQuery};
 use pq_sim::{run, run_observed, AuditConfig, DelayConfig, SimConfig, SimMetrics, SimStrategy};
 use pq_workload::{WorkloadConfig, WorkloadGen};
@@ -190,7 +196,7 @@ fn a_tree_at_zero_delay_never_violates_a_qab() {
 /// A tree under heavy-tailed delays and 5 % loss runs to the end, the
 /// same for one seed, and loses messages. A child hears only what the
 /// root forwards it, a part of what the root ingests, so by the
-/// `sim.refresh` events' `node` field the root ingests at least as many
+/// `sim.refresh` counts of each `node` the root ingests at least as many
 /// refreshes as each child.
 #[test]
 fn a_delayed_lossy_tree_is_deterministic_and_the_root_sees_the_most() {
@@ -212,10 +218,12 @@ fn a_delayed_lossy_tree_is_deterministic_and_the_root_sees_the_most() {
         .iter()
         .filter(|e| e.target == names::SIM_REFRESH)
     {
-        let Some(&Value::U64(node)) = e.field("node") else {
-            panic!("{e:?} names no node")
+        let (Some(&Value::U64(node)), Some(&Value::U64(n))) =
+            (e.field("node"), e.field("refreshes"))
+        else {
+            panic!("{e:?} names no node or count")
         };
-        per_node[node as usize] += 1;
+        per_node[node as usize] += n;
     }
     assert_eq!(per_node.iter().sum::<u64>(), m.refreshes);
     assert!(
@@ -233,5 +241,84 @@ fn a_disabled_handle_ends_a_run_with_an_empty_snapshot() {
         (snap.counters.len(), snap.histograms.len()),
         (0, 0),
         "{snap:?}"
+    );
+}
+
+/// Instrumented ([`Obs::null`], the registry counts) over
+/// [`Obs::disabled`], in percent (readings 0.7–4.4 % on a shared 2-vCPU
+/// box).
+const MAX_INSTRUMENTED_OVERHEAD_PCT: f64 = 5.0;
+/// Recorded (an installed flight [`Recorder`] subscribed) over
+/// instrumented, in percent (readings 4.0–6.8 %; 19.6–21.8 % while the
+/// engine wrote an event per message).
+const MAX_RECORDED_OVERHEAD_PCT: f64 = 8.0;
+
+/// Median instrumented-over-disabled and recorded-over-instrumented
+/// ratios, in percent, over `reps` repetitions of three interleaved runs
+/// (each starting one handle later) that return the same metrics.
+fn overheads(cfg: &SimConfig, reps: usize) -> [f64; 2] {
+    let want = without_wallclock(run(cfg).unwrap());
+    let mut ratios = [Vec::new(), Vec::new()];
+    for rep in 0..reps {
+        let mut secs = [0.0f64; 3];
+        for k in (0..3).map(|k| (rep + k) % 3) {
+            let obs = match k {
+                0 => Obs::disabled(),
+                1 => Obs::null(),
+                _ => {
+                    // Written only on a dump, which fails the run.
+                    let dump = format!("pq-sim-overhead-{}.jsonl", std::process::id());
+                    let recorder =
+                        Recorder::new(RecorderConfig::new(std::env::temp_dir().join(dump)));
+                    let obs = Obs::with_subscriber(Arc::new(recorder.clone()));
+                    obs.install_recorder(recorder);
+                    obs
+                }
+            };
+            let t = Instant::now();
+            let m = run_observed(cfg, &obs).unwrap();
+            secs[k] = t.elapsed().as_secs_f64();
+            assert_eq!(without_wallclock(m), want, "handle {k} ran another run");
+            assert!((obs.recorder()).is_none_or(|r| r.buffered() > 0 && r.dump_count() == 0));
+        }
+        ratios[0].push(secs[1] / secs[0]);
+        ratios[1].push(secs[2] / secs[1]);
+    }
+    ratios.map(|mut ratios| {
+        ratios.sort_by(f64::total_cmp);
+        100.0 * (ratios[reps / 2] - 1.0)
+    })
+}
+
+/// `run_observed` on pqbench's `fig5_paper` inputs (100 items, 500 PPQs
+/// of 6–7 legs, 1 000 ticks, its tape and book seeds).
+#[test]
+#[ignore = "clock ceilings: release build only, `cargo test --release -p pq-sim --test disabled_handle -- --ignored`"]
+fn observing_the_engine_stays_under_its_ceilings_on_the_release_build() {
+    let seed = 484_319_240;
+    let traces = TraceSet::stock_universe(100, 1000, SEED);
+    let book = WorkloadConfig {
+        n_items: 100,
+        legs: 6..=7,
+        ..WorkloadConfig::default()
+    };
+    let queries =
+        WorkloadGen::with_config(book, seed).portfolio_queries(500, &traces.initial_values());
+    let mut cfg = SimConfig::new(traces, queries);
+    cfg.seed = seed;
+    // A reading moves with the box's other tenants: only a breach that
+    // repeats is one.
+    let mut readings = Vec::new();
+    for _ in 0..5 {
+        let [instrumented, recorded] = overheads(&cfg, 41);
+        println!("instrumented over disabled {instrumented:.2} %, recorded over instrumented {recorded:.2} %");
+        if instrumented <= MAX_INSTRUMENTED_OVERHEAD_PCT && recorded <= MAX_RECORDED_OVERHEAD_PCT {
+            return;
+        }
+        readings.push((instrumented, recorded));
+    }
+    panic!(
+        "(instrumented over disabled, recorded over instrumented) read {readings:.2?} %, \
+         ceilings {MAX_INSTRUMENTED_OVERHEAD_PCT} % and {MAX_RECORDED_OVERHEAD_PCT} %"
     );
 }

@@ -170,7 +170,8 @@ pub struct TraceStats {
     /// `dab.reanchor` event counts per query label, labeled as
     /// `recomputes_by_query` is: stale units re-anchored, not re-solved.
     pub reanchors_by_query: BTreeMap<String, u64>,
-    /// `sim.refresh` event counts per item.
+    /// Refreshes per item: the `sim.refresh` events' `refreshes` summed
+    /// (1 on an event without one, as older traces wrote them).
     pub refreshes_by_item: BTreeMap<u64, u64>,
     /// `dab.recompute_trigger` event counts per item: refreshes whose
     /// processing forced at least one recomputation.
@@ -234,7 +235,8 @@ impl TraceStats {
             }
             "sim.refresh" => {
                 if let Some(item) = field_u64(event, "item") {
-                    *self.refreshes_by_item.entry(item).or_insert(0) += 1;
+                    *self.refreshes_by_item.entry(item).or_insert(0) +=
+                        field_u64(event, "refreshes").unwrap_or(1);
                 }
             }
             "dab.recompute_trigger" => {
@@ -701,7 +703,9 @@ mod tests {
     #[test]
     fn stats_attribute_recomputes_and_triggers() {
         let events = vec![
+            // One refresh, as older traces wrote them, and a run's count.
             event(10, "sim.refresh", EventKind::Count).with("item", 3u64),
+            (event(15, "sim.refresh", EventKind::Count).with("item", 4u64)).with("refreshes", 5u64),
             event(20, "dab.recompute", EventKind::Count).with("query", 1u64),
             event(25, "dab.recompute_trigger", EventKind::Count)
                 .with("item", 3u64)
@@ -725,6 +729,7 @@ mod tests {
         assert_eq!(stats.reanchors_by_query["1"], 1);
         assert_eq!(stats.reanchors_by_query["c1.q0"], 1);
         assert_eq!(stats.refreshes_by_item[&3], 1);
+        assert_eq!(stats.refreshes_by_item[&4], 5);
         assert_eq!(stats.recomputes_by_query["1"], 1);
         assert_eq!(stats.recomputes_by_query["c1.q0"], 1);
         assert_eq!(stats.triggers_by_item[&3], 1);

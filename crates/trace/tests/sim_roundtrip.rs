@@ -23,6 +23,26 @@ fn assert_one_record_per_solve(events: &[pq_obs::Event]) {
     }
 }
 
+/// A run records decisions, not messages: beside the QAB violations and
+/// the recompute batch spans, its only `sim.*` events are one
+/// `sim.refresh` count per (node, item) ingested, written at the end of
+/// the run (the tests below hold their sum to `SimMetrics::refreshes`).
+fn assert_refreshes_are_counted_once(events: &[pq_obs::Event]) {
+    let mut counted = std::collections::BTreeSet::new();
+    for e in events.iter().filter(|e| e.target.starts_with("sim.")) {
+        let field = |key| e.field(key).map(|v| format!("{v:?}"));
+        let allowed = match e.target.as_ref() {
+            "sim.qab_violation" | "sim.recompute_batch_ns" => true,
+            "sim.refresh" => {
+                let (item, n) = (field("item"), field("refreshes"));
+                item.is_some() && n.is_some() && counted.insert((field("node"), item))
+            }
+            _ => false,
+        };
+        assert!(allowed, "{e:?}");
+    }
+}
+
 #[test]
 fn trace_attribution_matches_sim_metrics_exactly() {
     let traces = TraceSet::new(vec![
@@ -49,6 +69,7 @@ fn trace_attribution_matches_sim_metrics_exactly() {
     let events = load(&path).unwrap();
     std::fs::remove_file(&path).ok();
     assert_one_record_per_solve(&events);
+    assert_refreshes_are_counted_once(&events);
     let stats = TraceStats::from_events(&events);
 
     // Per-query recomputations: every dab.recompute event carries its
@@ -98,8 +119,8 @@ fn trace_attribution_matches_sim_metrics_exactly() {
 }
 
 /// The same for a dissemination tree: a node's `dab.recompute` events
-/// carry a `node` field, which `pq-trace` names `c<node>.q<id>`, and its
-/// `sim.refresh` events one per receiving node. Queries are named by
+/// carry a `node` field, which `pq-trace` names `c<node>.q<id>`, and so
+/// do its `sim.refresh` counts. Queries are named by
 /// their index in the book, so every node's `gp.solve` spans land in
 /// solve rows of their own.
 #[test]
@@ -124,6 +145,7 @@ fn tree_trace_attribution_sums_to_tree_metrics() {
     assert_eq!(ring.dropped(), 0, "the ring holds the whole run");
     let events = ring.events();
     assert_one_record_per_solve(&events);
+    assert_refreshes_are_counted_once(&events);
     let stats = TraceStats::from_events(&events);
 
     assert!(m.recomputations > 0, "the tree should recompute");
