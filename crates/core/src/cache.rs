@@ -7,31 +7,29 @@
 //! values, entered through the minimal blend toward its interior anchor
 //! ([`pq_gp::CompiledGp::solve_warm`]). A unit's filter is therefore a
 //! function of the unit and the values, not of its solve history, and a
-//! [`UnitCache`] keeps only what the values do not decide:
+//! [`UnitCache`] keeps the unit's latest assignment, as [`UnitColumns`]
+//! rewritten in place by every solve: what the coordinator copies into
+//! its filter table.
 //!
-//! * the compiled [`pq_gp::CompiledGp`]: objective and every constraint
-//!   in one flat arena (four arrays per unit, emitted in one pass on the
-//!   first solve), its condition's coefficients rewritten in place each
-//!   recompute — the exponent structure is stable across drift;
-//! * what the unit compiled to (its coefficient map, rates and variable
-//!   layout: the program of [`crate::ppq`]), so a recompute re-derives
-//!   nothing that does not follow the values;
-//! * the unit's latest assignment as [`UnitColumns`], rewritten in place
-//!   by every solve: what the coordinator copies into its filter table.
+//! A solve's compiled GP is emitted into per-thread scratch and its
+//! solver iterations run in one [`pq_gp::SolveWorkspace`] per thread:
+//! scratch that fits any program and carries nothing from one solve to
+//! the next. Its program — the deviation map, rates and variable layout
+//! of [`crate::ppq`] — is per-thread scratch too, refilled for each
+//! solve, except on a unit whose assignment is anchor-only: every
+//! refresh of its items re-solves it, so the cache keeps its program
+//! from its first re-solve on. A Dual-DAB unit re-solves only when a
+//! refresh leaves its validity range and keeps no program.
 //!
-//! Solver iterations are allocation-free through one
-//! [`pq_gp::SolveWorkspace`] per thread: a workspace is scratch that fits
-//! any program and carries nothing from one solve to the next, so it is
-//! not a unit's to keep.
-//!
-//! A solve into a cache with no compiled program is a cold start. A later
-//! one is a warm hit (a light blend of the prediction regained strict
-//! feasibility) or a warm repair (it needed a deeper blend toward the
-//! interior point); when the blend fails, phase I runs on the unit's own
-//! compiled program ([`pq_gp::CompiledGp::solve_cold`]), a cold fallback.
-//! Each bumps a `solve.*` counter so `pq-trace summary` can attribute the
-//! win. The compiled program is the only form a unit's GP takes: nothing
-//! on this path spells it out as posynomial objects first.
+//! A unit's first solve, into a cache no solve has written, is a cold
+//! start. A later one is a warm hit (a light blend of the prediction
+//! regained strict feasibility) or a warm repair (it needed a deeper
+//! blend toward the interior point); when the blend fails, phase I runs
+//! on the same compiled program ([`pq_gp::CompiledGp::solve_cold`]), a
+//! cold fallback. Each bumps a `solve.*` counter so `pq-trace summary`
+//! can attribute the win. The compiled program is the only form a unit's
+//! GP takes: nothing on this path spells it out as posynomial objects
+//! first.
 
 use std::cell::RefCell;
 
@@ -40,7 +38,7 @@ use pq_obs::names;
 
 use crate::assignment::UnitColumns;
 use crate::error::DabError;
-use crate::heuristics::UnitProgram;
+use crate::ppq::PpqProgram;
 
 /// The certified stop of every DAB solve ([`pq_gp::CompiledGp::solve_warm`]'s
 /// `stop`): a solve returns the first primal–dual iterate whose surrogate
@@ -54,16 +52,16 @@ use crate::heuristics::UnitProgram;
 /// the sweep that chose it.
 pub const DAB_GAP: f64 = 2e-3;
 
-/// What one assignment unit keeps between solves (one GP shape).
+/// What one assignment unit keeps between solves: its latest
+/// assignment and, while that is anchor-only, its program.
 #[derive(Debug, Default)]
 pub struct UnitCache {
-    compiled: Option<CompiledGp>,
-    /// What the unit compiled to, when `compiled` is that program's GP
-    /// (see [`crate::heuristics::solve_positive_cached`], which takes it
-    /// out for the duration of a solve).
-    pub(crate) program: Option<UnitProgram>,
-    /// The assignment of the last solve through this cache.
+    /// The assignment of the last solve through this cache; empty until
+    /// the unit's first.
     pub(crate) columns: UnitColumns,
+    /// The unit's program, from the first re-solve of an anchor-only
+    /// assignment on (see [`crate::assign_unit_cached`]).
+    pub(crate) program: Option<Box<PpqProgram>>,
 }
 
 thread_local! {
@@ -117,57 +115,26 @@ impl UnitCache {
     pub fn columns(&self) -> &UnitColumns {
         &self.columns
     }
-
-    /// The solve of a recompute that moved nothing but the coefficients
-    /// of constraint `row`: writes `scale * coefs` into the compiled
-    /// program's row and solves from `guess`, as [`solve_compiled`] does
-    /// with the whole program emitted afresh. `None` — with nothing
-    /// counted — when there is no compiled program, a coefficient does not
-    /// fit the row, or the blend toward `interior` fails; the caller then
-    /// compiles the program for [`solve_compiled`].
-    pub(crate) fn solve_row(
-        &mut self,
-        row: usize,
-        coefs: &[f64],
-        scale: f64,
-        guess: &[f64],
-        interior: &[f64],
-        options: &SolverOptions,
-    ) -> Option<GpSolution> {
-        let compiled = self.compiled.as_mut()?;
-        compiled.set_constraint_coefs(row, coefs, scale).ok()?;
-        let (solution, blend) = WORKSPACE
-            .with_borrow_mut(|ws| compiled.solve_warm(guess, interior, options, DAB_GAP, ws))
-            .ok()?;
-        Start::of_blend(blend).count(options);
-        Some(solution)
-    }
 }
 
-/// Solves `compiled` from a caller-supplied start: `interior` is a strictly
-/// feasible point and `guess` where the optimum is expected (see
+/// Solves `compiled` from a caller-supplied start: `interior` is a
+/// strictly feasible point and `guess` where the optimum is expected (see
 /// [`crate::ppq::predicted_start`]). The solve is the minimal blend of
-/// [`CompiledGp::solve_warm`] from `guess` toward `interior`, with or
-/// without a `cache`; a `cache` keeps `compiled` in place of whatever
-/// program it held. When the blend fails, phase I answers instead, on the
-/// same program ([`CompiledGp::solve_cold`]).
+/// [`CompiledGp::solve_warm`] from `guess` toward `interior`; when the
+/// blend fails, phase I answers instead, on the same program
+/// ([`CompiledGp::solve_cold`]).
 ///
-/// Telemetry (cached solves only): a solve into a cache with no compiled
-/// program bumps `solve.cold_start`, a later one `solve.warm_hit`,
-/// `solve.warm_repair` or `solve.cold_fallback`, on `options.obs`.
+/// Telemetry: `first` is `Some` for a unit's solve, `None` for a one-shot
+/// one, which counts nothing. A unit's first solve bumps
+/// `solve.cold_start`, a later one `solve.warm_hit`, `solve.warm_repair`
+/// or `solve.cold_fallback`, on `options.obs`.
 pub(crate) fn solve_compiled(
-    compiled: CompiledGp,
+    compiled: &CompiledGp,
     guess: &[f64],
     interior: &[f64],
     options: &SolverOptions,
-    cache: Option<&mut UnitCache>,
+    first: Option<bool>,
 ) -> Result<GpSolution, DabError> {
-    // Cached solves only: whether the cache held no program yet.
-    let first = cache.as_ref().map(|c| c.compiled.is_none());
-    let compiled = match cache {
-        Some(cache) => cache.compiled.insert(compiled),
-        None => &compiled,
-    };
     let outcome =
         WORKSPACE.with_borrow_mut(|ws| compiled.solve_warm(guess, interior, options, DAB_GAP, ws));
     if let Some(first) = first {
@@ -256,10 +223,13 @@ pub fn filter_changed(old: f64, new: f64) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::assignment::RangeKind;
     use pq_gp::{GpProblem, Monomial, Posynomial};
+    use pq_poly::ItemId;
 
-    /// `problem` solved through `cache`, compiled afresh as a unit's
-    /// program is emitted afresh.
+    /// `problem` solved as a unit's solve through `cache`, compiled
+    /// afresh as a unit's program is emitted afresh; the cache is then
+    /// written, as a unit's solve writes its columns.
     fn solve_problem(
         problem: &GpProblem,
         start: &[f64],
@@ -267,7 +237,10 @@ mod tests {
         cache: &mut UnitCache,
     ) -> Result<GpSolution, DabError> {
         let compiled = CompiledGp::compile(problem)?;
-        solve_compiled(compiled, start, start, options, Some(cache))
+        let first = cache.columns.items().is_empty();
+        let solution = solve_compiled(&compiled, start, start, options, Some(first))?;
+        cache.columns.start(&[ItemId(0)].into(), RangeKind::Box);
+        Ok(solution)
     }
 
     fn mono(c: f64, e: &[(usize, f64)]) -> Posynomial {
@@ -460,8 +433,8 @@ mod tests {
         }
     }
 
-    /// A cache whose program is of another shape takes the next program
-    /// in its place and solves it from its guess.
+    /// A unit whose program changes shape between solves solves the next
+    /// program from its guess: a cache keeps no program to mismatch.
     #[test]
     fn shape_change_starts_over_instead_of_failing() {
         let options = SolverOptions::default();
@@ -476,10 +449,11 @@ mod tests {
         assert!(sol.x[0] > 2.0);
     }
 
-    /// The kept program describes the cache's compiled GP, and a solve of
-    /// another program through the same cache replaces both: the next
-    /// Dual-DAB solve must not write its condition coefficients into the
-    /// other program's row, and answers what a fresh cache answers.
+    /// A cache solved under one strategy and then another answers each
+    /// what a fresh cache answers. It keeps a program only from the
+    /// re-solve of an anchor-only assignment on, and a solve through that
+    /// program under another strategy rebuilds it, then drops it once the
+    /// assignment is no longer anchor-only.
     #[test]
     fn a_cache_shared_across_strategies_solves_each_one_s_own_program() {
         use crate::strategy::{assign_unit_cached, assignment_units};
@@ -492,28 +466,37 @@ mod tests {
         )
         .unwrap();
         let dual = AssignmentStrategy::DualDab { mu: 5.0 };
+        let anchored = AssignmentStrategy::OptimalRefresh;
         let unit = &assignment_units(&query, dual, PqHeuristic::DifferentSum)[0];
         let rates = [0.3, 0.1, 0.2];
-        let mut cache = UnitCache::new();
-        let mut solve = |values: &[f64; 3], strategy| {
+        let fresh = |values: &[f64; 3], strategy| {
             let ctx = SolveContext::new(values, &rates);
-            assign_unit_cached(unit, &ctx, strategy, &mut cache)
+            assign_unit_cached(unit, &ctx, strategy, &mut UnitCache::new())
                 .unwrap()
                 .assignment()
         };
-        solve(&[20.0, 3.0, 15.0], dual);
-        solve(&[20.1, 3.0, 15.1], dual);
-        solve(&[20.1, 3.0, 15.1], AssignmentStrategy::OptimalRefresh);
-        let after = solve(&[20.2, 3.01, 15.0], dual);
-        assert!(after.respects_qab(&query, 1e-6));
-        let fresh = {
-            let values = [20.2, 3.01, 15.0];
+        let mut cache = UnitCache::new();
+        let steps = [
+            ([20.0, 3.0, 15.0], dual, false),
+            ([20.1, 3.0, 15.1], dual, false),
+            ([20.1, 3.0, 15.1], anchored, false),
+            ([20.2, 3.0, 15.2], anchored, true),
+            ([20.1, 3.01, 15.1], anchored, true),
+            ([20.2, 3.01, 15.0], dual, true),
+            ([20.3, 3.01, 15.0], dual, false),
+        ];
+        for (values, strategy, keeps) in steps {
             let ctx = SolveContext::new(&values, &rates);
-            assign_unit_cached(unit, &ctx, dual, &mut UnitCache::new())
-                .unwrap()
-                .assignment()
-        };
-        assert_eq!(after.all_bits(), fresh.all_bits());
+            let after = assign_unit_cached(unit, &ctx, strategy, &mut cache).unwrap();
+            let after = after.assignment();
+            assert!(after.respects_qab(&query, 1e-6));
+            assert_eq!(
+                after.all_bits(),
+                fresh(&values, strategy).all_bits(),
+                "{strategy}"
+            );
+            assert_eq!(cache.program.is_some(), keeps, "{strategy} at {values:?}");
+        }
     }
 
     #[test]

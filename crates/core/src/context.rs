@@ -73,7 +73,7 @@ impl<'a> SolveContext<'a> {
         SolveContext {
             values,
             rates,
-            ddm: DataDynamicsModel::Monotonic,
+            ddm: DataDynamicsModel::default(),
             gp: dab_solver_options(),
         }
     }

@@ -20,16 +20,11 @@
 //! [`crate::assign_query`] installs the per-item minimum of a split
 //! query's two.
 
-use std::sync::Arc;
-
-use pq_poly::Polynomial;
-
 use crate::assignment::{QueryAssignment, UnitColumns, ValidityRange};
-use crate::cache::UnitCache;
 use crate::context::SolveContext;
 use crate::error::DabError;
 use crate::laq::linear_closed_form_into;
-use crate::ppq::PpqProgram;
+use crate::ppq::{solve_ppq, PpqProgram};
 use crate::strategy::AssignmentUnit;
 
 /// Which §III-B heuristic to use for mixed-sign queries.
@@ -42,9 +37,10 @@ pub enum PqHeuristic {
 }
 
 /// How each positive-coefficient unit is solved.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub(crate) enum PpqMethod {
     /// §III-A.1 — optimal in refreshes, recomputes on every refresh.
+    #[default]
     OptimalRefresh,
     /// §III-A.2 — Dual-DAB with recomputation cost `mu`.
     DualDab {
@@ -63,61 +59,24 @@ impl PpqMethod {
     }
 }
 
-/// What a non-linear positive-coefficient unit `P : B` compiles to, once:
-/// its GP program, and the body it was compiled from — the unit's own
-/// copy, shared. Kept in the unit's [`UnitCache`] so a recompute clones,
-/// checks and classifies nothing.
-#[derive(Debug)]
-pub(crate) struct UnitProgram {
-    body: Arc<Polynomial>,
-    gp: PpqProgram,
-}
-
-impl UnitProgram {
-    /// True when these arguments compile to this program.
-    fn is_for(
-        &self,
-        body: &Arc<Polynomial>,
-        qab: f64,
-        ctx: &SolveContext<'_>,
-        method: PpqMethod,
-    ) -> bool {
-        (Arc::ptr_eq(&self.body, body) || self.body == *body) && self.gp.serves(qab, method, ctx)
-    }
-}
-
-/// Solves a unit `P : B` into `out`, with an optional per-unit cache.
-/// Linear bodies, of any sign, take the closed form (nothing to solve,
-/// nothing to keep); a positive-coefficient one is a GP solve that
-/// threads the cache through, and the cache keeps the unit's
-/// [`UnitProgram`] between calls. Any other body is
-/// [`DabError::UnsupportedQueryClass`].
-pub(crate) fn solve_positive_cached(
+/// Solves a unit `P : B` into `out`. Linear bodies, of any sign, take
+/// the closed form (nothing to solve, nothing to count); a
+/// positive-coefficient one is a GP solve ([`solve_ppq`]), counted as
+/// `first` says, on the unit's `kept` program when given. Any other body
+/// is [`DabError::UnsupportedQueryClass`].
+pub(crate) fn solve_positive_unit(
     unit: &AssignmentUnit,
     ctx: &SolveContext<'_>,
     method: PpqMethod,
-    mut cache: Option<&mut UnitCache>,
+    first: Option<bool>,
+    kept: Option<&mut Option<Box<PpqProgram>>>,
     out: &mut UnitColumns,
 ) -> Result<(), DabError> {
-    let (body, qab) = (&unit.body, unit.qab);
-    if body.is_linear() {
+    if unit.body.is_linear() {
         // Installed once: a linear unit's assignment is valid forever.
-        return linear_closed_form_into(body, unit.items(), qab, ctx, out);
+        return linear_closed_form_into(&unit.body, unit.items(), unit.qab, ctx, out);
     }
-    let kept = (cache.as_mut().and_then(|c| c.program.take()))
-        .filter(|program| program.is_for(body, qab, ctx, method));
-    let mut program = match kept {
-        Some(program) => program,
-        None => UnitProgram {
-            body: body.clone(),
-            gp: PpqProgram::for_body(body, unit.items(), unit.coupled(), qab, method, ctx)?,
-        },
-    };
-    let result = program.gp.solve_into(ctx, cache.as_deref_mut(), out);
-    if let Some(cache) = cache {
-        cache.program = Some(program);
-    }
-    result
+    solve_ppq(unit, method, ctx, first, kept, out)
 }
 
 /// Half-and-Half combination: per-item minimum primary DAB, intersection

@@ -4,8 +4,8 @@
 //! the first refresh (§V-A "steady-state start"). Whatever drives it —
 //! the deployable monitor, the simulator's engine — the steps are the
 //! same: decompose every query into its assignment units, solve each unit
-//! once into a fresh cache slot (which keeps the compiled program every
-//! later recompute rewrites), the queries split over the cores
+//! once into a fresh cache slot (which keeps the columns the solve
+//! wrote), the queries split over the cores
 //! ([`pq_ddm::parallel::split_map`]), then lay out the filter table by
 //! item and write the units' filters into it in query order.
 

@@ -19,8 +19,8 @@
 //! * [`filter_table`] — a coordinator's installed assignments, item-major:
 //!   stale-unit collection and the minimum rule as one contiguous scan;
 //! * [`install`] — the install loop: every unit's first solve;
-//! * [`cache`] — per-unit caches, each unit's compiled program and last
-//!   assignment, re-solved in place;
+//! * [`cache`] — per-unit caches, each unit's last assignment, re-solved
+//!   in place;
 //! * [`coordinator`] — the coordinator itself: refresh → notify →
 //!   re-anchor or re-solve the stale units → re-derive the filters, over
 //!   the three above. The monitor, the simulator's engine and the

@@ -24,10 +24,11 @@ use pq_gp::{CompiledGp, GpError, GpSolution, Posynomial};
 use pq_poly::{DeviationMap, ItemId, PolyError, Polynomial, PolynomialQuery};
 
 use crate::assignment::{QueryAssignment, RangeKind, UnitColumns};
-use crate::cache::{solve_compiled, UnitCache};
+use crate::cache::solve_compiled;
 use crate::context::SolveContext;
 use crate::error::DabError;
 use crate::heuristics::PpqMethod;
+use crate::strategy::AssignmentUnit;
 
 /// Optimal-Refresh assignment for a PPQ (§III-A.1).
 ///
@@ -39,7 +40,8 @@ pub fn optimal_refresh(
     query: &PolynomialQuery,
     ctx: &SolveContext<'_>,
 ) -> Result<QueryAssignment, DabError> {
-    PpqProgram::compile(query, PpqMethod::OptimalRefresh, ctx)?.solve(ctx, None)
+    let unit = AssignmentUnit::of_query(query, query.shared_poly().clone(), query.qab());
+    UnitColumns::one_shot(|out| solve_ppq(&unit, PpqMethod::OptimalRefresh, ctx, None, None, out))
 }
 
 /// Dual-DAB assignment for a PPQ (§III-A.2–3).
@@ -56,31 +58,66 @@ pub fn dual_dab(
     ctx: &SolveContext<'_>,
     mu: f64,
 ) -> Result<QueryAssignment, DabError> {
-    PpqProgram::compile(query, PpqMethod::DualDab { mu }, ctx)?.solve(ctx, None)
+    let unit = AssignmentUnit::of_query(query, query.shared_poly().clone(), query.qab());
+    UnitColumns::one_shot(|out| solve_ppq(&unit, PpqMethod::DualDab { mu }, ctx, None, None, out))
 }
 
-/// A PPQ unit's compiled program: everything about its GP that is fixed
-/// for as long as its body, QAB, method, ddm and item rates are.
+/// Solves the positive-coefficient unit under `method` at `ctx`'s values
+/// into `out`: makes `kept` the unit's program, when given, unless it
+/// already is, and this thread's [`PpqProgram`] otherwise; then emits
+/// the program into this thread's arena, predicts, solves and writes the
+/// columns. `first` is what [`solve_compiled`] counts the solve as
+/// (`None` for a one-shot solve).
+pub(crate) fn solve_ppq(
+    unit: &AssignmentUnit,
+    method: PpqMethod,
+    ctx: &SolveContext<'_>,
+    first: Option<bool>,
+    kept: Option<&mut Option<Box<PpqProgram>>>,
+    out: &mut UnitColumns,
+) -> Result<(), DabError> {
+    if let Some(kept) = kept {
+        let program = kept.get_or_insert_with(Box::default);
+        if !program.serves(unit, method, ctx) {
+            program.refill(unit, method, ctx)?;
+        }
+        return program.solve_into(ctx, first, out);
+    }
+    let mut program = PROGRAM.take();
+    let solved = program
+        .refill(unit, method, ctx)
+        .and_then(|()| program.solve_into(ctx, first, out));
+    PROGRAM.set(program);
+    solved
+}
+
+/// A PPQ unit's program: everything about its GP that is fixed for as
+/// long as its body, QAB, method, ddm and item rates are, and the values'
+/// coefficients of its condition.
 ///
 /// The variables are `b_k` for the body's `k`-th item, then (Dual-DAB)
 /// one `c_j` per coupled item — secondary DABs only for items whose
 /// reference value can invalidate the condition; a linear-only item gets
 /// `c = infinity`, it never triggers recomputation, like a LAQ item — and
-/// `R` last. The
-/// objective `sum_k refresh(lambda_k, b_k) [+ mu R]` and the Dual-DAB
-/// rows `b_j <= c_j`, `rate(lambda_j, c_j) <= R` depend on nothing that
-/// moves. Only the QAB condition (Eq. 1 / Eq. 2, constraint 0) follows
-/// the values, and only through its coefficients, which `map` derives
-/// from them. So a recompute through a [`UnitCache`] that already holds
-/// this program's compiled GP writes `coefs` into its condition row and
-/// solves. A first solve — and one after a value at exactly zero has
-/// removed a monomial from (or a positive one returned it to) the
-/// condition the cache compiled — emits the rows straight into the
-/// solver's form ([`PpqProgram::compiled`]). That emitted program is the
-/// only form the GP takes: when the blend toward the predicted start's
-/// anchor fails, phase I runs on it too.
-#[derive(Debug)]
+/// `R` last. The objective `sum_k refresh(lambda_k, b_k) [+ mu R]` and
+/// the Dual-DAB rows `b_j <= c_j`, `rate(lambda_j, c_j) <= R` depend on
+/// nothing that moves. Only the QAB condition (Eq. 1 / Eq. 2, constraint
+/// 0) follows the values, and only through its coefficients, which `map`
+/// derives from them. A solve emits the rows straight into the solver's
+/// form ([`PpqProgram::compiled`]), and that emitted program is the only
+/// form the GP takes: when the blend toward the predicted start's anchor
+/// fails, phase I runs on it too.
+///
+/// A unit whose assignment is anchor-only keeps its program in its
+/// [`crate::UnitCache`] (see [`crate::assign_unit_cached`]). Any other
+/// solve refills this thread's (`PROGRAM`, [`PpqProgram::refill`]) in
+/// the arrays it already has. Either way the GP is emitted into this
+/// thread's arena (`ARENA`), never kept.
+#[derive(Debug, Default)]
 pub(crate) struct PpqProgram {
+    /// The unit's body, once a refill has succeeded: what
+    /// [`PpqProgram::serves`] tells units apart by.
+    body: Option<Arc<Polynomial>>,
     qab: f64,
     method: PpqMethod,
     ddm: DataDynamicsModel,
@@ -95,98 +132,81 @@ pub(crate) struct PpqProgram {
     map: DeviationMap,
     /// `map` at the values of the last solve.
     coefs: Vec<f64>,
-    /// The cache's compiled GP came from a condition that held every
-    /// monomial of `map`: its condition row takes `coefs` as they are.
-    aligned: bool,
 }
 
 thread_local! {
     /// This thread's scratch for predicted starts (beside the solver's,
-    /// `cache.rs`'s `WORKSPACE`): with both, a warm recompute allocates
-    /// nothing between the values and the Newton loop.
+    /// `cache.rs`'s `WORKSPACE`): with both, a solve allocates nothing
+    /// between the values and the Newton loop.
     static START: RefCell<StartScratch> = RefCell::default();
+    /// This thread's program, refilled by every solve of a unit that
+    /// keeps none.
+    static PROGRAM: RefCell<PpqProgram> = RefCell::default();
+    /// The arena the last solve's compiled GP handed back: room for the
+    /// next emission.
+    static ARENA: RefCell<LogArena> = RefCell::default();
 }
 
 impl PpqProgram {
-    /// Compiles the program of `query` under `method` at `ctx`'s rates.
-    pub(crate) fn compile(
-        query: &PolynomialQuery,
+    /// Makes this the program of `unit` under `method` at `ctx`'s rates:
+    /// Optimal Refresh ignores the unit's coupled items.
+    fn refill(
+        &mut self,
+        unit: &AssignmentUnit,
         method: PpqMethod,
         ctx: &SolveContext<'_>,
-    ) -> Result<Self, DabError> {
-        let (items, coupled) = (query.shared_items(), query.coupled_items());
-        Self::for_body(query.poly(), items, coupled, query.qab(), method, ctx)
-    }
-
-    /// [`PpqProgram::compile`] for the query `poly : qab`, which need not
-    /// exist as one, over its items and coupled items as the caller
-    /// derived them ([`pq_poly::coupled_items`]; Optimal Refresh ignores
-    /// them).
-    pub(crate) fn for_body(
-        poly: &Polynomial,
-        items: &Arc<[ItemId]>,
-        coupled: &[ItemId],
-        qab: f64,
-        method: PpqMethod,
-        ctx: &SolveContext<'_>,
-    ) -> Result<Self, DabError> {
+    ) -> Result<(), DabError> {
+        let (items, qab) = (unit.items(), unit.qab);
+        // No unit's program until the refill succeeds.
+        self.body = None;
         if let Some(mu) = method.mu().filter(|mu| !(mu.is_finite() && *mu > 0.0)) {
             return Err(DabError::InvalidMu(mu));
         }
         if !(qab.is_finite() && qab > 0.0) {
             return Err(PolyError::InvalidBound(qab).into());
         }
-        require_ppq(poly)?;
+        require_ppq(&unit.body)?;
         let coupled = match method {
             PpqMethod::OptimalRefresh => &[],
-            PpqMethod::DualDab { .. } => coupled,
+            PpqMethod::DualDab { .. } => &unit.coupled()[..],
         };
         // `b` of the `k`-th item is variable `k`.
         let primary = |c| items.binary_search(c).expect("a coupled item is an item");
-        let coupled_b = coupled.iter().map(primary).collect();
-        let map = DeviationMap::for_unit(poly, items.clone(), coupled)?;
-        let mut lambdas = Vec::with_capacity(items.len());
+        self.coupled_b.clear();
+        self.coupled_b.extend(coupled.iter().map(primary));
+        self.map
+            .refill_for_unit(&unit.body, items.clone(), coupled)?;
+        self.lambdas.clear();
         for &item in items.iter() {
-            lambdas.push(ctx.rate(item)?);
+            self.lambdas.push(ctx.rate(item)?);
         }
-        Ok(PpqProgram {
-            qab,
-            method,
-            ddm: ctx.ddm,
-            items: items.clone(),
-            lambdas,
-            coupled_b,
-            coefs: vec![0.0; map.n_terms()],
-            map,
-            aligned: false,
-        })
+        self.coefs.clear();
+        self.coefs.resize(self.map.n_terms(), 0.0);
+        (self.qab, self.method, self.ddm) = (qab, method, ctx.ddm);
+        self.items = items.clone();
+        self.body = Some(unit.body.clone());
+        Ok(())
     }
 
-    /// True when a solve to `qab` under `method` at `ctx` is a solve of
-    /// this program (for the body it was compiled for).
-    pub(crate) fn serves(&self, qab: f64, method: PpqMethod, ctx: &SolveContext<'_>) -> bool {
+    /// True when this is the program [`PpqProgram::refill`] would make of
+    /// `unit` under `method` at `ctx`'s rates.
+    fn serves(&self, unit: &AssignmentUnit, method: PpqMethod, ctx: &SolveContext<'_>) -> bool {
+        let same_body =
+            |body: &Arc<Polynomial>| Arc::ptr_eq(body, &unit.body) || *body == unit.body;
         let same_rate = |(&item, &lambda)| ctx.rate(item).is_ok_and(|r| r == lambda);
-        self.qab == qab
+        self.body.as_ref().is_some_and(same_body)
+            && self.qab == unit.qab
             && self.method == method
             && self.ddm == ctx.ddm
-            && self.map.items().iter().zip(&self.lambdas).all(same_rate)
+            && self.items.iter().zip(&self.lambdas).all(same_rate)
     }
 
-    /// Solves the program at `ctx`'s values, through `cache` when given
-    /// (see [`crate::cache::solve_compiled`]).
-    pub(crate) fn solve(
+    /// Solves the program at `ctx`'s values and writes the assignment
+    /// into `out`.
+    fn solve_into(
         &mut self,
         ctx: &SolveContext<'_>,
-        cache: Option<&mut UnitCache>,
-    ) -> Result<QueryAssignment, DabError> {
-        UnitColumns::one_shot(|out| self.solve_into(ctx, cache, out))
-    }
-
-    /// [`PpqProgram::solve`], the assignment written into `out`.
-    pub(crate) fn solve_into(
-        &mut self,
-        ctx: &SolveContext<'_>,
-        cache: Option<&mut UnitCache>,
+        first: Option<bool>,
         out: &mut UnitColumns,
     ) -> Result<(), DabError> {
         self.map.eval_into(ctx.values, &mut self.coefs)?;
@@ -195,34 +215,26 @@ impl PpqProgram {
         let condition = self.map.terms(&self.coefs);
         let sol = start
             .predict(condition, self.qab, &self.lambdas, self.ddm, dual)
-            .and_then(|()| self.solve_from(&start.guess, &start.interior, ctx, cache));
+            .and_then(|()| self.solve_from(&start.guess, &start.interior, ctx, first));
         START.set(start);
         self.write(&sol?, ctx, out);
         Ok(())
     }
 
     /// The solve at the values `coefs` was evaluated at, from their
-    /// predicted start: by writing `coefs` into the program `cache`
-    /// compiled when it holds one that takes them, by emitting the
-    /// program otherwise.
+    /// predicted start, on the program emitted into this thread's arena,
+    /// which the compiled GP hands back after.
     fn solve_from(
-        &mut self,
+        &self,
         guess: &[f64],
         interior: &[f64],
         ctx: &SolveContext<'_>,
-        mut cache: Option<&mut UnitCache>,
+        first: Option<bool>,
     ) -> Result<GpSolution, DabError> {
-        if let Some(cache) = cache.as_deref_mut().filter(|_| self.aligned) {
-            let scale = 1.0 / self.qab;
-            let rewritten = cache.solve_row(0, &self.coefs, scale, guess, interior, &ctx.gp);
-            if let Some(sol) = rewritten {
-                return Ok(sol);
-            }
-        }
-        self.aligned = false;
-        let sol = solve_compiled(self.compiled()?, guess, interior, &ctx.gp, cache)?;
-        self.aligned = self.coefs.iter().all(|&c| c != 0.0);
-        Ok(sol)
+        let compiled = self.compiled()?;
+        let sol = solve_compiled(&compiled, guess, interior, &ctx.gp, first);
+        ARENA.set(compiled.into_arena());
+        sol
     }
 
     /// Writes the assignment `sol` stands for, anchored at `ctx`'s
@@ -264,10 +276,11 @@ impl PpqProgram {
     }
 
     /// The program at the values `coefs` was evaluated at, in the
-    /// solver's own form: every posynomial emitted in one pass into one
-    /// arena counted beforehand, with nothing built in between — term for
-    /// term and bit for bit what compiling the program spelled out as a
-    /// problem gives (the tests' `PpqProgram::problem`).
+    /// solver's own form: every posynomial emitted in one pass into this
+    /// thread's arena, its counts reserved beforehand, with nothing built
+    /// in between — term for term and bit for bit what compiling the
+    /// program spelled out as a problem gives (the tests'
+    /// `PpqProgram::problem`).
     fn compiled(&self) -> Result<CompiledGp, GpError> {
         let n = self.lambdas.len();
         let coupled = self.coupled_b.len();
@@ -282,7 +295,8 @@ impl PpqProgram {
         let condition = self.map.terms(&self.coefs);
         let (condition_terms, condition_exps) = self.map.counts(&self.coefs);
         let objective_terms = n + usize::from(mu.is_some());
-        let mut arena = LogArena::with_capacity(
+        let mut arena = ARENA.take();
+        arena.reset(
             n_vars,
             2 + 2 * coupled,
             objective_terms + condition_terms + 2 * coupled,
@@ -810,56 +824,12 @@ mod tests {
         assert!(a.respects_qab(&q, 1e-6));
     }
 
-    /// Two units shaped like the paper's (shared item, a square, a linear
-    /// leg), installed at one set of values and recomputed at drifted
-    /// ones: the recompute that writes the map's coefficients into the
-    /// cached compiled GP returns the assignment, bit for bit, of the one
-    /// that emits the whole program afresh.
-    #[test]
-    fn warm_recompute_through_the_map_matches_the_rebuild_path_bit_for_bit() {
-        let p = Polynomial::from_terms([
-            PTerm::new(2.0, [(x(0), 1), (x(1), 1)]).unwrap(),
-            PTerm::new(3.0, [(x(1), 1), (x(2), 1)]).unwrap(),
-            PTerm::new(0.5, [(x(3), 2)]).unwrap(),
-            PTerm::new(4.0, [(x(4), 1)]).unwrap(),
-        ]);
-        let q = PolynomialQuery::new(p, 10.0).unwrap();
-        let rates = [0.5, 0.01, 0.3, 0.2, 0.1];
-        let installed = [50.0, 2.0, 30.0, 7.0, 11.0];
-        let drifted = [50.4, 1.98, 30.3, 7.05, 11.2];
-        for ddm in [DataDynamicsModel::Monotonic, DataDynamicsModel::RandomWalk] {
-            let at = |values| SolveContext::new(values, &rates).with_ddm(ddm);
-            let method = PpqMethod::DualDab { mu: 5.0 };
-            let mut through_map = PpqProgram::compile(&q, method, &at(&installed)).unwrap();
-            let mut rebuilding = PpqProgram::compile(&q, method, &at(&installed)).unwrap();
-            let (mut cache_a, mut cache_b) = (UnitCache::new(), UnitCache::new());
-            let a0 = through_map
-                .solve(&at(&installed), Some(&mut cache_a))
-                .unwrap();
-            let b0 = rebuilding
-                .solve(&at(&installed), Some(&mut cache_b))
-                .unwrap();
-            assert_eq!(a0.all_bits(), b0.all_bits());
-            assert!(through_map.aligned);
-            // Same cache state, but nothing says its compiled GP takes
-            // the map's coefficients: the program is emitted again.
-            rebuilding.aligned = false;
-            let a1 = through_map
-                .solve(&at(&drifted), Some(&mut cache_a))
-                .unwrap();
-            let b1 = rebuilding.solve(&at(&drifted), Some(&mut cache_b)).unwrap();
-            assert_eq!(a1.all_bits(), b1.all_bits(), "{ddm}");
-            assert_ne!(a1.all_bits(), a0.all_bits(), "the recompute moved the DABs");
-            assert!(a1.respects_qab(&q, 1e-6));
-        }
-    }
-
     /// A unit's filter is a function of the unit and the values, not of
-    /// its solve history: solved through one cache at `V0` and then `V1`,
-    /// it is bit for bit the solve of a fresh cache at `V1` — whether the
-    /// recompute rewrites the kept program's condition row (`V0` all
-    /// positive) or emits the program again (a value at zero in `V0` left
-    /// a monomial out of the kept condition).
+    /// its solve history: solved at `V0` and then recomputed at `V1` and
+    /// `V2`, through this thread's program or through the unit's kept
+    /// one, each recompute is bit for bit the solve of a fresh program at
+    /// its values — whether `V0` is all positive or a value at zero in
+    /// `V0` left a monomial out of the condition the program last held.
     #[test]
     fn a_recompute_is_the_fresh_solve_at_the_same_values() {
         let p = Polynomial::from_terms([
@@ -870,69 +840,124 @@ mod tests {
         ]);
         let q = PolynomialQuery::new(p, 10.0).unwrap();
         let rates = [0.5, 0.01, 0.3, 0.2, 0.1];
-        let drifted = [50.4, 1.98, 30.3, 7.05, 11.2];
+        let drifts = [
+            [50.4, 1.98, 30.3, 7.05, 11.2],
+            [49.7, 2.03, 29.8, 6.9, 11.1],
+        ];
         let methods = [PpqMethod::DualDab { mu: 5.0 }, PpqMethod::OptimalRefresh];
         let installs = [[50.0, 2.0, 30.0, 7.0, 11.0], [50.0, 2.0, 30.0, 0.0, 11.0]];
         for ddm in [DataDynamicsModel::Monotonic, DataDynamicsModel::RandomWalk] {
             let at = |values| SolveContext::new(values, &rates).with_ddm(ddm);
-            for method in methods {
+            for (method, keep) in methods.into_iter().flat_map(|m| [(m, false), (m, true)]) {
                 for installed in &installs {
-                    let mut program = PpqProgram::compile(&q, method, &at(installed)).unwrap();
-                    let mut cache = UnitCache::new();
-                    program.solve(&at(installed), Some(&mut cache)).unwrap();
-                    assert_eq!(program.aligned, installed[3] != 0.0);
-                    let recomputed = program.solve(&at(&drifted), Some(&mut cache)).unwrap();
-                    let fresh = PpqProgram::compile(&q, method, &at(&drifted))
-                        .unwrap()
-                        .solve(&at(&drifted), Some(&mut UnitCache::new()))
-                        .unwrap();
-                    assert_eq!(
-                        recomputed.all_bits(),
-                        fresh.all_bits(),
-                        "{method:?} {ddm} from {installed:?}"
-                    );
+                    let (mut columns, mut kept) = (UnitColumns::default(), None);
+                    let unit = unit_of(&q);
+                    solve_ppq(
+                        &unit,
+                        method,
+                        &at(installed),
+                        Some(true),
+                        None,
+                        &mut columns,
+                    )
+                    .unwrap();
+                    for drifted in &drifts {
+                        let slot = keep.then_some(&mut kept);
+                        solve_ppq(&unit, method, &at(drifted), Some(false), slot, &mut columns)
+                            .unwrap();
+                        let fresh = PpqProgram::compile(&q, method, &at(drifted))
+                            .unwrap()
+                            .solve(&at(drifted), None)
+                            .unwrap();
+                        assert_eq!(
+                            columns.assignment().all_bits(),
+                            fresh.all_bits(),
+                            "{method:?} {ddm} kept {keep} from {installed:?} to {drifted:?}"
+                        );
+                    }
+                    assert_eq!(kept.is_some(), keep);
                 }
             }
         }
     }
 
+    /// A kept program is the unit's only while the unit, method, ddm and
+    /// rates are those it was built for: a solve through it under any
+    /// other rebuilds it, and is the fresh solve.
+    #[test]
+    fn a_kept_program_that_is_not_the_units_is_rebuilt() {
+        let q = PolynomialQuery::portfolio([(2.0, x(0), x(1)), (3.0, x(1), x(2))], 10.0).unwrap();
+        let wider = q.with_qab(12.0).unwrap();
+        let other = PolynomialQuery::portfolio([(2.0, x(0), x(2))], 10.0).unwrap();
+        let values = [50.0, 2.0, 30.0];
+        let (rates, faster) = ([0.5, 0.01, 0.3], [0.5, 0.02, 0.3]);
+        let dual = PpqMethod::DualDab { mu: 5.0 };
+        let at = |rates| SolveContext::new(&values, rates);
+        let walk = SolveContext::new(&values, &rates).with_ddm(DataDynamicsModel::RandomWalk);
+        let cases = [
+            (&q, PpqMethod::OptimalRefresh, at(&rates)),
+            (&q, dual, at(&rates)),
+            (&wider, dual, at(&rates)),
+            (&other, dual, at(&rates)),
+            (&other, dual, at(&faster)),
+            (&other, dual, walk),
+            (&q, dual, at(&rates)),
+        ];
+        let mut kept = None;
+        for (query, method, ctx) in &cases {
+            let mut columns = UnitColumns::default();
+            let unit = unit_of(query);
+            solve_ppq(&unit, *method, ctx, None, Some(&mut kept), &mut columns).unwrap();
+            assert!(kept.as_ref().unwrap().serves(&unit, *method, ctx));
+            let fresh = PpqProgram::compile(query, *method, ctx)
+                .unwrap()
+                .solve(ctx, None)
+                .unwrap();
+            assert_eq!(
+                columns.assignment().all_bits(),
+                fresh.all_bits(),
+                "{query} {method:?}"
+            );
+        }
+        // A failed rebuild leaves the program no unit's.
+        let unit = unit_of(&q);
+        let bad = PpqMethod::DualDab { mu: -1.0 };
+        let mut columns = UnitColumns::default();
+        assert!(solve_ppq(&unit, bad, &at(&rates), None, Some(&mut kept), &mut columns).is_err());
+        assert!(!kept.unwrap().serves(&unit, dual, &at(&rates)));
+    }
+
     /// A value reaching exactly zero removes monomials from the condition:
-    /// the compiled GP cannot take the coefficients, the program is
-    /// emitted again, and stays on that path until an emitted condition
-    /// holds every monomial again.
+    /// the program emitted at it has fewer condition terms, and every
+    /// solve on the way to zero and back respects the QAB.
     #[test]
     fn a_value_at_zero_takes_the_rebuild_path_and_still_respects_the_qab() {
         let q = PolynomialQuery::portfolio([(2.0, x(0), x(1)), (3.0, x(2), x(3))], 10.0).unwrap();
         let rates = [0.5, 0.01, 0.3, 0.2];
-        let mut program;
-        let mut cache = UnitCache::new();
-        let mut solve = |values: &[f64; 4], program: &mut PpqProgram| {
+        let unit = unit_of(&q);
+        let mut columns = UnitColumns::default();
+        let mut solve = |values: &[f64; 4]| {
             let ctx = SolveContext::new(values, &rates);
-            let a = program.solve(&ctx, Some(&mut cache)).unwrap();
+            let first = columns.items().is_empty();
+            let dual = PpqMethod::DualDab { mu: 5.0 };
+            solve_ppq(&unit, dual, &ctx, Some(first), None, &mut columns).unwrap();
+            let a = columns.assignment();
             assert!(a.respects_qab(&q, 1e-6), "at {values:?}");
             a
         };
-        let ctx = SolveContext::new(&[50.0, 2.0, 30.0, 4.0], &rates);
-        program = PpqProgram::compile(&q, PpqMethod::DualDab { mu: 5.0 }, &ctx).unwrap();
-        let full = solve(&[50.0, 2.0, 30.0, 4.0], &mut program);
-        assert!(program.aligned);
-        let at_zero = solve(&[0.0, 2.0, 30.0, 4.0], &mut program);
-        assert!(!program.aligned, "the rebuilt condition lacks `V0 b1`");
+        let full = solve(&[50.0, 2.0, 30.0, 4.0]);
+        let at_zero = solve(&[0.0, 2.0, 30.0, 4.0]);
         assert!(at_zero.primary[&x(1)] > full.primary[&x(1)]);
-        solve(&[0.0, 2.01, 30.0, 4.0], &mut program);
-        assert!(!program.aligned);
-        solve(&[0.3, 2.01, 30.0, 4.0], &mut program);
-        assert!(program.aligned);
-        solve(&[0.31, 2.0, 30.1, 4.0], &mut program);
+        solve(&[0.0, 2.01, 30.0, 4.0]);
+        solve(&[0.3, 2.01, 30.0, 4.0]);
+        solve(&[0.31, 2.0, 30.1, 4.0]);
     }
 
     /// The solve as it ran before programs were emitted: spell the
-    /// program out as a [`GpProblem`], compile that, and solve it through
-    /// the cache.
+    /// program out as a [`GpProblem`], compile that, and solve it.
     fn solve_through_the_problem(
         program: &mut PpqProgram,
         ctx: &SolveContext<'_>,
-        cache: &mut UnitCache,
     ) -> Result<QueryAssignment, DabError> {
         program.map.eval_into(ctx.values, &mut program.coefs)?;
         let dual = program.method.mu().map(|mu| (mu, &program.coupled_b[..]));
@@ -944,11 +969,37 @@ mod tests {
             dual,
         )?;
         let compiled = CompiledGp::compile(&program.problem()?)?;
-        let sol = solve_compiled(compiled, &guess, &interior, &ctx.gp, Some(cache))?;
+        let sol = solve_compiled(&compiled, &guess, &interior, &ctx.gp, None)?;
         Ok(program.assignment(&sol, ctx))
     }
 
+    /// The query as a unit of its own.
+    fn unit_of(query: &PolynomialQuery) -> AssignmentUnit {
+        AssignmentUnit::of_query(query, query.shared_poly().clone(), query.qab())
+    }
+
     impl PpqProgram {
+        /// The program of `query` under `method` at `ctx`'s rates, fresh:
+        /// not this thread's scratch.
+        fn compile(
+            query: &PolynomialQuery,
+            method: PpqMethod,
+            ctx: &SolveContext<'_>,
+        ) -> Result<Self, DabError> {
+            let mut program = PpqProgram::default();
+            program.refill(&unit_of(query), method, ctx)?;
+            Ok(program)
+        }
+
+        /// The program solved at `ctx`'s values, counted as `first` says.
+        fn solve(
+            &mut self,
+            ctx: &SolveContext<'_>,
+            first: Option<bool>,
+        ) -> Result<QueryAssignment, DabError> {
+            UnitColumns::one_shot(|out| self.solve_into(ctx, first, out))
+        }
+
         /// [`PpqProgram::compiled`] spelled out as a problem: the reference
         /// the emitted rows are tested against.
         fn problem(&self) -> Result<GpProblem, DabError> {
@@ -1066,6 +1117,8 @@ mod tests {
                 let mut spelling = PpqProgram::compile(&query, method, &at(&installed)).unwrap();
                 emitting.map.eval_into(&installed, &mut emitting.coefs).unwrap();
                 let reference = emitting.problem().map(|p| CompiledGp::compile(&p).unwrap());
+                // Emitted into an empty arena, not the one a case before left.
+                drop(ARENA.take());
                 match (emitting.compiled(), reference) {
                     (Ok(emitted), Ok(compiled)) => {
                         prop_assert_eq!(emitted.n_vars(), compiled.n_vars());
@@ -1085,10 +1138,9 @@ mod tests {
                     ),
                 }
 
-                let (mut cache_e, mut cache_s) = (UnitCache::new(), UnitCache::new());
                 for values in [&installed, &drifted] {
-                    let emitted = emitting.solve(&at(values), Some(&mut cache_e));
-                    let spelled = solve_through_the_problem(&mut spelling, &at(values), &mut cache_s);
+                    let emitted = emitting.solve(&at(values), None);
+                    let spelled = solve_through_the_problem(&mut spelling, &at(values));
                     match (emitted, spelled) {
                         (Ok(e), Ok(s)) => prop_assert_eq!(e.all_bits(), s.all_bits()),
                         (Err(_), Err(_)) => {}
@@ -1101,7 +1153,8 @@ mod tests {
 
     /// A start whose blend fails — here an anchor outside the condition —
     /// still ends in phase I, on the emitted program, counted as the one
-    /// cold start it is; the cache keeps that program for the next solve.
+    /// cold start a unit's first solve is; the unit's next solve starts
+    /// from the prediction and counts its blend.
     #[test]
     fn a_failed_blend_reaches_phase_one_through_the_emitted_program() {
         let q = PolynomialQuery::portfolio([(2.0, x(0), x(1)), (3.0, x(1), x(2))], 10.0).unwrap();
@@ -1115,9 +1168,8 @@ mod tests {
         let outside = vec![1e3; 3 + 3 + 1];
         assert!(program.problem().unwrap().max_violation(&outside) > 0.0);
 
-        let mut cache = UnitCache::new();
         let sol = program
-            .solve_from(&outside, &outside, &ctx, Some(&mut cache))
+            .solve_from(&outside, &outside, &ctx, Some(true))
             .unwrap();
         let oracle = pq_gp::solve(&program.problem().unwrap(), &ctx.gp).unwrap();
         assert_eq!(sol.x, oracle.x);
@@ -1129,9 +1181,7 @@ mod tests {
         assert_eq!(count(pq_obs::names::SOLVE_WARM_HIT), 0);
         assert_eq!(count(pq_obs::names::SOLVE_WARM_REPAIR), 0);
 
-        // The next solve rewrites the kept program's condition in place
-        // and starts from the prediction at the drifted values.
-        assert!(program.aligned);
+        // The next solve starts from the prediction at the drifted values.
         let drifted = [50.4, 1.98, 30.3];
         let next = program
             .solve(
@@ -1139,7 +1189,7 @@ mod tests {
                     values: &drifted,
                     ..ctx.clone()
                 },
-                Some(&mut cache),
+                Some(false),
             )
             .unwrap();
         assert!(next.respects_qab(&q, 1e-6));
@@ -1173,7 +1223,7 @@ mod tests {
             program.map.eval_into(&values, &mut program.coefs).unwrap();
             let outside = vec![1e3; n_vars];
             let sol = program
-                .solve_from(&outside, &outside, &ctx, Some(&mut UnitCache::new()))
+                .solve_from(&outside, &outside, &ctx, Some(true))
                 .unwrap();
             let phase_one = ring.events().iter().any(|e| {
                 e.target == "gp.solve_ns"

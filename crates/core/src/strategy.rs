@@ -14,7 +14,8 @@ use crate::baseline::{equal_dab_into, per_item_split_into};
 use crate::cache::UnitCache;
 use crate::context::SolveContext;
 use crate::error::DabError;
-use crate::heuristics::{merge_min, solve_positive_cached, PpqMethod, PqHeuristic};
+use crate::heuristics::{merge_min, solve_positive_unit, PpqMethod, PqHeuristic};
+use crate::ppq::PpqProgram;
 
 /// A complete per-query DAB assignment policy.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -109,8 +110,7 @@ pub fn estimate_mu(
 #[derive(Debug, Clone, PartialEq)]
 pub struct AssignmentUnit {
     /// The unit's polynomial body (positive-coefficient for split units),
-    /// shared with its query when the query is one unit, and with the
-    /// program its [`UnitCache`] keeps.
+    /// shared with its query when the query is one unit.
     pub body: Arc<Polynomial>,
     /// The unit's accuracy budget.
     pub qab: f64,
@@ -134,7 +134,7 @@ impl AssignmentUnit {
 
     /// The unit `body : qab` over the items of `query`, whose body has
     /// the same terms as `body` up to their signs and order.
-    fn of_query(query: &PolynomialQuery, body: Arc<Polynomial>, qab: f64) -> Self {
+    pub(crate) fn of_query(query: &PolynomialQuery, body: Arc<Polynomial>, qab: f64) -> Self {
         AssignmentUnit {
             body,
             qab,
@@ -208,35 +208,50 @@ pub fn assign_unit(
     ctx: &SolveContext<'_>,
     strategy: AssignmentStrategy,
 ) -> Result<QueryAssignment, DabError> {
-    UnitColumns::one_shot(|out| solve_unit(unit, ctx, strategy, None, out))
+    UnitColumns::one_shot(|out| solve_unit(unit, ctx, strategy, None, None, out))
 }
 
-/// Solves one unit under `strategy` through `cache`. Closed-form
-/// strategies keep nothing in it; GP-backed ones reuse the compiled
-/// program stored there and start from the predicted optimum at `ctx`'s
-/// values, as an uncached solve does. The new assignment is left in the
-/// cache, as columns ([`UnitCache::columns`]), and returned from there.
+/// Solves one unit under `strategy` through `cache`, as an uncached
+/// solve does, and leaves the new assignment in the cache, as columns
+/// ([`UnitCache::columns`]), returned from there. A GP-backed solve
+/// counts as the unit's first while no solve has written the cache
+/// (`solve.cold_start`), by its blend after (see
+/// [`crate::cache`]).
+///
+/// An anchor-only assignment holds at its anchor alone, so the next
+/// refresh of any of its items re-solves the unit: a unit whose last
+/// solve wrote one keeps its program in the cache for the next, and any
+/// other builds its program in this thread's scratch.
 pub fn assign_unit_cached<'c>(
     unit: &AssignmentUnit,
     ctx: &SolveContext<'_>,
     strategy: AssignmentStrategy,
     cache: &'c mut UnitCache,
 ) -> Result<&'c UnitColumns, DabError> {
-    let mut out = std::mem::take(&mut cache.columns);
-    let solved = solve_unit(unit, ctx, strategy, Some(cache), &mut out);
-    cache.columns = out;
-    solved.map(|()| &cache.columns)
+    let UnitCache { columns, program } = cache;
+    let first = columns.items().is_empty();
+    let kept = match columns.kind() {
+        RangeKind::AnchorOnly if !first => Some(program),
+        _ => {
+            *program = None;
+            None
+        }
+    };
+    solve_unit(unit, ctx, strategy, Some(first), kept, columns)?;
+    Ok(columns)
 }
 
 /// The one solve of a unit every entry point runs, into `out`. A linear
 /// unit of any sign takes the closed form; a non-linear one must be
 /// positive-coefficient, as every unit [`assignment_units`] makes is
-/// ([`DabError::UnsupportedQueryClass`] otherwise).
+/// ([`DabError::UnsupportedQueryClass`] otherwise), and its GP solve
+/// runs on the `kept` program when given.
 fn solve_unit(
     unit: &AssignmentUnit,
     ctx: &SolveContext<'_>,
     strategy: AssignmentStrategy,
-    cache: Option<&mut UnitCache>,
+    first: Option<bool>,
+    kept: Option<&mut Option<Box<PpqProgram>>>,
     out: &mut UnitColumns,
 ) -> Result<(), DabError> {
     // A unit that reads no item (a constant body) has no filter to size
@@ -250,10 +265,10 @@ fn solve_unit(
         AssignmentStrategy::PerItemSplit => per_item_split_into(&unit.query()?, ctx, out),
         AssignmentStrategy::EqualDab => equal_dab_into(&unit.query()?, ctx, out),
         AssignmentStrategy::OptimalRefresh => {
-            solve_positive_cached(unit, ctx, PpqMethod::OptimalRefresh, cache, out)
+            solve_positive_unit(unit, ctx, PpqMethod::OptimalRefresh, first, kept, out)
         }
         AssignmentStrategy::DualDab { mu } => {
-            solve_positive_cached(unit, ctx, PpqMethod::DualDab { mu }, cache, out)
+            solve_positive_unit(unit, ctx, PpqMethod::DualDab { mu }, first, kept, out)
         }
     }
 }

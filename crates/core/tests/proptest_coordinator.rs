@@ -8,7 +8,7 @@
 //! re-solves by the uncached `assign_unit`, filters by a minimum over
 //! every assignment. [`pq_core::Coordinator`] — compiled plan and
 //! delta-maintained values with their rebase period, item-major filter
-//! table, warm caches and compiled programs — must make the same
+//! table, per-unit caches and per-thread solve scratch — must make the same
 //! decisions on any book. With sources that push the moment they leave
 //! their filter and filters that install the moment they change, every
 //! query must stay within its QAB under every strategy and heuristic.

@@ -15,10 +15,12 @@
 //! Both estimates are posynomial in `b`, which is what lets the refresh
 //! objective enter a geometric program.
 
-/// The assumed model of data evolution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// The assumed model of data evolution; monotonic unless a caller says
+/// otherwise.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum DataDynamicsModel {
     /// Uniform-rate monotonic drift: refresh rate `lambda / b`.
+    #[default]
     Monotonic,
     /// Random walk: refresh rate `(lambda / b)^2`.
     RandomWalk,

@@ -16,9 +16,9 @@ use crate::posynomial::Posynomial;
 /// every term's exponent row in one array, every `ln c_k` in another, and
 /// where each posynomial's terms end. Four allocations however many
 /// posynomials there are, written once by a caller that knows its counts
-/// ([`LogArena::with_capacity`] + [`LogArena::push`]) and read front to
-/// back by every solver pass.
-#[derive(Debug, Clone)]
+/// ([`LogArena::with_capacity`] or [`LogArena::reset`], then
+/// [`LogArena::push`]) and read front to back by every solver pass.
+#[derive(Debug, Clone, Default)]
 pub struct LogArena {
     /// Every term's sparse exponent row `(var, exponent)`.
     entries: Vec<(usize, f64)>,
@@ -62,13 +62,26 @@ impl LogArena {
     /// `posynomials` posynomials of `terms` terms and `entries` exponents
     /// in all: a caller that counts first allocates each array once.
     pub fn with_capacity(n_vars: usize, posynomials: usize, terms: usize, entries: usize) -> Self {
-        LogArena {
-            entries: Vec::with_capacity(entries),
-            row_ends: Vec::with_capacity(terms),
-            log_coefs: Vec::with_capacity(terms),
-            term_ends: Vec::with_capacity(posynomials),
-            n_vars,
-        }
+        let mut arena = LogArena::default();
+        arena.reset(n_vars, posynomials, terms, entries);
+        arena
+    }
+
+    /// Empties the arena for a program over `n_vars` variables with room
+    /// for exactly `posynomials` posynomials of `terms` terms and
+    /// `entries` exponents in all, keeping what it already reserved: an
+    /// arena kept as scratch is refilled without allocating once it has
+    /// held a program that large.
+    pub fn reset(&mut self, n_vars: usize, posynomials: usize, terms: usize, entries: usize) {
+        self.entries.clear();
+        self.row_ends.clear();
+        self.log_coefs.clear();
+        self.term_ends.clear();
+        self.entries.reserve_exact(entries);
+        self.row_ends.reserve_exact(terms);
+        self.log_coefs.reserve_exact(terms);
+        self.term_ends.reserve_exact(posynomials);
+        self.n_vars = n_vars;
     }
 
     /// Appends the log-space form of `sum_k scale * coef_k * prod x_v^e`
@@ -182,12 +195,6 @@ impl LogArena {
             + (self.term_ends.capacity() - self.term_ends.len())
     }
 
-    /// The term range of posynomial `p`.
-    fn term_range(&self, p: usize) -> (usize, usize) {
-        let first = if p == 0 { 0 } else { self.term_ends[p - 1] };
-        (first as usize, self.term_ends[p] as usize)
-    }
-
     /// Posynomial `p`.
     ///
     /// # Panics
@@ -208,34 +215,6 @@ impl LogArena {
             term_ends: self.term_ends.iter(),
             n_vars: self.n_vars,
         }
-    }
-
-    /// Overwrites the coefficients of posynomial `p` with
-    /// `scale * coefs[k]`, keeping the exponent rows.
-    ///
-    /// # Errors
-    /// With the arena unchanged: [`GpError::EmptyPosynomial`] when there
-    /// is no posynomial `p` or `coefs` is not one per term;
-    /// [`GpError::NonPositiveCoefficient`] unless every scaled
-    /// coefficient is strictly positive and finite.
-    pub fn set_coefs(&mut self, p: usize, coefs: &[f64], scale: f64) -> Result<(), GpError> {
-        if p >= self.len() {
-            return Err(GpError::EmptyPosynomial);
-        }
-        let (first, end) = self.term_range(p);
-        if end - first != coefs.len() {
-            return Err(GpError::EmptyPosynomial);
-        }
-        // Check all, then write: a rejected coefficient leaves every one
-        // of the row's as it was.
-        let mut scaled = coefs.iter().map(|c| c * scale);
-        if let Some(bad) = scaled.find(|c| !(c.is_finite() && *c > 0.0)) {
-            return Err(GpError::NonPositiveCoefficient(bad));
-        }
-        for (c, lc) in coefs.iter().zip(&mut self.log_coefs[first..end]) {
-            *lc = (c * scale).ln();
-        }
-        Ok(())
     }
 
     /// The phase-I program over `n_vars + 1` variables: the objective is
@@ -744,8 +723,8 @@ mod tests {
     }
 
     /// Three posynomials in one arena: each view reads its own rows and
-    /// coefficients, a rejected push or write changes nothing, and the
-    /// phase-I lift copies every constraint's `ln` coefficients verbatim.
+    /// coefficients, a rejected push changes nothing, and the phase-I
+    /// lift copies every constraint's `ln` coefficients verbatim.
     #[test]
     fn views_partition_the_arena_and_failed_writes_leave_it_alone() {
         type Row = &'static [(usize, f64)];
@@ -777,16 +756,7 @@ mod tests {
         let before = format!("{arena:?}");
         let bad: [(f64, Row); 2] = [(1.0, &[(0, 1.0)]), (-1.0, &[(1, 1.0)])];
         assert!(arena.push(bad.into_iter(), 1.0).is_err());
-        assert!(arena.set_coefs(2, &[1.0, 1.0, 0.0], 1.0).is_err());
-        assert!(arena.set_coefs(2, &[1.0, 1.0], 1.0).is_err());
-        assert!(arena.set_coefs(3, &[1.0], 1.0).is_err());
         assert_eq!(format!("{arena:?}"), before);
-        arena.set_coefs(2, &[1.0, 2.0, 8.0], 0.5).unwrap();
-        assert_eq!(
-            arena.get(2).log_coefs(),
-            [0.5f64.ln(), 1f64.ln(), 4f64.ln()]
-        );
-        assert_eq!(arena.get(1).log_coefs(), [0.5f64.ln()]);
 
         let lift = arena.phase_one_lift();
         assert_eq!((lift.n_vars(), lift.len()), (3, 3));

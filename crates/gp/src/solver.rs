@@ -123,7 +123,7 @@ pub struct SolverOptions {
 pub struct DabTelemetry {
     /// Timer of the `dab.solve` span.
     pub span: pq_obs::Timer,
-    /// `solve.cold_start`: a solve into a cache with no compiled program.
+    /// `solve.cold_start`: a unit's first solve.
     pub cold_start: Arc<pq_obs::Counter>,
     /// `solve.warm_hit`: a later solve whose start needed only a light
     /// blend off the predicted optimum.
@@ -317,25 +317,24 @@ pub fn solve(problem: &GpProblem, options: &SolverOptions) -> Result<GpSolution,
     compiled.solve_cold(options, &mut SolveWorkspace::new())
 }
 
-/// A geometric program compiled once to log-space for repeated solves.
+/// A geometric program compiled to log-space.
 ///
-/// DAB recomputation re-derives the *same* program shape with coefficients
-/// that track the drifting data values; compiling the posynomials and
-/// allocating solver buffers each time is the dominant fixed cost.
 /// `CompiledGp` keeps every posynomial of the program — objective first,
 /// then the constraints `fs[i] <= 1` — in one flat [`LogArena`] (four
-/// arrays however many constraints there are) and rewrites a constraint's
-/// coefficients in place via [`CompiledGp::set_constraint_coefs`].
+/// arrays however many constraints there are). A caller that solves one
+/// program after another hands each one's arena back after its solve
+/// ([`CompiledGp::into_arena`]) and emits the next into it, so solving
+/// many programs in turn allocates no arena once the largest has been
+/// held.
 #[derive(Debug, Clone)]
 pub struct CompiledGp {
     arena: LogArena,
     /// Cached sparse KKT structure (term ordering, min-degree permutation,
     /// symbolic factorization, scatter slots). Built at compile time when
     /// the program is large and structurally sparse enough for the sparse
-    /// backend to win, and shared across clones, so the per-unit solve
-    /// caches upstream reuse one symbolic analysis across every
-    /// warm-started refresh. Its presence is the backend decision: every
-    /// solve of a program with a plan runs sparse, every other one dense.
+    /// backend to win, and shared across clones. Its presence is the
+    /// backend decision: every solve of a program with a plan runs
+    /// sparse, every other one dense.
     plan: Option<Arc<SparseKktPlan>>,
 }
 
@@ -441,24 +440,11 @@ impl CompiledGp {
         self.arena.len() - 1
     }
 
-    /// Overwrites the coefficients of constraint `i` with
-    /// `scale * coefs[k]`, in the constraint's term order, keeping its
-    /// exponent structure (and with it the cached sparse plan): the
-    /// program compiling a rebuilt `add_constraint_le(f, 1 / scale)` row
-    /// of the same structure gives, without the row.
-    ///
-    /// # Errors
-    /// [`GpError::EmptyPosynomial`] when there is no constraint `i` or
-    /// `coefs` is not one per term; [`GpError::NonPositiveCoefficient`]
-    /// when a scaled coefficient is not strictly positive and finite. The
-    /// program is unchanged on error.
-    pub fn set_constraint_coefs(
-        &mut self,
-        i: usize,
-        coefs: &[f64],
-        scale: f64,
-    ) -> Result<(), GpError> {
-        self.arena.set_coefs(i + 1, coefs, scale)
+    /// The compiled posynomials, handed back: a caller that keeps its
+    /// arena as scratch refills it for the next program
+    /// ([`LogArena::reset`]).
+    pub fn into_arena(self) -> LogArena {
+        self.arena
     }
 
     /// Solves from a strictly feasible `x0 > 0`, reusing `ws` buffers.
@@ -1393,36 +1379,22 @@ mod tests {
         let b = compiled.solve_from(&start, &opts(), &mut ws).unwrap();
         assert_eq!(a.x, b.x);
 
+        // Handed back and refilled with the same rows, the arena is the
+        // same program again, in the arrays it already had.
+        let mut arena = emitted.into_arena();
+        let held = format!("{arena:?}");
+        arena.reset(n, 3, 5, 6);
+        assert!(arena.is_empty());
+        for p in std::iter::once(problem.objective().unwrap()).chain(problem.constraints()) {
+            let terms = p.terms().iter().map(|t| (t.coef(), t.exponents()));
+            arena.push(terms, 1.0).unwrap();
+        }
+        assert_eq!((format!("{arena:?}"), arena.spare_capacity()), (held, 0));
+
         assert_eq!(
             CompiledGp::from_arena(LogArena::with_capacity(n, 0, 0, 0)).unwrap_err(),
             GpError::EmptyPosynomial
         );
-    }
-
-    /// Writing a row's coefficients directly lands on the same compiled
-    /// program as compiling the rebuilt problem, and a rejected write
-    /// changes nothing.
-    #[test]
-    fn set_constraint_coefs_matches_a_recompile_bit_for_bit() {
-        let mut direct = CompiledGp::compile(&drifting_problem(2.0, 3.0, 4.0, 5.0)).unwrap();
-        // Row 1 is `(x + y) / c2 <= 1`.
-        direct
-            .set_constraint_coefs(1, &[1.0, 1.0], 1.0 / 4.9)
-            .unwrap();
-        let rebuilt = CompiledGp::compile(&drifting_problem(2.0, 3.0, 4.0, 4.9)).unwrap();
-        let mut ws = SolveWorkspace::new();
-        let a = direct.solve_from(&[0.5, 0.5], &opts(), &mut ws).unwrap();
-        let b = rebuilt.solve_from(&[0.5, 0.5], &opts(), &mut ws).unwrap();
-        assert_eq!(a.x, b.x);
-
-        for (i, coefs) in [(1, &[1.0, 0.0][..]), (1, &[1.0][..]), (2, &[1.0, 1.0][..])] {
-            assert!(direct.set_constraint_coefs(i, coefs, 1.0).is_err());
-        }
-        assert!(direct
-            .set_constraint_coefs(1, &[1.0, 1.0], f64::INFINITY)
-            .is_err());
-        let c = direct.solve_from(&[0.5, 0.5], &opts(), &mut ws).unwrap();
-        assert_eq!(a.x, c.x, "a rejected write must leave the program alone");
     }
 
     #[test]

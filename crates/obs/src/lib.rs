@@ -100,8 +100,8 @@ pub mod names {
     pub const SOLVE_WARM_REPAIR: &str = "solve.warm_repair";
     /// A warm solve fell back to phase I after every blend failed.
     pub const SOLVE_COLD_FALLBACK: &str = "solve.cold_fallback";
-    /// A solve into a cache with no compiled program yet (excluded from
-    /// the warm-hit-rate denominator).
+    /// A unit's first solve, into a cache no solve has written yet
+    /// (excluded from the warm-hit-rate denominator).
     pub const SOLVE_COLD_START: &str = "solve.cold_start";
 
     /// One full query evaluation through the compiled plan: view

@@ -3,10 +3,12 @@
 //! continuously. Asserts no lost (or double-counted) increments, totals
 //! that never decrease across successive snapshots, and a histogram
 //! whose `u64::MAX` min sentinel never leaks, even into a snapshot that
-//! races the first record.
+//! races the first record. The writers start only once the reader has
+//! taken its first snapshot, so on one core too the reader cannot miss
+//! the whole run.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 use pq_obs::Obs;
 
@@ -19,12 +21,15 @@ fn concurrent_writers_lose_nothing_and_totals_stay_monotone() {
     let counter = obs.counter("stress.handle");
     let hist = obs.histogram("stress.handle_ns");
     let done = Arc::new(AtomicBool::new(false));
+    // The writers and the reader's first snapshot.
+    let start = &Barrier::new(WRITERS + 1);
 
     std::thread::scope(|s| {
         let mut writers = Vec::new();
         for _ in 0..WRITERS {
             let (counter, hist) = (counter.clone(), hist.clone());
             writers.push(s.spawn(move || {
+                start.wait();
                 for i in 0..ROUNDS {
                     counter.inc();
                     hist.record(i % 1024);
@@ -39,6 +44,11 @@ fn concurrent_writers_lose_nothing_and_totals_stay_monotone() {
                 let (mut last, mut last_hist_count, mut snapshots) = (0u64, 0u64, 0u64);
                 while !done.load(Ordering::Relaxed) {
                     let snap = obs.snapshot();
+                    // Release the writers before any assertion can fail
+                    // and leave them waiting.
+                    if snapshots == 0 {
+                        start.wait();
+                    }
                     let total = snap.counters["stress.handle"];
                     assert!(total >= last, "total went backwards: {last} -> {total}");
                     last = total;

@@ -194,7 +194,7 @@ impl DabVarIndexer for PartialDabVarMap {
 /// [`Posynomial::simplify`] order and each coefficient is accumulated in
 /// expansion order, so the numbers are the ones a numeric expansion at
 /// `V` followed by `simplify` would produce, bit for bit.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DeviationMap {
     /// The polynomial's items: the values an evaluation reads.
     items: Arc<[ItemId]>,
@@ -308,23 +308,28 @@ impl DeviationMap {
     /// * [`PolyError::NotPositiveCoefficient`] if `poly` has negative
     ///   weights.
     pub fn compile(poly: &Polynomial, vars: &dyn DabVarIndexer) -> Result<Self, PolyError> {
-        Self::expand(poly, vars, poly.items().into())
+        let mut map = DeviationMap::default();
+        map.expand(poly, vars, poly.items().into())?;
+        Ok(map)
     }
 
     /// [`DeviationMap::compile`] over the single-query layout of a unit
-    /// whose caller already holds the item lists: `items` is
-    /// `poly.items()` and the map shares it, `b` of `items[k]` is
-    /// variable `k`, and `c` of `coupled[j]` (ascending, each an item;
-    /// [`coupled_items`] for Dual-DAB, empty for Optimal Refresh) is
-    /// variable `items.len() + j`.
+    /// whose caller already holds the item lists, into this map in place
+    /// of whatever it held: `items` is `poly.items()` and the map shares
+    /// it, `b` of `items[k]` is variable `k`, and `c` of `coupled[j]`
+    /// (ascending, each an item; [`coupled_items`] for Dual-DAB, empty
+    /// for Optimal Refresh) is variable `items.len() + j`. The arrays are
+    /// the ones the map already has: a map kept as scratch is refilled
+    /// without allocating once it has held an expansion as large.
     ///
     /// # Errors
-    /// As [`DeviationMap::compile`].
-    pub fn for_unit(
+    /// As [`DeviationMap::compile`], with the map as it was.
+    pub fn refill_for_unit(
+        &mut self,
         poly: &Polynomial,
         items: impl Into<Arc<[ItemId]>>,
         coupled: &[ItemId],
-    ) -> Result<Self, PolyError> {
+    ) -> Result<(), PolyError> {
         let items = items.into();
         // `items == poly.items()`, checked without allocating.
         let reads = |item: &ItemId| {
@@ -339,16 +344,18 @@ impl DeviationMap {
             items: &items,
             coupled,
         };
-        Self::expand(poly, &vars, items.clone())
+        self.expand(poly, &vars, items.clone())
     }
 
-    /// The expansion of [`DeviationMap::compile`], its four arrays built
-    /// once at their final sizes, with `items` as given.
+    /// The expansion of [`DeviationMap::compile`] into this map, with
+    /// `items` as given: its four arrays are counted first, so each is
+    /// grown at most once, to its final size.
     fn expand<V: DabVarIndexer + ?Sized>(
+        &mut self,
         poly: &Polynomial,
         vars: &V,
         items: Arc<[ItemId]>,
-    ) -> Result<Self, PolyError> {
+    ) -> Result<(), PolyError> {
         if poly.is_zero() {
             return Err(PolyError::EmptyPolynomial);
         }
@@ -487,13 +494,16 @@ impl DeviationMap {
                 (n_monomials, n_exps) = (n_monomials + 1, n_exps + entry(word).exps.len());
             }
         }
-        let mut map = DeviationMap {
-            items,
-            monomials: Vec::with_capacity(n_monomials),
-            exps: Vec::with_capacity(n_exps),
-            contribs: Vec::with_capacity(entries.len()),
-            factors: Vec::with_capacity(factors.len()),
-        };
+        let map = self;
+        map.items = items;
+        map.monomials.clear();
+        map.monomials.reserve_exact(n_monomials);
+        map.exps.clear();
+        map.exps.reserve_exact(n_exps);
+        map.contribs.clear();
+        map.contribs.reserve_exact(entries.len());
+        map.factors.clear();
+        map.factors.reserve_exact(factors.len());
         for (k, &word) in order.iter().enumerate() {
             let e = entry(word);
             if starts_monomial(k) {
@@ -511,7 +521,7 @@ impl DeviationMap {
             map.monomials.last_mut().expect("pushed above").contribs = map.contribs.len() as u32;
         }
         EXPANSION.set(scratch);
-        Ok(map)
+        Ok(())
     }
 
     /// The polynomial's items, ascending: the values an evaluation reads.

@@ -191,8 +191,9 @@ proptest! {
     /// At positive values every monomial of the map is present and its
     /// coefficient is the reference's, bit for bit and in the same order,
     /// under every variable layout; one compiled map serves a second set
-    /// of values. A unit's map over item lists handed down is the one
-    /// compiled over the layout that owns them.
+    /// of values. A unit's map over item lists handed down, refilled
+    /// from empty or from another layout, is the one compiled over the
+    /// layout that owns them.
     #[test]
     fn eval_into_is_bit_identical_to_the_numeric_expansion(
         poly in arb_ppq(),
@@ -200,14 +201,15 @@ proptest! {
     ) {
         let single = DabVarMap::for_polynomial(&poly, false);
         let partial = PartialDabVarMap::for_polynomial(&poly);
-        prop_assert_eq!(
-            DeviationMap::for_unit(&poly, poly.items(), &[]).unwrap(),
-            DeviationMap::compile(&poly, &single).unwrap()
-        );
-        prop_assert_eq!(
-            DeviationMap::for_unit(&poly, poly.items(), &coupled_items(&poly)).unwrap(),
-            DeviationMap::compile(&poly, &partial).unwrap()
-        );
+        let mut map = DeviationMap::default();
+        map.refill_for_unit(&poly, poly.items(), &[]).unwrap();
+        prop_assert_eq!(&map, &DeviationMap::compile(&poly, &single).unwrap());
+        // Refilled in place, either way, the map is the fresh one of its
+        // new layout.
+        map.refill_for_unit(&poly, poly.items(), &coupled_items(&poly)).unwrap();
+        prop_assert_eq!(&map, &DeviationMap::compile(&poly, &partial).unwrap());
+        map.refill_for_unit(&poly, poly.items(), &[]).unwrap();
+        prop_assert_eq!(&map, &DeviationMap::compile(&poly, &single).unwrap());
         for vars in layouts(&poly) {
             let map = DeviationMap::compile(&poly, vars.as_ref()).unwrap();
             let mut coefs = vec![f64::NAN; map.n_terms()];
