@@ -4,22 +4,26 @@
 //! refresh that escapes a validity range triggers a fresh GP solve at the
 //! current values. Every solve, first or later, starts from the same
 //! place: the predicted optimum of [`crate::ppq::predicted_start`] at those
-//! values, entered through the minimal blend toward its interior anchor
+//! values, moved by its shape's offset when that point is certified as it
+//! stands ([`pq_gp::CompiledGp::solve_shaped`]), else entered through the
+//! minimal blend toward its interior anchor
 //! ([`pq_gp::CompiledGp::solve_warm`]). A unit's filter is therefore a
-//! function of the unit and the values, not of its solve history, and a
-//! [`UnitCache`] keeps the unit's latest assignment, as [`UnitColumns`]
-//! rewritten in place by every solve: what the coordinator copies into
-//! its filter table.
+//! function of the unit, the values and its shape's template, not of its
+//! solve history, and a [`UnitCache`] keeps the unit's latest assignment,
+//! as [`UnitColumns`] rewritten in place by every solve: what the
+//! coordinator copies into its filter table.
 //!
-//! A solve's compiled GP is emitted into per-thread scratch and its
-//! solver iterations run in one [`pq_gp::SolveWorkspace`] per thread:
-//! scratch that fits any program and carries nothing from one solve to
-//! the next. Its program — the deviation map, rates and variable layout
-//! of [`crate::ppq`] — is per-thread scratch too, refilled for each
-//! solve, except on a unit whose assignment is anchor-only: every
-//! refresh of its items re-solves it, so the cache keeps its program
-//! from its first re-solve on. A Dual-DAB unit re-solves only when a
-//! refresh leaves its validity range and keeps no program.
+//! A solve's compiled GP is emitted into, or bound in, per-thread
+//! scratch and its solver iterations run in one [`pq_gp::SolveWorkspace`]
+//! per thread: scratch that fits any program and carries nothing from
+//! one solve to the next. A unit bound to its shape's template
+//! ([`crate::shape`]) keeps the binding, the template shared with every
+//! unit of the shape: its solves copy the template's rows and write
+//! their coefficients. Any other unit refills its program — the
+//! deviation map, rates and variable layout of [`crate::ppq`] — in
+//! per-thread scratch, except that a unit whose assignment is
+//! anchor-only, which every refresh of its items re-solves, leaves a
+//! template of its own from its first solve on.
 //!
 //! A unit's first solve, into a cache no solve has written, is a cold
 //! start. A later one is a warm hit (a light blend of the prediction
@@ -38,7 +42,7 @@ use pq_obs::names;
 
 use crate::assignment::UnitColumns;
 use crate::error::DabError;
-use crate::ppq::PpqProgram;
+use crate::shape::Binding;
 
 /// The certified stop of every DAB solve ([`pq_gp::CompiledGp::solve_warm`]'s
 /// `stop`): a solve returns the first primal–dual iterate whose surrogate
@@ -53,15 +57,15 @@ use crate::ppq::PpqProgram;
 pub const DAB_GAP: f64 = 2e-3;
 
 /// What one assignment unit keeps between solves: its latest
-/// assignment and, while that is anchor-only, its program.
-#[derive(Debug, Default)]
+/// assignment and, when it has one, its binding to its shape's template.
+/// A copy solves as the original does.
+#[derive(Debug, Clone, Default)]
 pub struct UnitCache {
     /// The assignment of the last solve through this cache; empty until
     /// the unit's first.
     pub(crate) columns: UnitColumns,
-    /// The unit's program, from the first re-solve of an anchor-only
-    /// assignment on (see [`crate::assign_unit_cached`]).
-    pub(crate) program: Option<Box<PpqProgram>>,
+    /// What the unit's solves bind (see [`crate::assign_unit_cached`]).
+    pub(crate) binding: Option<Binding>,
 }
 
 thread_local! {
@@ -115,14 +119,30 @@ impl UnitCache {
     pub fn columns(&self) -> &UnitColumns {
         &self.columns
     }
+
+    /// True when the unit's solves bind its shape's template.
+    pub fn is_bound(&self) -> bool {
+        self.binding.is_some()
+    }
+
+    /// This cache as it was before the unit's first solve: the same
+    /// binding, no assignment.
+    pub fn unsolved(&self) -> UnitCache {
+        UnitCache {
+            columns: UnitColumns::default(),
+            binding: self.binding.clone(),
+        }
+    }
 }
 
 /// Solves `compiled` from a caller-supplied start: `interior` is a
 /// strictly feasible point and `guess` where the optimum is expected (see
-/// [`crate::ppq::predicted_start`]). The solve is the minimal blend of
-/// [`CompiledGp::solve_warm`] from `guess` toward `interior`; when the
-/// blend fails, phase I answers instead, on the same program
-/// ([`CompiledGp::solve_cold`]).
+/// [`crate::ppq::predicted_start`]). With a `shaped` start (the guess
+/// moved by a template's offset) that is certified as it stands, that is
+/// the solution ([`CompiledGp::solve_shaped`]); otherwise the solve is the
+/// minimal blend of [`CompiledGp::solve_warm`] from `guess` toward
+/// `interior`; when the blend fails, phase I answers instead, on the same
+/// program ([`CompiledGp::solve_cold`]).
 ///
 /// Telemetry: `first` is `Some` for a unit's solve, `None` for a one-shot
 /// one, which counts nothing. A unit's first solve bumps
@@ -130,13 +150,16 @@ impl UnitCache {
 /// or `solve.cold_fallback`, on `options.obs`.
 pub(crate) fn solve_compiled(
     compiled: &CompiledGp,
+    shaped: Option<&[f64]>,
     guess: &[f64],
     interior: &[f64],
     options: &SolverOptions,
     first: Option<bool>,
 ) -> Result<GpSolution, DabError> {
-    let outcome =
-        WORKSPACE.with_borrow_mut(|ws| compiled.solve_warm(guess, interior, options, DAB_GAP, ws));
+    let outcome = WORKSPACE.with_borrow_mut(|ws| match shaped {
+        Some(x) => compiled.solve_shaped(x, guess, interior, options, DAB_GAP, ws),
+        None => compiled.solve_warm(guess, interior, options, DAB_GAP, ws),
+    });
     if let Some(first) = first {
         let start = match &outcome {
             _ if first => Start::Cold,
@@ -238,7 +261,7 @@ mod tests {
     ) -> Result<GpSolution, DabError> {
         let compiled = CompiledGp::compile(problem)?;
         let first = cache.columns.items().is_empty();
-        let solution = solve_compiled(&compiled, start, start, options, Some(first))?;
+        let solution = solve_compiled(&compiled, None, start, start, options, Some(first))?;
         cache.columns.start(&[ItemId(0)].into(), RangeKind::Box);
         Ok(solution)
     }
@@ -450,10 +473,10 @@ mod tests {
     }
 
     /// A cache solved under one strategy and then another answers each
-    /// what a fresh cache answers. It keeps a program only from the
-    /// re-solve of an anchor-only assignment on, and a solve through that
-    /// program under another strategy rebuilds it, then drops it once the
-    /// assignment is no longer anchor-only.
+    /// what a fresh cache holding the same template answers. It makes a
+    /// template from its first solve of an anchor-only assignment, binds
+    /// it on the next, and drops it once a solve under another strategy
+    /// finds it is not that strategy's.
     #[test]
     fn a_cache_shared_across_strategies_solves_each_one_s_own_program() {
         use crate::strategy::{assign_unit_cached, assignment_units};
@@ -469,33 +492,32 @@ mod tests {
         let anchored = AssignmentStrategy::OptimalRefresh;
         let unit = &assignment_units(&query, dual, PqHeuristic::DifferentSum)[0];
         let rates = [0.3, 0.1, 0.2];
-        let fresh = |values: &[f64; 3], strategy| {
-            let ctx = SolveContext::new(values, &rates);
-            assign_unit_cached(unit, &ctx, strategy, &mut UnitCache::new())
-                .unwrap()
-                .assignment()
-        };
         let mut cache = UnitCache::new();
         let steps = [
             ([20.0, 3.0, 15.0], dual, false),
             ([20.1, 3.0, 15.1], dual, false),
-            ([20.1, 3.0, 15.1], anchored, false),
+            ([20.1, 3.0, 15.1], anchored, true),
             ([20.2, 3.0, 15.2], anchored, true),
             ([20.1, 3.01, 15.1], anchored, true),
-            ([20.2, 3.01, 15.0], dual, true),
+            ([20.2, 3.01, 15.0], dual, false),
             ([20.3, 3.01, 15.0], dual, false),
         ];
         for (values, strategy, keeps) in steps {
             let ctx = SolveContext::new(&values, &rates);
+            let mut fresh = UnitCache {
+                columns: UnitColumns::default(),
+                binding: cache.binding.clone(),
+            };
+            let fresh = assign_unit_cached(unit, &ctx, strategy, &mut fresh).unwrap();
             let after = assign_unit_cached(unit, &ctx, strategy, &mut cache).unwrap();
             let after = after.assignment();
             assert!(after.respects_qab(&query, 1e-6));
             assert_eq!(
                 after.all_bits(),
-                fresh(&values, strategy).all_bits(),
+                fresh.assignment().all_bits(),
                 "{strategy}"
             );
-            assert_eq!(cache.program.is_some(), keeps, "{strategy} at {values:?}");
+            assert_eq!(cache.binding.is_some(), keeps, "{strategy} at {values:?}");
         }
     }
 

@@ -23,7 +23,7 @@ use pq_poly::{ItemId, PolynomialQuery, QueryId, SharedPlan, SharedView};
 use crate::assignment::{
     reanchored_secondary, QueryAssignment, RangeKind, UnitColumns, ValidityRange,
 };
-use crate::cache::{filter_changed, SolveCache};
+use crate::cache::{filter_changed, SolveCache, UnitCache};
 use crate::context::{SolveContext, RATE_FLOOR};
 use crate::error::DabError;
 use crate::filter_table::FilterTable;
@@ -391,6 +391,12 @@ impl Coordinator {
             a.validity = ValidityRange::Box(a.anchor.keys().map(|&i| (i, f64::NAN)).collect());
         }
         a
+    }
+
+    /// The cache of unit `u` of query `q`: its last assignment and its
+    /// binding to its shape's template, if any.
+    pub fn unit_cache(&self, q: usize, u: usize) -> &UnitCache {
+        self.cache.unit(q, u)
     }
 
     /// How this coordinator names itself in telemetry.
@@ -800,7 +806,7 @@ fn reanchor(
 /// and re-solve asserts it at `t = 1` in debug builds, allowing
 /// [`EQ2_ROUNDING`]. `rounding` widens `B` by that share of
 /// `P(W + c' + b)`. `point` is scratch over every item.
-fn eq2_holds(
+pub(crate) fn eq2_holds(
     unit: &AssignmentUnit,
     columns: &UnitColumns,
     values: &[f64],
@@ -836,7 +842,7 @@ fn eq2_holds(
 /// relative to `P(W + c' + b)` ([`eq2_holds`]): a closed-form unit meets
 /// it with equality, and the body's two evaluations then round it over
 /// by an ulp.
-const EQ2_ROUNDING: f64 = 1e-12;
+pub(crate) const EQ2_ROUNDING: f64 = 1e-12;
 
 /// Moves an installed filter to its newly derived width when
 /// [`filter_changed`] calls that a change; true when it did.

@@ -24,7 +24,8 @@ use crate::assignment::{QueryAssignment, UnitColumns, ValidityRange};
 use crate::context::SolveContext;
 use crate::error::DabError;
 use crate::laq::linear_closed_form_into;
-use crate::ppq::{solve_ppq, PpqProgram};
+use crate::ppq::solve_ppq;
+use crate::shape::Binding;
 use crate::strategy::AssignmentUnit;
 
 /// Which §III-B heuristic to use for mixed-sign queries.
@@ -62,21 +63,21 @@ impl PpqMethod {
 /// Solves a unit `P : B` into `out`. Linear bodies, of any sign, take
 /// the closed form (nothing to solve, nothing to count); a
 /// positive-coefficient one is a GP solve ([`solve_ppq`]), counted as
-/// `first` says, on the unit's `kept` program when given. Any other body
-/// is [`DabError::UnsupportedQueryClass`].
+/// `first` says, bound to its shape's template through `binding` when
+/// given. Any other body is [`DabError::UnsupportedQueryClass`].
 pub(crate) fn solve_positive_unit(
     unit: &AssignmentUnit,
     ctx: &SolveContext<'_>,
     method: PpqMethod,
     first: Option<bool>,
-    kept: Option<&mut Option<Box<PpqProgram>>>,
+    binding: Option<&Binding>,
     out: &mut UnitColumns,
 ) -> Result<(), DabError> {
     if unit.body.is_linear() {
         // Installed once: a linear unit's assignment is valid forever.
         return linear_closed_form_into(&unit.body, unit.items(), unit.qab, ctx, out);
     }
-    solve_ppq(unit, method, ctx, first, kept, out)
+    solve_ppq(unit, method, ctx, first, binding, out)
 }
 
 /// Half-and-Half combination: per-item minimum primary DAB, intersection

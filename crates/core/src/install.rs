@@ -5,11 +5,21 @@
 //! the deployable monitor, the simulator's engine — the steps are the
 //! same: decompose every query into its assignment units, solve each unit
 //! once into a fresh cache slot (which keeps the columns the solve
-//! wrote), the queries split over the cores
-//! ([`pq_ddm::parallel::split_map`]), then lay out the filter table by
-//! item and write the units' filters into it in query order.
+//! wrote), the queries split over the cores, then lay out the filter
+//! table by item and write the units' filters into it in query order.
+//!
+//! A unit whose shape ([`crate::shape`]) another unit of the book shares
+//! solves through its shape's template. The first such unit in query
+//! order, the shape's leader, solves without one and leaves it; so the
+//! solves run in two phases on the same threads
+//! ([`pq_ddm::parallel::split_phases`]): every leader and every unit
+//! whose shape is its own, then, once every template is made, the
+//! followers.
 
-use pq_ddm::parallel::{available_cores, split_map};
+use std::collections::HashMap;
+use std::sync::{Arc, OnceLock};
+
+use pq_ddm::parallel::{available_cores, share_len, split_phases};
 use pq_gp::SolverOptions;
 use pq_poly::{ItemId, PolynomialQuery};
 
@@ -18,7 +28,10 @@ use crate::context::SolveContext;
 use crate::error::DabError;
 use crate::filter_table::FilterTable;
 use crate::heuristics::PqHeuristic;
-use crate::strategy::{assign_unit_cached, assignment_units, AssignmentStrategy, AssignmentUnit};
+use crate::shape::{Binding, Template, UnitShape};
+use crate::strategy::{
+    assign_unit_cached, assignment_units, ppq_method, AssignmentStrategy, AssignmentUnit,
+};
 
 /// Queries a worker gets at least: 0.3–0.5 ms of first solves at 10–20 µs
 /// a unit, against ≈ 40–240 µs for a thread to start.
@@ -87,26 +100,73 @@ fn install_units_on(
     ctx: SolveContext<'_>,
     attribute: impl Fn(&mut SolverOptions, usize) + Sync,
 ) -> Result<Installed, InstallError> {
-    let units: Vec<Vec<AssignmentUnit>> = queries
-        .iter()
-        .map(|q| assignment_units(q, strategy, heuristic))
-        .collect();
+    // The calling thread makes the units and the plan while the workers
+    // start.
+    let prepare = || {
+        Plan::new(
+            queries,
+            strategy,
+            heuristic,
+            share_len(workers, queries.len()),
+        )
+    };
     let causal = pq_obs::SpanContext::current();
-    // Query `q`'s first solves depend on `q` alone: every cache starts
-    // empty, and a thread's solver scratch carries nothing from one solve
-    // to the next.
-    let solved = split_map(workers, units.len(), |query| {
+    // Query `q`'s first-phase solves depend on `q` alone: every cache
+    // starts empty, and a thread's solver scratch carries nothing from
+    // one solve to the next. Its followers' depend on `q` and the
+    // templates, every one made before any follower solves.
+    let first = |plan: &Plan, query: usize| {
         let _causal = causal.enter();
         let mut ctx = ctx.clone();
         attribute(&mut ctx.gp, query);
-        let mut caches = Vec::with_capacity(units[query].len());
-        for unit in &units[query] {
-            let mut slot = UnitCache::new();
-            assign_unit_cached(unit, &ctx, strategy, &mut slot)?;
-            caches.push(slot);
-        }
-        Ok(caches)
-    });
+        let units = &plan.units[query];
+        let mut caches: Vec<UnitCache> = units.iter().map(|_| UnitCache::new()).collect();
+        let mut solve = || -> Result<(), DabError> {
+            for ((unit, role), slot) in units.iter().zip(plan.of(query)).zip(&mut caches) {
+                match role {
+                    Role::Alone { early: true } => {
+                        assign_unit_cached(unit, &ctx, strategy, slot)?;
+                    }
+                    Role::Leads(at) => {
+                        assign_unit_cached(unit, &ctx, strategy, slot)?;
+                        if slot.binding.is_none() {
+                            let method = ppq_method(strategy).expect("a shape solves a GP");
+                            slot.binding = Binding::after(unit, method, &ctx, &slot.columns);
+                        }
+                        if let Some(binding) = &slot.binding {
+                            let _ = plan.templates[*at].set(binding.template.clone());
+                        }
+                    }
+                    Role::Alone { early: false } | Role::Follows(..) => {}
+                }
+            }
+            Ok(())
+        };
+        let solved = solve();
+        (ctx, caches, solved)
+    };
+    let second =
+        |plan: &Plan,
+         query: usize,
+         (ctx, mut caches, solved): (SolveContext<'_>, Vec<UnitCache>, _)| {
+            let _causal = causal.enter();
+            solved?;
+            let units = &plan.units[query];
+            for ((unit, role), slot) in units.iter().zip(plan.of(query)).zip(&mut caches) {
+                match role {
+                    Role::Alone { early: false } => {}
+                    Role::Follows(at, perm) => {
+                        slot.binding = (plan.templates[*at].get().cloned())
+                            .map(|template| Binding::new(template, unit, perm.clone()));
+                    }
+                    Role::Alone { early: true } | Role::Leads(_) => continue,
+                }
+                assign_unit_cached(unit, &ctx, strategy, slot)?;
+            }
+            Ok(caches)
+        };
+    let (plan, solved) = split_phases(workers, queries.len(), prepare, first, second);
+    let units = plan.units;
     let rows = (solved.into_iter().enumerate())
         .map(|(query, caches)| {
             caches.map_err(|source| InstallError {
@@ -122,6 +182,147 @@ fn install_units_on(
         }
     }
     Ok((units, filters, SolveCache::from_rows(rows)))
+}
+
+/// What a unit's install solve does with its shape's template, and in
+/// which phase it runs.
+#[derive(Debug)]
+enum Role {
+    /// No other unit of the book has its shape (or it has none): solved
+    /// in the first phase when `early`, else in the second.
+    Alone { early: bool },
+    /// The first unit of shape `at` in query order: solved in the first
+    /// phase, it leaves the template.
+    Leads(usize),
+    /// A later unit of shape `at`, and where its canonical variables'
+    /// items sit among its own: solved in the second phase, it binds the
+    /// template.
+    Follows(usize, Box<[u32]>),
+}
+
+/// An install's units, every unit's role, and a slot per shape for the
+/// template its leader leaves.
+struct Plan {
+    /// `units[q]`: query `q`'s.
+    units: Vec<Vec<AssignmentUnit>>,
+    /// Query after query; query `q`'s from `starts[q]` to `starts[q + 1]`.
+    roles: Vec<Role>,
+    starts: Vec<usize>,
+    templates: Vec<OnceLock<Arc<Template>>>,
+}
+
+/// What a leader's solve and template, an unshared unit's solve and a
+/// bound solve cost, relative to one another (≈ 26 / 16 / 10 µs on a
+/// pqbench `fig5_paper` unit).
+const LEAD_COST: i64 = 8;
+const ALONE_COST: i64 = 5;
+const FOLLOW_COST: i64 = 3;
+
+impl Plan {
+    /// The units of `queries` under `strategy` (+ `heuristic`) and their
+    /// roles (only a GP strategy solves through templates), each thread
+    /// taking `share` queries.
+    fn new(
+        queries: &[PolynomialQuery],
+        strategy: AssignmentStrategy,
+        heuristic: PqHeuristic,
+        share: usize,
+    ) -> Self {
+        let units: Vec<Vec<AssignmentUnit>> = queries
+            .iter()
+            .map(|q| assignment_units(q, strategy, heuristic))
+            .collect();
+        let gp = ppq_method(strategy).is_some();
+        let mut shape = UnitShape::default();
+        // Each key's shape index, in order of first appearance, and its
+        // count: a book holds one copy of each key, however many units
+        // share it.
+        let n_units = units.iter().map(Vec::len).sum();
+        let mut seen: HashMap<Box<[u32]>, (usize, usize)> = HashMap::with_capacity(n_units);
+        // Per unit, its shape's index and, after the shape's first unit,
+        // its layout.
+        let mut shape_of = |unit: &AssignmentUnit| {
+            if !(gp && shape.read(&unit.body, unit.items())) {
+                return None;
+            }
+            if let Some((at, count)) = seen.get_mut(shape.key()) {
+                *count += 1;
+                return Some((*at, Some(Box::from(shape.perm()))));
+            }
+            let at = seen.len();
+            seen.insert(shape.key().into(), (at, 1));
+            Some((at, None))
+        };
+        let shapes: Vec<_> = units.iter().flatten().map(&mut shape_of).collect();
+        let mut counts = vec![0; seen.len()];
+        for &(at, count) in seen.values() {
+            counts[at] = count;
+        }
+        let role = |shape| match shape {
+            Some((at, Some(perm))) => Role::Follows(at, perm),
+            Some((at, None)) if counts[at] > 1 => Role::Leads(at),
+            _ => Role::Alone { early: true },
+        };
+        let starts = (units.iter())
+            .scan(0, |at, per_query| {
+                Some(std::mem::replace(at, *at + per_query.len()))
+            })
+            .chain([shapes.len()])
+            .collect();
+        let mut plan = Plan {
+            roles: shapes.into_iter().map(role).collect(),
+            starts,
+            templates: counts.iter().map(|_| OnceLock::new()).collect(),
+            units,
+        };
+        plan.balance(share);
+        plan
+    }
+
+    /// Query `q`'s roles.
+    fn of(&self, q: usize) -> &[Role] {
+        &self.roles[self.starts[q]..self.starts[q + 1]]
+    }
+
+    /// Moves unshared units to the second phase so the two phases even
+    /// out across the threads, `share` queries each: leaders gather in
+    /// the first queries and followers in the last, so with every
+    /// unshared unit in the first phase the first thread's first phase
+    /// and the last thread's second would both run long. The first phase
+    /// lasts as long as the busiest thread's leaders; a thread runs in it
+    /// as many of its unshared units as keep its second phase within the
+    /// busiest thread's whole share less that. Which phase an unshared
+    /// unit runs in moves no bit.
+    fn balance(&mut self, share: usize) {
+        let n = self.starts.len() - 1;
+        let units = |t: usize| self.starts[t * share]..self.starts[((t + 1) * share).min(n)];
+        let load = |t: usize| {
+            let tally = |(l, a, f), role: &Role| match role {
+                Role::Leads(_) => (l + 1, a, f),
+                Role::Alone { .. } => (l, a + 1, f),
+                Role::Follows(..) => (l, a, f + 1),
+            };
+            self.roles[units(t)].iter().fold((0, 0, 0), tally)
+        };
+        let loads: Vec<(i64, i64, i64)> = (0..n.div_ceil(share)).map(load).collect();
+        let whole = |&(l, a, f): &(i64, i64, i64)| LEAD_COST * l + ALONE_COST * a + FOLLOW_COST * f;
+        let first = loads
+            .iter()
+            .map(|&(l, ..)| LEAD_COST * l)
+            .max()
+            .unwrap_or(0);
+        let busiest = loads.iter().map(whole).max().unwrap_or(0);
+        for (t, load) in loads.iter().enumerate() {
+            let room = first - (busiest - whole(load)) - LEAD_COST * load.0;
+            let mut early = ((room.max(0) + ALONE_COST - 1) / ALONE_COST).min(load.1);
+            for role in &mut self.roles[units(t)] {
+                if let Role::Alone { early: e } = role {
+                    *e = early > 0;
+                    early -= 1;
+                }
+            }
+        }
+    }
 }
 
 /// Every unit's item list, query by query: the layout of a

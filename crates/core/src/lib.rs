@@ -61,6 +61,7 @@ pub mod laq;
 pub mod multi;
 pub mod partition;
 pub mod ppq;
+pub mod shape;
 pub mod strategy;
 
 pub use assignment::{CoordinatorAssignment, QueryAssignment, UnitColumns, ValidityRange};

@@ -22,22 +22,27 @@ use pq_poly::{
 use crate::assignment::{CoordinatorAssignment, QueryAssignment, ValidityRange};
 use crate::context::SolveContext;
 use crate::error::DabError;
-use crate::heuristics::PqHeuristic;
-use crate::strategy::{abs_body, assign_query, AssignmentStrategy};
+use crate::heuristics::{merge_min, PqHeuristic};
+use crate::install::install_units;
+use crate::strategy::{abs_body, AssignmentStrategy};
 
-/// EQI: each query independently ([`assign_query`], the units a
-/// coordinator installs), minimum DAB per item (§IV).
+/// EQI: each query independently (the units a coordinator installs,
+/// [`install_units`], a query split in two given the per-item minimum of
+/// its units' DABs), minimum DAB per item (§IV).
 pub fn eqi(
     queries: &[PolynomialQuery],
     ctx: &SolveContext<'_>,
     strategy: AssignmentStrategy,
     heuristic: PqHeuristic,
 ) -> Result<CoordinatorAssignment, DabError> {
-    let per_query = queries
-        .iter()
-        .map(|q| assign_query(q, ctx, strategy, heuristic))
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(CoordinatorAssignment::from_queries(per_query))
+    let (units, _, cache) = install_units(queries, strategy, heuristic, ctx.clone(), |_, _| {})
+        .map_err(|e| e.source)?;
+    let per_query = (units.iter().enumerate()).map(|(q, per_query)| {
+        let mut solved = (0..per_query.len()).map(|u| cache.unit(q, u).columns().assignment());
+        let first = solved.next().expect("a query is at least one unit");
+        solved.fold(first, |merged, next| merge_min(merged, next, ctx))
+    });
+    Ok(CoordinatorAssignment::from_queries(per_query.collect()))
 }
 
 /// Variable indexer for one query inside the AAO joint program: primary

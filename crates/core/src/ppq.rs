@@ -28,6 +28,7 @@ use crate::cache::solve_compiled;
 use crate::context::SolveContext;
 use crate::error::DabError;
 use crate::heuristics::PpqMethod;
+use crate::shape::Binding;
 use crate::strategy::AssignmentUnit;
 
 /// Optimal-Refresh assignment for a PPQ (§III-A.1).
@@ -63,25 +64,31 @@ pub fn dual_dab(
 }
 
 /// Solves the positive-coefficient unit under `method` at `ctx`'s values
-/// into `out`: makes `kept` the unit's program, when given, unless it
-/// already is, and this thread's [`PpqProgram`] otherwise; then emits
-/// the program into this thread's arena, predicts, solves and writes the
-/// columns. `first` is what [`solve_compiled`] counts the solve as
-/// (`None` for a one-shot solve).
+/// into `out`. With a `binding` that serves it (to its shape's template,
+/// see [`crate::shape`]), the unit binds the template's program to its
+/// own weights, values and rates and first tries its prediction moved by
+/// the template's offset; otherwise, and whenever binding fails, it
+/// refills this thread's [`PpqProgram`] and starts from its prediction
+/// alone. Either way the GP is emitted into, or bound in, this thread's
+/// arena, predicted, solved and written as columns. `first` is what
+/// [`solve_compiled`] counts the solve as (`None` for a one-shot solve).
 pub(crate) fn solve_ppq(
     unit: &AssignmentUnit,
     method: PpqMethod,
     ctx: &SolveContext<'_>,
     first: Option<bool>,
-    kept: Option<&mut Option<Box<PpqProgram>>>,
+    binding: Option<&Binding>,
     out: &mut UnitColumns,
 ) -> Result<(), DabError> {
-    if let Some(kept) = kept {
-        let program = kept.get_or_insert_with(Box::default);
-        if !program.serves(unit, method, ctx) {
-            program.refill(unit, method, ctx)?;
+    if let Some(binding) = binding.filter(|b| b.serves(unit, method, ctx)) {
+        let mut bound = BOUND.take();
+        let solved = bound
+            .bind(unit, binding, ctx)
+            .then(|| bound.solve(unit, binding, ctx, first, out));
+        BOUND.set(bound);
+        if let Some(solved) = solved {
+            return solved;
         }
-        return program.solve_into(ctx, first, out);
     }
     let mut program = PROGRAM.take();
     let solved = program
@@ -104,20 +111,15 @@ pub(crate) fn solve_ppq(
 /// nothing that moves. Only the QAB condition (Eq. 1 / Eq. 2, constraint
 /// 0) follows the values, and only through its coefficients, which `map`
 /// derives from them. A solve emits the rows straight into the solver's
-/// form ([`PpqProgram::compiled`]), and that emitted program is the only
-/// form the GP takes: when the blend toward the predicted start's anchor
+/// form ([`Layout::emit`]), and that emitted program is the only form
+/// the GP takes: when the blend toward the predicted start's anchor
 /// fails, phase I runs on it too.
 ///
-/// A unit whose assignment is anchor-only keeps its program in its
-/// [`crate::UnitCache`] (see [`crate::assign_unit_cached`]). Any other
-/// solve refills this thread's (`PROGRAM`, [`PpqProgram::refill`]) in
-/// the arrays it already has. Either way the GP is emitted into this
-/// thread's arena (`ARENA`), never kept.
+/// A unit with no template refills this thread's (`PROGRAM`,
+/// [`PpqProgram::refill`]) in the arrays it already has, and its GP is
+/// emitted into this thread's arena (`ARENA`), never kept.
 #[derive(Debug, Default)]
 pub(crate) struct PpqProgram {
-    /// The unit's body, once a refill has succeeded: what
-    /// [`PpqProgram::serves`] tells units apart by.
-    body: Option<Arc<Polynomial>>,
     qab: f64,
     method: PpqMethod,
     ddm: DataDynamicsModel,
@@ -134,17 +136,89 @@ pub(crate) struct PpqProgram {
     coefs: Vec<f64>,
 }
 
+/// What a unit bound to its shape's [`Template`] solves with beside the
+/// template: its own inputs in the canonical layout.
+#[derive(Debug, Default)]
+struct Bound {
+    /// The body's weights, term by term.
+    weights: Vec<f64>,
+    /// The value and `lambda` of each canonical variable's item.
+    values: Vec<f64>,
+    lambdas: Vec<f64>,
+    /// The template's map at `weights` and `values`.
+    coefs: Vec<f64>,
+}
+
 thread_local! {
     /// This thread's scratch for predicted starts (beside the solver's,
     /// `cache.rs`'s `WORKSPACE`): with both, a solve allocates nothing
     /// between the values and the Newton loop.
     static START: RefCell<StartScratch> = RefCell::default();
     /// This thread's program, refilled by every solve of a unit that
-    /// keeps none.
+    /// binds no template.
     static PROGRAM: RefCell<PpqProgram> = RefCell::default();
+    /// This thread's inputs of a bound solve.
+    static BOUND: RefCell<Bound> = RefCell::default();
     /// The arena the last solve's compiled GP handed back: room for the
-    /// next emission.
+    /// next emission or binding.
     static ARENA: RefCell<LogArena> = RefCell::default();
+}
+
+impl Bound {
+    /// Reads `unit`'s inputs at `ctx` into the canonical layout of its
+    /// `binding` and evaluates the template's condition there. False when
+    /// the unit cannot be bound (a QAB, value or rate the refill path
+    /// refuses): that path then reports it.
+    fn bind(&mut self, unit: &AssignmentUnit, binding: &Binding, ctx: &SolveContext<'_>) -> bool {
+        let (template, items) = (&binding.template, unit.items());
+        if !(unit.qab.is_finite() && unit.qab > 0.0 && unit.body.is_positive_coefficient()) {
+            return false;
+        }
+        self.weights.clear();
+        self.weights
+            .extend(unit.body.terms().iter().map(|t| t.coef()));
+        self.values.clear();
+        self.lambdas.clear();
+        for &at in binding.perm.iter() {
+            let item = items[at as usize];
+            let (Some(&value), Ok(lambda)) = (ctx.values.get(item.index()), ctx.rate(item)) else {
+                return false;
+            };
+            self.values.push(value);
+            self.lambdas.push(lambda);
+        }
+        self.coefs.clear();
+        self.coefs.resize(template.map.n_terms(), 0.0);
+        (template.map)
+            .eval_shape(&self.weights, &self.values, &mut self.coefs)
+            .is_ok()
+    }
+
+    /// Solves the bound program from the template's offset start and
+    /// writes the assignment into `out` in the unit's own layout.
+    fn solve(
+        &self,
+        unit: &AssignmentUnit,
+        binding: &Binding,
+        ctx: &SolveContext<'_>,
+        first: Option<bool>,
+        out: &mut UnitColumns,
+    ) -> Result<(), DabError> {
+        let template = &binding.template;
+        let layout = Layout {
+            map: &template.map,
+            coefs: &self.coefs,
+            lambdas: &self.lambdas,
+            coupled_b: &template.coupled_b,
+            qab: unit.qab,
+            method: template.method,
+            ddm: template.ddm,
+        };
+        let ratio = (!binding.leads).then_some(&template.ratio[..]);
+        let sol = layout.solve(Some(&template.rows), ratio, ctx, first)?;
+        layout.write(&sol, unit.items(), Some(&binding.perm), ctx, out);
+        Ok(())
+    }
 }
 
 impl PpqProgram {
@@ -157,8 +231,6 @@ impl PpqProgram {
         ctx: &SolveContext<'_>,
     ) -> Result<(), DabError> {
         let (items, qab) = (unit.items(), unit.qab);
-        // No unit's program until the refill succeeds.
-        self.body = None;
         if let Some(mu) = method.mu().filter(|mu| !(mu.is_finite() && *mu > 0.0)) {
             return Err(DabError::InvalidMu(mu));
         }
@@ -184,21 +256,20 @@ impl PpqProgram {
         self.coefs.resize(self.map.n_terms(), 0.0);
         (self.qab, self.method, self.ddm) = (qab, method, ctx.ddm);
         self.items = items.clone();
-        self.body = Some(unit.body.clone());
         Ok(())
     }
 
-    /// True when this is the program [`PpqProgram::refill`] would make of
-    /// `unit` under `method` at `ctx`'s rates.
-    fn serves(&self, unit: &AssignmentUnit, method: PpqMethod, ctx: &SolveContext<'_>) -> bool {
-        let same_body =
-            |body: &Arc<Polynomial>| Arc::ptr_eq(body, &unit.body) || *body == unit.body;
-        let same_rate = |(&item, &lambda)| ctx.rate(item).is_ok_and(|r| r == lambda);
-        self.body.as_ref().is_some_and(same_body)
-            && self.qab == unit.qab
-            && self.method == method
-            && self.ddm == ctx.ddm
-            && self.items.iter().zip(&self.lambdas).all(same_rate)
+    /// The program as a solve reads it, at the values of `coefs`.
+    fn layout(&self) -> Layout<'_> {
+        Layout {
+            map: &self.map,
+            coefs: &self.coefs,
+            lambdas: &self.lambdas,
+            coupled_b: &self.coupled_b,
+            qab: self.qab,
+            method: self.method,
+            ddm: self.ddm,
+        }
     }
 
     /// Solves the program at `ctx`'s values and writes the assignment
@@ -210,55 +281,104 @@ impl PpqProgram {
         out: &mut UnitColumns,
     ) -> Result<(), DabError> {
         self.map.eval_into(ctx.values, &mut self.coefs)?;
-        let mut start = START.take();
-        let dual = self.method.mu().map(|mu| (mu, &self.coupled_b[..]));
-        let condition = self.map.terms(&self.coefs);
-        let sol = start
-            .predict(condition, self.qab, &self.lambdas, self.ddm, dual)
-            .and_then(|()| self.solve_from(&start.guess, &start.interior, ctx, first));
-        START.set(start);
-        self.write(&sol?, ctx, out);
+        let layout = self.layout();
+        let sol = layout.solve(None, None, ctx, first)?;
+        layout.write(&sol, &self.items, None, ctx, out);
         Ok(())
     }
+}
 
-    /// The solve at the values `coefs` was evaluated at, from their
-    /// predicted start, on the program emitted into this thread's arena,
-    /// which the compiled GP hands back after.
-    fn solve_from(
+/// A program as one solve reads it: its condition's map and coefficients
+/// at the solve's values, its rates, and its variable layout — the unit's
+/// own (items ascending) or its shape's canonical one.
+pub(crate) struct Layout<'p> {
+    pub(crate) map: &'p DeviationMap,
+    pub(crate) coefs: &'p [f64],
+    /// `lambda` of each primary variable's item.
+    pub(crate) lambdas: &'p [f64],
+    /// The primary variable of the item that owns each `c_j`.
+    pub(crate) coupled_b: &'p [usize],
+    pub(crate) qab: f64,
+    pub(crate) method: PpqMethod,
+    pub(crate) ddm: DataDynamicsModel,
+}
+
+/// `read` of the prediction this thread's last solve started from, in
+/// that solve's layout: right after a unit's unbound solve, the unit's
+/// own.
+pub(crate) fn last_prediction<R>(read: impl FnOnce(&[f64]) -> R) -> R {
+    START.with_borrow(|start| read(&start.guess))
+}
+
+impl Layout<'_> {
+    /// The solve at the values `coefs` was evaluated at: the program
+    /// bound to a template's `rows` when given and every coefficient is
+    /// positive, emitted otherwise, solved from its predicted start —
+    /// moved by a template's offset first, given as `ratio`, the offset's
+    /// `exp` — on this thread's arena, which the compiled GP hands back
+    /// after.
+    fn solve(
         &self,
-        guess: &[f64],
-        interior: &[f64],
+        rows: Option<&LogArena>,
+        ratio: Option<&[f64]>,
         ctx: &SolveContext<'_>,
         first: Option<bool>,
     ) -> Result<GpSolution, DabError> {
-        let compiled = self.compiled()?;
-        let sol = solve_compiled(&compiled, guess, interior, &ctx.gp, first);
-        ARENA.set(compiled.into_arena());
+        let mut start = START.take();
+        let sol = start.predict_layout(self).and_then(|()| {
+            let mut arena = ARENA.take();
+            let compiled = match rows {
+                Some(rows) if self.bind(rows, &mut arena) => CompiledGp::from_arena(arena),
+                _ => self.emit(arena),
+            }?;
+            let shaped = ratio.map(|ratio| {
+                let guess = start.guess.iter().zip(ratio);
+                start.shaped.clear();
+                start.shaped.extend(guess.map(|(g, r)| g * r));
+                &start.shaped[..]
+            });
+            let (guess, interior) = (&start.guess, &start.interior);
+            let sol = solve_compiled(&compiled, shaped, guess, interior, &ctx.gp, first);
+            ARENA.set(compiled.into_arena());
+            sol
+        });
+        START.set(start);
         sol
     }
 
     /// Writes the assignment `sol` stands for, anchored at `ctx`'s
-    /// values, into `out`.
-    fn write(&self, sol: &GpSolution, ctx: &SolveContext<'_>, out: &mut UnitColumns) {
-        let n = self.items.len();
+    /// values, into `out` over the unit's ascending `items`: variable `k`
+    /// is `items[perm[k]]`'s, or `items[k]`'s without a `perm`.
+    fn write(
+        &self,
+        sol: &GpSolution,
+        items: &Arc<[ItemId]>,
+        perm: Option<&[u32]>,
+        ctx: &SolveContext<'_>,
+        out: &mut UnitColumns,
+    ) {
+        let n = items.len();
+        let row = |k: usize| perm.map_or(k, |perm| perm[k] as usize);
         let mu = self.method.mu();
         let kind = if mu.is_some() {
             RangeKind::Box
         } else {
             RangeKind::AnchorOnly
         };
-        let cols = out.start(&self.items, kind);
-        for (v0, item) in cols.anchor.iter_mut().zip(self.items.iter()) {
+        let cols = out.start(items, kind);
+        for (v0, item) in cols.anchor.iter_mut().zip(items.iter()) {
             *v0 = ctx.values[item.index()];
         }
-        cols.primary.copy_from_slice(&sol.x[..n]);
+        for (k, &b) in sol.x[..n].iter().enumerate() {
+            cols.primary[row(k)] = b;
+        }
         if mu.is_none() {
             out.refresh_rate = sol.objective;
             return;
         }
         // An uncoupled item keeps its `+∞`: its value cannot invalidate.
         for (&b_var, &c) in self.coupled_b.iter().zip(&sol.x[n..]) {
-            cols.secondary[b_var] = c;
+            cols.secondary[row(b_var)] = c;
         }
         let recompute_rate = sol.x[n + self.coupled_b.len()];
         let refresh_rate: f64 = (self.lambdas.iter().zip(&sol.x))
@@ -267,21 +387,13 @@ impl PpqProgram {
         (out.recompute_rate, out.refresh_rate) = (recompute_rate, refresh_rate);
     }
 
-    /// The assignment `sol` stands for, anchored at `ctx`'s values.
-    #[cfg(test)]
-    fn assignment(&self, sol: &GpSolution, ctx: &SolveContext<'_>) -> QueryAssignment {
-        let mut out = UnitColumns::default();
-        self.write(sol, ctx, &mut out);
-        out.assignment()
-    }
-
     /// The program at the values `coefs` was evaluated at, in the
-    /// solver's own form: every posynomial emitted in one pass into this
-    /// thread's arena, its counts reserved beforehand, with nothing built
-    /// in between — term for term and bit for bit what compiling the
+    /// solver's own form: every posynomial emitted in one pass into
+    /// `arena`, its counts reserved beforehand, with nothing built in
+    /// between — term for term and bit for bit what compiling the
     /// program spelled out as a problem gives (the tests'
     /// `PpqProgram::problem`).
-    fn compiled(&self) -> Result<CompiledGp, GpError> {
+    pub(crate) fn emit(&self, mut arena: LogArena) -> Result<CompiledGp, GpError> {
         let n = self.lambdas.len();
         let coupled = self.coupled_b.len();
         let r_var = n + coupled;
@@ -292,10 +404,9 @@ impl PpqProgram {
 
         // The QAB condition: at the anchor (Eq. 1), or over the validity
         // range (Eq. 2), sized by the map.
-        let condition = self.map.terms(&self.coefs);
-        let (condition_terms, condition_exps) = self.map.counts(&self.coefs);
+        let condition = self.map.terms(self.coefs);
+        let (condition_terms, condition_exps) = self.map.counts(self.coefs);
         let objective_terms = n + usize::from(mu.is_some());
-        let mut arena = ARENA.take();
         arena.reset(
             n_vars,
             2 + 2 * coupled,
@@ -315,6 +426,34 @@ impl PpqProgram {
             arena.push([escape].into_iter(), 1.0)?;
         }
         CompiledGp::from_arena(arena)
+    }
+
+    /// Copies `rows`, a program [`Layout::emit`] emitted over this
+    /// layout with every condition monomial present, into `arena` and
+    /// writes this program's `ln` coefficients over its own: the
+    /// arena [`Layout::emit`] would emit, bit for bit, without its
+    /// exponent rows being pushed again. False, with `arena` unspecified,
+    /// when a scaled condition coefficient is not finite and positive (a
+    /// value at zero drops a monomial): emit instead.
+    fn bind(&self, rows: &LogArena, arena: &mut LogArena) -> bool {
+        let scale = 1.0 / self.qab;
+        if !(self.coefs.iter()).all(|&c| (c * scale).is_finite() && c * scale > 0.0) {
+            return false;
+        }
+        arena.clone_from(rows);
+        let refresh = |k: usize| self.ddm.refresh_coef(self.lambdas[k]).ln();
+        // `push` stores `ln(coef * scale)`, and a scale of 1 is exact.
+        let objective = (0..self.lambdas.len()).map(refresh);
+        let recompute = self.method.mu().map(f64::ln);
+        let condition = self.coefs.iter().map(|&c| (c * scale).ln());
+        let coupled = (self.coupled_b.iter()).flat_map(|&b_var| [0.0, refresh(b_var)]);
+        let logs = objective.chain(recompute).chain(condition).chain(coupled);
+        let slots = arena.log_coefs_mut();
+        debug_assert_eq!(slots.len(), logs.clone().count(), "rows of this layout");
+        for (slot, log) in slots.iter_mut().zip(logs) {
+            *slot = log;
+        }
+        true
     }
 }
 
@@ -401,6 +540,8 @@ struct StartScratch {
     /// the strictly feasible anchor below it.
     guess: Vec<f64>,
     interior: Vec<f64>,
+    /// The prediction moved by a template's offset.
+    shaped: Vec<f64>,
 }
 
 fn or_one(v: f64) -> f64 {
@@ -490,6 +631,13 @@ impl Linearized<'_> {
 }
 
 impl StartScratch {
+    /// The prediction of `layout`'s program at its coefficients.
+    fn predict_layout(&mut self, layout: &Layout<'_>) -> Result<(), DabError> {
+        let dual = layout.method.mu().map(|mu| (mu, layout.coupled_b));
+        let condition = layout.map.terms(layout.coefs);
+        self.predict(condition, layout.qab, layout.lambdas, layout.ddm, dual)
+    }
+
     /// [`predicted_start`] over the condition's terms as `(coefficient,
     /// exponent row)` pairs, wherever they are kept; leaves the prediction
     /// in `self.guess` and its anchor in `self.interior`.
@@ -511,6 +659,7 @@ impl StartScratch {
             ends,
             guess,
             interior,
+            ..
         } = self;
         let n = lambdas.len();
         let p = ddm.exponent();
@@ -633,6 +782,7 @@ fn scalar_feasible_start(
 mod tests {
     use super::*;
     use crate::assignment::ValidityRange;
+    use crate::shape::UnitShape;
     use pq_ddm::DataDynamicsModel;
     use pq_gp::{GpProblem, Monomial};
     use pq_poly::{ItemId, PTerm, Polynomial};
@@ -824,12 +974,14 @@ mod tests {
         assert!(a.respects_qab(&q, 1e-6));
     }
 
-    /// A unit's filter is a function of the unit and the values, not of
-    /// its solve history: solved at `V0` and then recomputed at `V1` and
-    /// `V2`, through this thread's program or through the unit's kept
-    /// one, each recompute is bit for bit the solve of a fresh program at
-    /// its values — whether `V0` is all positive or a value at zero in
-    /// `V0` left a monomial out of the condition the program last held.
+    /// A unit's filter is a function of the unit, the values and the
+    /// template it binds, not of its solve history: solved at `V0` and
+    /// then recomputed at `V1` and `V2`, through this thread's program or
+    /// through the template its `V0` solve left, each recompute is bit for
+    /// bit the solve of a fresh program, or a fresh binding of the same
+    /// template, at its values — whether `V0` is all positive or a value
+    /// at zero in `V0` left a monomial out of the condition the program
+    /// last held.
     #[test]
     fn a_recompute_is_the_fresh_solve_at_the_same_values() {
         let p = Polynomial::from_terms([
@@ -850,7 +1002,7 @@ mod tests {
             let at = |values| SolveContext::new(values, &rates).with_ddm(ddm);
             for (method, keep) in methods.into_iter().flat_map(|m| [(m, false), (m, true)]) {
                 for installed in &installs {
-                    let (mut columns, mut kept) = (UnitColumns::default(), None);
+                    let mut columns = UnitColumns::default();
                     let unit = unit_of(&q);
                     solve_ppq(
                         &unit,
@@ -861,31 +1013,39 @@ mod tests {
                         &mut columns,
                     )
                     .unwrap();
+                    let binding = keep
+                        .then(|| Binding::after(&unit, method, &at(installed), &columns).unwrap());
                     for drifted in &drifts {
-                        let slot = keep.then_some(&mut kept);
-                        solve_ppq(&unit, method, &at(drifted), Some(false), slot, &mut columns)
+                        let t = binding.as_ref();
+                        solve_ppq(&unit, method, &at(drifted), Some(false), t, &mut columns)
                             .unwrap();
-                        let fresh = PpqProgram::compile(&q, method, &at(drifted))
-                            .unwrap()
-                            .solve(&at(drifted), None)
-                            .unwrap();
+                        let fresh = UnitColumns::one_shot(|out| {
+                            solve_ppq(&unit, method, &at(drifted), None, t, out)
+                        })
+                        .unwrap();
                         assert_eq!(
                             columns.assignment().all_bits(),
                             fresh.all_bits(),
-                            "{method:?} {ddm} kept {keep} from {installed:?} to {drifted:?}"
+                            "{method:?} {ddm} template {keep} from {installed:?} to {drifted:?}"
                         );
+                        if !keep {
+                            let own = PpqProgram::compile(&q, method, &at(drifted))
+                                .unwrap()
+                                .solve(&at(drifted), None)
+                                .unwrap();
+                            assert_eq!(fresh.all_bits(), own.all_bits());
+                        }
                     }
-                    assert_eq!(kept.is_some(), keep);
                 }
             }
         }
     }
 
-    /// A kept program is the unit's only while the unit, method, ddm and
-    /// rates are those it was built for: a solve through it under any
-    /// other rebuilds it, and is the fresh solve.
+    /// A template binds only a unit of its shape, under its method and
+    /// ddm: any other solve through it is the solve without it, bit for
+    /// bit; one of its own shape under another QAB or rates binds it.
     #[test]
-    fn a_kept_program_that_is_not_the_units_is_rebuilt() {
+    fn a_template_that_is_not_the_units_is_not_bound() {
         let q = PolynomialQuery::portfolio([(2.0, x(0), x(1)), (3.0, x(1), x(2))], 10.0).unwrap();
         let wider = q.with_qab(12.0).unwrap();
         let other = PolynomialQuery::portfolio([(2.0, x(0), x(2))], 10.0).unwrap();
@@ -894,37 +1054,36 @@ mod tests {
         let dual = PpqMethod::DualDab { mu: 5.0 };
         let at = |rates| SolveContext::new(&values, rates);
         let walk = SolveContext::new(&values, &rates).with_ddm(DataDynamicsModel::RandomWalk);
+        let mut columns = UnitColumns::default();
+        solve_ppq(&unit_of(&q), dual, &at(&rates), None, None, &mut columns).unwrap();
+        let binding = Binding::after(&unit_of(&q), dual, &at(&rates), &columns).unwrap();
         let cases = [
-            (&q, PpqMethod::OptimalRefresh, at(&rates)),
-            (&q, dual, at(&rates)),
-            (&wider, dual, at(&rates)),
-            (&other, dual, at(&rates)),
-            (&other, dual, at(&faster)),
-            (&other, dual, walk),
-            (&q, dual, at(&rates)),
+            (&q, PpqMethod::OptimalRefresh, at(&rates), false),
+            (&q, PpqMethod::DualDab { mu: 6.0 }, at(&rates), false),
+            (&other, dual, at(&rates), false),
+            (&q, dual, walk, false),
+            (&wider, dual, at(&rates), true),
+            (&q, dual, at(&faster), true),
         ];
-        let mut kept = None;
-        for (query, method, ctx) in &cases {
-            let mut columns = UnitColumns::default();
+        for (query, method, ctx, binds) in &cases {
             let unit = unit_of(query);
-            solve_ppq(&unit, *method, ctx, None, Some(&mut kept), &mut columns).unwrap();
-            assert!(kept.as_ref().unwrap().serves(&unit, *method, ctx));
-            let fresh = PpqProgram::compile(query, *method, ctx)
-                .unwrap()
-                .solve(ctx, None)
-                .unwrap();
             assert_eq!(
-                columns.assignment().all_bits(),
-                fresh.all_bits(),
+                binding.serves(&unit, *method, ctx),
+                *binds,
                 "{query} {method:?}"
             );
+            let through = UnitColumns::one_shot(|out| {
+                solve_ppq(&unit, *method, ctx, None, Some(&binding), out)
+            })
+            .unwrap();
+            let alone =
+                UnitColumns::one_shot(|out| solve_ppq(&unit, *method, ctx, None, None, out))
+                    .unwrap();
+            assert!(through.respects_qab(query, 1e-6), "{query} {method:?}");
+            if !binds {
+                assert_eq!(through.all_bits(), alone.all_bits(), "{query} {method:?}");
+            }
         }
-        // A failed rebuild leaves the program no unit's.
-        let unit = unit_of(&q);
-        let bad = PpqMethod::DualDab { mu: -1.0 };
-        let mut columns = UnitColumns::default();
-        assert!(solve_ppq(&unit, bad, &at(&rates), None, Some(&mut kept), &mut columns).is_err());
-        assert!(!kept.unwrap().serves(&unit, dual, &at(&rates)));
     }
 
     /// A value reaching exactly zero removes monomials from the condition:
@@ -969,7 +1128,7 @@ mod tests {
             dual,
         )?;
         let compiled = CompiledGp::compile(&program.problem()?)?;
-        let sol = solve_compiled(&compiled, &guess, &interior, &ctx.gp, None)?;
+        let sol = solve_compiled(&compiled, None, &guess, &interior, &ctx.gp, None)?;
         Ok(program.assignment(&sol, ctx))
     }
 
@@ -979,6 +1138,32 @@ mod tests {
     }
 
     impl PpqProgram {
+        /// The program emitted at the values `coefs` was evaluated at.
+        fn compiled(&self) -> Result<CompiledGp, GpError> {
+            self.layout().emit(ARENA.take())
+        }
+
+        /// The solve from `guess` and `interior` on the emitted program.
+        fn solve_from(
+            &self,
+            guess: &[f64],
+            interior: &[f64],
+            ctx: &SolveContext<'_>,
+            first: Option<bool>,
+        ) -> Result<GpSolution, DabError> {
+            let compiled = self.compiled()?;
+            let sol = solve_compiled(&compiled, None, guess, interior, &ctx.gp, first);
+            ARENA.set(compiled.into_arena());
+            sol
+        }
+
+        /// The assignment `sol` stands for, anchored at `ctx`'s values.
+        fn assignment(&self, sol: &GpSolution, ctx: &SolveContext<'_>) -> QueryAssignment {
+            let mut out = UnitColumns::default();
+            self.layout().write(sol, &self.items, None, ctx, &mut out);
+            out.assignment()
+        }
+
         /// The program of `query` under `method` at `ctx`'s rates, fresh:
         /// not this thread's scratch.
         fn compile(
@@ -1146,6 +1331,69 @@ mod tests {
                         (Err(_), Err(_)) => {}
                         (e, s) => prop_assert!(false, "emitted {:?}, spelled out {:?}", e, s),
                     }
+                }
+            }
+        }
+    }
+
+    /// A unit bound to another unit's template writes, into the
+    /// template's rows, the arena emitting its own program in the
+    /// canonical layout gives — every row and `ln` coefficient bit for
+    /// bit — under both methods and ddms; with a value at zero (a
+    /// coefficient at zero drops a monomial) it emits instead.
+    #[test]
+    fn a_bound_program_is_the_emitted_one() {
+        let leader = PolynomialQuery::portfolio(
+            [(2.0, x(0), x(1)), (3.0, x(1), x(2)), (0.5, x(3), x(0))],
+            10.0,
+        )
+        .unwrap();
+        let follower = PolynomialQuery::portfolio(
+            [(1.5, x(4), x(6)), (0.25, x(6), x(7)), (4.0, x(9), x(4))],
+            20.0,
+        )
+        .unwrap();
+        let rates = [0.5, 0.01, 0.3, 0.2, 0.1, 0.4, 0.05, 0.02, 0.3, 0.6];
+        let at = [50.0, 2.0, 30.0, 7.0, 11.0, 1.0, 3.0, 8.0, 1.0, 5.0];
+        let mut zero = at;
+        zero[6] = 0.0;
+        let methods = [PpqMethod::DualDab { mu: 5.0 }, PpqMethod::OptimalRefresh];
+        for (method, ddm) in methods.into_iter().flat_map(|m| {
+            [DataDynamicsModel::Monotonic, DataDynamicsModel::RandomWalk].map(|d| (m, d))
+        }) {
+            let ctx = |values| SolveContext::new(values, &rates).with_ddm(ddm);
+            let mut columns = UnitColumns::default();
+            let lead = unit_of(&leader);
+            solve_ppq(&lead, method, &ctx(&at), None, None, &mut columns).unwrap();
+            let template = Binding::after(&lead, method, &ctx(&at), &columns)
+                .unwrap()
+                .template;
+            let unit = unit_of(&follower);
+            let shape = UnitShape::of(&unit.body, unit.items()).unwrap();
+            let binding = Binding::new(template, &unit, shape.perm().into());
+            for (values, binds) in [(&at, true), (&zero, false)] {
+                let mut bound = Bound::default();
+                assert!(bound.bind(&unit, &binding, &ctx(values)));
+                let t = &binding.template;
+                let layout = Layout {
+                    map: &t.map,
+                    coefs: &bound.coefs,
+                    lambdas: &bound.lambdas,
+                    coupled_b: &t.coupled_b,
+                    qab: unit.qab,
+                    method,
+                    ddm,
+                };
+                let mut arena = LogArena::default();
+                assert_eq!(layout.bind(&t.rows, &mut arena), binds, "{method:?} {ddm}");
+                if binds {
+                    let emitted = layout.emit(LogArena::default()).unwrap();
+                    let bound = CompiledGp::from_arena(arena).unwrap();
+                    assert_eq!(
+                        rows_and_bits(&bound),
+                        rows_and_bits(&emitted),
+                        "{method:?} {ddm}"
+                    );
                 }
             }
         }

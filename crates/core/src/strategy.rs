@@ -15,7 +15,7 @@ use crate::cache::UnitCache;
 use crate::context::SolveContext;
 use crate::error::DabError;
 use crate::heuristics::{merge_min, solve_positive_unit, PpqMethod, PqHeuristic};
-use crate::ppq::PpqProgram;
+use crate::shape::Binding;
 
 /// A complete per-query DAB assignment policy.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -218,40 +218,54 @@ pub fn assign_unit(
 /// (`solve.cold_start`), by its blend after (see
 /// [`crate::cache`]).
 ///
-/// An anchor-only assignment holds at its anchor alone, so the next
-/// refresh of any of its items re-solves the unit: a unit whose last
-/// solve wrote one keeps its program in the cache for the next, and any
-/// other builds its program in this thread's scratch.
+/// A solve binds its shape's template when the cache's binding serves
+/// the unit under `strategy` (an install binds every unit whose shape
+/// another unit of the book shares, see [`crate::install_units`]); a
+/// binding that does not is dropped. An anchor-only assignment holds at
+/// its anchor alone, so the next refresh of any of its items re-solves
+/// the unit: a unit whose solve wrote one unbound leaves a template of
+/// its own shape and binds it.
 pub fn assign_unit_cached<'c>(
     unit: &AssignmentUnit,
     ctx: &SolveContext<'_>,
     strategy: AssignmentStrategy,
     cache: &'c mut UnitCache,
 ) -> Result<&'c UnitColumns, DabError> {
-    let UnitCache { columns, program } = cache;
+    let UnitCache { columns, binding } = cache;
     let first = columns.items().is_empty();
-    let kept = match columns.kind() {
-        RangeKind::AnchorOnly if !first => Some(program),
-        _ => {
-            *program = None;
-            None
-        }
-    };
-    solve_unit(unit, ctx, strategy, Some(first), kept, columns)?;
+    let method = ppq_method(strategy);
+    let serves = |b: &Binding| method.is_some_and(|m| b.serves(unit, m, ctx));
+    if !binding.as_ref().is_some_and(serves) {
+        *binding = None;
+    }
+    solve_unit(unit, ctx, strategy, Some(first), binding.as_ref(), columns)?;
+    if let (None, Some(method), RangeKind::AnchorOnly) = (&binding, method, columns.kind()) {
+        *binding = Binding::after(unit, method, ctx, columns);
+    }
     Ok(columns)
+}
+
+/// The GP method `strategy` solves a positive-coefficient unit with;
+/// `None` for the baselines.
+pub(crate) fn ppq_method(strategy: AssignmentStrategy) -> Option<PpqMethod> {
+    match strategy {
+        AssignmentStrategy::OptimalRefresh => Some(PpqMethod::OptimalRefresh),
+        AssignmentStrategy::DualDab { mu } => Some(PpqMethod::DualDab { mu }),
+        AssignmentStrategy::PerItemSplit | AssignmentStrategy::EqualDab => None,
+    }
 }
 
 /// The one solve of a unit every entry point runs, into `out`. A linear
 /// unit of any sign takes the closed form; a non-linear one must be
 /// positive-coefficient, as every unit [`assignment_units`] makes is
 /// ([`DabError::UnsupportedQueryClass`] otherwise), and its GP solve
-/// runs on the `kept` program when given.
+/// binds its shape's template through `binding` when given.
 fn solve_unit(
     unit: &AssignmentUnit,
     ctx: &SolveContext<'_>,
     strategy: AssignmentStrategy,
     first: Option<bool>,
-    kept: Option<&mut Option<Box<PpqProgram>>>,
+    binding: Option<&Binding>,
     out: &mut UnitColumns,
 ) -> Result<(), DabError> {
     // A unit that reads no item (a constant body) has no filter to size
@@ -261,15 +275,11 @@ fn solve_unit(
         return Ok(());
     }
     let _span = dab_span(&ctx.gp);
-    match strategy {
-        AssignmentStrategy::PerItemSplit => per_item_split_into(&unit.query()?, ctx, out),
-        AssignmentStrategy::EqualDab => equal_dab_into(&unit.query()?, ctx, out),
-        AssignmentStrategy::OptimalRefresh => {
-            solve_positive_unit(unit, ctx, PpqMethod::OptimalRefresh, first, kept, out)
-        }
-        AssignmentStrategy::DualDab { mu } => {
-            solve_positive_unit(unit, ctx, PpqMethod::DualDab { mu }, first, kept, out)
-        }
+    match (strategy, ppq_method(strategy)) {
+        (AssignmentStrategy::PerItemSplit, _) => per_item_split_into(&unit.query()?, ctx, out),
+        (AssignmentStrategy::EqualDab, _) => equal_dab_into(&unit.query()?, ctx, out),
+        (_, Some(method)) => solve_positive_unit(unit, ctx, method, first, binding, out),
+        (_, None) => unreachable!("every other strategy solves a GP"),
     }
 }
 

@@ -1,14 +1,14 @@
 //! What a DAB solve allocates, as a test.
 //!
 //! A counting `#[global_allocator]` (per-thread counters, so the harness
-//! running tests side by side does not blur them) measures the two solves
-//! a coordinator pays for: a Dual-DAB unit's first solve through an
-//! empty [`UnitCache`] and the warm recompute after it. Both build the
-//! unit's program, compiled GP and start in this thread's scratch (only
-//! an anchor-only unit keeps its program), so what they allocate is what
-//! a unit keeps or a solve returns: the assignment's columns and the
-//! solution. DESIGN.md §10 has the table these ceilings
-//! guard.
+//! running tests side by side does not blur them) measures the solves a
+//! coordinator pays for: a Dual-DAB unit's first solve through an empty
+//! [`UnitCache`], the warm recompute after it, and the first solve of a
+//! unit bound to its shape's template (a follower's, at an install). Each
+//! builds or binds the unit's program, compiled GP and start in this
+//! thread's scratch, so what they allocate is what a unit keeps or a
+//! solve returns: the assignment's columns and the solution. DESIGN.md
+//! §10 has the table these ceilings guard.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -130,6 +130,44 @@ fn per_unit(queries: &[PolynomialQuery], values: &[f64], rates: &[f64]) -> (f64,
     (first, warm)
 }
 
+/// Mean allocations per unit of a first solve bound to its shape's
+/// template, over the units of `queries` a coordinator installed bound:
+/// each solved through a copy of its cache from before its first solve.
+fn per_follower(queries: &[PolynomialQuery], values: &[f64], rates: &[f64]) -> f64 {
+    let strategy = AssignmentStrategy::DualDab { mu: 5.0 };
+    let heuristic = PqHeuristic::DifferentSum;
+    let cfg = Config {
+        rates: rates.to_vec(),
+        ddm: DataDynamicsModel::Monotonic,
+        gp: dab_solver_options(),
+        obs: Obs::null(),
+        scope: Scope::default(),
+    };
+    let core = Coordinator::install(queries, strategy, heuristic, values.to_vec(), cfg).unwrap();
+    let mut bound: Vec<(AssignmentUnit, UnitCache)> = (queries.iter().enumerate())
+        .flat_map(|(q, query)| {
+            let units = assignment_units(query, strategy, heuristic)
+                .into_iter()
+                .enumerate();
+            let core = &core;
+            units.map(move |(u, unit)| (unit, core.unit_cache(q, u)))
+        })
+        .filter(|(_, cache)| cache.is_bound())
+        .map(|(unit, cache)| (unit, cache.unsolved()))
+        .collect();
+    assert!(bound.len() > queries.len() / 2, "most units are bound");
+    let ctx = SolveContext::new(values, rates);
+    // One throw-away solve grows this thread's bound scratch.
+    let (unit, cache) = &bound[0];
+    assign_unit_cached(unit, &ctx, strategy, &mut cache.unsolved()).unwrap();
+    let (n, ()) = allocations_in(|| {
+        for (unit, cache) in &mut bound {
+            assign_unit_cached(unit, &ctx, strategy, cache).unwrap();
+        }
+    });
+    n as f64 / bound.len() as f64
+}
+
 fn values_and_rates() -> (Vec<f64>, Vec<f64>) {
     let mut state = 0xB00C_u64;
     let values = (0..ITEMS).map(|_| 10.0 + f64::from(lcg(&mut state) % 900) / 10.0);
@@ -152,13 +190,24 @@ fn a_first_solve_and_a_warm_recompute_stay_within_their_allocation_budgets() {
     // compiled GP became one arena, 141.7 and 90.3; before solves wrote
     // columns, 36.9 and 30.9, and 19.6 and 15.2 on a warm recompute,
     // which built three maps per assignment.
+    // A bound unit's first solve reads 2.0 on both books, the solution
+    // and the columns: binding writes the template's coefficients into
+    // this thread's arena, so it allocates no program.
     let books = [
-        ("fig5-style", book(6..=7, None, &values), 4.0, 2.0),
-        ("overlap-style", book(3..=4, Some(12), &values), 3.0, 2.0),
+        ("fig5-style", book(6..=7, None, &values), 4.0, 2.0, 3.0),
+        (
+            "overlap-style",
+            book(3..=4, Some(12), &values),
+            3.0,
+            2.0,
+            3.0,
+        ),
     ];
-    for (name, queries, first_ceiling, warm_ceiling) in &books {
+    for (name, queries, first_ceiling, warm_ceiling, bound_ceiling) in &books {
         let (first, warm) = per_unit(queries, &values, &rates);
         println!("{name}: first solve {first:.1}, warm recompute {warm:.1} allocations per unit");
+        let follower = per_follower(queries, &values, &rates);
+        println!("{name}: a bound unit's first solve {follower:.1} allocations per unit");
         assert!(
             first <= *first_ceiling,
             "{name}: a first solve allocates {first:.1} times per unit"
@@ -166,6 +215,10 @@ fn a_first_solve_and_a_warm_recompute_stay_within_their_allocation_budgets() {
         assert!(
             warm <= *warm_ceiling,
             "{name}: a warm recompute allocates {warm:.1} times per unit"
+        );
+        assert!(
+            follower <= *bound_ceiling,
+            "{name}: a bound unit's first solve allocates {follower:.1} times per unit"
         );
     }
 }

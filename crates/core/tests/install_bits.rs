@@ -32,7 +32,17 @@
 //! within the certified gap `DAB_GAP` (DESIGN.md §10, "Certified stop"):
 //! a solve now returns one Newton step (Dual-DAB) or none (Optimal
 //! Refresh) short of the `1e-5` tolerance; the drift re-solves the same
-//! 57, 9 and 86 units.
+//! 57, 9 and 86 units. All six were re-taken when a unit whose shape
+//! another unit of the book shares began to bind its shape's template
+//! and to try its prediction moved by the leader's offset first
+//! (DESIGN.md §10, "One start rule"): such a unit solves in its shape's
+//! canonical layout and may stop at that start.
+//!
+//! Each book also pins how many solves stopped at step 0 at their shape
+//! start, at the install and over the drift. CI runs this file on two
+//! cores (a 40-query book installs on two workers) and under
+//! `taskset -c 0` (one worker): the counts, like the hashes, must not
+//! depend on the worker count.
 
 use pq_core::coordinator::{Config, Coordinator, Scope};
 use pq_core::{dab_solver_options, AssignmentStrategy, PqHeuristic, ValidityRange};
@@ -45,12 +55,17 @@ const QUERIES: usize = 40;
 const RATE_TICKS: usize = 60;
 const DRIFT_TICKS: usize = 2000;
 
-const INSTALL_FIG5: u64 = 0xf9a9_034f_182c_67f6;
-const DRIFT_FIG5: u64 = 0xe66b_f848_4422_0dc6;
-const INSTALL_OVERLAP: u64 = 0x86bd_53d7_2ccc_10ba;
-const DRIFT_OVERLAP: u64 = 0x9d00_cb64_be0f_8f59;
-const INSTALL_HALF: u64 = 0x6816_f785_07b7_6a93;
-const DRIFT_HALF: u64 = 0x036a_4adb_f741_1118;
+const INSTALL_FIG5: u64 = 0x8ce2_cd86_7038_c532;
+const DRIFT_FIG5: u64 = 0x79e3_4e38_e8f5_3a1c;
+const INSTALL_OVERLAP: u64 = 0xd2d1_db25_d460_370c;
+const DRIFT_OVERLAP: u64 = 0x7161_9f47_2e11_f5f9;
+const INSTALL_HALF: u64 = 0x6938_28f0_0250_92f9;
+const DRIFT_HALF: u64 = 0xc96c_e84e_05f2_6afe;
+/// Solves that stopped at their shape start, at the install and over the
+/// drift: the same on one worker and on two.
+const STOPS_FIG5: (usize, usize) = (21, 27);
+const STOPS_OVERLAP: (usize, usize) = (28, 4);
+const STOPS_HALF: (usize, usize) = (41, 64);
 
 /// 64-bit FNV-1a over the little-endian bytes of every value folded in.
 struct Fnv(u64);
@@ -138,12 +153,36 @@ fn fold(c: &Coordinator, units: &[usize], hash: &mut Fnv) {
     }
 }
 
-/// The hashes of a book installed at tick 0, and of it drifted to tick
-/// [`DRIFT_TICKS`].
+/// What one book reads: the hashes of it installed at tick 0 and drifted
+/// to tick [`DRIFT_TICKS`], and how many of the install's and the
+/// drift's solves stopped at step 0 at their shape start.
+#[derive(Debug, PartialEq)]
+struct Reading {
+    install: u64,
+    drift: u64,
+    shape_stops: (usize, usize),
+}
+
+/// The `gp.solve` spans in `events` that stopped at their shape start.
+fn shape_stops(events: &[pq_obs::Event]) -> usize {
+    let stopped = |e: &&pq_obs::Event| {
+        e.target == "gp.solve_ns" && e.field("shape_start") == Some(&pq_obs::Value::Bool(true))
+    };
+    let stops = events.iter().filter(stopped);
+    assert!(
+        stops
+            .clone()
+            .all(|e| e.field("newton_steps") == Some(&pq_obs::Value::U64(0))),
+        "a shape stop takes no Newton step"
+    );
+    stops.count()
+}
+
+/// [`Reading`] of the book `queries` builds at tick 0.
 fn installed_then_drifted(
     queries: impl Fn(&[f64]) -> Vec<PolynomialQuery>,
     heuristic: PqHeuristic,
-) -> (u64, u64) {
+) -> Reading {
     let traces = TraceSet::stock_universe(ITEMS as usize, DRIFT_TICKS + 1, 0x1CDE_2008);
     let rated = TraceSet::stock_universe(ITEMS as usize, RATE_TICKS + 1, 0x1CDE_2008);
     let rates = RateEstimator::SampledAverage {
@@ -160,17 +199,19 @@ fn installed_then_drifted(
             1 + usize::from(split && !p1.is_zero() && !p2.is_zero())
         })
         .collect();
+    let (obs, ring) = Obs::ring(1 << 16);
     let cfg = Config {
         rates,
         ddm: DataDynamicsModel::Monotonic,
         gp: dab_solver_options(),
-        obs: Obs::null(),
+        obs,
         scope: Scope::default(),
     };
     let strategy = AssignmentStrategy::DualDab { mu: 5.0 };
     let mut c = Coordinator::install(&queries, strategy, heuristic, start.clone(), cfg).unwrap();
     let mut installed = Fnv::new();
     fold(&c, &units, &mut installed);
+    let installing = ring.events().len();
     let mut recomputed = 0;
     for tick in 1..=DRIFT_TICKS {
         for item in 0..ITEMS as usize {
@@ -183,46 +224,67 @@ fn installed_then_drifted(
     assert!(recomputed > 0, "the drift re-solved nothing");
     let mut drifted = Fnv::new();
     fold(&c, &units, &mut drifted);
-    (installed.0, drifted.0)
+    assert_eq!(ring.dropped(), 0, "the ring holds the whole run");
+    let events = ring.events();
+    let (install, drift) = events.split_at(installing);
+    Reading {
+        install: installed.0,
+        drift: drifted.0,
+        shape_stops: (shape_stops(install), shape_stops(drift)),
+    }
 }
 
 #[test]
 fn a_fig5_style_book_installs_and_recomputes_the_same_bits() {
-    let (install, drift) =
-        installed_then_drifted(|v| book(6..=7, None, false, v), PqHeuristic::DifferentSum);
+    let got = installed_then_drifted(|v| book(6..=7, None, false, v), PqHeuristic::DifferentSum);
     assert_eq!(
-        install, INSTALL_FIG5,
-        "fig5-style book, installed: {install:#018x}"
+        got.install, INSTALL_FIG5,
+        "fig5-style book, installed: {:#018x}",
+        got.install
     );
-    assert_eq!(drift, DRIFT_FIG5, "fig5-style book, drifted: {drift:#018x}");
+    assert_eq!(
+        got.drift, DRIFT_FIG5,
+        "fig5-style book, drifted: {:#018x}",
+        got.drift
+    );
+    assert_eq!(got.shape_stops, STOPS_FIG5, "fig5-style book, shape stops");
 }
 
 #[test]
 fn an_overlap_style_book_installs_and_recomputes_the_same_bits() {
-    let (install, drift) = installed_then_drifted(
-        |v| book(3..=4, Some(12), false, v),
-        PqHeuristic::DifferentSum,
+    let overlap = |v: &[f64]| book(3..=4, Some(12), false, v);
+    let got = installed_then_drifted(overlap, PqHeuristic::DifferentSum);
+    assert_eq!(
+        got.install, INSTALL_OVERLAP,
+        "overlap-style book, installed: {:#018x}",
+        got.install
     );
     assert_eq!(
-        install, INSTALL_OVERLAP,
-        "overlap-style book, installed: {install:#018x}"
+        got.drift, DRIFT_OVERLAP,
+        "overlap-style book, drifted: {:#018x}",
+        got.drift
     );
     assert_eq!(
-        drift, DRIFT_OVERLAP,
-        "overlap-style book, drifted: {drift:#018x}"
+        got.shape_stops, STOPS_OVERLAP,
+        "overlap-style book, shape stops"
     );
 }
 
 #[test]
 fn a_half_and_half_arbitrage_book_installs_and_recomputes_the_same_bits() {
-    let (install, drift) =
-        installed_then_drifted(|v| book(3..=4, None, true, v), PqHeuristic::HalfAndHalf);
+    let got = installed_then_drifted(|v| book(3..=4, None, true, v), PqHeuristic::HalfAndHalf);
     assert_eq!(
-        install, INSTALL_HALF,
-        "half-and-half book, installed: {install:#018x}"
+        got.install, INSTALL_HALF,
+        "half-and-half book, installed: {:#018x}",
+        got.install
     );
     assert_eq!(
-        drift, DRIFT_HALF,
-        "half-and-half book, drifted: {drift:#018x}"
+        got.drift, DRIFT_HALF,
+        "half-and-half book, drifted: {:#018x}",
+        got.drift
+    );
+    assert_eq!(
+        got.shape_stops, STOPS_HALF,
+        "half-and-half book, shape stops"
     );
 }

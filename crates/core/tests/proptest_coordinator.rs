@@ -5,8 +5,10 @@
 //! out: query values by `Polynomial::eval`, staleness by a full
 //! `QueryAssignment::is_valid_at` scan over every unit of every query,
 //! re-anchors by `QueryAssignment::respects_qab`'s corner enumeration,
-//! re-solves by the uncached `assign_unit`, filters by a minimum over
-//! every assignment. [`pq_core::Coordinator`] — compiled plan and
+//! solves through a copy of each unit's cache as the coordinator
+//! installed it (the same binding to its shape's template, which with
+//! the values is all a solve reads), filters by a minimum over every
+//! assignment. [`pq_core::Coordinator`] — compiled plan and
 //! delta-maintained values with their rebase period, item-major filter
 //! table, per-unit caches and per-thread solve scratch — must make the same
 //! decisions on any book. With sources that push the moment they leave
@@ -19,8 +21,8 @@ use proptest::prelude::*;
 
 use pq_core::coordinator::{Config, Coordinator, Scope, REBASE_EVERY};
 use pq_core::{
-    assign_unit, assignment_units, dab_solver_options, AssignmentStrategy, AssignmentUnit,
-    DabError, InstallError, PqHeuristic, QueryAssignment, SolveContext, ValidityRange,
+    assign_unit_cached, assignment_units, dab_solver_options, AssignmentStrategy, AssignmentUnit,
+    DabError, InstallError, PqHeuristic, QueryAssignment, SolveContext, UnitCache, ValidityRange,
 };
 use pq_ddm::DataDynamicsModel;
 use pq_obs::Obs;
@@ -50,6 +52,8 @@ type Refreshed = (Vec<QueryId>, Vec<QueryId>);
 struct Reference {
     queries: Vec<PolynomialQuery>,
     units: Vec<Vec<AssignmentUnit>>,
+    /// A copy of each unit's cache as `core` installed it.
+    caches: Vec<Vec<UnitCache>>,
     assignments: Vec<Vec<QueryAssignment>>,
     values: Vec<f64>,
     rates: Vec<f64>,
@@ -57,12 +61,23 @@ struct Reference {
 }
 
 impl Reference {
-    fn install(queries: &[PolynomialQuery], heuristic: PqHeuristic, values: &[f64]) -> Self {
-        let units: Vec<_> = queries
+    fn install(
+        queries: &[PolynomialQuery],
+        heuristic: PqHeuristic,
+        values: &[f64],
+        core: &Coordinator,
+    ) -> Self {
+        let units: Vec<Vec<AssignmentUnit>> = queries
             .iter()
             .map(|q| assignment_units(q, STRATEGY, heuristic))
             .collect();
+        let cache = |(q, per_query): (usize, &Vec<_>)| -> Vec<UnitCache> {
+            (0..per_query.len())
+                .map(|u| core.unit_cache(q, u).clone())
+                .collect()
+        };
         let mut this = Reference {
+            caches: units.iter().enumerate().map(cache).collect(),
             queries: queries.to_vec(),
             assignments: Vec::new(),
             values: values.to_vec(),
@@ -76,9 +91,11 @@ impl Reference {
         this
     }
 
-    fn solve(&self, q: usize, u: usize) -> QueryAssignment {
+    fn solve(&mut self, q: usize, u: usize) -> QueryAssignment {
         let ctx = SolveContext::new(&self.values, &self.rates);
-        assign_unit(&self.units[q][u], &ctx, STRATEGY).expect("positive data")
+        let cache = &mut self.caches[q][u];
+        let solved = assign_unit_cached(&self.units[q][u], &ctx, STRATEGY, cache);
+        solved.expect("positive data").assignment()
     }
 
     /// The stale unit `u` of query `q` re-anchored at the current values,
@@ -308,9 +325,9 @@ proptest! {
         ),
     ) {
         let heuristic = heuristic(half_and_half);
-        let mut oracle = Reference::install(&queries, heuristic, &start);
         let mut core =
-            Coordinator::install(&queries, STRATEGY, heuristic, start, config()).unwrap();
+            Coordinator::install(&queries, STRATEGY, heuristic, start.clone(), config()).unwrap();
+        let mut oracle = Reference::install(&queries, heuristic, &start, &core);
         for (step, (item, delta)) in moves.into_iter().enumerate() {
             let value = (core.values()[item] + delta).clamp(0.5, 2.0);
             let out = core.on_refresh(item, value).unwrap();

@@ -1,12 +1,14 @@
 //! The parallel map: `f(0), …, f(n - 1)` in index order, in contiguous
 //! shares over the calling thread and scoped workers. Its callers — the
 //! tape generators ([`crate::TraceSet::stock_universe`]) and a
-//! coordinator's install (pq-core) — map an index to a value of the index
-//! alone, so the result is the plain loop's whoever computes what. And
-//! [`read_ahead`], which streams a worker's blocks to the calling thread.
+//! coordinator's install (pq-core, in two phases) — map an index to a
+//! value of the index and of what the phase before published, so the
+//! result is the plain loop's whoever computes what. And [`read_ahead`],
+//! which streams a worker's blocks to the calling thread.
 
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, OnceLock};
+use std::sync::{mpsc, Barrier, OnceLock};
 
 /// The machine's available parallelism. Resolved once per process: the
 /// query reads the cgroup quota from files.
@@ -34,34 +36,6 @@ pub fn chunked_map<T: Send + Sync>(
     n: usize,
     f: impl Fn(usize) -> T + Sync,
 ) -> Vec<T> {
-    map_in_shares(workers, chunk, n, true, f)
-}
-
-/// [`chunked_map`] with one chunk a share and nothing taken: which thread
-/// computes which index depends on `n` and `workers` alone. For values
-/// that own heap memory and are built again and again in one process:
-/// the allocator keeps an arena per thread, each at the most it ever
-/// held, so shares that move between threads from one call to the next
-/// leave every arena at the largest share it ever took.
-///
-/// # Panics
-/// Panics if `workers` is 0.
-pub fn split_map<T: Send + Sync>(
-    workers: usize,
-    n: usize,
-    f: impl Fn(usize) -> T + Sync,
-) -> Vec<T> {
-    map_in_shares(workers, n.div_ceil(workers.max(1)).max(1), n, false, f)
-}
-
-/// The map of [`chunked_map`] (`share_work`) and of [`split_map`].
-fn map_in_shares<T: Send + Sync>(
-    workers: usize,
-    chunk: usize,
-    n: usize,
-    share_work: bool,
-    f: impl Fn(usize) -> T + Sync,
-) -> Vec<T> {
     assert!(chunk > 0 && workers > 0, "empty chunks or no worker");
     let chunks: Vec<OnceLock<Vec<T>>> = (0..n.div_ceil(chunk)).map(|_| OnceLock::new()).collect();
     let workers = workers.min(chunks.len()).max(1);
@@ -70,9 +44,8 @@ fn map_in_shares<T: Send + Sync>(
     // computed chunk reaches the calling thread through its slot and the
     // join.
     let cursors: Vec<AtomicUsize> = (0..workers).map(|w| AtomicUsize::new(w * share)).collect();
-    let shares_visited = if share_work { workers } else { 1 };
     let work = |worker: usize| {
-        for owner in (worker..workers).chain(0..worker).take(shares_visited) {
+        for owner in (worker..workers).chain(0..worker) {
             let end = ((owner + 1) * share).min(chunks.len());
             loop {
                 let claimed = cursors[owner].fetch_add(1, Ordering::Relaxed);
@@ -94,9 +67,7 @@ fn map_in_shares<T: Send + Sync>(
         work(0);
         for other in others {
             // A worker's panic keeps its own message.
-            other
-                .join()
-                .unwrap_or_else(|p| std::panic::resume_unwind(p));
+            other.join().unwrap_or_else(|p| resume_unwind(p));
         }
     });
     let mut out = Vec::with_capacity(n);
@@ -104,6 +75,81 @@ fn map_in_shares<T: Send + Sync>(
         out.extend(chunk.into_inner().expect("every chunk was computed"));
     }
     out
+}
+
+/// How many indices of `0..n` each thread of [`split_phases`] on
+/// `workers` workers takes: `⌈n / workers⌉`, the last thread what is
+/// left.
+pub fn share_len(workers: usize, n: usize) -> usize {
+    n.div_ceil(workers.max(1)).max(1)
+}
+
+/// The map in two phases on the same threads, after a preparation:
+/// the calling thread starts the workers and runs `prepare` while they
+/// start; then `first(p, i)` runs over one contiguous share of `0..n`
+/// per thread ([`share_len`] indices, the first share the calling
+/// thread's), and, once every thread has finished its share,
+/// `second(p, i, first(p, i))` over the same share, which may read
+/// whatever any thread's `first` published. Returns what `prepare` made
+/// and the values in index order. Nothing is taken: which thread
+/// computes which index depends on `n` and `workers` alone, in both
+/// phases. For values that own heap memory and are built again and
+/// again in one process: the allocator keeps an arena per thread, each
+/// at the most it ever held, so shares that move between threads from
+/// one call to the next leave every arena at the largest share it ever
+/// took. A panic in `prepare` or in either phase resumes on the calling
+/// thread with its own message (every thread still passes both
+/// barriers).
+///
+/// # Panics
+/// Panics if `workers` is 0.
+pub fn split_phases<P: Send + Sync, A, B: Send>(
+    workers: usize,
+    n: usize,
+    prepare: impl FnOnce() -> P,
+    first: impl Fn(&P, usize) -> A + Sync,
+    second: impl Fn(&P, usize, A) -> B + Sync,
+) -> (P, Vec<B>) {
+    assert!(workers > 0, "no worker");
+    let share = share_len(workers, n);
+    let threads = n.div_ceil(share).max(1);
+    let prepared = OnceLock::new();
+    let (ready, between) = (Barrier::new(threads), Barrier::new(threads));
+    let work = |thread: usize, p: &P| -> Vec<B> {
+        let own = thread * share..((thread + 1) * share).min(n);
+        let firsts = catch_unwind(AssertUnwindSafe(|| {
+            own.clone().map(|i| first(p, i)).collect::<Vec<A>>()
+        }));
+        between.wait();
+        let firsts = firsts.unwrap_or_else(|panic| resume_unwind(panic));
+        own.zip(firsts).map(|(i, a)| second(p, i, a)).collect()
+    };
+    let out = std::thread::scope(|scope| {
+        let (work, prepared, ready) = (&work, &prepared, &ready);
+        let others: Vec<_> = (1..threads)
+            .map(|thread| {
+                scope.spawn(move || {
+                    ready.wait();
+                    // Nothing prepared: `prepare` panicked, and the
+                    // calling thread reports it.
+                    prepared.get().map_or_else(Vec::new, |p| work(thread, p))
+                })
+            })
+            .collect();
+        let made = catch_unwind(AssertUnwindSafe(prepare)).map(|p| prepared.set(p));
+        ready.wait();
+        if let Err(panic) = made {
+            others.into_iter().for_each(|other| drop(other.join()));
+            resume_unwind(panic);
+        }
+        let mut out = work(0, prepared.get().expect("prepared above"));
+        for other in others {
+            // A worker's panic keeps its own message.
+            out.extend(other.join().unwrap_or_else(|panic| resume_unwind(panic)));
+        }
+        out
+    });
+    (prepared.into_inner().expect("prepared in the scope"), out)
 }
 
 /// Blocks `0, …, n_blocks - 1`, each filled by `produce(block, buffer)`
@@ -180,7 +226,10 @@ mod tests {
                     let got = chunked_map(workers, chunk, n, |i| i);
                     let want: Vec<usize> = (0..n).collect();
                     assert_eq!(got, want, "{workers} workers, chunks of {chunk}");
-                    assert_eq!(split_map(workers, n, |i| i), want, "{workers} workers");
+                    let (_, split) =
+                        split_phases(workers, n, || 2, |k, i| k * i, |_, i, twice| (i, twice));
+                    let twice: Vec<(usize, usize)> = (0..n).map(|i| (i, 2 * i)).collect();
+                    assert_eq!(split, twice, "{workers} workers");
                 }
             }
         }
@@ -188,19 +237,37 @@ mod tests {
 
     /// A split's shares are `⌈n / workers⌉` long, the first computed by
     /// the calling thread and each other by a thread of its own, however
-    /// late that thread starts: with one index a share, the calling thread
-    /// is done before the other has started, and still leaves it its
-    /// index.
+    /// late that thread starts, in both phases: with one index a share,
+    /// the calling thread is done before the other has started, and
+    /// still leaves it its index.
     #[test]
-    fn split_map_leaves_each_share_to_its_worker() {
+    fn split_phases_leave_each_share_to_its_worker() {
         let caller = std::thread::current().id();
+        let on_caller = || std::thread::current().id() == caller;
         for _ in 0..20 {
-            let by_caller = split_map(2, 2, |_| std::thread::current().id() == caller);
-            assert_eq!(by_caller, [true, false]);
+            let (_, by_caller) = split_phases(
+                2,
+                2,
+                || (),
+                |(), _| on_caller(),
+                |(), _, first| (first, on_caller()),
+            );
+            assert_eq!(by_caller, [(true, true), (false, false)]);
         }
         for workers in WORKERS {
             for n in 0..=20 {
-                let threads = split_map(workers, n, |_| std::thread::current().id());
+                let thread = || std::thread::current().id();
+                let (prepared, threads) = split_phases(
+                    workers,
+                    n,
+                    thread,
+                    |_, _| thread(),
+                    |_, _, first| {
+                        assert_eq!(first, thread(), "one thread an index");
+                        first
+                    },
+                );
+                assert_eq!(prepared, caller, "the calling thread prepares");
                 let share = n.div_ceil(workers).max(1);
                 for (i, thread) in threads.iter().enumerate() {
                     let first = threads[i / share * share];
@@ -372,5 +439,23 @@ mod tests {
     #[should_panic(expected = "index 7 failed")]
     fn a_workers_panic_keeps_its_message() {
         chunked_map(3, 1, 9, |i| assert!(i != 7, "index {i} failed"));
+    }
+
+    /// A panic in a worker's first phase is reported in its own words,
+    /// and the other threads still pass the barrier.
+    #[test]
+    #[should_panic(expected = "index 7 failed first")]
+    fn a_first_phase_panic_keeps_its_message() {
+        let fail = |(): &(), i| assert!(i != 7, "index {i} failed first");
+        split_phases(3, 9, || (), fail, |_, _, ()| ());
+    }
+
+    /// A panic in the preparation is reported in its own words, and the
+    /// workers waiting for it still stop.
+    #[test]
+    #[should_panic(expected = "no plan")]
+    fn a_preparation_panic_keeps_its_message() {
+        let plan = || -> () { panic!("no plan") };
+        split_phases(3, 9, plan, |(), _| (), |_, _, ()| ());
     }
 }

@@ -18,7 +18,7 @@ use crate::posynomial::Posynomial;
 /// posynomials there are, written once by a caller that knows its counts
 /// ([`LogArena::with_capacity`] or [`LogArena::reset`], then
 /// [`LogArena::push`]) and read front to back by every solver pass.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct LogArena {
     /// Every term's sparse exponent row `(var, exponent)`.
     entries: Vec<(usize, f64)>,
@@ -55,6 +55,29 @@ pub struct Evaluation {
     pub grad: Vec<f64>,
     /// `∇²F(y)` (symmetric, `n_vars x n_vars`).
     pub hess: Matrix,
+}
+
+/// `clone_from` copies into the arrays the target already has: an arena
+/// kept as scratch takes another's rows without allocating once it has
+/// held as many.
+impl Clone for LogArena {
+    fn clone(&self) -> Self {
+        LogArena {
+            entries: self.entries.clone(),
+            row_ends: self.row_ends.clone(),
+            log_coefs: self.log_coefs.clone(),
+            term_ends: self.term_ends.clone(),
+            n_vars: self.n_vars,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.entries.clone_from(&source.entries);
+        self.row_ends.clone_from(&source.row_ends);
+        self.log_coefs.clone_from(&source.log_coefs);
+        self.term_ends.clone_from(&source.term_ends);
+        self.n_vars = source.n_vars;
+    }
 }
 
 impl LogArena {
@@ -164,6 +187,14 @@ impl LogArena {
             (arena.push(rows(p), 1.0)).expect("a validated posynomial compiles");
         }
         arena
+    }
+
+    /// Every term's `ln c_k`, front to back, to rewrite in place: a
+    /// program whose rows stay and whose coefficients move writes these
+    /// instead of pushing its posynomials again. A caller keeps each
+    /// finite, as [`LogArena::push`] does.
+    pub fn log_coefs_mut(&mut self) -> &mut [f64] {
+        &mut self.log_coefs
     }
 
     /// Number of posynomials.
@@ -561,6 +592,35 @@ fn softmax(z: &[f64]) -> (f64, Vec<f64>) {
 
 #[cfg(test)]
 mod tests {
+
+    /// An arena copied into another's arrays is the same program;
+    /// rewriting its `ln` coefficients moves nothing else.
+    #[test]
+    fn a_copied_arena_takes_new_coefficients_in_place() {
+        let mut source = LogArena::with_capacity(3, 2, 4, 5);
+        source
+            .push(
+                [(2.0, vec![(0, -1.0)]), (3.0, vec![(1, 1.0), (2, 1.0)])].into_iter(),
+                1.0,
+            )
+            .unwrap();
+        source
+            .push(
+                [(0.5, vec![(0, 1.0)]), (1.5, vec![(2, -1.0)])].into_iter(),
+                0.5,
+            )
+            .unwrap();
+        let mut copy = LogArena::with_capacity(3, 2, 4, 5);
+        copy.clone_from(&source);
+        // Sized as the source exactly: every array filled, none grown.
+        assert_eq!(copy.spare_capacity(), 0);
+        copy.log_coefs_mut().iter_mut().for_each(|c| *c += 1.0);
+        for (a, b) in copy.iter().zip(source.iter()) {
+            assert_eq!(a.rows().collect::<Vec<_>>(), b.rows().collect::<Vec<_>>());
+            let shifted: Vec<f64> = b.log_coefs().iter().map(|c| c + 1.0).collect();
+            assert_eq!(a.log_coefs(), &shifted[..]);
+        }
+    }
     use super::*;
     use crate::posynomial::Monomial;
 

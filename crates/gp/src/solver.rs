@@ -555,14 +555,54 @@ impl CompiledGp {
         stop: f64,
         ws: &mut SolveWorkspace,
     ) -> Result<(GpSolution, WarmStart), GpError> {
-        if start.len() != self.n_vars()
-            || interior_x.len() != self.n_vars()
-            || start.iter().any(|&v| !(v.is_finite() && v > 0.0))
-            || interior_x.iter().any(|&v| !(v.is_finite() && v > 0.0))
-        {
+        self.warm(None, start, interior_x, options, stop, ws)
+    }
+
+    /// [`CompiledGp::solve_warm`] that first tries `shaped`, a start that
+    /// may be certified as it stands (on a DAB unit, the offset a solved
+    /// unit of the same shape found between its optimum and its
+    /// prediction, applied to this program's prediction). When `shaped`
+    /// is strictly feasible and, with the duals a warm start fits to it,
+    /// its surrogate gap and dual residual are both at most `stop`, it is
+    /// the solution, at zero Newton steps, and the one `gp.solve` span
+    /// records it as `solve_warm`'s would, with `shape_start` set.
+    /// Otherwise the solve is `solve_warm`'s, in the same span. A program
+    /// with a sparse plan starts from centred duals, which certify
+    /// nothing: it goes straight to the blend.
+    ///
+    /// # Errors
+    /// As [`CompiledGp::solve_warm`].
+    pub fn solve_shaped(
+        &self,
+        shaped: &[f64],
+        start: &[f64],
+        interior_x: &[f64],
+        options: &SolverOptions,
+        stop: f64,
+        ws: &mut SolveWorkspace,
+    ) -> Result<(GpSolution, WarmStart), GpError> {
+        self.warm(Some(shaped), start, interior_x, options, stop, ws)
+    }
+
+    /// [`CompiledGp::solve_shaped`], or [`CompiledGp::solve_warm`]
+    /// without a `shaped` start.
+    fn warm(
+        &self,
+        shaped: Option<&[f64]>,
+        start: &[f64],
+        interior_x: &[f64],
+        options: &SolverOptions,
+        stop: f64,
+        ws: &mut SolveWorkspace,
+    ) -> Result<(GpSolution, WarmStart), GpError> {
+        if !(positive(start, self.n_vars()) && positive(interior_x, self.n_vars())) {
             return Err(GpError::InvalidStartingPoint);
         }
         let mut span = solve_span(options);
+        let certified = shaped.and_then(|x| self.certified_at(x, options, stop, ws, &mut span));
+        if let Some(solution) = certified {
+            return Ok((solution, WarmStart::Hit));
+        }
         let theta = self.blend_into(start, interior_x, ws);
         let solution = phase_two(&self.program(), options, ws, Duals::Fitted, stop, &mut span)?;
         let kind = if theta <= WARM_HIT_BLEND {
@@ -571,6 +611,40 @@ impl CompiledGp {
             WarmStart::Repaired
         };
         Ok((solution, kind))
+    }
+
+    /// `x` as the solution, recorded on `span`, when it is strictly
+    /// feasible on this (dense) program and its fitted duals certify it
+    /// within `stop` (see [`CompiledGp::solve_shaped`]).
+    fn certified_at(
+        &self,
+        x: &[f64],
+        options: &SolverOptions,
+        stop: f64,
+        ws: &mut SolveWorkspace,
+        span: &mut TimedGuard,
+    ) -> Option<GpSolution> {
+        if self.plan.is_some() || !positive(x, self.n_vars()) {
+            return None;
+        }
+        ws.seed_from_x(x);
+        let (gap, rd) = open(&self.program(), options, ws, Duals::Fitted).ok()?;
+        let stop = options.tolerance.max(stop);
+        if !(gap <= stop && rd <= stop) {
+            return None;
+        }
+        span.set("newton_steps", 0_usize);
+        span.set("gap", gap);
+        span.set("r_dual", rd);
+        span.set("shape_start", true);
+        let solution = GpSolution {
+            x: ws.cur.y.iter().map(|&v| v.exp()).collect(),
+            objective: ws.cur.f0.exp(),
+            newton_steps: 0,
+            duality_gap: gap,
+        };
+        span.set("objective", solution.objective);
+        Some(solution)
     }
 
     /// Writes the blend of [`CompiledGp::solve_warm`] into `ws.cur.y`:
@@ -871,6 +945,43 @@ enum Duals {
     Fitted,
 }
 
+/// `x` has `n` finite positive entries.
+fn positive(x: &[f64], n: usize) -> bool {
+    x.len() == n && x.iter().all(|&v| v.is_finite() && v > 0.0)
+}
+
+/// Evaluates the start in `ws.cur.y` on `program` and gives it the duals
+/// `duals` says; returns its surrogate gap and dual residual.
+///
+/// # Errors
+/// [`GpError::InvalidStartingPoint`] unless the start is strictly
+/// feasible.
+fn open(
+    program: &Program<'_>,
+    options: &SolverOptions,
+    ws: &mut SolveWorkspace,
+    duals: Duals,
+) -> Result<(f64, f64), GpError> {
+    let (n, m) = (ws.cur.y.len(), program.n_constraints());
+    ws.ensure(n, m, &program.backend);
+    if !program.eval_point(&mut ws.cur) {
+        return Err(GpError::InvalidStartingPoint);
+    }
+    let floor = match duals {
+        Duals::Centred(floor) => floor,
+        Duals::Fitted => WARM_SLACK,
+    };
+    let t0 = options.t0.max(f64::MIN_POSITIVE);
+    for (l, s) in ws.cur.lam.iter_mut().zip(&ws.cur.slack) {
+        *l = 1.0 / (t0 * s.max(floor));
+    }
+    if let (Duals::Fitted, Backend::Dense) = (duals, &program.backend) {
+        program.fit_duals(ws);
+    }
+    let gap = dot(&ws.cur.lam, &ws.cur.slack);
+    Ok((gap, program.dual_residual(&ws.cur, &mut ws.grad)))
+}
+
 /// The primal–dual path-following loop, from the strictly feasible start
 /// in `ws.cur.y` with duals as `duals` says. Runs until the surrogate gap
 /// and the dual residual are within `options.tolerance`, or both within
@@ -894,28 +1005,12 @@ fn primal_dual(
     // `max`, not a second test: a `stop` of 0 stops where the tolerance
     // alone does, bit for bit.
     let stop = options.tolerance.max(stop);
-    let (n, m) = (ws.cur.y.len(), program.n_constraints());
-    ws.ensure(n, m, &program.backend);
     if let Backend::Sparse(_) = program.backend {
         options.obs.counter(names::GP_SPARSE_SOLVE).inc();
     }
-    if !program.eval_point(&mut ws.cur) {
-        return Err(GpError::InvalidStartingPoint);
-    }
-    let floor = match duals {
-        Duals::Centred(floor) => floor,
-        Duals::Fitted => WARM_SLACK,
-    };
-    let t0 = options.t0.max(f64::MIN_POSITIVE);
-    for (l, s) in ws.cur.lam.iter_mut().zip(&ws.cur.slack) {
-        *l = 1.0 / (t0 * s.max(floor));
-    }
-    if let (Duals::Fitted, Backend::Dense) = (duals, &program.backend) {
-        program.fit_duals(ws);
-    }
+    let (mut gap, mut rd) = open(program, options, ws, duals)?;
+    let m = program.n_constraints();
     let mf = m as f64;
-    let mut gap = dot(&ws.cur.lam, &ws.cur.slack);
-    let mut rd = program.dual_residual(&ws.cur, &mut ws.grad);
     let lag0 = if m == 0 { 1.0 } else { (rd / gap).max(1.0) };
     let (gap0, rd0) = (gap, rd);
     if let Some(span) = span.as_deref_mut() {
@@ -1734,6 +1829,57 @@ mod tests {
             has("gap") && has("r_dual") && !has("gap0") && !has("r_dual0"),
             "{e:?}"
         );
+    }
+
+    /// A shaped start that its fitted duals certify within the stop is
+    /// the solution, at zero Newton steps, in one span marked
+    /// `shape_start`; one they do not certify (here the interior point,
+    /// far from the optimum) or one outside the program leaves the
+    /// solve `solve_warm`'s, bit for bit, in one span without the mark.
+    #[test]
+    fn a_shaped_start_is_the_solution_when_certified_and_the_blend_otherwise() {
+        use pq_obs::Value;
+        let stop = 2e-3;
+        let (obs, ring) = Obs::ring(256);
+        let observed = opts().observed_by(&obs);
+        let mut certified = 0;
+        for i in 0..16 {
+            let (compiled, start, interior) = predicted_dual_dab("shaped_start", i);
+            let optimum = warm(&compiled, &start, &interior).x;
+            let outside: Vec<f64> = start.iter().map(|x| x * 1e3).collect();
+            for shaped in [&optimum, &interior, &outside] {
+                let mut ws = SolveWorkspace::new();
+                let before = ring.events().len();
+                let (sol, _) = compiled
+                    .solve_shaped(shaped, &start, &interior, &observed, stop, &mut ws)
+                    .unwrap();
+                let events = ring.events();
+                assert_eq!(events.len(), before + 1, "case {i}: one record");
+                let e = &events[before];
+                if e.field("shape_start") == Some(&Value::Bool(true)) {
+                    certified += 1;
+                    assert_eq!(sol.newton_steps, 0, "case {i}");
+                    assert_eq!(e.field("newton_steps"), Some(&Value::U64(0)));
+                    assert!(sol.duality_gap <= stop, "case {i}");
+                    let moved = sol
+                        .x
+                        .iter()
+                        .zip(shaped.iter())
+                        .map(|(a, b)| (a / b).ln().abs());
+                    assert!(
+                        moved.fold(0.0, f64::max) < 1e-12,
+                        "case {i}: the start itself"
+                    );
+                } else {
+                    let (blend, _) = compiled
+                        .solve_warm(&start, &interior, &opts(), stop, &mut ws)
+                        .unwrap();
+                    assert_eq!(sol.x, blend.x, "case {i}");
+                    assert_eq!(sol.newton_steps, blend.newton_steps, "case {i}");
+                }
+            }
+        }
+        assert!(certified >= 8, "{certified} of 16 optima certified");
     }
 
     /// From a prediction within 0.3 % of the optimum, the fitted duals

@@ -216,14 +216,17 @@ struct MonomialEnds {
     contribs: u32,
 }
 
-/// `weight * prod factors`, the factors being `factors[prev end..end]`.
+/// `weight * prod factors`, the factors being `factors[prev end..end]`;
+/// `weight` is the weight of the body's `term`-th term.
 #[derive(Debug, Clone, PartialEq)]
 struct Contribution {
     weight: f64,
+    term: u32,
     end: u32,
 }
 
-/// `mult * values[item]^power`.
+/// `mult * values[item]^power` (a shape's `item` is the GP variable of
+/// the item's primary DAB, see [`DeviationMap::compile_shape`]).
 #[derive(Debug, Clone, PartialEq)]
 struct ValueFactor {
     mult: f64,
@@ -236,6 +239,7 @@ struct ValueFactor {
 #[derive(Debug)]
 struct Entry {
     weight: f64,
+    term: u32,
     exps: Range<usize>,
     factors: Range<usize>,
 }
@@ -309,7 +313,25 @@ impl DeviationMap {
     ///   weights.
     pub fn compile(poly: &Polynomial, vars: &dyn DabVarIndexer) -> Result<Self, PolyError> {
         let mut map = DeviationMap::default();
-        map.expand(poly, vars, poly.items().into())?;
+        map.expand(poly, vars, poly.items().into(), false)?;
+        Ok(map)
+    }
+
+    /// [`DeviationMap::compile`] as a *shape*: every value factor reads
+    /// the value at its item's primary variable (`vars.primary(item)`)
+    /// instead of at the item's id, and [`DeviationMap::eval_shape`]
+    /// takes the weights. One shape serves every body whose terms have,
+    /// term by term and factor by factor, the same exponents over the
+    /// same variables: evaluated at such a body's weights and values, it
+    /// writes the coefficients compiling that body itself writes, bit
+    /// for bit.
+    ///
+    /// # Errors
+    /// As [`DeviationMap::compile`].
+    pub fn compile_shape(poly: &Polynomial, vars: &dyn DabVarIndexer) -> Result<Self, PolyError> {
+        let mut map = DeviationMap::default();
+        // A shape reads its values by variable, not by item.
+        map.expand(poly, vars, Arc::from([]), true)?;
         Ok(map)
     }
 
@@ -344,17 +366,19 @@ impl DeviationMap {
             items: &items,
             coupled,
         };
-        self.expand(poly, &vars, items.clone())
+        self.expand(poly, &vars, items.clone(), false)
     }
 
     /// The expansion of [`DeviationMap::compile`] into this map, with
     /// `items` as given: its four arrays are counted first, so each is
-    /// grown at most once, to its final size.
+    /// grown at most once, to its final size. A `shape`'s value factors
+    /// read the item's primary variable.
     fn expand<V: DabVarIndexer + ?Sized>(
         &mut self,
         poly: &Polynomial,
         vars: &V,
         items: Arc<[ItemId]>,
+        shape: bool,
     ) -> Result<(), PolyError> {
         if poly.is_zero() {
             return Err(PolyError::EmptyPolynomial);
@@ -398,7 +422,7 @@ impl DeviationMap {
         // order, its exponent row and value factors in two shared arenas,
         // and its sort word.
         let mut resolved = term_vars.iter();
-        for term in poly.terms() {
+        for (term_index, term) in poly.terms().iter().enumerate() {
             term_items.clear();
             for (&(item, p), &(b_var, c_var)) in term.vars().iter().zip(&mut resolved) {
                 let with_c = c_var.is_some();
@@ -439,9 +463,10 @@ impl DeviationMap {
                         }
                         // Multiplying by `1 * V^0` changes no bit.
                         if split.mult != 1.0 || split.j != 0 {
+                            let item = if shape { it.b_var as u32 } else { it.item.0 };
                             factors.push(ValueFactor {
                                 mult: split.mult,
-                                item: it.item.0,
+                                item,
                                 power: split.j,
                             });
                         }
@@ -461,6 +486,7 @@ impl DeviationMap {
                     order.push(key << 32 | entries.len() as u64);
                     entries.push(Entry {
                         weight: term.coef(),
+                        term: term_index as u32,
                         exps: row..exps.len(),
                         factors: first_factor..factors.len(),
                     });
@@ -516,6 +542,7 @@ impl DeviationMap {
             map.factors.extend_from_slice(&factors[e.factors.clone()]);
             map.contribs.push(Contribution {
                 weight: e.weight,
+                term: e.term,
                 end: map.factors.len() as u32,
             });
             map.monomials.last_mut().expect("pushed above").contribs = map.contribs.len() as u32;
@@ -586,17 +613,50 @@ impl DeviationMap {
     /// # Panics
     /// Panics unless `out.len() == self.n_terms()`.
     pub fn eval_into(&self, values: &[f64], out: &mut [f64]) -> Result<(), PolyError> {
-        assert_eq!(out.len(), self.monomials.len(), "one slot per monomial");
         if let Some(item) = self.items.iter().find(|i| i.index() >= values.len()) {
             return Err(PolyError::MissingValue { item: item.0 });
         }
+        self.eval_weighted(|c| c.weight, values, out)
+    }
+
+    /// Writes every monomial's coefficient for a body of this shape
+    /// ([`DeviationMap::compile_shape`]): `weights[t]` is the weight of
+    /// its `t`-th term, `values[k]` the value of the item whose primary
+    /// DAB is GP variable `k`.
+    ///
+    /// # Errors
+    /// [`PolyError::NegativeValue`] as [`DeviationMap::eval_into`], its
+    /// `item` the variable.
+    ///
+    /// # Panics
+    /// Panics unless `out.len() == self.n_terms()` and `weights` and
+    /// `values` cover every term and variable the shape reads.
+    pub fn eval_shape(
+        &self,
+        weights: &[f64],
+        values: &[f64],
+        out: &mut [f64],
+    ) -> Result<(), PolyError> {
+        self.eval_weighted(|c| weights[c.term as usize], values, out)
+    }
+
+    /// [`DeviationMap::eval_into`] with each contribution weighted by
+    /// `weight`, reading `values` at every factor's `item`.
+    #[inline]
+    fn eval_weighted(
+        &self,
+        weight: impl Fn(&Contribution) -> f64,
+        values: &[f64],
+        out: &mut [f64],
+    ) -> Result<(), PolyError> {
+        assert_eq!(out.len(), self.monomials.len(), "one slot per monomial");
         let mut negative: Option<u32> = None;
         let (mut c, mut f) = (0, 0);
         for (out, m) in out.iter_mut().zip(&self.monomials) {
             let end = m.contribs;
             let mut sum = 0.0;
             for contrib in &self.contribs[c..end as usize] {
-                let mut coef = contrib.weight;
+                let mut coef = weight(contrib);
                 for vf in &self.factors[f..contrib.end as usize] {
                     let v = values[vf.item as usize];
                     if v < 0.0 && vf.power > 0 {
@@ -970,6 +1030,7 @@ mod tests {
                 }
                 entries.push(Entry {
                     weight: 1.0,
+                    term: 0,
                     exps: start..exps.len(),
                     factors: 0..0,
                 });
@@ -1023,6 +1084,55 @@ mod tests {
         let want = p.eval(&at(&|i| b[i])) - p.eval(&at(&|_| 0.0));
         let got = g.eval(&[b.clone(), c.clone()].concat());
         assert!((got - want).abs() <= 1e-12 * want, "{got} vs {want}");
+    }
+
+    /// `b` of `items[k]` at variable `k`, `c` at `items.len() + k`: a
+    /// layout in any item order.
+    struct Listed(Vec<ItemId>);
+
+    impl DabVarIndexer for Listed {
+        fn primary(&self, item: ItemId) -> usize {
+            self.0.iter().position(|&i| i == item).unwrap()
+        }
+
+        fn secondary(&self, item: ItemId) -> Option<usize> {
+            Some(self.0.len() + self.primary(item))
+        }
+    }
+
+    /// A shape compiled from one body, evaluated at another body's
+    /// weights and values (read by variable), writes the coefficients
+    /// that body's own map writes at its values, over the same rows, bit
+    /// for bit: here `2 x3 x7 + 0.5 x7^2 x1 + 4 x9` and
+    /// `3 x2 x4 + 1.5 x4^2 x0 + 0.25 x5`, each in its own first-appearance
+    /// order.
+    #[test]
+    fn a_shape_evaluates_a_body_of_its_shape_as_that_bodys_map_does() {
+        let body = |w: [f64; 3], [a, b, c, d]: [u32; 4]| {
+            Polynomial::from_terms([
+                PTerm::new(w[0], [(x(a), 1), (x(b), 1)]).unwrap(),
+                PTerm::new(w[1], [(x(b), 2), (x(c), 1)]).unwrap(),
+                PTerm::new(w[2], [(x(d), 1)]).unwrap(),
+            ])
+        };
+        let leader = body([2.0, 0.5, 4.0], [3, 7, 1, 9]);
+        let follower = body([3.0, 1.5, 0.25], [2, 4, 0, 5]);
+        let shape = DeviationMap::compile_shape(&leader, &Listed(vec![x(3), x(7), x(1), x(9)]));
+        let canon = vec![x(2), x(4), x(0), x(5)];
+        let own = DeviationMap::compile(&follower, &Listed(canon.clone()));
+        let (shape, own) = (shape.unwrap(), own.unwrap());
+        let values = [1.5, 0.0, 7.0, 0.0, 2.25, 3.0];
+        let by_var: Vec<f64> = canon.iter().map(|i| values[i.index()]).collect();
+        let weights: Vec<f64> = follower.terms().iter().map(|t| t.coef()).collect();
+        let (mut got, mut want) = (vec![0.0; shape.n_terms()], vec![0.0; own.n_terms()]);
+        shape.eval_shape(&weights, &by_var, &mut got).unwrap();
+        own.eval_into(&values, &mut want).unwrap();
+        let bits = |map: &DeviationMap, c: &[f64]| -> Vec<(u64, Vec<(usize, f64)>)> {
+            map.terms(c)
+                .map(|(c, row)| (c.to_bits(), row.to_vec()))
+                .collect()
+        };
+        assert_eq!(bits(&shape, &got), bits(&own, &want));
     }
 
     #[test]
